@@ -281,10 +281,10 @@ func TestWarmReopenAutotune(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := live.SaveWarm(dir); err != nil {
+	if err := live.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	re, _, err := OpenWarm(dir)
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@
 //	\stats <table> <col>   cracking statistics of a column
 //	\lineage <table> <col> render the cracker lineage DAG
 //	\tapestry <name> <n> <alpha> [seed]   load a DBtapestry table
-//	\save <dir> / \open <dir>             persist / load the store
+//	\save <dir>           write a full image (tables and crack state);
+//	                      reopen it with cracksql -db <dir>
 //	\quit
 package main
 
@@ -32,7 +33,7 @@ import (
 func main() {
 	var (
 		script = flag.String("f", "", "execute a SQL script file and exit")
-		dbdir  = flag.String("db", "", "open a saved store directory")
+		dbdir  = flag.String("db", "", "open a store image written by \\save, crack state included")
 	)
 	flag.Parse()
 

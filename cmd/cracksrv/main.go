@@ -23,16 +23,16 @@
 //
 // With -data the server is durable: every mutation is appended to
 // <dir>/wal.log — fsynced, group-committed — before it is acked, /save
-// checkpoints a warm crack-state snapshot into <dir>/store/ and rotates
-// the log, and boot recovers snapshot + WAL suffix, so even a SIGKILL
-// loses nothing that was acked. When a snapshot exists its recorded
-// sharding configuration wins over the command-line flags. With
-// -ckptdelta a bare /save appends a differential chain element
-// (<dir>/delta-NNNNNN/) carrying only the shards that changed since the
-// last checkpoint; /save full forces a fresh full image, and the chain
-// auto-compacts when it grows long or heavy. -walretain bounds how many
-// rotated WAL segments each checkpoint keeps for replication catch-up;
-// segments a connected follower still needs are never pruned.
+// checkpoints a full store image (tables plus crack state) into
+// <dir>/store/ and rotates the log, and boot recovers image + WAL
+// suffix, so even a SIGKILL loses nothing that was acked. When an image
+// exists its recorded sharding configuration wins over the command-line
+// flags. With -ckptdelta a bare /save appends a differential chain
+// element (<dir>/delta-NNNNNN/) carrying only the shards that changed
+// since the last checkpoint; /save full forces a fresh full image, and
+// the chain auto-compacts when it grows long or heavy. -walretain bounds
+// how many rotated WAL segments each checkpoint keeps for replication
+// catch-up; segments a connected follower still needs are never pruned.
 //
 // With -follow the server is a read replica: it bootstraps from the
 // primary's checkpoint image plus WAL suffix, then pulls and applies

@@ -36,7 +36,6 @@ import (
 	"crackdb/internal/bat"
 	"crackdb/internal/catalog"
 	"crackdb/internal/core"
-	"crackdb/internal/durable"
 	"crackdb/internal/expr"
 	"crackdb/internal/mqs"
 	"crackdb/internal/relation"
@@ -70,10 +69,6 @@ type Store struct {
 	strategySeed int64
 	strategySeq  atomic.Int64
 
-	// wal, when attached, receives every mutation before it is applied
-	// (see persist.go: AttachWAL, logRecord, Apply).
-	wal *durable.WAL
-
 	// sideways holds the store's partial sideways-cracking maps: aligned
 	// (key, oid, payload) vectors cracked in lockstep with the primary
 	// columns, so multi-attribute projection reads co-cracked windows
@@ -91,13 +86,13 @@ type Store struct {
 	// autotune.go). Atomic: the select observer reads it lock-free.
 	autotune atomic.Pointer[autoTuner]
 
-	// pendingTuner carries tuner posture restored from a warm snapshot
-	// until EnableAutotune adopts it. Guarded by mu.
+	// pendingTuner carries tuner posture restored from an image until
+	// EnableAutotune adopts it. Guarded by mu.
 	pendingTuner []tuner.ColumnState
 
-	// mark remembers what the last saved warm image contained, anchoring
-	// differential checkpoints (see persist_delta.go). Guarded by mu; nil
-	// until a warm save or warm open completes.
+	// mark remembers what the last committed image contained, anchoring
+	// delta elements (see persist.go). Guarded by mu; nil until a save is
+	// committed or an Open completes.
 	mark *saveMark
 
 	// tableGen stamps each live table with a store-unique generation,
@@ -142,9 +137,6 @@ func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.logRecord(durable.Record{Kind: durable.KindStrategy, Name: name, Seed: seed, Shard: -1}); err != nil {
-		return err
-	}
 	s.strategyName = name
 	s.strategySeed = seed
 	s.sideways.SetStrategyFactory(s.sidewaysStrategyLocked())
@@ -256,9 +248,6 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
-	if err := s.logRecord(durable.Record{Kind: durable.KindCreate, Table: name, Cols: cols}); err != nil {
-		return err
-	}
 	defs := make([]catalog.ColumnDef, len(cols))
 	for i, c := range cols {
 		defs[i] = catalog.ColumnDef{Name: c, Type: "int"}
@@ -278,9 +267,12 @@ func (s *Store) DropTable(name string) error {
 	if _, ok := s.tables[name]; !ok {
 		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
-	if err := s.logRecord(durable.Record{Kind: durable.KindDrop, Table: name}); err != nil {
-		return err
-	}
+	return s.dropTableLocked(name)
+}
+
+// dropTableLocked removes an existing table from the catalog, the
+// registry and every crack structure. The caller holds s.mu.
+func (s *Store) dropTableLocked(name string) error {
 	if err := s.cat.DropTable(name); err != nil {
 		return err
 	}
@@ -302,17 +294,11 @@ func (s *Store) InsertRows(name string, rows [][]int64) error {
 	if !ok {
 		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
-	// Validate arity up front: the WAL must only ever hold batches that
-	// re-apply cleanly on replay, and a partially applied batch behind an
-	// already written record would be exactly that kind of poison.
+	// Validate arity up front so a bad row never leaves a batch half
+	// applied.
 	for i, r := range rows {
 		if len(r) != t.Arity() {
 			return fmt.Errorf("crackdb: row %d arity %d, table %q has %d", i, len(r), name, t.Arity())
-		}
-	}
-	if len(rows) > 0 {
-		if err := s.logRecord(durable.Record{Kind: durable.KindInsert, Table: name, Rows: rows}); err != nil {
-			return err
 		}
 	}
 	ct, ok := s.cracked[name]
@@ -337,12 +323,6 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	defer s.mu.Unlock()
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
-	}
-	// Logged by its generator parameters: the tapestry is deterministic
-	// in (n, alpha, seed), so replay regenerates instead of re-reading
-	// n×alpha values from the log.
-	if err := s.logRecord(durable.Record{Kind: durable.KindTapestry, Table: name, N: n, Alpha: alpha, Seed: seed}); err != nil {
-		return err
 	}
 	t := mqs.Tapestry(n, alpha, seed)
 	t.Name = name

@@ -479,12 +479,17 @@ func TestOpenRejectsCorruptStore(t *testing.T) {
 	if err := writeFile(path, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("corrupt store opened")
-	}
-	// Missing manifest.
-	if _, err := Open(t.TempDir()); err == nil {
-		t.Fatal("empty dir opened")
+	for name, open := range map[string]func(string) (*Store, error){
+		"warm": func(dir string) (*Store, error) { return Open(dir) },
+		"cold": OpenCold,
+	} {
+		if _, err := open(dir); err == nil {
+			t.Fatalf("%s: corrupt store opened", name)
+		}
+		// No image file at all.
+		if _, err := open(t.TempDir()); err == nil {
+			t.Fatalf("%s: empty dir opened", name)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package crackdb
 import (
 	"path/filepath"
 	"testing"
-
-	"crackdb/internal/durable"
 )
 
 // brute counts live rows matching low <= reading <= high by full scan —
@@ -120,11 +118,11 @@ func TestDeleteWarmRoundTrip(t *testing.T) {
 	if liveTotal != 1500-n {
 		t.Fatalf("live total %d, want %d", liveTotal, 1500-n)
 	}
-	if err := s.SaveWarm(dir); err != nil {
+	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	re, _, err := OpenWarm(dir)
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,59 +135,12 @@ func TestDeleteWarmRoundTrip(t *testing.T) {
 	if got := bruteCount(t, re, "events", "reading", 0, 999); got != 1500-n {
 		t.Fatalf("reopened live total %d, want %d", got, 1500-n)
 	}
-	// Cold image round-trips tombstones too.
-	coldDir := filepath.Join(t.TempDir(), "cold")
-	if err := s.Save(coldDir); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Open(coldDir)
+	// A cold open of the same image keeps the tombstones too.
+	cold, err := OpenCold(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := cold.NumRows("events"); got != 1500-n {
 		t.Fatalf("cold reopened NumRows = %d, want %d", got, 1500-n)
-	}
-}
-
-func TestDeleteApplyReplay(t *testing.T) {
-	// Applying the same logical records to a fresh store reproduces the
-	// live set — the property WAL replay and replication depend on.
-	build := func() *Store {
-		s := New()
-		if err := s.Apply(durable.Record{Kind: durable.KindCreate, Table: "t", Cols: []string{"a", "b"}}); err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]int64, 500)
-		for i := range rows {
-			rows[i] = []int64{int64(i), int64(i % 7)}
-		}
-		if err := s.Apply(durable.Record{Kind: durable.KindInsert, Table: "t", Rows: rows}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Apply(durable.Record{Kind: durable.KindDelete, Table: "t",
-			Conds: []durable.Cond{{Col: "a", Op: ">=", Val: 100}, {Col: "a", Op: "<", Val: 200}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Apply(durable.Record{Kind: durable.KindInsert, Table: "t", Rows: [][]int64{{150, 3}}}); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := build(), build()
-	for _, s := range []*Store{a, b} {
-		if got, _ := s.NumRows("t"); got != 401 {
-			t.Fatalf("NumRows = %d, want 401", got)
-		}
-	}
-	ra, err := a.SelectWhere("t", Cond{Col: "a", Op: ">=", Val: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.SelectWhere("t", Cond{Col: "a", Op: ">=", Val: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Count() != rb.Count() {
-		t.Fatalf("replayed stores disagree: %d vs %d", ra.Count(), rb.Count())
 	}
 }

@@ -120,9 +120,10 @@ func TestColumnFromStateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreColumnGuards: RestoreColumn must refuse misaligned or
-// duplicate restores — OID alignment is what makes fetches correct.
-func TestRestoreColumnGuards(t *testing.T) {
+// TestReplaceColumnGuards: ReplaceColumn must refuse misaligned
+// restores — OID alignment is what makes fetches correct — and let a
+// later image element supersede a live column.
+func TestReplaceColumnGuards(t *testing.T) {
 	base := relation.New("t", "k", "v")
 	for i := 0; i < 10; i++ {
 		if err := base.AppendRow(int64(i), int64(i*10)); err != nil {
@@ -136,17 +137,16 @@ func TestRestoreColumnGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.RestoreColumn("k", short); err == nil {
+	if err := ct.ReplaceColumn("k", short); err == nil {
 		t.Fatal("accepted a column shorter than the base")
 	}
-	if err := ct.RestoreColumn("nope", short); err == nil {
+	if err := ct.ReplaceColumn("nope", short); err == nil {
 		t.Fatal("accepted an unknown attribute")
 	}
 	full := NewColumn("t.k", base.MustColumn("k").Ints())
-	if err := ct.RestoreColumn("k", full); err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.RestoreColumn("k", full); err == nil {
-		t.Fatal("accepted a second restore over a live column")
+	for i := 0; i < 2; i++ {
+		if err := ct.ReplaceColumn("k", full); err != nil {
+			t.Fatalf("restore %d over the base: %v", i, err)
+		}
 	}
 }

@@ -118,17 +118,15 @@ func (ct *CrackedTable) Options() []Option {
 	return append([]Option(nil), ct.opts...)
 }
 
-// RestoreColumn installs a reconstructed cracker column (ColumnFromState)
-// for attr. The attribute must exist in the base relation, must not have
-// a live cracker column yet, and the restored column's tuple count must
-// match the base cardinality — OID alignment is what makes fetches
-// through the surrogate key correct.
-func (ct *CrackedTable) RestoreColumn(attr string, c *Column) error {
+// ReplaceColumn installs a reconstructed cracker column
+// (ColumnFromState) for attr, displacing any live column — an image
+// element supersedes whatever the chain before it restored. The
+// attribute must exist in the base relation, and the column's tuple
+// count must match the base cardinality — OID alignment is what makes
+// fetches through the surrogate key correct.
+func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if _, exists := ct.cols[attr]; exists {
-		return fmt.Errorf("core: column %q already cracked, refusing restore", attr)
-	}
 	ct.baseMu.RLock()
 	hasCol := ct.base.HasColumn(attr)
 	liveLen := ct.base.Len() - len(ct.tomb)
@@ -146,30 +144,10 @@ func (ct *CrackedTable) RestoreColumn(attr string, c *Column) error {
 	return nil
 }
 
-// ReplaceColumn swaps in a reconstructed cracker column for attr,
-// displacing any live column. Same validation as RestoreColumn minus the
-// already-cracked refusal — this is the differential-checkpoint apply
-// path, where a delta element supersedes the column state restored from
-// the chain's base image.
-func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	ct.baseMu.RLock()
-	hasCol := ct.base.HasColumn(attr)
-	liveLen := ct.base.Len() - len(ct.tomb)
-	ct.baseMu.RUnlock()
-	if !hasCol {
-		return fmt.Errorf("core: table %q has no column %q to replace", ct.base.Name, attr)
-	}
-	if got := c.Len(); got != liveLen {
-		return fmt.Errorf("core: replacement column %q has %d live tuples, base has %d", attr, got, liveLen)
-	}
-	ct.cols[attr] = c
-	return nil
-}
-
 // CrackedColumns returns the attributes that currently have a cracker
-// column (i.e. have been filtered on at least once).
+// column (i.e. have been filtered on at least once), sorted — images
+// list columns in this order, and two images of the same state must be
+// byte-identical.
 func (ct *CrackedTable) CrackedColumns() []string {
 	ct.mu.RLock()
 	defer ct.mu.RUnlock()
@@ -177,6 +155,7 @@ func (ct *CrackedTable) CrackedColumns() []string {
 	for name := range ct.cols {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 

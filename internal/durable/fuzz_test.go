@@ -5,14 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"crackdb/internal/bat"
-	"crackdb/internal/core"
-	"crackdb/internal/sideways"
 )
 
 // Native fuzz targets for the durability decode paths (ISSUE 5
-// satellite): any mutated WAL or snapshot image must fail cleanly — an
+// satellite): any mutated WAL or store image must fail cleanly — an
 // error (or a silently truncated replay prefix for WAL tails, which is
 // the designed crash semantics), never a panic and never an allocation
 // driven by a corrupt length field instead of by the actual file size.
@@ -47,43 +43,16 @@ func fuzzWALBytes(tb testing.TB) []byte {
 	return b
 }
 
-// fuzzSnapshotBytes builds a valid version-2 snapshot image with column
-// and sideways sections.
-func fuzzSnapshotBytes(tb testing.TB) []byte {
+// fuzzImageBytes serializes an image the way a checkpoint would.
+func fuzzImageBytes(tb testing.TB, img *Image) []byte {
 	tb.Helper()
 	dir, err := os.MkdirTemp("", "crackdb-fuzzseed-*")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "snap.crk")
-	snap := &StoreSnapshot{
-		AppliedSeq: 11,
-		Config: StoreConfig{
-			StrategyName: "mdd1r", StrategySeed: 5, MaxPieces: 64, SidewaysBudget: 4,
-		},
-		Columns: []ColumnSnapshot{{
-			Table: "t", Attr: "k",
-			State: core.ColumnState{
-				Name: "t.k",
-				Vals: []int64{5, 1, 9, 7}, OIDs: []bat.OID{1, 0, 3, 2},
-				Cuts:    []core.Cut{{Val: 6, Incl: false, Pos: 2}},
-				NextOID: 5,
-				Pending: []core.PendingState{{OID: 4, Val: 2}},
-				Strategy: &core.StrategyState{
-					Name: "mdd1r", MinPiece: 2048, RNG: 77,
-				},
-			},
-		}},
-		Sideways: []sideways.MapState{{
-			Table: "t", Key: "k",
-			Keys: []int64{1, 5, 7, 9}, OIDs: []bat.OID{0, 1, 2, 3},
-			Cuts:     []core.Cut{{Val: 6, Incl: true, Pos: 2}},
-			Strategy: &core.StrategyState{Name: "mdd1r", MinPiece: 2048, RNG: 13},
-			Pays:     []sideways.PayState{{Attr: "v", Vals: []int64{10, 20, 30, 40}}},
-		}},
-	}
-	if err := WriteSnapshot(path, snap); err != nil {
+	path := filepath.Join(dir, "img.crk")
+	if _, err := WriteImage(path, img); err != nil {
 		tb.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -175,28 +144,29 @@ func FuzzRecordDecode(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode feeds arbitrary bytes to the snapshot reader: no
-// panic, no corrupt-length-driven allocation, and a successful read
-// must survive a write/read round trip.
-func FuzzSnapshotDecode(f *testing.F) {
-	addMutations(f, fuzzSnapshotBytes(f))
+// FuzzImageDecode feeds arbitrary bytes to the image reader: no panic,
+// no corrupt-length-driven allocation, and a successful read must
+// survive a write/read round trip.
+func FuzzImageDecode(f *testing.F) {
+	addMutations(f, fuzzImageBytes(f, sampleBase()))
+	addMutations(f, fuzzImageBytes(f, sampleDelta()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "snap.crk")
+		path := filepath.Join(dir, "img.crk")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		snap, err := ReadSnapshot(path)
+		img, _, err := ReadImage(path)
 		if err != nil {
 			return // clean refusal
 		}
 		// Round trip: what decoded must re-encode and decode identically.
-		path2 := filepath.Join(dir, "snap2.crk")
-		if err := WriteSnapshot(path2, snap); err != nil {
-			t.Fatalf("re-write of decoded snapshot failed: %v", err)
+		path2 := filepath.Join(dir, "img2.crk")
+		if _, err := WriteImage(path2, img); err != nil {
+			t.Fatalf("re-write of decoded image failed: %v", err)
 		}
-		if _, err := ReadSnapshot(path2); err != nil {
-			t.Fatalf("re-read of re-written snapshot failed: %v", err)
+		if _, _, err := ReadImage(path2); err != nil {
+			t.Fatalf("re-read of re-written image failed: %v", err)
 		}
 	})
 }

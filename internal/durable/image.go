@@ -1,0 +1,511 @@
+package durable
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+
+	"crackdb/internal/bat"
+	"crackdb/internal/core"
+	"crackdb/internal/sideways"
+	"crackdb/internal/tuner"
+)
+
+// Store images. One element type persists a store: an Image carries what
+// changed since a named predecessor — rewritten tables, the complete
+// crack state (core.ColumnState) of every column whose fingerprint moved,
+// the sideways maps of touched tables — and a full image is simply the
+// element with nothing before it: Base set, every table DataDirty, every
+// cracked column carried. The paper argues reorganization cost should
+// track what queries touch; so does checkpoint cost, because the unit of
+// change is the column.
+//
+// File layout (one format, one version):
+//
+//	magic    [4]byte "CRKS"
+//	version  uint8   4
+//	base     bool    chain start: nothing precedes this element
+//	prevSum  uint32  the predecessor's trailer checksum (ignored when
+//	                 base; 0 is a valid CRC, so base is its own marker)
+//	ntables  uint32  authoritative table manifest (see ImageTable)
+//	tables   ntables × (name, cols, rows, tombstones, dataDirty)
+//	config   store-wide crack configuration (full copy; the last chain
+//	         element's wins)
+//	ncols    uint32  column records (table, attr, ColumnState) — changed
+//	columns          columns only
+//	ntouch   uint32  tables whose sideways maps this element carries
+//	touched  ntouch × string
+//	nsets    uint32  sideways map spines of the touched tables (complete
+//	sideways         per-table set; apply replaces a table's maps wholesale)
+//	ntune    uint32  tuner posture (full copy; the last element's wins)
+//	tuner    ntune × (table, column, strategy, class, flips, forced)
+//	crc      uint32  CRC-32 (IEEE) of everything above
+//
+// The table manifest is complete, not differential: a table absent from
+// it was dropped, a DataDirty table has its BAT images next to the file,
+// and a clean table must already exist earlier in the chain with the
+// same shape. The trailing checksum makes a torn or bit-flipped image
+// fail as a whole (ErrCorrupt); whoever opens the chain refuses to boot
+// on it rather than serve half a cut set.
+//
+// Images written before this format (CRKS versions 1–3, and the CRKD
+// delta files of the same era) are not decoded; ReadImage names the
+// version and asks for a re-save.
+
+var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
+
+const imageVersion = 4
+
+// StoreConfig is the store-wide crack configuration an image carries, so
+// columns created after a reopen behave like columns created before the
+// shutdown.
+type StoreConfig struct {
+	StrategyName   string
+	StrategySeed   int64
+	MaxPieces      int
+	Ripple         bool
+	SidewaysBudget int
+}
+
+// ColumnSnapshot binds one column's exported state to its table and
+// attribute.
+type ColumnSnapshot struct {
+	Table string
+	Attr  string
+	State core.ColumnState
+}
+
+// ImageTable is one entry of an image's authoritative table manifest.
+type ImageTable struct {
+	Name string
+	Cols []string
+	Rows int // physical base cardinality, tombstoned rows included
+
+	// Deleted is the complete tombstone set at save time (cheap: deletes
+	// are rare and the set is bounded by consolidation).
+	Deleted []bat.OID
+
+	// DataDirty marks tables whose base vectors changed since the chain
+	// predecessor; their BAT images are written next to the image file
+	// and replace the prior ones on apply.
+	DataDirty bool
+}
+
+// Image is one element of a checkpoint chain.
+type Image struct {
+	Base     bool   // chain start; PrevSum is meaningless
+	PrevSum  uint32 // trailer checksum of the element this one follows
+	Config   StoreConfig
+	Tables   []ImageTable
+	Columns  []ColumnSnapshot // columns whose crack state changed
+	Touched  []string         // tables whose sideways maps are carried
+	Sideways []sideways.MapState
+	Tuner    []tuner.ColumnState
+}
+
+// WriteImage serializes the image to path and returns its checksum (the
+// CRC-32 trailer value) — what the next chain element records as its
+// PrevSum. The trailer, not a CRC of the whole file: a CRC over a message
+// that ends in its own CRC is the fixed CRC-32 residue, the same for
+// every file. WriteImage does not fsync: an image only ever lands inside
+// a directory that AtomicReplaceDir syncs as a whole before swapping it
+// in.
+func WriteImage(path string, img *Image) (uint32, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	e := &imageEncoder{f: f, buf: make([]byte, 0, encodeChunk+16)}
+	e.image(img)
+	sum := e.finish()
+	if e.err != nil {
+		f.Close()
+		return 0, e.err
+	}
+	return sum, f.Close()
+}
+
+// encodeChunk bounds the encoder's buffer: the cracked vectors dominate
+// an image, and one giant buffer per column would double peak memory.
+const encodeChunk = 1 << 16
+
+// imageEncoder appends fields to a bounded buffer, folding each flushed
+// chunk into the running checksum. Errors are sticky.
+type imageEncoder struct {
+	f   *os.File
+	crc uint32
+	buf []byte
+	err error
+}
+
+func (e *imageEncoder) flush() {
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+		_, e.err = e.f.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// finish flushes the body and appends its checksum.
+func (e *imageEncoder) finish() uint32 {
+	e.flush()
+	sum := e.crc
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, sum)
+	e.flush()
+	return sum
+}
+
+func (e *imageEncoder) room() {
+	if len(e.buf) >= encodeChunk {
+		e.flush()
+	}
+}
+
+func (e *imageEncoder) u8(v uint8) { e.room(); e.buf = append(e.buf, v) }
+
+func (e *imageEncoder) bool(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
+
+func (e *imageEncoder) u32(v uint32) { e.room(); e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *imageEncoder) u64(v uint64) { e.room(); e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *imageEncoder) str(s string) { e.room(); e.buf = appendString(e.buf, s) }
+
+func (e *imageEncoder) int64s(vals []int64) {
+	for _, v := range vals {
+		e.u64(uint64(v))
+	}
+}
+
+func (e *imageEncoder) oids(oids []bat.OID) {
+	for _, o := range oids {
+		e.u32(uint32(o))
+	}
+}
+
+func (e *imageEncoder) cuts(cuts []core.Cut) {
+	e.u64(uint64(len(cuts)))
+	for _, c := range cuts {
+		e.u64(uint64(c.Val))
+		e.bool(c.Incl)
+		e.u64(uint64(c.Pos))
+	}
+}
+
+func (e *imageEncoder) strategy(st *core.StrategyState) {
+	e.bool(st != nil)
+	if st != nil {
+		e.str(st.Name)
+		e.u64(uint64(st.MinPiece))
+		e.u64(st.RNG)
+	}
+}
+
+func (e *imageEncoder) image(img *Image) {
+	e.buf = append(e.buf, imageMagic[:]...)
+	e.u8(imageVersion)
+	e.bool(img.Base)
+	e.u32(img.PrevSum)
+	e.u32(uint32(len(img.Tables)))
+	for _, t := range img.Tables {
+		e.str(t.Name)
+		e.u32(uint32(len(t.Cols)))
+		for _, c := range t.Cols {
+			e.str(c)
+		}
+		e.u64(uint64(t.Rows))
+		e.u64(uint64(len(t.Deleted)))
+		e.oids(t.Deleted)
+		e.bool(t.DataDirty)
+	}
+	e.str(img.Config.StrategyName)
+	e.u64(uint64(img.Config.StrategySeed))
+	e.u64(uint64(img.Config.MaxPieces))
+	e.bool(img.Config.Ripple)
+	e.u64(uint64(img.Config.SidewaysBudget))
+	e.u32(uint32(len(img.Columns)))
+	for i := range img.Columns {
+		e.column(&img.Columns[i])
+	}
+	e.u32(uint32(len(img.Touched)))
+	for _, t := range img.Touched {
+		e.str(t)
+	}
+	e.u32(uint32(len(img.Sideways)))
+	for i := range img.Sideways {
+		e.sidewaysSet(&img.Sideways[i])
+	}
+	e.u32(uint32(len(img.Tuner)))
+	for _, t := range img.Tuner {
+		e.str(t.Table)
+		e.str(t.Column)
+		e.str(t.Strategy)
+		e.str(t.Class)
+		e.u64(t.Flips)
+		e.bool(t.Forced)
+	}
+}
+
+func (e *imageEncoder) column(cs *ColumnSnapshot) {
+	st := &cs.State
+	e.str(cs.Table)
+	e.str(cs.Attr)
+	e.str(st.Name)
+	e.bool(st.Sorted)
+	e.u64(uint64(st.NextOID))
+	e.u64(uint64(len(st.Vals)))
+	e.int64s(st.Vals)
+	e.oids(st.OIDs)
+	e.cuts(st.Cuts)
+	e.u64(uint64(len(st.Pending)))
+	for _, p := range st.Pending {
+		e.u32(uint32(p.OID))
+		e.u64(uint64(p.Val))
+	}
+	e.u64(uint64(len(st.Deleted)))
+	e.oids(st.Deleted)
+	e.strategy(st.Strategy)
+}
+
+func (e *imageEncoder) sidewaysSet(ms *sideways.MapState) {
+	e.str(ms.Table)
+	e.str(ms.Key)
+	e.u64(uint64(len(ms.Keys)))
+	e.int64s(ms.Keys)
+	e.oids(ms.OIDs)
+	e.cuts(ms.Cuts)
+	e.strategy(ms.Strategy)
+	e.u32(uint32(len(ms.Pays)))
+	for _, p := range ms.Pays {
+		e.str(p.Attr)
+		e.int64s(p.Vals)
+	}
+}
+
+// ReadImage loads and validates an image written by WriteImage, returning
+// the decoded element and its verified checksum (the CRC-32 trailer value
+// the next chain element must carry as PrevSum).
+func ReadImage(path string) (*Image, uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	br := bufio.NewReaderSize(f, 1<<20)
+	crc := crc32.NewIEEE()
+	// limit caps every length-prefixed allocation by what the file could
+	// possibly hold: a bit-flipped count field must fail cleanly as
+	// corruption, not abort the process allocating petabytes before the
+	// trailing checksum would have exposed it.
+	r := &imageDecoder{r: io.TeeReader(br, crc), limit: fi.Size()}
+
+	var magic [4]byte
+	r.read(magic[:])
+	if r.err != nil || magic != imageMagic {
+		return nil, 0, fmt.Errorf("%w: bad image magic", ErrCorrupt)
+	}
+	if version := r.u8(); r.err == nil && version != imageVersion {
+		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads version %d only) — re-save with a ≤PR 11 build",
+			version, imageVersion)
+	}
+	img := r.image()
+	if r.err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+	}
+	// The checksum trails the teed content: read it from the underlying
+	// reader so it does not feed back into the running CRC.
+	want := crc.Sum32()
+	var sum [4]byte
+	if _, err := io.ReadFull(br, sum[:]); err != nil {
+		return nil, 0, fmt.Errorf("%w: missing image checksum: %v", ErrCorrupt, err)
+	}
+	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
+		return nil, 0, fmt.Errorf("%w: image checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	}
+	return img, want, nil
+}
+
+// imageDecoder is a little decoding cursor with sticky error handling.
+type imageDecoder struct {
+	r     io.Reader
+	err   error
+	limit int64 // file size: upper bound for any on-disk length field
+	buf   [8]byte
+}
+
+// count reads nothing: it validates a length field just read — n entries
+// of at least entrySize bytes each must fit in the file, or the field is
+// corrupt. It returns n, or 0 once the decoder has failed.
+func (d *imageDecoder) count(n uint64, entrySize int64, what string) uint64 {
+	if d.err == nil && n > uint64(d.limit)/uint64(entrySize) {
+		d.err = fmt.Errorf("%s count %d exceeds file capacity", what, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (d *imageDecoder) read(p []byte) {
+	if d.err != nil {
+		return
+	}
+	_, d.err = io.ReadFull(d.r, p)
+}
+
+func (d *imageDecoder) u8() uint8 {
+	d.read(d.buf[:1])
+	return d.buf[0]
+}
+
+func (d *imageDecoder) bool() bool { return d.u8() != 0 }
+
+func (d *imageDecoder) u32() uint32 {
+	d.read(d.buf[:4])
+	return binary.LittleEndian.Uint32(d.buf[:4])
+}
+
+func (d *imageDecoder) u64() uint64 {
+	d.read(d.buf[:8])
+	return binary.LittleEndian.Uint64(d.buf[:8])
+}
+
+func (d *imageDecoder) int() int { return int(int64(d.u64())) }
+
+func (d *imageDecoder) str() string {
+	n := d.u32()
+	if d.err != nil {
+		return ""
+	}
+	if n > 1<<20 {
+		d.err = fmt.Errorf("implausible string length %d", n)
+		return ""
+	}
+	b := make([]byte, n)
+	d.read(b)
+	return string(b)
+}
+
+func (d *imageDecoder) int64s(n uint64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(d.u64())
+	}
+	return out
+}
+
+func (d *imageDecoder) oids(n uint64) []bat.OID {
+	out := make([]bat.OID, n)
+	for i := range out {
+		out[i] = bat.OID(d.u32())
+	}
+	return out
+}
+
+// cuts reads a cut set. Cut counts are not bounded by cardinality:
+// distinct cut values may share a position (tiny pieces under many
+// predicates), so they are bounded by file capacity only —
+// core.ColumnFromState enforces the real invariants.
+func (d *imageDecoder) cuts() []core.Cut {
+	out := make([]core.Cut, d.count(d.u64(), 17, "cut")) // 8 val + 1 incl + 8 pos
+	for i := range out {
+		out[i] = core.Cut{Val: int64(d.u64()), Incl: d.bool(), Pos: d.int()}
+	}
+	return out
+}
+
+func (d *imageDecoder) strategy() *core.StrategyState {
+	if !d.bool() {
+		return nil
+	}
+	return &core.StrategyState{Name: d.str(), MinPiece: d.int(), RNG: d.u64()}
+}
+
+func (d *imageDecoder) image() *Image {
+	img := &Image{Base: d.bool(), PrevSum: d.u32()}
+	// name + cols + rows + ndel + dirty minimum per table entry
+	for n := d.count(uint64(d.u32()), 21, "table"); n > 0 && d.err == nil; n-- {
+		t := ImageTable{Name: d.str()}
+		for nc := d.count(uint64(d.u32()), 4, "table column"); nc > 0 && d.err == nil; nc-- {
+			t.Cols = append(t.Cols, d.str())
+		}
+		t.Rows = d.int()
+		t.Deleted = d.oids(d.count(d.u64(), 4, "tombstone"))
+		t.DataDirty = d.bool()
+		img.Tables = append(img.Tables, t)
+	}
+	img.Config = StoreConfig{
+		StrategyName:   d.str(),
+		StrategySeed:   int64(d.u64()),
+		MaxPieces:      d.int(),
+		Ripple:         d.bool(),
+		SidewaysBudget: d.int(),
+	}
+	// conservative minimum per column record
+	for n := d.count(uint64(d.u32()), 16, "column"); n > 0 && d.err == nil; n-- {
+		img.Columns = append(img.Columns, d.column())
+	}
+	for n := d.count(uint64(d.u32()), 4, "touched table"); n > 0 && d.err == nil; n-- {
+		img.Touched = append(img.Touched, d.str())
+	}
+	for n := d.count(uint64(d.u32()), 21, "sideways map"); n > 0 && d.err == nil; n-- {
+		img.Sideways = append(img.Sideways, d.sidewaysSet())
+	}
+	// 4 strings + u64 + bool minimum per tuner record
+	for n := d.count(uint64(d.u32()), 21, "tuner posture"); n > 0 && d.err == nil; n-- {
+		img.Tuner = append(img.Tuner, tuner.ColumnState{
+			Table:    d.str(),
+			Column:   d.str(),
+			Strategy: d.str(),
+			Class:    d.str(),
+			Flips:    d.u64(),
+			Forced:   d.bool(),
+		})
+	}
+	return img
+}
+
+func (d *imageDecoder) column() ColumnSnapshot {
+	cs := ColumnSnapshot{Table: d.str(), Attr: d.str()}
+	st := &cs.State
+	st.Name = d.str()
+	st.Sorted = d.bool()
+	st.NextOID = bat.OID(d.u64())
+	n := d.count(d.u64(), 12, "column cardinality") // 8 bytes/value + 4/oid
+	st.Vals = d.int64s(n)
+	st.OIDs = d.oids(n)
+	st.Cuts = d.cuts()
+	st.Pending = make([]core.PendingState, d.count(d.u64(), 12, "pending")) // 4 oid + 8 val
+	for i := range st.Pending {
+		st.Pending[i] = core.PendingState{OID: bat.OID(d.u32()), Val: int64(d.u64())}
+	}
+	st.Deleted = d.oids(d.count(d.u64(), 4, "deleted"))
+	st.Strategy = d.strategy()
+	return cs
+}
+
+func (d *imageDecoder) sidewaysSet() sideways.MapState {
+	ms := sideways.MapState{Table: d.str(), Key: d.str()}
+	n := d.count(d.u64(), 12, "sideways cardinality") // 8 bytes/key + 4/oid
+	ms.Keys = d.int64s(n)
+	ms.OIDs = d.oids(n)
+	ms.Cuts = d.cuts()
+	ms.Strategy = d.strategy()
+	// Each payload carries n 8-byte values; bound the count by what the
+	// file could hold so a bit-flipped field fails as corruption.
+	for np := d.count(uint64(d.u32()), 4+8*max(int64(n), 1), "sideways payload"); np > 0 && d.err == nil; np-- {
+		ms.Pays = append(ms.Pays, sideways.PayState{Attr: d.str(), Vals: d.int64s(n)})
+	}
+	return ms
+}

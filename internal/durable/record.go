@@ -1,27 +1,29 @@
 // Package durable is the persistence subsystem: an append-only,
 // checksummed insert WAL with group-commit batching and safe
-// truncated-tail recovery (wal.go), plus crack-state snapshots that
-// capture each column's cut set, cracked vectors and strategy RNG state
-// (snapshot.go). Together they give a cracking store what the paper's
+// truncated-tail recovery (wal.go), plus store images that capture each
+// column's cut set, cracked vectors and strategy RNG state (image.go: one
+// element format, a full image being the base of a delta chain).
+// Together they give a cracking store what the paper's
 // prototype deliberately lacks (§5.2: cracker indexes "are not saved
 // between sessions"): a warm restart that resumes at converged per-query
 // latency instead of re-paying the first-touch scans Figures 10/11
 // measure.
 //
-// The recovery protocol is snapshot + log suffix, in the classic
+// The recovery protocol is image chain + log suffix, in the classic
 // write-ahead discipline (cf. ARIES; BigFoot, arXiv 2111.09374 separates
 // query processing from durable storage the same way):
 //
 //  1. every mutating request is appended to the WAL — and fsynced — before
 //     it is applied to the in-memory store and before the client is acked;
-//  2. a checkpoint atomically writes the full store image (BAT manifest +
-//     crack-state snapshot stamped with the WAL sequence number) and
-//     rotates the WAL;
-//  3. boot loads the newest snapshot, then replays the WAL records whose
-//     sequence numbers the snapshot does not cover. A torn record at the
-//     WAL tail — the expected shape of a crash mid-append — truncates the
-//     log to its last complete record: prefix consistency, never a
-//     half-applied batch.
+//  2. a checkpoint atomically writes one chain element (every shard's
+//     image for a base, the dirty shards' for a delta) stamped with the
+//     WAL sequence number, and rotates the WAL;
+//  3. boot verifies and loads the chain, then replays the WAL records
+//     whose sequence numbers its stamp does not cover. A torn record at
+//     the WAL tail — the expected shape of a crash mid-append — truncates
+//     the log to its last complete record: prefix consistency, never a
+//     half-applied batch. A torn or corrupt image is not survivable the
+//     same way: boot refuses it rather than serve a partial store.
 package durable
 
 import (

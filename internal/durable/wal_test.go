@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -450,40 +449,6 @@ func TestWALRotate(t *testing.T) {
 	defer w2.Close()
 	if len(got) != 1 || got[0].Table != "u" {
 		t.Fatalf("rotated log replayed %+v", got)
-	}
-}
-
-func TestSnapshotChecksum(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.crk")
-	snap := &StoreSnapshot{
-		AppliedSeq: 42,
-		Config:     StoreConfig{StrategyName: "mdd1r", StrategySeed: 7, MaxPieces: 100, Ripple: true},
-	}
-	if err := WriteSnapshot(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("snapshot round-trip: got %+v want %+v", got, snap)
-	}
-	// Any flipped byte must be detected.
-	data, _ := os.ReadFile(path)
-	for _, off := range []int{0, 5, len(data) / 2, len(data) - 1} {
-		bad := bytes.Clone(data)
-		bad[off] ^= 0x40
-		os.WriteFile(path, bad, 0o644)
-		if _, err := ReadSnapshot(path); err == nil {
-			t.Fatalf("snapshot with byte %d flipped was accepted", off)
-		}
-	}
-	// A truncated snapshot must be detected too.
-	os.WriteFile(path, data[:len(data)-3], 0o644)
-	if _, err := ReadSnapshot(path); err == nil {
-		t.Fatal("truncated snapshot was accepted")
 	}
 }
 

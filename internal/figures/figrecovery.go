@@ -35,16 +35,16 @@ func (c *FigRecoveryConfig) defaults() {
 
 // FigRecovery measures what the durability subsystem buys: the paper's
 // prototype drops cracker indexes at shutdown (§5.2), so a restart
-// re-pays the convergence cost of Figures 10/11; a warm reopen
-// (crack-state snapshot + WAL replay) resumes at converged latency.
-// Three per-query latency trajectories over the same random workload:
+// re-pays the convergence cost of Figures 10/11; a warm reopen (the
+// image's crack state restored) resumes at converged latency. Three
+// per-query latency trajectories over the same random workload:
 //
 //   - "cold start":   a fresh store; query 1 pays the first-touch scan,
 //     then the usual cracking convergence;
-//   - "cold reopen":  Save + Open (BATs only, the paper's behavior) —
-//     indistinguishable from cold start past the load;
-//   - "warm reopen":  SaveWarm + OpenWarm of a store converged by K
-//     queries — the trajectory starts where the cold ones end.
+//   - "cold reopen":  Save + OpenCold (the image's tables only, the
+//     paper's behavior) — indistinguishable from cold start past the load;
+//   - "warm reopen":  Save + Open of a store converged by K queries —
+//     the trajectory starts where the cold ones end.
 func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	cfg.defaults()
 	fig := Figure{
@@ -54,7 +54,7 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 		YLabel: "response time (s)",
 	}
 
-	// One converged store, saved warm, is the common ancestor of both
+	// One image of the converged store is the common ancestor of both
 	// reopen trajectories.
 	dir, err := os.MkdirTemp("", "crackdb-recovery-*")
 	if err != nil {
@@ -77,11 +77,11 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, Series{Label: "cold start (fresh store)", Points: coldStart})
 
-	if err := base.SaveWarm(dir); err != nil {
+	if err := base.Save(dir); err != nil {
 		return Figure{}, err
 	}
 
-	cold, err := crackdb.Open(dir)
+	cold, err := crackdb.OpenCold(dir)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -91,7 +91,7 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, Series{Label: "cold reopen (BATs only, §5.2)", Points: coldReopen})
 
-	warm, _, err := crackdb.OpenWarm(dir)
+	warm, err := crackdb.Open(dir)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -99,7 +99,7 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	fig.Series = append(fig.Series, Series{Label: "warm reopen (snapshot+WAL)", Points: warmReopen})
+	fig.Series = append(fig.Series, Series{Label: "warm reopen (crack state restored)", Points: warmReopen})
 
 	sortSeries(fig.Series)
 	return fig, nil

@@ -425,7 +425,7 @@ func fileMatches(path string, sf shard.SnapshotFile) bool {
 	if err != nil {
 		return false
 	}
-	return crc32.ChecksumIEEE(data) == sf.Crc
+	return crc32.Checksum(data, shard.SnapshotCRC) == sf.Crc
 }
 
 // bootstrapFromSnapshot replaces the follower's local state with the
@@ -604,7 +604,7 @@ func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stat
 	if err != nil {
 		return err
 	}
-	sum := crc32.NewIEEE()
+	sum := crc32.New(shard.SnapshotCRC)
 	var off int64
 	for off < sf.Size {
 		n := fetchChunk

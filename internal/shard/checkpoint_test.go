@@ -65,6 +65,28 @@ func dirBytes(t testing.TB, root string) int64 {
 	return total
 }
 
+// copyTree copies a data directory, files and subdirectories.
+func copyTree(t testing.TB, src, dst string) {
+	t.Helper()
+	mustExec(t, filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	}))
+}
+
 func deltaDirs(t testing.TB, dataDir string) []string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dataDir, "delta-*"))
@@ -161,19 +183,27 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 			if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
 				t.Fatalf("delta 2: mode %q err %v", mode, err)
 			}
-			// A full image of the same state, for the oracle.
-			oracleDir := filepath.Join(t.TempDir(), "oracle")
-			mustExec(t, s.SaveWarm(oracleDir))
+			// Set the chain aside, then have the live store fold the same
+			// state into a full image, for the oracle.
+			chainDir := filepath.Join(t.TempDir(), "chain")
+			copyTree(t, dir, chainDir)
+			if mode, err := s.CheckpointMode("full"); err != nil || mode != "full" {
+				t.Fatalf("oracle image: mode %q err %v", mode, err)
+			}
 			mustExec(t, s.CloseWAL())
 
-			chainStore, info, err := shard.OpenDurable(dir, rangeOpts())
+			chainStore, info, err := shard.OpenDurable(chainDir, rangeOpts())
 			mustExec(t, err)
 			defer chainStore.CloseWAL()
 			if !info.Recovered || info.ChainDeltas != 2 {
 				t.Fatalf("boot did not walk the chain: %+v", info)
 			}
-			oracle, _, err := shard.OpenWarm(oracleDir)
+			oracle, info, err := shard.OpenDurable(dir, rangeOpts())
 			mustExec(t, err)
+			defer oracle.CloseWAL()
+			if !info.Recovered || info.ChainDeltas != 0 || info.Replayed != 0 {
+				t.Fatalf("oracle did not boot from the full image alone: %+v", info)
+			}
 
 			for i := int64(0); i < 40; i++ {
 				lo := (i * 173) % 7500
@@ -255,7 +285,7 @@ func TestBrokenChainRefusesBoot(t *testing.T) {
 	}
 	// Corrupt the first element's link: rewrite its manifest with a
 	// different PrevSum (valid JSON, wrong chain).
-	manifest := filepath.Join(dds[0], "delta.json")
+	manifest := filepath.Join(dds[0], "shard.json")
 	data, err := os.ReadFile(manifest)
 	mustExec(t, err)
 	var m map[string]any
@@ -295,8 +325,8 @@ func TestSupersededElementsCleaned(t *testing.T) {
 	}
 	// Re-create the stale element as if the cleanup never ran.
 	mustExec(t, os.MkdirAll(stale, 0o755))
-	staleManifest := []byte(`{"version":1,"seq":1,"prev_sum":1,"dirty":[0],"router":{"version":1,"shards":8,"kind":"range","domain":[0,8000],"applied_seq":1,"tables":null}}`)
-	mustExec(t, os.WriteFile(filepath.Join(stale, "delta.json"), staleManifest, 0o644))
+	staleManifest := []byte(`{"version":2,"seq":1,"base":false,"prev_sum":1,"dirty":[0],"shards":8,"kind":"range","domain":[0,8000],"tables":null}`)
+	mustExec(t, os.WriteFile(filepath.Join(stale, "shard.json"), staleManifest, 0o644))
 	mustExec(t, s.CloseWAL())
 
 	re, info, err := shard.OpenDurable(dir, rangeOpts())

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,34 +16,58 @@ import (
 	"crackdb/internal/durable"
 )
 
-// Sharded persistence: the router is saved as a JSON manifest
-// (shard.json — partition kind, per-table routing specs, shard count)
-// next to one complete crackdb store image per shard, and reopens
-// byte-identical: every key routes to the same shard, every shard holds
-// the same rows, and — warm — every cracker column resumes with the same
-// cut set and strategy RNG position. OpenDurable adds the WAL on top:
-// boot = newest snapshot + replay of the log suffix, and Checkpoint
-// (the server's /save) atomically writes a new snapshot and rotates the
-// log under full mutation exclusion.
+// Durability for the sharded store — and, as a one-shard router, for a
+// single store: this is the only level a WAL attaches at. A data
+// directory holds a checkpoint chain and the log that extends it:
+//
+//	dir/store/          base element: every shard's full image
+//	dir/delta-000001/   delta element: images of the shards dirty since
+//	dir/delta-000002/   the element before it, nothing for the rest
+//	dir/wal.log         the mutation log
+//
+// Every element is one directory with the same layout: shard.json (the
+// element manifest: WAL stamp, routing state as of the element, the
+// shards it carries, and — unless it is the base — the CRC-32 of its
+// predecessor's manifest) next to one shard-K/ crackdb image per carried
+// shard. The base is the element that carries every shard and follows
+// nothing, so a full checkpoint is a chain of length zero. Checkpoint
+// writes one element under full mutation exclusion, swaps it in with a
+// single atomic directory replace, and rotates the log; boot resolves the
+// chain (superseded elements deleted, links verified end to end), opens
+// each shard from the base plus exactly the elements that carry it, and
+// replays the log suffix. An element that fails verification refuses the
+// boot — a half-trusted chain must never silently serve cold.
+//
+// Compaction folds the chain back into a base when it grows past
+// deltaCompactEvery elements or past half the base's size: chains stay
+// short, so boot and follower bootstrap never walk unbounded history.
 
-// routerManifestName is the router image marker inside a saved dir.
-const routerManifestName = "shard.json"
-
-// Inside a durable data dir:
 const (
-	dataStoreDir  = "store"   // current snapshot (a Save/SaveWarm image)
-	dataWALName   = "wal.log" // the mutation log
-	dataBootsName = "boots"   // boot counter (restarts_total = boots-1)
+	dataStoreDir   = "store"      // the base element
+	deltaDirPrefix = "delta-"     // delta elements: delta-NNNNNN
+	manifestName   = "shard.json" // element manifest, and the dir-swap marker
+	dataWALName    = "wal.log"    // the mutation log
+	dataBootsName  = "boots"      // boot counter (restarts_total = boots-1)
+
+	manifestVersion = 2
+
+	// deltaCompactEvery bounds the number of delta elements in a chain.
+	deltaCompactEvery = 8
 )
 
-// routerManifest is the on-disk description of a sharded store.
-type routerManifest struct {
-	Version           int                `json:"version"`
+// elemManifest is the on-disk description of one chain element.
+type elemManifest struct {
+	Version int    `json:"version"`
+	Seq     uint64 `json:"seq"`      // WAL stamp (rotation point)
+	Base    bool   `json:"base"`     // chain start: carries every shard
+	PrevSum uint32 `json:"prev_sum"` // CRC-32 of the predecessor's manifest
+	Dirty   []int  `json:"dirty"`    // shards with a shard-K/ subdir
+
+	// Routing state as of the element; the chain tip's is authoritative.
 	Shards            int                `json:"shards"`
 	Kind              Kind               `json:"kind"`
 	Domain            [2]int64           `json:"domain"`
 	StaticRangeBounds bool               `json:"static_range_bounds,omitempty"`
-	AppliedSeq        uint64             `json:"applied_seq"`
 	Tables            []routerTableEntry `json:"tables"`
 }
 
@@ -52,6 +79,18 @@ type routerTableEntry struct {
 	Seeded bool     `json:"seeded"`
 	Part   PartSpec `json:"partition"`
 }
+
+// chainElem is one resolved on-disk element.
+type chainElem struct {
+	name  string // directory name under the data dir ("store", "delta-000001")
+	ord   int    // 0 for the base
+	sum   uint32 // CRC-32 of this element's manifest
+	bytes int64  // total size of the element directory
+	m     elemManifest
+}
+
+func deltaDirName(ord int) string { return fmt.Sprintf("%s%06d", deltaDirPrefix, ord) }
+func shardDirName(i int) string   { return fmt.Sprintf("shard-%d", i) }
 
 // logRecord appends a mutation to the attached WAL, if any. Callers hold
 // walMu for reading and must log before applying.
@@ -65,33 +104,16 @@ func (s *Store) logRecord(rec durable.Record) error {
 	return nil
 }
 
-// Save writes the sharded store's cold image (router + per-shard tables,
-// no cracker state) to a directory, atomically replacing any previous
-// image.
-func (s *Store) Save(dir string) error { return s.save(dir, false) }
-
-// SaveWarm writes the warm image: the router plus each shard's warm
-// store image, so OpenWarm resumes every shard's cracker state.
-func (s *Store) SaveWarm(dir string) error { return s.save(dir, true) }
-
-func (s *Store) save(dir string, warm bool) error {
-	// Exclude mutations for the whole image: the router manifest, the
-	// per-shard images and the WAL stamp must describe one instant.
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	return s.saveLocked(dir, warm)
-}
-
-// routerManifestLocked builds the manifest describing the router as it
-// stands, stamped with the given WAL position. The caller holds walMu.
-func (s *Store) routerManifestLocked(seq uint64) routerManifest {
-	m := routerManifest{
-		Version:           1,
+// manifestLocked describes the router as it stands, stamped with the
+// given WAL position. The caller holds walMu.
+func (s *Store) manifestLocked(seq uint64) elemManifest {
+	m := elemManifest{
+		Version:           manifestVersion,
+		Seq:               seq,
 		Shards:            len(s.shards),
 		Kind:              s.opts.Kind,
 		Domain:            s.opts.Domain,
 		StaticRangeBounds: s.opts.StaticRangeBounds,
-		AppliedSeq:        seq,
 	}
 	s.mu.RLock()
 	for name, tm := range s.tables {
@@ -109,106 +131,103 @@ func (s *Store) routerManifestLocked(seq uint64) routerManifest {
 	return m
 }
 
-// saveLocked writes the image. The caller holds walMu exclusively.
-func (s *Store) saveLocked(dir string, warm bool) error {
-	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		var seq uint64
-		if s.wal != nil {
-			seq = s.wal.Seq()
-		}
-		m := s.routerManifestLocked(seq)
-		data, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(tmp, routerManifestName), data, 0o644); err != nil {
-			return err
-		}
-		for i, st := range s.shards {
-			sub := filepath.Join(tmp, fmt.Sprintf("shard-%d", i))
-			var err error
-			if warm {
-				err = st.SaveWarm(sub)
-			} else {
-				err = st.Save(sub)
-			}
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-	// Differential checkpoints anchor to the image in the data dir. A
-	// warm save that failed, or that landed anywhere else, leaves the
-	// per-shard save marks pointing at state the chain cannot link to —
-	// drop them so the next delta attempt escalates to a full image
-	// instead of writing an unresolvable chain element.
-	if warm && (err != nil || s.dataDir == "" || dir != filepath.Join(s.dataDir, dataStoreDir)) {
-		for _, st := range s.shards {
-			st.InvalidateSaveMark()
-		}
-	}
-	return err
-}
-
-// Open loads a sharded store's cold image previously written by Save.
-func Open(dir string) (*Store, error) {
-	s, _, err := open(dir, false)
-	return s, err
-}
-
-// OpenWarm loads a warm image, resuming every shard's cracker state, and
-// returns the WAL sequence the image covers.
-func OpenWarm(dir string) (*Store, uint64, error) {
-	return open(dir, true)
-}
-
-func open(dir string, warm bool) (*Store, uint64, error) {
-	durable.RecoverDirSwap(dir, routerManifestName)
-	m, err := readRouterManifest(dir)
+// readElem loads one element directory's manifest. A directory without
+// one reports os.ErrNotExist.
+func readElem(dataDir, name string, ord int) (chainElem, error) {
+	dir := filepath.Join(dataDir, name)
+	durable.RecoverDirSwap(dir, manifestName)
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, 0, err
+		return chainElem{}, err
 	}
-	s, err := storeFromRouterManifest(*m)
+	e := chainElem{name: name, ord: ord, sum: crc32.ChecksumIEEE(data), bytes: dirSize(dir)}
+	if err := json.Unmarshal(data, &e.m); err != nil {
+		return chainElem{}, fmt.Errorf("shard: corrupt manifest in %s: %w", name, err)
+	}
+	if e.m.Version != manifestVersion {
+		return chainElem{}, fmt.Errorf("shard: unsupported image version %d in %s — re-save with a ≤PR 11 build", e.m.Version, name)
+	}
+	if e.m.Base != (ord == 0) {
+		return chainElem{}, fmt.Errorf("shard: delta chain broken: %s has base=%v", name, e.m.Base)
+	}
+	return e, nil
+}
+
+// resolveChain reads the base and every delta element under the data
+// dir, deletes the elements a newer base superseded, and verifies the
+// checksum links end to end. Called at boot, before any store state
+// exists; an empty result is a directory that never checkpointed.
+//
+// Supersession cannot be decided by seq alone: a live element written
+// after crack-only changes carries the base's own stamp (no WAL record
+// advanced the seq), and so does residue from a full checkpoint that
+// crashed between the base swap and the chain cleanup. An element
+// strictly older than the base is always residue; one at the base's
+// stamp is residue exactly when it does not link into the chain growing
+// out of the base's checksum.
+func resolveChain(dir string) ([]chainElem, error) {
+	var chain []chainElem
+	base, err := readElem(dir, dataStoreDir, 0)
+	switch {
+	case err == nil:
+		chain = append(chain, base)
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, err
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, deltaDirPrefix+"*"))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	for i := range s.shards {
-		sub := filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-		if warm {
-			s.shards[i], _, err = crackdb.OpenWarm(sub)
-		} else {
-			s.shards[i], err = crackdb.Open(sub)
+	var deltas []chainElem
+	for _, m := range matches {
+		name := filepath.Base(m)
+		var ord int
+		if _, err := fmt.Sscanf(name, deltaDirPrefix+"%d", &ord); err != nil || ord < 1 || deltaDirName(ord) != name {
+			continue // .old residue, tmp dirs, foreign names
+		}
+		e, err := readElem(dir, name, ord)
+		if errors.Is(err, fs.ErrNotExist) {
+			// A directory without its manifest cannot be a completed
+			// element (the swap is atomic): writer residue, remove.
+			os.RemoveAll(m)
+			continue
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("shard %d: %w", i, err)
+			return nil, err
 		}
+		deltas = append(deltas, e)
 	}
-	return s, m.AppliedSeq, nil
+	if len(deltas) > 0 && len(chain) == 0 {
+		return nil, fmt.Errorf("shard: delta chain present but no base image under %s — refusing to boot cold over existing checkpoints", dir)
+	}
+	sort.Slice(deltas, func(i, j int) bool { return deltas[i].ord < deltas[j].ord })
+	for _, e := range deltas {
+		tip := chain[len(chain)-1]
+		if e.m.Seq < base.m.Seq || (e.m.Seq == base.m.Seq && e.m.PrevSum != tip.sum) {
+			// A newer base covers this element: every live element was
+			// written at or after the base's stamp (the base's checkpoint
+			// rotated the WAL to it) and links into the chain anchored at
+			// the base's checksum. Anything else is residue from a crash
+			// between the base swap and the chain cleanup.
+			os.RemoveAll(filepath.Join(dir, e.name))
+			continue
+		}
+		if e.m.PrevSum != tip.sum {
+			return nil, fmt.Errorf("shard: delta chain broken: %s links predecessor %08x, but %s is %08x",
+				e.name, e.m.PrevSum, tip.name, tip.sum)
+		}
+		chain = append(chain, e)
+	}
+	return chain, nil
 }
 
-// readRouterManifest loads and decodes dir/shard.json.
-func readRouterManifest(dir string) (*routerManifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, routerManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: open store: %w", err)
-	}
-	var m routerManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("shard: corrupt router manifest: %w", err)
-	}
-	return &m, nil
-}
-
-// storeFromRouterManifest validates a manifest and builds the store
-// skeleton — options, routing metadata, and a shard slice the caller
-// fills by opening each shard's image.
-func storeFromRouterManifest(m routerManifest) (*Store, error) {
-	if m.Version != 1 {
-		return nil, fmt.Errorf("shard: unsupported router version %d", m.Version)
-	}
+// openChain builds a store from a verified, non-empty chain: the tip's
+// manifest is authoritative for routing, and each shard opens its base
+// image plus exactly the elements that carry it.
+func openChain(dir string, chain []chainElem) (*Store, error) {
+	m := chain[len(chain)-1].m
 	if m.Shards < 1 {
-		return nil, fmt.Errorf("shard: router manifest with %d shards", m.Shards)
+		return nil, fmt.Errorf("shard: manifest with %d shards", m.Shards)
 	}
 	s := &Store{
 		opts: Options{
@@ -241,76 +260,61 @@ func storeFromRouterManifest(m routerManifest) (*Store, error) {
 			seeded: te.Seeded,
 		}
 	}
+	for i := range s.shards {
+		var dirs []string
+		for _, e := range chain {
+			if slices.Contains(e.m.Dirty, i) {
+				dirs = append(dirs, filepath.Join(dir, e.name, shardDirName(i)))
+			}
+		}
+		if len(dirs) == 0 {
+			return nil, fmt.Errorf("shard: no chain element carries shard %d", i)
+		}
+		st, err := crackdb.Open(dirs[0], dirs[1:]...)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		s.shards[i] = st
+	}
 	return s, nil
 }
 
 // BootInfo describes what OpenDurable recovered.
 type BootInfo struct {
-	Recovered   bool   // a snapshot was found and loaded
-	AppliedSeq  uint64 // WAL seq the snapshot (or chain tip) covered
+	Recovered   bool   // a checkpoint was found and loaded
+	AppliedSeq  uint64 // WAL seq the chain tip covered
 	Replayed    int    // WAL records replayed on top of it
-	ChainDeltas int    // differential elements applied over the base image
+	ChainDeltas int    // delta elements applied over the base image
 }
 
-// OpenDurable boots a sharded store from a data directory:
-//
-//	dir/store/       newest full snapshot (written by Checkpoint), if any
-//	dir/delta-NNNNNN/ differential elements on top of it (delta mode)
-//	dir/wal.log      the mutation log
-//
-// The snapshot (when present) is opened warm — plus the verified delta
-// chain, when differential checkpoints left one — the WAL's uncovered
-// suffix is replayed, and the log is attached so every further mutation
-// is WAL-first. A missing directory is a cold boot: a fresh store under
-// opts with an empty log. Either way the returned store is ready to
-// serve and Checkpoint-able. A delta chain that fails verification
-// (broken link, corrupt manifest) refuses the boot rather than serving
-// a partial image.
+// OpenDurable boots a sharded store from a data directory: the verified
+// checkpoint chain (when one exists) is opened with every shard's crack
+// state, the WAL's uncovered suffix is replayed, and the log is attached
+// so every further mutation is WAL-first. A missing directory is a cold
+// boot: a fresh store under opts with an empty log. Either way the
+// returned store is ready to serve and Checkpoint-able.
 func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, BootInfo{}, err
 	}
-	storeDir := filepath.Join(dir, dataStoreDir)
-	durable.RecoverDirSwap(storeDir, routerManifestName)
-
-	var baseExists bool
-	var baseApplied uint64
-	var baseSum uint32
-	if data, err := os.ReadFile(filepath.Join(storeDir, routerManifestName)); err == nil {
-		var m routerManifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, BootInfo{}, fmt.Errorf("shard: corrupt router manifest: %w", err)
-		}
-		baseExists, baseApplied, baseSum = true, m.AppliedSeq, crc32.ChecksumIEEE(data)
-	}
-	elems, err := resolveChain(dir, baseExists, baseApplied, baseSum)
+	chain, err := resolveChain(dir)
 	if err != nil {
 		return nil, BootInfo{}, err
 	}
-
 	var s *Store
 	var info BootInfo
-	switch {
-	case len(elems) > 0:
-		st, applied, err := openChain(dir, elems)
-		if err != nil {
-			return nil, BootInfo{}, err
-		}
-		s, info.Recovered, info.AppliedSeq = st, true, applied
-		info.ChainDeltas = len(elems)
-	case baseExists:
-		st, applied, err := OpenWarm(storeDir)
-		if err != nil {
-			return nil, BootInfo{}, err
-		}
-		s, info.Recovered, info.AppliedSeq = st, true, applied
-	default:
+	if len(chain) == 0 {
 		s = New(opts)
+	} else {
+		if s, err = openChain(dir, chain); err != nil {
+			return nil, BootInfo{}, err
+		}
+		info = BootInfo{Recovered: true, AppliedSeq: chain[len(chain)-1].m.Seq, ChainDeltas: len(chain) - 1}
 	}
 	wal, err := durable.Open(filepath.Join(dir, dataWALName), info.AppliedSeq,
 		func(seq uint64, rec durable.Record) error {
 			if seq < info.AppliedSeq {
-				return nil // already inside the snapshot
+				return nil // already inside the checkpoint
 			}
 			info.Replayed++
 			return s.Apply(rec)
@@ -322,16 +326,7 @@ func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	s.wal = wal
 	s.dataDir = dir
 	s.boots = bumpBoots(filepath.Join(dir, dataBootsName))
-	s.chain = elems
-	s.baseSum = baseSum
-	if baseExists {
-		s.baseBytes = dirSize(storeDir)
-	}
-	var chainBytes int64
-	for _, e := range elems {
-		chainBytes += dirSize(filepath.Join(dir, e.name))
-	}
-	s.chainBytes = chainBytes
+	s.chain = chain
 	s.walMu.Unlock()
 	return s, info, nil
 }
@@ -402,17 +397,139 @@ func (s *Store) Durable() bool {
 	return s.wal != nil && s.dataDir != ""
 }
 
-// Checkpoint writes a fresh snapshot into the data directory and
-// rotates the WAL, under full mutation exclusion: no insert can slip
-// between the image and the log cut, so nothing acked is ever lost and
-// nothing is replayed twice. Queries keep running throughout — they
-// reorganize crack state, which the snapshot captures per column
-// atomically and which is re-derivable anyway. In the store's default
-// mode (SetCheckpointDelta) this is a full image; delta mode writes a
-// differential chain element instead — see CheckpointMode.
+// Checkpoint writes a checkpoint in the store's default mode — a full
+// image, or a delta element after SetCheckpointDelta(true). See
+// CheckpointMode.
 func (s *Store) Checkpoint() error {
 	_, err := s.CheckpointMode("")
 	return err
+}
+
+// SetCheckpointDelta selects the default Checkpoint mode: on, /save
+// without an argument writes a delta element (escalating to a full image
+// when the compaction policy triggers); off (the default), it writes a
+// full image. The cracksrv -ckptdelta flag.
+func (s *Store) SetCheckpointDelta(on bool) {
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
+	s.ckptDelta = on
+}
+
+// CheckpointMode writes one chain element into the data directory and
+// rotates the WAL, under full mutation exclusion: no insert can slip
+// between the image and the log cut, so nothing acked is ever lost and
+// nothing is replayed twice. Queries keep running throughout — they
+// reorganize crack state, which the image captures per column atomically
+// and which is re-derivable anyway. mode is "full", "delta", or "" for
+// the store's configured default; the mode that actually ran is
+// returned: "delta" escalates to "full" when there is no base image yet,
+// when the compaction policy triggers, or after a failed checkpoint
+// (whose partial effects only a fresh base is sure to supersede).
+func (s *Store) CheckpointMode(mode string) (string, error) {
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
+	if s.wal == nil || s.dataDir == "" {
+		return "", fmt.Errorf("shard: store is not durable (no data directory)")
+	}
+	switch mode {
+	case "":
+		mode = "full"
+		if s.ckptDelta {
+			mode = "delta"
+		}
+	case "full", "delta":
+	default:
+		return "", fmt.Errorf("shard: unknown checkpoint mode %q (want full or delta)", mode)
+	}
+	if o := s.obsv.Load(); o != nil {
+		t0 := time.Now()
+		defer func() { o.checkpointNS.Observe(time.Since(t0).Nanoseconds()) }()
+	}
+	if mode == "delta" && (s.forceBase || len(s.chain) == 0 || s.compactionDueLocked()) {
+		mode = "full"
+	}
+	return mode, s.checkpointLocked(mode == "full")
+}
+
+// compactionDueLocked reports whether the chain has outgrown its bounds:
+// deltaCompactEvery elements, or half the base's bytes.
+func (s *Store) compactionDueLocked() bool {
+	var deltaBytes int64
+	for _, e := range s.chain[1:] {
+		deltaBytes += e.bytes
+	}
+	return len(s.chain)-1 >= deltaCompactEvery ||
+		(s.chain[0].bytes > 0 && deltaBytes >= s.chain[0].bytes/2)
+}
+
+// errNothingDirty aborts a delta element that would carry no shard and
+// no new WAL stamp.
+var errNothingDirty = errors.New("shard: nothing changed since the last checkpoint")
+
+// checkpointLocked writes one element — the base, carrying every shard,
+// or a delta carrying the shards that changed since their last image —
+// with a single atomic directory replace, retires the chain a new base
+// supersedes, and rotates the WAL. Caller holds walMu exclusively.
+func (s *Store) checkpointLocked(base bool) error {
+	seq := s.wal.Seq()
+	elem := chainElem{name: dataStoreDir, m: s.manifestLocked(seq)}
+	elem.m.Base = base
+	if !base {
+		tip := s.chain[len(s.chain)-1]
+		elem.ord = tip.ord + 1
+		elem.name = deltaDirName(elem.ord)
+		elem.m.PrevSum = tip.sum
+	}
+	dir := filepath.Join(s.dataDir, elem.name)
+	var commits []func()
+	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
+		for i, st := range s.shards {
+			commit, err := st.WriteImage(filepath.Join(tmp, shardDirName(i)), !base)
+			if err != nil {
+				return fmt.Errorf("shard %d: %w", i, err)
+			}
+			if commit != nil {
+				elem.m.Dirty = append(elem.m.Dirty, i)
+				commits = append(commits, commit)
+			}
+		}
+		if !base && len(commits) == 0 && seq == s.wal.Status().BaseSeq {
+			return errNothingDirty
+		}
+		data, err := json.MarshalIndent(elem.m, "", "  ")
+		if err != nil {
+			return err
+		}
+		elem.sum = crc32.ChecksumIEEE(data)
+		return os.WriteFile(filepath.Join(tmp, manifestName), data, 0o644)
+	})
+	if errors.Is(err, errNothingDirty) {
+		return nil
+	}
+	if err != nil {
+		// The swap may have failed after the element reached its final
+		// name; only a fresh base is sure to supersede whatever landed.
+		s.forceBase = true
+		return err
+	}
+	for _, commit := range commits {
+		commit()
+	}
+	elem.bytes = dirSize(dir)
+	if base {
+		// The new base covers every element; remove them before rotating
+		// so a crash leaves either chain or base authoritative, never a
+		// base with unlinked newer elements. A crash before the removals
+		// leaves superseded elements (older stamps, or unlinked at the
+		// base's stamp), which boot's resolveChain deletes.
+		for _, e := range s.chain[min(1, len(s.chain)):] {
+			os.RemoveAll(filepath.Join(s.dataDir, e.name))
+		}
+		s.chain = nil
+		s.forceBase = false
+	}
+	s.chain = append(s.chain, elem)
+	return s.wal.Rotate(seq)
 }
 
 // SetWALCoalesceWindow widens group commit on the attached log: the
@@ -424,6 +541,28 @@ func (s *Store) SetWALCoalesceWindow(d time.Duration) {
 	defer s.walMu.RUnlock()
 	if s.wal != nil {
 		s.wal.SetCoalesceWindow(d)
+	}
+}
+
+// SetWALArchiveRetain bounds how many rotated WAL segments checkpoints
+// keep as replication history (durable.WAL.SetArchiveRetain; the
+// cracksrv -walretain flag). No-op on a volatile store.
+func (s *Store) SetWALArchiveRetain(n int) {
+	s.walMu.RLock()
+	defer s.walMu.RUnlock()
+	if s.wal != nil {
+		s.wal.SetArchiveRetain(n)
+	}
+}
+
+// SetWALPruneFloor protects archived WAL segments still needed by the
+// slowest connected follower (durable.WAL.SetPruneFloor). The server
+// recomputes it from follower acks; MaxUint64 clears the protection.
+func (s *Store) SetWALPruneFloor(seq uint64) {
+	s.walMu.RLock()
+	defer s.walMu.RUnlock()
+	if s.wal != nil {
+		s.wal.SetPruneFloor(seq)
 	}
 }
 
@@ -447,4 +586,19 @@ func (s *Store) CloseWAL() error {
 	err := s.wal.Close()
 	s.wal = nil
 	return err
+}
+
+// dirSize sums the file sizes under root (best-effort; 0 on error).
+func dirSize(root string) int64 {
+	var total int64
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		if info, err := d.Info(); err == nil {
+			total += info.Size()
+		}
+		return nil
+	})
+	return total
 }

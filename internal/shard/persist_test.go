@@ -2,19 +2,24 @@ package shard_test
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crackdb"
 	"crackdb/internal/shard"
 )
 
-// loadMixed builds a sharded store with a cracked table: bulk load,
-// query stream, trickle inserts mid-stream.
-func loadMixed(t *testing.T, opts shard.Options, seed int64) (*shard.Store, [][]int64) {
+// loadMixed boots a durable sharded store in dir and gives it a cracked
+// table: bulk load, query stream, trickle inserts mid-stream.
+func loadMixed(t *testing.T, dir string, opts shard.Options, seed int64) (*shard.Store, [][]int64) {
 	t.Helper()
-	s := shard.New(opts)
+	s, _, err := shard.OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.CreateTable("t", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -47,116 +52,106 @@ func loadMixed(t *testing.T, opts shard.Options, seed int64) (*shard.Store, [][]
 	return s, all
 }
 
-// TestShardSaveOpenByteIdentical: a reopened sharded store must answer
-// every query — rows, order, counts, group-bys — exactly like the
-// original, for both partition kinds, cold and warm.
+// TestShardSaveOpenByteIdentical: a sharded store rebooted from its
+// checkpoint must answer every query — rows, order, counts, group-bys —
+// exactly like the original, for both partition kinds, with every
+// shard's crack state intact.
 func TestShardSaveOpenByteIdentical(t *testing.T) {
 	for _, kind := range []shard.Kind{shard.Hash, shard.Range} {
-		for _, warm := range []bool{false, true} {
-			name := string(kind)
-			if warm {
-				name += "/warm"
-			} else {
-				name += "/cold"
+		t.Run(string(kind), func(t *testing.T) {
+			opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
+			dir := t.TempDir()
+			src, _ := loadMixed(t, dir, opts, 31)
+			if err := src.Checkpoint(); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
-				src, _ := loadMixed(t, opts, 31)
-				dir := filepath.Join(t.TempDir(), "img")
-				var dst *shard.Store
-				var err error
-				if warm {
-					if err = src.SaveWarm(dir); err != nil {
-						t.Fatal(err)
-					}
-					dst, _, err = shard.OpenWarm(dir)
-				} else {
-					if err = src.Save(dir); err != nil {
-						t.Fatal(err)
-					}
-					dst, err = shard.Open(dir)
-				}
+			if err := src.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			// The options a reboot is handed lose to the checkpoint's.
+			dst, info, err := shard.OpenDurable(dir, shard.Options{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.CloseWAL()
+			if !info.Recovered || info.Replayed != 0 {
+				t.Fatalf("reboot did not come from the checkpoint alone: %+v", info)
+			}
+			if got, want := dst.ShardCount(), src.ShardCount(); got != want {
+				t.Fatalf("reopened with %d shards, want %d", got, want)
+			}
+			if !reflect.DeepEqual(dst.Partitions(), src.Partitions()) {
+				t.Fatalf("routing changed across reopen:\n got %+v\nwant %+v",
+					dst.Partitions(), src.Partitions())
+			}
+			// Per-shard row placement must be identical, not just the
+			// merged answer: that is what "byte-identical router" means.
+			for i := 0; i < src.ShardCount(); i++ {
+				a, err := src.Shard(i).NumRows("t")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := dst.ShardCount(), src.ShardCount(); got != want {
-					t.Fatalf("reopened with %d shards, want %d", got, want)
-				}
-				if !reflect.DeepEqual(dst.Partitions(), src.Partitions()) {
-					t.Fatalf("routing changed across reopen:\n got %+v\nwant %+v",
-						dst.Partitions(), src.Partitions())
-				}
-				// Per-shard row placement must be identical, not just the
-				// merged answer: that is what "byte-identical router" means.
-				for i := 0; i < src.ShardCount(); i++ {
-					a, err := src.Shard(i).NumRows("t")
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := dst.Shard(i).NumRows("t")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if a != b {
-						t.Fatalf("shard %d holds %d rows reopened, %d originally", i, b, a)
-					}
-				}
-				rng := rand.New(rand.NewSource(77))
-				for i := 0; i < 30; i++ {
-					lo := rng.Int63n(7000)
-					conds := []crackdb.Cond{
-						{Col: "k", Op: ">=", Val: lo},
-						{Col: "k", Op: "<=", Val: lo + rng.Int63n(500)},
-					}
-					ra, err := src.SelectWhere("t", conds...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rb, err := dst.SelectWhere("t", conds...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rowsA, err := ra.Rows("k", "v")
-					if err != nil {
-						t.Fatal(err)
-					}
-					rowsB, err := rb.Rows("k", "v")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(rowsA, rowsB) {
-						t.Fatalf("query %d: row sets diverge across reopen", i)
-					}
-				}
-				ga, err := src.GroupBy("t", "v")
+				b, err := dst.Shard(i).NumRows("t")
 				if err != nil {
 					t.Fatal(err)
 				}
-				gb, err := dst.GroupBy("t", "v")
+				if a != b {
+					t.Fatalf("shard %d holds %d rows reopened, %d originally", i, b, a)
+				}
+			}
+			rng := rand.New(rand.NewSource(77))
+			for i := 0; i < 30; i++ {
+				lo := rng.Int63n(7000)
+				conds := []crackdb.Cond{
+					{Col: "k", Op: ">=", Val: lo},
+					{Col: "k", Op: "<=", Val: lo + rng.Int63n(500)},
+				}
+				ra, err := src.SelectWhere("t", conds...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(ga, gb) {
-					t.Fatal("group-by diverges across reopen")
+				rb, err := dst.SelectWhere("t", conds...)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if warm {
-					// Crack state survived per shard.
-					pa, err := src.ShardStats("t", "k")
-					if err != nil {
-						t.Fatal(err)
-					}
-					pb, err := dst.ShardStats("t", "k")
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range pa {
-						if pa[i].Pieces != pb[i].Pieces {
-							t.Fatalf("shard %d pieces: %d reopened, %d originally", i, pb[i].Pieces, pa[i].Pieces)
-						}
-					}
+				rowsA, err := ra.Rows("k", "v")
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				rowsB, err := rb.Rows("k", "v")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rowsA, rowsB) {
+					t.Fatalf("query %d: row sets diverge across reopen", i)
+				}
+			}
+			ga, err := src.GroupBy("t", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := dst.GroupBy("t", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ga, gb) {
+				t.Fatal("group-by diverges across reopen")
+			}
+			// Crack state survived per shard.
+			pa, err := src.ShardStats("t", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := dst.ShardStats("t", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pa {
+				if pa[i].Pieces != pb[i].Pieces {
+					t.Fatalf("shard %d pieces: %d reopened, %d originally", i, pb[i].Pieces, pa[i].Pieces)
+				}
+			}
+		})
 	}
 }
 
@@ -298,4 +293,151 @@ func TestDurableTapestryReplay(t *testing.T) {
 		t.Fatalf("recovered %d rows, want 2001", total)
 	}
 	s2.CloseWAL()
+}
+
+// TestWALReplayTruncatedEveryOffset is the store-level prefix-consistency
+// property, on the one durability path there is — a one-shard router: a
+// store rebooted from a WAL cut at any byte offset must hold exactly the
+// insert batches whose records survived whole, never a partial batch.
+func TestWALReplayTruncatedEveryOffset(t *testing.T) {
+	opts := shard.Options{Shards: 1}
+	srcDir := t.TempDir()
+	src, _, err := shard.OpenDurable(srcDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CreateTable("t", "k"); err != nil {
+		t.Fatal(err)
+	}
+	batches := [][][]int64{
+		{{1}, {2}, {3}},
+		{{10}, {11}},
+		{{20}, {21}, {22}, {23}},
+		{{30}},
+	}
+	for _, b := range batches {
+		if err := src.InsertRows("t", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(srcDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for cut := 0; cut <= len(full); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, info, err := shard.OpenDurable(dir, opts)
+		if err != nil {
+			if cut < 13 { // shorter than the header: corrupt, acceptable refusal
+				continue
+			}
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if info.Replayed > 0 {
+			// The recovered store must hold a whole-batch prefix: its row
+			// count is exactly the sum of the first Replayed-1 batches (the
+			// first record is the create), never a partial batch. With not
+			// even the create surviving, an empty store is a valid prefix.
+			got, err := s.NumRows("t")
+			if err != nil {
+				t.Fatalf("cut at %d: %v", cut, err)
+			}
+			want := 0
+			for _, b := range batches[:info.Replayed-1] {
+				want += len(b)
+			}
+			if got != want {
+				t.Fatalf("cut at %d: recovered %d rows after %d records, want %d — a torn batch leaked",
+					cut, got, info.Replayed, want)
+			}
+		}
+		if err := s.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeleteReplay: a logical delete is logged once at the router, and a
+// reboot that replays the log — inserts, the delete, an insert back into
+// the deleted range — reproduces the live set exactly.
+func TestDeleteReplay(t *testing.T) {
+	dir := t.TempDir()
+	opts := shard.Options{Shards: 1}
+	live, _, err := shard.OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.CreateTable("t", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, 500)
+	for i := range rows {
+		rows[i] = []int64{int64(i), int64(i % 7)}
+	}
+	if err := live.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	n, err := live.Delete("t", crackdb.Cond{Col: "a", Op: ">=", Val: 100}, crackdb.Cond{Col: "a", Op: "<", Val: 200})
+	if err != nil || n != 100 {
+		t.Fatalf("delete removed %d rows (%v), want 100", n, err)
+	}
+	if err := live.InsertRows("t", [][]int64{{150, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: abandon the handles, reboot from the log alone.
+	re, info, err := shard.OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseWAL()
+	if info.Recovered || info.Replayed != 4 {
+		t.Fatalf("boot %+v, want 4 records replayed over no checkpoint", info)
+	}
+	for name, s := range map[string]*shard.Store{"live": live, "replayed": re} {
+		if got, _ := s.NumRows("t"); got != 401 {
+			t.Fatalf("%s: NumRows = %d, want 401", name, got)
+		}
+	}
+	all := []crackdb.Cond{{Col: "a", Op: ">=", Val: 0}}
+	ra, err := live.SelectWhere("t", all...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := re.SelectWhere("t", all...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsA, err := ra.Rows("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsB, err := rb.Rows("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rowsA, rowsB) {
+		t.Fatal("replayed store diverges from the live one")
+	}
+}
+
+// TestReplReadFileRefusesForeignPaths: only chain elements are served —
+// a path outside store/ and delta-*/ is refused, not rebased.
+func TestReplReadFileRefusesForeignPaths(t *testing.T) {
+	s, _, err := shard.OpenDurable(t.TempDir(), shard.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseWAL()
+	for _, p := range []string{"shard.json", "wal.log", "boots/x"} {
+		if _, err := s.ReplReadFile(0, p, 0, 16); err == nil || !strings.Contains(err.Error(), "outside the checkpoint image") {
+			t.Fatalf("path %q: want a refusal, got %v", p, err)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -83,8 +84,15 @@ func (s *Store) ReplRead(from uint64, maxBytes int) ([]durable.Record, uint64, e
 type SnapshotFile struct {
 	Path string `json:"path"` // data-dir relative ("store/..." or "delta-NNNNNN/...")
 	Size int64  `json:"size"`
-	Crc  uint32 `json:"crc"` // CRC-32 (IEEE) of the file's contents
+	Crc  uint32 `json:"crc"` // CRC-32C (SnapshotCRC) of the file's contents
 }
+
+// SnapshotCRC is the polynomial behind SnapshotFile.Crc: Castagnoli,
+// deliberately not IEEE. BAT and image files end in their own IEEE
+// CRC-32, and the IEEE CRC of such a file is the same constant residue
+// whatever it holds — as a file identity it would let a follower keep a
+// stale same-sized file.
+var SnapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // SnapshotManifest describes the checkpoint image a follower bootstraps
 // from: the WAL seq the image covers (== the live log's base, by the
@@ -110,17 +118,10 @@ func (s *Store) ReplManifest() (SnapshotManifest, error) {
 		return SnapshotManifest{}, fmt.Errorf("shard: store is not durable")
 	}
 	m := SnapshotManifest{Seq: s.wal.Status().BaseSeq}
-	dirs := []string{dataStoreDir}
-	for _, e := range s.chain {
-		dirs = append(dirs, e.name)
-	}
-	for _, sub := range dirs {
-		root := filepath.Join(s.dataDir, sub)
+	for _, e := range s.chain { // empty before the first checkpoint: no image
+		root := filepath.Join(s.dataDir, e.name)
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
-				if os.IsNotExist(err) && path == root {
-					return nil // never checkpointed: empty image
-				}
 				return err
 			}
 			if d.IsDir() {
@@ -134,14 +135,14 @@ func (s *Store) ReplManifest() (SnapshotManifest, error) {
 			if err != nil {
 				return err
 			}
-			crc, err := fileCRC(path)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
 			m.Files = append(m.Files, SnapshotFile{
-				Path: sub + "/" + filepath.ToSlash(rel),
+				Path: e.name + "/" + filepath.ToSlash(rel),
 				Size: info.Size(),
-				Crc:  crc,
+				Crc:  crc32.Checksum(data, SnapshotCRC),
 			})
 			return nil
 		})
@@ -174,16 +175,11 @@ func (s *Store) ReplReadFile(seq uint64, rel string, off int64, n int) ([]byte, 
 	if base := s.wal.Status().BaseSeq; base != seq {
 		return nil, fmt.Errorf("shard: snapshot superseded (image at seq %d, requested %d)", base, seq)
 	}
-	// Manifest paths are data-dir relative ("store/..." or a chain
-	// element "delta-NNNNNN/..."). Anything else — including bare paths
-	// from pre-delta followers — is read under the base image, and only
-	// those two roots are ever served.
-	first := clean
-	if i := strings.IndexByte(clean, filepath.Separator); i >= 0 {
-		first = clean[:i]
-	}
+	// Manifest paths are data-dir relative, and only chain elements are
+	// ever served: "store/..." or "delta-NNNNNN/...".
+	first, _, _ := strings.Cut(clean, string(filepath.Separator))
 	if first != dataStoreDir && !strings.HasPrefix(first, deltaDirPrefix) {
-		clean = filepath.Join(dataStoreDir, clean)
+		return nil, fmt.Errorf("shard: snapshot path %q is outside the checkpoint image (want store/... or delta-NNNNNN/...)", rel)
 	}
 	f, err := os.Open(filepath.Join(s.dataDir, clean))
 	if err != nil {

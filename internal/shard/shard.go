@@ -87,14 +87,11 @@ type Store struct {
 	obsv  atomic.Pointer[storeObs]
 	boots int64
 
-	// Differential-checkpoint chain state (see delta.go in this
-	// package): the resolved base + delta elements currently on disk.
-	// Guarded by walMu (Checkpoint holds it exclusively).
-	ckptDelta  bool        // CheckpointMode("") writes deltas by default
-	chain      []chainElem // on-disk delta elements, oldest first
-	baseSum    uint32      // CRC-32 of the base image's router manifest
-	baseBytes  int64       // total size of the base image
-	chainBytes int64       // cumulative size of the delta elements
+	// Checkpoint chain state (see persist.go in this package). Guarded
+	// by walMu (Checkpoint holds it exclusively).
+	ckptDelta bool        // CheckpointMode("") writes deltas by default
+	chain     []chainElem // on-disk elements, base first; empty before the first checkpoint
+	forceBase bool        // a checkpoint failed: the next one must be a base
 }
 
 type tableMeta struct {

@@ -1,261 +1,419 @@
 package crackdb
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
 	"crackdb/internal/durable"
 	"crackdb/internal/relation"
 	"crackdb/internal/strategy"
-	"crackdb/internal/tuner"
 )
 
-// Store persistence: each column is saved as one checksummed BAT image,
-// bound together by a JSON manifest. Save/Open persist the cold image
-// only, matching the paper's prototype ("each table comes with its own
-// cracker index and they are not saved between sessions", §5.2);
-// SaveWarm/OpenWarm additionally round-trip the cracker state — cut
-// sets, cracked vectors, pending updates, strategy RNG positions —
-// through a versioned crack-state snapshot (internal/durable), so a
-// reopened store resumes at converged per-query latency.
+// Store persistence. A store is saved as a chain of image directories,
+// each holding one image file (internal/durable.Image: table manifest,
+// crack configuration, crack state — cut sets, cracked vectors, pending
+// updates, strategy RNG positions — sideways maps, tuner posture) plus
+// one checksummed BAT file per column of every table whose data the
+// element rewrites. A full image is the chain of length zero: the element
+// that diffs against nothing, so it rewrites every table and carries
+// every cracked column. A delta element carries only what moved since
+// the image before it and names that image by checksum. One writer
+// (WriteImage) produces both, one reader (Open) folds a chain back into
+// a live store, and OpenCold is that reader ignoring the crack sections —
+// the paper's prototype, whose cracker indexes "are not saved between
+// sessions" (§5.2).
 //
-// Every save is atomic: the image is written into a fresh temp directory
-// next to the target and swapped in with renames, so a crash mid-save
-// leaves the previous image intact. AttachWAL adds the last durability
-// layer: mutations are logged (and fsynced, group-committed) before they
-// are applied, and Apply replays a log against a reopened store.
+// Change detection is a saveMark: a per-table shape-and-generation
+// record plus a per-column state fingerprint
+// (core.Column.StateFingerprint), taken when an image is written and
+// installed once the caller reports it landed (and after every Open). A
+// table or column with no mark entry is dirty by definition, and every
+// table-creation path bumps the table's generation (bumpTableGenLocked)
+// — so create, drop+recreate (even into an identical shape and row
+// count), and Materialize all land in the next delta.
+//
+// The store itself logs nothing: write-ahead logging, checkpoint stamps
+// and crash recovery belong to internal/shard (OpenDurable), for one
+// shard as for many.
 
-// manifest is the on-disk description of a store.
-type manifest struct {
-	Version int             `json:"version"`
-	Tables  []manifestTable `json:"tables"`
+// imageName is the image file inside every image directory, and the
+// marker RecoverDirSwap looks for.
+const imageName = "crackstate.crk"
+
+// saveMark captures what the last saved image contained, in just enough
+// detail to decide per column whether the live state still matches it.
+// The zero mark matches nothing: diffing against it yields a full image.
+type saveMark struct {
+	sum    uint32 // the image file's trailer checksum (chain identity)
+	config durable.StoreConfig
+	tables map[string]tableMark
+	cols   map[colKey]uint64 // crack-state fingerprints at save time
 }
 
-type manifestTable struct {
-	Name    string   `json:"name"`
-	Columns []string `json:"columns"`
-	Rows    int      `json:"rows"` // physical rows, tombstoned included
-
-	// Deleted lists the tombstoned OIDs. The BAT images keep deleted rows
-	// (OID stability), so the manifest must carry the tombstone set for a
-	// cold reopen to rebuild the same live view.
-	Deleted []uint32 `json:"deleted,omitempty"`
+type tableMark struct {
+	gen   uint64 // creation generation (bumpTableGenLocked) — object identity
+	rows  int    // physical rows, tombstoned included
+	tombs int    // tombstone count (monotone: equal count == equal set)
+	cols  string // column names, joined — schema identity
 }
 
-const (
-	manifestName   = "crackdb.json"
-	crackStateName = "crackstate.crk"
-)
+type colKey struct{ table, attr string }
 
-// Save writes the store's cold image (tables, no cracker state) to a
-// directory, atomically replacing any previous image.
-func (s *Store) Save(dir string) error { return s.save(dir, false) }
+func joinCols(cols []string) string { return strings.Join(cols, "\x00") }
 
-// SaveWarm writes the store's warm image: the cold image plus a
-// crack-state snapshot of every cracker column, so OpenWarm resumes with
-// the indexes the queries have paid for. When a WAL is attached the
-// snapshot is stamped with the current WAL sequence, making it a
-// checkpoint: replay skips the records the image already covers.
-func (s *Store) SaveWarm(dir string) error { return s.save(dir, true) }
+// bumpTableGenLocked stamps name with a fresh generation. Every path
+// that installs a table object into s.tables must call it — create,
+// tapestry load, Materialize, vertical partition/reunite, image apply —
+// so shape-based dirtiness never mistakes a recreated table for the one
+// the last save captured. The caller holds s.mu.
+func (s *Store) bumpTableGenLocked(name string) {
+	s.genSeq++
+	s.tableGen[name] = s.genSeq
+}
 
-func (s *Store) save(dir string, warm bool) error {
+// configLocked materializes the store-wide crack configuration an image
+// carries. The caller holds s.mu (read or write).
+func (s *Store) configLocked() durable.StoreConfig {
+	return durable.StoreConfig{
+		StrategyName:   s.strategyName,
+		StrategySeed:   s.strategySeed,
+		MaxPieces:      s.maxPieces,
+		Ripple:         s.ripple,
+		SidewaysBudget: s.sideways.Budget(),
+	}
+}
+
+// newMarkLocked describes the live store as the content of the image
+// identified by sum. The caller holds s.mu.
+func (s *Store) newMarkLocked(sum uint32) *saveMark {
+	m := &saveMark{
+		sum:    sum,
+		config: s.configLocked(),
+		tables: make(map[string]tableMark, len(s.tables)),
+		cols:   make(map[colKey]uint64),
+	}
+	for name, t := range s.tables {
+		tm := tableMark{gen: s.tableGen[name], rows: t.Len(), cols: joinCols(t.ColumnNames())}
+		if ct, ok := s.cracked[name]; ok {
+			tm.tombs = t.Len() - ct.LiveLen()
+			for _, attr := range ct.CrackedColumns() {
+				if c, ok := ct.Column(attr); ok {
+					m.cols[colKey{name, attr}] = c.StateFingerprint()
+				}
+			}
+		}
+		m.tables[name] = tm
+	}
+	return m
+}
+
+// Save writes a full image of the store to dir, atomically replacing any
+// previous image: the new one is built in a temp sibling, fsynced, and
+// swapped in with renames, so a crash mid-save leaves the old image
+// intact. The saved image becomes the base later delta elements diff
+// against.
+func (s *Store) Save(dir string) error {
+	var commit func()
+	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
+		var werr error
+		commit, werr = s.WriteImage(tmp, false)
+		return werr
+	})
+	if err == nil {
+		commit()
+	}
+	return err
+}
+
+// WriteImage writes one image element into dir (created if missing,
+// expected empty): a full image, or with delta set only what changed
+// since the last committed image — which must exist. It neither syncs
+// nor swaps; the caller owns atomicity (durable.AtomicReplaceDir) and
+// calls commit once the element is in place, making it the image the
+// next delta diffs against. Skipping commit after a failed swap keeps
+// the previous image as that reference, which is what is still on disk.
+// A delta of a store in which nothing persisted has changed —
+// configuration, table set or shape, tombstones, any column's crack
+// state (tuner posture, advisory warmth, is deliberately not counted) —
+// writes nothing and returns a nil commit.
+func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var sum uint32
-	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		var serr error
-		sum, serr = s.saveLocked(tmp, warm)
-		return serr
-	})
-	// The mark anchors differential checkpoints to the image on disk: a
-	// successful warm save becomes the new chain base, and any failure —
-	// including the final directory swap, after the snapshot itself was
-	// written — clears it, so the next SaveDelta refuses rather than
-	// chaining to an image that never landed.
-	if err != nil || !warm {
-		s.mark = nil
-		return err
+	against := &saveMark{}
+	if delta {
+		if against = s.mark; against == nil {
+			return nil, fmt.Errorf("crackdb: no base image to delta against (save a full image first)")
+		}
 	}
-	s.markLocked(sum)
-	return nil
-}
-
-// saveLocked writes the image into dir (which exists and is empty),
-// returning the crack-state file's whole-file checksum for warm saves
-// (the identity a differential checkpoint chains to). The caller holds
-// s.mu, so no insert can slip between the BAT images, the crack-state
-// snapshot, and the WAL stamp.
-func (s *Store) saveLocked(dir string, warm bool) (uint32, error) {
-	var m manifest
-	m.Version = 1
-	for name, t := range s.tables {
-		mt := manifestTable{Name: name, Columns: t.ColumnNames(), Rows: t.Len()}
-		if ct, ok := s.cracked[name]; ok {
-			for _, oid := range ct.Tombstones() {
-				mt.Deleted = append(mt.Deleted, uint32(oid))
+	img := &durable.Image{
+		Base:    !delta,
+		PrevSum: against.sum,
+		Config:  s.configLocked(),
+		Tuner:   s.exportTunerStates(),
+	}
+	// Tables and attributes go out sorted: two images of an unchanged
+	// store are byte-identical, so a re-bootstrapping follower, which
+	// reuses files by checksum, downloads nothing it already holds.
+	names := make([]string, 0, len(s.tables))
+	for name := range s.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	touched := make(map[string]bool)
+	for _, name := range names {
+		t := s.tables[name]
+		it := durable.ImageTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
+		ct := s.cracked[name]
+		if ct != nil {
+			it.Deleted = ct.Tombstones()
+		}
+		// A cracked column cannot vanish from a table whose generation
+		// held, so generation plus shape decide data dirtiness alone.
+		tm, had := against.tables[name]
+		it.DataDirty = !had || tm.gen != s.tableGen[name] ||
+			tm.rows != it.Rows || tm.cols != joinCols(it.Cols)
+		// New data or a new tombstone set carries every cracked column;
+		// otherwise only the columns whose fingerprint moved.
+		carryAll := it.DataDirty || tm.tombs != len(it.Deleted)
+		carried := carryAll
+		if ct != nil {
+			for _, attr := range ct.CrackedColumns() {
+				c, ok := ct.Column(attr)
+				if !ok {
+					continue
+				}
+				prev, known := against.cols[colKey{name, attr}]
+				if carryAll || !known || prev != c.StateFingerprint() {
+					img.Columns = append(img.Columns, durable.ColumnSnapshot{
+						Table: name, Attr: attr, State: c.ExportState(),
+					})
+					carried = true
+				}
 			}
 		}
-		for _, col := range mt.Columns {
-			b, err := t.Column(col)
+		if carried {
+			touched[name] = true
+			img.Touched = append(img.Touched, name)
+		}
+		img.Tables = append(img.Tables, it)
+	}
+	if delta && len(img.Touched) == 0 && len(names) == len(against.tables) && img.Config == against.config {
+		return nil, nil
+	}
+	for _, ms := range s.sideways.Export() {
+		if touched[ms.Table] {
+			img.Sideways = append(img.Sideways, ms)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	for _, it := range img.Tables {
+		if !it.DataDirty {
+			continue
+		}
+		for _, col := range it.Cols {
+			b, err := s.tables[it.Name].Column(col)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			if err := b.Save(columnPath(dir, name, col)); err != nil {
-				return 0, fmt.Errorf("crackdb: save %s.%s: %w", name, col, err)
+			if err := b.Save(columnPath(dir, it.Name, col)); err != nil {
+				return nil, fmt.Errorf("crackdb: save %s.%s: %w", it.Name, col, err)
 			}
 		}
-		m.Tables = append(m.Tables, mt)
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
+	sum, err := durable.WriteImage(filepath.Join(dir, imageName), img)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		return 0, err
-	}
-	if !warm {
-		return 0, nil
-	}
-	snap := &durable.StoreSnapshot{
-		Config:   s.configLocked(),
-		Sideways: s.sideways.Export(),
-	}
-	for _, t := range s.exportTunerStates() {
-		snap.Tuner = append(snap.Tuner, durable.TunerState{
-			Table: t.Table, Column: t.Column,
-			Strategy: t.Strategy, Class: t.Class,
-			Flips: t.Flips, Forced: t.Forced,
-		})
-	}
-	if s.wal != nil {
-		snap.AppliedSeq = s.wal.Seq()
-	}
-	for name, ct := range s.cracked {
-		for _, attr := range ct.CrackedColumns() {
-			c, ok := ct.Column(attr)
-			if !ok {
-				continue
-			}
-			snap.Columns = append(snap.Columns, durable.ColumnSnapshot{
-				Table: name, Attr: attr, State: c.ExportState(),
-			})
-		}
-	}
-	return durable.WriteSnapshotSum(filepath.Join(dir, crackStateName), snap)
+	mark := s.newMarkLocked(sum)
+	return func() {
+		s.mu.Lock()
+		s.mark = mark
+		s.mu.Unlock()
+	}, nil
 }
 
-// Open loads a store's cold image previously written by Save (or the
-// table data of a SaveWarm image, ignoring its cracker state).
-func Open(dir string) (*Store, error) {
-	durable.RecoverDirSwap(dir, manifestName)
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("crackdb: open store: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("crackdb: corrupt manifest: %w", err)
-	}
-	if m.Version != 1 {
-		return nil, fmt.Errorf("crackdb: unsupported store version %d", m.Version)
-	}
+// Open loads a store from a full image directory plus, in order, the
+// delta elements written on top of it, reattaching every column's cut
+// set, cracked vectors, pending updates and strategy (with its RNG
+// position), the sideways maps and the tuner posture — the reopened
+// store resumes at converged per-query latency. Every link is checked:
+// the first element must be a base, each later one must name its
+// predecessor's checksum; a broken, missing or corrupt link refuses the
+// whole open rather than silently serving a cold or half-applied store.
+func Open(base string, deltas ...string) (*Store, error) {
+	return openChain(false, append([]string{base}, deltas...))
+}
+
+// OpenCold loads the tables (and configuration) of a full image and
+// ignores its crack state: every column starts uncracked, the way the
+// paper's prototype restarts (§5.2).
+func OpenCold(dir string) (*Store, error) {
+	return openChain(true, []string{dir})
+}
+
+func openChain(cold bool, dirs []string) (*Store, error) {
 	s := New()
-	for _, mt := range m.Tables {
-		cols := make([]relation.Column, len(mt.Columns))
-		for i, col := range mt.Columns {
-			b, err := bat.Load(mt.Name+"_"+col, columnPath(dir, mt.Name, col))
-			if err != nil {
-				return nil, fmt.Errorf("crackdb: load %s.%s: %w", mt.Name, col, err)
-			}
-			if b.Len() != mt.Rows {
-				return nil, fmt.Errorf("crackdb: %s.%s has %d rows, manifest says %d",
-					mt.Name, col, b.Len(), mt.Rows)
-			}
-			cols[i] = relation.Column{Name: col, Data: b}
-		}
-		t, err := relation.FromColumns(mt.Name, cols...)
+	var prev uint32
+	for i, dir := range dirs {
+		durable.RecoverDirSwap(dir, imageName)
+		img, sum, err := durable.ReadImage(filepath.Join(dir, imageName))
 		if err != nil {
+			return nil, fmt.Errorf("crackdb: open image %s: %w", dir, err)
+		}
+		switch {
+		case img.Base != (i == 0):
+			return nil, fmt.Errorf("crackdb: image chain broken at %s: element %d of the chain has base=%v",
+				dir, i, img.Base)
+		case i > 0 && img.PrevSum != prev:
+			return nil, fmt.Errorf("crackdb: image chain broken at %s: element links predecessor %08x, chain has %08x",
+				dir, img.PrevSum, prev)
+		}
+		if cold {
+			img.Columns, img.Sideways, img.Tuner = nil, nil, nil
+		}
+		if err := s.applyImage(dir, img); err != nil {
 			return nil, err
 		}
-		s.tables[mt.Name] = t
-		s.bumpTableGenLocked(mt.Name)
-		if err := s.registerTableLocked(mt.Name, mt.Columns, mt.Rows-len(mt.Deleted)); err != nil {
-			return nil, err
-		}
-		if len(mt.Deleted) > 0 {
-			// Tombstones force the cracked wrapper into existence now:
-			// columns restored (or lazily created) later must inherit the
-			// set at birth, and RestoreTombstones refuses once any exist.
-			ct := s.newCrackedTableLocked(mt.Name, t)
-			oids := make([]bat.OID, len(mt.Deleted))
-			for i, o := range mt.Deleted {
-				oids[i] = bat.OID(o)
-			}
-			if err := ct.RestoreTombstones(oids); err != nil {
-				return nil, fmt.Errorf("crackdb: restore %s: %w", mt.Name, err)
-			}
-			s.cracked[mt.Name] = ct
-		}
+		prev = sum
+	}
+	if !cold {
+		// The reopened state matches the on-disk chain exactly, so its tip
+		// can anchor the next delta without another full save.
+		s.mark = s.newMarkLocked(prev)
 	}
 	return s, nil
 }
 
-// OpenWarm loads a warm image: the cold image plus, when present, the
-// crack-state snapshot, reattaching every column's cut set, cracked
-// vectors, pending updates and strategy (with its RNG position). It
-// returns the WAL sequence the image covers, so the caller can replay
-// only the log suffix. A directory written by the cold Save opens
-// successfully with appliedSeq 0 — there is simply no warmth to restore.
-func OpenWarm(dir string) (*Store, uint64, error) {
-	s, err := Open(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, sum, err := durable.ReadSnapshotSum(filepath.Join(dir, crackStateName))
-	if os.IsNotExist(err) {
-		return s, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := s.restoreSnapshot(snap); err != nil {
-		return nil, 0, err
-	}
-	// The reopened state matches the on-disk image exactly, so the image
-	// can anchor differential checkpoints without another full save.
-	s.mu.Lock()
-	s.markLocked(sum)
-	s.mu.Unlock()
-	return s, snap.AppliedSeq, nil
-}
-
-// restoreSnapshot applies a crack-state snapshot to a freshly opened
-// store.
-func (s *Store) restoreSnapshot(snap *durable.StoreSnapshot) error {
-	if name := snap.Config.StrategyName; name != "" {
-		if err := s.SetCrackStrategy(name, snap.Config.StrategySeed); err != nil {
+// applyImage folds one verified element into the store: drops tables
+// absent from the element's manifest, swaps in rewritten base data,
+// reconciles tombstones, replaces the crack state of every column the
+// element carries, and refreshes sideways maps for touched tables. A
+// base element does all of that to an empty store.
+func (s *Store) applyImage(dir string, img *durable.Image) error {
+	// Strategy config first: SetCrackStrategy validates the name and
+	// takes s.mu itself.
+	if name := img.Config.StrategyName; name != "" {
+		if err := s.SetCrackStrategy(name, img.Config.StrategySeed); err != nil {
 			return err
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maxPieces = snap.Config.MaxPieces
-	s.ripple = snap.Config.Ripple
-	s.sideways.SetBudget(snap.Config.SidewaysBudget)
-	for _, cs := range snap.Columns {
-		t, ok := s.tables[cs.Table]
+	s.maxPieces = img.Config.MaxPieces
+	s.ripple = img.Config.Ripple
+	s.sideways.SetBudget(img.Config.SidewaysBudget)
+
+	inImage := make(map[string]bool, len(img.Tables))
+	for _, it := range img.Tables {
+		inImage[it.Name] = true
+	}
+	for name := range s.tables {
+		if !inImage[name] {
+			if err := s.dropTableLocked(name); err != nil {
+				return err
+			}
+		}
+	}
+	touched := make(map[string]bool, len(img.Touched))
+	for _, name := range img.Touched {
+		touched[name] = true
+	}
+	for _, it := range img.Tables {
+		live, exists := s.tables[it.Name]
+		if it.DataDirty {
+			cols := make([]relation.Column, len(it.Cols))
+			for i, col := range it.Cols {
+				b, err := bat.Load(it.Name+"_"+col, columnPath(dir, it.Name, col))
+				if err != nil {
+					return fmt.Errorf("crackdb: load %s.%s: %w", it.Name, col, err)
+				}
+				if b.Len() != it.Rows {
+					return fmt.Errorf("crackdb: %s.%s has %d rows, image manifest says %d",
+						it.Name, col, b.Len(), it.Rows)
+				}
+				cols[i] = relation.Column{Name: col, Data: b}
+			}
+			t, err := relation.FromColumns(it.Name, cols...)
+			if err != nil {
+				return err
+			}
+			if exists {
+				if err := s.dropTableLocked(it.Name); err != nil {
+					return err
+				}
+			}
+			s.tables[it.Name] = t
+			s.bumpTableGenLocked(it.Name)
+			if err := s.registerTableLocked(it.Name, it.Cols, it.Rows-len(it.Deleted)); err != nil {
+				return err
+			}
+			if len(it.Deleted) > 0 {
+				// Tombstones force the cracked wrapper into existence now:
+				// columns restored (or lazily created) later must inherit
+				// the set at birth, and RestoreTombstones refuses once any
+				// exist.
+				if err := s.rewrapLocked(it.Name, t, it.Deleted); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if !exists {
+			return fmt.Errorf("crackdb: image %s references table %q missing from the chain so far", dir, it.Name)
+		}
+		if live.Len() != it.Rows || joinCols(live.ColumnNames()) != joinCols(it.Cols) {
+			return fmt.Errorf("crackdb: image %s disagrees with table %q shape — chain corrupt", dir, it.Name)
+		}
+		var cur []bat.OID
+		if ct, ok := s.cracked[it.Name]; ok {
+			cur = ct.Tombstones()
+		}
+		if len(cur) != len(it.Deleted) { // monotone: equal count == equal set
+			// Every cracked column of the table rides in img.Columns (a
+			// delete forwards to all of them, so their fingerprints all
+			// moved): rebuild the wrapper around the new tombstone set and
+			// let the column loop below repopulate it.
+			s.sideways.DropTable(it.Name)
+			if err := s.rewrapLocked(it.Name, live, it.Deleted); err != nil {
+				return err
+			}
+			if err := s.cat.SetRows(it.Name, it.Rows-len(it.Deleted)); err != nil {
+				return err
+			}
+		} else if touched[it.Name] {
+			// Crack state moved without a data or tombstone change: the
+			// element carries the table's complete current map set, so the
+			// chain-older maps go first.
+			s.sideways.DropTable(it.Name)
+		}
+	}
+	lookup := func(table string) (*core.CrackedTable, bool) {
+		t, ok := s.tables[table]
+		if !ok {
+			return nil, false
+		}
+		ct, ok := s.cracked[table]
+		if !ok {
+			ct = s.newCrackedTableLocked(table, t)
+			s.cracked[table] = ct
+		}
+		return ct, true
+	}
+	for _, cs := range img.Columns {
+		ct, ok := lookup(cs.Table)
 		if !ok {
 			return fmt.Errorf("crackdb: crack state for unknown table %q", cs.Table)
 		}
-		ct, ok := s.cracked[cs.Table]
-		if !ok {
-			ct = s.newCrackedTableLocked(cs.Table, t)
-			s.cracked[cs.Table] = ct
-		}
+		// Each column record carries its own strategy state, and
+		// baseColumnOptions deliberately omits the store default — so a
+		// column the tuner flipped to standard reopens as standard.
 		opts := s.baseColumnOptions()
 		if cs.State.Strategy != nil {
 			st, err := strategy.Restore(*cs.State.Strategy)
@@ -268,100 +426,31 @@ func (s *Store) restoreSnapshot(snap *durable.StoreSnapshot) error {
 		if err != nil {
 			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
 		}
-		if err := ct.RestoreColumn(cs.Attr, col); err != nil {
+		if err := ct.ReplaceColumn(cs.Attr, col); err != nil {
 			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
 		}
 	}
-	if len(snap.Sideways) > 0 {
-		lookup := func(table string) (*core.CrackedTable, bool) {
-			t, ok := s.tables[table]
-			if !ok {
-				return nil, false
-			}
-			ct, ok := s.cracked[table]
-			if !ok {
-				ct = s.newCrackedTableLocked(table, t)
-				s.cracked[table] = ct
-			}
-			return ct, true
-		}
-		if err := s.sideways.Restore(snap.Sideways, lookup, strategy.Restore); err != nil {
+	if len(img.Sideways) > 0 {
+		if err := s.sideways.Restore(img.Sideways, lookup, strategy.Restore); err != nil {
 			return fmt.Errorf("crackdb: %w", err)
 		}
 	}
-	// Tuner posture parks in pendingTuner until EnableAutotune adopts it
-	// (the flag is a runtime choice, not part of the image). Per-column
-	// strategies themselves were already restored above: each column
-	// record carries its own strategy state, and baseColumnOptions
-	// deliberately omits the store default — so a column the tuner
-	// flipped to standard reopens as standard, not as the default.
-	for _, t := range snap.Tuner {
-		s.pendingTuner = append(s.pendingTuner, tuner.ColumnState{
-			Table: t.Table, Column: t.Column,
-			Strategy: t.Strategy, Class: t.Class,
-			Flips: t.Flips, Forced: t.Forced,
-		})
-	}
+	// Tuner posture is a full copy per element (the latest wins) and
+	// parks in pendingTuner until EnableAutotune adopts it — the flag is
+	// a runtime choice, not part of the image.
+	s.pendingTuner = img.Tuner
 	return nil
 }
 
-// AttachWAL arms write-ahead logging: every subsequent CreateTable,
-// DropTable, InsertRows, LoadTapestry and SetCrackStrategy is appended
-// to the log — and fsynced, group-committed — before it is applied, so
-// an acked mutation survives a crash. Attach after Apply-driven replay,
-// never before (replay must not re-log itself).
-func (s *Store) AttachWAL(w *durable.WAL) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wal = w
-}
-
-// WAL returns the attached log, if any.
-func (s *Store) WAL() *durable.WAL {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.wal
-}
-
-// logRecord appends a mutation to the attached WAL, if any. Callers hold
-// s.mu (so snapshotting, which also holds s.mu, can never interleave
-// between a record being logged and applied) and must call it before
-// mutating anything.
-func (s *Store) logRecord(rec durable.Record) error {
-	if s.wal == nil {
-		return nil
+// rewrapLocked replaces a table's cracked wrapper with an empty one
+// carrying the given tombstone set. The caller holds s.mu.
+func (s *Store) rewrapLocked(name string, t *relation.Table, deleted []bat.OID) error {
+	ct := s.newCrackedTableLocked(name, t)
+	if err := ct.RestoreTombstones(deleted); err != nil {
+		return fmt.Errorf("crackdb: restore %s: %w", name, err)
 	}
-	if _, err := s.wal.Append(rec); err != nil {
-		return fmt.Errorf("crackdb: wal append: %w", err)
-	}
+	s.cracked[name] = ct
 	return nil
-}
-
-// Apply replays one WAL record against the store — the boot-time inverse
-// of the logging in the mutating methods. Replay a log with
-// durable.Open's apply callback before calling AttachWAL.
-func (s *Store) Apply(rec durable.Record) error {
-	switch rec.Kind {
-	case durable.KindCreate:
-		return s.CreateTable(rec.Table, rec.Cols...)
-	case durable.KindInsert:
-		return s.InsertRows(rec.Table, rec.Rows)
-	case durable.KindDrop:
-		return s.DropTable(rec.Table)
-	case durable.KindTapestry:
-		return s.LoadTapestry(rec.Table, rec.N, rec.Alpha, rec.Seed)
-	case durable.KindStrategy:
-		return s.SetCrackStrategy(rec.Name, rec.Seed)
-	case durable.KindDelete:
-		conds := make([]Cond, len(rec.Conds))
-		for i, c := range rec.Conds {
-			conds[i] = Cond{Col: c.Col, Op: c.Op, Val: c.Val}
-		}
-		_, err := s.Delete(rec.Table, conds...)
-		return err
-	default:
-		return fmt.Errorf("crackdb: cannot apply WAL record kind %v", rec.Kind)
-	}
 }
 
 func columnPath(dir, table, col string) string {

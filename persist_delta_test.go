@@ -45,6 +45,31 @@ func mutateAndCrack(t *testing.T, s *crackdb.Store, rows *[][]int64, seed int64)
 	*rows = kept
 }
 
+// saveDelta writes and commits one delta element into dir, failing the
+// test if the store turned out clean.
+func saveDelta(t *testing.T, s *crackdb.Store, dir string) {
+	t.Helper()
+	commit, err := s.WriteImage(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commit == nil {
+		t.Fatalf("delta into %s: store reports nothing to save", dir)
+	}
+	commit()
+}
+
+// isDirty reports whether a delta element would carry anything, without
+// committing it.
+func isDirty(t *testing.T, s *crackdb.Store) bool {
+	t.Helper()
+	commit, err := s.WriteImage(filepath.Join(t.TempDir(), "probe"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return commit != nil
+}
+
 // compareStores runs the same query stream against every store and the
 // naive oracle; any divergence fails.
 func compareStores(t *testing.T, rows [][]int64, stores map[string]*crackdb.Store) {
@@ -76,29 +101,25 @@ func TestDeltaChainOracle(t *testing.T) {
 			live, rows := buildCrackedStore(t, strat, 99)
 			root := t.TempDir()
 			base := filepath.Join(root, "base")
-			if err := live.SaveWarm(base); err != nil {
+			if err := live.Save(base); err != nil {
 				t.Fatal(err)
 			}
 			mutateAndCrack(t, live, &rows, 501)
 			d1 := filepath.Join(root, "d1")
-			if err := live.SaveDelta(d1); err != nil {
-				t.Fatal(err)
-			}
+			saveDelta(t, live, d1)
 			mutateAndCrack(t, live, &rows, 502)
 			d2 := filepath.Join(root, "d2")
-			if err := live.SaveDelta(d2); err != nil {
-				t.Fatal(err)
-			}
+			saveDelta(t, live, d2)
 			full := filepath.Join(root, "full")
-			if err := live.SaveWarm(full); err != nil {
+			if err := live.Save(full); err != nil {
 				t.Fatal(err)
 			}
 
-			chain, _, err := crackdb.OpenWarmChain(base, []string{d1, d2})
+			chain, err := crackdb.Open(base, d1, d2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullStore, _, err := crackdb.OpenWarm(full)
+			fullStore, err := crackdb.Open(full)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,15 +161,20 @@ func TestDeltaChainOracle(t *testing.T) {
 	}
 }
 
-// TestSaveDeltaRequiresBase: a store that never completed a warm save
+// TestSaveDeltaRequiresBase: a store that never committed a full image
 // has nothing to delta against and must refuse rather than write an
-// unanchored element.
+// unanchored element — and an image whose swap was never reported as
+// landed (no commit) does not count.
 func TestSaveDeltaRequiresBase(t *testing.T) {
 	s := crackdb.New()
 	if err := s.CreateTable("t", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	err := s.SaveDelta(filepath.Join(t.TempDir(), "d"))
+	root := t.TempDir()
+	if _, err := s.WriteImage(filepath.Join(root, "uncommitted"), false); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.WriteImage(filepath.Join(root, "d"), true)
 	if err == nil || !strings.Contains(err.Error(), "no base image") {
 		t.Fatalf("want refusal without a base, got %v", err)
 	}
@@ -175,11 +201,11 @@ func TestDeltaSkipsCleanTables(t *testing.T) {
 	}
 	root := t.TempDir()
 	base := filepath.Join(root, "base")
-	if err := s.SaveWarm(base); err != nil {
+	if err := s.Save(base); err != nil {
 		t.Fatal(err)
 	}
-	if s.DirtySinceSave() {
-		t.Fatal("store reports dirty immediately after a warm save")
+	if isDirty(t, s) {
+		t.Fatal("store reports dirty immediately after a full save")
 	}
 	// Crack only "hot" (queries reorganize; no inserts needed).
 	for lo := int64(0); lo < 4000; lo += 250 {
@@ -187,13 +213,8 @@ func TestDeltaSkipsCleanTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.DirtySinceSave() {
-		t.Fatal("cracking did not mark the store dirty")
-	}
 	d := filepath.Join(root, "d")
-	if err := s.SaveDelta(d); err != nil {
-		t.Fatal(err)
-	}
+	saveDelta(t, s, d) // fails if cracking did not mark the store dirty
 	entries, err := os.ReadDir(d)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +225,7 @@ func TestDeltaSkipsCleanTables(t *testing.T) {
 		}
 	}
 	// And the chain still reopens to the full two-table store.
-	re, _, err := crackdb.OpenWarmChain(base, []string{d})
+	re, err := crackdb.Open(base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +258,7 @@ func TestDeltaCatchesDropRecreate(t *testing.T) {
 	}
 	root := t.TempDir()
 	base := filepath.Join(root, "base")
-	if err := s.SaveWarm(base); err != nil {
+	if err := s.Save(base); err != nil {
 		t.Fatal(err)
 	}
 
@@ -254,15 +275,11 @@ func TestDeltaCatchesDropRecreate(t *testing.T) {
 	if err := s.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	if !s.DirtySinceSave() {
-		t.Fatal("drop+recreate into an identical shape reads as clean")
-	}
-
+	// saveDelta fails if drop+recreate into an identical shape reads as
+	// clean.
 	d := filepath.Join(root, "d")
-	if err := s.SaveDelta(d); err != nil {
-		t.Fatal(err)
-	}
-	re, _, err := crackdb.OpenWarmChain(base, []string{d})
+	saveDelta(t, s, d)
+	re, err := crackdb.Open(base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,32 +299,40 @@ func TestDeltaChainRefusals(t *testing.T) {
 	live, rows := buildCrackedStore(t, "standard", 7)
 	root := t.TempDir()
 	base := filepath.Join(root, "base")
-	if err := live.SaveWarm(base); err != nil {
+	if err := live.Save(base); err != nil {
 		t.Fatal(err)
 	}
 	mutateAndCrack(t, live, &rows, 601)
 	d1 := filepath.Join(root, "d1")
-	if err := live.SaveDelta(d1); err != nil {
-		t.Fatal(err)
-	}
+	saveDelta(t, live, d1)
 	mutateAndCrack(t, live, &rows, 602)
 	d2 := filepath.Join(root, "d2")
-	if err := live.SaveDelta(d2); err != nil {
-		t.Fatal(err)
-	}
+	saveDelta(t, live, d2)
 
-	t.Run("missing base crack state", func(t *testing.T) {
-		cold := filepath.Join(root, "coldbase")
-		if err := live.Save(cold); err != nil { // cold image: no crackstate.crk
+	t.Run("missing base", func(t *testing.T) {
+		_, err := crackdb.Open(d1, d2)
+		if err == nil || !strings.Contains(err.Error(), "chain") {
+			t.Fatalf("want refusal of a chain that starts at a delta, got %v", err)
+		}
+	})
+	t.Run("base mid-chain", func(t *testing.T) {
+		_, err := crackdb.Open(base, d1, base)
+		if err == nil || !strings.Contains(err.Error(), "chain") {
+			t.Fatalf("want refusal of a base in delta position, got %v", err)
+		}
+	})
+	t.Run("wrong base", func(t *testing.T) {
+		other := filepath.Join(root, "other")
+		if err := live.Save(other); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := crackdb.OpenWarmChain(cold, []string{d1, d2})
-		if err == nil || !strings.Contains(err.Error(), "warm base") {
-			t.Fatalf("want refusal on cold base, got %v", err)
+		_, err := crackdb.Open(other, d1, d2)
+		if err == nil || !strings.Contains(err.Error(), "chain") {
+			t.Fatalf("want chain-link refusal on a foreign base, got %v", err)
 		}
 	})
 	t.Run("out of order", func(t *testing.T) {
-		_, _, err := crackdb.OpenWarmChain(base, []string{d2, d1})
+		_, err := crackdb.Open(base, d2, d1)
 		if err == nil || !strings.Contains(err.Error(), "chain") {
 			t.Fatalf("want chain-link refusal, got %v", err)
 		}
@@ -317,7 +342,7 @@ func TestDeltaChainRefusals(t *testing.T) {
 		if err := copyDir(t, d2, bad); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(bad, "crackdelta.crk")
+		path := filepath.Join(bad, "crackstate.crk")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -326,13 +351,13 @@ func TestDeltaChainRefusals(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = crackdb.OpenWarmChain(base, []string{d1, bad})
+		_, err = crackdb.Open(base, d1, bad)
 		if err == nil {
 			t.Fatal("corrupted delta element opened without error")
 		}
 	})
 	// The intact chain still opens after all that.
-	if _, _, err := crackdb.OpenWarmChain(base, []string{d1, d2}); err != nil {
+	if _, err := crackdb.Open(base, d1, d2); err != nil {
 		t.Fatal(err)
 	}
 }

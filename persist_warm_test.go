@@ -1,6 +1,7 @@
 package crackdb_test
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"crackdb"
-	"crackdb/internal/durable"
 )
 
 // buildCrackedStore makes a two-column store, cracks it with a mixed
@@ -76,15 +76,12 @@ func TestWarmReopenOracle(t *testing.T) {
 		t.Run(strat, func(t *testing.T) {
 			live, rows := buildCrackedStore(t, strat, 99)
 			dir := filepath.Join(t.TempDir(), "img")
-			if err := live.SaveWarm(dir); err != nil {
+			if err := live.Save(dir); err != nil {
 				t.Fatal(err)
 			}
-			warm, applied, err := crackdb.OpenWarm(dir)
+			warm, err := crackdb.Open(dir)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if applied != 0 {
-				t.Fatalf("no WAL attached but applied seq %d", applied)
 			}
 
 			// The same post-restart stream against both stores; every
@@ -159,10 +156,10 @@ func TestWarmReopenIsWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "img")
-	if err := live.SaveWarm(dir); err != nil {
+	if err := live.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := crackdb.OpenWarm(dir)
+	warm, err := crackdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,7 @@ func TestWarmReopenIsWarm(t *testing.T) {
 	if st.TuplesTouched != 0 {
 		t.Fatalf("warm repeat query touched %d tuples, want 0 (pure index lookup)", st.TuplesTouched)
 	}
-	cold, err := crackdb.Open(dir)
+	cold, err := crackdb.OpenCold(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +221,10 @@ func TestWarmReopenSideways(t *testing.T) {
 			}
 
 			dir := filepath.Join(t.TempDir(), "img")
-			if err := live.SaveWarm(dir); err != nil {
+			if err := live.Save(dir); err != nil {
 				t.Fatal(err)
 			}
-			warm, _, err := crackdb.OpenWarm(dir)
+			warm, err := crackdb.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,12 +262,12 @@ func TestWarmReopenSideways(t *testing.T) {
 func TestAtomicSaveSurvivesCrashedSave(t *testing.T) {
 	live, rows := buildCrackedStore(t, "standard", 17)
 	dir := filepath.Join(t.TempDir(), "img")
-	if err := live.SaveWarm(dir); err != nil {
+	if err := live.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	check := func(label string) {
 		t.Helper()
-		s, _, err := crackdb.OpenWarm(dir)
+		s, err := crackdb.Open(dir)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -306,82 +303,66 @@ func TestAtomicSaveSurvivesCrashedSave(t *testing.T) {
 	}
 
 	// A second save over the recovered image still works.
-	if err := live.SaveWarm(dir); err != nil {
+	if err := live.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	check("resave")
 }
 
-// TestStoreWALReplayTruncatedEveryOffset is the store-level
-// prefix-consistency property: a store rebuilt from a WAL cut at any
-// byte offset must hold exactly the insert batches whose records
-// survived whole — never a partial batch.
-func TestStoreWALReplayTruncatedEveryOffset(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	w, err := durable.Create(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := crackdb.New()
-	src.AttachWAL(w)
-	if err := src.CreateTable("t", "k"); err != nil {
-		t.Fatal(err)
-	}
-	batches := [][][]int64{
-		{{1}, {2}, {3}},
-		{{10}, {11}},
-		{{20}, {21}, {22}, {23}},
-		{{30}},
-	}
-	for _, b := range batches {
-		if err := src.InsertRows("t", b); err != nil {
+// TestFullImageDeterministic: two full saves of an unchanged store must
+// be byte-identical, file for file — a re-bootstrapping follower reuses
+// image files by checksum, so map-ordered tables or columns would make
+// it download identical content again. Two tables with two cracked
+// columns each give map iteration something to reorder.
+func TestFullImageDeterministic(t *testing.T) {
+	s := crackdb.New()
+	for _, name := range []string{"a", "b"} {
+		if err := s.CreateTable(name, "k", "v", "w"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	trunc := filepath.Join(dir, "trunc.log")
-	for cut := 0; cut <= len(full); cut++ {
-		if err := os.WriteFile(trunc, full[:cut], 0o644); err != nil {
+		rows := make([][]int64, 500)
+		for i := range rows {
+			rows[i] = []int64{int64(i * 7 % 500), int64(i * 3 % 100), int64(i)}
+		}
+		if err := s.InsertRows(name, rows); err != nil {
 			t.Fatal(err)
 		}
-		s := crackdb.New()
-		replayed := 0
-		tw, err := durable.Open(trunc, 0, func(_ uint64, rec durable.Record) error {
-			replayed++
-			return s.Apply(rec)
-		})
-		if err != nil {
-			if cut < 13 { // shorter than the header: corrupt, acceptable refusal
-				continue
+		for _, col := range []string{"k", "v", "w"} {
+			if _, err := s.Count(name, col, 10, 60); err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		tw.Close()
-		if replayed == 0 {
-			continue // not even the create survived: an empty store is a valid prefix
+	}
+	root := t.TempDir()
+	read := func(dir string) map[string][]byte {
+		t.Helper()
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
 		}
-		// The recovered store must hold a whole-batch prefix: its row
-		// count is exactly the sum of the first replayed-1 batches (the
-		// first record is the create), never a partial batch.
-		got, err := s.NumRows("t")
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
+			t.Fatal(err)
 		}
-		want := 0
-		for _, b := range batches[:replayed-1] {
-			want += len(b)
+		files := make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = data
 		}
-		if got != want {
-			t.Fatalf("cut at %d: recovered %d rows after %d records, want %d — a torn batch leaked",
-				cut, got, replayed, want)
+		return files
+	}
+	first := read(filepath.Join(root, "one"))
+	for round := 0; round < 8; round++ { // map order is random per iteration
+		again := read(filepath.Join(root, "two"))
+		if len(again) != len(first) {
+			t.Fatalf("round %d: %d files, first save wrote %d", round, len(again), len(first))
+		}
+		for name, data := range first {
+			if !bytes.Equal(data, again[name]) {
+				t.Fatalf("round %d: %s differs between two saves of an unchanged store", round, name)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package crackdb
 import (
 	"fmt"
 
-	"crackdb/internal/durable"
 	"crackdb/internal/expr"
 )
 
@@ -87,7 +86,6 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 		return 0, fmt.Errorf("crackdb: table %q does not exist", table)
 	}
 	term := make(expr.Term, 0, len(conds))
-	wconds := make([]durable.Cond, 0, len(conds))
 	for _, c := range conds {
 		op, err := opOf(c.Op)
 		if err != nil {
@@ -97,10 +95,6 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 			return 0, fmt.Errorf("crackdb: table %q has no column %q", table, c.Col)
 		}
 		term = append(term, expr.Pred{Col: c.Col, Op: op, Val: c.Val})
-		wconds = append(wconds, durable.Cond{Col: c.Col, Op: c.Op, Val: c.Val})
-	}
-	if err := s.logRecord(durable.Record{Kind: durable.KindDelete, Table: table, Conds: wconds}); err != nil {
-		return 0, err
 	}
 	ct, ok := s.cracked[table]
 	if !ok {

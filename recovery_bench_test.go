@@ -9,12 +9,13 @@ import (
 )
 
 // BenchmarkRecovery measures the restart economics the durability
-// subsystem exists for (ISSUE 4 acceptance): a converged store is saved
-// warm, and the timed operation is the first query after OpenWarm. Three
+// subsystem exists for (ISSUE 4 acceptance): a converged store is
+// saved, and the timed operation is the first query after Open. Three
 // metrics accompany ns/op in BENCH_recovery.json:
 //
 //	converged_ns   median per-query latency of the converged store
-//	cold_first_ns  first-query latency after a cold reopen (§5.2 behavior)
+//	cold_first_ns  first-query latency after OpenCold of the same image
+//	               (§5.2 behavior: crack state ignored)
 //	warm_ratio     ns/op ÷ converged_ns — the acceptance bound is < 2
 //
 // Cold reopen pays the full first-touch partition scan; warm reopen pays
@@ -55,13 +56,13 @@ func BenchmarkRecovery(b *testing.B) {
 				sum += d
 			}
 			convergedNs := float64(sum.Nanoseconds()) / float64(converge-converge/2)
-			if err := store.SaveWarm(dir); err != nil {
+			if err := store.Save(dir); err != nil {
 				b.Fatal(err)
 			}
 
 			// The cold baseline: reopen the same image without crack state
 			// and pay the first-touch scan again.
-			cold, err := crackdb.Open(dir)
+			cold, err := crackdb.OpenCold(dir)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func BenchmarkRecovery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				warm, _, err := crackdb.OpenWarm(dir)
+				warm, err := crackdb.Open(dir)
 				if err != nil {
 					b.Fatal(err)
 				}

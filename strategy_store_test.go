@@ -74,11 +74,12 @@ func TestStoreSetCrackStrategy(t *testing.T) {
 	}
 }
 
-// Save/Open round-trip of a store that was cracked — heavily, on
-// several columns, under a stochastic strategy — before Save. The
-// cracked state is intentionally dropped on disk (paper §5.2: cracker
-// indexes are not saved between sessions); the data must round-trip
-// intact and the reopened store must answer identically from scratch.
+// Save/OpenCold round-trip of a store that was cracked — heavily, on
+// several columns, under a stochastic strategy — before Save. A cold
+// open intentionally ignores the image's crack state (paper §5.2:
+// cracker indexes are not saved between sessions); the data must
+// round-trip intact and the reopened store must answer identically from
+// scratch.
 func TestSaveOpenRoundTripAfterCracking(t *testing.T) {
 	s := New()
 	if err := s.SetCrackStrategy("ddr", 7); err != nil {
@@ -118,7 +119,7 @@ func TestSaveOpenRoundTripAfterCracking(t *testing.T) {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir)
+	re, err := OpenCold(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
