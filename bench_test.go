@@ -36,7 +36,7 @@ const benchN = 100_000 // rows for figure benches (paper: 1M; crackbench uses 1M
 
 func benchTable(b *testing.B) *relation.Table {
 	b.Helper()
-	tap := mqs.Tapestry(benchN, 2, 42)
+	tap := relation.Tapestry(benchN, 2, 42)
 	tbl, err := relation.FromColumns("R",
 		relation.Column{Name: "k", Data: tap.MustColumn("c0")},
 		relation.Column{Name: "a", Data: tap.MustColumn("c1")},
@@ -140,7 +140,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 measures one k-way chain join per personality at the
 // largest k each can sustain at bench scale.
 func BenchmarkFig9(b *testing.B) {
-	tap := mqs.Tapestry(4096, 2, 42)
+	tap := relation.Tapestry(4096, 2, 42)
 	tbl, err := relation.FromColumns("R",
 		relation.Column{Name: "k", Data: tap.MustColumn("c0")},
 		relation.Column{Name: "a", Data: tap.MustColumn("c1")},
@@ -193,7 +193,7 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 measures a full homerun sequence with and without
 // cracking (the Figure 10 comparison) at σ = 5%.
 func BenchmarkFig10(b *testing.B) {
-	tbl := mqs.Tapestry(benchN, 2, 42)
+	tbl := relation.Tapestry(benchN, 2, 42)
 	m := mqs.MQS{Alpha: 2, N: benchN, K: 64, Sigma: 0.05, Rho: mqs.Linear}
 	qs, err := mqs.Homerun(m, "c0", 7)
 	if err != nil {
@@ -217,7 +217,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 measures a strolling-convergence sequence under the
 // three strategies of Figure 11.
 func BenchmarkFig11(b *testing.B) {
-	tbl := mqs.Tapestry(benchN, 2, 42)
+	tbl := relation.Tapestry(benchN, 2, 42)
 	m := mqs.MQS{Alpha: 2, N: benchN, K: 64, Sigma: 0.05, Rho: mqs.Linear}
 	qs, err := mqs.Strolling(m, "c0", 7)
 	if err != nil {
@@ -391,7 +391,7 @@ func BenchmarkAblationFusion(b *testing.B) {
 // BenchmarkTapestry measures the DBtapestry generator itself.
 func BenchmarkTapestry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mqs.Tapestry(benchN, 2, int64(i))
+		relation.Tapestry(benchN, 2, int64(i))
 	}
 }
 
@@ -454,7 +454,7 @@ func BenchmarkAblationUpdateStrategy(b *testing.B) {
 // sliding with growing overlap — the profile between homeruns and
 // strolling — under crack and scan strategies.
 func BenchmarkHiking(b *testing.B) {
-	tbl := mqs.Tapestry(benchN, 2, 42)
+	tbl := relation.Tapestry(benchN, 2, 42)
 	m := mqs.MQS{Alpha: 2, N: benchN, K: 64, Sigma: 0.05, Rho: mqs.Linear}
 	qs, err := mqs.Hiking(m, "c0", 7)
 	if err != nil {
@@ -480,7 +480,7 @@ func BenchmarkHiking(b *testing.B) {
 // advised column, SelectTermPlanned estimates first and cracks only the
 // winner (paper §3.3).
 func BenchmarkAblationTermPlanner(b *testing.B) {
-	tap := mqs.Tapestry(benchN, 3, 42)
+	tap := relation.Tapestry(benchN, 3, 42)
 	rng := rand.New(rand.NewSource(5))
 	terms := make([]expr.Term, 256)
 	for i := range terms {

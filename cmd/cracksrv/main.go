@@ -14,9 +14,8 @@
 //
 // The wire protocol is length-prefixed text frames (see
 // internal/server): each request is one SQL statement or one /meta
-// command (/ping, /tables, /shards, /stats [<t> <c>], /metrics,
-// /strategy, /tapestry, /save, /wal, /quit). Drive it with
-// cmd/crackbench's client mode:
+// command — send /help for the list the running server answers to.
+// Drive it with cmd/crackbench's client mode:
 //
 //	cracksrv -addr 127.0.0.1:7744 -shards 4 &
 //	crackbench -addr 127.0.0.1:7744 -clients 4 -queries 2000 -check
@@ -158,25 +157,26 @@ func main() {
 	} else {
 		store = shard.New(opts)
 	}
+	wal := store.WAL() // nil on a volatile store
 	if *walWin > 0 {
-		if *dataDir == "" && *follow == "" {
+		if wal == nil {
 			fatal(fmt.Errorf("-walwindow requires a durable store (-data)"))
 		}
-		store.SetWALCoalesceWindow(*walWin)
+		wal.SetCoalesceWindow(*walWin)
 		logf("WAL group-commit coalescing window %v", *walWin)
 	}
 	if *ckptDelta {
-		if *dataDir == "" && *follow == "" {
+		if wal == nil {
 			fatal(fmt.Errorf("-ckptdelta requires a durable store (-data)"))
 		}
 		store.SetCheckpointDelta(true)
 		logf("differential checkpoints enabled (/save appends delta elements; /save full compacts)")
 	}
 	if *walRetain != 4 {
-		if *dataDir == "" && *follow == "" {
+		if wal == nil {
 			fatal(fmt.Errorf("-walretain requires a durable store (-data)"))
 		}
-		store.SetWALArchiveRetain(*walRetain)
+		wal.SetArchiveRetain(*walRetain)
 		logf("WAL archive retention %d segments", *walRetain)
 	}
 	// A recovered snapshot carries its own strategy configuration; only

@@ -17,7 +17,7 @@ import (
 	"strconv"
 	"strings"
 
-	"crackdb/internal/mqs"
+	"crackdb/internal/relation"
 )
 
 func main() {
@@ -35,7 +35,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	tbl := mqs.Tapestry(*n, *alpha, *seed)
+	tbl := relation.Tapestry(*n, *alpha, *seed)
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 

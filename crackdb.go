@@ -34,10 +34,8 @@ import (
 	"sync/atomic"
 
 	"crackdb/internal/bat"
-	"crackdb/internal/catalog"
 	"crackdb/internal/core"
 	"crackdb/internal/expr"
-	"crackdb/internal/mqs"
 	"crackdb/internal/relation"
 	"crackdb/internal/sideways"
 	"crackdb/internal/strategy"
@@ -55,7 +53,6 @@ import (
 // the column read lock — see DESIGN.md, Concurrency).
 type Store struct {
 	mu        sync.RWMutex
-	cat       *catalog.Catalog
 	tables    map[string]*relation.Table
 	cracked   map[string]*core.CrackedTable
 	maxPieces int
@@ -106,7 +103,6 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		cat:      catalog.New(),
 		tables:   make(map[string]*relation.Table),
 		cracked:  make(map[string]*core.CrackedTable),
 		sideways: sideways.NewRegistry(sideways.DefaultBudget),
@@ -248,13 +244,6 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
-	defs := make([]catalog.ColumnDef, len(cols))
-	for i, c := range cols {
-		defs[i] = catalog.ColumnDef{Name: c, Type: "int"}
-	}
-	if _, err := s.cat.CreateTable(name, defs...); err != nil {
-		return err
-	}
 	s.tables[name] = relation.New(name, cols...)
 	s.bumpTableGenLocked(name)
 	return nil
@@ -267,20 +256,17 @@ func (s *Store) DropTable(name string) error {
 	if _, ok := s.tables[name]; !ok {
 		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
-	return s.dropTableLocked(name)
+	s.dropTableLocked(name)
+	return nil
 }
 
-// dropTableLocked removes an existing table from the catalog, the
-// registry and every crack structure. The caller holds s.mu.
-func (s *Store) dropTableLocked(name string) error {
-	if err := s.cat.DropTable(name); err != nil {
-		return err
-	}
+// dropTableLocked removes an existing table from the registry and every
+// crack structure. The caller holds s.mu.
+func (s *Store) dropTableLocked(name string) {
 	delete(s.tables, name)
 	delete(s.tableGen, name)
 	delete(s.cracked, name)
 	s.sideways.DropTable(name)
-	return nil
 }
 
 // InsertRows appends tuples to a table. Cracked columns absorb the new
@@ -309,7 +295,7 @@ func (s *Store) InsertRows(name string, rows [][]int64) error {
 	if err := ct.AppendRows(rows); err != nil {
 		return fmt.Errorf("crackdb: %w", err)
 	}
-	return s.cat.SetRows(name, t.Len())
+	return nil
 }
 
 // LoadTapestry creates a table with the paper's DBtapestry generator:
@@ -324,18 +310,11 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
-	t := mqs.Tapestry(n, alpha, seed)
+	t := relation.Tapestry(n, alpha, seed)
 	t.Name = name
-	defs := make([]catalog.ColumnDef, alpha)
-	for i, c := range t.ColumnNames() {
-		defs[i] = catalog.ColumnDef{Name: c, Type: "int"}
-	}
-	if _, err := s.cat.CreateTable(name, defs...); err != nil {
-		return err
-	}
 	s.tables[name] = t
 	s.bumpTableGenLocked(name)
-	return s.cat.SetRows(name, n)
+	return nil
 }
 
 // Tables returns the registered table names, sorted.
@@ -580,8 +559,7 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 	return total, err
 }
 
-// Materialize stores the full qualifying tuples as a new table,
-// registering it in the catalog.
+// Materialize stores the full qualifying tuples as a new table.
 func (r *Result) Materialize(name string) error {
 	cols := r.table.ColumnNames()
 	out, err := r.cracked.Fetch(r.oids, cols...)
@@ -594,16 +572,9 @@ func (r *Result) Materialize(name string) error {
 	if _, exists := r.store.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
-	defs := make([]catalog.ColumnDef, len(cols))
-	for i, c := range cols {
-		defs[i] = catalog.ColumnDef{Name: c, Type: "int"}
-	}
-	if _, err := r.store.cat.CreateTable(name, defs...); err != nil {
-		return err
-	}
 	r.store.tables[name] = out
 	r.store.bumpTableGenLocked(name)
-	return r.store.cat.SetRows(name, out.Len())
+	return nil
 }
 
 func appendDecimal(b []byte, v int64) []byte {

@@ -3,7 +3,6 @@ package crackdb
 import (
 	"fmt"
 
-	"crackdb/internal/catalog"
 	"crackdb/internal/core"
 )
 
@@ -106,15 +105,6 @@ func (s *Store) VerticalPartition(table string, attrs ...string) (head, rest str
 	s.tables[head], s.tables[rest] = h, r
 	s.bumpTableGenLocked(head)
 	s.bumpTableGenLocked(rest)
-	for _, pc := range []struct {
-		name string
-		cols []string
-		rows int
-	}{{head, h.ColumnNames(), h.Len()}, {rest, r.ColumnNames(), r.Len()}} {
-		if err := s.registerTableLocked(pc.name, pc.cols, pc.rows); err != nil {
-			return "", "", err
-		}
-	}
 	return head, rest, nil
 }
 
@@ -141,7 +131,7 @@ func (s *Store) Reunite(newName, head, rest string, cols ...string) error {
 	}
 	s.tables[newName] = t
 	s.bumpTableGenLocked(newName)
-	return s.registerTableLocked(newName, cols, t.Len())
+	return nil
 }
 
 // Lineage renders the cracker lineage DAG of a column (the paper's
@@ -273,19 +263,6 @@ func (s *Store) CrackedColumnStats(table string) (map[string]ColumnStats, error)
 		}
 	}
 	return out, nil
-}
-
-// registerTableLocked records a derived table in the catalog. Callers
-// hold s.mu.
-func (s *Store) registerTableLocked(name string, cols []string, rows int) error {
-	defs := make([]catalog.ColumnDef, len(cols))
-	for i, c := range cols {
-		defs[i] = catalog.ColumnDef{Name: c, Type: "int"}
-	}
-	if _, err := s.cat.CreateTable(name, defs...); err != nil {
-		return err
-	}
-	return s.cat.SetRows(name, rows)
 }
 
 func minInt64() int64 { return -1 << 63 }

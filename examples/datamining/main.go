@@ -13,6 +13,7 @@ import (
 	"crackdb"
 	"crackdb/internal/engine"
 	"crackdb/internal/mqs"
+	"crackdb/internal/relation"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 
 	// The same session against the scan baseline (internal engine,
 	// NoCrack strategy) for an honest comparison on identical data.
-	tbl := mqs.Tapestry(n, 2, 2005)
+	tbl := relation.Tapestry(n, 2, 2005)
 	scan, err := engine.NewSession(tbl, "c0", engine.NoCrack)
 	if err != nil {
 		log.Fatal(err)

@@ -3,7 +3,6 @@ package algebra
 import (
 	"testing"
 
-	"crackdb/internal/mqs"
 	"crackdb/internal/relation"
 )
 
@@ -13,7 +12,7 @@ import (
 // sequences").
 func chainTables(t *testing.T, n, k int) []*relation.Table {
 	t.Helper()
-	base := mqs.Tapestry(n, 2, 17)
+	base := relation.Tapestry(n, 2, 17)
 	tbl, err := relation.FromColumns("R",
 		relation.Column{Name: "k", Data: base.MustColumn("c0")},
 		relation.Column{Name: "a", Data: base.MustColumn("c1")},

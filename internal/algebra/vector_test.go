@@ -7,11 +7,11 @@ import (
 
 	"crackdb/internal/catalog"
 	"crackdb/internal/expr"
-	"crackdb/internal/mqs"
+	"crackdb/internal/relation"
 )
 
 func TestVecSelectMatchesVolcanoFilter(t *testing.T) {
-	tbl := mqs.Tapestry(1000, 2, 5)
+	tbl := relation.Tapestry(1000, 2, 5)
 	col := tbl.MustColumn("c0")
 	for _, q := range [][2]int64{{1, 100}, {500, 500}, {900, 2000}, {50, 49}} {
 		pos := VecSelect(col, q[0], q[1], true, true)
@@ -36,7 +36,7 @@ func TestVecSelectMatchesVolcanoFilter(t *testing.T) {
 }
 
 func TestVecPrint(t *testing.T) {
-	tbl := mqs.Tapestry(100, 2, 5)
+	tbl := relation.Tapestry(100, 2, 5)
 	pos := VecSelect(tbl.MustColumn("c0"), 1, 10, true, true)
 	var buf bytes.Buffer
 	n, err := VecPrint(tbl, pos, &buf)
@@ -58,7 +58,7 @@ func TestVecPrint(t *testing.T) {
 }
 
 func TestVecMaterialize(t *testing.T) {
-	tbl := mqs.Tapestry(200, 2, 9)
+	tbl := relation.Tapestry(200, 2, 9)
 	pos := VecSelect(tbl.MustColumn("c0"), 1, 50, true, true)
 	cat := catalog.New()
 	out, err := VecMaterialize(tbl, pos, "frag001", cat)

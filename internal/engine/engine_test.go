@@ -12,7 +12,7 @@ import (
 
 func tapestry(t *testing.T, n int) *relation.Table {
 	t.Helper()
-	return mqs.Tapestry(n, 2, 101)
+	return relation.Tapestry(n, 2, 101)
 }
 
 func TestStrategiesAgreeOnCounts(t *testing.T) {

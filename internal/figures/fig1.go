@@ -8,7 +8,6 @@ import (
 	"crackdb/internal/algebra"
 	"crackdb/internal/catalog"
 	"crackdb/internal/expr"
-	"crackdb/internal/mqs"
 	"crackdb/internal/relation"
 )
 
@@ -146,7 +145,7 @@ func runFig1Query(tbl *relation.Table, prof algebra.Profile, mode Fig1Mode, lo, 
 // key, a a permutation of 1..N (a tapestry column), so selectivity is
 // exactly range width / N.
 func buildRTable(n int, seed int64) *relation.Table {
-	tap := mqs.Tapestry(n, 2, seed)
+	tap := relation.Tapestry(n, 2, seed)
 	tbl, err := relation.FromColumns("R",
 		relation.Column{Name: "k", Data: tap.MustColumn("c0")},
 		relation.Column{Name: "a", Data: tap.MustColumn("c1")},

@@ -6,6 +6,7 @@ import (
 
 	"crackdb/internal/engine"
 	"crackdb/internal/mqs"
+	"crackdb/internal/relation"
 )
 
 // Figures 10 and 11: the MonetDB cracker-module experiments (§5.2),
@@ -44,7 +45,7 @@ func Fig10(cfg Fig10Config) (Figure, error) {
 		XLabel: "query-sequence length",
 		YLabel: "cumulative response time (s)",
 	}
-	tbl := mqs.Tapestry(cfg.N, 2, cfg.Seed)
+	tbl := relation.Tapestry(cfg.N, 2, cfg.Seed)
 	for _, sigma := range cfg.Selectivities {
 		m := mqs.MQS{Alpha: 2, N: cfg.N, K: cfg.K, Sigma: sigma, Rho: cfg.Rho}
 		qs, err := mqs.Homerun(m, "c0", cfg.Seed+int64(sigma*1000))
@@ -104,7 +105,7 @@ func Fig11(cfg Fig11Config) (Figure, error) {
 		XLabel: "query-sequence length",
 		YLabel: "cumulative response time (s)",
 	}
-	tbl := mqs.Tapestry(cfg.N, 2, cfg.Seed)
+	tbl := relation.Tapestry(cfg.N, 2, cfg.Seed)
 	m := mqs.MQS{Alpha: 2, N: cfg.N, K: cfg.K, Sigma: cfg.Sigma, Rho: cfg.Rho}
 	qs, err := mqs.Strolling(m, "c0", cfg.Seed+1)
 	if err != nil {

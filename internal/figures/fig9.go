@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"crackdb/internal/algebra"
-	"crackdb/internal/mqs"
 	"crackdb/internal/relation"
 )
 
@@ -46,7 +45,7 @@ func Fig9(cfg Fig9Config) (Figure, error) {
 		YLabel: "response time (s)",
 	}
 
-	tap := mqs.Tapestry(cfg.N, 2, cfg.Seed)
+	tap := relation.Tapestry(cfg.N, 2, cfg.Seed)
 	tbl, err := relation.FromColumns("R",
 		relation.Column{Name: "k", Data: tap.MustColumn("c0")},
 		relation.Column{Name: "a", Data: tap.MustColumn("c1")},

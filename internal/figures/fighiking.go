@@ -6,6 +6,7 @@ import (
 
 	"crackdb/internal/engine"
 	"crackdb/internal/mqs"
+	"crackdb/internal/relation"
 )
 
 // Extension figure: the hiking profile of §4 (fixed-size windows sliding
@@ -45,7 +46,7 @@ func FigHiking(cfg FigHikingConfig) (Figure, error) {
 		XLabel: "query-sequence length",
 		YLabel: "cumulative response time (s)",
 	}
-	tbl := mqs.Tapestry(cfg.N, 2, cfg.Seed)
+	tbl := relation.Tapestry(cfg.N, 2, cfg.Seed)
 	m := mqs.MQS{Alpha: 2, N: cfg.N, K: cfg.K, Sigma: cfg.Sigma, Rho: cfg.Rho}
 	qs, err := mqs.Hiking(m, "c0", cfg.Seed+1)
 	if err != nil {

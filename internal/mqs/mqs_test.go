@@ -73,50 +73,6 @@ func TestMQSValidate(t *testing.T) {
 	}
 }
 
-func TestTapestryColumnsArePermutations(t *testing.T) {
-	for _, n := range []int{1, 7, 16, 100, 1000} {
-		tbl := Tapestry(n, 3, 42)
-		if tbl.Len() != n || tbl.Arity() != 3 {
-			t.Fatalf("n=%d: shape %d×%d", n, tbl.Len(), tbl.Arity())
-		}
-		for _, cn := range tbl.ColumnNames() {
-			b := tbl.MustColumn(cn)
-			seen := make([]bool, n+1)
-			for i := 0; i < n; i++ {
-				v := b.Int(i)
-				if v < 1 || v > int64(n) {
-					t.Fatalf("n=%d col %s: value %d outside 1..%d", n, cn, v, n)
-				}
-				if seen[v] {
-					t.Fatalf("n=%d col %s: duplicate value %d", n, cn, v)
-				}
-				seen[v] = true
-			}
-		}
-	}
-}
-
-func TestTapestryDeterministicPerSeed(t *testing.T) {
-	a := Tapestry(100, 2, 7)
-	b := Tapestry(100, 2, 7)
-	c := Tapestry(100, 2, 8)
-	same, diff := true, true
-	for i := 0; i < 100; i++ {
-		if a.MustColumn("c0").Int(i) != b.MustColumn("c0").Int(i) {
-			same = false
-		}
-		if a.MustColumn("c0").Int(i) != c.MustColumn("c0").Int(i) {
-			diff = false
-		}
-	}
-	if !same {
-		t.Fatal("same seed produced different tables")
-	}
-	if diff {
-		t.Fatal("different seeds produced identical tables")
-	}
-}
-
 func TestHomerunConverges(t *testing.T) {
 	m := MQS{Alpha: 1, N: 100000, K: 20, Sigma: 0.05, Rho: Linear}
 	qs, err := Homerun(m, "c0", 99)

@@ -209,9 +209,27 @@ func TestServerStatsSummary(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatalf("/stats: %s", resp.Err)
 	}
+	// Column rows and shard rows are two folds of the same per-shard
+	// counters: each must add up to the grand total.
 	scopes := make(map[string]bool)
-	for _, row := range resp.Rows {
+	var byColumn, byShard, total int64
+	for i, row := range resp.Rows {
 		scopes[row[0]] = true
+		q, err := resp.Int64(i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case row[0] == "total":
+			total = q
+		case strings.HasPrefix(row[0], "shard"):
+			byShard += q
+		default:
+			byColumn += q
+		}
+	}
+	if total == 0 || byColumn != total || byShard != total {
+		t.Errorf("/stats queries: columns sum %d, shards sum %d, total %d", byColumn, byShard, total)
 	}
 	for _, want := range []string{"ev.k", "ev.v", "shard0", "shard1", "total"} {
 		if !scopes[want] {

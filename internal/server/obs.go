@@ -94,7 +94,7 @@ func (s *Server) dispatchTimed(cmd string) (*Response, bool) {
 // Prometheus text exposition format, one line per row (the frame
 // protocol's Message field is newline-sanitized, so the exposition
 // rides in the tabular part).
-func (s *Server) metricsMeta() (*Response, bool) {
+func (s *Server) metricsMeta([]string) (*Response, bool) {
 	fams, ok := s.store.Gather()
 	if !ok {
 		return &Response{Err: "observability is off (start cracksrv with -http or -slowms)"}, false
@@ -127,9 +127,18 @@ func (s *Server) statsSummary() (*Response, bool) {
 	tables := s.store.Tables()
 	sort.Strings(tables)
 	for _, table := range tables {
-		cols, err := s.store.CrackedColumnStats(table)
-		if err != nil {
-			continue // dropped between listing and stats
+		cols := make(map[string]crackdb.ColumnStats)
+		for i := range perShard {
+			scols, err := s.store.Shard(i).CrackedColumnStats(table)
+			if err != nil {
+				continue // dropped between listing and stats
+			}
+			for attr, cs := range scols {
+				perShard[i].Add(cs)
+				t := cols[attr]
+				t.Add(cs)
+				cols[attr] = t
+			}
 		}
 		attrs := make([]string, 0, len(cols))
 		for attr := range cols {
@@ -139,15 +148,6 @@ func (s *Server) statsSummary() (*Response, bool) {
 		for _, attr := range attrs {
 			resp.Rows = append(resp.Rows, statsRow(table+"."+attr, cols[attr]))
 			grand.Add(cols[attr])
-		}
-		for i := 0; i < s.store.ShardCount(); i++ {
-			scols, err := s.store.Shard(i).CrackedColumnStats(table)
-			if err != nil {
-				continue
-			}
-			for _, cs := range scols {
-				perShard[i].Add(cs)
-			}
 		}
 	}
 	for i, cs := range perShard {

@@ -116,7 +116,9 @@ func (s *Server) refreshPruneFloor() {
 		}
 	}
 	s.repl.mu.Unlock()
-	s.store.SetWALPruneFloor(floor)
+	if w := s.store.WAL(); w != nil {
+		w.SetPruneFloor(floor)
+	}
 }
 
 // readOnlyStmt reports whether a SQL statement is safe on a follower.
@@ -138,17 +140,19 @@ func readOnlyStmt(cmd string) bool {
 // figure a follower's /replpull heartbeat reports is its own log
 // frontier, which trails by exactly the unshipped suffix.
 func (s *Server) replCollect(e *obs.Exporter) {
-	base, next, frontier, ok := s.store.ReplStatus()
-	if !ok {
+	w := s.store.WAL()
+	if w == nil {
 		return
 	}
-	e.Gauge("crackdb_repl_wal_base_seq", "Base seq of the live WAL segment (newest checkpoint).", float64(base))
-	e.Gauge("crackdb_repl_wal_next_seq", "Next WAL seq to be assigned.", float64(next))
+	st := w.Status()
+	frontier, _ := w.CommitSignal()
+	e.Gauge("crackdb_repl_wal_base_seq", "Base seq of the live WAL segment (newest checkpoint).", float64(st.BaseSeq))
+	e.Gauge("crackdb_repl_wal_next_seq", "Next WAL seq to be assigned.", float64(st.NextSeq))
 	e.Gauge("crackdb_repl_wal_durable_seq", "Durable WAL frontier (one past the last fsynced record).", float64(frontier))
 	now := time.Now()
 	s.repl.mu.Lock()
 	for addr, fi := range s.repl.followers {
-		lag := int64(next) - int64(fi.applied)
+		lag := int64(st.NextSeq) - int64(fi.applied)
 		if lag < 0 {
 			lag = 0
 		}
@@ -161,7 +165,7 @@ func (s *Server) replCollect(e *obs.Exporter) {
 // replStatusMeta answers /repl: role, topology and log positions as
 // key/value rows. Followers appear one row each (key "follower"), so a
 // client discovers the whole topology from any member.
-func (s *Server) replStatusMeta() (*Response, bool) {
+func (s *Server) replStatusMeta([]string) (*Response, bool) {
 	s.repl.mu.Lock()
 	advertise, primary := s.repl.advertise, s.repl.primary
 	type fRow struct {
@@ -189,10 +193,12 @@ func (s *Server) replStatusMeta() (*Response, bool) {
 	kv("kind", string(opts.Kind))
 	kv("domain", fmt.Sprintf("%d %d", opts.Domain[0], opts.Domain[1]))
 	kv("static_bounds", strconv.FormatBool(opts.StaticRangeBounds))
-	if base, next, frontier, ok := s.store.ReplStatus(); ok {
+	if w := s.store.WAL(); w != nil {
+		st := w.Status()
+		frontier, _ := w.CommitSignal()
 		kv("durable", "true")
-		kv("base", strconv.FormatUint(base, 10))
-		kv("next", strconv.FormatUint(next, 10))
+		kv("base", strconv.FormatUint(st.BaseSeq, 10))
+		kv("next", strconv.FormatUint(st.NextSeq, 10))
 		kv("committed", strconv.FormatUint(frontier, 10))
 	} else {
 		kv("durable", "false")
@@ -205,7 +211,7 @@ func (s *Server) replStatusMeta() (*Response, bool) {
 
 // replManifestMeta answers /replmanifest: the checkpoint image manifest
 // as base64 JSON, stamped with the seq the image covers.
-func (s *Server) replManifestMeta() (*Response, bool) {
+func (s *Server) replManifestMeta([]string) (*Response, bool) {
 	m, err := s.store.ReplManifest()
 	if err != nil {
 		return &Response{Err: err.Error()}, false
@@ -222,13 +228,13 @@ func (s *Server) replManifestMeta() (*Response, bool) {
 // superseded the image since the manifest was fetched.
 func (s *Server) replFetchMeta(fields []string) (*Response, bool) {
 	if len(fields) != 5 {
-		return &Response{Err: "usage: /replfetch <seq> <path> <off> <len>"}, false
+		return nil, false
 	}
 	seq, err1 := strconv.ParseUint(fields[1], 10, 64)
 	off, err2 := strconv.ParseInt(fields[3], 10, 64)
 	n, err3 := strconv.Atoi(fields[4])
 	if err1 != nil || err2 != nil || err3 != nil {
-		return &Response{Err: "usage: /replfetch <seq> <path> <off> <len>"}, false
+		return nil, false
 	}
 	chunk, err := s.store.ReplReadFile(seq, fields[2], off, n)
 	if err != nil {
@@ -247,12 +253,12 @@ func (s *Server) replFetchMeta(fields []string) (*Response, bool) {
 // "snapshot required base=<n>"; the follower must re-bootstrap.
 func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 	if len(fields) != 3 && len(fields) != 5 {
-		return &Response{Err: "usage: /replpull <from> <maxbytes> [<addr> <applied>]"}, false
+		return nil, false
 	}
 	from, err1 := strconv.ParseUint(fields[1], 10, 64)
 	maxBytes, err2 := strconv.Atoi(fields[2])
 	if err1 != nil || err2 != nil || maxBytes <= 0 {
-		return &Response{Err: "usage: /replpull <from> <maxbytes> [<addr> <applied>]"}, false
+		return nil, false
 	}
 	if len(fields) == 5 {
 		applied, err := strconv.ParseUint(fields[4], 10, 64)
@@ -261,15 +267,13 @@ func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 		}
 		s.noteFollower(fields[3], applied)
 	}
+	w := s.store.WAL()
 	deadline := time.Now().Add(replPollWindow)
 	for {
 		// Subscribe before reading: a commit landing between the read and
 		// the park still closes this channel, so no wakeup is lost.
-		_, ch, ok := s.store.ReplSignal()
-		if !ok {
-			return &Response{Err: "store is not durable (start cracksrv with -data)"}, false
-		}
-		recs, next, err := s.store.ReplRead(from, maxBytes)
+		_, ch := w.CommitSignal()
+		recs, next, err := w.ReadCommitted(from, maxBytes)
 		if err != nil {
 			if sre, isSnap := err.(*durable.SnapshotRequiredError); isSnap {
 				return &Response{Err: fmt.Sprintf("snapshot required base=%d", sre.BaseSeq)}, false
@@ -278,7 +282,7 @@ func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 		}
 		wait := time.Until(deadline)
 		if len(recs) > 0 || wait <= 0 {
-			_, _, frontier, _ := s.store.ReplStatus()
+			frontier, _ := w.CommitSignal()
 			return &Response{Message: fmt.Sprintf("next=%d durable=%d recs=%s",
 				next, frontier, base64.StdEncoding.EncodeToString(durable.EncodeRecords(recs)))}, false
 		}
@@ -297,7 +301,7 @@ func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 // local frontier is exactly the applied position. Default timeout 10s.
 func (s *Server) replWaitMeta(fields []string) (*Response, bool) {
 	if len(fields) != 2 && len(fields) != 3 {
-		return &Response{Err: "usage: /replwait <seq> [timeoutms]"}, false
+		return nil, false
 	}
 	seq, err := strconv.ParseUint(fields[1], 10, 64)
 	if err != nil {
@@ -311,13 +315,11 @@ func (s *Server) replWaitMeta(fields []string) (*Response, bool) {
 		}
 		timeout = time.Duration(ms) * time.Millisecond
 	}
+	w := s.store.WAL()
 	deadline := time.Now().Add(timeout)
 	for {
-		_, ch, ok := s.store.ReplSignal()
-		if !ok {
-			return &Response{Err: "store is not durable (start cracksrv with -data)"}, false
-		}
-		_, next, _, _ := s.store.ReplStatus()
+		_, ch := w.CommitSignal()
+		next := w.Seq()
 		if next >= seq {
 			// A seq is assigned at log time, before the record's in-memory
 			// application finishes; drain in-flight mutators so the fence

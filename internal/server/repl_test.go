@@ -86,11 +86,11 @@ func dumpSorted(t *testing.T, addr, table string) []string {
 
 func primaryNext(t *testing.T, st *shard.Store) uint64 {
 	t.Helper()
-	_, next, _, ok := st.ReplStatus()
-	if !ok {
+	w := st.WAL()
+	if w == nil {
 		t.Fatal("primary is not durable")
 	}
-	return next
+	return w.Seq()
 }
 
 // TestReplicationOracle drives interleaved inserts, deletes and selects

@@ -214,11 +214,10 @@ func (f *Follower) EnableLagGauges() {
 // localNext is the follower's next seq to apply == its local log's next
 // seq (Apply re-logs 1:1).
 func localNext(s *shard.Store) uint64 {
-	_, next, _, ok := s.ReplStatus()
-	if !ok {
-		return 0
+	if w := s.WAL(); w != nil {
+		return w.Seq()
 	}
-	return next
+	return 0
 }
 
 // Run pulls and applies until Stop, reconnecting with backoff on any

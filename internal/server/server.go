@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -23,7 +22,6 @@ import (
 type Server struct {
 	store *shard.Store
 	eng   *sql.Engine
-	batch sql.BatchCounter
 	logf  func(format string, args ...any)
 
 	mu      sync.Mutex
@@ -51,7 +49,6 @@ func New(store *shard.Store, logf func(format string, args ...any)) *Server {
 	return &Server{
 		store: store,
 		eng:   sql.NewEngineOn(store),
-		batch: store,
 		logf:  logf,
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -246,7 +243,7 @@ func (s *Server) serveWindow(bw *bufio.Writer, win []wireReq, respBuf *[]byte) (
 			for k := i; k < j; k++ {
 				ranges[k-i] = rcs[k].Range()
 			}
-			counts, err := s.batch.CountBatch(rcs[i].Table, rcs[i].Col, ranges)
+			counts, err := s.store.CountBatch(rcs[i].Table, rcs[i].Col, ranges)
 			if err != nil {
 				// Per-request fallback keeps error text identical to the
 				// scalar path (e.g. unknown table, unknown column).
@@ -309,207 +306,6 @@ func fromResultSet(rs *sql.ResultSet) *Response {
 		out.Rows[i] = cells
 	}
 	return out
-}
-
-// meta executes a /command.
-func (s *Server) meta(cmd string) (*Response, bool) {
-	fields := strings.Fields(cmd)
-	switch fields[0] {
-	case "/ping":
-		return &Response{Message: "pong"}, false
-	case "/quit":
-		return &Response{Message: "bye"}, true
-	case "/help":
-		return &Response{Message: "/ping /tables /shards /stats [<table> <col>] /metrics /strategy <name> [seed] [shard] /tune [<table> <col> <strategy>|auto] /tapestry <name> <n> <alpha> [seed] /save [full|delta] /wal /repl /replwait <seq> /quit — anything else is SQL"}, false
-	case "/repl":
-		return s.replStatusMeta()
-	case "/replmanifest":
-		return s.replManifestMeta()
-	case "/replfetch":
-		return s.replFetchMeta(fields)
-	case "/replpull":
-		return s.replPullMeta(fields)
-	case "/replwait":
-		return s.replWaitMeta(fields)
-	case "/save":
-		// Checkpoint: warm snapshot + WAL rotation. Requires a store booted
-		// with -data; mutations block for the duration, queries keep running.
-		// An optional argument forces the mode: "full" rewrites the whole
-		// image, "delta" appends a differential chain element carrying only
-		// the shards that changed; bare /save uses the store's default
-		// (-ckptdelta).
-		if !s.store.Durable() {
-			return &Response{Err: "store is not durable (start cracksrv with -data)"}, false
-		}
-		mode := ""
-		if len(fields) > 1 {
-			mode = fields[1]
-		}
-		// Pruning happens at the rotation this checkpoint triggers; refresh
-		// the floor first so a follower long gone stops pinning archives.
-		s.refreshPruneFloor()
-		ran, err := s.store.CheckpointMode(mode)
-		if err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		st, _ := s.store.WALStatus()
-		s.logf("checkpoint complete (%s, wal rotated at seq %d)", ran, st.BaseSeq)
-		return &Response{Message: fmt.Sprintf("checkpoint complete (%s), wal rotated at seq %d", ran, st.BaseSeq)}, false
-	case "/wal":
-		st, ok := s.store.WALStatus()
-		if !ok {
-			return &Response{Err: "store is not durable (start cracksrv with -data)"}, false
-		}
-		return &Response{
-			Columns: []string{"base_seq", "next_seq", "records", "bytes"},
-			Rows: [][]string{{
-				strconv.FormatUint(st.BaseSeq, 10),
-				strconv.FormatUint(st.NextSeq, 10),
-				strconv.FormatUint(st.Records, 10),
-				strconv.FormatInt(st.Bytes, 10),
-			}},
-		}, false
-	case "/tables":
-		resp := &Response{Columns: []string{"table", "rows", "columns"}}
-		for _, t := range s.store.Tables() {
-			n, err := s.store.NumRows(t)
-			if err != nil {
-				return &Response{Err: err.Error()}, false
-			}
-			cols, err := s.store.Columns(t)
-			if err != nil {
-				return &Response{Err: err.Error()}, false
-			}
-			resp.Rows = append(resp.Rows, []string{t, strconv.Itoa(n), strings.Join(cols, ",")})
-		}
-		return resp, false
-	case "/shards":
-		resp := &Response{Columns: []string{"table", "key", "scheme", "shards"}}
-		for _, p := range s.store.Partitions() {
-			resp.Rows = append(resp.Rows, []string{p.Table, p.Key, p.Scheme, strconv.Itoa(p.Shards)})
-		}
-		return resp, false
-	case "/metrics":
-		return s.metricsMeta()
-	case "/stats":
-		if len(fields) == 1 {
-			return s.statsSummary()
-		}
-		if len(fields) != 3 {
-			return &Response{Err: "usage: /stats [<table> <column>]"}, false
-		}
-		per, err := s.store.ShardStats(fields[1], fields[2])
-		if err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		resp := &Response{Columns: []string{
-			"shard", "queries", "cracks", "aux_cracks", "index_lookups",
-			"pieces", "tuples_moved", "tuples_touched", "strategy",
-		}}
-		for i, cs := range per {
-			resp.Rows = append(resp.Rows, statsRow(strconv.Itoa(i), cs))
-		}
-		total, err := s.store.Stats(fields[1], fields[2])
-		if err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		resp.Rows = append(resp.Rows, statsRow("total", total))
-		return resp, false
-	case "/strategy":
-		if p := s.primaryAddr(); p != "" {
-			// A strategy change is WAL-logged; a locally-initiated one would
-			// desynchronize the follower's log position from the primary's.
-			// Set it on the primary — the record replicates like any other.
-			return &Response{Err: "read-only follower; primary=" + p}, false
-		}
-		if len(fields) < 2 || len(fields) > 4 {
-			return &Response{Err: "usage: /strategy <name> [seed] [shard]"}, false
-		}
-		seed := int64(42)
-		if len(fields) >= 3 {
-			v, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return &Response{Err: "bad seed: " + err.Error()}, false
-			}
-			seed = v
-		}
-		if len(fields) == 4 {
-			idx, err := strconv.Atoi(fields[3])
-			if err != nil {
-				return &Response{Err: "bad shard index: " + err.Error()}, false
-			}
-			if err := s.store.SetShardCrackStrategy(idx, fields[1], seed); err != nil {
-				return &Response{Err: err.Error()}, false
-			}
-			return &Response{Message: fmt.Sprintf("strategy %s on shard %d", fields[1], idx)}, false
-		}
-		if err := s.store.SetCrackStrategy(fields[1], seed); err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		return &Response{Message: fmt.Sprintf("strategy %s on all %d shards", fields[1], s.store.ShardCount())}, false
-	case "/tune":
-		// Inspect or override the auto-tuner's per-column decisions.
-		// Forcing is deliberately not WAL-logged: strategies shape
-		// performance, never results, so a follower may run a posture of
-		// its own without diverging from the primary's log.
-		if !s.store.AutotuneEnabled() {
-			return &Response{Err: "autotune is not enabled (start cracksrv with -autotune)"}, false
-		}
-		if len(fields) == 1 {
-			resp := &Response{Columns: []string{
-				"shard", "table", "column", "strategy", "class", "flips", "queries", "forced",
-			}}
-			for _, d := range s.store.TuneDecisions() {
-				resp.Rows = append(resp.Rows, []string{
-					strconv.Itoa(d.Shard), d.Table, d.Column, d.Strategy, d.Class,
-					strconv.FormatUint(d.Flips, 10), strconv.FormatUint(d.Queries, 10),
-					strconv.FormatBool(d.Forced),
-				})
-			}
-			return resp, false
-		}
-		if len(fields) != 4 {
-			return &Response{Err: "usage: /tune [<table> <column> <strategy>|auto]"}, false
-		}
-		if fields[3] == "auto" {
-			if err := s.store.ReleaseStrategy(fields[1], fields[2]); err != nil {
-				return &Response{Err: err.Error()}, false
-			}
-			return &Response{Message: fmt.Sprintf("%s.%s released to automatic tuning", fields[1], fields[2])}, false
-		}
-		if err := s.store.ForceStrategy(fields[1], fields[2], fields[3]); err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		return &Response{Message: fmt.Sprintf("%s.%s forced to %s on all %d shards", fields[1], fields[2], fields[3], s.store.ShardCount())}, false
-	case "/tapestry":
-		if p := s.primaryAddr(); p != "" {
-			// Loading data locally would diverge the replica from the
-			// primary's log.
-			return &Response{Err: "read-only follower; primary=" + p}, false
-		}
-		if len(fields) < 4 || len(fields) > 5 {
-			return &Response{Err: "usage: /tapestry <name> <n> <alpha> [seed]"}, false
-		}
-		n, err1 := strconv.Atoi(fields[2])
-		alpha, err2 := strconv.Atoi(fields[3])
-		if err1 != nil || err2 != nil {
-			return &Response{Err: "n and alpha must be integers"}, false
-		}
-		seed := int64(42)
-		if len(fields) == 5 {
-			v, err := strconv.ParseInt(fields[4], 10, 64)
-			if err != nil {
-				return &Response{Err: "bad seed: " + err.Error()}, false
-			}
-			seed = v
-		}
-		if err := s.store.LoadTapestry(fields[1], n, alpha, seed); err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		return &Response{Message: fmt.Sprintf("loaded tapestry %s (%d x %d)", fields[1], n, alpha)}, false
-	default:
-		return &Response{Err: fmt.Sprintf("unknown command %s (try /help)", fields[0])}, false
-	}
 }
 
 func statsRow(label string, cs crackdb.ColumnStats) []string {

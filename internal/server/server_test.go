@@ -153,6 +153,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if totQ == 0 {
 		t.Fatalf("total queries = 0 after range selects: %+v", stats.Rows)
 	}
+	q0, _ := stats.Int64(0, 1)
+	q1, _ := stats.Int64(1, 1)
+	if q0+q1 != totQ {
+		t.Fatalf("total row is not the fold of the shard rows: %+v", stats.Rows)
+	}
 	if _, err := c.Exec("/strategy mdd1r 7"); err != nil {
 		t.Fatal(err)
 	}

@@ -54,15 +54,13 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range, opts ...cr
 	}
 	sub := s.routeBatch(m, part, col, ranges)
 	s.noteRoutedBatch(sub)
-	per := make([][]int, len(s.shards))
-	if err := s.fanOut(func(i int) error {
+	per, err := gather(0, len(s.shards)-1, func(i int) ([]int, error) {
 		if len(sub[i].ranges) == 0 {
-			return nil
+			return nil, nil
 		}
-		var err error
-		per[i], err = s.shards[i].CountBatch(table, col, sub[i].ranges, opts...)
-		return err
-	}); err != nil {
+		return s.shards[i].CountBatch(table, col, sub[i].ranges, opts...)
+	})
+	if err != nil {
 		return nil, err
 	}
 	counts := make([]int, len(ranges))
@@ -85,36 +83,27 @@ func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range, opts ...c
 	}
 	sub := s.routeBatch(m, part, col, ranges)
 	s.noteRoutedBatch(sub)
-	// parts[i][t] is predicate i's answer on shard t; each shard goroutine
-	// writes only its own column, so the scatter is race-free.
-	parts := make([][]*crackdb.Result, len(ranges))
-	for i := range parts {
-		parts[i] = make([]*crackdb.Result, len(s.shards))
-	}
-	if err := s.fanOut(func(t int) error {
+	per, err := gather(0, len(s.shards)-1, func(t int) ([]*crackdb.Result, error) {
 		if len(sub[t].ranges) == 0 {
-			return nil
+			return nil, nil
 		}
-		res, err := s.shards[t].SelectBatch(table, col, sub[t].ranges, opts...)
-		if err != nil {
-			return err
-		}
-		for j, r := range res {
-			parts[sub[t].idx[j]][t] = r
-		}
-		return nil
-	}); err != nil {
+		return s.shards[t].SelectBatch(table, col, sub[t].ranges, opts...)
+	})
+	if err != nil {
 		return nil, err
 	}
-	out := make([]crackdb.Rows, len(ranges))
-	for i := range parts {
-		merged := &Result{}
-		for _, p := range parts[i] {
-			if p != nil {
-				merged.parts = append(merged.parts, p)
-			}
+	// Scatter in shard order, so each predicate's parts line up exactly as
+	// SelectWhere's would.
+	merged := make([]Result, len(ranges))
+	for t, res := range per {
+		for j, r := range res {
+			m := &merged[sub[t].idx[j]]
+			m.parts = append(m.parts, r)
 		}
-		out[i] = merged
+	}
+	out := make([]crackdb.Rows, len(ranges))
+	for i := range merged {
+		out[i] = &merged[i]
 	}
 	return out, nil
 }

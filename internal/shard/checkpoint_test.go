@@ -43,7 +43,7 @@ func seedDurable(t *testing.T, dir string) *shard.Store {
 			crackdb.Cond{Col: "k", Op: "<", Val: lo + 250})
 		mustExec(t, err)
 	}
-	if mode, err := s.CheckpointMode("full"); err != nil || mode != "full" {
+	if mode, err := s.Checkpoint("full"); err != nil || mode != "full" {
 		t.Fatalf("full checkpoint: mode %q err %v", mode, err)
 	}
 	return s
@@ -110,7 +110,7 @@ func TestDeltaCheckpointSkipsCleanShards(t *testing.T) {
 	}
 	mustExec(t, s.InsertRows("t", rows))
 
-	mode, err := s.CheckpointMode("delta")
+	mode, err := s.Checkpoint("delta")
 	mustExec(t, err)
 	if mode != "delta" {
 		t.Fatalf("checkpoint escalated to %q", mode)
@@ -169,25 +169,25 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 			for sh := int64(0); sh < 8; sh++ {
 				crack(sh*1000, 1)
 			}
-			if _, err := s.CheckpointMode("full"); err != nil {
+			if _, err := s.Checkpoint("full"); err != nil {
 				t.Fatal(err)
 			}
 			// Two delta rounds, each touching a different single shard.
 			mustExec(t, s.InsertRows("t", [][]int64{{100, 1}, {150, 2}}))
 			crack(0, 2)
-			if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 				t.Fatalf("delta 1: mode %q err %v", mode, err)
 			}
 			mustExec(t, s.InsertRows("t", [][]int64{{6100, 1}, {6150, 2}}))
 			crack(6000, 3)
-			if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 				t.Fatalf("delta 2: mode %q err %v", mode, err)
 			}
 			// Set the chain aside, then have the live store fold the same
 			// state into a full image, for the oracle.
 			chainDir := filepath.Join(t.TempDir(), "chain")
 			copyTree(t, dir, chainDir)
-			if mode, err := s.CheckpointMode("full"); err != nil || mode != "full" {
+			if mode, err := s.Checkpoint("full"); err != nil || mode != "full" {
 				t.Fatalf("oracle image: mode %q err %v", mode, err)
 			}
 			mustExec(t, s.CloseWAL())
@@ -245,7 +245,7 @@ func TestDeltaChainCompaction(t *testing.T) {
 	sawDelta := 0
 	for i := 0; i < 12; i++ {
 		mustExec(t, s.InsertRows("t", [][]int64{{int64(i * 600 % 8000), int64(i)}}))
-		mode, err := s.CheckpointMode("")
+		mode, err := s.Checkpoint("")
 		mustExec(t, err)
 		if mode == "delta" {
 			sawDelta++
@@ -270,11 +270,11 @@ func TestBrokenChainRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
-	if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
 	mustExec(t, s.InsertRows("t", [][]int64{{20, 2}}))
-	if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
 	mustExec(t, s.CloseWAL())
@@ -307,7 +307,7 @@ func TestSupersededElementsCleaned(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
-	if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
 	// Simulate the crash: keep a copy of the element, run the full
@@ -320,7 +320,7 @@ func TestSupersededElementsCleaned(t *testing.T) {
 	backup := stale + ".bak"
 	mustExec(t, os.Rename(stale, backup))
 	mustExec(t, os.Rename(backup, stale)) // restore; full ckpt will remove it again
-	if mode, err := s.CheckpointMode("full"); err != nil || mode != "full" {
+	if mode, err := s.Checkpoint("full"); err != nil || mode != "full" {
 		t.Fatalf("full: mode %q err %v", mode, err)
 	}
 	// Re-create the stale element as if the cleanup never ran.
@@ -362,12 +362,12 @@ func TestCrackOnlyDeltaSurvivesReboot(t *testing.T) {
 			crackdb.Cond{Col: "k", Op: "<", Val: lo + 25})
 		mustExec(t, err)
 	}
-	if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 		t.Fatalf("crack-only delta: mode %q err %v", mode, err)
 	}
 	// Second element, this time with WAL traffic, chained to the first.
 	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}, {20, 2}}))
-	if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 		t.Fatalf("delta 2: mode %q err %v", mode, err)
 	}
 	mustExec(t, s.CloseWAL())
@@ -395,7 +395,7 @@ func TestDeltaCheckpointNoop(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	defer s.CloseWAL()
-	if mode, err := s.CheckpointMode("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 		t.Fatalf("noop delta: mode %q err %v", mode, err)
 	}
 	if dds := deltaDirs(t, dir); len(dds) != 0 {

@@ -47,6 +47,9 @@ func (s *Store) EnableObservability(sampleEvery int) {
 	o.routedQueries = make([]*obs.Counter, len(s.shards))
 	o.routedInserts = make([]*obs.Counter, len(s.shards))
 	for i := range s.shards {
+		// Every registry exists before o is published: a concurrent Gather
+		// ranges over o.shards the moment the CAS below lands.
+		o.shards[i] = obs.NewRegistry()
 		l := obs.L("shard", strconv.Itoa(i))
 		o.routedQueries[i] = o.router.Counter("crackdb_shard_routed_queries_total",
 			"Conjunctions the router fanned out to each shard.", l)
@@ -60,7 +63,6 @@ func (s *Store) EnableObservability(sampleEvery int) {
 	}
 
 	for i := range s.shards {
-		o.shards[i] = obs.NewRegistry()
 		s.shards[i].EnableObservability(o.shards[i], o.trace, i, sampleEvery)
 	}
 
@@ -70,18 +72,17 @@ func (s *Store) EnableObservability(sampleEvery int) {
 		"WAL group-commit write+fsync latency, nanoseconds.")
 	batchRecs := o.router.Histogram("crackdb_wal_batch_records",
 		"Records per WAL group-commit batch.")
-	s.walMu.RLock()
-	if s.wal != nil {
-		s.wal.SetObserver(&durable.Observer{
+	if w := s.WAL(); w != nil {
+		w.SetObserver(&durable.Observer{
 			AppendNS:     appendNS.Observe,
 			FsyncNS:      fsyncNS.Observe,
 			BatchRecords: func(n int64) { batchRecs.Observe(n) },
 		})
 	}
-	s.walMu.RUnlock()
 
 	o.router.RegisterCollector(func(e *obs.Exporter) {
-		if st, ok := s.WALStatus(); ok {
+		if w := s.WAL(); w != nil {
+			st := w.Status()
 			e.Gauge("crackdb_wal_records", "Records in the attached WAL since the last rotation.", float64(st.Records))
 			e.Gauge("crackdb_wal_bytes", "Bytes in the attached WAL since the last rotation.", float64(st.Bytes))
 		}
@@ -92,9 +93,6 @@ func (s *Store) EnableObservability(sampleEvery int) {
 	}
 	o.router.TrackProcess(time.Now(), restarts)
 }
-
-// Observability reports whether EnableObservability has run.
-func (s *Store) Observability() bool { return s.obsv.Load() != nil }
 
 // Registry returns the router registry — the hook for instruments that
 // live above the shards, like the server's request counters — or nil

@@ -365,7 +365,7 @@ func (s *Store) Apply(rec durable.Record) error {
 		if err != nil {
 			return err
 		}
-		return s.CreateTableKeyed(rec.Table, rec.Key, kind, rec.Cols...)
+		return s.createTableKeyed(rec.Table, rec.Key, kind, rec.Cols...)
 	case durable.KindInsert:
 		return s.InsertRows(rec.Table, rec.Rows)
 	case durable.KindDrop:
@@ -389,33 +389,17 @@ func (s *Store) Apply(rec durable.Record) error {
 	}
 }
 
-// Durable reports whether the store was booted with OpenDurable (and so
-// supports Checkpoint and WALStatus).
-func (s *Store) Durable() bool {
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	return s.wal != nil && s.dataDir != ""
-}
-
-// Checkpoint writes a checkpoint in the store's default mode — a full
-// image, or a delta element after SetCheckpointDelta(true). See
-// CheckpointMode.
-func (s *Store) Checkpoint() error {
-	_, err := s.CheckpointMode("")
-	return err
-}
-
-// SetCheckpointDelta selects the default Checkpoint mode: on, /save
-// without an argument writes a delta element (escalating to a full image
-// when the compaction policy triggers); off (the default), it writes a
-// full image. The cracksrv -ckptdelta flag.
+// SetCheckpointDelta selects the default Checkpoint mode: on,
+// Checkpoint("") — a bare /save — writes a delta element (escalating to a
+// full image when the compaction policy triggers); off (the default), it
+// writes a full image. The cracksrv -ckptdelta flag.
 func (s *Store) SetCheckpointDelta(on bool) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	s.ckptDelta = on
 }
 
-// CheckpointMode writes one chain element into the data directory and
+// Checkpoint writes one chain element into the data directory and
 // rotates the WAL, under full mutation exclusion: no insert can slip
 // between the image and the log cut, so nothing acked is ever lost and
 // nothing is replayed twice. Queries keep running throughout — they
@@ -425,7 +409,7 @@ func (s *Store) SetCheckpointDelta(on bool) {
 // returned: "delta" escalates to "full" when there is no base image yet,
 // when the compaction policy triggers, or after a failed checkpoint
 // (whose partial effects only a fresh base is sure to supersede).
-func (s *Store) CheckpointMode(mode string) (string, error) {
+func (s *Store) Checkpoint(mode string) (string, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.wal == nil || s.dataDir == "" {
@@ -532,48 +516,13 @@ func (s *Store) checkpointLocked(base bool) error {
 	return s.wal.Rotate(seq)
 }
 
-// SetWALCoalesceWindow widens group commit on the attached log: the
-// fsync flusher waits up to d after noticing a pending batch so more
-// concurrent inserts share one fsync (see durable.WAL.SetCoalesceWindow;
-// the cracksrv -walwindow flag). No-op on a volatile store.
-func (s *Store) SetWALCoalesceWindow(d time.Duration) {
+// WAL returns the attached log — status, replication reads and the
+// retention knobs are its own methods — or nil on a volatile store (and
+// after CloseWAL).
+func (s *Store) WAL() *durable.WAL {
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	if s.wal != nil {
-		s.wal.SetCoalesceWindow(d)
-	}
-}
-
-// SetWALArchiveRetain bounds how many rotated WAL segments checkpoints
-// keep as replication history (durable.WAL.SetArchiveRetain; the
-// cracksrv -walretain flag). No-op on a volatile store.
-func (s *Store) SetWALArchiveRetain(n int) {
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if s.wal != nil {
-		s.wal.SetArchiveRetain(n)
-	}
-}
-
-// SetWALPruneFloor protects archived WAL segments still needed by the
-// slowest connected follower (durable.WAL.SetPruneFloor). The server
-// recomputes it from follower acks; MaxUint64 clears the protection.
-func (s *Store) SetWALPruneFloor(seq uint64) {
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if s.wal != nil {
-		s.wal.SetPruneFloor(seq)
-	}
-}
-
-// WALStatus reports the attached log's shape (the /wal meta).
-func (s *Store) WALStatus() (durable.Status, bool) {
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if s.wal == nil {
-		return durable.Status{}, false
-	}
-	return s.wal.Status(), true
+	return s.wal
 }
 
 // CloseWAL drains and closes the attached log (clean shutdown).

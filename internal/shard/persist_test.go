@@ -62,7 +62,7 @@ func TestShardSaveOpenByteIdentical(t *testing.T) {
 			opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
 			dir := t.TempDir()
 			src, _ := loadMixed(t, dir, opts, 31)
-			if err := src.Checkpoint(); err != nil {
+			if _, err := src.Checkpoint(""); err != nil {
 				t.Fatal(err)
 			}
 			if err := src.CloseWAL(); err != nil {
@@ -170,8 +170,8 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	if info.Recovered || info.Replayed != 0 {
 		t.Fatalf("fresh dir reported %+v", info)
 	}
-	if !s1.Durable() {
-		t.Fatal("OpenDurable store does not report durable")
+	if s1.WAL() == nil {
+		t.Fatal("OpenDurable store has no WAL attached")
 	}
 	if err := s1.CreateTable("t", "k", "v"); err != nil {
 		t.Fatal(err)
@@ -183,12 +183,11 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	if _, err := s1.CountWhere("t", crackdb.Cond{Col: "k", Op: "<", Val: 600}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Checkpoint(); err != nil {
+	if _, err := s1.Checkpoint(""); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s1.WALStatus()
-	if !ok || st.Records != 0 || st.BaseSeq == 0 {
-		t.Fatalf("post-checkpoint WAL status %+v ok=%v", st, ok)
+	if st := s1.WAL().Status(); st.Records != 0 || st.BaseSeq == 0 {
+		t.Fatalf("post-checkpoint WAL status %+v", st)
 	}
 	// Post-checkpoint mutations live only in the WAL.
 	rows2 := [][]int64{{42, 1}, {777, 2}}
@@ -232,7 +231,7 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	}
 	// The recovered store checkpoints again cleanly, and a third boot
 	// needs no replay.
-	if err := s2.Checkpoint(); err != nil {
+	if _, err := s2.Checkpoint(""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.CloseWAL(); err != nil {

@@ -9,48 +9,18 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"crackdb/internal/durable"
 )
 
 // Replication surface of a durable sharded store. The WAL already is the
 // replication stream — an append-only, checksummed, sequence-numbered
 // record of every logical mutation, logged at the router before routing
-// — so a primary only needs to expose three things: its committed log
-// positions (ReplStatus/ReplSignal), committed-record reads from any
-// position (ReplRead), and the checkpoint image a new follower bootstraps
-// from (ReplManifest/ReplReadFile). Everything here is pull-based: the
+// — so a primary only needs to expose two things: the log itself (WAL():
+// committed positions, the commit signal, committed-record reads from any
+// position) and the checkpoint image a new follower bootstraps from
+// (ReplManifest/ReplReadFile). Everything here is pull-based: the
 // follower drives, the primary never pushes, and the existing framed
 // request/response protocol carries it all (internal/server's /repl*
 // metas).
-
-// ReplStatus reports the attached log's replication positions: the base
-// of the live segment (== the seq the newest checkpoint covers), the
-// next seq to be assigned, and the durable frontier (one past the last
-// record on stable storage).
-func (s *Store) ReplStatus() (base, next, frontier uint64, ok bool) {
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if s.wal == nil {
-		return 0, 0, 0, false
-	}
-	st := s.wal.Status()
-	frontier, _ = s.wal.CommitSignal()
-	return st.BaseSeq, st.NextSeq, frontier, true
-}
-
-// ReplSignal returns the durable frontier and a channel closed the next
-// time it moves — what a long-polling /replpull blocks on instead of
-// spinning.
-func (s *Store) ReplSignal() (uint64, <-chan struct{}, bool) {
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if s.wal == nil {
-		return 0, nil, false
-	}
-	frontier, ch := s.wal.CommitSignal()
-	return frontier, ch, true
-}
 
 // ApplyBarrier returns once every mutation in flight at the call has
 // fully applied. A record's seq is assigned when it is logged, before
@@ -63,21 +33,6 @@ func (s *Store) ApplyBarrier() {
 	s.walMu.Lock()
 	//lint:ignore SA2001 the empty critical section IS the barrier
 	s.walMu.Unlock()
-}
-
-// ReplRead reads committed records from seq on (bounded by maxBytes of
-// encoded payload), returning them with the next seq to request. A
-// position rotated out of both the live log and its archives returns
-// *durable.SnapshotRequiredError — the follower must bootstrap from the
-// checkpoint image instead.
-func (s *Store) ReplRead(from uint64, maxBytes int) ([]durable.Record, uint64, error) {
-	s.walMu.RLock()
-	w := s.wal
-	s.walMu.RUnlock()
-	if w == nil {
-		return nil, from, fmt.Errorf("shard: store is not durable")
-	}
-	return w.ReadCommitted(from, maxBytes)
 }
 
 // SnapshotFile is one file of the checkpoint image.

@@ -26,7 +26,7 @@ import (
 	"crackdb"
 	"crackdb/internal/core"
 	"crackdb/internal/durable"
-	"crackdb/internal/mqs"
+	"crackdb/internal/relation"
 	"crackdb/internal/strategy"
 	"crackdb/internal/tuner"
 )
@@ -89,7 +89,7 @@ type Store struct {
 
 	// Checkpoint chain state (see persist.go in this package). Guarded
 	// by walMu (Checkpoint holds it exclusively).
-	ckptDelta bool        // CheckpointMode("") writes deltas by default
+	ckptDelta bool        // Checkpoint("") writes deltas by default
 	chain     []chainElem // on-disk elements, base first; empty before the first checkpoint
 	forceBase bool        // a checkpoint failed: the next one must be a base
 }
@@ -133,12 +133,7 @@ func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	if err := s.logRecord(durable.Record{Kind: durable.KindStrategy, Name: name, Seed: seed, Shard: -1}); err != nil {
 		return err
 	}
-	for i := range s.shards {
-		if err := s.setShardStrategy(i, name, seed+int64(i)*7919); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.each(func(i int) error { return s.shards[i].SetCrackStrategy(name, seed+int64(i)*7919) })
 }
 
 // SetShardCrackStrategy selects the crack strategy of a single shard —
@@ -155,7 +150,7 @@ func (s *Store) SetShardCrackStrategy(i int, name string, seed int64) error {
 	if err := s.logRecord(durable.Record{Kind: durable.KindStrategy, Name: name, Seed: seed, Shard: i}); err != nil {
 		return err
 	}
-	return s.setShardStrategy(i, name, seed)
+	return s.shards[i].SetCrackStrategy(name, seed)
 }
 
 // EnableAutotune turns on workload-adaptive strategy selection on every
@@ -170,10 +165,6 @@ func (s *Store) EnableAutotune(cfg tuner.Config) {
 		sh.EnableAutotune(cfg)
 	}
 }
-
-// AutotuneEnabled reports whether the auto-tuner is running (it runs on
-// every shard or on none).
-func (s *Store) AutotuneEnabled() bool { return s.shards[0].AutotuneEnabled() }
 
 // TuneDecision is one shard-local tuner decision.
 type TuneDecision struct {
@@ -206,22 +197,13 @@ func (s *Store) TuneDecisions() []TuneDecision {
 // ForceStrategy pins (table, col) to a strategy on every shard; the
 // tuners stop auto-flipping the column until ReleaseStrategy.
 func (s *Store) ForceStrategy(table, col, name string) error {
-	return s.fanOut(func(i int) error { return s.shards[i].ForceStrategy(table, col, name) })
+	return s.each(func(i int) error { return s.shards[i].ForceStrategy(table, col, name) })
 }
 
 // ReleaseStrategy returns a forced column to automatic control on every
 // shard.
 func (s *Store) ReleaseStrategy(table, col string) error {
-	return s.fanOut(func(i int) error { return s.shards[i].ReleaseStrategy(table, col) })
-}
-
-// setShardStrategy applies a validated strategy change to one shard
-// without logging it (the public wrappers log).
-func (s *Store) setShardStrategy(i int, name string, seed int64) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("shard: index %d out of range [0,%d)", i, len(s.shards))
-	}
-	return s.shards[i].SetCrackStrategy(name, seed)
+	return s.each(func(i int) error { return s.shards[i].ReleaseStrategy(table, col) })
 }
 
 // meta resolves a table's routing metadata together with a consistent
@@ -263,12 +245,12 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("shard: table %q needs at least one column", name)
 	}
-	return s.CreateTableKeyed(name, cols[0], s.opts.Kind, cols...)
+	return s.createTableKeyed(name, cols[0], s.opts.Kind, cols...)
 }
 
-// CreateTableKeyed registers an empty table partitioned by kind on the
-// named key column.
-func (s *Store) CreateTableKeyed(name, key string, kind Kind, cols ...string) error {
+// createTableKeyed registers an empty table partitioned by kind on the
+// named key column (what a replayed create record carries).
+func (s *Store) createTableKeyed(name, key string, kind Kind, cols ...string) error {
 	keyIdx := -1
 	for i, c := range cols {
 		if c == key {
@@ -303,13 +285,19 @@ func (s *Store) createLocked(name, key string, keyIdx int, part partitioner, col
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("shard: table %q already exists", name)
 	}
-	for i, st := range s.shards {
-		if err := st.CreateTable(name, cols...); err != nil {
-			for j := 0; j < i; j++ {
-				s.shards[j].DropTable(name)
+	created := make([]bool, len(s.shards))
+	err := s.each(func(i int) error {
+		err := s.shards[i].CreateTable(name, cols...)
+		created[i] = err == nil
+		return err
+	})
+	if err != nil {
+		for i, ok := range created {
+			if ok {
+				s.shards[i].DropTable(name)
 			}
-			return err
 		}
+		return err
 	}
 	s.tables[name] = &tableMeta{cols: append([]string(nil), cols...), key: key, keyIdx: keyIdx, part: part}
 	return nil
@@ -327,10 +315,8 @@ func (s *Store) DropTable(name string) error {
 	if err := s.logRecord(durable.Record{Kind: durable.KindDrop, Table: name}); err != nil {
 		return err
 	}
-	for _, st := range s.shards {
-		if err := st.DropTable(name); err != nil {
-			return err
-		}
+	if err := s.each(func(i int) error { return s.shards[i].DropTable(name) }); err != nil {
+		return err
 	}
 	delete(s.tables, name)
 	return nil
@@ -397,7 +383,7 @@ func (s *Store) routeAndApply(name string, part partitioner, keyIdx int, rows []
 		t := part.route(r[keyIdx])
 		groups[t] = append(groups[t], r)
 	}
-	return s.fanOut(func(i int) error {
+	return s.each(func(i int) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
@@ -436,25 +422,43 @@ func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
 	return s.routeAndApply(name, m.part, m.keyIdx, rows)
 }
 
-// fanOut runs fn for every shard index concurrently and returns the
-// lowest-indexed error.
-func (s *Store) fanOut(fn func(i int) error) error {
-	errs := make([]error, len(s.shards))
+// gather runs fn for every shard index in [first, last] concurrently and
+// returns the answers in shard order (out[t-first] is shard t's) — or the
+// lowest-indexed error. It is the router's only goroutine site: every
+// fan-out, whatever it merges afterwards, goes through here.
+func gather[T any](first, last int, fn func(t int) (T, error)) ([]T, error) {
+	out := make([]T, last-first+1)
+	errs := make([]error, len(out))
 	var wg sync.WaitGroup
-	for i := range s.shards {
+	for t := first; t <= last; t++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(t int) {
 			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
+			out[t-first], errs[t-first] = fn(t)
+		}(t)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// each is gather over every shard for fan-outs with nothing to merge.
+func (s *Store) each(fn func(i int) error) error {
+	_, err := gather(0, len(s.shards)-1, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
+	return err
+}
+
+// sum folds per-shard counts.
+func sum(counts []int) int {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	return total
 }
 
 // keyBounds folds the conjunction's predicates on the partition key into
@@ -557,25 +561,10 @@ func (s *Store) delete(table string, conds []crackdb.Cond, logIt bool) (int, err
 	if empty {
 		return 0, nil
 	}
-	counts := make([]int, last-first+1)
-	errs := make([]error, last-first+1)
-	var wg sync.WaitGroup
-	for t := first; t <= last; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			counts[t-first], errs[t-first] = s.shards[t].Delete(table, conds...)
-		}(t)
-	}
-	wg.Wait()
-	total := 0
-	for i, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-		total += counts[i]
-	}
-	return total, nil
+	counts, err := gather(first, last, func(t int) (int, error) {
+		return s.shards[t].Delete(table, conds...)
+	})
+	return sum(counts), err
 }
 
 // SelectWhere fans the conjunction out to the shards whose key interval
@@ -592,21 +581,11 @@ func (s *Store) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, 
 		return &Result{}, nil
 	}
 	s.noteRoutedQueries(first, last)
-	parts := make([]*crackdb.Result, last-first+1)
-	errs := make([]error, last-first+1)
-	var wg sync.WaitGroup
-	for t := first; t <= last; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			parts[t-first], errs[t-first] = s.shards[t].SelectWhere(table, conds...)
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	parts, err := gather(first, last, func(t int) (*crackdb.Result, error) {
+		return s.shards[t].SelectWhere(table, conds...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Result{parts: parts}, nil
 }
@@ -622,25 +601,10 @@ func (s *Store) CountWhere(table string, conds ...crackdb.Cond) (int, error) {
 		return 0, nil
 	}
 	s.noteRoutedQueries(first, last)
-	counts := make([]int, last-first+1)
-	errs := make([]error, last-first+1)
-	var wg sync.WaitGroup
-	for t := first; t <= last; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			counts[t-first], errs[t-first] = s.shards[t].CountWhere(table, conds...)
-		}(t)
-	}
-	wg.Wait()
-	total := 0
-	for i, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-		total += counts[i]
-	}
-	return total, nil
+	counts, err := gather(first, last, func(t int) (int, error) {
+		return s.shards[t].CountWhere(table, conds...)
+	})
+	return sum(counts), err
 }
 
 // GroupBy runs the Ω cracker on every shard (each clusters its slice)
@@ -650,11 +614,8 @@ func (s *Store) GroupBy(table, col string) ([]crackdb.GroupInfo, error) {
 		return nil, err
 	}
 	s.noteRoutedQueries(0, len(s.shards)-1)
-	parts := make([][]crackdb.GroupInfo, len(s.shards))
-	err := s.fanOut(func(i int) error {
-		var err error
-		parts[i], err = s.shards[i].GroupBy(table, col)
-		return err
+	parts, err := gather(0, len(s.shards)-1, func(i int) ([]crackdb.GroupInfo, error) {
+		return s.shards[i].GroupBy(table, col)
 	})
 	if err != nil {
 		return nil, err
@@ -699,15 +660,10 @@ func (s *Store) NumRows(table string) (int, error) {
 	if _, _, err := s.meta(table); err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, st := range s.shards {
-		n, err := st.NumRows(table)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
+	counts, err := gather(0, len(s.shards)-1, func(i int) (int, error) {
+		return s.shards[i].NumRows(table)
+	})
+	return sum(counts), err
 }
 
 // PartitionInfo describes one table's routing.
@@ -736,52 +692,9 @@ func (s *Store) ShardStats(table, col string) ([]crackdb.ColumnStats, error) {
 	if _, _, err := s.meta(table); err != nil {
 		return nil, err
 	}
-	out := make([]crackdb.ColumnStats, len(s.shards))
-	for i, st := range s.shards {
-		cs, err := st.Stats(table, col)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cs
-	}
-	return out, nil
-}
-
-// Stats sums ShardStats into one store-wide view of the column.
-func (s *Store) Stats(table, col string) (crackdb.ColumnStats, error) {
-	per, err := s.ShardStats(table, col)
-	if err != nil {
-		return crackdb.ColumnStats{}, err
-	}
-	var total crackdb.ColumnStats
-	for _, cs := range per {
-		total.Add(cs)
-	}
-	return total, nil
-}
-
-// CrackedColumnStats folds every shard's per-column counters into one
-// map keyed by attribute, covering only columns that actually hold
-// cracker state somewhere. Unlike Stats it never materializes a column
-// (see crackdb.Store.CrackedColumnStats) — this is the inspection path
-// for the /stats summary and metrics exposition.
-func (s *Store) CrackedColumnStats(table string) (map[string]crackdb.ColumnStats, error) {
-	if _, _, err := s.meta(table); err != nil {
-		return nil, err
-	}
-	out := make(map[string]crackdb.ColumnStats)
-	for _, st := range s.shards {
-		cols, err := st.CrackedColumnStats(table)
-		if err != nil {
-			return nil, err
-		}
-		for attr, cs := range cols {
-			t := out[attr]
-			t.Add(cs)
-			out[attr] = t
-		}
-	}
-	return out, nil
+	return gather(0, len(s.shards)-1, func(i int) (crackdb.ColumnStats, error) {
+		return s.shards[i].Stats(table, col)
+	})
 }
 
 // LoadTapestry creates a table with the paper's DBtapestry generator
@@ -796,7 +709,7 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	t := mqs.Tapestry(n, alpha, seed)
+	t := relation.Tapestry(n, alpha, seed)
 	cols := t.ColumnNames()
 	part, err := s.partitionerFor(s.opts.Kind, 1, int64(n))
 	if err != nil {

@@ -6,15 +6,6 @@ import (
 	"crackdb"
 )
 
-// BatchCounter is the optional batch surface of a Backend: a backend
-// that can answer many inclusive ranges on one column in a single entry
-// (crackdb.Store and the shard router both can). The server's pipelined
-// path groups consecutive range-count statements from one connection's
-// in-flight window through it.
-type BatchCounter interface {
-	CountBatch(table, col string, ranges []crackdb.Range, opts ...crackdb.BatchOption) ([]int, error)
-}
-
 // RangeCount is a statement the batched count path can absorb:
 // SELECT COUNT(*) FROM Table WHERE <conjunction on exactly one column>,
 // folded to the inclusive range [Low, High] (Low > High when the

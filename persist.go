@@ -316,9 +316,7 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 	}
 	for name := range s.tables {
 		if !inImage[name] {
-			if err := s.dropTableLocked(name); err != nil {
-				return err
-			}
+			s.dropTableLocked(name)
 		}
 	}
 	touched := make(map[string]bool, len(img.Touched))
@@ -345,15 +343,10 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 				return err
 			}
 			if exists {
-				if err := s.dropTableLocked(it.Name); err != nil {
-					return err
-				}
+				s.dropTableLocked(it.Name)
 			}
 			s.tables[it.Name] = t
 			s.bumpTableGenLocked(it.Name)
-			if err := s.registerTableLocked(it.Name, it.Cols, it.Rows-len(it.Deleted)); err != nil {
-				return err
-			}
 			if len(it.Deleted) > 0 {
 				// Tombstones force the cracked wrapper into existence now:
 				// columns restored (or lazily created) later must inherit
@@ -382,9 +375,6 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 			// let the column loop below repopulate it.
 			s.sideways.DropTable(it.Name)
 			if err := s.rewrapLocked(it.Name, live, it.Deleted); err != nil {
-				return err
-			}
-			if err := s.cat.SetRows(it.Name, it.Rows-len(it.Deleted)); err != nil {
 				return err
 			}
 		} else if touched[it.Name] {

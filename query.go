@@ -112,9 +112,6 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 	if n > 0 {
 		s.sideways.DropTable(table)
 	}
-	if err := s.cat.SetRows(table, ct.LiveLen()); err != nil {
-		return 0, err
-	}
 	return n, nil
 }
 
