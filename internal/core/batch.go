@@ -179,17 +179,23 @@ func (s *cutSnapshot) fillEytzinger(k, i int) int {
 	return i
 }
 
-// snapshotLocked returns a snapshot of the current index, rebuilding
-// (O(p)) only when the index changed since the last build — on a
-// converged column that is once, ever. The caller must hold c.mu in
-// either mode: the index mutates only under the write lock, so any hold
-// freezes the tree and a rebuild reads consistent state. Concurrent
-// read-lock holders may race to rebuild; they produce identical
-// snapshots and either store wins.
+// snapshotLocked returns the snapshot of the current index, or nil when
+// there is none worth having. It is built (O(p)) only once a whole batch
+// has run over the current index version without cracking (c.quiet):
+// while a column is still cracking every batch moves the version, and a
+// snapshot built for one batch would only be missed on and thrown away
+// by the next. On a converged column it is built once, ever. The caller
+// must hold c.mu in either mode: the index mutates only under the write
+// lock, so any hold freezes the tree and a rebuild reads consistent
+// state. Concurrent read-lock holders may race to rebuild; they produce
+// identical snapshots and either store wins.
 func (c *Column) snapshotLocked() *cutSnapshot {
 	v := c.idx.Version()
 	if s := c.snap.Load(); s != nil && s.version == v {
 		return s
+	}
+	if c.quiet.Load() != v {
+		return nil
 	}
 	s := newCutSnapshot(v, c.idx.Cuts())
 	c.snap.Store(s)
@@ -292,13 +298,14 @@ func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]Ba
 // countOnly nothing is materialized; only BatchAnswer.N is set.
 //
 // Execution order: batches of at least batchSnapshotMin on a clean
-// column resolve predicates against the flat cut snapshot in submission
+// column whose index has a snapshot (see snapshotLocked: not while it
+// is still cracking) resolve predicates against it in submission
 // order — exact-cut searches over contiguous arrays, stats accounted in
 // bulk — under one shared read-lock hold. Sorting converged lookups
 // would buy nothing, so only the predicates the snapshot cannot answer
 // (an unregistered cut: the query must crack) are then sorted by bound,
-// for piece locality, and run under a single write-lock hold. Smaller
-// or dirty batches take the classic path: sorted (submission order if
+// for piece locality, and run under a single write-lock hold. Every
+// other batch takes the classic path: sorted (submission order if
 // ordered) through per-query lookupFast, escalating the remainder to
 // the write lock at the first miss. With ordered the snapshot path also
 // stays strict: everything from the first miss on runs serially under
@@ -350,13 +357,16 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 	var todo []batchKey // predicates left for the write-lock path, in execution order
 
 	c.mu.RLock()
+	var snap *cutSnapshot
 	if n >= batchSnapshotMin && len(c.pending) == 0 && len(c.deleted) == 0 {
+		snap = c.snapshotLocked()
+	}
+	if snap != nil {
 		// Vectorized read path: resolve both bounds of each predicate
 		// against the flat cut snapshot, upper cut galloping from the
 		// lower one. Stats are accounted in bulk after the loop — same
 		// totals as lookupFast's per-query adds, without 2N atomic
 		// operations.
-		snap := c.snapshotLocked()
 		nMiss := 0
 		total := 0
 		var nq, nlook int64
@@ -451,6 +461,11 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 			record(i, v)
 			perm[pdone] = i
 			pdone++
+		}
+		if len(todo) == 0 {
+			// Nothing had to crack: the index has settled at this
+			// version, and the next batch may flatten it.
+			c.quiet.Store(c.idx.Version())
 		}
 	}
 	c.mu.RUnlock()

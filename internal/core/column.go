@@ -47,6 +47,9 @@ type Column struct {
 	// read lock — the index only mutates under the write lock, so any
 	// lock hold sees a frozen tree.
 	snap atomic.Pointer[cutSnapshot]
+	// quiet is the index version the last batch that cracked nothing
+	// ran over; snap is only rebuilt for that version.
+	quiet atomic.Uint64
 
 	// strategy, when non-nil, is consulted whenever Select must open a
 	// new cut (see strategy.go). nil means standard cracking: the native
@@ -209,10 +212,12 @@ func (c *Column) touchTuples(n int64) { c.stats.tuplesTouched.Add(n) }
 // ResetStats zeroes the counters.
 func (c *Column) ResetStats() { c.stats.reset() }
 
-// Lineage returns the lineage DAG (rendered by crackdemo).
+// Lineage returns the lineage DAG (rendered by crackdemo), brought up
+// to date with every crack registered so far.
 func (c *Column) Lineage() *Lineage {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lin.fold()
 	return c.lin
 }
 
@@ -600,8 +605,7 @@ func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 		return m
 	}
 	c.idx.Insert(val, incl, m)
-	c.recordCrack(lo, hi, fmt.Sprintf("%s %s %d", c.name, cutOpString(incl), val),
-		[2]int{lo, m}, [2]int{m, hi})
+	c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val, incl: incl})
 	c.fuseLocked()
 	return m
 }
@@ -720,38 +724,16 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 	}
 	// Lineage splits only at the boundaries actually registered, so the
 	// rendered pieces keep matching the cracker index.
-	var ranges [][2]int
+	x := xiCrack{lo: lo, hi: hi, m1: m1, m2: m2, v1: loVal, v2: hiVal, three: true}
 	switch {
-	case regLo && regHi:
-		ranges = [][2]int{{lo, m1}, {m1, m2}, {m2, hi}}
-	case regLo:
-		ranges = [][2]int{{lo, m1}, {m1, hi}}
-	default: // regHi only
-		ranges = [][2]int{{lo, m2}, {m2, hi}}
+	case !regHi:
+		x.m2 = hi
+	case !regLo:
+		x.m1, x.m2 = m2, hi
 	}
-	c.recordCrack(lo, hi,
-		fmt.Sprintf("%s ∈ cut(%d,%d)", c.name, loVal, hiVal),
-		ranges...)
+	c.lin.log = append(c.lin.log, x)
 	c.fuseLocked()
 	return m1, m2
-}
-
-// recordCrack attaches child pieces to the lineage leaf covering [lo, hi).
-func (c *Column) recordCrack(lo, hi int, detail string, ranges ...[2]int) {
-	leaf := c.lin.LeafCovering(lo, hi)
-	if leaf == nil {
-		return
-	}
-	// Only split the leaf when the ranges are non-trivial.
-	kept := ranges[:0:0]
-	for _, r := range ranges {
-		if r[1] > r[0] {
-			kept = append(kept, r)
-		}
-	}
-	if len(kept) > 1 {
-		c.lin.Crack(leaf, "Ξ", detail, kept...)
-	}
 }
 
 // fuseLocked enforces MaxPieces by repeatedly removing the cut whose

@@ -275,6 +275,50 @@ func TestLineageRecordsCracks(t *testing.T) {
 	}
 }
 
+// TestLineageFoldedOnDemand: cracks are logged, not linked, so the DAG
+// only exists once somebody asks. After 10 000 random cracks the folded
+// leaves tile [0, n) and are exactly the index's pieces; and folding
+// after every crack renders the same tree as folding once at the end.
+func TestLineageFoldedOnDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const n = 200_000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << 40)
+	}
+	c := NewColumn("R", vals)
+	for q := 0; q < 10_000; q++ {
+		lo := rng.Int63n(1 << 40)
+		c.Select(lo, lo+rng.Int63n(1<<30), rng.Intn(2) == 0, rng.Intn(2) == 0)
+	}
+	pieces := c.Index().Pieces(n)
+	leaves := c.Lineage().Leaves()
+	if len(leaves) != len(pieces) {
+		t.Fatalf("%d lineage leaves, index has %d pieces", len(leaves), len(pieces))
+	}
+	for i, l := range leaves {
+		if [2]int{l.Lo, l.Hi} != pieces[i] {
+			t.Fatalf("leaf %d = [%d,%d), piece %v", i, l.Lo, l.Hi, pieces[i])
+		}
+	}
+	if leaves[0].Lo != 0 || leaves[len(leaves)-1].Hi != n {
+		t.Fatalf("leaves span [%d,%d), want [0,%d)", leaves[0].Lo, leaves[len(leaves)-1].Hi, n)
+	}
+
+	small := vals[:2000]
+	eager, lazy := NewColumn("R", small), NewColumn("R", small)
+	for q := 0; q < 300; q++ {
+		lo, w := rng.Int63n(1<<40), rng.Int63n(1<<37)
+		loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
+		eager.Select(lo, lo+w, loIncl, hiIncl)
+		eager.Lineage()
+		lazy.Select(lo, lo+w, loIncl, hiIncl)
+	}
+	if a, b := eager.Lineage().Render(), lazy.Lineage().Render(); a != b {
+		t.Fatalf("folding per crack and folding once render differently:\n%s\nvs\n%s", a, b)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	c := NewColumn("a", []int64{5, 3, 8, 1, 9, 2})
 	if s := c.Stats(); s.Queries != 0 {

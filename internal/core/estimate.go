@@ -24,7 +24,16 @@ type Estimate struct {
 }
 
 // EstimateRange bounds the answer size of a range query without reading
-// or moving any data. O(p) in the number of pieces.
+// or moving any data: four index probes, O(log p) in the number of
+// pieces, no allocation.
+//
+// Pieces are ordered by value, so the pieces intersecting the range are
+// one run of positions and the pieces inside it a sub-run. Write the
+// range's bounds as cut keys — lo = (Low, !LowIncl), hi = (High,
+// HighIncl); a value qualifies iff it sits right of lo and left of hi.
+// The intersecting run then spans from the last cut <= lo to the first
+// cut >= hi, the contained run from the first cut >= lo to the last cut
+// <= hi. A missing cut, or an unbounded side, is the column's edge.
 func (c *Column) EstimateRange(r expr.Range) Estimate {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -33,46 +42,32 @@ func (c *Column) EstimateRange(r expr.Range) Estimate {
 	if n <= 0 || r.Empty() {
 		return Estimate{}
 	}
-	// Pending updates blur the picture: widen by the pending counts.
-	blur := len(c.pending) + len(c.deleted)
-
-	cuts := c.idx.Cuts()
-	if len(cuts) == 0 {
+	if c.idx.Len() == 0 {
 		return Estimate{Min: 0, Max: n}
 	}
 
-	est := Estimate{}
-	// Piece i spans positions [pos_i, pos_{i+1}) with values v bounded by
-	// the enclosing cuts: left cut (val,incl) ⇒ v >= val (v > val when
-	// incl); right cut ⇒ v < val (v <= val when incl). The first piece
-	// has no lower value bound, the last none above.
-	for i := 0; i <= len(cuts); i++ {
-		lo, hi := 0, len(c.vals)
-		pieceRange := expr.FullRange(r.Col)
-		if i > 0 {
-			left := cuts[i-1]
-			lo = left.Pos
-			pieceRange.Low = left.Val
-			pieceRange.LowIncl = !left.Incl // incl cut: left side took = val
-		}
-		if i < len(cuts) {
-			right := cuts[i]
-			hi = right.Pos
-			pieceRange.High = right.Val
-			pieceRange.HighIncl = right.Incl
-		}
-		size := hi - lo
-		if size <= 0 {
-			continue
-		}
-		switch {
-		case r.Contains(pieceRange):
-			est.Min += size
-			est.Max += size
-		case !r.Intersect(pieceRange).Empty():
-			est.Max += size
-		}
+	end := len(c.vals)
+	loBelow, ok, loAbove, loAboveOK := c.idx.bracket(r.Low, !r.LowIncl)
+	if !ok {
+		loBelow = 0
 	}
+	if r.Low == math.MinInt64 && r.LowIncl {
+		loAbove, loAboveOK = 0, true
+	}
+	hiBelow, hiBelowOK, hiAbove, ok := c.idx.bracket(r.High, r.HighIncl)
+	if !ok {
+		hiAbove = end
+	}
+	if r.High == math.MaxInt64 && r.HighIncl {
+		hiBelow, hiBelowOK = end, true
+	}
+
+	est := Estimate{Max: hiAbove - loBelow}
+	if loAboveOK && hiBelowOK && hiBelow > loAbove {
+		est.Min = hiBelow - loAbove
+	}
+	// Pending updates blur the picture: widen by the pending counts.
+	blur := len(c.pending) + len(c.deleted)
 	est.Min -= blur
 	if est.Min < 0 {
 		est.Min = 0
@@ -104,58 +99,115 @@ func (ct *CrackedTable) EstimateTerm(term expr.Term) Estimate {
 	return best
 }
 
-// SelectTermPlanned answers a conjunctive term like SelectTerm, but uses
-// index statistics to pick the driving column before cracking: only the
-// column with the smallest estimated answer is cracked, the rest of the
-// conjunction is evaluated on its candidates. Columns without statistics
-// are estimated at full size, so a cracked column is preferred over a
-// virgin one — unless the planner has nothing better, in which case the
-// first advised column is cracked (and gains statistics for next time).
-func (ct *CrackedTable) SelectTermPlanned(term expr.Term) ([]bat.OID, *Column, error) {
+// termPlan is the planner's answer for one conjunctive term: which
+// column's cracker drives it, over which range, and what that range
+// leaves unchecked.
+type termPlan struct {
+	col      *Column    // driving column; nil when the term carries no crack advice
+	rng      expr.Range // the driving column's advised range
+	residual expr.Term  // conjuncts rng does not imply: <> on the driving column, everything on other columns
+}
+
+// planTerm picks the driving column from index statistics and splits
+// the term into the range that column's cracker answers exactly and the
+// residual conjuncts. Only the column with the smallest estimated
+// answer drives; columns without statistics are estimated at full size,
+// so a cracked column is preferred over a virgin one — unless the
+// planner has nothing better, in which case the first advised column is
+// cracked (and gains statistics for next time). A single advised column
+// needs no estimate at all.
+func (ct *CrackedTable) planTerm(term expr.Term) (termPlan, error) {
 	advice := expr.CrackAdvice(term)
 	if len(advice) == 0 {
-		oids, err := ct.filterOIDs(allOIDs(ct.baseLen()), term)
-		return oids, nil, err
+		return termPlan{residual: term}, nil
 	}
-
-	// Iterate the advice in sorted column order so estimate ties break
-	// deterministically.
-	cols := make([]string, 0, len(advice))
-	for col := range advice {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	bestCol, bestEst := "", Estimate{Max: math.MaxInt}
-	for _, col := range cols {
-		ct.mu.RLock()
-		c, tracked := ct.cols[col]
-		ct.mu.RUnlock()
-		est := Estimate{Min: 0, Max: ct.baseLen()}
-		if tracked {
-			est = c.EstimateRange(advice[col])
+	best := ""
+	if len(advice) == 1 {
+		for col := range advice {
+			best = col
 		}
-		if est.Max < bestEst.Max || bestCol == "" {
-			bestCol, bestEst = col, est
+	} else {
+		// Sorted column order, so estimate ties break deterministically.
+		cols := make([]string, 0, len(advice))
+		for col := range advice {
+			cols = append(cols, col)
+		}
+		sort.Strings(cols)
+		bestMax := math.MaxInt
+		for _, col := range cols {
+			upper := ct.baseLen()
+			if c, tracked := ct.Column(col); tracked {
+				upper = c.EstimateRange(advice[col]).Max
+			}
+			if upper < bestMax || best == "" {
+				best, bestMax = col, upper
+			}
 		}
 	}
+	col, err := ct.ColumnFor(best)
+	if err != nil {
+		return termPlan{}, err
+	}
+	p := termPlan{col: col, rng: advice[best]}
+	for _, pred := range term {
+		if pred.Col != best || pred.Op == expr.Ne {
+			p.residual = append(p.residual, pred)
+		}
+	}
+	return p, nil
+}
 
-	col, err := ct.ColumnFor(bestCol)
+// SelectTermPlanned answers a conjunctive term: the planned driving
+// column is cracked (and only that one) and the residual conjuncts are
+// evaluated on its candidates. With an empty residual the cracker's
+// answer is the answer — the column already excludes tombstoned rows
+// once it has consolidated, which every selection does first.
+func (ct *CrackedTable) SelectTermPlanned(term expr.Term) ([]bat.OID, *Column, error) {
+	p, err := ct.planTerm(term)
 	if err != nil {
 		return nil, nil, err
 	}
+	oids, err := ct.selectPlan(p)
+	return oids, p.col, err
+}
+
+// CountTerm is SelectTermPlanned for a consumer that only wants the
+// number of qualifying tuples. A term the driving column absorbs whole
+// is answered from two cut positions: no value copy, no OID slice.
+func (ct *CrackedTable) CountTerm(term expr.Term) (int, error) {
+	p, err := ct.planTerm(term)
+	if err != nil {
+		return 0, err
+	}
+	if len(p.residual) == 0 {
+		if p.col == nil {
+			return ct.LiveLen(), nil
+		}
+		return ct.CountRange(p.rng)
+	}
+	oids, err := ct.selectPlan(p)
+	return len(oids), err
+}
+
+// selectPlan executes a plan for a consumer that wants the tuples: the
+// driving column's answer (every base row when nothing drives), less
+// what the residual rejects.
+func (ct *CrackedTable) selectPlan(p termPlan) ([]bat.OID, error) {
+	if p.col == nil {
+		return ct.filterOIDs(allOIDs(ct.baseLen()), p.residual)
+	}
 	// Copy under the column lock: view windows would alias state that a
 	// concurrent crack may shuffle.
-	_, cands := col.SelectRangeCopy(advice[bestCol])
+	_, cands := p.col.SelectRangeCopy(p.rng)
 	if ct.selectObs != nil {
 		// The driving column absorbed a single-range selection, exactly
 		// like Select/SelectCopy — the sideways and tuner observers must
 		// see it, or queries arriving through the conjunction planner
 		// (every scalar SQL statement) are invisible to them.
-		ct.selectObs(advice[bestCol])
+		ct.selectObs(p.rng)
 	}
-	oids, err := ct.filterOIDs(cands, term)
-	if err != nil {
-		return nil, nil, err
+	if len(p.residual) == 0 {
+		return cands, nil
 	}
-	return oids, col, nil
+	return ct.filterOIDs(cands, p.residual)
 }

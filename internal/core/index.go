@@ -132,6 +132,18 @@ func (ix *Index) Ceil(val int64, incl bool) (cutVal int64, cutIncl bool, pos int
 	return best.val, best.incl, best.pos, true
 }
 
+// bracket returns the positions of the nearest cuts at or below and at
+// or above the key (val, incl) — one cut, twice, when the key itself is
+// registered.
+func (ix *Index) bracket(val int64, incl bool) (below int, belowOK bool, above int, aboveOK bool) {
+	v, i, below, belowOK := ix.Floor(val, incl)
+	if belowOK && v == val && i == incl {
+		return below, true, below, true
+	}
+	_, _, above, aboveOK = ix.Ceil(val, incl)
+	return below, belowOK, above, aboveOK
+}
+
 // Insert registers a new cut. Inserting an existing key overwrites its
 // position (which, by the cut invariant, is always the same value).
 func (ix *Index) Insert(val int64, incl bool, pos int) {

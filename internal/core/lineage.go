@@ -18,13 +18,25 @@ type Lineage struct {
 	roots []*PieceNode
 	byID  map[string]*PieceNode
 
-	// leaves is the current leaf set, sorted by Lo, maintained
-	// incrementally by Root and Crack. Cracking consults the leaf
-	// covering a piece on every partition pass, so leaf lookup must not
-	// walk the DAG: with k accumulated cuts a full-walk lookup costs
-	// O(k) per crack and O(k²) over a query sequence — measurably the
-	// dominant cost of long crack sequences before this cache existed.
+	// leaves is the current leaf set, sorted by Lo, maintained by Root
+	// and Crack, so that locating the leaf a crack splits is a binary
+	// search, not a walk of the DAG.
 	leaves []*PieceNode
+
+	// log holds the Ξ cracks not yet folded into the DAG. A crack is
+	// recorded as one pointer-free entry — no node, no ID string, no
+	// leaf-set splice on the query path — and becomes nodes only when
+	// somebody looks (see fold).
+	log []xiCrack
+}
+
+// xiCrack is one registered selection crack: the piece [lo, hi) was
+// split at m1 and m2 (m2 == hi for a two-way split) on the cut value(s).
+type xiCrack struct {
+	lo, hi, m1, m2 int
+	v1, v2         int64
+	three          bool // crack-in-three: both values name the crack
+	incl           bool // inclusivity of a crack-in-two's cut
 }
 
 // PieceNode is one piece in the lineage DAG.
@@ -110,6 +122,33 @@ func (l *Lineage) LeafCovering(lo, hi int) *PieceNode {
 		return leaf
 	}
 	return nil
+}
+
+// fold replays the logged Ξ cracks, in order, into the DAG: each splits
+// the leaf covering its piece into its non-empty child ranges. The
+// caller holds the owning column's write lock.
+func (l *Lineage) fold() {
+	for _, x := range l.log {
+		leaf := l.LeafCovering(x.lo, x.hi)
+		if leaf == nil {
+			continue
+		}
+		var kept [][2]int
+		for _, r := range [3][2]int{{x.lo, x.m1}, {x.m1, x.m2}, {x.m2, x.hi}} {
+			if r[1] > r[0] {
+				kept = append(kept, r)
+			}
+		}
+		if len(kept) < 2 {
+			continue
+		}
+		detail := fmt.Sprintf("%s %s %d", l.table, cutOpString(x.incl), x.v1)
+		if x.three {
+			detail = fmt.Sprintf("%s ∈ cut(%d,%d)", l.table, x.v1, x.v2)
+		}
+		l.Crack(leaf, "Ξ", detail, kept...)
+	}
+	l.log = nil
 }
 
 func (l *Lineage) nextID() string {

@@ -227,19 +227,32 @@ func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
 	return ct.filterOIDs(best, term)
 }
 
-// filterOIDs applies the full term to candidate OIDs via the base table.
+// filterOIDs keeps, in place and in order, the live candidates that
+// satisfy the term, reading only the base BATs of the term's columns.
+// The candidates must be the caller's own copy.
 func (ct *CrackedTable) filterOIDs(cands []bat.OID, term expr.Term) ([]bat.OID, error) {
 	ct.baseMu.RLock()
 	defer ct.baseMu.RUnlock()
-	var out []bat.OID
+	cols := make([][]int64, len(term))
+	for i, p := range term {
+		b, err := ct.base.Column(p.Col)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = b.Ints()
+	}
+	out := cands[:0]
+next:
 	for _, oid := range cands {
 		if _, dead := ct.tomb[oid]; dead {
 			continue
 		}
-		row := ct.base.RowMap(int(oid))
-		if term.Match(row) {
-			out = append(out, oid)
+		for i, p := range term {
+			if !p.Match(cols[i][oid]) {
+				continue next
+			}
 		}
+		out = append(out, oid)
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crackdb/internal/expr"
+	"crackdb/internal/relation"
 )
 
 // Conjunctive multi-predicate queries on the public API. The range
@@ -41,14 +42,9 @@ func opOf(op string) (expr.Op, error) {
 	}
 }
 
-// SelectWhere answers a conjunction of comparisons, cracking the most
-// selective advised column as a side effect. With no conditions it
-// returns every tuple.
-func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
-	ct, t, err := s.crackedFor(table)
-	if err != nil {
-		return nil, err
-	}
+// termOf validates the conditions against table t and builds the
+// conjunctive term the planner takes.
+func termOf(table string, t *relation.Table, conds []Cond) (expr.Term, error) {
 	term := make(expr.Term, 0, len(conds))
 	for _, c := range conds {
 		op, err := opOf(c.Op)
@@ -59,6 +55,21 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 			return nil, fmt.Errorf("crackdb: table %q has no column %q", table, c.Col)
 		}
 		term = append(term, expr.Pred{Col: c.Col, Op: op, Val: c.Val})
+	}
+	return term, nil
+}
+
+// SelectWhere answers a conjunction of comparisons, cracking the most
+// selective advised column as a side effect. With no conditions it
+// returns every tuple.
+func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
+	ct, t, err := s.crackedFor(table)
+	if err != nil {
+		return nil, err
+	}
+	term, err := termOf(table, t, conds)
+	if err != nil {
+		return nil, err
 	}
 	// The planner picks the driving column from cracker-index statistics
 	// and cracks only that one (paper §3.3: piece statistics let the
@@ -79,32 +90,25 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 // compacted away: OID stability is what keeps cracker columns and
 // sideways maps aligned (see core.CrackedTable.DeleteOIDs).
 func (s *Store) Delete(table string, conds ...Cond) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[table]
-	if !ok {
-		return 0, fmt.Errorf("crackdb: table %q does not exist", table)
+	ct, t, err := s.crackedFor(table)
+	if err != nil {
+		return 0, err
 	}
-	term := make(expr.Term, 0, len(conds))
-	for _, c := range conds {
-		op, err := opOf(c.Op)
-		if err != nil {
-			return 0, err
-		}
-		if !t.HasColumn(c.Col) {
-			return 0, fmt.Errorf("crackdb: table %q has no column %q", table, c.Col)
-		}
-		term = append(term, expr.Pred{Col: c.Col, Op: op, Val: c.Val})
+	term, err := termOf(table, t, conds)
+	if err != nil {
+		return 0, err
 	}
-	ct, ok := s.cracked[table]
-	if !ok {
-		ct = s.newCrackedTableLocked(table, t)
-		s.cracked[table] = ct
-	}
+	// Select before taking the store lock: the select observer may flip
+	// the driving column's strategy, which reads the store's
+	// configuration under that lock.
 	oids, _, err := ct.SelectTermPlanned(term)
 	if err != nil {
 		return 0, err
 	}
+	// The tombstones go in under the store lock, so an image being
+	// written sees the table's set and its columns' sets agree.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := ct.DeleteOIDs(oids)
 	// Sideways maps may hold the deleted OIDs in their aligned payload
 	// vectors; drop them and let future projections rebuild from the
@@ -116,12 +120,18 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 }
 
 // CountWhere is SelectWhere returning only the qualifying-tuple count.
+// The query still cracks, but a conjunction the driving column absorbs
+// whole materializes nothing.
 func (s *Store) CountWhere(table string, conds ...Cond) (int, error) {
-	res, err := s.SelectWhere(table, conds...)
+	ct, t, err := s.crackedFor(table)
 	if err != nil {
 		return 0, err
 	}
-	return res.Count(), nil
+	term, err := termOf(table, t, conds)
+	if err != nil {
+		return 0, err
+	}
+	return ct.CountTerm(term)
 }
 
 // OIDs returns the surrogate identifiers of the qualifying tuples.
