@@ -420,36 +420,6 @@ func BenchmarkFigureHarness(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationUpdateStrategy compares the two §7 update extensions
-// under a trickle workload (insert one, query one) on a well-cracked
-// column: merge-complete rebuilds, merge-ripple keeps the index.
-func BenchmarkAblationUpdateStrategy(b *testing.B) {
-	base := make([]int64, benchN)
-	rng := rand.New(rand.NewSource(15))
-	for i := range base {
-		base[i] = rng.Int63n(benchN)
-	}
-	run := func(b *testing.B, strategy core.UpdateStrategy) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			col := core.NewColumn("a", base, core.WithUpdateStrategy(strategy))
-			qrng := rand.New(rand.NewSource(21))
-			for q := 0; q < 32; q++ { // pre-crack
-				lo := qrng.Int63n(benchN - benchN/50)
-				col.Select(lo, lo+benchN/50, true, false)
-			}
-			b.StartTimer()
-			for step := 0; step < 64; step++ {
-				col.Insert(qrng.Int63n(benchN))
-				lo := qrng.Int63n(benchN - benchN/50)
-				col.Select(lo, lo+benchN/50, true, false)
-			}
-		}
-	}
-	b.Run("merge-complete", func(b *testing.B) { run(b, core.MergeComplete) })
-	b.Run("merge-ripple", func(b *testing.B) { run(b, core.MergeRipple) })
-}
-
 // BenchmarkHiking measures the hiking profile (§4): fixed-size windows
 // sliding with growing overlap — the profile between homeruns and
 // strolling — under crack and scan strategies.

@@ -2,8 +2,12 @@ package crackdb
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"crackdb/internal/core"
 )
 
 // The planner's budget as standing assertions (ROADMAP: acceptance gates
@@ -119,5 +123,146 @@ func TestCountWhereBudgetTime(t *testing.T) {
 	t.Logf("Count %v, CountWhere %v per %d statements: ratio %.2f", scalar, planned, len(pool), ratio)
 	if ratio > 10 {
 		t.Fatalf("CountWhere costs %.1f x Count on a converged column, budget 10 x", ratio)
+	}
+}
+
+// The update fold's budget (ROADMAP item 2): an insert leaves the store
+// as adapted as it found it, at a cost set by the batch and the pieces
+// it crosses — never by the size of the column or of its index.
+
+func crackerColumn(t testing.TB, s *Store, table, attr string) *core.Column {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c, ok := s.cracked[table].Column(attr)
+	if !ok {
+		t.Fatalf("%s.%s has no cracker column", table, attr)
+	}
+	return c
+}
+
+func TestInsertKeepsIndexBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const n = 200_000
+	s, pool := convergedStore(t, n, 4, 6000)
+	col := crackerColumn(t, s, "t", "c0")
+	pieces := col.Pieces()
+	if pieces < 10_000 {
+		t.Fatalf("store has %d pieces, want >= 10000", pieces)
+	}
+	cuts := col.Index().Cuts()
+	next := cuts[len(cuts)-1].Val // pool ranges reach past the tapestry's 1..n; inserts go above the last cut
+	batch := func(at func(i int) int64) [][]int64 {
+		rows := make([][]int64, 16)
+		for i := range rows {
+			v := at(i)
+			rows[i] = []int64{v, v, v, v}
+		}
+		return rows
+	}
+	above := func() [][]int64 {
+		return batch(func(int) int64 { next++; return next })
+	}
+	insertAndCount := func(rows [][]int64) {
+		if err := s.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Count("t", "c0", pool[0].Low, pool[0].High); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Above the domain: the walk stops at the last cut.
+	before := col.Stats()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { insertAndCount(above()) })
+	// A copy of the cut list is one allocation of 24 bytes a cut (>= 240 kB
+	// a fold here): the count above cannot see it, the bytes can. Median,
+	// because the vectors' amortized growth lands in some round.
+	bytes := make([]uint64, runs)
+	for i := range bytes {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		insertAndCount(above())
+		runtime.ReadMemStats(&m1)
+		bytes[i] = m1.TotalAlloc - m0.TotalAlloc
+	}
+	slices.Sort(bytes)
+	const maxAllocs, maxBytes = 40, 8 << 10
+	if allocs > maxAllocs || bytes[runs/2] > maxBytes {
+		t.Errorf("insert + count allocates %.0f times, %d bytes a round; budget %d, %d whatever the index size", allocs, bytes[runs/2], maxAllocs, maxBytes)
+	}
+	after := col.Stats()
+	folds := int64(after.RippleFolds - before.RippleFolds)
+	if folds != 2*runs+1 || after.RebuildFolds != 0 { // AllocsPerRun warms up once
+		t.Fatalf("%d ripple and %d rebuild folds in %d rounds", folds, after.RebuildFolds, 2*runs+1)
+	}
+	if moved := after.TuplesMoved - before.TuplesMoved; moved > 16*folds {
+		t.Errorf("appends above the domain moved %d tuples in %d folds, budget 16 a fold", moved, folds)
+	}
+	if after.CutsShifted != 0 || after.Cracks != before.Cracks || col.Pieces() != pieces {
+		t.Errorf("appends above the domain shifted %d cuts, cracked %d times, pieces %d -> %d",
+			after.CutsShifted, after.Cracks-before.Cracks, pieces, col.Pieces())
+	}
+
+	// Mid-domain: every piece above the smallest key is crossed and
+	// gives up at most one tuple per batch row; the index keeps its cuts.
+	lo := int64(n / 2)
+	crossed := 0
+	for _, c := range cuts {
+		if c.Val > lo {
+			crossed++
+		}
+	}
+	before = col.Stats()
+	insertAndCount(batch(func(i int) int64 { return lo + int64(i)*37 }))
+	after = col.Stats()
+	if after.RippleFolds != before.RippleFolds+1 || after.Cracks != before.Cracks || col.Pieces() != pieces {
+		t.Fatalf("mid-domain batch did not ripple: before %+v, after %+v, pieces %d -> %d", before, after, pieces, col.Pieces())
+	}
+	if moved := after.TuplesMoved - before.TuplesMoved; moved > int64(16*(crossed+1)) || after.CutsShifted == 0 {
+		t.Errorf("mid-domain batch moved %d tuples across %d pieces (budget %d), shifted %d cuts",
+			moved, crossed, 16*(crossed+1), after.CutsShifted)
+	}
+	if err := col.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A batch that would write more than the column holds: the walk's own
+	// count says a reset is cheaper, and the index goes.
+	big := make([][]int64, n+n/2)
+	for i := range big {
+		v := int64(1 + i%n)
+		big[i] = []int64{v, v, v, v}
+	}
+	insertAndCount(big)
+	if after = col.Stats(); after.RebuildFolds != 1 || col.Pieces() >= pieces {
+		t.Fatalf("a batch larger than the column did not reset the index: %+v, pieces %d", after, col.Pieces())
+	}
+}
+
+func TestRestoreBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector is meaningless")
+	}
+	s, _ := convergedStore(t, 250_000, 1, 20_000)
+	st := crackerColumn(t, s, "t", "c0").ExportState()
+	if len(st.Cuts) < 36_000 {
+		t.Fatalf("state has %d cuts, want >= 36000", len(st.Cuts))
+	}
+	t0 := time.Now()
+	c, err := core.ColumnFromState(st)
+	d := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("ColumnFromState of %d rows x %d cuts: %v", len(st.Vals), len(st.Cuts), d)
+	if d > time.Second {
+		t.Fatalf("restoring %d rows x %d cuts took %v, budget 1 s (a per-cut scan of the column is ~7 s)", len(st.Vals), len(st.Cuts), d)
+	}
+	if c.Pieces() != len(st.Cuts)+1 {
+		t.Fatalf("restored column has %d pieces, state %d cuts", c.Pieces(), len(st.Cuts))
 	}
 }

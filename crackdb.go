@@ -56,7 +56,6 @@ type Store struct {
 	tables    map[string]*relation.Table
 	cracked   map[string]*core.CrackedTable
 	maxPieces int
-	ripple    bool
 
 	// Crack-strategy configuration for columns created after
 	// SetCrackStrategy: each new cracker column receives its own
@@ -224,16 +223,6 @@ func sidewaysSeed(base int64, table, key string) int64 {
 	return base ^ int64(h)
 }
 
-// SetRippleUpdates switches columns cracked after the call to ripple
-// merging: pending inserts are shuffled into their pieces one boundary
-// crossing at a time, keeping the cracker index, instead of rebuilding
-// the column. Best under trickle inserts on heavily cracked columns.
-func (s *Store) SetRippleUpdates(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ripple = on
-}
-
 // CreateTable registers an empty integer table.
 func (s *Store) CreateTable(name string, cols ...string) error {
 	if len(cols) == 0 {
@@ -270,9 +259,12 @@ func (s *Store) dropTableLocked(name string) {
 }
 
 // InsertRows appends tuples to a table. Cracked columns absorb the new
-// values as pending updates, folded in by the next query according to
-// the store's update strategy (paper §7 extension) — the cracker index
-// survives the insert.
+// values as pending updates, folded in by the next query that touches
+// the column (paper §7 extension). The fold keeps the cracker index —
+// the cuts a batch crosses shift in place — and drops it only when
+// shifting would write more tuples than re-cracking from scratch (see
+// DESIGN.md, Updates). Sideways maps of the table still restart from an
+// empty map index on their next projection.
 func (s *Store) InsertRows(name string, rows [][]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -415,9 +407,6 @@ func (s *Store) baseColumnOptions() []core.Option {
 	var opts []core.Option
 	if s.maxPieces > 0 {
 		opts = append(opts, core.WithMaxPieces(s.maxPieces))
-	}
-	if s.ripple {
-		opts = append(opts, core.WithUpdateStrategy(core.MergeRipple))
 	}
 	if s.instr != nil {
 		opts = append(opts, core.WithInstr(s.instr))

@@ -236,8 +236,7 @@ func TestInsertFlowsIntoCrackedColumns(t *testing.T) {
 }
 
 func TestRippleUpdatesAtStoreLevel(t *testing.T) {
-	s := New()
-	s.SetRippleUpdates(true)
+	s := New() // no knob: a trickle batch ripples because that is cheaper
 	if err := s.LoadTapestry("tap", 5000, 1, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +258,10 @@ func TestRippleUpdatesAtStoreLevel(t *testing.T) {
 		t.Fatalf("count after ripple inserts = %d, want 5003", n)
 	}
 	after, _ := s.Stats("tap", "c0")
-	// The ripple kept the cracker index: piece count did not collapse.
-	if after.Pieces < before.Pieces {
-		t.Fatalf("pieces dropped from %d to %d: index was rebuilt, not rippled", before.Pieces, after.Pieces)
+	// The fold kept the cracker index: every piece survived (the count's
+	// own bounds add two) and the one fold was a ripple.
+	if after.Pieces < before.Pieces || after.RippleFolds != 1 || after.RebuildFolds != 0 {
+		t.Fatalf("index was not rippled: before %+v, after %+v", before, after)
 	}
 	// Point answers remain exact: the tapestry held exactly one 250.
 	if got, _ := s.Count("tap", "c0", 250, 250); got != 2 {

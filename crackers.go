@@ -158,7 +158,9 @@ type ColumnStats struct {
 	TuplesTouched  int64 // element reads during reorganization
 	Pieces         int   // current piece count
 	Fusions        int   // cuts removed under the MaxPieces budget
-	Consolidations int   // pending-update merges
+	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
+	RippleFolds    int   // folds that kept the cracker index
+	RebuildFolds   int   // folds that dropped it
 
 	// Strategy is the column's active crack strategy. Per-column, not
 	// per-store: the auto-tuner (and per-shard /strategy) can leave one
@@ -187,6 +189,8 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 	cs.Pieces += o.Pieces
 	cs.Fusions += o.Fusions
 	cs.Consolidations += o.Consolidations
+	cs.RippleFolds += o.RippleFolds
+	cs.RebuildFolds += o.RebuildFolds
 }
 
 // Stats returns the work counters of one cracked column. Columns that
@@ -210,6 +214,10 @@ func (s *Store) Stats(table, col string) (ColumnStats, error) {
 	if err != nil {
 		return ColumnStats{}, err
 	}
+	return columnStats(c), nil
+}
+
+func columnStats(c *core.Column) ColumnStats {
 	cs := c.Stats()
 	return ColumnStats{
 		Queries:        cs.Queries,
@@ -221,8 +229,10 @@ func (s *Store) Stats(table, col string) (ColumnStats, error) {
 		Pieces:         c.Pieces(),
 		Fusions:        cs.Fusions,
 		Consolidations: cs.Consolidations,
+		RippleFolds:    cs.RippleFolds,
+		RebuildFolds:   cs.RebuildFolds,
 		Strategy:       c.StrategyName(),
-	}, nil
+	}
 }
 
 // CrackedColumnStats returns the counters of every column of a table
@@ -248,19 +258,7 @@ func (s *Store) CrackedColumnStats(table string) (map[string]ColumnStats, error)
 		if !ok {
 			continue
 		}
-		cs := c.Stats()
-		out[attr] = ColumnStats{
-			Queries:        cs.Queries,
-			Cracks:         cs.Cracks,
-			AuxCracks:      cs.AuxCracks,
-			IndexLookups:   cs.IndexLookups,
-			TuplesMoved:    cs.TuplesMoved,
-			TuplesTouched:  cs.TuplesTouched,
-			Pieces:         c.Pieces(),
-			Fusions:        cs.Fusions,
-			Consolidations: cs.Consolidations,
-			Strategy:       c.StrategyName(),
-		}
+		out[attr] = columnStats(c)
 	}
 	return out, nil
 }

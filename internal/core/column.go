@@ -38,8 +38,12 @@ type Column struct {
 	vals []int64   // the cracked value vector
 	oids []bat.OID // oids[i] is the tuple identity of vals[i]
 
-	idx    *Index
+	idx *Index
+	// lin is nil while the lineage is stale — after a fold moved the
+	// positions it records, or on a restored column — and is re-rooted
+	// from the index when somebody looks (lineageLocked); reroot says why.
 	lin    *Lineage
+	reroot string
 	sorted bool // whole column sorted: cuts become binary searches
 
 	// snap caches the flat batch-lookup snapshot of idx (see batch.go).
@@ -56,9 +60,9 @@ type Column struct {
 	// crack-in-two/-three kernels, unmodified.
 	strategy CrackStrategy
 
-	maxPieces      int // fusion threshold; 0 disables fusion
-	minPieceSize   int // pieces smaller than this are not cracked further
-	updateStrategy UpdateStrategy
+	maxPieces    int      // fusion threshold; 0 disables fusion
+	minPieceSize int      // pieces smaller than this are not cracked further
+	forceFold    foldKind // test hook: pin the update fold (see update.go)
 
 	nextOID bat.OID
 	pending []pendingInsert
@@ -80,43 +84,54 @@ type pendingInsert struct {
 
 // Stats counts the physical work a column has absorbed. TuplesMoved is
 // the number of element writes performed by crack partitioning — the
-// quantity Figure 2 plots — and TuplesTouched the number inspected.
+// quantity Figure 2 plots — and by update folds; TuplesTouched the number
+// inspected.
 type Stats struct {
 	Queries        int
 	Cracks         int   // partition passes executed
 	AuxCracks      int   // strategy-advised auxiliary cracks (subset of Cracks)
 	IndexLookups   int   // cut lookups answered without cracking
-	TuplesMoved    int64 // element writes during partitioning
+	TuplesMoved    int64 // element writes during partitioning and folding
 	TuplesTouched  int64 // element reads during partitioning
 	Fusions        int   // cuts removed to respect MaxPieces
-	Consolidations int   // pending-update merges
+	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
+	RippleFolds    int   // folds that kept the index
+	RebuildFolds   int   // folds that dropped it
+	CutsShifted    int64 // cut positions rewritten by folds
 }
 
 // counters is the internal, atomically-updated form of Stats. Atomics let
 // the optimistic read path account its queries and index lookups while
 // holding only the read lock.
 type counters struct {
-	queries        atomic.Int64
-	cracks         atomic.Int64
-	auxCracks      atomic.Int64
-	indexLookups   atomic.Int64
-	tuplesMoved    atomic.Int64
-	tuplesTouched  atomic.Int64
-	fusions        atomic.Int64
-	consolidations atomic.Int64
+	queries       atomic.Int64
+	cracks        atomic.Int64
+	auxCracks     atomic.Int64
+	indexLookups  atomic.Int64
+	tuplesMoved   atomic.Int64
+	tuplesTouched atomic.Int64
+	fusions       atomic.Int64
+	rippleFolds   atomic.Int64
+	rebuildFolds  atomic.Int64
+	cutsShifted   atomic.Int64
+	folded        atomic.Int64 // inserts + deletes folded; feeds CrackEvent.Folded
 }
 
 func (s *counters) snapshot() Stats {
-	return Stats{
-		Queries:        int(s.queries.Load()),
-		Cracks:         int(s.cracks.Load()),
-		AuxCracks:      int(s.auxCracks.Load()),
-		IndexLookups:   int(s.indexLookups.Load()),
-		TuplesMoved:    s.tuplesMoved.Load(),
-		TuplesTouched:  s.tuplesTouched.Load(),
-		Fusions:        int(s.fusions.Load()),
-		Consolidations: int(s.consolidations.Load()),
+	st := Stats{
+		Queries:       int(s.queries.Load()),
+		Cracks:        int(s.cracks.Load()),
+		AuxCracks:     int(s.auxCracks.Load()),
+		IndexLookups:  int(s.indexLookups.Load()),
+		TuplesMoved:   s.tuplesMoved.Load(),
+		TuplesTouched: s.tuplesTouched.Load(),
+		Fusions:       int(s.fusions.Load()),
+		RippleFolds:   int(s.rippleFolds.Load()),
+		RebuildFolds:  int(s.rebuildFolds.Load()),
+		CutsShifted:   s.cutsShifted.Load(),
 	}
+	st.Consolidations = st.RippleFolds + st.RebuildFolds
+	return st
 }
 
 func (s *counters) reset() {
@@ -127,7 +142,10 @@ func (s *counters) reset() {
 	s.tuplesMoved.Store(0)
 	s.tuplesTouched.Store(0)
 	s.fusions.Store(0)
-	s.consolidations.Store(0)
+	s.rippleFolds.Store(0)
+	s.rebuildFolds.Store(0)
+	s.cutsShifted.Store(0)
+	s.folded.Store(0)
 }
 
 // Option configures a Column.
@@ -217,6 +235,21 @@ func (c *Column) ResetStats() { c.stats.reset() }
 func (c *Column) Lineage() *Lineage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.lineageLocked()
+}
+
+// lineageLocked brings the lineage up to date: a stale one is re-rooted
+// flat — one root cracked into the pieces the index has now, the crack
+// order being history the moved positions no longer describe — and the
+// logged cracks are folded in.
+func (c *Column) lineageLocked() *Lineage {
+	if c.lin == nil {
+		c.lin = NewLineage(c.name)
+		root := c.lin.Root(0, len(c.vals))
+		if pieces := c.idx.Pieces(len(c.vals)); len(pieces) > 1 {
+			c.lin.Crack(root, "Ξ", c.reroot, pieces...)
+		}
+	}
 	c.lin.fold()
 	return c.lin
 }
@@ -605,7 +638,9 @@ func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 		return m
 	}
 	c.idx.Insert(val, incl, m)
-	c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val, incl: incl})
+	if c.lin != nil { // a stale lineage re-roots from the index, which has the cut
+		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val, incl: incl})
+	}
 	c.fuseLocked()
 	return m
 }
@@ -731,7 +766,9 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 	case !regLo:
 		x.m1, x.m2 = m2, hi
 	}
-	c.lin.log = append(c.lin.log, x)
+	if c.lin != nil {
+		c.lin.log = append(c.lin.log, x)
+	}
 	c.fuseLocked()
 	return m1, m2
 }
@@ -796,51 +833,6 @@ func (c *Column) Delete(oid bat.OID) bool {
 	return true
 }
 
-// consolidateLocked folds pending inserts and deletes into the value
-// vector, resetting the cracker index: the merge-complete strategy for
-// the update question the paper leaves open (§7). Sortedness is
-// preserved by re-sorting when the column had been fully sorted.
-func (c *Column) consolidateLocked() {
-	if len(c.pending) == 0 && len(c.deleted) == 0 {
-		return
-	}
-	// Ripple merging pays O(pieces) per update and keeps the index; it
-	// wins for trickle updates on a cracked column. A virgin (or fully
-	// sorted) column gains nothing from rippling — rebuild instead.
-	if c.updateStrategy == MergeRipple && c.idx.Len() > 0 && !c.sorted {
-		c.consolidateRippleLocked()
-		return
-	}
-	keepVals := make([]int64, 0, len(c.vals)+len(c.pending))
-	keepOIDs := make([]bat.OID, 0, len(c.vals)+len(c.pending))
-	for i, oid := range c.oids {
-		if _, gone := c.deleted[oid]; gone {
-			continue
-		}
-		keepVals = append(keepVals, c.vals[i])
-		keepOIDs = append(keepOIDs, oid)
-	}
-	for _, p := range c.pending {
-		if _, gone := c.deleted[p.oid]; gone {
-			continue
-		}
-		keepVals = append(keepVals, p.val)
-		keepOIDs = append(keepOIDs, p.oid)
-	}
-	c.vals, c.oids = keepVals, keepOIDs
-	c.pending = nil
-	c.deleted = make(map[bat.OID]struct{})
-	c.idx.Reset()
-	wasSorted := c.sorted
-	c.sorted = false
-	c.lin = NewLineage(c.name)
-	c.lin.Root(0, len(c.vals))
-	c.stats.consolidations.Add(1)
-	if wasSorted {
-		c.sortLocked("re-sort after consolidation")
-	}
-}
-
 // ByOID returns the live values keyed by OID — the loss-less
 // reconstruction witness used by the property tests.
 func (c *Column) ByOID() map[bat.OID]int64 {
@@ -862,40 +854,57 @@ func (c *Column) ByOID() map[bat.OID]int64 {
 	return out
 }
 
-// Verify checks the cracker invariants and returns the first violation:
-// cut positions must be sorted consistently with their keys, and every
-// element must be on the correct side of every cut. Tests and the
-// failure-injection suite call it after every operation batch.
+// Verify checks the cracker invariants and returns the first violation
+// (see VerifyCuts). Tests and the failure-injection suite call it after
+// every operation batch; ColumnFromState runs the same check on every
+// restored column.
 func (c *Column) Verify() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	cuts := c.idx.Cuts()
-	prevPos := 0
-	for i, cut := range cuts {
-		if cut.Pos < prevPos || cut.Pos > len(c.vals) {
-			return fmt.Errorf("core: cut %d/%v at position %d out of order (prev %d, n %d)",
-				i, cut, cut.Pos, prevPos, len(c.vals))
-		}
-		prevPos = cut.Pos
-		for p := 0; p < cut.Pos; p++ {
-			if cut.Incl && c.vals[p] > cut.Val {
-				return fmt.Errorf("core: vals[%d]=%d violates left side of cut <=%d@%d", p, c.vals[p], cut.Val, cut.Pos)
-			}
-			if !cut.Incl && c.vals[p] >= cut.Val {
-				return fmt.Errorf("core: vals[%d]=%d violates left side of cut <%d@%d", p, c.vals[p], cut.Val, cut.Pos)
-			}
-		}
-		for p := cut.Pos; p < len(c.vals); p++ {
-			if cut.Incl && c.vals[p] <= cut.Val {
-				return fmt.Errorf("core: vals[%d]=%d violates right side of cut <=%d@%d", p, c.vals[p], cut.Val, cut.Pos)
-			}
-			if !cut.Incl && c.vals[p] < cut.Val {
-				return fmt.Errorf("core: vals[%d]=%d violates right side of cut <%d@%d", p, c.vals[p], cut.Val, cut.Pos)
-			}
-		}
-	}
 	if len(c.vals) != len(c.oids) {
 		return fmt.Errorf("core: vals/oids length mismatch %d != %d", len(c.vals), len(c.oids))
+	}
+	return VerifyCuts(c.vals, c.idx.Cuts())
+}
+
+// VerifyCuts checks, in one pass, that cuts partition vals: the cuts are
+// strictly ascending by key with non-decreasing positions inside
+// [0, len(vals)], and every element lies right of the cut below its
+// piece and left of the cut above it. Per-piece bounds suffice for the
+// full invariant — every element on the correct side of every cut —
+// because the cuts are key-ordered: left of a cut is left of every
+// greater cut, right of a cut is right of every smaller one. O(n + p);
+// checking each cut against the whole vector is O(n · p), which on a
+// converged column (tens of thousands of cuts) turns a reboot into
+// minutes.
+func VerifyCuts(vals []int64, cuts []Cut) error {
+	prevPos := 0
+	for i, c := range cuts {
+		if c.Pos < prevPos || c.Pos > len(vals) {
+			return fmt.Errorf("core: cut %d/%v at position %d out of order (prev %d, n %d)", i, c, c.Pos, prevPos, len(vals))
+		}
+		if i > 0 {
+			if p := cuts[i-1]; cmpCut(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
+				return fmt.Errorf("core: cuts %d/%d (%v, %v) out of key order", i-1, i, p, c)
+			}
+		}
+		prevPos = c.Pos
+	}
+	piece := 0 // cuts[piece] is the first cut positioned past element i
+	for i, v := range vals {
+		for piece < len(cuts) && i >= cuts[piece].Pos {
+			piece++
+		}
+		if piece > 0 {
+			if c := cuts[piece-1]; c.leftOf(v) {
+				return fmt.Errorf("core: vals[%d]=%d violates right side of cut %s%d@%d", i, v, cutOpString(c.Incl), c.Val, c.Pos)
+			}
+		}
+		if piece < len(cuts) {
+			if c := cuts[piece]; !c.leftOf(v) {
+				return fmt.Errorf("core: vals[%d]=%d violates left side of cut %s%d@%d", i, v, cutOpString(c.Incl), c.Val, c.Pos)
+			}
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"crackdb/internal/expr"
@@ -316,6 +317,89 @@ func TestLineageFoldedOnDemand(t *testing.T) {
 	}
 	if a, b := eager.Lineage().Render(), lazy.Lineage().Render(); a != b {
 		t.Fatalf("folding per crack and folding once render differently:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestLineageRerootsAfterFold: lineage nodes and the crack log hold
+// absolute positions, so a fold that moves cuts would leave them naming
+// the wrong pieces. The fold marks the lineage stale instead, and the
+// next reader gets one root cracked into the pieces the index has now —
+// the same lazy path a restored column takes — with later cracks folded
+// in on top.
+func TestLineageRerootsAfterFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const n = 5000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << 20)
+	}
+	c := NewColumn("R", vals)
+	crack := func(k int) {
+		for q := 0; q < k; q++ {
+			lo := rng.Int63n(1 << 20)
+			c.Select(lo, lo+rng.Int63n(1<<14), rng.Intn(2) == 0, rng.Intn(2) == 0)
+		}
+	}
+	checkTiles := func(c *Column, why string) {
+		t.Helper()
+		size := c.Len()
+		pieces := c.Index().Pieces(size)
+		leaves := c.Lineage().Leaves()
+		if len(leaves) != len(pieces) {
+			t.Fatalf("%s: %d lineage leaves, index has %d pieces", why, len(leaves), len(pieces))
+		}
+		for i, l := range leaves {
+			if [2]int{l.Lo, l.Hi} != pieces[i] {
+				t.Fatalf("%s: leaf %d = [%d,%d), piece %v", why, i, l.Lo, l.Hi, pieces[i])
+			}
+		}
+	}
+	crack(200)
+	c.Lineage() // fold the log into a DAG the update then invalidates
+	for i := 0; i < 40; i++ {
+		c.Insert(rng.Int63n(1 << 20)) // mid-domain: cuts shift
+	}
+	c.Delete(7)
+	crack(50) // folds, then logs cracks at post-fold positions
+	if c.Stats().CutsShifted == 0 {
+		t.Fatal("the fold shifted no cut: the test does not exercise re-rooting")
+	}
+	checkTiles(c, "after a cut-moving fold")
+	if !strings.Contains(c.Lineage().Render(), "after update") {
+		t.Fatalf("re-rooted lineage does not say why:\n%s", c.Lineage().Render())
+	}
+	crack(50)
+	checkTiles(c, "cracks after the re-root")
+
+	// JoinCrack reads the lineage too: on a stale one it must re-root,
+	// not split leaves that are no longer there.
+	c.Insert(1 << 19)
+	v := c.Select(1<<18, 1<<19, true, true)
+	jp := JoinCrack(v, NewColumn("S", vals[:100]).Select(0, 1<<20, true, true))
+	pos, split := 0, false
+	for _, l := range c.Lineage().Leaves() {
+		if l.Lo != pos {
+			t.Fatalf("after a join crack on a stale lineage: leaves do not tile at %d", pos)
+		}
+		pos = l.Hi
+		split = split || l.Op == "^" && l.Lo == jp.RMatch.Lo && l.Hi == jp.RMatch.Hi
+	}
+	if pos != c.Len() || !split {
+		t.Fatalf("leaves end at %d of %d; ^ piece recorded: %v", pos, c.Len(), split)
+	}
+	crack(20)
+
+	// A restored column allocates no lineage until asked.
+	r, err := ColumnFromState(c.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.lin != nil {
+		t.Fatal("ColumnFromState built a lineage eagerly")
+	}
+	checkTiles(r, "restored")
+	if !strings.Contains(r.Lineage().Render(), "restored") {
+		t.Fatalf("restored lineage does not say so:\n%s", r.Lineage().Render())
 	}
 }
 

@@ -181,9 +181,10 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 	c.stats.cracks.Add(1)
 	c.stats.tuplesTouched.Add(int64(hi - lo))
 	c.stats.tuplesMoved.Add(moved)
-	c.lin.fold()
-	if leaf := c.lin.LeafCovering(lo, hi); leaf != nil && i > lo && i < hi {
-		c.lin.Crack(leaf, "^", detail, [2]int{lo, i}, [2]int{i, hi})
+	if lin := c.lineageLocked(); i > lo && i < hi {
+		if leaf := lin.LeafCovering(lo, hi); leaf != nil {
+			lin.Crack(leaf, "^", detail, [2]int{lo, i}, [2]int{i, hi})
+		}
 	}
 	return i
 }

@@ -279,7 +279,7 @@ func TestEstimateProbesMatchPieceWalk(t *testing.T) {
 		}
 		var opts []Option
 		if round%2 == 1 {
-			opts = append(opts, WithUpdateStrategy(MergeRipple))
+			opts = append(opts, WithFold(FoldRipple))
 		}
 		c := NewColumn("a", vals, opts...)
 		for step := 0; step < 40; step++ {

@@ -19,9 +19,9 @@ import (
 //
 // Deliberately volatile (not exported): the work counters (Stats) and the
 // lineage DAG's crack history. Counters restart at zero; the lineage is
-// rebuilt flat — one root cracked into the current leaf pieces — because
-// the piece tiling, not the order cracks happened in, is what queries and
-// invariants consume.
+// rebuilt flat — one root cracked into the current leaf pieces, and only
+// when somebody asks for it — because the piece tiling, not the order
+// cracks happened in, is what queries and invariants consume.
 
 // StrategyState is the serializable identity of a crack strategy: its
 // registry name, cut-off granularity, and the opaque RNG state word of
@@ -101,22 +101,23 @@ func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 		return nil, fmt.Errorf("core: column %q state has %d values but %d oids",
 			st.Name, len(st.Vals), len(st.OIDs))
 	}
+	if err := VerifyCuts(st.Vals, st.Cuts); err != nil {
+		return nil, fmt.Errorf("core: column %q state rejected: %w", st.Name, err)
+	}
+	idx, err := IndexFromSorted(st.Cuts)
+	if err != nil {
+		return nil, fmt.Errorf("core: column %q state rejected: %w", st.Name, err)
+	}
 	c := &Column{
 		id:      columnIDs.Add(1),
 		name:    st.Name,
 		vals:    append([]int64(nil), st.Vals...),
 		oids:    append([]bat.OID(nil), st.OIDs...),
-		idx:     &Index{},
+		idx:     idx,
+		reroot:  "restored",
 		sorted:  st.Sorted,
 		nextOID: st.NextOID,
 		deleted: make(map[bat.OID]struct{}, len(st.Deleted)),
-	}
-	for _, cut := range st.Cuts {
-		if cut.Pos < 0 || cut.Pos > len(c.vals) {
-			return nil, fmt.Errorf("core: column %q cut %v out of range [0,%d]",
-				st.Name, cut, len(c.vals))
-		}
-		c.idx.Insert(cut.Val, cut.Incl, cut.Pos)
 	}
 	for _, p := range st.Pending {
 		if p.OID >= c.nextOID {
@@ -128,18 +129,8 @@ func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 	for _, oid := range st.Deleted {
 		c.deleted[oid] = struct{}{}
 	}
-	// Rebuild a flat lineage: one root cracked into the restored pieces.
-	// The crack-by-crack history is deliberately volatile (see above).
-	c.lin = NewLineage(c.name)
-	root := c.lin.Root(0, len(c.vals))
-	if pieces := c.idx.Pieces(len(c.vals)); len(pieces) > 1 {
-		c.lin.Crack(root, "Ξ", "restored", pieces...)
-	}
 	for _, o := range opts {
 		o(c)
-	}
-	if err := c.Verify(); err != nil {
-		return nil, fmt.Errorf("core: column %q state rejected: %w", st.Name, err)
 	}
 	return c, nil
 }
@@ -158,9 +149,8 @@ func sortOIDs(s []bat.OID) {
 // nextOID or the deleted set and therefore the fingerprint).
 //
 // Deliberately NOT part of the hash: Index.Version(). ColumnFromState
-// rebuilds the index cut by cut, so version counters differ between a
-// live column and its restored twin even though the crack state is
-// identical. Hashing the cut contents keeps fingerprints stable across a
+// builds a fresh index, so version counters differ between a live column
+// and its restored twin even though the crack state is identical. Hashing the cut contents keeps fingerprints stable across a
 // save/restore round trip, which is what differential checkpoints need.
 func (c *Column) StateFingerprint() uint64 {
 	c.mu.RLock()

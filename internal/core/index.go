@@ -26,8 +26,10 @@ import "fmt"
 // with incl=false sorting before incl=true, matching the element order
 // they induce.
 //
-// Cut positions never move: cracking only reorders elements within a
-// piece, never across an existing cut.
+// Cracking never moves a cut position: it only reorders elements within
+// a piece, never across an existing cut. Folding pending updates does —
+// an insert below a cut shifts it right, a delete shifts it left — and
+// rewrites the positions in place through descend/ascend.
 
 // Index is the cracker index over one column: an AVL tree of cuts keyed
 // by (value, inclusive). Lookups, floor/ceiling navigation, insertion and
@@ -38,16 +40,42 @@ type Index struct {
 	root *inode
 	size int
 	// version counts mutations — cut registrations, deletions, resets,
-	// and position overwrites (the pending-update paths reposition
-	// existing cuts through Insert). Column's flat batch snapshot is
-	// keyed on it: a snapshot built at version v stays valid exactly
-	// while the version holds.
+	// and walks that repositioned a cut (the update fold). Column's flat
+	// batch snapshot is keyed on it: a snapshot built at version v stays
+	// valid exactly while the version holds.
 	version uint64
 }
 
 // Version returns the mutation counter. It changes on every Insert,
-// Delete and Reset, including position-overwriting inserts.
+// Delete and Reset, and once per walk that moved at least one cut.
 func (ix *Index) Version() uint64 { return ix.version }
+
+// IndexFromSorted builds the index over cuts already in strictly
+// ascending key order — what an image stores — in O(p): the midpoint of
+// each range becomes its subtree's root, so the tree is balanced by
+// construction and no insertion ever rebalances. Input out of key order
+// is rejected; positions are the caller's to check (VerifyCuts).
+func IndexFromSorted(cuts []Cut) (*Index, error) {
+	for i := 1; i < len(cuts); i++ {
+		if p, c := cuts[i-1], cuts[i]; cmpCut(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
+			return nil, fmt.Errorf("core: cuts %d/%d (%v, %v) out of key order", i-1, i, p, c)
+		}
+	}
+	nodes := make([]inode, len(cuts)) // one slab, not p allocations
+	var build func(lo, hi int) *inode
+	build = func(lo, hi int) *inode {
+		if lo >= hi {
+			return nil
+		}
+		mid := int(uint(lo+hi) >> 1)
+		n := &nodes[mid]
+		*n = inode{val: cuts[mid].Val, incl: cuts[mid].Incl, pos: cuts[mid].Pos,
+			left: build(lo, mid), right: build(mid+1, hi)}
+		n.height = 1 + max(height(n.left), height(n.right))
+		return n
+	}
+	return &Index{root: build(0, len(cuts)), size: len(cuts)}, nil
+}
 
 type inode struct {
 	val    int64
@@ -211,6 +239,46 @@ func deleteNode(n *inode, val int64, incl bool) (*inode, bool) {
 		}
 	}
 	return rebalance(n), deleted
+}
+
+// descend visits the cuts from the greatest key down, ascend from the
+// smallest up, until visit returns more=false. visit also returns the
+// position the cut now has: the update fold shifts the cuts it crosses
+// in the same walk that finds them, without copying the cut list. A
+// walk that stops after k cuts costs O(log p + k).
+func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) {
+	if _, moved := walkCuts(ix.root, true, visit); moved {
+		ix.version++
+	}
+}
+
+func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) {
+	if _, moved := walkCuts(ix.root, false, visit); moved {
+		ix.version++
+	}
+}
+
+func walkCuts(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) (more, moved bool) {
+	if n == nil {
+		return true, false
+	}
+	first, second := n.left, n.right
+	if desc {
+		first, second = second, first
+	}
+	more, moved = walkCuts(first, desc, visit)
+	if !more {
+		return false, moved
+	}
+	pos, more := visit(Cut{Val: n.val, Incl: n.incl, Pos: n.pos})
+	if pos != n.pos {
+		n.pos, moved = pos, true
+	}
+	if !more {
+		return false, moved
+	}
+	more, m2 := walkCuts(second, desc, visit)
+	return more, moved || m2
 }
 
 // Cut is the exported form of one registered boundary.

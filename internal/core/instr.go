@@ -63,11 +63,14 @@ func (t *CrackedTable) SetInstr(in *Instr) {
 // finishWriteHold can attribute the hold's deltas to one CrackEvent.
 // The caller must hold the write lock across begin/finish.
 type holdState struct {
-	start   time.Time
-	cuts    int
-	cracks  int64
-	touched int64
-	moved   int64
+	start    time.Time
+	cuts     int
+	cracks   int64
+	touched  int64
+	moved    int64
+	rebuilds int64
+	shifted  int64
+	folded   int64
 }
 
 func (c *Column) beginWriteHoldLocked() holdState {
@@ -77,12 +80,18 @@ func (c *Column) beginWriteHoldLocked() holdState {
 		cracks:  c.stats.cracks.Load(),
 		touched: c.stats.tuplesTouched.Load(),
 		moved:   c.stats.tuplesMoved.Load(),
+
+		rebuilds: c.stats.rebuildFolds.Load(),
+		shifted:  c.stats.cutsShifted.Load(),
+		folded:   c.stats.folded.Load(),
 	}
 }
 
 // finishWriteHold observes the hold duration and, when the hold
 // physically reorganized the column, records a CrackEvent carrying the
-// advising predicate's bounds and the work deltas.
+// advising predicate's bounds and the work deltas. An update fold counts
+// as reorganization when it moved a cut or dropped the index; one that
+// only appended above the last cut is as quiet as a lookup.
 func (c *Column) finishWriteHold(in *Instr, hs holdState, low, high int64) {
 	holdNS := time.Since(hs.start).Nanoseconds()
 	if in.WriteHold != nil {
@@ -90,8 +99,16 @@ func (c *Column) finishWriteHold(in *Instr, hs holdState, low, high int64) {
 	}
 	cracks := c.stats.cracks.Load() - hs.cracks
 	cutsAdded := c.idx.Len() - hs.cuts
-	if cracks == 0 && cutsAdded == 0 {
-		return // consolidation-only or lost race: nothing cracked
+	folded := c.stats.folded.Load() - hs.folded
+	var fold foldKind // zero: no fold in this hold
+	switch {
+	case c.stats.rebuildFolds.Load() != hs.rebuilds:
+		fold = foldRebuild
+	case folded > 0:
+		fold = foldRipple
+	}
+	if cracks == 0 && cutsAdded == 0 && fold != foldRebuild && c.stats.cutsShifted.Load() == hs.shifted {
+		return // lost race, or a fold that left every cut where it was: nothing reorganized
 	}
 	in.Trace.Record(obs.CrackEvent{
 		Shard:         in.Shard,
@@ -103,6 +120,8 @@ func (c *Column) finishWriteHold(in *Instr, hs holdState, low, high int64) {
 		TuplesTouched: c.stats.tuplesTouched.Load() - hs.touched,
 		TuplesMoved:   c.stats.tuplesMoved.Load() - hs.moved,
 		HoldNS:        holdNS,
+		Fold:          fold.String(),
+		Folded:        folded,
 	})
 }
 

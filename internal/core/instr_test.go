@@ -159,3 +159,40 @@ func TestTableSetInstr(t *testing.T) {
 		t.Fatalf("events must come from distinct columns: %+v", evs)
 	}
 }
+
+// TestFoldEventsRecorded: a fold that reorganized the column — moved a
+// cut, or dropped the index — reaches the crack-event ring even when the
+// statement that triggered it cracked nothing; an append above the last
+// cut stays as quiet as a lookup.
+func TestFoldEventsRecorded(t *testing.T) {
+	const n, cells = 4096, 16
+	c, in := convergedInstr(n, cells, 255)
+	mark := in.Trace.Mark()
+	step := int64(n / cells)
+	converged := func() { c.Select(step, 2*step, true, false) }
+
+	for i := 0; i < 8; i++ {
+		c.Insert(int64(n) + int64(i)) // above every cut
+	}
+	converged()
+	if evs := in.Trace.Since(mark); len(evs) != 0 {
+		t.Fatalf("an append above the last cut recorded %d events: %+v", len(evs), evs)
+	}
+
+	c.Insert(5) // below every cut but the first
+	c.Delete(0)
+	converged()
+	evs := in.Trace.Since(mark)
+	if len(evs) != 1 || evs[0].Fold != "ripple" || evs[0].Folded != 2 || evs[0].Cracks != 0 || evs[0].TuplesMoved == 0 {
+		t.Fatalf("cut-moving fold: events %+v", evs)
+	}
+
+	mark = in.Trace.Mark()
+	c.forceFold = foldRebuild
+	c.Insert(7)
+	converged() // the index is gone: this one re-cracks too
+	evs = in.Trace.Since(mark)
+	if len(evs) != 1 || evs[0].Fold != "rebuild" || evs[0].Folded != 1 || evs[0].Cracks == 0 {
+		t.Fatalf("rebuilding fold: events %+v", evs)
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 func TestRippleInsertKeepsIndexValid(t *testing.T) {
 	vals := []int64{50, 10, 90, 30, 70, 20, 80, 40, 60, 0}
-	c := NewColumn("a", vals, WithUpdateStrategy(MergeRipple))
+	c := NewColumn("a", vals, WithFold(FoldRipple))
 	// Crack into several pieces first.
 	c.Select(25, 65, true, true)
 	c.Select(45, 85, true, true)
@@ -26,7 +26,7 @@ func TestRippleInsertKeepsIndexValid(t *testing.T) {
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// The index survived (merge-complete would have reset it).
+	// The index survived (a rebuild would have reset it).
 	if got := c.Pieces(); got < piecesBefore {
 		t.Fatalf("ripple merge dropped pieces: %d < %d", got, piecesBefore)
 	}
@@ -35,7 +35,7 @@ func TestRippleInsertKeepsIndexValid(t *testing.T) {
 
 func TestRippleDeleteKeepsIndexValid(t *testing.T) {
 	vals := []int64{50, 10, 90, 30, 70, 20, 80, 40, 60, 0}
-	c := NewColumn("a", vals, WithUpdateStrategy(MergeRipple))
+	c := NewColumn("a", vals, WithFold(FoldRipple))
 	c.Select(25, 65, true, true)
 	piecesBefore := c.Pieces()
 
@@ -73,8 +73,8 @@ func TestRippleCheaperThanRebuildForTrickle(t *testing.T) {
 		base[i] = rng.Int63n(int64(n))
 	}
 
-	run := func(strategy UpdateStrategy) int64 {
-		c := NewColumn("a", base, WithUpdateStrategy(strategy))
+	run := func(fold foldKind) int64 {
+		c := NewColumn("a", base, WithFold(fold))
 		// Crack well first.
 		qrng := rand.New(rand.NewSource(17))
 		for q := 0; q < 30; q++ {
@@ -91,14 +91,14 @@ func TestRippleCheaperThanRebuildForTrickle(t *testing.T) {
 		return c.Stats().TuplesMoved - moved
 	}
 
-	ripple := run(MergeRipple)
-	complete := run(MergeComplete)
+	ripple := run(FoldRipple)
+	complete := run(FoldRebuild)
 	if ripple*2 >= complete {
-		t.Fatalf("ripple moved %d tuples, not well below merge-complete's %d", ripple, complete)
+		t.Fatalf("ripple moved %d tuples, not well below rebuild's %d", ripple, complete)
 	}
 }
 
-// Property: both update strategies give identical answers under random
+// Property: both folds give identical answers under random
 // interleavings of inserts, deletes, and range queries.
 func TestQuickUpdateStrategiesAgree(t *testing.T) {
 	f := func(seed int64) bool {
@@ -108,8 +108,8 @@ func TestQuickUpdateStrategiesAgree(t *testing.T) {
 		for i := range base {
 			base[i] = rng.Int63n(1000)
 		}
-		a := NewColumn("a", base, WithUpdateStrategy(MergeComplete))
-		b := NewColumn("b", base, WithUpdateStrategy(MergeRipple))
+		a := NewColumn("a", base, WithFold(FoldRebuild))
+		b := NewColumn("b", base, WithFold(FoldRipple))
 
 		for step := 0; step < 120; step++ {
 			switch rng.Intn(5) {
@@ -158,7 +158,7 @@ func TestRippleIntoEmptyPiece(t *testing.T) {
 	// Build adjacent cuts with an empty piece between them: point query
 	// on an absent value creates two cuts at the same position.
 	vals := []int64{10, 30, 50, 70}
-	c := NewColumn("a", vals, WithUpdateStrategy(MergeRipple))
+	c := NewColumn("a", vals, WithFold(FoldRipple))
 	if got := c.Count(40, 40, true, true); got != 0 {
 		t.Fatalf("point query on absent value = %d", got)
 	}
@@ -172,7 +172,7 @@ func TestRippleIntoEmptyPiece(t *testing.T) {
 }
 
 func TestRippleStatsCounted(t *testing.T) {
-	c := NewColumn("a", []int64{5, 1, 9, 3, 7}, WithUpdateStrategy(MergeRipple))
+	c := NewColumn("a", []int64{5, 1, 9, 3, 7}, WithFold(FoldRipple))
 	c.Select(2, 6, true, true)
 	moved := c.Stats().TuplesMoved
 	c.Insert(4)

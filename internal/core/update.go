@@ -1,152 +1,196 @@
 package core
 
 import (
-	"sort"
-
-	"crackdb/internal/bat"
+	"cmp"
+	"math"
+	"slices"
 )
 
-// Update strategies for cracked columns. The paper leaves volatility as
-// future work (§7: "what are the effects of updates on the scheme
-// proposed?"); two strategies are provided:
+// Folding pending updates into a cracked column. The paper leaves
+// volatility as future work (§7: "what are the effects of updates on the
+// scheme proposed?"); this is the repo's answer: one fold that keeps the
+// cracker index.
 //
-//   - MergeComplete rebuilds the column from scratch when pending
-//     updates exist, discarding the cracker index. Simple, and optimal
-//     when updates arrive in large batches.
-//
-//   - MergeRipple inserts (and deletes) tuples piece by piece: a hole is
-//     rippled across the pieces between the array end and the target
-//     piece, moving ONE tuple per crossed piece and keeping the entire
-//     cracker index valid. Cost O(pieces) per update instead of a full
-//     rebuild — the right choice under trickle updates.
-//
-// Both preserve the loss-less invariant; the property tests run the same
-// interleaved workloads against both.
+// A pending value belongs to the piece whose bounding cuts admit it, so
+// every cut above that piece has to move right by one — by s, for the s
+// values of a batch that sort left of it. rippleWalk makes that one
+// descending pass over the cuts: the piece under each crossed cut gives
+// up min(s, piece length) tuples from its front to the slots its right
+// neighbour just vacated (order inside a piece is free, so the rest of
+// the piece stays put), the batch values that belong there follow, and
+// the walk stops at the first cut nothing crosses. An append above the
+// last cut is O(log p + k); deletes are one ascending compaction
+// (compactLocked) that shifts each cut left by the tuples removed
+// before it. DESIGN.md (Updates) has the cost model.
 
-// UpdateStrategy selects how pending updates are folded in.
-type UpdateStrategy uint8
+// foldKind is what a fold did with the index. A column's forceFold pins
+// it for tests and ablations; the zero value lets the write count decide.
+type foldKind uint8
 
-// Update strategies.
 const (
-	MergeComplete UpdateStrategy = iota
-	MergeRipple
+	foldByCost  foldKind = iota
+	foldRipple           // cuts shifted in place, index kept
+	foldRebuild          // batch appended, index dropped
 )
 
-// String names the strategy.
-func (u UpdateStrategy) String() string {
-	if u == MergeRipple {
-		return "merge-ripple"
+func (k foldKind) String() string {
+	switch k {
+	case foldRipple:
+		return "ripple"
+	case foldRebuild:
+		return "rebuild"
 	}
-	return "merge-complete"
+	return ""
 }
 
-// WithUpdateStrategy selects the column's update folding strategy.
-func WithUpdateStrategy(u UpdateStrategy) Option {
-	return func(c *Column) { c.updateStrategy = u }
+// leftOf reports whether v sorts on the left side of the cut.
+func (c Cut) leftOf(v int64) bool { return v < c.Val || c.Incl && v == c.Val }
+
+// rippleWalk folds a batch of keys, sorted ascending, into vectors of n
+// tuples partitioned by ix. It is a free function over the index so any
+// set of parallel vectors sharing one cut index can be folded: the
+// vectors are the caller's, already grown to n+len(keys), and reached
+// only through apply(dst, src, mv, from, to) — move the mv tuples at src
+// to dst, then place the batch entries [from, to) behind them.
+//
+// With apply nil nothing moves and no cut is rewritten: the walk only
+// counts, and gives up once the count passes limit. The count — tuples
+// written (moved + placed) and cuts shifted — is exact: it is the same
+// walk.
+func rippleWalk(ix *Index, n int, keys []int64, limit int, apply func(dst, src, mv, from, to int)) (written, shifted int) {
+	upper, j := n, len(keys) // old end of the piece being filled; batch entries at or below it
+	ix.descend(func(c Cut) (int, bool) {
+		s := j // batch entries that cross c
+		for s > 0 && !c.leftOf(keys[s-1]) {
+			s--
+		}
+		mv := min(s, upper-c.Pos)
+		if apply != nil {
+			apply(upper+s-mv, c.Pos, mv, s, j)
+		}
+		written += mv + j - s
+		upper, j = c.Pos, s
+		if s == 0 || written+shifted >= limit {
+			return c.Pos, false
+		}
+		shifted++
+		if apply == nil {
+			return c.Pos, true
+		}
+		return c.Pos + s, true
+	})
+	if j > 0 && written+shifted < limit { // ran off the smallest cut: the rest is the first piece's
+		if apply != nil {
+			apply(upper, 0, 0, 0, j)
+		}
+		written += j
+	}
+	return written, shifted
 }
 
-// rippleInsert physically inserts (oid, val) while keeping every
-// registered cut valid. The value belongs to the piece whose value range
-// covers it; a hole is created at the array end and rippled left across
-// piece boundaries: each crossed piece donates its first element to its
-// own end, and the crossed cut shifts right by one. The caller holds
-// c.mu.
-func (c *Column) rippleInsert(oid bat.OID, val int64) {
-	cuts := c.idx.Cuts()
-
-	// Grow by one: the hole starts at the new last slot.
-	c.vals = append(c.vals, 0)
-	c.oids = append(c.oids, 0)
-	hole := len(c.vals) - 1
-
-	// Walk the cuts from the largest key down. Every cut whose key puts
-	// val on its left must shift right by one; the piece right of it
-	// donates its first element to the hole sitting at that piece's end.
-	// The first cut that keeps val on its right stops the walk — the
-	// hole is now inside val's piece. Selecting by key order (not by
-	// position) also handles twin cuts at equal positions (empty pieces)
-	// and cuts parked at the array end.
-	for i := len(cuts) - 1; i >= 0; i-- {
-		cut := cuts[i]
-		leftOfCut := val < cut.Val || (cut.Incl && val == cut.Val)
-		if !leftOfCut {
-			break
-		}
-		if cut.Pos < hole {
-			c.vals[hole] = c.vals[cut.Pos]
-			c.oids[hole] = c.oids[cut.Pos]
-			c.stats.tuplesMoved.Add(1)
-			hole = cut.Pos
-		}
-		c.idx.Insert(cut.Val, cut.Incl, cut.Pos+1)
+// consolidateLocked folds pending inserts and deletes into the value
+// vector. Deletes compact in place and inserts ripple in, both keeping
+// the index — unless rippling would write more than a reset costs: a
+// column without cuts pays one partition pass over its n tuples at the
+// next query, at most n tuple writes, so the index is dropped exactly
+// when keeping it writes more than n (tuples moved + placed + cuts
+// shifted, counted by the walk itself before anything moves). A fully
+// sorted column always takes the reset and is sorted again.
+func (c *Column) consolidateLocked() {
+	if len(c.pending) == 0 && len(c.deleted) == 0 {
+		return
 	}
-	c.vals[hole] = val
-	c.oids[hole] = oid
-	c.stats.tuplesMoved.Add(1)
-	c.sorted = false // intra-piece order is not maintained
-}
+	c.stats.folded.Add(int64(len(c.pending) + len(c.deleted)))
 
-// rippleDelete removes the element at position pos, keeping all cuts
-// valid: the hole is rippled right to the array end (each crossed piece
-// donates its last element to its own start, each crossed cut shifts
-// left by one), then the array shrinks by one. The caller holds c.mu.
-func (c *Column) rippleDelete(pos int) {
-	cuts := c.idx.Cuts()
-	hole := pos
-	// Cuts at positions <= pos are unaffected. Process the others left
-	// to right.
-	i := sort.Search(len(cuts), func(j int) bool { return cuts[j].Pos > pos })
-	for ; i < len(cuts); i++ {
-		cut := cuts[i]
-		// Fill the hole with the last element of the piece left of the
-		// cut, moving the hole to that piece's end.
-		if cut.Pos-1 != hole {
-			c.vals[hole] = c.vals[cut.Pos-1]
-			c.oids[hole] = c.oids[cut.Pos-1]
-			c.stats.tuplesMoved.Add(1)
-			hole = cut.Pos - 1
-		}
-		c.idx.Insert(cut.Val, cut.Incl, cut.Pos-1)
-	}
-	// Fill with the overall last element, then shrink.
-	last := len(c.vals) - 1
-	if hole != last {
-		c.vals[hole] = c.vals[last]
-		c.oids[hole] = c.oids[last]
-		c.stats.tuplesMoved.Add(1)
-	}
-	c.vals = c.vals[:last]
-	c.oids = c.oids[:last]
-	c.sorted = false
-}
-
-// consolidateRippleLocked folds pending updates piece by piece. The
-// caller holds c.mu.
-func (c *Column) consolidateRippleLocked() {
-	// Deletes first: locate each victim's position by oid.
-	if len(c.deleted) > 0 {
-		// One pass builds the position of every victim currently in the
-		// store (pending inserts that were deleted never materialize).
-		for pos := 0; pos < len(c.vals); {
-			if _, gone := c.deleted[c.oids[pos]]; gone {
-				delete(c.deleted, c.oids[pos])
-				c.rippleDelete(pos)
-				// Re-examine pos: a new element rippled into it.
-				continue
-			}
-			pos++
-		}
-	}
+	// An insert deleted while still pending never materializes.
+	batch := c.pending[:0]
 	for _, p := range c.pending {
 		if _, gone := c.deleted[p.oid]; gone {
 			delete(c.deleted, p.oid)
 			continue
 		}
-		c.rippleInsert(p.oid, p.val)
+		batch = append(batch, p)
 	}
 	c.pending = nil
-	for oid := range c.deleted {
-		delete(c.deleted, oid) // deletes of unknown/never-arriving oids
+	var written, shifted int
+	if len(c.deleted) > 0 {
+		written, shifted = c.compactLocked()
+		clear(c.deleted) // whatever is left named no stored tuple
 	}
-	c.stats.consolidations.Add(1)
+
+	n, k := len(c.vals), len(batch)
+	slices.SortFunc(batch, func(a, b pendingInsert) int {
+		return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.oid, b.oid))
+	})
+	keys := make([]int64, k)
+	for i, p := range batch {
+		keys[i] = p.val
+	}
+	kind := c.forceFold
+	if c.sorted {
+		kind = foldRebuild
+	} else if kind == foldByCost {
+		kind = foldRipple
+		if w, s := rippleWalk(c.idx, n, keys, n+1, nil); w+s > n {
+			kind = foldRebuild
+		}
+	}
+
+	// Lineage nodes and the crack log hold absolute positions, which the
+	// fold is about to move: Lineage() re-roots from the index on demand.
+	c.lin, c.reroot = nil, "after update"
+	c.vals = slices.Grow(c.vals, k)[:n+k]
+	c.oids = slices.Grow(c.oids, k)[:n+k]
+	place := func(dst, src, mv, from, to int) {
+		copy(c.vals[dst:dst+mv], c.vals[src:])
+		copy(c.oids[dst:dst+mv], c.oids[src:])
+		for i, p := range batch[from:to] {
+			c.vals[dst+mv+i], c.oids[dst+mv+i] = p.val, p.oid
+		}
+	}
+	if kind == foldRipple {
+		w, s := rippleWalk(c.idx, n, keys, math.MaxInt, place)
+		written, shifted = written+w, shifted+s
+		c.stats.rippleFolds.Add(1)
+	} else {
+		place(n, 0, 0, 0, k)
+		written += k
+		c.idx.Reset()
+		c.stats.rebuildFolds.Add(1)
+		if c.sorted {
+			c.sortLocked("re-sort after consolidation")
+		}
+	}
+	c.stats.tuplesMoved.Add(int64(written))
+	c.stats.cutsShifted.Add(int64(shifted))
+}
+
+// compactLocked removes the stored tuples named by c.deleted in one
+// ascending pass, closing the gaps in place: every cut lands on the
+// write cursor as the sweep reaches it, i.e. moves left by the tuples
+// removed before it. O(n + p), index kept.
+func (c *Column) compactLocked() (written, shifted int) {
+	r, w := 0, 0
+	sweep := func(to int) {
+		for ; r < to; r++ {
+			if _, gone := c.deleted[c.oids[r]]; gone {
+				continue
+			}
+			if w != r {
+				c.vals[w], c.oids[w] = c.vals[r], c.oids[r]
+				written++
+			}
+			w++
+		}
+	}
+	c.idx.ascend(func(cut Cut) (int, bool) {
+		sweep(cut.Pos)
+		if w != cut.Pos {
+			shifted++
+		}
+		return w, true
+	})
+	sweep(len(c.vals))
+	c.vals, c.oids = c.vals[:w], c.oids[:w]
+	return written, shifted
 }

@@ -66,7 +66,6 @@ type StoreConfig struct {
 	StrategyName   string
 	StrategySeed   int64
 	MaxPieces      int
-	Ripple         bool
 	SidewaysBudget int
 }
 
@@ -228,7 +227,7 @@ func (e *imageEncoder) image(img *Image) {
 	e.str(img.Config.StrategyName)
 	e.u64(uint64(img.Config.StrategySeed))
 	e.u64(uint64(img.Config.MaxPieces))
-	e.bool(img.Config.Ripple)
+	e.bool(false) // was Config.Ripple: the fold is chosen by cost now; the byte keeps version 4 readable both ways
 	e.u64(uint64(img.Config.SidewaysBudget))
 	e.u32(uint32(len(img.Columns)))
 	for i := range img.Columns {
@@ -445,13 +444,11 @@ func (d *imageDecoder) image() *Image {
 		t.DataDirty = d.bool()
 		img.Tables = append(img.Tables, t)
 	}
-	img.Config = StoreConfig{
-		StrategyName:   d.str(),
-		StrategySeed:   int64(d.u64()),
-		MaxPieces:      d.int(),
-		Ripple:         d.bool(),
-		SidewaysBudget: d.int(),
-	}
+	img.Config.StrategyName = d.str()
+	img.Config.StrategySeed = int64(d.u64())
+	img.Config.MaxPieces = d.int()
+	d.bool() // was Config.Ripple; ignored
+	img.Config.SidewaysBudget = d.int()
 	// conservative minimum per column record
 	for n := d.count(uint64(d.u32()), 16, "column"); n > 0 && d.err == nil; n-- {
 		img.Columns = append(img.Columns, d.column())

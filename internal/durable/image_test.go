@@ -52,7 +52,7 @@ func sampleDelta() *Image {
 		PrevSum: 0x1234abcd,
 		Config: StoreConfig{
 			StrategyName: "ddc", StrategySeed: 7, MaxPieces: 4096,
-			Ripple: true, SidewaysBudget: 3,
+			SidewaysBudget: 3,
 		},
 		Tables: []ImageTable{
 			{Name: "cold", Cols: []string{"k", "v"}, Rows: 100, Deleted: []bat.OID{}},
@@ -86,7 +86,7 @@ func TestImageRoundTrip(t *testing.T) {
 		{"delta", sampleDelta()},
 		{"config-only base", &Image{
 			Base:   true,
-			Config: StoreConfig{StrategyName: "mdd1r", StrategySeed: 7, MaxPieces: 100, Ripple: true},
+			Config: StoreConfig{StrategyName: "mdd1r", StrategySeed: 7, MaxPieces: 100},
 		}},
 		{"crack-only delta", &Image{
 			PrevSum: 0, // 0 is a valid CRC: a delta all the same

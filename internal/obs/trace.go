@@ -17,6 +17,12 @@ type CrackEvent struct {
 	TuplesTouched int64
 	TuplesMoved   int64
 	HoldNS        int64 // write-lock hold duration
+
+	// Fold is set when the hold folded pending updates into the column:
+	// "ripple" (cuts shifted in place, index kept) or "rebuild" (index
+	// dropped); Folded is the number of inserts and deletes it folded.
+	Fold   string
+	Folded int64
 }
 
 // TraceBuf is a fixed-size ring of recent CrackEvents. Recording takes

@@ -124,10 +124,7 @@ func (s *Server) statsMeta(fields []string) (*Response, bool) {
 	if err != nil {
 		return &Response{Err: err.Error()}, false
 	}
-	resp := &Response{Columns: []string{
-		"shard", "queries", "cracks", "aux_cracks", "index_lookups",
-		"pieces", "tuples_moved", "tuples_touched", "strategy",
-	}}
+	resp := &Response{Columns: statsColumns("shard")}
 	var total crackdb.ColumnStats
 	for i, cs := range per {
 		resp.Rows = append(resp.Rows, statsRow(strconv.Itoa(i), cs))

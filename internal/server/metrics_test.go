@@ -170,6 +170,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		"crackdb_server_requests_total",
 		"crackdb_checkpoint_ns_count",
 		"crackdb_queries_total",
+		"crackdb_folds_total",
 		"crackdb_pieces",
 		"store_uptime_seconds",
 		"restarts_total",
@@ -257,8 +258,15 @@ func TestServerSlowQueryLog(t *testing.T) {
 	}
 	defer c.Close()
 	driveWorkload(t, c)
+	// An insert below registered cuts: the next statement on k cracks
+	// nothing, but its fold shifts cuts — a reorganization the log names.
+	for _, stmt := range []string{"INSERT INTO ev VALUES (15, 1)", "SELECT COUNT(*) FROM ev WHERE k >= 40 AND k < 160"} {
+		if resp, err := c.Exec(stmt); err != nil || resp.Err != "" {
+			t.Fatalf("%s: %+v, %v", stmt, resp, err)
+		}
+	}
 
-	var slow, crackLines int
+	var slow, crackLines, foldLines int
 	for _, line := range rec.snapshot() {
 		if strings.Contains(line, "slow query") {
 			slow++
@@ -266,6 +274,12 @@ func TestServerSlowQueryLog(t *testing.T) {
 		if strings.Contains(line, "crack shard=") && strings.Contains(line, "col=") {
 			crackLines++
 		}
+		if strings.Contains(line, "col=ev.k") && strings.Contains(line, "cracks=0") && strings.Contains(line, "fold=ripple folded=1") {
+			foldLines++
+		}
+	}
+	if foldLines != 1 {
+		t.Fatalf("slow-query log lists %d cut-moving folds, want 1:\n%s", foldLines, strings.Join(rec.snapshot(), "\n"))
 	}
 	if slow == 0 {
 		t.Fatal("no slow-query log lines at a 1ns threshold")

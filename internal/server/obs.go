@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,10 +82,14 @@ func (s *Server) dispatchTimed(cmd string) (*Response, bool) {
 				s.logf("  ... %d more crack events", len(evs)-slowLogMaxEvents)
 				break
 			}
-			s.logf("  crack shard=%d col=%s range=[%d,%d] cracks=%d cuts=%d touched=%d moved=%d hold=%v",
+			fold := ""
+			if ev.Fold != "" {
+				fold = fmt.Sprintf(" fold=%s folded=%d", ev.Fold, ev.Folded)
+			}
+			s.logf("  crack shard=%d col=%s range=[%d,%d] cracks=%d cuts=%d touched=%d moved=%d hold=%v%s",
 				ev.Shard, ev.Column, ev.Low, ev.High,
 				ev.Cracks, ev.CutsAdded, ev.TuplesTouched, ev.TuplesMoved,
-				time.Duration(ev.HoldNS))
+				time.Duration(ev.HoldNS), fold)
 		}
 	}
 	return resp, quit
@@ -118,10 +123,7 @@ func (s *Server) metricsMeta([]string) (*Response, bool) {
 // auto-tuner flipping only the shards a hostile walk visits) reports
 // "mixed".
 func (s *Server) statsSummary() (*Response, bool) {
-	resp := &Response{Columns: []string{
-		"scope", "queries", "cracks", "aux_cracks", "index_lookups",
-		"pieces", "tuples_moved", "tuples_touched", "strategy",
-	}}
+	resp := &Response{Columns: statsColumns("scope")}
 	perShard := make([]crackdb.ColumnStats, s.store.ShardCount())
 	var grand crackdb.ColumnStats
 	tables := s.store.Tables()

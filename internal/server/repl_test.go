@@ -168,6 +168,54 @@ func TestReplicationOracle(t *testing.T) {
 			if p, f := dumpSorted(t, pAddr, "t"), dumpSorted(t, fAddr, "t"); !equalLines(p, f) {
 				t.Fatalf("replica diverged after phase 1: primary %d rows, follower %d rows", len(p), len(f))
 			}
+
+			// Phase 2: an insert-heavy trickle on a converged key column —
+			// small batches between counts, so every statement that follows
+			// a batch folds it into a cracked column on whichever replica
+			// answers. Both sides must take the fold that keeps the index,
+			// and stay identical at the result level (their physical orders
+			// are their own).
+			folds := func(st *shard.Store) (ripple, rebuild int) {
+				per, err := st.ShardStats("t", "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range per {
+					ripple, rebuild = ripple+cs.RippleFolds, rebuild+cs.RebuildFolds
+				}
+				return ripple, rebuild
+			}
+			kCount := func(c *Client, lo int64) string {
+				resp, _ := c.Do(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE k >= %d AND k <= %d", lo, lo+4000))
+				if resp.Err != "" || len(resp.Rows) != 1 {
+					t.Fatalf("count: %+v", resp)
+				}
+				return resp.Rows[0][0]
+			}
+			for q := 0; q < 30; q++ { // converge both replicas on k
+				lo := rng.Int63n(95000)
+				kCount(pc, lo)
+				kCount(fc, lo)
+			}
+			pRipple, pRebuild := folds(pStore)
+			fRipple, fRebuild := folds(follower.Store())
+			for round := 0; round < 12; round++ {
+				insertBatch(16)
+				fence(t, fAddr, primaryNext(t, pStore))
+				lo := rng.Int63n(95000)
+				if p, f := kCount(pc, lo), kCount(fc, lo); p != f {
+					t.Fatalf("round %d: primary counts %s, follower %s", round, p, f)
+				}
+			}
+			if r, b := folds(pStore); r == pRipple || b != pRebuild {
+				t.Fatalf("primary folded the trickle with %d ripples, %d rebuilds", r-pRipple, b-pRebuild)
+			}
+			if r, b := folds(follower.Store()); r == fRipple || b != fRebuild {
+				t.Fatalf("follower folded the trickle with %d ripples, %d rebuilds", r-fRipple, b-fRebuild)
+			}
+			if p, f := dumpSorted(t, pAddr, "t"), dumpSorted(t, fAddr, "t"); !equalLines(p, f) {
+				t.Fatalf("replica diverged after the trickle: primary %d rows, follower %d rows", len(p), len(f))
+			}
 			fc.Close()
 
 			// Kill the follower mid-stream: stop pulling without closing its

@@ -308,6 +308,14 @@ func fromResultSet(rs *sql.ResultSet) *Response {
 	return out
 }
 
+// statsColumns heads every /stats answer; first names what a row is.
+func statsColumns(first string) []string {
+	return []string{
+		first, "queries", "cracks", "aux_cracks", "index_lookups",
+		"pieces", "tuples_moved", "tuples_touched", "folds_ripple", "folds_rebuild", "strategy",
+	}
+}
+
 func statsRow(label string, cs crackdb.ColumnStats) []string {
 	strat := cs.Strategy
 	if strat == "" {
@@ -322,6 +330,8 @@ func statsRow(label string, cs crackdb.ColumnStats) []string {
 		strconv.Itoa(cs.Pieces),
 		strconv.FormatInt(cs.TuplesMoved, 10),
 		strconv.FormatInt(cs.TuplesTouched, 10),
+		strconv.Itoa(cs.RippleFolds),
+		strconv.Itoa(cs.RebuildFolds),
 		strat,
 	}
 }

@@ -183,6 +183,31 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
 				t.Fatalf("delta 2: mode %q err %v", mode, err)
 			}
+			// A third round on a converged shard: a trickle of small batches
+			// between counts, so the image this round writes is the work of
+			// folds that shifted cuts in place — the state a long-running
+			// store actually checkpoints.
+			trickle := func(st *shard.Store, seed int64) {
+				for b := int64(0); b < 12; b++ {
+					rows := make([][]int64, 16)
+					for i := range rows {
+						rows[i] = []int64{3000 + (seed*977+b*61+int64(i)*53)%1000, b}
+					}
+					mustExec(t, st.InsertRows("t", rows))
+					lo := 3000 + (seed*131+b*89)%700
+					_, err := st.CountWhere("t",
+						crackdb.Cond{Col: "k", Op: ">=", Val: lo},
+						crackdb.Cond{Col: "k", Op: "<", Val: lo + 150})
+					mustExec(t, err)
+				}
+			}
+			trickle(s, 4)
+			if st, err := s.Shard(3).Stats("t", "k"); err != nil || st.RippleFolds == 0 || st.RebuildFolds != 0 {
+				t.Fatalf("trickle on a converged shard: %+v, %v — want ripple folds only", st, err)
+			}
+			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+				t.Fatalf("delta 3: mode %q err %v", mode, err)
+			}
 			// Set the chain aside, then have the live store fold the same
 			// state into a full image, for the oracle.
 			chainDir := filepath.Join(t.TempDir(), "chain")
@@ -195,7 +220,7 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 			chainStore, info, err := shard.OpenDurable(chainDir, rangeOpts())
 			mustExec(t, err)
 			defer chainStore.CloseWAL()
-			if !info.Recovered || info.ChainDeltas != 2 {
+			if !info.Recovered || info.ChainDeltas != 3 {
 				t.Fatalf("boot did not walk the chain: %+v", info)
 			}
 			oracle, info, err := shard.OpenDurable(dir, rangeOpts())
@@ -205,20 +230,24 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 				t.Fatalf("oracle did not boot from the full image alone: %+v", info)
 			}
 
-			for i := int64(0); i < 40; i++ {
-				lo := (i * 173) % 7500
-				conds := []crackdb.Cond{
-					{Col: "k", Op: ">=", Val: lo},
-					{Col: "k", Op: "<", Val: lo + 300},
-				}
-				a, err := chainStore.CountWhere("t", conds...)
-				mustExec(t, err)
-				b, err := oracle.CountWhere("t", conds...)
-				mustExec(t, err)
-				if a != b {
-					t.Fatalf("query %d: chain reboot %d, full-image reboot %d", i, a, b)
+			sameAnswers := func(why string) {
+				t.Helper()
+				for i := int64(0); i < 40; i++ {
+					lo := (i * 173) % 7500
+					conds := []crackdb.Cond{
+						{Col: "k", Op: ">=", Val: lo},
+						{Col: "k", Op: "<", Val: lo + 300},
+					}
+					a, err := chainStore.CountWhere("t", conds...)
+					mustExec(t, err)
+					b, err := oracle.CountWhere("t", conds...)
+					mustExec(t, err)
+					if a != b {
+						t.Fatalf("%s, query %d: chain reboot %d, full-image reboot %d", why, i, a, b)
+					}
 				}
 			}
+			sameAnswers("after reboot")
 			// Physical crack state matches shard for shard.
 			for i := 0; i < chainStore.ShardCount(); i++ {
 				sa, errA := chainStore.Shard(i).Stats("t", "k")
@@ -228,6 +257,16 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 				}
 				if errA == nil && sa.Pieces != sb.Pieces {
 					t.Fatalf("shard %d piece counts diverge: chain %d, full %d", i, sa.Pieces, sb.Pieces)
+				}
+			}
+			// Both reboots carry a real index now: the same trickle folds
+			// into each without dropping it, and they keep agreeing.
+			trickle(chainStore, 5)
+			trickle(oracle, 5)
+			sameAnswers("after a trickle on the rebooted stores")
+			for _, st := range []*shard.Store{chainStore, oracle} {
+				if cs, err := st.Shard(3).Stats("t", "k"); err != nil || cs.RippleFolds == 0 || cs.RebuildFolds != 0 {
+					t.Fatalf("trickle on a rebooted shard: %+v, %v — want ripple folds only", cs, err)
 				}
 			}
 		})

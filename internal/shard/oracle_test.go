@@ -298,3 +298,150 @@ func TestLoadTapestry(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateFoldOracle: a converged store keeps answering exactly under
+// interleaved inserts, deletes, counts and row fetches — single store ≡
+// four-shard router (hash and range) ≡ a plain slice of rows that was
+// never cracked — and it stays converged: every fold on the key column
+// keeps the cracker index. Batches land inside the domain (cuts shift),
+// above it (appends past the last cut) and on top of deleted ranges.
+func TestUpdateFoldOracle(t *testing.T) {
+	const n = 12000
+	for _, kind := range []shard.Kind{shard.Hash, shard.Range} {
+		t.Run(fmt.Sprint(kind), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			var model [][]int64
+			nextID := int64(0)
+			newRows := func(k int, key func() int64) [][]int64 {
+				rows := make([][]int64, k)
+				for i := range rows {
+					rows[i] = []int64{key(), nextID, rng.Int63n(64)}
+					nextID++
+				}
+				return rows
+			}
+			inDomain := func() int64 { return rng.Int63n(n) }
+
+			single := crackdb.New()
+			sharded := shard.New(shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, n - 1}})
+			stores := []crackdb.Backend{single.Backend(), sharded}
+			for _, s := range stores {
+				if err := s.CreateTable("t", "k", "v", "g"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			insert := func(rows [][]int64) {
+				for _, s := range stores {
+					if err := s.InsertRows("t", rows); err != nil {
+						t.Fatal(err)
+					}
+				}
+				model = append(model, rows...)
+			}
+			match := func(row []int64, conds []crackdb.Cond) bool {
+				for _, c := range conds {
+					v := row[map[string]int{"k": 0, "v": 1, "g": 2}[c.Col]]
+					if c.Op == ">=" && v < c.Val || c.Op == "<" && v >= c.Val {
+						return false
+					}
+				}
+				return true
+			}
+			check := func(step int, conds []crackdb.Cond) {
+				t.Helper()
+				var want [][]int64
+				for _, row := range model {
+					if match(row, conds) {
+						want = append(want, row)
+					}
+				}
+				wantRows := canonical(want)
+				for i, s := range stores {
+					got, err := s.CountWhere("t", conds...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != len(want) {
+						t.Fatalf("step %d store %d: CountWhere%v = %d, model %d", step, i, conds, got, len(want))
+					}
+					res, err := s.SelectWhere("t", conds...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, err := res.Rows("k", "v", "g")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if canonical(rows) != wantRows {
+						t.Fatalf("step %d store %d: rows for %v diverge from the model", step, i, conds)
+					}
+				}
+			}
+			keyRange := func(width int64) []crackdb.Cond {
+				lo := rng.Int63n(n + 200)
+				return []crackdb.Cond{{Col: "k", Op: ">=", Val: lo}, {Col: "k", Op: "<", Val: lo + width}}
+			}
+
+			insert(newRows(n, inDomain))
+			for q := 0; q < 150; q++ { // converge
+				check(-1, keyRange(240))
+			}
+			foldsBefore := func() (ripple, rebuild int) {
+				per, err := sharded.ShardStats("t", "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := single.Stats("t", "k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range append(per, st) {
+					ripple, rebuild = ripple+cs.RippleFolds, rebuild+cs.RebuildFolds
+				}
+				return ripple, rebuild
+			}
+			ripple0, rebuild0 := foldsBefore()
+
+			top := int64(n)
+			for step := 0; step < 80; step++ {
+				switch step % 4 {
+				case 0:
+					insert(newRows(16, inDomain))
+				case 1:
+					insert(newRows(16, func() int64 { top++; return top }))
+				case 2:
+					conds := keyRange(100)
+					if step%8 == 6 { // a delete the key column's cracker never sees as a range
+						lo := rng.Int63n(nextID)
+						conds = []crackdb.Cond{{Col: "v", Op: ">=", Val: lo}, {Col: "v", Op: "<", Val: lo + 10}}
+					}
+					kept := model[:0]
+					for _, row := range model {
+						if !match(row, conds) {
+							kept = append(kept, row)
+						}
+					}
+					for i, s := range stores {
+						got, err := s.Delete("t", conds...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != len(model)-len(kept) {
+							t.Fatalf("step %d store %d: Delete%v removed %d rows, model %d", step, i, conds, got, len(model)-len(kept))
+						}
+					}
+					model = kept
+				}
+				check(step, keyRange(240))
+				if step%5 == 0 {
+					check(step, append(keyRange(1200), crackdb.Cond{Col: "g", Op: "<", Val: 32}))
+				}
+			}
+			ripple1, rebuild1 := foldsBefore()
+			if ripple1 == ripple0 || rebuild1 != rebuild0 {
+				t.Fatalf("folds on the converged key column: %d ripple, %d rebuild — the update phase must ripple only",
+					ripple1-ripple0, rebuild1-rebuild0)
+			}
+		})
+	}
+}

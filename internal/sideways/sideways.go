@@ -384,9 +384,12 @@ func (g *Registry) evictOverBudget() {
 }
 
 // sync absorbs base rows appended since the spine's last
-// synchronization, resetting the cut index — the merge-complete
-// discipline: appended rows land at the tail, where they would violate
-// every registered cut's partition invariant.
+// synchronization, resetting the map's cut index: appended rows land at
+// the tail, where they would violate every registered cut's partition
+// invariant. The primary column no longer does this — its fold shifts
+// the crossed cuts and keeps its index (core/update.go) — but no
+// benchmark workload mixes inserts with row fetches, so the map keeps
+// the reset until one does and the saving can be measured.
 func (g *Registry) sync(ct *core.CrackedTable, m *mapSet) error {
 	n := ct.BaseLen()
 	if n == m.synced {
@@ -672,17 +675,18 @@ func (g *Registry) restoreSet(ct *core.CrackedTable, st MapState,
 		}
 		seen[o] = true
 	}
-	if err := verifyCuts(st.Keys, st.Cuts); err != nil {
+	if err := core.VerifyCuts(st.Keys, st.Cuts); err != nil {
+		return nil, fmt.Errorf("sideways: map %s.%s: %w", st.Table, st.Key, err)
+	}
+	idx, err := core.IndexFromSorted(st.Cuts)
+	if err != nil {
 		return nil, fmt.Errorf("sideways: map %s.%s: %w", st.Table, st.Key, err)
 	}
 	m := &mapSet{
 		table: st.Table, key: st.Key, ct: ct,
 		keys: append([]int64(nil), st.Keys...),
 		oids: append([]bat.OID(nil), st.OIDs...),
-		idx:  &core.Index{}, synced: n,
-	}
-	for _, c := range st.Cuts {
-		m.idx.Insert(c.Val, c.Incl, c.Pos)
+		idx:  idx, synced: n,
 	}
 	switch {
 	case st.Strategy != nil:
@@ -707,47 +711,4 @@ func (g *Registry) restoreSet(ct *core.CrackedTable, st MapState,
 		m.pays = append(m.pays, &payVec{attr: p.Attr, vals: append([]int64(nil), p.Vals...), stamp: g.tick()})
 	}
 	return m, nil
-}
-
-// verifyCuts checks the cracker-cut invariant over a restored key
-// vector in one pass: cut positions must be ordered consistently with
-// their keys, and every element of each piece must lie between its
-// bounding cuts. O(n + cuts), unlike the column's O(n × cuts) verifier —
-// restored maps can be large and reopen latency is the product here.
-func verifyCuts(keys []int64, cuts []core.Cut) error {
-	n := len(keys)
-	prevPos := 0
-	for i, c := range cuts {
-		if c.Pos < prevPos || c.Pos > n {
-			return fmt.Errorf("cut %d/%v at position %d out of order (prev %d, n %d)", i, c, c.Pos, prevPos, n)
-		}
-		if i > 0 {
-			p := cuts[i-1]
-			if core.CompareCuts(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
-				return fmt.Errorf("cuts %d/%d out of key order", i-1, i)
-			}
-		}
-		prevPos = c.Pos
-	}
-	piece := 0
-	for i, v := range keys {
-		for piece < len(cuts) && i >= cuts[piece].Pos {
-			piece++
-		}
-		// Right of the previous cut: v > val (incl) or v >= val.
-		if piece > 0 {
-			p := cuts[piece-1]
-			if p.Incl && v <= p.Val || !p.Incl && v < p.Val {
-				return fmt.Errorf("keys[%d]=%d violates right side of cut %v", i, v, p)
-			}
-		}
-		// Left of the bounding cut: v <= val (incl) or v < val.
-		if piece < len(cuts) {
-			c := cuts[piece]
-			if c.Incl && v > c.Val || !c.Incl && v >= c.Val {
-				return fmt.Errorf("keys[%d]=%d violates left side of cut %v", i, v, c)
-			}
-		}
-	}
-	return nil
 }

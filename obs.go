@@ -76,6 +76,9 @@ func (s *Store) collect(e *obs.Exporter) {
 			e.Counter("crackdb_tuples_touched_total", "Elements inspected during crack partitioning.", cs.TuplesTouched, lt, lc)
 			e.Counter("crackdb_tuples_moved_total", "Element writes during crack partitioning.", cs.TuplesMoved, lt, lc)
 			e.Counter("crackdb_fusions_total", "Cuts removed under the MaxPieces budget.", int64(cs.Fusions), lt, lc)
+			const foldsHelp = "Pending-update folds per column, by what they did with the cracker index."
+			e.Counter("crackdb_folds_total", foldsHelp, int64(cs.RippleFolds), lt, lc, obs.L("kind", "ripple"))
+			e.Counter("crackdb_folds_total", foldsHelp, int64(cs.RebuildFolds), lt, lc, obs.L("kind", "rebuild"))
 			e.Gauge("crackdb_pieces", "Pieces the column is currently cracked into.", float64(cs.Pieces), lt, lc)
 			e.Gauge("crackdb_strategy_info", "Active crack strategy per column (value is always 1; the strategy label carries the decision).",
 				1, lt, lc, obs.L("strategy", cs.Strategy))

@@ -83,7 +83,6 @@ func (s *Store) configLocked() durable.StoreConfig {
 		StrategyName:   s.strategyName,
 		StrategySeed:   s.strategySeed,
 		MaxPieces:      s.maxPieces,
-		Ripple:         s.ripple,
 		SidewaysBudget: s.sideways.Budget(),
 	}
 }
@@ -307,7 +306,6 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maxPieces = img.Config.MaxPieces
-	s.ripple = img.Config.Ripple
 	s.sideways.SetBudget(img.Config.SidewaysBudget)
 
 	inImage := make(map[string]bool, len(img.Tables))
