@@ -52,7 +52,7 @@ func TestCountWhereBudgetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxAllocs = 4 // the term, the advice map and its bucket
+	const maxAllocs = 2 // measured 1: the term (a one-column term is planned without an advice map)
 	big, pool := convergedStore(t, 200_000, 4, 6000)
 	if st, _ := big.Stats("t", "c0"); st.Pieces < 10_000 {
 		t.Fatalf("store has %d pieces, want >= 10000", st.Pieces)

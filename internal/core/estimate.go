@@ -115,46 +115,75 @@ type termPlan struct {
 // so a cracked column is preferred over a virgin one — unless the
 // planner has nothing better, in which case the first advised column is
 // cracked (and gains statistics for next time). A single advised column
-// needs no estimate at all.
+// needs no estimate at all, and a term that names one column only —
+// every scalar range statement — has no choice to make: its advice is
+// folded in place, without the per-column map.
 func (ct *CrackedTable) planTerm(term expr.Term) (termPlan, error) {
-	advice := expr.CrackAdvice(term)
-	if len(advice) == 0 {
-		return termPlan{residual: term}, nil
+	best, rng, advised, single := oneColumnAdvice(term)
+	if !single {
+		advice := expr.CrackAdvice(term)
+		if len(advice) > 1 {
+			// Sorted column order, so estimate ties break deterministically.
+			cols := make([]string, 0, len(advice))
+			for col := range advice {
+				cols = append(cols, col)
+			}
+			sort.Strings(cols)
+			bestMax := math.MaxInt
+			for _, col := range cols {
+				upper := ct.baseLen()
+				if c, tracked := ct.Column(col); tracked {
+					upper = c.EstimateRange(advice[col]).Max
+				}
+				if upper < bestMax || best == "" {
+					best, bestMax = col, upper
+				}
+			}
+		} else {
+			for col := range advice {
+				best = col
+			}
+		}
+		rng, advised = advice[best]
 	}
-	best := ""
-	if len(advice) == 1 {
-		for col := range advice {
-			best = col
-		}
-	} else {
-		// Sorted column order, so estimate ties break deterministically.
-		cols := make([]string, 0, len(advice))
-		for col := range advice {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-		bestMax := math.MaxInt
-		for _, col := range cols {
-			upper := ct.baseLen()
-			if c, tracked := ct.Column(col); tracked {
-				upper = c.EstimateRange(advice[col]).Max
-			}
-			if upper < bestMax || best == "" {
-				best, bestMax = col, upper
-			}
-		}
+	if !advised {
+		return termPlan{residual: term}, nil
 	}
 	col, err := ct.ColumnFor(best)
 	if err != nil {
 		return termPlan{}, err
 	}
-	p := termPlan{col: col, rng: advice[best]}
+	p := termPlan{col: col, rng: rng}
 	for _, pred := range term {
 		if pred.Col != best || pred.Op == expr.Ne {
 			p.residual = append(p.residual, pred)
 		}
 	}
 	return p, nil
+}
+
+// oneColumnAdvice is expr.CrackAdvice for a term that names at most one
+// column (single; an empty term qualifies): the column and the
+// intersection of its predicates' ranges, advised being false when no
+// predicate has a range form.
+func oneColumnAdvice(term expr.Term) (col string, rng expr.Range, advised, single bool) {
+	for _, p := range term {
+		if col == "" {
+			col = p.Col
+		}
+		if p.Col != col {
+			return "", expr.Range{}, false, false
+		}
+		r, ok := expr.RangeOf(p)
+		switch {
+		case !ok:
+		case advised:
+			rng = rng.Intersect(r)
+		default:
+			rng, advised = r, true
+		}
+	}
+	return col, rng, advised, true
 }
 
 // SelectTermPlanned answers a conjunctive term: the planned driving

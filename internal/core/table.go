@@ -265,34 +265,64 @@ func allOIDs(n int) []bat.OID {
 	return out
 }
 
-// Fetch materializes the requested attributes for the given OIDs, in OID
-// argument order — tuple reconstruction through the surrogate key.
-func (ct *CrackedTable) Fetch(oids []bat.OID, attrs ...string) (*relation.Table, error) {
-	ct.baseMu.RLock()
-	defer ct.baseMu.RUnlock()
-	out := relation.New(ct.base.Name+"_result", attrs...)
-	bats := make([]*bat.BAT, len(attrs))
-	for i, a := range attrs {
+// gatherLocked is the base-fetch kernel, tuple reconstruction through
+// the surrogate key: one vector per attribute, aligned with oids, read
+// straight out of the base BATs' tails. The vectors are cut from one
+// backing array, each capped at its own length so a caller that appends
+// to one cannot run into its neighbour. The caller holds baseMu.
+func (ct *CrackedTable) gatherLocked(oids []bat.OID, attrs []string) ([][]int64, error) {
+	srcs := make([][]int64, len(attrs))
+	for j, a := range attrs {
 		b, err := ct.base.Column(a)
 		if err != nil {
 			return nil, err
 		}
-		bats[i] = b
+		srcs[j] = b.Ints()
 	}
-	row := make([]int64, len(attrs))
+	baseLen := ct.base.Len()
 	for _, oid := range oids {
-		if int(oid) >= ct.base.Len() {
+		if int(oid) >= baseLen {
 			return nil, fmt.Errorf("core: fetch of unknown oid %d", oid)
 		}
-		for i, b := range bats {
-			row[i] = b.Int(int(oid))
+	}
+	n := len(oids)
+	backing := make([]int64, n*len(attrs))
+	vecs := make([][]int64, len(attrs))
+	for j, src := range srcs {
+		vec := backing[j*n : (j+1)*n : (j+1)*n]
+		for i, oid := range oids {
+			vec[i] = src[oid]
 		}
-		if err := out.AppendRow(row...); err != nil {
-			return nil, err
-		}
+		vecs[j] = vec
+	}
+	return vecs, nil
+}
+
+// FetchColumns materializes the requested attributes for the given OIDs
+// column-wise: vecs[j][i] is attribute attrs[j] of tuple oids[i].
+func (ct *CrackedTable) FetchColumns(oids []bat.OID, attrs ...string) ([][]int64, error) {
+	ct.baseMu.RLock()
+	defer ct.baseMu.RUnlock()
+	vecs, err := ct.gatherLocked(oids, attrs)
+	if err != nil {
+		return nil, err
 	}
 	ct.fetched.Add(int64(len(oids)))
-	return out, nil
+	return vecs, nil
+}
+
+// Fetch is FetchColumns wrapped as a relation, in OID argument order.
+func (ct *CrackedTable) Fetch(oids []bat.OID, attrs ...string) (*relation.Table, error) {
+	vecs, err := ct.FetchColumns(oids, attrs...)
+	if err != nil {
+		return nil, err
+	}
+	name := ct.base.Name + "_result"
+	cols := make([]relation.Column, len(attrs))
+	for j, a := range attrs {
+		cols[j] = relation.Column{Name: a, Data: bat.FromInts(name+"_"+a, vecs[j])}
+	}
+	return relation.FromColumns(name, cols...)
 }
 
 // BaseLen returns the base relation's current cardinality under the
@@ -331,19 +361,11 @@ func (ct *CrackedTable) BaseRows(from, to int, attrs ...string) ([][]int64, erro
 func (ct *CrackedTable) GatherBase(attr string, oids []bat.OID) ([]int64, error) {
 	ct.baseMu.RLock()
 	defer ct.baseMu.RUnlock()
-	b, err := ct.base.Column(attr)
+	vecs, err := ct.gatherLocked(oids, []string{attr})
 	if err != nil {
 		return nil, err
 	}
-	n := ct.base.Len()
-	out := make([]int64, len(oids))
-	for i, oid := range oids {
-		if int(oid) >= n {
-			return nil, fmt.Errorf("core: gather of unknown oid %d", oid)
-		}
-		out[i] = b.Int(int(oid))
-	}
-	return out, nil
+	return vecs[0], nil
 }
 
 // AppendRows extends the base relation and queues the new values as

@@ -1,0 +1,102 @@
+package server
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"crackdb"
+	"crackdb/internal/shard"
+	"crackdb/internal/sql"
+)
+
+// The result path's budget as standing assertions (ROADMAP: acceptance
+// gates as plain go test). A row fetch travels from the cracked columns
+// to the client as machine words in a handful of vectors: what a
+// statement allocates depends on the shard count and the column count,
+// never on how many rows it returns.
+
+// fetchStack is a converged 4-shard router over a 3-column tapestry and
+// the SQL engine on it.
+func fetchStack(t testing.TB) *sql.Engine {
+	t.Helper()
+	const n = 100_000
+	st := shard.New(shard.Options{Shards: 4, Kind: shard.Hash})
+	if err := st.LoadTapestry("t", n, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	pool := make([]crackdb.Range, 2000)
+	for i := range pool {
+		lo := 1 + rng.Int63n(n)
+		pool[i] = crackdb.Range{Low: lo, High: lo + rng.Int63n(n/100)}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := st.CountBatch("t", "c0", pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sql.NewEngineOn(st)
+}
+
+// fetch runs the width-row fetch and checks its shape.
+func fetch(t testing.TB, eng *sql.Engine, width int) *sql.ResultSet {
+	rs, err := eng.Exec(fmt.Sprintf("SELECT c0, c1, c2 FROM t WHERE c0 >= 5000 AND c0 < %d", 5000+width))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != width || len(rs.Rows[0]) != 3 || rs.Rows[0][0] != 5000 || rs.Rows[width-1][0] != int64(5000+width-1) {
+		t.Fatalf("fetch of %d rows returned %d, first %v", width, len(rs.Rows), rs.Rows[0])
+	}
+	return rs
+}
+
+func TestRowFetchBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const maxAllocs = 120 // parent 1 238 at 1000 rows; see the log line for today's
+	eng := fetchStack(t)
+	var allocs [2]float64
+	for i, width := range []int{1000, 4000} {
+		fetch(t, eng, width) // the first run cracks the range's two bounds
+		allocs[i] = testing.AllocsPerRun(50, func() { fetch(t, eng, width) })
+		t.Logf("Engine.Exec of a %d-row x 3-column fetch on 4 shards: %.0f allocations", width, allocs[i])
+		if allocs[i] > maxAllocs {
+			t.Errorf("a %d-row fetch allocates %.0f times, budget %d", width, allocs[i], maxAllocs)
+		}
+	}
+	if allocs[1] > allocs[0]+4 {
+		t.Errorf("allocations grow with the row count: %.0f at 1000 rows, %.0f at 4000", allocs[0], allocs[1])
+	}
+}
+
+func TestWireResultBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	rs := fetch(t, fetchStack(t), 1000)
+	req := wireReq{seq: 7, tagged: true}
+
+	frame := encodeReply(nil, req, fromResultSet(rs)) // grows the buffer, as a connection's first reply does
+	if got := testing.AllocsPerRun(100, func() { frame = encodeReply(frame, req, fromResultSet(rs)) }); got > 2 {
+		t.Errorf("rendering a 1000-row result into a frame allocates %.0f times, budget 2 (parent 4 002)", got)
+	}
+
+	const maxDecodeAllocs = 8 // parent 2 008 and a zeroed 64 KB buffer
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := decodeResponse(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); got > maxDecodeAllocs {
+		t.Errorf("decoding the %d-byte frame allocates %.0f times, budget %d", len(frame), got, maxDecodeAllocs)
+	}
+	// The floor of Response's shape is 4 x the frame here: 3000 string
+	// headers (48 kB) and 1000 row headers (24 kB) for 18 kB of text. One
+	// copy of the text on top of that is all the decoder may add.
+	got := allocatedBytes(func() { decodeResponse(frame) })
+	t.Logf("decoding the %d-byte frame allocates %d bytes (%.2f x)", len(frame), got, float64(got)/float64(len(frame)))
+	if got > 6*uint64(len(frame)) {
+		t.Errorf("decoding the %d-byte frame allocates %d bytes, budget 6 x the frame", len(frame), got)
+	}
+}

@@ -12,6 +12,13 @@
 //	ok msg=<free text>\n
 //	err <free text>\n
 //
+// A result whose payload would pass MaxFrame is not sent; its request is
+// answered
+//
+//	err result of <n> bytes exceeds the 16 MiB frame limit; add LIMIT\n
+//
+// and the connection goes on serving.
+//
 // Pipelining: a client may stream many request frames without waiting.
 // A request may carry a sequence tag — the payload prefix "@<seq> " —
 // and the server echoes the same tag as the response payload prefix, so
@@ -159,6 +166,11 @@ type Response struct {
 	Rows    [][]string
 	Seq     uint64
 	HasSeq  bool
+
+	// ints is the sending side's form of a SQL result: the engine's rows,
+	// rendered as decimal text by encode without passing through strings.
+	// A response carries Rows or ints, never both; decoding fills Rows.
+	ints [][]int64
 }
 
 // IsTabular reports whether the response carries a result table.
@@ -191,14 +203,42 @@ func (r *Response) encode(buf []byte) []byte {
 		b = append(b, '\n')
 	default:
 		b = append(b, "ok rows="...)
-		b = strconv.AppendInt(b, int64(len(r.Rows)), 10)
+		b = strconv.AppendInt(b, int64(len(r.Rows)+len(r.ints)), 10)
 		b = append(b, '\n')
 		b = appendTabLine(b, r.Columns)
 		for _, row := range r.Rows {
 			b = appendTabLine(b, row)
 		}
+		for _, row := range r.ints {
+			for i, v := range row {
+				if i > 0 {
+					b = append(b, '\t')
+				}
+				b = strconv.AppendInt(b, v, 10)
+			}
+			b = append(b, '\n')
+		}
 	}
 	return b
+}
+
+// encodeReply renders resp as the answer to req, echoing its sequence
+// tag. A rendering past MaxFrame — which writeFrame would refuse,
+// leaving the client with a closed connection and no reason — becomes
+// the error reply saying so.
+func encodeReply(buf []byte, req wireReq, resp *Response) []byte {
+	resp.Seq, resp.HasSeq = req.seq, req.tagged
+	buf = resp.encode(buf)
+	if len(buf) > MaxFrame {
+		over := Response{
+			Err: fmt.Sprintf("result of %d bytes exceeds the %d MiB frame limit; add LIMIT", len(buf), MaxFrame>>20),
+			Seq: req.seq, HasSeq: req.tagged,
+		}
+		// Into a fresh buffer: the connection's pooled one would otherwise
+		// stay as large as the result it could not send.
+		buf = over.encode(nil)
+	}
+	return buf
 }
 
 func appendTabLine(b []byte, cells []string) []byte {
@@ -244,14 +284,29 @@ func decodeResponse(payload []byte) (*Response, error) {
 	return resp, nil
 }
 
+// cutLine splits the first line off s by bufio.ScanLines' rules: '\n'
+// ends a line, one trailing '\r' is dropped from it, and a final line
+// without terminator counts when it is not empty. ok is false when s
+// holds no line.
+func cutLine(s string) (line, rest string, ok bool) {
+	if s == "" {
+		return "", "", false
+	}
+	line, rest, _ = strings.Cut(s, "\n")
+	return strings.TrimSuffix(line, "\r"), rest, true
+}
+
 // decodeResponseBody parses the status line and body of a response.
+// Every string of the response is cut from one copy of the payload, and
+// the cells of all rows share one slice the rows are sub-sliced from, so
+// a reply costs five allocations whatever its row count. The announced
+// row count is checked against the bytes that could carry it before
+// anything is sized by it.
 func decodeResponseBody(payload []byte) (*Response, error) {
-	sc := bufio.NewScanner(strings.NewReader(string(payload)))
-	sc.Buffer(make([]byte, 1<<16), MaxFrame)
-	if !sc.Scan() {
+	status, rest, ok := cutLine(string(payload))
+	if !ok {
 		return nil, fmt.Errorf("server: empty response frame")
 	}
-	status := sc.Text()
 	switch {
 	case strings.HasPrefix(status, "err "):
 		return &Response{Err: status[len("err "):]}, nil
@@ -262,15 +317,27 @@ func decodeResponseBody(payload []byte) (*Response, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("server: bad row count in status %q", status)
 		}
-		if !sc.Scan() {
+		header, rest, ok := cutLine(rest)
+		if !ok {
 			return nil, fmt.Errorf("server: tabular response missing header")
 		}
-		resp := &Response{Columns: strings.Split(sc.Text(), "\t"), Rows: make([][]string, 0, n)}
-		for i := 0; i < n; i++ {
-			if !sc.Scan() {
+		if n > len(rest) { // a row is at least its newline
+			return nil, fmt.Errorf("server: response announced %d rows, at most %d fit in the rest of the frame", n, len(rest))
+		}
+		resp := &Response{Columns: strings.Split(header, "\t"), Rows: make([][]string, n)}
+		cells := make([]string, 0, strings.Count(rest, "\t")+n)
+		for i := range resp.Rows {
+			var line string
+			if line, rest, ok = cutLine(rest); !ok {
 				return nil, fmt.Errorf("server: response announced %d rows, carried %d", n, i)
 			}
-			resp.Rows = append(resp.Rows, strings.Split(sc.Text(), "\t"))
+			first := len(cells)
+			for more := true; more; {
+				var cell string
+				cell, line, more = strings.Cut(line, "\t")
+				cells = append(cells, cell)
+			}
+			resp.Rows[i] = cells[first:len(cells):len(cells)]
 		}
 		return resp, nil
 	default:

@@ -217,8 +217,7 @@ func (s *Server) handle(conn net.Conn) {
 // behind its /quit are dropped with it.
 func (s *Server) serveWindow(bw *bufio.Writer, win []wireReq, respBuf *[]byte) (quit bool, err error) {
 	reply := func(req wireReq, resp *Response) error {
-		resp.Seq, resp.HasSeq = req.seq, req.tagged
-		*respBuf = resp.encode(*respBuf)
+		*respBuf = encodeReply(*respBuf, req, resp)
 		return writeFrame(bw, *respBuf)
 	}
 	// Classify the window once; rc[i] holds request i's folded range when
@@ -255,7 +254,7 @@ func (s *Server) serveWindow(bw *bufio.Writer, win []wireReq, respBuf *[]byte) (
 				}
 			} else {
 				for k := i; k < j; k++ {
-					resp := &Response{Columns: []string{"count(*)"}, Rows: [][]string{{strconv.Itoa(counts[k-i])}}}
+					resp := &Response{Columns: []string{"count(*)"}, ints: [][]int64{{int64(counts[k-i])}}}
 					if werr := reply(win[k], resp); werr != nil {
 						return false, werr
 					}
@@ -292,20 +291,13 @@ func (s *Server) dispatch(cmd string) (resp *Response, quit bool) {
 	return fromResultSet(rs), false
 }
 
-// fromResultSet renders a SQL result on the wire.
+// fromResultSet puts a SQL result on the wire. The rows stay the
+// engine's integers; encode renders them.
 func fromResultSet(rs *sql.ResultSet) *Response {
 	if rs.Message != "" {
 		return &Response{Message: rs.Message}
 	}
-	out := &Response{Columns: rs.Columns, Rows: make([][]string, len(rs.Rows))}
-	for i, row := range rs.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = strconv.FormatInt(v, 10)
-		}
-		out.Rows[i] = cells
-	}
-	return out
+	return &Response{Columns: rs.Columns, ints: rs.Rows}
 }
 
 // statsColumns heads every /stats answer; first names what a row is.

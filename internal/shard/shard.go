@@ -740,11 +740,14 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 
 // Result is a selection merged across shards. Count is the sum of the
 // per-shard counts; Rows concatenates the per-shard tuples without
-// copying them (the merged slice shares the shards' row storage) and
-// sorts the merged set into the canonical lexicographic order
-// (core.SortRows) — a shard's physical crack order depends on its
-// private query history, so canonical ordering is what makes a sharded
-// result byte-identical to a single store's for any shard count.
+// copying them (the merged slice holds each shard's row headers, which
+// point into that shard's one backing array) and sorts the merged set
+// into the canonical lexicographic order (core.SortRows: a co-sort of
+// first cells and row indices, so no tuple is compared through its
+// header unless first cells tie) — a shard's physical crack order
+// depends on its private query history, so canonical ordering is what
+// makes a sharded result byte-identical to a single store's for any
+// shard count.
 type Result struct {
 	parts []*crackdb.Result
 }
