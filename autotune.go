@@ -2,11 +2,11 @@ package crackdb
 
 // Workload-adaptive strategy auto-tuning: the store-side binding of
 // internal/tuner. When enabled, every answered selection's bounds are
-// fed (outside all table and column locks — the same safe point the
-// sideways lockstep observer uses) to a per-column monitor; when the
-// monitor detects a hostile bound pattern it advises a strategy, and
-// the store hot-swaps the column — and its sideways map, in lockstep —
-// to that strategy. A flip only changes future pivot advice, never
+// fed (outside all table and column locks) to a per-column monitor; when
+// the monitor detects a hostile bound pattern it advises a strategy, and
+// the store hot-swaps the column — payload vectors and all, they have no
+// strategy of their own — to that strategy. A flip only changes future
+// pivot advice, never
 // registered cuts, so results stay byte-identical to any fixed-strategy
 // run; see DESIGN.md (Workload-adaptive tuning) for the safety
 // argument and the decision table.
@@ -43,9 +43,6 @@ func (s *Store) EnableAutotune(cfg tuner.Config) {
 		s.pendingTuner = nil
 	}
 	s.autotune.Store(at)
-	// Future sideways maps must consult per-column decisions even when
-	// the store default is standard (which installs no factory).
-	s.sideways.SetStrategyFactory(s.sidewaysStrategyLocked())
 }
 
 // AutotuneEnabled reports whether the tuner is running.
@@ -61,8 +58,8 @@ func (s *Store) TuneDecisions() []tuner.Decision {
 	return at.t.Decisions()
 }
 
-// ForceStrategy pins (table, col) to a strategy: the column (and its
-// sideways map) flips immediately and the tuner stops auto-flipping it
+// ForceStrategy pins (table, col) to a strategy: the column flips
+// immediately and the tuner stops auto-flipping it
 // until ReleaseStrategy. The column is created if the table exists but
 // has not been cracked on col yet.
 func (s *Store) ForceStrategy(table, col, name string) error {
@@ -122,11 +119,11 @@ func (at *autoTuner) observe(s *Store, ct *core.CrackedTable, table string, r ex
 	at.t.Flipped(table, r.Col, want)
 }
 
-// flipColumn hot-swaps the strategy of one column and its sideways map.
-// Each swap computes its replacement under the owner's lock via
-// strategy.Handoff, so RNG position carries across the flip and the
-// whole run stays deterministic. A Handoff error (unreachable for
-// tuner-chosen names) keeps the old strategy.
+// flipColumn hot-swaps the strategy of one column. The swap computes its
+// replacement under the column's lock via strategy.Handoff, so RNG
+// position carries across the flip and the whole run stays
+// deterministic. A Handoff error (unreachable for tuner-chosen names)
+// keeps the old strategy.
 func (s *Store) flipColumn(ct *core.CrackedTable, table, col, name string) {
 	s.mu.RLock()
 	base := s.strategySeed
@@ -140,20 +137,21 @@ func (s *Store) flipColumn(ct *core.CrackedTable, table, col, name string) {
 			return next
 		})
 	}
-	s.sideways.SwapStrategy(table, col, func(old core.CrackStrategy) core.CrackStrategy {
-		next, err := strategy.Handoff(old, name, sidewaysSeed(base, table, col))
-		if err != nil {
-			return old
-		}
-		return next
-	})
 }
 
 // columnSeed derives the deterministic seed a tuner flip hands a
-// column's fresh strategy instance: the sideways-map derivation salted
-// so the column and its map never share an RNG stream.
+// column's fresh strategy instance: the store seed mixed with an FNV-1a
+// hash of the column identity, so a store and its warm-reopened twin
+// derive the same one whatever order their columns were created in; the
+// salt is part of the derivation existing images and recorded runs were
+// made with.
 func columnSeed(base int64, table, col string) int64 {
-	return sidewaysSeed(base, table, col) ^ 0x5bd1e995
+	h := uint64(1469598103934665603)
+	for _, b := range []byte(table + "." + col) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return base ^ int64(h) ^ 0x5bd1e995
 }
 
 // canonicalStrategy validates a strategy name and folds aliases onto

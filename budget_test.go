@@ -1,6 +1,7 @@
 package crackdb
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -264,5 +265,147 @@ func TestRestoreBudget(t *testing.T) {
 	}
 	if c.Pieces() != len(st.Cuts)+1 {
 		t.Fatalf("restored column has %d pieces, state %d cuts", c.Pieces(), len(st.Cuts))
+	}
+}
+
+// The sideways budget (ROADMAP item 2): a map is payload vectors on its
+// key column, so it costs what the column costs — nothing to a count,
+// one gather to build, the batch to an insert — and a projection is a
+// few allocations whatever it returns.
+
+// projectRows is one statement of a projection workload.
+func projectRows(t testing.TB, s *Store, r Range, cols ...string) [][]int64 {
+	t.Helper()
+	res, err := s.Select("t", "c0", r.Low, r.High)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.Rows(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestProjectionBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const n = 200_000
+	s, pool := convergedStore(t, n, 3, 6000)
+	col := crackerColumn(t, s, "t", "c0")
+	pieces := col.Pieces()
+	fetched := func() int64 { f, _ := s.FetchedTuples("t"); return f }
+
+	// The first projection on a converged column: one gather per payload
+	// through the column's standing permutation — 8 bytes a row a payload
+	// and nothing else of the column's size (no second copy of the keys
+	// and OIDs), no crack, no write, no cut, and from then on no base
+	// fetch.
+	before := col.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if got := projectRows(t, s, pool[0], "c1", "c2"); len(got) == 0 {
+		t.Fatal("pool range is empty")
+	}
+	runtime.ReadMemStats(&m1)
+	if got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(2*8*n*5/4); got > budget {
+		t.Errorf("first projection of 2 attributes over %d rows allocated %d bytes, budget %d (the payload vectors and a quarter)", n, got, budget)
+	}
+	after := col.Stats()
+	if after.TuplesMoved != before.TuplesMoved || after.Cracks != before.Cracks || col.Pieces() != pieces {
+		t.Fatalf("first projection on a converged column moved %d tuples in %d cracks, pieces %d -> %d",
+			after.TuplesMoved-before.TuplesMoved, after.Cracks-before.Cracks, pieces, col.Pieces())
+	}
+	if st := s.SidewaysStats(); st.Builds != 2 || st.Projections != 1 || fetched() != 0 {
+		t.Fatalf("first projection: %+v, %d tuples fetched through the base", st, fetched())
+	}
+
+	// A converged projection allocates a constant number of times: the
+	// selection's two vectors and result, the windows' header and backing,
+	// the rows' header and backing — not once per row.
+	narrow, wide := pool[0], Range{Low: 1, High: n / 2}
+	const maxAllocs = 10 // measured 8
+	allocsNarrow := testing.AllocsPerRun(50, func() { projectRows(t, s, narrow, "c1", "c2") })
+	projectRows(t, s, wide, "c1", "c2") // install the wide range's cuts
+	allocsWide := testing.AllocsPerRun(10, func() { projectRows(t, s, wide, "c1", "c2") })
+	if allocsNarrow > maxAllocs || allocsWide != allocsNarrow {
+		t.Errorf("a projection allocates %.0f times for %d rows and %.0f for %d, budget %d whatever the row count",
+			allocsNarrow, narrow.High-narrow.Low+1, allocsWide, n/2, maxAllocs)
+	}
+
+	// A 16-row append above the last cut, then a projection that folds it:
+	// 16 tuples written — 16 × (attrs + 1) values — no cut shifted, no
+	// piece lost, the payload vectors kept and served from.
+	cuts := col.Index().Cuts()
+	next := cuts[len(cuts)-1].Val
+	top := Range{Low: int64(n) - 500, High: math.MaxInt64} // unbounded above: no cut parks past the appends
+	const rounds = 20
+	projectRows(t, s, top, "c1", "c2")
+	pieces = col.Pieces()
+	before, sw0 := col.Stats(), s.SidewaysStats()
+	for round := 1; round <= rounds; round++ {
+		rows := make([][]int64, 16)
+		for i := range rows {
+			next++
+			rows[i] = []int64{next, -next, 2 * next}
+		}
+		if err := s.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		got := projectRows(t, s, top, "c0", "c1", "c2")
+		if len(got) != 501+16*round {
+			t.Fatalf("round %d: projection above the domain has %d rows, want %d", round, len(got), 501+16*round)
+		}
+		for _, r := range got {
+			if r[0] > int64(n) && (r[1] != -r[0] || r[2] != 2*r[0]) {
+				t.Fatalf("round %d: appended row reads back as %v", round, r)
+			}
+		}
+	}
+	after, sw1 := col.Stats(), s.SidewaysStats()
+	if moved := after.TuplesMoved - before.TuplesMoved; moved > 16*rounds {
+		t.Errorf("appends above the domain beside 2 payloads wrote %d tuples in %d folds, budget 16 a fold", moved, rounds)
+	}
+	if after.CutsShifted != before.CutsShifted || after.Cracks != before.Cracks || col.Pieces() != pieces ||
+		after.RippleFolds-before.RippleFolds != rounds || after.RebuildFolds != before.RebuildFolds {
+		t.Errorf("appends above the domain: before %+v, after %+v, pieces %d -> %d", before, after, pieces, col.Pieces())
+	}
+	if sw1.Builds != sw0.Builds || sw1.Declines != sw0.Declines || sw1.Projections-sw0.Projections != rounds || fetched() != 0 {
+		t.Errorf("the payload vectors did not ride the appends: before %+v, after %+v, %d tuples fetched", sw0, sw1, fetched())
+	}
+}
+
+func TestCountBesidePayloadsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector is meaningless")
+	}
+	s, pool := convergedStore(t, 200_000, 3, 6000)
+	// Best of five passes over the pool, as in TestCountWhereBudgetTime.
+	best := func() time.Duration {
+		min := time.Duration(1<<63 - 1)
+		for pass := 0; pass < 5; pass++ {
+			t0 := time.Now()
+			for _, r := range pool {
+				if _, err := s.Count("t", "c0", r.Low, r.High); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := time.Since(t0); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	bare := best()
+	projectRows(t, s, pool[0], "c1", "c2")
+	if st := s.SidewaysStats(); st.Pays != 2 {
+		t.Fatalf("projection left %d live payload vectors, want 2", st.Pays)
+	}
+	beside := best()
+	ratio := float64(beside) / float64(bare)
+	t.Logf("Count %v without payloads, %v beside 2, per %d statements: ratio %.2f", bare, beside, len(pool), ratio)
+	if ratio > 1.3 {
+		t.Fatalf("Store.Count beside live payloads costs %.2f x the same count without, budget 1.3 x", ratio)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -65,11 +66,10 @@ type Store struct {
 	strategySeed int64
 	strategySeq  atomic.Int64
 
-	// sideways holds the store's partial sideways-cracking maps: aligned
-	// (key, oid, payload) vectors cracked in lockstep with the primary
-	// columns, so multi-attribute projection reads co-cracked windows
-	// sequentially instead of fetching tuples through the base table one
-	// OID at a time. See internal/sideways and DESIGN.md.
+	// sideways budgets the store's partial sideways-cracking maps: payload
+	// vectors riding on the cracker columns, so multi-attribute projection
+	// reads aligned windows sequentially instead of fetching tuples through
+	// the base table one OID at a time. See internal/sideways and DESIGN.md.
 	sideways *sideways.Registry
 
 	// instr, when set by EnableObservability, is attached to every
@@ -134,7 +134,6 @@ func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	defer s.mu.Unlock()
 	s.strategyName = name
 	s.strategySeed = seed
-	s.sideways.SetStrategyFactory(s.sidewaysStrategyLocked())
 	return nil
 }
 
@@ -145,35 +144,14 @@ func (s *Store) SetCrackStrategy(name string, seed int64) error {
 // n < 0 removes the bound. The default is sideways.DefaultBudget.
 func (s *Store) SetSidewaysBudget(n int) { s.sideways.SetBudget(n) }
 
-// SidewaysStats reports the work counters of the sideways-cracking
-// subsystem (see DESIGN.md, Sideways cracking).
-type SidewaysStats struct {
-	Sets        int   // live map spines (one per projected key column)
-	Pays        int   // live payload vectors (the budgeted quantity)
-	Builds      int64 // payload vectors materialized from the base table
-	Evictions   int64 // payload vectors dropped by the LRU budget
-	Projections int64 // projections served from the maps
-	Fallbacks   int64 // projections that fell back to the base fetch
-	Declines    int64 // Fallbacks subset: a live map existed but refused
-	Cracks      int64 // partition passes over map vectors
-}
+// SidewaysStats reports the census and work counters of the
+// sideways-cracking subsystem (see DESIGN.md, Sideways cracking).
+type SidewaysStats = sideways.Stats
 
 // SidewaysStats returns a snapshot of the sideways subsystem's counters.
 // The counters are process-local and restart at zero on a warm reopen;
 // see Stats for the reset semantics.
-func (s *Store) SidewaysStats() SidewaysStats {
-	st := s.sideways.Snapshot()
-	return SidewaysStats{
-		Sets:        st.Sets,
-		Pays:        st.Pays,
-		Builds:      st.Builds,
-		Evictions:   st.Evictions,
-		Projections: st.Projections,
-		Fallbacks:   st.Fallbacks,
-		Declines:    st.Declines,
-		Cracks:      st.Cracks,
-	}
-}
+func (s *Store) SidewaysStats() SidewaysStats { return s.sideways.Snapshot() }
 
 // FetchedTuples reports how many tuples of a table have been
 // reconstructed through the base table by OID fetches — the random
@@ -185,42 +163,6 @@ func (s *Store) FetchedTuples(table string) (int64, error) {
 		return 0, err
 	}
 	return ct.FetchedTuples(), nil
-}
-
-// sidewaysStrategyLocked derives the map-strategy factory from the
-// store's crack-strategy configuration. Map seeds hash the map identity
-// (table, key) instead of drawing from the creation-order counter the
-// columns use, so a store and its warm-reopened twin — whose maps may be
-// created in different orders — still derive identical map strategies.
-// The caller holds s.mu.
-func (s *Store) sidewaysStrategyLocked() func(table, key string) core.CrackStrategy {
-	name, seed := s.strategyName, s.strategySeed
-	if (name == "" || name == "standard") && s.autotune.Load() == nil {
-		return nil
-	}
-	return func(table, key string) core.CrackStrategy {
-		n := name
-		// A map created after the tuner flipped its key column must
-		// start on the flipped strategy, not the store default.
-		if at := s.autotune.Load(); at != nil {
-			if cur, ok := at.t.Current(table, key); ok {
-				n = cur
-			}
-		}
-		st, _ := strategy.New(n, sidewaysSeed(seed, table, key))
-		return st
-	}
-}
-
-// sidewaysSeed mixes the store seed with an FNV-1a hash of the map
-// identity.
-func sidewaysSeed(base int64, table, key string) int64 {
-	h := uint64(1469598103934665603)
-	for _, b := range []byte(table + "." + key) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return base ^ int64(h)
 }
 
 // CreateTable registers an empty integer table.
@@ -263,8 +205,8 @@ func (s *Store) dropTableLocked(name string) {
 // the column (paper §7 extension). The fold keeps the cracker index —
 // the cuts a batch crosses shift in place — and drops it only when
 // shifting would write more tuples than re-cracking from scratch (see
-// DESIGN.md, Updates). Sideways maps of the table still restart from an
-// empty map index on their next projection.
+// DESIGN.md, Updates); the columns' sideways payload vectors fold with
+// them.
 func (s *Store) InsertRows(name string, rows [][]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -383,15 +325,13 @@ func (s *Store) currentCracked(name string) *core.CrackedTable {
 
 // newCrackedTableLocked wraps a relation with cracker state and wires
 // the select observer: every single-range selection the wrapper answers
-// is forwarded to the sideways registry, which applies the same cuts to
-// any aligned maps of the queried key column, and to the auto-tuner,
-// which classifies the bound stream and may hot-swap the column's
-// strategy (the observer fires outside all table and column locks — the
-// one point where a flip is trivially safe). The caller holds s.mu.
+// is forwarded to the auto-tuner, which classifies the bound stream and
+// may hot-swap the column's strategy (the observer fires outside all
+// table and column locks — the one point where a flip is trivially
+// safe). The caller holds s.mu.
 func (s *Store) newCrackedTableLocked(name string, t *relation.Table) *core.CrackedTable {
 	ct := core.NewCrackedTable(t, s.columnOptions()...)
 	ct.SetSelectObserver(func(r expr.Range) {
-		s.sideways.Observe(ct, name, r)
 		if at := s.autotune.Load(); at != nil {
 			at.observe(s, ct, name, r)
 		}
@@ -468,16 +408,18 @@ type Result struct {
 	vals    []int64
 	oids    []bat.OID
 
-	// rng is the range the Select answered — the key predicate the
-	// sideways maps re-apply to serve Rows without base-table fetches.
-	// Results without a single range predicate (SelectWhere) always fetch
-	// through the base — also when the planner's driving column absorbed
-	// the whole term, which would make them eligible: measured on
-	// steady_scalar's mix (ISSUE 21), serving those fetches from maps left
-	// rows-only throughput where it was (4 232 → 4 223 statements/s; a
-	// 250-OID columnar gather per shard is already cheap) and cut the mix
-	// from 25.8 k to 17.7 k, because once a map lives every count on its
-	// key column takes the registry mutex to keep it cracked in lockstep.
+	// rng is the range the Select answered — the key predicate Rows
+	// re-applies to read the key column's payload windows instead of
+	// fetching through the base table. Results without a single range
+	// predicate (SelectWhere) always fetch through the base — also when the
+	// planner's driving column absorbed the whole term, which would make
+	// them eligible: measured on steady_scalar's mix (ISSUE 21), serving
+	// those fetches from maps left rows-only throughput where it was
+	// (4 232 → 4 223 statements/s; a 250-OID columnar gather per shard is
+	// already cheap). The mix it cost then (25.8 k → 17.7 k: every count
+	// beside a live map took a registry mutex) it no longer would — a count
+	// never sees payloads now — but a gain has to be priced by a workload
+	// that sends such fetches (ROADMAP item 1(c), conj_fetch) first.
 	rng      expr.Range
 	hasRange bool
 }
@@ -494,19 +436,20 @@ func (r *Result) Values() []int64 { return r.vals }
 // row per tuple. Row order is the store's physical (cracked) order and
 // is unspecified beyond that; sort for stable presentation.
 //
-// When the store's sideways maps can serve the projection — the result
-// came from Select and no insert has landed inside its range since —
-// the column vectors are the co-cracked (key, payload) windows, read
-// sequentially; otherwise they are gathered from the base table through
-// the OIDs. Either way the vectors are zipped into rows once.
+// When the key column's sideways payload vectors can serve the
+// projection — the result came from Select and its range still holds
+// exactly the tuples it selected — the column vectors are the aligned
+// (key, payload) windows, read sequentially; otherwise they are gathered
+// from the base table through the OIDs. Either way the vectors are
+// zipped into rows once.
 func (r *Result) Rows(cols ...string) ([][]int64, error) {
-	// Sideways maps are keyed by table name, so only the table's live
-	// wrapper may feed them: a stale Result — its table dropped (and
-	// possibly recreated) since the Select — must not register spines
-	// built from data the name no longer refers to. Stale results fall
+	// The sideways budget tracks tables by name, so only the table's live
+	// wrapper may feed it: a stale Result — its table dropped (and
+	// possibly recreated) since the Select — must not have payloads built
+	// on a wrapper the name no longer refers to. Stale results fall
 	// through to the base fetch, which answers from their own snapshot.
 	if r.hasRange && r.store != nil && r.store.currentCracked(r.table.Name) == r.cracked {
-		if wins, ok := r.store.sideways.Project(r.cracked, r.table.Name, r.rng, cols, len(r.oids)); ok {
+		if wins, ok := r.store.sideways.Project(r.cracked, r.table.Name, r.rng, cols, r.oids); ok {
 			return zipRows(wins, len(r.oids)), nil
 		}
 	}
@@ -541,7 +484,7 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	buf := make([]byte, 0, 1<<12)
 	for _, v := range r.vals {
-		buf = appendDecimal(buf, v)
+		buf = strconv.AppendInt(buf, v, 10)
 		buf = append(buf, '\n')
 		if len(buf) >= 1<<12-32 {
 			n, err := w.Write(buf)
@@ -573,22 +516,4 @@ func (r *Result) Materialize(name string) error {
 	r.store.tables[name] = out
 	r.store.bumpTableGenLocked(name)
 	return nil
-}
-
-func appendDecimal(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
 }

@@ -2,9 +2,11 @@ package crackdb
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,6 +101,31 @@ func TestResultWriteTo(t *testing.T) {
 	lines := strings.Fields(buf.String())
 	if len(lines) != res.Count() {
 		t.Fatalf("wrote %d lines for %d tuples", len(lines), res.Count())
+	}
+}
+
+// TestResultWriteToExtremes: the decimal text of the int64 extremes,
+// math.MinInt64 above all — its negation does not exist.
+func TestResultWriteToExtremes(t *testing.T) {
+	for _, v := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+		s := New()
+		if err := s.CreateTable("x", "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InsertRows("x", [][]int64{{v}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Select("x", "v", math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := res.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := strconv.FormatInt(v, 10) + "\n"; buf.String() != want {
+			t.Errorf("WriteTo printed %q for %d", buf.String(), v)
+		}
 	}
 }
 

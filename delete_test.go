@@ -2,7 +2,11 @@ package crackdb
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"crackdb/internal/core"
+	"crackdb/internal/relation"
 )
 
 // brute counts live rows matching low <= reading <= high by full scan —
@@ -142,5 +146,77 @@ func TestDeleteWarmRoundTrip(t *testing.T) {
 	}
 	if got, _ := cold.NumRows("events"); got != 1500-n {
 		t.Fatalf("cold reopened NumRows = %d, want %d", got, 1500-n)
+	}
+}
+
+// TestProjectAfterDelete: sideways payload vectors survive a DELETE.
+// They are compacted with their column, so a projection whose range held
+// a deleted key is served from them like any other — no decline, no
+// rebuild, no base fetch — and returns exactly the live rows.
+func TestProjectAfterDelete(t *testing.T) {
+	const n = 100_000
+	s := New()
+	if err := s.LoadTapestry("t", n, 3, 5); err != nil {
+		t.Fatal(err)
+	}
+	base := relation.Tapestry(n, 3, 5) // the rows LoadTapestry made, for brute force
+	c0, _ := base.Column("c0")
+	c1, _ := base.Column("c1")
+	c2, _ := base.Column("c2")
+	dead := func(k int64) bool { return k == 50_000 || k >= 20_000 && k < 20_050 }
+	project := func(lo, hi int64, deleted bool) {
+		t.Helper()
+		res, err := s.Select("t", "c0", lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := res.Rows("c1", "c2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]int64
+		for i, k := range c0.Ints() {
+			if k >= lo && k <= hi && !(deleted && dead(k)) {
+				want = append(want, []int64{c1.Int(i), c2.Int(i)})
+			}
+		}
+		core.SortRows(got)
+		core.SortRows(want)
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("[%d,%d]: %d rows, brute force %d", lo, hi, len(got), len(want))
+		}
+	}
+	ranges := [][2]int64{{49_500, 50_500}, {19_990, 20_100}, {50_000, 50_000}, {20_010, 20_020}, {1, n}}
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range ranges {
+			project(r[0], r[1], false)
+		}
+	}
+	before := s.SidewaysStats()
+	fetched, _ := s.FetchedTuples("t")
+	if before.Pays != 2 || before.Projections == 0 || fetched != 0 {
+		t.Fatalf("projections did not converge on payload vectors: %+v, %d tuples fetched", before, fetched)
+	}
+
+	if k, err := s.Delete("t", Cond{Col: "c0", Op: "=", Val: 50_000}); err != nil || k != 1 {
+		t.Fatalf("delete by key: %d, %v", k, err)
+	}
+	if k, err := s.Delete("t", Cond{Col: "c0", Op: ">=", Val: 20_000}, Cond{Col: "c0", Op: "<", Val: 20_050}); err != nil || k != 50 {
+		t.Fatalf("delete by key range: %d, %v", k, err)
+	}
+	for pass := 0; pass < 4; pass++ {
+		for _, r := range ranges {
+			project(r[0], r[1], true)
+		}
+	}
+	after := s.SidewaysStats()
+	if after.Declines != before.Declines || after.Builds != before.Builds || after.Pays != 2 {
+		t.Fatalf("maps did not survive the delete: before %+v, after %+v", before, after)
+	}
+	if got, _ := s.FetchedTuples("t"); got != fetched {
+		t.Fatalf("projections after the delete fetched %d tuples through the base table", got-fetched)
+	}
+	if want := int64(len(ranges) * 4); after.Projections-before.Projections != want {
+		t.Fatalf("%d of %d projections served from payload vectors", after.Projections-before.Projections, want)
 	}
 }

@@ -16,9 +16,10 @@ import (
 // public Select + Rows path must return exactly the tuples a naive scan
 // of the logical table contents returns — byte-identical after
 // canonical ordering (row order is physical and unspecified). The
-// stream interleaves mid-batch inserts, rotates projections across
-// three payload attributes under a budget of two vectors (forcing map
-// eviction and rebuild), and runs clean under -race.
+// stream interleaves mid-batch inserts with deletes by key and by key
+// range, rotates projections across three payload attributes under a
+// budget of two vectors (forcing map eviction and rebuild), and runs
+// clean under -race.
 
 type oracleTable struct {
 	rows [][]int64 // logical contents: k, a, b, c
@@ -37,6 +38,19 @@ func (o *oracleTable) project(lo, hi int64, cols []int) [][]int64 {
 	}
 	core.SortRows(out)
 	return out
+}
+
+// delete drops the rows with lo <= k <= hi and reports how many went.
+func (o *oracleTable) delete(lo, hi int64) int {
+	kept := o.rows[:0:0]
+	for _, r := range o.rows {
+		if r[0] < lo || r[0] > hi {
+			kept = append(kept, r)
+		}
+	}
+	n := len(o.rows) - len(kept)
+	o.rows = kept
+	return n
 }
 
 func canonicalRows(rows [][]int64) [][]int64 {
@@ -135,14 +149,30 @@ func TestFetchOracle(t *testing.T) {
 							t.Fatalf("query %d [%d,%d] project %v: result diverges from naive scan\ngot  %d rows\nwant %d rows",
 								q, lo, hi, proj, len(cg), len(want))
 						}
-						// Mid-stream inserts: the next queries must see them,
-						// and maps must refuse stale windows for this result.
+						// Mid-stream inserts and deletes: the next queries must
+						// see them, and maps must refuse stale windows for this
+						// result.
 						if q%6 == 3 {
 							if err := s.InsertRows("t", batch(120)); err != nil {
 								t.Fatal(err)
 							}
-							// Re-projecting the pre-insert result must still
-							// return the pre-insert tuples exactly (the map
+							// Alternately a key the result holds and a key range
+							// straddling its low end go — landing in the payload
+							// vectors the projection above just read.
+							dlo, dhi := lo-15, lo+15
+							if q%12 == 3 && len(got) > 0 {
+								dlo = res.Values()[0]
+								dhi = dlo
+							}
+							gone, err := s.Delete("t", crackdb.Cond{Col: "k", Op: ">=", Val: dlo}, crackdb.Cond{Col: "k", Op: "<=", Val: dhi})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if wantGone := oracle.delete(dlo, dhi); gone != wantGone {
+								t.Fatalf("query %d: delete [%d,%d] removed %d rows, oracle %d", q, dlo, dhi, gone, wantGone)
+							}
+							// Re-projecting the pre-update result must still
+							// return the tuples it selected exactly (the map
 							// declines; the base fetch serves the old OIDs).
 							again, err := res.Rows(proj...)
 							if err != nil {
@@ -235,20 +265,24 @@ func TestFetchOracleDropRecreate(t *testing.T) {
 	}
 }
 
-// TestFetchOracleConcurrent drives concurrent Select+Rows streams and
-// one insert stream against a sideways-enabled store under -race: every
-// projection must either match the selection it came from or error,
-// never return torn windows.
+// TestFetchOracleConcurrent drives, under -race, everything that can
+// touch one key column's payload vectors at once: Select+Rows streams
+// rotating over two payload attributes under a budget of one vector
+// (builds and evictions), scalar counts, and a writer that appends and
+// deletes. Every projection must match the selection it came from —
+// payloads are functions of the key, so a torn or misaligned window
+// shows in any row — or error, never return tuples of another moment.
 func TestFetchOracleConcurrent(t *testing.T) {
 	s := crackdb.New()
-	s.SetSidewaysBudget(3)
+	s.SetSidewaysBudget(1)
 	if err := s.CreateTable("t", "k", "a", "b"); err != nil {
 		t.Fatal(err)
 	}
+	row := func(k int64) []int64 { return []int64{k, 3 * k, -k} }
 	rng := rand.New(rand.NewSource(1))
 	rows := make([][]int64, 4000)
 	for i := range rows {
-		rows[i] = []int64{rng.Int63n(10_000), rng.Int63n(100), rng.Int63n(100)}
+		rows[i] = row(rng.Int63n(10_000))
 	}
 	if err := s.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
@@ -257,24 +291,40 @@ func TestFetchOracleConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 40; i++ {
-			if err := s.InsertRows("t", [][]int64{{int64(i*37) % 10_000, 1, 2}}); err != nil {
+			k := int64(i*37) % 10_000
+			if err := s.InsertRows("t", [][]int64{row(k)}); err != nil {
 				t.Error(err)
 				return
 			}
+			if i%4 == 3 {
+				if _, err := s.Delete("t", crackdb.Cond{Col: "k", Op: ">=", Val: k}, crackdb.Cond{Col: "k", Op: "<", Val: k + 5}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 		}
 	}()
+	projections := [][]string{{"k", "a"}, {"k", "b"}, {"k", "a", "b"}} // the last needs two vectors: over budget, base fetch
 	workers := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(seed int64) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 60; i++ {
 				lo := rng.Int63n(9000)
+				if i%4 == 0 {
+					if _, err := s.Count("t", "k", lo, lo+400); err != nil {
+						workers <- err
+						return
+					}
+					continue
+				}
 				res, err := s.Select("t", "k", lo, lo+400)
 				if err != nil {
 					workers <- err
 					return
 				}
-				got, err := res.Rows("k", "a", "b")
+				proj := projections[i%len(projections)]
+				got, err := res.Rows(proj...)
 				if err != nil {
 					workers <- err
 					return
@@ -288,6 +338,12 @@ func TestFetchOracleConcurrent(t *testing.T) {
 						workers <- fmt.Errorf("row %v outside [%d,%d]", r, lo, lo+400)
 						return
 					}
+					for j, c := range proj[1:] {
+						if want := row(r[0])[map[string]int{"a": 1, "b": 2}[c]]; r[1+j] != want {
+							workers <- fmt.Errorf("row %v: %s = %d beside key %d, want %d", r, c, r[1+j], r[0], want)
+							return
+						}
+					}
 				}
 			}
 			workers <- nil
@@ -299,4 +355,7 @@ func TestFetchOracleConcurrent(t *testing.T) {
 		}
 	}
 	<-done
+	if st := s.SidewaysStats(); st.Pays > 1 || st.Projections == 0 || st.Evictions == 0 {
+		t.Fatalf("budget 1 over two payload attributes in rotation: %+v", st)
+	}
 }

@@ -1,44 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"crackdb/internal/bat"
 )
 
-// alignedFixture builds parallel vectors where pays[p][i] is derived
-// from keys[i], so lockstep violations are detectable per element.
-func alignedFixture(n, npays int, seed int64) ([]int64, []bat.OID, [][]int64) {
+// The crack kernels with payload vectors riding along. alignedColumn
+// builds a column whose payload p holds key*10+p for every tuple, so a
+// swap that leaves a payload behind is detectable per element.
+func alignedColumn(t *testing.T, n, npays int, seed int64) *Column {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]int64, n)
-	oids := make([]bat.OID, n)
-	pays := make([][]int64, npays)
-	for p := range pays {
-		pays[p] = make([]int64, n)
-	}
 	for i := range keys {
 		keys[i] = rng.Int63n(1000)
-		oids[i] = bat.OID(i)
-		for p := range pays {
-			pays[p][i] = keys[i]*10 + int64(p)
+	}
+	c := NewColumn("t.k", keys)
+	for p := 0; p < npays; p++ {
+		src := make([]int64, n)
+		for i, k := range keys {
+			src[i] = k*10 + int64(p)
+		}
+		if built, err := c.attachPayload(fmt.Sprintf("p%d", p), src, 1); err != nil || !built {
+			t.Fatalf("attach p%d: built %v, err %v", p, built, err)
 		}
 	}
-	return keys, oids, pays
+	return c
 }
 
-func checkAligned(t *testing.T, keys []int64, oids []bat.OID, pays [][]int64) {
+func checkAligned(t *testing.T, c *Column) {
 	t.Helper()
-	for i := range keys {
-		for p := range pays {
-			if pays[p][i] != keys[i]*10+int64(p) {
-				t.Fatalf("pays[%d][%d]=%d out of lockstep with key %d", p, i, pays[p][i], keys[i])
+	for p, pv := range c.pays {
+		if len(pv.vals) != len(c.vals) {
+			t.Fatalf("payload %d has %d values, the column %d", p, len(pv.vals), len(c.vals))
+		}
+		for i, k := range c.vals {
+			if pv.vals[i] != k*10+int64(p) {
+				t.Fatalf("pays[%d][%d]=%d out of lockstep with key %d", p, i, pv.vals[i], k)
 			}
 		}
 	}
-	seen := make([]bool, len(oids))
-	for _, o := range oids {
+	seen := make([]bool, len(c.oids))
+	for _, o := range c.oids {
 		if int(o) >= len(seen) || seen[o] {
 			t.Fatalf("oid vector no longer a permutation (oid %d)", o)
 		}
@@ -48,47 +54,47 @@ func checkAligned(t *testing.T, keys []int64, oids []bat.OID, pays [][]int64) {
 
 func TestAlignedCrackInTwo(t *testing.T) {
 	for _, npays := range []int{0, 1, 3} {
-		keys, oids, pays := alignedFixture(500, npays, 1)
-		pos, touched, _ := AlignedCrackInTwo(keys, oids, pays, 0, len(keys), 400, false)
-		if touched != 500 {
+		c := alignedColumn(t, 500, npays, 1)
+		pos := c.crackInTwo(0, len(c.vals), 400, false)
+		if touched := c.Stats().TuplesTouched; touched != 500 {
 			t.Fatalf("touched %d, want 500", touched)
 		}
-		for i, v := range keys {
+		for i, v := range c.vals {
 			if i < pos && v >= 400 || i >= pos && v < 400 {
 				t.Fatalf("keys[%d]=%d on wrong side of cut <400@%d", i, v, pos)
 			}
 		}
-		checkAligned(t, keys, oids, pays)
+		checkAligned(t, c)
 		// Inclusive cut inside the right piece.
-		pos2, _, _ := AlignedCrackInTwo(keys, oids, pays, pos, len(keys), 700, true)
-		for i := pos; i < len(keys); i++ {
-			if i < pos2 && keys[i] > 700 || i >= pos2 && keys[i] <= 700 {
-				t.Fatalf("keys[%d]=%d on wrong side of cut <=700@%d", i, keys[i], pos2)
+		pos2 := c.crackInTwo(pos, len(c.vals), 700, true)
+		for i := pos; i < len(c.vals); i++ {
+			if i < pos2 && c.vals[i] > 700 || i >= pos2 && c.vals[i] <= 700 {
+				t.Fatalf("keys[%d]=%d on wrong side of cut <=700@%d", i, c.vals[i], pos2)
 			}
 		}
-		checkAligned(t, keys, oids, pays)
+		checkAligned(t, c)
 	}
 }
 
 func TestAlignedCrackInTwoMaxInt(t *testing.T) {
-	keys, oids, pays := alignedFixture(100, 2, 2)
-	pos, _, moved := AlignedCrackInTwo(keys, oids, pays, 0, len(keys), math.MaxInt64, true)
-	if pos != len(keys) || moved != 0 {
-		t.Fatalf("<=MaxInt64 cut: pos %d moved %d, want %d and 0", pos, moved, len(keys))
+	c := alignedColumn(t, 100, 2, 2)
+	pos := c.crackInTwo(0, len(c.vals), math.MaxInt64, true)
+	if moved := c.Stats().TuplesMoved; pos != len(c.vals) || moved != 0 {
+		t.Fatalf("<=MaxInt64 cut: pos %d moved %d, want %d and 0", pos, moved, len(c.vals))
 	}
-	checkAligned(t, keys, oids, pays)
+	checkAligned(t, c)
 }
 
 func TestAlignedCrackInThree(t *testing.T) {
 	for _, npays := range []int{0, 2} {
-		keys, oids, pays := alignedFixture(800, npays, 3)
+		c := alignedColumn(t, 800, npays, 3)
 		// (300, 600]: lower cut <=300, upper cut <=600 — loIncl carries
 		// the Select convention (cut is "left of": <= for exclusive low).
-		m1, m2, touched, _ := AlignedCrackInThree(keys, oids, pays, 0, len(keys), 300, true, 600, true)
-		if touched != 800 {
+		m1, m2 := c.crackInThree(0, len(c.vals), 300, true, 600, true, true, true)
+		if touched := c.Stats().TuplesTouched; touched != 800 {
 			t.Fatalf("touched %d, want 800", touched)
 		}
-		for i, v := range keys {
+		for i, v := range c.vals {
 			switch {
 			case i < m1 && v > 300:
 				t.Fatalf("keys[%d]=%d in left piece of (300,600]", i, v)
@@ -98,46 +104,44 @@ func TestAlignedCrackInThree(t *testing.T) {
 				t.Fatalf("keys[%d]=%d in right piece of (300,600]", i, v)
 			}
 		}
-		checkAligned(t, keys, oids, pays)
+		checkAligned(t, c)
 	}
 }
 
 func TestAlignedCrackInThreeMaxIntFallback(t *testing.T) {
-	keys, oids, pays := alignedFixture(300, 1, 4)
+	c := alignedColumn(t, 300, 1, 4)
 	// Upper cut <=MaxInt64 forces the two-pass fallback.
-	m1, m2, _, _ := AlignedCrackInThree(keys, oids, pays, 0, len(keys), 500, false, math.MaxInt64, true)
-	if m2 != len(keys) {
+	m1, m2 := c.crackInThree(0, len(c.vals), 500, false, math.MaxInt64, true, true, true)
+	if m2 != len(c.vals) {
 		t.Fatalf("m2 = %d, want n", m2)
 	}
-	for i, v := range keys {
+	for i, v := range c.vals {
 		if i < m1 && v >= 500 || i >= m1 && v < 500 {
 			t.Fatalf("keys[%d]=%d on wrong side of fallback cut", i, v)
 		}
 	}
-	checkAligned(t, keys, oids, pays)
+	checkAligned(t, c)
 }
 
-// TestAlignedMatchesColumnKernel pins that the aligned two-way kernel
-// partitions exactly like the column kernel it mirrors: same split
-// position and the same resulting key multiset per side.
+// TestAlignedMatchesColumnKernel pins that payload vectors change nothing
+// about how a column cracks: the same query stream leaves a column with
+// payloads and one without in the same physical order, cut for cut.
 func TestAlignedMatchesColumnKernel(t *testing.T) {
-	vals := make([]int64, 1000)
-	rng := rand.New(rand.NewSource(5))
-	for i := range vals {
-		vals[i] = rng.Int63n(500)
+	bare, carrying := alignedColumn(t, 1000, 0, 5), alignedColumn(t, 1000, 2, 5)
+	rng := rand.New(rand.NewSource(6))
+	for q := 0; q < 40; q++ {
+		lo := rng.Int63n(900)
+		hi := lo + rng.Int63n(200)
+		a, b := bare.Select(lo, hi, true, q%2 == 0), carrying.Select(lo, hi, true, q%2 == 0)
+		if a.Lo != b.Lo || a.Hi != b.Hi {
+			t.Fatalf("query %d: window [%d,%d) with payloads, [%d,%d) without", q, b.Lo, b.Hi, a.Lo, a.Hi)
+		}
 	}
-	col := NewColumn("t.k", vals)
-	v := col.Select(0, 199, true, true) // installs cuts via crackInThree
-
-	keys := append([]int64(nil), vals...)
-	oids := make([]bat.OID, len(keys))
-	for i := range oids {
-		oids[i] = bat.OID(i)
+	if !slices.Equal(bare.vals, carrying.vals) || !slices.Equal(bare.oids, carrying.oids) {
+		t.Fatal("payload vectors changed the column's physical order")
 	}
-	// Select's cut convention: inclusive low 0 is the cut "< 0",
-	// inclusive high 199 the cut "<= 199".
-	m1, m2, _, _ := AlignedCrackInThree(keys, oids, nil, 0, len(keys), 0, false, 199, true)
-	if m1 != v.Lo || m2 != v.Hi {
-		t.Fatalf("aligned window [%d,%d), column window [%d,%d)", m1, m2, v.Lo, v.Hi)
+	if bare.idx.String() != carrying.idx.String() {
+		t.Fatal("payload vectors changed the column's cut set")
 	}
+	checkAligned(t, carrying)
 }

@@ -35,8 +35,9 @@ type Column struct {
 	id   uint64 // stable lock-ordering identity (see lockPair)
 	name string
 
-	vals []int64   // the cracked value vector
-	oids []bat.OID // oids[i] is the tuple identity of vals[i]
+	vals []int64    // the cracked value vector
+	oids []bat.OID  // oids[i] is the tuple identity of vals[i]
+	pays []*payload // sideways payload vectors aligned with vals (payload.go)
 
 	idx *Index
 	// lin is nil while the lineage is stale — after a fold moved the
@@ -79,6 +80,7 @@ type Column struct {
 
 type pendingInsert struct {
 	oid bat.OID
+	row uint32 // position in the pending queue, where payloads keep this insert's values
 	val int64
 }
 
@@ -98,6 +100,7 @@ type Stats struct {
 	RippleFolds    int   // folds that kept the index
 	RebuildFolds   int   // folds that dropped it
 	CutsShifted    int64 // cut positions rewritten by folds
+	PaysDropped    int   // payload vectors a reorganization could not carry (payload.go)
 }
 
 // counters is the internal, atomically-updated form of Stats. Atomics let
@@ -114,6 +117,7 @@ type counters struct {
 	rippleFolds   atomic.Int64
 	rebuildFolds  atomic.Int64
 	cutsShifted   atomic.Int64
+	paysDropped   atomic.Int64
 	folded        atomic.Int64 // inserts + deletes folded; feeds CrackEvent.Folded
 }
 
@@ -129,6 +133,7 @@ func (s *counters) snapshot() Stats {
 		RippleFolds:   int(s.rippleFolds.Load()),
 		RebuildFolds:  int(s.rebuildFolds.Load()),
 		CutsShifted:   s.cutsShifted.Load(),
+		PaysDropped:   int(s.paysDropped.Load()),
 	}
 	st.Consolidations = st.RippleFolds + st.RebuildFolds
 	return st
@@ -145,6 +150,7 @@ func (s *counters) reset() {
 	s.rippleFolds.Store(0)
 	s.rebuildFolds.Store(0)
 	s.cutsShifted.Store(0)
+	s.paysDropped.Store(0)
 	s.folded.Store(0)
 }
 
@@ -572,6 +578,7 @@ func (c *Column) SortAll() {
 }
 
 func (c *Column) sortLocked(detail string) {
+	c.dropPaysLocked() // the sort permutes two vectors, not k
 	sortValsOIDs(c.vals, c.oids)
 	c.stats.tuplesMoved.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals)))) // N log N write estimate
 	c.stats.tuplesTouched.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals))))
@@ -670,7 +677,8 @@ func cutThreshold(val int64, incl bool) (t int64, all bool) {
 // predicate (< val, or <= val when incl) precede the rest, returning the
 // split position. It is the in-place "shuffle-exchange" of §3.4.2. The
 // inner loop is branch-free with respect to inclusivity (one threshold
-// comparison per element) and swaps the two slices directly.
+// comparison per element) and swaps the two slices directly; payload
+// vectors follow through swapPays, behind a flag tested per exchange.
 func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
 	t, all := cutThreshold(val, incl)
 	if all { // <= MaxInt64: every element goes left
@@ -678,7 +686,8 @@ func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
 		c.stats.tuplesTouched.Add(int64(hi - lo))
 		return hi
 	}
-	vals, oids := c.vals, c.oids
+	vals, oids, pays := c.vals, c.oids, c.pays
+	hasPays := len(pays) != 0
 	var moved int64
 	i, j := lo, hi-1
 	for i <= j {
@@ -691,6 +700,9 @@ func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
 		if i < j {
 			vals[i], vals[j] = vals[j], vals[i]
 			oids[i], oids[j] = oids[j], oids[i]
+			if hasPays {
+				swapPays(pays, i, j)
+			}
 			moved += 2
 			i++
 			j--
@@ -721,7 +733,8 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 		m1 = c.crackInTwo(lo, hi, loVal, loIncl)
 		m2 = c.crackInTwo(m1, hi, hiVal, hiIncl)
 	} else {
-		vals, oids := c.vals, c.oids
+		vals, oids, pays := c.vals, c.oids, c.pays
+		hasPays := len(pays) != 0
 		var moved int64
 		lt, gt, i := lo, hi-1, lo
 		for i <= gt {
@@ -730,6 +743,9 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 				if i != lt {
 					vals[i], vals[lt] = vals[lt], e
 					oids[i], oids[lt] = oids[lt], oids[i]
+					if hasPays {
+						swapPays(pays, i, lt)
+					}
 					moved += 2
 				}
 				lt++
@@ -737,6 +753,9 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 			case e >= tHi:
 				vals[i], vals[gt] = vals[gt], e
 				oids[i], oids[gt] = oids[gt], oids[i]
+				if hasPays {
+					swapPays(pays, i, gt)
+				}
 				moved += 2
 				gt--
 			default:
@@ -808,14 +827,32 @@ func (c *Column) fuseLocked() {
 
 // Insert queues a new value; it becomes visible to the next query, when
 // pending updates are consolidated into the cracker store. It returns
-// the OID assigned to the new tuple.
+// the OID assigned to the new tuple. The value arrives without the rest
+// of its row, so payload vectors are dropped (CrackedTable.AppendRows
+// inserts through appendRows, which keeps them).
 func (c *Column) Insert(val int64) bat.OID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropPaysLocked()
 	oid := c.nextOID
 	c.nextOID++
-	c.pending = append(c.pending, pendingInsert{oid: oid, val: val})
+	c.pending = append(c.pending, pendingInsert{oid: oid, row: uint32(len(c.pending)), val: val})
 	return oid
+}
+
+// appendRows queues keys as pending inserts with consecutive OIDs. tail
+// returns, for a payload attribute, that attribute's values of the same
+// rows, in the same order.
+func (c *Column) appendRows(keys []int64, tail func(attr string) []int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.pays {
+		p.pend = append(p.pend, tail(p.attr)...)
+	}
+	for _, v := range keys {
+		c.pending = append(c.pending, pendingInsert{oid: c.nextOID, row: uint32(len(c.pending)), val: v})
+		c.nextOID++
+	}
 }
 
 // Delete queues removal of the tuple with the given OID. It reports

@@ -160,6 +160,7 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 		}
 	}
 	c.sorted = false
+	c.dropPaysLocked() // the membership split below swaps two vectors, not k
 	vals, oids := c.vals, c.oids
 	var moved int64
 	i, j := lo, hi-1

@@ -119,12 +119,12 @@ func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 		nextOID: st.NextOID,
 		deleted: make(map[bat.OID]struct{}, len(st.Deleted)),
 	}
-	for _, p := range st.Pending {
+	for i, p := range st.Pending {
 		if p.OID >= c.nextOID {
 			return nil, fmt.Errorf("core: column %q pending oid %d >= next oid %d",
 				st.Name, p.OID, c.nextOID)
 		}
-		c.pending = append(c.pending, pendingInsert{oid: p.OID, val: p.Val})
+		c.pending = append(c.pending, pendingInsert{oid: p.OID, row: uint32(i), val: p.Val})
 	}
 	for _, oid := range st.Deleted {
 		c.deleted[oid] = struct{}{}

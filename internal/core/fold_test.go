@@ -14,8 +14,34 @@ import (
 
 // The update-fold oracle: ripple ≡ rebuild ≡ brute force. One op stream
 // drives three columns — fold pinned to ripple, pinned to rebuild, and
-// left to the write count — beside a map model. TestFoldOracle feeds the
+// left to the write count — beside a map model. Every column carries two
+// sideways payload vectors whose values are functions of the OID, and
+// after every crack, fold, compaction, fusion and strategy flip each must
+// still hold its function of the OID beside it. TestFoldOracle feeds the
 // stream from a seeded generator, FuzzFold from the fuzzer's bytes.
+
+// foldPays are the payload vectors every harness column carries: "f"
+// from birth, "g" gathered a few ops in, through whatever permutation
+// and pending queue the column has by then.
+var foldPays = map[string]func(bat.OID) int64{
+	"f": func(oid bat.OID) int64 { return int64(oid)*7 + 1 },
+	"g": func(oid bat.OID) int64 { return -int64(oid) },
+}
+
+// foldStrategy builds one strategy instance (they carry RNG state, so one
+// per column) with a cut-off small enough that it advises cuts on
+// columns this size.
+func foldStrategy(name string) core.CrackStrategy {
+	switch name {
+	case "ddc":
+		return strategy.NewDDC(16)
+	case "ddr":
+		return strategy.NewDDR(16, 13)
+	case "mdd1r":
+		return strategy.NewMDD1R(16, 13)
+	}
+	return nil
+}
 
 // opSource hands out the bytes of an op stream; an exhausted stream
 // reads as zeros and reports done.
@@ -39,7 +65,8 @@ func (s *opSource) next2() int { return s.next()<<8 | s.next() }
 
 type foldHarness struct {
 	t     testing.TB
-	cols  [3]*core.Column // ripple, rebuild, by cost
+	cols  [3]*core.Column                // ripple, rebuild, by cost
+	pays  map[string]func(bat.OID) int64 // the payloads attached so far
 	model map[bat.OID]int64
 	live  []bat.OID // model keys, in insertion order (deterministic picks)
 	dead  []bat.OID // OIDs deleted earlier
@@ -52,26 +79,37 @@ type foldHarness struct {
 const foldDomain = 1000
 
 func newFoldHarness(t testing.TB, base []int64, stratName string, opts ...core.Option) *foldHarness {
-	h := &foldHarness{t: t, model: make(map[bat.OID]int64, len(base)), next: bat.OID(len(base))}
+	h := &foldHarness{t: t, model: make(map[bat.OID]int64, len(base)), next: bat.OID(len(base)),
+		pays: make(map[string]func(bat.OID) int64)}
 	for i, v := range base {
 		h.model[bat.OID(i)] = v
 		h.live = append(h.live, bat.OID(i))
 	}
 	for i, fold := range []core.Option{core.WithFold(core.FoldRipple), core.WithFold(core.FoldRebuild), core.WithFold(core.FoldByCost)} {
-		colOpts := append([]core.Option{fold}, opts...)
-		// One instance per column (strategies carry RNG state), with a
-		// cut-off small enough that they advise cuts on columns this size.
-		switch stratName {
-		case "ddc":
-			colOpts = append(colOpts, core.WithStrategy(strategy.NewDDC(16)))
-		case "ddr":
-			colOpts = append(colOpts, core.WithStrategy(strategy.NewDDR(16, 13)))
-		case "mdd1r":
-			colOpts = append(colOpts, core.WithStrategy(strategy.NewMDD1R(16, 13)))
-		}
+		colOpts := append([]core.Option{fold, core.WithStrategy(foldStrategy(stratName))}, opts...)
 		h.cols[i] = core.NewColumn(fmt.Sprintf("c%d", i), base, colOpts...)
+		h.attach(h.cols[i], "f")
 	}
 	return h
+}
+
+func (h *foldHarness) attach(c *core.Column, attr string) {
+	h.t.Helper()
+	if err := core.AttachPayloadFunc(c, attr, foldPays[attr]); err != nil {
+		h.failf("attach %q to %s: %v", attr, c.Name(), err)
+	}
+	h.pays[attr] = foldPays[attr]
+}
+
+// checkPays holds every column's payload vectors against their functions
+// of the OID.
+func (h *foldHarness) checkPays(when string) {
+	h.t.Helper()
+	for _, c := range h.cols {
+		if err := core.CheckPayloads(c, h.pays); err != nil {
+			h.failf("%s %s: %v", c.Name(), when, err)
+		}
+	}
 }
 
 func (h *foldHarness) failf(format string, args ...any) {
@@ -83,6 +121,11 @@ func (h *foldHarness) run(src *opSource) {
 	// Every check is linear in the column; a stream that only grows it
 	// would spend its time there, so it ends at a few thousand tuples.
 	for h.step = 0; !src.done() && h.next < 6000; h.step++ {
+		if h.step == 3 {
+			for _, c := range h.cols {
+				h.attach(c, "g")
+			}
+		}
 		switch op := src.next() % 8; {
 		case op < 2:
 			h.insertBatch(src)
@@ -121,7 +164,7 @@ func (h *foldHarness) insertBatch(src *opSource) {
 			v = int64(at % foldDomain)
 		}
 		for _, c := range h.cols {
-			if oid := c.Insert(v); oid != h.next {
+			if oid := core.InsertRow(c, v, h.pays); oid != h.next {
 				h.failf("insert got oid %d, want %d", oid, h.next)
 			}
 		}
@@ -188,6 +231,7 @@ func (h *foldHarness) foldAndCheck() {
 		h.failf("dry run said %d writes, %d shifts; the fold did %d, %d", written, shifted,
 			after.TuplesMoved-before.TuplesMoved, after.CutsShifted-before.CutsShifted)
 	}
+	h.checkPays("after fold")
 	for _, c := range h.cols {
 		if err := c.Verify(); err != nil {
 			h.failf("%s after fold: %v", c.Name(), err)
@@ -213,6 +257,13 @@ func (h *foldHarness) selectAndCheck(src *opSource) {
 	}
 	incl := src.next()
 	loIncl, hiIncl := incl&1 == 0, incl&2 == 0
+	if incl>>4 == 0xF { // one select in sixteen runs under a freshly flipped strategy
+		name := strategy.Names()[incl>>2&3]
+		for _, c := range h.cols {
+			c.SwapStrategy(func(core.CrackStrategy) core.CrackStrategy { return foldStrategy(name) })
+		}
+		h.checkPays("after flip to " + name)
+	}
 	var want []int64
 	for _, v := range h.model {
 		if (v > lo || loIncl && v == lo) && (v < hi || hiIncl && v == hi) {
@@ -235,6 +286,7 @@ func (h *foldHarness) selectAndCheck(src *opSource) {
 			h.failf("%s after select: %v", c.Name(), err)
 		}
 	}
+	h.checkPays("after select")
 }
 
 func TestFoldOracle(t *testing.T) {

@@ -51,11 +51,8 @@ type CutPlan struct {
 }
 
 // PieceContext describes the piece a pending cut falls into. It is only
-// valid for the duration of one AdviseCut call (the owner's write lock
-// is held); implementations must not retain it. Columns build their own
-// contexts; other cracker structures (the sideways maps of
-// internal/sideways) use NewPieceContext, so one strategy implementation
-// advises every aligned structure the same way.
+// valid for the duration of one AdviseCut call (the column's write lock
+// is held); implementations must not retain it.
 type PieceContext struct {
 	Lo, Hi int   // piece bounds [Lo, Hi) in the column
 	N      int   // total column cardinality
@@ -65,15 +62,6 @@ type PieceContext struct {
 
 	vals  []int64     // the full value vector the piece indexes into
 	touch func(int64) // charges tuples the strategy inspects; may be nil
-}
-
-// NewPieceContext builds a consultation context over an arbitrary value
-// vector — the hook internal/sideways uses so stochastic pivots apply to
-// the aligned cracker maps exactly as they do to the primary column.
-// vals is the full vector (Lo/Hi are absolute positions into it); touch,
-// when non-nil, is charged with every tuple a strategy scan inspects.
-func NewPieceContext(lo, hi, n int, val int64, incl bool, depth int, vals []int64, touch func(int64)) PieceContext {
-	return PieceContext{Lo: lo, Hi: hi, N: n, Val: val, Incl: incl, Depth: depth, vals: vals, touch: touch}
 }
 
 // Size returns the piece width.

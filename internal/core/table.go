@@ -30,7 +30,7 @@ type CrackedTable struct {
 
 	// tomb (guarded by baseMu) is the table-level tombstone set. Deleted
 	// tuples stay in the base relation — removing them would renumber the
-	// surrogate OIDs every cracker column and sideways map is aligned on —
+	// surrogate OIDs every cracker column and payload vector is aligned on —
 	// and are instead excluded at the two places a query can reach them:
 	// cracker columns drop them at consolidation (Column.Delete is
 	// forwarded per delete, or applied at creation for columns cracked
@@ -38,11 +38,10 @@ type CrackedTable struct {
 	tomb map[bat.OID]struct{}
 
 	// selectObs, when set, is invoked after every single-range selection
-	// with the range that was answered — the registration hook sideways
-	// cracking uses to keep its aligned maps cracked in lockstep with the
-	// primary column. Set it before the table is shared between
-	// goroutines (the store wires it at wrapper creation); it runs
-	// outside every table and column lock.
+	// with the range that was answered — the hook the store's auto-tuner
+	// watches bound streams through. Set it before the table is shared
+	// between goroutines (the store wires it at wrapper creation); it
+	// runs outside every table and column lock.
 	selectObs func(r expr.Range)
 
 	// fetched counts tuples materialized through the base table by Fetch
@@ -325,55 +324,55 @@ func (ct *CrackedTable) Fetch(oids []bat.OID, attrs ...string) (*relation.Table,
 	return relation.FromColumns(name, cols...)
 }
 
-// BaseLen returns the base relation's current cardinality under the
-// read lock.
-func (ct *CrackedTable) BaseLen() int { return ct.baseLen() }
-
-// BaseRows copies the attribute values of base rows [from, to) in base
-// order, one slice per requested attribute — the pull path sideways maps
-// use to absorb rows appended since their last synchronization.
-func (ct *CrackedTable) BaseRows(from, to int, attrs ...string) ([][]int64, error) {
+// AttachPayload gives key's cracker column a payload vector of attr —
+// one gather through the column's current OID order, under the base read
+// lock (lock order base → column) — or, when it already has one, stamps
+// it. The gather is construction, not per-query reconstruction: it does
+// not count toward FetchedTuples.
+func (ct *CrackedTable) AttachPayload(key, attr string, stamp uint64) (built bool, err error) {
+	c, err := ct.ColumnFor(key)
+	if err != nil {
+		return false, err
+	}
 	ct.baseMu.RLock()
 	defer ct.baseMu.RUnlock()
-	if from < 0 || to > ct.base.Len() || from > to {
-		return nil, fmt.Errorf("core: base rows [%d, %d) out of range [0, %d)", from, to, ct.base.Len())
+	b, err := ct.base.Column(attr)
+	if err != nil {
+		return false, err
 	}
-	out := make([][]int64, len(attrs))
-	for i, a := range attrs {
-		b, err := ct.base.Column(a)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]int64, to-from)
-		for j := range vals {
-			vals[j] = b.Int(from + j)
-		}
-		out[i] = vals
-	}
-	return out, nil
+	return c.attachPayload(attr, b.Ints(), stamp)
 }
 
-// GatherBase materializes one attribute for the given OIDs, in argument
-// order — the one-time random-access pass that builds a sideways payload
-// vector aligned with an existing map. Unlike Fetch it does not count
-// toward FetchedTuples: it is map construction, not per-query tuple
-// reconstruction.
-func (ct *CrackedTable) GatherBase(attr string, oids []bat.OID) ([]int64, error) {
+// RestorePayloads attaches exported payload vectors (Column.ExportPayloads,
+// or a map section of an older image) to key's existing cracker column,
+// aligned by OID; see Column.restorePayloads. Payload k is stamped
+// stamp+k.
+func (ct *CrackedTable) RestorePayloads(key string, keys []int64, oids []bat.OID, pays []PayloadState, stamp uint64) error {
+	c, ok := ct.Column(key)
+	if !ok {
+		return fmt.Errorf("core: payloads for %s.%s, which has no cracker column", ct.base.Name, key)
+	}
 	ct.baseMu.RLock()
 	defer ct.baseMu.RUnlock()
-	vecs, err := ct.gatherLocked(oids, []string{attr})
-	if err != nil {
-		return nil, err
+	srcs := make([][]int64, len(pays))
+	for k, p := range pays {
+		b, err := ct.base.Column(p.Attr)
+		if err != nil {
+			return err
+		}
+		srcs[k] = b.Ints()
 	}
-	return vecs[0], nil
+	return c.restorePayloads(keys, oids, pays, srcs, stamp)
 }
 
 // AppendRows extends the base relation and queues the new values as
 // pending inserts on every existing cracker column, preserving OID
 // alignment (a column's next OID equals the base length at its creation,
 // and every append is forwarded exactly once). Columns created later see
-// the grown base directly. Appends exclude concurrent readers of the
-// base table; cracker columns synchronize on their own mutexes.
+// the grown base directly. Each column's payload vectors receive their
+// attributes' values of the new rows in the same call, so the fold never
+// has to read the base. Appends exclude concurrent readers of the base
+// table; cracker columns synchronize on their own mutexes.
 func (ct *CrackedTable) AppendRows(rows [][]int64) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -385,14 +384,12 @@ func (ct *CrackedTable) AppendRows(rows [][]int64) error {
 			return fmt.Errorf("core: append row %d: %w", i, err)
 		}
 	}
+	tail := func(attr string) []int64 {
+		b, _ := ct.base.Column(attr) // a cracked or payload attribute is a base column
+		return b.Ints()[fromLen:]
+	}
 	for attr, col := range ct.cols {
-		b, err := ct.base.Column(attr)
-		if err != nil {
-			return err
-		}
-		for i := fromLen; i < b.Len(); i++ {
-			col.Insert(b.Int(i))
-		}
+		col.appendRows(tail(attr), tail)
 	}
 	return nil
 }
@@ -401,7 +398,7 @@ func (ct *CrackedTable) AppendRows(rows [][]int64) error {
 // table-level tombstone set and forwarded to every existing cracker
 // column (columns created later inherit the set at birth). The base
 // relation keeps the rows — OID stability is what keeps the columns and
-// sideways maps aligned — but no query path returns them again. Returns
+// their payload vectors aligned — but no query path returns them again. Returns
 // how many OIDs were newly deleted (already-dead or out-of-range OIDs
 // are skipped).
 func (ct *CrackedTable) DeleteOIDs(oids []bat.OID) int {

@@ -141,11 +141,20 @@ func (c *Column) consolidateLocked() {
 	c.lin, c.reroot = nil, "after update"
 	c.vals = slices.Grow(c.vals, k)[:n+k]
 	c.oids = slices.Grow(c.oids, k)[:n+k]
+	for _, pv := range c.pays {
+		pv.vals = slices.Grow(pv.vals, k)[:n+k]
+	}
 	place := func(dst, src, mv, from, to int) {
 		copy(c.vals[dst:dst+mv], c.vals[src:])
 		copy(c.oids[dst:dst+mv], c.oids[src:])
 		for i, p := range batch[from:to] {
 			c.vals[dst+mv+i], c.oids[dst+mv+i] = p.val, p.oid
+		}
+		for _, pv := range c.pays {
+			copy(pv.vals[dst:dst+mv], pv.vals[src:])
+			for i, p := range batch[from:to] {
+				pv.vals[dst+mv+i] = pv.pend[p.row]
+			}
 		}
 	}
 	if kind == foldRipple {
@@ -160,6 +169,9 @@ func (c *Column) consolidateLocked() {
 		if c.sorted {
 			c.sortLocked("re-sort after consolidation")
 		}
+	}
+	for _, pv := range c.pays {
+		pv.pend = pv.pend[:0]
 	}
 	c.stats.tuplesMoved.Add(int64(written))
 	c.stats.cutsShifted.Add(int64(shifted))
@@ -178,6 +190,9 @@ func (c *Column) compactLocked() (written, shifted int) {
 			}
 			if w != r {
 				c.vals[w], c.oids[w] = c.vals[r], c.oids[r]
+				for _, pv := range c.pays {
+					pv.vals[w] = pv.vals[r]
+				}
 				written++
 			}
 			w++
@@ -192,5 +207,8 @@ func (c *Column) compactLocked() (written, shifted int) {
 	})
 	sweep(len(c.vals))
 	c.vals, c.oids = c.vals[:w], c.oids[:w]
+	for _, pv := range c.pays {
+		pv.vals = pv.vals[:w]
+	}
 	return written, shifted
 }

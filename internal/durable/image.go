@@ -17,7 +17,7 @@ import (
 // Store images. One element type persists a store: an Image carries what
 // changed since a named predecessor — rewritten tables, the complete
 // crack state (core.ColumnState) of every column whose fingerprint moved,
-// the sideways maps of touched tables — and a full image is simply the
+// the sideways maps of those columns — and a full image is simply the
 // element with nothing before it: Base set, every table DataDirty, every
 // cracked column carried. The paper argues reorganization cost should
 // track what queries touch; so does checkpoint cost, because the unit of
@@ -36,10 +36,11 @@ import (
 //	         element's wins)
 //	ncols    uint32  column records (table, attr, ColumnState) — changed
 //	columns          columns only
-//	ntouch   uint32  tables whose sideways maps this element carries
+//	ntouch   uint32  tables with at least one carried column
 //	touched  ntouch × string
-//	nsets    uint32  sideways map spines of the touched tables (complete
-//	sideways         per-table set; apply replaces a table's maps wholesale)
+//	nsets    uint32  sideways maps: for each carried column that has
+//	sideways         payload vectors, (table, key, the column's values and
+//	                 OIDs again, an empty cut set, no strategy, payloads)
 //	ntune    uint32  tuner posture (full copy; the last element's wins)
 //	tuner    ntune × (table, column, strategy, class, flips, forced)
 //	crc      uint32  CRC-32 (IEEE) of everything above
@@ -99,9 +100,9 @@ type Image struct {
 	PrevSum  uint32 // trailer checksum of the element this one follows
 	Config   StoreConfig
 	Tables   []ImageTable
-	Columns  []ColumnSnapshot // columns whose crack state changed
-	Touched  []string         // tables whose sideways maps are carried
-	Sideways []sideways.MapState
+	Columns  []ColumnSnapshot    // columns whose crack state changed
+	Touched  []string            // tables with at least one carried column
+	Sideways []sideways.MapState // payload vectors of the carried columns
 	Tuner    []tuner.ColumnState
 }
 
@@ -279,8 +280,11 @@ func (e *imageEncoder) sidewaysSet(ms *sideways.MapState) {
 	e.u64(uint64(len(ms.Keys)))
 	e.int64s(ms.Keys)
 	e.oids(ms.OIDs)
-	e.cuts(ms.Cuts)
-	e.strategy(ms.Strategy)
+	// A map is payload vectors on its key column: the cut set and the
+	// strategy are the column's. The two slots keep version 4 readable
+	// both ways.
+	e.cuts(nil)
+	e.strategy(nil)
 	e.u32(uint32(len(ms.Pays)))
 	for _, p := range ms.Pays {
 		e.str(p.Attr)
@@ -497,8 +501,8 @@ func (d *imageDecoder) sidewaysSet() sideways.MapState {
 	n := d.count(d.u64(), 12, "sideways cardinality") // 8 bytes/key + 4/oid
 	ms.Keys = d.int64s(n)
 	ms.OIDs = d.oids(n)
-	ms.Cuts = d.cuts()
-	ms.Strategy = d.strategy()
+	d.cuts()     // a map written as its own cracker carried its own cuts
+	d.strategy() // and strategy; restore aligns it to its column by OID
 	// Each payload carries n 8-byte values; bound the count by what the
 	// file could hold so a bit-flipped field fails as corruption.
 	for np := d.count(uint64(d.u32()), 4+8*max(int64(n), 1), "sideways payload"); np > 0 && d.err == nil; np-- {

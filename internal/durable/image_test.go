@@ -41,7 +41,6 @@ func sampleSideways() []sideways.MapState {
 	return []sideways.MapState{{
 		Table: "hot", Key: "k",
 		Keys: []int64{1, 2, 3}, OIDs: []bat.OID{0, 1, 2},
-		Cuts: []core.Cut{{Val: 2, Incl: true, Pos: 1}},
 		Pays: []sideways.PayState{{Attr: "v", Vals: []int64{9, 8, 7}}},
 	}}
 }
@@ -112,6 +111,65 @@ func TestImageRoundTrip(t *testing.T) {
 				t.Fatalf("round trip diverged:\nwrote %+v\nread  %+v", tc.img, got)
 			}
 		})
+	}
+}
+
+// TestImageSkipsMapCutsAndStrategy: a version-4 image written while a
+// sideways map was a cracker of its own filled the map section's cut and
+// strategy slots. The reader steps over them — a map's cuts are its key
+// column's now — and lands on the payloads and on what follows.
+func TestImageSkipsMapCutsAndStrategy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "img.crk")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleSideways()[0]
+	e := &imageEncoder{f: f}
+	e.buf = append(e.buf, imageMagic[:]...)
+	e.u8(imageVersion)
+	e.bool(true) // base
+	e.u32(0)     // prevSum
+	e.u32(0)     // tables
+	e.str("")    // config: strategy name, seed, max pieces, the dead byte, sideways budget
+	e.u64(0)
+	e.u64(0)
+	e.bool(false)
+	e.u64(16)
+	e.u32(0) // columns
+	e.u32(0) // touched
+	e.u32(1) // maps
+	e.str(want.Table)
+	e.str(want.Key)
+	e.u64(uint64(len(want.Keys)))
+	e.int64s(want.Keys)
+	e.oids(want.OIDs)
+	e.cuts([]core.Cut{{Val: 2, Incl: true, Pos: 1}, {Val: 3, Pos: 2}})
+	e.strategy(&core.StrategyState{Name: "ddr", MinPiece: 64, RNG: 99})
+	e.u32(uint32(len(want.Pays)))
+	for _, p := range want.Pays {
+		e.str(p.Attr)
+		e.int64s(p.Vals)
+	}
+	e.u32(1) // tuner posture: proves the reader resynchronized
+	for _, s := range []string{"hot", "k", "ddr", "seq"} {
+		e.str(s)
+	}
+	e.u64(3)
+	e.bool(true)
+	e.finish()
+	if e.err != nil || f.Close() != nil {
+		t.Fatal("writing the fixture failed")
+	}
+	img, _, err := ReadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(img.Sideways, []sideways.MapState{want}) {
+		t.Fatalf("map section read as %+v, want %+v", img.Sideways, want)
+	}
+	if len(img.Tuner) != 1 || img.Tuner[0].Flips != 3 || img.Config.SidewaysBudget != 16 {
+		t.Fatalf("reader lost its place after the map section: %+v", img)
 	}
 }
 

@@ -16,6 +16,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"crackdb/internal/bat"
@@ -254,7 +255,7 @@ func writeInts(w io.Writer, produce func(yield func(int64))) error {
 		if err != nil {
 			return
 		}
-		buf = appendInt(buf, v)
+		buf = strconv.AppendInt(buf, v, 10)
 		buf = append(buf, '\n')
 		if len(buf) >= 1<<12-32 {
 			_, err = w.Write(buf)
@@ -268,24 +269,6 @@ func writeInts(w io.Writer, produce func(yield func(int64))) error {
 		_, err = w.Write(buf)
 	}
 	return err
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
 }
 
 func log2ceil(n int64) int {

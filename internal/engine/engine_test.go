@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -141,6 +142,16 @@ func TestDeliveryModes(t *testing.T) {
 		if stMat.TuplesMoved < int64(stMat.Count) {
 			t.Fatalf("%s: materialization charged %d writes for %d tuples", strat, stMat.TuplesMoved, stMat.Count)
 		}
+	}
+}
+
+func TestPrintValuesExtremes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := printValues(&buf, []int64{math.MinInt64, -1, 0, math.MaxInt64}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "-9223372036854775808\n-1\n0\n9223372036854775807\n"; buf.String() != want {
+		t.Fatalf("printed %q, want %q", buf.String(), want)
 	}
 }
 

@@ -375,6 +375,21 @@ func TestUpdateFoldOracle(t *testing.T) {
 					if canonical(rows) != wantRows {
 						t.Fatalf("step %d store %d: rows for %v diverge from the model", step, i, conds)
 					}
+					if len(conds) != 2 {
+						continue
+					}
+					// A pure key range again through Select, whose Rows reads
+					// the key column's sideways payload vectors.
+					sel, err := s.Select("t", "k", conds[0].Val, conds[1].Val-1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rows, err = sel.Rows("k", "v", "g"); err != nil {
+						t.Fatal(err)
+					}
+					if canonical(rows) != wantRows {
+						t.Fatalf("step %d store %d: Select(%v).Rows diverges from the model", step, i, conds)
+					}
 				}
 			}
 			keyRange := func(width int64) []crackdb.Cond {
@@ -441,6 +456,11 @@ func TestUpdateFoldOracle(t *testing.T) {
 			if ripple1 == ripple0 || rebuild1 != rebuild0 {
 				t.Fatalf("folds on the converged key column: %d ripple, %d rebuild — the update phase must ripple only",
 					ripple1-ripple0, rebuild1-rebuild0)
+			}
+			// The payload vectors rode every one of those folds: gathered
+			// once, never declined, never fetched around.
+			if st := single.SidewaysStats(); st.Builds != 2 || st.Declines != 0 || st.Fallbacks != 0 || st.Projections == 0 {
+				t.Fatalf("sideways payloads did not ride the update phase: %+v", st)
 			}
 		})
 	}

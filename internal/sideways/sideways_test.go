@@ -3,12 +3,14 @@ package sideways
 import (
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
+	"crackdb/internal/bat"
 	"crackdb/internal/core"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
-	"crackdb/internal/strategy"
 )
 
 // buildTable makes a three-column relation (k, a, b) with seeded random
@@ -72,6 +74,18 @@ func asRows(wins [][]int64) [][]int64 {
 	return out
 }
 
+// project runs the store's two steps — select on the key, project the
+// selection — and returns the windows as canonically sorted rows.
+func project(t *testing.T, g *Registry, ct *core.CrackedTable, lo, hi int64, attrs ...string) ([][]int64, bool) {
+	t.Helper()
+	_, sel, err := ct.SelectCopy(incRange(lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins, ok := g.Project(ct, "t", incRange(lo, hi), attrs, sel)
+	return sorted(asRows(wins)), ok
+}
+
 func TestProjectMatchesOracle(t *testing.T) {
 	ct, rows := buildTable(t, 4000, 1)
 	g := NewRegistry(DefaultBudget)
@@ -79,12 +93,11 @@ func TestProjectMatchesOracle(t *testing.T) {
 	for q := 0; q < 60; q++ {
 		lo := rng.Int63n(9000)
 		hi := lo + rng.Int63n(1200) + 1
-		want := wantProjection(rows, lo, hi, 0, 1, 2)
-		wins, ok := g.Project(ct, "t", incRange(lo, hi), []string{"k", "a", "b"}, len(want))
+		got, ok := project(t, g, ct, lo, hi, "k", "a", "b")
 		if !ok {
 			t.Fatalf("query %d: projection declined", q)
 		}
-		if got := sorted(asRows(wins)); !reflect.DeepEqual(got, want) {
+		if want := wantProjection(rows, lo, hi, 0, 1, 2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d [%d,%d]: projection diverges from oracle", q, lo, hi)
 		}
 	}
@@ -95,29 +108,54 @@ func TestProjectMatchesOracle(t *testing.T) {
 	if st.Builds != 2 {
 		t.Fatalf("builds = %d, want 2 (a and b, once each)", st.Builds)
 	}
+	// An attribute the table does not have is refused, and counted.
+	if _, ok := project(t, g, ct, 0, 100, "k", "nope"); ok {
+		t.Fatal("projection of an unknown attribute served")
+	}
+	if st := g.Snapshot(); st.Declines != 1 || st.Pays != 2 {
+		t.Fatalf("after an unknown attribute: %d declines, %d pays, want 1 and 2", st.Declines, st.Pays)
+	}
 }
 
-// TestProjectStaleLengthDeclines pins the consistency guard: when rows
-// land inside the range between the caller's selection and the
-// projection, the map's window no longer matches and Project must
-// decline rather than return tuples the selection never saw.
+// TestProjectStaleLengthDeclines pins the consistency guard: when the
+// range stops holding exactly the selected tuples between the caller's
+// selection and the projection, Project must decline rather than return
+// tuples the selection never saw — also when a delete and an insert
+// leave the cardinality where it was.
 func TestProjectStaleLengthDeclines(t *testing.T) {
 	ct, rows := buildTable(t, 1000, 3)
 	g := NewRegistry(DefaultBudget)
-	want := wantProjection(rows, 100, 5000, 0, 1)
-	if _, ok := g.Project(ct, "t", incRange(100, 5000), []string{"k", "a"}, len(want)); !ok {
+	r, attrs := incRange(100, 5000), []string{"k", "a"}
+	_, sel, _ := ct.SelectCopy(r)
+	if _, ok := g.Project(ct, "t", r, attrs, sel); !ok {
 		t.Fatal("warm-up projection declined")
 	}
 	// Append a row inside the range behind the caller's back.
 	if err := ct.AppendRows([][]int64{{200, 7, 7}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Project(ct, "t", incRange(100, 5000), []string{"k", "a"}, len(want)); ok {
-		t.Fatal("projection served a stale tuple count")
+	if _, ok := g.Project(ct, "t", r, attrs, sel); ok {
+		t.Fatal("projection served a selection one tuple short")
 	}
-	// With the correct (grown) count it must serve again.
-	if _, ok := g.Project(ct, "t", incRange(100, 5000), []string{"k", "a"}, len(want)+1); !ok {
-		t.Fatal("projection declined the refreshed count")
+	// Delete one of the selected tuples: same cardinality, other tuples.
+	if ct.DeleteOIDs(sel[:1]) != 1 {
+		t.Fatal("delete refused")
+	}
+	if _, ok := g.Project(ct, "t", r, attrs, sel); ok {
+		t.Fatal("projection served a selection whose cardinality only coincides")
+	}
+	// A fresh selection serves again, from the same payload vector.
+	got, ok := project(t, g, ct, 100, 5000, attrs...)
+	if !ok {
+		t.Fatal("projection declined the refreshed selection")
+	}
+	rows = append(rows, []int64{200, 7, 7})
+	rows = append(rows[:sel[0]:sel[0]], rows[sel[0]+1:]...)
+	if want := wantProjection(rows, 100, 5000, 0, 1); !reflect.DeepEqual(got, want) {
+		t.Fatal("projection after insert and delete diverges from oracle")
+	}
+	if st := g.Snapshot(); st.Builds != 1 || st.Declines != 2 {
+		t.Fatalf("builds %d, declines %d, want 1 and 2", st.Builds, st.Declines)
 	}
 }
 
@@ -129,12 +167,11 @@ func TestBudgetEviction(t *testing.T) {
 		if q%2 == 1 {
 			attr, col = "b", 2
 		}
-		want := wantProjection(rows, 0, 10_000, 0, col)
-		wins, ok := g.Project(ct, "t", incRange(0, 10_000), []string{"k", attr}, len(want))
+		got, ok := project(t, g, ct, 0, 10_000, "k", attr)
 		if !ok {
 			t.Fatalf("projection %d declined", q)
 		}
-		if got := sorted(asRows(wins)); !reflect.DeepEqual(got, want) {
+		if want := wantProjection(rows, 0, 10_000, 0, col); !reflect.DeepEqual(got, want) {
 			t.Fatalf("projection %d (%s) diverges after eviction churn", q, attr)
 		}
 	}
@@ -146,192 +183,256 @@ func TestBudgetEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 5 (alternating a/b under budget 1)", st.Evictions)
 	}
 	// A projection needing more vectors than the budget declines.
-	if _, ok := g.Project(ct, "t", incRange(0, 10_000), []string{"a", "b"}, len(rows)); ok {
+	if _, ok := project(t, g, ct, 0, 10_000, "a", "b"); ok {
 		t.Fatal("over-budget projection served")
 	}
-	if _, ok := g.Project(ct, "t", incRange(0, 10_000), []string{"a", "b"}, len(rows)); ok {
+	if _, ok := project(t, g, ct, 0, 10_000, "a", "b"); ok {
 		t.Fatal("over-budget projection served")
 	}
-	// Budget 0 disables outright.
+	// Budget 0 disables outright, and frees what was live.
 	g.SetBudget(0)
-	if _, ok := g.Project(ct, "t", incRange(0, 10_000), []string{"k"}, len(rows)); ok {
+	if _, ok := project(t, g, ct, 0, 10_000, "k"); ok {
 		t.Fatal("disabled registry served a projection")
 	}
+	if st := g.Snapshot(); st.Pays != 0 || st.Sets != 0 {
+		t.Fatalf("disabled registry still counts %d pays on %d columns", st.Pays, st.Sets)
+	}
 }
 
-// TestObserveLockstep pins the lockstep property: ranges observed from
-// primary selections crack the map, so a later projection of an
-// already-seen range partitions nothing.
-func TestObserveLockstep(t *testing.T) {
-	ct, rows := buildTable(t, 2000, 5)
+// TestCensusFollowsColumns: the budgeted quantity is what live columns
+// hold, whoever dropped or replaced them.
+func TestCensusFollowsColumns(t *testing.T) {
+	ct, rows := buildTable(t, 800, 12)
 	g := NewRegistry(DefaultBudget)
-	want := wantProjection(rows, 1000, 2000, 0, 1)
-	if _, ok := g.Project(ct, "t", incRange(1000, 2000), []string{"k", "a"}, len(want)); !ok {
-		t.Fatal("projection declined")
+	serve := func(when string) {
+		t.Helper()
+		got, ok := project(t, g, ct, 1000, 6000, "a", "b")
+		if !ok || !reflect.DeepEqual(got, wantProjection(rows, 1000, 6000, 1, 2)) {
+			t.Fatalf("%s: projection declined (%v) or diverges", when, !ok)
+		}
 	}
-	// Observe a stream of fresh ranges (as primary selections would).
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 40; i++ {
-		lo := rng.Int63n(9000)
-		g.Observe(ct, "t", incRange(lo, lo+500))
+	serve("first")
+	col, _ := ct.Column("k")
+	// A reorganization the payloads cannot follow drops them at the column.
+	col.SortAll()
+	if st := g.Snapshot(); st.Pays != 0 || st.Sets != 0 || col.Stats().PaysDropped != 2 {
+		t.Fatalf("after SortAll: %d pays on %d columns, %d dropped; want 0, 0, 2", st.Pays, st.Sets, col.Stats().PaysDropped)
 	}
-	cracksBefore := g.Snapshot().Cracks
-	// Re-projecting an observed range must be a pure index lookup.
-	lo := int64(4000)
-	g.Observe(ct, "t", incRange(lo, lo+500))
-	afterObserve := g.Snapshot().Cracks
-	want2 := wantProjection(rows, lo, lo+500, 0, 1)
-	wins, ok := g.Project(ct, "t", incRange(lo, lo+500), []string{"k", "a"}, len(want2))
-	if !ok {
-		t.Fatal("projection of observed range declined")
+	serve("after SortAll")
+	// A restored column replaces the live one and carries nothing.
+	twin, err := core.ColumnFromState(col.ExportState())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sorted(asRows(wins)); !reflect.DeepEqual(got, want2) {
-		t.Fatal("projection of observed range diverges from oracle")
+	if err := ct.ReplaceColumn("k", twin); err != nil {
+		t.Fatal(err)
 	}
-	if g.Snapshot().Cracks != afterObserve {
-		t.Fatalf("projection of an observed range cracked (%d -> %d): lockstep broken",
-			afterObserve, g.Snapshot().Cracks)
+	if st := g.Snapshot(); st.Pays != 0 {
+		t.Fatalf("after ReplaceColumn: %d pays counted on a column that is gone", st.Pays)
 	}
-	_ = cracksBefore
-}
-
-// TestStrategyAppliesToMaps pins that stochastic pivots reach the
-// aligned maps: under mdd1r the map index holds only data-driven cuts,
-// never the workload's query bounds, and projections stay exact.
-func TestStrategyAppliesToMaps(t *testing.T) {
-	for _, strat := range []string{"ddc", "ddr", "mdd1r"} {
-		t.Run(strat, func(t *testing.T) {
-			ct, rows := buildTable(t, 5000, 7)
-			g := NewRegistry(DefaultBudget)
-			g.SetStrategyFactory(func(table, key string) core.CrackStrategy {
-				st, err := strategy.New(strat, 99)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			})
-			// A sequential walk: the adversarial pattern for query-driven
-			// cut placement.
-			for q := 0; q < 50; q++ {
-				lo := int64(q * 180)
-				want := wantProjection(rows, lo, lo+400, 0, 2)
-				wins, ok := g.Project(ct, "t", incRange(lo, lo+400), []string{"k", "b"}, len(want))
-				if !ok {
-					t.Fatalf("query %d declined", q)
-				}
-				if got := sorted(asRows(wins)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("query %d: %s projection diverges from oracle", q, strat)
-				}
-			}
-			if aux := g.Snapshot().AuxCracks; aux == 0 {
-				t.Fatalf("%s advised no auxiliary map cracks", strat)
-			}
-		})
+	serve("after ReplaceColumn")
+	if st := g.Snapshot(); st.Pays != 2 || st.Builds != 6 {
+		t.Fatalf("%d pays after %d builds, want 2 after 6", st.Pays, st.Builds)
+	}
+	g.DropTable("t")
+	if st := g.Snapshot(); st.Pays != 0 {
+		t.Fatalf("after DropTable: %d pays", st.Pays)
 	}
 }
 
 func TestExportRestoreRoundTrip(t *testing.T) {
 	ct, rows := buildTable(t, 3000, 8)
 	g := NewRegistry(DefaultBudget)
-	g.SetStrategyFactory(func(table, key string) core.CrackStrategy {
-		st, _ := strategy.New("ddr", 17)
-		return st
-	})
 	rng := rand.New(rand.NewSource(9))
 	for q := 0; q < 30; q++ {
 		lo := rng.Int63n(9000)
-		want := wantProjection(rows, lo, lo+700, 0, 1, 2)
-		if _, ok := g.Project(ct, "t", incRange(lo, lo+700), []string{"k", "a", "b"}, len(want)); !ok {
+		if _, ok := project(t, g, ct, lo, lo+700, "k", "a", "b"); !ok {
 			t.Fatalf("query %d declined", q)
 		}
 	}
-	states := g.Export()
-	if len(states) != 1 {
-		t.Fatalf("exported %d map states, want 1", len(states))
-	}
-	if states[0].Strategy == nil || states[0].Strategy.Name != "ddr" {
-		t.Fatal("export lost the map strategy state")
+	col, _ := ct.Column("k")
+	ms := MapState{Table: "t", Key: "k"}
+	if ms.Keys, ms.OIDs, ms.Pays = col.ExportPayloads(); len(ms.Pays) != 2 {
+		t.Fatalf("exported %d payloads, want 2", len(ms.Pays))
 	}
 
+	// The twin: the same column state under its own wrapper and registry.
+	twinOf := func() (*core.CrackedTable, func(string) (*core.CrackedTable, bool)) {
+		ct2 := core.NewCrackedTable(ct.Base())
+		col2, err := core.ColumnFromState(col.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ct2.ReplaceColumn("k", col2); err != nil {
+			t.Fatal(err)
+		}
+		return ct2, func(table string) (*core.CrackedTable, bool) { return ct2, table == "t" }
+	}
+	ct2, lookup := twinOf()
 	g2 := NewRegistry(DefaultBudget)
-	lookup := func(table string) (*core.CrackedTable, bool) { return ct, table == "t" }
-	if err := g2.Restore(states, lookup, strategy.Restore); err != nil {
-		t.Fatal(err)
+	g2.Restore([]MapState{ms}, lookup)
+	if st := g2.Snapshot(); st.Sets != 1 || st.Pays != 2 || st.Declines != 0 {
+		t.Fatalf("restored census = %d/%d with %d declines, want 1/2 and 0", st.Sets, st.Pays, st.Declines)
 	}
-	if st := g2.Snapshot(); st.Sets != 1 || st.Pays != 2 {
-		t.Fatalf("restored census = %d/%d, want 1/2", st.Sets, st.Pays)
-	}
-	// The restored registry serves an already-cracked range without
-	// building or cracking anything, and both registries stay in
-	// lockstep on fresh ranges (the RNG stream resumed mid-position).
+	// The restored side serves without gathering anything, window for
+	// window like the live one.
 	for q := 0; q < 20; q++ {
 		lo := rng.Int63n(9000)
-		want := wantProjection(rows, lo, lo+700, 0, 1)
-		a, okA := g.Project(ct, "t", incRange(lo, lo+700), []string{"k", "a"}, len(want))
-		b, okB := g2.Project(ct, "t", incRange(lo, lo+700), []string{"k", "a"}, len(want))
+		r := incRange(lo, lo+700)
+		_, selA, _ := ct.SelectCopy(r)
+		_, selB, _ := ct2.SelectCopy(r)
+		a, okA := g.Project(ct, "t", r, []string{"k", "a"}, selA)
+		b, okB := g2.Project(ct2, "t", r, []string{"k", "a"}, selB)
 		if !okA || !okB {
 			t.Fatalf("query %d declined (live %v, restored %v)", q, okA, okB)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("query %d: restored registry diverges from live (window order)", q)
 		}
-		if got := sorted(asRows(b)); !reflect.DeepEqual(got, want) {
+		if got := sorted(asRows(b)); !reflect.DeepEqual(got, wantProjection(rows, lo, lo+700, 0, 1)) {
 			t.Fatalf("query %d: restored projection diverges from oracle", q)
 		}
 	}
 	if b := g2.Snapshot().Builds; b != 0 {
-		t.Fatalf("restored registry rebuilt %d payload vectors, want 0", b)
+		t.Fatalf("restored registry gathered %d payload vectors, want 0", b)
 	}
 
-	// Corrupt states must be rejected, not installed.
-	bad := states[0]
-	bad.OIDs = bad.OIDs[:len(bad.OIDs)-1] // misaligned with the keys
-	if err := NewRegistry(DefaultBudget).Restore([]MapState{bad}, lookup, strategy.Restore); err == nil {
-		t.Fatal("restore accepted a misaligned oid vector")
-	}
-	bad2 := states[0]
-	bad2.Cuts = append([]core.Cut(nil), bad2.Cuts...)
-	if len(bad2.Cuts) > 0 {
-		bad2.Cuts[0].Pos = len(bad2.Keys) + 5
-		if err := NewRegistry(DefaultBudget).Restore([]MapState{bad2}, lookup, strategy.Restore); err == nil {
-			t.Fatal("restore accepted an out-of-range cut")
+	// States that do not describe the column decline warmth for that map —
+	// counted, nothing installed, never an error.
+	bad := func(name string, mutate func(*MapState)) {
+		t.Helper()
+		st := ms
+		st.Keys = append([]int64(nil), ms.Keys...)
+		st.OIDs = append([]bat.OID(nil), ms.OIDs...)
+		mutate(&st)
+		_, lookup := twinOf()
+		g3 := NewRegistry(DefaultBudget)
+		g3.Restore([]MapState{st}, lookup)
+		if s := g3.Snapshot(); s.Pays != 0 || s.Declines != 1 {
+			t.Fatalf("%s: %d pays installed, %d declines; want 0 and 1", name, s.Pays, s.Declines)
 		}
+	}
+	bad("misaligned oid vector", func(st *MapState) { st.OIDs = st.OIDs[:len(st.OIDs)-1] })
+	bad("duplicate oid", func(st *MapState) { st.OIDs[0] = st.OIDs[1] })
+	bad("key that is not the column's", func(st *MapState) { st.Keys[7]++ })
+	bad("short payload", func(st *MapState) {
+		st.Pays = []PayState{{Attr: "a", Vals: ms.Pays[0].Vals[:10]}}
+	})
+	bad("unknown attribute", func(st *MapState) { st.Pays = []PayState{{Attr: "zz", Vals: ms.Pays[0].Vals}} })
+	bad("unknown key column", func(st *MapState) { st.Key = "a" })
+	bad("unknown table", func(st *MapState) { st.Table = "u" })
+}
+
+// TestRestoreAlignsByOID opens the map state an older image holds: written
+// when a map was a second cracker with a physical order of its own — here
+// base order, the spine of a map whose index was just reset — beside a
+// column the queries have long since permuted. Restore aligns the payloads
+// to the column through the OIDs.
+func TestRestoreAlignsByOID(t *testing.T) {
+	ct, rows := buildTable(t, 2500, 21)
+	rng := rand.New(rand.NewSource(22))
+	for q := 0; q < 40; q++ {
+		lo := rng.Int63n(9000)
+		if _, _, err := ct.SelectCopy(incRange(lo, lo+600)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := MapState{Table: "t", Key: "k", Pays: []PayState{{Attr: "b"}, {Attr: "a"}}}
+	for i, r := range rows {
+		st.Keys = append(st.Keys, r[0])
+		st.OIDs = append(st.OIDs, bat.OID(i))
+		st.Pays[0].Vals = append(st.Pays[0].Vals, r[2])
+		st.Pays[1].Vals = append(st.Pays[1].Vals, r[1])
+	}
+	g := NewRegistry(DefaultBudget)
+	g.Restore([]MapState{st}, func(string) (*core.CrackedTable, bool) { return ct, true })
+	for q := 0; q < 20; q++ {
+		lo := rng.Int63n(9000)
+		got, ok := project(t, g, ct, lo, lo+900, "a", "k", "b")
+		if !ok {
+			t.Fatalf("query %d declined", q)
+		}
+		if want := wantProjection(rows, lo, lo+900, 1, 0, 2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: rows through the re-aligned payloads diverge from oracle", q)
+		}
+	}
+	if s := g.Snapshot(); s.Builds != 0 || s.Declines != 0 || s.Pays != 2 {
+		t.Fatalf("builds %d, declines %d, pays %d; want 0, 0, 2", s.Builds, s.Declines, s.Pays)
+	}
+	// Stored least recently used first: under a budget of one, "b" goes.
+	g.SetBudget(1)
+	col, _ := ct.Column("k")
+	if live := col.Payloads(); len(live) != 1 || live[0].Attr != "a" {
+		t.Fatalf("budget 1 kept %+v, want the most recently used payload a", live)
 	}
 }
 
-// TestConcurrentProjectObserve exercises the registry under the race
-// detector: projections, observations and inserts from many goroutines.
+// TestConcurrentProjectObserve runs, on one key column under the race
+// detector, everything that can touch its payload vectors at once:
+// selections that crack it (what the registry used to be told about, and
+// now never sees), counts, projections that build, read and stamp,
+// appends and deletes that fold, and a budget of one vector over two
+// payload attributes that keeps evicting. Every served projection must
+// be the selection it was asked for.
 func TestConcurrentProjectObserve(t *testing.T) {
 	ct, _ := buildTable(t, 2000, 11)
-	g := NewRegistry(4)
-	done := make(chan struct{})
+	g := NewRegistry(1)
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer close(done)
+		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			_ = ct.AppendRows([][]int64{{int64(i * 13 % 10_000), 1, 2}})
+			k := int64(i * 13 % 10_000)
+			if err := ct.AppendRows([][]int64{{k, k % 1000, -k}}); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%5 == 4 {
+				_, doomed, _ := ct.SelectCopy(incRange(k, k+3))
+				ct.DeleteOIDs(doomed)
+			}
 		}
 	}()
-	workers := make(chan struct{}, 4)
+	attrSets := [][]string{{"k", "a"}, {"b"}, {"a", "b"}, {"k"}}
 	for w := 0; w < 4; w++ {
-		workers <- struct{}{}
+		wg.Add(1)
 		go func(seed int64) {
-			defer func() { <-workers }()
+			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
+			for i := 0; i < 60; i++ {
 				lo := rng.Int63n(9000)
 				r := incRange(lo, lo+500)
-				if i%2 == 0 {
-					g.Observe(ct, "t", r)
-				} else {
-					// The want count is unknowable mid-insert; any decline
-					// is fine, the point is race- and panic-freedom.
-					g.Project(ct, "t", r, []string{"k", "a"}, -1)
+				if i%3 == 0 {
+					if _, err := ct.CountRange(r); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				keys, sel, err := ct.SelectCopy(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				attrs := append([]string{"k"}, attrSets[i%len(attrSets)]...)
+				wins, ok := g.Project(ct, "t", r, attrs, sel)
+				if !ok {
+					continue // over budget, or the writer got in between: the store would fetch through the base
+				}
+				got := append([]int64(nil), wins[0]...)
+				want := append([]int64(nil), keys...)
+				sortInt64s(got)
+				sortInt64s(want)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("projection of [%d,%d] served other keys than its selection", lo, lo+500)
+					return
 				}
 			}
 		}(int64(w))
 	}
-	for i := 0; i < cap(workers); i++ {
-		workers <- struct{}{}
+	wg.Wait()
+	if st := g.Snapshot(); st.Pays > 1 || st.Evictions == 0 || st.Projections == 0 {
+		t.Fatalf("budget 1 over two payload attributes in rotation: %+v", st)
 	}
-	<-done
 }
+
+func sortInt64s(s []int64) { sort.Slice(s, func(i, j int) bool { return s[i] < s[j] }) }

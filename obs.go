@@ -10,7 +10,7 @@ import (
 // column — latency histograms for the three query paths under
 // crackdb_query_latency_ns{path=converged|crack|batch} — and registers
 // a scrape-time collector that reports the per-column work counters,
-// piece counts, base-fetch totals and sideways map statistics by
+// piece counts, base-fetch totals and sideways payload statistics by
 // reading the existing Stats accessors at Gather time, so the record
 // path pays nothing for them.
 //
@@ -88,12 +88,12 @@ func (s *Store) collect(e *obs.Exporter) {
 		}
 	}
 	sw := s.SidewaysStats()
-	e.Counter("crackdb_sideways_hits_total", "Projections served from the sideways maps.", sw.Projections)
+	e.Counter("crackdb_sideways_hits_total", "Projections served from sideways payload vectors.", sw.Projections)
 	e.Counter("crackdb_sideways_misses_total", "Projections that fell back to the base-table fetch.", sw.Fallbacks)
-	e.Counter("crackdb_sideways_declines_total", "Fallbacks where a live map existed but refused (stale, sync failure, count mismatch).", sw.Declines)
+	e.Counter("crackdb_sideways_declines_total", "Fallbacks the budget allowed but that were refused (stale selection, unknown attribute), plus stored maps a reopen could not align.", sw.Declines)
 	e.Counter("crackdb_sideways_evictions_total", "Payload vectors dropped by the LRU budget.", sw.Evictions)
-	e.Counter("crackdb_sideways_builds_total", "Payload vectors materialized from the base table.", sw.Builds)
-	e.Gauge("crackdb_sideways_live_maps", "Live sideways map spines.", float64(sw.Sets))
+	e.Counter("crackdb_sideways_builds_total", "Payload vectors gathered from the base table.", sw.Builds)
+	e.Gauge("crackdb_sideways_live_maps", "Key columns carrying at least one sideways payload vector.", float64(sw.Sets))
 	e.Gauge("crackdb_sideways_live_payloads", "Live sideways payload vectors.", float64(sw.Pays))
 	for _, d := range s.TuneDecisions() {
 		lt, lc := obs.L("table", d.Table), obs.L("column", d.Column)

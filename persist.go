@@ -11,6 +11,7 @@ import (
 	"crackdb/internal/core"
 	"crackdb/internal/durable"
 	"crackdb/internal/relation"
+	"crackdb/internal/sideways"
 	"crackdb/internal/strategy"
 )
 
@@ -163,7 +164,6 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	touched := make(map[string]bool)
 	for _, name := range names {
 		t := s.tables[name]
 		it := durable.ImageTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
@@ -191,23 +191,24 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 					img.Columns = append(img.Columns, durable.ColumnSnapshot{
 						Table: name, Attr: attr, State: c.ExportState(),
 					})
+					// A map is carried iff its column is: payload
+					// vectors are aligned with the column's own order.
+					if keys, oids, pays := c.ExportPayloads(); len(pays) > 0 {
+						img.Sideways = append(img.Sideways, sideways.MapState{
+							Table: name, Key: attr, Keys: keys, OIDs: oids, Pays: pays,
+						})
+					}
 					carried = true
 				}
 			}
 		}
 		if carried {
-			touched[name] = true
 			img.Touched = append(img.Touched, name)
 		}
 		img.Tables = append(img.Tables, it)
 	}
 	if delta && len(img.Touched) == 0 && len(names) == len(against.tables) && img.Config == against.config {
 		return nil, nil
-	}
-	for _, ms := range s.sideways.Export() {
-		if touched[ms.Table] {
-			img.Sideways = append(img.Sideways, ms)
-		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -293,8 +294,8 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 // applyImage folds one verified element into the store: drops tables
 // absent from the element's manifest, swaps in rewritten base data,
 // reconciles tombstones, replaces the crack state of every column the
-// element carries, and refreshes sideways maps for touched tables. A
-// base element does all of that to an empty store.
+// element carries, and reattaches those columns' sideways maps. A base
+// element does all of that to an empty store.
 func (s *Store) applyImage(dir string, img *durable.Image) error {
 	// Strategy config first: SetCrackStrategy validates the name and
 	// takes s.mu itself.
@@ -316,10 +317,6 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 		if !inImage[name] {
 			s.dropTableLocked(name)
 		}
-	}
-	touched := make(map[string]bool, len(img.Touched))
-	for _, name := range img.Touched {
-		touched[name] = true
 	}
 	for _, it := range img.Tables {
 		live, exists := s.tables[it.Name]
@@ -375,11 +372,6 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 			if err := s.rewrapLocked(it.Name, live, it.Deleted); err != nil {
 				return err
 			}
-		} else if touched[it.Name] {
-			// Crack state moved without a data or tombstone change: the
-			// element carries the table's complete current map set, so the
-			// chain-older maps go first.
-			s.sideways.DropTable(it.Name)
 		}
 	}
 	lookup := func(table string) (*core.CrackedTable, bool) {
@@ -418,11 +410,10 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
 		}
 	}
-	if len(img.Sideways) > 0 {
-		if err := s.sideways.Restore(img.Sideways, lookup, strategy.Restore); err != nil {
-			return fmt.Errorf("crackdb: %w", err)
-		}
-	}
+	// A replaced column took its payload vectors with it; the maps the
+	// element carries go onto the columns that replaced them, aligned by
+	// OID. Warmth that cannot be aligned is declined, not an error.
+	s.sideways.Restore(img.Sideways, lookup)
 	// Tuner posture is a full copy per element (the latest wins) and
 	// parks in pendingTuner until EnableAutotune adopts it — the flag is
 	// a runtime choice, not part of the image.

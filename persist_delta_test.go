@@ -388,3 +388,60 @@ func copyDir(t *testing.T, src, dst string) error {
 	}
 	return nil
 }
+
+// TestSidewaysFollowsChain: a map rides every chain element that carries
+// its key column, so the chain's tip reopens with the live store's
+// payload vectors — none gathered again, nothing fetched through the
+// base — and the budgeted count is what the columns standing at the end
+// hold, not a sum over every column an element replaced on the way.
+func TestSidewaysFollowsChain(t *testing.T) {
+	live, rows := buildCrackedStore(t, "standard", 61)
+	project := func(s *crackdb.Store, lo, hi int64) [][]int64 {
+		t.Helper()
+		res, err := s.Select("t", "k", lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := res.Rows("k", "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	root := t.TempDir()
+	base, d1, d2 := filepath.Join(root, "base"), filepath.Join(root, "d1"), filepath.Join(root, "d2")
+	project(live, 1000, 3000)
+	if err := live.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	mutateAndCrack(t, live, &rows, 503) // rows, tombstones and cuts move: d1 rebuilds the wrapper
+	project(live, 4000, 6000)
+	saveDelta(t, live, d1)
+	for lo := int64(0); lo < 9000; lo += 450 { // cuts only: d2 replaces the key column in place
+		project(live, lo, lo+200)
+	}
+	saveDelta(t, live, d2)
+
+	chain, err := crackdb.Open(base, d1, d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, want := chain.SidewaysStats(), live.SidewaysStats(); st.Pays != want.Pays || st.Sets != want.Sets || st.Pays != 1 || st.Declines != 0 {
+		t.Fatalf("chain reopened with %+v, live store has %+v", st, want)
+	}
+	if got, want := project(chain, 2000, 2800), project(live, 2000, 2800); !reflect.DeepEqual(got, want) {
+		t.Fatal("chain projection diverges from live (alignment lost)")
+	} else if len(got) != naiveCount(rows, 2000, 2800) {
+		t.Fatalf("chain projection has %d rows, oracle %d", len(got), naiveCount(rows, 2000, 2800))
+	}
+	if fetched, _ := chain.FetchedTuples("t"); fetched != 0 || chain.SidewaysStats().Builds != 0 {
+		t.Fatalf("chain projection fetched %d tuples and gathered %d payload vectors, want 0 and 0",
+			fetched, chain.SidewaysStats().Builds)
+	}
+	if err := chain.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if st := chain.SidewaysStats(); st.Pays != 0 || st.Sets != 0 {
+		t.Fatalf("a dropped table still counts %d payload vectors", st.Pays)
+	}
+}

@@ -86,9 +86,10 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 // record is the predicate, not the resolved OIDs: given an identical
 // record prefix the predicate selects identical tuples, so replicas
 // replaying the log — whose physical crack order legitimately differs —
-// converge on the same live set. Deleted tuples are tombstoned, not
-// compacted away: OID stability is what keeps cracker columns and
-// sideways maps aligned (see core.CrackedTable.DeleteOIDs).
+// converge on the same live set. The base relation keeps a deleted
+// tuple's row behind a tombstone — surrogate OIDs are never renumbered —
+// while every cracker column compacts it away, payload vectors included,
+// at its next fold (see core.CrackedTable.DeleteOIDs, DESIGN.md Updates).
 func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 	ct, t, err := s.crackedFor(table)
 	if err != nil {
@@ -109,14 +110,7 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 	// written sees the table's set and its columns' sets agree.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := ct.DeleteOIDs(oids)
-	// Sideways maps may hold the deleted OIDs in their aligned payload
-	// vectors; drop them and let future projections rebuild from the
-	// post-delete columns.
-	if n > 0 {
-		s.sideways.DropTable(table)
-	}
-	return n, nil
+	return ct.DeleteOIDs(oids), nil
 }
 
 // CountWhere is SelectWhere returning only the qualifying-tuple count.
