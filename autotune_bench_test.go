@@ -1,9 +1,8 @@
 package crackdb
 
-// The autotune acceptance benchmarks. CI runs these with -benchtime=1x
-// and scrapes them into BENCH_autotune.json; the thresholds are
-// asserted here, so a regression fails the bench step, not just a
-// number in a JSON artifact:
+// The autotune acceptance benchmarks. CI runs these with -benchtime=1x;
+// the thresholds are asserted here, so a regression fails the bench
+// step:
 //
 //   - on a sequential walk over N=1M with store default standard, the
 //     tuner must converge to mdd1r and the steady-state (second half)

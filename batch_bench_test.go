@@ -113,10 +113,9 @@ func BenchmarkBatchSelect(b *testing.B) {
 // BenchmarkPipelinedWire compares the synchronous wire protocol (one
 // request per round trip) with the pipelined one (a window of tagged
 // requests per round trip) at 4 clients over loopback. Both modes run
-// identical query streams against identical fresh servers; the qps of
-// each lands in BENCH_batch.json, and the pipelined mode additionally
-// reports its speedup over an untimed synchronous run of the same
-// per-client share.
+// identical query streams against identical fresh servers; each reports
+// its qps, and the pipelined mode additionally reports its speedup over
+// an untimed synchronous run of the same per-client share.
 func BenchmarkPipelinedWire(b *testing.B) {
 	const (
 		n       = 100_000

@@ -3,29 +3,25 @@
 // in-package test importing it would be an import cycle.
 package crackdb_test
 
-// The benchmark harness: one testing.B per figure of the paper's
-// evaluation (there are no numbered tables; Figures 1-3 and 8-11 carry
-// the entire evaluation, plus the §5.1 cost breakdown). Each benchmark
-// regenerates the corresponding figure's workload at a benchmark-friendly
-// scale; `crackbench -fig N` runs the same generators at paper scale and
-// prints the series. EXPERIMENTS.md records paper-vs-measured shapes.
+// The benchmark harness: BenchmarkFigureHarness times the generators of
+// internal/figures at a benchmark-friendly scale — the same code
+// `crackbench -fig N` runs at paper scale, so a figure has one body, not
+// one here and one there. DESIGN.md's figure index maps each figure to
+// its modules; Figures 2, 3 and 8 also have a kernel-only benchmark.
 //
 // Ablation benches at the bottom quantify the design choices DESIGN.md
 // calls out: AVL index vs linear boundary search, crack-in-three vs two
 // crack-in-twos, and piece fusion budgets.
 
 import (
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"crackdb"
-	"crackdb/internal/algebra"
-	"crackdb/internal/catalog"
 	"crackdb/internal/core"
 	"crackdb/internal/costsim"
-	"crackdb/internal/engine"
 	"crackdb/internal/expr"
 	"crackdb/internal/figures"
 	"crackdb/internal/mqs"
@@ -33,81 +29,6 @@ import (
 )
 
 const benchN = 100_000 // rows for figure benches (paper: 1M; crackbench uses 1M)
-
-func benchTable(b *testing.B) *relation.Table {
-	b.Helper()
-	tap := relation.Tapestry(benchN, 2, 42)
-	tbl, err := relation.FromColumns("R",
-		relation.Column{Name: "k", Data: tap.MustColumn("c0")},
-		relation.Column{Name: "a", Data: tap.MustColumn("c1")},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tbl
-}
-
-// BenchmarkFig1 measures the three delivery modes of Figure 1 at σ = 5%
-// for each engine personality.
-func BenchmarkFig1(b *testing.B) {
-	tbl := benchTable(b)
-	lo, hi := int64(1), int64(0.05*benchN)
-	pred := expr.Term{{Col: "a", Op: expr.Ge, Val: lo}, {Col: "a", Op: expr.Le, Val: hi}}
-
-	for _, prof := range algebra.Profiles() {
-		b.Run("count/"+prof.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if prof.Vectorized {
-					algebra.VecCount(tbl.MustColumn("a"), lo, hi, true, true)
-					continue
-				}
-				f, err := algebra.NewFilter(algebra.NewTableScan(tbl), pred)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := algebra.Count(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("print/"+prof.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if prof.Vectorized {
-					pos := algebra.VecSelect(tbl.MustColumn("a"), lo, hi, true, true)
-					if _, err := algebra.VecPrint(tbl, pos, io.Discard); err != nil {
-						b.Fatal(err)
-					}
-					continue
-				}
-				f, err := algebra.NewFilter(algebra.NewTableScan(tbl), pred)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := algebra.Print(f, io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("materialize/"+prof.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if prof.Vectorized {
-					pos := algebra.VecSelect(tbl.MustColumn("a"), lo, hi, true, true)
-					if _, err := algebra.VecMaterialize(tbl, pos, "newR", catalog.New()); err != nil {
-						b.Fatal(err)
-					}
-					continue
-				}
-				f, err := algebra.NewFilter(algebra.NewTableScan(tbl), pred)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := algebra.Materialize(f, "newR", prof, catalog.New()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkFig2 runs the granule-vector cracking simulation of Figure 2
 // (20 uniform random steps at σ = 5% over 1M granules).
@@ -135,145 +56,6 @@ func BenchmarkFig8(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkFig9 measures one k-way chain join per personality at the
-// largest k each can sustain at bench scale.
-func BenchmarkFig9(b *testing.B) {
-	tap := relation.Tapestry(4096, 2, 42)
-	tbl, err := relation.FromColumns("R",
-		relation.Column{Name: "k", Data: tap.MustColumn("c0")},
-		relation.Column{Name: "a", Data: tap.MustColumn("c1")},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chain := func(k int) []*relation.Table {
-		ts := make([]*relation.Table, k)
-		for i := range ts {
-			ts[i] = tbl
-		}
-		return ts
-	}
-
-	b.Run("colstore/k=128", func(b *testing.B) {
-		tables := chain(128)
-		for i := 0; i < b.N; i++ {
-			if _, err := algebra.VecChainJoin(tables, "a", "k"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rowstore-txn-hash/k=8", func(b *testing.B) {
-		tables := chain(8)
-		for i := 0; i < b.N; i++ {
-			it, _, err := algebra.PlanChain(algebra.ChainSpec{Tables: tables, OutCol: "a", InCol: "k"}, algebra.RowStoreTxn)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := algebra.Count(it); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rowstore-lite-nl/k=4", func(b *testing.B) {
-		tables := chain(4)
-		for i := 0; i < b.N; i++ {
-			it, _, err := algebra.PlanChain(algebra.ChainSpec{Tables: tables, OutCol: "a", InCol: "k"}, algebra.RowStoreLite)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := algebra.Count(it); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig10 measures a full homerun sequence with and without
-// cracking (the Figure 10 comparison) at σ = 5%.
-func BenchmarkFig10(b *testing.B) {
-	tbl := relation.Tapestry(benchN, 2, 42)
-	m := mqs.MQS{Alpha: 2, N: benchN, K: 64, Sigma: 0.05, Rho: mqs.Linear}
-	qs, err := mqs.Homerun(m, "c0", 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []engine.Strategy{engine.Crack, engine.NoCrack} {
-		b.Run(strat.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sess, err := engine.NewSession(tbl, "c0", strat)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sess.RunSequence(qs, engine.ModeCount, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig11 measures a strolling-convergence sequence under the
-// three strategies of Figure 11.
-func BenchmarkFig11(b *testing.B) {
-	tbl := relation.Tapestry(benchN, 2, 42)
-	m := mqs.MQS{Alpha: 2, N: benchN, K: 64, Sigma: 0.05, Rho: mqs.Linear}
-	qs, err := mqs.Strolling(m, "c0", 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []engine.Strategy{engine.NoCrack, engine.SortFirst, engine.Crack} {
-		b.Run(strat.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sess, err := engine.NewSession(tbl, "c0", strat)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sess.RunSequence(qs, engine.ModeCount, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSQLLevelCracking measures the §5.1 comparison: Ξ at the SQL
-// level (two scans + two transactional materializations) versus the
-// kernel-level partition pass.
-func BenchmarkSQLLevelCracking(b *testing.B) {
-	tbl := benchTable(b)
-	cut := int64(0.05 * benchN)
-
-	b.Run("sql-level", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cat := catalog.New()
-			for _, t := range []expr.Term{
-				{{Col: "a", Op: expr.Le, Val: cut}},
-				{{Col: "a", Op: expr.Gt, Val: cut}},
-			} {
-				f, err := algebra.NewFilter(algebra.NewTableScan(tbl), t)
-				if err != nil {
-					b.Fatal(err)
-				}
-				name := "frag001"
-				if t[0].Op == expr.Gt {
-					name = "frag002"
-				}
-				if _, err := algebra.Materialize(f, name, algebra.RowStoreTxn, cat); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("kernel-level", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			col := core.FromBAT(tbl.MustColumn("a"))
-			b.StartTimer()
-			col.SelectPred(expr.Pred{Col: "a", Op: expr.Le, Val: cut})
-		}
-	})
 }
 
 // BenchmarkCrackSelect measures steady-state cracked range queries on the
@@ -395,54 +177,54 @@ func BenchmarkTapestry(b *testing.B) {
 	}
 }
 
-// BenchmarkFigureHarness runs the full reduced-scale figure generators,
-// guarding against regressions in the harness itself.
+// BenchmarkFigureHarness regenerates each figure at reduced scale by
+// calling its generator.
 func BenchmarkFigureHarness(b *testing.B) {
-	b.Run("fig2+fig3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			figures.Fig2(figures.Fig2Config{N: 200_000, K: 20, Seed: int64(i)})
-			figures.Fig3(figures.Fig2Config{N: 200_000, K: 20, Seed: int64(i)})
-		}
-	})
-	b.Run("fig8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			figures.Fig8(figures.Fig8Config{})
-		}
-	})
-	b.Run("fig10-small", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := figures.Fig10(figures.Fig10Config{
-				N: 20_000, K: 16, Selectivities: []float64{0.05}, Seed: int64(i),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkHiking measures the hiking profile (§4): fixed-size windows
-// sliding with growing overlap — the profile between homeruns and
-// strolling — under crack and scan strategies.
-func BenchmarkHiking(b *testing.B) {
-	tbl := relation.Tapestry(benchN, 2, 42)
-	m := mqs.MQS{Alpha: 2, N: benchN, K: 64, Sigma: 0.05, Rho: mqs.Linear}
-	qs, err := mqs.Hiking(m, "c0", 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []engine.Strategy{engine.Crack, engine.NoCrack} {
-		b.Run(strat.String(), func(b *testing.B) {
+	run := func(name string, gen func(seed int64) error) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sess, err := engine.NewSession(tbl, "c0", strat)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sess.RunSequence(qs, engine.ModeCount, nil); err != nil {
+				if err := gen(int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	// Figure 1 at σ = 5 %, one sub-benchmark per delivery mode.
+	for _, mode := range []figures.Fig1Mode{figures.Fig1Count, figures.Fig1Print, figures.Fig1Materialize} {
+		run("fig1/"+mode.String(), func(seed int64) error {
+			_, err := figures.Fig1(mode, figures.Fig1Config{N: benchN, Selectivities: []float64{0.05}, Seed: seed})
+			return err
+		})
+	}
+	run("fig2+fig3", func(seed int64) error {
+		figures.Fig2(figures.Fig2Config{N: 200_000, K: 20, Seed: seed})
+		figures.Fig3(figures.Fig2Config{N: 200_000, K: 20, Seed: seed})
+		return nil
+	})
+	run("fig8", func(int64) error {
+		figures.Fig8(figures.Fig8Config{})
+		return nil
+	})
+	run("fig9", func(seed int64) error {
+		_, err := figures.Fig9(figures.Fig9Config{N: 1024, Ks: []int{2, 4, 8}, Budget: time.Minute, Seed: seed})
+		return err
+	})
+	run("fig10", func(seed int64) error {
+		_, err := figures.Fig10(figures.Fig10Config{N: benchN, K: 64, Selectivities: []float64{0.05}, Seed: seed})
+		return err
+	})
+	run("fig11", func(seed int64) error {
+		_, err := figures.Fig11(figures.Fig11Config{N: benchN, K: 64, Seed: seed})
+		return err
+	})
+	run("hiking", func(seed int64) error {
+		_, err := figures.FigHiking(figures.FigHikingConfig{N: benchN, K: 64, Seed: seed})
+		return err
+	})
+	run("sql", func(seed int64) error {
+		_, err := figures.SQLLevel(figures.SQLLevelConfig{N: benchN, Seed: seed})
+		return err
+	})
 }
 
 // BenchmarkAblationTermPlanner compares conjunctive-term evaluation with

@@ -59,8 +59,7 @@ func (c *clientConfig) defaults() {
 
 // runClient preloads a tapestry table on the server (idempotently) and
 // drives each requested workload pattern through concurrent
-// connections. Output is go-bench formatted so cmd/benchjson scrapes it
-// with the same parser as `go test -bench` runs:
+// connections. Output is go-bench formatted, one line per pattern:
 //
 //	BenchmarkClientServer/workload=random/clients=4   800   151234 ns/op   6612.4 qps
 //

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	crackbench -fig 1a|1b|1c|2|3|8|9|10|11|hiking|sql|parallel|stochastic|shard|recovery|sideways|batch|convergence|autotune|all [flags]
+//	crackbench -fig 1a|1b|1c|2|3|5|8|9|10|11|hiking|sql|parallel|stochastic|shard|recovery|sideways|batch|convergence|autotune|all [flags]
 //	crackbench -addr host:port [-clients c] [-queries q] [-workload w] [-check]
 //	           [-inserts k] [-expectrows m] [-exec stmt] [-batch b]
 //
@@ -35,6 +35,7 @@
 // Examples:
 //
 //	crackbench -fig 2                  # granule simulation, TSV to stdout
+//	crackbench -fig 5                  # Figure 5's queries and the lineage they leave
 //	crackbench -fig 10 -n 1000000      # homeruns on 1M rows
 //	crackbench -parallel               # read-path scaling across goroutines
 //	crackbench -workload=sequential -strategy=mdd1r   # one robustness cell
@@ -53,7 +54,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1a,1b,1c,2,3,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 1a,1b,1c,2,3,5,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,all")
 		n        = flag.Int("n", 0, "cardinality override (0 = figure default)")
 		k        = flag.Int("k", 0, "sequence length override (0 = figure default)")
 		seed     = flag.Int64("seed", 42, "RNG seed")
@@ -208,6 +209,10 @@ func run(fig string, cfg benchConfig) error {
 			return emit(figures.Fig2(figures.Fig2Config{N: n, K: k, Seed: seed}), nil)
 		case "3":
 			return emit(figures.Fig3(figures.Fig2Config{N: n, K: k, Seed: seed}), nil)
+		case "5":
+			out, err := figures.Fig5(seed)
+			fmt.Print(out)
+			return err
 		case "8":
 			return emit(figures.Fig8(figures.Fig8Config{K: k}), nil)
 		case "9":
@@ -219,7 +224,7 @@ func run(fig string, cfg benchConfig) error {
 		case "hiking":
 			return emit(figures.FigHiking(figures.FigHikingConfig{N: n, K: k, Seed: seed}))
 		case "parallel":
-			return emit(figures.FigParallel(figures.FigParallelConfig{N: n, OpsPerG: ops, Seed: seed}), nil)
+			return emit(figures.FigParallel(figures.FigParallelConfig{N: n, OpsPerG: ops, Seed: seed}))
 		case "stochastic":
 			// -queries wins; the generic -k sequence-length override is
 			// honored as a fallback so "-fig stochastic -k 2048" means
@@ -273,7 +278,7 @@ func run(fig string, cfg benchConfig) error {
 			}
 			return emit(figures.FigBatch(figures.FigBatchConfig{N: n, K: nq, Seed: seed}))
 		case "convergence":
-			return emit(figures.FigConvergence(figures.FigConvergenceConfig{N: n, Queries: cfg.queries, Seed: seed}), nil)
+			return emit(figures.FigConvergence(figures.FigConvergenceConfig{N: n, Queries: cfg.queries, Seed: seed}))
 		case "autotune":
 			nq := cfg.queries
 			if nq == 0 {
@@ -288,12 +293,12 @@ func run(fig string, cfg benchConfig) error {
 			fmt.Print(res)
 			return nil
 		default:
-			return fmt.Errorf("unknown figure %q (want 1a,1b,1c,2,3,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,all)", id)
+			return fmt.Errorf("unknown figure %q (want 1a,1b,1c,2,3,5,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,all)", id)
 		}
 	}
 
 	if fig == "all" {
-		for _, id := range []string{"1a", "1b", "1c", "2", "3", "8", "9", "10", "11", "hiking", "sql", "parallel", "stochastic", "shard", "recovery", "sideways", "batch", "convergence", "autotune"} {
+		for _, id := range []string{"1a", "1b", "1c", "2", "3", "5", "8", "9", "10", "11", "hiking", "sql", "parallel", "stochastic", "shard", "recovery", "sideways", "batch", "convergence", "autotune"} {
 			fmt.Printf("=== figure %s ===\n", id)
 			if err := runOne(id); err != nil {
 				return fmt.Errorf("figure %s: %w", id, err)

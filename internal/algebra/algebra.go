@@ -1,9 +1,8 @@
 // Package algebra implements a Volcano-style n-ary query engine
 // [Graefe 93], the "traditional SQL system" substrate the paper runs its
 // black-box experiments against (§5.1): tuple-at-a-time iterators for
-// scan, filter, projection, joins, sorting, grouping, and the three
-// result-delivery sinks of Figure 1 (count, print to front-end,
-// materialize into a new table).
+// scan, filter and joins, and the three result-delivery sinks of
+// Figure 1 (count, print to front-end, materialize into a new table).
 //
 // The package also provides engine Profiles — synthetic personalities
 // with the cost structure of the paper's comparison systems (row stores
@@ -143,83 +142,6 @@ func (f *Filter) Close() error { return f.in.Close() }
 
 // Schema implements Iterator.
 func (f *Filter) Schema() []string { return f.schema }
-
-// Project narrows and reorders columns.
-type Project struct {
-	in     Iterator
-	cols   []int
-	schema []string
-}
-
-// NewProject keeps only the named columns, in the given order.
-func NewProject(in Iterator, cols ...string) (*Project, error) {
-	p := &Project{in: in, schema: cols}
-	for _, c := range cols {
-		i, err := colIndex(in.Schema(), c)
-		if err != nil {
-			return nil, err
-		}
-		p.cols = append(p.cols, i)
-	}
-	return p, nil
-}
-
-// Open implements Iterator.
-func (p *Project) Open() error { return p.in.Open() }
-
-// Next implements Iterator.
-func (p *Project) Next() (Row, bool, error) {
-	row, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(Row, len(p.cols))
-	for j, i := range p.cols {
-		out[j] = row[i]
-	}
-	return out, true, nil
-}
-
-// Close implements Iterator.
-func (p *Project) Close() error { return p.in.Close() }
-
-// Schema implements Iterator.
-func (p *Project) Schema() []string { return p.schema }
-
-// Limit stops the stream after n tuples.
-type Limit struct {
-	in   Iterator
-	n    int
-	seen int
-}
-
-// NewLimit caps the stream at n tuples.
-func NewLimit(in Iterator, n int) *Limit { return &Limit{in: in, n: n} }
-
-// Open implements Iterator.
-func (l *Limit) Open() error {
-	l.seen = 0
-	return l.in.Open()
-}
-
-// Next implements Iterator.
-func (l *Limit) Next() (Row, bool, error) {
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	row, ok, err := l.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
-
-// Close implements Iterator.
-func (l *Limit) Close() error { return l.in.Close() }
-
-// Schema implements Iterator.
-func (l *Limit) Schema() []string { return l.in.Schema() }
 
 // Rename prefixes every column of the input schema, disambiguating
 // self-joins (R0.k, R1.k, ...).

@@ -2,11 +2,11 @@ package algebra
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
-	"crackdb/internal/catalog"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 )
@@ -69,95 +69,18 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestProjectAndRename(t *testing.T) {
+func TestRename(t *testing.T) {
 	tbl := testTable(t, 3)
-	p, err := NewProject(NewRename(NewTableScan(tbl), "R0"), "R0.a")
+	r := NewRename(NewTableScan(tbl), "R0")
+	rows, err := Drain(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Drain(p)
-	if err != nil {
-		t.Fatal(err)
+	if len(rows) != 3 || len(rows[0]) != 2 {
+		t.Fatalf("rename changed the row shape: %v", rows)
 	}
-	if len(rows) != 3 || len(rows[0]) != 1 {
-		t.Fatalf("projection shape wrong: %v", rows)
-	}
-	if got := p.Schema()[0]; got != "R0.a" {
-		t.Fatalf("schema = %v", p.Schema())
-	}
-	if _, err := NewProject(NewTableScan(tbl), "nope"); err == nil {
-		t.Fatal("projecting unknown column accepted")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	tbl := testTable(t, 100)
-	rows, err := Drain(NewLimit(NewTableScan(tbl), 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("limit returned %d rows", len(rows))
-	}
-}
-
-func TestOrderBy(t *testing.T) {
-	tbl := relation.New("T", "x")
-	for _, v := range []int64{5, 1, 9, 3} {
-		tbl.AppendRow(v)
-	}
-	o, err := NewOrderBy(NewTableScan(tbl), "x", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Drain(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 3, 5, 9}
-	for i, r := range rows {
-		if r[0] != want[i] {
-			t.Fatalf("sorted rows = %v", rows)
-		}
-	}
-	desc, _ := NewOrderBy(NewTableScan(tbl), "x", true)
-	rows, _ = Drain(desc)
-	if rows[0][0] != 9 {
-		t.Fatalf("descending order wrong: %v", rows)
-	}
-}
-
-func TestGroupAgg(t *testing.T) {
-	tbl := relation.New("T", "g", "v")
-	data := [][2]int64{{1, 10}, {2, 5}, {1, 20}, {2, 7}, {3, 1}}
-	for _, d := range data {
-		tbl.AppendRow(d[0], d[1])
-	}
-	for _, c := range []struct {
-		fn   AggFunc
-		want map[int64]int64
-	}{
-		{AggCount, map[int64]int64{1: 2, 2: 2, 3: 1}},
-		{AggSum, map[int64]int64{1: 30, 2: 12, 3: 1}},
-		{AggMin, map[int64]int64{1: 10, 2: 5, 3: 1}},
-		{AggMax, map[int64]int64{1: 20, 2: 7, 3: 1}},
-	} {
-		g, err := NewGroupAgg(NewTableScan(tbl), "g", c.fn, "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := Drain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 3 {
-			t.Fatalf("%v: %d groups", c.fn, len(rows))
-		}
-		for _, r := range rows {
-			if c.want[r[0]] != r[1] {
-				t.Fatalf("%v group %d = %d, want %d", c.fn, r[0], r[1], c.want[r[0]])
-			}
-		}
+	if got := r.Schema(); got[0] != "R0.k" || got[1] != "R0.a" {
+		t.Fatalf("schema = %v", got)
 	}
 }
 
@@ -234,7 +157,7 @@ func TestCountPrintMaterializeAgree(t *testing.T) {
 		return f
 	}
 
-	n, err := Count(mk())
+	n, err := Count(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +166,7 @@ func TestCountPrintMaterializeAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := catalog.New()
-	mt, err := Materialize(mk(), "newR", RowStoreTxn, cat)
+	mt, err := Materialize(mk(), "newR", RowStoreTxn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,22 +176,11 @@ func TestCountPrintMaterializeAgree(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != n {
 		t.Fatalf("printed %d lines, want %d", lines, n)
 	}
-	// Materialization registered the table transactionally.
-	if _, ok := cat.Table("newR"); !ok {
-		t.Fatal("materialized table not in catalog")
-	}
-	if cat.Stats().SchemaChanges == 0 {
-		t.Fatal("no schema change charged")
-	}
-	// Duplicate materialization must fail through the catalog.
-	if _, err := Materialize(mk(), "newR", RowStoreTxn, cat); err == nil {
-		t.Fatal("duplicate materialization succeeded")
-	}
 }
 
-func TestMaterializeWithoutCatalog(t *testing.T) {
+func TestMaterializeNonTransactional(t *testing.T) {
 	tbl := testTable(t, 10)
-	out, err := Materialize(NewTableScan(tbl), "tmp", RowStoreLite, nil)
+	out, err := Materialize(NewTableScan(tbl), "tmp", RowStoreLite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,33 +215,12 @@ func TestIteratorSchemas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := NewLimit(f, 2)
-	if got := lim.Schema(); len(got) != 2 || got[0] != "k" {
-		t.Fatalf("limit schema = %v", got)
-	}
-	o, err := NewOrderBy(lim, "a", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Schema(); len(got) != 2 {
-		t.Fatalf("orderby schema = %v", got)
-	}
-	g, err := NewGroupAgg(NewTableScan(tbl), "a", AggSum, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Schema(); got[1] != "sum(k)" {
-		t.Fatalf("groupagg schema = %v", got)
-	}
-	if AggFunc(9).String() == "" {
-		t.Fatal("AggFunc fallback name empty")
+	if got := f.Schema(); len(got) != 2 || got[0] != "k" {
+		t.Fatalf("filter schema = %v", got)
 	}
 	// Unopened iterators refuse Next.
-	if _, _, err := o.Next(); err == nil {
-		t.Fatal("OrderBy Next before Open succeeded")
-	}
-	if _, _, err := g.Next(); err == nil {
-		t.Fatal("GroupAgg Next before Open succeeded")
+	if _, _, err := scan.Next(); err == nil {
+		t.Fatal("TableScan Next before Open succeeded")
 	}
 	hj, err := NewHashJoin(NewTableScan(tbl), NewTableScan(tbl), "k", "k")
 	if err != nil {

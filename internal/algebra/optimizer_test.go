@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"testing"
 
 	"crackdb/internal/relation"
@@ -109,7 +110,7 @@ func TestVecChainJoinMatchesVolcano(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := VecChainJoin(tables, "a", "k")
+		got, err := VecChainJoin(context.Background(), tables, "a", "k")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,14 +122,14 @@ func TestVecChainJoinMatchesVolcano(t *testing.T) {
 
 func TestVecChainJoinPermutationCardinality(t *testing.T) {
 	tables := chainTables(t, 500, 64)
-	got, err := VecChainJoin(tables, "a", "k")
+	got, err := VecChainJoin(context.Background(), tables, "a", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 500 {
 		t.Fatalf("64-way chain over permutations = %d rows, want 500", got)
 	}
-	if _, err := VecChainJoin(nil, "a", "k"); err == nil {
+	if _, err := VecChainJoin(context.Background(), nil, "a", "k"); err == nil {
 		t.Fatal("empty vectorized chain accepted")
 	}
 }

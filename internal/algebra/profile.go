@@ -10,7 +10,7 @@ package algebra
 //     virtual calls per operator) versus vectorized column-at-a-time
 //     processing over BAT vectors;
 //   - transactional materialization (every stored tuple also appended to
-//     a checksummed WAL image, plus catalog locking) versus plain copies;
+//     a checksummed WAL image) versus plain copies;
 //   - a join-order optimizer with a bounded search space that falls back
 //     to nested-loop joins when exhausted, versus binary-table joins.
 type Profile struct {

@@ -2,12 +2,11 @@ package algebra
 
 import (
 	"bufio"
-	"fmt"
+	"context"
 	"hash/crc32"
 	"io"
 	"strconv"
 
-	"crackdb/internal/catalog"
 	"crackdb/internal/relation"
 )
 
@@ -16,14 +15,19 @@ import (
 // counting the qualifying tuples.
 
 // Count consumes the iterator and returns the tuple count — Figure 1(c),
-// the cheapest delivery mode.
-func Count(it Iterator) (int, error) {
+// the cheapest delivery mode. It checks ctx per delivered tuple, so a
+// plan that has gone quadratic (Figure 9's nested-loop fallback) stops
+// at its deadline with ctx's error and the count so far.
+func Count(ctx context.Context, it Iterator) (int, error) {
 	if err := it.Open(); err != nil {
 		return 0, err
 	}
 	defer it.Close()
 	n := 0
 	for {
+		if err := ctx.Err(); err != nil {
+			return n, err
+		}
 		_, ok, err := it.Next()
 		if err != nil {
 			return n, err
@@ -71,12 +75,11 @@ func Print(it Iterator, w io.Writer) (int, error) {
 
 // Materialize stores the result into a new table — Figure 1(a), the most
 // expensive delivery mode. Under a TxnMaterialize profile every tuple is
-// also appended to a checksummed WAL image and the new table is
-// registered in the catalog under its lock, charging the transactional
+// also appended to a checksummed WAL image, charging the transactional
 // overhead the paper measures ("storing the result of a query in a new
 // system table is expensive, as the DBMS has to ensure transaction
 // behavior").
-func Materialize(it Iterator, name string, prof Profile, cat *catalog.Catalog) (*relation.Table, error) {
+func Materialize(it Iterator, name string, prof Profile) (*relation.Table, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
@@ -116,19 +119,6 @@ func Materialize(it Iterator, name string, prof Profile, cat *catalog.Catalog) (
 			return nil, err
 		}
 		_ = crc.Sum32()
-	}
-
-	if cat != nil {
-		cols := make([]catalog.ColumnDef, len(it.Schema()))
-		for i, s := range it.Schema() {
-			cols[i] = catalog.ColumnDef{Name: s, Type: "int"}
-		}
-		if _, err := cat.CreateTable(name, cols...); err != nil {
-			return nil, fmt.Errorf("algebra: materialize: %w", err)
-		}
-		if err := cat.SetRows(name, out.Len()); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -2,12 +2,12 @@ package algebra
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strconv"
 
 	"crackdb/internal/bat"
-	"crackdb/internal/catalog"
 	"crackdb/internal/relation"
 )
 
@@ -68,7 +68,7 @@ func VecPrint(t *relation.Table, positions []int32, w io.Writer) (int, error) {
 
 // VecMaterialize copies the selected positions into a new table,
 // column-at-a-time — Figure 1(a) on the vectorized engine.
-func VecMaterialize(t *relation.Table, positions []int32, name string, cat *catalog.Catalog) (*relation.Table, error) {
+func VecMaterialize(t *relation.Table, positions []int32, name string) (*relation.Table, error) {
 	cols := make([]relation.Column, len(t.Cols))
 	for j, c := range t.Cols {
 		vals := make([]int64, len(positions))
@@ -78,31 +78,16 @@ func VecMaterialize(t *relation.Table, positions []int32, name string, cat *cata
 		}
 		cols[j] = relation.Column{Name: c.Name, Data: bat.FromInts(name+"_"+c.Name, vals)}
 	}
-	out, err := relation.FromColumns(name, cols...)
-	if err != nil {
-		return nil, err
-	}
-	if cat != nil {
-		defs := make([]catalog.ColumnDef, len(cols))
-		for i, c := range cols {
-			defs[i] = catalog.ColumnDef{Name: c.Name, Type: "int"}
-		}
-		if _, err := cat.CreateTable(name, defs...); err != nil {
-			return nil, fmt.Errorf("algebra: vec materialize: %w", err)
-		}
-		if err := cat.SetRows(name, out.Len()); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return relation.FromColumns(name, cols...)
 }
 
 // VecChainJoin evaluates the k-way linear join of Figure 9 the
 // binary-table way: each join step touches only the two join columns
 // (inCol of the next table, outCol carried forward), so the per-step cost
 // stays O(N) regardless of how wide the n-ary result would be. It
-// returns the number of result tuples.
-func VecChainJoin(tables []*relation.Table, outCol, inCol string) (int, error) {
+// returns the number of result tuples, or ctx's error if ctx ends
+// between two join steps.
+func VecChainJoin(ctx context.Context, tables []*relation.Table, outCol, inCol string) (int, error) {
 	if len(tables) == 0 {
 		return 0, fmt.Errorf("algebra: empty join chain")
 	}
@@ -112,6 +97,9 @@ func VecChainJoin(tables []*relation.Table, outCol, inCol string) (int, error) {
 	}
 	frontier := append([]int64(nil), first.Ints()...)
 	for i := 1; i < len(tables); i++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		in, err := tables[i].Column(inCol)
 		if err != nil {
 			return 0, err

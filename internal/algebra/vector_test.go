@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"crackdb/internal/catalog"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 )
@@ -60,16 +59,12 @@ func TestVecPrint(t *testing.T) {
 func TestVecMaterialize(t *testing.T) {
 	tbl := relation.Tapestry(200, 2, 9)
 	pos := VecSelect(tbl.MustColumn("c0"), 1, 50, true, true)
-	cat := catalog.New()
-	out, err := VecMaterialize(tbl, pos, "frag001", cat)
+	out, err := VecMaterialize(tbl, pos, "frag001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 50 {
 		t.Fatalf("materialized %d rows, want 50", out.Len())
-	}
-	if _, ok := cat.Table("frag001"); !ok {
-		t.Fatal("fragment not registered")
 	}
 	// Values correspond to source positions.
 	src := tbl.MustColumn("c0")
@@ -78,8 +73,5 @@ func TestVecMaterialize(t *testing.T) {
 		if outCol.Int(i) != src.Int(int(p)) {
 			t.Fatalf("row %d: %d != %d", i, outCol.Int(i), src.Int(int(p)))
 		}
-	}
-	if _, err := VecMaterialize(tbl, pos, "frag001", cat); err == nil {
-		t.Fatal("duplicate fragment registration succeeded")
 	}
 }

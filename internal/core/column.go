@@ -236,7 +236,7 @@ func (c *Column) touchTuples(n int64) { c.stats.tuplesTouched.Add(n) }
 // ResetStats zeroes the counters.
 func (c *Column) ResetStats() { c.stats.reset() }
 
-// Lineage returns the lineage DAG (rendered by crackdemo), brought up
+// Lineage returns the lineage DAG (rendered by Store.Lineage), brought up
 // to date with every crack registered so far.
 func (c *Column) Lineage() *Lineage {
 	c.mu.Lock()

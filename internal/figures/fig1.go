@@ -1,12 +1,12 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"crackdb/internal/algebra"
-	"crackdb/internal/catalog"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 )
@@ -46,11 +46,12 @@ type Fig1Config struct {
 }
 
 // DefaultFig1Selectivities is the paper's 0..100% sweep at 10% steps,
-// with an extra 1% point for the low end.
+// with an extra 1% point for the low end. Each point is i/10, not a
+// running sum of 0.1: the last must be exactly 1 to select all N tuples.
 func DefaultFig1Selectivities() []float64 {
 	out := []float64{0.01}
-	for s := 0.1; s <= 1.0001; s += 0.1 {
-		out = append(out, s)
+	for i := 1; i <= 10; i++ {
+		out = append(out, float64(i)/10)
 	}
 	return out
 }
@@ -85,10 +86,16 @@ func Fig1(mode Fig1Mode, cfg Fig1Config) (Figure, error) {
 				hi = lo
 			}
 			start := time.Now()
-			if err := runFig1Query(tbl, prof, mode, lo, hi, cfg.Out, &fragSeq); err != nil {
+			got, err := runFig1Query(tbl, prof, mode, lo, hi, cfg.Out, &fragSeq)
+			elapsed := time.Since(start)
+			if err != nil {
 				return fig, err
 			}
-			series.Points = append(series.Points, Point{X: sel * 100, Y: seconds(time.Since(start))})
+			// a is a permutation of 1..N: the answer is the range width.
+			if int64(got) != hi {
+				return fig, fmt.Errorf("figures: %s %s σ=%g delivered %d tuples, want %d", fig.ID, prof.Name, sel, got, hi)
+			}
+			series.Points = append(series.Points, Point{X: sel * 100, Y: seconds(elapsed)})
 		}
 		fig.Series = append(fig.Series, series)
 	}
@@ -96,28 +103,26 @@ func Fig1(mode Fig1Mode, cfg Fig1Config) (Figure, error) {
 }
 
 // runFig1Query executes SELECT * FROM R WHERE lo <= a <= hi delivered in
-// the requested mode under the given personality.
-func runFig1Query(tbl *relation.Table, prof algebra.Profile, mode Fig1Mode, lo, hi int64, out io.Writer, fragSeq *int) error {
+// the requested mode under the given personality and returns the number
+// of tuples delivered.
+func runFig1Query(tbl *relation.Table, prof algebra.Profile, mode Fig1Mode, lo, hi int64, out io.Writer, fragSeq *int) (int, error) {
 	*fragSeq++
 	name := fmt.Sprintf("frag_%s_%d", prof.Name, *fragSeq)
 
 	if prof.Vectorized {
 		col := tbl.MustColumn("a")
-		switch mode {
-		case Fig1Count:
-			algebra.VecCount(col, lo, hi, true, true)
-		case Fig1Print:
-			pos := algebra.VecSelect(col, lo, hi, true, true)
-			if _, err := algebra.VecPrint(tbl, pos, out); err != nil {
-				return err
-			}
-		case Fig1Materialize:
-			pos := algebra.VecSelect(col, lo, hi, true, true)
-			if _, err := algebra.VecMaterialize(tbl, pos, name, catalog.New()); err != nil {
-				return err
-			}
+		if mode == Fig1Count {
+			return algebra.VecCount(col, lo, hi, true, true), nil
 		}
-		return nil
+		pos := algebra.VecSelect(col, lo, hi, true, true)
+		if mode == Fig1Print {
+			return algebra.VecPrint(tbl, pos, out)
+		}
+		frag, err := algebra.VecMaterialize(tbl, pos, name)
+		if err != nil {
+			return 0, err
+		}
+		return frag.Len(), nil
 	}
 
 	mk := func() (algebra.Iterator, error) {
@@ -128,17 +133,19 @@ func runFig1Query(tbl *relation.Table, prof algebra.Profile, mode Fig1Mode, lo, 
 	}
 	it, err := mk()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	switch mode {
 	case Fig1Count:
-		_, err = algebra.Count(it)
+		return algebra.Count(context.Background(), it)
 	case Fig1Print:
-		_, err = algebra.Print(it, out)
-	case Fig1Materialize:
-		_, err = algebra.Materialize(it, name, prof, catalog.New())
+		return algebra.Print(it, out)
 	}
-	return err
+	frag, err := algebra.Materialize(it, name, prof)
+	if err != nil {
+		return 0, err
+	}
+	return frag.Len(), nil
 }
 
 // buildRTable creates the R[int,int] experiment table: k is the dense

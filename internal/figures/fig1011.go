@@ -2,15 +2,12 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
-	"crackdb/internal/engine"
 	"crackdb/internal/mqs"
-	"crackdb/internal/relation"
 )
 
 // Figures 10 and 11: the MonetDB cracker-module experiments (§5.2),
-// reproduced on the cracker core. Both plot cumulative response time as
+// reproduced on the served store. Both plot cumulative response time as
 // a function of the number of queries executed.
 
 // Fig10Config parameterizes the homerun experiment.
@@ -45,33 +42,46 @@ func Fig10(cfg Fig10Config) (Figure, error) {
 		XLabel: "query-sequence length",
 		YLabel: "cumulative response time (s)",
 	}
-	tbl := relation.Tapestry(cfg.N, 2, cfg.Seed)
 	for _, sigma := range cfg.Selectivities {
-		m := mqs.MQS{Alpha: 2, N: cfg.N, K: cfg.K, Sigma: sigma, Rho: cfg.Rho}
-		qs, err := mqs.Homerun(m, "c0", cfg.Seed+int64(sigma*1000))
+		m := mqs.MQS{Alpha: 1, N: cfg.N, K: cfg.K, Sigma: sigma, Rho: cfg.Rho}
+		qs, err := mqs.Homerun(m, figCol, cfg.Seed+int64(sigma*1000))
 		if err != nil {
 			return fig, err
 		}
-		for _, strat := range []engine.Strategy{engine.Crack, engine.NoCrack} {
-			sess, err := engine.NewSession(tbl, "c0", strat)
-			if err != nil {
-				return fig, err
-			}
-			stats, err := sess.RunSequence(qs, engine.ModeCount, nil)
-			if err != nil {
-				return fig, err
-			}
-			series := Series{Label: fmt.Sprintf("%s %2.0f%%", strat, sigma*100)}
-			cum := time.Duration(0)
-			for i, st := range stats {
-				cum += st.Elapsed
-				series.Points = append(series.Points, Point{X: float64(i + 1), Y: seconds(cum)})
-			}
-			fig.Series = append(fig.Series, series)
+		suffix := fmt.Sprintf(" %2.0f%%", sigma*100)
+		if err := crackVersus(&fig, cfg.N, cfg.Seed, fromMQS(qs), suffix, "crack", "nocrack"); err != nil {
+			return fig, err
 		}
 	}
 	sortSeries(fig.Series)
 	return fig, nil
+}
+
+// crackVersus appends one cumulative series per named line to fig, all
+// over the same tapestry and the same queries: "crack" is a default
+// store, "nocrack" and "sort" the baselines beside it.
+func crackVersus(fig *Figure, n int, seed int64, qs []query, suffix string, lines ...string) error {
+	vals := tapestryColumn(n, seed)
+	for _, line := range lines {
+		var a answerer
+		switch line {
+		case "nocrack":
+			a = nocrack(vals)
+		case "sort":
+			a = sortFirst(vals)
+		default:
+			var err error
+			if _, a, err = openStore(posture{}, n, seed); err != nil {
+				return err
+			}
+		}
+		series, err := cumulative(line+suffix, a, qs, 1)
+		if err != nil {
+			return err
+		}
+		fig.Series = append(fig.Series, series)
+	}
+	return nil
 }
 
 // Fig11Config parameterizes the strolling-convergence experiment.
@@ -105,28 +115,10 @@ func Fig11(cfg Fig11Config) (Figure, error) {
 		XLabel: "query-sequence length",
 		YLabel: "cumulative response time (s)",
 	}
-	tbl := relation.Tapestry(cfg.N, 2, cfg.Seed)
-	m := mqs.MQS{Alpha: 2, N: cfg.N, K: cfg.K, Sigma: cfg.Sigma, Rho: cfg.Rho}
-	qs, err := mqs.Strolling(m, "c0", cfg.Seed+1)
+	m := mqs.MQS{Alpha: 1, N: cfg.N, K: cfg.K, Sigma: cfg.Sigma, Rho: cfg.Rho}
+	qs, err := mqs.Strolling(m, figCol, cfg.Seed+1)
 	if err != nil {
 		return fig, err
 	}
-	for _, strat := range []engine.Strategy{engine.NoCrack, engine.SortFirst, engine.Crack} {
-		sess, err := engine.NewSession(tbl, "c0", strat)
-		if err != nil {
-			return fig, err
-		}
-		stats, err := sess.RunSequence(qs, engine.ModeCount, nil)
-		if err != nil {
-			return fig, err
-		}
-		series := Series{Label: strat.String()}
-		cum := time.Duration(0)
-		for i, st := range stats {
-			cum += st.Elapsed
-			series.Points = append(series.Points, Point{X: float64(i + 1), Y: seconds(cum)})
-		}
-		fig.Series = append(fig.Series, series)
-	}
-	return fig, nil
+	return fig, crackVersus(&fig, cfg.N, cfg.Seed, fromMQS(qs), "", "nocrack", "sort", "crack")
 }

@@ -2,11 +2,8 @@ package figures
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"crackdb/internal/core"
-	"crackdb/internal/strategy"
 	"crackdb/internal/tuner"
 	"crackdb/internal/workload"
 )
@@ -52,54 +49,43 @@ func (c *FigAutotuneConfig) defaults() {
 // over small buckets, so the trajectory (not the cumulative integral)
 // is visible.
 func FigAutotune(cfg FigAutotuneConfig) (Figure, error) {
-	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := make([]int64, cfg.N)
-	for i := range base {
-		base[i] = rng.Int63n(int64(cfg.N))
-	}
-	queries, err := switchingStream(cfg)
-	if err != nil {
-		return Figure{}, err
-	}
+	fig, _, err := figAutotune(cfg)
+	return fig, err
+}
 
-	bucket := cfg.K / 64
-	if bucket < 1 {
-		bucket = 1
+// figAutotune also returns what the autotune series' store reported
+// through TuneDecisions when each phase ended: the sequential half, then
+// the random half.
+func figAutotune(cfg FigAutotuneConfig) (Figure, [2][]tuner.Decision, error) {
+	cfg.defaults()
+	var phaseEnd [2][]tuner.Decision
+	stream, err := switchingStream(cfg)
+	if err != nil {
+		return Figure{}, phaseEnd, err
 	}
+	queries := fromWorkload(stream)
+
+	bucket := max(cfg.K/64, 1)
 	var series []Series
 	for _, mode := range []string{"standard", "mdd1r", "autotune"} {
-		name := mode
+		p := posture{strategy: mode}
 		if mode == "autotune" {
-			name = "standard"
+			p = posture{autotune: &cfg.Tuner}
 		}
-		st, err := strategy.New(name, cfg.Seed)
+		store, a, err := openStore(p, cfg.N, cfg.Seed)
 		if err != nil {
-			return Figure{}, err
-		}
-		col := core.NewColumn("a", base, core.WithStrategy(st))
-		var tn *tuner.Tuner
-		current := name
-		if mode == "autotune" {
-			tn = tuner.New(cfg.Tuner)
+			return Figure{}, phaseEnd, err
 		}
 		s := Series{Label: mode}
 		var acc time.Duration
-		for i, q := range queries {
-			t0 := time.Now()
-			col.Select(q.Lo, q.Hi, true, false)
-			acc += time.Since(t0)
-			if tn != nil {
-				if want, flip := tn.Observe("fig", "a", current, q.Lo, q.Hi); flip {
-					col.SwapStrategy(func(old core.CrackStrategy) core.CrackStrategy {
-						next, err := strategy.Handoff(old, want, cfg.Seed)
-						if err != nil {
-							return old
-						}
-						return next
-					})
-					current = want
-					tn.Flipped("fig", "a", want)
+		err = replay(a, queries, func(i int, st step) {
+			acc += st.Elapsed
+			if p.autotune != nil {
+				switch i + 1 {
+				case cfg.K / 2:
+					phaseEnd[0] = store.TuneDecisions()
+				case len(queries):
+					phaseEnd[1] = store.TuneDecisions()
 				}
 			}
 			if (i+1)%bucket == 0 || i == len(queries)-1 {
@@ -110,6 +96,9 @@ func FigAutotune(cfg FigAutotuneConfig) (Figure, error) {
 				s.Points = append(s.Points, Point{X: float64(i + 1), Y: seconds(acc) / float64(nq)})
 				acc = 0
 			}
+		})
+		if err != nil {
+			return Figure{}, phaseEnd, err
 		}
 		series = append(series, s)
 	}
@@ -120,7 +109,7 @@ func FigAutotune(cfg FigAutotuneConfig) (Figure, error) {
 		XLabel: "query #",
 		YLabel: "per-query seconds (bucket mean)",
 		Series: series,
-	}, nil
+	}, phaseEnd, nil
 }
 
 // switchingStream builds the two-phase query stream: a sequential walk

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"crackdb/internal/core"
 	"crackdb/internal/obs"
 )
 
@@ -40,62 +39,66 @@ func (c *FigConvergenceConfig) defaults() {
 	}
 }
 
-// FigConvergence runs a random range workload over one instrumented
-// column and reports, at geometrically spaced checkpoints, the mean
-// latency of each execution path inside the window since the previous
-// checkpoint plus the fraction of queries that had to crack. Predicate
+// FigConvergence runs a random range workload over one store with
+// observability enabled and reports, at geometrically spaced
+// checkpoints, the mean latency of each execution path inside the window
+// since the previous checkpoint plus the fraction of queries that had to
+// crack (read off each step's Stats delta). Predicate
 // bounds are drawn from a finite grid — the workload a front-end with
 // bucketed filters emits — so the cut set saturates and the crack path
 // genuinely drains to zero. x is the query number; y is nanoseconds
 // (the crack-fraction series is scaled to [0, 100]).
-func FigConvergence(cfg FigConvergenceConfig) Figure {
+func FigConvergence(cfg FigConvergenceConfig) (Figure, error) {
 	cfg.defaults()
 	reg := obs.NewRegistry()
-	in := &core.Instr{
-		ReadHold:   reg.Histogram("lat", "latency", obs.L("path", "converged")),
-		WriteHold:  reg.Histogram("lat", "latency", obs.L("path", "crack")),
-		SampleMask: 0, // time every lookup: the figure wants the full stream
+	_, a, err := openStore(posture{reg: reg}, cfg.N, cfg.Seed)
+	if err != nil {
+		return Figure{}, err
 	}
+	// The histograms EnableObservability registered, by execution path.
+	const family, help = "crackdb_query_latency_ns", "Query latency by execution path, nanoseconds."
+	readHold := reg.Histogram(family, help, obs.L("path", "converged"))
+	writeHold := reg.Histogram(family, help, obs.L("path", "crack"))
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := make([]int64, cfg.N)
-	for i := range base {
-		base[i] = rng.Int63n(int64(cfg.N))
+	width := int64(cfg.N / cfg.Grid)
+	queries := make([]query, cfg.Queries)
+	for i := range queries {
+		lo, hi := rng.Int63n(int64(cfg.Grid)), rng.Int63n(int64(cfg.Grid))
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		queries[i] = query{lo*width + 1, (hi + 1) * width}
 	}
-	col := core.NewColumn("a", base, core.WithInstr(in))
 
 	read := Series{Label: "converged read-hold mean"}
 	crack := Series{Label: "cracking write-hold mean"}
 	frac := Series{Label: "queries that cracked (%)"}
 	var prevRead, prevCrack obs.HistSnapshot
-
-	checkpoint := func(q int) {
-		r, c := in.ReadHold.Snapshot(), in.WriteHold.Snapshot()
-		window := float64(r.Count - prevRead.Count + c.Count - prevCrack.Count)
+	cracked, window, next := 0, 0, 4
+	err = replay(a, queries, func(i int, st step) {
+		window++
+		if st.Work.Cracks > 0 {
+			cracked++
+		}
+		q := i + 1
+		if q != next && q != len(queries) {
+			return
+		}
+		r, c := readHold.Snapshot(), writeHold.Snapshot()
 		if dc := c.Count - prevCrack.Count; dc > 0 {
 			crack.Points = append(crack.Points, Point{X: float64(q), Y: float64(c.Sum-prevCrack.Sum) / float64(dc)})
 		}
 		if dr := r.Count - prevRead.Count; dr > 0 {
 			read.Points = append(read.Points, Point{X: float64(q), Y: float64(r.Sum-prevRead.Sum) / float64(dr)})
 		}
-		if window > 0 {
-			frac.Points = append(frac.Points, Point{X: float64(q), Y: 100 * float64(c.Count-prevCrack.Count) / window})
-		}
+		frac.Points = append(frac.Points, Point{X: float64(q), Y: 100 * float64(cracked) / float64(window)})
 		prevRead, prevCrack = r, c
-	}
-
-	step := int64(cfg.N / cfg.Grid)
-	next := 4
-	for q := 1; q <= cfg.Queries; q++ {
-		a, b := rng.Int63n(int64(cfg.Grid)), rng.Int63n(int64(cfg.Grid))
-		if a > b {
-			a, b = b, a
-		}
-		col.Select(a*step, (b+1)*step, true, false)
-		if q == next || q == cfg.Queries {
-			checkpoint(q)
-			next *= 2
-		}
+		cracked, window = 0, 0
+		next *= 2
+	})
+	if err != nil {
+		return Figure{}, err
 	}
 
 	return Figure{
@@ -104,5 +107,5 @@ func FigConvergence(cfg FigConvergenceConfig) Figure {
 		XLabel: "query number",
 		YLabel: "mean latency ns (crack fraction in %)",
 		Series: []Series{crack, read, frac},
-	}
+	}, nil
 }

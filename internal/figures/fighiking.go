@@ -2,11 +2,8 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
-	"crackdb/internal/engine"
 	"crackdb/internal/mqs"
-	"crackdb/internal/relation"
 )
 
 // Extension figure: the hiking profile of §4 (fixed-size windows sliding
@@ -46,28 +43,10 @@ func FigHiking(cfg FigHikingConfig) (Figure, error) {
 		XLabel: "query-sequence length",
 		YLabel: "cumulative response time (s)",
 	}
-	tbl := relation.Tapestry(cfg.N, 2, cfg.Seed)
-	m := mqs.MQS{Alpha: 2, N: cfg.N, K: cfg.K, Sigma: cfg.Sigma, Rho: cfg.Rho}
-	qs, err := mqs.Hiking(m, "c0", cfg.Seed+1)
+	m := mqs.MQS{Alpha: 1, N: cfg.N, K: cfg.K, Sigma: cfg.Sigma, Rho: cfg.Rho}
+	qs, err := mqs.Hiking(m, figCol, cfg.Seed+1)
 	if err != nil {
 		return fig, err
 	}
-	for _, strat := range []engine.Strategy{engine.Crack, engine.NoCrack} {
-		sess, err := engine.NewSession(tbl, "c0", strat)
-		if err != nil {
-			return fig, err
-		}
-		stats, err := sess.RunSequence(qs, engine.ModeCount, nil)
-		if err != nil {
-			return fig, err
-		}
-		series := Series{Label: strat.String()}
-		cum := time.Duration(0)
-		for i, st := range stats {
-			cum += st.Elapsed
-			series.Points = append(series.Points, Point{X: float64(i + 1), Y: seconds(cum)})
-		}
-		fig.Series = append(fig.Series, series)
-	}
-	return fig, nil
+	return fig, crackVersus(&fig, cfg.N, cfg.Seed, fromMQS(qs), "", "crack", "nocrack")
 }

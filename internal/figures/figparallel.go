@@ -1,12 +1,13 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
-	"crackdb/internal/core"
+	"crackdb"
 )
 
 // FigParallelConfig parameterizes the parallel read-path experiment.
@@ -43,27 +44,31 @@ func (c *FigParallelConfig) defaults() {
 }
 
 // FigParallel measures converged-lookup throughput against goroutine
-// count on one shared cracker column. The column is first cracked on a
-// fixed grid; the measured phase then draws grid-aligned ranges, so
-// every query is answered by two index lookups under the optimistic
+// count on one shared store. The column is first cracked on a fixed
+// grid; the measured phase then draws grid-aligned ranges, so every
+// Store.Count is answered by two index lookups under the optimistic
 // read path and the experiment isolates lock behavior from crack cost.
-func FigParallel(cfg FigParallelConfig) Figure {
+func FigParallel(cfg FigParallelConfig) (Figure, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := make([]int64, cfg.N)
-	for i := range base {
-		base[i] = rng.Int63n(int64(cfg.N))
+	s, a, err := openStore(posture{}, cfg.N, cfg.Seed)
+	if err != nil {
+		return Figure{}, err
 	}
-	col := core.NewColumn("a", base)
-	step := int64(cfg.N / cfg.Grid)
-	for g := 0; g < cfg.Grid; g++ {
-		lo := int64(g) * step
-		col.Select(lo, lo+step, true, false)
+	width := int64(cfg.N / cfg.Grid)
+	grid := make([]query, cfg.Grid)
+	for g := range grid {
+		grid[g] = query{int64(g)*width + 1, int64(g+1) * width}
+	}
+	if err := replay(a, grid, func(int, step) {}); err != nil {
+		return Figure{}, err
 	}
 
 	series := Series{Label: "converged-lookup"}
 	for _, g := range []int{1, 2, 4, 8} {
-		elapsed := measureParallelLookups(col, g, cfg.OpsPerG, int64(cfg.Grid), step)
+		elapsed, err := measureParallelLookups(s, g, cfg.OpsPerG, grid)
+		if err != nil {
+			return Figure{}, err
+		}
 		totalOps := float64(g * cfg.OpsPerG)
 		mops := totalOps / elapsed.Seconds() / 1e6
 		series.Points = append(series.Points, Point{X: float64(g), Y: mops})
@@ -75,14 +80,16 @@ func FigParallel(cfg FigParallelConfig) Figure {
 		XLabel: "goroutines",
 		YLabel: "lookups/s (millions)",
 		Series: []Series{series},
-	}
+	}, nil
 }
 
-// measureParallelLookups runs ops grid-aligned range lookups on g
+// measureParallelLookups counts ops random grid cells on each of g
 // goroutines and returns the wall time of the slowest start-to-finish
-// span.
-func measureParallelLookups(col *core.Column, g, ops int, grid, step int64) time.Duration {
+// span. A count that is not the cell's width is an error, as it is in
+// replay.
+func measureParallelLookups(s *crackdb.Store, g, ops int, grid []query) (time.Duration, error) {
 	var wg sync.WaitGroup
+	errs := make([]error, g)
 	start := time.Now()
 	for w := 0; w < g; w++ {
 		wg.Add(1)
@@ -90,11 +97,18 @@ func measureParallelLookups(col *core.Column, g, ops int, grid, step int64) time
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(worker)))
 			for i := 0; i < ops; i++ {
-				lo := rng.Int63n(grid-1) * step
-				col.Select(lo, lo+step, true, false)
+				q := grid[rng.Intn(len(grid)-1)]
+				got, err := s.Count(figTable, figCol, q.Lo, q.Hi)
+				if err == nil && int64(got) != q.Hi-q.Lo+1 {
+					err = fmt.Errorf("figures: parallel: [%d, %d] answered %d", q.Lo, q.Hi, got)
+				}
+				if err != nil {
+					errs[worker] = err
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	return time.Since(start)
+	return time.Since(start), errors.Join(errs...)
 }

@@ -2,10 +2,7 @@ package figures
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"crackdb/internal/core"
 	"crackdb/internal/strategy"
 	"crackdb/internal/workload"
 )
@@ -13,10 +10,10 @@ import (
 // FigStochasticConfig parameterizes the stochastic-cracking robustness
 // experiment. This figure is not in the CIDR paper — it reproduces the
 // headline experiment of Halim et al., "Stochastic Database Cracking"
-// (VLDB 2012), on this library's substrate: standard cracking collapses
-// under a sequential query walk (per-query cost stays O(N), cumulative
-// cost quadratic), while the stochastic strategies stay near-constant
-// per query on every pattern.
+// (VLDB 2012), on the served store (SetCrackStrategy): standard
+// cracking collapses under a sequential query walk (per-query cost stays
+// O(N), cumulative cost quadratic), while the stochastic strategies stay
+// near-constant per query on every pattern.
 type FigStochasticConfig struct {
 	N           int      // column cardinality (default 200k)
 	K           int      // queries per cell (default 512)
@@ -57,9 +54,9 @@ func (c *FigStochasticConfig) defaults() error {
 	return nil
 }
 
-// FigStochastic runs the strategy × workload matrix over one shared
-// dataset and reports, per cell, cumulative query time against query
-// number. The robustness gap reads directly off the shape: the
+// FigStochastic runs the strategy × workload matrix, a fresh store per
+// cell over the same tapestry, and reports, per cell, cumulative query
+// time against query number. The robustness gap reads directly off the shape: the
 // standard/sequential (and standard/reverse) series climb linearly with
 // a steep slope — every query pays a near-full partition pass — while
 // the stochastic series flatten after a handful of queries on every
@@ -68,24 +65,11 @@ func FigStochastic(cfg FigStochasticConfig) (Figure, error) {
 	if err := cfg.defaults(); err != nil {
 		return Figure{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := make([]int64, cfg.N)
-	for i := range base {
-		base[i] = rng.Int63n(int64(cfg.N))
-	}
-
 	var series []Series
-	stride := cfg.K / 64
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(cfg.K/64, 1)
 	for _, sName := range cfg.Strategies {
 		for _, wName := range cfg.Workloads {
 			pattern, err := workload.Parse(wName)
-			if err != nil {
-				return Figure{}, err
-			}
-			st, err := strategy.New(sName, cfg.Seed)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -98,20 +82,13 @@ func FigStochastic(cfg FigStochasticConfig) (Figure, error) {
 			if err != nil {
 				return Figure{}, err
 			}
-			col := core.NewColumn("a", base, core.WithStrategy(st))
-			s := Series{Label: sName + "/" + string(pattern)}
-			var cum time.Duration
-			for i := 0; ; i++ {
-				q, ok := gen.Next()
-				if !ok {
-					break
-				}
-				t0 := time.Now()
-				col.Select(q.Lo, q.Hi, true, false)
-				cum += time.Since(t0)
-				if (i+1)%stride == 0 || i == cfg.K-1 {
-					s.Points = append(s.Points, Point{X: float64(i + 1), Y: seconds(cum)})
-				}
+			_, a, err := openStore(posture{strategy: sName}, cfg.N, cfg.Seed)
+			if err != nil {
+				return Figure{}, err
+			}
+			s, err := cumulative(sName+"/"+string(pattern), a, fromWorkload(gen.Queries()), stride)
+			if err != nil {
+				return Figure{}, err
 			}
 			series = append(series, s)
 		}

@@ -1,8 +1,8 @@
 // Package figures regenerates every figure of the paper's evaluation:
 // one generator per figure, each returning labelled series that
 // cmd/crackbench renders as TSV and the root bench suite times. The
-// mapping from figure to modules is indexed in DESIGN.md; expected versus
-// measured shapes are recorded in EXPERIMENTS.md.
+// mapping from figure to modules is DESIGN.md's figure index. Figures
+// about cracking behaviour measure a *crackdb.Store through runner.go.
 package figures
 
 import (
@@ -68,8 +68,12 @@ func (f Figure) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)
 	for _, s := range f.Series {
+		suffix := ""
+		if s.DNF {
+			suffix = "  [DNF]"
+		}
 		if len(s.Points) == 0 {
-			fmt.Fprintf(&b, "  %-28s (empty)\n", s.Label)
+			fmt.Fprintf(&b, "  %-28s (empty)%s\n", s.Label, suffix)
 			continue
 		}
 		minY, maxY := s.Points[0].Y, s.Points[0].Y
@@ -80,10 +84,6 @@ func (f Figure) Summary() string {
 			if p.Y > maxY {
 				maxY = p.Y
 			}
-		}
-		suffix := ""
-		if s.DNF {
-			suffix = "  [DNF]"
 		}
 		fmt.Fprintf(&b, "  %-28s first=(%g, %.4g) last=(%g, %.4g) min=%.4g max=%.4g%s\n",
 			s.Label,

@@ -2,10 +2,12 @@ package figures
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"crackdb/internal/algebra"
 	"crackdb/internal/mqs"
 )
 
@@ -50,6 +52,22 @@ func labels(f Figure) []string {
 }
 
 func TestFig1Shapes(t *testing.T) {
+	// The default sweep ends at exactly 100 %, and the count-mode answer
+	// there is every tuple (a running sum of 0.1 ends at 99.99…9 % and
+	// selects N − 1).
+	sels := DefaultFig1Selectivities()
+	last := sels[len(sels)-1]
+	if last*100 != 100 {
+		t.Fatalf("default sweep ends at x = %v, want exactly 100", last*100)
+	}
+	const n = 1000
+	seq := 0
+	for _, prof := range algebra.Profiles() {
+		got, err := runFig1Query(buildRTable(n, 3), prof, Fig1Count, 1, int64(last*n), io.Discard, &seq)
+		if err != nil || got != n {
+			t.Fatalf("%s counts %d tuples at 100 %% (err %v), want %d", prof.Name, got, err, n)
+		}
+	}
 	if raceEnabled {
 		t.Skip("wall-clock shapes are meaningless under the race detector")
 	}
@@ -151,6 +169,22 @@ func TestFig8Shape(t *testing.T) {
 func TestFig9Shape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock shapes are meaningless under the race detector")
+	}
+	// The budget is a deadline the chain run checks, not a question asked
+	// after a configuration finishes: rowstore-lite's first nested loop
+	// alone is 4·10⁸ comparisons here.
+	start := time.Now()
+	f, err := Fig9(Fig9Config{N: 20000, Budget: 10 * time.Millisecond, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("three 10 ms budgets took %v", d)
+	}
+	for _, s := range f.Series {
+		if !s.DNF {
+			t.Fatalf("%s finished %d configurations inside 10 ms without DNF", s.Label, len(s.Points))
+		}
 	}
 	eventually(t, 3, func() error {
 		f, err := Fig9(Fig9Config{N: 256, Ks: []int{2, 4, 8, 16, 32}, Budget: 3 * time.Second, Seed: 2})

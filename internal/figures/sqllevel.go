@@ -2,11 +2,10 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"crackdb/internal/algebra"
-	"crackdb/internal/catalog"
-	"crackdb/internal/core"
 	"crackdb/internal/expr"
 )
 
@@ -19,9 +18,10 @@ import (
 //	SELECT INTO frag002 ... WHERE NOT pred(r.a);
 //
 // plus the catalog transactions for both fragments. The same predicate
-// executed by the kernel-level cracker is one partition pass over one
-// column and an in-memory index insert. SQLLevel measures both and the
-// cost components the section itemizes.
+// handed to the store is one Store.Count: the first query on a virgin
+// column, so it pays for creating the cracker column, one partition pass
+// and an in-memory index insert. SQLLevel measures both and the cost
+// components the section itemizes.
 
 // SQLLevelResult itemizes the measured cost components.
 type SQLLevelResult struct {
@@ -31,10 +31,10 @@ type SQLLevelResult struct {
 	DeliverToFrontEnd time.Duration // baseline query, results to front-end
 	StoreResult       time.Duration // same query materialized into a table
 	CrackSQLLevel     time.Duration // two scans + two materializations
-	CrackKernelLevel  time.Duration // core.Column partition pass
-	SortUpfront       time.Duration // full sort of the column (the rival investment)
+	CrackKernelLevel  time.Duration // first Store.Count on a virgin column
+	SortUpfront       time.Duration // sort-first's first query (the rival investment)
 
-	CatalogSchemaChanges int // schema transactions charged by SQL-level cracking
+	CatalogSchemaChanges int // fragments SQL-level cracking materialized, one schema change each
 }
 
 // String renders the cost breakdown.
@@ -90,57 +90,56 @@ func SQLLevel(cfg SQLLevelConfig) (SQLLevelResult, error) {
 	res.DeliverToFrontEnd = time.Since(start)
 
 	// (a) Store the result in a temporary table.
-	cat := catalog.New()
 	it, err = mkFilter(pred)
 	if err != nil {
 		return res, err
 	}
 	start = time.Now()
-	if _, err := algebra.Materialize(it, "newR", prof, cat); err != nil {
+	if _, err := algebra.Materialize(it, "newR", prof); err != nil {
 		return res, err
 	}
 	res.StoreResult = time.Since(start)
 
 	// SQL-level Ξ: two scans, two materializations, two fragments.
-	cat = catalog.New()
 	start = time.Now()
-	it, err = mkFilter(pred)
-	if err != nil {
-		return res, err
-	}
-	if _, err := algebra.Materialize(it, "frag001", prof, cat); err != nil {
-		return res, err
-	}
-	it, err = mkFilter(notPred)
-	if err != nil {
-		return res, err
-	}
-	if _, err := algebra.Materialize(it, "frag002", prof, cat); err != nil {
-		return res, err
+	for _, frag := range []struct {
+		name string
+		term expr.Term
+	}{{"frag001", pred}, {"frag002", notPred}} {
+		it, err := mkFilter(frag.term)
+		if err != nil {
+			return res, err
+		}
+		if _, err := algebra.Materialize(it, frag.name, prof); err != nil {
+			return res, err
+		}
+		res.CatalogSchemaChanges++
 	}
 	res.CrackSQLLevel = time.Since(start)
-	res.CatalogSchemaChanges = cat.Stats().SchemaChanges
 
-	// Kernel-level Ξ on a fresh cracker column. The partition pass is
-	// microseconds at moderate N, so take the best of three trials to
-	// keep scheduler hiccups out of the comparison.
+	// Kernel-level Ξ: the same predicate as the first query a fresh store
+	// sees. The pass is microseconds at moderate N, so take the best of
+	// three trials to keep scheduler hiccups out of the comparison.
+	first := []query{{math.MinInt64, cut}} // a ≤ cut: one cut, one crack-in-two
 	res.CrackKernelLevel = time.Duration(1<<63 - 1)
 	for trial := 0; trial < 3; trial++ {
-		col := core.FromBAT(tbl.MustColumn("a"))
-		start = time.Now()
-		col.SelectPred(expr.Pred{Col: "a", Op: expr.Le, Val: cut})
-		if d := time.Since(start); d < res.CrackKernelLevel {
-			res.CrackKernelLevel = d
+		_, a, err := openStore(posture{}, cfg.N, cfg.Seed)
+		if err != nil {
+			return res, err
+		}
+		if err := replay(a, first, func(_ int, st step) {
+			res.CrackKernelLevel = min(res.CrackKernelLevel, st.Elapsed)
+		}); err != nil {
+			return res, err
 		}
 	}
 
-	// The rival investment: sorting the attribute upfront.
-	col2 := core.FromBAT(tbl.MustColumn("a"))
-	start = time.Now()
-	col2.SortAll()
-	res.SortUpfront = time.Since(start)
-
-	return res, nil
+	// The rival investment: sorting the attribute upfront, which is what
+	// sort-first's first query pays.
+	err = replay(sortFirst(tapestryColumn(cfg.N, cfg.Seed)), first, func(_ int, st step) {
+		res.SortUpfront = st.Elapsed
+	})
+	return res, err
 }
 
 // discard is an io.Writer black hole that defeats dead-code elimination.

@@ -65,9 +65,9 @@ func Rho(d Dist, i, k int, sigma float64) float64 {
 		// (1 - i(1-σ)/k)·N at step i (paper §4, homerun).
 		rho = 1 - x*(1-sigma)/kf
 	case Exponential:
-		rho = sigma + (1-sigma)*math.Exp(-rhoLambda*x/kf*kfScale(kf))
+		rho = sigma + (1-sigma)*math.Exp(-rhoLambda*x/kf)
 	case Logarithmic:
-		rho = 1 - (1-sigma)*math.Exp(-rhoLambda*(kf-x)/kf*kfScale(kf))
+		rho = 1 - (1-sigma)*math.Exp(-rhoLambda*(kf-x)/kf)
 	default:
 		rho = sigma
 	}
@@ -79,10 +79,6 @@ func Rho(d Dist, i, k int, sigma float64) float64 {
 	}
 	return rho
 }
-
-// kfScale keeps the contraction visibly curved for short sequences while
-// saturating for long ones.
-func kfScale(float64) float64 { return 1 }
 
 // MQS is the benchmark descriptor tuple (α, N, k, σ, ρ, δ).
 type MQS struct {
@@ -130,15 +126,6 @@ type Query struct {
 // Range converts the query to its expr form.
 func (q Query) Range() expr.Range {
 	return expr.Range{Col: q.Col, Low: q.Low, High: q.High, LowIncl: true, HighIncl: true}
-}
-
-// Selectivity returns the fraction of 1..n the query selects.
-func (q Query) Selectivity(n int) float64 {
-	w := q.High - q.Low + 1
-	if w < 0 {
-		return 0
-	}
-	return float64(w) / float64(n)
 }
 
 // Homerun generates the homerun profile (§4): a user zooming into a
@@ -235,23 +222,6 @@ func Strolling(m MQS, col string, seed int64) ([]Query, error) {
 	queries := make([]Query, 0, m.K)
 	for i := 1; i <= m.K; i++ {
 		w := widthFor(Rho(m.Rho, i, m.K, m.Sigma), n)
-		lo := 1 + rng.Int63n(maxInt64(n-w+1, 1))
-		queries = append(queries, Query{Col: col, Low: lo, High: lo + w - 1})
-	}
-	return queries, nil
-}
-
-// StrollingUniform draws every step with the same fixed selectivity —
-// the pure random-walk baseline (§2.2's simulation uses this form).
-func StrollingUniform(m MQS, col string, seed int64) ([]Query, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := int64(m.N)
-	w := widthFor(m.Sigma, n)
-	queries := make([]Query, 0, m.K)
-	for i := 0; i < m.K; i++ {
 		lo := 1 + rng.Int63n(maxInt64(n-w+1, 1))
 		queries = append(queries, Query{Col: col, Low: lo, High: lo + w - 1})
 	}

@@ -73,6 +73,11 @@ func TestMQSValidate(t *testing.T) {
 	}
 }
 
+// selectivity is the fraction of 1..n the query selects.
+func selectivity(q Query, n int) float64 {
+	return float64(q.High-q.Low+1) / float64(n)
+}
+
 func TestHomerunConverges(t *testing.T) {
 	m := MQS{Alpha: 1, N: 100000, K: 20, Sigma: 0.05, Rho: Linear}
 	qs, err := Homerun(m, "c0", 99)
@@ -84,7 +89,7 @@ func TestHomerunConverges(t *testing.T) {
 	}
 	final := qs[len(qs)-1]
 	// Final query hits the target selectivity.
-	if sel := final.Selectivity(m.N); math.Abs(sel-m.Sigma) > 0.01 {
+	if sel := selectivity(final, m.N); math.Abs(sel-m.Sigma) > 0.01 {
 		t.Fatalf("final selectivity %g, want %g", sel, m.Sigma)
 	}
 	// Every query contains the final target and ranges shrink.
@@ -157,30 +162,9 @@ func TestStrollingSelectivityFollowsRho(t *testing.T) {
 	}
 	for i, q := range qs {
 		want := Rho(m.Rho, i+1, m.K, m.Sigma)
-		if got := q.Selectivity(m.N); math.Abs(got-want) > 0.01 {
+		if got := selectivity(q, m.N); math.Abs(got-want) > 0.01 {
 			t.Fatalf("step %d selectivity %g, want %g", i, got, want)
 		}
-	}
-}
-
-func TestStrollingUniformFixedSelectivity(t *testing.T) {
-	m := MQS{Alpha: 1, N: 50000, K: 30, Sigma: 0.05, Rho: Linear}
-	qs, err := StrollingUniform(m, "c0", 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		if got := q.Selectivity(m.N); math.Abs(got-m.Sigma) > 0.001 {
-			t.Fatalf("step %d selectivity %g, want %g", i, got, m.Sigma)
-		}
-	}
-	// Windows are spread out, not anchored.
-	distinct := make(map[int64]bool)
-	for _, q := range qs {
-		distinct[q.Low] = true
-	}
-	if len(distinct) < 10 {
-		t.Fatalf("only %d distinct window positions in 30 strolling steps", len(distinct))
 	}
 }
 
@@ -194,9 +178,6 @@ func TestSequenceGeneratorsRejectBadMQS(t *testing.T) {
 	}
 	if _, err := Strolling(bad, "c0", 1); err == nil {
 		t.Error("Strolling accepted bad MQS")
-	}
-	if _, err := StrollingUniform(bad, "c0", 1); err == nil {
-		t.Error("StrollingUniform accepted bad MQS")
 	}
 }
 
@@ -246,12 +227,6 @@ func TestQueryRange(t *testing.T) {
 	r := q.Range()
 	if r.Col != "c0" || !r.Match(5) || !r.Match(14) || r.Match(15) || r.Match(4) {
 		t.Fatalf("Range = %v", r)
-	}
-	if q.Selectivity(100) != 0.1 {
-		t.Fatalf("Selectivity = %g", q.Selectivity(100))
-	}
-	if (Query{Low: 9, High: 5}).Selectivity(10) != 0 {
-		t.Fatal("inverted query selectivity not 0")
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // BenchmarkServerThroughput measures end-to-end queries through the
 // wire protocol: framing, parse, shard routing, crack, merge, render.
 // Each parallel worker owns a connection, matching the one-goroutine-
-// per-conn server model. The qps metric is what BENCH_server.json
-// tracks across PRs.
+// per-conn server model.
 func BenchmarkServerThroughput(b *testing.B) {
 	const n = 50_000
 	for _, shards := range []int{1, 4} {

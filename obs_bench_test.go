@@ -39,8 +39,8 @@ func lookupNS(col *core.Column, grid, step int64, rounds, opsPerRound int) float
 
 // BenchmarkMetricsOverhead reports the converged-lookup cost with
 // instrumentation off and on, plus the relative overhead (the
-// overhead_pct metric in BENCH_obs.json). The overhead sub-benchmark
-// fails if the production sampling configuration costs more than 5%.
+// overhead_pct metric). The overhead sub-benchmark fails if the
+// production sampling configuration costs more than 5%.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	const n, grid = 1_000_000, 512
 	step := int64(n / grid)

@@ -11,7 +11,7 @@ import (
 // BenchmarkRecovery measures the restart economics the durability
 // subsystem exists for (ISSUE 4 acceptance): a converged store is
 // saved, and the timed operation is the first query after Open. Three
-// metrics accompany ns/op in BENCH_recovery.json:
+// metrics accompany ns/op:
 //
 //	converged_ns   median per-query latency of the converged store
 //	cold_first_ns  first-query latency after OpenCold of the same image

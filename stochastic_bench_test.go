@@ -10,9 +10,6 @@ package crackdb
 //   - MDD1R stays near-constant per query on every pattern (Sequential
 //     within 3x of Random), because its cracker index is built from
 //     data-driven random cuts the workload cannot steer.
-//
-// CI runs this matrix with -benchtime=1x and scrapes it into
-// BENCH_workloads.json next to BENCH_parallel.json.
 
 import (
 	"math/rand"
