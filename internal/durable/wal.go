@@ -59,18 +59,10 @@ type WAL struct {
 	// on instead of polling.
 	commitCh chan struct{}
 
-	// coalesce widens group commit: after noticing a pending batch the
-	// flusher waits this long before taking it, letting more concurrent
-	// appends join the same write+fsync. 0 (the default) preserves the
-	// original behavior — batching emerges only from fsync latency.
-	coalesce time.Duration
-
-	// retain bounds how many rotated segments are kept as replication
-	// history (default archiveRetain); pruneFloor additionally protects
-	// every segment still holding records a connected subscriber needs —
-	// a segment whose end exceeds the floor survives retention. The
-	// default floor (MaxUint64) protects nothing beyond retain.
-	retain     int
+	// pruneFloor protects every rotated segment still holding records a
+	// connected subscriber needs, beyond the archiveRetain newest: a
+	// segment whose end exceeds the floor survives. The default
+	// (MaxUint64) protects nothing extra.
 	pruneFloor uint64
 
 	// obs carries the optional observer callbacks (SetObserver). Held
@@ -148,7 +140,6 @@ func newWAL(path string, f *os.File, baseSeq uint64, size int64) *WAL {
 		bytes:      size,
 		done:       make(chan struct{}),
 		commitCh:   make(chan struct{}),
-		retain:     archiveRetain,
 		pruneFloor: ^uint64(0),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -296,32 +287,10 @@ func (w *WAL) Append(r Record) (uint64, error) {
 	return seq, b.err
 }
 
-// SetCoalesceWindow sets the group-commit fsync coalescing window: the
-// flusher, having noticed a pending batch, waits up to d before taking
-// it, so concurrent appends accumulate into one write+fsync. The window
-// bounds the extra latency every append in the batch pays and buys
-// fewer fsyncs per record under bursty load. d = 0 (the default)
-// restores the original behavior, where batching emerges only from
-// fsync latency. Safe to call concurrently with appends; the new window
-// applies from the next batch.
-func (w *WAL) SetCoalesceWindow(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.coalesce = d
-}
-
-// CoalesceWindow returns the current fsync coalescing window.
-func (w *WAL) CoalesceWindow() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.coalesce
-}
-
 // flusher is the group-commit loop: it takes whatever batch accumulated
 // while the previous write+fsync was in flight and commits it in one go.
+// Batching comes from fsync latency alone — the longer a sync takes, the
+// more appends queue behind it — so there is no window to tune.
 func (w *WAL) flusher() {
 	defer close(w.done)
 	for {
@@ -332,14 +301,6 @@ func (w *WAL) flusher() {
 		if w.cur == nil && w.closed {
 			w.mu.Unlock()
 			return
-		}
-		// Coalescing window: leave the open batch accumulating for a
-		// little longer before committing it. Close is exempt so
-		// shutdown never waits out the window.
-		if win := w.coalesce; win > 0 && !w.closed {
-			w.mu.Unlock()
-			time.Sleep(win)
-			w.mu.Lock()
 		}
 		b := w.cur
 		w.cur = nil
@@ -404,28 +365,16 @@ func (w *WAL) Status() Status {
 	}
 }
 
-// archiveRetain is the default bound on how many rotated segments are
-// kept next to the live log as replication history (see Rotate and
-// SetArchiveRetain).
+// archiveRetain is how many rotated segments are kept next to the live
+// log as replication history (see Rotate). A follower lagging by more
+// rotations than this, and not protected by the prune floor, is forced
+// into snapshot bootstrap.
 const archiveRetain = 4
-
-// SetArchiveRetain bounds how many rotated segments Rotate keeps as
-// replication history. A follower lagging by more rotations than this
-// is forced into snapshot bootstrap, so deployments with slow replicas
-// and disk to spare raise it (cracksrv -walretain).
-func (w *WAL) SetArchiveRetain(n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	w.retain = n
-}
 
 // SetPruneFloor protects archived segments still needed by the slowest
 // connected replication subscriber: no segment containing records at or
-// above seq is pruned, regardless of the retain bound. MaxUint64 (the
-// default) restores pure count-based retention.
+// above seq is pruned, even beyond the archiveRetain newest. MaxUint64
+// (the default) restores pure count-based retention.
 func (w *WAL) SetPruneFloor(seq uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -505,7 +454,7 @@ func (w *WAL) Rotate(baseSeq uint64) error {
 	w.seq = baseSeq
 	w.durSeq = baseSeq
 	w.bytes = walHeaderSize
-	pruneArchives(w.path, w.retain, w.base, w.pruneFloor)
+	pruneArchives(w.path, w.pruneFloor)
 	close(w.commitCh) // subscribers must re-read the rotated log's state
 	w.commitCh = make(chan struct{})
 	return nil
@@ -530,21 +479,14 @@ func listArchives(path string) []uint64 {
 	return bases
 }
 
-// pruneArchives deletes the oldest archived segments until at most keep
+// pruneArchives deletes the oldest archived segments until archiveRetain
 // remain, stopping early at the first segment a subscriber at floor
-// still needs. Segment i spans [bases[i], bases[i+1]); the newest spans
-// up to liveBase — a segment whose end exceeds floor holds records the
-// slowest follower has not acked yet and must survive.
-func pruneArchives(path string, keep int, liveBase, floor uint64) {
+// still needs. Segment i spans [bases[i], bases[i+1]) — a segment whose
+// end exceeds floor holds records the slowest follower has not acked yet
+// and must survive.
+func pruneArchives(path string, floor uint64) {
 	bases := listArchives(path)
-	for len(bases) > keep {
-		end := liveBase
-		if len(bases) > 1 {
-			end = bases[1]
-		}
-		if end > floor {
-			break
-		}
+	for len(bases) > archiveRetain && bases[1] <= floor {
 		os.Remove(archivePath(path, bases[0]))
 		bases = bases[1:]
 	}

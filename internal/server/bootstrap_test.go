@@ -59,7 +59,7 @@ func TestFollowerRebootstrapReusesUnchangedFiles(t *testing.T) {
 	insertRange(t, pc, "t", 0, 8000, 16000)
 	for round := 0; round < 6; round++ {
 		insertRange(t, pc, "t", 8000+round*10, 10, 16000)
-		save(t, pc, "")
+		save(t, pc, "full")
 	}
 
 	fDir := t.TempDir()
@@ -86,7 +86,7 @@ func TestFollowerRebootstrapReusesUnchangedFiles(t *testing.T) {
 	// byte-identical; only chain elements are new.
 	for round := 0; round < 6; round++ {
 		insertRange(t, pc, "t", round*30, 30, 500)
-		save(t, pc, "delta")
+		save(t, pc, "")
 	}
 
 	f2, err := OpenFollower(FollowerOptions{Primary: pAddr, DataDir: fDir, Logf: t.Logf})
@@ -148,7 +148,7 @@ func TestBootstrapResumeAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("create: %s", resp.Err)
 	}
 	insertRange(t, pc, "t", 0, 3000, 4000)
-	save(t, pc, "")
+	save(t, pc, "full")
 
 	// A bootstrap in progress: the full image is staged but not yet
 	// installed when the primary checkpoints again.
@@ -167,7 +167,7 @@ func TestBootstrapResumeAcrossCheckpoint(t *testing.T) {
 	}
 
 	insertRange(t, pc, "t", 3000, 40, 1000) // shard 0 only
-	save(t, pc, "delta")                    // image superseded mid-bootstrap
+	save(t, pc, "")                         // image superseded mid-bootstrap
 
 	// Chunk reads against the stale manifest are fenced off...
 	var stStale bootStats

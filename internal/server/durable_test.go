@@ -94,3 +94,44 @@ func TestServerSaveAndWALMetas(t *testing.T) {
 		t.Fatal("rebooted store has no WAL attached")
 	}
 }
+
+// TestSaveReplies: a bare /save answers what the store chose to write —
+// a full image on a fresh data dir, a delta after a write, and nothing
+// (naming the WAL seq, without claiming a rotation) when nothing changed.
+// The write lands on one of eight shards, so the delta stays far below
+// the compaction bound.
+func TestSaveReplies(t *testing.T) {
+	opts := shard.Options{Shards: 8, Kind: shard.Range, Domain: [2]int64{0, 8000}, StaticRangeBounds: true}
+	addr, _, stop := startDurableServer(t, t.TempDir(), opts)
+	defer stop()
+	c, err := DialTimeout(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if resp, _ := c.Do("CREATE TABLE t (k, v)"); resp.Err != "" {
+		t.Fatalf("create: %s", resp.Err)
+	}
+	insertRange(t, c, "t", 0, 8000, 8000)
+	for _, step := range []struct{ stmt, want string }{
+		{"/save", "checkpoint complete (full), wal rotated at seq 2"},
+		{"INSERT INTO t VALUES (1, 10), (2, 20)", ""},
+		{"/save", "checkpoint complete (delta), wal rotated at seq 3"},
+		{"/save", "checkpoint skipped: nothing changed, wal at seq 3"},
+		{"/save full", "checkpoint complete (full), wal rotated at seq 3"},
+		{"/save delta", "err usage: /save [full]"},
+		{"/save full now", "err usage: /save [full]"},
+	} {
+		resp, err := c.Do(step.stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", step.stmt, err)
+		}
+		got := resp.Message
+		if resp.Err != "" {
+			got = "err " + resp.Err
+		}
+		if step.want != "" && got != step.want || step.want == "" && resp.Err != "" {
+			t.Fatalf("%s: got %q, want %q", step.stmt, got, step.want)
+		}
+	}
+}

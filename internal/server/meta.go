@@ -43,7 +43,7 @@ func init() {
 		{name: "/strategy", usage: "/strategy <name> [seed] [shard]", primaryOnly: true, run: (*Server).strategyMeta},
 		{name: "/tune", usage: "/tune [<table> <column> <strategy>|auto]", run: (*Server).tuneMeta},
 		{name: "/tapestry", usage: "/tapestry <name> <n> <alpha> [seed]", primaryOnly: true, run: (*Server).tapestryMeta},
-		{name: "/save", usage: "/save [full|delta]", needsWAL: true, run: (*Server).saveMeta},
+		{name: "/save", usage: "/save [full]", needsWAL: true, run: (*Server).saveMeta},
 		{name: "/wal", usage: "/wal", needsWAL: true, run: (*Server).walMeta},
 		{name: "/repl", usage: "/repl", run: (*Server).replStatusMeta},
 		{name: "/replmanifest", usage: "/replmanifest", run: (*Server).replManifestMeta},
@@ -223,25 +223,27 @@ func (s *Server) tapestryMeta(fields []string) (*Response, bool) {
 }
 
 // saveMeta checkpoints: one chain element + WAL rotation. Mutations block
-// for the duration, queries keep running. An optional argument forces the
-// mode: "full" rewrites the whole image, "delta" appends a differential
-// chain element carrying only the shards that changed; bare /save uses
-// the store's default (-ckptdelta).
+// for the duration, queries keep running. A bare /save lets the store
+// choose: a delta element carrying only the shards that changed, a full
+// image when the chain needs one, or nothing when nothing changed.
+// "/save full" forces a full image.
 func (s *Server) saveMeta(fields []string) (*Response, bool) {
-	mode := ""
-	if len(fields) > 1 {
-		mode = fields[1]
+	if len(fields) > 2 || len(fields) == 2 && fields[1] != "full" {
+		return nil, false
 	}
 	// Pruning happens at the rotation this checkpoint triggers; refresh
 	// the floor first so a follower long gone stops pinning archives.
 	s.refreshPruneFloor()
-	ran, err := s.store.Checkpoint(mode)
+	wrote, err := s.store.Checkpoint(len(fields) == 2)
 	if err != nil {
 		return &Response{Err: err.Error()}, false
 	}
-	base := s.store.WAL().Status().BaseSeq
-	s.logf("checkpoint complete (%s, wal rotated at seq %d)", ran, base)
-	return &Response{Message: fmt.Sprintf("checkpoint complete (%s), wal rotated at seq %d", ran, base)}, false
+	st := s.store.WAL().Status()
+	if wrote == "" {
+		return &Response{Message: fmt.Sprintf("checkpoint skipped: nothing changed, wal at seq %d", st.NextSeq)}, false
+	}
+	s.logf("checkpoint complete (%s, wal rotated at seq %d)", wrote, st.BaseSeq)
+	return &Response{Message: fmt.Sprintf("checkpoint complete (%s), wal rotated at seq %d", wrote, st.BaseSeq)}, false
 }
 
 func (s *Server) walMeta([]string) (*Response, bool) {

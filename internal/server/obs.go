@@ -37,8 +37,8 @@ const slowLogMaxEvents = 16
 // crackdb_server_requests_total, and any statement taking slow or
 // longer is logged through logf together with the crack events that
 // landed during it. slow <= 0 disables the slow log but keeps metrics;
-// sampleEvery thins converged-read latency timing (the cracksrv
-// -tracesample flag; see crackdb.Store.EnableObservability).
+// sampleEvery thins converged-read latency timing (cracksrv passes 256;
+// see crackdb.Store.EnableObservability).
 func (s *Server) EnableObservability(slow time.Duration, sampleEvery int) {
 	s.store.EnableObservability(sampleEvery)
 	reg := s.store.Registry()

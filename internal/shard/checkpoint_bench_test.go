@@ -41,7 +41,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, err := s.Checkpoint("full"); err != nil {
+			if _, err := s.Checkpoint(true); err != nil {
 				b.Fatal(err)
 			}
 			var written int64
@@ -57,7 +57,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				got, err := s.Checkpoint(mode)
+				got, err := s.Checkpoint(mode == "full")
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,9 +2,11 @@ package shard_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +45,7 @@ func seedDurable(t *testing.T, dir string) *shard.Store {
 			crackdb.Cond{Col: "k", Op: "<", Val: lo + 250})
 		mustExec(t, err)
 	}
-	if mode, err := s.Checkpoint("full"); err != nil || mode != "full" {
+	if mode, err := s.Checkpoint(true); err != nil || mode != "full" {
 		t.Fatalf("full checkpoint: mode %q err %v", mode, err)
 	}
 	return s
@@ -110,7 +112,7 @@ func TestDeltaCheckpointSkipsCleanShards(t *testing.T) {
 	}
 	mustExec(t, s.InsertRows("t", rows))
 
-	mode, err := s.Checkpoint("delta")
+	mode, err := s.Checkpoint(false)
 	mustExec(t, err)
 	if mode != "delta" {
 		t.Fatalf("checkpoint escalated to %q", mode)
@@ -169,18 +171,18 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 			for sh := int64(0); sh < 8; sh++ {
 				crack(sh*1000, 1)
 			}
-			if _, err := s.Checkpoint("full"); err != nil {
+			if _, err := s.Checkpoint(true); err != nil {
 				t.Fatal(err)
 			}
 			// Two delta rounds, each touching a different single shard.
 			mustExec(t, s.InsertRows("t", [][]int64{{100, 1}, {150, 2}}))
 			crack(0, 2)
-			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+			if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 				t.Fatalf("delta 1: mode %q err %v", mode, err)
 			}
 			mustExec(t, s.InsertRows("t", [][]int64{{6100, 1}, {6150, 2}}))
 			crack(6000, 3)
-			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+			if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 				t.Fatalf("delta 2: mode %q err %v", mode, err)
 			}
 			// A third round on a converged shard: a trickle of small batches
@@ -205,14 +207,14 @@ func TestDeltaRebootMatchesFullReboot(t *testing.T) {
 			if st, err := s.Shard(3).Stats("t", "k"); err != nil || st.RippleFolds == 0 || st.RebuildFolds != 0 {
 				t.Fatalf("trickle on a converged shard: %+v, %v — want ripple folds only", st, err)
 			}
-			if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+			if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 				t.Fatalf("delta 3: mode %q err %v", mode, err)
 			}
 			// Set the chain aside, then have the live store fold the same
 			// state into a full image, for the oracle.
 			chainDir := filepath.Join(t.TempDir(), "chain")
 			copyTree(t, dir, chainDir)
-			if mode, err := s.Checkpoint("full"); err != nil || mode != "full" {
+			if mode, err := s.Checkpoint(true); err != nil || mode != "full" {
 				t.Fatalf("oracle image: mode %q err %v", mode, err)
 			}
 			mustExec(t, s.CloseWAL())
@@ -279,12 +281,11 @@ func TestDeltaChainCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	defer s.CloseWAL()
-	s.SetCheckpointDelta(true)
 
 	sawDelta := 0
 	for i := 0; i < 12; i++ {
 		mustExec(t, s.InsertRows("t", [][]int64{{int64(i * 600 % 8000), int64(i)}}))
-		mode, err := s.Checkpoint("")
+		mode, err := s.Checkpoint(false)
 		mustExec(t, err)
 		if mode == "delta" {
 			sawDelta++
@@ -309,11 +310,11 @@ func TestBrokenChainRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
-	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
 	mustExec(t, s.InsertRows("t", [][]int64{{20, 2}}))
-	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
 	mustExec(t, s.CloseWAL())
@@ -346,7 +347,7 @@ func TestSupersededElementsCleaned(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
-	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
 	// Simulate the crash: keep a copy of the element, run the full
@@ -359,7 +360,7 @@ func TestSupersededElementsCleaned(t *testing.T) {
 	backup := stale + ".bak"
 	mustExec(t, os.Rename(stale, backup))
 	mustExec(t, os.Rename(backup, stale)) // restore; full ckpt will remove it again
-	if mode, err := s.Checkpoint("full"); err != nil || mode != "full" {
+	if mode, err := s.Checkpoint(true); err != nil || mode != "full" {
 		t.Fatalf("full: mode %q err %v", mode, err)
 	}
 	// Re-create the stale element as if the cleanup never ran.
@@ -401,12 +402,12 @@ func TestCrackOnlyDeltaSurvivesReboot(t *testing.T) {
 			crackdb.Cond{Col: "k", Op: "<", Val: lo + 25})
 		mustExec(t, err)
 	}
-	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 		t.Fatalf("crack-only delta: mode %q err %v", mode, err)
 	}
 	// Second element, this time with WAL traffic, chained to the first.
 	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}, {20, 2}}))
-	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
+	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
 		t.Fatalf("delta 2: mode %q err %v", mode, err)
 	}
 	mustExec(t, s.CloseWAL())
@@ -429,15 +430,56 @@ func TestCrackOnlyDeltaSurvivesReboot(t *testing.T) {
 }
 
 // TestDeltaCheckpointNoop: with no traffic since the last checkpoint, a
-// delta checkpoint writes nothing at all.
+// bare checkpoint writes nothing at all and says so — the chain, the
+// WAL base and the data directory are left exactly as they were, and a
+// reboot still answers exactly.
 func TestDeltaCheckpointNoop(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
-	defer s.CloseWAL()
-	if mode, err := s.Checkpoint("delta"); err != nil || mode != "delta" {
-		t.Fatalf("noop delta: mode %q err %v", mode, err)
+	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
+	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
+		t.Fatalf("delta: mode %q err %v", mode, err)
 	}
-	if dds := deltaDirs(t, dir); len(dds) != 0 {
-		t.Fatalf("no-op delta checkpoint still wrote elements: %v", dds)
+	listing := func() []string {
+		t.Helper()
+		var names []string
+		mustExec(t, filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			info, err := d.Info()
+			if err == nil {
+				names = append(names, fmt.Sprint(path, info.Size(), info.ModTime().UnixNano()))
+			}
+			return err
+		}))
+		return names
+	}
+	before, base := listing(), s.WAL().Status().BaseSeq
+	for i := 0; i < 2; i++ {
+		if mode, err := s.Checkpoint(false); err != nil || mode != "" {
+			t.Fatalf("idle checkpoint %d: mode %q err %v, want nothing written", i, mode, err)
+		}
+	}
+	if got := s.WAL().Status().BaseSeq; got != base {
+		t.Fatalf("idle checkpoint rotated the WAL: base %d, was %d", got, base)
+	}
+	if after := listing(); !slices.Equal(after, before) {
+		t.Fatalf("idle checkpoint changed the data dir:\nbefore %v\nafter  %v", before, after)
+	}
+	mustExec(t, s.CloseWAL())
+
+	re, info, err := shard.OpenDurable(dir, rangeOpts())
+	mustExec(t, err)
+	defer re.CloseWAL()
+	if !info.Recovered || info.ChainDeltas != 1 || info.Replayed != 0 {
+		t.Fatalf("reboot after idle checkpoints: %+v, want base + 1 delta, nothing replayed", info)
+	}
+	n, err := re.CountWhere("t",
+		crackdb.Cond{Col: "k", Op: ">=", Val: 0},
+		crackdb.Cond{Col: "k", Op: "<", Val: 8000})
+	mustExec(t, err)
+	if n != 8001 {
+		t.Fatalf("recovered %d rows, want 8001", n)
 	}
 }

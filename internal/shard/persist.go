@@ -389,50 +389,45 @@ func (s *Store) Apply(rec durable.Record) error {
 	}
 }
 
-// SetCheckpointDelta selects the default Checkpoint mode: on,
-// Checkpoint("") — a bare /save — writes a delta element (escalating to a
-// full image when the compaction policy triggers); off (the default), it
-// writes a full image. The cracksrv -ckptdelta flag.
-func (s *Store) SetCheckpointDelta(on bool) {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	s.ckptDelta = on
-}
+// SetCheckpointDelta does nothing: every bare Checkpoint already takes
+// the chain path. It stays only for callers built against the old
+// switch.
+func (s *Store) SetCheckpointDelta(bool) {}
 
 // Checkpoint writes one chain element into the data directory and
 // rotates the WAL, under full mutation exclusion: no insert can slip
 // between the image and the log cut, so nothing acked is ever lost and
 // nothing is replayed twice. Queries keep running throughout — they
 // reorganize crack state, which the image captures per column atomically
-// and which is re-derivable anyway. mode is "full", "delta", or "" for
-// the store's configured default; the mode that actually ran is
-// returned: "delta" escalates to "full" when there is no base image yet,
-// when the compaction policy triggers, or after a failed checkpoint
-// (whose partial effects only a fresh base is sure to supersede).
-func (s *Store) Checkpoint(mode string) (string, error) {
+// and which is re-derivable anyway.
+//
+// Without full it appends a delta element carrying only the shards that
+// changed. It writes a full image instead when there is no base yet, when
+// the chain has outgrown compactionDueLocked's bounds, or after a failed
+// checkpoint (whose partial effects only a fresh base is sure to
+// supersede). It returns what it wrote: "full", "delta", or "" when
+// nothing changed since the last checkpoint — then no element is written
+// and the log is not rotated.
+func (s *Store) Checkpoint(full bool) (string, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.wal == nil || s.dataDir == "" {
 		return "", fmt.Errorf("shard: store is not durable (no data directory)")
 	}
-	switch mode {
-	case "":
-		mode = "full"
-		if s.ckptDelta {
-			mode = "delta"
-		}
-	case "full", "delta":
-	default:
-		return "", fmt.Errorf("shard: unknown checkpoint mode %q (want full or delta)", mode)
-	}
 	if o := s.obsv.Load(); o != nil {
 		t0 := time.Now()
 		defer func() { o.checkpointNS.Observe(time.Since(t0).Nanoseconds()) }()
 	}
-	if mode == "delta" && (s.forceBase || len(s.chain) == 0 || s.compactionDueLocked()) {
-		mode = "full"
+	full = full || s.forceBase || len(s.chain) == 0 || s.compactionDueLocked()
+	switch err := s.checkpointLocked(full); {
+	case errors.Is(err, errNothingDirty):
+		return "", nil
+	case err != nil:
+		return "", err
+	case full:
+		return "full", nil
 	}
-	return mode, s.checkpointLocked(mode == "full")
+	return "delta", nil
 }
 
 // compactionDueLocked reports whether the chain has outgrown its bounds:
@@ -447,7 +442,7 @@ func (s *Store) compactionDueLocked() bool {
 }
 
 // errNothingDirty aborts a delta element that would carry no shard and
-// no new WAL stamp.
+// no new WAL stamp; Checkpoint reports it as nothing written.
 var errNothingDirty = errors.New("shard: nothing changed since the last checkpoint")
 
 // checkpointLocked writes one element — the base, carrying every shard,
@@ -487,13 +482,12 @@ func (s *Store) checkpointLocked(base bool) error {
 		elem.sum = crc32.ChecksumIEEE(data)
 		return os.WriteFile(filepath.Join(tmp, manifestName), data, 0o644)
 	})
-	if errors.Is(err, errNothingDirty) {
-		return nil
-	}
 	if err != nil {
-		// The swap may have failed after the element reached its final
-		// name; only a fresh base is sure to supersede whatever landed.
-		s.forceBase = true
+		if !errors.Is(err, errNothingDirty) {
+			// The swap may have failed after the element reached its final
+			// name; only a fresh base is sure to supersede whatever landed.
+			s.forceBase = true
+		}
 		return err
 	}
 	for _, commit := range commits {
@@ -517,7 +511,7 @@ func (s *Store) checkpointLocked(base bool) error {
 }
 
 // WAL returns the attached log — status, replication reads and the
-// retention knobs are its own methods — or nil on a volatile store (and
+// prune floor are its own methods — or nil on a volatile store (and
 // after CloseWAL).
 func (s *Store) WAL() *durable.WAL {
 	s.walMu.RLock()

@@ -62,7 +62,7 @@ func TestShardSaveOpenByteIdentical(t *testing.T) {
 			opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
 			dir := t.TempDir()
 			src, _ := loadMixed(t, dir, opts, 31)
-			if _, err := src.Checkpoint(""); err != nil {
+			if _, err := src.Checkpoint(false); err != nil {
 				t.Fatal(err)
 			}
 			if err := src.CloseWAL(); err != nil {
@@ -183,7 +183,7 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	if _, err := s1.CountWhere("t", crackdb.Cond{Col: "k", Op: "<", Val: 600}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Checkpoint(""); err != nil {
+	if _, err := s1.Checkpoint(false); err != nil {
 		t.Fatal(err)
 	}
 	if st := s1.WAL().Status(); st.Records != 0 || st.BaseSeq == 0 {
@@ -231,7 +231,7 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	}
 	// The recovered store checkpoints again cleanly, and a third boot
 	// needs no replay.
-	if _, err := s2.Checkpoint(""); err != nil {
+	if _, err := s2.Checkpoint(false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.CloseWAL(); err != nil {

@@ -89,7 +89,6 @@ type Store struct {
 
 	// Checkpoint chain state (see persist.go in this package). Guarded
 	// by walMu (Checkpoint holds it exclusively).
-	ckptDelta bool        // Checkpoint("") writes deltas by default
 	chain     []chainElem // on-disk elements, base first; empty before the first checkpoint
 	forceBase bool        // a checkpoint failed: the next one must be a base
 }
