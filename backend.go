@@ -2,20 +2,20 @@ package crackdb
 
 // Rows is the result surface every Backend implementation returns from a
 // selection: a qualifying-tuple count plus attribute fetch. *Result
-// satisfies it for a single store; internal/shard's merged result and the
-// wire client's decoded result set satisfy it for partitioned and remote
-// stores.
+// satisfies it for a single store, internal/shard's merged result for a
+// partitioned one.
 type Rows interface {
 	Count() int
 	Rows(cols ...string) ([][]int64, error)
 }
 
 // Backend is the unified query surface of a cracking store. One embedded
-// *Store (via Store.Backend), a sharded router (internal/shard), and a
-// remote server reached through the wire client (internal/server.Session)
-// all present this interface, so the SQL engine, the figures, benchmarks
-// and the replication code program against a single shape instead of
-// three near-copies.
+// *Store (via Store.Backend) and a sharded router (internal/shard) both
+// present this interface, so the SQL engine, the figures and benchmarks
+// program against a single shape. Nothing implements it over the wire: a
+// remote client sends SQL through internal/server's Client, and a
+// replicated deployment is every member cracking its own store, so there
+// is no cluster-wide Backend to speak.
 //
 // Every query method doubles as cracking advice on whichever physical
 // store answers it; implementations must be safe for concurrent use.

@@ -67,28 +67,25 @@ func (c *clientConfig) defaults() {
 // is a permutation of 1..n, so a range's count is precisely its width.
 func runClient(cfg clientConfig) error {
 	cfg.defaults()
-	// Replicated mode (-addrs): discover the topology through a Session,
-	// send every mutation to the primary, and rotate the read streams
-	// over the members the read preference selects. A fence after setup
+	// Replicated mode (-addrs): discover the topology, send every
+	// mutation to the primary, and rotate the read streams over the
+	// members the read preference selects. A fence after setup
 	// guarantees every reader has the freshly loaded table before the
 	// query streams hit it; mid-stream INSERTs stay exact because they
 	// key above the tapestry domain the range counts cover.
-	var sess *server.Session
+	var topo server.Topology
 	if len(cfg.addrs) > 0 {
-		pref, err := server.ParseReadPreference(cfg.readpref)
-		if err != nil {
+		var err error
+		if topo, err = server.Discover(cfg.addrs); err != nil {
 			return err
 		}
-		sess, err = server.NewSession(cfg.addrs, pref)
-		if err != nil {
+		if cfg.readerAddrs, err = topo.Readers(cfg.readpref); err != nil {
 			return err
 		}
-		defer sess.Close()
-		cfg.writeAddr = sess.PrimaryAddr()
+		cfg.writeAddr = topo.Primary
 		if cfg.writeAddr == "" {
 			return fmt.Errorf("no primary in topology %v", cfg.addrs)
 		}
-		cfg.readerAddrs = sess.ReaderAddrs()
 		cfg.addr = cfg.writeAddr
 		fmt.Fprintf(os.Stderr, "replicated topology: primary=%s readers=%v\n", cfg.writeAddr, cfg.readerAddrs)
 	}
@@ -130,8 +127,8 @@ func runClient(cfg clientConfig) error {
 	} else if resp.Err != "" && !strings.Contains(resp.Err, "already exists") {
 		return fmt.Errorf("tapestry load: %s", resp.Err)
 	}
-	if sess != nil {
-		if err := sess.Fence(60 * time.Second); err != nil {
+	if len(cfg.addrs) > 0 {
+		if err := topo.Fence(60 * time.Second); err != nil {
 			return fmt.Errorf("fence after setup: %w", err)
 		}
 	}

@@ -51,7 +51,7 @@ type followerInfo struct {
 }
 
 // SetAdvertise records the address this server publishes in /repl so
-// peers (and Session clients) can re-dial it.
+// peers (and Discover) can re-dial it.
 func (s *Server) SetAdvertise(addr string) {
 	s.repl.mu.Lock()
 	s.repl.advertise = addr
@@ -247,10 +247,11 @@ func (s *Server) replFetchMeta(fields []string) (*Response, bool) {
 // committed records from seq on, base64-encoded. When the log has
 // nothing past from, the request parks on the commit signal up to
 // replPollWindow before answering empty — the follower long-polls
-// instead of spinning, and a commit wakes every parked puller at once.
-// The optional addr/applied pair is the follower's heartbeat for the
-// lag gauges. A from that has fallen behind the archived log answers
-// "snapshot required base=<n>"; the follower must re-bootstrap.
+// instead of spinning, and a commit wakes every parked puller at once
+// (as does Shutdown, which must not wait out the window). The optional
+// addr/applied pair is the follower's heartbeat for the lag gauges. A
+// from that has fallen behind the archived log answers "snapshot
+// required base=<n>"; the follower must re-bootstrap.
 func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 	if len(fields) != 3 && len(fields) != 5 {
 		return nil, false
@@ -290,6 +291,8 @@ func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 		select {
 		case <-ch:
 		case <-t.C:
+		case <-s.quit:
+			deadline = time.Now() // shutting down: answer what is there
 		}
 		t.Stop()
 	}

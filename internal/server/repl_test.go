@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"crackdb"
 	"crackdb/internal/shard"
 )
 
@@ -272,33 +271,6 @@ func waitFollowers(t *testing.T, primary string, n int) {
 	}
 }
 
-// waitFollowerAddr blocks until the primary's /repl lists the follower
-// at addr (by heartbeat, so the follower's pull loop is running).
-func waitFollowerAddr(t *testing.T, primary, addr string) {
-	t.Helper()
-	c, err := Dial(primary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, followers, err := replKV(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range followers {
-			if fields := strings.Fields(f); len(fields) > 0 && fields[0] == addr {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("primary never listed follower %s (have %v)", addr, followers)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 func equalLines(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -421,177 +393,147 @@ func TestFollowerReadOnly(t *testing.T) {
 	}
 }
 
-// TestSessionRouting exercises the topology-aware client: discovery
-// from a single member, read-preference fan-out and write routing.
-func TestSessionRouting(t *testing.T) {
-	pAddr, pStore, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
-	defer pStop()
-
-	// The primary must advertise itself for discovery via followers.
-	// startDurableServer does not set it, so dial and check /repl still
-	// names role primary; Session keys on the dialed address.
-	f1Addr, _, f1Stop := startFollowerServer(t, pAddr, t.TempDir())
-	defer f1Stop()
-	f2Addr, _, f2Stop := startFollowerServer(t, pAddr, t.TempDir())
-	defer f2Stop()
-	waitFollowers(t, pAddr, 2)
-
-	sess, err := NewSession([]string{f1Addr}, ReadFollower)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if sess.PrimaryAddr() != pAddr {
-		t.Fatalf("discovered primary %q, want %q", sess.PrimaryAddr(), pAddr)
-	}
-
-	if err := sess.CreateTable("s", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	rows := make([][]int64, 200)
-	for i := range rows {
-		rows[i] = []int64{int64(i), int64(i % 10)}
-	}
-	if err := sess.InsertRows("s", rows); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sess.Delete("s", crackdb.Cond{Col: "a", Op: ">=", Val: 150}); err != nil || n != 50 {
-		t.Fatalf("session delete = (%d, %v), want (50, nil)", n, err)
-	}
-	if err := sess.Fence(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reads round-robin across both followers and agree with the oracle.
-	for i := 0; i < 4; i++ {
-		n, err := sess.Count("s", "a", 0, 1000000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 150 {
-			t.Fatalf("read %d: count %d, want 150", i, n)
-		}
-	}
-	res, err := sess.SelectWhere("s",
-		crackdb.Cond{Col: "b", Op: ">=", Val: 3},
-		crackdb.Cond{Col: "b", Op: "<=", Val: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := res.Rows("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 15 {
-		t.Fatalf("projection returned %d rows, want 15", len(got))
-	}
-	for _, row := range got {
-		if row[1] != 3 {
-			t.Fatalf("projected row %v has b != 3", row)
-		}
-	}
-	counts, err := sess.CountBatch("s", "a", []crackdb.Range{{Low: 0, High: 49}, {Low: 50, High: 99}, {Low: 100, High: 149}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range counts {
-		if n != 50 {
-			t.Fatalf("batch range %d counts %d, want 50", i, n)
-		}
-	}
-
-	// Session over a Session-discovered topology: both followers serve.
-	if sess.Readers() != 2 {
-		t.Fatalf("follower preference has %d readers, want 2", sess.Readers())
-	}
-	any, err := NewSession([]string{pAddr, f1Addr, f2Addr}, ReadAny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer any.Close()
-	if any.Readers() != 3 {
-		t.Fatalf("any preference has %d readers, want 3", any.Readers())
-	}
-	prim, err := NewSession([]string{f2Addr}, ReadPrimary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prim.Close()
-	if prim.Readers() != 1 || prim.PrimaryAddr() != pAddr {
-		t.Fatalf("primary preference: %d readers, primary %q", prim.Readers(), prim.PrimaryAddr())
-	}
-	_ = pStore
-}
-
-// TestSessionReprobe kills a session's only follower mid-stream: the
-// read rotation fails at the transport layer, the session re-probes
-// /repl, and reads continue on the primary without rebuilding the
-// session. A replacement follower then joins and a refresh folds it
-// back into the rotation.
-func TestSessionReprobe(t *testing.T) {
+// TestDiscoverAndFence: discovery from a single follower names the
+// whole topology, each read preference selects its members, a fence
+// after writes on a raw client makes both followers count exactly, and
+// a follower that died but is still listed by the primary is dropped.
+func TestDiscoverAndFence(t *testing.T) {
 	pAddr, _, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
 	defer pStop()
 	f1Addr, _, f1Stop := startFollowerServer(t, pAddr, t.TempDir())
-	waitFollowers(t, pAddr, 1)
+	defer f1Stop()
+	f2Addr, _, f2Stop := startFollowerServer(t, pAddr, t.TempDir())
+	waitFollowers(t, pAddr, 2)
 
-	sess, err := NewSession([]string{pAddr}, ReadFollower)
+	topo, err := Discover([]string{f1Addr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-	if got := sess.ReaderAddrs(); len(got) != 1 || got[0] != f1Addr {
-		t.Fatalf("readers %v, want [%s]", got, f1Addr)
+	followers := []string{f1Addr, f2Addr}
+	sort.Strings(followers)
+	if topo.Primary != pAddr || !equalLines(topo.Followers, followers) {
+		t.Fatalf("discovered %+v, want primary %s and followers %v", topo, pAddr, followers)
+	}
+	for pref, want := range map[string][]string{
+		"follower": followers,
+		"any":      append(append([]string(nil), followers...), pAddr),
+		"primary":  {pAddr},
+	} {
+		got, err := topo.Readers(pref)
+		if err != nil || !equalLines(got, want) {
+			t.Fatalf("Readers(%q) = (%v, %v), want %v", pref, got, err, want)
+		}
+	}
+	if got, err := topo.Readers("nearest"); err == nil {
+		t.Fatalf("Readers(\"nearest\") = %v, want an error", got)
 	}
 
-	if err := sess.CreateTable("r", "a"); err != nil {
+	pc, err := Dial(pAddr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([][]int64, 100)
-	for i := range rows {
-		rows[i] = []int64{int64(i)}
+	defer pc.Close()
+	var b strings.Builder
+	b.WriteString("INSERT INTO s VALUES ")
+	for i := 0; i < 200; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "(%d, %d)", i, i%10)
 	}
-	if err := sess.InsertRows("r", rows); err != nil {
+	for _, stmt := range []string{"CREATE TABLE s (a, b)", b.String(), "DELETE FROM s WHERE a >= 150"} {
+		if _, err := pc.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	countAt := func(addr string, want int64) {
+		t.Helper()
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if n, err := c.Count("SELECT COUNT(*) FROM s WHERE a >= 0 AND a <= 1000000"); err != nil || n != want {
+			t.Fatalf("%s counts (%d, %v), want %d", addr, n, err, want)
+		}
+	}
+	if err := topo.Fence(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Fence(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sess.Count("r", "a", 0, 1000); err != nil || n != 100 {
-		t.Fatalf("count via follower = (%d, %v), want (100, nil)", n, err)
-	}
+	countAt(f1Addr, 150)
+	countAt(f2Addr, 150)
 
-	// Kill the only follower: the next read must survive by re-probing
-	// and falling back to the primary.
-	f1Stop()
-	if n, err := sess.Count("r", "a", 0, 1000); err != nil || n != 100 {
-		t.Fatalf("count after follower death = (%d, %v), want (100, nil)", n, err)
+	// Kill f2. The primary still lists it by its last heartbeat, and a
+	// fresh discovery must drop it rather than name a dead fence target.
+	f2Stop()
+	if _, listed, err := replKV(pc); err != nil || len(listed) != 2 {
+		t.Fatalf("primary lists %v (%v), want the dead follower still among 2", listed, err)
 	}
-	if got := sess.ReaderAddrs(); len(got) != 1 || got[0] != pAddr {
-		t.Fatalf("readers after reprobe %v, want fallback to primary [%s]", got, pAddr)
-	}
-	// Writes keep flowing through the same session.
-	if err := sess.InsertRows("r", [][]int64{{1000}}); err != nil {
+	topo, err = Discover([]string{pAddr})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if topo.Primary != pAddr || !equalLines(topo.Followers, []string{f1Addr}) {
+		t.Fatalf("after a follower died, discovered %+v, want followers [%s]", topo, f1Addr)
+	}
+	if _, err := pc.Exec("INSERT INTO s VALUES (1000, 0)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Fence(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	countAt(f1Addr, 151)
+}
 
-	// A replacement follower joins; the next refresh folds it back in.
-	// (Reads only re-probe on failure, so drive the refresh directly —
-	// the failure-triggered path is what the fallback above exercised.)
-	f2Addr, _, f2Stop := startFollowerServer(t, pAddr, t.TempDir())
-	defer f2Stop()
-	// The dead follower lingers in the primary's heartbeat list, so wait
-	// for the replacement's address specifically, not a follower count.
-	waitFollowerAddr(t, pAddr, f2Addr)
-	if err := sess.reprobe(sess.gen.Load()); err != nil {
+// TestFollowerRestartCaughtUpIsPrompt: a follower restarted against an
+// idle primary whose log it has fully applied opens at once — its
+// position is the primary's live frontier, so there is nothing to probe
+// and no long poll to wait out.
+func TestFollowerRestartCaughtUpIsPrompt(t *testing.T) {
+	pAddr, pStore, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
+	defer pStop()
+	pc, err := Dial(pAddr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.ReaderAddrs(); len(got) != 1 || got[0] != f2Addr {
-		t.Fatalf("readers after rejoin %v, want [%s]", got, f2Addr)
+	defer pc.Close()
+	for _, stmt := range []string{"CREATE TABLE t (k)", "INSERT INTO t VALUES (1), (2), (3)"} {
+		if _, err := pc.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := sess.Fence(10 * time.Second); err != nil {
+	dir := t.TempDir()
+	fAddr, _, fStop := startFollowerServer(t, pAddr, dir)
+	fence(t, fAddr, primaryNext(t, pStore))
+	fStop()
+
+	start := time.Now()
+	f, err := OpenFollower(FollowerOptions{Primary: pAddr, DataDir: dir})
+	elapsed := time.Since(start)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := sess.Count("r", "a", 0, 2000); err != nil || n != 101 {
-		t.Fatalf("count via new follower = (%d, %v), want (101, nil)", n, err)
+	defer f.Store().CloseWAL()
+	if elapsed > 300*time.Millisecond {
+		t.Fatalf("OpenFollower of a caught-up follower took %v", elapsed)
+	}
+	if n, err := f.Store().CountWhere("t"); err != nil || n != 3 {
+		t.Fatalf("restarted follower counts (%d, %v), want 3", n, err)
+	}
+}
+
+// TestFollowerStopIsPrompt: Stop does not wait out the long poll the
+// pull loop has parked on an idle primary.
+func TestFollowerStopIsPrompt(t *testing.T) {
+	pAddr, _, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 1})
+	defer pStop()
+	_, f, fStop := startFollowerServer(t, pAddr, t.TempDir())
+	defer fStop()
+	// The first heartbeat rides the first pull, which then parks.
+	waitFollowers(t, pAddr, 1)
+	start := time.Now()
+	f.Stop()
+	if e := time.Since(start); e > 300*time.Millisecond {
+		t.Fatalf("Follower.Stop took %v against an idle primary", e)
 	}
 }

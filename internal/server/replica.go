@@ -64,6 +64,7 @@ type Follower struct {
 
 	stop chan struct{}
 	done chan struct{}
+	pull atomic.Pointer[Client] // Run's current connection, closed by Stop
 
 	// primaryDurable is the primary's committed frontier as of the last
 	// pull reply — what the local lag gauge measures against.
@@ -140,12 +141,17 @@ func OpenFollower(opts FollowerOptions) (*Follower, error) {
 
 	// Probe: can the primary serve our position from its live log or
 	// archives? If not, the local image is too old — bootstrap from the
-	// primary's checkpoint.
+	// primary's checkpoint. A position equal to the primary's next seq
+	// is its live frontier and servable by definition; probing it would
+	// park the whole long-poll window, since nothing lies past it.
 	var bootTransfer bootStats
-	resp, err := c.Do(fmt.Sprintf("/replpull %d 1", localNext(store)))
-	if err != nil {
-		store.CloseWAL()
-		return nil, fmt.Errorf("server: probe primary: %w", err)
+	resp := &Response{}
+	if from := localNext(store); strconv.FormatUint(from, 10) != kv["next"] {
+		resp, err = c.Do(fmt.Sprintf("/replpull %d 1", from))
+		if err != nil {
+			store.CloseWAL()
+			return nil, fmt.Errorf("server: probe primary: %w", err)
+		}
 	}
 	if resp.Err != "" {
 		if !strings.HasPrefix(resp.Err, "snapshot required") {
@@ -238,14 +244,17 @@ func (f *Follower) Run() {
 			}
 			continue
 		}
-		if err := f.pullLoop(c); err != nil {
-			f.logf("follower: replication interrupted: %v (reconnecting)", err)
-		}
+		f.pull.Store(c)
+		err = f.pullLoop(c)
+		f.pull.Store(nil)
 		c.Close()
 		select {
 		case <-f.stop:
 			return
 		default:
+		}
+		if err != nil {
+			f.logf("follower: replication interrupted: %v (reconnecting)", err)
 		}
 		if !f.sleep(200 * time.Millisecond) {
 			return
@@ -253,12 +262,17 @@ func (f *Follower) Run() {
 	}
 }
 
-// Stop halts Run and waits for it to exit.
+// Stop halts Run and waits for it to exit. Closing the pull connection
+// ends an in-flight long poll at once; pullLoop checks stop before its
+// next request, so a connection stored after the load is never used.
 func (f *Follower) Stop() {
 	select {
 	case <-f.stop:
 	default:
 		close(f.stop)
+	}
+	if c := f.pull.Load(); c != nil {
+		c.conn.Close()
 	}
 	<-f.done
 }

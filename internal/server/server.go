@@ -28,6 +28,7 @@ type Server struct {
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
 	closing bool
+	quit    chan struct{} // closed by Shutdown; releases parked /replpull requests
 	wg      sync.WaitGroup
 
 	// obsv is nil until EnableObservability (see obs.go in this package);
@@ -51,6 +52,7 @@ func New(store *shard.Store, logf func(format string, args ...any)) *Server {
 		eng:   sql.NewEngineOn(store),
 		logf:  logf,
 		conns: make(map[net.Conn]struct{}),
+		quit:  make(chan struct{}),
 	}
 }
 
@@ -102,11 +104,20 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown stops accepting, waits up to timeout for in-flight requests,
-// then force-closes the stragglers. Safe to call once.
+// Shutdown stops accepting, lets every connection finish the window it
+// is serving, waits up to timeout for those, then force-closes the
+// stragglers. A connection idling between requests is not in flight:
+// its read deadline is pulled to now, so its handler returns at once,
+// and a /replpull parked on the commit signal answers empty.
 func (s *Server) Shutdown(timeout time.Duration) {
 	s.mu.Lock()
+	if !s.closing {
+		close(s.quit)
+	}
 	s.closing = true
+	for c := range s.conns {
+		c.SetReadDeadline(time.Now())
+	}
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {

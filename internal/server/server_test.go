@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -263,10 +264,10 @@ func TestServerShutdownClosesIdleConns(t *testing.T) {
 	if _, err := c.Exec("/ping"); err != nil {
 		t.Fatal(err)
 	}
-	// The client idles; Shutdown must not hang on it.
+	// The client idles; Shutdown must not wait out its grace on it.
 	start := time.Now()
-	srv.Shutdown(200 * time.Millisecond)
-	if e := time.Since(start); e > 2*time.Second {
+	srv.Shutdown(10 * time.Second)
+	if e := time.Since(start); e > time.Second {
 		t.Fatalf("Shutdown took %v with an idle connection", e)
 	}
 	if err := <-served; err != nil {
@@ -274,5 +275,52 @@ func TestServerShutdownClosesIdleConns(t *testing.T) {
 	}
 	if _, err := c.Do("/ping"); err == nil {
 		t.Fatal("connection should be closed after shutdown")
+	}
+}
+
+// TestServerShutdownReleasesParkedPull: a follower's /replpull parked on
+// an idle primary's commit signal answers at once when the primary
+// shuts down, instead of holding Shutdown for the long-poll window.
+func TestServerShutdownReleasesParkedPull(t *testing.T) {
+	st, _, err := shard.OpenDurable(t.TempDir(), shard.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.CloseWAL()
+	srv := New(st, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
+	c, err := DialTimeout(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next := st.WAL().Seq()
+	pulled := make(chan *Response, 1)
+	go func() {
+		resp, err := c.Do(fmt.Sprintf("/replpull %d 1024 parked %d", next, next))
+		if err != nil {
+			t.Error(err)
+		}
+		pulled <- resp
+	}()
+	// The heartbeat is noted before the pull parks.
+	waitFollowers(t, addr, 1)
+	start := time.Now()
+	srv.Shutdown(10 * time.Second)
+	if e := time.Since(start); e > 300*time.Millisecond {
+		t.Fatalf("Shutdown took %v with a parked /replpull", e)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	// The parked request still got its (empty) answer.
+	if resp := <-pulled; resp == nil || resp.Err != "" || !strings.HasPrefix(resp.Message, "next=") {
+		t.Fatalf("parked pull answered %+v, want an empty pull reply", resp)
 	}
 }

@@ -2,157 +2,55 @@ package server
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"crackdb"
 )
 
-// Session is the topology-aware client: it speaks crackdb.Backend
-// against a replicated deployment, sending writes to the primary and
-// spreading reads over followers according to a ReadPreference. The
-// topology comes from /repl — dial any member and the session discovers
-// the rest, and when a write or a whole read rotation fails at the
-// transport layer the session re-probes /repl and retries once, so a
-// restarted member (new port, new role) re-enters the rotation without
-// rebuilding the session. A Session is safe for concurrent use; each
-// endpoint carries its own connection and lock, so concurrent reads on
-// different replicas genuinely run in parallel.
+// A replicated deployment is one primary and its followers. Only the
+// logical log is shipped and every member cracks its own columns under
+// the reads it serves, so a client needs nothing cluster-wide: it needs
+// to know which member to dial (Discover, Readers) and a read-your-writes
+// barrier between a write phase and a follower-read phase (Fence).
+// Statements then travel over ordinary Clients — writes to the primary,
+// reads to whichever reader the caller picks.
 //
 // Replication is asynchronous, so follower reads are eventually
-// consistent. Fence blocks until every follower has applied everything
-// the primary had accepted at the call — the read-your-writes barrier
-// between a write phase and a follower-read phase.
+// consistent; Fence is what makes a read after it see every write the
+// primary had accepted before it.
 
-// ReadPreference selects which members answer reads.
-type ReadPreference int
-
-const (
-	// ReadPrimary sends every read to the primary: strong consistency,
-	// no read scaling.
-	ReadPrimary ReadPreference = iota
-	// ReadFollower spreads reads round-robin over the followers only
-	// (falling back to the primary when there are none).
-	ReadFollower
-	// ReadAny spreads reads round-robin over every member.
-	ReadAny
-)
-
-// ParseReadPreference maps the flag spellings to a ReadPreference.
-func ParseReadPreference(s string) (ReadPreference, error) {
-	switch strings.ToLower(s) {
-	case "primary", "":
-		return ReadPrimary, nil
-	case "follower", "followers":
-		return ReadFollower, nil
-	case "any":
-		return ReadAny, nil
-	default:
-		return 0, fmt.Errorf("server: unknown read preference %q (primary|follower|any)", s)
-	}
+// Topology names a deployment's live members.
+type Topology struct {
+	Primary   string   // "" in a follower-only (read-only) topology
+	Followers []string // sorted
 }
 
-// endpoint is one member's connection, lazily dialed and re-dialed
-// after transport errors.
-type endpoint struct {
-	addr string
-	mu   sync.Mutex
-	c    *Client
-}
-
-// do runs one request on the endpoint, dialing on demand. A transport
-// error drops the connection so the next call re-dials.
-func (e *endpoint) do(cmd string) (*Response, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.doLocked(cmd)
-}
-
-func (e *endpoint) doLocked(cmd string) (*Response, error) {
-	if e.c == nil {
-		c, err := DialTimeout(e.addr, 2*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		e.c = c
-	}
-	resp, err := e.c.Do(cmd)
-	if err != nil {
-		e.c.Close()
-		e.c = nil
-		return nil, err
-	}
-	return resp, nil
-}
-
-// doBatch pipelines a batch on the endpoint's connection.
-func (e *endpoint) doBatch(cmds []string) ([]*Response, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.c == nil {
-		c, err := DialTimeout(e.addr, 2*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		e.c = c
-	}
-	resps, err := e.c.DoBatch(cmds)
-	if err != nil {
-		e.c.Close()
-		e.c = nil
-		return nil, err
-	}
-	return resps, nil
-}
-
-func (e *endpoint) close() {
-	e.mu.Lock()
-	if e.c != nil {
-		e.c.Close()
-		e.c = nil
-	}
-	e.mu.Unlock()
-}
-
-// Session routes crackdb.Backend calls over a replicated deployment.
-// The topology fields are replaced wholesale under mu by discover;
-// callers snapshot them under RLock and never mutate the slices.
-type Session struct {
-	seeds []string // the addresses NewSession was given, reused by reprobe
-	pref  ReadPreference
-	rr    atomic.Uint64
-
-	mu        sync.RWMutex
-	eps       map[string]*endpoint // every member ever seen, reused across reprobes
-	primary   *endpoint            // nil in a follower-only (read-only) session
-	followers []*endpoint          // discovered read replicas
-	readers   []*endpoint          // read rotation per the preference
-
-	probeMu sync.Mutex    // single-flights reprobe
-	gen     atomic.Uint64 // bumped by every successful discover
-}
-
-// NewSession dials the given members, discovers the full topology via
-// /repl (any one reachable member suffices — a primary names its
-// followers, a follower names its primary), and routes according to
-// pref. Duplicate and unreachable addresses are tolerated as long as
-// the topology resolves.
-func NewSession(addrs []string, pref ReadPreference) (*Session, error) {
+// Discover dials the given members and resolves the full topology via
+// /repl: any one reachable member suffices — a primary names its
+// followers, a follower names its primary. Duplicate and unreachable
+// addresses are tolerated as long as one member answers.
+func Discover(addrs []string) (Topology, error) {
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("server: session needs at least one address")
+		return Topology{}, fmt.Errorf("server: discovery needs at least one address")
 	}
-	s := &Session{
-		seeds: append([]string(nil), addrs...),
-		pref:  pref,
-		eps:   make(map[string]*endpoint),
+	roles, alive, firstErr := probeTopology(addrs)
+	if len(alive) == 0 {
+		return Topology{}, fmt.Errorf("server: no member reachable: %v", firstErr)
 	}
-	if err := s.discover(addrs); err != nil {
-		return nil, err
+	var t Topology
+	for addr, role := range roles {
+		if !alive[addr] {
+			continue
+		}
+		if role == "primary" && t.Primary == "" {
+			t.Primary = addr
+		} else {
+			t.Followers = append(t.Followers, addr)
+		}
 	}
-	return s, nil
+	sort.Strings(t.Followers)
+	return t, nil
 }
 
 // probeTopology probes the addresses to a fixpoint: a follower handed
@@ -160,6 +58,8 @@ func NewSession(addrs []string, pref ReadPreference) (*Session, error) {
 // learned address is dialed once, so a member the topology still lists
 // but that has gone away (a crashed follower the primary remembers) is
 // dropped instead of becoming an unreachable reader or fence target.
+// The dial waits out a 2 s timeout because a freshly started follower
+// heartbeats to its primary before it listens.
 func probeTopology(addrs []string) (roles map[string]string, alive map[string]bool, firstErr error) {
 	roles = make(map[string]string) // addr -> role
 	alive = make(map[string]bool)   // addr -> answered a /repl probe
@@ -217,533 +117,72 @@ func probeTopology(addrs []string) (roles map[string]string, alive map[string]bo
 	return roles, alive, firstErr
 }
 
-// discover probes the addresses and, when the topology resolves,
-// installs it. A failed discovery leaves the previous topology in
-// place, so a transient probe failure never strands a live session.
-// Endpoints are reused by address across discoveries: a member that
-// survived keeps its open connection.
-func (s *Session) discover(addrs []string) error {
-	roles, alive, firstErr := probeTopology(addrs)
-	if len(alive) == 0 {
-		return fmt.Errorf("server: no member reachable: %v", firstErr)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var primary *endpoint
-	var followers []*endpoint
-	for addr, role := range roles {
-		if !alive[addr] {
-			continue
+// Readers lists the members that serve reads under the preference:
+// "primary" (or "") the primary alone; "follower" (or "followers") the
+// followers, falling back to the primary when there are none; "any"
+// every member, primary last.
+func (t Topology) Readers(pref string) ([]string, error) {
+	var readers []string
+	switch strings.ToLower(pref) {
+	case "primary", "":
+		if t.Primary == "" {
+			return nil, fmt.Errorf("server: read preference primary, but no primary reachable")
 		}
-		ep := s.eps[addr]
-		if ep == nil {
-			ep = &endpoint{addr: addr}
-			s.eps[addr] = ep
+		readers = []string{t.Primary}
+	case "follower", "followers":
+		if len(t.Followers) > 0 {
+			readers = append(readers, t.Followers...)
+		} else if t.Primary != "" {
+			readers = []string{t.Primary}
 		}
-		if role == "primary" && primary == nil {
-			primary = ep
-		} else {
-			followers = append(followers, ep)
+	case "any":
+		readers = append(readers, t.Followers...)
+		if t.Primary != "" {
+			readers = append(readers, t.Primary)
 		}
-	}
-	sortEndpoints(followers)
-	var readers []*endpoint
-	switch s.pref {
-	case ReadPrimary:
-		if primary == nil {
-			return fmt.Errorf("server: read preference primary, but no primary reachable")
-		}
-		readers = []*endpoint{primary}
-	case ReadFollower:
-		if len(followers) > 0 {
-			readers = followers
-		} else if primary != nil {
-			readers = []*endpoint{primary}
-		}
-	case ReadAny:
-		readers = append(readers, followers...)
-		if primary != nil {
-			readers = append(readers, primary)
-		}
+	default:
+		return nil, fmt.Errorf("server: unknown read preference %q (primary|follower|any)", pref)
 	}
 	if len(readers) == 0 {
-		return fmt.Errorf("server: no readable member")
+		return nil, fmt.Errorf("server: no readable member")
 	}
-	s.primary, s.followers, s.readers = primary, followers, readers
-	s.gen.Add(1)
-	return nil
-}
-
-// reprobe refreshes the topology after a transport failure. gen is the
-// generation the caller was routing against: if another goroutine has
-// already refreshed past it, the sweep is skipped, so one failure burst
-// across many goroutines costs one probe round. The probe starts from
-// the original seeds plus every member ever seen — a dead seed must not
-// strand a session whose topology is otherwise alive.
-func (s *Session) reprobe(gen uint64) error {
-	s.probeMu.Lock()
-	defer s.probeMu.Unlock()
-	if s.gen.Load() != gen {
-		return nil
-	}
-	addrs := append([]string(nil), s.seeds...)
-	s.mu.RLock()
-	for addr := range s.eps {
-		addrs = append(addrs, addr)
-	}
-	s.mu.RUnlock()
-	return s.discover(addrs)
-}
-
-func sortEndpoints(eps []*endpoint) {
-	for i := 1; i < len(eps); i++ {
-		for j := i; j > 0 && eps[j].addr < eps[j-1].addr; j-- {
-			eps[j], eps[j-1] = eps[j-1], eps[j]
-		}
-	}
-}
-
-// Close drops every connection.
-func (s *Session) Close() {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ep := range s.eps {
-		ep.close()
-	}
-}
-
-// Readers reports how many members serve this session's reads.
-func (s *Session) Readers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.readers)
-}
-
-// ReaderAddrs lists the addresses serving this session's reads.
-func (s *Session) ReaderAddrs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, len(s.readers))
-	for i, ep := range s.readers {
-		out[i] = ep.addr
-	}
-	return out
-}
-
-// PrimaryAddr returns the primary's address, or "".
-func (s *Session) PrimaryAddr() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.primary == nil {
-		return ""
-	}
-	return s.primary.addr
-}
-
-func (s *Session) currentPrimary() *endpoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.primary
-}
-
-func (s *Session) currentReaders() []*endpoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.readers
-}
-
-// write runs one statement on the primary. A transport failure (as
-// opposed to the server answering an error) triggers a topology reprobe
-// and one retry, so a restarted primary re-enters without rebuilding
-// the session.
-func (s *Session) write(stmt string) (*Response, error) {
-	gen := s.gen.Load()
-	p := s.currentPrimary()
-	if p == nil {
-		return nil, fmt.Errorf("server: session has no primary (read-only topology)")
-	}
-	resp, err := p.do(stmt)
-	if err != nil {
-		if rerr := s.reprobe(gen); rerr != nil {
-			return nil, err
-		}
-		if p = s.currentPrimary(); p == nil {
-			return nil, err
-		}
-		if resp, err = p.do(stmt); err != nil {
-			return nil, err
-		}
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("server: %s", resp.Err)
-	}
-	return resp, nil
-}
-
-// read runs one statement on the next reader in rotation, failing over
-// to the remaining readers on transport errors. When the whole rotation
-// fails, the session reprobes the topology and retries once.
-func (s *Session) read(stmt string) (*Response, error) {
-	gen := s.gen.Load()
-	resp, err, transport := s.readAttempt(stmt)
-	if transport && s.reprobe(gen) == nil {
-		resp, err, _ = s.readAttempt(stmt)
-	}
-	return resp, err
-}
-
-// readAttempt runs one rotation over the current readers. transport
-// reports whether every reader failed at the transport layer — the cue
-// that the topology may be stale, not that the query is bad.
-func (s *Session) readAttempt(stmt string) (resp *Response, err error, transport bool) {
-	readers := s.currentReaders()
-	var lastErr error
-	n := len(readers)
-	start := int(s.rr.Add(1)-1) % n
-	for i := 0; i < n; i++ {
-		resp, err := readers[(start+i)%n].do(stmt)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Err != "" {
-			return nil, fmt.Errorf("server: %s", resp.Err), false
-		}
-		return resp, nil, false
-	}
-	return nil, fmt.Errorf("server: all %d readers failed: %v", n, lastErr), true
-}
-
-// readBatch pipelines statements on one reader, with the same
-// reprobe-and-retry-once recovery as read.
-func (s *Session) readBatch(stmts []string) ([]*Response, error) {
-	gen := s.gen.Load()
-	resps, err, transport := s.readBatchAttempt(stmts)
-	if transport && s.reprobe(gen) == nil {
-		resps, err, _ = s.readBatchAttempt(stmts)
-	}
-	return resps, err
-}
-
-func (s *Session) readBatchAttempt(stmts []string) (resps []*Response, err error, transport bool) {
-	readers := s.currentReaders()
-	var lastErr error
-	n := len(readers)
-	start := int(s.rr.Add(1)-1) % n
-	for i := 0; i < n; i++ {
-		resps, err := readers[(start+i)%n].doBatch(stmts)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return resps, nil, false
-	}
-	return nil, fmt.Errorf("server: all %d readers failed: %v", n, lastErr), true
+	return readers, nil
 }
 
 // Fence blocks until every follower has applied everything the primary
-// had accepted when Fence was called — the read-your-writes barrier.
-// No-op without a primary or followers.
-func (s *Session) Fence(timeout time.Duration) error {
-	s.mu.RLock()
-	primary, followers := s.primary, s.followers
-	s.mu.RUnlock()
-	if primary == nil || len(followers) == 0 {
+// had accepted when Fence was called. No-op without a primary or
+// followers, or on a volatile primary (nothing to fence on).
+func (t Topology) Fence(timeout time.Duration) error {
+	if t.Primary == "" || len(t.Followers) == 0 {
 		return nil
 	}
-	resp, err := primary.do("/repl")
+	c, err := DialTimeout(t.Primary, 2*time.Second)
 	if err != nil {
 		return err
 	}
-	var next uint64
-	for _, row := range resp.Rows {
-		if len(row) == 2 && row[0] == "next" {
-			next, _ = strconv.ParseUint(row[1], 10, 64)
-		}
+	kv, _, err := replKV(c)
+	c.Close()
+	if err != nil {
+		return err
 	}
+	next, _ := strconv.ParseUint(kv["next"], 10, 64)
 	if next == 0 {
-		return nil // volatile primary: nothing to fence on
-	}
-	cmd := fmt.Sprintf("/replwait %d %d", next, timeout.Milliseconds())
-	for _, f := range followers {
-		resp, err := f.do(cmd)
-		if err != nil {
-			return fmt.Errorf("server: fence %s: %w", f.addr, err)
-		}
-		if resp.Err != "" {
-			return fmt.Errorf("server: fence %s: %s", f.addr, resp.Err)
-		}
-	}
-	return nil
-}
-
-// ---- crackdb.Backend ----
-
-var _ crackdb.Backend = (*Session)(nil)
-
-// insertChunk bounds one INSERT statement so huge loads stay well under
-// the frame limit.
-const insertChunk = 2048
-
-// CreateTable creates the table on the primary; replication carries it
-// to the followers.
-func (s *Session) CreateTable(name string, cols ...string) error {
-	_, err := s.write(fmt.Sprintf("CREATE TABLE %s (%s)", name, strings.Join(cols, ", ")))
-	return err
-}
-
-// DropTable drops the table on the primary.
-func (s *Session) DropTable(name string) error {
-	_, err := s.write("DROP TABLE " + name)
-	return err
-}
-
-// InsertRows appends rows via the primary, chunked into bounded INSERT
-// statements.
-func (s *Session) InsertRows(table string, rows [][]int64) error {
-	for len(rows) > 0 {
-		chunk := rows
-		if len(chunk) > insertChunk {
-			chunk = chunk[:insertChunk]
-		}
-		rows = rows[len(chunk):]
-		var b strings.Builder
-		b.WriteString("INSERT INTO ")
-		b.WriteString(table)
-		b.WriteString(" VALUES ")
-		for i, row := range chunk {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteByte('(')
-			for j, v := range row {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				b.WriteString(strconv.FormatInt(v, 10))
-			}
-			b.WriteByte(')')
-		}
-		if _, err := s.write(b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete removes matching tuples via the primary and reports the count.
-func (s *Session) Delete(table string, conds ...crackdb.Cond) (int, error) {
-	resp, err := s.write("DELETE FROM " + table + whereClause(conds))
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	fmt.Sscanf(resp.Message, "deleted %d", &n)
-	return n, nil
-}
-
-// Select answers the inclusive range query from a reader.
-func (s *Session) Select(table, col string, low, high int64) (crackdb.Rows, error) {
-	return s.SelectWhere(table,
-		crackdb.Cond{Col: col, Op: ">=", Val: low},
-		crackdb.Cond{Col: col, Op: "<=", Val: high})
-}
-
-// Count is Select without materialization.
-func (s *Session) Count(table, col string, low, high int64) (int, error) {
-	return s.CountWhere(table,
-		crackdb.Cond{Col: col, Op: ">=", Val: low},
-		crackdb.Cond{Col: col, Op: "<=", Val: high})
-}
-
-// SelectWhere answers a conjunctive selection from a reader.
-func (s *Session) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, error) {
-	resp, err := s.read("SELECT * FROM " + table + whereClause(conds))
-	if err != nil {
-		return nil, err
-	}
-	return newWireRows(resp)
-}
-
-// CountWhere counts a conjunctive selection on a reader.
-func (s *Session) CountWhere(table string, conds ...crackdb.Cond) (int, error) {
-	resp, err := s.read("SELECT COUNT(*) FROM " + table + whereClause(conds))
-	if err != nil {
-		return 0, err
-	}
-	v, err := resp.Int64(0, 0)
-	return int(v), err
-}
-
-// SelectBatch pipelines the ranges to one reader in a single flush.
-func (s *Session) SelectBatch(table, col string, ranges []crackdb.Range, opts ...crackdb.BatchOption) ([]crackdb.Rows, error) {
-	stmts := make([]string, len(ranges))
-	for i, r := range ranges {
-		stmts[i] = fmt.Sprintf("SELECT * FROM %s WHERE %s >= %d AND %s <= %d", table, col, r.Low, col, r.High)
-	}
-	resps, err := s.readBatch(stmts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]crackdb.Rows, len(resps))
-	for i, resp := range resps {
-		if resp.Err != "" {
-			return nil, fmt.Errorf("server: %s", resp.Err)
-		}
-		if out[i], err = newWireRows(resp); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// CountBatch pipelines the range counts to one reader; the server's
-// window batching folds them into one vectorized store entry.
-func (s *Session) CountBatch(table, col string, ranges []crackdb.Range, opts ...crackdb.BatchOption) ([]int, error) {
-	stmts := make([]string, len(ranges))
-	for i, r := range ranges {
-		stmts[i] = fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s >= %d AND %s <= %d", table, col, r.Low, col, r.High)
-	}
-	resps, err := s.readBatch(stmts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(resps))
-	for i, resp := range resps {
-		if resp.Err != "" {
-			return nil, fmt.Errorf("server: %s", resp.Err)
-		}
-		v, err := resp.Int64(0, 0)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(v)
-	}
-	return out, nil
-}
-
-// GroupBy clusters the column on a reader (the engine's Ω fast path).
-func (s *Session) GroupBy(table, col string) ([]crackdb.GroupInfo, error) {
-	resp, err := s.read(fmt.Sprintf("SELECT %s, COUNT(*) FROM %s GROUP BY %s", col, table, col))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]crackdb.GroupInfo, len(resp.Rows))
-	for i := range resp.Rows {
-		v, err := resp.Int64(i, 0)
-		if err != nil {
-			return nil, err
-		}
-		n, err := resp.Int64(i, 1)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = crackdb.GroupInfo{Value: v, Count: int(n)}
-	}
-	return out, nil
-}
-
-// Tables lists the tables as seen by a reader.
-func (s *Session) Tables() []string {
-	resp, err := s.read("/tables")
-	if err != nil {
 		return nil
 	}
-	out := make([]string, 0, len(resp.Rows))
-	for _, row := range resp.Rows {
-		if len(row) > 0 {
-			out = append(out, row[0])
+	cmd := fmt.Sprintf("/replwait %d %d", next, timeout.Milliseconds())
+	for _, f := range t.Followers {
+		c, err := DialTimeout(f, 2*time.Second)
+		if err != nil {
+			return fmt.Errorf("server: fence %s: %w", f, err)
+		}
+		resp, err := c.Do(cmd)
+		c.Close()
+		if err != nil {
+			return fmt.Errorf("server: fence %s: %w", f, err)
+		}
+		if resp.Err != "" {
+			return fmt.Errorf("server: fence %s: %s", f, resp.Err)
 		}
 	}
-	return out
-}
-
-// Columns lists a table's columns as seen by a reader.
-func (s *Session) Columns(table string) ([]string, error) {
-	resp, err := s.read("/tables")
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range resp.Rows {
-		if len(row) == 3 && row[0] == table {
-			if row[2] == "" {
-				return nil, nil
-			}
-			return strings.Split(row[2], ","), nil
-		}
-	}
-	return nil, fmt.Errorf("server: unknown table %q", table)
-}
-
-// whereClause renders a conjunction (empty conds render nothing).
-func whereClause(conds []crackdb.Cond) string {
-	if len(conds) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(" WHERE ")
-	for i, c := range conds {
-		if i > 0 {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b, "%s %s %d", c.Col, c.Op, c.Val)
-	}
-	return b.String()
-}
-
-// wireRows is a decoded tabular SELECT * result satisfying
-// crackdb.Rows: count plus by-name column projection, resolved locally
-// against the header the server sent.
-type wireRows struct {
-	cols []string
-	vals [][]int64
-}
-
-func newWireRows(resp *Response) (*wireRows, error) {
-	w := &wireRows{cols: resp.Columns, vals: make([][]int64, len(resp.Rows))}
-	for i, row := range resp.Rows {
-		vals := make([]int64, len(row))
-		for j, cell := range row {
-			v, err := strconv.ParseInt(cell, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("server: non-integer cell %q in result", cell)
-			}
-			vals[j] = v
-		}
-		w.vals[i] = vals
-	}
-	return w, nil
-}
-
-// Count reports the qualifying-tuple count.
-func (w *wireRows) Count() int { return len(w.vals) }
-
-// Rows projects the named columns (all columns when none are named).
-func (w *wireRows) Rows(cols ...string) ([][]int64, error) {
-	if len(cols) == 0 {
-		return w.vals, nil
-	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = -1
-		for j, have := range w.cols {
-			if have == c {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("server: result has no column %q", c)
-		}
-	}
-	out := make([][]int64, len(w.vals))
-	for i, row := range w.vals {
-		proj := make([]int64, len(idx))
-		for j, k := range idx {
-			proj[j] = row[k]
-		}
-		out[i] = proj
-	}
-	return out, nil
+	return nil
 }
