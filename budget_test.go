@@ -127,6 +127,58 @@ func TestCountWhereBudgetTime(t *testing.T) {
 	}
 }
 
+// The batch's budget: on a converged column CountBatch is one read hold
+// over the cracker index, so it allocates a constant number of times
+// whatever its size, cracks nothing, and costs per range no more than a
+// scalar Store.Count — the fixed costs it exists to amortize.
+func TestCountBatchBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts and timing under the race detector are not the program's")
+	}
+	const maxAllocs = 2 // measured 2: the counts, and the option config the BatchOption funcs see
+	s, pool := convergedStore(t, 200_000, 4, 6000)
+	stats := func() ColumnStats { st, _ := s.Stats("t", "c0"); return st }
+	if st := stats(); st.Pieces < 10_000 {
+		t.Fatalf("store has %d pieces, want >= 10000", st.Pieces)
+	}
+	before := stats().Cracks
+	for _, size := range []int{8, 64, 512} {
+		countBatch := func(ranges []Range) {
+			if _, err := s.CountBatch("t", "c0", ranges); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(100, func() { countBatch(pool[:size]) }); got > maxAllocs {
+			t.Errorf("CountBatch of %d ranges allocates %.0f times per call, budget %d", size, got, maxAllocs)
+		}
+		// Best of five passes over the pool for each side, interleaved so
+		// both see the same machine.
+		scalar, batched := time.Duration(1<<63-1), time.Duration(1<<63-1)
+		for pass := 0; pass < 5; pass++ {
+			t0 := time.Now()
+			for _, r := range pool {
+				if _, err := s.Count("t", "c0", r.Low, r.High); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scalar = min(scalar, time.Since(t0))
+			t0 = time.Now()
+			for i := 0; i < len(pool); i += size {
+				countBatch(pool[i:min(i+size, len(pool))])
+			}
+			batched = min(batched, time.Since(t0))
+		}
+		perRange := func(d time.Duration) time.Duration { return d / time.Duration(len(pool)) }
+		t.Logf("batches of %d: %v a range, Count %v: ratio %.2f", size, perRange(batched), perRange(scalar), float64(batched)/float64(scalar))
+		if batched > scalar {
+			t.Errorf("CountBatch of %d ranges costs %v a range, more than Store.Count's %v", size, perRange(batched), perRange(scalar))
+		}
+	}
+	if after := stats().Cracks; after != before {
+		t.Fatalf("column cracked %d times during the measurement: it was not converged", after-before)
+	}
+}
+
 // The update fold's budget (ROADMAP item 2): an insert leaves the store
 // as adapted as it found it, at a cost set by the batch and the pieces
 // it crosses — never by the size of the column or of its index.

@@ -47,15 +47,6 @@ type Column struct {
 	reroot string
 	sorted bool // whole column sorted: cuts become binary searches
 
-	// snap caches the flat batch-lookup snapshot of idx (see batch.go).
-	// Readers validate it against idx.Version() and rebuild under the
-	// read lock — the index only mutates under the write lock, so any
-	// lock hold sees a frozen tree.
-	snap atomic.Pointer[cutSnapshot]
-	// quiet is the index version the last batch that cracked nothing
-	// ran over; snap is only rebuilt for that version.
-	quiet atomic.Uint64
-
 	// strategy, when non-nil, is consulted whenever Select must open a
 	// new cut (see strategy.go). nil means standard cracking: the native
 	// crack-in-two/-three kernels, unmodified.
@@ -415,65 +406,63 @@ func (c *Column) SelectRangeCopy(r expr.Range) ([]int64, []bat.OID) {
 	return c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
 }
 
-// lookupFast is the optimistic read path: it answers the query iff doing
-// so mutates nothing — no pending updates to consolidate and both cuts
-// resolved by the index (or trivially unbounded). The caller holds the
-// read lock. On ok=false the caller must retry under the write lock via
-// selectLocked, which re-derives everything from scratch (the column may
-// have changed between the two lock acquisitions).
-func (c *Column) lookupFast(low, high int64, lowIncl, highIncl bool) (View, bool) {
-	if len(c.pending) != 0 || len(c.deleted) != 0 {
-		return View{}, false
-	}
+// probeCuts resolves a range's two cuts against the cracker index: the
+// lower cut (low, !lowIncl) separates the non-qualifying prefix from the
+// answer, the upper cut (high, highIncl) the answer from the suffix. A
+// cut at a domain extreme is trivial — nothing is below the minimum or
+// above the maximum — and needs no index entry. An empty or inverted
+// range reports empty and resolves to the empty window at 0 without a
+// lookup. The caller holds c.mu in either mode; nothing is counted.
+func (c *Column) probeCuts(low, high int64, lowIncl, highIncl bool) (posLo, posHi int, okLo, okHi, empty bool) {
 	loVal, loIncl := low, !lowIncl
 	hiVal, hiIncl := high, highIncl
-	if cmpCut(loVal, loIncl, hiVal, hiIncl) >= 0 { // empty or inverted range
-		c.stats.queries.Add(1)
-		return View{col: c}, true
+	if cmpCut(loVal, loIncl, hiVal, hiIncl) >= 0 {
+		return 0, 0, true, true, true
 	}
-	posLo, okLo := 0, loVal == math.MinInt64 && !loIncl
-	posHi, okHi := len(c.vals), hiVal == math.MaxInt64 && hiIncl
+	posLo, okLo = 0, loVal == math.MinInt64 && !loIncl
+	posHi, okHi = len(c.vals), hiVal == math.MaxInt64 && hiIncl
 	if !okLo {
 		posLo, okLo = c.idx.Find(loVal, loIncl)
 	}
 	if !okHi {
 		posHi, okHi = c.idx.Find(hiVal, hiIncl)
 	}
+	return posLo, posHi, okLo, okHi, false
+}
+
+// lookupFast is the optimistic read path: it answers the query iff doing
+// so mutates nothing — no pending updates to consolidate and both cuts
+// resolved by probeCuts. The caller holds the read lock. On ok=false the
+// caller must retry under the write lock via selectLocked, which
+// re-derives everything from scratch (the column may have changed
+// between the two lock acquisitions).
+func (c *Column) lookupFast(low, high int64, lowIncl, highIncl bool) (View, bool) {
+	if len(c.pending) != 0 || len(c.deleted) != 0 {
+		return View{}, false
+	}
+	posLo, posHi, okLo, okHi, empty := c.probeCuts(low, high, lowIncl, highIncl)
 	if !okLo || !okHi {
 		return View{}, false
 	}
 	c.stats.queries.Add(1)
-	c.stats.indexLookups.Add(2)
+	if !empty {
+		c.stats.indexLookups.Add(2)
+	}
 	return View{col: c, Lo: posLo, Hi: posHi}, true
 }
 
 func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 	c.consolidateLocked()
 	c.stats.queries.Add(1)
-
-	// The lower cut separates non-qualifying prefix from answer; the
-	// upper cut separates answer from non-qualifying suffix.
-	loVal, loIncl := low, !lowIncl
-	hiVal, hiIncl := high, highIncl
-	if cmpCut(loVal, loIncl, hiVal, hiIncl) >= 0 { // empty or inverted range
-		return View{col: c}
-	}
-
-	// Cuts at the domain extremes are trivial: nothing is below the
-	// minimum or above the maximum, so no cracking (or index entry) is
-	// needed for an unbounded side.
-	posLo, okLo := 0, loVal == math.MinInt64 && !loIncl
-	posHi, okHi := len(c.vals), hiVal == math.MaxInt64 && hiIncl
-	if !okLo {
-		posLo, okLo = c.idx.Find(loVal, loIncl)
-	}
-	if !okHi {
-		posHi, okHi = c.idx.Find(hiVal, hiIncl)
-	}
+	posLo, posHi, okLo, okHi, empty := c.probeCuts(low, high, lowIncl, highIncl)
 	if okLo && okHi {
-		c.stats.indexLookups.Add(2)
+		if !empty {
+			c.stats.indexLookups.Add(2)
+		}
 		return View{col: c, Lo: posLo, Hi: posHi}
 	}
+	loVal, loIncl := low, !lowIncl
+	hiVal, hiIncl := high, highIncl
 
 	// Strategy consultation: auxiliary data-driven cracks narrow the
 	// piece(s) the query bounds land in before the bounds themselves are

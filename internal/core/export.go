@@ -146,12 +146,10 @@ func sortOIDs(s []bat.OID) {
 // with equal fingerprints would export byte-identical crack state as long
 // as the underlying vectors are unchanged — which the caller establishes
 // separately (a data change tombstones or appends, both of which move
-// nextOID or the deleted set and therefore the fingerprint).
-//
-// Deliberately NOT part of the hash: Index.Version(). ColumnFromState
-// builds a fresh index, so version counters differ between a live column
-// and its restored twin even though the crack state is identical. Hashing the cut contents keeps fingerprints stable across a
-// save/restore round trip, which is what differential checkpoints need.
+// nextOID or the deleted set and therefore the fingerprint). The hash is
+// over the cut contents, not over any history of how they came to be,
+// so it is stable across a save/restore round trip, which is what
+// differential checkpoints need.
 func (c *Column) StateFingerprint() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

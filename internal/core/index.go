@@ -39,16 +39,7 @@ import "fmt"
 type Index struct {
 	root *inode
 	size int
-	// version counts mutations — cut registrations, deletions, resets,
-	// and walks that repositioned a cut (the update fold). Column's flat
-	// batch snapshot is keyed on it: a snapshot built at version v stays
-	// valid exactly while the version holds.
-	version uint64
 }
-
-// Version returns the mutation counter. It changes on every Insert,
-// Delete and Reset, and once per walk that moved at least one cut.
-func (ix *Index) Version() uint64 { return ix.version }
 
 // IndexFromSorted builds the index over cuts already in strictly
 // ascending key order — what an image stores — in O(p): the midpoint of
@@ -106,7 +97,7 @@ func cmpCut(v1 int64, i1 bool, v2 int64, i2 bool) int {
 func (ix *Index) Len() int { return ix.size }
 
 // Reset drops all cuts.
-func (ix *Index) Reset() { ix.root, ix.size, ix.version = nil, 0, ix.version+1 }
+func (ix *Index) Reset() { ix.root, ix.size = nil, 0 }
 
 // Find returns the position of the exact cut (val, incl), if registered.
 func (ix *Index) Find(val int64, incl bool) (pos int, ok bool) {
@@ -175,7 +166,6 @@ func (ix *Index) bracket(val int64, incl bool) (below int, belowOK bool, above i
 // Insert registers a new cut. Inserting an existing key overwrites its
 // position (which, by the cut invariant, is always the same value).
 func (ix *Index) Insert(val int64, incl bool, pos int) {
-	ix.version++
 	var inserted bool
 	ix.root, inserted = insertNode(ix.root, val, incl, pos)
 	if inserted {
@@ -202,7 +192,6 @@ func insertNode(n *inode, val int64, incl bool, pos int) (*inode, bool) {
 
 // Delete removes a cut (piece fusion). It reports whether the key existed.
 func (ix *Index) Delete(val int64, incl bool) bool {
-	ix.version++
 	var deleted bool
 	ix.root, deleted = deleteNode(ix.root, val, incl)
 	if deleted {
@@ -246,39 +235,24 @@ func deleteNode(n *inode, val int64, incl bool) (*inode, bool) {
 // position the cut now has: the update fold shifts the cuts it crosses
 // in the same walk that finds them, without copying the cut list. A
 // walk that stops after k cuts costs O(log p + k).
-func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) {
-	if _, moved := walkCuts(ix.root, true, visit); moved {
-		ix.version++
-	}
-}
+func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) { walkCuts(ix.root, true, visit) }
 
-func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) {
-	if _, moved := walkCuts(ix.root, false, visit); moved {
-		ix.version++
-	}
-}
+func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) { walkCuts(ix.root, false, visit) }
 
-func walkCuts(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) (more, moved bool) {
+func walkCuts(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) bool {
 	if n == nil {
-		return true, false
+		return true
 	}
 	first, second := n.left, n.right
 	if desc {
 		first, second = second, first
 	}
-	more, moved = walkCuts(first, desc, visit)
-	if !more {
-		return false, moved
+	if !walkCuts(first, desc, visit) {
+		return false
 	}
 	pos, more := visit(Cut{Val: n.val, Incl: n.incl, Pos: n.pos})
-	if pos != n.pos {
-		n.pos, moved = pos, true
-	}
-	if !more {
-		return false, moved
-	}
-	more, m2 := walkCuts(second, desc, visit)
-	return more, moved || m2
+	n.pos = pos
+	return more && walkCuts(second, desc, visit)
 }
 
 // Cut is the exported form of one registered boundary.

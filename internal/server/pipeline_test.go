@@ -220,6 +220,26 @@ func TestDoBatchMixedWindow(t *testing.T) {
 			t.Fatalf("resp %d error %q, scalar path %q", i, r.Err, scalar.Err)
 		}
 	}
+
+	// An unsatisfiable range on a missing column is routed to no shard,
+	// yet the batched run must still fail like each statement alone.
+	empties := []string{
+		"SELECT COUNT(*) FROM ev WHERE nosuch > 5 AND nosuch < 3",
+		"SELECT COUNT(*) FROM ev WHERE nosuch > 7 AND nosuch < 3",
+	}
+	resps, err = c.DoBatch(empties)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resps {
+		scalar, err := c.Do(empties[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scalar.Err == "" || r.Err != scalar.Err {
+			t.Fatalf("resp %d error %q, scalar path %q", i, r.Err, scalar.Err)
+		}
+	}
 }
 
 // The frame fast paths — encode into a reused buffer, write the frame,

@@ -25,8 +25,11 @@ type subBatch struct {
 // sub-batches. Ranges on the partition key prune to the shard span that
 // can hold qualifying keys; ranges on any other column visit every
 // shard. Empty ranges (Low > High) are routed nowhere — their answer is
-// zero tuples on every shard.
-func (s *Store) routeBatch(m *tableMeta, part partitioner, col string, ranges []crackdb.Range) []subBatch {
+// zero tuples on every shard — so col is checked here, not by a shard.
+func (s *Store) routeBatch(table string, m *tableMeta, part partitioner, col string, ranges []crackdb.Range) ([]subBatch, error) {
+	if err := m.hasColumn(table, col); err != nil {
+		return nil, err
+	}
 	sub := make([]subBatch, len(s.shards))
 	for i, r := range ranges {
 		if r.Low > r.High {
@@ -41,7 +44,7 @@ func (s *Store) routeBatch(m *tableMeta, part partitioner, col string, ranges []
 			sub[t].idx = append(sub[t].idx, i)
 		}
 	}
-	return sub
+	return sub, nil
 }
 
 // CountBatch answers many inclusive ranges on one column, fanning out
@@ -52,7 +55,10 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range, opts ...cr
 	if err != nil {
 		return nil, err
 	}
-	sub := s.routeBatch(m, part, col, ranges)
+	sub, err := s.routeBatch(table, m, part, col, ranges)
+	if err != nil {
+		return nil, err
+	}
 	s.noteRoutedBatch(sub)
 	per, err := gather(0, len(s.shards)-1, func(i int) ([]int, error) {
 		if len(sub[i].ranges) == 0 {
@@ -81,7 +87,10 @@ func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range, opts ...c
 	if err != nil {
 		return nil, err
 	}
-	sub := s.routeBatch(m, part, col, ranges)
+	sub, err := s.routeBatch(table, m, part, col, ranges)
+	if err != nil {
+		return nil, err
+	}
 	s.noteRoutedBatch(sub)
 	per, err := gather(0, len(s.shards)-1, func(t int) ([]*crackdb.Result, error) {
 		if len(sub[t].ranges) == 0 {

@@ -19,6 +19,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -505,6 +506,32 @@ func keyBounds(key string, conds []crackdb.Cond) (lo, hi int64, empty bool) {
 	return lo, hi, lo > hi
 }
 
+// check rejects the conditions a single crackdb.Store rejects — an
+// unknown operator or column — with the same error text. The router
+// runs it before any short-cut that answers without a shard: a
+// conjunction whose key constraint is unsatisfiable reaches no shard,
+// yet it must still name real columns.
+func (m *tableMeta) check(table string, conds []crackdb.Cond) error {
+	for _, c := range conds {
+		switch c.Op {
+		case "<", "<=", "=", "==", ">=", ">", "<>", "!=":
+		default:
+			return fmt.Errorf("crackdb: unknown operator %q", c.Op)
+		}
+		if err := m.hasColumn(table, c.Col); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *tableMeta) hasColumn(table, col string) error {
+	if !slices.Contains(m.cols, col) {
+		return fmt.Errorf("crackdb: table %q has no column %q", table, col)
+	}
+	return nil
+}
+
 // targets resolves which shards a conjunction must visit, routing
 // through the partitioner snapshot the caller captured via meta.
 func (m *tableMeta) targets(part partitioner, conds []crackdb.Cond) (first, last int, empty bool) {
@@ -548,6 +575,12 @@ func (s *Store) delete(table string, conds []crackdb.Cond, logIt bool) (int, err
 		return 0, err
 	}
 	if logIt {
+		// Checked before the record is logged, so the log never holds a
+		// delete a single store would refuse. A record being replayed
+		// was logged as it stands and is routed as before.
+		if err := m.check(table, conds); err != nil {
+			return 0, err
+		}
 		wconds := make([]durable.Cond, len(conds))
 		for i, c := range conds {
 			wconds[i] = durable.Cond{Col: c.Col, Op: c.Op, Val: c.Val}
@@ -575,6 +608,9 @@ func (s *Store) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, 
 	if err != nil {
 		return nil, err
 	}
+	if err := m.check(table, conds); err != nil {
+		return nil, err
+	}
 	first, last, empty := m.targets(part, conds)
 	if empty {
 		return &Result{}, nil
@@ -593,6 +629,9 @@ func (s *Store) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, 
 func (s *Store) CountWhere(table string, conds ...crackdb.Cond) (int, error) {
 	m, part, err := s.meta(table)
 	if err != nil {
+		return 0, err
+	}
+	if err := m.check(table, conds); err != nil {
 		return 0, err
 	}
 	first, last, empty := m.targets(part, conds)

@@ -171,4 +171,25 @@ func runTermOracle(t *testing.T, cfg string) {
 			}
 		}
 	}
+
+	// An unsatisfiable key constraint reaches no shard, yet an unknown
+	// column or operator beside it is still the single store's error.
+	for _, conds := range [][]crackdb.Cond{
+		{{Col: "k", Op: ">", Val: 5}, {Col: "k", Op: "<", Val: 3}, {Col: "nosuch", Op: "=", Val: 1}},
+		{{Col: "k", Op: ">", Val: 5}, {Col: "k", Op: "<", Val: 3}, {Col: "a", Op: "~", Val: 1}},
+	} {
+		for _, call := range []struct {
+			name string
+			run  func(st crackdb.Backend) error
+		}{
+			{"CountWhere", func(st crackdb.Backend) error { _, err := st.CountWhere("t", conds...); return err }},
+			{"SelectWhere", func(st crackdb.Backend) error { _, err := st.SelectWhere("t", conds...); return err }},
+			{"Delete", func(st crackdb.Backend) error { _, err := st.Delete("t", conds...); return err }},
+		} {
+			want, got := call.run(single.Backend()), call.run(sharded)
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Fatalf("%v: sharded %s error %v, single store %v", conds, call.name, got, want)
+			}
+		}
+	}
 }
