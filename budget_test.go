@@ -1,8 +1,11 @@
 package crackdb
 
 import (
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -317,6 +320,70 @@ func TestRestoreBudget(t *testing.T) {
 	}
 	if c.Pieces() != len(st.Cuts)+1 {
 		t.Fatalf("restored column has %d pieces, state %d cuts", c.Pieces(), len(st.Cuts))
+	}
+}
+
+// Boot is decode: reopening a saved store reads every vector of its image
+// and BAT files in one piece, so it costs a small multiple of reading and
+// checksumming those files — not a read call per value.
+func TestBootDecodeBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector is meaningless")
+	}
+	const n = 1_000_000
+	s := New()
+	if err := s.LoadTapestry("t", n, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		lo := 1 + rng.Int63n(n)
+		if _, err := s.Count("t", "c0", lo, lo+rng.Int63n(n/100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "img")
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	s = nil
+	// Best of five for each side: the gate is on the code's cost, not on
+	// what else the machine was doing.
+	best := func(f func()) time.Duration {
+		d := time.Duration(1<<63 - 1)
+		for run := 0; run < 5; run++ {
+			runtime.GC()
+			t0 := time.Now()
+			f()
+			d = min(d, time.Since(t0))
+		}
+		return d
+	}
+	open := best(func() {
+		if _, err := Open(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var bytes int64
+	read := best(func() {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = 0
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			crc32.ChecksumIEEE(data)
+			bytes += int64(len(data))
+		}
+	})
+	ratio := float64(open) / float64(read)
+	t.Logf("Open %v, read + CRC of the same %d bytes %v: ratio %.1f", open, bytes, read, ratio)
+	if ratio > 5 {
+		t.Fatalf("Open costs %.1f x reading and checksumming its files, budget 5 x", ratio)
 	}
 }
 

@@ -5,102 +5,42 @@
 // A BAT is a binary relation between a head and a tail column. As in
 // MonetDB, the head is a dense, "void" (virtual) sequence of object
 // identifiers (OIDs) starting at a sequence base, so only the tail is
-// materialized. Tails are typed: fixed-width 64-bit integers stored in a
-// contiguous vector (the BUN heap), or variable-length strings stored as
-// offsets into a separate atom heap (see Heap).
+// materialized: a contiguous vector of 64-bit integers (the BUN heap).
+// The store is integer-valued throughout, so that is the one tail type.
 //
 // The kernel provides the operations the cracker and the query engines
-// need: append, positional access, zero-copy views (MonetDB BAT views),
-// full-scan selections, sorting with order permutation, lazily built hash
-// accelerators, and binary persistence of the store.
+// need: append, positional access, zero-copy views (MonetDB BAT views)
+// and binary persistence of the store.
 package bat
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // OID is an object identifier: the position of a BUN (binary unit) within
 // the dense head sequence of a BAT.
 type OID uint32
 
-// Type enumerates the tail types supported by the kernel.
-type Type uint8
-
-// Tail types.
-const (
-	TypeInt Type = iota // 64-bit signed integer tail
-	TypeStr             // variable-length string tail, backed by a Heap
-)
-
-// String returns the MonetDB-style type name.
-func (t Type) String() string {
-	switch t {
-	case TypeInt:
-		return "int"
-	case TypeStr:
-		return "str"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
-	}
-}
-
-// BAT is a binary association table with a dense void head and a typed
-// tail. The zero value is not usable; construct with NewInt or NewStr.
+// BAT is a binary association table with a dense void head and an int64
+// tail. The zero value is an empty BAT; construct with NewInt or FromInts.
 //
 // A BAT may be a view on another BAT (see View), in which case it shares
 // the parent's storage and must not be appended to.
 type BAT struct {
 	name string
-	typ  Type
-	hseq OID // head sequence base (first OID)
-
-	ints []int64 // tail vector when typ == TypeInt
-	offs []int32 // tail offsets into heap when typ == TypeStr
-	heap *Heap   // atom heap for variable-size tails
+	hseq OID     // head sequence base (first OID)
+	ints []int64 // the tail vector
 
 	view   bool // true when this BAT shares storage with a parent
 	parent *BAT // parent of a view, nil otherwise
-
-	props props      // sortedness, key, min/max
-	hash  *HashIndex // lazily built hash accelerator on the tail
 }
 
-// props carries the statistical properties MonetDB keeps per BAT. The
-// cracker index copies them for each piece it registers (paper §3.2).
-type props struct {
-	sorted    bool // tail non-decreasing
-	revSorted bool // tail non-increasing
-	key       bool // tail duplicate-free
-	hasMinMax bool
-	min, max  int64
-}
-
-// NewInt returns an empty integer-tailed BAT with the given name and
-// initial capacity.
+// NewInt returns an empty BAT with the given name and initial capacity.
 func NewInt(name string, capacity int) *BAT {
-	return &BAT{
-		name: name,
-		typ:  TypeInt,
-		ints: make([]int64, 0, capacity),
-	}
+	return &BAT{name: name, ints: make([]int64, 0, capacity)}
 }
 
-// FromInts builds an integer-tailed BAT that takes ownership of vals.
+// FromInts builds a BAT that takes ownership of vals.
 func FromInts(name string, vals []int64) *BAT {
-	b := &BAT{name: name, typ: TypeInt, ints: vals}
-	return b
-}
-
-// NewStr returns an empty string-tailed BAT with the given name and
-// initial capacity.
-func NewStr(name string, capacity int) *BAT {
-	return &BAT{
-		name: name,
-		typ:  TypeStr,
-		offs: make([]int32, 0, capacity),
-		heap: NewHeap(),
-	}
+	return &BAT{name: name, ints: vals}
 }
 
 // Name returns the BAT's name.
@@ -109,16 +49,8 @@ func (b *BAT) Name() string { return b.name }
 // SetName renames the BAT.
 func (b *BAT) SetName(name string) { b.name = name }
 
-// TailType returns the tail type.
-func (b *BAT) TailType() Type { return b.typ }
-
 // Len returns the number of BUNs.
-func (b *BAT) Len() int {
-	if b.typ == TypeStr {
-		return len(b.offs)
-	}
-	return len(b.ints)
-}
+func (b *BAT) Len() int { return len(b.ints) }
 
 // HSeqBase returns the first OID of the dense head sequence.
 func (b *BAT) HSeqBase() OID { return b.hseq }
@@ -129,89 +61,32 @@ func (b *BAT) IsView() bool { return b.view }
 // Parent returns the parent of a view, or nil.
 func (b *BAT) Parent() *BAT { return b.parent }
 
-// AppendInt appends an integer BUN. It panics on type mismatch and
-// returns an error when the BAT is a view (views are read-only windows).
-func (b *BAT) AppendInt(v int64) error {
-	if b.typ != TypeInt {
-		panic("bat: AppendInt on non-int BAT " + b.name)
-	}
-	if b.view {
-		return fmt.Errorf("bat: append to view %q", b.name)
-	}
-	b.ints = append(b.ints, v)
-	b.dirty()
-	return nil
-}
+// AppendInt appends a BUN. It returns an error when the BAT is a view
+// (views are read-only windows).
+func (b *BAT) AppendInt(v int64) error { return b.AppendInts(v) }
 
-// AppendInts appends many integer BUNs at once.
+// AppendInts appends many BUNs at once.
 func (b *BAT) AppendInts(vs ...int64) error {
-	if b.typ != TypeInt {
-		panic("bat: AppendInts on non-int BAT " + b.name)
-	}
 	if b.view {
 		return fmt.Errorf("bat: append to view %q", b.name)
 	}
 	b.ints = append(b.ints, vs...)
-	b.dirty()
 	return nil
 }
 
-// AppendStr appends a string BUN through the atom heap.
-func (b *BAT) AppendStr(s string) error {
-	if b.typ != TypeStr {
-		panic("bat: AppendStr on non-str BAT " + b.name)
-	}
-	if b.view {
-		return fmt.Errorf("bat: append to view %q", b.name)
-	}
-	b.offs = append(b.offs, b.heap.Put(s))
-	b.dirty()
-	return nil
-}
+// Int returns the tail value at position i (relative to the view).
+func (b *BAT) Int(i int) int64 { return b.ints[i] }
 
-// Int returns the integer tail value at position i (relative to the view).
-func (b *BAT) Int(i int) int64 {
-	if b.typ != TypeInt {
-		panic("bat: Int on non-int BAT " + b.name)
-	}
-	return b.ints[i]
-}
+// SetInt overwrites the tail value at position i. Allowed on views: the
+// cracker shuffles tuples inside view windows in place.
+func (b *BAT) SetInt(i int, v int64) { b.ints[i] = v }
 
-// Str returns the string tail value at position i.
-func (b *BAT) Str(i int) string {
-	if b.typ != TypeStr {
-		panic("bat: Str on non-str BAT " + b.name)
-	}
-	return b.heap.Get(b.offs[i])
-}
-
-// SetInt overwrites the integer tail value at position i. Allowed on
-// views: the cracker shuffles tuples inside view windows in place.
-func (b *BAT) SetInt(i int, v int64) {
-	if b.typ != TypeInt {
-		panic("bat: SetInt on non-int BAT " + b.name)
-	}
-	b.ints[i] = v
-	b.dirty()
-}
-
-// Ints exposes the raw integer tail vector. Callers must treat it as
-// read-only unless they own the BAT (the cracker core does).
-func (b *BAT) Ints() []int64 {
-	if b.typ != TypeInt {
-		panic("bat: Ints on non-int BAT " + b.name)
-	}
-	return b.ints
-}
+// Ints exposes the raw tail vector. Callers must treat it as read-only
+// unless they own the BAT (the cracker core does).
+func (b *BAT) Ints() []int64 { return b.ints }
 
 // OID returns the head OID for position i.
 func (b *BAT) OID(i int) OID { return b.hseq + OID(i) }
-
-// dirty invalidates cached properties and accelerators after a mutation.
-func (b *BAT) dirty() {
-	b.props = props{}
-	b.hash = nil
-}
 
 // View returns a zero-copy window [lo, hi) over the BAT, the equivalent
 // of a MonetDB BAT view: "its physical location is determined by a range
@@ -221,197 +96,18 @@ func (b *BAT) View(lo, hi int) *BAT {
 	if lo < 0 || hi > b.Len() || lo > hi {
 		panic(fmt.Sprintf("bat: view [%d,%d) out of range on %q (len %d)", lo, hi, b.name, b.Len()))
 	}
-	v := &BAT{
+	return &BAT{
 		name:   fmt.Sprintf("%s[%d:%d]", b.name, lo, hi),
-		typ:    b.typ,
 		hseq:   b.hseq + OID(lo),
+		ints:   b.ints[lo:hi:hi],
 		view:   true,
 		parent: b,
-		heap:   b.heap,
 	}
-	if b.typ == TypeStr {
-		v.offs = b.offs[lo:hi:hi]
-	} else {
-		v.ints = b.ints[lo:hi:hi]
-	}
-	return v
 }
 
 // Clone returns a deep copy of the BAT (views become standalone BATs).
 func (b *BAT) Clone(name string) *BAT {
-	c := &BAT{name: name, typ: b.typ, hseq: b.hseq, props: b.props}
-	if b.typ == TypeStr {
-		c.offs = append([]int32(nil), b.offs...)
-		c.heap = b.heap.Clone()
-	} else {
-		c.ints = append([]int64(nil), b.ints...)
-	}
-	return c
-}
-
-// MinMax returns the minimum and maximum tail value, computing and
-// caching them on first use. It reports ok=false for empty or string BATs.
-func (b *BAT) MinMax() (minVal, maxVal int64, ok bool) {
-	if b.typ != TypeInt || b.Len() == 0 {
-		return 0, 0, false
-	}
-	if !b.props.hasMinMax {
-		mn, mx := b.ints[0], b.ints[0]
-		for _, v := range b.ints[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		b.props.min, b.props.max, b.props.hasMinMax = mn, mx, true
-	}
-	return b.props.min, b.props.max, true
-}
-
-// Sorted reports whether the tail is known to be non-decreasing,
-// computing the property on first use.
-func (b *BAT) Sorted() bool {
-	if b.typ != TypeInt || b.Len() == 0 {
-		return false
-	}
-	if !b.props.sorted {
-		s := true
-		for i := 1; i < len(b.ints); i++ {
-			if b.ints[i-1] > b.ints[i] {
-				s = false
-				break
-			}
-		}
-		b.props.sorted = s
-	}
-	return b.props.sorted
-}
-
-// MarkSorted records that the caller has established sortedness (for
-// example after OrderBy); it avoids a verification scan.
-func (b *BAT) MarkSorted() { b.props.sorted = true }
-
-// Key verifies and reports whether the tail is duplicate-free.
-func (b *BAT) Key() bool {
-	if b.typ != TypeInt {
-		return false
-	}
-	if !b.props.key {
-		seen := make(map[int64]struct{}, len(b.ints))
-		for _, v := range b.ints {
-			if _, dup := seen[v]; dup {
-				return false
-			}
-			seen[v] = struct{}{}
-		}
-		b.props.key = true
-	}
-	return b.props.key
-}
-
-// SelectRange performs a full-scan range selection low <= v <= high
-// (inclusive on both sides when lowIncl/highIncl are set) and returns the
-// qualifying positions. When the tail is sorted it uses binary search and
-// returns a dense position range without scanning.
-func (b *BAT) SelectRange(low, high int64, lowIncl, highIncl bool) []int {
-	if b.typ != TypeInt {
-		panic("bat: SelectRange on non-int BAT " + b.name)
-	}
-	if b.props.sorted {
-		lo := sort.Search(len(b.ints), func(i int) bool {
-			if lowIncl {
-				return b.ints[i] >= low
-			}
-			return b.ints[i] > low
-		})
-		hi := sort.Search(len(b.ints), func(i int) bool {
-			if highIncl {
-				return b.ints[i] > high
-			}
-			return b.ints[i] >= high
-		})
-		if hi <= lo {
-			return nil
-		}
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
-	}
-	var out []int
-	for i, v := range b.ints {
-		if inRange(v, low, high, lowIncl, highIncl) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// CountRange counts qualifying tuples without materializing positions.
-func (b *BAT) CountRange(low, high int64, lowIncl, highIncl bool) int {
-	if b.typ != TypeInt {
-		panic("bat: CountRange on non-int BAT " + b.name)
-	}
-	n := 0
-	for _, v := range b.ints {
-		if inRange(v, low, high, lowIncl, highIncl) {
-			n++
-		}
-	}
-	return n
-}
-
-func inRange(v, low, high int64, lowIncl, highIncl bool) bool {
-	if lowIncl {
-		if v < low {
-			return false
-		}
-	} else if v <= low {
-		return false
-	}
-	if highIncl {
-		if v > high {
-			return false
-		}
-	} else if v >= high {
-		return false
-	}
-	return true
-}
-
-// OrderBy returns a sorted copy of the tail together with the order
-// permutation: order[i] is the original position of the i-th smallest
-// value. The receiver is unchanged (MonetDB's BATsort).
-func (b *BAT) OrderBy(name string) (sorted *BAT, order []OID) {
-	if b.typ != TypeInt {
-		panic("bat: OrderBy on non-int BAT " + b.name)
-	}
-	n := len(b.ints)
-	order = make([]OID, n)
-	for i := range order {
-		order[i] = b.OID(i)
-	}
-	vals := append([]int64(nil), b.ints...)
-	sort.Sort(&pairSort{vals: vals, oids: order})
-	sorted = FromInts(name, vals)
-	sorted.MarkSorted()
-	return sorted, order
-}
-
-// pairSort sorts a value vector and an OID vector in lockstep.
-type pairSort struct {
-	vals []int64
-	oids []OID
-}
-
-func (p *pairSort) Len() int           { return len(p.vals) }
-func (p *pairSort) Less(i, j int) bool { return p.vals[i] < p.vals[j] }
-func (p *pairSort) Swap(i, j int) {
-	p.vals[i], p.vals[j] = p.vals[j], p.vals[i]
-	p.oids[i], p.oids[j] = p.oids[j], p.oids[i]
+	return &BAT{name: name, hseq: b.hseq, ints: append([]int64(nil), b.ints...)}
 }
 
 // String renders a short diagnostic description.
@@ -420,5 +116,5 @@ func (b *BAT) String() string {
 	if b.view {
 		kind = "view"
 	}
-	return fmt.Sprintf("%s[void,%s]%s#%d", kind, b.typ, b.name, b.Len())
+	return fmt.Sprintf("%s[void,int]%s#%d", kind, b.name, b.Len())
 }

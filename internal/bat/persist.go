@@ -1,7 +1,6 @@
 package bat
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,12 +12,10 @@ import (
 // Binary persistence for BATs. The on-disk format is:
 //
 //	magic   [4]byte  "BAT1"
-//	type    uint8    TypeInt or TypeStr
+//	type    uint8    0, the int64 tail (the only type)
 //	hseq    uint32   head sequence base
 //	n       uint64   number of BUNs
-//	tail    n × int64            (TypeInt)
-//	      | n × int32 offsets,
-//	        heapLen uint64, heap bytes   (TypeStr)
+//	tail    n × int64
 //	crc     uint32   CRC-32 (IEEE) of everything above
 //
 // The trailing checksum lets Load detect truncated or corrupted stores,
@@ -26,136 +23,88 @@ import (
 
 var magic = [4]byte{'B', 'A', 'T', '1'}
 
+const (
+	tailInt   = 0       // the type byte of an int64 tail
+	ioChunk   = 1 << 20 // bytes WriteTo encodes, and ReadBAT reads, at a time
+	headerLen = 4 + 1 + 4 + 8
+)
+
 // ErrCorrupt is returned when a persisted BAT fails validation.
 var ErrCorrupt = errors.New("bat: corrupt or truncated BAT image")
 
 // WriteTo serializes the BAT. It implements io.WriterTo.
 func (b *BAT) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w, crc: crc32.NewIEEE()}
-	mw := io.MultiWriter(cw, cw.crc)
-
-	if _, err := mw.Write(magic[:]); err != nil {
-		return cw.n, err
+	buf := make([]byte, 0, min(headerLen+8*len(b.ints), ioChunk))
+	buf = append(buf, magic[:]...)
+	buf = append(buf, tailInt)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(b.hseq))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.ints)))
+	var crc uint32
+	var written int64
+	flush := func() error {
+		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		n, err := w.Write(buf)
+		written += int64(n)
+		buf = buf[:0]
+		return err
 	}
-	hdr := make([]byte, 1+4+8)
-	hdr[0] = byte(b.typ)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(b.hseq))
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(b.Len()))
-	if _, err := mw.Write(hdr); err != nil {
-		return cw.n, err
-	}
-
-	buf := make([]byte, 8)
-	switch b.typ {
-	case TypeInt:
-		for _, v := range b.ints {
-			binary.LittleEndian.PutUint64(buf, uint64(v))
-			if _, err := mw.Write(buf); err != nil {
-				return cw.n, err
+	for _, v := range b.ints {
+		if len(buf)+8 > cap(buf) {
+			if err := flush(); err != nil {
+				return written, err
 			}
 		}
-	case TypeStr:
-		for _, off := range b.offs {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(off))
-			if _, err := mw.Write(buf[:4]); err != nil {
-				return cw.n, err
-			}
-		}
-		binary.LittleEndian.PutUint64(buf, uint64(b.heap.Size()))
-		if _, err := mw.Write(buf); err != nil {
-			return cw.n, err
-		}
-		if _, err := mw.Write(b.heap.data); err != nil {
-			return cw.n, err
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-
-	binary.LittleEndian.PutUint32(buf[:4], cw.crc.Sum32())
-	if _, err := cw.w.Write(buf[:4]); err != nil {
-		return cw.n, err
+	if err := flush(); err != nil {
+		return written, err
 	}
-	cw.n += 4
-	return cw.n, nil
+	n, err := w.Write(binary.LittleEndian.AppendUint32(buf, crc))
+	return written + int64(n), err
 }
 
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	crc interface {
-		io.Writer
-		Sum32() uint32
-	}
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// ReadBAT deserializes a BAT written by WriteTo, validating the checksum.
-func ReadBAT(name string, r io.Reader) (*BAT, error) {
+// ReadBAT deserializes a BAT written by WriteTo from an input of size
+// bytes, validating the checksum. A count the size cannot hold exactly is
+// ErrCorrupt before anything is allocated, so the vector, sized once, is
+// bounded by the input; the tail is then read ioChunk bytes at a time.
+func ReadBAT(name string, r io.Reader, size int64) (*BAT, error) {
 	crc := crc32.NewIEEE()
 	tr := io.TeeReader(r, crc)
 
-	var m [4]byte
-	if _, err := io.ReadFull(tr, m[:]); err != nil {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if m != magic {
+	if m := [4]byte(hdr[:4]); m != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, m)
 	}
-	hdr := make([]byte, 1+4+8)
-	if _, err := io.ReadFull(tr, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if hdr[4] != tailInt {
+		return nil, fmt.Errorf("%w: tail type %d is not int", ErrCorrupt, hdr[4])
 	}
-	typ := Type(hdr[0])
-	hseq := OID(binary.LittleEndian.Uint32(hdr[1:]))
-	n := binary.LittleEndian.Uint64(hdr[5:])
-	if n > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible BUN count %d", ErrCorrupt, n)
+	b := &BAT{name: name, hseq: OID(binary.LittleEndian.Uint32(hdr[5:]))}
+	n := binary.LittleEndian.Uint64(hdr[9:])
+	if tail := size - headerLen - 4; tail < 0 || tail%8 != 0 || uint64(tail/8) != n {
+		return nil, fmt.Errorf("%w: BUN count %d does not fit %d bytes", ErrCorrupt, n, size)
 	}
-
-	b := &BAT{name: name, typ: typ, hseq: hseq}
-	buf := make([]byte, 8)
-	switch typ {
-	case TypeInt:
-		b.ints = make([]int64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if _, err := io.ReadFull(tr, buf); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			b.ints = append(b.ints, int64(binary.LittleEndian.Uint64(buf)))
-		}
-	case TypeStr:
-		b.offs = make([]int32, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if _, err := io.ReadFull(tr, buf[:4]); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			b.offs = append(b.offs, int32(binary.LittleEndian.Uint32(buf[:4])))
-		}
-		if _, err := io.ReadFull(tr, buf); err != nil {
+	b.ints = make([]int64, 0, n)
+	chunk := make([]byte, min(8*n, ioChunk))
+	for left := 8 * n; left > 0; {
+		c := chunk[:min(left, ioChunk)]
+		if _, err := io.ReadFull(tr, c); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		heapLen := binary.LittleEndian.Uint64(buf)
-		if heapLen > 1<<40 {
-			return nil, fmt.Errorf("%w: implausible heap size %d", ErrCorrupt, heapLen)
+		for i := 0; i < len(c); i += 8 {
+			b.ints = append(b.ints, int64(binary.LittleEndian.Uint64(c[i:])))
 		}
-		data := make([]byte, heapLen)
-		if _, err := io.ReadFull(tr, data); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		b.heap = &Heap{data: data, dict: make(map[string]int32)}
-	default:
-		return nil, fmt.Errorf("%w: unknown tail type %d", ErrCorrupt, typ)
+		left -= uint64(len(c))
 	}
 
 	want := crc.Sum32()
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+	var sum [4]byte
+	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
 	}
-	if got := binary.LittleEndian.Uint32(buf[:4]); got != want {
+	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
 	return b, nil
@@ -168,18 +117,11 @@ func (b *BAT) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if _, err := b.WriteTo(w); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = b.WriteTo(f) // writes whole chunks: no buffer in between
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -193,5 +135,9 @@ func Load(name, path string) (*BAT, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBAT(name, bufio.NewReader(f))
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadBAT(name, f, fi.Size()) // reads whole chunks: no buffer in between
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"crackdb/internal/bat"
@@ -13,9 +14,10 @@ import (
 // cracker index and they are not saved between sessions" (§5.2) — so a
 // restart re-pays the full crack convergence cost. ColumnState captures
 // everything a warm restart needs: the physically reorganized value/oid
-// vectors, the registered cut set, pending updates, and the crack
-// strategy's identity and RNG position so the post-restart cut sequence
-// continues exactly where the pre-crash one left off.
+// vectors and the payload vectors aligned with them, the registered cut
+// set, pending updates, and the crack strategy's identity and RNG
+// position so the post-restart cut sequence continues exactly where the
+// pre-crash one left off.
 //
 // Deliberately volatile (not exported): the work counters (Stats) and the
 // lineage DAG's crack history. Counters restart at zero; the lineage is
@@ -61,10 +63,15 @@ type ColumnState struct {
 	// Strategy is nil for standard cracking and for strategies that do
 	// not implement StatefulStrategy.
 	Strategy *StrategyState
+
+	// Pays are the column's payload vectors, least recently used first,
+	// so a restore under a smaller budget evicts the right ones.
+	Pays []PayloadState
 }
 
-// ExportState snapshots the column under its read lock. The returned
-// slices are copies; the column may keep cracking afterwards.
+// ExportState snapshots the column, payload vectors included, under one
+// read-lock hold. The returned slices are copies; the column may keep
+// cracking afterwards.
 func (c *Column) ExportState() ColumnState {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -79,6 +86,11 @@ func (c *Column) ExportState() ColumnState {
 	for _, p := range c.pending {
 		st.Pending = append(st.Pending, PendingState{OID: p.oid, Val: p.val})
 	}
+	byUse := slices.Clone(c.pays)
+	sort.SliceStable(byUse, func(i, j int) bool { return byUse[i].used.Load() < byUse[j].used.Load() })
+	for _, p := range byUse {
+		st.Pays = append(st.Pays, PayloadState{Attr: p.attr, Vals: slices.Clone(p.vals), Pend: slices.Clone(p.pend)})
+	}
 	for oid := range c.deleted {
 		st.Deleted = append(st.Deleted, oid)
 	}
@@ -92,10 +104,13 @@ func (c *Column) ExportState() ColumnState {
 
 // ColumnFromState reconstructs a cracker column from an exported state,
 // validating the cut invariants before accepting it (a corrupted or
-// hand-edited snapshot must not poison future cracks). Options apply as
-// in NewColumn; pass WithStrategy to reattach a restored strategy
-// instance — the state's Strategy field is identity only, it is not
-// instantiated here (core cannot depend on internal/strategy).
+// hand-edited snapshot must not poison future cracks). Payload vectors
+// must cover every stored tuple and pending insert and name distinct
+// attributes; they attach unstamped, for the sideways budget to adopt
+// (sideways.Registry.Adopt). Options apply as in NewColumn; pass
+// WithStrategy to reattach a restored strategy instance — the state's
+// Strategy field is identity only, it is not instantiated here (core
+// cannot depend on internal/strategy).
 func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 	if len(st.Vals) != len(st.OIDs) {
 		return nil, fmt.Errorf("core: column %q state has %d values but %d oids",
@@ -128,6 +143,16 @@ func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 	}
 	for _, oid := range st.Deleted {
 		c.deleted[oid] = struct{}{}
+	}
+	for _, ps := range st.Pays {
+		if len(ps.Vals) != len(st.Vals) || len(ps.Pend) != len(st.Pending) {
+			return nil, fmt.Errorf("core: column %q payload %q has %d values and %d pending, want %d and %d",
+				st.Name, ps.Attr, len(ps.Vals), len(ps.Pend), len(st.Vals), len(st.Pending))
+		}
+		if c.payloadLocked(ps.Attr) != nil {
+			return nil, fmt.Errorf("core: column %q carries payload %q twice", st.Name, ps.Attr)
+		}
+		c.pays = append(c.pays, &payload{attr: ps.Attr, vals: slices.Clone(ps.Vals), pend: slices.Clone(ps.Pend)})
 	}
 	for _, o := range opts {
 		o(c)

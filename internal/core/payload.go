@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"crackdb/internal/bat"
@@ -196,81 +195,11 @@ func (c *Column) projectLocked(v View, key string, attrs []string, sel []bat.OID
 	return srcs, Projected
 }
 
-// PayloadState is one exported payload vector.
+// PayloadState is one exported payload vector: attribute Attr of every
+// stored tuple, aligned with ColumnState.Vals, and of every pending
+// insert, aligned with ColumnState.Pending.
 type PayloadState struct {
 	Attr string
 	Vals []int64
-}
-
-// ExportPayloads copies, under one read-lock hold, the stored tuples'
-// values and OIDs and every payload vector aligned with them, least
-// recently used first (so a restore under a smaller budget evicts the
-// right ones). A column without payloads exports nothing.
-func (c *Column) ExportPayloads() (vals []int64, oids []bat.OID, pays []PayloadState) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.pays) == 0 {
-		return nil, nil, nil
-	}
-	byUse := append([]*payload(nil), c.pays...)
-	sort.Slice(byUse, func(i, j int) bool { return byUse[i].used.Load() < byUse[j].used.Load() })
-	for _, p := range byUse {
-		pays = append(pays, PayloadState{Attr: p.attr, Vals: append([]int64(nil), p.vals...)})
-	}
-	return append([]int64(nil), c.vals...), append([]bat.OID(nil), c.oids...), pays
-}
-
-// restorePayloads attaches exported payload vectors, aligning them to the
-// column by OID: the exporter's physical order (keys, oids) need not be
-// this column's — an image written when a map was its own cracker has
-// its own — so every tuple is looked up through the inverse of the
-// column's OID permutation and its key checked against the column's
-// value. Any length, OID or key mismatch refuses the whole set. srcs[k]
-// is the base vector of pays[k].Attr, read for the pending inserts the
-// export does not cover; payload k is stamped stamp+k.
-func (c *Column) restorePayloads(keys []int64, oids []bat.OID, pays []PayloadState, srcs [][]int64, stamp uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.vals)
-	if len(keys) != n || len(oids) != n {
-		return fmt.Errorf("core: payloads of %q cover %d keys and %d oids, the column holds %d tuples", c.name, len(keys), len(oids), n)
-	}
-	at := make([]int32, c.nextOID) // OID -> position + 1; 0: not stored (or already claimed)
-	for i, oid := range c.oids {
-		if oid >= c.nextOID {
-			return fmt.Errorf("core: column %q stores oid %d past its next oid %d", c.name, oid, c.nextOID)
-		}
-		at[oid] = int32(i) + 1
-	}
-	perm := make([]int32, n)
-	for i, oid := range oids {
-		if oid >= c.nextOID || at[oid] == 0 {
-			return fmt.Errorf("core: payloads of %q name oid %d, which the column does not store once", c.name, oid)
-		}
-		perm[i], at[oid] = at[oid]-1, 0
-		if c.vals[perm[i]] != keys[i] {
-			return fmt.Errorf("core: payloads of %q hold key %d for oid %d, the column %d", c.name, keys[i], oid, c.vals[perm[i]])
-		}
-	}
-	for k, ps := range pays {
-		if len(ps.Vals) != n || int(c.nextOID) > len(srcs[k]) {
-			return fmt.Errorf("core: payload %q of %q has %d values over %d base rows, want %d over >= %d",
-				ps.Attr, c.name, len(ps.Vals), len(srcs[k]), n, c.nextOID)
-		}
-	}
-	for k, ps := range pays {
-		if c.payloadLocked(ps.Attr) != nil {
-			continue
-		}
-		p := &payload{attr: ps.Attr, vals: make([]int64, n), pend: make([]int64, len(c.pending))}
-		for i, v := range ps.Vals {
-			p.vals[perm[i]] = v
-		}
-		for i, q := range c.pending {
-			p.pend[i] = srcs[k][q.oid]
-		}
-		p.used.Store(stamp + uint64(k))
-		c.pays = append(c.pays, p)
-	}
-	return nil
+	Pend []int64
 }

@@ -111,18 +111,13 @@ func (ct *CrackedTable) Column(attr string) (*Column, bool) {
 	return c, ok
 }
 
-// Options returns the option list applied to columns this table creates,
-// so a restored column can be rebuilt under the same configuration.
-func (ct *CrackedTable) Options() []Option {
-	return append([]Option(nil), ct.opts...)
-}
-
 // ReplaceColumn installs a reconstructed cracker column
-// (ColumnFromState) for attr, displacing any live column — an image
-// element supersedes whatever the chain before it restored. The
-// attribute must exist in the base relation, and the column's tuple
-// count must match the base cardinality — OID alignment is what makes
-// fetches through the surrogate key correct.
+// (ColumnFromState) for attr, displacing any live column and the payload
+// vectors it carried — an image element supersedes whatever the chain
+// before it restored. The attribute must exist in the base relation, the
+// column's payload vectors must be other attributes of it, and the
+// column's tuple count must match the base cardinality — OID alignment
+// is what makes fetches through the surrogate key correct.
 func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -132,6 +127,11 @@ func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
 	ct.baseMu.RUnlock()
 	if !hasCol {
 		return fmt.Errorf("core: table %q has no column %q to restore", ct.base.Name, attr)
+	}
+	for _, p := range c.Payloads() {
+		if p.Attr == attr || !ct.base.HasColumn(p.Attr) {
+			return fmt.Errorf("core: restored column %q carries a payload of %q, which is not another column of %q", attr, p.Attr, ct.base.Name)
+		}
 	}
 	// Column.Len counts live tuples (deletes excluded), so the alignment
 	// check is against the base cardinality net of tombstones. Restore
@@ -164,11 +164,8 @@ func (ct *CrackedTable) CrackedColumns() []string {
 func (ct *CrackedTable) SetSelectObserver(f func(r expr.Range)) { ct.selectObs = f }
 
 // FetchedTuples returns the number of tuples reconstructed through the
-// base table by Fetch since creation (or the last reset).
+// base table by Fetch since creation.
 func (ct *CrackedTable) FetchedTuples() int64 { return ct.fetched.Load() }
-
-// ResetFetchedTuples zeroes the base-fetch counter.
-func (ct *CrackedTable) ResetFetchedTuples() { ct.fetched.Store(0) }
 
 // Select answers a range query over one attribute by cracking that
 // attribute's column. The returned view aliases the column; concurrent
@@ -341,28 +338,6 @@ func (ct *CrackedTable) AttachPayload(key, attr string, stamp uint64) (built boo
 		return false, err
 	}
 	return c.attachPayload(attr, b.Ints(), stamp)
-}
-
-// RestorePayloads attaches exported payload vectors (Column.ExportPayloads,
-// or a map section of an older image) to key's existing cracker column,
-// aligned by OID; see Column.restorePayloads. Payload k is stamped
-// stamp+k.
-func (ct *CrackedTable) RestorePayloads(key string, keys []int64, oids []bat.OID, pays []PayloadState, stamp uint64) error {
-	c, ok := ct.Column(key)
-	if !ok {
-		return fmt.Errorf("core: payloads for %s.%s, which has no cracker column", ct.base.Name, key)
-	}
-	ct.baseMu.RLock()
-	defer ct.baseMu.RUnlock()
-	srcs := make([][]int64, len(pays))
-	for k, p := range pays {
-		b, err := ct.base.Column(p.Attr)
-		if err != nil {
-			return err
-		}
-		srcs[k] = b.Ints()
-	}
-	return c.restorePayloads(keys, oids, pays, srcs, stamp)
 }
 
 // AppendRows extends the base relation and queues the new values as

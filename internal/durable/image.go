@@ -7,40 +7,37 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
-	"crackdb/internal/sideways"
 	"crackdb/internal/tuner"
 )
 
 // Store images. One element type persists a store: an Image carries what
-// changed since a named predecessor — rewritten tables, the complete
-// crack state (core.ColumnState) of every column whose fingerprint moved,
-// the sideways maps of those columns — and a full image is simply the
-// element with nothing before it: Base set, every table DataDirty, every
-// cracked column carried. The paper argues reorganization cost should
-// track what queries touch; so does checkpoint cost, because the unit of
-// change is the column.
+// changed since a named predecessor — rewritten tables, and the complete
+// crack state (core.ColumnState, payload vectors included) of every
+// column whose fingerprint moved — and a full image is simply the element
+// with nothing before it: Base set, every table DataDirty, every cracked
+// column carried. The paper argues reorganization cost should track what
+// queries touch; so does checkpoint cost, because the unit of change is
+// the column.
 //
-// File layout (one format, one version):
+// File layout (version 5):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   4
+//	version  uint8   5
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
 //	ntables  uint32  authoritative table manifest (see ImageTable)
 //	tables   ntables × (name, cols, rows, tombstones, dataDirty)
-//	config   store-wide crack configuration (full copy; the last chain
-//	         element's wins)
-//	ncols    uint32  column records (table, attr, ColumnState) — changed
-//	columns          columns only
-//	ntouch   uint32  tables with at least one carried column
-//	touched  ntouch × string
-//	nsets    uint32  sideways maps: for each carried column that has
-//	sideways         payload vectors, (table, key, the column's values and
-//	                 OIDs again, an empty cut set, no strategy, payloads)
+//	config   store-wide crack configuration: strategy name and seed, max
+//	         pieces, sideways budget (full copy; the last element's wins)
+//	ncols    uint32  column records, changed columns only: table, attr,
+//	columns          name, sorted, nextOID, n, n values, n OIDs, cuts,
+//	                 pending inserts, deletes, strategy, then npays ×
+//	                 (attr, n values, one value per pending insert)
 //	ntune    uint32  tuner posture (full copy; the last element's wins)
 //	tuner    ntune × (table, column, strategy, class, flips, forced)
 //	crc      uint32  CRC-32 (IEEE) of everything above
@@ -52,13 +49,24 @@ import (
 // fail as a whole (ErrCorrupt); whoever opens the chain refuses to boot
 // on it rather than serve half a cut set.
 //
-// Images written before this format (CRKS versions 1–3, and the CRKD
-// delta files of the same era) are not decoded; ReadImage names the
-// version and asks for a re-save.
+// Version 4 is still read. It has a dead byte after max pieces (the old
+// ripple flag), then a list of touched tables after the column records,
+// then a map section that repeated each payload column's values and OIDs
+// beside empty cut and strategy slots and held no payload values for
+// pending inserts. The byte and the list are skipped. A map becomes its
+// column record's payloads only if the same element carries the column,
+// its OIDs and keys equal the record's and the record queues no inserts;
+// any other map is dropped, losing only warmth. Versions 1–3 and above 5
+// are refused by version.
 
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
-const imageVersion = 4
+// imageVersion is the version WriteImage writes; ReadImage also reads
+// oldestImageVersion.
+const (
+	imageVersion       = 5
+	oldestImageVersion = 4
+)
 
 // StoreConfig is the store-wide crack configuration an image carries, so
 // columns created after a reopen behave like columns created before the
@@ -96,14 +104,12 @@ type ImageTable struct {
 
 // Image is one element of a checkpoint chain.
 type Image struct {
-	Base     bool   // chain start; PrevSum is meaningless
-	PrevSum  uint32 // trailer checksum of the element this one follows
-	Config   StoreConfig
-	Tables   []ImageTable
-	Columns  []ColumnSnapshot    // columns whose crack state changed
-	Touched  []string            // tables with at least one carried column
-	Sideways []sideways.MapState // payload vectors of the carried columns
-	Tuner    []tuner.ColumnState
+	Base    bool   // chain start; PrevSum is meaningless
+	PrevSum uint32 // trailer checksum of the element this one follows
+	Config  StoreConfig
+	Tables  []ImageTable
+	Columns []ColumnSnapshot // columns whose crack state changed
+	Tuner   []tuner.ColumnState
 }
 
 // WriteImage serializes the image to path and returns its checksum (the
@@ -228,19 +234,10 @@ func (e *imageEncoder) image(img *Image) {
 	e.str(img.Config.StrategyName)
 	e.u64(uint64(img.Config.StrategySeed))
 	e.u64(uint64(img.Config.MaxPieces))
-	e.bool(false) // was Config.Ripple: the fold is chosen by cost now; the byte keeps version 4 readable both ways
 	e.u64(uint64(img.Config.SidewaysBudget))
 	e.u32(uint32(len(img.Columns)))
 	for i := range img.Columns {
 		e.column(&img.Columns[i])
-	}
-	e.u32(uint32(len(img.Touched)))
-	for _, t := range img.Touched {
-		e.str(t)
-	}
-	e.u32(uint32(len(img.Sideways)))
-	for i := range img.Sideways {
-		e.sidewaysSet(&img.Sideways[i])
 	}
 	e.u32(uint32(len(img.Tuner)))
 	for _, t := range img.Tuner {
@@ -272,23 +269,13 @@ func (e *imageEncoder) column(cs *ColumnSnapshot) {
 	e.u64(uint64(len(st.Deleted)))
 	e.oids(st.Deleted)
 	e.strategy(st.Strategy)
-}
-
-func (e *imageEncoder) sidewaysSet(ms *sideways.MapState) {
-	e.str(ms.Table)
-	e.str(ms.Key)
-	e.u64(uint64(len(ms.Keys)))
-	e.int64s(ms.Keys)
-	e.oids(ms.OIDs)
-	// A map is payload vectors on its key column: the cut set and the
-	// strategy are the column's. The two slots keep version 4 readable
-	// both ways.
-	e.cuts(nil)
-	e.strategy(nil)
-	e.u32(uint32(len(ms.Pays)))
-	for _, p := range ms.Pays {
+	// Payload vectors carry no lengths: each is aligned with the values
+	// and the pending inserts written above.
+	e.u32(uint32(len(st.Pays)))
+	for _, p := range st.Pays {
 		e.str(p.Attr)
 		e.int64s(p.Vals)
+		e.int64s(p.Pend)
 	}
 }
 
@@ -313,14 +300,13 @@ func ReadImage(path string) (*Image, uint32, error) {
 	// trailing checksum would have exposed it.
 	r := &imageDecoder{r: io.TeeReader(br, crc), limit: fi.Size()}
 
-	var magic [4]byte
-	r.read(magic[:])
-	if r.err != nil || magic != imageMagic {
+	if magic := r.next(4); r.err != nil || [4]byte(magic) != imageMagic {
 		return nil, 0, fmt.Errorf("%w: bad image magic", ErrCorrupt)
 	}
-	if version := r.u8(); r.err == nil && version != imageVersion {
-		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads version %d only) — re-save with a ≤PR 11 build",
-			version, imageVersion)
+	r.version = r.u8()
+	if r.err == nil && (r.version < oldestImageVersion || r.version > imageVersion) {
+		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads versions %d and %d)",
+			r.version, oldestImageVersion, imageVersion)
 	}
 	img := r.image()
 	if r.err != nil {
@@ -339,12 +325,15 @@ func ReadImage(path string) (*Image, uint32, error) {
 	return img, want, nil
 }
 
-// imageDecoder is a little decoding cursor with sticky error handling.
+// imageDecoder is a little decoding cursor with sticky error handling. A
+// vector is read with one read of its whole byte length, which count has
+// already bounded by the file size, and decoded from that buffer.
 type imageDecoder struct {
-	r     io.Reader
-	err   error
-	limit int64 // file size: upper bound for any on-disk length field
-	buf   [8]byte
+	r       io.Reader
+	err     error
+	limit   int64 // file size: upper bound for any on-disk length field
+	version uint8
+	buf     []byte // scratch behind next, reused by every read
 }
 
 // count reads nothing: it validates a length field just read — n entries
@@ -360,31 +349,25 @@ func (d *imageDecoder) count(n uint64, entrySize int64, what string) uint64 {
 	return n
 }
 
-func (d *imageDecoder) read(p []byte) {
-	if d.err != nil {
-		return
+// next reads the following n bytes. The returned slice is the decoder's
+// scratch buffer, valid until the next read; after a failure its contents
+// are meaningless, and so is everything decoded from them.
+func (d *imageDecoder) next(n int) []byte {
+	if cap(d.buf) < n {
+		d.buf = make([]byte, n)
 	}
-	_, d.err = io.ReadFull(d.r, p)
+	b := d.buf[:n]
+	if d.err == nil {
+		_, d.err = io.ReadFull(d.r, b)
+	}
+	return b
 }
 
-func (d *imageDecoder) u8() uint8 {
-	d.read(d.buf[:1])
-	return d.buf[0]
-}
-
-func (d *imageDecoder) bool() bool { return d.u8() != 0 }
-
-func (d *imageDecoder) u32() uint32 {
-	d.read(d.buf[:4])
-	return binary.LittleEndian.Uint32(d.buf[:4])
-}
-
-func (d *imageDecoder) u64() uint64 {
-	d.read(d.buf[:8])
-	return binary.LittleEndian.Uint64(d.buf[:8])
-}
-
-func (d *imageDecoder) int() int { return int(int64(d.u64())) }
+func (d *imageDecoder) u8() uint8   { return d.next(1)[0] }
+func (d *imageDecoder) bool() bool  { return d.u8() != 0 }
+func (d *imageDecoder) u32() uint32 { return binary.LittleEndian.Uint32(d.next(4)) }
+func (d *imageDecoder) u64() uint64 { return binary.LittleEndian.Uint64(d.next(8)) }
+func (d *imageDecoder) int() int    { return int(int64(d.u64())) }
 
 func (d *imageDecoder) str() string {
 	n := d.u32()
@@ -395,23 +378,23 @@ func (d *imageDecoder) str() string {
 		d.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	b := make([]byte, n)
-	d.read(b)
-	return string(b)
+	return string(d.next(int(n)))
 }
 
 func (d *imageDecoder) int64s(n uint64) []int64 {
+	b := d.next(8 * int(n))
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(d.u64())
+		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
 func (d *imageDecoder) oids(n uint64) []bat.OID {
+	b := d.next(4 * int(n))
 	out := make([]bat.OID, n)
 	for i := range out {
-		out[i] = bat.OID(d.u32())
+		out[i] = bat.OID(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -421,9 +404,13 @@ func (d *imageDecoder) oids(n uint64) []bat.OID {
 // predicates), so they are bounded by file capacity only —
 // core.ColumnFromState enforces the real invariants.
 func (d *imageDecoder) cuts() []core.Cut {
-	out := make([]core.Cut, d.count(d.u64(), 17, "cut")) // 8 val + 1 incl + 8 pos
+	const size = 17 // 8 val + 1 incl + 8 pos
+	n := d.count(d.u64(), size, "cut")
+	b := d.next(size * int(n))
+	out := make([]core.Cut, n)
 	for i := range out {
-		out[i] = core.Cut{Val: int64(d.u64()), Incl: d.bool(), Pos: d.int()}
+		c := b[size*i:]
+		out[i] = core.Cut{Val: int64(binary.LittleEndian.Uint64(c)), Incl: c[8] != 0, Pos: int(int64(binary.LittleEndian.Uint64(c[9:])))}
 	}
 	return out
 }
@@ -451,17 +438,16 @@ func (d *imageDecoder) image() *Image {
 	img.Config.StrategyName = d.str()
 	img.Config.StrategySeed = int64(d.u64())
 	img.Config.MaxPieces = d.int()
-	d.bool() // was Config.Ripple; ignored
+	if d.version == 4 {
+		d.bool() // the old ripple flag
+	}
 	img.Config.SidewaysBudget = d.int()
 	// conservative minimum per column record
 	for n := d.count(uint64(d.u32()), 16, "column"); n > 0 && d.err == nil; n-- {
 		img.Columns = append(img.Columns, d.column())
 	}
-	for n := d.count(uint64(d.u32()), 4, "touched table"); n > 0 && d.err == nil; n-- {
-		img.Touched = append(img.Touched, d.str())
-	}
-	for n := d.count(uint64(d.u32()), 21, "sideways map"); n > 0 && d.err == nil; n-- {
-		img.Sideways = append(img.Sideways, d.sidewaysSet())
+	if d.version == 4 {
+		d.v4Maps(img.Columns)
 	}
 	// 4 strings + u64 + bool minimum per tuner record
 	for n := d.count(uint64(d.u32()), 21, "tuner posture"); n > 0 && d.err == nil; n-- {
@@ -493,20 +479,42 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	}
 	st.Deleted = d.oids(d.count(d.u64(), 4, "deleted"))
 	st.Strategy = d.strategy()
+	if d.version == 4 {
+		return cs
+	}
+	// A payload holds a value per stored tuple and per pending insert.
+	np := uint64(len(st.Pending))
+	for k := d.count(uint64(d.u32()), 4+8*int64(n+np), "payload"); k > 0 && d.err == nil; k-- {
+		st.Pays = append(st.Pays, core.PayloadState{Attr: d.str(), Vals: d.int64s(n), Pend: d.int64s(np)})
+	}
 	return cs
 }
 
-func (d *imageDecoder) sidewaysSet() sideways.MapState {
-	ms := sideways.MapState{Table: d.str(), Key: d.str()}
-	n := d.count(d.u64(), 12, "sideways cardinality") // 8 bytes/key + 4/oid
-	ms.Keys = d.int64s(n)
-	ms.OIDs = d.oids(n)
-	d.cuts()     // a map written as its own cracker carried its own cuts
-	d.strategy() // and strategy; restore aligns it to its column by OID
-	// Each payload carries n 8-byte values; bound the count by what the
-	// file could hold so a bit-flipped field fails as corruption.
-	for np := d.count(uint64(d.u32()), 4+8*max(int64(n), 1), "sideways payload"); np > 0 && d.err == nil; np-- {
-		ms.Pays = append(ms.Pays, sideways.PayState{Attr: d.str(), Vals: d.int64s(n)})
+// v4Maps reads a version-4 image's touched list and map section, and
+// hands a map to its column record where it provably lines up (see the
+// layout comment); every other map is dropped.
+func (d *imageDecoder) v4Maps(cols []ColumnSnapshot) {
+	for n := d.count(uint64(d.u32()), 4, "touched table"); n > 0 && d.err == nil; n-- {
+		d.str()
 	}
-	return ms
+	for n := d.count(uint64(d.u32()), 21, "sideways map"); n > 0 && d.err == nil; n-- {
+		table, key := d.str(), d.str()
+		k := d.count(d.u64(), 12, "sideways cardinality") // 8 bytes/key + 4/oid
+		keys, oids := d.int64s(k), d.oids(k)
+		// The cut and strategy slots a map filled while it was a cracker of
+		// its own.
+		d.cuts()
+		d.strategy()
+		var pays []core.PayloadState
+		for np := d.count(uint64(d.u32()), 4+8*max(int64(k), 1), "sideways payload"); np > 0 && d.err == nil; np-- {
+			pays = append(pays, core.PayloadState{Attr: d.str(), Vals: d.int64s(k)})
+		}
+		for i := range cols {
+			st := &cols[i].State
+			if cols[i].Table == table && cols[i].Attr == key && len(st.Pending) == 0 &&
+				slices.Equal(st.OIDs, oids) && slices.Equal(st.Vals, keys) {
+				st.Pays = pays
+			}
+		}
+	}
 }

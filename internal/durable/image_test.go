@@ -12,7 +12,6 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
-	"crackdb/internal/sideways"
 	"crackdb/internal/tuner"
 )
 
@@ -29,20 +28,15 @@ func sampleColumn(table, attr string, n int) ColumnSnapshot {
 		Strategy: &core.StrategyState{
 			Name: "mdd1r", MinPiece: 128, RNG: 0xdeadbeefcafe,
 		},
+		Pays: []core.PayloadState{{Attr: "w", Pend: []int64{-77}}, {Attr: "x", Pend: []int64{0}}},
 	}
 	for i := 0; i < n; i++ {
 		st.Vals = append(st.Vals, int64(i*7%50))
 		st.OIDs = append(st.OIDs, bat.OID(i))
+		st.Pays[0].Vals = append(st.Pays[0].Vals, -st.Vals[i])
+		st.Pays[1].Vals = append(st.Pays[1].Vals, int64(i))
 	}
 	return ColumnSnapshot{Table: table, Attr: attr, State: st}
-}
-
-func sampleSideways() []sideways.MapState {
-	return []sideways.MapState{{
-		Table: "hot", Key: "k",
-		Keys: []int64{1, 2, 3}, OIDs: []bat.OID{0, 1, 2},
-		Pays: []sideways.PayState{{Attr: "v", Vals: []int64{9, 8, 7}}},
-	}}
 }
 
 // sampleDelta is a non-base element: one clean table, one rewritten.
@@ -57,10 +51,8 @@ func sampleDelta() *Image {
 			{Name: "cold", Cols: []string{"k", "v"}, Rows: 100, Deleted: []bat.OID{}},
 			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}, DataDirty: true},
 		},
-		Columns:  []ColumnSnapshot{sampleColumn("hot", "k", 9)},
-		Touched:  []string{"hot"},
-		Sideways: sampleSideways(),
-		Tuner:    []tuner.ColumnState{{Table: "hot", Column: "k", Strategy: "ddr", Class: "seq", Flips: 3, Forced: true}},
+		Columns: []ColumnSnapshot{sampleColumn("hot", "k", 9)},
+		Tuner:   []tuner.ColumnState{{Table: "hot", Column: "k", Strategy: "ddr", Class: "seq", Flips: 3, Forced: true}},
 	}
 }
 
@@ -70,7 +62,7 @@ func sampleBase() *Image {
 	img.Base, img.PrevSum = true, 0
 	img.Tables[0].DataDirty = true
 	img.Columns = append(img.Columns, sampleColumn("cold", "v", 100))
-	img.Touched = []string{"cold", "hot"}
+	img.Columns[1].State.Pays = nil
 	return img
 }
 
@@ -91,7 +83,6 @@ func TestImageRoundTrip(t *testing.T) {
 			PrevSum: 0, // 0 is a valid CRC: a delta all the same
 			Tables:  []ImageTable{{Name: "hot", Cols: []string{"k"}, Rows: 9, Deleted: []bat.OID{}}},
 			Columns: []ColumnSnapshot{sampleColumn("hot", "k", 9)},
-			Touched: []string{"hot"},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,42 +105,113 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageSkipsMapCutsAndStrategy: a version-4 image written while a
-// sideways map was a cracker of its own filled the map section's cut and
-// strategy slots. The reader steps over them — a map's cuts are its key
-// column's now — and lands on the payloads and on what follows.
+// v4Column writes a column record as version 4 did: without payloads.
+func v4Column(e *imageEncoder, cs ColumnSnapshot) {
+	st := &cs.State
+	e.str(cs.Table)
+	e.str(cs.Attr)
+	e.str(st.Name)
+	e.bool(st.Sorted)
+	e.u64(uint64(st.NextOID))
+	e.u64(uint64(len(st.Vals)))
+	e.int64s(st.Vals)
+	e.oids(st.OIDs)
+	e.cuts(st.Cuts)
+	e.u64(uint64(len(st.Pending)))
+	for _, p := range st.Pending {
+		e.u32(uint32(p.OID))
+		e.u64(uint64(p.Val))
+	}
+	e.u64(uint64(len(st.Deleted)))
+	e.oids(st.Deleted)
+	e.strategy(st.Strategy)
+}
+
+// TestImageSkipsMapCutsAndStrategy: a version-4 image carries payload
+// vectors in a map section behind the column records, repeating the key
+// column's values and OIDs beside cut and strategy slots that a map
+// filled while it was a cracker of its own. The reader steps over the
+// slots, hands a map to its column record only where it lines up — same
+// element, same OIDs and keys, no pending inserts the map holds no
+// values for — declines every other map without touching a record, and
+// lands on what follows.
 func TestImageSkipsMapCutsAndStrategy(t *testing.T) {
+	record := func(attr string, oids []bat.OID, pending bool) ColumnSnapshot {
+		cs := ColumnSnapshot{Table: "hot", Attr: attr, State: core.ColumnState{
+			Name: "hot." + attr, NextOID: 4, OIDs: oids, Deleted: []bat.OID{},
+			Cuts: []core.Cut{{Val: 20, Incl: true, Pos: 1}},
+		}}
+		for _, o := range oids {
+			cs.State.Vals = append(cs.State.Vals, 10*int64(o))
+		}
+		cs.State.Pending = []core.PendingState{}
+		if pending {
+			cs.State.Pending = []core.PendingState{{OID: 3, Val: 30}}
+		}
+		return cs
+	}
+	cols := []ColumnSnapshot{
+		record("aligned", []bat.OID{0, 2, 1}, false),
+		record("misaligned", []bat.OID{0, 2, 1}, false),
+		record("pending", []bat.OID{0, 2, 1}, true),
+	}
+	type v4Map struct {
+		table, key string
+		oids       []bat.OID
+	}
+	maps := []v4Map{
+		{"hot", "aligned", []bat.OID{0, 2, 1}},
+		{"hot", "misaligned", []bat.OID{0, 1, 2}}, // a spine's own order
+		{"hot", "pending", []bat.OID{0, 2, 1}},
+		{"cold", "k", []bat.OID{0, 1, 2}}, // a column this element does not carry
+	}
+	pay := func(oids []bat.OID) []core.PayloadState {
+		p := core.PayloadState{Attr: "v"}
+		for _, o := range oids {
+			p.Vals = append(p.Vals, -int64(o))
+		}
+		return []core.PayloadState{p}
+	}
+
 	path := filepath.Join(t.TempDir(), "img.crk")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sampleSideways()[0]
 	e := &imageEncoder{f: f}
 	e.buf = append(e.buf, imageMagic[:]...)
-	e.u8(imageVersion)
+	e.u8(4)
 	e.bool(true) // base
 	e.u32(0)     // prevSum
 	e.u32(0)     // tables
-	e.str("")    // config: strategy name, seed, max pieces, the dead byte, sideways budget
+	e.str("")    // config: strategy name, seed, max pieces, the ripple byte, sideways budget
 	e.u64(0)
 	e.u64(0)
 	e.bool(false)
 	e.u64(16)
-	e.u32(0) // columns
-	e.u32(0) // touched
-	e.u32(1) // maps
-	e.str(want.Table)
-	e.str(want.Key)
-	e.u64(uint64(len(want.Keys)))
-	e.int64s(want.Keys)
-	e.oids(want.OIDs)
-	e.cuts([]core.Cut{{Val: 2, Incl: true, Pos: 1}, {Val: 3, Pos: 2}})
-	e.strategy(&core.StrategyState{Name: "ddr", MinPiece: 64, RNG: 99})
-	e.u32(uint32(len(want.Pays)))
-	for _, p := range want.Pays {
-		e.str(p.Attr)
-		e.int64s(p.Vals)
+	e.u32(uint32(len(cols)))
+	for _, cs := range cols {
+		v4Column(e, cs)
+	}
+	e.u32(1) // touched
+	e.str("hot")
+	e.u32(uint32(len(maps)))
+	for _, m := range maps {
+		e.str(m.table)
+		e.str(m.key)
+		e.u64(uint64(len(m.oids)))
+		for _, o := range m.oids {
+			e.u64(uint64(10 * int64(o)))
+		}
+		e.oids(m.oids)
+		e.cuts([]core.Cut{{Val: 10, Incl: true, Pos: 1}, {Val: 20, Pos: 2}})
+		e.strategy(&core.StrategyState{Name: "ddr", MinPiece: 64, RNG: 99})
+		p := pay(m.oids)
+		e.u32(uint32(len(p)))
+		for _, p := range p {
+			e.str(p.Attr)
+			e.int64s(p.Vals)
+		}
 	}
 	e.u32(1) // tuner posture: proves the reader resynchronized
 	for _, s := range []string{"hot", "k", "ddr", "seq"} {
@@ -161,12 +223,15 @@ func TestImageSkipsMapCutsAndStrategy(t *testing.T) {
 	if e.err != nil || f.Close() != nil {
 		t.Fatal("writing the fixture failed")
 	}
+
 	img, _, err := ReadImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(img.Sideways, []sideways.MapState{want}) {
-		t.Fatalf("map section read as %+v, want %+v", img.Sideways, want)
+	want := cols
+	want[0].State.Pays = pay(cols[0].State.OIDs)
+	if !reflect.DeepEqual(img.Columns, want) {
+		t.Fatalf("column records read as %+v, want %+v", img.Columns, want)
 	}
 	if len(img.Tuner) != 1 || img.Tuner[0].Flips != 3 || img.Config.SidewaysBudget != 16 {
 		t.Fatalf("reader lost its place after the map section: %+v", img)

@@ -50,9 +50,8 @@ type Stats struct {
 	Projections int64 // multi-attribute projections served from payloads
 	Fallbacks   int64 // projections declined (budget, staleness, unknown attr)
 	Declines    int64 // Fallbacks subset: the payloads were affordable but the
-	// projection was refused (stale selection, unknown attribute), plus
-	// stored maps Restore could not align — the signal that maps are
-	// churning rather than merely absent.
+	// projection was refused (stale selection, unknown attribute) — the
+	// signal that maps are churning rather than merely absent.
 }
 
 // Registry budgets the payload vectors of one store. All methods are
@@ -226,43 +225,37 @@ func (g *Registry) evictLocked() {
 	}
 }
 
-// PayState is one stored payload vector.
-type PayState = core.PayloadState
-
-// MapState is the map section of a store image: the key column's values
-// and OIDs in the physical order the payload vectors are aligned with,
-// and the vectors, least recently used first. Since a map is payload
-// vectors on its key column, Keys and OIDs repeat the column's own state;
-// they are what lets Restore align a map by OID whatever order its
-// writer kept it in.
-type MapState struct {
-	Table, Key string
-	Keys       []int64
-	OIDs       []bat.OID
-	Pays       []PayState
-}
-
-// Restore reattaches stored maps to the restored columns of their keys.
-// lookup resolves a table's cracked wrapper. A state that cannot be
-// aligned — unknown table or attribute, no cracker column, a length, OID
-// or key that disagrees with the column — declines warmth for that map
-// (counted in Declines) and is never an error: the next projection
-// gathers what is missing. Restored vectors count against the budget,
-// oldest evicted first.
-func (g *Registry) Restore(states []MapState, lookup func(table string) (*core.CrackedTable, bool)) {
-	if g.budget.Load() == 0 {
-		return
-	}
+// Adopt takes over the payload vectors that restored columns brought
+// along (core.ColumnFromState attaches them unstamped): tables maps each
+// table whose replaced columns carry payloads to its live wrapper. Every
+// unstamped vector is stamped from the registry clock — table by table,
+// column by column, in its stored least-recently-used-first order — so a
+// later chain element's vectors rank above an earlier one's, and then
+// the registry evicts down to the budget.
+func (g *Registry) Adopt(tables map[string]*core.CrackedTable) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, st := range states {
-		n := uint64(len(st.Pays))
-		ct, ok := lookup(st.Table)
-		if !ok || ct.RestorePayloads(st.Key, st.Keys, st.OIDs, st.Pays, g.clock.Add(n)-n+1) != nil {
-			g.declines.Add(1)
-			continue
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ct := tables[name]
+		g.tables[name] = ct
+		for _, key := range ct.CrackedColumns() {
+			c, ok := ct.Column(key)
+			if !ok {
+				continue
+			}
+			for _, p := range c.Payloads() {
+				if p.Used == 0 {
+					// Present, and of a column ReplaceColumn checked: this
+					// only stamps, and cannot fail.
+					_, _ = ct.AttachPayload(key, p.Attr, g.clock.Add(1))
+				}
+			}
 		}
-		g.tables[st.Table] = ct
 	}
 	g.evictLocked()
 }

@@ -3,11 +3,11 @@ package sideways
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
-	"crackdb/internal/bat"
 	"crackdb/internal/core"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
@@ -219,8 +219,10 @@ func TestCensusFollowsColumns(t *testing.T) {
 		t.Fatalf("after SortAll: %d pays on %d columns, %d dropped; want 0, 0, 2", st.Pays, st.Sets, col.Stats().PaysDropped)
 	}
 	serve("after SortAll")
-	// A restored column replaces the live one and carries nothing.
-	twin, err := core.ColumnFromState(col.ExportState())
+	// A restored column without payloads replaces the live one.
+	st := col.ExportState()
+	st.Pays = nil
+	twin, err := core.ColumnFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,56 +242,66 @@ func TestCensusFollowsColumns(t *testing.T) {
 	}
 }
 
+// TestExportRestoreRoundTrip: a column's payload vectors ride its
+// exported state; the restored column brings them back, Adopt hands them
+// to another registry, and that side serves without gathering anything,
+// window for window like the live one. Adopt stamps them in their stored
+// least-recently-used-first order, so a tight budget evicts the right one.
 func TestExportRestoreRoundTrip(t *testing.T) {
 	ct, rows := buildTable(t, 3000, 8)
 	g := NewRegistry(DefaultBudget)
 	rng := rand.New(rand.NewSource(9))
 	for q := 0; q < 30; q++ {
 		lo := rng.Int63n(9000)
-		if _, ok := project(t, g, ct, lo, lo+700, "k", "a", "b"); !ok {
+		if _, ok := project(t, g, ct, lo, lo+700, "k", "b", "a"); !ok {
 			t.Fatalf("query %d declined", q)
 		}
 	}
+	if err := ct.AppendRows([][]int64{{42, 1, 2}, {9_999, 3, 4}}); err != nil { // pending, with payload values
+		t.Fatal(err)
+	}
 	col, _ := ct.Column("k")
-	ms := MapState{Table: "t", Key: "k"}
-	if ms.Keys, ms.OIDs, ms.Pays = col.ExportPayloads(); len(ms.Pays) != 2 {
-		t.Fatalf("exported %d payloads, want 2", len(ms.Pays))
+	st := col.ExportState()
+	if len(st.Pays) != 2 || st.Pays[0].Attr != "b" || len(st.Pays[0].Pend) != 2 {
+		t.Fatalf("exported payloads %+v, want b then a, each with 2 pending values", st.Pays)
 	}
 
 	// The twin: the same column state under its own wrapper and registry.
-	twinOf := func() (*core.CrackedTable, func(string) (*core.CrackedTable, bool)) {
+	twin := func(st core.ColumnState) (*core.CrackedTable, error) {
 		ct2 := core.NewCrackedTable(ct.Base())
-		col2, err := core.ColumnFromState(col.ExportState())
+		col2, err := core.ColumnFromState(st)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if err := ct2.ReplaceColumn("k", col2); err != nil {
-			t.Fatal(err)
-		}
-		return ct2, func(table string) (*core.CrackedTable, bool) { return ct2, table == "t" }
+		return ct2, ct2.ReplaceColumn("k", col2)
 	}
-	ct2, lookup := twinOf()
+	ct2, err := twin(st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g2 := NewRegistry(DefaultBudget)
-	g2.Restore([]MapState{ms}, lookup)
-	if st := g2.Snapshot(); st.Sets != 1 || st.Pays != 2 || st.Declines != 0 {
-		t.Fatalf("restored census = %d/%d with %d declines, want 1/2 and 0", st.Sets, st.Pays, st.Declines)
+	g2.Adopt(map[string]*core.CrackedTable{"t": ct2})
+	if st := g2.Snapshot(); st.Sets != 1 || st.Pays != 2 {
+		t.Fatalf("adopted census = %d/%d, want 1/2", st.Sets, st.Pays)
 	}
-	// The restored side serves without gathering anything, window for
-	// window like the live one.
+	rows = append(rows, []int64{42, 1, 2}, []int64{9_999, 3, 4})
 	for q := 0; q < 20; q++ {
 		lo := rng.Int63n(9000)
+		if q == 0 {
+			lo = 0 // folds the pending rows
+		}
 		r := incRange(lo, lo+700)
 		_, selA, _ := ct.SelectCopy(r)
 		_, selB, _ := ct2.SelectCopy(r)
-		a, okA := g.Project(ct, "t", r, []string{"k", "a"}, selA)
-		b, okB := g2.Project(ct2, "t", r, []string{"k", "a"}, selB)
+		a, okA := g.Project(ct, "t", r, []string{"k", "a", "b"}, selA)
+		b, okB := g2.Project(ct2, "t", r, []string{"k", "a", "b"}, selB)
 		if !okA || !okB {
 			t.Fatalf("query %d declined (live %v, restored %v)", q, okA, okB)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("query %d: restored registry diverges from live (window order)", q)
 		}
-		if got := sorted(asRows(b)); !reflect.DeepEqual(got, wantProjection(rows, lo, lo+700, 0, 1)) {
+		if got := sorted(asRows(b)); !reflect.DeepEqual(got, wantProjection(rows, lo, lo+700, 0, 1, 2)) {
 			t.Fatalf("query %d: restored projection diverges from oracle", q)
 		}
 	}
@@ -297,74 +309,33 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored registry gathered %d payload vectors, want 0", b)
 	}
 
-	// States that do not describe the column decline warmth for that map —
-	// counted, nothing installed, never an error.
-	bad := func(name string, mutate func(*MapState)) {
-		t.Helper()
-		st := ms
-		st.Keys = append([]int64(nil), ms.Keys...)
-		st.OIDs = append([]bat.OID(nil), ms.OIDs...)
-		mutate(&st)
-		_, lookup := twinOf()
-		g3 := NewRegistry(DefaultBudget)
-		g3.Restore([]MapState{st}, lookup)
-		if s := g3.Snapshot(); s.Pays != 0 || s.Declines != 1 {
-			t.Fatalf("%s: %d pays installed, %d declines; want 0 and 1", name, s.Pays, s.Declines)
-		}
+	// Stored least recently used first: under a budget of one, b goes.
+	ct3, err := twin(st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad("misaligned oid vector", func(st *MapState) { st.OIDs = st.OIDs[:len(st.OIDs)-1] })
-	bad("duplicate oid", func(st *MapState) { st.OIDs[0] = st.OIDs[1] })
-	bad("key that is not the column's", func(st *MapState) { st.Keys[7]++ })
-	bad("short payload", func(st *MapState) {
-		st.Pays = []PayState{{Attr: "a", Vals: ms.Pays[0].Vals[:10]}}
-	})
-	bad("unknown attribute", func(st *MapState) { st.Pays = []PayState{{Attr: "zz", Vals: ms.Pays[0].Vals}} })
-	bad("unknown key column", func(st *MapState) { st.Key = "a" })
-	bad("unknown table", func(st *MapState) { st.Table = "u" })
-}
-
-// TestRestoreAlignsByOID opens the map state an older image holds: written
-// when a map was a second cracker with a physical order of its own — here
-// base order, the spine of a map whose index was just reset — beside a
-// column the queries have long since permuted. Restore aligns the payloads
-// to the column through the OIDs.
-func TestRestoreAlignsByOID(t *testing.T) {
-	ct, rows := buildTable(t, 2500, 21)
-	rng := rand.New(rand.NewSource(22))
-	for q := 0; q < 40; q++ {
-		lo := rng.Int63n(9000)
-		if _, _, err := ct.SelectCopy(incRange(lo, lo+600)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := MapState{Table: "t", Key: "k", Pays: []PayState{{Attr: "b"}, {Attr: "a"}}}
-	for i, r := range rows {
-		st.Keys = append(st.Keys, r[0])
-		st.OIDs = append(st.OIDs, bat.OID(i))
-		st.Pays[0].Vals = append(st.Pays[0].Vals, r[2])
-		st.Pays[1].Vals = append(st.Pays[1].Vals, r[1])
-	}
-	g := NewRegistry(DefaultBudget)
-	g.Restore([]MapState{st}, func(string) (*core.CrackedTable, bool) { return ct, true })
-	for q := 0; q < 20; q++ {
-		lo := rng.Int63n(9000)
-		got, ok := project(t, g, ct, lo, lo+900, "a", "k", "b")
-		if !ok {
-			t.Fatalf("query %d declined", q)
-		}
-		if want := wantProjection(rows, lo, lo+900, 1, 0, 2); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: rows through the re-aligned payloads diverge from oracle", q)
-		}
-	}
-	if s := g.Snapshot(); s.Builds != 0 || s.Declines != 0 || s.Pays != 2 {
-		t.Fatalf("builds %d, declines %d, pays %d; want 0, 0, 2", s.Builds, s.Declines, s.Pays)
-	}
-	// Stored least recently used first: under a budget of one, "b" goes.
-	g.SetBudget(1)
-	col, _ := ct.Column("k")
-	if live := col.Payloads(); len(live) != 1 || live[0].Attr != "a" {
+	g3 := NewRegistry(1)
+	g3.Adopt(map[string]*core.CrackedTable{"t": ct3})
+	col3, _ := ct3.Column("k")
+	if live := col3.Payloads(); len(live) != 1 || live[0].Attr != "a" {
 		t.Fatalf("budget 1 kept %+v, want the most recently used payload a", live)
 	}
+
+	// States that do not describe the column are refused, never attached.
+	bad := func(name string, mutate func(*core.ColumnState)) {
+		t.Helper()
+		st := st
+		st.Pays = slices.Clone(st.Pays)
+		mutate(&st)
+		if _, err := twin(st); err == nil {
+			t.Fatalf("%s: restored", name)
+		}
+	}
+	bad("short payload", func(st *core.ColumnState) { st.Pays[0].Vals = st.Pays[0].Vals[:10] })
+	bad("payload missing its pending values", func(st *core.ColumnState) { st.Pays[1].Pend = nil })
+	bad("duplicate attribute", func(st *core.ColumnState) { st.Pays[1].Attr = st.Pays[0].Attr })
+	bad("the column's own attribute", func(st *core.ColumnState) { st.Pays[0].Attr = "k" })
+	bad("unknown attribute", func(st *core.ColumnState) { st.Pays[0].Attr = "zz" })
 }
 
 // TestConcurrentProjectObserve runs, on one key column under the race

@@ -90,7 +90,7 @@ func (s *Store) collect(e *obs.Exporter) {
 	sw := s.SidewaysStats()
 	e.Counter("crackdb_sideways_hits_total", "Projections served from sideways payload vectors.", sw.Projections)
 	e.Counter("crackdb_sideways_misses_total", "Projections that fell back to the base-table fetch.", sw.Fallbacks)
-	e.Counter("crackdb_sideways_declines_total", "Fallbacks the budget allowed but that were refused (stale selection, unknown attribute), plus stored maps a reopen could not align.", sw.Declines)
+	e.Counter("crackdb_sideways_declines_total", "Fallbacks the budget allowed but that were refused (stale selection, unknown attribute).", sw.Declines)
 	e.Counter("crackdb_sideways_evictions_total", "Payload vectors dropped by the LRU budget.", sw.Evictions)
 	e.Counter("crackdb_sideways_builds_total", "Payload vectors gathered from the base table.", sw.Builds)
 	e.Gauge("crackdb_sideways_live_maps", "Key columns carrying at least one sideways payload vector.", float64(sw.Sets))

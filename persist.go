@@ -11,14 +11,13 @@ import (
 	"crackdb/internal/core"
 	"crackdb/internal/durable"
 	"crackdb/internal/relation"
-	"crackdb/internal/sideways"
 	"crackdb/internal/strategy"
 )
 
 // Store persistence. A store is saved as a chain of image directories,
 // each holding one image file (internal/durable.Image: table manifest,
 // crack configuration, crack state — cut sets, cracked vectors, pending
-// updates, strategy RNG positions — sideways maps, tuner posture) plus
+// updates, strategy RNG positions, payload vectors — tuner posture) plus
 // one checksummed BAT file per column of every table whose data the
 // element rewrites. A full image is the chain of length zero: the element
 // that diffs against nothing, so it rewrites every table and carries
@@ -164,6 +163,7 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	touched := 0 // tables with new data, new tombstones or a carried column
 	for _, name := range names {
 		t := s.tables[name]
 		it := durable.ImageTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
@@ -177,7 +177,8 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 		it.DataDirty = !had || tm.gen != s.tableGen[name] ||
 			tm.rows != it.Rows || tm.cols != joinCols(it.Cols)
 		// New data or a new tombstone set carries every cracked column;
-		// otherwise only the columns whose fingerprint moved.
+		// otherwise only the columns whose fingerprint moved. A column's
+		// payload vectors ride in its record.
 		carryAll := it.DataDirty || tm.tombs != len(it.Deleted)
 		carried := carryAll
 		if ct != nil {
@@ -191,23 +192,16 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 					img.Columns = append(img.Columns, durable.ColumnSnapshot{
 						Table: name, Attr: attr, State: c.ExportState(),
 					})
-					// A map is carried iff its column is: payload
-					// vectors are aligned with the column's own order.
-					if keys, oids, pays := c.ExportPayloads(); len(pays) > 0 {
-						img.Sideways = append(img.Sideways, sideways.MapState{
-							Table: name, Key: attr, Keys: keys, OIDs: oids, Pays: pays,
-						})
-					}
 					carried = true
 				}
 			}
 		}
 		if carried {
-			img.Touched = append(img.Touched, name)
+			touched++
 		}
 		img.Tables = append(img.Tables, it)
 	}
-	if delta && len(img.Touched) == 0 && len(names) == len(against.tables) && img.Config == against.config {
+	if delta && touched == 0 && len(names) == len(against.tables) && img.Config == against.config {
 		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -241,8 +235,8 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 
 // Open loads a store from a full image directory plus, in order, the
 // delta elements written on top of it, reattaching every column's cut
-// set, cracked vectors, pending updates and strategy (with its RNG
-// position), the sideways maps and the tuner posture — the reopened
+// set, cracked vectors, pending updates, strategy (with its RNG
+// position) and payload vectors, and the tuner posture — the reopened
 // store resumes at converged per-query latency. Every link is checked:
 // the first element must be a base, each later one must name its
 // predecessor's checksum; a broken, missing or corrupt link refuses the
@@ -276,7 +270,7 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 				dir, img.PrevSum, prev)
 		}
 		if cold {
-			img.Columns, img.Sideways, img.Tuner = nil, nil, nil
+			img.Columns, img.Tuner = nil, nil
 		}
 		if err := s.applyImage(dir, img); err != nil {
 			return nil, err
@@ -293,9 +287,9 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 
 // applyImage folds one verified element into the store: drops tables
 // absent from the element's manifest, swaps in rewritten base data,
-// reconciles tombstones, replaces the crack state of every column the
-// element carries, and reattaches those columns' sideways maps. A base
-// element does all of that to an empty store.
+// reconciles tombstones, and replaces the crack state of every column the
+// element carries, payload vectors included. A base element does all of
+// that to an empty store.
 func (s *Store) applyImage(dir string, img *durable.Image) error {
 	// Strategy config first: SetCrackStrategy validates the name and
 	// takes s.mu itself.
@@ -374,22 +368,16 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 			}
 		}
 	}
-	lookup := func(table string) (*core.CrackedTable, bool) {
-		t, ok := s.tables[table]
-		if !ok {
-			return nil, false
-		}
-		ct, ok := s.cracked[table]
-		if !ok {
-			ct = s.newCrackedTableLocked(table, t)
-			s.cracked[table] = ct
-		}
-		return ct, true
-	}
+	withPays := make(map[string]*core.CrackedTable)
 	for _, cs := range img.Columns {
-		ct, ok := lookup(cs.Table)
+		t, ok := s.tables[cs.Table]
 		if !ok {
 			return fmt.Errorf("crackdb: crack state for unknown table %q", cs.Table)
+		}
+		ct, ok := s.cracked[cs.Table]
+		if !ok {
+			ct = s.newCrackedTableLocked(cs.Table, t)
+			s.cracked[cs.Table] = ct
 		}
 		// Each column record carries its own strategy state, and
 		// baseColumnOptions deliberately omits the store default — so a
@@ -409,11 +397,13 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 		if err := ct.ReplaceColumn(cs.Attr, col); err != nil {
 			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
 		}
+		if len(cs.State.Pays) > 0 {
+			withPays[cs.Table] = ct
+		}
 	}
-	// A replaced column took its payload vectors with it; the maps the
-	// element carries go onto the columns that replaced them, aligned by
-	// OID. Warmth that cannot be aligned is declined, not an error.
-	s.sideways.Restore(img.Sideways, lookup)
+	// A replaced column took its payload vectors with it and its successor
+	// brought its own: the budget takes them over.
+	s.sideways.Adopt(withPays)
 	// Tuner posture is a full copy per element (the latest wins) and
 	// parks in pendingTuner until EnableAutotune adopts it — the flag is
 	// a runtime choice, not part of the image.
