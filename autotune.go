@@ -71,7 +71,7 @@ func (s *Store) ForceStrategy(table, col, name string) error {
 	if err != nil {
 		return err
 	}
-	ct, _, err := s.crackedFor(table)
+	ct, _, err := s.crackedFor(table, col)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,11 @@
 package crackdb
 
+import "crackdb/internal/core"
+
 // Rows is the result surface every Backend implementation returns from a
-// selection: a qualifying-tuple count plus attribute fetch. *Result
-// satisfies it for a single store, internal/shard's merged result for a
-// partitioned one.
+// selection: a qualifying-tuple count plus attribute fetch. A Backend's
+// Rows come back in the canonical order core.SortRows defines — what a
+// router's merge yields — so a statement answers alike on every backend.
 type Rows interface {
 	Count() int
 	Rows(cols ...string) ([][]int64, error)
@@ -18,7 +20,8 @@ type Rows interface {
 // is no cluster-wide Backend to speak.
 //
 // Every query method doubles as cracking advice on whichever physical
-// store answers it; implementations must be safe for concurrent use.
+// store answers it; implementations must be safe for concurrent use, and
+// must answer a failed call with the single store's error text.
 type Backend interface {
 	// Schema and mutation. Delete removes the tuples matching the
 	// conjunction (all tuples when empty) and reports how many went.
@@ -48,35 +51,39 @@ type Backend interface {
 	Columns(table string) ([]string, error)
 }
 
-// Backend adapts the store to the Backend interface. The only mismatches
-// are variance: Select/SelectWhere/SelectBatch return the concrete
-// *Result on *Store so local callers keep Values/OIDs/WriteTo, while the
-// interface deals in Rows.
+// Backend adapts the store to the Backend interface. The mismatches are
+// variance — Select/SelectWhere/SelectBatch return the concrete *Result
+// on *Store so local callers keep Values/OIDs/WriteTo, while the
+// interface deals in Rows — and *Result.Rows' physical order.
 func (s *Store) Backend() Backend { return storeBackend{s} }
 
 type storeBackend struct {
 	*Store
 }
 
-// Unwrap exposes the underlying store — how sql.Engine.Store recovers
-// the store-only surfaces (stats, lineage, persistence) from an engine
-// built over a single local store.
-func (b storeBackend) Unwrap() *Store { return b.Store }
+// canonical is a *Result whose Rows come back in canonical order.
+type canonical struct{ *Result }
 
-func (b storeBackend) Select(table, col string, low, high int64) (Rows, error) {
-	r, err := b.Store.Select(table, col, low, high)
+func (r canonical) Rows(cols ...string) ([][]int64, error) {
+	rows, err := r.Result.Rows(cols...)
+	core.SortRows(rows)
+	return rows, err
+}
+
+// canonicalOf is a store's selection as its Backend answers it.
+func canonicalOf(r *Result, err error) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return canonical{r}, nil
+}
+
+func (b storeBackend) Select(table, col string, low, high int64) (Rows, error) {
+	return canonicalOf(b.Store.Select(table, col, low, high))
 }
 
 func (b storeBackend) SelectWhere(table string, conds ...Cond) (Rows, error) {
-	r, err := b.Store.SelectWhere(table, conds...)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return canonicalOf(b.Store.SelectWhere(table, conds...))
 }
 
 func (b storeBackend) SelectBatch(table, col string, ranges []Range, opts ...BatchOption) ([]Rows, error) {
@@ -86,7 +93,7 @@ func (b storeBackend) SelectBatch(table, col string, ranges []Range, opts ...Bat
 	}
 	out := make([]Rows, len(rs))
 	for i, r := range rs {
-		out[i] = r
+		out[i] = canonical{r}
 	}
 	return out, nil
 }

@@ -43,7 +43,7 @@ func (s *Store) SelectBatch(table, col string, ranges []Range, opts ...BatchOpti
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ct, t, err := s.crackedFor(table)
+	ct, t, err := s.crackedFor(table, col)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func (s *Store) CountBatch(table, col string, ranges []Range, opts ...BatchOptio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ct, _, err := s.crackedFor(table)
+	ct, _, err := s.crackedFor(table, col)
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ package crackdb
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -165,10 +166,15 @@ func (s *Store) FetchedTuples(table string) (int64, error) {
 	return ct.FetchedTuples(), nil
 }
 
-// CreateTable registers an empty integer table.
+// CreateTable registers an empty integer table with distinct column names.
 func (s *Store) CreateTable(name string, cols ...string) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("crackdb: table %q needs at least one column", name)
+	}
+	for i, c := range cols {
+		if slices.Contains(cols[:i], c) {
+			return fmt.Errorf("crackdb: table %q has duplicate column %q", name, c)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,17 +294,20 @@ func (s *Store) Columns(name string) ([]string, error) {
 	return t.ColumnNames(), nil
 }
 
-// crackedFor returns (creating on demand) the cracked wrapper of a table.
-// The steady state — both maps already populated — is two read-locked
-// lookups; only the first query against a table takes the write lock to
-// install the wrapper.
-func (s *Store) crackedFor(name string) (*core.CrackedTable, *relation.Table, error) {
+// crackedFor returns (creating on demand) the cracked wrapper of a table
+// that has the columns named. The steady state — both maps already
+// populated — is two read-locked lookups; only the first query against a
+// table takes the write lock to install the wrapper.
+func (s *Store) crackedFor(name string, cols ...string) (*core.CrackedTable, *relation.Table, error) {
 	s.mu.RLock()
 	t, ok := s.tables[name]
 	ct, haveCT := s.cracked[name]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, nil, fmt.Errorf("crackdb: table %q does not exist", name)
+	}
+	if err := hasColumns(t, cols...); err != nil {
+		return nil, nil, err
 	}
 	if haveCT {
 		return ct, t, nil
@@ -314,6 +323,16 @@ func (s *Store) crackedFor(name string) (*core.CrackedTable, *relation.Table, er
 		s.cracked[name] = ct
 	}
 	return ct, t, nil
+}
+
+// hasColumns refuses a column table t lacks, in every entry point's words.
+func hasColumns(t *relation.Table, cols ...string) error {
+	for _, c := range cols {
+		if !t.HasColumn(c) {
+			return fmt.Errorf("crackdb: table %q has no column %q", t.Name, c)
+		}
+	}
+	return nil
 }
 
 // currentCracked returns the live cracked wrapper of a table, or nil.
@@ -375,7 +394,7 @@ func (s *Store) columnOptions() []core.Option {
 // the column as a side effect. The result references the store; use
 // Rows, Values, Count, WriteTo or Materialize to consume it.
 func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
-	ct, t, err := s.crackedFor(table)
+	ct, t, err := s.crackedFor(table, col)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +411,7 @@ func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
 // It routes through the same single-entry count path CountBatch uses —
 // one registry resolution, no View or Result construction.
 func (s *Store) Count(table, col string, low, high int64) (int, error) {
-	ct, _, err := s.crackedFor(table)
+	ct, _, err := s.crackedFor(table, col)
 	if err != nil {
 		return 0, err
 	}
@@ -443,6 +462,9 @@ func (r *Result) Values() []int64 { return r.vals }
 // from the base table through the OIDs. Either way the vectors are
 // zipped into rows once.
 func (r *Result) Rows(cols ...string) ([][]int64, error) {
+	if err := hasColumns(r.table, cols...); err != nil {
+		return nil, err
+	}
 	// The sideways budget tracks tables by name, so only the table's live
 	// wrapper may feed it: a stale Result — its table dropped (and
 	// possibly recreated) since the Select — must not have payloads built

@@ -154,37 +154,6 @@ func TestResultMaterialize(t *testing.T) {
 	}
 }
 
-func TestSelectMatchesNaiveScan(t *testing.T) {
-	s := newEventStore(t, 3000)
-	rng := rand.New(rand.NewSource(2))
-	// Reference copy of the reading column, rebuilt from Rows on the full
-	// range.
-	full, err := s.Select("events", "reading", 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := append([]int64(nil), full.Values()...)
-	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-
-	for q := 0; q < 30; q++ {
-		lo := rng.Int63n(900)
-		hi := lo + rng.Int63n(150)
-		res, err := s.Select("events", "reading", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, v := range ref {
-			if v >= lo && v <= hi {
-				want++
-			}
-		}
-		if res.Count() != want {
-			t.Fatalf("query %d [%d,%d]: %d tuples, want %d", q, lo, hi, res.Count(), want)
-		}
-	}
-}
-
 func TestErrorsSurfaceCleanly(t *testing.T) {
 	s := New()
 	if err := s.CreateTable("t"); err == nil {
@@ -456,37 +425,6 @@ func TestMaxPiecesFusion(t *testing.T) {
 	}
 	if st.Fusions == 0 {
 		t.Fatal("no fusions under a tight budget")
-	}
-}
-
-func TestSaveOpenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := newEventStore(t, 250)
-	if _, err := s.Select("events", "reading", 0, 100); err != nil { // cracked state must not break Save
-		t.Fatal(err)
-	}
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := got.NumRows("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 250 {
-		t.Fatalf("reopened rows = %d", n)
-	}
-	// Query answers survive the round trip.
-	a, _ := s.Count("events", "reading", 100, 300)
-	b, err := got.Count("events", "reading", 100, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("counts diverge after reopen: %d vs %d", a, b)
 	}
 }
 

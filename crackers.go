@@ -23,7 +23,7 @@ type GroupInfo struct {
 // value-ordered, so subsequent range queries on it are pure index
 // lookups.
 func (s *Store) GroupBy(table, col string) ([]GroupInfo, error) {
-	ct, _, err := s.crackedFor(table)
+	ct, _, err := s.crackedFor(table, col)
 	if err != nil {
 		return nil, err
 	}
@@ -51,11 +51,11 @@ type SemijoinInfo struct {
 // counts are the piece sizes (P1 = R⋉S, P2 = R∖(R⋉S), P3 = S⋉R,
 // P4 = S∖(S⋉R)).
 func (s *Store) SemijoinSplit(tableR, colR, tableS, colS string) (SemijoinInfo, error) {
-	ctR, _, err := s.crackedFor(tableR)
+	ctR, _, err := s.crackedFor(tableR, colR)
 	if err != nil {
 		return SemijoinInfo{}, err
 	}
-	ctS, _, err := s.crackedFor(tableS)
+	ctS, _, err := s.crackedFor(tableS, colS)
 	if err != nil {
 		return SemijoinInfo{}, err
 	}
@@ -137,7 +137,7 @@ func (s *Store) Reunite(newName, head, rest string, cols ...string) error {
 // Lineage renders the cracker lineage DAG of a column (the paper's
 // Figure 5 / Figure 6 administration) as an indented tree.
 func (s *Store) Lineage(table, col string) (string, error) {
-	ct, _, err := s.crackedFor(table)
+	ct, _, err := s.crackedFor(table, col)
 	if err != nil {
 		return "", err
 	}
@@ -206,7 +206,7 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 // The obs layer's restarts_total / store_uptime_seconds mark the
 // discontinuity for rate computations.
 func (s *Store) Stats(table, col string) (ColumnStats, error) {
-	ct, _, err := s.crackedFor(table)
+	ct, _, err := s.crackedFor(table, col)
 	if err != nil {
 		return ColumnStats{}, err
 	}

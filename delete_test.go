@@ -1,24 +1,12 @@
 package crackdb
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"crackdb/internal/core"
 	"crackdb/internal/relation"
 )
-
-// brute counts live rows matching low <= reading <= high by full scan —
-// the oracle the cracked paths are checked against.
-func bruteCount(t *testing.T, s *Store, table, col string, low, high int64) int {
-	t.Helper()
-	res, err := s.SelectWhere(table, Cond{Col: col, Op: ">=", Val: low}, Cond{Col: col, Op: "<=", Val: high})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Count()
-}
 
 func TestDeleteBasic(t *testing.T) {
 	s := newEventStore(t, 2000)
@@ -105,47 +93,6 @@ func TestDeleteEmptyConjunctionClearsTable(t *testing.T) {
 	}
 	if got, _ := s.NumRows("events"); got != 0 {
 		t.Fatalf("NumRows = %d after full delete", got)
-	}
-}
-
-func TestDeleteWarmRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "img")
-	s := newEventStore(t, 1500)
-	if _, err := s.Select("events", "reading", 200, 600); err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.Delete("events", Cond{Col: "reading", Op: "<", Val: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveTotal := bruteCount(t, s, "events", "reading", 0, 999)
-	if liveTotal != 1500-n {
-		t.Fatalf("live total %d, want %d", liveTotal, 1500-n)
-	}
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := re.NumRows("events"); got != 1500-n {
-		t.Fatalf("reopened NumRows = %d, want %d", got, 1500-n)
-	}
-	if got := bruteCount(t, re, "events", "reading", 0, 99); got != 0 {
-		t.Fatalf("reopened store resurrects %d deleted rows", got)
-	}
-	if got := bruteCount(t, re, "events", "reading", 0, 999); got != 1500-n {
-		t.Fatalf("reopened live total %d, want %d", got, 1500-n)
-	}
-	// A cold open of the same image keeps the tombstones too.
-	cold, err := OpenCold(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := cold.NumRows("events"); got != 1500-n {
-		t.Fatalf("cold reopened NumRows = %d, want %d", got, 1500-n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/oracle"
 	"crackdb/internal/sql"
 )
 
@@ -51,35 +52,13 @@ func TestSQLLevelCrackingScript(t *testing.T) {
 	}
 }
 
-// TestSQLAggregationOverCrackedStore drives GROUP BY through SQL and
-// cross-checks against the Ω cracker's group counts.
+// TestSQLAggregationOverCrackedStore: SQL's GROUP BY — the Ω cracker's
+// fast path — and the store's GroupBy give the model's group counts
+// through inserts and deletes.
 func TestSQLAggregationOverCrackedStore(t *testing.T) {
-	store := crackdb.New()
-	eng := sql.NewEngine(store)
-	store.CreateTable("events", "sensor", "value")
-	rng := rand.New(rand.NewSource(17))
-	var rows [][]int64
-	for i := 0; i < 3000; i++ {
-		rows = append(rows, []int64{rng.Int63n(8), rng.Int63n(100)})
-	}
-	store.InsertRows("events", rows)
-
-	rs, err := eng.Exec("SELECT sensor, COUNT(*) FROM events GROUP BY sensor ORDER BY sensor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, err := store.GroupBy("events", "sensor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rows) != len(groups) {
-		t.Fatalf("SQL found %d groups, Ω cracker %d", len(rs.Rows), len(groups))
-	}
-	for i, g := range groups {
-		if rs.Rows[i][0] != g.Value || rs.Rows[i][1] != int64(g.Count) {
-			t.Fatalf("group %d: SQL %v vs Ω %+v", i, rs.Rows[i], g)
-		}
-	}
+	oracle.Run(t, oracle.New(oracle.Config{Seed: 17, Ops: 40, Load: 3000, Domain: 3000, MaxBatch: 100,
+		Mix: oracle.Mix{oracle.Group: 3, oracle.Insert: 1, oracle.Delete: 1}}),
+		nil, oracle.Single(crackdb.New()), oracle.Engine("sql over a store", crackdb.New().Backend()))
 }
 
 // TestConcurrentStoreUsage hammers one store from several goroutines

@@ -1,0 +1,321 @@
+package oracle
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"crackdb"
+	"crackdb/internal/core"
+	"crackdb/internal/shard"
+	"crackdb/internal/sql"
+)
+
+// A Posture applies ops to one backend the way some caller would, and
+// spells each answer the way Model.Do does. ok is false for an op the
+// posture cannot express — a bad operator through SQL, a held result
+// over the wire — which it skips rather than answering something else.
+type Posture interface {
+	Name() string
+	Do(op Op) (answer string, ok bool)
+}
+
+// Run draws ops from g until it ends, answers each on the model and on
+// every posture, and fails t at the first answer that differs from the
+// model's. It returns the model, which a later Run may go on with.
+func Run(t testing.TB, g *Gen, m *Model, ps ...Posture) *Model {
+	t.Helper()
+	if m == nil {
+		m = NewModel()
+	}
+	for i := 0; ; i++ {
+		op, ok := g.Next(m)
+		if !ok {
+			return m
+		}
+		want, check := m.Do(op)
+		for _, p := range ps {
+			if got, ok := p.Do(op); ok && check && got != want {
+				t.Fatalf("op %d: %v\n%s answered:\n%.600s\nthe model answers:\n%.600s", i, op, p.Name(), got, want)
+			}
+		}
+	}
+}
+
+// Backend is the posture of a store or a router, called through
+// crackdb.Backend, whose row sets must come back canonical. A store's
+// Fetch reaches Store.Select and its payload vectors through the same
+// adapter.
+type Backend struct {
+	Store  *crackdb.Store // nil for a router; a reboot replaces it
+	Router *shard.Store   // nil for a store; a reboot replaces it
+	// Dir, when set, makes Reboot save a store there and open it again
+	// (Save and Open, cracksql's path), or checkpoint a router opened
+	// durable on Dir and boot it from its delta chain.
+	Dir  string
+	held []crackdb.Rows
+}
+
+// Single is the posture of a store.
+func Single(s *crackdb.Store) *Backend { return &Backend{Store: s} }
+
+// Router is the posture of a router.
+func Router(r *shard.Store) *Backend { return &Backend{Router: r} }
+
+func (p *Backend) Name() string {
+	if p.Router != nil {
+		return fmt.Sprintf("router of %d shards", p.Router.ShardCount())
+	}
+	return "store"
+}
+
+func (p *Backend) Do(op Op) (string, bool) {
+	var b crackdb.Backend = p.Router
+	if p.Router == nil {
+		b = p.Store.Backend()
+	}
+	ans, err := "ok", error(nil)
+	count := func(n int, e error) { ans, err = fmt.Sprintf("count %d", n), e }
+	rows := func(rs []crackdb.Rows, e error) {
+		if err = e; e == nil {
+			ans, err = rowSets(rs, op.Cols)
+		}
+	}
+	switch op.Kind {
+	case Create:
+		err = b.CreateTable(op.Table, op.Cols...)
+	case Drop:
+		err = b.DropTable(op.Table)
+	case Insert:
+		err = b.InsertRows(op.Table, op.Rows)
+	case Delete:
+		n, e := b.Delete(op.Table, op.Conds...)
+		ans, err = fmt.Sprintf("deleted %d", n), e
+	case Count:
+		if op.Col == "" {
+			count(b.CountWhere(op.Table, op.Conds...))
+		} else {
+			count(b.Count(op.Table, op.Col, op.Ranges[0].Low, op.Ranges[0].High))
+		}
+	case Select:
+		r, e := b.SelectWhere(op.Table, op.Conds...)
+		rows([]crackdb.Rows{r}, e)
+	case Fetch:
+		r, e := b.Select(op.Table, op.Col, op.Ranges[0].Low, op.Ranges[0].High)
+		if e == nil {
+			p.held = append(p.held, r)
+		}
+		rows([]crackdb.Rows{r}, e)
+	case Refetch:
+		rows(p.held[op.Held:op.Held+1], nil)
+	case CountBatch:
+		ns, e := b.CountBatch(op.Table, op.Col, op.Ranges)
+		ans, err = counts(ns), e
+	case SelectBatch:
+		rows(b.SelectBatch(op.Table, op.Col, op.Ranges))
+	case Group:
+		gs, e := b.GroupBy(op.Table, op.Col)
+		groups := make([][]int64, len(gs))
+		for i, g := range gs {
+			groups[i] = []int64{g.Value, int64(g.Count)}
+		}
+		ans, err = render(groups), e
+	case Flip:
+		flip(b, op)
+	case Reboot:
+		if p.Dir == "" {
+			return "", false
+		}
+		err = p.reboot()
+	}
+	return answer(ans, err), true
+}
+
+// reboot saves the store, or checkpoints the router, and opens it again
+// from disk.
+func (p *Backend) reboot() (err error) {
+	if p.Router == nil {
+		if err = p.Store.Save(p.Dir); err == nil {
+			p.Store, err = crackdb.Open(p.Dir)
+		}
+		return err
+	}
+	if _, err = p.Router.Checkpoint(false); err == nil {
+		err = p.Router.CloseWAL()
+	}
+	if err == nil {
+		p.Router, _, err = shard.OpenDurable(p.Dir, shard.Options{})
+	}
+	return err
+}
+
+// answer is ans, or the error's text when the call failed.
+func answer(ans string, err error) string {
+	if err != nil {
+		return "err " + err.Error()
+	}
+	return ans
+}
+
+// physical is a store's own Result, whose rows come back in crack order
+// until the ordered posture sorts them.
+type physical struct{ *crackdb.Result }
+
+func (r physical) Rows(cols ...string) ([][]int64, error) {
+	rows, err := r.Result.Rows(cols...)
+	core.SortRows(rows)
+	return rows, err
+}
+
+// flip forces a strategy on a column, or releases it, where autotune
+// runs; elsewhere it sets the strategy of columns cracked later. Errors
+// are dropped: no answer depends on a flip, so none is compared.
+func flip(b any, op Op) {
+	st, ok := b.(interface {
+		ForceStrategy(table, col, name string) error
+		ReleaseStrategy(table, col string) error
+		SetCrackStrategy(name string, seed int64) error
+	})
+	switch {
+	case !ok:
+	case op.Name == "":
+		_ = st.ReleaseStrategy(op.Table, op.Col)
+	case st.ForceStrategy(op.Table, op.Col, op.Name) != nil:
+		_ = st.SetCrackStrategy(op.Name, 7)
+	}
+}
+
+func rowSets(rs []crackdb.Rows, cols []string) (string, error) {
+	answers := make([]string, len(rs))
+	for i, r := range rs {
+		rows, err := r.Rows(cols...)
+		if err == nil && r.Count() != len(rows) {
+			err = fmt.Errorf("Count is %d, Rows returns %d", r.Count(), len(rows))
+		}
+		if err != nil {
+			return "", err
+		}
+		answers[i] = render(rows)
+	}
+	return strings.Join(answers, batchSep), nil
+}
+
+func counts(ns []int) string {
+	answers := make([]string, len(ns))
+	for i, n := range ns {
+		answers[i] = fmt.Sprintf("count %d", n)
+	}
+	return strings.Join(answers, batchSep)
+}
+
+// Ordered is the batch ≡ sequential posture: two stores built alike see
+// every op, but a batch runs with PreserveOrder on Batched while Twin
+// answers its ranges one by one. Submission order makes the batch's
+// physical side effects those of the sequential queries, so the two must
+// agree value for value and OID for OID, in physical order.
+type Ordered struct{ Batched, Twin *Backend }
+
+func (p Ordered) Name() string { return "ordered batch" }
+
+func (p Ordered) Do(op Op) (string, bool) {
+	if op.Kind != CountBatch && op.Kind != SelectBatch {
+		ans, ok := p.Batched.Do(op)
+		if twin, _ := p.Twin.Do(op); twin != ans {
+			return "the twin answers " + twin, true
+		}
+		return ans, ok
+	}
+	b, tw := p.Batched.Store, p.Twin.Store
+	if op.Kind == CountBatch {
+		ns, err := b.CountBatch(op.Table, op.Col, op.Ranges, crackdb.PreserveOrder())
+		for i, r := range op.Ranges {
+			if n, _ := tw.Count(op.Table, op.Col, r.Low, r.High); err == nil && n != ns[i] {
+				return fmt.Sprintf("range %d: the batch counts %d, the twin %d", i, ns[i], n), true
+			}
+		}
+		return answer(counts(ns), err), true
+	}
+	rs, err := b.SelectBatch(op.Table, op.Col, op.Ranges, crackdb.PreserveOrder())
+	bat, seq := make([]crackdb.Rows, len(rs)), make([]crackdb.Rows, len(rs))
+	for i, r := range rs {
+		s, _ := tw.Select(op.Table, op.Col, op.Ranges[i].Low, op.Ranges[i].High)
+		if !slices.Equal(s.Values(), r.Values()) || !slices.Equal(s.OIDs(), r.OIDs()) {
+			return fmt.Sprintf("range %d: the batch's physical order is not the twin's", i), true
+		}
+		bat[i], seq[i] = physical{r}, physical{s}
+	}
+	if err != nil {
+		return answer("", err), true
+	}
+	// Both project, in one order: a projection may crack as well.
+	ans, err := rowSets(bat, op.Cols)
+	if twin, _ := rowSets(seq, op.Cols); twin != ans {
+		return "the twin projects " + twin, true
+	}
+	return answer(ans, err), true
+}
+
+// SQL is the posture of a SQL front end: an op becomes statements, and
+// Exec returns one Reply per statement. Engine builds one over a
+// sql.Engine; a wire client fits the same Exec.
+type SQL struct {
+	Label  string
+	Exec   func(stmts ...string) []Reply
+	Reboot func() error    // nil: the posture skips reboots
+	B      crackdb.Backend // nil: the posture skips flips
+}
+
+// Reply is one statement's rows, message or error text.
+type Reply struct {
+	Rows     [][]int64
+	Msg, Err string
+}
+
+// Engine is the posture of a sql.Engine over b.
+func Engine(label string, b crackdb.Backend) *SQL {
+	e := sql.NewEngineOn(b)
+	return &SQL{Label: label, B: b, Exec: func(stmts ...string) []Reply {
+		out := make([]Reply, len(stmts))
+		for i, s := range stmts {
+			if rs, err := e.Exec(s); err != nil {
+				out[i].Err = err.Error()
+			} else {
+				out[i] = Reply{Rows: rs.Rows, Msg: rs.Message}
+			}
+		}
+		return out
+	}}
+}
+
+func (p *SQL) Name() string { return p.Label }
+
+func (p *SQL) Do(op Op) (string, bool) {
+	switch {
+	case op.Kind == Flip:
+		flip(p.B, op)
+		return "", false
+	case op.Kind == Reboot && p.Reboot != nil:
+		return answer("ok", p.Reboot()), true
+	}
+	stmts, ok := op.statements()
+	if !ok {
+		return "", false
+	}
+	answers := make([]string, len(stmts))
+	for i, r := range p.Exec(stmts...) {
+		switch f := strings.Fields(r.Msg); {
+		case r.Err != "":
+			return "err " + r.Err, true
+		case op.Kind == Delete && len(f) > 1: // "deleted N rows from t"
+			answers[i] = "deleted " + f[1]
+		case op.Kind.counts():
+			answers[i] = fmt.Sprintf("count %d", r.Rows[0][0])
+		case r.Msg != "":
+			answers[i] = "ok"
+		default:
+			answers[i] = render(r.Rows)
+		}
+	}
+	return strings.Join(answers, batchSep), true
+}

@@ -192,7 +192,6 @@ func (s *Server) replStatusMeta([]string) (*Response, bool) {
 	kv("shards", strconv.Itoa(opts.Shards))
 	kv("kind", string(opts.Kind))
 	kv("domain", fmt.Sprintf("%d %d", opts.Domain[0], opts.Domain[1]))
-	kv("static_bounds", strconv.FormatBool(opts.StaticRangeBounds))
 	if w := s.store.WAL(); w != nil {
 		st := w.Status()
 		frontier, _ := w.CommitSignal()

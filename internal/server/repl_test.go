@@ -2,14 +2,16 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"crackdb/internal/oracle"
 	"crackdb/internal/shard"
+	"crackdb/internal/strategy"
 )
 
 // startFollowerServer boots a follower of primary in dir and serves it
@@ -92,88 +94,139 @@ func primaryNext(t *testing.T, st *shard.Store) uint64 {
 	return w.Seq()
 }
 
-// TestReplicationOracle drives interleaved inserts, deletes and selects
-// at a primary while a follower replicates, under every crack strategy.
-// After each fence the follower must hold the byte-identical live row
-// set — crack order and physical organization may differ, the logical
-// contents may not. Mid-stream the follower is killed (no clean
-// shutdown of the pull loop's store) and restarted from its data dir,
-// and must catch up from its own fsynced log frontier.
+// replica is a primary and its follower as one posture: writes go to
+// the primary, and a read is answered by the primary on a synchronous
+// client and by the follower — after Topology.Fence — on a pipelined one
+// (so the server folds runs of counts into CountBatch), which must agree.
+// A reboot stops the follower. The next read checkpoints the primary,
+// which rotates the writes the follower missed into the archive, then
+// restarts the follower from its data dir to catch up from there.
+type replica struct {
+	t                  *testing.T
+	pAddr, fAddr, fDir string
+	pc, fc             *Client
+	follower           *Follower
+	stop               func() // nil while the follower is down
+	dirty              bool   // writes since the last fence
+	rebooted           bool   // the follower is down for a reboot
+	missed             int    // writes made while it was
+}
+
+func (r *replica) start() {
+	if r.rebooted {
+		if resp, err := r.pc.Do("/save"); err != nil {
+			r.t.Fatal(err)
+		} else if resp.Err != "" {
+			r.t.Fatalf("/save: %s", resp.Err)
+		}
+		r.rebooted = false
+	}
+	r.fAddr, r.follower, r.stop = startFollowerServer(r.t, r.pAddr, r.fDir)
+	var err error
+	if r.fc, err = Dial(r.fAddr); err != nil {
+		r.t.Fatal(err)
+	}
+	r.dirty = true
+}
+
+func (r *replica) down() {
+	if r.stop != nil {
+		r.fc.Close()
+		r.stop()
+		r.stop = nil
+	}
+}
+
+func (r *replica) exec(stmts ...string) []oracle.Reply {
+	if !readOnlyStmt(stmts[0]) {
+		out := wireReplies(r.t, r.pc, false, stmts)
+		if r.rebooted && out[0].Err == "" {
+			r.missed++
+		}
+		r.dirty = true
+		return out
+	}
+	if r.stop == nil {
+		r.start()
+	}
+	if r.dirty {
+		if err := (Topology{Primary: r.pAddr, Followers: []string{r.fAddr}}).Fence(10 * time.Second); err != nil {
+			r.t.Fatal(err)
+		}
+		r.dirty = false
+	}
+	p, f := wireReplies(r.t, r.pc, false, stmts), wireReplies(r.t, r.fc, true, stmts)
+	if !reflect.DeepEqual(p, f) {
+		return []oracle.Reply{{Err: fmt.Sprintf("the primary answers %v, the follower %v", p, f)}}
+	}
+	return p
+}
+
+func (r *replica) reboot() error {
+	r.down()
+	r.rebooted = true
+	return nil
+}
+
+// wireReplies sends stmts on c, one by one or pipelined in one flush.
+func wireReplies(t *testing.T, c *Client, pipelined bool, stmts []string) []oracle.Reply {
+	t.Helper()
+	resps := make([]*Response, len(stmts))
+	var err error
+	if pipelined {
+		resps, err = c.DoBatch(stmts)
+	}
+	for i := 0; !pipelined && err == nil && i < len(stmts); i++ {
+		resps[i], err = c.Do(stmts[i])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]oracle.Reply, len(resps))
+	for i, resp := range resps {
+		out[i] = oracle.Reply{Msg: resp.Message, Err: resp.Err, Rows: make([][]int64, len(resp.Rows))}
+		for j, row := range resp.Rows {
+			out[i].Rows[j] = make([]int64, len(row))
+			for k := range row {
+				if out[i].Rows[j][k], err = resp.Int64(j, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestReplicationOracle: under every crack strategy, a primary and its
+// follower — each cracking under its own reads — answer the model alike,
+// the follower read after a fence, through inserts, deletes, a follower
+// outage across a checkpoint and a restart. Then a trickle of small
+// inserts into the converged key column must fold by ripple on both.
 func TestReplicationOracle(t *testing.T) {
-	for _, strat := range []string{"standard", "ddc", "ddr", "mdd1r"} {
+	for _, strat := range strategy.Names() {
 		t.Run(strat, func(t *testing.T) {
 			pAddr, pStore, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
 			defer pStop()
-			pc, err := Dial(pAddr)
-			if err != nil {
+			r := &replica{t: t, pAddr: pAddr, fDir: t.TempDir()}
+			var err error
+			if r.pc, err = Dial(pAddr); err != nil {
 				t.Fatal(err)
 			}
-			defer pc.Close()
-
-			if strat != "standard" {
-				if resp, _ := pc.Do(fmt.Sprintf("/strategy %s 7", strat)); resp.Err != "" {
-					t.Fatalf("/strategy: %s", resp.Err)
-				}
+			defer r.pc.Close()
+			if resp, _ := r.pc.Do(fmt.Sprintf("/strategy %s 7", strat)); resp.Err != "" {
+				t.Fatalf("/strategy: %s", resp.Err)
 			}
-			if resp, _ := pc.Do("CREATE TABLE t (k, v)"); resp.Err != "" {
-				t.Fatalf("create: %s", resp.Err)
+			defer r.down()
+			p := &oracle.SQL{Label: "replicas", Exec: r.exec, Reboot: r.reboot}
+			m := oracle.Run(t, oracle.New(oracle.Config{Seed: 2, Ops: 50, Load: 2000, Domain: 100_000, MaxBatch: 400, Bad: 10,
+				Mix: oracle.Mix{oracle.Insert: 2, oracle.Delete: 1, oracle.Count: 4, oracle.CountBatch: 1, oracle.Select: 1, oracle.Reboot: 1}}),
+				nil, p)
+			if r.missed == 0 {
+				t.Fatal("no write landed while the follower was down: it never caught up across a checkpoint")
 			}
-
-			fDir := t.TempDir()
-			fAddr, follower, fStop := startFollowerServer(t, pAddr, fDir)
-			// The follower selects below need the replicated table first.
-			fence(t, fAddr, primaryNext(t, pStore))
-
-			rng := rand.New(rand.NewSource(11))
-			insertBatch := func(n int) {
-				var b strings.Builder
-				b.WriteString("INSERT INTO t VALUES ")
-				for i := 0; i < n; i++ {
-					if i > 0 {
-						b.WriteByte(',')
-					}
-					fmt.Fprintf(&b, "(%d, %d)", rng.Int63n(100000), rng.Int63n(1000))
-				}
-				if resp, err := pc.Exec(b.String()); err != nil {
-					t.Fatal(err)
-				} else if resp.Err != "" {
-					t.Fatalf("insert: %s", resp.Err)
-				}
+			if r.stop == nil {
+				r.start()
 			}
-
-			fc, err := Dial(fAddr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Phase 1: inserts + selects on both sides (each replica cracks
-			// under its own load), deletes interleaved.
-			for round := 0; round < 5; round++ {
-				insertBatch(400)
-				lo := rng.Int63n(90000)
-				if resp, _ := pc.Do(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE k >= %d AND k <= %d", lo, lo+5000)); resp.Err != "" {
-					t.Fatalf("primary select: %s", resp.Err)
-				}
-				if resp, _ := fc.Do(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE v >= %d AND v <= %d", lo%1000, lo%1000+50)); resp.Err != "" {
-					t.Fatalf("follower select: %s", resp.Err)
-				}
-				if round%2 == 1 {
-					dlo := rng.Int63n(900)
-					if resp, _ := pc.Do(fmt.Sprintf("DELETE FROM t WHERE v >= %d AND v <= %d", dlo, dlo+20)); resp.Err != "" {
-						t.Fatalf("delete: %s", resp.Err)
-					}
-				}
-			}
-			fence(t, fAddr, primaryNext(t, pStore))
-			if p, f := dumpSorted(t, pAddr, "t"), dumpSorted(t, fAddr, "t"); !equalLines(p, f) {
-				t.Fatalf("replica diverged after phase 1: primary %d rows, follower %d rows", len(p), len(f))
-			}
-
-			// Phase 2: an insert-heavy trickle on a converged key column —
-			// small batches between counts, so every statement that follows
-			// a batch folds it into a cracked column on whichever replica
-			// answers. Both sides must take the fold that keeps the index,
-			// and stay identical at the result level (their physical orders
-			// are their own).
 			folds := func(st *shard.Store) (ripple, rebuild int) {
 				per, err := st.ShardStats("t", "k")
 				if err != nil {
@@ -184,63 +237,15 @@ func TestReplicationOracle(t *testing.T) {
 				}
 				return ripple, rebuild
 			}
-			kCount := func(c *Client, lo int64) string {
-				resp, _ := c.Do(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE k >= %d AND k <= %d", lo, lo+4000))
-				if resp.Err != "" || len(resp.Rows) != 1 {
-					t.Fatalf("count: %+v", resp)
-				}
-				return resp.Rows[0][0]
-			}
-			for q := 0; q < 30; q++ { // converge both replicas on k
-				lo := rng.Int63n(95000)
-				kCount(pc, lo)
-				kCount(fc, lo)
-			}
 			pRipple, pRebuild := folds(pStore)
-			fRipple, fRebuild := folds(follower.Store())
-			for round := 0; round < 12; round++ {
-				insertBatch(16)
-				fence(t, fAddr, primaryNext(t, pStore))
-				lo := rng.Int63n(95000)
-				if p, f := kCount(pc, lo), kCount(fc, lo); p != f {
-					t.Fatalf("round %d: primary counts %s, follower %s", round, p, f)
-				}
+			fRipple, fRebuild := folds(r.follower.Store())
+			oracle.Run(t, oracle.New(oracle.Config{Seed: 12, Ops: 24, Domain: 100_000, MaxBatch: 16,
+				Mix: oracle.Mix{oracle.Insert: 1, oracle.Count: 1}}), m, p)
+			if rp, bp := folds(pStore); rp == pRipple || bp != pRebuild {
+				t.Fatalf("primary folded the trickle with %d ripples, %d rebuilds", rp-pRipple, bp-pRebuild)
 			}
-			if r, b := folds(pStore); r == pRipple || b != pRebuild {
-				t.Fatalf("primary folded the trickle with %d ripples, %d rebuilds", r-pRipple, b-pRebuild)
-			}
-			if r, b := folds(follower.Store()); r == fRipple || b != fRebuild {
-				t.Fatalf("follower folded the trickle with %d ripples, %d rebuilds", r-fRipple, b-fRebuild)
-			}
-			if p, f := dumpSorted(t, pAddr, "t"), dumpSorted(t, fAddr, "t"); !equalLines(p, f) {
-				t.Fatalf("replica diverged after the trickle: primary %d rows, follower %d rows", len(p), len(f))
-			}
-			fc.Close()
-
-			// Kill the follower mid-stream: stop pulling without closing its
-			// WAL cleanly (the log is fsync-durable; this is the SIGKILL
-			// shape), keep writing at the primary, then restart it from the
-			// same directory.
-			follower.Stop()
-			fStop()
-
-			insertBatch(300)
-			if resp, _ := pc.Do("DELETE FROM t WHERE v >= 0 AND v <= 5"); resp.Err != "" {
-				t.Fatalf("delete while follower down: %s", resp.Err)
-			}
-			// A checkpoint mid-outage rotates the primary's log; the archive
-			// keeps the suffix servable so the restarted follower does not
-			// need a new snapshot.
-			if resp, _ := pc.Do("/save"); resp.Err != "" {
-				t.Fatalf("/save: %s", resp.Err)
-			}
-			insertBatch(200)
-
-			fAddr2, _, fStop3 := startFollowerServer(t, pAddr, fDir)
-			defer fStop3()
-			fence(t, fAddr2, primaryNext(t, pStore))
-			if p, f := dumpSorted(t, pAddr, "t"), dumpSorted(t, fAddr2, "t"); !equalLines(p, f) {
-				t.Fatalf("replica diverged after restart: primary %d rows, follower %d rows", len(p), len(f))
+			if rf, bf := folds(r.follower.Store()); rf == fRipple || bf != fRebuild {
+				t.Fatalf("follower folded the trickle with %d ripples, %d rebuilds", rf-fRipple, bf-fRebuild)
 			}
 		})
 	}

@@ -399,7 +399,6 @@ func optionsFromKV(kv map[string]string) (shard.Options, error) {
 	if _, err := fmt.Sscanf(kv["domain"], "%d %d", &o.Domain[0], &o.Domain[1]); err != nil {
 		return o, fmt.Errorf("server: primary reported bad domain %q", kv["domain"])
 	}
-	o.StaticRangeBounds = kv["static_bounds"] == "true"
 	return o, nil
 }
 

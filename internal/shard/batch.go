@@ -112,7 +112,7 @@ func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range, opts ...c
 	}
 	out := make([]crackdb.Rows, len(ranges))
 	for i := range merged {
-		out[i] = &merged[i]
+		merged[i].table, merged[i].m, out[i] = table, m, &merged[i]
 	}
 	return out, nil
 }

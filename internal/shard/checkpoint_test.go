@@ -14,10 +14,11 @@ import (
 	"crackdb/internal/shard"
 )
 
-// rangeOpts partitions keys [0, 8000) statically across 8 shards (1000
-// keys each), so a test can target one shard by key range.
+// rangeOpts range-partitions 8 shards. seedDurable's first batch holds
+// every key of [0, 8000) once, so the bounds it samples fall on the
+// multiples of 1000 and a test can target one shard by key range.
 func rangeOpts() shard.Options {
-	return shard.Options{Shards: 8, Kind: shard.Range, Domain: [2]int64{0, 8000}, StaticRangeBounds: true}
+	return shard.Options{Shards: 8, Kind: shard.Range, Domain: [2]int64{0, 8000}}
 }
 
 func mustExec(t testing.TB, err error) {
@@ -105,7 +106,7 @@ func TestDeltaCheckpointSkipsCleanShards(t *testing.T) {
 	defer s.CloseWAL()
 	fullBytes := dirBytes(t, filepath.Join(dir, "store"))
 
-	// Keys < 1000 route to shard 0 under the static 8-way range split.
+	// Keys < 1000 route to shard 0 under the sampled 8-way range split.
 	rows := make([][]int64, 50)
 	for i := range rows {
 		rows[i] = []int64{int64(i % 1000), int64(i)}

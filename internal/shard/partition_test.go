@@ -177,17 +177,6 @@ func TestFirstInsertSamplesBounds(t *testing.T) {
 	if after := s.Partitions()[0].Scheme; after != before {
 		t.Fatalf("bounds moved after the first batch:\n before %s\n after  %s", before, after)
 	}
-	// Static mode keeps the even split.
-	s2 := New(Options{Shards: 4, Kind: Range, Domain: [2]int64{0, 1 << 20}, StaticRangeBounds: true})
-	if err := s2.CreateTable("t", "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.InsertRows("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s2.Partitions()[0].Scheme, (rangePart{bounds: evenBounds(0, 1<<20, 4)}).describe(); got != want {
-		t.Fatalf("static mode rewrote bounds: %s", got)
-	}
 }
 
 func TestPartSpecRoundTrip(t *testing.T) {

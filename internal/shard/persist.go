@@ -64,11 +64,10 @@ type elemManifest struct {
 	Dirty   []int  `json:"dirty"`    // shards with a shard-K/ subdir
 
 	// Routing state as of the element; the chain tip's is authoritative.
-	Shards            int                `json:"shards"`
-	Kind              Kind               `json:"kind"`
-	Domain            [2]int64           `json:"domain"`
-	StaticRangeBounds bool               `json:"static_range_bounds,omitempty"`
-	Tables            []routerTableEntry `json:"tables"`
+	Shards int                `json:"shards"`
+	Kind   Kind               `json:"kind"`
+	Domain [2]int64           `json:"domain"`
+	Tables []routerTableEntry `json:"tables"`
 }
 
 type routerTableEntry struct {
@@ -108,12 +107,11 @@ func (s *Store) logRecord(rec durable.Record) error {
 // given WAL position. The caller holds walMu.
 func (s *Store) manifestLocked(seq uint64) elemManifest {
 	m := elemManifest{
-		Version:           manifestVersion,
-		Seq:               seq,
-		Shards:            len(s.shards),
-		Kind:              s.opts.Kind,
-		Domain:            s.opts.Domain,
-		StaticRangeBounds: s.opts.StaticRangeBounds,
+		Version: manifestVersion,
+		Seq:     seq,
+		Shards:  len(s.shards),
+		Kind:    s.opts.Kind,
+		Domain:  s.opts.Domain,
 	}
 	s.mu.RLock()
 	for name, tm := range s.tables {
@@ -230,12 +228,7 @@ func openChain(dir string, chain []chainElem) (*Store, error) {
 		return nil, fmt.Errorf("shard: manifest with %d shards", m.Shards)
 	}
 	s := &Store{
-		opts: Options{
-			Shards:            m.Shards,
-			Kind:              m.Kind,
-			Domain:            m.Domain,
-			StaticRangeBounds: m.StaticRangeBounds,
-		},
+		opts:   Options{Shards: m.Shards, Kind: m.Kind, Domain: m.Domain},
 		shards: make([]*crackdb.Store, m.Shards),
 		tables: make(map[string]*tableMeta, len(m.Tables)),
 	}

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,47 +8,18 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/oracle"
 	"crackdb/internal/shard"
 )
 
-// loadMixed boots a durable sharded store in dir and gives it a cracked
-// table: bulk load, query stream, trickle inserts mid-stream.
-func loadMixed(t *testing.T, dir string, opts shard.Options, seed int64) (*shard.Store, [][]int64) {
+// loadMixed boots a durable sharded store in dir and cracks the oracle's
+// table in it: a bulk load, a count stream, inserts mid-stream.
+func loadMixed(t *testing.T, dir string, opts shard.Options, seed int64) (*shard.Store, *oracle.Model) {
 	t.Helper()
 	s, _, err := shard.OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateTable("t", "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var all [][]int64
-	batch := func(n int) [][]int64 {
-		rows := make([][]int64, n)
-		for i := range rows {
-			rows[i] = []int64{rng.Int63n(8000), rng.Int63n(500)}
-		}
-		all = append(all, rows...)
-		return rows
-	}
-	if err := s.InsertRows("t", batch(5000)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		lo := rng.Int63n(7000)
-		if _, err := s.CountWhere("t",
-			crackdb.Cond{Col: "k", Op: ">=", Val: lo},
-			crackdb.Cond{Col: "k", Op: "<", Val: lo + 400}); err != nil {
-			t.Fatal(err)
-		}
-		if i == 15 {
-			if err := s.InsertRows("t", batch(400)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return s, all
+	mustExec(t, err)
+	return s, oracle.Run(t, oracle.New(oracle.Config{Seed: seed, Ops: 40, Load: 5000, Domain: 8000, MaxBatch: 400,
+		Selectivity: 0.05, Mix: oracle.Mix{oracle.Count: 8, oracle.Insert: 1}}), nil, oracle.Router(s))
 }
 
 // TestShardSaveOpenByteIdentical: a sharded store rebooted from its
@@ -61,7 +31,7 @@ func TestShardSaveOpenByteIdentical(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
 			dir := t.TempDir()
-			src, _ := loadMixed(t, dir, opts, 31)
+			src, m := loadMixed(t, dir, opts, 31)
 			if _, err := src.Checkpoint(false); err != nil {
 				t.Fatal(err)
 			}
@@ -99,44 +69,9 @@ func TestShardSaveOpenByteIdentical(t *testing.T) {
 					t.Fatalf("shard %d holds %d rows reopened, %d originally", i, b, a)
 				}
 			}
-			rng := rand.New(rand.NewSource(77))
-			for i := 0; i < 30; i++ {
-				lo := rng.Int63n(7000)
-				conds := []crackdb.Cond{
-					{Col: "k", Op: ">=", Val: lo},
-					{Col: "k", Op: "<=", Val: lo + rng.Int63n(500)},
-				}
-				ra, err := src.SelectWhere("t", conds...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := dst.SelectWhere("t", conds...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rowsA, err := ra.Rows("k", "v")
-				if err != nil {
-					t.Fatal(err)
-				}
-				rowsB, err := rb.Rows("k", "v")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(rowsA, rowsB) {
-					t.Fatalf("query %d: row sets diverge across reopen", i)
-				}
-			}
-			ga, err := src.GroupBy("t", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, err := dst.GroupBy("t", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ga, gb) {
-				t.Fatal("group-by diverges across reopen")
-			}
+			// Both answer the model alike: rows in order, counts, group-bys.
+			oracle.Run(t, oracle.New(oracle.Config{Seed: 77, Ops: 30, Domain: 8000, Selectivity: 0.05,
+				Mix: oracle.Mix{oracle.Select: 6, oracle.Count: 3, oracle.Group: 1}}), m, oracle.Router(dst), oracle.Router(src))
 			// Crack state survived per shard.
 			pa, err := src.ShardStats("t", "k")
 			if err != nil {

@@ -44,12 +44,6 @@ type Options struct {
 	// its data is known (default [0, 1<<20]). LoadTapestry overrides it
 	// with the generated key domain.
 	Domain [2]int64
-	// StaticRangeBounds disables data-driven range bounds. By default a
-	// range-partitioned table's first insert batch is sampled and the
-	// even domain split is replaced with population quantiles, so skewed
-	// key distributions still land near-equal shard populations; set
-	// this to keep the configured even split regardless of the data.
-	StaticRangeBounds bool
 }
 
 func (o *Options) defaults() {
@@ -220,7 +214,7 @@ func (s *Store) meta(table string) (*tableMeta, partitioner, error) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("shard: table %q does not exist", table)
+		return nil, nil, fmt.Errorf("crackdb: table %q does not exist", table)
 	}
 	return m, part, nil
 }
@@ -243,7 +237,7 @@ func (s *Store) partitionerFor(kind Kind, lo, hi int64) (partitioner, error) {
 // the first column with the store's default kind.
 func (s *Store) CreateTable(name string, cols ...string) error {
 	if len(cols) == 0 {
-		return fmt.Errorf("shard: table %q needs at least one column", name)
+		return fmt.Errorf("crackdb: table %q needs at least one column", name)
 	}
 	return s.createTableKeyed(name, cols[0], s.opts.Kind, cols...)
 }
@@ -253,6 +247,9 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 func (s *Store) createTableKeyed(name, key string, kind Kind, cols ...string) error {
 	keyIdx := -1
 	for i, c := range cols {
+		if slices.Contains(cols[:i], c) {
+			return fmt.Errorf("crackdb: table %q has duplicate column %q", name, c)
+		}
 		if c == key {
 			keyIdx = i
 		}
@@ -269,7 +266,7 @@ func (s *Store) createTableKeyed(name, key string, kind Kind, cols ...string) er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.tables[name]; exists {
-		return fmt.Errorf("shard: table %q already exists", name)
+		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
 	if err := s.logRecord(durable.Record{
 		Kind: durable.KindCreate, Table: name, Cols: cols, Key: key, Part: string(kind),
@@ -280,11 +277,8 @@ func (s *Store) createTableKeyed(name, key string, kind Kind, cols ...string) er
 }
 
 // createLocked installs the metadata and mirrors the table onto every
-// shard, undoing partial creates on error. Caller holds s.mu.
+// shard, undoing partial creates on error. Caller holds s.mu; the name is free.
 func (s *Store) createLocked(name, key string, keyIdx int, part partitioner, cols []string) error {
-	if _, exists := s.tables[name]; exists {
-		return fmt.Errorf("shard: table %q already exists", name)
-	}
 	created := make([]bool, len(s.shards))
 	err := s.each(func(i int) error {
 		err := s.shards[i].CreateTable(name, cols...)
@@ -310,7 +304,7 @@ func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[name]; !ok {
-		return fmt.Errorf("shard: table %q does not exist", name)
+		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
 	if err := s.logRecord(durable.Record{Kind: durable.KindDrop, Table: name}); err != nil {
 		return err
@@ -351,11 +345,11 @@ func (s *Store) insertRowsWALHeld(name string, rows [][]int64, logIt bool) error
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return fmt.Errorf("shard: table %q does not exist", name)
+		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if len(r) != len(m.cols) {
-			return fmt.Errorf("shard: table %q arity %d, row has %d values", name, len(m.cols), len(r))
+			return fmt.Errorf("crackdb: row %d arity %d, table %q has %d", i, len(r), name, len(m.cols))
 		}
 	}
 	if len(rows) == 0 {
@@ -392,22 +386,22 @@ func (s *Store) routeAndApply(name string, part partitioner, keyIdx int, rows []
 	})
 }
 
-// firstInsert lands a table's first batch. For range partitioning (and
-// unless Options.StaticRangeBounds) the batch's keys are sampled and the
-// even domain split is replaced with population quantiles — near-equal
-// shard populations whatever the key distribution (the data-driven
-// bounds the even split can only guess at). Serialized under s.mu so a
-// racing insert cannot route under bounds that are being replaced;
-// per-table this cost is paid exactly once.
+// firstInsert lands a table's first batch. For range partitioning the
+// batch's keys are sampled and the even domain split is replaced with
+// population quantiles — near-equal shard populations whatever the key
+// distribution (the data-driven bounds the even split can only guess
+// at); a batch under minSampleRows keeps the even split. Serialized
+// under s.mu so a racing insert cannot route under bounds that are being
+// replaced; per-table this cost is paid exactly once.
 func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, stillThere := s.tables[name]; !stillThere {
-		return fmt.Errorf("shard: table %q does not exist", name)
+		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
 	if !m.seeded {
 		m.seeded = true
-		if _, isRange := m.part.(rangePart); isRange && !s.opts.StaticRangeBounds {
+		if _, isRange := m.part.(rangePart); isRange {
 			keys := make([]int64, len(rows))
 			for i, r := range rows {
 				keys[i] = r[m.keyIdx]
@@ -613,7 +607,7 @@ func (s *Store) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, 
 	}
 	first, last, empty := m.targets(part, conds)
 	if empty {
-		return &Result{}, nil
+		return &Result{table: table, m: m}, nil
 	}
 	s.noteRoutedQueries(first, last)
 	parts, err := gather(first, last, func(t int) (*crackdb.Result, error) {
@@ -622,7 +616,7 @@ func (s *Store) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{parts: parts}, nil
+	return &Result{table, m, parts}, nil
 }
 
 // CountWhere sums the qualifying-tuple counts of the target shards.
@@ -756,7 +750,7 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	s.mu.Lock()
 	if _, exists := s.tables[name]; exists {
 		s.mu.Unlock()
-		return fmt.Errorf("shard: table %q already exists", name)
+		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
 	if err := s.logRecord(durable.Record{
 		Kind: durable.KindTapestry, Table: name, N: n, Alpha: alpha, Seed: seed,
@@ -787,6 +781,8 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 // makes a sharded result byte-identical to a single store's for any
 // shard count.
 type Result struct {
+	table string
+	m     *tableMeta
 	parts []*crackdb.Result
 }
 
@@ -802,6 +798,11 @@ func (r *Result) Count() int {
 // Rows fetches the requested attributes of the qualifying tuples from
 // every shard and returns them canonically ordered.
 func (r *Result) Rows(cols ...string) ([][]int64, error) {
+	for _, c := range cols { // a result no shard answered still checks them
+		if err := r.m.hasColumn(r.table, c); err != nil {
+			return nil, err
+		}
+	}
 	total := 0
 	for _, p := range r.parts {
 		total += p.Count()

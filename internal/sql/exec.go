@@ -7,21 +7,11 @@ import (
 	"crackdb"
 )
 
-// Rows and Backend are the root crackdb interfaces: the executor's
-// storage surface was promoted to crackdb.Backend so the engine, the
-// shard router, the wire session and the replication code all program
-// against one shape. The aliases keep this package's historical names
-// working.
-type (
-	Rows    = crackdb.Rows
-	Backend = crackdb.Backend
-)
-
 // Engine executes parsed statements against a cracking backend. WHERE
 // conjunctions are routed through Backend.SelectWhere, so every executed
 // query doubles as cracking advice.
 type Engine struct {
-	store Backend
+	store crackdb.Backend
 }
 
 // NewEngine wraps a single store.
@@ -30,21 +20,8 @@ func NewEngine(store *crackdb.Store) *Engine {
 }
 
 // NewEngineOn wraps any backend (e.g. a shard router).
-func NewEngineOn(b Backend) *Engine {
+func NewEngineOn(b crackdb.Backend) *Engine {
 	return &Engine{store: b}
-}
-
-// Backend returns the storage the engine executes on.
-func (e *Engine) Backend() Backend { return e.store }
-
-// Store returns the single underlying *crackdb.Store when the engine was
-// built with NewEngine, or nil for any other backend. Callers needing
-// store-only surfaces (stats, lineage, persistence) must handle nil.
-func (e *Engine) Store() *crackdb.Store {
-	if u, ok := e.store.(interface{ Unwrap() *crackdb.Store }); ok {
-		return u.Unwrap()
-	}
-	return nil
 }
 
 // ResultSet is a tabular statement result. DDL and DML return a nil
@@ -226,7 +203,7 @@ func hasAggregate(items []SelectItem) bool {
 }
 
 // aggregate evaluates GROUP BY and plain aggregates over the result.
-func (e *Engine) aggregate(s Select, items []SelectItem, res Rows) (*ResultSet, error) {
+func (e *Engine) aggregate(s Select, items []SelectItem, res crackdb.Rows) (*ResultSet, error) {
 	// Validate the projection: with GROUP BY, plain columns must be the
 	// grouping column.
 	for _, it := range items {

@@ -153,9 +153,10 @@ func TestParseScriptMultiple(t *testing.T) {
 	}
 }
 
-func newEngine(t *testing.T) *Engine {
+func newEngine(t *testing.T) (*Engine, *crackdb.Store) {
 	t.Helper()
-	e := NewEngine(crackdb.New())
+	store := crackdb.New()
+	e := NewEngine(store)
 	script := `
 		CREATE TABLE r (k INT, a INT);
 		INSERT INTO r VALUES (0, 50), (1, 30), (2, 70), (3, 10), (4, 90),
@@ -164,11 +165,11 @@ func newEngine(t *testing.T) *Engine {
 	if _, err := e.ExecScript(script); err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, store
 }
 
 func TestExecSelectWhere(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	rs, err := e.Exec("SELECT k, a FROM r WHERE a >= 30 AND a < 70 ORDER BY a")
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestExecSelectWhere(t *testing.T) {
 }
 
 func TestExecCountStar(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	rs, err := e.Exec("SELECT COUNT(*) FROM r WHERE a > 50")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestExecCountStar(t *testing.T) {
 }
 
 func TestExecAggregates(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	rs, err := e.Exec("SELECT SUM(a), MIN(a), MAX(a), COUNT(a) FROM r WHERE a <= 40")
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestExecGroupBy(t *testing.T) {
 }
 
 func TestExecOrderByUnprojectedColumn(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	rs, err := e.Exec("SELECT k FROM r WHERE a >= 50 ORDER BY a DESC")
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +260,7 @@ func TestExecOrderByUnprojectedColumn(t *testing.T) {
 }
 
 func TestExecLimit(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	rs, err := e.Exec("SELECT k FROM r ORDER BY k LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +271,7 @@ func TestExecLimit(t *testing.T) {
 }
 
 func TestExecSelectInto(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	// The paper's §5.1 SQL-level cracking idiom: two SELECT INTOs.
 	if _, err := e.Exec("SELECT k, a INTO frag001 FROM r WHERE a <= 40"); err != nil {
 		t.Fatal(err)
@@ -292,11 +293,11 @@ func TestExecSelectInto(t *testing.T) {
 }
 
 func TestExecCracksAsSideEffect(t *testing.T) {
-	e := newEngine(t)
+	e, store := newEngine(t)
 	if _, err := e.Exec("SELECT k FROM r WHERE a BETWEEN 30 AND 60"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.Store().Stats("r", "a")
+	st, err := store.Stats("r", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestExecCracksAsSideEffect(t *testing.T) {
 }
 
 func TestExecErrors(t *testing.T) {
-	e := newEngine(t)
+	e, _ := newEngine(t)
 	for _, bad := range []string{
 		"SELECT * FROM missing",
 		"SELECT zzz FROM r",
@@ -355,7 +356,8 @@ func TestExecDDLMessages(t *testing.T) {
 func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 	// The Ω fast path and the generic aggregation must produce identical
 	// results; WHERE forces the generic path.
-	e := NewEngine(crackdb.New())
+	store := crackdb.New()
+	e := NewEngine(store)
 	if _, err := e.ExecScript(`
 		CREATE TABLE ev (s, v);
 		INSERT INTO ev VALUES (2, 9), (1, 3), (2, 4), (3, 1), (1, 7), (2, 2);
@@ -379,7 +381,7 @@ func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 		}
 	}
 	// The Ω path clustered the column: the store records the group crack.
-	st, err := e.Store().Stats("ev", "s")
+	st, err := store.Stats("ev", "s")
 	if err != nil {
 		t.Fatal(err)
 	}

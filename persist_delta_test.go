@@ -1,7 +1,6 @@
 package crackdb_test
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,40 +8,15 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/oracle"
 )
 
-// mutateAndCrack runs one more round of mixed load against a store —
-// inserts, range counts (which crack), a delete — and extends the naive
-// oracle to match.
-func mutateAndCrack(t *testing.T, s *crackdb.Store, rows *[][]int64, seed int64) {
+// mutate runs one more round of inserts, counts (which crack) and
+// deletes on a loaded store and its model.
+func mutate(t *testing.T, s *crackdb.Store, m *oracle.Model, seed int64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	batch := make([][]int64, 400)
-	for i := range batch {
-		batch[i] = []int64{rng.Int63n(10_000), rng.Int63n(1000)}
-	}
-	if err := s.InsertRows("t", batch); err != nil {
-		t.Fatal(err)
-	}
-	*rows = append(*rows, batch...)
-	for i := 0; i < 25; i++ {
-		lo := rng.Int63n(9000)
-		if _, err := s.Count("t", "k", lo, lo+rng.Int63n(700)+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One delete so tombstones ride the delta too.
-	cut := rng.Int63n(200)
-	if _, err := s.Delete("t", crackdb.Cond{Col: "v", Op: "<", Val: cut}); err != nil {
-		t.Fatal(err)
-	}
-	kept := (*rows)[:0]
-	for _, r := range *rows {
-		if r[1] >= cut {
-			kept = append(kept, r)
-		}
-	}
-	*rows = kept
+	oracle.Run(t, oracle.New(oracle.Config{Seed: seed, Ops: 30, Domain: 10_000, MaxBatch: 400,
+		Mix: oracle.Mix{oracle.Insert: 1, oracle.Count: 5, oracle.Delete: 1}}), m, oracle.Single(s))
 }
 
 // saveDelta writes and commits one delta element into dir, failing the
@@ -68,97 +42,6 @@ func isDirty(t *testing.T, s *crackdb.Store) bool {
 		t.Fatal(err)
 	}
 	return commit != nil
-}
-
-// compareStores runs the same query stream against every store and the
-// naive oracle; any divergence fails.
-func compareStores(t *testing.T, rows [][]int64, stores map[string]*crackdb.Store) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 60; i++ {
-		lo := rng.Int63n(9000)
-		hi := lo + rng.Int63n(900) + 1
-		want := naiveCount(rows, lo, hi)
-		for name, s := range stores {
-			got, err := s.Count("t", "k", lo, hi)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if got != want {
-				t.Fatalf("query %d [%d,%d]: %s answered %d, oracle %d", i, lo, hi, name, got, want)
-			}
-		}
-	}
-}
-
-// TestDeltaChainOracle: for all four strategies, a store reopened from
-// base + delta chain must be indistinguishable from the live store and
-// from a store reopened from a full image saved at the same instant —
-// same counts, same rows, same crack-state piece counts.
-func TestDeltaChainOracle(t *testing.T) {
-	for _, strat := range []string{"standard", "ddc", "ddr", "mdd1r"} {
-		t.Run(strat, func(t *testing.T) {
-			live, rows := buildCrackedStore(t, strat, 99)
-			root := t.TempDir()
-			base := filepath.Join(root, "base")
-			if err := live.Save(base); err != nil {
-				t.Fatal(err)
-			}
-			mutateAndCrack(t, live, &rows, 501)
-			d1 := filepath.Join(root, "d1")
-			saveDelta(t, live, d1)
-			mutateAndCrack(t, live, &rows, 502)
-			d2 := filepath.Join(root, "d2")
-			saveDelta(t, live, d2)
-			full := filepath.Join(root, "full")
-			if err := live.Save(full); err != nil {
-				t.Fatal(err)
-			}
-
-			chain, err := crackdb.Open(base, d1, d2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fullStore, err := crackdb.Open(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareStores(t, rows, map[string]*crackdb.Store{
-				"live": live, "chain": chain, "full": fullStore,
-			})
-			// Row-level equality and physical crack state.
-			resA, err := chain.Select("t", "k", 2000, 2500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resB, err := fullStore.Select("t", "k", 2000, 2500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsA, err := resA.Rows("k", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsB, err := resB.Rows("k", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rowsA, rowsB) {
-				t.Fatal("chain and full reopen disagree on row sets")
-			}
-			sa, err := chain.Stats("t", "k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := fullStore.Stats("t", "k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sa.Pieces != sb.Pieces {
-				t.Fatalf("piece counts diverge: chain %d, full image %d", sa.Pieces, sb.Pieces)
-			}
-		})
-	}
 }
 
 // TestSaveDeltaRequiresBase: a store that never committed a full image
@@ -296,16 +179,16 @@ func TestDeltaCatchesDropRecreate(t *testing.T) {
 // of order, or with a corrupted element must refuse to open — never
 // silently serve partial or cold state.
 func TestDeltaChainRefusals(t *testing.T) {
-	live, rows := buildCrackedStore(t, "standard", 7)
+	live, m := loaded(t, "standard", 7)
 	root := t.TempDir()
 	base := filepath.Join(root, "base")
 	if err := live.Save(base); err != nil {
 		t.Fatal(err)
 	}
-	mutateAndCrack(t, live, &rows, 601)
+	mutate(t, live, m, 601)
 	d1 := filepath.Join(root, "d1")
 	saveDelta(t, live, d1)
-	mutateAndCrack(t, live, &rows, 602)
+	mutate(t, live, m, 602)
 	d2 := filepath.Join(root, "d2")
 	saveDelta(t, live, d2)
 
@@ -395,14 +278,14 @@ func copyDir(t *testing.T, src, dst string) error {
 // base — and the budgeted count is what the columns standing at the end
 // hold, not a sum over every column an element replaced on the way.
 func TestSidewaysFollowsChain(t *testing.T) {
-	live, rows := buildCrackedStore(t, "standard", 61)
+	live, m := loaded(t, "standard", 61)
 	project := func(s *crackdb.Store, lo, hi int64) [][]int64 {
 		t.Helper()
 		res, err := s.Select("t", "k", lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := res.Rows("k", "v")
+		got, err := res.Rows("k", "a")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +297,7 @@ func TestSidewaysFollowsChain(t *testing.T) {
 	if err := live.Save(base); err != nil {
 		t.Fatal(err)
 	}
-	mutateAndCrack(t, live, &rows, 503) // rows, tombstones and cuts move: d1 rebuilds the wrapper
+	mutate(t, live, m, 503) // rows, tombstones and cuts move: d1 rebuilds the wrapper
 	project(live, 4000, 6000)
 	saveDelta(t, live, d1)
 	for lo := int64(0); lo < 9000; lo += 450 { // cuts only: d2 replaces the key column in place
@@ -431,8 +314,8 @@ func TestSidewaysFollowsChain(t *testing.T) {
 	}
 	if got, want := project(chain, 2000, 2800), project(live, 2000, 2800); !reflect.DeepEqual(got, want) {
 		t.Fatal("chain projection diverges from live (alignment lost)")
-	} else if len(got) != naiveCount(rows, 2000, 2800) {
-		t.Fatalf("chain projection has %d rows, oracle %d", len(got), naiveCount(rows, 2000, 2800))
+	} else if len(got) != m.Count("t", "k", 2000, 2800) {
+		t.Fatalf("chain projection has %d rows, oracle %d", len(got), m.Count("t", "k", 2000, 2800))
 	}
 	if fetched, _ := chain.FetchedTuples("t"); fetched != 0 || chain.SidewaysStats().Builds != 0 {
 		t.Fatalf("chain projection fetched %d tuples and gathered %d payload vectors, want 0 and 0",

@@ -9,148 +9,23 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/oracle"
 )
 
-// buildCrackedStore makes a two-column store, cracks it with a mixed
-// stream (selects, inserts mid-stream), and returns the query oracle:
-// the rows, so a naive scan can recompute any count.
-func buildCrackedStore(t *testing.T, strategy string, seed int64) (*crackdb.Store, [][]int64) {
+// loaded is a store cracked by a count-heavy stream with inserts
+// mid-way, beside the model that answers for it.
+func loaded(t *testing.T, strat string, seed int64) (*crackdb.Store, *oracle.Model) {
 	t.Helper()
-	s := crackdb.New()
-	if strategy != "" && strategy != "standard" {
-		if err := s.SetCrackStrategy(strategy, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.CreateTable("t", "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var all [][]int64
-	batch := func(n int) [][]int64 {
-		rows := make([][]int64, n)
-		for i := range rows {
-			rows[i] = []int64{rng.Int63n(10_000), rng.Int63n(1000)}
-		}
-		all = append(all, rows...)
-		return rows
-	}
-	if err := s.InsertRows("t", batch(6000)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		lo := rng.Int63n(9000)
-		if _, err := s.Count("t", "k", lo, lo+rng.Int63n(800)+1); err != nil {
-			t.Fatal(err)
-		}
-		if i == 20 || i == 40 {
-			if err := s.InsertRows("t", batch(500)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Leave pending inserts unconsolidated: the snapshot must carry them.
-	if err := s.InsertRows("t", batch(300)); err != nil {
-		t.Fatal(err)
-	}
-	return s, all
-}
-
-func naiveCount(rows [][]int64, lo, hi int64) int {
-	n := 0
-	for _, r := range rows {
-		if r[0] >= lo && r[0] <= hi {
-			n++
-		}
-	}
-	return n
-}
-
-// TestWarmReopenOracle is the satellite's oracle test: for all four
-// strategies, snapshot+reopen must answer every query exactly like the
-// live store and like a naive scan — and continued cracking after the
-// reopen must track the live store's cut placement (which, for the
-// stochastic strategies, proves the RNG stream resumed mid-position).
-func TestWarmReopenOracle(t *testing.T) {
-	for _, strat := range []string{"standard", "ddc", "ddr", "mdd1r"} {
-		t.Run(strat, func(t *testing.T) {
-			live, rows := buildCrackedStore(t, strat, 99)
-			dir := filepath.Join(t.TempDir(), "img")
-			if err := live.Save(dir); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := crackdb.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// The same post-restart stream against both stores; every
-			// answer is also checked against the naive oracle.
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 80; i++ {
-				lo := rng.Int63n(9000)
-				hi := lo + rng.Int63n(900) + 1
-				a, err := live.Count("t", "k", lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := warm.Count("t", "k", lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := naiveCount(rows, lo, hi)
-				if a != want || b != want {
-					t.Fatalf("query %d [%d,%d]: live %d, warm %d, oracle %d", i, lo, hi, a, b, want)
-				}
-			}
-			// Row-level equality through OID fetches.
-			resA, err := live.Select("t", "k", 2000, 2500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resB, err := warm.Select("t", "k", 2000, 2500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsA, err := resA.Rows("k", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsB, err := resB.Rows("k", "v")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rowsA, rowsB) {
-				t.Fatal("row sets diverge after warm reopen")
-			}
-			// Physical state tracks exactly: continued cracking lands the
-			// same cuts, so the piece counts stay in lockstep.
-			sa, err := live.Stats("t", "k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sb, err := warm.Stats("t", "k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sa.Pieces != sb.Pieces {
-				t.Fatalf("piece counts diverged after reopen: live %d, warm %d", sa.Pieces, sb.Pieces)
-			}
-			// MDD1R stops refining at the minPiece granule, so its piece
-			// count is legitimately small; any strategy must still carry
-			// more than one piece through the reopen.
-			if sb.Pieces < 4 {
-				t.Fatalf("warm store has only %d pieces — crack state did not survive", sb.Pieces)
-			}
-		})
-	}
+	s := storeWith(t, strat, seed)
+	return s, oracle.Run(t, oracle.New(oracle.Config{Seed: seed, Ops: 60, Load: 6000, Domain: 10_000,
+		MaxBatch: 500, Mix: oracle.Mix{oracle.Count: 3, oracle.Insert: 1}}), nil, oracle.Single(s))
 }
 
 // TestWarmReopenIsWarm pins the point of the subsystem: the reopened
 // store answers a repeat query by index lookup, touching no tuples,
 // while a cold reopen pays a partition pass.
 func TestWarmReopenIsWarm(t *testing.T) {
-	live, _ := buildCrackedStore(t, "standard", 5)
+	live, _ := loaded(t, "standard", 5)
 	// Consolidate pending inserts so the repeat query is a pure lookup.
 	if _, err := live.Count("t", "k", 1000, 1800); err != nil {
 		t.Fatal(err)
@@ -197,7 +72,7 @@ func TestWarmReopenIsWarm(t *testing.T) {
 func TestWarmReopenSideways(t *testing.T) {
 	for _, strat := range []string{"standard", "mdd1r"} {
 		t.Run(strat, func(t *testing.T) {
-			live, rows := buildCrackedStore(t, strat, 23)
+			live, m := loaded(t, strat, 23)
 			// Converge a projection workload so maps exist and are cracked.
 			rng := rand.New(rand.NewSource(3))
 			project := func(s *crackdb.Store, lo, hi int64) [][]int64 {
@@ -206,7 +81,7 @@ func TestWarmReopenSideways(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rws, err := res.Rows("k", "v")
+				rws, err := res.Rows("k", "a")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -239,7 +114,7 @@ func TestWarmReopenSideways(t *testing.T) {
 			if !reflect.DeepEqual(liveRows, warmRows) {
 				t.Fatal("warm projection diverges from live (alignment lost)")
 			}
-			want := naiveCount(rows, 2000, 2800)
+			want := m.Count("t", "k", 2000, 2800)
 			if len(warmRows) != want {
 				t.Fatalf("warm projection has %d rows, oracle %d", len(warmRows), want)
 			}
@@ -260,7 +135,7 @@ func TestWarmReopenSideways(t *testing.T) {
 // TestAtomicSaveSurvivesCrashedSave simulates every crash window of the
 // save swap and checks an existing image always reopens intact.
 func TestAtomicSaveSurvivesCrashedSave(t *testing.T) {
-	live, rows := buildCrackedStore(t, "standard", 17)
+	live, m := loaded(t, "standard", 17)
 	dir := filepath.Join(t.TempDir(), "img")
 	if err := live.Save(dir); err != nil {
 		t.Fatal(err)
@@ -275,7 +150,7 @@ func TestAtomicSaveSurvivesCrashedSave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if want := naiveCount(rows, 0, 10_000); got != want {
+		if want := m.Count("t", "k", 0, 10_000); got != want {
 			t.Fatalf("%s: count %d, want %d", label, got, want)
 		}
 	}

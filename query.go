@@ -44,15 +44,15 @@ func opOf(op string) (expr.Op, error) {
 
 // termOf validates the conditions against table t and builds the
 // conjunctive term the planner takes.
-func termOf(table string, t *relation.Table, conds []Cond) (expr.Term, error) {
+func termOf(t *relation.Table, conds []Cond) (expr.Term, error) {
 	term := make(expr.Term, 0, len(conds))
 	for _, c := range conds {
 		op, err := opOf(c.Op)
 		if err != nil {
 			return nil, err
 		}
-		if !t.HasColumn(c.Col) {
-			return nil, fmt.Errorf("crackdb: table %q has no column %q", table, c.Col)
+		if err := hasColumns(t, c.Col); err != nil {
+			return nil, err
 		}
 		term = append(term, expr.Pred{Col: c.Col, Op: op, Val: c.Val})
 	}
@@ -67,7 +67,7 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	term, err := termOf(table, t, conds)
+	term, err := termOf(t, conds)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	term, err := termOf(table, t, conds)
+	term, err := termOf(t, conds)
 	if err != nil {
 		return 0, err
 	}
@@ -121,7 +121,7 @@ func (s *Store) CountWhere(table string, conds ...Cond) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	term, err := termOf(table, t, conds)
+	term, err := termOf(t, conds)
 	if err != nil {
 		return 0, err
 	}

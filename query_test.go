@@ -5,48 +5,6 @@ import (
 	"testing"
 )
 
-func TestSelectWhereConjunction(t *testing.T) {
-	s := newEventStore(t, 2000)
-	res, err := s.SelectWhere("events",
-		Cond{Col: "reading", Op: ">=", Val: 100},
-		Cond{Col: "reading", Op: "<", Val: 300},
-		Cond{Col: "sensor", Op: "=", Val: 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := res.Rows("sensor", "reading")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("empty conjunction result on a broad workload")
-	}
-	for _, r := range rows {
-		if r[0] != 3 || r[1] < 100 || r[1] >= 300 {
-			t.Fatalf("row %v violates conjunction", r)
-		}
-	}
-	// Agrees with the naive count over a single-column select + filter.
-	all, err := s.SelectWhere("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.Count() != 2000 {
-		t.Fatalf("empty conjunction = %d rows, want all 2000", all.Count())
-	}
-	want := 0
-	allRows, _ := all.Rows("sensor", "reading")
-	for _, r := range allRows {
-		if r[0] == 3 && r[1] >= 100 && r[1] < 300 {
-			want++
-		}
-	}
-	if len(rows) != want {
-		t.Fatalf("conjunction found %d, naive %d", len(rows), want)
-	}
-}
-
 func TestSelectWhereOperators(t *testing.T) {
 	s := New()
 	s.CreateTable("t", "a")
