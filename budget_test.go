@@ -304,7 +304,7 @@ func TestRestoreBudget(t *testing.T) {
 		t.Skip("timing under the race detector is meaningless")
 	}
 	s, _ := convergedStore(t, 250_000, 1, 20_000)
-	st := crackerColumn(t, s, "t", "c0").ExportState()
+	st, _ := crackerColumn(t, s, "t", "c0").TakeState(true)
 	if len(st.Cuts) < 36_000 {
 		t.Fatalf("state has %d cuts, want >= 36000", len(st.Cuts))
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	crackbench -fig 1a|1b|1c|2|3|5|8|9|10|11|hiking|sql|parallel|stochastic|shard|recovery|sideways|batch|convergence|autotune|all [flags]
+//	crackbench -fig 1a|1b|1c|2|3|5|8|9|10|11|hiking|sql|parallel|stochastic|shard|recovery|sideways|batch|convergence|autotune|granules|all [flags]
 //	crackbench -addr host:port [-clients c] [-queries q] [-workload w] [-check]
 //	           [-inserts k] [-expectrows m] [-exec stmt] [-batch b]
 //
@@ -54,7 +54,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1a,1b,1c,2,3,5,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 1a,1b,1c,2,3,5,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,granules,all")
 		n        = flag.Int("n", 0, "cardinality override (0 = figure default)")
 		k        = flag.Int("k", 0, "sequence length override (0 = figure default)")
 		seed     = flag.Int64("seed", 42, "RNG seed")
@@ -153,10 +153,10 @@ func main() {
 	// -queries/-sel don't imply a figure ("-fig all -sel 0.05" tunes the
 	// stochastic and shard legs of the full sweep).
 	switch target {
-	case "stochastic", "shard", "recovery", "sideways", "batch", "convergence", "autotune", "all":
+	case "stochastic", "shard", "recovery", "sideways", "batch", "convergence", "autotune", "granules", "all":
 	default:
 		if *queries != 0 || *sel != 0 {
-			fmt.Fprintf(os.Stderr, "crackbench: -queries/-sel only apply to the stochastic, shard, recovery, sideways, batch, convergence and autotune figures, not -fig %s\n", target)
+			fmt.Fprintf(os.Stderr, "crackbench: -queries/-sel only apply to the stochastic, shard, recovery, sideways, batch, convergence, autotune and granules figures, not -fig %s\n", target)
 			os.Exit(1)
 		}
 	}
@@ -285,6 +285,12 @@ func run(fig string, cfg benchConfig) error {
 				nq = k
 			}
 			return emit(figures.FigAutotune(figures.FigAutotuneConfig{N: n, K: nq, Seed: seed, Selectivity: cfg.sel}))
+		case "granules":
+			nq := cfg.queries
+			if nq == 0 {
+				nq = k
+			}
+			return emit(figures.FigGranules(figures.FigGranulesConfig{N: n, K: nq, Seed: seed, Selectivity: cfg.sel}))
 		case "sql":
 			res, err := figures.SQLLevel(figures.SQLLevelConfig{N: n, Seed: seed})
 			if err != nil {
@@ -293,12 +299,12 @@ func run(fig string, cfg benchConfig) error {
 			fmt.Print(res)
 			return nil
 		default:
-			return fmt.Errorf("unknown figure %q (want 1a,1b,1c,2,3,5,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,all)", id)
+			return fmt.Errorf("unknown figure %q (want 1a,1b,1c,2,3,5,8,9,10,11,hiking,sql,parallel,stochastic,shard,recovery,sideways,batch,convergence,autotune,granules,all)", id)
 		}
 	}
 
 	if fig == "all" {
-		for _, id := range []string{"1a", "1b", "1c", "2", "3", "5", "8", "9", "10", "11", "hiking", "sql", "parallel", "stochastic", "shard", "recovery", "sideways", "batch", "convergence", "autotune"} {
+		for _, id := range []string{"1a", "1b", "1c", "2", "3", "5", "8", "9", "10", "11", "hiking", "sql", "parallel", "stochastic", "shard", "recovery", "sideways", "batch", "convergence", "autotune", "granules"} {
 			fmt.Printf("=== figure %s ===\n", id)
 			if err := runOne(id); err != nil {
 				return fmt.Errorf("figure %s: %w", id, err)

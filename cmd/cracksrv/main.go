@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cracksrv [-addr :7744] [-shards 4] [-partition hash|range]
-//	         [-domain 1048576] [-strategy mdd1r] [-seed 42] [-autotune]
+//	         [-strategy mdd1r] [-seed 42] [-autotune]
 //	         [-tapestry name,n,alpha] [-data dir]
 //	         [-follow primaryaddr] [-advertise addr]
 //	         [-http addr] [-slowms n]
@@ -40,8 +40,10 @@
 // refused with the primary's address so clients redirect. A follower
 // restarted after a crash resumes from its own local log frontier —
 // bootstrap only re-runs if the primary has checkpointed past what it
-// still keeps archived. Followers replicate the primary's sharding
-// configuration; -shards/-partition/-domain/-strategy are ignored.
+// still keeps archived; a follower that has fallen behind even that, or
+// that cannot apply a record the primary accepted, exits non-zero, and a
+// restart re-bootstraps. Followers replicate the primary's sharding
+// configuration; -shards/-partition/-strategy are ignored.
 //
 // With -autotune each shard monitors the bound stream per column and
 // hot-swaps the crack strategy when a hostile (sequential, reverse,
@@ -90,7 +92,6 @@ func main() {
 		addr     = flag.String("addr", ":7744", "listen address")
 		shards   = flag.Int("shards", 4, "number of cracker stores to partition tables across")
 		partKind = flag.String("partition", "hash", "partitioning scheme for new tables: hash or range")
-		domain   = flag.Int64("domain", 1<<20, "key domain upper bound for range partitioning of empty tables")
 		strat    = flag.String("strategy", "standard", "crack strategy on every shard: standard, ddc, ddr, mdd1r")
 		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived)")
 		autotune = flag.Bool("autotune", false, "auto-select crack strategies per column from the observed workload (inspect with /tune)")
@@ -116,7 +117,7 @@ func main() {
 	if advertised == "" {
 		advertised = *addr
 	}
-	opts := shard.Options{Shards: *shards, Kind: kind, Domain: [2]int64{0, *domain}}
+	opts := shard.Options{Shards: *shards, Kind: kind}
 	var store *shard.Store
 	var follower *server.Follower
 	recovered := false
@@ -205,9 +206,11 @@ func main() {
 		srv.SetPrimary(follower.Primary())
 	}
 	srv.EnableObservability(time.Duration(*slowMS)*time.Millisecond, traceSample)
+	var followed chan error // nil without -follow: never ready
 	if follower != nil {
 		follower.EnableLagGauges()
-		go follower.Run()
+		followed = make(chan error, 1)
+		go func() { followed <- follower.Run() }()
 	}
 	if *slowMS > 0 {
 		logf("slow-query log at >= %dms", *slowMS)
@@ -243,6 +246,13 @@ func main() {
 	select {
 	case err := <-done:
 		fatal(err) // listener died before any signal
+	case err := <-followed:
+		// Replication ended for good; serving reads that never advance
+		// would hide it.
+		srv.Shutdown(5 * time.Second)
+		<-done
+		store.CloseWAL()
+		fatal(err)
 	case s := <-sig:
 		logf("received %s, shutting down", s)
 		if follower != nil {

@@ -28,6 +28,7 @@ package crackdb
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
 	"sort"
@@ -62,10 +63,9 @@ type Store struct {
 	// Crack-strategy configuration for columns created after
 	// SetCrackStrategy: each new cracker column receives its own
 	// strategy instance (strategies carry per-column RNG state) with a
-	// seed derived from strategySeed and a creation counter.
+	// seed derived from strategySeed and the column's name.
 	strategyName string
 	strategySeed int64
-	strategySeq  atomic.Int64
 
 	// sideways budgets the store's partial sideways-cracking maps: payload
 	// vectors riding on the cracker columns, so multi-attribute projection
@@ -125,8 +125,9 @@ func (s *Store) SetMaxPieces(n int) {
 // keep per-query cost near-constant under sequential or skewed query
 // patterns that degrade standard cracking to quadratic total work. The
 // seed drives each column's private RNG, making crack sequences
-// reproducible; column instances derive distinct sub-seeds in creation
-// order. See DESIGN.md (Crack strategies).
+// reproducible; each column derives its sub-seed from its name, so a
+// column first cracked after a reopen draws what it would have drawn
+// without one. See DESIGN.md (Crack strategies).
 func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	if _, err := strategy.New(name, seed); err != nil {
 		return fmt.Errorf("crackdb: %w", err)
@@ -379,11 +380,12 @@ func (s *Store) columnOptions() []core.Option {
 	opts := s.baseColumnOptions()
 	if name := s.strategyName; name != "" && name != "standard" {
 		base := s.strategySeed
-		seq := &s.strategySeq
-		opts = append(opts, core.WithStrategyFactory(func() core.CrackStrategy {
+		opts = append(opts, core.WithStrategyFactory(func(col string) core.CrackStrategy {
 			// Validated by SetCrackStrategy; distinct per-column seeds
 			// keep concurrent columns' RNG streams independent.
-			st, _ := strategy.New(name, base+seq.Add(1)*1_000_003)
+			h := fnv.New64a()
+			h.Write([]byte(col))
+			st, _ := strategy.New(name, base+int64(h.Sum64()))
 			return st
 		}))
 	}

@@ -162,6 +162,12 @@ type ColumnStats struct {
 	RippleFolds    int   // folds that kept the cracker index
 	RebuildFolds   int   // folds that dropped it
 
+	// GranulesDirtied counts the granules (core.Granule positions each)
+	// reorganization marked for write-back: a granule counts once between
+	// two image elements however often it is written, so it is what the
+	// next delta element carries of the column.
+	GranulesDirtied int64
+
 	// Strategy is the column's active crack strategy. Per-column, not
 	// per-store: the auto-tuner (and per-shard /strategy) can leave one
 	// table running a mix. A fold of disagreeing columns reports
@@ -191,6 +197,7 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 	cs.Consolidations += o.Consolidations
 	cs.RippleFolds += o.RippleFolds
 	cs.RebuildFolds += o.RebuildFolds
+	cs.GranulesDirtied += o.GranulesDirtied
 }
 
 // Stats returns the work counters of one cracked column. Columns that
@@ -232,6 +239,8 @@ func columnStats(c *core.Column) ColumnStats {
 		RippleFolds:    cs.RippleFolds,
 		RebuildFolds:   cs.RebuildFolds,
 		Strategy:       c.StrategyName(),
+
+		GranulesDirtied: cs.GranulesDirtied,
 	}
 }
 

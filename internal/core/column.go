@@ -60,6 +60,14 @@ type Column struct {
 	pending []pendingInsert
 	deleted map[bat.OID]struct{}
 
+	// Write-back marks since the last TakeState (export.go): dirty holds
+	// the granules the column wrote, touched says that something else a
+	// record carries — length, next OID, sorted flag, pending inserts,
+	// deletes, strategy state — may have moved. The index notes its own
+	// cut changes (Index.changed).
+	dirty   granules
+	touched bool
+
 	stats counters
 
 	// instr, when non-nil, carries the observability hooks (latency
@@ -92,6 +100,11 @@ type Stats struct {
 	RebuildFolds   int   // folds that dropped it
 	CutsShifted    int64 // cut positions rewritten by folds
 	PaysDropped    int   // payload vectors a reorganization could not carry (payload.go)
+
+	// GranulesDirtied counts granules marked for write-back (granule.go):
+	// a granule counts once between two image elements, however often it
+	// is written.
+	GranulesDirtied int64
 }
 
 // counters is the internal, atomically-updated form of Stats. Atomics let
@@ -110,6 +123,8 @@ type counters struct {
 	cutsShifted   atomic.Int64
 	paysDropped   atomic.Int64
 	folded        atomic.Int64 // inserts + deletes folded; feeds CrackEvent.Folded
+
+	granulesDirtied atomic.Int64
 }
 
 func (s *counters) snapshot() Stats {
@@ -125,6 +140,8 @@ func (s *counters) snapshot() Stats {
 		RebuildFolds:  int(s.rebuildFolds.Load()),
 		CutsShifted:   s.cutsShifted.Load(),
 		PaysDropped:   int(s.paysDropped.Load()),
+
+		GranulesDirtied: s.granulesDirtied.Load(),
 	}
 	st.Consolidations = st.RippleFolds + st.RebuildFolds
 	return st
@@ -143,6 +160,7 @@ func (s *counters) reset() {
 	s.cutsShifted.Store(0)
 	s.paysDropped.Store(0)
 	s.folded.Store(0)
+	s.granulesDirtied.Store(0)
 }
 
 // Option configures a Column.
@@ -182,6 +200,7 @@ func NewColumn(name string, vals []int64, opts ...Option) *Column {
 		c.oids[i] = bat.OID(i)
 	}
 	c.lin.Root(0, len(vals))
+	c.markWholeLocked() // no image holds the column yet
 	for _, o := range opts {
 		o(c)
 	}
@@ -569,6 +588,7 @@ func (c *Column) SortAll() {
 func (c *Column) sortLocked(detail string) {
 	c.dropPaysLocked() // the sort permutes two vectors, not k
 	sortValsOIDs(c.vals, c.oids)
+	c.markWholeLocked()
 	c.stats.tuplesMoved.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals)))) // N log N write estimate
 	c.stats.tuplesTouched.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals))))
 	c.idx.Reset()
@@ -697,6 +717,9 @@ func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
 			j--
 		}
 	}
+	if moved > 0 {
+		c.markLocked(lo, hi)
+	}
 	c.stats.cracks.Add(1)
 	c.stats.tuplesTouched.Add(int64(hi - lo))
 	c.stats.tuplesMoved.Add(moved)
@@ -752,6 +775,9 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 			}
 		}
 		m1, m2 = lt, gt+1
+		if moved > 0 {
+			c.markLocked(lo, hi)
+		}
 		c.stats.cracks.Add(1)
 		c.stats.tuplesTouched.Add(int64(hi - lo))
 		c.stats.tuplesMoved.Add(moved)
@@ -826,6 +852,7 @@ func (c *Column) Insert(val int64) bat.OID {
 	oid := c.nextOID
 	c.nextOID++
 	c.pending = append(c.pending, pendingInsert{oid: oid, row: uint32(len(c.pending)), val: val})
+	c.touched = true
 	return oid
 }
 
@@ -842,6 +869,7 @@ func (c *Column) appendRows(keys []int64, tail func(attr string) []int64) {
 		c.pending = append(c.pending, pendingInsert{oid: c.nextOID, row: uint32(len(c.pending)), val: v})
 		c.nextOID++
 	}
+	c.touched = true
 }
 
 // Delete queues removal of the tuple with the given OID. It reports
@@ -856,6 +884,7 @@ func (c *Column) Delete(oid bat.OID) bool {
 		return false
 	}
 	c.deleted[oid] = struct{}{}
+	c.touched = true
 	return true
 }
 

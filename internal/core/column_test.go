@@ -390,7 +390,8 @@ func TestLineageRerootsAfterFold(t *testing.T) {
 	crack(20)
 
 	// A restored column allocates no lineage until asked.
-	r, err := ColumnFromState(c.ExportState())
+	st, _ := c.TakeState(true)
+	r, err := ColumnFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}

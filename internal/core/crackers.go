@@ -160,6 +160,7 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 		}
 	}
 	c.sorted = false
+	c.touched = true
 	c.dropPaysLocked() // the membership split below swaps two vectors, not k
 	vals, oids := c.vals, c.oids
 	var moved int64
@@ -178,6 +179,9 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 		moved += 2
 		i++
 		j--
+	}
+	if moved > 0 {
+		c.markLocked(lo, hi)
 	}
 	c.stats.cracks.Add(1)
 	c.stats.tuplesTouched.Add(int64(hi - lo))

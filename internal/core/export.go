@@ -17,7 +17,9 @@ import (
 // vectors and the payload vectors aligned with them, the registered cut
 // set, pending updates, and the crack strategy's identity and RNG
 // position so the post-restart cut sequence continues exactly where the
-// pre-crash one left off.
+// pre-crash one left off. A checkpoint takes it whole or as a patch: the
+// granules the column wrote since its last image element (granule.go),
+// which boot folds back onto the state the chain restored before.
 //
 // Deliberately volatile (not exported): the work counters (Stats) and the
 // lineage DAG's crack history. Counters restart at zero; the lineage is
@@ -49,7 +51,8 @@ type PendingState struct {
 	Val int64
 }
 
-// ColumnState is the complete serializable state of a cracker column.
+// ColumnState is the serializable state of a cracker column: the whole
+// column, or a patch that only a predecessor's state completes.
 type ColumnState struct {
 	Name    string
 	Vals    []int64
@@ -60,6 +63,16 @@ type ColumnState struct {
 	Pending []PendingState
 	Deleted []bat.OID
 
+	// A patch (Patch set) carries what changed since the column's previous
+	// record: Len is the stored tuple count after it, Vals, OIDs and every
+	// payload's Vals hold only the listed Granules, one after another, and
+	// Cuts is the new cut set only when NewCuts is set. Everything else is
+	// whole. Fold applies a patch to its predecessor.
+	Patch    bool
+	Len      int
+	Granules []int
+	NewCuts  bool
+
 	// Strategy is nil for standard cracking and for strategies that do
 	// not implement StatefulStrategy.
 	Strategy *StrategyState
@@ -69,19 +82,59 @@ type ColumnState struct {
 	Pays []PayloadState
 }
 
-// ExportState snapshots the column, payload vectors included, under one
-// read-lock hold. The returned slices are copies; the column may keep
-// cracking afterwards.
-func (c *Column) ExportState() ColumnState {
+// TakeState exports the column for an image element, payload vectors
+// included, under one read-lock hold, and takes its write-back marks;
+// changed reports whether anything was marked, i.e. whether the column
+// moved since the last take. The returned slices are copies; the column
+// may keep cracking afterwards. With whole set (a base, or a table the
+// element rewrites) the state is the whole column. Without it the state
+// is a patch of the marked granules, or the whole column once at least
+// half of them are marked, and it is the zero state when nothing
+// changed: the element need not carry the column.
+//
+// The marks are cleared under the read lock, so converged lookups keep
+// running while a base copies the vectors: every site that sets a mark
+// holds the write lock, and the store serializes takes (crackdb's
+// WriteImage holds the store lock across an element).
+func (c *Column) TakeState(whole bool) (st ColumnState, changed bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	gs := c.dirty.list(len(c.vals))
+	newCuts := c.idx.changed
+	changed = len(gs) > 0 || c.touched || newCuts
+	clear(c.dirty)
+	c.touched, c.idx.changed = false, false
+	switch {
+	case whole:
+		return c.exportLocked(nil, true), changed
+	case !changed:
+		return ColumnState{}, false
+	case 2*len(gs) >= granuleCount(len(c.vals)):
+		return c.exportLocked(nil, true), true
+	}
+	return c.exportLocked(gs, newCuts), true
+}
+
+// exportLocked copies the column's state: whole with gs nil, otherwise
+// the patch of granules gs, carrying the cut set only with cuts. The
+// caller holds c.mu in either mode.
+func (c *Column) exportLocked(gs []int, cuts bool) ColumnState {
+	n := len(c.vals)
 	st := ColumnState{
-		Name:    c.name,
-		Vals:    append([]int64(nil), c.vals...),
-		OIDs:    append([]bat.OID(nil), c.oids...),
-		Cuts:    c.idx.Cuts(),
-		Sorted:  c.sorted,
-		NextOID: c.nextOID,
+		Name:     c.name,
+		Vals:     granuleCopy(c.vals, gs),
+		OIDs:     granuleCopy(c.oids, gs),
+		Sorted:   c.sorted,
+		NextOID:  c.nextOID,
+		Patch:    gs != nil,
+		Granules: gs,
+		NewCuts:  gs != nil && cuts,
+	}
+	if st.Patch {
+		st.Len = n
+	}
+	if cuts {
+		st.Cuts = c.idx.Cuts()
 	}
 	for _, p := range c.pending {
 		st.Pending = append(st.Pending, PendingState{OID: p.oid, Val: p.val})
@@ -89,7 +142,7 @@ func (c *Column) ExportState() ColumnState {
 	byUse := slices.Clone(c.pays)
 	sort.SliceStable(byUse, func(i, j int) bool { return byUse[i].used.Load() < byUse[j].used.Load() })
 	for _, p := range byUse {
-		st.Pays = append(st.Pays, PayloadState{Attr: p.attr, Vals: slices.Clone(p.vals), Pend: slices.Clone(p.pend)})
+		st.Pays = append(st.Pays, PayloadState{Attr: p.attr, Vals: granuleCopy(p.vals, gs), Pend: slices.Clone(p.pend)})
 	}
 	for oid := range c.deleted {
 		st.Deleted = append(st.Deleted, oid)
@@ -102,6 +155,82 @@ func (c *Column) ExportState() ColumnState {
 	return st
 }
 
+// granuleCopy copies src whole when gs is nil, otherwise the listed
+// granules of it, one after another.
+func granuleCopy[T any](src []T, gs []int) []T {
+	if gs == nil {
+		return slices.Clone(src)
+	}
+	out := make([]T, 0, len(gs)*Granule)
+	for _, g := range gs {
+		lo, hi := granuleSpan(g, len(src))
+		out = append(out, src[lo:hi]...)
+	}
+	return out
+}
+
+// Fold applies the patch p to st, the whole state the chain restored for
+// the same column before it: the vectors take the patch's length and its
+// granules, the cut set is replaced only when the patch carries one, and
+// every other field is the patch's. It refuses a patch that cannot be a
+// successor of st — another column, another payload set, granules out of
+// order or past the end, vectors of the wrong length, or a column that
+// grew without carrying its new positions. ColumnFromState still checks
+// the result's cut invariant.
+func (st *ColumnState) Fold(p ColumnState) error {
+	if !p.Patch || st.Patch || p.Name != st.Name || p.Len < 0 {
+		return fmt.Errorf("core: cannot fold record of %q (patch=%v) onto %q (patch=%v)", p.Name, p.Patch, st.Name, st.Patch)
+	}
+	m := 0
+	for i, g := range p.Granules {
+		if g < 0 || g >= granuleCount(p.Len) || i > 0 && g <= p.Granules[i-1] {
+			return fmt.Errorf("core: column %q patch lists granule %d out of order or past %d tuples", p.Name, g, p.Len)
+		}
+		lo, hi := granuleSpan(g, p.Len)
+		m += hi - lo
+	}
+	if len(p.Vals) != m || len(p.OIDs) != m || len(p.Pays) != len(st.Pays) {
+		return fmt.Errorf("core: column %q patch carries %d values, %d oids and %d payloads for %d granule positions and %d payloads",
+			p.Name, len(p.Vals), len(p.OIDs), len(p.Pays), m, len(st.Pays))
+	}
+	for g := len(st.Vals) / Granule; len(st.Vals) < p.Len && g*Granule < p.Len; g++ {
+		if !slices.Contains(p.Granules, g) {
+			return fmt.Errorf("core: column %q grew to %d tuples without carrying granule %d", p.Name, p.Len, g)
+		}
+	}
+	pays := make([]PayloadState, len(p.Pays))
+	for i, pp := range p.Pays {
+		j := slices.IndexFunc(st.Pays, func(q PayloadState) bool { return q.Attr == pp.Attr })
+		if j < 0 || len(pp.Vals) != m {
+			return fmt.Errorf("core: column %q patch carries payload %q the chain does not hold, or %d values of it", p.Name, pp.Attr, len(pp.Vals))
+		}
+		pays[i] = PayloadState{Attr: pp.Attr, Vals: foldGranules(st.Pays[j].Vals, pp.Vals, p.Granules, p.Len), Pend: pp.Pend}
+	}
+	st.Vals = foldGranules(st.Vals, p.Vals, p.Granules, p.Len)
+	st.OIDs = foldGranules(st.OIDs, p.OIDs, p.Granules, p.Len)
+	st.Pays = pays
+	if p.NewCuts {
+		st.Cuts = p.Cuts
+	}
+	st.Sorted, st.NextOID, st.Pending, st.Deleted, st.Strategy = p.Sorted, p.NextOID, p.Pending, p.Deleted, p.Strategy
+	return nil
+}
+
+// foldGranules resizes dst to n positions and copies the granules gs in,
+// taking their values from src one after another.
+func foldGranules[T any](dst, src []T, gs []int, n int) []T {
+	if n <= len(dst) {
+		dst = dst[:n]
+	} else {
+		dst = append(dst, make([]T, n-len(dst))...)
+	}
+	for _, g := range gs {
+		lo, hi := granuleSpan(g, n)
+		src = src[copy(dst[lo:hi], src):]
+	}
+	return dst
+}
+
 // ColumnFromState reconstructs a cracker column from an exported state,
 // validating the cut invariants before accepting it (a corrupted or
 // hand-edited snapshot must not poison future cracks). Payload vectors
@@ -112,6 +241,9 @@ func (c *Column) ExportState() ColumnState {
 // Strategy field is identity only, it is not instantiated here (core
 // cannot depend on internal/strategy).
 func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
+	if st.Patch {
+		return nil, fmt.Errorf("core: column %q state is a patch with nothing folded under it", st.Name)
+	}
 	if len(st.Vals) != len(st.OIDs) {
 		return nil, fmt.Errorf("core: column %q state has %d values but %d oids",
 			st.Name, len(st.Vals), len(st.OIDs))
@@ -163,79 +295,4 @@ func ColumnFromState(st ColumnState, opts ...Option) (*Column, error) {
 // sortOIDs orders an OID slice ascending (deterministic snapshots).
 func sortOIDs(s []bat.OID) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-// StateFingerprint hashes everything ExportState would serialize except
-// the value/oid vectors themselves: the cut set, pending queue, tombstone
-// set, vector length, and strategy identity/RNG position. Two columns
-// with equal fingerprints would export byte-identical crack state as long
-// as the underlying vectors are unchanged — which the caller establishes
-// separately (a data change tombstones or appends, both of which move
-// nextOID or the deleted set and therefore the fingerprint). The hash is
-// over the cut contents, not over any history of how they came to be,
-// so it is stable across a save/restore round trip, which is what
-// differential checkpoints need.
-func (c *Column) StateFingerprint() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var h uint64 = fingerprintSeed
-	mix := func(v uint64) { h = fpMix(h ^ v) }
-	mixStr := func(s string) {
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			mix(uint64(s[i]))
-		}
-	}
-	mixStr(c.name)
-	mix(uint64(len(c.vals)))
-	mix(uint64(c.nextOID))
-	if c.sorted {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	for _, cut := range c.idx.Cuts() {
-		mix(uint64(cut.Val))
-		mix(uint64(cut.Pos))
-		if cut.Incl {
-			mix(1)
-		} else {
-			mix(2)
-		}
-	}
-	mix(uint64(len(c.pending)))
-	for _, p := range c.pending {
-		mix(uint64(p.oid))
-		mix(uint64(p.val))
-	}
-	del := make([]bat.OID, 0, len(c.deleted))
-	for oid := range c.deleted {
-		del = append(del, oid)
-	}
-	sortOIDs(del)
-	mix(uint64(len(del)))
-	for _, oid := range del {
-		mix(uint64(oid))
-	}
-	if ss, ok := c.strategy.(StatefulStrategy); ok {
-		st := ss.Export()
-		mixStr(st.Name)
-		mix(uint64(st.MinPiece))
-		mix(st.RNG)
-	} else if c.strategy != nil {
-		mixStr(c.strategy.Name())
-	}
-	return h
-}
-
-const fingerprintSeed = 0x9e3779b97f4a7c15
-
-// fpMix is the splitmix64 finalizer: a cheap full-avalanche mixer.
-func fpMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -28,7 +28,7 @@ func TestColumnStateRoundTrip(t *testing.T) {
 	c.Delete(3)
 	c.Delete(100)
 
-	st := c.ExportState()
+	st, _ := c.TakeState(true)
 	c2, err := ColumnFromState(st)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,8 @@ func TestColumnStateRoundTripSorted(t *testing.T) {
 	c := NewColumn("s", vals)
 	c.SortAll()
 	c.Select(100, 500, true, true)
-	c2, err := ColumnFromState(c.ExportState())
+	st, _ := c.TakeState(true)
+	c2, err := ColumnFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestColumnStateRoundTripSorted(t *testing.T) {
 func TestColumnFromStateRejectsCorruption(t *testing.T) {
 	c := NewColumn("a", []int64{5, 1, 9, 3, 7})
 	c.Select(4, 8, true, true)
-	good := c.ExportState()
+	good, _ := c.TakeState(true)
 
 	bad := good
 	bad.Vals = append([]int64(nil), good.Vals...)

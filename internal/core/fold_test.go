@@ -72,6 +72,10 @@ type foldHarness struct {
 	dead  []bat.OID // OIDs deleted earlier
 	next  bat.OID
 	step  int
+
+	// images is each column as its write-back takes describe it: a whole
+	// take, then every later take folded on (checkImages).
+	images [3]core.ColumnState
 }
 
 // The base column holds values in [0, domain); inserts also land below
@@ -89,8 +93,56 @@ func newFoldHarness(t testing.TB, base []int64, stratName string, opts ...core.O
 		colOpts := append([]core.Option{fold, core.WithStrategy(foldStrategy(stratName))}, opts...)
 		h.cols[i] = core.NewColumn(fmt.Sprintf("c%d", i), base, colOpts...)
 		h.attach(h.cols[i], "f")
+		h.images[i], _ = h.cols[i].TakeState(true)
 	}
 	return h
+}
+
+// checkImages takes every column's write-back marks and folds the take
+// onto the column's image, which must then be the column: a site that
+// moves data without marking it leaves a stale granule behind.
+func (h *foldHarness) checkImages() {
+	h.t.Helper()
+	for i, c := range h.cols {
+		st, changed := c.TakeState(false)
+		switch {
+		case st.Patch:
+			if err := h.images[i].Fold(st); err != nil {
+				h.failf("%s: %v", c.Name(), err)
+			}
+		case changed:
+			h.images[i] = st
+		}
+		live, _ := c.TakeState(true) // the marks were just taken: this takes none
+		if err := sameState(h.images[i], live); err != nil {
+			h.failf("%s folded from its takes: %v", c.Name(), err)
+		}
+	}
+}
+
+// sameState compares two whole column states field by field (an empty
+// vector equals a nil one).
+func sameState(a, b core.ColumnState) error {
+	switch {
+	case a.Name != b.Name || a.Sorted != b.Sorted || a.NextOID != b.NextOID:
+		return fmt.Errorf("header %q/%v/%d, want %q/%v/%d", a.Name, a.Sorted, a.NextOID, b.Name, b.Sorted, b.NextOID)
+	case !slices.Equal(a.Vals, b.Vals) || !slices.Equal(a.OIDs, b.OIDs):
+		return fmt.Errorf("vectors differ")
+	case !slices.Equal(a.Cuts, b.Cuts):
+		return fmt.Errorf("cuts %v, want %v", a.Cuts, b.Cuts)
+	case !slices.Equal(a.Pending, b.Pending) || !slices.Equal(a.Deleted, b.Deleted):
+		return fmt.Errorf("pending or deletes differ")
+	case (a.Strategy == nil) != (b.Strategy == nil) || a.Strategy != nil && *a.Strategy != *b.Strategy:
+		return fmt.Errorf("strategy %v, want %v", a.Strategy, b.Strategy)
+	case len(a.Pays) != len(b.Pays):
+		return fmt.Errorf("%d payloads, want %d", len(a.Pays), len(b.Pays))
+	}
+	for i := range a.Pays {
+		if a.Pays[i].Attr != b.Pays[i].Attr || !slices.Equal(a.Pays[i].Vals, b.Pays[i].Vals) || !slices.Equal(a.Pays[i].Pend, b.Pays[i].Pend) {
+			return fmt.Errorf("payload %q differs", a.Pays[i].Attr)
+		}
+	}
+	return nil
 }
 
 func (h *foldHarness) attach(c *core.Column, attr string) {
@@ -232,6 +284,7 @@ func (h *foldHarness) foldAndCheck() {
 			after.TuplesMoved-before.TuplesMoved, after.CutsShifted-before.CutsShifted)
 	}
 	h.checkPays("after fold")
+	h.checkImages()
 	for _, c := range h.cols {
 		if err := c.Verify(); err != nil {
 			h.failf("%s after fold: %v", c.Name(), err)

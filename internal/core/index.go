@@ -39,6 +39,11 @@ import "fmt"
 type Index struct {
 	root *inode
 	size int
+
+	// changed notes that a cut was inserted, deleted, shifted or reset
+	// since the column's last TakeState: the next image element carries
+	// the cut set only then.
+	changed bool
 }
 
 // IndexFromSorted builds the index over cuts already in strictly
@@ -97,7 +102,10 @@ func cmpCut(v1 int64, i1 bool, v2 int64, i2 bool) int {
 func (ix *Index) Len() int { return ix.size }
 
 // Reset drops all cuts.
-func (ix *Index) Reset() { ix.root, ix.size = nil, 0 }
+func (ix *Index) Reset() {
+	ix.changed = ix.changed || ix.size > 0
+	ix.root, ix.size = nil, 0
+}
 
 // Find returns the position of the exact cut (val, incl), if registered.
 func (ix *Index) Find(val int64, incl bool) (pos int, ok bool) {
@@ -170,6 +178,7 @@ func (ix *Index) Insert(val int64, incl bool, pos int) {
 	ix.root, inserted = insertNode(ix.root, val, incl, pos)
 	if inserted {
 		ix.size++
+		ix.changed = true
 	}
 }
 
@@ -196,6 +205,7 @@ func (ix *Index) Delete(val int64, incl bool) bool {
 	ix.root, deleted = deleteNode(ix.root, val, incl)
 	if deleted {
 		ix.size--
+		ix.changed = true
 	}
 	return deleted
 }
@@ -235,11 +245,11 @@ func deleteNode(n *inode, val int64, incl bool) (*inode, bool) {
 // position the cut now has: the update fold shifts the cuts it crosses
 // in the same walk that finds them, without copying the cut list. A
 // walk that stops after k cuts costs O(log p + k).
-func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) { walkCuts(ix.root, true, visit) }
+func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) { ix.walk(ix.root, true, visit) }
 
-func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) { walkCuts(ix.root, false, visit) }
+func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) { ix.walk(ix.root, false, visit) }
 
-func walkCuts(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) bool {
+func (ix *Index) walk(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) bool {
 	if n == nil {
 		return true
 	}
@@ -247,12 +257,13 @@ func walkCuts(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) bool 
 	if desc {
 		first, second = second, first
 	}
-	if !walkCuts(first, desc, visit) {
+	if !ix.walk(first, desc, visit) {
 		return false
 	}
 	pos, more := visit(Cut{Val: n.val, Incl: n.incl, Pos: n.pos})
+	ix.changed = ix.changed || n.pos != pos
 	n.pos = pos
-	return more && walkCuts(second, desc, visit)
+	return more && ix.walk(second, desc, visit)
 }
 
 // Cut is the exported form of one registered boundary.

@@ -55,10 +55,15 @@ func (c *Column) payloadLocked(attr string) *payload {
 }
 
 // dropPaysLocked discards every payload vector: the caller is about to
-// permute the column in a way the payloads cannot follow.
+// permute the column in a way the payloads cannot follow. A payload set
+// that changed is written back whole.
 func (c *Column) dropPaysLocked() {
+	if len(c.pays) == 0 {
+		return
+	}
 	c.stats.paysDropped.Add(int64(len(c.pays)))
 	c.pays = nil
+	c.markWholeLocked()
 }
 
 // attachPayload gathers attr's payload vector through the column's
@@ -87,6 +92,7 @@ func (c *Column) attachPayload(attr string, src []int64, stamp uint64) (built bo
 	}
 	p.used.Store(stamp)
 	c.pays = append(c.pays, p)
+	c.markWholeLocked()
 	return true, nil
 }
 
@@ -114,7 +120,11 @@ func (c *Column) DropPayload(attr string) bool {
 	defer c.mu.Unlock()
 	n := len(c.pays)
 	c.pays = slices.DeleteFunc(c.pays, func(p *payload) bool { return p.attr == attr })
-	return len(c.pays) != n
+	if len(c.pays) == n {
+		return false
+	}
+	c.markWholeLocked()
+	return true
 }
 
 // ProjectStatus says what Column.Project did with a request.

@@ -104,14 +104,15 @@ func WithStrategy(s CrackStrategy) Option {
 }
 
 // WithStrategyFactory sets the crack strategy from a factory invoked
-// once per column, so one Option value can safely configure many
-// columns (CrackedTable applies the same option list to every column it
-// creates). A nil factory, or a factory returning nil, selects standard
-// cracking.
-func WithStrategyFactory(f func() CrackStrategy) Option {
+// once per column with the column's name, so one Option value can safely
+// configure many columns (CrackedTable applies the same option list to
+// every column it creates) and derive each one's seed from what the
+// column is rather than from when it was created. A nil factory, or a
+// factory returning nil, selects standard cracking.
+func WithStrategyFactory(f func(name string) CrackStrategy) Option {
 	return func(c *Column) {
 		if f != nil {
-			c.strategy = f()
+			c.strategy = f(c.name)
 		}
 	}
 }
@@ -143,6 +144,7 @@ func (c *Column) SwapStrategy(swap func(old CrackStrategy) CrackStrategy) {
 	}
 	c.mu.Lock()
 	c.strategy = swap(c.strategy)
+	c.touched = true
 	c.mu.Unlock()
 }
 
@@ -163,6 +165,7 @@ const maxAuxCracksPerCut = 64
 // back to standard registration, which is always correct. The caller
 // holds the write lock.
 func (c *Column) adviseLocked(val int64, incl bool) bool {
+	c.touched = true // a consultation may draw from the strategy's RNG
 	for depth := 0; depth < maxAuxCracksPerCut; depth++ {
 		lo, hi := c.pieceBounds(val, incl)
 		if hi-lo < c.minPieceSize {

@@ -113,8 +113,7 @@ func (ct *CrackedTable) Column(attr string) (*Column, bool) {
 
 // ReplaceColumn installs a reconstructed cracker column
 // (ColumnFromState) for attr, displacing any live column and the payload
-// vectors it carried — an image element supersedes whatever the chain
-// before it restored. The attribute must exist in the base relation, the
+// vectors it carried. The attribute must exist in the base relation, the
 // column's payload vectors must be other attributes of it, and the
 // column's tuple count must match the base cardinality — OID alignment
 // is what makes fetches through the surrogate key correct.

@@ -100,6 +100,7 @@ func (c *Column) consolidateLocked() {
 	if len(c.pending) == 0 && len(c.deleted) == 0 {
 		return
 	}
+	c.touched = true
 	c.stats.folded.Add(int64(len(c.pending) + len(c.deleted)))
 
 	// An insert deleted while still pending never materializes.
@@ -145,6 +146,7 @@ func (c *Column) consolidateLocked() {
 		pv.vals = slices.Grow(pv.vals, k)[:n+k]
 	}
 	place := func(dst, src, mv, from, to int) {
+		c.markLocked(dst, dst+mv+to-from)
 		copy(c.vals[dst:dst+mv], c.vals[src:])
 		copy(c.oids[dst:dst+mv], c.oids[src:])
 		for i, p := range batch[from:to] {
@@ -180,15 +182,20 @@ func (c *Column) consolidateLocked() {
 // compactLocked removes the stored tuples named by c.deleted in one
 // ascending pass, closing the gaps in place: every cut lands on the
 // write cursor as the sweep reaches it, i.e. moves left by the tuples
-// removed before it. O(n + p), index kept.
+// removed before it. O(n + p), index kept. Everything from the first slot
+// it moved to the new end is marked for write-back.
 func (c *Column) compactLocked() (written, shifted int) {
 	r, w := 0, 0
+	first := -1
 	sweep := func(to int) {
 		for ; r < to; r++ {
 			if _, gone := c.deleted[c.oids[r]]; gone {
 				continue
 			}
 			if w != r {
+				if first < 0 {
+					first = w
+				}
 				c.vals[w], c.oids[w] = c.vals[r], c.oids[r]
 				for _, pv := range c.pays {
 					pv.vals[w] = pv.vals[r]
@@ -206,6 +213,9 @@ func (c *Column) compactLocked() (written, shifted int) {
 		return w, true
 	})
 	sweep(len(c.vals))
+	if first >= 0 {
+		c.markLocked(first, w)
+	}
 	c.vals, c.oids = c.vals[:w], c.oids[:w]
 	for _, pv := range c.pays {
 		pv.vals = pv.vals[:w]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -15,56 +16,61 @@ import (
 )
 
 // Store images. One element type persists a store: an Image carries what
-// changed since a named predecessor — rewritten tables, and the complete
-// crack state (core.ColumnState, payload vectors included) of every
-// column whose fingerprint moved — and a full image is simply the element
-// with nothing before it: Base set, every table DataDirty, every cracked
-// column carried. The paper argues reorganization cost should track what
-// queries touch; so does checkpoint cost, because the unit of change is
-// the column.
+// changed since a named predecessor — the rows appended to each table,
+// and for every column that moved either its whole crack state
+// (core.ColumnState, payload vectors included) or a patch of the granules
+// it wrote (core.Granule) — and a full image is simply the element with
+// nothing before it: Base set, every table rewritten, every cracked column
+// whole. The paper counts cost in granules, "tuples or disk pages"
+// (§2.2); so does a checkpoint.
 //
-// File layout (version 5):
+// File layout (version 6):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   5
+//	version  uint8   6
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
 //	ntables  uint32  authoritative table manifest (see ImageTable)
-//	tables   ntables × (name, cols, rows, tombstones, dataDirty)
+//	tables   ntables × (name, cols, rows, tombstones, from)
 //	config   store-wide crack configuration: strategy name and seed, max
 //	         pieces, sideways budget (full copy; the last element's wins)
 //	ncols    uint32  column records, changed columns only: table, attr,
-//	columns          name, sorted, nextOID, n, n values, n OIDs, cuts,
-//	                 pending inserts, deletes, strategy, then npays ×
-//	                 (attr, n values, one value per pending insert)
+//	columns          name, sorted, nextOID, n, patch, then
+//	                   whole: n values, n OIDs, cuts
+//	                   patch: k granule indexes, the m values and m OIDs
+//	                          they hold, newCuts, cuts if newCuts
+//	                 then pending inserts, deletes, strategy, npays ×
+//	                 (attr, n or m values, one value per pending insert)
 //	ntune    uint32  tuner posture (full copy; the last element's wins)
 //	tuner    ntune × (table, column, strategy, class, flips, forced)
 //	crc      uint32  CRC-32 (IEEE) of everything above
 //
 // The table manifest is complete, not differential: a table absent from
-// it was dropped, a DataDirty table has its BAT images next to the file,
-// and a clean table must already exist earlier in the chain with the
-// same shape. The trailing checksum makes a torn or bit-flipped image
+// it was dropped, a table with rows from From on has BAT files of those
+// rows next to the file, and the rest of it must already exist earlier
+// in the chain. The trailing checksum makes a torn or bit-flipped image
 // fail as a whole (ErrCorrupt); whoever opens the chain refuses to boot
 // on it rather than serve half a cut set.
 //
-// Version 4 is still read. It has a dead byte after max pieces (the old
-// ripple flag), then a list of touched tables after the column records,
-// then a map section that repeated each payload column's values and OIDs
-// beside empty cut and strategy slots and held no payload values for
-// pending inserts. The byte and the list are skipped. A map becomes its
-// column record's payloads only if the same element carries the column,
-// its OIDs and keys equal the record's and the record queues no inserts;
-// any other map is dropped, losing only warmth. Versions 1–3 and above 5
-// are refused by version.
+// Versions 4 and 5 are still read: their column records are all whole,
+// and a table's dataDirty byte reads as From 0 (set) or Rows (clear).
+// Version 4 also has a dead byte after max pieces (the old ripple flag),
+// then a list of touched tables after the column records, then a map
+// section that repeated each payload column's values and OIDs beside
+// empty cut and strategy slots and held no payload values for pending
+// inserts. The byte and the list are skipped. A map becomes its column
+// record's payloads only if the same element carries the column, its
+// OIDs and keys equal the record's and the record queues no inserts; any
+// other map is dropped, losing only warmth. Versions 1–3 and above 6 are
+// refused by version.
 
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 // imageVersion is the version WriteImage writes; ReadImage also reads
 // oldestImageVersion.
 const (
-	imageVersion       = 5
+	imageVersion       = 6
 	oldestImageVersion = 4
 )
 
@@ -96,10 +102,11 @@ type ImageTable struct {
 	// are rare and the set is bounded by consolidation).
 	Deleted []bat.OID
 
-	// DataDirty marks tables whose base vectors changed since the chain
-	// predecessor; their BAT images are written next to the image file
-	// and replace the prior ones on apply.
-	DataDirty bool
+	// From is the first row the element's BAT files hold: 0 rewrites the
+	// table (it is new or recreated, or the element is a base), Rows
+	// writes no BAT file, and anything between appends the rows
+	// [From, Rows) to the table the chain built so far.
+	From int
 }
 
 // Image is one element of a checkpoint chain.
@@ -108,7 +115,7 @@ type Image struct {
 	PrevSum uint32 // trailer checksum of the element this one follows
 	Config  StoreConfig
 	Tables  []ImageTable
-	Columns []ColumnSnapshot // columns whose crack state changed
+	Columns []ColumnSnapshot // columns whose crack state changed, whole or patched
 	Tuner   []tuner.ColumnState
 }
 
@@ -229,7 +236,7 @@ func (e *imageEncoder) image(img *Image) {
 		e.u64(uint64(t.Rows))
 		e.u64(uint64(len(t.Deleted)))
 		e.oids(t.Deleted)
-		e.bool(t.DataDirty)
+		e.u64(uint64(t.From))
 	}
 	e.str(img.Config.StrategyName)
 	e.u64(uint64(img.Config.StrategySeed))
@@ -257,10 +264,25 @@ func (e *imageEncoder) column(cs *ColumnSnapshot) {
 	e.str(st.Name)
 	e.bool(st.Sorted)
 	e.u64(uint64(st.NextOID))
-	e.u64(uint64(len(st.Vals)))
+	if st.Patch {
+		e.u64(uint64(st.Len))
+		e.bool(true)
+		e.u64(uint64(len(st.Granules)))
+		for _, g := range st.Granules {
+			e.u32(uint32(g))
+		}
+	} else {
+		e.u64(uint64(len(st.Vals)))
+		e.bool(false)
+	}
 	e.int64s(st.Vals)
 	e.oids(st.OIDs)
-	e.cuts(st.Cuts)
+	if st.Patch {
+		e.bool(st.NewCuts)
+	}
+	if !st.Patch || st.NewCuts {
+		e.cuts(st.Cuts)
+	}
 	e.u64(uint64(len(st.Pending)))
 	for _, p := range st.Pending {
 		e.u32(uint32(p.OID))
@@ -270,7 +292,7 @@ func (e *imageEncoder) column(cs *ColumnSnapshot) {
 	e.oids(st.Deleted)
 	e.strategy(st.Strategy)
 	// Payload vectors carry no lengths: each is aligned with the values
-	// and the pending inserts written above.
+	// (whole, or the patch's granules) and the pending inserts above.
 	e.u32(uint32(len(st.Pays)))
 	for _, p := range st.Pays {
 		e.str(p.Attr)
@@ -305,7 +327,7 @@ func ReadImage(path string) (*Image, uint32, error) {
 	}
 	r.version = r.u8()
 	if r.err == nil && (r.version < oldestImageVersion || r.version > imageVersion) {
-		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads versions %d and %d)",
+		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads versions %d to %d)",
 			r.version, oldestImageVersion, imageVersion)
 	}
 	img := r.image()
@@ -415,6 +437,31 @@ func (d *imageDecoder) cuts() []core.Cut {
 	return out
 }
 
+// granules reads a patch's granule list for a column of n tuples and
+// returns how many positions the listed granules cover. Every index must
+// lie inside the column and follow the one before it, and the list and
+// the positions it names are bounded by the file size before anything is
+// allocated. A column holds at most 2^32 tuples: OIDs are 32 bits.
+func (d *imageDecoder) granules(st *core.ColumnState, n uint64) uint64 {
+	if d.err == nil && n > math.MaxUint32 {
+		d.err = fmt.Errorf("patch of a %d-tuple column", n)
+	}
+	k := d.count(d.u64(), 4, "granule")
+	b := d.next(4 * int(k))
+	st.Len, st.Granules = int(n), make([]int, k)
+	limit := (n + core.Granule - 1) / core.Granule
+	var m uint64
+	for i := range st.Granules {
+		g := uint64(binary.LittleEndian.Uint32(b[4*i:]))
+		if d.err == nil && (g >= limit || i > 0 && int(g) <= st.Granules[i-1]) {
+			d.err = fmt.Errorf("granule %d out of order or past a %d-tuple column", g, n)
+		}
+		st.Granules[i] = int(g)
+		m += min(n, (g+1)*core.Granule) - g*core.Granule
+	}
+	return d.count(m, 12, "patch cardinality")
+}
+
 func (d *imageDecoder) strategy() *core.StrategyState {
 	if !d.bool() {
 		return nil
@@ -432,7 +479,15 @@ func (d *imageDecoder) image() *Image {
 		}
 		t.Rows = d.int()
 		t.Deleted = d.oids(d.count(d.u64(), 4, "tombstone"))
-		t.DataDirty = d.bool()
+		switch {
+		case d.version >= 6:
+			t.From = d.int()
+		case !d.bool():
+			t.From = t.Rows
+		}
+		if d.err == nil && (t.Rows < 0 || t.From < 0 || t.From > t.Rows) {
+			d.err = fmt.Errorf("table %q rows [%d, %d) out of order", t.Name, t.From, t.Rows)
+		}
 		img.Tables = append(img.Tables, t)
 	}
 	img.Config.StrategyName = d.str()
@@ -469,10 +524,23 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	st.Name = d.str()
 	st.Sorted = d.bool()
 	st.NextOID = bat.OID(d.u64())
-	n := d.count(d.u64(), 12, "column cardinality") // 8 bytes/value + 4/oid
+	n := d.u64()
+	if d.version >= 6 {
+		st.Patch = d.bool()
+	}
+	if st.Patch {
+		n = d.granules(st, n)
+	} else {
+		n = d.count(n, 12, "column cardinality") // 8 bytes/value + 4/oid
+	}
 	st.Vals = d.int64s(n)
 	st.OIDs = d.oids(n)
-	st.Cuts = d.cuts()
+	if st.Patch {
+		st.NewCuts = d.bool()
+	}
+	if !st.Patch || st.NewCuts {
+		st.Cuts = d.cuts()
+	}
 	st.Pending = make([]core.PendingState, d.count(d.u64(), 12, "pending")) // 4 oid + 8 val
 	for i := range st.Pending {
 		st.Pending[i] = core.PendingState{OID: bat.OID(d.u32()), Val: int64(d.u64())}

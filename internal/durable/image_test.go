@@ -39,7 +39,26 @@ func sampleColumn(table, attr string, n int) ColumnSnapshot {
 	return ColumnSnapshot{Table: table, Attr: attr, State: st}
 }
 
-// sampleDelta is a non-base element: one clean table, one rewritten.
+// samplePatch is a patch record of a 600-tuple column: its short last
+// granule, with a new cut set.
+func samplePatch(table, attr string) ColumnSnapshot {
+	st := core.ColumnState{
+		Name: attr, NextOID: 600, Patch: true, Len: 600, Granules: []int{1}, NewCuts: true,
+		Cuts:    []core.Cut{{Val: 600, Pos: 700}},
+		Pending: []core.PendingState{},
+		Deleted: []bat.OID{},
+		Pays:    []core.PayloadState{{Attr: "v", Pend: []int64{}}},
+	}
+	for i := core.Granule; i < 600; i++ {
+		st.Vals = append(st.Vals, int64(i))
+		st.OIDs = append(st.OIDs, bat.OID(i))
+		st.Pays[0].Vals = append(st.Pays[0].Vals, -int64(i))
+	}
+	return ColumnSnapshot{Table: table, Attr: attr, State: st}
+}
+
+// sampleDelta is a non-base element: one table with rows appended and a
+// column patched, one with a whole column record.
 func sampleDelta() *Image {
 	return &Image{
 		PrevSum: 0x1234abcd,
@@ -48,10 +67,10 @@ func sampleDelta() *Image {
 			SidewaysBudget: 3,
 		},
 		Tables: []ImageTable{
-			{Name: "cold", Cols: []string{"k", "v"}, Rows: 100, Deleted: []bat.OID{}},
-			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}, DataDirty: true},
+			{Name: "cold", Cols: []string{"k", "v"}, Rows: 600, Deleted: []bat.OID{}, From: 550},
+			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}},
 		},
-		Columns: []ColumnSnapshot{sampleColumn("hot", "k", 9)},
+		Columns: []ColumnSnapshot{samplePatch("cold", "k"), sampleColumn("hot", "k", 9)},
 		Tuner:   []tuner.ColumnState{{Table: "hot", Column: "k", Strategy: "ddr", Class: "seq", Flips: 3, Forced: true}},
 	}
 }
@@ -60,9 +79,9 @@ func sampleDelta() *Image {
 func sampleBase() *Image {
 	img := sampleDelta()
 	img.Base, img.PrevSum = true, 0
-	img.Tables[0].DataDirty = true
-	img.Columns = append(img.Columns, sampleColumn("cold", "v", 100))
-	img.Columns[1].State.Pays = nil
+	img.Tables[0].From = 0
+	img.Columns[0] = sampleColumn("cold", "v", 60)
+	img.Columns[0].State.Pays = nil
 	return img
 }
 
@@ -81,7 +100,7 @@ func TestImageRoundTrip(t *testing.T) {
 		}},
 		{"crack-only delta", &Image{
 			PrevSum: 0, // 0 is a valid CRC: a delta all the same
-			Tables:  []ImageTable{{Name: "hot", Cols: []string{"k"}, Rows: 9, Deleted: []bat.OID{}}},
+			Tables:  []ImageTable{{Name: "hot", Cols: []string{"k"}, Rows: 9, Deleted: []bat.OID{}, From: 9}},
 			Columns: []ColumnSnapshot{sampleColumn("hot", "k", 9)},
 		}},
 	} {
@@ -102,6 +121,70 @@ func TestImageRoundTrip(t *testing.T) {
 				t.Fatalf("round trip diverged:\nwrote %+v\nread  %+v", tc.img, got)
 			}
 		})
+	}
+}
+
+// rawPatchImage encodes a delta whose one column record is a patch of an
+// n-tuple column that lists k granules, gs the first of them: the reader
+// must refuse a bad list before it reads (or allocates for) anything the
+// list implies.
+func rawPatchImage(t testing.TB, n, k uint64, gs []uint32) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "img.crk")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &imageEncoder{f: f}
+	e.buf = append(e.buf, imageMagic[:]...)
+	e.u8(imageVersion)
+	e.bool(false) // base
+	e.u32(0)      // prevSum
+	e.u32(0)      // tables
+	e.str("")     // config: strategy name, seed, max pieces, sideways budget
+	e.u64(0)
+	e.u64(0)
+	e.u64(0)
+	e.u32(1) // one column record
+	for _, s := range []string{"t", "k", "t.k"} {
+		e.str(s)
+	}
+	e.bool(false) // sorted
+	e.u64(n)      // next OID
+	e.u64(n)
+	e.bool(true) // patch
+	e.u64(k)
+	for _, g := range gs {
+		e.u32(g)
+	}
+	e.finish()
+	if e.err != nil || f.Close() != nil {
+		t.Fatal("writing the fixture failed")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestPatchGranulesBounded: a patch whose granule list points past its
+// column, runs backwards, claims more entries than the file could hold, or
+// patches a column longer than 32-bit OIDs can number is corruption.
+func TestPatchGranulesBounded(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"past the length": rawPatchImage(t, 100, 1, []uint32{1}),
+		"out of order":    rawPatchImage(t, 2000, 2, []uint32{2, 1}),
+		"count past file": rawPatchImage(t, 1<<30, 1<<40, nil),
+		"column too long": rawPatchImage(t, 1<<33, 1, []uint32{0}),
+	} {
+		path := filepath.Join(t.TempDir(), "img.crk")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadImage(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
 	}
 }
 

@@ -192,6 +192,7 @@ func workSince(cur, prev crackdb.ColumnStats) crackdb.ColumnStats {
 	cur.Consolidations -= prev.Consolidations
 	cur.RippleFolds -= prev.RippleFolds
 	cur.RebuildFolds -= prev.RebuildFolds
+	cur.GranulesDirtied -= prev.GranulesDirtied
 	return cur
 }
 

@@ -43,7 +43,7 @@ func save(t *testing.T, c *Client, mode string) {
 // the sections of the image that changed — the unchanged base shards
 // are reused from its previously installed copy, never re-fetched.
 func TestFollowerRebootstrapReusesUnchangedFiles(t *testing.T) {
-	opts := shard.Options{Shards: 16, Kind: shard.Range, Domain: [2]int64{0, 16000}}
+	opts := shard.Options{Shards: 16, Kind: shard.Range}
 	pAddr, pStore, pStop := startDurableServer(t, t.TempDir(), opts)
 	defer pStop()
 	pc, err := Dial(pAddr)
@@ -136,7 +136,7 @@ func TestFollowerRebootstrapReusesUnchangedFiles(t *testing.T) {
 // checksum-matched by the new manifest are kept; only the new chain
 // element is fetched.
 func TestBootstrapResumeAcrossCheckpoint(t *testing.T) {
-	opts := shard.Options{Shards: 4, Kind: shard.Range, Domain: [2]int64{0, 4000}}
+	opts := shard.Options{Shards: 4, Kind: shard.Range}
 	pAddr, _, pStop := startDurableServer(t, t.TempDir(), opts)
 	defer pStop()
 	pc, err := Dial(pAddr)

@@ -101,7 +101,7 @@ func TestServerSaveAndWALMetas(t *testing.T) {
 // The write lands on one of eight shards, so the delta stays far below
 // the compaction bound.
 func TestSaveReplies(t *testing.T) {
-	opts := shard.Options{Shards: 8, Kind: shard.Range, Domain: [2]int64{0, 8000}}
+	opts := shard.Options{Shards: 8, Kind: shard.Range}
 	addr, _, stop := startDurableServer(t, t.TempDir(), opts)
 	defer stop()
 	c, err := DialTimeout(addr, 2*time.Second)

@@ -191,7 +191,6 @@ func (s *Server) replStatusMeta([]string) (*Response, bool) {
 	kv("primary", primary)
 	kv("shards", strconv.Itoa(opts.Shards))
 	kv("kind", string(opts.Kind))
-	kv("domain", fmt.Sprintf("%d %d", opts.Domain[0], opts.Domain[1]))
 	if w := s.store.WAL(); w != nil {
 		st := w.Status()
 		frontier, _ := w.CommitSignal()

@@ -542,3 +542,45 @@ func TestFollowerStopIsPrompt(t *testing.T) {
 		t.Fatalf("Follower.Stop took %v against an idle primary", e)
 	}
 }
+
+// TestFollowerEndsWhenLogIsGone: a follower whose position the primary no
+// longer archives cannot catch up by reconnecting, so Run returns the
+// refusal instead of retrying it forever behind reads that never advance.
+// The follower advertises no address, so no heartbeat pins the primary's
+// prune floor and no follower-seen window has to pass.
+func TestFollowerEndsWhenLogIsGone(t *testing.T) {
+	pAddr, _, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 1})
+	defer pStop()
+	pc, err := Dial(pAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if _, err := pc.Exec("CREATE TABLE t (k)"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenFollower(FollowerOptions{Primary: pAddr, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Store().CloseWAL()
+	// Every /save after a write rotates the primary's log; past the
+	// retained archives the follower's position is gone.
+	for i := 0; i < 6; i++ {
+		if _, err := pc.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d)", i)); err != nil {
+			t.Fatal(err)
+		}
+		save(t, pc, "")
+	}
+	ended := make(chan error, 1)
+	go func() { ended <- f.Run() }()
+	select {
+	case err := <-ended:
+		if err == nil || !strings.Contains(err.Error(), "snapshot required") {
+			t.Fatalf("Run ended with %v, want the primary's snapshot-required refusal", err)
+		}
+	case <-time.After(5 * time.Second):
+		f.Stop()
+		t.Fatal("Run kept retrying a position the primary no longer holds")
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -226,21 +227,29 @@ func localNext(s *shard.Store) uint64 {
 	return 0
 }
 
-// Run pulls and applies until Stop, reconnecting with backoff on any
-// connection failure. Safe to call once.
-func (f *Follower) Run() {
+// errReplicationEnded marks a pull loop error no reconnect can cure.
+var errReplicationEnded = errors.New("replication ended")
+
+// Run pulls and applies until Stop, reconnecting with backoff on a dial
+// or connection failure. It returns nil after Stop, or the error that
+// ends replication for good: the primary no longer holds the log from
+// this follower's position (a restart re-bootstraps — OpenFollower does
+// that), or a record the primary accepted does not apply here. Retrying
+// either would only keep serving reads that never advance. Safe to call
+// once.
+func (f *Follower) Run() error {
 	defer close(f.done)
 	for {
 		select {
 		case <-f.stop:
-			return
+			return nil
 		default:
 		}
 		c, err := DialTimeout(f.primary, 2*time.Second)
 		if err != nil {
 			f.logf("follower: dial %s: %v (retrying)", f.primary, err)
 			if !f.sleep(500 * time.Millisecond) {
-				return
+				return nil
 			}
 			continue
 		}
@@ -250,14 +259,18 @@ func (f *Follower) Run() {
 		c.Close()
 		select {
 		case <-f.stop:
-			return
+			return nil
 		default:
+		}
+		if errors.Is(err, errReplicationEnded) {
+			f.logf("follower: %v", err)
+			return err
 		}
 		if err != nil {
 			f.logf("follower: replication interrupted: %v (reconnecting)", err)
 		}
 		if !f.sleep(200 * time.Millisecond) {
-			return
+			return nil
 		}
 	}
 }
@@ -290,7 +303,8 @@ func (f *Follower) sleep(d time.Duration) bool {
 
 // pullLoop drives one connection: long-poll /replpull from the local
 // frontier, apply every record in order, repeat. Returns on connection
-// error (the caller reconnects) or a primary-side refusal.
+// error or a primary-side refusal (the caller reconnects), or with
+// errReplicationEnded.
 func (f *Follower) pullLoop(c *Client) error {
 	for {
 		select {
@@ -312,7 +326,7 @@ func (f *Follower) pullLoop(c *Client) error {
 				// The primary checkpointed past our position more times than
 				// it keeps archived segments — a follower that stayed
 				// connected never gets here; a restart re-bootstraps.
-				return fmt.Errorf("fell behind the archived log (%s); restart the follower to re-bootstrap", resp.Err)
+				return fmt.Errorf("%w: fell behind the archived log (%s); restart the follower to re-bootstrap", errReplicationEnded, resp.Err)
 			}
 			return fmt.Errorf("primary: %s", resp.Err)
 		}
@@ -325,7 +339,7 @@ func (f *Follower) pullLoop(c *Client) error {
 			if err := f.store.Apply(rec); err != nil {
 				// A record the primary accepted must apply here — the stores
 				// hold identical logical state. Divergence is fatal.
-				return fmt.Errorf("apply seq %d (%v on %q): %v", next, rec.Kind, rec.Table, err)
+				return fmt.Errorf("%w: apply seq %d (%v on %q): %v", errReplicationEnded, next, rec.Kind, rec.Table, err)
 			}
 			next++
 			f.applied.Add(1)
@@ -396,9 +410,6 @@ func optionsFromKV(kv map[string]string) (shard.Options, error) {
 	}
 	o.Shards = n
 	o.Kind = shard.Kind(kv["kind"])
-	if _, err := fmt.Sscanf(kv["domain"], "%d %d", &o.Domain[0], &o.Domain[1]); err != nil {
-		return o, fmt.Errorf("server: primary reported bad domain %q", kv["domain"])
-	}
 	return o, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/core"
 	"crackdb/internal/shard"
 )
 
@@ -18,7 +20,7 @@ import (
 // every key of [0, 8000) once, so the bounds it samples fall on the
 // multiples of 1000 and a test can target one shard by key range.
 func rangeOpts() shard.Options {
-	return shard.Options{Shards: 8, Kind: shard.Range, Domain: [2]int64{0, 8000}}
+	return shard.Options{Shards: 8, Kind: shard.Range}
 }
 
 func mustExec(t testing.TB, err error) {
@@ -482,5 +484,80 @@ func TestDeltaCheckpointNoop(t *testing.T) {
 	mustExec(t, err)
 	if n != 8001 {
 		t.Fatalf("recovered %d rows, want 8001", n)
+	}
+}
+
+// TestDeltaBytesBudget: a delta element writes what queries moved, in
+// granules, not the columns they moved it in. On a 4-shard hash store of
+// 4 × 250 k tapestry rows converged by range counts, a 16-row append and
+// the count that folds it write at most 1 % of the full image, and one
+// fresh crack writes at most twice the bytes of the pieces it partitions,
+// plus one granule per piece end, plus each shard's cut set.
+func TestDeltaBytesBudget(t *testing.T) {
+	const n = 1_000_000
+	dir := t.TempDir()
+	s, _, err := shard.OpenDurable(dir, shard.Options{Shards: 4, Kind: shard.Hash})
+	mustExec(t, err)
+	defer s.CloseWAL()
+	mustExec(t, s.LoadTapestry("t", n, 2, 1))
+	rng := rand.New(rand.NewSource(5))
+	count := func(lo int64) {
+		_, err := s.Count("t", "c0", lo, lo+n/100)
+		mustExec(t, err)
+	}
+	var seen []int64
+	for i := 0; i < 1000; i++ {
+		seen = append(seen, 1+rng.Int63n(n))
+		count(seen[i])
+	}
+	// elem checkpoints and returns the bytes of the element it wrote.
+	elem := func(full bool) int64 {
+		t.Helper()
+		mode, err := s.Checkpoint(full)
+		mustExec(t, err)
+		if want := map[bool]string{true: "full", false: "delta"}[full]; mode != want {
+			t.Fatalf("checkpoint wrote %q, want %q", mode, want)
+		}
+		if full {
+			return dirBytes(t, filepath.Join(dir, "store"))
+		}
+		dds := deltaDirs(t, dir)
+		return dirBytes(t, dds[len(dds)-1])
+	}
+	full := elem(true)
+
+	rows := make([][]int64, 16)
+	for i := range rows {
+		rows[i] = []int64{2*n + int64(i), int64(i)} // above every cut: none shifts
+	}
+	mustExec(t, s.InsertRows("t", rows))
+	count(seen[0]) // cut already: only the fold moves anything
+	appended := elem(false)
+	t.Logf("full image %d bytes; 16-row append and fold %d bytes (%.3f %%)", full, appended, 100*float64(appended)/float64(full))
+	if appended*100 > full {
+		t.Errorf("a 16-row append wrote a %d-byte delta, more than 1 %% of the %d-byte full image", appended, full)
+	}
+
+	before, err := s.ShardStats("t", "c0")
+	mustExec(t, err)
+	count(1 + rng.Int63n(n))
+	after, err := s.ShardStats("t", "c0")
+	mustExec(t, err)
+	const tuple = 8 + 4      // a value and its OID; no payloads here
+	budget := int64(4 << 10) // element and shard manifests, image headers
+	var piece int64
+	for i := range after {
+		m := after[i].TuplesTouched - before[i].TuplesTouched
+		ends := 2 * int64(after[i].Cracks-before[i].Cracks)
+		piece += m
+		budget += 2*m*tuple + ends*core.Granule*tuple + int64(after[i].Pieces-1)*17
+	}
+	if piece == 0 {
+		t.Fatal("the fresh range cracked nothing")
+	}
+	cracked := elem(false)
+	t.Logf("one fresh crack of %d tuples wrote %d bytes, budget %d", piece, cracked, budget)
+	if cracked > budget {
+		t.Errorf("one fresh crack of %d tuples wrote %d bytes, budget %d", piece, cracked, budget)
 	}
 }

@@ -12,13 +12,15 @@ import (
 	"crackdb/internal/shard"
 )
 
-// testdata/v4chain is a data directory written by a build that saved
-// store images as version 4 (see CHANGES.md for the commit and the
-// program): two hash shards, a base and one delta. Table t (k, a, b, c)
-// carries payload vectors a and b on k, tombstones, pending inserts on
-// c and an mdd1r column b; table u lives in the base only.
-// testdata/v4chain-answers.json holds what that build answered after a
-// reboot of the directory.
+// testdata/v4chain and testdata/v5chain are data directories written by
+// builds that saved store images as version 4 and version 5 (see
+// CHANGES.md for the commits and the programs): two hash shards, a base
+// and one delta. Table t (k, a, b, c) carries payload vectors a and b on
+// k, tombstones, pending inserts on c and an mdd1r column b; table u is
+// a tapestry, which v4chain holds in the base only and v5chain cracks
+// again in the delta. testdata/v4chain-answers.json and
+// v5chain-answers.json hold what each build answered after a reboot of
+// its directory.
 
 type goldenQuery struct {
 	Table string    `json:"table"`
@@ -96,10 +98,17 @@ func goldenAnswer(t *testing.T, s *shard.Store, sc *goldenScript) {
 
 // TestVersion4DataDirBoots: a data directory whose images are version 4
 // boots with its payload vectors warm, answers what the build that wrote
-// it answered, takes a version-5 delta on top of the version-4 chain, and
+// it answered, takes a version-6 delta on top of the version-4 chain, and
 // reboots from the mixed chain to the same answers.
-func TestVersion4DataDirBoots(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v4chain-answers.json"))
+func TestVersion4DataDirBoots(t *testing.T) { bootGolden(t, "v4chain") }
+
+// TestVersion5DataDirBoots is the same upgrade from version 5, whose
+// column records carry their payload vectors: the version-6 delta patches
+// columns that version-5 records restored.
+func TestVersion5DataDirBoots(t *testing.T) { bootGolden(t, "v5chain") }
+
+func bootGolden(t *testing.T, name string) {
+	data, err := os.ReadFile(filepath.Join("testdata", name+"-answers.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestVersion4DataDirBoots(t *testing.T) {
 	}
 	// A boot writes into its data dir: boot with a copy.
 	dir := filepath.Join(t.TempDir(), "data")
-	copyTree(t, filepath.Join("testdata", "v4chain"), dir)
+	copyTree(t, filepath.Join("testdata", name), dir)
 
 	s, info, err := shard.OpenDurable(dir, shard.Options{})
 	if err != nil {
@@ -122,15 +131,15 @@ func TestVersion4DataDirBoots(t *testing.T) {
 	goldenAnswer(t, s, &sc)
 	kind, err := s.Checkpoint(false)
 	if err != nil || kind != "delta" {
-		t.Fatalf("checkpoint on the version-4 chain wrote %q, %v; want a delta", kind, err)
+		t.Fatalf("checkpoint on the %s chain wrote %q, %v; want a delta", name, kind, err)
 	}
 	for i := 0; i < 2; i++ {
 		img, err := os.ReadFile(filepath.Join(dir, "delta-000002", "shard-"+strconv.Itoa(i), "crackstate.crk"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if img[4] != 5 {
-			t.Fatalf("shard %d's new element is image version %d, want 5", i, img[4])
+		if img[4] != 6 {
+			t.Fatalf("shard %d's new element is image version %d, want 6", i, img[4])
 		}
 	}
 	if err := s.CloseWAL(); err != nil {

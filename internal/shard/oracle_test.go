@@ -110,7 +110,7 @@ func TestUpdateFoldOracle(t *testing.T) {
 // interval must leave the other shards' crack counters untouched.
 func TestShardStatsLocality(t *testing.T) {
 	const n = 4000
-	s := shard.New(shard.Options{Shards: 4, Kind: shard.Range, Domain: [2]int64{0, n - 1}})
+	s := shard.New(shard.Options{Shards: 4, Kind: shard.Range})
 	if err := s.CreateTable("t", "k", "v"); err != nil {
 		t.Fatal(err)
 	}

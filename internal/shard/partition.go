@@ -135,18 +135,18 @@ func (r rangePart) describe() string {
 }
 
 // minSampleRows is the smallest first batch worth deriving sampled range
-// bounds from: below it the quantile estimates are noise and the even
-// domain split stands.
+// bounds from: below it the quantile estimates are noise, and the batch's
+// key span is split evenly instead.
 const minSampleRows = 64
 
 // sampledBounds derives n-1 strictly-increasing upper-exclusive cut
 // points from the observed key distribution, placing near-equal
-// populations in each shard — the data-driven alternative to evenBounds
-// when the keys are skewed relative to the configured domain (a Zipfian
-// id column, timestamps clustered in the recent past, ...). Equal keys
-// never straddle a cut (the cut value moves past the run), so heavy
-// duplicates cost balance, not correctness. Returns nil when the keys
-// cannot support n distinct intervals; the caller keeps its even split.
+// populations in each shard — what evenBounds over the keys' span cannot
+// do when the keys are skewed (a Zipfian id column, timestamps clustered
+// in the recent past, ...). Equal keys never straddle a cut (the cut
+// value moves past the run), so heavy duplicates cost balance, not
+// correctness. Returns nil when the keys cannot support n distinct
+// intervals; the caller splits their span evenly.
 func sampledBounds(keys []int64, n int) []int64 {
 	if n < 2 || len(keys) < minSampleRows || len(keys) < n {
 		return nil

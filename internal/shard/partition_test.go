@@ -131,16 +131,15 @@ func TestSampledBoundsSkew(t *testing.T) {
 	}
 }
 
-// TestFirstInsertSamplesBounds: a range table's first batch rewrites the
-// even split into data-driven bounds end to end, and the persisted spec
-// round-trips them.
+// TestFirstInsertSamplesBounds: a range table's first batch sets
+// data-driven bounds end to end, and the persisted spec round-trips them.
 func TestFirstInsertSamplesBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := New(Options{Shards: 4, Kind: Range, Domain: [2]int64{0, 1 << 20}})
+	s := New(Options{Shards: 4, Kind: Range})
 	if err := s.CreateTable("t", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	// All keys inside [0, 4000) — 0.4% of the configured domain.
+	// Keys inside [0, 4000), drawn at random.
 	rows := make([][]int64, 10_000)
 	for i := range rows {
 		rows[i] = []int64{rng.Int63n(4000), rng.Int63n(100)}
@@ -164,10 +163,10 @@ func TestFirstInsertSamplesBounds(t *testing.T) {
 	if min == 0 || max > 2*min {
 		t.Fatalf("first-batch sampling left populations %d..%d", min, max)
 	}
-	// The routing must actually have left the even split behind.
-	even := (rangePart{bounds: evenBounds(0, 1<<20, 4)}).describe()
-	if s.Partitions()[0].Scheme == even {
-		t.Fatal("partitioner still describes the even split after sampling")
+	// The routing must actually have left the placeholder behind.
+	placeholder := (rangePart{bounds: evenBounds(0, 0, 4)}).describe()
+	if s.Partitions()[0].Scheme == placeholder {
+		t.Fatal("partitioner still describes the placeholder split after sampling")
 	}
 	// A later batch must NOT move the bounds (rows are already routed).
 	before := s.Partitions()[0].Scheme
@@ -216,5 +215,24 @@ func TestHashPartSpan(t *testing.T) {
 		if p.route(v) != p.route(v) {
 			t.Fatal("route not deterministic")
 		}
+	}
+}
+
+// TestSmallFirstBatchSplitsItsSpan: a first batch too small to sample
+// splits the span of its own keys evenly — no configured domain, no knob.
+func TestSmallFirstBatchSplitsItsSpan(t *testing.T) {
+	s := New(Options{Shards: 4, Kind: Range})
+	if err := s.CreateTable("t", "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]int64
+	for k := int64(100); k <= 190; k += 10 {
+		rows = append(rows, []int64{k, 1})
+	}
+	if err := s.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Partitions()[0].Scheme, (rangePart{bounds: evenBounds(100, 190, 4)}).describe(); got != want {
+		t.Fatalf("a %d-row first batch routes by %s, want %s", len(rows), got, want)
 	}
 }

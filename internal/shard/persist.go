@@ -66,7 +66,6 @@ type elemManifest struct {
 	// Routing state as of the element; the chain tip's is authoritative.
 	Shards int                `json:"shards"`
 	Kind   Kind               `json:"kind"`
-	Domain [2]int64           `json:"domain"`
 	Tables []routerTableEntry `json:"tables"`
 }
 
@@ -111,7 +110,6 @@ func (s *Store) manifestLocked(seq uint64) elemManifest {
 		Seq:     seq,
 		Shards:  len(s.shards),
 		Kind:    s.opts.Kind,
-		Domain:  s.opts.Domain,
 	}
 	s.mu.RLock()
 	for name, tm := range s.tables {
@@ -228,7 +226,7 @@ func openChain(dir string, chain []chainElem) (*Store, error) {
 		return nil, fmt.Errorf("shard: manifest with %d shards", m.Shards)
 	}
 	s := &Store{
-		opts:   Options{Shards: m.Shards, Kind: m.Kind, Domain: m.Domain},
+		opts:   Options{Shards: m.Shards, Kind: m.Kind},
 		shards: make([]*crackdb.Store, m.Shards),
 		tables: make(map[string]*tableMeta, len(m.Tables)),
 	}

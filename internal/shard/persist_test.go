@@ -29,7 +29,7 @@ func loadMixed(t *testing.T, dir string, opts shard.Options, seed int64) (*shard
 func TestShardSaveOpenByteIdentical(t *testing.T) {
 	for _, kind := range []shard.Kind{shard.Hash, shard.Range} {
 		t.Run(string(kind), func(t *testing.T) {
-			opts := shard.Options{Shards: 4, Kind: kind, Domain: [2]int64{0, 8000}}
+			opts := shard.Options{Shards: 4, Kind: kind}
 			dir := t.TempDir()
 			src, m := loadMixed(t, dir, opts, 31)
 			if _, err := src.Checkpoint(false); err != nil {
@@ -96,7 +96,7 @@ func TestShardSaveOpenByteIdentical(t *testing.T) {
 // are there, exactly once.
 func TestOpenDurableCheckpointCrash(t *testing.T) {
 	dir := t.TempDir()
-	opts := shard.Options{Shards: 3, Kind: shard.Range, Domain: [2]int64{0, 1000}}
+	opts := shard.Options{Shards: 3, Kind: shard.Range}
 
 	s1, info, err := shard.OpenDurable(dir, opts)
 	if err != nil {

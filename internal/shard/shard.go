@@ -37,13 +37,9 @@ type Options struct {
 	// Shards is the number of underlying stores (default 1).
 	Shards int
 	// Kind is the partitioning scheme for tables created without an
-	// explicit one (default Hash).
+	// explicit one (default Hash). A range table's bounds come from its
+	// first insert batch (firstInsert).
 	Kind Kind
-	// Domain is the inclusive key interval [Domain[0], Domain[1]] that
-	// range partitioning splits evenly when a table is created before
-	// its data is known (default [0, 1<<20]). LoadTapestry overrides it
-	// with the generated key domain.
-	Domain [2]int64
 }
 
 func (o *Options) defaults() {
@@ -52,9 +48,6 @@ func (o *Options) defaults() {
 	}
 	if o.Kind == "" {
 		o.Kind = Hash
-	}
-	if o.Domain == [2]int64{} {
-		o.Domain = [2]int64{0, 1 << 20}
 	}
 }
 
@@ -202,9 +195,9 @@ func (s *Store) ReleaseStrategy(table, col string) error {
 
 // meta resolves a table's routing metadata together with a consistent
 // snapshot of its partitioner. The partitioner must be captured under
-// the lock: a range table's first insert batch may replace the even
-// domain split with sampled bounds, and partitioner values are immutable
-// once published, so routing from the snapshot is always self-consistent.
+// the lock: a range table's first insert batch replaces its placeholder
+// bounds, and partitioner values are immutable once published, so
+// routing from the snapshot is always self-consistent.
 func (s *Store) meta(table string) (*tableMeta, partitioner, error) {
 	s.mu.RLock()
 	m, ok := s.tables[table]
@@ -219,15 +212,16 @@ func (s *Store) meta(table string) (*tableMeta, partitioner, error) {
 	return m, part, nil
 }
 
-// partitionerFor builds a partitioner for the given kind over the key
-// domain [lo, hi].
-func (s *Store) partitionerFor(kind Kind, lo, hi int64) (partitioner, error) {
+// partitionerFor builds the partitioner of a new table of the given kind.
+// A range table's bounds are placeholders: every shard is empty until the
+// first batch, which draws the real ones from its keys (firstInsert).
+func (s *Store) partitionerFor(kind Kind) (partitioner, error) {
 	n := len(s.shards)
 	switch kind {
 	case Hash:
 		return hashPart{n: n}, nil
 	case Range:
-		return rangePart{bounds: evenBounds(lo, hi, n)}, nil
+		return rangePart{bounds: evenBounds(0, 0, n)}, nil
 	default:
 		return nil, fmt.Errorf("shard: unknown partition kind %q", kind)
 	}
@@ -257,7 +251,7 @@ func (s *Store) createTableKeyed(name, key string, kind Kind, cols ...string) er
 	if keyIdx < 0 {
 		return fmt.Errorf("shard: partition key %q is not a column of %q", key, name)
 	}
-	part, err := s.partitionerFor(kind, s.opts.Domain[0], s.opts.Domain[1])
+	part, err := s.partitionerFor(kind)
 	if err != nil {
 		return err
 	}
@@ -387,12 +381,12 @@ func (s *Store) routeAndApply(name string, part partitioner, keyIdx int, rows []
 }
 
 // firstInsert lands a table's first batch. For range partitioning the
-// batch's keys are sampled and the even domain split is replaced with
-// population quantiles — near-equal shard populations whatever the key
-// distribution (the data-driven bounds the even split can only guess
-// at); a batch under minSampleRows keeps the even split. Serialized
-// under s.mu so a racing insert cannot route under bounds that are being
-// replaced; per-table this cost is paid exactly once.
+// batch's keys set the bounds: population quantiles — near-equal shard
+// populations whatever the key distribution — or, for a batch too small
+// (minSampleRows) or too repetitive to sample, an even split of the span
+// its keys cover. Serialized under s.mu so a racing insert cannot route
+// under bounds that are being replaced; per-table this cost is paid
+// exactly once.
 func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,9 +400,11 @@ func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
 			for i, r := range rows {
 				keys[i] = r[m.keyIdx]
 			}
-			if bounds := sampledBounds(keys, len(s.shards)); bounds != nil {
-				m.part = rangePart{bounds: bounds}
+			bounds := sampledBounds(keys, len(s.shards))
+			if bounds == nil {
+				bounds = evenBounds(slices.Min(keys), slices.Max(keys), len(s.shards))
 			}
+			m.part = rangePart{bounds: bounds}
 		}
 		return s.routeAndApply(name, m.part, m.keyIdx, rows)
 	}
@@ -743,7 +739,7 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	defer s.walMu.RUnlock()
 	t := relation.Tapestry(n, alpha, seed)
 	cols := t.ColumnNames()
-	part, err := s.partitionerFor(s.opts.Kind, 1, int64(n))
+	part, err := s.partitionerFor(s.opts.Kind)
 	if err != nil {
 		return err
 	}

@@ -220,7 +220,7 @@ func TestCensusFollowsColumns(t *testing.T) {
 	}
 	serve("after SortAll")
 	// A restored column without payloads replaces the live one.
-	st := col.ExportState()
+	st, _ := col.TakeState(true)
 	st.Pays = nil
 	twin, err := core.ColumnFromState(st)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, _ := ct.Column("k")
-	st := col.ExportState()
+	st, _ := col.TakeState(true)
 	if len(st.Pays) != 2 || st.Pays[0].Attr != "b" || len(st.Pays[0].Pend) != 2 {
 		t.Fatalf("exported payloads %+v, want b then a, each with 2 pending values", st.Pays)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
@@ -18,24 +18,25 @@ import (
 // each holding one image file (internal/durable.Image: table manifest,
 // crack configuration, crack state — cut sets, cracked vectors, pending
 // updates, strategy RNG positions, payload vectors — tuner posture) plus
-// one checksummed BAT file per column of every table whose data the
-// element rewrites. A full image is the chain of length zero: the element
-// that diffs against nothing, so it rewrites every table and carries
-// every cracked column. A delta element carries only what moved since
-// the image before it and names that image by checksum. One writer
-// (WriteImage) produces both, one reader (Open) folds a chain back into
-// a live store, and OpenCold is that reader ignoring the crack sections —
-// the paper's prototype, whose cracker indexes "are not saved between
-// sessions" (§5.2).
+// one checksummed BAT file per column of every table whose rows the
+// element writes. A full image is the chain of length zero: the element
+// that diffs against nothing, so it writes every table and every cracked
+// column whole. A delta element carries only what moved since the image
+// before it and names that image by checksum: the rows appended to each
+// table, and per column the granules it wrote (core.Granule) — or the
+// whole column once half of it moved. One writer (WriteImage) produces
+// both, one reader (Open) folds a chain back into a live store, and
+// OpenCold is that reader ignoring the crack sections — the paper's
+// prototype, whose cracker indexes "are not saved between sessions"
+// (§5.2).
 //
-// Change detection is a saveMark: a per-table shape-and-generation
-// record plus a per-column state fingerprint
-// (core.Column.StateFingerprint), taken when an image is written and
-// installed once the caller reports it landed (and after every Open). A
-// table or column with no mark entry is dirty by definition, and every
-// table-creation path bumps the table's generation (bumpTableGenLocked)
-// — so create, drop+recreate (even into an identical shape and row
-// count), and Materialize all land in the next delta.
+// Change detection has one detector per kind of state. A column marks
+// what it writes (core.Column.TakeState takes the marks); a table's
+// generation, row count and tombstone count at the last committed image
+// live in the saveMark. Every table-creation path bumps the table's
+// generation (bumpTableGenLocked), so create, drop+recreate (even into an
+// identical shape and row count), and Materialize rewrite the table in
+// the next element.
 //
 // The store itself logs nothing: write-ahead logging, checkpoint stamps
 // and crash recovery belong to internal/shard (OpenDurable), for one
@@ -45,32 +46,25 @@ import (
 // marker RecoverDirSwap looks for.
 const imageName = "crackstate.crk"
 
-// saveMark captures what the last saved image contained, in just enough
-// detail to decide per column whether the live state still matches it.
-// The zero mark matches nothing: diffing against it yields a full image.
+// saveMark captures what the last committed image holds of each table.
+// The zero mark holds nothing: diffing against it yields a full image.
 type saveMark struct {
 	sum    uint32 // the image file's trailer checksum (chain identity)
 	config durable.StoreConfig
 	tables map[string]tableMark
-	cols   map[colKey]uint64 // crack-state fingerprints at save time
 }
 
 type tableMark struct {
 	gen   uint64 // creation generation (bumpTableGenLocked) — object identity
 	rows  int    // physical rows, tombstoned included
 	tombs int    // tombstone count (monotone: equal count == equal set)
-	cols  string // column names, joined — schema identity
 }
-
-type colKey struct{ table, attr string }
-
-func joinCols(cols []string) string { return strings.Join(cols, "\x00") }
 
 // bumpTableGenLocked stamps name with a fresh generation. Every path
 // that installs a table object into s.tables must call it — create,
 // tapestry load, Materialize, vertical partition/reunite, image apply —
-// so shape-based dirtiness never mistakes a recreated table for the one
-// the last save captured. The caller holds s.mu.
+// so a recreated table is never mistaken for the one the last image
+// holds. The caller holds s.mu.
 func (s *Store) bumpTableGenLocked(name string) {
 	s.genSeq++
 	s.tableGen[name] = s.genSeq
@@ -90,21 +84,11 @@ func (s *Store) configLocked() durable.StoreConfig {
 // newMarkLocked describes the live store as the content of the image
 // identified by sum. The caller holds s.mu.
 func (s *Store) newMarkLocked(sum uint32) *saveMark {
-	m := &saveMark{
-		sum:    sum,
-		config: s.configLocked(),
-		tables: make(map[string]tableMark, len(s.tables)),
-		cols:   make(map[colKey]uint64),
-	}
+	m := &saveMark{sum: sum, config: s.configLocked(), tables: make(map[string]tableMark, len(s.tables))}
 	for name, t := range s.tables {
-		tm := tableMark{gen: s.tableGen[name], rows: t.Len(), cols: joinCols(t.ColumnNames())}
+		tm := tableMark{gen: s.tableGen[name], rows: t.Len()}
 		if ct, ok := s.cracked[name]; ok {
 			tm.tombs = t.Len() - ct.LiveLen()
-			for _, attr := range ct.CrackedColumns() {
-				if c, ok := ct.Column(attr); ok {
-					m.cols[colKey{name, attr}] = c.StateFingerprint()
-				}
-			}
 		}
 		m.tables[name] = tm
 	}
@@ -134,12 +118,13 @@ func (s *Store) Save(dir string) error {
 // since the last committed image — which must exist. It neither syncs
 // nor swaps; the caller owns atomicity (durable.AtomicReplaceDir) and
 // calls commit once the element is in place, making it the image the
-// next delta diffs against. Skipping commit after a failed swap keeps
-// the previous image as that reference, which is what is still on disk.
-// A delta of a store in which nothing persisted has changed —
-// configuration, table set or shape, tombstones, any column's crack
-// state (tuner posture, advisory warmth, is deliberately not counted) —
-// writes nothing and returns a nil commit.
+// next delta diffs against. Until then no delta can be anchored: an
+// element that never commits leaves the store without a base, so the
+// next delta is refused and the caller writes a full image, which is all
+// that is sure to supersede whatever landed. A delta of a store in which
+// nothing persisted has changed — configuration, table set, rows,
+// tombstones, any column's crack state (tuner posture, advisory warmth,
+// is deliberately not counted) — writes nothing and returns a nil commit.
 func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,7 +148,7 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	touched := 0 // tables with new data, new tombstones or a carried column
+	changed := !delta || len(names) != len(against.tables) || img.Config != against.config
 	for _, name := range names {
 		t := s.tables[name]
 		it := durable.ImageTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
@@ -171,44 +156,38 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 		if ct != nil {
 			it.Deleted = ct.Tombstones()
 		}
-		// A cracked column cannot vanish from a table whose generation
-		// held, so generation plus shape decide data dirtiness alone.
+		// A table the last image holds under the same generation only
+		// grew: the element appends its new rows. Any other is rewritten,
+		// with every cracked column whole.
 		tm, had := against.tables[name]
-		it.DataDirty = !had || tm.gen != s.tableGen[name] ||
-			tm.rows != it.Rows || tm.cols != joinCols(it.Cols)
-		// New data or a new tombstone set carries every cracked column;
-		// otherwise only the columns whose fingerprint moved. A column's
-		// payload vectors ride in its record.
-		carryAll := it.DataDirty || tm.tombs != len(it.Deleted)
-		carried := carryAll
+		if had && tm.gen == s.tableGen[name] {
+			it.From = tm.rows
+		}
+		changed = changed || !had || tm.gen != s.tableGen[name] || tm.rows != it.Rows || tm.tombs != len(it.Deleted)
 		if ct != nil {
 			for _, attr := range ct.CrackedColumns() {
 				c, ok := ct.Column(attr)
 				if !ok {
 					continue
 				}
-				prev, known := against.cols[colKey{name, attr}]
-				if carryAll || !known || prev != c.StateFingerprint() {
-					img.Columns = append(img.Columns, durable.ColumnSnapshot{
-						Table: name, Attr: attr, State: c.ExportState(),
-					})
-					carried = true
+				st, moved := c.TakeState(it.From == 0)
+				if moved || it.From == 0 {
+					img.Columns = append(img.Columns, durable.ColumnSnapshot{Table: name, Attr: attr, State: st})
 				}
+				changed = changed || moved
 			}
-		}
-		if carried {
-			touched++
 		}
 		img.Tables = append(img.Tables, it)
 	}
-	if delta && touched == 0 && len(names) == len(against.tables) && img.Config == against.config {
+	if !changed {
 		return nil, nil
 	}
+	s.mark = nil // in flight: see the doc comment
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	for _, it := range img.Tables {
-		if !it.DataDirty {
+		if it.From == it.Rows && it.From > 0 {
 			continue
 		}
 		for _, col := range it.Cols {
@@ -216,7 +195,7 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := b.Save(columnPath(dir, it.Name, col)); err != nil {
+			if err := b.View(it.From, it.Rows).Save(columnPath(dir, it.Name, col)); err != nil {
 				return nil, fmt.Errorf("crackdb: save %s.%s: %w", it.Name, col, err)
 			}
 		}
@@ -254,6 +233,7 @@ func OpenCold(dir string) (*Store, error) {
 
 func openChain(cold bool, dirs []string) (*Store, error) {
 	s := New()
+	r := &restoring{cols: make(map[string]map[string]*core.ColumnState), tombs: make(map[string][]bat.OID)}
 	var prev uint32
 	for i, dir := range dirs {
 		durable.RecoverDirSwap(dir, imageName)
@@ -272,10 +252,15 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 		if cold {
 			img.Columns, img.Tuner = nil, nil
 		}
-		if err := s.applyImage(dir, img); err != nil {
+		if err := s.applyImage(dir, img, r); err != nil {
 			return nil, err
 		}
 		prev = sum
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.restoreLocked(r); err != nil {
+		return nil, err
 	}
 	if !cold {
 		// The reopened state matches the on-disk chain exactly, so its tip
@@ -285,12 +270,21 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 	return s, nil
 }
 
+// restoring is what the chain's elements have said so far about the crack
+// state: each table's latest tombstone set, and each column's state with
+// every later patch folded on. The columns are built once, after the last
+// element (restoreLocked).
+type restoring struct {
+	cols  map[string]map[string]*core.ColumnState // table → attr → state
+	tombs map[string][]bat.OID
+}
+
 // applyImage folds one verified element into the store: drops tables
-// absent from the element's manifest, swaps in rewritten base data,
-// reconciles tombstones, and replaces the crack state of every column the
-// element carries, payload vectors included. A base element does all of
-// that to an empty store.
-func (s *Store) applyImage(dir string, img *durable.Image) error {
+// absent from the element's manifest, loads rewritten tables, appends
+// the rows of grown ones, and records the element's tombstone sets and
+// column records — a whole record replaces the column's state, a patch
+// folds onto it. A base element does all of that to an empty store.
+func (s *Store) applyImage(dir string, img *durable.Image, r *restoring) error {
 	// Strategy config first: SetCrackStrategy validates the name and
 	// takes s.mu itself.
 	if name := img.Config.StrategyName; name != "" {
@@ -310,100 +304,58 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 	for name := range s.tables {
 		if !inImage[name] {
 			s.dropTableLocked(name)
+			delete(r.cols, name)
 		}
 	}
 	for _, it := range img.Tables {
 		live, exists := s.tables[it.Name]
-		if it.DataDirty {
-			cols := make([]relation.Column, len(it.Cols))
-			for i, col := range it.Cols {
+		switch {
+		case it.From == 0:
+			if err := s.loadTableLocked(dir, it); err != nil {
+				return err
+			}
+			delete(r.cols, it.Name) // a rewritten table's columns come whole
+		case !exists:
+			return fmt.Errorf("crackdb: image %s references table %q missing from the chain so far", dir, it.Name)
+		case live.Len() != it.From || !slices.Equal(live.ColumnNames(), it.Cols):
+			return fmt.Errorf("crackdb: image %s disagrees with table %q shape — chain corrupt", dir, it.Name)
+		case it.From < it.Rows:
+			for _, col := range it.Cols {
 				b, err := bat.Load(it.Name+"_"+col, columnPath(dir, it.Name, col))
 				if err != nil {
 					return fmt.Errorf("crackdb: load %s.%s: %w", it.Name, col, err)
 				}
-				if b.Len() != it.Rows {
-					return fmt.Errorf("crackdb: %s.%s has %d rows, image manifest says %d",
-						it.Name, col, b.Len(), it.Rows)
+				if int(b.HSeqBase()) != it.From || b.Len() != it.Rows-it.From {
+					return fmt.Errorf("crackdb: %s.%s holds rows [%d, %d), image manifest says [%d, %d)",
+						it.Name, col, b.HSeqBase(), int(b.HSeqBase())+b.Len(), it.From, it.Rows)
 				}
-				cols[i] = relation.Column{Name: col, Data: b}
-			}
-			t, err := relation.FromColumns(it.Name, cols...)
-			if err != nil {
-				return err
-			}
-			if exists {
-				s.dropTableLocked(it.Name)
-			}
-			s.tables[it.Name] = t
-			s.bumpTableGenLocked(it.Name)
-			if len(it.Deleted) > 0 {
-				// Tombstones force the cracked wrapper into existence now:
-				// columns restored (or lazily created) later must inherit
-				// the set at birth, and RestoreTombstones refuses once any
-				// exist.
-				if err := s.rewrapLocked(it.Name, t, it.Deleted); err != nil {
+				if err := live.MustColumn(col).AppendInts(b.Ints()...); err != nil {
 					return err
 				}
 			}
-			continue
 		}
-		if !exists {
-			return fmt.Errorf("crackdb: image %s references table %q missing from the chain so far", dir, it.Name)
-		}
-		if live.Len() != it.Rows || joinCols(live.ColumnNames()) != joinCols(it.Cols) {
-			return fmt.Errorf("crackdb: image %s disagrees with table %q shape — chain corrupt", dir, it.Name)
-		}
-		var cur []bat.OID
-		if ct, ok := s.cracked[it.Name]; ok {
-			cur = ct.Tombstones()
-		}
-		if len(cur) != len(it.Deleted) { // monotone: equal count == equal set
-			// Every cracked column of the table rides in img.Columns (a
-			// delete forwards to all of them, so their fingerprints all
-			// moved): rebuild the wrapper around the new tombstone set and
-			// let the column loop below repopulate it.
-			s.sideways.DropTable(it.Name)
-			if err := s.rewrapLocked(it.Name, live, it.Deleted); err != nil {
-				return err
-			}
-		}
+		r.tombs[it.Name] = it.Deleted
 	}
-	withPays := make(map[string]*core.CrackedTable)
-	for _, cs := range img.Columns {
-		t, ok := s.tables[cs.Table]
-		if !ok {
+	for i := range img.Columns {
+		cs := &img.Columns[i]
+		if _, ok := s.tables[cs.Table]; !ok {
 			return fmt.Errorf("crackdb: crack state for unknown table %q", cs.Table)
 		}
-		ct, ok := s.cracked[cs.Table]
-		if !ok {
-			ct = s.newCrackedTableLocked(cs.Table, t)
-			s.cracked[cs.Table] = ct
-		}
-		// Each column record carries its own strategy state, and
-		// baseColumnOptions deliberately omits the store default — so a
-		// column the tuner flipped to standard reopens as standard.
-		opts := s.baseColumnOptions()
-		if cs.State.Strategy != nil {
-			st, err := strategy.Restore(*cs.State.Strategy)
-			if err != nil {
+		st, ok := r.cols[cs.Table][cs.Attr]
+		switch {
+		case !cs.State.Patch:
+			if r.cols[cs.Table] == nil {
+				r.cols[cs.Table] = make(map[string]*core.ColumnState)
+			}
+			r.cols[cs.Table][cs.Attr] = &cs.State
+		case !ok:
+			return fmt.Errorf("crackdb: image %s patches %s.%s, which the chain has not restored", dir, cs.Table, cs.Attr)
+		default:
+			if err := st.Fold(cs.State); err != nil {
 				return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
 			}
-			opts = append(opts, core.WithStrategy(st))
-		}
-		col, err := core.ColumnFromState(cs.State, opts...)
-		if err != nil {
-			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
-		}
-		if err := ct.ReplaceColumn(cs.Attr, col); err != nil {
-			return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
-		}
-		if len(cs.State.Pays) > 0 {
-			withPays[cs.Table] = ct
 		}
 	}
-	// A replaced column took its payload vectors with it and its successor
-	// brought its own: the budget takes them over.
-	s.sideways.Adopt(withPays)
 	// Tuner posture is a full copy per element (the latest wins) and
 	// parks in pendingTuner until EnableAutotune adopts it — the flag is
 	// a runtime choice, not part of the image.
@@ -411,14 +363,75 @@ func (s *Store) applyImage(dir string, img *durable.Image) error {
 	return nil
 }
 
-// rewrapLocked replaces a table's cracked wrapper with an empty one
-// carrying the given tombstone set. The caller holds s.mu.
-func (s *Store) rewrapLocked(name string, t *relation.Table, deleted []bat.OID) error {
-	ct := s.newCrackedTableLocked(name, t)
-	if err := ct.RestoreTombstones(deleted); err != nil {
-		return fmt.Errorf("crackdb: restore %s: %w", name, err)
+// loadTableLocked installs a table from the element's BAT files of all
+// its rows, replacing any table of that name. The caller holds s.mu.
+func (s *Store) loadTableLocked(dir string, it durable.ImageTable) error {
+	cols := make([]relation.Column, len(it.Cols))
+	for i, col := range it.Cols {
+		b, err := bat.Load(it.Name+"_"+col, columnPath(dir, it.Name, col))
+		if err != nil {
+			return fmt.Errorf("crackdb: load %s.%s: %w", it.Name, col, err)
+		}
+		if b.Len() != it.Rows {
+			return fmt.Errorf("crackdb: %s.%s has %d rows, image manifest says %d",
+				it.Name, col, b.Len(), it.Rows)
+		}
+		cols[i] = relation.Column{Name: col, Data: b}
 	}
-	s.cracked[name] = ct
+	t, err := relation.FromColumns(it.Name, cols...)
+	if err != nil {
+		return err
+	}
+	if _, exists := s.tables[it.Name]; exists {
+		s.dropTableLocked(it.Name)
+	}
+	s.tables[it.Name] = t
+	s.bumpTableGenLocked(it.Name)
+	return nil
+}
+
+// restoreLocked builds the cracked wrapper of every table the chain left
+// tombstones or column states for: tombstones first, then each column
+// from its folded state (ColumnFromState verifies it), payload vectors
+// included. The caller holds s.mu.
+func (s *Store) restoreLocked(r *restoring) error {
+	withPays := make(map[string]*core.CrackedTable)
+	for name, t := range s.tables {
+		cols := r.cols[name]
+		if len(cols) == 0 && len(r.tombs[name]) == 0 {
+			continue
+		}
+		ct := s.newCrackedTableLocked(name, t)
+		if err := ct.RestoreTombstones(r.tombs[name]); err != nil {
+			return fmt.Errorf("crackdb: restore %s: %w", name, err)
+		}
+		s.cracked[name] = ct
+		for attr, st := range cols {
+			// Each column record carries its own strategy state, and
+			// baseColumnOptions deliberately omits the store default — so a
+			// column the tuner flipped to standard reopens as standard.
+			opts := s.baseColumnOptions()
+			if st.Strategy != nil {
+				strat, err := strategy.Restore(*st.Strategy)
+				if err != nil {
+					return fmt.Errorf("crackdb: restore %s.%s: %w", name, attr, err)
+				}
+				opts = append(opts, core.WithStrategy(strat))
+			}
+			col, err := core.ColumnFromState(*st, opts...)
+			if err == nil {
+				err = ct.ReplaceColumn(attr, col)
+			}
+			if err != nil {
+				return fmt.Errorf("crackdb: restore %s.%s: %w", name, attr, err)
+			}
+			if len(st.Pays) > 0 {
+				withPays[name] = ct
+			}
+		}
+	}
+	// The budget takes the restored payload vectors over.
+	s.sideways.Adopt(withPays)
 	return nil
 }
 

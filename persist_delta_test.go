@@ -1,10 +1,15 @@
 package crackdb_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"crackdb"
@@ -326,5 +331,88 @@ func TestSidewaysFollowsChain(t *testing.T) {
 	}
 	if st := chain.SidewaysStats(); st.Pays != 0 || st.Sets != 0 {
 		t.Fatalf("a dropped table still counts %d payload vectors", st.Pays)
+	}
+}
+
+// TestDeltaChainUnderConcurrentQueries: delta elements written while other
+// goroutines crack and insert reopen to the store as it stood at the last
+// one, value for value in physical order: a query that marks a granule
+// while an element takes the marks lands in the next element, never in
+// none.
+func TestDeltaChainUnderConcurrentQueries(t *testing.T) {
+	const n = 20_000
+	s := crackdb.New()
+	if err := s.LoadTapestry("t", n, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	dirs := []string{filepath.Join(root, "base")}
+	if err := s.Save(dirs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g, col := range []string{"c0", "c1"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 400; i++ {
+				lo := 1 + rng.Int63n(n)
+				if _, err := s.Count("t", col, lo, lo+int64(rng.Intn(500))); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%8 == 0 {
+					k := rng.Int63n(2 * n)
+					if err := s.InsertRows("t", [][]int64{{k, -k}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last := false; !last; {
+		select {
+		case <-done:
+			last = true // one more element: whatever the queries left
+		default:
+		}
+		d := filepath.Join(root, fmt.Sprint(len(dirs)))
+		commit, err := s.WriteImage(d, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if commit != nil {
+			commit()
+			dirs = append(dirs, d)
+		}
+	}
+	if len(dirs) < 3 {
+		t.Fatalf("only %d delta elements landed beside the queries", len(dirs)-1)
+	}
+	re, err := crackdb.Open(dirs[0], dirs[1:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"c0", "c1"} {
+		a, err := s.Select("t", col, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := re.Select("t", col, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Values(), b.Values()) {
+			t.Fatalf("%s reopened from %d elements differs from the live column", col, len(dirs)+1)
+		}
+		sa, _ := s.Stats("t", col)
+		sb, _ := re.Stats("t", col)
+		if sa.Pieces != sb.Pieces {
+			t.Fatalf("%s reopened with %d pieces, live %d", col, sb.Pieces, sa.Pieces)
+		}
 	}
 }
