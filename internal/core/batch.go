@@ -238,14 +238,7 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 		for _, key := range todo {
 			i := int(key.idx)
 			r := &ranges[i]
-			var hs holdState
-			if in != nil {
-				hs = c.beginWriteHoldLocked()
-			}
-			v := c.selectLocked(r.Low, r.High, r.LowIncl, r.HighIncl)
-			if in != nil {
-				c.finishWriteHold(in, hs, r.Low, r.High)
-			}
+			v := c.crackLocked(in, r.Low, r.High, r.LowIncl, r.HighIncl)
 			// Full-struct write: answers is pooled, so this also clears
 			// any stale Vals/OIDs a previous run left in the element.
 			answers[i] = BatchAnswer{N: v.Len()}

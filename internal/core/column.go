@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"crackdb/internal/bat"
-	"crackdb/internal/expr"
 )
 
 // columnIDs hands out the monotonically-increasing identity every Column
@@ -207,11 +206,6 @@ func NewColumn(name string, vals []int64, opts ...Option) *Column {
 	return c
 }
 
-// FromBAT builds a cracker column from an integer BAT.
-func FromBAT(b *bat.BAT, opts ...Option) *Column {
-	return NewColumn(b.Name(), b.Ints(), opts...)
-}
-
 // Name returns the column name.
 func (c *Column) Name() string { return c.name }
 
@@ -290,7 +284,7 @@ func (v View) Len() int { return v.Hi - v.Lo }
 
 // Values returns the value window. Callers must treat it as read-only;
 // it aliases the column until the next crack touches the region. Under
-// concurrent cracking use Snapshot (or Column.SelectCopy) instead.
+// concurrent cracking use Column.SelectCopy instead.
 func (v View) Values() []int64 {
 	if v.col == nil {
 		return nil
@@ -306,123 +300,89 @@ func (v View) OIDs() []bat.OID {
 	return v.col.oids[v.Lo:v.Hi:v.Hi]
 }
 
-// Snapshot copies the view's windows out under the column's read lock.
-// The copy is internally consistent (no torn reads), but it is only
-// guaranteed to hold exactly the original selection's answer if nothing
-// cracked the column in between: fusion, consolidation, or a JoinCrack
-// can remove the cuts bounding this window, after which later cracks may
-// shuffle elements across it. Callers that need exactly the answer of
-// one particular selection under concurrency must use Column.SelectCopy,
-// which answers and copies under a single lock hold.
-func (v View) Snapshot() (vals []int64, oids []bat.OID) {
-	if v.col == nil {
-		return nil, nil
-	}
-	v.col.mu.RLock()
-	defer v.col.mu.RUnlock()
-	lo, hi := v.Lo, v.Hi
-	if hi > len(v.col.vals) {
-		hi = len(v.col.vals)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return append([]int64(nil), v.col.vals[lo:hi]...),
-		append([]bat.OID(nil), v.col.oids[lo:hi]...)
-}
-
-// Materialize copies the view out of the column, detaching it from
-// future cracking. The copy is taken under the column's read lock.
-func (v View) Materialize() (vals []int64, oids []bat.OID) {
-	return v.Snapshot()
-}
-
 // Select answers the range query low θ_lo attr θ_hi high by cracking —
 // the Ξ operator of §3.1. The result is a contiguous window of the
 // column; pieces at the predicate boundaries are cracked as a byproduct,
 // so the same range (and every sub-range) is answered by pure index
 // lookups afterwards.
 //
-// Select first attempts the query under the read lock: when the column
-// has no pending updates and both cuts are already registered, nothing
-// needs to move and concurrent lookups proceed in parallel. Only a query
-// that must crack, consolidate, or fuse escalates to the write lock.
-//
 // Under a strategy that leaves query cuts unregistered (MDD1R), the
 // returned View is only valid until the next query on this column —
 // its boundaries are not index cuts, so a later partition may shuffle
 // across them. Consume it immediately or use SelectCopy.
 func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
-	// Instrumentation off: one atomic load and a branch. On: one more
-	// load (the sampling gate); the timed path is split out so the
-	// unsampled 255-in-256 of converged lookups run exactly this body.
-	in := c.instr.Load()
-	if in != nil && (in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0) {
-		return c.selectInstr(in, low, high, lowIncl, highIncl)
-	}
-	c.mu.RLock()
-	v, ok := c.lookupFast(low, high, lowIncl, highIncl)
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if in == nil {
-		return c.selectLocked(low, high, lowIncl, highIncl)
-	}
-	// Cracking is always observed, sampled or not: write holds are
-	// microseconds, the timing is noise there.
-	hs := c.beginWriteHoldLocked()
-	v = c.selectLocked(low, high, lowIncl, highIncl)
-	c.finishWriteHold(in, hs, low, high)
+	var v View
+	c.answer(low, high, lowIncl, highIncl, func(w View) { v = w })
 	return v
+}
+
+// Count returns the number of qualifying tuples; cracking still happens
+// (the query is also advice), but no result is materialized, matching the
+// paper's observation that count-only queries need no fragment storage.
+func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
+	n := 0
+	c.answer(low, high, lowIncl, highIncl, func(w View) { n = w.Len() })
+	return n
 }
 
 // SelectCopy answers like Select but returns copies of the qualifying
 // values and OIDs, taken while the column lock is still held. This is
 // the safe form under concurrent cracking: a View's windows alias the
 // column and may be shuffled by cracks that run after Select returns.
-func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) ([]int64, []bat.OID) {
-	// SelectCopy allocates its answer anyway, so the instrumentation
-	// branch is inline rather than a split path like Select's.
+func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int64, oids []bat.OID) {
+	c.answer(low, high, lowIncl, highIncl, func(w View) {
+		vals, oids = append([]int64(nil), w.Values()...), append([]bat.OID(nil), w.OIDs()...)
+	})
+	return vals, oids
+}
+
+// answer is the lock protocol every single-range read runs. The query is
+// first tried under the read lock: when the column has no pending
+// updates and both cuts are already registered, nothing needs to move
+// and concurrent lookups proceed in parallel. Only a query that must
+// fold, crack or fuse escalates to the write lock (crackLocked). use
+// receives the answer window while the lock that makes it valid is still
+// held — under MDD1R nothing else keeps it valid — and must not take
+// c.mu.
+//
+// Instrumentation off costs one atomic load and a branch. On, a read
+// that wins the sampling gate is timed into ReadHold, lock hold and use
+// included; the unsampled 255-in-256 converged lookups read no clock.
+// Every write hold is observed (crackLocked).
+func (c *Column) answer(low, high int64, lowIncl, highIncl bool, use func(View)) {
 	in := c.instr.Load()
 	var t0 time.Time
-	sampled := false
-	if in != nil {
-		sampled = in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0
-		if sampled {
-			t0 = time.Now()
-		}
+	timed := in != nil && in.ReadHold != nil && (in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0)
+	if timed {
+		t0 = time.Now()
 	}
 	c.mu.RLock()
 	if v, ok := c.lookupFast(low, high, lowIncl, highIncl); ok {
-		vals := append([]int64(nil), c.vals[v.Lo:v.Hi]...)
-		oids := append([]bat.OID(nil), c.oids[v.Lo:v.Hi]...)
+		use(v)
 		c.mu.RUnlock()
-		if in != nil && sampled && in.ReadHold != nil {
+		if timed {
 			in.ReadHold.Observe(time.Since(t0).Nanoseconds())
 		}
-		return vals, oids
+		return
 	}
 	c.mu.RUnlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var hs holdState
-	if in != nil {
-		hs = c.beginWriteHoldLocked()
-	}
-	v := c.selectLocked(low, high, lowIncl, highIncl)
-	if in != nil {
-		c.finishWriteHold(in, hs, low, high)
-	}
-	return append([]int64(nil), c.vals[v.Lo:v.Hi]...),
-		append([]bat.OID(nil), c.oids[v.Lo:v.Hi]...)
+	use(c.crackLocked(in, low, high, lowIncl, highIncl))
 }
 
-// SelectRangeCopy is SelectCopy for an expr.Range.
-func (c *Column) SelectRangeCopy(r expr.Range) ([]int64, []bat.OID) {
-	return c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
+// crackLocked answers one range under the write lock — fold, cracks and
+// fusion, all in selectLocked — and, instrumented, observes the hold and
+// records its CrackEvent. Cracking is observed sampled or not: write
+// holds are microseconds, the timing is noise there.
+func (c *Column) crackLocked(in *Instr, low, high int64, lowIncl, highIncl bool) View {
+	if in == nil {
+		return c.selectLocked(low, high, lowIncl, highIncl)
+	}
+	hs := c.beginWriteHoldLocked()
+	v := c.selectLocked(low, high, lowIncl, highIncl)
+	c.finishWriteHold(in, hs, low, high)
+	return v
 }
 
 // probeCuts resolves a range's two cuts against the cracker index: the
@@ -452,7 +412,7 @@ func (c *Column) probeCuts(low, high int64, lowIncl, highIncl bool) (posLo, posH
 // lookupFast is the optimistic read path: it answers the query iff doing
 // so mutates nothing — no pending updates to consolidate and both cuts
 // resolved by probeCuts. The caller holds the read lock. On ok=false the
-// caller must retry under the write lock via selectLocked, which
+// caller must retry under the write lock via crackLocked, which
 // re-derives everything from scratch (the column may have changed
 // between the two lock acquisitions).
 func (c *Column) lookupFast(low, high int64, lowIncl, highIncl bool) (View, bool) {
@@ -542,36 +502,6 @@ func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 		posHi = posLo
 	}
 	return View{col: c, Lo: posLo, Hi: posHi}
-}
-
-// SelectRange answers an expr.Range.
-func (c *Column) SelectRange(r expr.Range) View {
-	return c.Select(r.Low, r.High, r.LowIncl, r.HighIncl)
-}
-
-// SelectPred answers a simple θ-predicate. All operators except Ne yield
-// one view; Ne yields the two complement views around the point.
-func (c *Column) SelectPred(p expr.Pred) []View {
-	if r, ok := expr.RangeOf(p); ok {
-		return []View{c.SelectRange(r)}
-	}
-	// attr != v: the complements of the point query [v, v]. A single
-	// Select installs (or partitions at) both cuts in one pass, so the
-	// two windows are consistent when they return — two back-to-back
-	// one-sided Selects would not be under a strategy that leaves query
-	// cuts unregistered (the second could shuffle across the first).
-	mid := c.Select(p.Val, p.Val, true, true)
-	c.mu.RLock()
-	n := len(c.vals)
-	c.mu.RUnlock()
-	return []View{{col: c, Lo: 0, Hi: mid.Lo}, {col: c, Lo: mid.Hi, Hi: n}}
-}
-
-// Count returns the number of qualifying tuples; cracking still happens
-// (the query is also advice), but no result is materialized, matching the
-// paper's observation that count-only queries need no fragment storage.
-func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
-	return c.Select(low, high, lowIncl, highIncl).Len()
 }
 
 // SortAll sorts the whole column. This is the paper's alternative

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"crackdb/internal/expr"
 )
 
 // naiveSelect is the reference evaluator every cracked answer is checked
@@ -75,7 +73,7 @@ func TestSelectAllBoundCombinations(t *testing.T) {
 func TestSelectPointQuery(t *testing.T) {
 	vals := []int64{4, 2, 4, 4, 1, 9, 4}
 	c := NewColumn("a", vals)
-	v := c.SelectRange(expr.Point("a", 4))
+	v := c.Select(4, 4, true, true)
 	if v.Len() != 4 {
 		t.Fatalf("point query found %d, want 4", v.Len())
 	}
@@ -106,35 +104,8 @@ func TestSelectEmptyAndInverted(t *testing.T) {
 func TestSelectOneSided(t *testing.T) {
 	vals := []int64{6, 1, 9, 3, 7, 2}
 	c := NewColumn("a", vals)
-	views := c.SelectPred(expr.Pred{Col: "a", Op: expr.Lt, Val: 5})
-	if len(views) != 1 {
-		t.Fatalf("Lt returned %d views", len(views))
-	}
-	checkView(t, views[0], []int64{1, 2, 3})
-	views = c.SelectPred(expr.Pred{Col: "a", Op: expr.Ge, Val: 7})
-	checkView(t, views[0], []int64{7, 9})
-}
-
-func TestSelectNeComplement(t *testing.T) {
-	vals := []int64{4, 2, 4, 1, 9}
-	c := NewColumn("a", vals)
-	views := c.SelectPred(expr.Pred{Col: "a", Op: expr.Ne, Val: 4})
-	if len(views) != 2 {
-		t.Fatalf("Ne returned %d views, want 2", len(views))
-	}
-	var got []int64
-	got = append(got, views[0].Values()...)
-	got = append(got, views[1].Values()...)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	want := []int64{1, 2, 9}
-	if len(got) != len(want) {
-		t.Fatalf("Ne views hold %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ne views hold %v, want %v", got, want)
-		}
-	}
+	checkView(t, c.Select(math.MinInt64, 5, true, false), []int64{1, 2, 3})
+	checkView(t, c.Select(7, math.MaxInt64, true, true), []int64{7, 9})
 }
 
 func TestCrackInThreeSinglePass(t *testing.T) {
@@ -420,20 +391,19 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestViewMaterializeDetaches(t *testing.T) {
+func TestSelectCopyDetaches(t *testing.T) {
 	vals := []int64{5, 3, 8, 1, 9, 2}
 	c := NewColumn("a", vals)
-	v := c.Select(3, 8, true, true)
-	mv, moids := v.Materialize()
-	if len(mv) != v.Len() || len(moids) != v.Len() {
-		t.Fatal("materialize size mismatch")
+	mv, moids := c.SelectCopy(3, 8, true, true)
+	if len(mv) != 3 || len(moids) != 3 {
+		t.Fatalf("copy holds %d values and %d oids, want 3", len(mv), len(moids))
 	}
-	// Further cracking must not disturb the materialized copy.
+	// Further cracking must not disturb the copy.
 	want := append([]int64(nil), mv...)
 	c.Select(4, 6, true, true)
 	for i := range want {
 		if mv[i] != want[i] {
-			t.Fatal("materialized copy mutated by later crack")
+			t.Fatal("copy mutated by later crack")
 		}
 	}
 }

@@ -213,14 +213,14 @@ func equalInts(a, b []int64) bool {
 func TestCrackedTableSelectAndFetch(t *testing.T) {
 	tbl := buildTable(t)
 	ct := NewCrackedTable(tbl)
-	v, err := ct.Select(rangeOf("a", 50, 120))
+	_, oids, err := ct.SelectCopy(rangeOf("a", 50, 120))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Len() != 8 { // a in {50..120}: 50,60,...,120
-		t.Fatalf("select len = %d, want 8", v.Len())
+	if len(oids) != 8 { // a in {50..120}: 50,60,...,120
+		t.Fatalf("select len = %d, want 8", len(oids))
 	}
-	res, err := ct.Fetch(v.OIDs(), "k", "b")
+	res, err := ct.Fetch(oids, "k", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestCrackedTableSelectAndFetch(t *testing.T) {
 			t.Fatalf("fetched row %v inconsistent", row)
 		}
 	}
-	if _, err := ct.Select(rangeOf("zzz", 0, 1)); err == nil {
+	if _, _, err := ct.SelectCopy(rangeOf("zzz", 0, 1)); err == nil {
 		t.Fatal("select on missing column succeeded")
 	}
 	if len(ct.CrackedColumns()) != 1 {

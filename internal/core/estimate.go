@@ -79,26 +79,6 @@ func (c *Column) EstimateRange(r expr.Range) Estimate {
 	return est
 }
 
-// EstimateTerm bounds a conjunctive term by the tightest single-column
-// estimate among its crack advice.
-func (ct *CrackedTable) EstimateTerm(term expr.Term) Estimate {
-	advice := expr.CrackAdvice(term)
-	best := Estimate{Min: 0, Max: ct.baseLen()}
-	for col, r := range advice {
-		ct.mu.RLock()
-		c, tracked := ct.cols[col]
-		ct.mu.RUnlock()
-		if !tracked {
-			continue // never cracked: no statistics yet
-		}
-		e := c.EstimateRange(r)
-		if e.Max < best.Max {
-			best = e
-		}
-	}
-	return best
-}
-
 // termPlan is the planner's answer for one conjunctive term: which
 // column's cracker drives it, over which range, and what that range
 // leaves unchecked.
@@ -227,10 +207,10 @@ func (ct *CrackedTable) selectPlan(p termPlan) ([]bat.OID, error) {
 	}
 	// Copy under the column lock: view windows would alias state that a
 	// concurrent crack may shuffle.
-	_, cands := p.col.SelectRangeCopy(p.rng)
+	_, cands := p.col.SelectCopy(p.rng.Low, p.rng.High, p.rng.LowIncl, p.rng.HighIncl)
 	if ct.selectObs != nil {
 		// The driving column absorbed a single-range selection, exactly
-		// like Select/SelectCopy — the sideways and tuner observers must
+		// like SelectCopy — the sideways and tuner observers must
 		// see it, or queries arriving through the conjunction planner
 		// (every scalar SQL statement) are invisible to them.
 		ct.selectObs(p.rng)

@@ -115,7 +115,7 @@ func TestSelectTermPlannedCracksOnlyBestColumn(t *testing.T) {
 	ct := NewCrackedTable(tbl)
 
 	// Give column a statistics by cracking it narrowly; b stays virgin.
-	if _, err := ct.Select(rangeOf("a", 50, 60)); err != nil {
+	if _, err := ct.CountRange(rangeOf("a", 50, 60)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,26 +180,6 @@ func TestSelectTermPlannedNoAdvice(t *testing.T) {
 	}
 	if len(oids) != 19 {
 		t.Fatalf("found %d, want 19", len(oids))
-	}
-}
-
-func TestEstimateTerm(t *testing.T) {
-	tbl := buildTable(t)
-	ct := NewCrackedTable(tbl)
-	if _, err := ct.Select(rangeOf("a", 50, 100)); err != nil {
-		t.Fatal(err)
-	}
-	est := ct.EstimateTerm(termGE_LT("a", 50, 101))
-	if est.Max > tbl.Len() || est.Min > est.Max {
-		t.Fatalf("estimate malformed: %+v", est)
-	}
-	if est.Max == tbl.Len() {
-		t.Fatal("estimate not sharpened by cracked column")
-	}
-	// Terms with no tracked columns estimate at full size.
-	full := ct.EstimateTerm(termGE_LT("b", 0, 10))
-	if full.Max != tbl.Len() {
-		t.Fatalf("untracked estimate = %+v", full)
 	}
 }
 

@@ -124,25 +124,3 @@ func (c *Column) finishWriteHold(in *Instr, hs holdState, low, high int64) {
 		Folded:        folded,
 	})
 }
-
-// selectInstr is the timed body of Column.Select: the caller has
-// already won the sampling gate, so the converged read is clocked
-// unconditionally here.
-func (c *Column) selectInstr(in *Instr, low, high int64, lowIncl, highIncl bool) View {
-	t0 := time.Now()
-	c.mu.RLock()
-	v, ok := c.lookupFast(low, high, lowIncl, highIncl)
-	c.mu.RUnlock()
-	if ok {
-		if in.ReadHold != nil {
-			in.ReadHold.Observe(time.Since(t0).Nanoseconds())
-		}
-		return v
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hs := c.beginWriteHoldLocked()
-	v = c.selectLocked(low, high, lowIncl, highIncl)
-	c.finishWriteHold(in, hs, low, high)
-	return v
-}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"crackdb/internal/expr"
 	"crackdb/internal/obs"
 )
 
@@ -100,6 +101,38 @@ func TestInstrSampling(t *testing.T) {
 	}
 }
 
+// TestConvergedReadsTimed: with every read sampled, a converged Project
+// adds exactly one ReadHold observation, as a converged Count does — a
+// projection reads through the same lock protocol as every other range.
+func TestConvergedReadsTimed(t *testing.T) {
+	const n, cells = 4096, 16
+	c, in := convergedInstr(n, cells, 0)
+	step := int64(n / cells)
+	r := expr.Range{Col: "k", Low: step, High: 2 * step, LowIncl: true}
+	_, sel := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
+	writes := in.WriteHold.Snapshot().Count
+	for _, read := range []struct {
+		name string
+		run  func()
+	}{
+		{"Project", func() {
+			if _, st := c.Project(r, []string{"k"}, sel, 1); st != Projected {
+				t.Fatalf("converged projection: status %d", st)
+			}
+		}},
+		{"Count", func() { c.Count(r.Low, r.High, r.LowIncl, r.HighIncl) }},
+	} {
+		base := in.ReadHold.Snapshot().Count
+		read.run()
+		if got := in.ReadHold.Snapshot().Count - base; got != 1 {
+			t.Fatalf("converged %s: %d read-hold observations, want 1", read.name, got)
+		}
+	}
+	if got := in.WriteHold.Snapshot().Count; got != writes {
+		t.Fatalf("converged reads took %d write holds", got-writes)
+	}
+}
+
 // TestInstrCrackEvents asserts that a query which cracks produces a
 // trace event carrying its bounds and nonzero work deltas.
 func TestInstrCrackEvents(t *testing.T) {
@@ -145,10 +178,10 @@ func TestTableSetInstr(t *testing.T) {
 	in := &Instr{WriteHold: new(obs.Histogram), Trace: obs.NewTraceBuf(64)}
 	ct.SetInstr(in)
 	mark := in.Trace.Mark()
-	if _, err := ct.Select(rangeOf("a", 10, 100)); err != nil {
+	if _, err := ct.CountRange(rangeOf("a", 10, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ct.Select(rangeOf("b", 85, 95)); err != nil { // created after SetInstr
+	if _, err := ct.CountRange(rangeOf("b", 85, 95)); err != nil { // created after SetInstr
 		t.Fatal(err)
 	}
 	evs := in.Trace.Since(mark)

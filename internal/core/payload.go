@@ -147,26 +147,11 @@ const (
 // handed out before, so a window of len(sel) tuples none of which is
 // newer than sel's newest is exactly sel; anything else is stale and the
 // caller reconstructs its own snapshot through the base table.
-func (c *Column) Project(r expr.Range, attrs []string, sel []bat.OID, stamp uint64) ([][]int64, ProjectStatus) {
-	c.mu.RLock()
-	if v, ok := c.lookupFast(r.Low, r.High, r.LowIncl, r.HighIncl); ok {
-		wins, st := c.projectLocked(v, r.Col, attrs, sel, stamp)
-		c.mu.RUnlock()
-		return wins, st
-	}
-	c.mu.RUnlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	in := c.instr.Load()
-	var hs holdState
-	if in != nil {
-		hs = c.beginWriteHoldLocked()
-	}
-	v := c.selectLocked(r.Low, r.High, r.LowIncl, r.HighIncl)
-	if in != nil {
-		c.finishWriteHold(in, hs, r.Low, r.High)
-	}
-	return c.projectLocked(v, r.Col, attrs, sel, stamp)
+func (c *Column) Project(r expr.Range, attrs []string, sel []bat.OID, stamp uint64) (wins [][]int64, st ProjectStatus) {
+	c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, func(v View) {
+		wins, st = c.projectLocked(v, r.Col, attrs, sel, stamp)
+	})
+	return wins, st
 }
 
 // projectLocked copies the windows of v. The caller holds c.mu in either

@@ -41,9 +41,10 @@ type CrackStrategy interface {
 //
 // RegisterQuery=false weakens Select's View contract: the returned
 // window's boundaries are then not cuts in the cracker index, so the
-// next query on the column may re-partition across them. Callers under
-// such a strategy must consume a View before the next query or use
-// SelectCopy (Store.Select already does).
+// next query on the column may re-partition across them. Count,
+// SelectCopy, Project and batches consume the window under the lock
+// that produced it (Column.answer); a caller holding a View must consume
+// it before the next query or use SelectCopy (Store.Select does).
 type CutPlan struct {
 	Pivot         int64 // auxiliary pivot value, cracked as the cut "< Pivot"
 	HasPivot      bool  // false: stop advising, install the query cut

@@ -157,29 +157,14 @@ func (ct *CrackedTable) CrackedColumns() []string {
 	return out
 }
 
-// SetSelectObserver registers a callback fired after every single-range
-// selection (Select / SelectCopy) with the answered range. It must be
+// SetSelectObserver registers a callback fired after every range
+// selection the table answers, with the answered range. It must be
 // set before the table is shared between goroutines; pass nil to clear.
 func (ct *CrackedTable) SetSelectObserver(f func(r expr.Range)) { ct.selectObs = f }
 
 // FetchedTuples returns the number of tuples reconstructed through the
 // base table by Fetch since creation.
 func (ct *CrackedTable) FetchedTuples() int64 { return ct.fetched.Load() }
-
-// Select answers a range query over one attribute by cracking that
-// attribute's column. The returned view aliases the column; concurrent
-// callers should use SelectCopy.
-func (ct *CrackedTable) Select(r expr.Range) (View, error) {
-	c, err := ct.ColumnFor(r.Col)
-	if err != nil {
-		return View{}, err
-	}
-	v := c.SelectRange(r)
-	if ct.selectObs != nil {
-		ct.selectObs(r)
-	}
-	return v, nil
-}
 
 // SelectCopy answers a range query returning copies of the qualifying
 // values and OIDs, taken under the column lock — safe under concurrent
@@ -189,7 +174,7 @@ func (ct *CrackedTable) SelectCopy(r expr.Range) ([]int64, []bat.OID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, oids := c.SelectRangeCopy(r)
+	vals, oids := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
 	if ct.selectObs != nil {
 		ct.selectObs(r)
 	}
@@ -214,7 +199,7 @@ func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, oids := c.SelectRangeCopy(r)
+		_, oids := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
 		if bestCol == "" || len(oids) < len(best) {
 			best, bestCol = oids, col
 		}

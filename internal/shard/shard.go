@@ -451,62 +451,16 @@ func sum(counts []int) int {
 	return total
 }
 
-// keyBounds folds the conjunction's predicates on the partition key into
-// one inclusive interval [lo, hi]. empty reports an unsatisfiable key
-// constraint (no tuple anywhere can qualify). Unknown operators and
-// <> do not narrow — they only widen the shard set, never miss a tuple.
-func keyBounds(key string, conds []crackdb.Cond) (lo, hi int64, empty bool) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	for _, c := range conds {
-		if c.Col != key {
-			continue
-		}
-		switch c.Op {
-		case "=", "==":
-			if c.Val > lo {
-				lo = c.Val
-			}
-			if c.Val < hi {
-				hi = c.Val
-			}
-		case "<":
-			if c.Val == math.MinInt64 {
-				return 0, 0, true
-			}
-			if c.Val-1 < hi {
-				hi = c.Val - 1
-			}
-		case "<=":
-			if c.Val < hi {
-				hi = c.Val
-			}
-		case ">":
-			if c.Val == math.MaxInt64 {
-				return 0, 0, true
-			}
-			if c.Val+1 > lo {
-				lo = c.Val + 1
-			}
-		case ">=":
-			if c.Val > lo {
-				lo = c.Val
-			}
-		}
-	}
-	return lo, hi, lo > hi
-}
-
 // check rejects the conditions a single crackdb.Store rejects — an
-// unknown operator or column — with the same error text. The router
-// runs it before any short-cut that answers without a shard: a
+// unknown operator or column — in the order it checks them, operator
+// then column, condition by condition, and with the same error text. The
+// router runs it before any short-cut that answers without a shard: a
 // conjunction whose key constraint is unsatisfiable reaches no shard,
 // yet it must still name real columns.
 func (m *tableMeta) check(table string, conds []crackdb.Cond) error {
-	for _, c := range conds {
-		switch c.Op {
-		case "<", "<=", "=", "==", ">=", ">", "<>", "!=":
-		default:
-			return fmt.Errorf("crackdb: unknown operator %q", c.Op)
+	for i, c := range conds {
+		if _, _, _, err := crackdb.Interval(c.Col, conds[i:i+1]); err != nil {
+			return err
 		}
 		if err := m.hasColumn(table, c.Col); err != nil {
 			return err
@@ -523,10 +477,16 @@ func (m *tableMeta) hasColumn(table, col string) error {
 }
 
 // targets resolves which shards a conjunction must visit, routing
-// through the partitioner snapshot the caller captured via meta.
+// through the partitioner snapshot the caller captured via meta. The
+// conditions on the key fold into one interval; a <> on the key narrows
+// nothing — it only widens the shard set, never misses a tuple — and an
+// unsatisfiable key constraint reaches no shard (empty).
 func (m *tableMeta) targets(part partitioner, conds []crackdb.Cond) (first, last int, empty bool) {
-	lo, hi, empty := keyBounds(m.key, conds)
-	if empty {
+	lo, hi, _, err := crackdb.Interval(m.key, conds)
+	if err != nil { // unchecked (a replayed record): every shard refuses it
+		lo, hi = math.MinInt64, math.MaxInt64
+	}
+	if lo > hi {
 		return 0, -1, true
 	}
 	first, last = part.span(lo, hi)

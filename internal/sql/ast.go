@@ -1,6 +1,10 @@
 package sql
 
-import "fmt"
+import (
+	"fmt"
+
+	"crackdb"
+)
 
 // Stmt is a parsed statement.
 type Stmt interface{ stmt() }
@@ -75,14 +79,7 @@ func (it SelectItem) Label() string {
 // every row (the table remains).
 type Delete struct {
 	Table string
-	Where []Cond
-}
-
-// Cond is one comparison of the WHERE conjunction.
-type Cond struct {
-	Col string
-	Op  string // < <= = >= > <>
-	Val int64
+	Where []crackdb.Cond
 }
 
 // Select is SELECT items FROM table [WHERE conj] [GROUP BY col]
@@ -93,7 +90,7 @@ type Select struct {
 	Star    bool
 	Into    string // "" unless SELECT ... INTO table
 	Table   string
-	Where   []Cond
+	Where   []crackdb.Cond
 	GroupBy string
 	OrderBy string
 	Desc    bool

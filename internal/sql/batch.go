@@ -1,10 +1,6 @@
 package sql
 
-import (
-	"math"
-
-	"crackdb"
-)
+import "crackdb"
 
 // RangeCount is a statement the batched count path can absorb:
 // SELECT COUNT(*) FROM Table WHERE <conjunction on exactly one column>,
@@ -23,9 +19,10 @@ func (rc RangeCount) Range() crackdb.Range { return crackdb.Range{Low: rc.Low, H
 // ClassifyRangeCount reports whether the statement is a pure
 // single-column range COUNT(*) — the exact shape the engine's COUNT(*)
 // fast path answers via Backend.CountWhere, restricted to conjunctions
-// on one column so the fold to one inclusive range is lossless. Any
-// parse error, other statement shape, or operator outside <, <=, =, >=,
-// > declines (ok = false) and the caller dispatches normally.
+// on one column so the fold to one inclusive range (crackdb.Interval) is
+// lossless. Any parse error, other statement shape, or operator outside
+// <, <=, =, >=, > declines (ok = false) and the caller dispatches
+// normally.
 func ClassifyRangeCount(input string) (RangeCount, bool) {
 	stmt, err := Parse(input)
 	if err != nil {
@@ -41,44 +38,14 @@ func ClassifyRangeCount(input string) (RangeCount, bool) {
 		return RangeCount{}, false
 	}
 	col := s.Where[0].Col
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	for _, c := range s.Where {
 		if c.Col != col {
 			return RangeCount{}, false
 		}
-		switch c.Op {
-		case "=", "==":
-			if c.Val > lo {
-				lo = c.Val
-			}
-			if c.Val < hi {
-				hi = c.Val
-			}
-		case "<":
-			if c.Val == math.MinInt64 {
-				return RangeCount{Table: s.Table, Col: col, Low: 1, High: 0}, true
-			}
-			if c.Val-1 < hi {
-				hi = c.Val - 1
-			}
-		case "<=":
-			if c.Val < hi {
-				hi = c.Val
-			}
-		case ">":
-			if c.Val == math.MaxInt64 {
-				return RangeCount{Table: s.Table, Col: col, Low: 1, High: 0}, true
-			}
-			if c.Val+1 > lo {
-				lo = c.Val + 1
-			}
-		case ">=":
-			if c.Val > lo {
-				lo = c.Val
-			}
-		default: // <> and anything unknown: not a contiguous range
-			return RangeCount{}, false
-		}
+	}
+	lo, hi, exact, err := crackdb.Interval(col, s.Where)
+	if err != nil || !exact {
+		return RangeCount{}, false
 	}
 	return RangeCount{Table: s.Table, Col: col, Low: lo, High: hi}, true
 }

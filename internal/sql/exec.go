@@ -78,11 +78,7 @@ func (e *Engine) ExecStmt(stmt Stmt) (*ResultSet, error) {
 		}
 		return &ResultSet{Message: fmt.Sprintf("inserted %d rows into %s", len(s.Rows), s.Table)}, nil
 	case Delete:
-		conds := make([]crackdb.Cond, len(s.Where))
-		for i, c := range s.Where {
-			conds[i] = crackdb.Cond{Col: c.Col, Op: c.Op, Val: c.Val}
-		}
-		n, err := e.store.Delete(s.Table, conds...)
+		n, err := e.store.Delete(s.Table, s.Where...)
 		if err != nil {
 			return nil, err
 		}
@@ -95,14 +91,9 @@ func (e *Engine) ExecStmt(stmt Stmt) (*ResultSet, error) {
 }
 
 func (e *Engine) execSelect(s Select) (*ResultSet, error) {
-	conds := make([]crackdb.Cond, len(s.Where))
-	for i, c := range s.Where {
-		conds[i] = crackdb.Cond{Col: c.Col, Op: c.Op, Val: c.Val}
-	}
-
 	// Fast path: SELECT COUNT(*) FROM t [WHERE ...] needs no fetch.
 	if len(s.Items) == 1 && s.Items[0].Agg == AggCountStar && s.GroupBy == "" && s.Into == "" {
-		n, err := e.store.CountWhere(s.Table, conds...)
+		n, err := e.store.CountWhere(s.Table, s.Where...)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +117,7 @@ func (e *Engine) execSelect(s Select) (*ResultSet, error) {
 		return e.finish(s, rs)
 	}
 
-	res, err := e.store.SelectWhere(s.Table, conds...)
+	res, err := e.store.SelectWhere(s.Table, s.Where...)
 	if err != nil {
 		return nil, err
 	}

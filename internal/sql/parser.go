@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"crackdb"
 )
 
 // Parser is a recursive-descent parser over the token stream.
@@ -357,8 +359,8 @@ func (p *parser) selectItem() (SelectItem, error) {
 	return SelectItem{Col: stripQualifier(col)}, nil
 }
 
-func (p *parser) conjunction() ([]Cond, error) {
-	var out []Cond
+func (p *parser) conjunction() ([]crackdb.Cond, error) {
+	var out []crackdb.Cond
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -372,7 +374,7 @@ func (p *parser) conjunction() ([]Cond, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Cond{Col: col, Op: t.Text, Val: v})
+			out = append(out, crackdb.Cond{Col: col, Op: t.Text, Val: v})
 		case t.Kind == TokKeyword && t.Text == "BETWEEN":
 			lo, err := p.number()
 			if err != nil {
@@ -385,7 +387,7 @@ func (p *parser) conjunction() ([]Cond, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Cond{Col: col, Op: ">=", Val: lo}, Cond{Col: col, Op: "<=", Val: hi})
+			out = append(out, crackdb.Cond{Col: col, Op: ">=", Val: lo}, crackdb.Cond{Col: col, Op: "<=", Val: hi})
 		default:
 			return nil, fmt.Errorf("sql: offset %d: expected comparison, got %q", t.Pos, t.Text)
 		}

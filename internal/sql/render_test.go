@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"crackdb"
 )
 
 func TestRenderKnownForms(t *testing.T) {
@@ -58,7 +60,7 @@ func genSelect(rng *rand.Rand) Select {
 	if rng.Intn(2) == 0 {
 		ops := []string{"<", "<=", "=", ">=", ">", "<>"}
 		for i := 0; i < 1+rng.Intn(3); i++ {
-			s.Where = append(s.Where, Cond{
+			s.Where = append(s.Where, crackdb.Cond{
 				Col: cols[rng.Intn(len(cols))],
 				Op:  ops[rng.Intn(len(ops))],
 				Val: rng.Int63n(2000) - 1000,

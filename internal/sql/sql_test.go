@@ -91,7 +91,7 @@ func TestParseSelectForms(t *testing.T) {
 	if !sel.Star || sel.Table != "r" || len(sel.Where) != 3 {
 		t.Fatalf("parsed %#v", sel)
 	}
-	if sel.Where[0] != (Cond{Col: "a", Op: ">=", Val: 10}) {
+	if sel.Where[0] != (crackdb.Cond{Col: "a", Op: ">=", Val: 10}) {
 		t.Fatalf("cond[0] = %#v", sel.Where[0])
 	}
 	if sel.OrderBy != "k" || !sel.Desc || sel.Limit != 7 {

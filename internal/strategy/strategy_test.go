@@ -1,11 +1,11 @@
 package strategy_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"crackdb/internal/core"
-	"crackdb/internal/expr"
 	"crackdb/internal/strategy"
 )
 
@@ -151,10 +151,11 @@ func TestMDD1RNoLeakOnConstantColumn(t *testing.T) {
 	}
 }
 
-// Ne predicates return two complement views that must be mutually
-// consistent even when the strategy leaves query cuts unregistered —
-// both windows come from one partition pass, so neither can be
-// invalidated by producing the other.
+// A point query leaves its two complements — the tuples a <> predicate
+// keeps — on either side of its window, consistent with each other even
+// when the strategy leaves query cuts unregistered: one partition pass
+// places both bounds, so neither can be invalidated by producing the
+// other.
 func TestNeComplementUnderStrategies(t *testing.T) {
 	for _, name := range strategy.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -176,22 +177,24 @@ func TestNeComplementUnderStrategies(t *testing.T) {
 				}
 			}
 			col := core.NewColumn("a", base, core.WithStrategy(s))
-			views := col.SelectPred(expr.Pred{Col: "a", Op: expr.Ne, Val: pivot})
-			if len(views) != 2 {
-				t.Fatalf("Ne returned %d views", len(views))
+			mid := col.Select(pivot, pivot, true, true)
+			all := col.Select(math.MinInt64, math.MaxInt64, true, true).Values()
+			below, above := all[:mid.Lo], all[mid.Hi:]
+			if got := mid.Len(); got != wantAt {
+				t.Fatalf("point window %d tuples, want %d", got, wantAt)
 			}
-			if got := views[0].Len(); got != wantBelow {
+			if got := len(below); got != wantBelow {
 				t.Fatalf("left complement %d tuples, want %d", got, wantBelow)
 			}
-			if got := views[1].Len(); got != wantAbove {
+			if got := len(above); got != wantAbove {
 				t.Fatalf("right complement %d tuples, want %d", got, wantAbove)
 			}
-			for _, v := range views[0].Values() {
+			for _, v := range below {
 				if v >= pivot {
 					t.Fatalf("left complement contains %d >= %d", v, pivot)
 				}
 			}
-			for _, v := range views[1].Values() {
+			for _, v := range above {
 				if v <= pivot {
 					t.Fatalf("right complement contains %d <= %d", v, pivot)
 				}

@@ -17,6 +17,24 @@ import (
 	"crackdb/internal/obs"
 )
 
+// convergedColumn builds a column cracked on a fixed grid of boundaries,
+// so every query over a grid-aligned range is answered by two index
+// lookups and no data movement.
+func convergedColumn(n, gridCells int) *core.Column {
+	base := make([]int64, n)
+	rng := rand.New(rand.NewSource(7))
+	for i := range base {
+		base[i] = rng.Int63n(int64(n))
+	}
+	col := core.NewColumn("a", base)
+	step := int64(n / gridCells)
+	for g := 0; g < gridCells; g++ {
+		lo := int64(g) * step
+		col.Select(lo, lo+step, true, false) // registers cuts at lo and lo+step
+	}
+	return col
+}
+
 // lookupNS measures the per-op cost of rounds×opsPerRound converged
 // lookups and returns the minimum round time (min-of-rounds discards
 // scheduler noise; both configurations are measured interleaved so

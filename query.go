@@ -42,6 +42,44 @@ func opOf(op string) (expr.Op, error) {
 	}
 }
 
+// Interval folds the conditions on col into the inclusive interval
+// [lo, hi] they admit, lo > hi when no value can qualify. exact reports
+// that every condition on col narrows — none is a <>, which admits two
+// intervals — so [lo, hi] is the whole of the conjunction's constraint on
+// col. A condition with an unknown operator, on any column, is the error
+// a Store answers it with. The sharded router routes by this fold and
+// the SQL classifier batches by it, so the two cannot disagree.
+func Interval(col string, conds []Cond) (lo, hi int64, exact bool, err error) {
+	r, exact := expr.FullRange(col), true
+	for _, c := range conds {
+		op, err := opOf(c.Op)
+		if err != nil {
+			return 0, 0, false, err
+		}
+		if c.Col != col {
+			continue
+		}
+		if cr, ok := expr.RangeOf(expr.Pred{Col: col, Op: op, Val: c.Val}); ok {
+			r = r.Intersect(cr)
+		} else {
+			exact = false
+		}
+	}
+	if r.Empty() {
+		return 1, 0, exact, nil
+	}
+	lo, hi = r.Low, r.High
+	// Not empty, so an exclusive bound is strictly inside the other: no
+	// step below can overflow.
+	if !r.LowIncl {
+		lo++
+	}
+	if !r.HighIncl {
+		hi--
+	}
+	return lo, hi, exact, nil
+}
+
 // termOf validates the conditions against table t and builds the
 // conjunctive term the planner takes.
 func termOf(t *relation.Table, conds []Cond) (expr.Term, error) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crackdb"
+	"crackdb/internal/workload"
 )
 
 // BenchmarkSidewaysFetch measures the tentpole's acceptance claim
@@ -90,4 +91,14 @@ func BenchmarkSidewaysFetch(b *testing.B) {
 			}
 		})
 	}
+}
+
+func genQueries(b *testing.B, n, count int, seed int64) []workload.Query {
+	gen, err := workload.New(workload.Random, workload.Config{
+		Domain: int64(n), Count: count, Selectivity: 0.01, Seed: seed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gen.Queries()
 }
