@@ -71,15 +71,12 @@ func (s *Store) ForceStrategy(table, col, name string) error {
 	if err != nil {
 		return err
 	}
-	ct, _, err := s.crackedFor(table, col)
+	c, err := s.columnFor(table, col)
 	if err != nil {
 		return err
 	}
-	if _, err := ct.ColumnFor(col); err != nil {
-		return err
-	}
 	at.t.Force(table, col)
-	s.flipColumn(ct, table, col, name)
+	s.flipColumn(c, table, col, name)
 	at.t.Flipped(table, col, name)
 	return nil
 }
@@ -115,7 +112,7 @@ func (at *autoTuner) observe(s *Store, ct *core.CrackedTable, table string, r ex
 	if !flip {
 		return
 	}
-	s.flipColumn(ct, table, r.Col, want)
+	s.flipColumn(c, table, r.Col, want)
 	at.t.Flipped(table, r.Col, want)
 }
 
@@ -124,19 +121,17 @@ func (at *autoTuner) observe(s *Store, ct *core.CrackedTable, table string, r ex
 // position carries across the flip and the whole run stays
 // deterministic. A Handoff error (unreachable for tuner-chosen names)
 // keeps the old strategy.
-func (s *Store) flipColumn(ct *core.CrackedTable, table, col, name string) {
+func (s *Store) flipColumn(c *core.Column, table, col, name string) {
 	s.mu.RLock()
 	base := s.strategySeed
 	s.mu.RUnlock()
-	if c, ok := ct.Column(col); ok {
-		c.SwapStrategy(func(old core.CrackStrategy) core.CrackStrategy {
-			next, err := strategy.Handoff(old, name, columnSeed(base, table, col))
-			if err != nil {
-				return old
-			}
-			return next
-		})
-	}
+	c.SwapStrategy(func(old core.CrackStrategy) core.CrackStrategy {
+		next, err := strategy.Handoff(old, name, columnSeed(base, table, col))
+		if err != nil {
+			return old
+		}
+		return next
+	})
 }
 
 // columnSeed derives the deterministic seed a tuner flip hands a

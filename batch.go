@@ -43,7 +43,7 @@ func (s *Store) SelectBatch(table, col string, ranges []Range, opts ...BatchOpti
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ct, t, err := s.crackedFor(table, col)
+	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (s *Store) SelectBatch(table, col string, ranges []Range, opts ...BatchOpti
 	for i := range run.Answers {
 		a := &run.Answers[i]
 		res := &backing[i]
-		res.store, res.table, res.cracked = s, t, ct
+		res.store, res.cracked = s, ct
 		res.vals, res.oids = a.Vals, a.OIDs
 		res.rng, res.hasRange = ex[i], true
 		out[i] = res
@@ -99,7 +99,7 @@ func (s *Store) CountBatch(table, col string, ranges []Range, opts ...BatchOptio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ct, _, err := s.crackedFor(table, col)
+	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return nil, err
 	}

@@ -190,7 +190,7 @@ func crackerColumn(t testing.TB, s *Store, table, attr string) *core.Column {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.cracked[table].Column(attr)
+	c, ok := s.tables[table].Column(attr)
 	if !ok {
 		t.Fatalf("%s.%s has no cracker column", table, attr)
 	}

@@ -55,9 +55,14 @@ import (
 // other (and converged lookups on the same table run in parallel under
 // the column read lock — see DESIGN.md, Concurrency).
 type Store struct {
-	mu        sync.RWMutex
-	tables    map[string]*relation.Table
-	cracked   map[string]*core.CrackedTable
+	mu sync.RWMutex
+
+	// tables is the registry: every table is its cracked wrapper from the
+	// moment it is installed (installLocked, the only writer besides
+	// DropTable and an image element that drops it).
+	tables map[string]*table
+	genSeq uint64 // the last generation installLocked stamped
+
 	maxPieces int
 
 	// Crack-strategy configuration for columns created after
@@ -67,10 +72,18 @@ type Store struct {
 	strategyName string
 	strategySeed int64
 
+	// colOpts holds the store-wide cracker options as of the last
+	// configuration change (publishOptionsLocked). A wrapper reads it each
+	// time it creates a cracker column — under its own locks, where s.mu
+	// cannot be taken — so a column takes the configuration current when
+	// it is first cracked, whenever its table was installed.
+	colOpts atomic.Pointer[[]core.Option]
+
 	// sideways budgets the store's partial sideways-cracking maps: payload
 	// vectors riding on the cracker columns, so multi-attribute projection
 	// reads aligned windows sequentially instead of fetching tuples through
 	// the base table one OID at a time. See internal/sideways and DESIGN.md.
+	// It counts the wrappers liveTables lists; no path holding s.mu calls it.
 	sideways *sideways.Registry
 
 	// instr, when set by EnableObservability, is attached to every
@@ -91,23 +104,23 @@ type Store struct {
 	// delta elements (see persist.go). Guarded by mu; nil until a save is
 	// committed or an Open completes.
 	mark *saveMark
+}
 
-	// tableGen stamps each live table with a store-unique generation,
-	// bumped on every (re)creation, so delta dirtiness distinguishes a
-	// drop+recreate from the table it replaced even when the shapes (and
-	// row counts) coincide exactly. Guarded by mu.
-	tableGen map[string]uint64
-	genSeq   uint64
+// table is one registry entry: the cracked wrapper, which owns the base
+// relation, and the store-unique generation installLocked stamped it
+// with, so delta dirtiness tells a drop+recreate from the table it
+// replaced even when the shapes (and row counts) coincide exactly.
+type table struct {
+	*core.CrackedTable
+	gen uint64
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{
-		tables:   make(map[string]*relation.Table),
-		cracked:  make(map[string]*core.CrackedTable),
-		sideways: sideways.NewRegistry(sideways.DefaultBudget),
-		tableGen: make(map[string]uint64),
-	}
+	s := &Store{tables: make(map[string]*table)}
+	s.sideways = sideways.NewRegistry(sideways.DefaultBudget, s.liveTables)
+	s.publishOptionsLocked()
+	return s
 }
 
 // SetMaxPieces bounds the cracker index of columns cracked after the
@@ -117,6 +130,7 @@ func (s *Store) SetMaxPieces(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maxPieces = n
+	s.publishOptionsLocked()
 }
 
 // SetCrackStrategy selects the crack strategy for columns cracked after
@@ -136,6 +150,7 @@ func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	defer s.mu.Unlock()
 	s.strategyName = name
 	s.strategySeed = seed
+	s.publishOptionsLocked()
 	return nil
 }
 
@@ -160,7 +175,7 @@ func (s *Store) SidewaysStats() SidewaysStats { return s.sideways.Snapshot() }
 // access cost sideways cracking avoids (a converged sideways projection
 // leaves the counter untouched).
 func (s *Store) FetchedTuples(table string) (int64, error) {
-	ct, _, err := s.crackedFor(table)
+	ct, err := s.tableFor(table)
 	if err != nil {
 		return 0, err
 	}
@@ -179,11 +194,34 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.installLocked(name, relation.New(name, cols...))
+}
+
+// installLocked registers t under name — the one way into the registry
+// for a created, loaded, materialized, partitioned, reunited or
+// image-restored table: a taken name is refused, the table is wrapped for
+// cracking and stamped with a fresh generation. The caller holds s.mu.
+func (s *Store) installLocked(name string, t *relation.Table) error {
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
-	s.tables[name] = relation.New(name, cols...)
-	s.bumpTableGenLocked(name)
+	t.Name = name
+	// Every single-range selection the wrapper answers is forwarded to
+	// the auto-tuner, which classifies the bound stream and may hot-swap
+	// the column's strategy (the observer fires outside all table and
+	// column locks — the one point where a flip is trivially safe).
+	ct := core.NewCrackedTable(t, func(c *core.Column) {
+		for _, o := range *s.colOpts.Load() {
+			o(c)
+		}
+	})
+	ct.SetSelectObserver(func(r expr.Range) {
+		if at := s.autotune.Load(); at != nil {
+			at.observe(s, ct, name, r)
+		}
+	})
+	s.genSeq++
+	s.tables[name] = &table{CrackedTable: ct, gen: s.genSeq}
 	return nil
 }
 
@@ -194,17 +232,8 @@ func (s *Store) DropTable(name string) error {
 	if _, ok := s.tables[name]; !ok {
 		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
-	s.dropTableLocked(name)
-	return nil
-}
-
-// dropTableLocked removes an existing table from the registry and every
-// crack structure. The caller holds s.mu.
-func (s *Store) dropTableLocked(name string) {
 	delete(s.tables, name)
-	delete(s.tableGen, name)
-	delete(s.cracked, name)
-	s.sideways.DropTable(name)
+	return nil
 }
 
 // InsertRows appends tuples to a table. Cracked columns absorb the new
@@ -223,17 +252,13 @@ func (s *Store) InsertRows(name string, rows [][]int64) error {
 	}
 	// Validate arity up front so a bad row never leaves a batch half
 	// applied.
+	arity := t.Base().Arity()
 	for i, r := range rows {
-		if len(r) != t.Arity() {
-			return fmt.Errorf("crackdb: row %d arity %d, table %q has %d", i, len(r), name, t.Arity())
+		if len(r) != arity {
+			return fmt.Errorf("crackdb: row %d arity %d, table %q has %d", i, len(r), name, arity)
 		}
 	}
-	ct, ok := s.cracked[name]
-	if !ok {
-		ct = s.newCrackedTableLocked(name, t)
-		s.cracked[name] = ct
-	}
-	if err := ct.AppendRows(rows); err != nil {
+	if err := t.AppendRows(rows); err != nil {
 		return fmt.Errorf("crackdb: %w", err)
 	}
 	return nil
@@ -246,22 +271,22 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	if n < 1 || alpha < 1 {
 		return fmt.Errorf("crackdb: tapestry %dx%d invalid", n, alpha)
 	}
+	t := relation.Tapestry(n, alpha, seed)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.tables[name]; exists {
-		return fmt.Errorf("crackdb: table %q already exists", name)
-	}
-	t := relation.Tapestry(n, alpha, seed)
-	t.Name = name
-	s.tables[name] = t
-	s.bumpTableGenLocked(name)
-	return nil
+	return s.installLocked(name, t)
 }
 
 // Tables returns the registered table names, sorted.
 func (s *Store) Tables() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.namesLocked()
+}
+
+// namesLocked returns the registered table names, sorted. The caller
+// holds s.mu (read or write).
+func (s *Store) namesLocked() []string {
 	out := make([]string, 0, len(s.tables))
 	for n := range s.tables {
 		out = append(out, n)
@@ -270,60 +295,59 @@ func (s *Store) Tables() []string {
 	return out
 }
 
-// NumRows returns a table's live cardinality (deleted tuples excluded).
-func (s *Store) NumRows(name string) (int, error) {
+// liveTables lists the store's wrappers in table-name order: the tables
+// the sideways budget counts, in the order Adopt stamps them.
+func (s *Store) liveTables() []*core.CrackedTable {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return 0, fmt.Errorf("crackdb: table %q does not exist", name)
+	var out []*core.CrackedTable
+	for _, n := range s.namesLocked() {
+		out = append(out, s.tables[n].CrackedTable)
 	}
-	if ct, ok := s.cracked[name]; ok {
-		return ct.LiveLen(), nil
+	return out
+}
+
+// NumRows returns a table's live cardinality (deleted tuples excluded).
+func (s *Store) NumRows(name string) (int, error) {
+	ct, err := s.tableFor(name)
+	if err != nil {
+		return 0, err
 	}
-	return t.Len(), nil
+	return ct.LiveLen(), nil
 }
 
 // Columns returns a table's column names.
 func (s *Store) Columns(name string) ([]string, error) {
+	ct, err := s.tableFor(name)
+	if err != nil {
+		return nil, err
+	}
+	return ct.Base().ColumnNames(), nil
+}
+
+// tableFor returns the cracked wrapper of a table that has the columns
+// named: one read-locked lookup.
+func (s *Store) tableFor(name string, cols ...string) (*core.CrackedTable, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	t, ok := s.tables[name]
+	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("crackdb: table %q does not exist", name)
 	}
-	return t.ColumnNames(), nil
+	if err := hasColumns(t.Base(), cols...); err != nil {
+		return nil, err
+	}
+	return t.CrackedTable, nil
 }
 
-// crackedFor returns (creating on demand) the cracked wrapper of a table
-// that has the columns named. The steady state — both maps already
-// populated — is two read-locked lookups; only the first query against a
-// table takes the write lock to install the wrapper.
-func (s *Store) crackedFor(name string, cols ...string) (*core.CrackedTable, *relation.Table, error) {
-	s.mu.RLock()
-	t, ok := s.tables[name]
-	ct, haveCT := s.cracked[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("crackdb: table %q does not exist", name)
+// columnFor returns the cracker column of table.col, creating it on
+// first use.
+func (s *Store) columnFor(table, col string) (*core.Column, error) {
+	ct, err := s.tableFor(table, col)
+	if err != nil {
+		return nil, err
 	}
-	if err := hasColumns(t, cols...); err != nil {
-		return nil, nil, err
-	}
-	if haveCT {
-		return ct, t, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok = s.tables[name]; !ok { // re-check: table dropped meanwhile
-		return nil, nil, fmt.Errorf("crackdb: table %q does not exist", name)
-	}
-	ct, ok = s.cracked[name]
-	if !ok {
-		ct = s.newCrackedTableLocked(name, t)
-		s.cracked[name] = ct
-	}
-	return ct, t, nil
+	return ct.ColumnFor(col)
 }
 
 // hasColumns refuses a column table t lacks, in every entry point's words.
@@ -334,29 +358,6 @@ func hasColumns(t *relation.Table, cols ...string) error {
 		}
 	}
 	return nil
-}
-
-// currentCracked returns the live cracked wrapper of a table, or nil.
-func (s *Store) currentCracked(name string) *core.CrackedTable {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cracked[name]
-}
-
-// newCrackedTableLocked wraps a relation with cracker state and wires
-// the select observer: every single-range selection the wrapper answers
-// is forwarded to the auto-tuner, which classifies the bound stream and
-// may hot-swap the column's strategy (the observer fires outside all
-// table and column locks — the one point where a flip is trivially
-// safe). The caller holds s.mu.
-func (s *Store) newCrackedTableLocked(name string, t *relation.Table) *core.CrackedTable {
-	ct := core.NewCrackedTable(t, s.columnOptions()...)
-	ct.SetSelectObserver(func(r expr.Range) {
-		if at := s.autotune.Load(); at != nil {
-			at.observe(s, ct, name, r)
-		}
-	})
-	return ct
 }
 
 // baseColumnOptions materializes the store-wide cracker options except
@@ -374,9 +375,11 @@ func (s *Store) baseColumnOptions() []core.Option {
 	return opts
 }
 
-// columnOptions materializes the store-wide cracker options. The caller
-// holds s.mu.
-func (s *Store) columnOptions() []core.Option {
+// publishOptionsLocked materializes the store-wide cracker options into
+// colOpts, the set every wrapper gives the columns it creates from now
+// on. Every configuration change calls it. The caller holds s.mu (or is
+// New).
+func (s *Store) publishOptionsLocked() {
 	opts := s.baseColumnOptions()
 	if name := s.strategyName; name != "" && name != "standard" {
 		base := s.strategySeed
@@ -389,14 +392,14 @@ func (s *Store) columnOptions() []core.Option {
 			return st
 		}))
 	}
-	return opts
+	s.colOpts.Store(&opts)
 }
 
 // Select answers the inclusive range query low <= col <= high, cracking
 // the column as a side effect. The result references the store; use
 // Rows, Values, Count, WriteTo or Materialize to consume it.
 func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
-	ct, t, err := s.crackedFor(table, col)
+	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +408,7 @@ func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{store: s, table: t, cracked: ct, vals: vals, oids: oids, rng: r, hasRange: true}, nil
+	return &Result{store: s, cracked: ct, vals: vals, oids: oids, rng: r, hasRange: true}, nil
 }
 
 // Count is Select without result materialization: the query still cracks
@@ -413,7 +416,7 @@ func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
 // It routes through the same single-entry count path CountBatch uses —
 // one registry resolution, no View or Result construction.
 func (s *Store) Count(table, col string, low, high int64) (int, error) {
-	ct, _, err := s.crackedFor(table, col)
+	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return 0, err
 	}
@@ -424,7 +427,6 @@ func (s *Store) Count(table, col string, low, high int64) (int, error) {
 // column plus the tuple OIDs for fetching other attributes.
 type Result struct {
 	store   *Store
-	table   *relation.Table
 	cracked *core.CrackedTable
 	vals    []int64
 	oids    []bat.OID
@@ -464,16 +466,15 @@ func (r *Result) Values() []int64 { return r.vals }
 // from the base table through the OIDs. Either way the vectors are
 // zipped into rows once.
 func (r *Result) Rows(cols ...string) ([][]int64, error) {
-	if err := hasColumns(r.table, cols...); err != nil {
+	if err := hasColumns(r.cracked.Base(), cols...); err != nil {
 		return nil, err
 	}
-	// The sideways budget tracks tables by name, so only the table's live
-	// wrapper may feed it: a stale Result — its table dropped (and
-	// possibly recreated) since the Select — must not have payloads built
-	// on a wrapper the name no longer refers to. Stale results fall
-	// through to the base fetch, which answers from their own snapshot.
-	if r.hasRange && r.store != nil && r.store.currentCracked(r.table.Name) == r.cracked {
-		if wins, ok := r.store.sideways.Project(r.cracked, r.table.Name, r.rng, cols, r.oids); ok {
+	// A stale Result — its table dropped (and possibly recreated) since the
+	// Select — gets no payloads built on its wrapper, which the sideways
+	// budget no longer counts; it falls through to the base fetch, which
+	// answers from its own snapshot.
+	if r.hasRange {
+		if wins, ok := r.store.sideways.Project(r.cracked, r.rng, cols, r.oids); ok {
 			return zipRows(wins, len(r.oids)), nil
 		}
 	}
@@ -526,18 +527,11 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 
 // Materialize stores the full qualifying tuples as a new table.
 func (r *Result) Materialize(name string) error {
-	cols := r.table.ColumnNames()
-	out, err := r.cracked.Fetch(r.oids, cols...)
+	out, err := r.cracked.Fetch(r.oids, r.cracked.Base().ColumnNames()...)
 	if err != nil {
 		return err
 	}
-	out.Name = name
 	r.store.mu.Lock()
 	defer r.store.mu.Unlock()
-	if _, exists := r.store.tables[name]; exists {
-		return fmt.Errorf("crackdb: table %q already exists", name)
-	}
-	r.store.tables[name] = out
-	r.store.bumpTableGenLocked(name)
-	return nil
+	return r.store.installLocked(name, out)
 }

@@ -329,9 +329,23 @@ func TestSemijoinSplit(t *testing.T) {
 
 func TestVerticalPartitionAndReunite(t *testing.T) {
 	s := newEventStore(t, 50)
+	// A deleted tuple stays behind: neither piece nor the reunited table
+	// holds it.
+	if n, err := s.Delete("events", Cond{Col: "ts", Op: "=", Val: 7}); err != nil || n != 1 {
+		t.Fatalf("delete: %d, %v", n, err)
+	}
+	fetched, _ := s.FetchedTuples("events")
 	head, rest, err := s.VerticalPartition("events", "reading")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n, _ := s.FetchedTuples("events"); n != fetched {
+		t.Fatalf("Ψ counted %d fetched tuples", n-fetched)
+	}
+	for _, piece := range []string{head, rest} {
+		if n, _ := s.NumRows(piece); n != 49 {
+			t.Fatalf("%s holds %d rows, want the 49 live ones", piece, n)
+		}
 	}
 	hCols, _ := s.Columns(head)
 	if len(hCols) != 2 { // oid + reading
@@ -345,7 +359,7 @@ func TestVerticalPartitionAndReunite(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := s.NumRows("events2")
-	if n != 50 {
+	if n != 49 {
 		t.Fatalf("reunited rows = %d", n)
 	}
 	// Reconstructed content matches the original, row by row.
@@ -376,6 +390,28 @@ func TestVerticalPartitionAndReunite(t *testing.T) {
 				t.Fatalf("row %d differs: %v vs %v", i, o[i], r[i])
 			}
 		}
+	}
+	// The pieces are tables like any other: they take inserts, before a
+	// Save/Open round trip as after it.
+	if err := s.InsertRows(head, [][]int64{{50, 999}}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.InsertRows(head, [][]int64{{51, 998}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := re.Count(head, "oid", 50, 51); n != 2 {
+		t.Fatalf("reopened head counts %d inserted rows, want 2", n)
+	}
+	if n, _ := re.NumRows("events2"); n != 49 {
+		t.Fatalf("reopened reunited table holds %d rows, want 49", n)
 	}
 }
 

@@ -23,11 +23,7 @@ type GroupInfo struct {
 // value-ordered, so subsequent range queries on it are pure index
 // lookups.
 func (s *Store) GroupBy(table, col string) ([]GroupInfo, error) {
-	ct, _, err := s.crackedFor(table, col)
-	if err != nil {
-		return nil, err
-	}
-	c, err := ct.ColumnFor(col)
+	c, err := s.columnFor(table, col)
 	if err != nil {
 		return nil, err
 	}
@@ -51,19 +47,11 @@ type SemijoinInfo struct {
 // counts are the piece sizes (P1 = R⋉S, P2 = R∖(R⋉S), P3 = S⋉R,
 // P4 = S∖(S⋉R)).
 func (s *Store) SemijoinSplit(tableR, colR, tableS, colS string) (SemijoinInfo, error) {
-	ctR, _, err := s.crackedFor(tableR, colR)
+	cR, err := s.columnFor(tableR, colR)
 	if err != nil {
 		return SemijoinInfo{}, err
 	}
-	ctS, _, err := s.crackedFor(tableS, colS)
-	if err != nil {
-		return SemijoinInfo{}, err
-	}
-	cR, err := ctR.ColumnFor(colR)
-	if err != nil {
-		return SemijoinInfo{}, err
-	}
-	cS, err := ctS.ColumnFor(colS)
+	cS, err := s.columnFor(tableS, colS)
 	if err != nil {
 		return SemijoinInfo{}, err
 	}
@@ -85,26 +73,24 @@ func (s *Store) SemijoinSplit(tableR, colR, tableS, colS string) (SemijoinInfo, 
 // registered as tables "<name>_head" and "<name>_rest"; Reunite undoes
 // the split.
 func (s *Store) VerticalPartition(table string, attrs ...string) (head, rest string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[table]
-	if !ok {
-		return "", "", fmt.Errorf("crackdb: table %q does not exist", table)
+	ct, err := s.tableFor(table)
+	if err != nil {
+		return "", "", err
 	}
-	h, r, err := core.PsiCrack(t, attrs...)
+	h, r, err := core.PsiCrack(ct, attrs...)
 	if err != nil {
 		return "", "", err
 	}
 	head, rest = table+"_head", table+"_rest"
-	for _, name := range []string{head, rest} {
-		if _, exists := s.tables[name]; exists {
-			return "", "", fmt.Errorf("crackdb: table %q already exists", name)
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.installLocked(head, h); err != nil {
+		return "", "", err
 	}
-	h.Name, r.Name = head, rest
-	s.tables[head], s.tables[rest] = h, r
-	s.bumpTableGenLocked(head)
-	s.bumpTableGenLocked(rest)
+	if err := s.installLocked(rest, r); err != nil {
+		delete(s.tables, head) // both pieces or neither
+		return "", "", err
+	}
 	return head, rest, nil
 }
 
@@ -122,26 +108,17 @@ func (s *Store) Reunite(newName, head, rest string, cols ...string) error {
 	if !ok {
 		return fmt.Errorf("crackdb: table %q does not exist", rest)
 	}
-	if _, exists := s.tables[newName]; exists {
-		return fmt.Errorf("crackdb: table %q already exists", newName)
-	}
-	t, err := core.PsiReconstruct(newName, h, r, cols)
+	t, err := core.PsiReconstruct(newName, h.Base(), r.Base(), cols)
 	if err != nil {
 		return err
 	}
-	s.tables[newName] = t
-	s.bumpTableGenLocked(newName)
-	return nil
+	return s.installLocked(newName, t)
 }
 
 // Lineage renders the cracker lineage DAG of a column (the paper's
 // Figure 5 / Figure 6 administration) as an indented tree.
 func (s *Store) Lineage(table, col string) (string, error) {
-	ct, _, err := s.crackedFor(table, col)
-	if err != nil {
-		return "", err
-	}
-	c, err := ct.ColumnFor(col)
+	c, err := s.columnFor(table, col)
 	if err != nil {
 		return "", err
 	}
@@ -177,8 +154,8 @@ type ColumnStats struct {
 
 // Add accumulates another column's counters into this one — the fold
 // the sharded store and the /stats summary use to total per-shard rows.
-// Pieces sums too: the total is "pieces across shards", each shard
-// contributing at least one.
+// Pieces sums too: the total is "pieces across shards", each shard that
+// has the cracker column contributing at least one.
 func (cs *ColumnStats) Add(o ColumnStats) {
 	switch {
 	case cs.Strategy == "":
@@ -201,11 +178,8 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 }
 
 // Stats returns the work counters of one cracked column. Columns that
-// were never filtered on report zero values.
-//
-// Asking for a column materializes its cracker state as a side effect
-// (the same lazy creation a first query performs); use
-// CrackedColumnStats to inspect only what the workload has touched.
+// were never filtered on report zero values: like CrackedColumnStats,
+// asking never creates cracker state.
 //
 // Reset semantics: counters live in process memory and are not part of
 // the durable snapshot, so after a warm reopen every counter restarts
@@ -213,15 +187,14 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 // The obs layer's restarts_total / store_uptime_seconds mark the
 // discontinuity for rate computations.
 func (s *Store) Stats(table, col string) (ColumnStats, error) {
-	ct, _, err := s.crackedFor(table, col)
+	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return ColumnStats{}, err
 	}
-	c, err := ct.ColumnFor(col)
-	if err != nil {
-		return ColumnStats{}, err
+	if c, ok := ct.Column(col); ok {
+		return columnStats(c), nil
 	}
-	return columnStats(c), nil
+	return ColumnStats{}, nil
 }
 
 func columnStats(c *core.Column) ColumnStats {
@@ -245,23 +218,17 @@ func columnStats(c *core.Column) ColumnStats {
 }
 
 // CrackedColumnStats returns the counters of every column of a table
-// that actually has cracker state, keyed by attribute name. Unlike
-// Stats it never materializes a column: a table that was never filtered
-// on comes back as an empty map. This is the inspection path the
-// /stats summary and the metrics collectors use — observation must not
-// mutate the store it observes. Reset semantics are as in Stats.
+// that actually has cracker state, keyed by attribute name: a table that
+// was never filtered on comes back as an empty map. This is the
+// inspection path the /stats summary and the metrics collectors use —
+// observation must not mutate the store it observes. Reset semantics
+// are as in Stats.
 func (s *Store) CrackedColumnStats(table string) (map[string]ColumnStats, error) {
-	s.mu.RLock()
-	_, exists := s.tables[table]
-	ct := s.cracked[table]
-	s.mu.RUnlock()
-	if !exists {
-		return nil, fmt.Errorf("crackdb: table %q does not exist", table)
+	ct, err := s.tableFor(table)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]ColumnStats)
-	if ct == nil {
-		return out, nil
-	}
 	for _, attr := range ct.CrackedColumns() {
 		c, ok := ct.Column(attr)
 		if !ok {

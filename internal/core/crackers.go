@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"crackdb/internal/bat"
@@ -15,8 +16,13 @@ import (
 // PsiCrack vertically cracks a table: the Ψ-cracking operation
 // Ψ(π_attr(R)) producing P1 = π_attr(R) and P2 = π_(attr(R)∖attr)(R).
 // Both pieces carry the surrogate key column "oid" so the original can be
-// reconstructed with a natural 1:1 join (PsiReconstruct).
-func PsiCrack(t *relation.Table, attrs ...string) (head, rest *relation.Table, err error) {
+// reconstructed with a natural 1:1 join (PsiReconstruct). The pieces hold
+// the table's live tuples — tombstoned ones stay behind — in BATs of their
+// own, so they take appends like any table. Copying them out is
+// construction, not per-query reconstruction: it does not count toward
+// FetchedTuples.
+func PsiCrack(ct *CrackedTable, attrs ...string) (head, rest *relation.Table, err error) {
+	t := ct.base
 	want := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		if !t.HasColumn(a) {
@@ -24,20 +30,32 @@ func PsiCrack(t *relation.Table, attrs ...string) (head, rest *relation.Table, e
 		}
 		want[a] = true
 	}
-	n := t.Len()
-	oidVals := make([]int64, n)
-	for i := range oidVals {
-		oidVals[i] = int64(i)
+	names := t.ColumnNames()
+	ct.baseMu.RLock()
+	var oids []bat.OID
+	for oid := bat.OID(0); int(oid) < t.Len(); oid++ {
+		if _, dead := ct.tomb[oid]; !dead {
+			oids = append(oids, oid)
+		}
+	}
+	vecs, err := ct.gatherLocked(oids, names)
+	ct.baseMu.RUnlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	oidVals := make([]int64, len(oids))
+	for i, oid := range oids {
+		oidVals[i] = int64(oid)
 	}
 
 	headCols := []relation.Column{{Name: "oid", Data: bat.FromInts(t.Name+"_oid", oidVals)}}
-	restCols := []relation.Column{{Name: "oid", Data: bat.FromInts(t.Name+"_oid", append([]int64(nil), oidVals...))}}
-	for _, c := range t.Cols {
-		view := relation.Column{Name: c.Name, Data: c.Data.View(0, c.Data.Len())}
-		if want[c.Name] {
-			headCols = append(headCols, view)
+	restCols := []relation.Column{{Name: "oid", Data: bat.FromInts(t.Name+"_oid", slices.Clone(oidVals))}}
+	for j, name := range names {
+		c := relation.Column{Name: name, Data: bat.FromInts(t.Name+"_"+name, vecs[j])}
+		if want[name] {
+			headCols = append(headCols, c)
 		} else {
-			restCols = append(restCols, view)
+			restCols = append(restCols, c)
 		}
 	}
 	head, err = relation.FromColumns(t.Name+"_head", headCols...)

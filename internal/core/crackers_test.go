@@ -21,7 +21,7 @@ func buildTable(t *testing.T) *relation.Table {
 
 func TestPsiCrackSplitsAttributes(t *testing.T) {
 	tbl := buildTable(t)
-	head, rest, err := PsiCrack(tbl, "a")
+	head, rest, err := PsiCrack(NewCrackedTable(tbl), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,14 @@ func TestPsiCrackSplitsAttributes(t *testing.T) {
 	if head.Len() != tbl.Len() || rest.Len() != tbl.Len() {
 		t.Fatal("piece cardinalities differ from the original")
 	}
-	if _, _, err := PsiCrack(tbl, "zzz"); err == nil {
+	if _, _, err := PsiCrack(NewCrackedTable(tbl), "zzz"); err == nil {
 		t.Fatal("Ψ on missing attribute succeeded")
 	}
 }
 
 func TestPsiReconstructLossless(t *testing.T) {
 	tbl := buildTable(t)
-	head, rest, err := PsiCrack(tbl, "a", "b")
+	head, rest, err := PsiCrack(NewCrackedTable(tbl), "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,8 +235,9 @@ func foldGranules[T any](dst, src []T, gs []int, n int) []T {
 // validating the cut invariants before accepting it (a corrupted or
 // hand-edited snapshot must not poison future cracks). Payload vectors
 // must cover every stored tuple and pending insert and name distinct
-// attributes; they attach unstamped, for the sideways budget to adopt
-// (sideways.Registry.Adopt). Options apply as in NewColumn; pass
+// attributes; they attach unstamped, and the sideways budget stamps them
+// when it adopts the store's restored tables (sideways.Registry.Adopt,
+// which walks every table the store holds). Options apply as in NewColumn; pass
 // WithStrategy to reattach a restored strategy instance — the state's
 // Strategy field is identity only, it is not instantiated here (core
 // cannot depend on internal/strategy).

@@ -133,21 +133,6 @@ func (t *Table) RowMap(i int) map[string]int64 {
 	return row
 }
 
-// Project returns a new table holding views over the named attribute
-// BATs: a zero-copy vertical slice.
-func (t *Table) Project(name string, cols ...string) (*Table, error) {
-	out := &Table{Name: name, byName: make(map[string]int, len(cols))}
-	for _, cn := range cols {
-		b, err := t.Column(cn)
-		if err != nil {
-			return nil, err
-		}
-		out.byName[cn] = len(out.Cols)
-		out.Cols = append(out.Cols, Column{Name: cn, Data: b.View(0, b.Len())})
-	}
-	return out, nil
-}
-
 // Filter materializes the tuples whose row map satisfies the term into a
 // fresh table (the naive reference evaluator the tests compare against).
 func (t *Table) Filter(name string, term expr.Term) *Table {

@@ -75,23 +75,6 @@ func TestFromColumnsValidation(t *testing.T) {
 	}
 }
 
-func TestProjectIsView(t *testing.T) {
-	tbl := buildRS(t)
-	p, err := tbl.Project("p", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Arity() != 1 || p.Len() != 10 {
-		t.Fatalf("projection shape wrong: %d×%d", p.Len(), p.Arity())
-	}
-	if !p.Cols[0].Data.IsView() {
-		t.Fatal("projection materialized a copy")
-	}
-	if _, err := tbl.Project("p", "zzz"); err == nil {
-		t.Fatal("projecting missing column succeeded")
-	}
-}
-
 func TestFilter(t *testing.T) {
 	tbl := buildRS(t)
 	got := tbl.Filter("f", expr.Term{{Col: "a", Op: expr.Ge, Val: 50}, {Col: "k", Op: expr.Lt, Val: 8}})

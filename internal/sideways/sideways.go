@@ -14,7 +14,10 @@
 // mutex serializes gathers and evictions only; a projection over live
 // payloads takes the column's lock (the read lock when both cuts exist)
 // and stamps what it read with an atomic clock. Lock order: registry →
-// table → base → column; nothing is evicted under a column lock.
+// table → base → column; nothing is evicted under a column lock. The
+// registry keeps no tables of its own: it counts what the store's live
+// list holds, and asks for that list before taking its mutex, so the
+// store's lock and the registry's are never held together.
 //
 // Payloads follow every mutation the store offers — appended rows bring
 // their payload values, deletes compact all vectors together — and the
@@ -60,16 +63,20 @@ type Registry struct {
 	budget atomic.Int64  // max live payload vectors; 0 disables, < 0 unbounded
 	clock  atomic.Uint64 // LRU stamps
 
-	mu     sync.Mutex                    // serializes gathers, evictions and the table set
-	tables map[string]*core.CrackedTable // wrappers that were handed a payload
+	// live lists the wrappers the store holds — the tables whose columns
+	// the census counts. It is called before mu is taken, never under it.
+	live func() []*core.CrackedTable
+
+	mu sync.Mutex // serializes gathers and evictions
 
 	builds, evictions, projections, fallbacks, declines atomic.Int64
 }
 
 // NewRegistry returns a registry with the given payload-vector budget
-// (0 disables sideways cracking entirely; < 0 removes the bound).
-func NewRegistry(budget int) *Registry {
-	g := &Registry{tables: make(map[string]*core.CrackedTable)}
+// (0 disables sideways cracking entirely; < 0 removes the bound) over the
+// tables live lists.
+func NewRegistry(budget int, live func() []*core.CrackedTable) *Registry {
+	g := &Registry{live: live}
 	g.budget.Store(int64(budget))
 	return g
 }
@@ -78,22 +85,21 @@ func NewRegistry(budget int) *Registry {
 // the new bound immediately; 0 drops every payload and disables the
 // subsystem.
 func (g *Registry) SetBudget(n int) {
+	tables := g.live()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.budget.Store(int64(n))
-	g.evictLocked()
+	g.evictLocked(tables)
 }
 
 // Budget returns the current payload-vector budget.
 func (g *Registry) Budget() int { return int(g.budget.Load()) }
 
 // Snapshot returns the current work counters and payload census. The
-// census is read off the live columns, so it follows whatever replaced,
-// dropped or reorganized them.
+// census is read off the live columns of the live tables, so it follows
+// whatever replaced, dropped or reorganized them.
 func (g *Registry) Snapshot() Stats {
-	g.mu.Lock()
-	live := g.censusLocked()
-	g.mu.Unlock()
+	live := census(g.live())
 	st := Stats{
 		Pays:        len(live),
 		Builds:      g.builds.Load(),
@@ -110,14 +116,6 @@ func (g *Registry) Snapshot() Stats {
 	return st
 }
 
-// DropTable forgets a table whose wrapper the store discarded (dropped,
-// replaced, rebuilt around a new tombstone set); its payloads go with it.
-func (g *Registry) DropTable(table string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.tables, table)
-}
-
 // Project serves a multi-attribute projection from the key column's
 // payload vectors: the columnar windows of the requested attributes for
 // the key range r, each a fresh copy, mutually aligned element by
@@ -127,7 +125,7 @@ func (g *Registry) DropTable(table string) {
 // back to the base-table fetch. Missing payload vectors are gathered
 // first, the budget permitting. ok=false never leaves partial state
 // behind.
-func (g *Registry) Project(ct *core.CrackedTable, table string, r expr.Range, attrs []string, sel []bat.OID) ([][]int64, bool) {
+func (g *Registry) Project(ct *core.CrackedTable, r expr.Range, attrs []string, sel []bat.OID) ([][]int64, bool) {
 	if g.budget.Load() == 0 {
 		return nil, false
 	}
@@ -138,7 +136,7 @@ func (g *Registry) Project(ct *core.CrackedTable, table string, r expr.Range, at
 	}
 	wins, st := c.Project(r, attrs, sel, g.clock.Add(1))
 	if st == core.PayloadMissing {
-		if !g.build(ct, table, r.Col, attrs) {
+		if !g.build(ct, r.Col, attrs) {
 			g.fallbacks.Add(1)
 			return nil, false
 		}
@@ -155,8 +153,14 @@ func (g *Registry) Project(ct *core.CrackedTable, table string, r expr.Range, at
 
 // build gathers the payload vectors attrs needs on key's column and
 // evicts down to the budget. Every needed vector, new or not, takes the
-// newest stamp, so with needed <= budget none of them is the victim.
-func (g *Registry) build(ct *core.CrackedTable, table, key string, attrs []string) bool {
+// newest stamp, so with needed <= budget none of them is the victim. A
+// wrapper the store no longer holds — a stale result's, its table dropped
+// or replaced — gets nothing: the census would never count it.
+func (g *Registry) build(ct *core.CrackedTable, key string, attrs []string) bool {
+	tables := g.live()
+	if !slices.Contains(tables, ct) {
+		return false
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var needed []string
@@ -168,7 +172,6 @@ func (g *Registry) build(ct *core.CrackedTable, table, key string, attrs []strin
 	if budget := g.budget.Load(); budget == 0 || budget > 0 && int64(len(needed)) > budget {
 		return false
 	}
-	g.tables[table] = ct // the store only projects through a table's live wrapper
 	stamp := g.clock.Add(1)
 	for _, a := range needed {
 		built, err := ct.AttachPayload(key, a, stamp)
@@ -180,7 +183,7 @@ func (g *Registry) build(ct *core.CrackedTable, table, key string, attrs []strin
 			g.builds.Add(1)
 		}
 	}
-	g.evictLocked()
+	g.evictLocked(tables)
 	return true
 }
 
@@ -191,11 +194,10 @@ type livePay struct {
 	used uint64
 }
 
-// censusLocked lists the live payload vectors, grouped by column, read
-// off the tracked tables' current cracker columns.
-func (g *Registry) censusLocked() []livePay {
+// census lists the live payload vectors of tables, grouped by column.
+func census(tables []*core.CrackedTable) []livePay {
 	var live []livePay
-	for _, ct := range g.tables {
+	for _, ct := range tables {
 		for _, key := range ct.CrackedColumns() {
 			c, ok := ct.Column(key)
 			if !ok {
@@ -209,14 +211,14 @@ func (g *Registry) censusLocked() []livePay {
 	return live
 }
 
-// evictLocked drops least-recently-used payload vectors until the budget
-// holds (all of them under budget 0).
-func (g *Registry) evictLocked() {
+// evictLocked drops least-recently-used payload vectors of tables until
+// the budget holds (all of them under budget 0).
+func (g *Registry) evictLocked(tables []*core.CrackedTable) {
 	budget := g.budget.Load()
 	if budget < 0 {
 		return
 	}
-	live := g.censusLocked()
+	live := census(tables)
 	sort.Slice(live, func(i, j int) bool { return live[i].used < live[j].used })
 	for _, p := range live[:max(len(live)-int(budget), 0)] {
 		if p.col.DropPayload(p.attr) {
@@ -226,23 +228,16 @@ func (g *Registry) evictLocked() {
 }
 
 // Adopt takes over the payload vectors that restored columns brought
-// along (core.ColumnFromState attaches them unstamped): tables maps each
-// table whose replaced columns carry payloads to its live wrapper. Every
-// unstamped vector is stamped from the registry clock — table by table,
-// column by column, in its stored least-recently-used-first order — so a
-// later chain element's vectors rank above an earlier one's, and then
-// the registry evicts down to the budget.
-func (g *Registry) Adopt(tables map[string]*core.CrackedTable) {
+// along (core.ColumnFromState attaches them unstamped). Every unstamped
+// vector is stamped from the registry clock — table by table in the
+// order live lists them, column by column, each column's in their stored
+// least-recently-used-first order — and then the registry evicts down to
+// the budget.
+func (g *Registry) Adopt() {
+	tables := g.live()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	names := make([]string, 0, len(tables))
-	for name := range tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ct := tables[name]
-		g.tables[name] = ct
+	for _, ct := range tables {
 		for _, key := range ct.CrackedColumns() {
 			c, ok := ct.Column(key)
 			if !ok {
@@ -257,5 +252,5 @@ func (g *Registry) Adopt(tables map[string]*core.CrackedTable) {
 			}
 		}
 	}
-	g.evictLocked()
+	g.evictLocked(tables)
 }

@@ -29,6 +29,11 @@ func buildTable(t *testing.T, n int, seed int64) (*core.CrackedTable, [][]int64)
 	return core.NewCrackedTable(rel), rows
 }
 
+// liveOf is the live list of a store holding exactly cts.
+func liveOf(cts ...*core.CrackedTable) func() []*core.CrackedTable {
+	return func() []*core.CrackedTable { return cts }
+}
+
 func incRange(lo, hi int64) expr.Range {
 	return expr.Range{Col: "k", Low: lo, High: hi, LowIncl: true, HighIncl: true}
 }
@@ -82,13 +87,13 @@ func project(t *testing.T, g *Registry, ct *core.CrackedTable, lo, hi int64, att
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins, ok := g.Project(ct, "t", incRange(lo, hi), attrs, sel)
+	wins, ok := g.Project(ct, incRange(lo, hi), attrs, sel)
 	return sorted(asRows(wins)), ok
 }
 
 func TestProjectMatchesOracle(t *testing.T) {
 	ct, rows := buildTable(t, 4000, 1)
-	g := NewRegistry(DefaultBudget)
+	g := NewRegistry(DefaultBudget, liveOf(ct))
 	rng := rand.New(rand.NewSource(2))
 	for q := 0; q < 60; q++ {
 		lo := rng.Int63n(9000)
@@ -124,24 +129,24 @@ func TestProjectMatchesOracle(t *testing.T) {
 // leave the cardinality where it was.
 func TestProjectStaleLengthDeclines(t *testing.T) {
 	ct, rows := buildTable(t, 1000, 3)
-	g := NewRegistry(DefaultBudget)
+	g := NewRegistry(DefaultBudget, liveOf(ct))
 	r, attrs := incRange(100, 5000), []string{"k", "a"}
 	_, sel, _ := ct.SelectCopy(r)
-	if _, ok := g.Project(ct, "t", r, attrs, sel); !ok {
+	if _, ok := g.Project(ct, r, attrs, sel); !ok {
 		t.Fatal("warm-up projection declined")
 	}
 	// Append a row inside the range behind the caller's back.
 	if err := ct.AppendRows([][]int64{{200, 7, 7}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Project(ct, "t", r, attrs, sel); ok {
+	if _, ok := g.Project(ct, r, attrs, sel); ok {
 		t.Fatal("projection served a selection one tuple short")
 	}
 	// Delete one of the selected tuples: same cardinality, other tuples.
 	if ct.DeleteOIDs(sel[:1]) != 1 {
 		t.Fatal("delete refused")
 	}
-	if _, ok := g.Project(ct, "t", r, attrs, sel); ok {
+	if _, ok := g.Project(ct, r, attrs, sel); ok {
 		t.Fatal("projection served a selection whose cardinality only coincides")
 	}
 	// A fresh selection serves again, from the same payload vector.
@@ -161,7 +166,7 @@ func TestProjectStaleLengthDeclines(t *testing.T) {
 
 func TestBudgetEviction(t *testing.T) {
 	ct, rows := buildTable(t, 500, 4)
-	g := NewRegistry(1) // room for exactly one payload vector
+	g := NewRegistry(1, liveOf(ct)) // room for exactly one payload vector
 	for q := 0; q < 6; q++ {
 		attr, col := "a", 1
 		if q%2 == 1 {
@@ -203,7 +208,8 @@ func TestBudgetEviction(t *testing.T) {
 // hold, whoever dropped or replaced them.
 func TestCensusFollowsColumns(t *testing.T) {
 	ct, rows := buildTable(t, 800, 12)
-	g := NewRegistry(DefaultBudget)
+	held := []*core.CrackedTable{ct}
+	g := NewRegistry(DefaultBudget, func() []*core.CrackedTable { return held })
 	serve := func(when string) {
 		t.Helper()
 		got, ok := project(t, g, ct, 1000, 6000, "a", "b")
@@ -236,9 +242,19 @@ func TestCensusFollowsColumns(t *testing.T) {
 	if st := g.Snapshot(); st.Pays != 2 || st.Builds != 6 {
 		t.Fatalf("%d pays after %d builds, want 2 after 6", st.Pays, st.Builds)
 	}
-	g.DropTable("t")
+	// The store dropped the table: its wrapper leaves the live list.
+	held = nil
 	if st := g.Snapshot(); st.Pays != 0 {
-		t.Fatalf("after DropTable: %d pays", st.Pays)
+		t.Fatalf("after the drop: %d pays", st.Pays)
+	}
+	// A stale selection on the dropped wrapper gathers nothing there.
+	col, _ = ct.Column("k")
+	col.SortAll()
+	if _, ok := project(t, g, ct, 1000, 6000, "a", "b"); ok {
+		t.Fatal("a wrapper the store no longer holds was handed payloads")
+	}
+	if st := g.Snapshot(); st.Builds != 6 {
+		t.Fatalf("%d builds after the drop, want 6", st.Builds)
 	}
 }
 
@@ -249,7 +265,7 @@ func TestCensusFollowsColumns(t *testing.T) {
 // least-recently-used-first order, so a tight budget evicts the right one.
 func TestExportRestoreRoundTrip(t *testing.T) {
 	ct, rows := buildTable(t, 3000, 8)
-	g := NewRegistry(DefaultBudget)
+	g := NewRegistry(DefaultBudget, liveOf(ct))
 	rng := rand.New(rand.NewSource(9))
 	for q := 0; q < 30; q++ {
 		lo := rng.Int63n(9000)
@@ -279,8 +295,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := NewRegistry(DefaultBudget)
-	g2.Adopt(map[string]*core.CrackedTable{"t": ct2})
+	g2 := NewRegistry(DefaultBudget, liveOf(ct2))
+	g2.Adopt()
 	if st := g2.Snapshot(); st.Sets != 1 || st.Pays != 2 {
 		t.Fatalf("adopted census = %d/%d, want 1/2", st.Sets, st.Pays)
 	}
@@ -293,8 +309,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		r := incRange(lo, lo+700)
 		_, selA, _ := ct.SelectCopy(r)
 		_, selB, _ := ct2.SelectCopy(r)
-		a, okA := g.Project(ct, "t", r, []string{"k", "a", "b"}, selA)
-		b, okB := g2.Project(ct2, "t", r, []string{"k", "a", "b"}, selB)
+		a, okA := g.Project(ct, r, []string{"k", "a", "b"}, selA)
+		b, okB := g2.Project(ct2, r, []string{"k", "a", "b"}, selB)
 		if !okA || !okB {
 			t.Fatalf("query %d declined (live %v, restored %v)", q, okA, okB)
 		}
@@ -314,8 +330,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g3 := NewRegistry(1)
-	g3.Adopt(map[string]*core.CrackedTable{"t": ct3})
+	g3 := NewRegistry(1, liveOf(ct3))
+	g3.Adopt()
 	col3, _ := ct3.Column("k")
 	if live := col3.Payloads(); len(live) != 1 || live[0].Attr != "a" {
 		t.Fatalf("budget 1 kept %+v, want the most recently used payload a", live)
@@ -347,7 +363,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 // be the selection it was asked for.
 func TestConcurrentProjectObserve(t *testing.T) {
 	ct, _ := buildTable(t, 2000, 11)
-	g := NewRegistry(1)
+	g := NewRegistry(1, liveOf(ct))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -385,7 +401,7 @@ func TestConcurrentProjectObserve(t *testing.T) {
 					return
 				}
 				attrs := append([]string{"k"}, attrSets[i%len(attrSets)]...)
-				wins, ok := g.Project(ct, "t", r, attrs, sel)
+				wins, ok := g.Project(ct, r, attrs, sel)
 				if !ok {
 					continue // over budget, or the writer got in between: the store would fetch through the base
 				}

@@ -42,12 +42,9 @@ func (s *Store) EnableObservability(reg *obs.Registry, trace *obs.TraceBuf, shar
 	s.mu.Lock()
 	first := s.instr == nil
 	s.instr = in
-	tables := make([]*core.CrackedTable, 0, len(s.cracked))
-	for _, ct := range s.cracked {
-		tables = append(tables, ct)
-	}
+	s.publishOptionsLocked()
 	s.mu.Unlock()
-	for _, ct := range tables {
+	for _, ct := range s.liveTables() {
 		ct.SetInstr(in)
 	}
 	if !first {
@@ -83,8 +80,8 @@ func (s *Store) collect(e *obs.Exporter) {
 			e.Gauge("crackdb_strategy_info", "Active crack strategy per column (value is always 1; the strategy label carries the decision).",
 				1, lt, lc, obs.L("strategy", cs.Strategy))
 		}
-		if ct := s.currentCracked(table); ct != nil {
-			e.Counter("crackdb_fetched_tuples_total", "Tuples reconstructed through the base table by OID fetches.", ct.FetchedTuples(), lt)
+		if n, err := s.FetchedTuples(table); err == nil {
+			e.Counter("crackdb_fetched_tuples_total", "Tuples reconstructed through the base table by OID fetches.", n, lt)
 		}
 	}
 	sw := s.SidewaysStats()

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
@@ -33,10 +32,10 @@ import (
 // Change detection has one detector per kind of state. A column marks
 // what it writes (core.Column.TakeState takes the marks); a table's
 // generation, row count and tombstone count at the last committed image
-// live in the saveMark. Every table-creation path bumps the table's
-// generation (bumpTableGenLocked), so create, drop+recreate (even into an
-// identical shape and row count), and Materialize rewrite the table in
-// the next element.
+// live in the saveMark. Every table enters the store through
+// installLocked, which stamps it with a fresh generation, so create,
+// drop+recreate (even into an identical shape and row count), and
+// Materialize rewrite the table in the next element.
 //
 // The store itself logs nothing: write-ahead logging, checkpoint stamps
 // and crash recovery belong to internal/shard (OpenDurable), for one
@@ -55,19 +54,9 @@ type saveMark struct {
 }
 
 type tableMark struct {
-	gen   uint64 // creation generation (bumpTableGenLocked) — object identity
+	gen   uint64 // creation generation (installLocked) — object identity
 	rows  int    // physical rows, tombstoned included
 	tombs int    // tombstone count (monotone: equal count == equal set)
-}
-
-// bumpTableGenLocked stamps name with a fresh generation. Every path
-// that installs a table object into s.tables must call it — create,
-// tapestry load, Materialize, vertical partition/reunite, image apply —
-// so a recreated table is never mistaken for the one the last image
-// holds. The caller holds s.mu.
-func (s *Store) bumpTableGenLocked(name string) {
-	s.genSeq++
-	s.tableGen[name] = s.genSeq
 }
 
 // configLocked materializes the store-wide crack configuration an image
@@ -86,11 +75,8 @@ func (s *Store) configLocked() durable.StoreConfig {
 func (s *Store) newMarkLocked(sum uint32) *saveMark {
 	m := &saveMark{sum: sum, config: s.configLocked(), tables: make(map[string]tableMark, len(s.tables))}
 	for name, t := range s.tables {
-		tm := tableMark{gen: s.tableGen[name], rows: t.Len()}
-		if ct, ok := s.cracked[name]; ok {
-			tm.tombs = t.Len() - ct.LiveLen()
-		}
-		m.tables[name] = tm
+		rows := t.Base().Len()
+		m.tables[name] = tableMark{gen: t.gen, rows: rows, tombs: rows - t.LiveLen()}
 	}
 	return m
 }
@@ -143,39 +129,29 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 	// Tables and attributes go out sorted: two images of an unchanged
 	// store are byte-identical, so a re-bootstrapping follower, which
 	// reuses files by checksum, downloads nothing it already holds.
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := s.namesLocked()
 	changed := !delta || len(names) != len(against.tables) || img.Config != against.config
 	for _, name := range names {
 		t := s.tables[name]
-		it := durable.ImageTable{Name: name, Cols: t.ColumnNames(), Rows: t.Len()}
-		ct := s.cracked[name]
-		if ct != nil {
-			it.Deleted = ct.Tombstones()
-		}
+		it := durable.ImageTable{Name: name, Cols: t.Base().ColumnNames(), Rows: t.Base().Len(), Deleted: t.Tombstones()}
 		// A table the last image holds under the same generation only
 		// grew: the element appends its new rows. Any other is rewritten,
 		// with every cracked column whole.
 		tm, had := against.tables[name]
-		if had && tm.gen == s.tableGen[name] {
+		if had && tm.gen == t.gen {
 			it.From = tm.rows
 		}
-		changed = changed || !had || tm.gen != s.tableGen[name] || tm.rows != it.Rows || tm.tombs != len(it.Deleted)
-		if ct != nil {
-			for _, attr := range ct.CrackedColumns() {
-				c, ok := ct.Column(attr)
-				if !ok {
-					continue
-				}
-				st, moved := c.TakeState(it.From == 0)
-				if moved || it.From == 0 {
-					img.Columns = append(img.Columns, durable.ColumnSnapshot{Table: name, Attr: attr, State: st})
-				}
-				changed = changed || moved
+		changed = changed || !had || tm.gen != t.gen || tm.rows != it.Rows || tm.tombs != len(it.Deleted)
+		for _, attr := range t.CrackedColumns() {
+			c, ok := t.Column(attr)
+			if !ok {
+				continue
 			}
+			st, moved := c.TakeState(it.From == 0)
+			if moved || it.From == 0 {
+				img.Columns = append(img.Columns, durable.ColumnSnapshot{Table: name, Attr: attr, State: st})
+			}
+			changed = changed || moved
 		}
 		img.Tables = append(img.Tables, it)
 	}
@@ -191,7 +167,7 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 			continue
 		}
 		for _, col := range it.Cols {
-			b, err := s.tables[it.Name].Column(col)
+			b, err := s.tables[it.Name].Base().Column(col)
 			if err != nil {
 				return nil, err
 			}
@@ -233,7 +209,7 @@ func OpenCold(dir string) (*Store, error) {
 
 func openChain(cold bool, dirs []string) (*Store, error) {
 	s := New()
-	r := &restoring{cols: make(map[string]map[string]*core.ColumnState), tombs: make(map[string][]bat.OID)}
+	r := make(restoring)
 	var prev uint32
 	for i, dir := range dirs {
 		durable.RecoverDirSwap(dir, imageName)
@@ -258,44 +234,46 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 		prev = sum
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.restoreLocked(r); err != nil {
-		return nil, err
-	}
-	if !cold {
+	err := s.restoreLocked(r)
+	if err == nil && !cold {
 		// The reopened state matches the on-disk chain exactly, so its tip
 		// can anchor the next delta without another full save.
 		s.mark = s.newMarkLocked(prev)
 	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	// The budget takes the restored payload vectors over.
+	s.sideways.Adopt()
 	return s, nil
 }
 
-// restoring is what the chain's elements have said so far about the crack
-// state: each table's latest tombstone set, and each column's state with
-// every later patch folded on. The columns are built once, after the last
-// element (restoreLocked).
-type restoring struct {
-	cols  map[string]map[string]*core.ColumnState // table → attr → state
-	tombs map[string][]bat.OID
-}
+// restoring is what the chain's elements have said so far about each
+// column's crack state (table → attr → state), every later patch folded
+// on. The columns are built once, after the last element (restoreLocked).
+type restoring map[string]map[string]*core.ColumnState
 
 // applyImage folds one verified element into the store: drops tables
 // absent from the element's manifest, loads rewritten tables, appends
-// the rows of grown ones, and records the element's tombstone sets and
-// column records — a whole record replaces the column's state, a patch
-// folds onto it. A base element does all of that to an empty store.
-func (s *Store) applyImage(dir string, img *durable.Image, r *restoring) error {
+// the rows of grown ones, tombstones what the element lists deleted, and
+// records its column records — a whole record replaces the column's
+// state, a patch folds onto it. A base element does all of that to an
+// empty store.
+func (s *Store) applyImage(dir string, img *durable.Image, r restoring) error {
 	// Strategy config first: SetCrackStrategy validates the name and
-	// takes s.mu itself.
+	// takes s.mu itself. The sideways budget is set outside s.mu too: the
+	// registry reads the store's tables.
 	if name := img.Config.StrategyName; name != "" {
 		if err := s.SetCrackStrategy(name, img.Config.StrategySeed); err != nil {
 			return err
 		}
 	}
+	s.sideways.SetBudget(img.Config.SidewaysBudget)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.maxPieces = img.Config.MaxPieces
-	s.sideways.SetBudget(img.Config.SidewaysBudget)
+	s.publishOptionsLocked()
 
 	inImage := make(map[string]bool, len(img.Tables))
 	for _, it := range img.Tables {
@@ -303,8 +281,8 @@ func (s *Store) applyImage(dir string, img *durable.Image, r *restoring) error {
 	}
 	for name := range s.tables {
 		if !inImage[name] {
-			s.dropTableLocked(name)
-			delete(r.cols, name)
+			delete(s.tables, name)
+			delete(r, name)
 		}
 	}
 	for _, it := range img.Tables {
@@ -314,10 +292,10 @@ func (s *Store) applyImage(dir string, img *durable.Image, r *restoring) error {
 			if err := s.loadTableLocked(dir, it); err != nil {
 				return err
 			}
-			delete(r.cols, it.Name) // a rewritten table's columns come whole
+			delete(r, it.Name) // a rewritten table's columns come whole
 		case !exists:
 			return fmt.Errorf("crackdb: image %s references table %q missing from the chain so far", dir, it.Name)
-		case live.Len() != it.From || !slices.Equal(live.ColumnNames(), it.Cols):
+		case live.Base().Len() != it.From || !slices.Equal(live.Base().ColumnNames(), it.Cols):
 			return fmt.Errorf("crackdb: image %s disagrees with table %q shape — chain corrupt", dir, it.Name)
 		case it.From < it.Rows:
 			for _, col := range it.Cols {
@@ -329,25 +307,31 @@ func (s *Store) applyImage(dir string, img *durable.Image, r *restoring) error {
 					return fmt.Errorf("crackdb: %s.%s holds rows [%d, %d), image manifest says [%d, %d)",
 						it.Name, col, b.HSeqBase(), int(b.HSeqBase())+b.Len(), it.From, it.Rows)
 				}
-				if err := live.MustColumn(col).AppendInts(b.Ints()...); err != nil {
+				// No wrapper has a column before restoreLocked, so the rows
+				// go straight onto the base.
+				if err := live.Base().MustColumn(col).AppendInts(b.Ints()...); err != nil {
 					return err
 				}
 			}
 		}
-		r.tombs[it.Name] = it.Deleted
+		// An element lists a table's whole tombstone set, and tombstones
+		// only accrue: each set covers what earlier elements listed.
+		if err := s.tables[it.Name].RestoreTombstones(it.Deleted); err != nil {
+			return fmt.Errorf("crackdb: restore %s: %w", it.Name, err)
+		}
 	}
 	for i := range img.Columns {
 		cs := &img.Columns[i]
 		if _, ok := s.tables[cs.Table]; !ok {
 			return fmt.Errorf("crackdb: crack state for unknown table %q", cs.Table)
 		}
-		st, ok := r.cols[cs.Table][cs.Attr]
+		st, ok := r[cs.Table][cs.Attr]
 		switch {
 		case !cs.State.Patch:
-			if r.cols[cs.Table] == nil {
-				r.cols[cs.Table] = make(map[string]*core.ColumnState)
+			if r[cs.Table] == nil {
+				r[cs.Table] = make(map[string]*core.ColumnState)
 			}
-			r.cols[cs.Table][cs.Attr] = &cs.State
+			r[cs.Table][cs.Attr] = &cs.State
 		case !ok:
 			return fmt.Errorf("crackdb: image %s patches %s.%s, which the chain has not restored", dir, cs.Table, cs.Attr)
 		default:
@@ -382,30 +366,17 @@ func (s *Store) loadTableLocked(dir string, it durable.ImageTable) error {
 	if err != nil {
 		return err
 	}
-	if _, exists := s.tables[it.Name]; exists {
-		s.dropTableLocked(it.Name)
-	}
-	s.tables[it.Name] = t
-	s.bumpTableGenLocked(it.Name)
-	return nil
+	delete(s.tables, it.Name)
+	return s.installLocked(it.Name, t)
 }
 
-// restoreLocked builds the cracked wrapper of every table the chain left
-// tombstones or column states for: tombstones first, then each column
-// from its folded state (ColumnFromState verifies it), payload vectors
-// included. The caller holds s.mu.
-func (s *Store) restoreLocked(r *restoring) error {
-	withPays := make(map[string]*core.CrackedTable)
-	for name, t := range s.tables {
-		cols := r.cols[name]
-		if len(cols) == 0 && len(r.tombs[name]) == 0 {
-			continue
-		}
-		ct := s.newCrackedTableLocked(name, t)
-		if err := ct.RestoreTombstones(r.tombs[name]); err != nil {
-			return fmt.Errorf("crackdb: restore %s: %w", name, err)
-		}
-		s.cracked[name] = ct
+// restoreLocked builds each column the chain left a state for
+// (ColumnFromState verifies it), payload vectors included, into its
+// table's wrapper, whose tombstones are already in place. The caller
+// holds s.mu.
+func (s *Store) restoreLocked(r restoring) error {
+	for name, cols := range r {
+		t := s.tables[name]
 		for attr, st := range cols {
 			// Each column record carries its own strategy state, and
 			// baseColumnOptions deliberately omits the store default — so a
@@ -420,18 +391,13 @@ func (s *Store) restoreLocked(r *restoring) error {
 			}
 			col, err := core.ColumnFromState(*st, opts...)
 			if err == nil {
-				err = ct.ReplaceColumn(attr, col)
+				err = t.ReplaceColumn(attr, col)
 			}
 			if err != nil {
 				return fmt.Errorf("crackdb: restore %s.%s: %w", name, attr, err)
 			}
-			if len(st.Pays) > 0 {
-				withPays[name] = ct
-			}
 		}
 	}
-	// The budget takes the restored payload vectors over.
-	s.sideways.Adopt(withPays)
 	return nil
 }
 

@@ -95,6 +95,14 @@ func TestDeltaSkipsCleanTables(t *testing.T) {
 	if isDirty(t, s) {
 		t.Fatal("store reports dirty immediately after a full save")
 	}
+	// Observing a column that was never filtered on creates no state for
+	// the next delta to carry.
+	if _, err := s.Stats("cold", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if isDirty(t, s) {
+		t.Fatal("Stats on an uncracked column dirtied the store")
+	}
 	// Crack only "hot" (queries reorganize; no inserts needed).
 	for lo := int64(0); lo < 4000; lo += 250 {
 		if _, err := s.Count("hot", "k", lo, lo+200); err != nil {

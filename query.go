@@ -101,11 +101,11 @@ func termOf(t *relation.Table, conds []Cond) (expr.Term, error) {
 // selective advised column as a side effect. With no conditions it
 // returns every tuple.
 func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
-	ct, t, err := s.crackedFor(table)
+	ct, err := s.tableFor(table)
 	if err != nil {
 		return nil, err
 	}
-	term, err := termOf(t, conds)
+	term, err := termOf(ct.Base(), conds)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{store: s, table: t, cracked: ct, oids: oids}, nil
+	return &Result{store: s, cracked: ct, oids: oids}, nil
 }
 
 // Delete removes the tuples matching the conjunction (every tuple when
@@ -129,11 +129,11 @@ func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
 // while every cracker column compacts it away, payload vectors included,
 // at its next fold (see core.CrackedTable.DeleteOIDs, DESIGN.md Updates).
 func (s *Store) Delete(table string, conds ...Cond) (int, error) {
-	ct, t, err := s.crackedFor(table)
+	ct, err := s.tableFor(table)
 	if err != nil {
 		return 0, err
 	}
-	term, err := termOf(t, conds)
+	term, err := termOf(ct.Base(), conds)
 	if err != nil {
 		return 0, err
 	}
@@ -155,11 +155,11 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 // The query still cracks, but a conjunction the driving column absorbs
 // whole materializes nothing.
 func (s *Store) CountWhere(table string, conds ...Cond) (int, error) {
-	ct, t, err := s.crackedFor(table)
+	ct, err := s.tableFor(table)
 	if err != nil {
 		return 0, err
 	}
-	term, err := termOf(t, conds)
+	term, err := termOf(ct.Base(), conds)
 	if err != nil {
 		return 0, err
 	}
