@@ -2,6 +2,7 @@ package crackdb
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestWarmReopenAutotune(t *testing.T) {
 		t.Fatalf("live decisions = %+v, want a flipped mdd1r column", before)
 	}
 
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "store.crk")
 	if err := live.Save(dir); err != nil {
 		t.Fatal(err)
 	}

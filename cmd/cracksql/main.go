@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cracksql [-f script.sql] [-db dir]
+//	cracksql [-f script.sql] [-db file]
 //
 // Meta commands:
 //
@@ -13,8 +13,8 @@
 //	\stats <table> <col>   cracking statistics of a column
 //	\lineage <table> <col> render the cracker lineage DAG
 //	\tapestry <name> <n> <alpha> [seed]   load a DBtapestry table
-//	\save <dir>           write a full image (tables and crack state);
-//	                      reopen it with cracksql -db <dir>
+//	\save <file>          write a full image (tables and crack state);
+//	                      reopen it with cracksql -db <file>
 //	\quit
 package main
 
@@ -33,14 +33,14 @@ import (
 func main() {
 	var (
 		script = flag.String("f", "", "execute a SQL script file and exit")
-		dbdir  = flag.String("db", "", "open a store image written by \\save, crack state included")
+		dbfile = flag.String("db", "", "open a store image file written by \\save, crack state included")
 	)
 	flag.Parse()
 
 	store := crackdb.New()
-	if *dbdir != "" {
+	if *dbfile != "" {
 		var err error
-		store, err = crackdb.Open(*dbdir)
+		store, err = crackdb.Open(*dbfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cracksql:", err)
 			os.Exit(1)
@@ -116,7 +116,7 @@ func meta(store *crackdb.Store, cmd string) bool {
 	case `\quit`, `\q`:
 		return false
 	case `\help`:
-		fmt.Println(`\tables, \stats <t> <c>, \lineage <t> <c>, \tapestry <name> <n> <alpha> [seed], \save <dir>, \open <dir>, \quit`)
+		fmt.Println(`\tables, \stats <t> <c>, \lineage <t> <c>, \tapestry <name> <n> <alpha> [seed], \save <file>, \quit`)
 	case `\tables`:
 		for _, t := range store.Tables() {
 			cols, _ := store.Columns(t)
@@ -173,7 +173,7 @@ func meta(store *crackdb.Store, cmd string) bool {
 		fmt.Printf("  loaded tapestry %s (%d × %d)\n", fields[1], n, alpha)
 	case `\save`:
 		if len(fields) != 2 {
-			fmt.Println(`usage: \save <dir>`)
+			fmt.Println(`usage: \save <file>`)
 			break
 		}
 		if err := store.Save(fields[1]); err != nil {
@@ -181,8 +181,6 @@ func meta(store *crackdb.Store, cmd string) bool {
 		} else {
 			fmt.Println("  saved to", fields[1])
 		}
-	case `\open`:
-		fmt.Println(`  \open is only available at startup: cracksql -db <dir>`)
 	default:
 		fmt.Printf("unknown meta command %s (try \\help)\n", fields[0])
 	}

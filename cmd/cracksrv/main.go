@@ -24,10 +24,12 @@
 // checkpoints the store (tables plus crack state) and rotates the log,
 // and boot recovers image + WAL suffix, so even a SIGKILL loses nothing
 // that was acked. When an image exists its recorded sharding
-// configuration wins over the command-line flags. The first /save writes
-// a full image into <dir>/store/; later ones append a differential chain
-// element (<dir>/delta-NNNNNN/) carrying only the shards that changed, or
-// write nothing when nothing did. /save full forces a fresh full image,
+// configuration wins over the command-line flags. Every /save writes one
+// numbered chain element straight into <dir>: a manifest
+// (<dir>/ckpt-NNNNNN.json) and one image file per shard it carries
+// (<dir>/ckpt-NNNNNN-K.crk). The first is a full image; later ones are
+// differential elements carrying only the shards that changed, or nothing
+// is written when nothing did. /save full forces a fresh full image,
 // and the chain compacts by itself when it grows long or heavy. Each
 // rotation keeps the four newest WAL segments for replication catch-up,
 // plus any a connected follower still needs. -ckptdelta is accepted and

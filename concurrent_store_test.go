@@ -80,7 +80,7 @@ func TestStoreConcurrentTables(t *testing.T) {
 					}
 				case worker%4 == 1 && i%50 == 0:
 					var commit func()
-					commit, err = s.WriteImage(filepath.Join(images, fmt.Sprintf("w%d-%d", worker, i)), false)
+					commit, _, err = s.WriteImage(filepath.Join(images, fmt.Sprintf("w%d-%d", worker, i)), false)
 					if err == nil {
 						commit()
 					}

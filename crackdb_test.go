@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -396,11 +397,11 @@ func TestVerticalPartitionAndReunite(t *testing.T) {
 	if err := s.InsertRows(head, [][]int64{{50, 999}}); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
+	path := filepath.Join(t.TempDir(), "store.crk")
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir)
+	re, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,13 +466,12 @@ func TestMaxPiecesFusion(t *testing.T) {
 }
 
 func TestOpenRejectsCorruptStore(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "store.crk")
 	s := newEventStore(t, 50)
-	if err := s.Save(dir); err != nil {
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one column image.
-	path := columnPath(dir, "events", "reading")
+	// Corrupt the rows the image carries.
 	data, err := readFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -481,15 +481,15 @@ func TestOpenRejectsCorruptStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, open := range map[string]func(string) (*Store, error){
-		"warm": func(dir string) (*Store, error) { return Open(dir) },
+		"warm": func(path string) (*Store, error) { return Open(path) },
 		"cold": OpenCold,
 	} {
-		if _, err := open(dir); err == nil {
+		if _, err := open(path); err == nil {
 			t.Fatalf("%s: corrupt store opened", name)
 		}
 		// No image file at all.
-		if _, err := open(t.TempDir()); err == nil {
-			t.Fatalf("%s: empty dir opened", name)
+		if _, err := open(filepath.Join(t.TempDir(), "missing.crk")); err == nil {
+			t.Fatalf("%s: missing image opened", name)
 		}
 	}
 }

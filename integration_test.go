@@ -3,6 +3,7 @@ package crackdb_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestConcurrentStoreUsage(t *testing.T) {
 // TestSaveOpenWithSQL round-trips a store through disk and keeps
 // querying it through SQL.
 func TestSaveOpenWithSQL(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "store.crk")
 	store := crackdb.New()
 	eng := sql.NewEngine(store)
 	if _, err := eng.ExecScript(`

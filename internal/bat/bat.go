@@ -9,8 +9,9 @@
 // The store is integer-valued throughout, so that is the one tail type.
 //
 // The kernel provides the operations the cracker and the query engines
-// need: append, positional access, zero-copy views (MonetDB BAT views)
-// and binary persistence of the store.
+// need: append, positional access and zero-copy views (MonetDB BAT
+// views). It lives in memory only: a store persists its rows inside its
+// image (internal/durable), not in one file per BAT as MonetDB does.
 package bat
 
 import "fmt"

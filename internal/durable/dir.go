@@ -5,97 +5,9 @@ import (
 	"path/filepath"
 )
 
-// oldDirSuffix marks the previous image during an atomic directory
-// swap; RecoverDirSwap finishes a swap a crash interrupted.
-const oldDirSuffix = ".old"
-
-// AtomicReplaceDir writes a directory image via write into a temp
-// sibling, then swaps it over dir: rename the old image aside, rename
-// the new one in, remove the old. A crash at any point leaves either the
-// complete old image (possibly under the .old name, which RecoverDirSwap
-// renames back) or the complete new one — never a mix of the two.
-//
-// The swap is durable against power loss, not just process death: every
-// file in the new image is fsynced before the renames, and the parent
-// directory is fsynced after them, so a checkpoint that discards WAL
-// records (see WAL.Rotate) never rests on an image still sitting in the
-// page cache. Temp siblings orphaned by a crash mid-write are swept on
-// the next save.
-func AtomicReplaceDir(dir string, write func(tmp string) error) error {
-	parent := filepath.Dir(dir)
-	if err := os.MkdirAll(parent, 0o755); err != nil {
-		return err
-	}
-	sweepTempDirs(parent, filepath.Base(dir))
-	tmp, err := os.MkdirTemp(parent, ".saving-"+filepath.Base(dir)+"-*")
-	if err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		os.RemoveAll(tmp)
-		return err
-	}
-	if err := syncTree(tmp); err != nil {
-		os.RemoveAll(tmp)
-		return err
-	}
-	if _, err := os.Stat(dir); err == nil {
-		old := dir + oldDirSuffix
-		if err := os.RemoveAll(old); err != nil {
-			os.RemoveAll(tmp)
-			return err
-		}
-		if err := os.Rename(dir, old); err != nil {
-			os.RemoveAll(tmp)
-			return err
-		}
-		if err := os.Rename(tmp, dir); err != nil {
-			// Best effort: put the old image back so the store stays openable.
-			os.Rename(old, dir)
-			os.RemoveAll(tmp)
-			return err
-		}
-		if err := syncDir(parent); err != nil {
-			return err
-		}
-		return os.RemoveAll(old)
-	}
-	if err := os.Rename(tmp, dir); err != nil {
-		return err
-	}
-	return syncDir(parent)
-}
-
-// sweepTempDirs removes '.saving-<base>-*' siblings a crashed save left
-// behind — each is a full orphaned image, tens of MB at scale.
-func sweepTempDirs(parent, base string) {
-	stale, _ := filepath.Glob(filepath.Join(parent, ".saving-"+base+"-*"))
-	for _, d := range stale {
-		os.RemoveAll(d)
-	}
-}
-
-// syncTree fsyncs every file and directory under root (the tree is
-// fully written when this runs, so directory entries are final).
-func syncTree(root string) error {
-	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	})
-}
-
-// syncDir fsyncs a directory so the renames inside it are durable.
-func syncDir(path string) error {
+// SyncDir fsyncs a directory, so the files created, renamed or removed in
+// it survive a power loss, not just the process.
+func SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {
 		return err
@@ -107,17 +19,27 @@ func syncDir(path string) error {
 	return d.Close()
 }
 
-// RecoverDirSwap finishes an atomic swap a crash interrupted: if dir
-// lacks the marker file but dir.old holds it, the old image is moved
-// back into place. Call before opening an image directory.
-func RecoverDirSwap(dir, marker string) {
-	if _, err := os.Stat(filepath.Join(dir, marker)); err == nil {
-		return
+// WriteFile writes data to path and fsyncs the file.
+func WriteFile(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	old := dir + oldDirSuffix
-	if _, err := os.Stat(filepath.Join(old, marker)); err != nil {
-		return
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	os.RemoveAll(dir)
-	os.Rename(old, dir)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Publish renames a synced file over path and fsyncs the directory: the
+// rename is the commit, and it survives a power loss.
+func Publish(tmp, path string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
 }

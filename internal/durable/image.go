@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"crackdb/internal/bat"
@@ -15,24 +16,25 @@ import (
 	"crackdb/internal/tuner"
 )
 
-// Store images. One element type persists a store: an Image carries what
-// changed since a named predecessor — the rows appended to each table,
-// and for every column that moved either its whole crack state
-// (core.ColumnState, payload vectors included) or a patch of the granules
-// it wrote (core.Granule) — and a full image is simply the element with
-// nothing before it: Base set, every table rewritten, every cracked column
-// whole. The paper counts cost in granules, "tuples or disk pages"
-// (§2.2); so does a checkpoint.
+// Store images. One element type persists a store, in one file: an Image
+// carries what changed since a named predecessor — the rows appended to
+// each table, and for every column that moved either its whole crack
+// state (core.ColumnState, payload vectors included) or a patch of the
+// granules it wrote (core.Granule) — and a full image is simply the
+// element with nothing before it: Base set, every table rewritten, every
+// cracked column whole. The paper counts cost in granules, "tuples or
+// disk pages" (§2.2); so does a checkpoint.
 //
-// File layout (version 6):
+// File layout (version 7):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   6
+//	version  uint8   7
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
 //	ntables  uint32  authoritative table manifest (see ImageTable)
-//	tables   ntables × (name, cols, rows, tombstones, from)
+//	tables   ntables × (name, cols, rows, tombstones, from, then
+//	         Rows-From values per column when From < Rows)
 //	config   store-wide crack configuration: strategy name and seed, max
 //	         pieces, sideways budget (full copy; the last element's wins)
 //	ncols    uint32  column records, changed columns only: table, attr,
@@ -47,14 +49,17 @@ import (
 //	crc      uint32  CRC-32 (IEEE) of everything above
 //
 // The table manifest is complete, not differential: a table absent from
-// it was dropped, a table with rows from From on has BAT files of those
-// rows next to the file, and the rest of it must already exist earlier
-// in the chain. The trailing checksum makes a torn or bit-flipped image
-// fail as a whole (ErrCorrupt); whoever opens the chain refuses to boot
-// on it rather than serve half a cut set.
+// it was dropped, a table with rows from From on carries those rows, and
+// the rest of it must already exist earlier in the chain. The trailing
+// checksum makes a torn or bit-flipped image fail as a whole
+// (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
+// serve half a cut set.
 //
-// Versions 4 and 5 are still read: their column records are all whole,
-// and a table's dataDirty byte reads as From 0 (set) or Rows (clear).
+// Versions 4 to 6 are still read (legacy.go): their rows lie in one BAT
+// file per column beside the image, which ReadImage loads into the
+// table entries. Version 6 is otherwise version 7. In versions 4 and 5
+// the column records are all whole, and a table's dataDirty byte reads
+// as From 0 (set) or Rows (clear).
 // Version 4 also has a dead byte after max pieces (the old ripple flag),
 // then a list of touched tables after the column records, then a map
 // section that repeated each payload column's values and OIDs beside
@@ -62,7 +67,7 @@ import (
 // inserts. The byte and the list are skipped. A map becomes its column
 // record's payloads only if the same element carries the column, its
 // OIDs and keys equal the record's and the record queues no inserts; any
-// other map is dropped, losing only warmth. Versions 1–3 and above 6 are
+// other map is dropped, losing only warmth. Versions 1–3 and above 7 are
 // refused by version.
 
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
@@ -70,9 +75,24 @@ var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 // imageVersion is the version WriteImage writes; ReadImage also reads
 // oldestImageVersion.
 const (
-	imageVersion       = 6
+	imageVersion       = 7
 	oldestImageVersion = 4
 )
+
+// SnapshotCRC is the polynomial that identifies a whole image file:
+// Castagnoli, deliberately not IEEE. An image ends in its own IEEE
+// CRC-32, and the IEEE CRC of such a file is the same constant residue
+// whatever it holds — as a file identity it would let a follower keep a
+// stale same-sized file.
+var SnapshotCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// ImageFile is what WriteImage reports of the file it wrote, so nothing
+// has to read the file back to name it.
+type ImageFile struct {
+	Sum  uint32 // trailer checksum: what the next element records as PrevSum
+	Size int64
+	CRC  uint32 // SnapshotCRC of the whole file
+}
 
 // StoreConfig is the store-wide crack configuration an image carries, so
 // columns created after a reopen behave like columns created before the
@@ -102,11 +122,15 @@ type ImageTable struct {
 	// are rare and the set is bounded by consolidation).
 	Deleted []bat.OID
 
-	// From is the first row the element's BAT files hold: 0 rewrites the
-	// table (it is new or recreated, or the element is a base), Rows
-	// writes no BAT file, and anything between appends the rows
-	// [From, Rows) to the table the chain built so far.
+	// From is the first row the element carries: 0 rewrites the table (it
+	// is new or recreated, or the element is a base), Rows carries none,
+	// and anything between appends the rows [From, Rows) to the table the
+	// chain built so far.
 	From int
+
+	// Vals holds the rows [From, Rows), one vector per column of Cols;
+	// nil when From == Rows.
+	Vals [][]int64
 }
 
 // Image is one element of a checkpoint chain.
@@ -119,26 +143,31 @@ type Image struct {
 	Tuner   []tuner.ColumnState
 }
 
-// WriteImage serializes the image to path and returns its checksum (the
-// CRC-32 trailer value) — what the next chain element records as its
-// PrevSum. The trailer, not a CRC of the whole file: a CRC over a message
-// that ends in its own CRC is the fixed CRC-32 residue, the same for
-// every file. WriteImage does not fsync: an image only ever lands inside
-// a directory that AtomicReplaceDir syncs as a whole before swapping it
-// in.
-func WriteImage(path string, img *Image) (uint32, error) {
+// WriteImage serializes the image to path, fsyncs it, and describes the
+// file it wrote. Its Sum is the CRC-32 trailer value — what the next
+// chain element records as its PrevSum. The trailer, not a CRC of the
+// whole file: a CRC over a message that ends in its own CRC is the fixed
+// CRC-32 residue, the same for every file. A failed write removes the
+// file.
+func WriteImage(path string, img *Image) (ImageFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return 0, err
+		return ImageFile{}, err
 	}
 	e := &imageEncoder{f: f, buf: make([]byte, 0, encodeChunk+16)}
 	e.image(img)
-	sum := e.finish()
-	if e.err != nil {
-		f.Close()
-		return 0, e.err
+	out := ImageFile{Sum: e.finish(), Size: e.size, CRC: e.fileCRC}
+	if e.err == nil {
+		e.err = f.Sync()
 	}
-	return sum, f.Close()
+	if err := f.Close(); e.err == nil {
+		e.err = err
+	}
+	if e.err != nil {
+		os.Remove(path)
+		return ImageFile{}, e.err
+	}
+	return out, nil
 }
 
 // encodeChunk bounds the encoder's buffer: the cracked vectors dominate
@@ -146,17 +175,21 @@ func WriteImage(path string, img *Image) (uint32, error) {
 const encodeChunk = 1 << 16
 
 // imageEncoder appends fields to a bounded buffer, folding each flushed
-// chunk into the running checksum. Errors are sticky.
+// chunk into the running checksums and size. Errors are sticky.
 type imageEncoder struct {
-	f   *os.File
-	crc uint32
-	buf []byte
-	err error
+	f       *os.File
+	crc     uint32 // IEEE over the body: the trailer
+	fileCRC uint32 // SnapshotCRC over every byte written
+	size    int64
+	buf     []byte
+	err     error
 }
 
 func (e *imageEncoder) flush() {
 	if e.err == nil {
 		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+		e.fileCRC = crc32.Update(e.fileCRC, SnapshotCRC, e.buf)
+		e.size += int64(len(e.buf))
 		_, e.err = e.f.Write(e.buf)
 	}
 	e.buf = e.buf[:0]
@@ -237,6 +270,9 @@ func (e *imageEncoder) image(img *Image) {
 		e.u64(uint64(len(t.Deleted)))
 		e.oids(t.Deleted)
 		e.u64(uint64(t.From))
+		for _, v := range t.Vals {
+			e.int64s(v)
+		}
 	}
 	e.str(img.Config.StrategyName)
 	e.u64(uint64(img.Config.StrategySeed))
@@ -343,6 +379,11 @@ func ReadImage(path string) (*Image, uint32, error) {
 	}
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, 0, fmt.Errorf("%w: image checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	}
+	if r.version < 7 {
+		if err := loadBATs(filepath.Dir(path), img); err != nil {
+			return nil, 0, err
+		}
 	}
 	return img, want, nil
 }
@@ -487,6 +528,13 @@ func (d *imageDecoder) image() *Image {
 		}
 		if d.err == nil && (t.Rows < 0 || t.From < 0 || t.From > t.Rows) {
 			d.err = fmt.Errorf("table %q rows [%d, %d) out of order", t.Name, t.From, t.Rows)
+		}
+		if d.err == nil && d.version >= 7 && t.From < t.Rows {
+			n := d.count(uint64(t.Rows-t.From), 8*int64(max(1, len(t.Cols))), "row")
+			t.Vals = make([][]int64, len(t.Cols))
+			for i := range t.Vals {
+				t.Vals[i] = d.int64s(n)
+			}
 		}
 		img.Tables = append(img.Tables, t)
 	}

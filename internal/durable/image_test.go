@@ -67,26 +67,37 @@ func sampleDelta() *Image {
 			SidewaysBudget: 3,
 		},
 		Tables: []ImageTable{
-			{Name: "cold", Cols: []string{"k", "v"}, Rows: 600, Deleted: []bat.OID{}, From: 550},
-			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}},
+			{Name: "cold", Cols: []string{"k", "v"}, Rows: 600, Deleted: []bat.OID{}, From: 550, Vals: sampleRows(550, 600)},
+			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}, Vals: sampleRows(0, 9)},
 		},
 		Columns: []ColumnSnapshot{samplePatch("cold", "k"), sampleColumn("hot", "k", 9)},
 		Tuner:   []tuner.ColumnState{{Table: "hot", Column: "k", Strategy: "ddr", Class: "seq", Flips: 3, Forced: true}},
 	}
 }
 
+// sampleRows is a two-column table's rows [from, to).
+func sampleRows(from, to int) [][]int64 {
+	vals := [][]int64{{}, {}}
+	for i := from; i < to; i++ {
+		vals[0] = append(vals[0], int64(i*13%1000))
+		vals[1] = append(vals[1], -int64(i))
+	}
+	return vals
+}
+
 // sampleBase is a full image: the element with nothing before it.
 func sampleBase() *Image {
 	img := sampleDelta()
 	img.Base, img.PrevSum = true, 0
-	img.Tables[0].From = 0
+	img.Tables[0].From, img.Tables[0].Vals = 0, sampleRows(0, 600)
 	img.Columns[0] = sampleColumn("cold", "v", 60)
 	img.Columns[0].State.Pays = nil
 	return img
 }
 
 // TestImageRoundTrip: every field of an element survives the disk, base
-// or delta, and the write-side checksum is the one the reader verifies.
+// or delta, the write-side checksum is the one the reader verifies, and
+// the size and CRC-32C WriteImage reports are the file's.
 func TestImageRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -106,7 +117,7 @@ func TestImageRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "img.crk")
-			wsum, err := WriteImage(path, tc.img)
+			file, err := WriteImage(path, tc.img)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +125,16 @@ func TestImageRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wsum != rsum {
-				t.Fatalf("write sum %08x, read sum %08x", wsum, rsum)
+			if file.Sum != rsum {
+				t.Fatalf("write sum %08x, read sum %08x", file.Sum, rsum)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if file.Size != int64(len(data)) || file.CRC != crc32.Checksum(data, SnapshotCRC) {
+				t.Fatalf("WriteImage reported %d bytes, crc %08x; the file has %d, crc %08x",
+					file.Size, file.CRC, len(data), crc32.Checksum(data, SnapshotCRC))
 			}
 			if !reflect.DeepEqual(tc.img, got) {
 				t.Fatalf("round trip diverged:\nwrote %+v\nread  %+v", tc.img, got)
@@ -177,6 +196,58 @@ func TestPatchGranulesBounded(t *testing.T) {
 		"out of order":    rawPatchImage(t, 2000, 2, []uint32{2, 1}),
 		"count past file": rawPatchImage(t, 1<<30, 1<<40, nil),
 		"column too long": rawPatchImage(t, 1<<33, 1, []uint32{0}),
+	} {
+		path := filepath.Join(t.TempDir(), "img.crk")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadImage(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
+	}
+}
+
+// rawRowsImage encodes an element whose one table, of column k, claims
+// the rows [from, rows) and carries vals for them, and ends there.
+func rawRowsImage(t testing.TB, rows, from uint64, vals []int64) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "img.crk")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &imageEncoder{f: f}
+	e.buf = append(e.buf, imageMagic[:]...)
+	e.u8(imageVersion)
+	e.bool(true) // base
+	e.u32(0)     // prevSum
+	e.u32(1)     // one table
+	e.str("t")
+	e.u32(1)
+	e.str("k")
+	e.u64(rows)
+	e.u64(0) // tombstones
+	e.u64(from)
+	e.int64s(vals)
+	e.finish()
+	if e.err != nil || f.Close() != nil {
+		t.Fatal("writing the fixture failed")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestImageRowsBounded: a table whose row section claims more values
+// than the file holds, ends early, or starts past its own end is
+// corruption, refused before the rows are allocated.
+func TestImageRowsBounded(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"count past file": rawRowsImage(t, 1<<40, 0, nil),
+		"truncated rows":  rawRowsImage(t, 10, 0, make([]int64, 9)),
+		"from past rows":  rawRowsImage(t, 5, 6, nil),
 	} {
 		path := filepath.Join(t.TempDir(), "img.crk")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -336,8 +407,8 @@ func TestDeltaSumIdentifiesContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s1 == s2 {
-			t.Fatalf("different content, same checksum %08x", s1)
+		if s1.Sum == s2.Sum {
+			t.Fatalf("different content, same checksum %08x", s1.Sum)
 		}
 	}
 	// The base marker itself is content: the same element as base and as
@@ -352,7 +423,7 @@ func TestDeltaSumIdentifiesContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 == s2 {
+	if s1.Sum == s2.Sum {
 		t.Fatalf("base and delta share checksum %08x", s1)
 	}
 }

@@ -122,7 +122,7 @@ func Create(path string, baseSeq uint64) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -444,7 +444,7 @@ func (w *WAL) Rotate(baseSeq uint64) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := syncDir(filepath.Dir(w.path)); err != nil {
+	if err := SyncDir(filepath.Dir(w.path)); err != nil {
 		nf.Close()
 		return err
 	}

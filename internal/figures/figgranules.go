@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -37,7 +36,7 @@ func (c *FigGranulesConfig) defaults() {
 // the reorganized incarnation "should be written back to persistent
 // store" (§1). A tapestry store is saved whole, then after every random
 // range count it writes and commits one delta element
-// (Store.WriteImage(dir, true)). Per query the figure reports the granules
+// (Store.WriteImage(path, true)). Per query the figure reports the granules
 // the count dirtied (ColumnStats.GranulesDirtied), the bytes of the delta
 // element, and — every stride queries and at the last — the bytes of a
 // full image. The first count partitions the whole column, so its element
@@ -68,17 +67,14 @@ func FigGranules(cfg FigGranulesConfig) (Figure, error) {
 		return Figure{}, err
 	}
 	// element writes one committed element and returns its bytes.
-	elems := 0
+	path := filepath.Join(root, "element.crk")
 	element := func(delta bool) (int64, error) {
-		elems++
-		dir := filepath.Join(root, fmt.Sprint(elems))
-		commit, err := s.WriteImage(dir, delta)
+		commit, file, err := s.WriteImage(path, delta)
 		if err != nil || commit == nil {
 			return 0, err
 		}
 		commit()
-		n := treeBytes(dir)
-		return n, os.RemoveAll(dir)
+		return file.Size, nil
 	}
 	if _, err := element(false); err != nil {
 		return Figure{}, err
@@ -111,18 +107,4 @@ func FigGranules(cfg FigGranulesConfig) (Figure, error) {
 	}
 	fig.Series = []Series{deltas, fulls, granules}
 	return fig, nil
-}
-
-// treeBytes sums the file sizes under root.
-func treeBytes(root string) int64 {
-	var total int64
-	filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			if info, err := d.Info(); err == nil {
-				total += info.Size()
-			}
-		}
-		return nil
-	})
-	return total
 }

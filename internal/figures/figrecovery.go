@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"crackdb"
@@ -77,11 +78,12 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, Series{Label: "cold start (fresh store)", Points: coldStart})
 
-	if err := base.Save(dir); err != nil {
+	image := filepath.Join(dir, "store.crk")
+	if err := base.Save(image); err != nil {
 		return Figure{}, err
 	}
 
-	cold, err := crackdb.OpenCold(dir)
+	cold, err := crackdb.OpenCold(image)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -91,7 +93,7 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, Series{Label: "cold reopen (BATs only, §5.2)", Points: coldReopen})
 
-	warm, err := crackdb.Open(dir)
+	warm, err := crackdb.Open(image)
 	if err != nil {
 		return Figure{}, err
 	}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -136,8 +137,9 @@ func (p *Backend) Do(op Op) (string, bool) {
 // from disk.
 func (p *Backend) reboot() (err error) {
 	if p.Router == nil {
-		if err = p.Store.Save(p.Dir); err == nil {
-			p.Store, err = crackdb.Open(p.Dir)
+		path := filepath.Join(p.Dir, "store.crk")
+		if err = p.Store.Save(path); err == nil {
+			p.Store, err = crackdb.Open(path)
 		}
 		return err
 	}

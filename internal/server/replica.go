@@ -426,29 +426,35 @@ func (f *Follower) BootstrapBytes() (downloaded, reused int64) {
 	return f.bootDownloaded.Load(), f.bootReused.Load()
 }
 
-// stagingRel maps a manifest path to its location inside the staging
-// dir, which mirrors the data-dir layout. New primaries send data-dir
-// relative paths ("store/...", "delta-NNNNNN/..."); bare paths from
-// older manifests belong under the base image.
-func stagingRel(p string) string {
-	if p == "store" || strings.HasPrefix(p, "store/") || strings.HasPrefix(p, "delta-") {
-		return p
-	}
-	return "store/" + p
+// fileID is what identifies a snapshot file's contents.
+type fileID struct {
+	size int64
+	crc  uint32
 }
 
-// fileMatches reports whether the file at path already holds exactly
-// the manifest entry's contents (size and CRC-32 both match).
-func fileMatches(path string, sf shard.SnapshotFile) bool {
-	info, err := os.Stat(path)
-	if err != nil || info.Size() != sf.Size {
-		return false
+// localCopies indexes the files under root by contents, reading only
+// those whose size some file of m has: a file is reused by what it
+// holds, not by its name, because an unchanged shard keeps its bytes
+// across checkpoints while its element's number moves on.
+func localCopies(root string, m shard.SnapshotManifest) map[fileID]string {
+	sizes := make(map[int64]bool, len(m.Files))
+	for _, sf := range m.Files {
+		sizes[sf.Size] = true
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	return crc32.Checksum(data, shard.SnapshotCRC) == sf.Crc
+	have := make(map[fileID]string)
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		if info, err := d.Info(); err != nil || !sizes[info.Size()] {
+			return nil
+		}
+		if data, err := os.ReadFile(path); err == nil {
+			have[fileID{int64(len(data)), crc32.Checksum(data, durable.SnapshotCRC)}] = path
+		}
+		return nil
+	})
+	return have
 }
 
 // bootstrapFromSnapshot replaces the follower's local state with the
@@ -495,9 +501,17 @@ func bootstrapFromSnapshot(c *Client, dataDir string, sOpts shard.Options, logf 
 			if err != nil {
 				return nil, stats, err
 			}
-			for _, e := range entries {
-				if err := os.Rename(filepath.Join(staging, e.Name()), filepath.Join(dataDir, e.Name())); err != nil {
-					return nil, stats, err
+			// Shard images before manifests, which go in number order: a
+			// crash mid-install leaves a valid prefix of the chain, or
+			// residue the next boot deletes.
+			for _, manifests := range []bool{false, true} {
+				for _, e := range entries {
+					if (filepath.Ext(e.Name()) == ".json") != manifests {
+						continue
+					}
+					if err := os.Rename(filepath.Join(staging, e.Name()), filepath.Join(dataDir, e.Name())); err != nil {
+						return nil, stats, err
+					}
 				}
 			}
 		}
@@ -516,56 +530,38 @@ func bootstrapFromSnapshot(c *Client, dataDir string, sOpts shard.Options, logf 
 	return nil, stats, fmt.Errorf("server: snapshot bootstrap kept racing checkpoints: %v", lastErr)
 }
 
-// removeLocalState clears the follower's superseded snapshot, delta
-// chain, and log so the staged image installs into a clean data dir.
+// removeLocalState clears the follower's superseded checkpoint chain —
+// in either layout — and log so the staged image installs into a clean
+// data dir.
 func removeLocalState(dataDir string) error {
-	if err := os.RemoveAll(filepath.Join(dataDir, "store")); err != nil {
-		return err
-	}
-	if deltas, _ := filepath.Glob(filepath.Join(dataDir, "delta-*")); deltas != nil {
-		for _, d := range deltas {
-			if err := os.RemoveAll(d); err != nil {
+	for _, pat := range []string{"ckpt-*", "store", "delta-*", "wal.log", "wal.log.*"} {
+		matches, _ := filepath.Glob(filepath.Join(dataDir, pat))
+		for _, m := range matches {
+			if err := os.RemoveAll(m); err != nil {
 				return err
 			}
-		}
-	}
-	walPath := filepath.Join(dataDir, "wal.log")
-	if err := os.RemoveAll(walPath); err != nil {
-		return err
-	}
-	if archived, _ := filepath.Glob(walPath + ".*"); archived != nil {
-		for _, a := range archived {
-			os.Remove(a)
 		}
 	}
 	return nil
 }
 
 // stageImage brings the staging dir to exactly the manifest's contents,
-// downloading only files whose checksums match neither a staged copy
-// (from an earlier, interrupted attempt) nor the installed local image.
-// Returns the byte count satisfied locally. Staging extras not in the
-// manifest are pruned so the install step moves nothing stale.
+// downloading only files whose contents match no local file — a staged
+// copy from an earlier, interrupted attempt, or any file of the installed
+// local image. Returns the byte count satisfied locally. Staging extras
+// not in the manifest are pruned so the install step moves nothing
+// stale. Paths may nest, as an older primary's layout does.
 func stageImage(c *Client, m shard.SnapshotManifest, staging, dataDir string, stats *bootStats) (int64, error) {
+	have := localCopies(dataDir, m)
 	want := make(map[string]bool, len(m.Files))
 	var reused int64
 	for _, sf := range m.Files {
-		rel := filepath.FromSlash(stagingRel(sf.Path))
+		rel := filepath.FromSlash(sf.Path)
 		want[rel] = true
 		dst := filepath.Join(staging, rel)
-		if fileMatches(dst, sf) {
+		if src, ok := have[fileID{sf.Size, sf.Crc}]; ok && reuse(src, dst, sf) {
 			reused += sf.Size
 			continue
-		}
-		if prev := filepath.Join(dataDir, rel); fileMatches(prev, sf) {
-			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-				return reused, err
-			}
-			data, err := os.ReadFile(prev)
-			if err == nil && os.WriteFile(dst, data, 0o644) == nil {
-				reused += sf.Size
-				continue
-			}
 		}
 		if err := downloadFile(c, m.Seq, sf, dst, stats); err != nil {
 			return reused, err
@@ -584,6 +580,19 @@ func stageImage(c *Client, m shard.SnapshotManifest, staging, dataDir string, st
 		return nil
 	})
 	return reused, nil
+}
+
+// reuse puts the local file src at dst, if src still holds sf's
+// contents: a staged file this attempt has since rewritten does not.
+func reuse(src, dst string, sf shard.SnapshotFile) bool {
+	if src == dst {
+		return true
+	}
+	data, err := os.ReadFile(src)
+	if err != nil || int64(len(data)) != sf.Size || crc32.Checksum(data, durable.SnapshotCRC) != sf.Crc {
+		return false
+	}
+	return os.MkdirAll(filepath.Dir(dst), 0o755) == nil && os.WriteFile(dst, data, 0o644) == nil
 }
 
 // fetchManifest pulls and decodes /replmanifest.
@@ -613,12 +622,11 @@ func fetchManifest(c *Client) (shard.SnapshotManifest, error) {
 // downloadFile fetches one manifest file into dst, chunk by chunk,
 // counting the transferred bytes, and verifies the result against the
 // manifest's checksum before accepting it. The seq fence only catches
-// checkpoints that advanced the WAL stamp; a delta or compaction
-// checkpoint can replace image files at an unchanged seq, so a torn
-// half-old/half-new read passes the fence — the CRC is what actually
-// guarantees the staged file matches the manifest. A mismatch (or a
-// file that shrank mid-download) reads as a superseded snapshot: the
-// bad staging copy is dropped and the caller re-fetches the manifest.
+// checkpoints that advanced the WAL stamp, and a crack-only element
+// leaves it where it was; the CRC is what guarantees the staged file
+// matches the manifest. A mismatch (or a file that shrank or vanished
+// mid-download) reads as a superseded snapshot: the bad staging copy is
+// dropped and the caller re-fetches the manifest.
 func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stats *bootStats) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
@@ -627,7 +635,7 @@ func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stat
 	if err != nil {
 		return err
 	}
-	sum := crc32.New(shard.SnapshotCRC)
+	sum := crc32.New(durable.SnapshotCRC)
 	var off int64
 	for off < sf.Size {
 		n := fetchChunk

@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io/fs"
 	"math/rand"
@@ -54,20 +53,47 @@ func seedDurable(t *testing.T, dir string) *shard.Store {
 	return s
 }
 
-func dirBytes(t testing.TB, root string) int64 {
+// element is one chain element on disk: its manifest and the shard
+// images its number carries.
+type element struct {
+	manifest string
+	files    []string
+}
+
+// elements lists the chain elements in a data dir, oldest first.
+func elements(t testing.TB, dataDir string) []element {
+	t.Helper()
+	manifests, err := filepath.Glob(filepath.Join(dataDir, "ckpt-*.json"))
+	mustExec(t, err)
+	var elems []element
+	for _, m := range manifests {
+		files, err := filepath.Glob(strings.TrimSuffix(m, ".json") + "-*.crk")
+		mustExec(t, err)
+		elems = append(elems, element{manifest: m, files: files})
+	}
+	return elems
+}
+
+// bytes sums an element's files, manifest included.
+func (e element) bytes(t testing.TB) int64 {
 	t.Helper()
 	var total int64
-	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		info, err := d.Info()
-		if err == nil {
-			total += info.Size()
-		}
-		return nil
-	})
+	for _, path := range append([]string{e.manifest}, e.files...) {
+		info, err := os.Stat(path)
+		mustExec(t, err)
+		total += info.Size()
+	}
 	return total
+}
+
+// copyFiles copies the named files into dir.
+func copyFiles(t testing.TB, dir string, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		mustExec(t, err)
+		mustExec(t, os.WriteFile(filepath.Join(dir, filepath.Base(p)), data, 0o644))
+	}
 }
 
 // copyTree copies a data directory, files and subdirectories.
@@ -92,13 +118,6 @@ func copyTree(t testing.TB, src, dst string) {
 	}))
 }
 
-func deltaDirs(t testing.TB, dataDir string) []string {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dataDir, "delta-*"))
-	mustExec(t, err)
-	return matches
-}
-
 // TestDeltaCheckpointSkipsCleanShards: after writes land on one shard
 // only, a delta checkpoint must carry exactly that shard — and its
 // bytes must be a small fraction of the full image's.
@@ -106,7 +125,7 @@ func TestDeltaCheckpointSkipsCleanShards(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
 	defer s.CloseWAL()
-	fullBytes := dirBytes(t, filepath.Join(dir, "store"))
+	fullBytes := elements(t, dir)[0].bytes(t)
 
 	// Keys < 1000 route to shard 0 under the sampled 8-way range split.
 	rows := make([][]int64, 50)
@@ -120,22 +139,15 @@ func TestDeltaCheckpointSkipsCleanShards(t *testing.T) {
 	if mode != "delta" {
 		t.Fatalf("checkpoint escalated to %q", mode)
 	}
-	dds := deltaDirs(t, dir)
-	if len(dds) != 1 {
-		t.Fatalf("want 1 delta element, found %v", dds)
+	elems := elements(t, dir)
+	if len(elems) != 2 {
+		t.Fatalf("want a base and 1 delta element, found %v", elems)
 	}
-	entries, err := os.ReadDir(dds[0])
-	mustExec(t, err)
-	var shardsSaved []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") {
-			shardsSaved = append(shardsSaved, e.Name())
-		}
+	delta := elems[1]
+	if len(delta.files) != 1 || !strings.HasSuffix(delta.files[0], "-0.crk") {
+		t.Fatalf("delta carries %v, want only shard 0's image", delta.files)
 	}
-	if len(shardsSaved) != 1 || shardsSaved[0] != "shard-0" {
-		t.Fatalf("delta carries shards %v, want only shard-0", shardsSaved)
-	}
-	deltaBytes := dirBytes(t, dds[0])
+	deltaBytes := delta.bytes(t)
 	if deltaBytes*5 > fullBytes {
 		t.Fatalf("delta wrote %d bytes, more than 1/5 of the %d-byte full image", deltaBytes, fullBytes)
 	}
@@ -302,75 +314,100 @@ func TestDeltaChainCompaction(t *testing.T) {
 	}
 	// After a compaction the chain restarts from the new base; whatever
 	// elements exist now must be fewer than the total delta count.
-	if n := len(deltaDirs(t, dir)); n >= sawDelta {
-		t.Fatalf("%d delta dirs on disk after compaction (saw %d delta checkpoints)", n, sawDelta)
+	if n := len(elements(t, dir)) - 1; n >= sawDelta {
+		t.Fatalf("%d delta elements on disk after compaction (saw %d delta checkpoints)", n, sawDelta)
 	}
 }
 
-// TestBrokenChainRefusesBoot: tampering with a chain element's manifest
-// must fail the next OpenDurable, not silently cold-boot.
+// TestBrokenChainRefusesBoot: a chain with a missing middle element, or
+// with a shard image swapped for one from another element, must fail
+// the next OpenDurable, not silently cold-boot — and the refusal deletes
+// nothing.
 func TestBrokenChainRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
-	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
-	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
-		t.Fatalf("delta: mode %q err %v", mode, err)
-	}
-	mustExec(t, s.InsertRows("t", [][]int64{{20, 2}}))
-	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
-		t.Fatalf("delta: mode %q err %v", mode, err)
+	for _, k := range []int64{10, 20} { // both rows land on shard 0
+		mustExec(t, s.InsertRows("t", [][]int64{{k, 1}}))
+		if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
+			t.Fatalf("delta: mode %q err %v", mode, err)
+		}
 	}
 	mustExec(t, s.CloseWAL())
-
-	dds := deltaDirs(t, dir)
-	if len(dds) != 2 {
-		t.Fatalf("want 2 elements, found %v", dds)
+	elems := elements(t, dir)
+	if len(elems) != 3 || len(elems[1].files) != 1 || len(elems[2].files) != 1 {
+		t.Fatalf("want a base and 2 one-shard deltas, found %v", elems)
 	}
-	// Corrupt the first element's link: rewrite its manifest with a
-	// different PrevSum (valid JSON, wrong chain).
-	manifest := filepath.Join(dds[0], "shard.json")
-	data, err := os.ReadFile(manifest)
-	mustExec(t, err)
-	var m map[string]any
-	mustExec(t, json.Unmarshal(data, &m))
-	m["prev_sum"] = 12345
-	data, err = json.Marshal(m)
-	mustExec(t, err)
-	mustExec(t, os.WriteFile(manifest, data, 0o644))
 
-	if _, _, err := shard.OpenDurable(dir, rangeOpts()); err == nil || !strings.Contains(err.Error(), "chain") {
-		t.Fatalf("want chain refusal, got %v", err)
+	for name, damage := range map[string]func(dir string){
+		"missing middle element": func(dir string) {
+			mustExec(t, os.Remove(filepath.Join(dir, filepath.Base(elems[1].manifest))))
+		},
+		"image from another element": func(dir string) {
+			data, err := os.ReadFile(elems[1].files[0])
+			mustExec(t, err)
+			mustExec(t, os.WriteFile(filepath.Join(dir, filepath.Base(elems[2].files[0])), data, 0o644))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			broken := filepath.Join(t.TempDir(), "data")
+			copyTree(t, dir, broken)
+			damage(broken)
+			before, err := os.ReadDir(broken)
+			mustExec(t, err)
+			if _, _, err := shard.OpenDurable(broken, rangeOpts()); err == nil || !strings.Contains(err.Error(), "chain") {
+				t.Fatalf("want chain refusal, got %v", err)
+			}
+			if after, err := os.ReadDir(broken); err != nil || len(after) != len(before) {
+				t.Fatalf("a refused boot changed the data dir: %d entries, was %d (%v)", len(after), len(before), err)
+			}
+		})
 	}
 }
 
-// TestSupersededElementsCleaned: chain elements left behind by a crash
-// between a full checkpoint's image swap and its chain cleanup are
-// removed at the next boot, and the boot succeeds from the base alone.
+// TestSupersededElementsCleaned: what a crash between a full
+// checkpoint's commit and its cleanup leaves — an older element,
+// here a crack-only delta stamped with the base's own seq, beside a
+// manifest torn before its rename and a shard image no manifest names —
+// is deleted at the next boot, which succeeds from the base alone. The
+// orphan's number stays spent: the next element is a base.
 func TestSupersededElementsCleaned(t *testing.T) {
 	dir := t.TempDir()
 	s := seedDurable(t, dir)
-	mustExec(t, s.InsertRows("t", [][]int64{{10, 1}}))
+	crack := func(from int64) {
+		for lo := from; lo < from+900; lo += 40 {
+			_, err := s.CountWhere("t",
+				crackdb.Cond{Col: "k", Op: ">=", Val: lo},
+				crackdb.Cond{Col: "k", Op: "<", Val: lo + 25})
+			mustExec(t, err)
+		}
+	}
+	crack(0)
 	if mode, err := s.Checkpoint(false); err != nil || mode != "delta" {
-		t.Fatalf("delta: mode %q err %v", mode, err)
+		t.Fatalf("crack-only delta: mode %q err %v", mode, err)
 	}
-	// Simulate the crash: keep a copy of the element, run the full
-	// checkpoint (which removes it), then put the stale copy back.
-	dds := deltaDirs(t, dir)
-	if len(dds) != 1 {
-		t.Fatalf("want 1 element, found %v", dds)
-	}
-	stale := dds[0]
-	backup := stale + ".bak"
-	mustExec(t, os.Rename(stale, backup))
-	mustExec(t, os.Rename(backup, stale)) // restore; full ckpt will remove it again
+	stale := elements(t, dir)[1]
+	aside := t.TempDir()
+	copyFiles(t, aside, append([]string{stale.manifest}, stale.files...)...)
+	crack(5)
 	if mode, err := s.Checkpoint(true); err != nil || mode != "full" {
 		t.Fatalf("full: mode %q err %v", mode, err)
 	}
-	// Re-create the stale element as if the cleanup never ran.
-	mustExec(t, os.MkdirAll(stale, 0o755))
-	staleManifest := []byte(`{"version":2,"seq":1,"base":false,"prev_sum":1,"dirty":[0],"shards":8,"kind":"range","domain":[0,8000],"tables":null}`)
-	mustExec(t, os.WriteFile(filepath.Join(stale, "shard.json"), staleManifest, 0o644))
 	mustExec(t, s.CloseWAL())
+	base := elements(t, dir)
+	if len(base) != 1 {
+		t.Fatalf("the full checkpoint left %v", base)
+	}
+	// Put the stale delta back as if the cleanup never ran, and add what
+	// a crash in the next checkpoint leaves.
+	staleFiles, err := filepath.Glob(filepath.Join(aside, "*"))
+	mustExec(t, err)
+	copyFiles(t, dir, staleFiles...)
+	var num int
+	_, err = fmt.Sscanf(filepath.Base(base[0].manifest), "ckpt-%d.json", &num)
+	mustExec(t, err)
+	next := filepath.Join(dir, fmt.Sprintf("ckpt-%06d", num+1))
+	mustExec(t, os.WriteFile(next+"-3.crk", []byte("orphan"), 0o644))
+	mustExec(t, os.WriteFile(next+".json.tmp", []byte("{torn"), 0o644))
 
 	re, info, err := shard.OpenDurable(dir, rangeOpts())
 	mustExec(t, err)
@@ -378,13 +415,17 @@ func TestSupersededElementsCleaned(t *testing.T) {
 	if !info.Recovered || info.ChainDeltas != 0 {
 		t.Fatalf("boot after cleanup: %+v", info)
 	}
-	if dds := deltaDirs(t, dir); len(dds) != 0 {
-		t.Fatalf("superseded elements survived boot: %v", dds)
+	if left, err := filepath.Glob(filepath.Join(dir, "ckpt-*")); err != nil || len(left) != 1+len(base[0].files) {
+		t.Fatalf("residue survived boot: %v (%v)", left, err)
 	}
 	n, err := re.CountWhere("t", crackdb.Cond{Col: "k", Op: ">=", Val: 0}, crackdb.Cond{Col: "k", Op: "<", Val: 8000})
 	mustExec(t, err)
-	if n != 8001 {
-		t.Fatalf("recovered %d rows, want 8001", n)
+	if n != 8000 {
+		t.Fatalf("recovered %d rows, want 8000", n)
+	}
+	mustExec(t, re.InsertRows("t", [][]int64{{10, 1}}))
+	if mode, err := re.Checkpoint(false); err != nil || mode != "full" {
+		t.Fatalf("checkpoint after a spent number: mode %q err %v, want a base", mode, err)
 	}
 }
 
@@ -518,13 +559,22 @@ func TestDeltaBytesBudget(t *testing.T) {
 		if want := map[bool]string{true: "full", false: "delta"}[full]; mode != want {
 			t.Fatalf("checkpoint wrote %q, want %q", mode, want)
 		}
-		if full {
-			return dirBytes(t, filepath.Join(dir, "store"))
-		}
-		dds := deltaDirs(t, dir)
-		return dirBytes(t, dds[len(dds)-1])
+		elems := elements(t, dir)
+		return elems[len(elems)-1].bytes(t)
 	}
 	full := elem(true)
+	// A full element is its manifest plus one image per shard, directly in
+	// the data dir.
+	if elems := elements(t, dir); len(elems) != 1 || len(elems[0].files) != 4 {
+		t.Fatalf("a full checkpoint of 4 shards left %v, want one manifest and 4 images", elems)
+	}
+	entries, err := os.ReadDir(dir)
+	mustExec(t, err)
+	for _, e := range entries {
+		if e.IsDir() {
+			t.Fatalf("the data dir holds a subdirectory %s", e.Name())
+		}
+	}
 
 	rows := make([][]int64, 16)
 	for i := range rows {
@@ -544,7 +594,7 @@ func TestDeltaBytesBudget(t *testing.T) {
 	after, err := s.ShardStats("t", "c0")
 	mustExec(t, err)
 	const tuple = 8 + 4      // a value and its OID; no payloads here
-	budget := int64(4 << 10) // element and shard manifests, image headers
+	budget := int64(4 << 10) // the manifest, image headers
 	var piece int64
 	for i := range after {
 		m := after[i].TuplesTouched - before[i].TuplesTouched

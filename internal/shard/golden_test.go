@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strconv"
 	"testing"
 
 	"crackdb/internal/shard"
@@ -96,16 +95,30 @@ func goldenAnswer(t *testing.T, s *shard.Store, sc *goldenScript) {
 	}
 }
 
-// TestVersion4DataDirBoots: a data directory whose images are version 4
-// boots with its payload vectors warm, answers what the build that wrote
-// it answered, takes a version-6 delta on top of the version-4 chain, and
-// reboots from the mixed chain to the same answers.
+// TestVersion4DataDirBoots: a data directory in the old layout whose
+// images are version 4 boots with its payload vectors warm, answers what
+// the build that wrote it answered, and leaves the new layout behind: a
+// version-7 base, and no store/ or delta-* directory. It takes a
+// version-7 delta on top and reboots to the same answers.
 func TestVersion4DataDirBoots(t *testing.T) { bootGolden(t, "v4chain") }
 
 // TestVersion5DataDirBoots is the same upgrade from version 5, whose
-// column records carry their payload vectors: the version-6 delta patches
-// columns that version-5 records restored.
+// column records carry their payload vectors.
 func TestVersion5DataDirBoots(t *testing.T) { bootGolden(t, "v5chain") }
+
+// imageVersions requires every shard image of an element to be version 7.
+func imageVersions(t *testing.T, e element) {
+	t.Helper()
+	for _, path := range e.files {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img[4] != 7 {
+			t.Fatalf("%s is image version %d, want 7", filepath.Base(path), img[4])
+		}
+	}
+}
 
 func bootGolden(t *testing.T, name string) {
 	data, err := os.ReadFile(filepath.Join("testdata", name+"-answers.json"))
@@ -127,21 +140,26 @@ func bootGolden(t *testing.T, name string) {
 	if !info.Recovered || info.ChainDeltas != 1 || s.ShardCount() != 2 {
 		t.Fatalf("booted %+v over %d shards, want a base and one delta over 2", info, s.ShardCount())
 	}
+	if elems := elements(t, dir); len(elems) != 1 {
+		t.Fatalf("the upgrade left %v, want one base element", elems)
+	}
+	for _, old := range []string{"store", "delta-000001"} {
+		if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
+			t.Fatalf("the upgrade left %s behind (%v)", old, err)
+		}
+	}
+	base := elements(t, dir)[0]
+	if len(base.files) != 2 {
+		t.Fatalf("the upgraded base carries %v, want both shards", base.files)
+	}
+	imageVersions(t, base)
 	goldenProject(t, s, sc.Project)
 	goldenAnswer(t, s, &sc)
 	kind, err := s.Checkpoint(false)
 	if err != nil || kind != "delta" {
-		t.Fatalf("checkpoint on the %s chain wrote %q, %v; want a delta", name, kind, err)
+		t.Fatalf("checkpoint on the upgraded %s dir wrote %q, %v; want a delta", name, kind, err)
 	}
-	for i := 0; i < 2; i++ {
-		img, err := os.ReadFile(filepath.Join(dir, "delta-000002", "shard-"+strconv.Itoa(i), "crackstate.crk"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if img[4] != 6 {
-			t.Fatalf("shard %d's new element is image version %d, want 6", i, img[4])
-		}
-	}
+	imageVersions(t, elements(t, dir)[1])
 	if err := s.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +169,8 @@ func bootGolden(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	defer s.CloseWAL()
-	if info.ChainDeltas != 2 {
-		t.Fatalf("rebooted %+v, want a base and two deltas", info)
+	if info.ChainDeltas != 1 {
+		t.Fatalf("rebooted %+v, want a base and one delta", info)
 	}
 	goldenProject(t, s, sc.Project)
 	goldenAnswer(t, s, &sc)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,38 +17,39 @@ import (
 
 // Durability for the sharded store — and, as a one-shard router, for a
 // single store: this is the only level a WAL attaches at. A data
-// directory holds a checkpoint chain and the log that extends it:
+// directory holds a checkpoint chain and the log that extends it, all in
+// one flat directory:
 //
-//	dir/store/          base element: every shard's full image
-//	dir/delta-000001/   delta element: images of the shards dirty since
-//	dir/delta-000002/   the element before it, nothing for the rest
-//	dir/wal.log         the mutation log
+//	dir/ckpt-000007.json    element 7's manifest (here a base)
+//	dir/ckpt-000007-0.crk   shard 0's image in element 7, one per carried shard
+//	dir/ckpt-000008.json    element 8, a delta: images of the shards that
+//	dir/ckpt-000008-3.crk   changed since the element before it
+//	dir/wal.log             the mutation log
 //
-// Every element is one directory with the same layout: shard.json (the
-// element manifest: WAL stamp, routing state as of the element, the
-// shards it carries, and — unless it is the base — the CRC-32 of its
-// predecessor's manifest) next to one shard-K/ crackdb image per carried
-// shard. The base is the element that carries every shard and follows
-// nothing, so a full checkpoint is a chain of length zero. Checkpoint
-// writes one element under full mutation exclusion, swaps it in with a
-// single atomic directory replace, and rotates the log; boot resolves the
-// chain (superseded elements deleted, links verified end to end), opens
-// each shard from the base plus exactly the elements that carry it, and
-// replays the log suffix. An element that fails verification refuses the
-// boot — a half-trusted chain must never silently serve cold.
+// Every element has a number, and numbers are never reused. Its manifest
+// holds the WAL stamp, the routing state as of the element, and for each
+// carried shard the size and CRC-32C of its image; renaming the manifest
+// into place commits the element. The base is the element that carries
+// every shard and follows nothing, so a full checkpoint is a chain of
+// length zero. Each image names its predecessor by checksum
+// (durable.Image.PrevSum), which crackdb.Open verifies: that is the
+// chain's one link. Checkpoint writes one element under full mutation
+// exclusion and rotates the log; boot takes the newest base and the
+// contiguous deltas above it, opens each shard from the base plus exactly
+// the elements that carry it, replays the log suffix, and deletes the
+// rest. An element that fails verification refuses the boot — a
+// half-trusted chain must never silently serve cold.
 //
 // Compaction folds the chain back into a base when it grows past
 // deltaCompactEvery elements or past half the base's size: chains stay
 // short, so boot and follower bootstrap never walk unbounded history.
 
 const (
-	dataStoreDir   = "store"      // the base element
-	deltaDirPrefix = "delta-"     // delta elements: delta-NNNNNN
-	manifestName   = "shard.json" // element manifest, and the dir-swap marker
-	dataWALName    = "wal.log"    // the mutation log
-	dataBootsName  = "boots"      // boot counter (restarts_total = boots-1)
+	elemPrefix    = "ckpt-"   // every chain file: ckpt-NNNNNN.json, ckpt-NNNNNN-K.crk
+	dataWALName   = "wal.log" // the mutation log
+	dataBootsName = "boots"   // boot counter (restarts_total = boots-1)
 
-	manifestVersion = 2
+	manifestVersion = 3
 
 	// deltaCompactEvery bounds the number of delta elements in a chain.
 	deltaCompactEvery = 8
@@ -57,16 +57,22 @@ const (
 
 // elemManifest is the on-disk description of one chain element.
 type elemManifest struct {
-	Version int    `json:"version"`
-	Seq     uint64 `json:"seq"`      // WAL stamp (rotation point)
-	Base    bool   `json:"base"`     // chain start: carries every shard
-	PrevSum uint32 `json:"prev_sum"` // CRC-32 of the predecessor's manifest
-	Dirty   []int  `json:"dirty"`    // shards with a shard-K/ subdir
+	Version int         `json:"version"`
+	Seq     uint64      `json:"seq"`  // WAL stamp (rotation point)
+	Base    bool        `json:"base"` // chain start: carries every shard
+	Files   []shardFile `json:"files"`
 
 	// Routing state as of the element; the chain tip's is authoritative.
 	Shards int                `json:"shards"`
 	Kind   Kind               `json:"kind"`
 	Tables []routerTableEntry `json:"tables"`
+}
+
+// shardFile names one carried shard's image in an element.
+type shardFile struct {
+	Shard int    `json:"shard"`
+	Size  int64  `json:"size"`
+	Crc   uint32 `json:"crc"` // durable.SnapshotCRC of the file
 }
 
 type routerTableEntry struct {
@@ -78,17 +84,28 @@ type routerTableEntry struct {
 	Part   PartSpec `json:"partition"`
 }
 
-// chainElem is one resolved on-disk element.
+// chainElem is one live element: its manifest, and the size and CRC-32C
+// of the manifest file itself.
 type chainElem struct {
-	name  string // directory name under the data dir ("store", "delta-000001")
-	ord   int    // 0 for the base
-	sum   uint32 // CRC-32 of this element's manifest
-	bytes int64  // total size of the element directory
-	m     elemManifest
+	num  int
+	m    elemManifest
+	size int64
+	crc  uint32
 }
 
-func deltaDirName(ord int) string { return fmt.Sprintf("%s%06d", deltaDirPrefix, ord) }
-func shardDirName(i int) string   { return fmt.Sprintf("shard-%d", i) }
+// bytes sums the element's shard images.
+func (e chainElem) bytes() int64 {
+	var n int64
+	for _, f := range e.m.Files {
+		n += f.Size
+	}
+	return n
+}
+
+func manifestName(num int) string { return fmt.Sprintf("%s%06d.json", elemPrefix, num) }
+func shardFileName(num, shard int) string {
+	return fmt.Sprintf("%s%06d-%d.crk", elemPrefix, num, shard)
+}
 
 // logRecord appends a mutation to the attached WAL, if any. Callers hold
 // walMu for reading and must log before applying.
@@ -127,101 +144,98 @@ func (s *Store) manifestLocked(seq uint64) elemManifest {
 	return m
 }
 
-// readElem loads one element directory's manifest. A directory without
-// one reports os.ErrNotExist.
-func readElem(dataDir, name string, ord int) (chainElem, error) {
-	dir := filepath.Join(dataDir, name)
-	durable.RecoverDirSwap(dir, manifestName)
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+// chainScan is what boot finds in a data dir.
+type chainScan struct {
+	elems   []chainElem // the newest base, then the deltas above it
+	next    int         // above every number a chain file carries
+	residue []string    // names no live element lists, deleted once the boot succeeds
+}
+
+// scanChain reads the data dir's manifests: the newest base wins, and
+// every element above it must be a delta, numbered without a gap.
+// Everything else named ckpt-* — older elements, files no live manifest
+// names, .tmp files — is residue. It deletes nothing: a boot that refuses
+// leaves the directory as it found it.
+func scanChain(dir string) (chainScan, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return chainScan{}, err
+	}
+	c := chainScan{next: 1}
+	var names []string
+	var manifests []int
+	for _, ent := range entries {
+		name := ent.Name()
+		var num int
+		if _, err := fmt.Sscanf(name, elemPrefix+"%d", &num); err != nil {
+			continue // not a chain file
+		}
+		names = append(names, name)
+		c.next = max(c.next, num+1)
+		if manifestName(num) == name {
+			manifests = append(manifests, num)
+		}
+	}
+	slices.Sort(manifests)
+	// Newest first, down to the first base.
+	for i := len(manifests) - 1; i >= 0; i-- {
+		e, err := readElem(dir, manifests[i])
+		if err != nil {
+			return chainScan{}, err
+		}
+		if len(c.elems) > 0 && e.num != c.elems[0].num-1 {
+			return chainScan{}, fmt.Errorf("shard: delta chain broken: element %d is missing below element %d",
+				c.elems[0].num-1, c.elems[0].num)
+		}
+		c.elems = append([]chainElem{e}, c.elems...)
+		if e.m.Base {
+			break
+		}
+	}
+	if len(c.elems) > 0 && !c.elems[0].m.Base {
+		return chainScan{}, fmt.Errorf("shard: delta chain present but no base image under %s — refusing to boot cold over existing checkpoints", dir)
+	}
+	live := make(map[string]bool)
+	for _, e := range c.elems {
+		live[manifestName(e.num)] = true
+		for _, f := range e.m.Files {
+			live[shardFileName(e.num, f.Shard)] = true
+		}
+	}
+	for _, name := range names {
+		if !live[name] {
+			c.residue = append(c.residue, name)
+		}
+	}
+	return c, nil
+}
+
+// readElem loads and checks element num's manifest.
+func readElem(dir string, num int) (chainElem, error) {
+	name := manifestName(num)
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return chainElem{}, err
 	}
-	e := chainElem{name: name, ord: ord, sum: crc32.ChecksumIEEE(data), bytes: dirSize(dir)}
+	e := chainElem{num: num, size: int64(len(data)), crc: crc32.Checksum(data, durable.SnapshotCRC)}
 	if err := json.Unmarshal(data, &e.m); err != nil {
-		return chainElem{}, fmt.Errorf("shard: corrupt manifest in %s: %w", name, err)
+		return chainElem{}, fmt.Errorf("shard: corrupt manifest %s: %w", name, err)
 	}
 	if e.m.Version != manifestVersion {
-		return chainElem{}, fmt.Errorf("shard: unsupported image version %d in %s — re-save with a ≤PR 11 build", e.m.Version, name)
+		return chainElem{}, fmt.Errorf("shard: unsupported manifest version %d in %s", e.m.Version, name)
 	}
-	if e.m.Base != (ord == 0) {
-		return chainElem{}, fmt.Errorf("shard: delta chain broken: %s has base=%v", name, e.m.Base)
+	for _, f := range e.m.Files {
+		if f.Shard < 0 || f.Shard >= e.m.Shards {
+			return chainElem{}, fmt.Errorf("shard: manifest %s lists shard %d of %d", name, f.Shard, e.m.Shards)
+		}
 	}
 	return e, nil
 }
 
-// resolveChain reads the base and every delta element under the data
-// dir, deletes the elements a newer base superseded, and verifies the
-// checksum links end to end. Called at boot, before any store state
-// exists; an empty result is a directory that never checkpointed.
-//
-// Supersession cannot be decided by seq alone: a live element written
-// after crack-only changes carries the base's own stamp (no WAL record
-// advanced the seq), and so does residue from a full checkpoint that
-// crashed between the base swap and the chain cleanup. An element
-// strictly older than the base is always residue; one at the base's
-// stamp is residue exactly when it does not link into the chain growing
-// out of the base's checksum.
-func resolveChain(dir string) ([]chainElem, error) {
-	var chain []chainElem
-	base, err := readElem(dir, dataStoreDir, 0)
-	switch {
-	case err == nil:
-		chain = append(chain, base)
-	case !errors.Is(err, fs.ErrNotExist):
-		return nil, err
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, deltaDirPrefix+"*"))
-	if err != nil {
-		return nil, err
-	}
-	var deltas []chainElem
-	for _, m := range matches {
-		name := filepath.Base(m)
-		var ord int
-		if _, err := fmt.Sscanf(name, deltaDirPrefix+"%d", &ord); err != nil || ord < 1 || deltaDirName(ord) != name {
-			continue // .old residue, tmp dirs, foreign names
-		}
-		e, err := readElem(dir, name, ord)
-		if errors.Is(err, fs.ErrNotExist) {
-			// A directory without its manifest cannot be a completed
-			// element (the swap is atomic): writer residue, remove.
-			os.RemoveAll(m)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		deltas = append(deltas, e)
-	}
-	if len(deltas) > 0 && len(chain) == 0 {
-		return nil, fmt.Errorf("shard: delta chain present but no base image under %s — refusing to boot cold over existing checkpoints", dir)
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].ord < deltas[j].ord })
-	for _, e := range deltas {
-		tip := chain[len(chain)-1]
-		if e.m.Seq < base.m.Seq || (e.m.Seq == base.m.Seq && e.m.PrevSum != tip.sum) {
-			// A newer base covers this element: every live element was
-			// written at or after the base's stamp (the base's checkpoint
-			// rotated the WAL to it) and links into the chain anchored at
-			// the base's checksum. Anything else is residue from a crash
-			// between the base swap and the chain cleanup.
-			os.RemoveAll(filepath.Join(dir, e.name))
-			continue
-		}
-		if e.m.PrevSum != tip.sum {
-			return nil, fmt.Errorf("shard: delta chain broken: %s links predecessor %08x, but %s is %08x",
-				e.name, e.m.PrevSum, tip.name, tip.sum)
-		}
-		chain = append(chain, e)
-	}
-	return chain, nil
-}
-
-// openChain builds a store from a verified, non-empty chain: the tip's
-// manifest is authoritative for routing, and each shard opens its base
-// image plus exactly the elements that carry it.
-func openChain(dir string, chain []chainElem) (*Store, error) {
-	m := chain[len(chain)-1].m
+// openShards builds a router from a chain tip's manifest — its routing
+// state is authoritative — and opens each shard from the image files
+// paths names for it, base first.
+func openShards(m elemManifest, paths func(shard int) []string) (*Store, error) {
 	if m.Shards < 1 {
 		return nil, fmt.Errorf("shard: manifest with %d shards", m.Shards)
 	}
@@ -252,22 +266,30 @@ func openChain(dir string, chain []chainElem) (*Store, error) {
 		}
 	}
 	for i := range s.shards {
-		var dirs []string
-		for _, e := range chain {
-			if slices.Contains(e.m.Dirty, i) {
-				dirs = append(dirs, filepath.Join(dir, e.name, shardDirName(i)))
-			}
-		}
-		if len(dirs) == 0 {
+		p := paths(i)
+		if len(p) == 0 {
 			return nil, fmt.Errorf("shard: no chain element carries shard %d", i)
 		}
-		st, err := crackdb.Open(dirs[0], dirs[1:]...)
+		st, err := crackdb.Open(p[0], p[1:]...)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.shards[i] = st
 	}
 	return s, nil
+}
+
+// openChain opens a store from a verified, non-empty chain.
+func openChain(dir string, chain []chainElem) (*Store, error) {
+	return openShards(chain[len(chain)-1].m, func(i int) []string {
+		var paths []string
+		for _, e := range chain {
+			if slices.ContainsFunc(e.m.Files, func(f shardFile) bool { return f.Shard == i }) {
+				paths = append(paths, filepath.Join(dir, shardFileName(e.num, i)))
+			}
+		}
+		return paths
+	})
 }
 
 // BootInfo describes what OpenDurable recovered.
@@ -283,25 +305,46 @@ type BootInfo struct {
 // state, the WAL's uncovered suffix is replayed, and the log is attached
 // so every further mutation is WAL-first. A missing directory is a cold
 // boot: a fresh store under opts with an empty log. Either way the
-// returned store is ready to serve and Checkpoint-able.
+// returned store is ready to serve and Checkpoint-able. A directory an
+// older build wrote (store/ and delta-NNNNNN/) is upgraded first.
 func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, BootInfo{}, err
 	}
-	chain, err := resolveChain(dir)
+	c, err := scanChain(dir)
 	if err != nil {
 		return nil, BootInfo{}, err
 	}
+	legacy, err := legacyNames(dir)
+	if err != nil {
+		return nil, BootInfo{}, err
+	}
+	if len(c.elems) == 0 && len(legacy) > 0 {
+		return upgradeLegacy(dir, opts, c, legacy)
+	}
 	var s *Store
 	var info BootInfo
-	if len(chain) == 0 {
+	if len(c.elems) == 0 {
 		s = New(opts)
 	} else {
-		if s, err = openChain(dir, chain); err != nil {
+		if s, err = openChain(dir, c.elems); err != nil {
 			return nil, BootInfo{}, err
 		}
-		info = BootInfo{Recovered: true, AppliedSeq: chain[len(chain)-1].m.Seq, ChainDeltas: len(chain) - 1}
+		info = BootInfo{Recovered: true, AppliedSeq: c.elems[len(c.elems)-1].m.Seq, ChainDeltas: len(c.elems) - 1}
 	}
+	if err := s.attach(dir, c, &info); err != nil {
+		return nil, BootInfo{}, err
+	}
+	for _, name := range append(c.residue, legacy...) {
+		os.RemoveAll(filepath.Join(dir, name))
+	}
+	return s, info, nil
+}
+
+// attach replays the WAL records the chain does not cover, counting them
+// in info, then attaches the log and the chain: from here on every
+// mutation is logged and Checkpoint extends the chain.
+func (s *Store) attach(dir string, c chainScan, info *BootInfo) error {
 	wal, err := durable.Open(filepath.Join(dir, dataWALName), info.AppliedSeq,
 		func(seq uint64, rec durable.Record) error {
 			if seq < info.AppliedSeq {
@@ -311,15 +354,18 @@ func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 			return s.Apply(rec)
 		})
 	if err != nil {
-		return nil, BootInfo{}, err
+		return err
 	}
 	s.walMu.Lock()
+	defer s.walMu.Unlock()
 	s.wal = wal
 	s.dataDir = dir
 	s.boots = bumpBoots(filepath.Join(dir, dataBootsName))
-	s.chain = chain
-	s.walMu.Unlock()
-	return s, info, nil
+	s.chain, s.next = c.elems, c.next
+	// A number above the tip was taken by an element that never
+	// committed: a delta there would leave a gap boot refuses.
+	s.forceBase = len(c.elems) > 0 && c.next != c.elems[len(c.elems)-1].num+1
+	return nil
 }
 
 // bumpBoots increments the data directory's boot counter and returns
@@ -426,10 +472,9 @@ func (s *Store) Checkpoint(full bool) (string, error) {
 func (s *Store) compactionDueLocked() bool {
 	var deltaBytes int64
 	for _, e := range s.chain[1:] {
-		deltaBytes += e.bytes
+		deltaBytes += e.bytes()
 	}
-	return len(s.chain)-1 >= deltaCompactEvery ||
-		(s.chain[0].bytes > 0 && deltaBytes >= s.chain[0].bytes/2)
+	return len(s.chain)-1 >= deltaCompactEvery || deltaBytes >= s.chain[0].bytes()/2
 }
 
 // errNothingDirty aborts a delta element that would carry no shard and
@@ -438,64 +483,62 @@ var errNothingDirty = errors.New("shard: nothing changed since the last checkpoi
 
 // checkpointLocked writes one element — the base, carrying every shard,
 // or a delta carrying the shards that changed since their last image —
-// with a single atomic directory replace, retires the chain a new base
-// supersedes, and rotates the WAL. Caller holds walMu exclusively.
+// and rotates the WAL. Each shard image is written and fsynced under its
+// final name, then the directory is fsynced; renaming the fsynced
+// manifest into place commits the element. A base then retires the chain
+// it supersedes: manifests first, so a crash leaves files no manifest
+// names, which boot deletes. Caller holds walMu exclusively.
 func (s *Store) checkpointLocked(base bool) error {
-	seq := s.wal.Seq()
-	elem := chainElem{name: dataStoreDir, m: s.manifestLocked(seq)}
+	seq, num := s.wal.Seq(), s.next
+	elem := chainElem{num: num, m: s.manifestLocked(seq)}
 	elem.m.Base = base
-	if !base {
-		tip := s.chain[len(s.chain)-1]
-		elem.ord = tip.ord + 1
-		elem.name = deltaDirName(elem.ord)
-		elem.m.PrevSum = tip.sum
-	}
-	dir := filepath.Join(s.dataDir, elem.name)
+	// The number is spent once any file may carry it; a spent number that
+	// never commits makes the next element a base.
+	s.next, s.forceBase = num+1, true
 	var commits []func()
-	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		for i, st := range s.shards {
-			commit, err := st.WriteImage(filepath.Join(tmp, shardDirName(i)), !base)
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-			if commit != nil {
-				elem.m.Dirty = append(elem.m.Dirty, i)
-				commits = append(commits, commit)
-			}
-		}
-		if !base && len(commits) == 0 && seq == s.wal.Status().BaseSeq {
-			return errNothingDirty
-		}
-		data, err := json.MarshalIndent(elem.m, "", "  ")
+	for i, st := range s.shards {
+		commit, file, err := st.WriteImage(filepath.Join(s.dataDir, shardFileName(num, i)), !base)
 		if err != nil {
-			return err
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		elem.sum = crc32.ChecksumIEEE(data)
-		return os.WriteFile(filepath.Join(tmp, manifestName), data, 0o644)
-	})
+		if commit != nil {
+			elem.m.Files = append(elem.m.Files, shardFile{Shard: i, Size: file.Size, Crc: file.CRC})
+			commits = append(commits, commit)
+		}
+	}
+	if !base && len(commits) == 0 && seq == s.wal.Status().BaseSeq {
+		s.next, s.forceBase = num, false
+		return errNothingDirty
+	}
+	data, err := json.Marshal(elem.m)
 	if err != nil {
-		if !errors.Is(err, errNothingDirty) {
-			// The swap may have failed after the element reached its final
-			// name; only a fresh base is sure to supersede whatever landed.
-			s.forceBase = true
-		}
 		return err
 	}
+	path := filepath.Join(s.dataDir, manifestName(num))
+	if err := durable.SyncDir(s.dataDir); err != nil {
+		return err
+	}
+	if err := durable.WriteFile(path+".tmp", data); err != nil {
+		return err
+	}
+	if err := durable.Publish(path+".tmp", path); err != nil {
+		return err
+	}
+	s.forceBase = false
+	elem.size, elem.crc = int64(len(data)), crc32.Checksum(data, durable.SnapshotCRC)
 	for _, commit := range commits {
 		commit()
 	}
-	elem.bytes = dirSize(dir)
 	if base {
-		// The new base covers every element; remove them before rotating
-		// so a crash leaves either chain or base authoritative, never a
-		// base with unlinked newer elements. A crash before the removals
-		// leaves superseded elements (older stamps, or unlinked at the
-		// base's stamp), which boot's resolveChain deletes.
-		for _, e := range s.chain[min(1, len(s.chain)):] {
-			os.RemoveAll(filepath.Join(s.dataDir, e.name))
+		for _, e := range s.chain {
+			os.Remove(filepath.Join(s.dataDir, manifestName(e.num)))
+		}
+		for _, e := range s.chain {
+			for _, f := range e.m.Files {
+				os.Remove(filepath.Join(s.dataDir, shardFileName(e.num, f.Shard)))
+			}
 		}
 		s.chain = nil
-		s.forceBase = false
 	}
 	s.chain = append(s.chain, elem)
 	return s.wal.Rotate(seq)
@@ -520,19 +563,4 @@ func (s *Store) CloseWAL() error {
 	err := s.wal.Close()
 	s.wal = nil
 	return err
-}
-
-// dirSize sums the file sizes under root (best-effort; 0 on error).
-func dirSize(root string) int64 {
-	var total int64
-	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if info, err := d.Info(); err == nil {
-			total += info.Size()
-		}
-		return nil
-	})
-	return total
 }

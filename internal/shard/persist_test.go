@@ -361,17 +361,44 @@ func TestDeleteReplay(t *testing.T) {
 	}
 }
 
-// TestReplReadFileRefusesForeignPaths: only chain elements are served —
-// a path outside store/ and delta-*/ is refused, not rebased.
+// TestReplReadFileRefusesForeignPaths: only files the current chain lists
+// are served — not the log, not the boot counter, not residue beside the
+// chain — while a listed file is.
 func TestReplReadFileRefusesForeignPaths(t *testing.T) {
-	s, _, err := shard.OpenDurable(t.TempDir(), shard.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	s := seedDurable(t, dir)
 	defer s.CloseWAL()
-	for _, p := range []string{"shard.json", "wal.log", "boots/x"} {
-		if _, err := s.ReplReadFile(0, p, 0, 16); err == nil || !strings.Contains(err.Error(), "outside the checkpoint image") {
+	m, err := s.ReplManifest()
+	mustExec(t, err)
+	residue := "ckpt-999999-0.crk"
+	mustExec(t, os.WriteFile(filepath.Join(dir, residue), []byte("residue"), 0o644))
+	for _, p := range []string{"wal.log", "boots", residue, "../" + filepath.Base(dir) + "/wal.log"} {
+		if _, err := s.ReplReadFile(m.Seq, p, 0, 16); err == nil || !strings.Contains(err.Error(), "outside the checkpoint image") {
 			t.Fatalf("path %q: want a refusal, got %v", p, err)
 		}
+	}
+	if chunk, err := s.ReplReadFile(m.Seq, m.Files[0].Path, 0, 16); err != nil || len(chunk) == 0 {
+		t.Fatalf("listed file %s: %d bytes, %v", m.Files[0].Path, len(chunk), err)
+	}
+}
+
+// TestReplManifestReadsNoFile: the replication listing comes from the
+// manifests in memory. With a shard image gone from disk after the
+// checkpoint, it still names every file with the size and CRC-32C the
+// checkpoint recorded.
+func TestReplManifestReadsNoFile(t *testing.T) {
+	dir := t.TempDir()
+	s := seedDurable(t, dir)
+	defer s.CloseWAL()
+	before, err := s.ReplManifest()
+	mustExec(t, err)
+	if want := 1 + rangeOpts().Shards; len(before.Files) != want {
+		t.Fatalf("a base of %d shards lists %d files, want %d", rangeOpts().Shards, len(before.Files), want)
+	}
+	mustExec(t, os.Remove(elements(t, dir)[0].files[0]))
+	after, err := s.ReplManifest()
+	mustExec(t, err)
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("listing changed with the disk:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -78,7 +78,8 @@ type Store struct {
 	// Checkpoint chain state (see persist.go in this package). Guarded
 	// by walMu (Checkpoint holds it exclusively).
 	chain     []chainElem // on-disk elements, base first; empty before the first checkpoint
-	forceBase bool        // a checkpoint failed: the next one must be a base
+	next      int         // the number the next element takes; numbers are never reused
+	forceBase bool        // a number went unused: the next element must be a base
 }
 
 type tableMeta struct {

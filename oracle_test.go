@@ -3,6 +3,7 @@ package crackdb_test
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -216,7 +217,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 // every cracker (paper §5.2: cracker indexes are not kept between
 // sessions) yet holds the same rows, answering the model from scratch.
 func TestSaveOpenRoundTripAfterCracking(t *testing.T) {
-	s, dir := storeWith(t, "ddr", 7), t.TempDir()
+	s, dir := storeWith(t, "ddr", 7), filepath.Join(t.TempDir(), "store.crk")
 	m := oracle.Run(t, oracle.New(oracle.Config{Seed: 3, Ops: 30, Load: 4000, Domain: 4000, Selectivity: 0.1,
 		Mix: oracle.Mix{oracle.Count: 1, oracle.Select: 1, oracle.Fetch: 1}}), nil, oracle.Single(s))
 	if err := s.Save(dir); err != nil {
@@ -239,7 +240,7 @@ func TestSaveOpenRoundTripAfterCracking(t *testing.T) {
 // TestDeleteWarmRoundTrip: deleted tuples stay deleted through a warm and
 // a cold open of the image.
 func TestDeleteWarmRoundTrip(t *testing.T) {
-	s, dir := crackdb.New(), t.TempDir()
+	s, dir := crackdb.New(), filepath.Join(t.TempDir(), "store.crk")
 	m := oracle.Run(t, oracle.New(oracle.Config{Seed: 6, Ops: 30, Load: 1500, Domain: 1000,
 		Mix: oracle.Mix{oracle.Delete: 1, oracle.Fetch: 1}}), nil, oracle.Single(s))
 	if err := s.Save(dir); err != nil {

@@ -3,7 +3,6 @@ package crackdb
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"crackdb/internal/bat"
@@ -13,14 +12,13 @@ import (
 	"crackdb/internal/strategy"
 )
 
-// Store persistence. A store is saved as a chain of image directories,
-// each holding one image file (internal/durable.Image: table manifest,
+// Store persistence. A store is saved as a chain of image files, each
+// one internal/durable.Image: table manifest and the rows it appends,
 // crack configuration, crack state — cut sets, cracked vectors, pending
-// updates, strategy RNG positions, payload vectors — tuner posture) plus
-// one checksummed BAT file per column of every table whose rows the
-// element writes. A full image is the chain of length zero: the element
-// that diffs against nothing, so it writes every table and every cracked
-// column whole. A delta element carries only what moved since the image
+// updates, strategy RNG positions, payload vectors — and tuner posture.
+// A full image is the chain of length zero: the element that diffs
+// against nothing, so it writes every table and every cracked column
+// whole. A delta element carries only what moved since the image
 // before it and names that image by checksum: the rows appended to each
 // table, and per column the granules it wrote (core.Granule) — or the
 // whole column once half of it moved. One writer (WriteImage) produces
@@ -40,10 +38,6 @@ import (
 // The store itself logs nothing: write-ahead logging, checkpoint stamps
 // and crash recovery belong to internal/shard (OpenDurable), for one
 // shard as for many.
-
-// imageName is the image file inside every image directory, and the
-// marker RecoverDirSwap looks for.
-const imageName = "crackstate.crk"
 
 // saveMark captures what the last committed image holds of each table.
 // The zero mark holds nothing: diffing against it yields a full image.
@@ -81,43 +75,44 @@ func (s *Store) newMarkLocked(sum uint32) *saveMark {
 	return m
 }
 
-// Save writes a full image of the store to dir, atomically replacing any
-// previous image: the new one is built in a temp sibling, fsynced, and
-// swapped in with renames, so a crash mid-save leaves the old image
-// intact. The saved image becomes the base later delta elements diff
-// against.
-func (s *Store) Save(dir string) error {
-	var commit func()
-	err := durable.AtomicReplaceDir(dir, func(tmp string) error {
-		var werr error
-		commit, werr = s.WriteImage(tmp, false)
-		return werr
-	})
-	if err == nil {
-		commit()
+// Save writes a full image of the store to the file path, atomically
+// replacing any previous one: the image is written and fsynced under a
+// temp name, renamed over path, and the directory fsynced, so a crash
+// mid-save leaves the old image intact. The saved image becomes the base
+// later delta elements diff against.
+func (s *Store) Save(path string) error {
+	tmp := path + ".tmp"
+	commit, _, err := s.WriteImage(tmp, false)
+	if err != nil {
+		return err
 	}
-	return err
+	if err := durable.Publish(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	commit()
+	return nil
 }
 
-// WriteImage writes one image element into dir (created if missing,
-// expected empty): a full image, or with delta set only what changed
-// since the last committed image — which must exist. It neither syncs
-// nor swaps; the caller owns atomicity (durable.AtomicReplaceDir) and
-// calls commit once the element is in place, making it the image the
-// next delta diffs against. Until then no delta can be anchored: an
-// element that never commits leaves the store without a base, so the
-// next delta is refused and the caller writes a full image, which is all
-// that is sure to supersede whatever landed. A delta of a store in which
-// nothing persisted has changed — configuration, table set, rows,
-// tombstones, any column's crack state (tuner posture, advisory warmth,
-// is deliberately not counted) — writes nothing and returns a nil commit.
-func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
+// WriteImage writes one image element to the file path and fsyncs it: a
+// full image, or with delta set only what changed since the last
+// committed image — which must exist. It reports the file it wrote; the
+// caller owns atomicity (a rename that commits it) and calls commit once
+// the element is in place, making it the image the next delta diffs
+// against. Until then no delta can be anchored: an element that never
+// commits leaves the store without a base, so the next delta is refused
+// and the caller writes a full image, which is all that is sure to
+// supersede whatever landed. A delta of a store in which nothing
+// persisted has changed — configuration, table set, rows, tombstones, any
+// column's crack state (tuner posture, advisory warmth, is deliberately
+// not counted) — writes nothing and returns a nil commit.
+func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable.ImageFile, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	against := &saveMark{}
 	if delta {
 		if against = s.mark; against == nil {
-			return nil, fmt.Errorf("crackdb: no base image to delta against (save a full image first)")
+			return nil, file, fmt.Errorf("crackdb: no base image to delta against (save a full image first)")
 		}
 	}
 	img := &durable.Image{
@@ -142,6 +137,11 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 			it.From = tm.rows
 		}
 		changed = changed || !had || tm.gen != t.gen || tm.rows != it.Rows || tm.tombs != len(it.Deleted)
+		if it.From < it.Rows {
+			for _, col := range it.Cols {
+				it.Vals = append(it.Vals, t.Base().MustColumn(col).Ints()[it.From:it.Rows])
+			}
+		}
 		for _, attr := range t.CrackedColumns() {
 			c, ok := t.Column(attr)
 			if !ok {
@@ -156,40 +156,22 @@ func (s *Store) WriteImage(dir string, delta bool) (commit func(), err error) {
 		img.Tables = append(img.Tables, it)
 	}
 	if !changed {
-		return nil, nil
+		return nil, file, nil
 	}
 	s.mark = nil // in flight: see the doc comment
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	if file, err = durable.WriteImage(path, img); err != nil {
+		return nil, file, err
 	}
-	for _, it := range img.Tables {
-		if it.From == it.Rows && it.From > 0 {
-			continue
-		}
-		for _, col := range it.Cols {
-			b, err := s.tables[it.Name].Base().Column(col)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.View(it.From, it.Rows).Save(columnPath(dir, it.Name, col)); err != nil {
-				return nil, fmt.Errorf("crackdb: save %s.%s: %w", it.Name, col, err)
-			}
-		}
-	}
-	sum, err := durable.WriteImage(filepath.Join(dir, imageName), img)
-	if err != nil {
-		return nil, err
-	}
-	mark := s.newMarkLocked(sum)
+	mark := s.newMarkLocked(file.Sum)
 	return func() {
 		s.mu.Lock()
 		s.mark = mark
 		s.mu.Unlock()
-	}, nil
+	}, file, nil
 }
 
-// Open loads a store from a full image directory plus, in order, the
-// delta elements written on top of it, reattaching every column's cut
+// Open loads a store from a full image file plus, in order, the delta
+// elements written on top of it, reattaching every column's cut
 // set, cracked vectors, pending updates, strategy (with its RNG
 // position) and payload vectors, and the tuner posture — the reopened
 // store resumes at converged per-query latency. Every link is checked:
@@ -200,35 +182,34 @@ func Open(base string, deltas ...string) (*Store, error) {
 	return openChain(false, append([]string{base}, deltas...))
 }
 
-// OpenCold loads the tables (and configuration) of a full image and
+// OpenCold loads the tables (and configuration) of a full image file and
 // ignores its crack state: every column starts uncracked, the way the
 // paper's prototype restarts (§5.2).
-func OpenCold(dir string) (*Store, error) {
-	return openChain(true, []string{dir})
+func OpenCold(path string) (*Store, error) {
+	return openChain(true, []string{path})
 }
 
-func openChain(cold bool, dirs []string) (*Store, error) {
+func openChain(cold bool, paths []string) (*Store, error) {
 	s := New()
 	r := make(restoring)
 	var prev uint32
-	for i, dir := range dirs {
-		durable.RecoverDirSwap(dir, imageName)
-		img, sum, err := durable.ReadImage(filepath.Join(dir, imageName))
+	for i, path := range paths {
+		img, sum, err := durable.ReadImage(path)
 		if err != nil {
-			return nil, fmt.Errorf("crackdb: open image %s: %w", dir, err)
+			return nil, fmt.Errorf("crackdb: open image %s: %w", path, err)
 		}
 		switch {
 		case img.Base != (i == 0):
 			return nil, fmt.Errorf("crackdb: image chain broken at %s: element %d of the chain has base=%v",
-				dir, i, img.Base)
+				path, i, img.Base)
 		case i > 0 && img.PrevSum != prev:
 			return nil, fmt.Errorf("crackdb: image chain broken at %s: element links predecessor %08x, chain has %08x",
-				dir, img.PrevSum, prev)
+				path, img.PrevSum, prev)
 		}
 		if cold {
 			img.Columns, img.Tuner = nil, nil
 		}
-		if err := s.applyImage(dir, img, r); err != nil {
+		if err := s.applyImage(path, img, r); err != nil {
 			return nil, err
 		}
 		prev = sum
@@ -254,13 +235,13 @@ func openChain(cold bool, dirs []string) (*Store, error) {
 // on. The columns are built once, after the last element (restoreLocked).
 type restoring map[string]map[string]*core.ColumnState
 
-// applyImage folds one verified element into the store: drops tables
-// absent from the element's manifest, loads rewritten tables, appends
-// the rows of grown ones, tombstones what the element lists deleted, and
-// records its column records — a whole record replaces the column's
-// state, a patch folds onto it. A base element does all of that to an
-// empty store.
-func (s *Store) applyImage(dir string, img *durable.Image, r restoring) error {
+// applyImage folds one verified element, read from path, into the
+// store: drops tables absent from the element's manifest, loads
+// rewritten tables, appends the rows of grown ones, tombstones what the
+// element lists deleted, and records its column records — a whole record
+// replaces the column's state, a patch folds onto it. A base element
+// does all of that to an empty store.
+func (s *Store) applyImage(path string, img *durable.Image, r restoring) error {
 	// Strategy config first: SetCrackStrategy validates the name and
 	// takes s.mu itself. The sideways budget is set outside s.mu too: the
 	// registry reads the store's tables.
@@ -289,27 +270,19 @@ func (s *Store) applyImage(dir string, img *durable.Image, r restoring) error {
 		live, exists := s.tables[it.Name]
 		switch {
 		case it.From == 0:
-			if err := s.loadTableLocked(dir, it); err != nil {
+			if err := s.loadTableLocked(it); err != nil {
 				return err
 			}
 			delete(r, it.Name) // a rewritten table's columns come whole
 		case !exists:
-			return fmt.Errorf("crackdb: image %s references table %q missing from the chain so far", dir, it.Name)
+			return fmt.Errorf("crackdb: image %s references table %q missing from the chain so far", path, it.Name)
 		case live.Base().Len() != it.From || !slices.Equal(live.Base().ColumnNames(), it.Cols):
-			return fmt.Errorf("crackdb: image %s disagrees with table %q shape — chain corrupt", dir, it.Name)
-		case it.From < it.Rows:
-			for _, col := range it.Cols {
-				b, err := bat.Load(it.Name+"_"+col, columnPath(dir, it.Name, col))
-				if err != nil {
-					return fmt.Errorf("crackdb: load %s.%s: %w", it.Name, col, err)
-				}
-				if int(b.HSeqBase()) != it.From || b.Len() != it.Rows-it.From {
-					return fmt.Errorf("crackdb: %s.%s holds rows [%d, %d), image manifest says [%d, %d)",
-						it.Name, col, b.HSeqBase(), int(b.HSeqBase())+b.Len(), it.From, it.Rows)
-				}
-				// No wrapper has a column before restoreLocked, so the rows
-				// go straight onto the base.
-				if err := live.Base().MustColumn(col).AppendInts(b.Ints()...); err != nil {
+			return fmt.Errorf("crackdb: image %s disagrees with table %q shape — chain corrupt", path, it.Name)
+		default:
+			// No wrapper has a column before restoreLocked, so the rows go
+			// straight onto the base.
+			for i, vals := range it.Vals {
+				if err := live.Base().MustColumn(it.Cols[i]).AppendInts(vals...); err != nil {
 					return err
 				}
 			}
@@ -333,7 +306,7 @@ func (s *Store) applyImage(dir string, img *durable.Image, r restoring) error {
 			}
 			r[cs.Table][cs.Attr] = &cs.State
 		case !ok:
-			return fmt.Errorf("crackdb: image %s patches %s.%s, which the chain has not restored", dir, cs.Table, cs.Attr)
+			return fmt.Errorf("crackdb: image %s patches %s.%s, which the chain has not restored", path, cs.Table, cs.Attr)
 		default:
 			if err := st.Fold(cs.State); err != nil {
 				return fmt.Errorf("crackdb: restore %s.%s: %w", cs.Table, cs.Attr, err)
@@ -347,20 +320,16 @@ func (s *Store) applyImage(dir string, img *durable.Image, r restoring) error {
 	return nil
 }
 
-// loadTableLocked installs a table from the element's BAT files of all
-// its rows, replacing any table of that name. The caller holds s.mu.
-func (s *Store) loadTableLocked(dir string, it durable.ImageTable) error {
+// loadTableLocked installs a table from the element's copy of all its
+// rows, replacing any table of that name. The caller holds s.mu.
+func (s *Store) loadTableLocked(it durable.ImageTable) error {
 	cols := make([]relation.Column, len(it.Cols))
 	for i, col := range it.Cols {
-		b, err := bat.Load(it.Name+"_"+col, columnPath(dir, it.Name, col))
-		if err != nil {
-			return fmt.Errorf("crackdb: load %s.%s: %w", it.Name, col, err)
+		var vals []int64
+		if it.Rows > 0 {
+			vals = it.Vals[i]
 		}
-		if b.Len() != it.Rows {
-			return fmt.Errorf("crackdb: %s.%s has %d rows, image manifest says %d",
-				it.Name, col, b.Len(), it.Rows)
-		}
-		cols[i] = relation.Column{Name: col, Data: b}
+		cols[i] = relation.Column{Name: col, Data: bat.FromInts(it.Name+"_"+col, vals)}
 	}
 	t, err := relation.FromColumns(it.Name, cols...)
 	if err != nil {
@@ -399,8 +368,4 @@ func (s *Store) restoreLocked(r restoring) error {
 		}
 	}
 	return nil
-}
-
-func columnPath(dir, table, col string) string {
-	return filepath.Join(dir, table+"."+col+".bat")
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/durable"
 	"crackdb/internal/oracle"
 )
 
@@ -28,7 +29,7 @@ func mutate(t *testing.T, s *crackdb.Store, m *oracle.Model, seed int64) {
 // test if the store turned out clean.
 func saveDelta(t *testing.T, s *crackdb.Store, dir string) {
 	t.Helper()
-	commit, err := s.WriteImage(dir, true)
+	commit, _, err := s.WriteImage(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func saveDelta(t *testing.T, s *crackdb.Store, dir string) {
 // committing it.
 func isDirty(t *testing.T, s *crackdb.Store) bool {
 	t.Helper()
-	commit, err := s.WriteImage(filepath.Join(t.TempDir(), "probe"), true)
+	commit, _, err := s.WriteImage(filepath.Join(t.TempDir(), "probe"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +60,17 @@ func TestSaveDeltaRequiresBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
-	if _, err := s.WriteImage(filepath.Join(root, "uncommitted"), false); err != nil {
+	if _, _, err := s.WriteImage(filepath.Join(root, "uncommitted"), false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.WriteImage(filepath.Join(root, "d"), true)
+	_, _, err := s.WriteImage(filepath.Join(root, "d"), true)
 	if err == nil || !strings.Contains(err.Error(), "no base image") {
 		t.Fatalf("want refusal without a base, got %v", err)
 	}
 }
 
 // TestDeltaSkipsCleanTables: a delta after touching only one of two
-// tables must carry no column data for the untouched one.
+// tables must carry no rows and no column records for the untouched one.
 func TestDeltaSkipsCleanTables(t *testing.T) {
 	s := crackdb.New()
 	for _, name := range []string{"hot", "cold"} {
@@ -111,13 +112,18 @@ func TestDeltaSkipsCleanTables(t *testing.T) {
 	}
 	d := filepath.Join(root, "d")
 	saveDelta(t, s, d) // fails if cracking did not mark the store dirty
-	entries, err := os.ReadDir(d)
+	img, _, err := durable.ReadImage(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "cold.") {
-			t.Fatalf("delta carries data for the untouched table: %s", e.Name())
+	for _, it := range img.Tables {
+		if it.Name == "cold" && it.Vals != nil {
+			t.Fatalf("delta carries rows [%d, %d) of the untouched table", it.From, it.Rows)
+		}
+	}
+	for _, cs := range img.Columns {
+		if cs.Table == "cold" {
+			t.Fatalf("delta carries column %s of the untouched table", cs.Attr)
 		}
 	}
 	// And the chain still reopens to the full two-table store.
@@ -235,16 +241,12 @@ func TestDeltaChainRefusals(t *testing.T) {
 	})
 	t.Run("corrupt element", func(t *testing.T) {
 		bad := filepath.Join(root, "bad")
-		if err := copyDir(t, d2, bad); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(bad, "crackstate.crk")
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(d2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err = crackdb.Open(base, d1, bad)
@@ -256,33 +258,6 @@ func TestDeltaChainRefusals(t *testing.T) {
 	if _, err := crackdb.Open(base, d1, d2); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func copyDir(t *testing.T, src, dst string) error {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			if err := copyDir(t, filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())); err != nil {
-				return err
-			}
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TestSidewaysFollowsChain: a map rides every chain element that carries
@@ -389,7 +364,7 @@ func TestDeltaChainUnderConcurrentQueries(t *testing.T) {
 		default:
 		}
 		d := filepath.Join(root, fmt.Sprint(len(dirs)))
-		commit, err := s.WriteImage(d, true)
+		commit, _, err := s.WriteImage(d, true)
 		if err != nil {
 			t.Fatal(err)
 		}
