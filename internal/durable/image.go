@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"slices"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
@@ -55,29 +53,15 @@ import (
 // (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
 // serve half a cut set.
 //
-// Versions 4 to 6 are still read (legacy.go): their rows lie in one BAT
-// file per column beside the image, which ReadImage loads into the
-// table entries. Version 6 is otherwise version 7. In versions 4 and 5
-// the column records are all whole, and a table's dataDirty byte reads
-// as From 0 (set) or Rows (clear).
-// Version 4 also has a dead byte after max pieces (the old ripple flag),
-// then a list of touched tables after the column records, then a map
-// section that repeated each payload column's values and OIDs beside
-// empty cut and strategy slots and held no payload values for pending
-// inserts. The byte and the list are skipped. A map becomes its column
-// record's payloads only if the same element carries the column, its
-// OIDs and keys equal the record's and the record queues no inserts; any
-// other map is dropped, losing only warmth. Versions 1–3 and above 7 are
-// refused by version.
+// Only version 7 is read: any other version is refused by version,
+// never as corruption. A store image is this build's own format, and the
+// cracker state it carries is re-derivable from the rows (the paper's
+// prototype keeps none of it between sessions, §5.2).
 
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
-// imageVersion is the version WriteImage writes; ReadImage also reads
-// oldestImageVersion.
-const (
-	imageVersion       = 7
-	oldestImageVersion = 4
-)
+// imageVersion is the one version WriteImage writes and ReadImage reads.
+const imageVersion = 7
 
 // SnapshotCRC is the polynomial that identifies a whole image file:
 // Castagnoli, deliberately not IEEE. An image ends in its own IEEE
@@ -361,10 +345,9 @@ func ReadImage(path string) (*Image, uint32, error) {
 	if magic := r.next(4); r.err != nil || [4]byte(magic) != imageMagic {
 		return nil, 0, fmt.Errorf("%w: bad image magic", ErrCorrupt)
 	}
-	r.version = r.u8()
-	if r.err == nil && (r.version < oldestImageVersion || r.version > imageVersion) {
-		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads versions %d to %d)",
-			r.version, oldestImageVersion, imageVersion)
+	if version := r.u8(); r.err == nil && version != imageVersion {
+		return nil, 0, fmt.Errorf("durable: unsupported image version %d (this build reads version %d)",
+			version, imageVersion)
 	}
 	img := r.image()
 	if r.err != nil {
@@ -380,11 +363,6 @@ func ReadImage(path string) (*Image, uint32, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, 0, fmt.Errorf("%w: image checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
-	if r.version < 7 {
-		if err := loadBATs(filepath.Dir(path), img); err != nil {
-			return nil, 0, err
-		}
-	}
 	return img, want, nil
 }
 
@@ -392,11 +370,10 @@ func ReadImage(path string) (*Image, uint32, error) {
 // vector is read with one read of its whole byte length, which count has
 // already bounded by the file size, and decoded from that buffer.
 type imageDecoder struct {
-	r       io.Reader
-	err     error
-	limit   int64 // file size: upper bound for any on-disk length field
-	version uint8
-	buf     []byte // scratch behind next, reused by every read
+	r     io.Reader
+	err   error
+	limit int64  // file size: upper bound for any on-disk length field
+	buf   []byte // scratch behind next, reused by every read
 }
 
 // count reads nothing: it validates a length field just read — n entries
@@ -512,7 +489,7 @@ func (d *imageDecoder) strategy() *core.StrategyState {
 
 func (d *imageDecoder) image() *Image {
 	img := &Image{Base: d.bool(), PrevSum: d.u32()}
-	// name + cols + rows + ndel + dirty minimum per table entry
+	// name + cols + rows + ndel + from minimum per table entry
 	for n := d.count(uint64(d.u32()), 21, "table"); n > 0 && d.err == nil; n-- {
 		t := ImageTable{Name: d.str()}
 		for nc := d.count(uint64(d.u32()), 4, "table column"); nc > 0 && d.err == nil; nc-- {
@@ -520,16 +497,11 @@ func (d *imageDecoder) image() *Image {
 		}
 		t.Rows = d.int()
 		t.Deleted = d.oids(d.count(d.u64(), 4, "tombstone"))
-		switch {
-		case d.version >= 6:
-			t.From = d.int()
-		case !d.bool():
-			t.From = t.Rows
-		}
+		t.From = d.int()
 		if d.err == nil && (t.Rows < 0 || t.From < 0 || t.From > t.Rows) {
 			d.err = fmt.Errorf("table %q rows [%d, %d) out of order", t.Name, t.From, t.Rows)
 		}
-		if d.err == nil && d.version >= 7 && t.From < t.Rows {
+		if d.err == nil && t.From < t.Rows {
 			n := d.count(uint64(t.Rows-t.From), 8*int64(max(1, len(t.Cols))), "row")
 			t.Vals = make([][]int64, len(t.Cols))
 			for i := range t.Vals {
@@ -541,16 +513,10 @@ func (d *imageDecoder) image() *Image {
 	img.Config.StrategyName = d.str()
 	img.Config.StrategySeed = int64(d.u64())
 	img.Config.MaxPieces = d.int()
-	if d.version == 4 {
-		d.bool() // the old ripple flag
-	}
 	img.Config.SidewaysBudget = d.int()
 	// conservative minimum per column record
 	for n := d.count(uint64(d.u32()), 16, "column"); n > 0 && d.err == nil; n-- {
 		img.Columns = append(img.Columns, d.column())
-	}
-	if d.version == 4 {
-		d.v4Maps(img.Columns)
 	}
 	// 4 strings + u64 + bool minimum per tuner record
 	for n := d.count(uint64(d.u32()), 21, "tuner posture"); n > 0 && d.err == nil; n-- {
@@ -573,10 +539,7 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	st.Sorted = d.bool()
 	st.NextOID = bat.OID(d.u64())
 	n := d.u64()
-	if d.version >= 6 {
-		st.Patch = d.bool()
-	}
-	if st.Patch {
+	if st.Patch = d.bool(); st.Patch {
 		n = d.granules(st, n)
 	} else {
 		n = d.count(n, 12, "column cardinality") // 8 bytes/value + 4/oid
@@ -595,42 +558,10 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	}
 	st.Deleted = d.oids(d.count(d.u64(), 4, "deleted"))
 	st.Strategy = d.strategy()
-	if d.version == 4 {
-		return cs
-	}
 	// A payload holds a value per stored tuple and per pending insert.
 	np := uint64(len(st.Pending))
 	for k := d.count(uint64(d.u32()), 4+8*int64(n+np), "payload"); k > 0 && d.err == nil; k-- {
 		st.Pays = append(st.Pays, core.PayloadState{Attr: d.str(), Vals: d.int64s(n), Pend: d.int64s(np)})
 	}
 	return cs
-}
-
-// v4Maps reads a version-4 image's touched list and map section, and
-// hands a map to its column record where it provably lines up (see the
-// layout comment); every other map is dropped.
-func (d *imageDecoder) v4Maps(cols []ColumnSnapshot) {
-	for n := d.count(uint64(d.u32()), 4, "touched table"); n > 0 && d.err == nil; n-- {
-		d.str()
-	}
-	for n := d.count(uint64(d.u32()), 21, "sideways map"); n > 0 && d.err == nil; n-- {
-		table, key := d.str(), d.str()
-		k := d.count(d.u64(), 12, "sideways cardinality") // 8 bytes/key + 4/oid
-		keys, oids := d.int64s(k), d.oids(k)
-		// The cut and strategy slots a map filled while it was a cracker of
-		// its own.
-		d.cuts()
-		d.strategy()
-		var pays []core.PayloadState
-		for np := d.count(uint64(d.u32()), 4+8*max(int64(k), 1), "sideways payload"); np > 0 && d.err == nil; np-- {
-			pays = append(pays, core.PayloadState{Attr: d.str(), Vals: d.int64s(k)})
-		}
-		for i := range cols {
-			st := &cols[i].State
-			if cols[i].Table == table && cols[i].Attr == key && len(st.Pending) == 0 &&
-				slices.Equal(st.OIDs, oids) && slices.Equal(st.Vals, keys) {
-				st.Pays = pays
-			}
-		}
-	}
 }

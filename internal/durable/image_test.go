@@ -3,12 +3,15 @@ package durable
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
@@ -259,136 +262,97 @@ func TestImageRowsBounded(t *testing.T) {
 	}
 }
 
-// v4Column writes a column record as version 4 did: without payloads.
-func v4Column(e *imageEncoder, cs ColumnSnapshot) {
-	st := &cs.State
-	e.str(cs.Table)
-	e.str(cs.Attr)
-	e.str(st.Name)
-	e.bool(st.Sorted)
-	e.u64(uint64(st.NextOID))
-	e.u64(uint64(len(st.Vals)))
-	e.int64s(st.Vals)
-	e.oids(st.OIDs)
-	e.cuts(st.Cuts)
-	e.u64(uint64(len(st.Pending)))
-	for _, p := range st.Pending {
-		e.u32(uint32(p.OID))
-		e.u64(uint64(p.Val))
+// rowsImage writes a delta whose one table, of column k, appends vals
+// as its rows [from, from+len(vals)), and returns the file's path.
+func rowsImage(t testing.TB, from int, vals []int64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "img.crk")
+	img := &Image{Tables: []ImageTable{{Name: "t", Cols: []string{"k"}, Rows: from + len(vals), Deleted: []bat.OID{}, From: from}}}
+	if len(vals) > 0 {
+		img.Tables[0].Vals = [][]int64{vals}
 	}
-	e.u64(uint64(len(st.Deleted)))
-	e.oids(st.Deleted)
-	e.strategy(st.Strategy)
+	if _, err := WriteImage(path, img); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-// TestImageSkipsMapCutsAndStrategy: a version-4 image carries payload
-// vectors in a map section behind the column records, repeating the key
-// column's values and OIDs beside cut and strategy slots that a map
-// filled while it was a cracker of its own. The reader steps over the
-// slots, hands a map to its column record only where it lines up — same
-// element, same OIDs and keys, no pending inserts the map holds no
-// values for — declines every other map without touching a record, and
-// lands on what follows.
-func TestImageSkipsMapCutsAndStrategy(t *testing.T) {
-	record := func(attr string, oids []bat.OID, pending bool) ColumnSnapshot {
-		cs := ColumnSnapshot{Table: "hot", Attr: attr, State: core.ColumnState{
-			Name: "hot." + attr, NextOID: 4, OIDs: oids, Deleted: []bat.OID{},
-			Cuts: []core.Cut{{Val: 20, Incl: true, Pos: 1}},
-		}}
-		for _, o := range oids {
-			cs.State.Vals = append(cs.State.Vals, 10*int64(o))
-		}
-		cs.State.Pending = []core.PendingState{}
-		if pending {
-			cs.State.Pending = []core.PendingState{{OID: 3, Val: 30}}
-		}
-		return cs
-	}
-	cols := []ColumnSnapshot{
-		record("aligned", []bat.OID{0, 2, 1}, false),
-		record("misaligned", []bat.OID{0, 2, 1}, false),
-		record("pending", []bat.OID{0, 2, 1}, true),
-	}
-	type v4Map struct {
-		table, key string
-		oids       []bat.OID
-	}
-	maps := []v4Map{
-		{"hot", "aligned", []bat.OID{0, 2, 1}},
-		{"hot", "misaligned", []bat.OID{0, 1, 2}}, // a spine's own order
-		{"hot", "pending", []bat.OID{0, 2, 1}},
-		{"cold", "k", []bat.OID{0, 1, 2}}, // a column this element does not carry
-	}
-	pay := func(oids []bat.OID) []core.PayloadState {
-		p := core.PayloadState{Attr: "v"}
-		for _, o := range oids {
-			p.Vals = append(p.Vals, -int64(o))
-		}
-		return []core.PayloadState{p}
-	}
-
-	path := filepath.Join(t.TempDir(), "img.crk")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &imageEncoder{f: f}
-	e.buf = append(e.buf, imageMagic[:]...)
-	e.u8(4)
-	e.bool(true) // base
-	e.u32(0)     // prevSum
-	e.u32(0)     // tables
-	e.str("")    // config: strategy name, seed, max pieces, the ripple byte, sideways budget
-	e.u64(0)
-	e.u64(0)
-	e.bool(false)
-	e.u64(16)
-	e.u32(uint32(len(cols)))
-	for _, cs := range cols {
-		v4Column(e, cs)
-	}
-	e.u32(1) // touched
-	e.str("hot")
-	e.u32(uint32(len(maps)))
-	for _, m := range maps {
-		e.str(m.table)
-		e.str(m.key)
-		e.u64(uint64(len(m.oids)))
-		for _, o := range m.oids {
-			e.u64(uint64(10 * int64(o)))
-		}
-		e.oids(m.oids)
-		e.cuts([]core.Cut{{Val: 10, Incl: true, Pos: 1}, {Val: 20, Pos: 2}})
-		e.strategy(&core.StrategyState{Name: "ddr", MinPiece: 64, RNG: 99})
-		p := pay(m.oids)
-		e.u32(uint32(len(p)))
-		for _, p := range p {
-			e.str(p.Attr)
-			e.int64s(p.Vals)
-		}
-	}
-	e.u32(1) // tuner posture: proves the reader resynchronized
-	for _, s := range []string{"hot", "k", "ddr", "seq"} {
-		e.str(s)
-	}
-	e.u64(3)
-	e.bool(true)
-	e.finish()
-	if e.err != nil || f.Close() != nil {
-		t.Fatal("writing the fixture failed")
-	}
-
+// readRows reads rowsImage's table back: its first row and its values.
+func readRows(path string) (int, []int64, error) {
 	img, _, err := ReadImage(path)
 	if err != nil {
+		return 0, nil, err
+	}
+	if len(img.Tables) != 1 {
+		return 0, nil, fmt.Errorf("%d tables", len(img.Tables))
+	}
+	t := img.Tables[0]
+	if t.Vals == nil {
+		return t.From, nil, nil
+	}
+	return t.From, t.Vals[0], nil
+}
+
+// TestPersistRoundTripInt: a table's appended rows read back value for
+// value, the first row they start at included.
+func TestPersistRoundTripInt(t *testing.T) {
+	want := []int64{-5, 0, 7, 1 << 40}
+	from, got, err := readRows(rowsImage(t, 7, want))
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := cols
-	want[0].State.Pays = pay(cols[0].State.OIDs)
-	if !reflect.DeepEqual(img.Columns, want) {
-		t.Fatalf("column records read as %+v, want %+v", img.Columns, want)
+	if from != 7 || !slices.Equal(got, want) {
+		t.Fatalf("read rows %v from %d, want %v from 7", got, from, want)
 	}
-	if len(img.Tuner) != 1 || img.Tuner[0].Flips != 3 || img.Config.SidewaysBudget != 16 {
-		t.Fatalf("reader lost its place after the map section: %+v", img)
+}
+
+// TestPersistDetectsTruncation: an image cut anywhere — in its header,
+// inside the row vector, or just short of its trailer — is corruption.
+func TestPersistDetectsTruncation(t *testing.T) {
+	full, err := os.ReadFile(rowsImage(t, 0, []int64{1, 2, 3, 4, 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.crk")
+	for cut := 1; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readRows(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d of %d: want ErrCorrupt, got %v", cut, len(full), err)
+		}
+	}
+}
+
+// TestPersistDetectsCorruption: a flipped byte inside the row vector is
+// corruption, never a different value.
+func TestPersistDetectsCorruption(t *testing.T) {
+	vals := []int64{9, 8, 7}
+	path := rowsImage(t, 0, vals)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rows end where the config section begins: an empty strategy
+	// name, three u64s, then the column and tuner counts and the trailer.
+	end := len(data) - (4 + 3*8 + 4 + 4 + 4)
+	data[end-8*len(vals)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readRows(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bit flip in the rows: want ErrCorrupt, got %v", err)
+	}
+}
+
+// Property: any row vector, starting at any row, reads back as written.
+func TestQuickPersistRoundTrip(t *testing.T) {
+	f := func(from uint16, vals []int64) bool {
+		gotFrom, got, err := readRows(rowsImage(t, int(from), vals))
+		return err == nil && gotFrom == int(from) && slices.Equal(got, vals)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -462,12 +426,14 @@ func TestImageCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestOldImageVersionRefused: images from before the single format —
-// CRKS versions 1 to 3, hand-encoded here with a valid trailer — are
-// refused by version, loudly, and never mistaken for corruption (which
-// would read as "the disk ate it" rather than "re-save it").
+// TestOldImageVersionRefused: an image of any version but 7 — the CRKS
+// versions 1 to 3 from before the single format, versions 4 to 6 whose
+// rows lay in BAT files beside the image, and a version from the future,
+// hand-encoded here with a valid trailer — is refused by version, loudly,
+// and never mistaken for corruption (which would read as "the disk ate
+// it" rather than "this build does not read it").
 func TestOldImageVersionRefused(t *testing.T) {
-	for _, version := range []uint8{1, 2, 3, imageVersion + 1} {
+	for _, version := range []uint8{1, 2, 3, 4, 5, 6, imageVersion + 1} {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
@@ -478,8 +444,9 @@ func TestOldImageVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := ReadImage(path)
-		if err == nil || !strings.Contains(err.Error(), "unsupported image version") {
-			t.Fatalf("version %d: want an unsupported-version refusal, got %v", version, err)
+		want := fmt.Sprintf("unsupported image version %d (this build reads version 7)", version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: want %q, got %v", version, want, err)
 		}
 		if errors.Is(err, ErrCorrupt) {
 			t.Fatalf("version %d refused as corruption: %v", version, err)

@@ -2,10 +2,15 @@ package server
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"crackdb/internal/durable"
 	"crackdb/internal/shard"
 )
 
@@ -208,5 +213,69 @@ func TestBootstrapResumeAcrossCheckpoint(t *testing.T) {
 	}
 	if n != 3040 {
 		t.Fatalf("bootstrapped store has %d rows, want 3040", n)
+	}
+}
+
+// TestStageRefusesForeignPaths: a primary's manifest names files the
+// follower writes, so a path that is not a chain-file name — one that
+// climbs out of the staging dir, nests, is absolute, or names the log —
+// or a negative size is refused before anything is written, even when a
+// local file holds the listed contents and no byte would cross the wire.
+func TestStageRefusesForeignPaths(t *testing.T) {
+	root := t.TempDir()
+	dataDir := filepath.Join(root, "data")
+	staging := filepath.Join(dataDir, "store.repl")
+	if err := os.MkdirAll(dataDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	local := []byte("an image the follower already holds")
+	if err := os.WriteFile(filepath.Join(dataDir, "ckpt-000001-0.crk"), local, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	size, crc := int64(len(local)), crc32.Checksum(local, durable.SnapshotCRC)
+	// listing maps every path under root outside staging to its size, -1
+	// for a directory.
+	listing := func() map[string]int64 {
+		t.Helper()
+		out := make(map[string]int64)
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			switch {
+			case path == staging:
+				return filepath.SkipDir
+			case d.IsDir():
+				out[path] = -1
+				return nil
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			out[path] = info.Size()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := listing()
+	for _, sf := range []shard.SnapshotFile{
+		{Path: "../../escaped", Size: size, Crc: crc},
+		{Path: "a/b", Size: size, Crc: crc},
+		{Path: filepath.Join(root, "abs"), Size: size, Crc: crc},
+		{Path: "wal.log", Size: size, Crc: crc},
+		{Path: "ckpt-000002-0.crk", Size: -1},
+	} {
+		m := shard.SnapshotManifest{Seq: 1, Files: []shard.SnapshotFile{sf}}
+		var st bootStats
+		if _, err := stageImage(nil, m, staging, dataDir, &st); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", sf.Path)) {
+			t.Errorf("%q: want a refusal naming the path, got %v", sf.Path, err)
+		}
+		if after := listing(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%q: staging wrote outside the staging dir: %v, was %v", sf.Path, after, before)
+		}
 	}
 }

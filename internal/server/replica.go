@@ -468,10 +468,10 @@ func localCopies(root string, m shard.SnapshotManifest) map[fileID]string {
 // answers "snapshot superseded", and the retry re-fetches the manifest
 // but keeps the staging dir — files unchanged across the checkpoint are
 // never downloaded twice, so the bootstrap converges even when
-// checkpoints keep racing it. Once staging is complete, the
-// stale local state is dropped, the image is installed, and OpenDurable
-// boots warm from it with a fresh log based at the image's seq —
-// exactly the position the pull loop resumes from.
+// checkpoints keep racing it. Once staging is complete,
+// shard.InstallSnapshot replaces the stale local state with the image,
+// and OpenDurable boots warm from it with a fresh log based at the
+// image's seq — exactly the position the pull loop resumes from.
 func bootstrapFromSnapshot(c *Client, dataDir string, sOpts shard.Options, logf func(string, ...any)) (*shard.Store, bootStats, error) {
 	const attempts = 8
 	var stats bootStats
@@ -492,32 +492,12 @@ func bootstrapFromSnapshot(c *Client, dataDir string, sOpts shard.Options, logf 
 			return nil, stats, err
 		}
 		stats.reused = reused
-		// Point of no return: drop the stale local state, install the image.
-		if err := removeLocalState(dataDir); err != nil {
+		// Point of no return. A primary that has never checkpointed has no
+		// image: the whole history lives in its log (base 0), so an empty
+		// local store replayed from seq 0 is the bootstrap.
+		if err := shard.InstallSnapshot(dataDir, staging, m); err != nil {
 			return nil, stats, err
 		}
-		if len(m.Files) > 0 {
-			entries, err := os.ReadDir(staging)
-			if err != nil {
-				return nil, stats, err
-			}
-			// Shard images before manifests, which go in number order: a
-			// crash mid-install leaves a valid prefix of the chain, or
-			// residue the next boot deletes.
-			for _, manifests := range []bool{false, true} {
-				for _, e := range entries {
-					if (filepath.Ext(e.Name()) == ".json") != manifests {
-						continue
-					}
-					if err := os.Rename(filepath.Join(staging, e.Name()), filepath.Join(dataDir, e.Name())); err != nil {
-						return nil, stats, err
-					}
-				}
-			}
-		}
-		// A primary that has never checkpointed has no image: the whole
-		// history lives in its log (base 0), so an empty local store
-		// replayed from seq 0 is the bootstrap.
 		os.RemoveAll(staging)
 		store, info, err := shard.OpenDurable(dataDir, sOpts)
 		if err != nil {
@@ -530,35 +510,23 @@ func bootstrapFromSnapshot(c *Client, dataDir string, sOpts shard.Options, logf 
 	return nil, stats, fmt.Errorf("server: snapshot bootstrap kept racing checkpoints: %v", lastErr)
 }
 
-// removeLocalState clears the follower's superseded checkpoint chain —
-// in either layout — and log so the staged image installs into a clean
-// data dir.
-func removeLocalState(dataDir string) error {
-	for _, pat := range []string{"ckpt-*", "store", "delta-*", "wal.log", "wal.log.*"} {
-		matches, _ := filepath.Glob(filepath.Join(dataDir, pat))
-		for _, m := range matches {
-			if err := os.RemoveAll(m); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// stageImage brings the staging dir to exactly the manifest's contents,
+// stageImage brings the staging dir to the manifest's contents,
 // downloading only files whose contents match no local file — a staged
 // copy from an earlier, interrupted attempt, or any file of the installed
-// local image. Returns the byte count satisfied locally. Staging extras
-// not in the manifest are pruned so the install step moves nothing
-// stale. Paths may nest, as an older primary's layout does.
+// local image. Returns the byte count satisfied locally. A manifest that
+// names anything but chain files is refused before anything is written:
+// no path a primary sends may reach outside the staging dir.
 func stageImage(c *Client, m shard.SnapshotManifest, staging, dataDir string, stats *bootStats) (int64, error) {
+	if err := m.Check(); err != nil {
+		return 0, err
+	}
+	if err := os.MkdirAll(staging, 0o755); err != nil {
+		return 0, err
+	}
 	have := localCopies(dataDir, m)
-	want := make(map[string]bool, len(m.Files))
 	var reused int64
 	for _, sf := range m.Files {
-		rel := filepath.FromSlash(sf.Path)
-		want[rel] = true
-		dst := filepath.Join(staging, rel)
+		dst := filepath.Join(staging, sf.Path)
 		if src, ok := have[fileID{sf.Size, sf.Crc}]; ok && reuse(src, dst, sf) {
 			reused += sf.Size
 			continue
@@ -567,18 +535,6 @@ func stageImage(c *Client, m shard.SnapshotManifest, staging, dataDir string, st
 			return reused, err
 		}
 	}
-	// Prune staged files the manifest no longer lists (renamed tables,
-	// compacted chain elements): install must produce the image exactly.
-	filepath.WalkDir(staging, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(staging, path)
-		if err == nil && !want[rel] {
-			os.Remove(path)
-		}
-		return nil
-	})
 	return reused, nil
 }
 
@@ -592,7 +548,7 @@ func reuse(src, dst string, sf shard.SnapshotFile) bool {
 	if err != nil || int64(len(data)) != sf.Size || crc32.Checksum(data, durable.SnapshotCRC) != sf.Crc {
 		return false
 	}
-	return os.MkdirAll(filepath.Dir(dst), 0o755) == nil && os.WriteFile(dst, data, 0o644) == nil
+	return durable.WriteFile(dst, data) == nil
 }
 
 // fetchManifest pulls and decodes /replmanifest.
@@ -620,17 +576,14 @@ func fetchManifest(c *Client) (shard.SnapshotManifest, error) {
 }
 
 // downloadFile fetches one manifest file into dst, chunk by chunk,
-// counting the transferred bytes, and verifies the result against the
-// manifest's checksum before accepting it. The seq fence only catches
-// checkpoints that advanced the WAL stamp, and a crack-only element
-// leaves it where it was; the CRC is what guarantees the staged file
-// matches the manifest. A mismatch (or a file that shrank or vanished
+// counting the transferred bytes, fsyncs it, and verifies the result
+// against the manifest's checksum before accepting it. The seq fence
+// only catches checkpoints that advanced the WAL stamp, and a crack-only
+// element leaves it where it was; the CRC is what guarantees the staged
+// file matches the manifest. A mismatch (or a file that shrank or vanished
 // mid-download) reads as a superseded snapshot: the bad staging copy is
 // dropped and the caller re-fetches the manifest.
 func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stats *bootStats) error {
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
 	out, err := os.Create(dst)
 	if err != nil {
 		return err
@@ -674,7 +627,11 @@ func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stat
 		off += int64(len(chunk))
 		stats.downloaded += int64(len(chunk))
 	}
-	if err := out.Close(); err != nil {
+	err = out.Sync()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	if sum.Sum32() != sf.Crc {

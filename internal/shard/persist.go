@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"crackdb"
@@ -149,7 +150,16 @@ type chainScan struct {
 	elems   []chainElem // the newest base, then the deltas above it
 	next    int         // above every number a chain file carries
 	residue []string    // names no live element lists, deleted once the boot succeeds
+	old     []string    // oldLayout names: refused without a chain, residue beside one
 }
+
+// oldLayout matches what a build from before the flat layout leaves in a
+// data dir: its element directories store/ and delta-NNNNNN/, and the
+// store.old and .saving-* traces of its directory swap.
+var oldLayout = []string{"store", "store.old", "delta-*", ".saving-*"}
+
+// oldLayoutBuild is the last build that upgrades such a data dir.
+const oldLayoutBuild = "66b2ed8"
 
 // scanChain reads the data dir's manifests: the newest base wins, and
 // every element above it must be a delta, numbered without a gap.
@@ -166,6 +176,13 @@ func scanChain(dir string) (chainScan, error) {
 	var manifests []int
 	for _, ent := range entries {
 		name := ent.Name()
+		if slices.ContainsFunc(oldLayout, func(pat string) bool {
+			ok, _ := filepath.Match(pat, name)
+			return ok
+		}) {
+			c.old = append(c.old, name)
+			continue
+		}
 		var num int
 		if _, err := fmt.Sscanf(name, elemPrefix+"%d", &num); err != nil {
 			continue // not a chain file
@@ -305,8 +322,9 @@ type BootInfo struct {
 // state, the WAL's uncovered suffix is replayed, and the log is attached
 // so every further mutation is WAL-first. A missing directory is a cold
 // boot: a fresh store under opts with an empty log. Either way the
-// returned store is ready to serve and Checkpoint-able. A directory an
-// older build wrote (store/ and delta-NNNNNN/) is upgraded first.
+// returned store is ready to serve and Checkpoint-able. A directory in
+// the layout before the flat one (store/ and delta-NNNNNN/) with no
+// chain beside it is refused untouched: this build does not read it.
 func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, BootInfo{}, err
@@ -315,12 +333,9 @@ func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	if err != nil {
 		return nil, BootInfo{}, err
 	}
-	legacy, err := legacyNames(dir)
-	if err != nil {
-		return nil, BootInfo{}, err
-	}
-	if len(c.elems) == 0 && len(legacy) > 0 {
-		return upgradeLegacy(dir, opts, c, legacy)
+	if len(c.elems) == 0 && len(c.old) > 0 {
+		return nil, BootInfo{}, fmt.Errorf("shard: %s holds %s, the data-dir layout before ckpt-NNNNNN files (store/, delta-NNNNNN/), which this build does not read — boot it once with build %s, the last that upgrades it",
+			dir, strings.Join(c.old, ", "), oldLayoutBuild)
 	}
 	var s *Store
 	var info BootInfo
@@ -335,7 +350,7 @@ func OpenDurable(dir string, opts Options) (*Store, BootInfo, error) {
 	if err := s.attach(dir, c, &info); err != nil {
 		return nil, BootInfo{}, err
 	}
-	for _, name := range append(c.residue, legacy...) {
+	for _, name := range append(c.residue, c.old...) {
 		os.RemoveAll(filepath.Join(dir, name))
 	}
 	return s, info, nil
@@ -542,6 +557,55 @@ func (s *Store) checkpointLocked(base bool) error {
 	}
 	s.chain = append(s.chain, elem)
 	return s.wal.Rotate(seq)
+}
+
+// InstallSnapshot makes a staged copy of a primary's checkpoint image
+// the chain of dataDir, which no store may have open, by the
+// checkpoint's own protocol. The staged files, already fsynced under
+// their final names, are the files m lists. It refuses a manifest that
+// names anything but chain files, then removes the local log and chain:
+// the log first, then each element's manifest before its images, newest
+// element first, so a crash part way leaves an older chain with no log,
+// which boots at its own stamp. It moves the shard images in and fsyncs
+// the directory, then publishes the manifests in number order, so a
+// crash leaves a prefix of the new chain, or files boot deletes.
+func InstallSnapshot(dataDir, staging string, m SnapshotManifest) error {
+	if err := m.Check(); err != nil {
+		return err
+	}
+	wal, err := filepath.Glob(filepath.Join(dataDir, dataWALName+"*"))
+	if err != nil {
+		return err
+	}
+	chain, err := filepath.Glob(filepath.Join(dataDir, elemPrefix+"*"))
+	if err != nil {
+		return err
+	}
+	// In reverse name order ckpt-000008.json precedes ckpt-000008-3.crk.
+	slices.Reverse(chain)
+	for _, path := range append(wal, chain...) {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+	}
+	var manifests []string
+	for _, f := range m.Files {
+		if filepath.Ext(f.Path) == ".json" {
+			manifests = append(manifests, f.Path)
+		} else if err := os.Rename(filepath.Join(staging, f.Path), filepath.Join(dataDir, f.Path)); err != nil {
+			return err
+		}
+	}
+	if err := durable.SyncDir(dataDir); err != nil {
+		return err
+	}
+	slices.Sort(manifests)
+	for _, name := range manifests {
+		if err := durable.Publish(filepath.Join(staging, name), filepath.Join(dataDir, name)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WAL returns the attached log — status, replication reads and the

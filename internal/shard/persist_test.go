@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -400,5 +401,137 @@ func TestReplManifestReadsNoFile(t *testing.T) {
 	mustExec(t, err)
 	if !reflect.DeepEqual(after, before) {
 		t.Fatalf("listing changed with the disk:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// tree lists every path under dir with its size, -1 for a directory.
+func tree(t testing.TB, dir string) map[string]int64 {
+	t.Helper()
+	out := make(map[string]int64)
+	mustExec(t, filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			out[path] = -1
+			return err
+		}
+		info, err := d.Info()
+		out[path] = info.Size()
+		return err
+	}))
+	return out
+}
+
+// TestOldLayoutRefused: a data dir in the layout before the flat one —
+// its element directories store/ and delta-NNNNNN/, or the store.old and
+// .saving-* traces of its directory swap — holds nothing this build
+// reads. Without a chain beside it the boot is refused, naming the last
+// build that upgrades it, and the directory is left as it was: no log,
+// no boot counter, nothing deleted.
+func TestOldLayoutRefused(t *testing.T) {
+	for _, old := range []string{"store/shard.json", "delta-000001/shard.json", "store.old/shard.json", ".saving-x/shard.json"} {
+		t.Run(filepath.Dir(old), func(t *testing.T) {
+			dir := t.TempDir()
+			mustExec(t, os.MkdirAll(filepath.Join(dir, filepath.Dir(old)), 0o755))
+			mustExec(t, os.WriteFile(filepath.Join(dir, old), []byte(`{"version":2,"base":true}`), 0o644))
+			before := tree(t, dir)
+			if _, _, err := shard.OpenDurable(dir, rangeOpts()); err == nil || !strings.Contains(err.Error(), "66b2ed8") {
+				t.Fatalf("want a refusal naming the upgrading build, got %v", err)
+			}
+			if after := tree(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("a refused boot changed the data dir:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// TestOldLayoutBesideChainIsResidue: beside a chain, an old-layout
+// directory is residue — the chain boots, answers exactly, and the
+// directory is deleted. A staging dir a crashed follower bootstrap left
+// is neither: a dir holding only that boots cold.
+func TestOldLayoutBesideChainIsResidue(t *testing.T) {
+	dir := t.TempDir()
+	mustExec(t, seedDurable(t, dir).CloseWAL())
+	mustExec(t, os.MkdirAll(filepath.Join(dir, "store"), 0o755))
+	mustExec(t, os.WriteFile(filepath.Join(dir, "store", "shard.json"), []byte(`{"version":2,"base":true}`), 0o644))
+	s, info, err := shard.OpenDurable(dir, rangeOpts())
+	mustExec(t, err)
+	defer s.CloseWAL()
+	n, err := s.CountWhere("t", crackdb.Cond{Col: "k", Op: ">=", Val: 0}, crackdb.Cond{Col: "k", Op: "<", Val: 8000})
+	if err != nil || !info.Recovered || n != 8000 {
+		t.Fatalf("booted %+v, counted %d rows (%v); want the chain's 8000", info, n, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {
+		t.Fatalf("store/ survived a successful boot (%v)", err)
+	}
+
+	staged := t.TempDir()
+	mustExec(t, os.MkdirAll(filepath.Join(staged, "store.repl"), 0o755))
+	mustExec(t, os.WriteFile(filepath.Join(staged, "store.repl", "ckpt-000001.json"), []byte("{}"), 0o644))
+	cold, info, err := shard.OpenDurable(staged, rangeOpts())
+	mustExec(t, err)
+	defer cold.CloseWAL()
+	if info.Recovered || len(cold.Tables()) != 0 {
+		t.Fatalf("a dir holding only a staging dir booted %+v with tables %v, want cold", info, cold.Tables())
+	}
+}
+
+// TestInstallSnapshot: a staged copy of a primary's chain replaces a
+// follower's own chain and log — numbers that collide included — and
+// boots to the primary's answers with nothing replayed and nothing of
+// the old state left; a manifest naming anything but chain files is
+// refused before the data dir is touched.
+func TestInstallSnapshot(t *testing.T) {
+	pDir := t.TempDir()
+	p := seedDurable(t, pDir)
+	defer p.CloseWAL()
+	mustExec(t, p.InsertRows("t", [][]int64{{10, 1}, {20, 2}}))
+	if mode, err := p.Checkpoint(false); err != nil || mode != "delta" {
+		t.Fatalf("delta: mode %q err %v", mode, err)
+	}
+	m, err := p.ReplManifest()
+	mustExec(t, err)
+
+	fDir := t.TempDir()
+	f := seedDurable(t, fDir) // element 1, as the primary's base
+	mustExec(t, f.InsertRows("t", [][]int64{{30, 3}}))
+	mustExec(t, f.CloseWAL()) // the insert lives in the follower's log only
+	staging := filepath.Join(fDir, "store.repl")
+	mustExec(t, os.Mkdir(staging, 0o755))
+	for _, sf := range m.Files {
+		copyFiles(t, staging, filepath.Join(pDir, sf.Path))
+	}
+
+	before := tree(t, fDir)
+	for _, bad := range []string{"../escaped", "wal.log", "boots", "ckpt-000002.json.tmp"} {
+		foreign := shard.SnapshotManifest{Seq: m.Seq, Files: append([]shard.SnapshotFile{{Path: bad}}, m.Files...)}
+		if err := shard.InstallSnapshot(fDir, staging, foreign); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("%q: want a refusal naming it, got %v", bad, err)
+		}
+		if after := tree(t, fDir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%q: a refused install changed the data dir", bad)
+		}
+	}
+
+	mustExec(t, shard.InstallSnapshot(fDir, staging, m))
+	var want []string
+	for _, sf := range m.Files {
+		want = append(want, filepath.Join(fDir, sf.Path))
+	}
+	if got, err := filepath.Glob(filepath.Join(fDir, "ckpt-*")); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("installed chain %v, want %v (%v)", got, want, err)
+	}
+	s, info, err := shard.OpenDurable(fDir, rangeOpts())
+	mustExec(t, err)
+	defer s.CloseWAL()
+	if !info.Recovered || info.ChainDeltas != 1 || info.Replayed != 0 || info.AppliedSeq != m.Seq {
+		t.Fatalf("booted %+v from the installed chain, want a base and a delta at seq %d", info, m.Seq)
+	}
+	for _, r := range [][2]int64{{0, 8000}, {10, 11}, {30, 31}} {
+		a, err := s.CountWhere("t", crackdb.Cond{Col: "k", Op: ">=", Val: r[0]}, crackdb.Cond{Col: "k", Op: "<", Val: r[1]})
+		mustExec(t, err)
+		b, err := p.CountWhere("t", crackdb.Cond{Col: "k", Op: ">=", Val: r[0]}, crackdb.Cond{Col: "k", Op: "<", Val: r[1]})
+		mustExec(t, err)
+		if a != b {
+			t.Fatalf("count [%d, %d): follower %d, primary %d", r[0], r[1], a, b)
+		}
 	}
 }

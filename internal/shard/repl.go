@@ -52,6 +52,35 @@ type SnapshotManifest struct {
 	Files []SnapshotFile `json:"files"`
 }
 
+// Check refuses a manifest a follower must not stage: every path must be
+// a chain-file name, flat in the data dir, and no size may be negative.
+// It reports the first offending path.
+func (m SnapshotManifest) Check() error {
+	for _, f := range m.Files {
+		if !chainFileName(f.Path) {
+			return fmt.Errorf("shard: snapshot path %q is not a checkpoint file name", f.Path)
+		}
+		if f.Size < 0 {
+			return fmt.Errorf("shard: snapshot path %q has size %d", f.Path, f.Size)
+		}
+	}
+	return nil
+}
+
+// chainFileName reports whether name is one checkpointLocked writes: an
+// element's manifest or one of its shard images.
+func chainFileName(name string) bool {
+	var num, k int
+	if _, err := fmt.Sscanf(name, elemPrefix+"%d", &num); err != nil || num < 0 {
+		return false
+	}
+	if name == manifestName(num) {
+		return true
+	}
+	_, err := fmt.Sscanf(name, elemPrefix+"%d-%d.crk", &num, &k)
+	return err == nil && k >= 0 && name == shardFileName(num, k)
+}
+
 // ReplManifest lists the checkpoint image — base plus delta chain — from
 // the manifests in memory, reading no file, under the replication read
 // lock: a concurrent Checkpoint cannot change the chain mid-listing, so

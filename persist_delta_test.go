@@ -261,10 +261,12 @@ func TestDeltaChainRefusals(t *testing.T) {
 }
 
 // TestSidewaysFollowsChain: a map rides every chain element that carries
-// its key column, so the chain's tip reopens with the live store's
-// payload vectors — none gathered again, nothing fetched through the
-// base — and the budgeted count is what the columns standing at the end
-// hold, not a sum over every column an element replaced on the way.
+// its key column — whole, or as a patch of the granules one crack wrote
+// over the whole records before it — so the chain's tip reopens with the
+// live store's payload vectors — none gathered again, nothing fetched
+// through the base — and the budgeted count is what the columns standing
+// at the end hold, not a sum over every column an element replaced on
+// the way.
 func TestSidewaysFollowsChain(t *testing.T) {
 	live, m := loaded(t, "standard", 61)
 	project := func(s *crackdb.Store, lo, hi int64) [][]int64 {
@@ -280,7 +282,7 @@ func TestSidewaysFollowsChain(t *testing.T) {
 		return got
 	}
 	root := t.TempDir()
-	base, d1, d2 := filepath.Join(root, "base"), filepath.Join(root, "d1"), filepath.Join(root, "d2")
+	base, d1, d2, d3 := filepath.Join(root, "base"), filepath.Join(root, "d1"), filepath.Join(root, "d2"), filepath.Join(root, "d3")
 	project(live, 1000, 3000)
 	if err := live.Save(base); err != nil {
 		t.Fatal(err)
@@ -292,8 +294,14 @@ func TestSidewaysFollowsChain(t *testing.T) {
 		project(live, lo, lo+200)
 	}
 	saveDelta(t, live, d2)
+	project(live, 2100, 2150) // one crack: d3 patches the key column and its payload
+	saveDelta(t, live, d3)
+	if img, _, err := durable.ReadImage(d3); err != nil || len(img.Columns) != 1 ||
+		!img.Columns[0].State.Patch || len(img.Columns[0].State.Pays) != 1 {
+		t.Fatalf("d3 is not one patched column carrying its payload: %v", err)
+	}
 
-	chain, err := crackdb.Open(base, d1, d2)
+	chain, err := crackdb.Open(base, d1, d2, d3)
 	if err != nil {
 		t.Fatal(err)
 	}
