@@ -5,8 +5,7 @@
 // Usage:
 //
 //	crackbench -fig 1a|1b|1c|2|3|5|8|9|10|11|hiking|sql|parallel|stochastic|shard|recovery|sideways|batch|convergence|autotune|granules|all [flags]
-//	crackbench -addr host:port [-clients c] [-queries q] [-workload w] [-check]
-//	           [-inserts k] [-expectrows m] [-exec stmt] [-batch b]
+//	crackbench -addr host:port -exec stmt
 //
 // Flags:
 //
@@ -22,10 +21,8 @@
 //	              random|sequential|reverse|zoomin|periodic|all
 //	-queries int  queries per stochastic/shard cell (default 512 / 2000)
 //	-sel float    stochastic/shard per-query selectivity (default 0.01)
-//	-addr string  client mode: drive a running cracksrv over the wire
-//	-clients int  client mode: concurrent connections (default 4)
-//	-check        client mode: assert exact counts and server stats
-//	-batch int    client mode: pipeline window per worker (0/1 = synchronous)
+//	-addr string  with -exec: the running cracksrv to send the statement to
+//	-exec string  run one statement or /meta command there, print the reply
 //
 // Setting -strategy or -workload implies -fig stochastic, so the
 // robustness matrix reads naturally:
@@ -40,13 +37,16 @@
 //	crackbench -parallel               # read-path scaling across goroutines
 //	crackbench -workload=sequential -strategy=mdd1r   # one robustness cell
 //	crackbench -fig all -summary       # every figure, digest form
+//	crackbench -addr 127.0.0.1:7744 -exec /save   # checkpoint a durable server
+//
+// Load over the wire is the benchmark's job (go run -C bench .), and
+// cmd/cracksrv's e2e tests drive real servers with exact answers.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"crackdb/internal/figures"
@@ -66,59 +66,26 @@ func main() {
 		wload    = flag.String("workload", "all", "query pattern for -fig stochastic (random,sequential,reverse,zoomin,periodic,all)")
 		queries  = flag.Int("queries", 0, "queries per stochastic cell (0 = default)")
 		sel      = flag.Float64("sel", 0, "stochastic per-query selectivity (0 = default)")
-		addr     = flag.String("addr", "", "client mode: drive load at a running cracksrv instead of running a figure")
-		addrs    = flag.String("addrs", "", "client mode: comma-separated replicated members (any one suffices; topology is discovered via /repl)")
-		readpref = flag.String("readpref", "any", "client mode with -addrs: read routing — primary, follower, or any")
-		clients  = flag.Int("clients", 0, "client mode: concurrent connections (default 4)")
-		check    = flag.Bool("check", false, "client mode: assert exact counts and server stats")
-		inserts  = flag.Int("inserts", 0, "client mode: rows each worker INSERTs mid-stream (keys above the domain)")
-		expect   = flag.Int("expectrows", 0, "client mode: with -check, expected COUNT(*) (0 = n + this run's inserts)")
-		execCmd  = flag.String("exec", "", "client mode: run one statement or /meta command, print the reply, exit")
-		batchSz  = flag.Int("batch", 0, "client mode: pipeline window per worker (0/1 = synchronous)")
+		addr     = flag.String("addr", "", "with -exec: address of a running cracksrv")
+		execCmd  = flag.String("exec", "", "with -addr: run one statement or /meta command, print the reply, exit")
 	)
 	flag.Parse()
 
-	// -addr flips crackbench into network load-generator mode: the
-	// workload/selectivity/queries/strategy knobs keep their meaning
-	// (-strategy is applied server-side via /strategy), but figure-only
-	// flags would be silently meaningless — reject them like figure mode
-	// rejects misapplied flags.
-	if *addr != "" || *addrs != "" {
-		if *fig != "all" || *parallel || *k != 0 || *ops != 0 || *summary {
-			fmt.Fprintln(os.Stderr, "crackbench: -fig/-parallel/-k/-ops/-summary do not apply to client mode (-addr/-addrs)")
+	// -addr -exec is the one-shot client; figure flags mean nothing there.
+	if *addr != "" || *execCmd != "" {
+		if *addr == "" || *execCmd == "" {
+			fmt.Fprintln(os.Stderr, "crackbench: -addr and -exec go together")
 			os.Exit(1)
 		}
-		wl := *wload
-		if wl == "" {
-			wl = "all"
+		if *fig != "all" || *parallel || *k != 0 || *ops != 0 || *summary {
+			fmt.Fprintln(os.Stderr, "crackbench: -fig/-parallel/-k/-ops/-summary do not apply to -exec")
+			os.Exit(1)
 		}
-		strategy := *strat
-		if strategy == "all" {
-			strategy = "" // server keeps its configured strategy
-		}
-		var members []string
-		if *addrs != "" {
-			for _, a := range strings.Split(*addrs, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					members = append(members, a)
-				}
-			}
-		}
-		err := runClient(clientConfig{
-			addr: *addr, addrs: members, readpref: *readpref,
-			clients: *clients, queries: *queries, n: *n,
-			seed: *seed, sel: *sel, workload: wl, strategy: strategy, check: *check,
-			inserts: *inserts, expect: *expect, exec: *execCmd, batch: *batchSz,
-		})
-		if err != nil {
+		if err := execOnce(*addr, *execCmd); err != nil {
 			fmt.Fprintln(os.Stderr, "crackbench:", err)
 			os.Exit(1)
 		}
 		return
-	}
-	if *clients != 0 || *check || *inserts != 0 || *expect != 0 || *execCmd != "" || *batchSz != 0 {
-		fmt.Fprintln(os.Stderr, "crackbench: -clients/-check/-inserts/-expectrows/-exec/-batch require client mode (-addr)")
-		os.Exit(1)
 	}
 
 	target := *fig

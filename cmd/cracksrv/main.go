@@ -14,10 +14,14 @@
 // The wire protocol is length-prefixed text frames (see
 // internal/server): each request is one SQL statement or one /meta
 // command — send /help for the list the running server answers to.
-// Drive it with cmd/crackbench's client mode:
+// cmd/crackbench sends one statement to a running server:
 //
 //	cracksrv -addr 127.0.0.1:7744 -shards 4 &
-//	crackbench -addr 127.0.0.1:7744 -clients 4 -queries 2000 -check
+//	crackbench -addr 127.0.0.1:7744 -exec '/tapestry bench 100000 2'
+//	crackbench -addr 127.0.0.1:7744 -exec 'SELECT COUNT(*) FROM bench WHERE c0 < 500'
+//
+// The e2e tests (go test -tags e2e ./cmd/cracksrv) start this program
+// as primaries and followers and check its answers against a model.
 //
 // With -data the server is durable: every mutation is appended to
 // <dir>/wal.log — fsynced, group-committed — before it is acked, /save
@@ -64,7 +68,7 @@
 // address for curl and go tool pprof.
 //
 // SIGINT/SIGTERM shut the server down cleanly (drain, then exit 0), so
-// process supervisors and the CI smoke harness can assert a clean stop.
+// process supervisors and the e2e tests can assert a clean stop.
 package main
 
 import (

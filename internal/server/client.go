@@ -27,21 +27,27 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
 	return &Client{
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 1<<16),
 		w:    bufio.NewWriterSize(conn, 1<<16),
-	}, nil
+	}
 }
 
 // DialTimeout is Dial with a connect timeout, retrying until the
-// deadline — the e2e harness races server startup.
+// deadline — a follower heartbeats to its primary before it listens.
+// Each attempt is bounded by the time left, so a connect the peer never
+// completes (a full accept queue drops the SYN) cannot outlast it.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		c, err := Dial(addr)
+		conn, err := net.DialTimeout("tcp", addr, max(time.Until(deadline), time.Millisecond))
 		if err == nil {
-			return c, nil
+			return newClient(conn), nil
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("server: dial %s: %w", addr, err)

@@ -399,7 +399,7 @@ func TestFollowerReadOnly(t *testing.T) {
 }
 
 // TestDiscoverAndFence: discovery from a single follower names the
-// whole topology, each read preference selects its members, a fence
+// whole topology, a fence
 // after writes on a raw client makes both followers count exactly, and
 // a follower that died but is still listed by the primary is dropped.
 func TestDiscoverAndFence(t *testing.T) {
@@ -419,20 +419,6 @@ func TestDiscoverAndFence(t *testing.T) {
 	if topo.Primary != pAddr || !equalLines(topo.Followers, followers) {
 		t.Fatalf("discovered %+v, want primary %s and followers %v", topo, pAddr, followers)
 	}
-	for pref, want := range map[string][]string{
-		"follower": followers,
-		"any":      append(append([]string(nil), followers...), pAddr),
-		"primary":  {pAddr},
-	} {
-		got, err := topo.Readers(pref)
-		if err != nil || !equalLines(got, want) {
-			t.Fatalf("Readers(%q) = (%v, %v), want %v", pref, got, err, want)
-		}
-	}
-	if got, err := topo.Readers("nearest"); err == nil {
-		t.Fatalf("Readers(\"nearest\") = %v, want an error", got)
-	}
-
 	pc, err := Dial(pAddr)
 	if err != nil {
 		t.Fatal(err)

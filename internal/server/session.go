@@ -11,10 +11,10 @@ import (
 // A replicated deployment is one primary and its followers. Only the
 // logical log is shipped and every member cracks its own columns under
 // the reads it serves, so a client needs nothing cluster-wide: it needs
-// to know which member to dial (Discover, Readers) and a read-your-writes
+// to know which members there are (Discover) and a read-your-writes
 // barrier between a write phase and a follower-read phase (Fence).
 // Statements then travel over ordinary Clients — writes to the primary,
-// reads to whichever reader the caller picks.
+// reads to whichever member the caller picks.
 //
 // Replication is asynchronous, so follower reads are eventually
 // consistent; Fence is what makes a read after it see every write the
@@ -57,7 +57,7 @@ func Discover(addrs []string) (Topology, error) {
 // to us names the primary, the primary names its other followers. Every
 // learned address is dialed once, so a member the topology still lists
 // but that has gone away (a crashed follower the primary remembers) is
-// dropped instead of becoming an unreachable reader or fence target.
+// dropped instead of becoming an unreachable member or fence target.
 // The dial waits out a 2 s timeout because a freshly started follower
 // heartbeats to its primary before it listens.
 func probeTopology(addrs []string) (roles map[string]string, alive map[string]bool, firstErr error) {
@@ -115,38 +115,6 @@ func probeTopology(addrs []string) (roles map[string]string, alive map[string]bo
 		}
 	}
 	return roles, alive, firstErr
-}
-
-// Readers lists the members that serve reads under the preference:
-// "primary" (or "") the primary alone; "follower" (or "followers") the
-// followers, falling back to the primary when there are none; "any"
-// every member, primary last.
-func (t Topology) Readers(pref string) ([]string, error) {
-	var readers []string
-	switch strings.ToLower(pref) {
-	case "primary", "":
-		if t.Primary == "" {
-			return nil, fmt.Errorf("server: read preference primary, but no primary reachable")
-		}
-		readers = []string{t.Primary}
-	case "follower", "followers":
-		if len(t.Followers) > 0 {
-			readers = append(readers, t.Followers...)
-		} else if t.Primary != "" {
-			readers = []string{t.Primary}
-		}
-	case "any":
-		readers = append(readers, t.Followers...)
-		if t.Primary != "" {
-			readers = append(readers, t.Primary)
-		}
-	default:
-		return nil, fmt.Errorf("server: unknown read preference %q (primary|follower|any)", pref)
-	}
-	if len(readers) == 0 {
-		return nil, fmt.Errorf("server: no readable member")
-	}
-	return readers, nil
 }
 
 // Fence blocks until every follower has applied everything the primary
