@@ -38,6 +38,7 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
+	"crackdb/internal/durable"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 	"crackdb/internal/sideways"
@@ -199,11 +200,15 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 
 // installLocked registers t under name — the one way into the registry
 // for a created, loaded, materialized, partitioned, reunited or
-// image-restored table: a taken name is refused, the table is wrapped for
+// image-restored table: a taken name is refused, and so is a table or
+// column name longer than an image can carry; the table is wrapped for
 // cracking and stamped with a fresh generation. The caller holds s.mu.
 func (s *Store) installLocked(name string, t *relation.Table) error {
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
+	}
+	if err := durable.CheckNames(name, t.ColumnNames()); err != nil {
+		return err
 	}
 	t.Name = name
 	// Every single-range selection the wrapper answers is forwarded to

@@ -496,3 +496,28 @@ func TestOpenRejectsCorruptStore(t *testing.T) {
 
 func readFile(path string) ([]byte, error)     { return os.ReadFile(path) }
 func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
+
+// TestNameBoundOnStore: every way a table enters the store refuses a
+// table or column name longer than an image can carry, with the text the
+// router gives too.
+func TestNameBoundOnStore(t *testing.T) {
+	s := newEventStore(t, 100)
+	res, err := s.Select("events", "ts", 0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 1<<20+1)
+	for what, err := range map[string]error{
+		"create table":  s.CreateTable(long, "a"),
+		"create column": s.CreateTable("u", "a", long),
+		"tapestry":      s.LoadTapestry(long, 10, 1, 1),
+		"materialize":   res.Materialize(long),
+	} {
+		if err == nil || !strings.HasPrefix(err.Error(), "crackdb: ") || !strings.Contains(err.Error(), "name of 1048577 bytes exceeds 1048576") {
+			t.Fatalf("%s with a long name: err %v", what, err)
+		}
+	}
+	if got := s.Tables(); len(got) != 1 {
+		t.Fatalf("tables after refusals: %v", got)
+	}
+}

@@ -188,8 +188,10 @@ func (e *imageEncoder) finish() uint32 {
 	return sum
 }
 
+// room flushes a full buffer to the file. An encoder without a file —
+// one encoding a WAL record — only appends.
 func (e *imageEncoder) room() {
-	if len(e.buf) >= encodeChunk {
+	if e.f != nil && len(e.buf) >= encodeChunk {
 		e.flush()
 	}
 }
@@ -206,7 +208,7 @@ func (e *imageEncoder) bool(v bool) {
 
 func (e *imageEncoder) u32(v uint32) { e.room(); e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *imageEncoder) u64(v uint64) { e.room(); e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *imageEncoder) str(s string) { e.room(); e.buf = appendString(e.buf, s) }
+func (e *imageEncoder) str(s string) { e.u32(uint32(len(s))); e.buf = append(e.buf, s...) }
 
 func (e *imageEncoder) int64s(vals []int64) {
 	for _, v := range vals {
@@ -366,22 +368,23 @@ func ReadImage(path string) (*Image, uint32, error) {
 	return img, want, nil
 }
 
-// imageDecoder is a little decoding cursor with sticky error handling. A
+// imageDecoder is a little decoding cursor with sticky error handling,
+// the one decoder of both an image file and a WAL record payload. A
 // vector is read with one read of its whole byte length, which count has
-// already bounded by the file size, and decoded from that buffer.
+// already bounded by the input's size, and decoded from that buffer.
 type imageDecoder struct {
 	r     io.Reader
 	err   error
-	limit int64  // file size: upper bound for any on-disk length field
+	limit int64  // input size: upper bound for any length field
 	buf   []byte // scratch behind next, reused by every read
 }
 
 // count reads nothing: it validates a length field just read — n entries
-// of at least entrySize bytes each must fit in the file, or the field is
+// of at least entrySize bytes each must fit in the input, or the field is
 // corrupt. It returns n, or 0 once the decoder has failed.
 func (d *imageDecoder) count(n uint64, entrySize int64, what string) uint64 {
 	if d.err == nil && n > uint64(d.limit)/uint64(entrySize) {
-		d.err = fmt.Errorf("%s count %d exceeds file capacity", what, n)
+		d.err = fmt.Errorf("%s count %d exceeds input capacity", what, n)
 	}
 	if d.err != nil {
 		return 0
@@ -410,12 +413,9 @@ func (d *imageDecoder) u64() uint64 { return binary.LittleEndian.Uint64(d.next(8
 func (d *imageDecoder) int() int    { return int(int64(d.u64())) }
 
 func (d *imageDecoder) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		d.err = fmt.Errorf("implausible string length %d", n)
+	n := d.count(uint64(d.u32()), 1, "string byte")
+	if n > MaxName {
+		d.err = fmt.Errorf("string of %d bytes exceeds %d", n, MaxName)
 		return ""
 	}
 	return string(d.next(int(n)))

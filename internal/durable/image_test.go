@@ -437,7 +437,8 @@ func TestOldImageVersionRefused(t *testing.T) {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
-		body = appendString(body, "standard")
+		body = binary.LittleEndian.AppendUint32(body, uint32(len("standard")))
+		body = append(body, "standard"...)
 		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 		path := filepath.Join(t.TempDir(), "crackstate.crk")
 		if err := os.WriteFile(path, body, 0o644); err != nil {

@@ -27,10 +27,12 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 )
 
@@ -61,23 +63,14 @@ const (
 	KindDelete
 )
 
+var kindNames = [...]string{KindCreate: "create", KindInsert: "insert", KindDrop: "drop",
+	KindTapestry: "tapestry", KindStrategy: "strategy", KindDelete: "delete"}
+
 func (k RecordKind) String() string {
-	switch k {
-	case KindCreate:
-		return "create"
-	case KindInsert:
-		return "insert"
-	case KindDrop:
-		return "drop"
-	case KindTapestry:
-		return "tapestry"
-	case KindStrategy:
-		return "strategy"
-	case KindDelete:
-		return "delete"
-	default:
-		return fmt.Sprintf("RecordKind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("RecordKind(%d)", uint8(k))
 }
 
 // Cond is one comparison of a logged delete predicate. It mirrors the
@@ -92,7 +85,7 @@ type Cond struct {
 // Record is one logged mutation. Field use per kind:
 //
 //	KindCreate:   Table, Cols; Key+Part when the table is partitioned
-//	KindInsert:   Table, Rows (every row has the same arity)
+//	KindInsert:   Table, Rows (≥ 1 row, all of one arity ≥ 1)
 //	KindDrop:     Table
 //	KindTapestry: Table, N, Alpha, Seed
 //	KindStrategy: Name, Seed, Shard (-1 = every shard)
@@ -112,178 +105,134 @@ type Record struct {
 	Conds []Cond
 }
 
-// ErrCorrupt is returned when a WAL or snapshot image fails validation
-// beyond the recoverable truncated-tail case.
-var ErrCorrupt = errors.New("durable: corrupt image")
+// ErrCorrupt is returned when a WAL, a replicated batch or a snapshot
+// image fails validation beyond the recoverable truncated-tail case.
+var ErrCorrupt = errors.New("durable: corrupt data")
 
-// appendString appends a length-prefixed UTF-8 string.
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
+// MaxName bounds every string the WAL and image codecs carry: a decoder
+// refuses a longer one as corruption. A table or column name enters the
+// store through CheckNames, so no store ever logs or checkpoints a name
+// its own boot would refuse.
+const MaxName = 1 << 20
+
+// CheckNames refuses a table or column name longer than MaxName. The
+// text is the store's canonical error: the single store and the router
+// both check through here, the router before it logs the create.
+func CheckNames(table string, cols []string) error {
+	if len(table) > MaxName {
+		return fmt.Errorf("crackdb: table name of %d bytes exceeds %d", len(table), MaxName)
+	}
+	for _, c := range cols {
+		if len(c) > MaxName {
+			return fmt.Errorf("crackdb: column name of %d bytes exceeds %d", len(c), MaxName)
+		}
+	}
+	return nil
 }
 
-func readString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("%w: short string header", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint64(n) > uint64(len(b)) {
-		return "", nil, fmt.Errorf("%w: string length %d exceeds payload", ErrCorrupt, n)
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-// encodeRecord serializes one record payload (no framing, no checksum —
-// the WAL layer adds those).
+// encodeRecord appends one record payload to b (no framing, no checksum
+// — frameRecord adds those). It writes through the image's encoder, so
+// one set of field writers serves both formats.
 func encodeRecord(b []byte, r Record) []byte {
-	b = append(b, byte(r.Kind))
-	b = appendString(b, r.Table)
+	e := imageEncoder{buf: b}
+	e.u8(uint8(r.Kind))
+	e.str(r.Table)
 	switch r.Kind {
 	case KindCreate:
-		b = appendString(b, r.Key)
-		b = appendString(b, r.Part)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Cols)))
+		e.str(r.Key)
+		e.str(r.Part)
+		e.u32(uint32(len(r.Cols)))
 		for _, c := range r.Cols {
-			b = appendString(b, c)
+			e.str(c)
 		}
 	case KindInsert:
 		arity := 0
 		if len(r.Rows) > 0 {
 			arity = len(r.Rows[0])
 		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Rows)))
-		b = binary.LittleEndian.AppendUint32(b, uint32(arity))
+		e.u32(uint32(len(r.Rows)))
+		e.u32(uint32(arity))
 		for _, row := range r.Rows {
-			for _, v := range row {
-				b = binary.LittleEndian.AppendUint64(b, uint64(v))
-			}
+			e.int64s(row)
 		}
-	case KindDrop:
-		// table name only
 	case KindTapestry:
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.N))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Alpha))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Seed))
+		e.u64(uint64(r.N))
+		e.u64(uint64(r.Alpha))
+		e.u64(uint64(r.Seed))
 	case KindStrategy:
-		b = appendString(b, r.Name)
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Seed))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Shard))
+		e.str(r.Name)
+		e.u64(uint64(r.Seed))
+		e.u64(uint64(r.Shard))
 	case KindDelete:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Conds)))
+		e.u32(uint32(len(r.Conds)))
 		for _, c := range r.Conds {
-			b = appendString(b, c.Col)
-			b = appendString(b, c.Op)
-			b = binary.LittleEndian.AppendUint64(b, uint64(c.Val))
+			e.str(c.Col)
+			e.str(c.Op)
+			e.u64(uint64(c.Val))
 		}
 	}
-	return b
+	return e.buf
 }
 
-// decodeRecord parses one record payload produced by encodeRecord.
+// decodeRecord parses one record payload produced by encodeRecord,
+// through the image's decoder: every count is bounded by the payload's
+// length before anything is allocated, and a payload must end where its
+// record does.
 func decodeRecord(b []byte) (Record, error) {
-	if len(b) < 1 {
-		return Record{}, fmt.Errorf("%w: empty record", ErrCorrupt)
+	rd := bytes.NewReader(b)
+	d := &imageDecoder{r: rd, limit: int64(len(b))}
+	r := d.record()
+	if d.err == nil && rd.Len() > 0 {
+		d.err = fmt.Errorf("%d trailing bytes after %s record", rd.Len(), r.Kind)
 	}
-	r := Record{Kind: RecordKind(b[0])}
-	b = b[1:]
-	var err error
-	if r.Table, b, err = readString(b); err != nil {
-		return Record{}, err
+	if d.err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
 	}
+	return r, nil
+}
+
+func (d *imageDecoder) record() Record {
+	r := Record{Kind: RecordKind(d.u8()), Table: d.str()}
 	switch r.Kind {
 	case KindCreate:
-		if r.Key, b, err = readString(b); err != nil {
-			return Record{}, err
-		}
-		if r.Part, b, err = readString(b); err != nil {
-			return Record{}, err
-		}
-		if len(b) < 4 {
-			return Record{}, fmt.Errorf("%w: short column count", ErrCorrupt)
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if n > 1<<20 {
-			return Record{}, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, n)
-		}
-		r.Cols = make([]string, n)
+		r.Key, r.Part = d.str(), d.str()
+		r.Cols = make([]string, d.count(uint64(d.u32()), 4, "column"))
 		for i := range r.Cols {
-			if r.Cols[i], b, err = readString(b); err != nil {
-				return Record{}, err
-			}
+			r.Cols[i] = d.str()
 		}
 	case KindInsert:
-		if len(b) < 8 {
-			return Record{}, fmt.Errorf("%w: short insert header", ErrCorrupt)
+		nrows, arity := uint64(d.u32()), uint64(d.u32())
+		if d.err == nil && (nrows == 0 || arity == 0) {
+			d.err = fmt.Errorf("insert of %d rows of %d values", nrows, arity)
 		}
-		nrows := binary.LittleEndian.Uint32(b)
-		arity := binary.LittleEndian.Uint32(b[4:])
-		b = b[8:]
-		need := uint64(nrows) * uint64(arity) * 8
-		if arity > 1<<20 || need != uint64(len(b)) {
-			return Record{}, fmt.Errorf("%w: insert body %d bytes, want %d", ErrCorrupt, len(b), need)
-		}
-		r.Rows = make([][]int64, nrows)
-		for i := range r.Rows {
-			row := make([]int64, arity)
-			for j := range row {
-				row[j] = int64(binary.LittleEndian.Uint64(b))
-				b = b[8:]
+		if n := d.count(nrows*arity, 8, "insert value"); n > 0 {
+			vals := d.int64s(n)
+			r.Rows = make([][]int64, nrows)
+			for i := range r.Rows {
+				r.Rows[i] = vals[uint64(i)*arity : uint64(i+1)*arity : uint64(i+1)*arity]
 			}
-			r.Rows[i] = row
 		}
 	case KindDrop:
 	case KindTapestry:
-		if len(b) != 24 {
-			return Record{}, fmt.Errorf("%w: tapestry body %d bytes, want 24", ErrCorrupt, len(b))
-		}
-		r.N = int(int64(binary.LittleEndian.Uint64(b)))
-		r.Alpha = int(int64(binary.LittleEndian.Uint64(b[8:])))
-		r.Seed = int64(binary.LittleEndian.Uint64(b[16:]))
+		r.N, r.Alpha, r.Seed = d.int(), d.int(), int64(d.u64())
 	case KindStrategy:
-		if r.Name, b, err = readString(b); err != nil {
-			return Record{}, err
-		}
-		if len(b) != 16 {
-			return Record{}, fmt.Errorf("%w: strategy body %d bytes, want 16", ErrCorrupt, len(b))
-		}
-		r.Seed = int64(binary.LittleEndian.Uint64(b))
-		shard := int64(binary.LittleEndian.Uint64(b[8:]))
-		if shard < math.MinInt32 || shard > math.MaxInt32 {
-			return Record{}, fmt.Errorf("%w: implausible shard index %d", ErrCorrupt, shard)
+		r.Name, r.Seed = d.str(), int64(d.u64())
+		shard := int64(d.u64())
+		if d.err == nil && (shard < math.MinInt32 || shard > math.MaxInt32) {
+			d.err = fmt.Errorf("implausible shard index %d", shard)
 		}
 		r.Shard = int(shard)
 	case KindDelete:
-		if len(b) < 4 {
-			return Record{}, fmt.Errorf("%w: short delete header", ErrCorrupt)
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if n > 1<<20 {
-			return Record{}, fmt.Errorf("%w: implausible condition count %d", ErrCorrupt, n)
-		}
-		r.Conds = make([]Cond, n)
+		r.Conds = make([]Cond, d.count(uint64(d.u32()), 16, "condition")) // two strings + value
 		for i := range r.Conds {
-			if r.Conds[i].Col, b, err = readString(b); err != nil {
-				return Record{}, err
-			}
-			if r.Conds[i].Op, b, err = readString(b); err != nil {
-				return Record{}, err
-			}
-			if len(b) < 8 {
-				return Record{}, fmt.Errorf("%w: short delete condition", ErrCorrupt)
-			}
-			r.Conds[i].Val = int64(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-		}
-		if len(b) != 0 {
-			return Record{}, fmt.Errorf("%w: %d trailing bytes after delete record", ErrCorrupt, len(b))
+			r.Conds[i] = Cond{Col: d.str(), Op: d.str(), Val: int64(d.u64())}
 		}
 	default:
-		return Record{}, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, r.Kind)
+		if d.err == nil {
+			d.err = fmt.Errorf("unknown record kind %d", r.Kind)
+		}
 	}
-	return r, nil
+	return r
 }
 
 // frameRecord wraps an encoded payload in the WAL's on-disk framing:
@@ -293,53 +242,68 @@ func decodeRecord(b []byte) (Record, error) {
 //	crc  uint32  CRC-32 (IEEE) of the payload
 //
 // A record is valid iff the full frame is present and the checksum
-// matches; anything shorter is a truncated tail.
+// matches; anything shorter is a truncated tail. readFrame is the one
+// reader of this framing.
 func frameRecord(b []byte, r Record) []byte {
 	start := len(b)
-	b = binary.LittleEndian.AppendUint32(b, 0) // length back-patched below
-	payloadStart := len(b)
-	b = encodeRecord(b, r)
-	payload := b[payloadStart:]
+	b = encodeRecord(binary.LittleEndian.AppendUint32(b, 0), r) // length back-patched below
+	payload := b[start+4:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
-// EncodeRecords serializes a record batch in the WAL's checksummed frame
-// format — the replication stream's payload encoding, so a follower
-// validates shipped records with exactly the machinery boot-time replay
-// uses.
-func EncodeRecords(recs []Record) []byte {
-	var b []byte
-	for _, r := range recs {
-		b = frameRecord(b, r)
+// errTornFrame is readFrame's verdict on a frame cut short or failing its
+// checksum: the end of the valid prefix to Open's replay, corruption to
+// every other reader.
+var errTornFrame = errors.New("torn record frame")
+
+// readFrame appends to dst the next frame read from r, which holds left
+// more bytes of the log or batch, exactly as it was written (length and
+// checksum included), or returns io.EOF at a clean boundary.
+func readFrame(r io.Reader, left int64, dst []byte) ([]byte, error) {
+	start := len(dst)
+	switch {
+	case left == 0:
+		return dst, io.EOF
+	case left < 8:
+		return dst, errTornFrame
 	}
-	return b
+	dst = append(dst, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, dst[start:]); err != nil {
+		return dst[:start], err
+	}
+	n := int64(binary.LittleEndian.Uint32(dst[start:]))
+	if n > left-8 {
+		return dst[:start], errTornFrame
+	}
+	dst = append(dst, make([]byte, n+4)...)
+	if _, err := io.ReadFull(r, dst[start+4:]); err != nil {
+		return dst[:start], err
+	}
+	if binary.LittleEndian.Uint32(dst[len(dst)-4:]) != crc32.ChecksumIEEE(dst[start+4:len(dst)-4]) {
+		return dst[:start], errTornFrame
+	}
+	return dst, nil
 }
 
-// DecodeRecords parses a batch produced by EncodeRecords. Unlike the
-// WAL scan there is no torn tail to tolerate: anything short, trailing,
-// or checksum-mismatched is corruption.
+// DecodeRecords parses the frames WAL.ReadCommitted returns — the
+// replication stream's payload — with the frame reader boot uses. A torn
+// frame anywhere in the batch is corruption: there is no tail to forgive.
 func DecodeRecords(b []byte) ([]Record, error) {
+	rd := bytes.NewReader(b)
 	var out []Record
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("%w: short record frame header", ErrCorrupt)
+	var frame []byte
+	for {
+		var err error
+		if frame, err = readFrame(rd, int64(rd.Len()), frame[:0]); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("%w: batch record %d: %v", ErrCorrupt, len(out), err)
 		}
-		n := binary.LittleEndian.Uint32(b)
-		if uint64(n)+8 > uint64(len(b)) {
-			return nil, fmt.Errorf("%w: record frame of %d bytes exceeds batch", ErrCorrupt, n)
-		}
-		payload := b[4 : 4+n]
-		sum := binary.LittleEndian.Uint32(b[4+n:])
-		if sum != crc32.ChecksumIEEE(payload) {
-			return nil, fmt.Errorf("%w: record frame checksum mismatch", ErrCorrupt)
-		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(frame[4 : len(frame)-4])
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, rec)
-		b = b[8+n:]
 	}
-	return out, nil
 }

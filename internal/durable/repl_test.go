@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -27,6 +28,34 @@ func waitDurable(t *testing.T, w *WAL, seq uint64) {
 	}
 }
 
+// streamFrames reads [from, end) in budgets of one byte: every call must
+// return at least one frame. It returns the frames concatenated.
+func streamFrames(t *testing.T, w *WAL, from, end uint64) []byte {
+	t.Helper()
+	var out []byte
+	for from < end {
+		chunk, next, err := w.ReadCommitted(from, 1)
+		if err != nil {
+			t.Fatalf("read at %d: %v", from, err)
+		}
+		if len(chunk) == 0 || next <= from {
+			t.Fatalf("empty chunk at %d with records remaining", from)
+		}
+		out = append(out, chunk...)
+		from = next
+	}
+	return out
+}
+
+// framesOf frames records the way Append writes them.
+func framesOf(recs []Record) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = frameRecord(b, r)
+	}
+	return b
+}
+
 func TestReadCommittedStream(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, err := Create(path, 0)
@@ -43,20 +72,17 @@ func TestReadCommittedStream(t *testing.T) {
 	}
 	waitDurable(t, w, uint64(len(recs)))
 
-	// Stream in tiny byte budgets: every call returns at least one record
-	// and the concatenation is exactly the appended sequence.
-	var got []Record
-	from := uint64(0)
-	for from < uint64(len(recs)) {
-		chunk, next, err := w.ReadCommitted(from, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chunk) == 0 {
-			t.Fatalf("empty chunk at %d with records remaining", from)
-		}
-		got = append(got, chunk...)
-		from = next
+	// Stream in tiny byte budgets: every call returns at least one frame,
+	// and the concatenation is exactly the appended frames as the log
+	// holds them, which decode to the appended records.
+	from := uint64(len(recs))
+	frames := streamFrames(t, w, 0, from)
+	if want := framesOf(recs); !bytes.Equal(frames, want) {
+		t.Fatalf("streamed frames differ from the appended ones:\n got %x\nwant %x", frames, want)
+	}
+	got, err := DecodeRecords(frames)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("streamed records mismatch:\n got %+v\nwant %+v", got, recs)
@@ -120,18 +146,13 @@ func TestRotateArchivesSegments(t *testing.T) {
 		}
 	}
 
-	var got []Record
-	from := uint64(0)
-	for from < uint64(len(want)) {
-		chunk, next, err := w.ReadCommitted(from, 1)
-		if err != nil {
-			t.Fatalf("read at %d: %v", from, err)
-		}
-		if len(chunk) == 0 {
-			t.Fatalf("empty chunk at %d", from)
-		}
-		got = append(got, chunk...)
-		from = next
+	frames := streamFrames(t, w, 0, uint64(len(want)))
+	if !bytes.Equal(frames, framesOf(want)) {
+		t.Fatalf("post-rotation frames differ from the appended ones")
+	}
+	got, err := DecodeRecords(frames)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-rotation stream mismatch:\n got %+v\nwant %+v", got, want)
@@ -173,11 +194,11 @@ func TestArchivePruningRequiresSnapshot(t *testing.T) {
 	if len(arches) != archiveRetain {
 		t.Fatalf("kept %d archives, want %d", len(arches), archiveRetain)
 	}
-	recs, _, err := w.ReadCommitted(arches[0], 1<<20)
+	frames, _, err := w.ReadCommitted(arches[0], 1<<20)
 	if err != nil {
 		t.Fatalf("read from oldest kept archive: %v", err)
 	}
-	if len(recs) == 0 {
+	if recs, err := DecodeRecords(frames); err != nil || len(recs) == 0 {
 		t.Fatal("oldest kept archive served no records")
 	}
 }

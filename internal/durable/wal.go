@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -110,24 +109,46 @@ func Create(path string, baseSeq uint64) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic[:]...)
-	hdr = append(hdr, walVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, baseSeq)
-	if _, err := f.Write(hdr); err != nil {
+	if err = writeHeader(f, baseSeq); err == nil {
+		err = SyncDir(filepath.Dir(path))
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
+	return newWAL(path, f, baseSeq, walHeaderSize), nil
+}
+
+// writeHeader writes and fsyncs the header of a segment based at base.
+func writeHeader(f *os.File, base uint64) error {
+	hdr := append(walMagic[:], walVersion)
+	return writeAndSync(f, binary.LittleEndian.AppendUint64(hdr, base))
+}
+
+// readHeader checks a segment's header and returns the base it names, a
+// reader at the first frame, and the bytes past the header (negative when
+// the header is cut short). A short header, a wrong magic or a wrong
+// version is ErrCorrupt. The file size bounds every frame length: a
+// corrupt length field larger than the remaining bytes is a torn frame by
+// definition, and checking it up front keeps a bit-flipped 1 GB length
+// from being allocated before the read would have failed anyway. A failed
+// Stat must abort the read — treating it as size 0 would classify every
+// record as torn tail and let Open truncate a healthy log.
+func readHeader(f *os.File) (uint64, *bufio.Reader, int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("durable: stat WAL: %w", err)
 	}
-	if err := SyncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
+	br := bufio.NewReaderSize(f, 1<<16)
+	left := fi.Size() - walHeaderSize
+	var hdr [walHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return 0, nil, left, fmt.Errorf("%w: short WAL header: %v", ErrCorrupt, err)
 	}
-	w := newWAL(path, f, baseSeq, walHeaderSize)
-	return w, nil
+	if [4]byte(hdr[:4]) != walMagic || hdr[4] != walVersion {
+		return 0, nil, left, fmt.Errorf("%w: bad WAL header %q", ErrCorrupt, hdr[:5])
+	}
+	return binary.LittleEndian.Uint64(hdr[5:]), br, left, nil
 }
 
 func newWAL(path string, f *os.File, baseSeq uint64, size int64) *WAL {
@@ -185,57 +206,23 @@ func Open(path string, baseSeq uint64, apply func(seq uint64, r Record) error) (
 }
 
 // scanWAL walks the frames from the start, applying complete records and
-// reporting where the valid prefix ends.
+// reporting where the valid prefix ends: at the first torn frame.
 func scanWAL(f *os.File, apply func(uint64, Record) error) (base uint64, goodEnd int64, recs uint64, err error) {
-	hdr := make([]byte, walHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: short WAL header: %v", ErrCorrupt, err)
-	}
-	if [4]byte(hdr[:4]) != walMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad WAL magic %q", ErrCorrupt, hdr[:4])
-	}
-	if hdr[4] != walVersion {
-		return 0, 0, 0, fmt.Errorf("durable: unsupported WAL version %d", hdr[4])
-	}
-	base = binary.LittleEndian.Uint64(hdr[5:])
-	goodEnd = walHeaderSize
-
-	// The file size bounds every frame length: a corrupt length field
-	// larger than the remaining bytes is a torn tail by definition, and
-	// checking it up front keeps a bit-flipped 1 GB length from being
-	// allocated before ReadFull would have failed anyway. A failed Stat
-	// must abort the scan — treating it as size 0 would classify every
-	// record as torn tail and let Open truncate a healthy log.
-	fi, err := f.Stat()
+	base, br, left, err := readHeader(f)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("durable: stat WAL: %w", err)
+		return 0, 0, 0, err
 	}
-	size := fi.Size()
-
-	var frame [8]byte
-	var payload []byte
+	goodEnd = walHeaderSize
+	var frame []byte
 	for {
-		if _, err := io.ReadFull(f, frame[:4]); err != nil {
-			return base, goodEnd, recs, nil // clean EOF or torn length: prefix ends here
+		frame, err = readFrame(br, left, frame[:0])
+		if err == io.EOF || err == errTornFrame {
+			return base, goodEnd, recs, nil // the valid prefix ends here
 		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		if n > 1<<30 || int64(n) > size-goodEnd-8 {
-			return base, goodEnd, recs, nil // garbage length: treat as torn tail
+		if err != nil {
+			return base, goodEnd, recs, err
 		}
-		if uint64(cap(payload)) < uint64(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return base, goodEnd, recs, nil
-		}
-		if _, err := io.ReadFull(f, frame[4:8]); err != nil {
-			return base, goodEnd, recs, nil
-		}
-		if binary.LittleEndian.Uint32(frame[4:8]) != crc32.ChecksumIEEE(payload) {
-			return base, goodEnd, recs, nil // torn or bit-flipped record: stop at the prefix
-		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(frame[4 : len(frame)-4])
 		if err != nil {
 			// The checksum matched but the payload is structurally invalid:
 			// that is corruption, not a torn tail — refuse to serve.
@@ -247,7 +234,8 @@ func scanWAL(f *os.File, apply func(uint64, Record) error) (base uint64, goodEnd
 					base+recs, rec.Kind, rec.Table, err)
 			}
 		}
-		goodEnd += int64(4 + n + 4)
+		goodEnd += int64(len(frame))
+		left -= int64(len(frame))
 		recs++
 	}
 }
@@ -416,36 +404,21 @@ func (w *WAL) Rotate(baseSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic[:]...)
-	hdr = append(hdr, walVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, baseSeq)
-	if _, err := nf.Write(hdr); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return err
-	}
 	// Archive the retired segment before the new file takes its name. A
 	// crash in between leaves no live log at all — recovery then creates
 	// a fresh one based at the checkpoint stamp, which is exactly what
 	// this rotation was about to install.
-	if err := os.Rename(w.path, archivePath(w.path, w.base)); err != nil && !os.IsNotExist(err) {
+	if err = writeHeader(nf, baseSeq); err == nil {
+		if err = os.Rename(w.path, archivePath(w.path, w.base)); os.IsNotExist(err) {
+			err = nil
+		}
+	}
+	if err == nil {
+		err = Publish(tmp, w.path)
+	}
+	if err != nil {
 		nf.Close()
 		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := SyncDir(filepath.Dir(w.path)); err != nil {
-		nf.Close()
 		return err
 	}
 	w.f.Close()
@@ -533,19 +506,20 @@ func (w *WAL) CommitSignal() (uint64, <-chan struct{}) {
 	return w.durSeq, w.commitCh
 }
 
-// ReadCommitted reads committed records with sequence numbers in
-// [from, durable-frontier), stopping early once the batch exceeds
-// maxBytes of encoded payload (at least one record is always returned
-// when any is available). It returns the records together with the next
-// sequence to request. The read uses its own descriptor, so it never
-// disturbs (or blocks behind) the append path; a concurrent rotation is
-// detected by the file header's baseSeq and retried against the new log.
+// ReadCommitted returns the committed frames with sequence numbers in
+// [from, durable-frontier) as the log holds them, each checked by the
+// reader boot uses (DecodeRecords parses them), and the next sequence to
+// request. It stops once the batch exceeds maxBytes of payload, and
+// returns at least one frame whenever any is available. The read uses its
+// own descriptor, so it never disturbs (or blocks behind) the append
+// path; a concurrent rotation is detected by the file header's baseSeq
+// and retried against the new log.
 //
 // A from below the current baseSeq is served from the archived segments
 // Rotate keeps; once it predates those too, *SnapshotRequiredError is
 // returned — the remaining records live only inside the checkpoint image
 // that justified the rotations.
-func (w *WAL) ReadCommitted(from uint64, maxBytes int) ([]Record, uint64, error) {
+func (w *WAL) ReadCommitted(from uint64, maxBytes int) ([]byte, uint64, error) {
 	for {
 		w.mu.Lock()
 		base, durable, path, closed := w.base, w.durSeq, w.path, w.closed
@@ -553,110 +527,68 @@ func (w *WAL) ReadCommitted(from uint64, maxBytes int) ([]Record, uint64, error)
 		if closed {
 			return nil, from, fmt.Errorf("durable: read from closed WAL")
 		}
-		if from < base {
-			recs, next, err := readArchived(path, from, base, maxBytes)
-			if err != nil {
-				// Whatever went wrong — pruned mid-read, raced a
-				// rotation, corrupt — the checkpoint image is the one
-				// source guaranteed to cover this position.
-				return nil, from, &SnapshotRequiredError{BaseSeq: base}
-			}
-			return recs, next, nil
-		}
 		if from >= durable {
 			return nil, from, nil
 		}
-		recs, next, err := readRange(path, base, from, durable, maxBytes)
-		if err == errWALRotated {
-			continue // the file was swapped under us; re-resolve and retry
+		if from >= base {
+			frames, next, err := readRange(path, base, from, durable, maxBytes)
+			if err == errWALRotated {
+				continue // the file was swapped under us; re-resolve and retry
+			}
+			return frames, next, err
 		}
-		return recs, next, err
+		// Each archive spans [its base, the next newer segment's base):
+		// rotations happen at the tip with appends quiesced, so an archived
+		// segment is always complete.
+		bases := append(listArchives(path), base)
+		if i := sort.Search(len(bases), func(i int) bool { return bases[i] > from }) - 1; i >= 0 {
+			frames, next, err := readRange(archivePath(path, bases[i]), bases[i], from, bases[i+1], maxBytes)
+			if err == nil {
+				return frames, next, nil
+			}
+		}
+		// Whatever went wrong — pruned mid-read, raced a rotation,
+		// corrupt — the checkpoint image is the one source guaranteed to
+		// cover this position.
+		return nil, from, &SnapshotRequiredError{BaseSeq: base}
 	}
-}
-
-// readArchived serves a read position behind the live log's base from
-// the archived segments. Each archive spans [its base, the next newer
-// segment's base): rotations happen at the tip with appends quiesced, so
-// an archived segment is always complete.
-func readArchived(path string, from, liveBase uint64, maxBytes int) ([]Record, uint64, error) {
-	bases := listArchives(path)
-	for i, base := range bases {
-		end := liveBase
-		if i+1 < len(bases) {
-			end = bases[i+1]
-		}
-		if from < base || from >= end {
-			continue
-		}
-		return readRange(archivePath(path, base), base, from, end, maxBytes)
-	}
-	return nil, from, fmt.Errorf("durable: no archived segment covers seq %d", from)
 }
 
 // errWALRotated is readRange's internal retry signal: the opened file's
 // header no longer matches the base the caller resolved.
 var errWALRotated = errors.New("durable: wal rotated during read")
 
-// readRange scans one log file and decodes the records with seq in
+// readRange scans one log file and returns the frames with seq in
 // [from, limit), honoring maxBytes. Records below the durable frontier
-// are fully written before the frontier advances, so the scan never
-// observes a torn frame within its range.
-func readRange(path string, wantBase, from, limit uint64, maxBytes int) ([]Record, uint64, error) {
+// are fully written before the frontier advances, so a torn frame within
+// the range is corruption.
+func readRange(path string, wantBase, from, limit uint64, maxBytes int) ([]byte, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, from, err
 	}
 	defer f.Close()
-	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, from, errWALRotated // a fresh rotation target: retry
+	base, br, left, err := readHeader(f)
+	switch {
+	case err != nil && left < 0, err == nil && base != wantBase:
+		return nil, from, errWALRotated // a fresh rotation target, or a newer log: retry
+	case err != nil:
+		return nil, from, err
 	}
-	if [4]byte(hdr[:4]) != walMagic || hdr[4] != walVersion {
-		return nil, from, fmt.Errorf("%w: bad WAL header on replication read", ErrCorrupt)
-	}
-	if binary.LittleEndian.Uint64(hdr[5:]) != wantBase {
-		return nil, from, errWALRotated
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var out []Record
-	var frame [8]byte
-	var payload []byte
-	next := from
-	total := 0
-	for seq := wantBase; seq < limit; seq++ {
-		if _, err := io.ReadFull(br, frame[:4]); err != nil {
-			return nil, from, fmt.Errorf("%w: committed record %d missing from log", ErrCorrupt, seq)
+	var out []byte
+	next, payload := from, 0
+	for seq := wantBase; seq < limit && (len(out) == 0 || payload < maxBytes); seq++ {
+		start := len(out)
+		if out, err = readFrame(br, left, out); err != nil {
+			return nil, from, fmt.Errorf("%w: committed record %d: %v", ErrCorrupt, seq, err)
 		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		if n > 1<<30 {
-			return nil, from, fmt.Errorf("%w: implausible frame length %d", ErrCorrupt, n)
-		}
-		if uint64(cap(payload)) < uint64(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, from, fmt.Errorf("%w: committed record %d truncated", ErrCorrupt, seq)
-		}
-		if _, err := io.ReadFull(br, frame[4:8]); err != nil {
-			return nil, from, fmt.Errorf("%w: committed record %d truncated", ErrCorrupt, seq)
-		}
+		left -= int64(len(out) - start)
 		if seq < from {
-			continue // inside the subscriber's already-applied prefix
+			out = out[:start] // inside the subscriber's already-applied prefix
+			continue
 		}
-		if binary.LittleEndian.Uint32(frame[4:8]) != crc32.ChecksumIEEE(payload) {
-			return nil, from, fmt.Errorf("%w: committed record %d checksum mismatch", ErrCorrupt, seq)
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return nil, from, err
-		}
-		out = append(out, rec)
 		next = seq + 1
-		total += len(payload)
-		if total >= maxBytes {
-			break
-		}
+		payload += len(out) - start - 8
 	}
 	return out, next, nil
 }

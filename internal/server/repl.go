@@ -242,11 +242,12 @@ func (s *Server) replFetchMeta(fields []string) (*Response, bool) {
 }
 
 // replPullMeta answers /replpull <from> <maxBytes> [<addr> <applied>]:
-// committed records from seq on, base64-encoded. When the log has
-// nothing past from, the request parks on the commit signal up to
-// replPollWindow before answering empty — the follower long-polls
-// instead of spinning, and a commit wakes every parked puller at once
-// (as does Shutdown, which must not wait out the window). The optional
+// the log's committed frames from seq on, base64-encoded as the segment
+// holds them. When the log has nothing past from, the request parks on
+// the commit signal up to replPollWindow before answering empty — the
+// follower long-polls instead of spinning, and a commit wakes every
+// parked puller at once (as does Shutdown, which must not wait out the
+// window). The optional
 // addr/applied pair is the follower's heartbeat for the lag gauges. A
 // from that has fallen behind the archived log answers "snapshot
 // required base=<n>"; the follower must re-bootstrap.
@@ -272,7 +273,7 @@ func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 		// Subscribe before reading: a commit landing between the read and
 		// the park still closes this channel, so no wakeup is lost.
 		_, ch := w.CommitSignal()
-		recs, next, err := w.ReadCommitted(from, maxBytes)
+		frames, next, err := w.ReadCommitted(from, maxBytes)
 		if err != nil {
 			if sre, isSnap := err.(*durable.SnapshotRequiredError); isSnap {
 				return &Response{Err: fmt.Sprintf("snapshot required base=%d", sre.BaseSeq)}, false
@@ -280,10 +281,10 @@ func (s *Server) replPullMeta(fields []string) (*Response, bool) {
 			return &Response{Err: err.Error()}, false
 		}
 		wait := time.Until(deadline)
-		if len(recs) > 0 || wait <= 0 {
+		if len(frames) > 0 || wait <= 0 {
 			frontier, _ := w.CommitSignal()
 			return &Response{Message: fmt.Sprintf("next=%d durable=%d recs=%s",
-				next, frontier, base64.StdEncoding.EncodeToString(durable.EncodeRecords(recs)))}, false
+				next, frontier, base64.StdEncoding.EncodeToString(frames))}, false
 		}
 		t := time.NewTimer(wait)
 		select {

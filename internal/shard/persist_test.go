@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/durable"
 	"crackdb/internal/oracle"
 	"crackdb/internal/shard"
 )
@@ -533,5 +534,52 @@ func TestInstallSnapshot(t *testing.T) {
 		if a != b {
 			t.Fatalf("count [%d, %d): follower %d, primary %d", r[0], r[1], a, b)
 		}
+	}
+}
+
+// TestNameBoundSurvivesCheckpoint: a table or column name one byte over
+// durable.MaxName is refused before anything is logged, and a name of
+// exactly MaxName survives a full checkpoint and a reboot from it. A
+// longer name used to be logged and replayed, and then refused by the
+// image reader after the next checkpoint — a data dir that would not
+// boot.
+func TestNameBoundSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := shard.Options{Shards: 2, Kind: shard.Hash}
+	s, _, err := shard.OpenDurable(dir, opts)
+	mustExec(t, err)
+	long := strings.Repeat("x", durable.MaxName+1)
+	for name, create := range map[string]func() error{
+		"table":    func() error { return s.CreateTable(long, "a") },
+		"column":   func() error { return s.CreateTable("t", "a", long) },
+		"tapestry": func() error { return s.LoadTapestry(long, 10, 1, 1) },
+	} {
+		if err := create(); err == nil || !strings.HasPrefix(err.Error(), "crackdb: ") ||
+			!strings.Contains(err.Error(), " name of 1048577 bytes exceeds 1048576") {
+			t.Fatalf("%s name over the bound: err %v", name, err)
+		}
+	}
+	if st := s.WAL().Status(); st.Records != 0 {
+		t.Fatalf("refused creates logged %d records", st.Records)
+	}
+	name, col := long[:durable.MaxName], strings.Repeat("y", durable.MaxName)
+	mustExec(t, s.CreateTable(name, col, "b"))
+	mustExec(t, s.InsertRows(name, [][]int64{{1, 10}, {2, 20}, {3, 30}}))
+	if mode, err := s.Checkpoint(true); err != nil || mode != "full" {
+		t.Fatalf("full checkpoint: mode %q err %v", mode, err)
+	}
+	mustExec(t, s.CloseWAL())
+
+	re, info, err := shard.OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatalf("reboot after a checkpoint of a %d-byte name: %v", durable.MaxName, err)
+	}
+	defer re.CloseWAL()
+	if !info.Recovered || info.Replayed != 0 {
+		t.Fatalf("reboot did not come from the checkpoint alone: %+v", info)
+	}
+	n, err := re.CountWhere(name, crackdb.Cond{Col: col, Op: ">=", Val: 2})
+	if err != nil || n != 2 {
+		t.Fatalf("count after reboot = %d, %v; want 2", n, err)
 	}
 }

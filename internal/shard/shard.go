@@ -249,6 +249,9 @@ func (s *Store) createTableKeyed(name, key string, kind Kind, cols ...string) er
 			keyIdx = i
 		}
 	}
+	if err := durable.CheckNames(name, cols); err != nil {
+		return err
+	}
 	if keyIdx < 0 {
 		return fmt.Errorf("shard: partition key %q is not a column of %q", key, name)
 	}
@@ -695,6 +698,9 @@ func (s *Store) ShardStats(table, col string) ([]crackdb.ColumnStats, error) {
 func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	if n < 1 || alpha < 1 {
 		return fmt.Errorf("shard: tapestry %dx%d invalid", n, alpha)
+	}
+	if err := durable.CheckNames(name, nil); err != nil {
+		return err
 	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
