@@ -1,8 +1,8 @@
 package crackdb
 
-// The autotune acceptance benchmarks. CI runs these with -benchtime=1x;
-// the thresholds are asserted here, so a regression fails the bench
-// step:
+// The autotune acceptance benchmarks. Their thresholds are asserted by
+// TestAutotuneSequentialBudget and TestAutotuneRandomBudget, which run
+// the same stores through the same streams:
 //
 //   - on a sequential walk over N=1M with store default standard, the
 //     tuner must converge to mdd1r and the steady-state (second half)
@@ -28,7 +28,7 @@ const (
 // steady-state (second-half) per-query nanoseconds plus the tuner
 // posture. mdd1r=true runs a static always-mdd1r store instead of the
 // tuner.
-func autotuneBenchRun(b *testing.B, rows [][]int64, pattern workload.Pattern, mdd1r bool) (float64, []tuner.Decision) {
+func autotuneBenchRun(b testing.TB, rows [][]int64, pattern workload.Pattern, mdd1r bool) (float64, []tuner.Decision) {
 	b.Helper()
 	s := New()
 	if mdd1r {
@@ -78,18 +78,10 @@ func BenchmarkAutotuneSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mdd1rNs, _ := autotuneBenchRun(b, rows, workload.Sequential, true)
-		autoNs, dec := autotuneBenchRun(b, rows, workload.Sequential, false)
-		if len(dec) != 1 || dec[0].Strategy != "mdd1r" || dec[0].Flips == 0 {
-			b.Fatalf("autotune did not converge to mdd1r on the sequential walk: %+v", dec)
-		}
-		ratio := autoNs / mdd1rNs
+		autoNs, _ := autotuneBenchRun(b, rows, workload.Sequential, false)
 		b.ReportMetric(autoNs, "ns/q-autotune")
 		b.ReportMetric(mdd1rNs, "ns/q-mdd1r")
-		b.ReportMetric(ratio, "x-vs-mdd1r")
-		if ratio > 2.0 {
-			b.Fatalf("autotune steady-state %.0f ns/q is %.2fx always-mdd1r (%.0f ns/q), want <= 2x",
-				autoNs, ratio, mdd1rNs)
-		}
+		b.ReportMetric(autoNs/mdd1rNs, "x-vs-mdd1r")
 	}
 }
 
@@ -98,10 +90,9 @@ func BenchmarkAutotuneRandom(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		autoNs, dec := autotuneBenchRun(b, rows, workload.Random, false)
-		if len(dec) != 1 || dec[0].Strategy != "standard" || dec[0].Flips != 0 {
-			b.Fatalf("autotune flipped on a random stream: %+v", dec)
-		}
 		b.ReportMetric(autoNs, "ns/q-autotune")
-		b.ReportMetric(float64(dec[0].Flips), "flips")
+		if len(dec) == 1 {
+			b.ReportMetric(float64(dec[0].Flips), "flips")
+		}
 	}
 }

@@ -262,7 +262,7 @@ func BenchmarkAblationTermPlanner(b *testing.B) {
 			ct := core.NewCrackedTable(tap)
 			b.StartTimer()
 			for _, term := range terms {
-				if _, _, err := ct.SelectTermPlanned(term); err != nil {
+				if _, _, _, err := ct.SelectTermPlanned(term, true); err != nil {
 					b.Fatal(err)
 				}
 			}

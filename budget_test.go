@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"crackdb/internal/core"
+	"crackdb/internal/workload"
 )
 
 // The planner's budget as standing assertions (ROADMAP: acceptance gates
@@ -56,7 +57,7 @@ func TestCountWhereBudgetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxAllocs = 2 // measured 1: the term (a one-column term is planned without an advice map)
+	const maxAllocs = 2 // measured 0: the term is built on the caller's stack, and a one-column term is planned without an advice map
 	big, pool := convergedStore(t, 200_000, 4, 6000)
 	if st, _ := big.Stats("t", "c0"); st.Pieces < 10_000 {
 		t.Fatalf("store has %d pieces, want >= 10000", st.Pieces)
@@ -519,5 +520,52 @@ func TestCountBesidePayloadsBudget(t *testing.T) {
 	t.Logf("Count %v without payloads, %v beside 2, per %d statements: ratio %.2f", bare, beside, len(pool), ratio)
 	if ratio > 1.3 {
 		t.Fatalf("Store.Count beside live payloads costs %.2f x the same count without, budget 1.3 x", ratio)
+	}
+}
+
+// The observability and autotune gates. On the converged read path the
+// production instrumentation may cost at most 5 % (instrumentedOverhead
+// says how that is measured). On a sequential walk over N = 1M with the
+// store default standard the tuner must converge to mdd1r and its
+// steady-state (second-half) per-query latency must land within 2 x of
+// an always-mdd1r store; on a random stream it must stay on standard
+// with zero flips.
+
+func TestMetricsOverheadBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector is meaningless")
+	}
+	pct, offNS, onNS := instrumentedOverhead()
+	t.Logf("converged lookup: %.1f ns off, %.1f ns on; the median pair is %.2f %% slower instrumented", offNS, onNS, pct)
+	if pct > 5.0 {
+		t.Fatalf("instrumented converged lookup is %.2f%% slower (off %.1fns, on %.1fns); budget is 5%%", pct, offNS, onNS)
+	}
+}
+
+func TestAutotuneSequentialBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector is meaningless")
+	}
+	rows := autotuneBenchRows()
+	mdd1rNs, _ := autotuneBenchRun(t, rows, workload.Sequential, true)
+	autoNs, dec := autotuneBenchRun(t, rows, workload.Sequential, false)
+	if len(dec) != 1 || dec[0].Strategy != "mdd1r" || dec[0].Flips == 0 {
+		t.Fatalf("autotune did not converge to mdd1r on the sequential walk: %+v", dec)
+	}
+	ratio := autoNs / mdd1rNs
+	t.Logf("steady state: autotune %.0f ns/q, always-mdd1r %.0f ns/q (%.2f x)", autoNs, mdd1rNs, ratio)
+	if ratio > 2.0 {
+		t.Fatalf("autotune steady-state %.0f ns/q is %.2fx always-mdd1r (%.0f ns/q), want <= 2x",
+			autoNs, ratio, mdd1rNs)
+	}
+}
+
+func TestAutotuneRandomBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector is meaningless")
+	}
+	_, dec := autotuneBenchRun(t, autotuneBenchRows(), workload.Random, false)
+	if len(dec) != 1 || dec[0].Strategy != "standard" || dec[0].Flips != 0 {
+		t.Fatalf("autotune flipped on a random stream: %+v", dec)
 	}
 }

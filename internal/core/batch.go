@@ -290,9 +290,19 @@ func (ct *CrackedTable) CountRange(r expr.Range) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := c.Count(r.Low, r.High, r.LowIncl, r.HighIncl)
+	n, _ := ct.count(c, r, true)
+	return n, nil
+}
+
+// count answers r on c, r.Col's cracker column, and shows the select
+// observer the range once it is answered; with write false it may
+// decline instead (ok false), having changed nothing (Column.answer).
+func (ct *CrackedTable) count(c *Column, r expr.Range, write bool) (n int, ok bool) {
+	if !c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, write, func(v View) { n = v.Len() }) {
+		return 0, false
+	}
 	if ct.selectObs != nil {
 		ct.selectObs(r)
 	}
-	return n, nil
+	return n, true
 }

@@ -312,7 +312,7 @@ func (v View) OIDs() []bat.OID {
 // across them. Consume it immediately or use SelectCopy.
 func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 	var v View
-	c.answer(low, high, lowIncl, highIncl, func(w View) { v = w })
+	c.answer(low, high, lowIncl, highIncl, true, func(w View) { v = w })
 	return v
 }
 
@@ -321,7 +321,7 @@ func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 // paper's observation that count-only queries need no fragment storage.
 func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
 	n := 0
-	c.answer(low, high, lowIncl, highIncl, func(w View) { n = w.Len() })
+	c.answer(low, high, lowIncl, highIncl, true, func(w View) { n = w.Len() })
 	return n
 }
 
@@ -330,7 +330,7 @@ func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
 // the safe form under concurrent cracking: a View's windows alias the
 // column and may be shuffled by cracks that run after Select returns.
 func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int64, oids []bat.OID) {
-	c.answer(low, high, lowIncl, highIncl, func(w View) {
+	c.answer(low, high, lowIncl, highIncl, true, func(w View) {
 		vals, oids = append([]int64(nil), w.Values()...), append([]bat.OID(nil), w.OIDs()...)
 	})
 	return vals, oids
@@ -345,11 +345,16 @@ func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int
 // held — under MDD1R nothing else keeps it valid — and must not take
 // c.mu.
 //
+// With write false the query is offered to the read branch only: when
+// lookupFast cannot answer, answer declines — it returns false without
+// taking the write lock, use does not run, and nothing changed, not even
+// a counter. It reports whether use ran.
+//
 // Instrumentation off costs one atomic load and a branch. On, a read
 // that wins the sampling gate is timed into ReadHold, lock hold and use
 // included; the unsampled 255-in-256 converged lookups read no clock.
-// Every write hold is observed (crackLocked).
-func (c *Column) answer(low, high int64, lowIncl, highIncl bool, use func(View)) {
+// Every write hold is observed (crackLocked); a decline is not.
+func (c *Column) answer(low, high int64, lowIncl, highIncl, write bool, use func(View)) bool {
 	in := c.instr.Load()
 	var t0 time.Time
 	timed := in != nil && in.ReadHold != nil && (in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0)
@@ -363,12 +368,16 @@ func (c *Column) answer(low, high int64, lowIncl, highIncl bool, use func(View))
 		if timed {
 			in.ReadHold.Observe(time.Since(t0).Nanoseconds())
 		}
-		return
+		return true
 	}
 	c.mu.RUnlock()
+	if !write {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	use(c.crackLocked(in, low, high, lowIncl, highIncl))
+	return true
 }
 
 // crackLocked answers one range under the write lock — fold, cracks and

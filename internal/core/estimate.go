@@ -98,7 +98,10 @@ type termPlan struct {
 // needs no estimate at all, and a term that names one column only —
 // every scalar range statement — has no choice to make: its advice is
 // folded in place, without the per-column map.
-func (ct *CrackedTable) planTerm(term expr.Term) (termPlan, error) {
+//
+// With write false a driving column no query has created yet declines
+// the term (ok false): creating it would change the table.
+func (ct *CrackedTable) planTerm(term expr.Term, write bool) (p termPlan, ok bool, err error) {
 	best, rng, advised, single := oneColumnAdvice(term)
 	if !single {
 		advice := expr.CrackAdvice(term)
@@ -127,19 +130,25 @@ func (ct *CrackedTable) planTerm(term expr.Term) (termPlan, error) {
 		rng, advised = advice[best]
 	}
 	if !advised {
-		return termPlan{residual: term}, nil
+		// Copied, not aliased: a plan keeps nothing of the term, which
+		// the caller may build on its stack.
+		return termPlan{residual: append(expr.Term(nil), term...)}, true, nil
 	}
-	col, err := ct.ColumnFor(best)
-	if err != nil {
-		return termPlan{}, err
+	var col *Column
+	if write {
+		if col, err = ct.ColumnFor(best); err != nil {
+			return termPlan{}, false, err
+		}
+	} else if col, ok = ct.Column(best); !ok {
+		return termPlan{}, false, nil
 	}
-	p := termPlan{col: col, rng: rng}
+	p = termPlan{col: col, rng: rng}
 	for _, pred := range term {
 		if pred.Col != best || pred.Op == expr.Ne {
 			p.residual = append(p.residual, pred)
 		}
 	}
-	return p, nil
+	return p, true, nil
 }
 
 // oneColumnAdvice is expr.CrackAdvice for a term that names at most one
@@ -171,43 +180,56 @@ func oneColumnAdvice(term expr.Term) (col string, rng expr.Range, advised, singl
 // evaluated on its candidates. With an empty residual the cracker's
 // answer is the answer — the column already excludes tombstoned rows
 // once it has consolidated, which every selection does first.
-func (ct *CrackedTable) SelectTermPlanned(term expr.Term) ([]bat.OID, *Column, error) {
-	p, err := ct.planTerm(term)
-	if err != nil {
-		return nil, nil, err
+//
+// write chooses the path. With it the term is always answered (ok).
+// Without it the term is offered to the read path only and declines —
+// ok false, the table exactly as it was: no cracker column created, no
+// fold, no crack, no counter moved, no select observer called — when
+// answering would change any of that (Column.answer).
+func (ct *CrackedTable) SelectTermPlanned(term expr.Term, write bool) (oids []bat.OID, driving *Column, ok bool, err error) {
+	p, ok, err := ct.planTerm(term, write)
+	if err != nil || !ok {
+		return nil, nil, false, err
 	}
-	oids, err := ct.selectPlan(p)
-	return oids, p.col, err
+	oids, ok, err = ct.selectPlan(p, write)
+	return oids, p.col, ok, err
 }
 
 // CountTerm is SelectTermPlanned for a consumer that only wants the
 // number of qualifying tuples. A term the driving column absorbs whole
 // is answered from two cut positions: no value copy, no OID slice.
-func (ct *CrackedTable) CountTerm(term expr.Term) (int, error) {
-	p, err := ct.planTerm(term)
-	if err != nil {
-		return 0, err
+func (ct *CrackedTable) CountTerm(term expr.Term, write bool) (n int, ok bool, err error) {
+	p, ok, err := ct.planTerm(term, write)
+	if err != nil || !ok {
+		return 0, false, err
 	}
 	if len(p.residual) == 0 {
 		if p.col == nil {
-			return ct.LiveLen(), nil
+			return ct.LiveLen(), true, nil
 		}
-		return ct.CountRange(p.rng)
+		n, ok = ct.count(p.col, p.rng, write)
+		return n, ok, nil
 	}
-	oids, err := ct.selectPlan(p)
-	return len(oids), err
+	oids, ok, err := ct.selectPlan(p, write)
+	return len(oids), ok, err
 }
 
 // selectPlan executes a plan for a consumer that wants the tuples: the
 // driving column's answer (every base row when nothing drives), less
-// what the residual rejects.
-func (ct *CrackedTable) selectPlan(p termPlan) ([]bat.OID, error) {
+// what the residual rejects. Only the driving column can decline.
+func (ct *CrackedTable) selectPlan(p termPlan, write bool) ([]bat.OID, bool, error) {
 	if p.col == nil {
-		return ct.filterOIDs(allOIDs(ct.baseLen()), p.residual)
+		oids, err := ct.filterOIDs(allOIDs(ct.baseLen()), p.residual)
+		return oids, err == nil, err
 	}
-	// Copy under the column lock: view windows would alias state that a
-	// concurrent crack may shuffle.
-	_, cands := p.col.SelectCopy(p.rng.Low, p.rng.High, p.rng.LowIncl, p.rng.HighIncl)
+	// Copy the OIDs under the column lock: view windows would alias state
+	// that a concurrent crack may shuffle.
+	var cands []bat.OID
+	if !p.col.answer(p.rng.Low, p.rng.High, p.rng.LowIncl, p.rng.HighIncl, write, func(v View) {
+		cands = append([]bat.OID(nil), v.OIDs()...)
+	}) {
+		return nil, false, nil
+	}
 	if ct.selectObs != nil {
 		// The driving column absorbed a single-range selection, exactly
 		// like SelectCopy — the sideways and tuner observers must
@@ -216,7 +238,8 @@ func (ct *CrackedTable) selectPlan(p termPlan) ([]bat.OID, error) {
 		ct.selectObs(p.rng)
 	}
 	if len(p.residual) == 0 {
-		return cands, nil
+		return cands, true, nil
 	}
-	return ct.filterOIDs(cands, p.residual)
+	oids, err := ct.filterOIDs(cands, p.residual)
+	return oids, err == nil, err
 }

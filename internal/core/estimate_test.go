@@ -124,15 +124,15 @@ func TestSelectTermPlannedCracksOnlyBestColumn(t *testing.T) {
 		{Col: "a", Op: expr.Le, Val: 60},
 		{Col: "b", Op: expr.Ge, Val: 0}, // advice on b too, but unselective
 	}
-	oids, driver, err := ct.SelectTermPlanned(term)
+	oids, driving, _, err := ct.SelectTermPlanned(term, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(oids) != 2 { // a ∈ {50, 60}
 		t.Fatalf("planned select found %d, want 2", len(oids))
 	}
-	if driver == nil || driver.Name() != "R.a" {
-		t.Fatalf("planner drove with %v, want R.a (it has sharp statistics)", driver)
+	if driving == nil || driving.Name() != "R.a" {
+		t.Fatalf("planner drove with %v, want R.a (it has sharp statistics)", driving)
 	}
 	// b must not have been cracked by the planned select.
 	for _, col := range ct.CrackedColumns() {
@@ -153,7 +153,7 @@ func TestSelectTermPlannedMatchesUnplanned(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			term = append(term, expr.Pred{Col: "k", Op: expr.Lt, Val: rng.Int63n(20)})
 		}
-		a, _, err := planned.SelectTermPlanned(term)
+		a, _, _, err := planned.SelectTermPlanned(term, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,12 +171,12 @@ func TestSelectTermPlannedNoAdvice(t *testing.T) {
 	tbl := buildTable(t)
 	ct := NewCrackedTable(tbl)
 	// Ne-only term has no crackable advice: full scan post-filter.
-	oids, driver, err := ct.SelectTermPlanned(expr.Term{{Col: "k", Op: expr.Ne, Val: 3}})
+	oids, driving, _, err := ct.SelectTermPlanned(expr.Term{{Col: "k", Op: expr.Ne, Val: 3}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if driver != nil {
-		t.Fatal("driver column for adviceless term")
+	if driving != nil {
+		t.Fatal("driving column for adviceless term")
 	}
 	if len(oids) != 19 {
 		t.Fatalf("found %d, want 19", len(oids))

@@ -148,7 +148,7 @@ const (
 // newer than sel's newest is exactly sel; anything else is stale and the
 // caller reconstructs its own snapshot through the base table.
 func (c *Column) Project(r expr.Range, attrs []string, sel []bat.OID, stamp uint64) (wins [][]int64, st ProjectStatus) {
-	c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, func(v View) {
+	c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, true, func(v View) {
 		wins, st = c.projectLocked(v, r.Col, attrs, sel, stamp)
 	})
 	return wins, st

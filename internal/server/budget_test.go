@@ -16,9 +16,9 @@ import (
 // statement allocates depends on the shard count and the column count,
 // never on how many rows it returns.
 
-// fetchStack is a converged 4-shard router over a 3-column tapestry and
-// the SQL engine on it.
-func fetchStack(t testing.TB) *sql.Engine {
+// convergedRouter is a 4-shard hash router over a 3-column tapestry
+// whose c0 two rounds of a 2000-range pool have cracked.
+func convergedRouter(t testing.TB) *shard.Store {
 	t.Helper()
 	const n = 100_000
 	st := shard.New(shard.Options{Shards: 4, Kind: shard.Hash})
@@ -36,7 +36,13 @@ func fetchStack(t testing.TB) *sql.Engine {
 			t.Fatal(err)
 		}
 	}
-	return sql.NewEngineOn(st)
+	return st
+}
+
+// fetchStack is the SQL engine on a convergedRouter.
+func fetchStack(t testing.TB) *sql.Engine {
+	t.Helper()
+	return sql.NewEngineOn(convergedRouter(t))
 }
 
 // fetch runs the width-row fetch and checks its shape.
@@ -55,7 +61,7 @@ func TestRowFetchBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxAllocs = 120 // parent 1 238 at 1000 rows; see the log line for today's
+	const maxAllocs = 68 // measured 62; see the log line for today's
 	eng := fetchStack(t)
 	var allocs [2]float64
 	for i, width := range []int{1000, 4000} {
@@ -68,6 +74,61 @@ func TestRowFetchBudget(t *testing.T) {
 	}
 	if allocs[1] > allocs[0]+4 {
 		t.Errorf("allocations grow with the row count: %.0f at 1000 rows, %.0f at 4000", allocs[0], allocs[1])
+	}
+}
+
+// TestRoutedReadBudget holds the router's share of a converged read. A
+// read every target shard answers from its cracker index crosses the
+// router on the calling goroutine: it allocates the answer and error
+// slots and the fan-out closure it did not call (measured 3 for the
+// count, 37 for the fetch), and no goroutine, whose closure and wait
+// group alone would cost one allocation per shard plus one. A goroutine
+// per shard made it 16 and 54.
+func TestRoutedReadBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const maxCountAllocs, maxFetchAllocs = 4, 40
+	st := convergedRouter(t)
+	conds := []crackdb.Cond{{Col: "c0", Op: ">=", Val: 5000}, {Col: "c0", Op: "<", Val: 6000}}
+	count := func() {
+		if n, err := st.CountWhere("t", conds...); err != nil || n != 1000 {
+			t.Fatalf("CountWhere = %d, %v; want 1000", n, err)
+		}
+	}
+	fetch := func() {
+		res, err := st.SelectWhere("t", conds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := res.Rows("c0", "c1", "c2"); err != nil || len(rows) != 1000 {
+			t.Fatalf("Rows = %d rows, %v; want 1000", len(rows), err)
+		}
+	}
+	cracks := func() int {
+		per, err := st.ShardStats("t", "c0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := crackdb.ColumnStats{}
+		for _, cs := range per {
+			total.Add(cs)
+		}
+		return total.Cracks
+	}
+	count() // the first run cracks the range's two bounds on every shard
+	before := cracks()
+	countAllocs := testing.AllocsPerRun(200, count)
+	fetchAllocs := testing.AllocsPerRun(200, fetch)
+	t.Logf("converged 4-shard CountWhere: %.0f allocations; SelectWhere + Rows of 3 columns: %.0f", countAllocs, fetchAllocs)
+	if countAllocs > maxCountAllocs {
+		t.Errorf("a converged routed count allocates %.0f times, budget %d", countAllocs, maxCountAllocs)
+	}
+	if fetchAllocs > maxFetchAllocs {
+		t.Errorf("a converged routed fetch allocates %.0f times, budget %d", fetchAllocs, maxFetchAllocs)
+	}
+	if after := cracks(); after != before {
+		t.Fatalf("c0 cracked %d times during the measurement: it was not converged", after-before)
 	}
 }
 

@@ -2,11 +2,14 @@
 // frame of work per shard. Each target shard receives its sub-batch —
 // the predicates whose key interval overlaps the shard — and executes
 // it under a single shard-store entry (crackdb.Store.CountBatch /
-// SelectBatch), so the per-query fan-out goroutine and lock round trips
-// of the scalar path are paid once per shard per batch instead of once
-// per query. Per-predicate answers are merged canonically: counts sum,
-// selections concatenate into the same canonical Result the scalar path
-// returns.
+// SelectBatch), so the shard-store entry, column resolution and lock
+// round trips the scalar path pays per query are paid once per shard
+// per batch. A sub-batch is a shard's unit of work whatever it finds —
+// its converged ranges and its misses share one read hold and at most
+// one write hold — so it gets no read-only pass: every shard with a
+// sub-batch runs in gather's pass 2. Per-predicate answers are merged
+// canonically: counts sum, selections concatenate into the same
+// canonical Result the scalar path returns.
 package shard
 
 import (
@@ -60,7 +63,7 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range, opts ...cr
 		return nil, err
 	}
 	s.noteRoutedBatch(sub)
-	per, err := gather(0, len(s.shards)-1, func(i int) ([]int, error) {
+	per, err := gather(0, len(s.shards)-1, nil, func(i int) ([]int, error) {
 		if len(sub[i].ranges) == 0 {
 			return nil, nil
 		}
@@ -92,7 +95,7 @@ func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range, opts ...c
 		return nil, err
 	}
 	s.noteRoutedBatch(sub)
-	per, err := gather(0, len(s.shards)-1, func(t int) ([]*crackdb.Result, error) {
+	per, err := gather(0, len(s.shards)-1, nil, func(t int) ([]*crackdb.Result, error) {
 		if len(sub[t].ranges) == 0 {
 			return nil, nil
 		}

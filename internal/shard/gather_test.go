@@ -1,0 +1,287 @@
+package shard
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"crackdb"
+	"crackdb/internal/relation"
+)
+
+// TestGatherPasses pins gather's contract: answers in shard order from
+// whichever pass produced them, pass 2 only for the shards pass 1 left,
+// every shard run even when one fails, and the lowest-indexed error
+// whichever pass it came from.
+func TestGatherPasses(t *testing.T) {
+	errAt := func(sh int) error { return fmt.Errorf("shard %d failed", sh) }
+	cases := []struct {
+		name      string
+		readErr   []int // shards whose read fails
+		declines  []int // shards whose read declines
+		fnErr     []int // shards whose pass-2 fn fails
+		noRead    bool
+		wantErr   error
+		wantPass2 []int
+	}{
+		{name: "all answer inline"},
+		{name: "one declines", declines: []int{5}, wantPass2: []int{5}},
+		{name: "some decline", declines: []int{3, 4, 6}, wantPass2: []int{3, 4, 6}},
+		{name: "write-only fan-out", noRead: true, wantPass2: []int{2, 3, 4, 5, 6}},
+		{name: "read error", readErr: []int{4}, wantErr: errAt(4)},
+		{name: "lower pass-2 error wins", readErr: []int{5}, declines: []int{3}, fnErr: []int{3}, wantErr: errAt(3), wantPass2: []int{3}},
+		{name: "lower read error wins", readErr: []int{3}, declines: []int{5}, fnErr: []int{5}, wantErr: errAt(3), wantPass2: []int{5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var pass2 []int
+			read := func(sh int) (int, bool, error) {
+				switch {
+				case slices.Contains(c.readErr, sh):
+					return 0, false, errAt(sh)
+				case slices.Contains(c.declines, sh):
+					return 0, false, nil
+				}
+				return 10 * sh, true, nil
+			}
+			if c.noRead {
+				read = nil
+			}
+			fn := func(sh int) (int, error) {
+				mu.Lock()
+				pass2 = append(pass2, sh)
+				mu.Unlock()
+				if slices.Contains(c.fnErr, sh) {
+					return 0, errAt(sh)
+				}
+				return 10 * sh, nil
+			}
+			out, err := gather(2, 6, read, fn)
+			slices.Sort(pass2)
+			if !slices.Equal(pass2, c.wantPass2) {
+				t.Fatalf("pass 2 ran shards %v, want %v", pass2, c.wantPass2)
+			}
+			if c.wantErr != nil {
+				if err == nil || err.Error() != c.wantErr.Error() {
+					t.Fatalf("err = %v, want %v", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil || !slices.Equal(out, []int{20, 30, 40, 50, 60}) {
+				t.Fatalf("gather = %v, %v; want the answers in shard order", out, err)
+			}
+		})
+	}
+}
+
+// TestMixedInlineAndFannedOut runs reads through both of gather's passes
+// at once, under -race in CI: a 4-shard hash router with a converged c0
+// takes counts and 3-column fetches while one writer inserts keys above
+// the domain that all hash to one shard — so that shard declines the
+// read-only offer and is fanned out while the other three answer inline —
+// and another deletes key ranges, which leaves every shard a pending
+// fold. Every answer must lie between what the writers had finished
+// when the read started and what they had started when it returned (the
+// bench's bracket beside /save), fetched rows must be the rows those keys
+// were loaded or inserted with, in canonical order.
+func TestMixedInlineAndFannedOut(t *testing.T) {
+	const (
+		n         = 20_000
+		shards    = 4
+		hot       = 2 // the shard every inserted key hashes to
+		batch     = 4
+		inserts   = 60
+		deletes   = 30
+		delWidth  = 40
+		minReads  = 200 // and at least until the writers are done
+		fetchEach = 4   // every fourth read is a fetch
+	)
+	st := New(Options{Shards: shards, Kind: Hash})
+	if err := st.LoadTapestry("t", n, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	base := relation.Tapestry(n, 3, 1)
+	rowOf := make(map[int64][]int64, n)
+	for i := 0; i < n; i++ {
+		r := base.Row(i)
+		rowOf[r[0]] = r
+	}
+	rng := rand.New(rand.NewSource(3))
+	pool := make([]crackdb.Range, 400)
+	for i := range pool {
+		lo := 1 + rng.Int63n(n)
+		pool[i] = crackdb.Range{Low: lo, High: lo + rng.Int63n(n/50)}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := st.CountBatch("t", "c0", pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The writers' schedules, fixed up front so a reader can bracket them.
+	var insKeys []int64
+	for k := int64(n + 1); len(insKeys) < inserts*batch; k++ {
+		if (hashPart{n: shards}).route(k) == hot {
+			insKeys = append(insKeys, k)
+		}
+	}
+	for _, k := range insKeys {
+		rowOf[k] = []int64{k, -k, 2 * k}
+	}
+	delRanges := make([]crackdb.Range, deletes)
+	for i := range delRanges {
+		lo := int64(1 + i*(n/deletes))
+		delRanges[i] = crackdb.Range{Low: lo, High: lo + delWidth - 1}
+	}
+	var insStarted, insDone, delStarted, delDone, reads atomic.Int64
+	var stop atomic.Bool
+	defer stop.Store(true)
+	// pace holds a writer's j-th operation until the reader has made
+	// j × every reads, so the writes spread over the reads: the read
+	// after an insert finds only the hot shard with pending updates, the
+	// read after a delete finds all four. It reports false once the test
+	// has ended.
+	pace := func(j, every int) bool {
+		for reads.Load() < int64(j*every) {
+			if stop.Load() {
+				return false
+			}
+			runtime.Gosched()
+		}
+		return true
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < inserts; j++ {
+			if !pace(j, 3) {
+				return
+			}
+			rows := make([][]int64, batch)
+			for i := range rows {
+				rows[i] = rowOf[insKeys[j*batch+i]]
+			}
+			insStarted.Add(1)
+			if err := st.InsertRows("t", rows); err != nil {
+				errs <- err
+				return
+			}
+			insDone.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for j, r := range delRanges {
+			if !pace(j, 5) {
+				return
+			}
+			delStarted.Add(1)
+			got, err := st.Delete("t", crackdb.Cond{Col: "c0", Op: ">=", Val: r.Low}, crackdb.Cond{Col: "c0", Op: "<=", Val: r.High})
+			if err != nil || got != delWidth {
+				errs <- fmt.Errorf("delete %d of [%d, %d]: %d rows, %v; want %d", j, r.Low, r.High, got, err, delWidth)
+				return
+			}
+			delDone.Add(1)
+		}
+	}()
+
+	// live counts the keys in [lo, hi] that are certainly (or possibly)
+	// present given how many inserts and deletes have landed.
+	live := func(lo, hi int64, ins, del int64) int {
+		c := max(0, int(min(hi, n)-max(lo, 1)+1))
+		for _, r := range delRanges[:del] {
+			c -= max(0, int(min(hi, r.High)-max(lo, r.Low)+1))
+		}
+		for _, k := range insKeys[:ins*batch] {
+			if k >= lo && k <= hi {
+				c++
+			}
+		}
+		return c
+	}
+	deleted := func(k int64, del int64) bool {
+		for _, r := range delRanges[:del] {
+			if k >= r.Low && k <= r.High {
+				return true
+			}
+		}
+		return false
+	}
+	read := func(i int, lo, hi int64) error {
+		insFloor, delFloor := insDone.Load(), delDone.Load()
+		conds := []crackdb.Cond{{Col: "c0", Op: ">=", Val: lo}, {Col: "c0", Op: "<=", Val: hi}}
+		var got int
+		var rows [][]int64
+		if i%fetchEach == 0 {
+			res, err := st.SelectWhere("t", conds...)
+			if err != nil {
+				return err
+			}
+			if rows, err = res.Rows("c0", "c1", "c2"); err != nil {
+				return err
+			}
+			got = len(rows)
+		} else {
+			var err error
+			if got, err = st.CountWhere("t", conds...); err != nil {
+				return err
+			}
+		}
+		insCeil, delCeil := insStarted.Load(), delStarted.Load()
+		if low, high := live(lo, hi, insFloor, delCeil), live(lo, hi, insCeil, delFloor); got < low || got > high {
+			return fmt.Errorf("read %d of [%d, %d]: %d rows, want between %d and %d", i, lo, hi, got, low, high)
+		}
+		for j, r := range rows {
+			k := r[0]
+			if k < lo || k > hi || !slices.Equal(r, rowOf[k]) || deleted(k, delFloor) ||
+				(k > n && slices.Index(insKeys, k) >= int(insCeil)*batch) {
+				return fmt.Errorf("read %d of [%d, %d]: row %d is %v", i, lo, hi, j, r)
+			}
+			if j > 0 && rows[j-1][0] >= k {
+				return fmt.Errorf("read %d of [%d, %d]: rows %d and %d out of canonical order: %v, %v", i, lo, hi, j-1, j, rows[j-1], r)
+			}
+		}
+		return nil
+	}
+
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+	for i := 0; ; i++ {
+		select {
+		case <-writersDone:
+			if i >= minReads {
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
+				for j := 0; j < len(pool); j += 40 { // settled: exact
+					if err := read(j, pool[j].Low, pool[j].High); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return
+			}
+		default:
+		}
+		var lo, hi int64
+		if i%2 == 0 { // straddles the domain's end: old keys and inserted ones
+			lo = n - rng.Int63n(100)
+			hi = n + 1 + rng.Int63n(int64(4*len(insKeys)))
+		} else {
+			r := pool[rng.Intn(len(pool))]
+			lo, hi = r.Low, r.High
+		}
+		if err := read(i, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		reads.Add(1)
+	}
+}

@@ -9,14 +9,18 @@
 // shard).
 //
 // The router implements crackdb.Backend, so the SQL executor runs
-// unchanged over one store or many. Selections fan out to the shards
-// that can hold qualifying keys (all of them for hashed range
-// predicates, a contiguous subset for range partitioning, exactly one
-// for key equality) and the merged result is canonically ordered —
-// byte-identical whatever the shard count (see Result).
+// unchanged over one store or many. A selection visits the shards that
+// can hold qualifying keys (all of them for hashed range predicates, a
+// contiguous subset for range partitioning, exactly one for key
+// equality): each is first offered it read-only on the calling
+// goroutine, and only the shards that must reorganize to answer — create
+// a cracker column, fold pending updates, crack — run in parallel
+// (gather). The merged result is canonically ordered, byte-identical
+// whatever the shard count (see Result).
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -54,7 +58,8 @@ func (o *Options) defaults() {
 // Store is a hash- or range-sharded collection of cracker stores. All
 // methods are safe for concurrent use: the router's own mutex only
 // guards the table-metadata registry, and the per-shard stores carry
-// their own synchronization, so selections fan out and run in parallel.
+// their own synchronization, so the shards a statement must reorganize
+// run in parallel.
 type Store struct {
 	mu     sync.RWMutex
 	opts   Options
@@ -416,22 +421,58 @@ func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
 	return s.routeAndApply(name, m.part, m.keyIdx, rows)
 }
 
-// gather runs fn for every shard index in [first, last] concurrently and
-// returns the answers in shard order (out[t-first] is shard t's) — or the
+// gather collects one answer per shard index in [first, last] and
+// returns them in shard order (out[t-first] is shard t's) — or the
 // lowest-indexed error. It is the router's only goroutine site: every
-// fan-out, whatever it merges afterwards, goes through here.
-func gather[T any](first, last int, fn func(t int) (T, error)) ([]T, error) {
+// fan-out, whatever it merges afterwards, goes through here, and so does
+// the rule that decides which shards are worth a goroutine.
+//
+// Pass 1, for a read that may leave the shards as they are, offers read
+// every target shard in turn on the calling goroutine. read answers (ok)
+// from what the shard already holds, or declines having changed nothing
+// (crackdb.Store.ReadWhere). A converged statement ends here: no
+// goroutine, no wait. Pass 2 runs fn on the shards that declined — on
+// every shard when read is nil — concurrently, since these are the
+// shards that must create a cracker column, fold pending updates or
+// crack. The caller runs the last of them itself while the others run,
+// so one declined shard costs no goroutine. A shard's error, in either
+// pass, stands for that shard.
+func gather[T any](first, last int, read func(t int) (T, bool, error), fn func(t int) (T, error)) ([]T, error) {
 	out := make([]T, last-first+1)
 	errs := make([]error, len(out))
-	var wg sync.WaitGroup
-	for t := first; t <= last; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			out[t-first], errs[t-first] = fn(t)
-		}(t)
+	declined := 0
+	for i := range out {
+		if read == nil {
+			errs[i] = errDeclined
+		} else if v, ok, err := read(first + i); err != nil {
+			errs[i] = err
+		} else if ok {
+			out[i] = v
+		} else {
+			errs[i] = errDeclined
+		}
+		if errs[i] == errDeclined {
+			declined++
+		}
 	}
-	wg.Wait()
+	if declined > 0 {
+		var wg sync.WaitGroup
+		for i := range errs {
+			if errs[i] != errDeclined {
+				continue
+			}
+			if declined--; declined == 0 {
+				out[i], errs[i] = fn(first + i)
+				break
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				out[i], errs[i] = fn(first + i)
+			}(i)
+		}
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -440,9 +481,13 @@ func gather[T any](first, last int, fn func(t int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
+// errDeclined marks, between gather's passes, a shard pass 2 must run.
+// It is never returned.
+var errDeclined = errors.New("shard: declined")
+
 // each is gather over every shard for fan-outs with nothing to merge.
 func (s *Store) each(fn func(i int) error) error {
-	_, err := gather(0, len(s.shards)-1, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
+	_, err := gather(0, len(s.shards)-1, nil, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
 	return err
 }
 
@@ -547,7 +592,7 @@ func (s *Store) delete(table string, conds []crackdb.Cond, logIt bool) (int, err
 	if empty {
 		return 0, nil
 	}
-	counts, err := gather(first, last, func(t int) (int, error) {
+	counts, err := gather(first, last, nil, func(t int) (int, error) {
 		return s.shards[t].Delete(table, conds...)
 	})
 	return sum(counts), err
@@ -570,7 +615,10 @@ func (s *Store) SelectWhere(table string, conds ...crackdb.Cond) (crackdb.Rows, 
 		return &Result{table: table, m: m}, nil
 	}
 	s.noteRoutedQueries(first, last)
-	parts, err := gather(first, last, func(t int) (*crackdb.Result, error) {
+	parts, err := gather(first, last, func(t int) (*crackdb.Result, bool, error) {
+		_, res, ok, err := s.shards[t].ReadWhere(table, false, conds...)
+		return res, ok, err
+	}, func(t int) (*crackdb.Result, error) {
 		return s.shards[t].SelectWhere(table, conds...)
 	})
 	if err != nil {
@@ -593,7 +641,10 @@ func (s *Store) CountWhere(table string, conds ...crackdb.Cond) (int, error) {
 		return 0, nil
 	}
 	s.noteRoutedQueries(first, last)
-	counts, err := gather(first, last, func(t int) (int, error) {
+	counts, err := gather(first, last, func(t int) (int, bool, error) {
+		n, _, ok, err := s.shards[t].ReadWhere(table, true, conds...)
+		return n, ok, err
+	}, func(t int) (int, error) {
 		return s.shards[t].CountWhere(table, conds...)
 	})
 	return sum(counts), err
@@ -606,7 +657,7 @@ func (s *Store) GroupBy(table, col string) ([]crackdb.GroupInfo, error) {
 		return nil, err
 	}
 	s.noteRoutedQueries(0, len(s.shards)-1)
-	parts, err := gather(0, len(s.shards)-1, func(i int) ([]crackdb.GroupInfo, error) {
+	parts, err := gather(0, len(s.shards)-1, nil, func(i int) ([]crackdb.GroupInfo, error) {
 		return s.shards[i].GroupBy(table, col)
 	})
 	if err != nil {
@@ -652,7 +703,7 @@ func (s *Store) NumRows(table string) (int, error) {
 	if _, _, err := s.meta(table); err != nil {
 		return 0, err
 	}
-	counts, err := gather(0, len(s.shards)-1, func(i int) (int, error) {
+	counts, err := gather(0, len(s.shards)-1, nil, func(i int) (int, error) {
 		return s.shards[i].NumRows(table)
 	})
 	return sum(counts), err
@@ -684,7 +735,7 @@ func (s *Store) ShardStats(table, col string) ([]crackdb.ColumnStats, error) {
 	if _, _, err := s.meta(table); err != nil {
 		return nil, err
 	}
-	return gather(0, len(s.shards)-1, func(i int) (crackdb.ColumnStats, error) {
+	return gather(0, len(s.shards)-1, nil, func(i int) (crackdb.ColumnStats, error) {
 		return s.shards[i].Stats(table, col)
 	})
 }

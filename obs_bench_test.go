@@ -2,7 +2,8 @@ package crackdb
 
 // Observability overhead benchmarks. The obs layer's contract is that
 // instrumenting the converged read path — the ~100ns regime everything
-// else in this repo fought for — costs at most 5% (ISSUE 7 acceptance).
+// else in this repo fought for — costs at most 5%, which
+// TestMetricsOverheadBudget holds.
 // Disabled, the cost is one atomic pointer load and a branch; enabled,
 // the latency timing is sampled 1-in-256 through the column's existing
 // queries counter, so 255 of 256 lookups still pay only loads and
@@ -10,6 +11,7 @@ package crackdb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,30 +37,63 @@ func convergedColumn(n, gridCells int) *core.Column {
 	return col
 }
 
-// lookupNS measures the per-op cost of rounds×opsPerRound converged
-// lookups and returns the minimum round time (min-of-rounds discards
-// scheduler noise; both configurations are measured interleaved so
-// neither systematically inherits a warmer cache).
-func lookupNS(col *core.Column, grid, step int64, rounds, opsPerRound int) float64 {
+// instrumentedOverhead measures what the production instrumentation —
+// latency timing sampled 1-in-256, histograms and the trace ring — adds
+// to a converged lookup, in percent. Twin 1M-row columns cracked on a
+// 512-cell grid, one of them instrumented, answer alternating rounds of
+// the same random grid lookups (the pair's order alternates too), and
+// the overhead is the median over the pairs of the instrumented round's
+// time relative to its uninstrumented neighbour's; offNS and onNS are
+// each side's median round, per lookup. A burst of other load on the
+// machine lands inside one pair, which the median discards: the minimum
+// of twelve rounds of each side measured one side after the other,
+// which this replaced, read from -12 % to +13 % over five runs on a
+// shared 2-core box.
+func instrumentedOverhead() (pct, offNS, onNS float64) {
+	const n, grid, pairs, ops = 1_000_000, 512, 40, 50_000
+	step := int64(n / grid)
+	reg := obs.NewRegistry()
+	plain := convergedColumn(n, grid)
+	wired := convergedColumn(n, grid)
+	wired.SetInstr(&core.Instr{
+		ReadHold:   reg.Histogram("lat", "l", obs.L("path", "converged")),
+		WriteHold:  reg.Histogram("lat", "l", obs.L("path", "crack")),
+		Batch:      reg.Histogram("lat", "l", obs.L("path", "batch")),
+		Trace:      obs.NewTraceBuf(1024),
+		SampleMask: 255,
+	})
 	rng := rand.New(rand.NewSource(99))
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < rounds; r++ {
+	round := func(col *core.Column) float64 {
 		t0 := time.Now()
-		for i := 0; i < opsPerRound; i++ {
+		for i := 0; i < ops; i++ {
 			lo := rng.Int63n(grid-1) * step
 			col.Select(lo, lo+step, true, false)
 		}
-		if d := time.Since(t0); d < best {
-			best = d
-		}
+		return float64(time.Since(t0).Nanoseconds()) / ops
 	}
-	return float64(best.Nanoseconds()) / float64(opsPerRound)
+	round(plain) // warm both
+	round(wired)
+	var offs, ons, rel []float64
+	for p := 0; p < pairs; p++ {
+		var off, on float64
+		if p%2 == 0 {
+			off, on = round(plain), round(wired)
+		} else {
+			on, off = round(wired), round(plain)
+		}
+		offs, ons, rel = append(offs, off), append(ons, on), append(rel, (on-off)/off*100)
+	}
+	median := func(xs []float64) float64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
+	}
+	return median(rel), median(offs), median(ons)
 }
 
 // BenchmarkMetricsOverhead reports the converged-lookup cost with
 // instrumentation off and on, plus the relative overhead (the
-// overhead_pct metric). The overhead sub-benchmark fails if the
-// production sampling configuration costs more than 5%.
+// overhead_pct metric). TestMetricsOverheadBudget holds the overhead to
+// 5 %.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	const n, grid = 1_000_000, 512
 	step := int64(n / grid)
@@ -93,22 +128,11 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		}
 	})
 	b.Run("overhead", func(b *testing.B) {
-		plain := convergedColumn(n, grid)
-		wired := convergedColumn(n, grid)
-		wired.SetInstr(instr())
-		const rounds, ops = 12, 200_000
-		// Interleave: warm both, then alternate measurement rounds.
-		lookupNS(plain, grid, step, 1, ops)
-		lookupNS(wired, grid, step, 1, ops)
-		b.ResetTimer()
-		offNS := lookupNS(plain, grid, step, rounds, ops)
-		onNS := lookupNS(wired, grid, step, rounds, ops)
-		pct := (onNS - offNS) / offNS * 100
-		b.ReportMetric(pct, "overhead_pct")
-		b.ReportMetric(offNS, "off_ns/op")
-		b.ReportMetric(onNS, "on_ns/op")
-		if pct > 5.0 {
-			b.Fatalf("instrumented converged lookup is %.2f%% slower (off %.1fns, on %.1fns); budget is 5%%", pct, offNS, onNS)
+		for i := 0; i < b.N; i++ {
+			pct, offNS, onNS := instrumentedOverhead()
+			b.ReportMetric(pct, "overhead_pct")
+			b.ReportMetric(offNS, "off_ns/op")
+			b.ReportMetric(onNS, "on_ns/op")
 		}
 	})
 }

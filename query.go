@@ -80,10 +80,9 @@ func Interval(col string, conds []Cond) (lo, hi int64, exact bool, err error) {
 	return lo, hi, exact, nil
 }
 
-// termOf validates the conditions against table t and builds the
-// conjunctive term the planner takes.
-func termOf(t *relation.Table, conds []Cond) (expr.Term, error) {
-	term := make(expr.Term, 0, len(conds))
+// termOf validates the conditions against table t and builds, appending
+// to term, the conjunctive term the planner takes.
+func termOf(t *relation.Table, conds []Cond, term expr.Term) (expr.Term, error) {
 	for _, c := range conds {
 		op, err := opOf(c.Op)
 		if err != nil {
@@ -101,22 +100,8 @@ func termOf(t *relation.Table, conds []Cond) (expr.Term, error) {
 // selective advised column as a side effect. With no conditions it
 // returns every tuple.
 func (s *Store) SelectWhere(table string, conds ...Cond) (*Result, error) {
-	ct, err := s.tableFor(table)
-	if err != nil {
-		return nil, err
-	}
-	term, err := termOf(ct.Base(), conds)
-	if err != nil {
-		return nil, err
-	}
-	// The planner picks the driving column from cracker-index statistics
-	// and cracks only that one (paper §3.3: piece statistics let the
-	// optimizer cost plans for free).
-	oids, _, err := ct.SelectTermPlanned(term)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{store: s, cracked: ct, oids: oids}, nil
+	_, res, _, err := s.where(table, conds, false, true)
+	return res, err
 }
 
 // Delete removes the tuples matching the conjunction (every tuple when
@@ -133,14 +118,14 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	term, err := termOf(ct.Base(), conds)
+	term, err := termOf(ct.Base(), conds, nil)
 	if err != nil {
 		return 0, err
 	}
 	// Select before taking the store lock: the select observer may flip
 	// the driving column's strategy, which reads the store's
 	// configuration under that lock.
-	oids, _, err := ct.SelectTermPlanned(term)
+	oids, _, _, err := ct.SelectTermPlanned(term, true)
 	if err != nil {
 		return 0, err
 	}
@@ -155,15 +140,52 @@ func (s *Store) Delete(table string, conds ...Cond) (int, error) {
 // The query still cracks, but a conjunction the driving column absorbs
 // whole materializes nothing.
 func (s *Store) CountWhere(table string, conds ...Cond) (int, error) {
+	n, _, _, err := s.where(table, conds, true, true)
+	return n, err
+}
+
+// ReadWhere offers a conjunction to the store read-only. When the store
+// can answer without changing — the driving column exists, has no
+// pending updates, and both cuts of its range are in the cracker index —
+// it answers as CountWhere does (count set; res is nil) or as
+// SelectWhere does (n is res.Count()). Otherwise it declines: ok is
+// false and nothing changed, not even a statistic or the auto-tuner's
+// view of the workload, so CountWhere or SelectWhere can answer it next
+// as if the offer had never been made. An error is the one CountWhere or
+// SelectWhere would return, never a decline. The shard router offers
+// every target shard a read this way first and fans out only the shards
+// that decline.
+func (s *Store) ReadWhere(table string, count bool, conds ...Cond) (n int, res *Result, ok bool, err error) {
+	return s.where(table, conds, count, false)
+}
+
+// where is the one conjunction path under CountWhere, SelectWhere and
+// ReadWhere: count picks the answer's form, write whether the planner
+// may change the store to produce it (core.CrackedTable.SelectTermPlanned).
+func (s *Store) where(table string, conds []Cond, count, write bool) (n int, res *Result, ok bool, err error) {
 	ct, err := s.tableFor(table)
 	if err != nil {
-		return 0, err
+		return 0, nil, false, err
 	}
-	term, err := termOf(ct.Base(), conds)
+	// On the stack: a term of up to four conditions allocates nothing
+	// (TestRoutedReadBudget counts on it).
+	var buf [4]expr.Pred
+	term, err := termOf(ct.Base(), conds, buf[:0])
 	if err != nil {
-		return 0, err
+		return 0, nil, false, err
 	}
-	return ct.CountTerm(term)
+	if count {
+		n, ok, err = ct.CountTerm(term, write)
+		return n, nil, ok, err
+	}
+	// The planner picks the driving column from cracker-index statistics
+	// and cracks only that one (paper §3.3: piece statistics let the
+	// optimizer cost plans for free).
+	oids, _, ok, err := ct.SelectTermPlanned(term, write)
+	if err != nil || !ok {
+		return 0, nil, false, err
+	}
+	return len(oids), &Result{store: s, cracked: ct, oids: oids}, true, nil
 }
 
 // OIDs returns the surrogate identifiers of the qualifying tuples.
