@@ -57,6 +57,48 @@ func TestAutotuneConvergence(t *testing.T) {
 	}
 }
 
+// TestAutotuneBatchOrder: the tuner sees a batch's ranges in the order
+// they were sent, as it would see the same counts sent one by one. A
+// random stream counted in batches of 64 leaves the column on standard,
+// classed random, with no flip; the same stream walked sequentially
+// still flips it to mdd1r. A batch that sorted its ranges by bound would
+// show the tuner a sequential walk inside every batch of random ones.
+func TestAutotuneBatchOrder(t *testing.T) {
+	run := func(pattern workload.Pattern) tuner.Decision {
+		const n = 200_000
+		s := New()
+		s.EnableAutotune(tuner.Config{})
+		if err := s.LoadTapestry("t", n, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.New(pattern, workload.Config{Domain: n, Count: 4096, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := gen.Queries()
+		for i := 0; i < len(qs); i += 64 {
+			batch := make([]Range, 0, 64)
+			for _, q := range qs[i:min(i+64, len(qs))] {
+				batch = append(batch, Range{Low: q.Lo, High: q.Hi - 1})
+			}
+			if _, err := s.CountBatch("t", "c0", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dec := s.TuneDecisions()
+		if len(dec) != 1 {
+			t.Fatalf("%s: decisions = %+v, want one for t.c0", pattern, dec)
+		}
+		return dec[0]
+	}
+	if d := run(workload.Random); d.Strategy != "standard" || d.Class != "random" || d.Flips != 0 {
+		t.Errorf("random stream in batches of 64: %+v, want standard, class random, 0 flips", d)
+	}
+	if d := run(workload.Sequential); d.Strategy != "mdd1r" || d.Class != "sequential" || d.Flips == 0 {
+		t.Errorf("sequential stream in batches of 64: %+v, want mdd1r, class sequential, flips > 0", d)
+	}
+}
+
 // TestAutotuneFlipUnderConcurrentSelect races strategy flips (auto and
 // forced) against concurrent selects on the same column — the swap is
 // write-locked and the observer runs outside all locks, so every answer

@@ -40,8 +40,8 @@ type Backend interface {
 	CountWhere(table string, conds ...Cond) (int, error)
 
 	// Vectorized entry points: many ranges over one column in one call.
-	SelectBatch(table, col string, ranges []Range, opts ...BatchOption) ([]Rows, error)
-	CountBatch(table, col string, ranges []Range, opts ...BatchOption) ([]int, error)
+	SelectBatch(table, col string, ranges []Range) ([]Rows, error)
+	CountBatch(table, col string, ranges []Range) ([]int, error)
 
 	// Ω cracking: cluster the column into its distinct values.
 	GroupBy(table, col string) ([]GroupInfo, error)
@@ -86,8 +86,8 @@ func (b storeBackend) SelectWhere(table string, conds ...Cond) (Rows, error) {
 	return canonicalOf(b.Store.SelectWhere(table, conds...))
 }
 
-func (b storeBackend) SelectBatch(table, col string, ranges []Range, opts ...BatchOption) ([]Rows, error) {
-	rs, err := b.Store.SelectBatch(table, col, ranges, opts...)
+func (b storeBackend) SelectBatch(table, col string, ranges []Range) ([]Rows, error) {
+	rs, err := b.Store.SelectBatch(table, col, ranges)
 	if err != nil {
 		return nil, err
 	}

@@ -13,36 +13,15 @@ type Range struct {
 	Low, High int64
 }
 
-// BatchOption configures SelectBatch and CountBatch.
-type BatchOption func(*batchConfig)
-
-type batchConfig struct {
-	ordered bool
-}
-
-// PreserveOrder executes the batch in submission order instead of the
-// default sorted-by-bound order. Sorted execution maximizes piece reuse
-// between consecutive cracks; submission order makes the batch's
-// physical side effects — which cuts land when — identical to issuing
-// the same queries sequentially, which is what the byte-identity oracle
-// tests pin down.
-func PreserveOrder() BatchOption {
-	return func(c *batchConfig) { c.ordered = true }
-}
-
 // SelectBatch answers many inclusive range queries over one column in a
 // single store entry: the table registry and cracker column are
-// resolved once, the column lock is taken at most twice (one optimistic
-// read hold, one write hold for the predicates that must crack), and
-// all answers share one pair of backing buffers. Results come back in
-// submission order and behave exactly like Select results — Rows
-// serves from the sideways maps when they can, Count and Values are
-// copies safe under concurrent cracking.
-func (s *Store) SelectBatch(table, col string, ranges []Range, opts ...BatchOption) ([]*Result, error) {
-	var cfg batchConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// resolved once, the ranges are answered one by one in submission
+// order — so the batch cracks exactly as the same Selects sent one by
+// one would — and all answers share one pair of backing buffers.
+// Results come back in submission order and behave exactly like Select
+// results — Rows serves from the sideways maps when they can, Count and
+// Values are copies safe under concurrent cracking.
+func (s *Store) SelectBatch(table, col string, ranges []Range) ([]*Result, error) {
 	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return nil, err
@@ -51,7 +30,7 @@ func (s *Store) SelectBatch(table, col string, ranges []Range, opts ...BatchOpti
 	defer exprRangeScratch.Put(box)
 	run := core.AcquireBatchRun()
 	defer run.Release()
-	if err := ct.SelectBatchRun(col, ex, cfg.ordered, false, run); err != nil {
+	if err := ct.SelectBatchRun(col, ex, false, run); err != nil {
 		return nil, err
 	}
 	// One backing array for the whole batch's Result headers: the
@@ -94,11 +73,7 @@ func exprRanges(col string, ranges []Range) (*[]expr.Range, []expr.Range) {
 // CountBatch is SelectBatch without result materialization: the queries
 // still crack (they are also advice) but only the qualifying-tuple
 // counts come back, in submission order.
-func (s *Store) CountBatch(table, col string, ranges []Range, opts ...BatchOption) ([]int, error) {
-	var cfg batchConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func (s *Store) CountBatch(table, col string, ranges []Range) ([]int, error) {
 	ct, err := s.tableFor(table, col)
 	if err != nil {
 		return nil, err
@@ -107,7 +82,7 @@ func (s *Store) CountBatch(table, col string, ranges []Range, opts ...BatchOptio
 	defer exprRangeScratch.Put(box)
 	run := core.AcquireBatchRun()
 	defer run.Release()
-	if err := ct.SelectBatchRun(col, ex, cfg.ordered, true, run); err != nil {
+	if err := ct.SelectBatchRun(col, ex, true, run); err != nil {
 		return nil, err
 	}
 	counts := make([]int, len(run.Answers))

@@ -10,14 +10,13 @@ import (
 )
 
 // Batched selection: many range predicates over one cracker column
-// answered under at most two lock acquisitions (one read, one write)
-// instead of one or two per query. The per-query economics of cracking
-// are dominated by fixed costs once a column converges — registry
-// resolution, lock round trips, result allocation — and a batch
-// amortizes all of them. Sorting the predicates that must crack by their
-// lower bound additionally localizes the cracking: consecutive
-// predicates land in the same or adjacent pieces, so the partition
-// passes a batch triggers touch overlapping cache-resident regions.
+// answered in one call, one range after another in submission order,
+// each through Column.answer — the lock protocol every scalar read
+// runs. A batch therefore leaves the column exactly as the same ranges
+// sent one by one would: the same cuts, in the same order, with the
+// same strategy consulted for each. What it amortizes is everything
+// around the column: the registry and column resolution, the result
+// allocation, and the caller's per-query overhead.
 
 // BatchAnswer is one predicate's answer within a column batch. For a
 // counting batch only N is set. For a selecting batch Vals and OIDs are
@@ -31,57 +30,12 @@ type BatchAnswer struct {
 	N    int
 }
 
-// batchKey is the compact sort key of one batch predicate. Sorting a
-// key slice instead of an interface-driven permutation matters: at
-// converged-lookup speeds the sort is a double-digit percentage of the
-// whole batch, and sort.Sort/sort.SliceStable pay an indirect call plus
-// a 48-byte expr.Range copy per comparison. The submission index rides
-// in the key both as the final tie-break (distinct indexes make an
-// unstable sort produce the stable sorted-bound order) and as the
-// permutation output.
-type batchKey struct {
-	low, high      int64
-	idx            int32
-	loIncl, hiIncl bool
-}
-
-func cmpBatchKey(a, b batchKey) int {
-	if a.low != b.low {
-		if a.low < b.low {
-			return -1
-		}
-		return 1
-	}
-	if a.loIncl != b.loIncl {
-		// [v, ...] starts before (v, ...]
-		if a.loIncl {
-			return -1
-		}
-		return 1
-	}
-	if a.high != b.high {
-		if a.high < b.high {
-			return -1
-		}
-		return 1
-	}
-	if a.hiIncl != b.hiIncl {
-		if !a.hiIncl {
-			return -1
-		}
-		return 1
-	}
-	return int(a.idx) - int(b.idx)
-}
-
-// BatchRun owns the scratch buffers of one batch execution — answers,
-// permutation, sort keys, answer windows. Acquire one from the pool,
-// run batches through it, Release it when the Answers are consumed.
-// Pooling these is not a micro-optimization: the scratch is several
-// hundred bytes per predicate, and on a converged column allocating and
-// zeroing it fresh costs more than answering the whole batch.
+// BatchRun owns the answers of one batch execution. Acquire one from
+// the pool, run batches through it, Release it when the Answers are
+// consumed. The pool is why a converged CountBatch allocates nothing
+// but the counts it returns.
 //
-// Only the buffer headers are pooled. The Vals/OIDs backing arrays a
+// Only the slice header is pooled. The Vals/OIDs backing arrays a
 // selecting batch fills are freshly allocated each run, because they
 // escape into the caller's results. A released run may keep the
 // previous batch's tail elements (beyond the next batch's length)
@@ -91,194 +45,99 @@ type BatchRun struct {
 	// slice is reused across runs; copy anything that must outlive
 	// Release.
 	Answers []BatchAnswer
-
-	perm []int
-	keys []batchKey
-	offs [][2]int
 }
 
 var batchRunPool = sync.Pool{New: func() any { return new(BatchRun) }}
 
-// AcquireBatchRun returns a scratch run from the pool.
+// AcquireBatchRun returns a run from the pool.
 func AcquireBatchRun() *BatchRun { return batchRunPool.Get().(*BatchRun) }
 
-// Release returns the run's buffers to the pool. The run and its
-// Answers must not be used afterwards.
+// Release returns the run to the pool. The run and its Answers must not
+// be used afterwards.
 func (r *BatchRun) Release() {
 	r.Answers = r.Answers[:0]
 	batchRunPool.Put(r)
 }
 
-// scratch resizes a pooled buffer to n elements, reallocating only on
-// capacity growth. Callers fully overwrite the returned prefix, so no
-// clearing is needed.
-func scratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // SelectBatch answers every range of the batch and returns the answers
-// in submission order plus the execution permutation (perm[k] is the
-// submission index executed k-th). It is the self-contained form of
-// SelectBatchRun for callers that hold onto the answers, paying two
-// copies for the convenience.
+// plus the execution order (order[k] is the submission index executed
+// k-th), which is submission order. It is the self-contained form of
+// SelectBatchRun for callers that hold onto the answers. ordered asks
+// for nothing, as in SelectBatchRun.
 func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]BatchAnswer, []int) {
 	r := AcquireBatchRun()
 	defer r.Release()
 	c.SelectBatchRun(ranges, ordered, countOnly, r)
-	return append([]BatchAnswer(nil), r.Answers...), append([]int(nil), r.perm...)
+	order := make([]int, len(ranges))
+	for i := range order {
+		order[i] = i
+	}
+	return append([]BatchAnswer(nil), r.Answers...), order
 }
 
-// SelectBatchRun answers every range of the batch into r.Answers
-// (submission order); r.perm records the execution order. With
-// countOnly nothing is materialized; only BatchAnswer.N is set.
-//
-// Under one read-lock hold every range whose two cuts the cracker index
-// already holds is answered in submission order by probeCuts — the
-// resolver Select's read path uses — with the stats accounted in bulk.
-// A column with pending updates answers nothing there: the fold needs
-// the write lock. The misses (an unregistered cut: the query must crack)
-// then run under one write-lock hold, sorted by bound for piece
-// locality. With ordered the batch stays strict: everything from the
-// first miss on runs serially under the write lock, exactly like issuing
-// the queries one by one.
-//
-// A hit's window is copied out before the read lock is released, and a
-// miss's right after its selection: a later crack reorders the elements
-// inside the pieces a window spans, and under MDD1R, whose query cuts go
-// unregistered, moves them across its bounds.
+// SelectBatchRun answers every range of the batch into r.Answers, in
+// submission order, each through answer exactly as Select would. With
+// countOnly nothing is materialized; only BatchAnswer.N is set. ordered
+// asks for nothing: every batch runs in submission order, and the
+// parameter stays only for callers compiled against it.
 func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, run *BatchRun) {
-	in := c.instr.Load()
-	if in != nil && in.Batch != nil {
+	c.selectBatch(ranges, countOnly, run, nil)
+}
+
+// selectBatch is SelectBatchRun, showing observe (when non-nil) each
+// range right after it is answered, outside the column lock.
+func (c *Column) selectBatch(ranges []expr.Range, countOnly bool, run *BatchRun, observe func(expr.Range)) {
+	if in := c.instr.Load(); in != nil && in.Batch != nil {
 		// A batch is tens of queries per call, so whole-call timing is
 		// already amortized — no sampling needed.
 		t0 := time.Now()
 		defer func() { in.Batch.Observe(time.Since(t0).Nanoseconds()) }()
 	}
-	n := len(ranges)
-	run.Answers = scratch(run.Answers, n)
-	answers := run.Answers
-	run.perm = scratch(run.perm, n)
-	perm := run.perm
-	run.keys = scratch(run.keys, n)
-	keys := run.keys
-
-	// Shared backing buffers: offs[i] records the i-th answer's window so
-	// the subslices can be cut after the buffers stop growing. vals and
-	// oids escape into the answers, so they are fresh, not pooled.
+	// Cleared up front, so the loop stores only counts: a pooled element
+	// may hold a previous batch's Vals/OIDs.
+	answers := slices.Grow(run.Answers[:0], len(ranges))[:len(ranges)]
+	clear(answers)
+	run.Answers = answers
 	var vals []int64
 	var oids []bat.OID
-	var offs [][2]int
-	if !countOnly {
-		run.offs = scratch(run.offs, n)
-		offs = run.offs
+	n := 0
+	use := func(v View) {
+		n = v.Len()
+		if !countOnly {
+			vals = append(vals, v.Values()...)
+			oids = append(oids, v.OIDs()...)
+		}
 	}
-
-	pdone := 0 // answers recorded == perm entries written
-	nMiss := 0 // keys[:nMiss] are left for the write lock, in submission order
-	c.mu.RLock()
-	clean := len(c.pending) == 0 && len(c.deleted) == 0
-	total := 0
-	var nlook int64
 	for i := range ranges {
 		r := &ranges[i]
-		if clean && (!ordered || nMiss == 0) {
-			lo, hi, okLo, okHi, empty := c.probeCuts(r.Low, r.High, r.LowIncl, r.HighIncl)
-			if okLo && okHi {
-				if !empty {
-					nlook += 2
-				}
-				// Deferred copy: stash the column window, not the data.
-				// The read lock is held until after the flush below, so
-				// the window cannot move in between.
-				answers[i] = BatchAnswer{N: hi - lo}
-				if !countOnly {
-					offs[i] = [2]int{lo, hi}
-				}
-				total += hi - lo
-				perm[pdone] = i
-				pdone++
-				continue
-			}
-		}
-		keys[nMiss] = batchKey{low: r.Low, high: r.High, idx: int32(i), loIncl: r.LowIncl, hiIncl: r.HighIncl}
-		nMiss++
-	}
-	if pdone > 0 {
-		c.stats.queries.Add(int64(pdone))
-	}
-	if nlook > 0 {
-		c.stats.indexLookups.Add(nlook)
-	}
-	if !countOnly && pdone > 0 {
-		// Flush the deferred copies into exactly-sized buffers — one
-		// allocation and one pass instead of append regrowth — and
-		// rewrite the stashed windows into buffer offsets. The misses
-		// append behind the reserved capacity later.
-		vals = make([]int64, 0, total)
-		oids = make([]bat.OID, 0, total)
-		for _, i := range perm[:pdone] {
-			lo, hi := offs[i][0], offs[i][1]
-			start := len(vals)
-			vals = append(vals, c.vals[lo:hi]...)
-			oids = append(oids, c.oids[lo:hi]...)
-			offs[i] = [2]int{start, len(vals)}
+		c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, true, use)
+		answers[i].N = n
+		if observe != nil {
+			observe(*r)
 		}
 	}
-	c.mu.RUnlock()
-
-	if nMiss > 0 {
-		todo := keys[:nMiss]
-		if !ordered {
-			slices.SortFunc(todo, cmpBatchKey)
-		}
-		c.mu.Lock()
-		for _, key := range todo {
-			i := int(key.idx)
-			r := &ranges[i]
-			v := c.crackLocked(in, r.Low, r.High, r.LowIncl, r.HighIncl)
-			// Full-struct write: answers is pooled, so this also clears
-			// any stale Vals/OIDs a previous run left in the element.
-			answers[i] = BatchAnswer{N: v.Len()}
-			if !countOnly {
-				start := len(vals)
-				vals = append(vals, c.vals[v.Lo:v.Hi]...)
-				oids = append(oids, c.oids[v.Lo:v.Hi]...)
-				offs[i] = [2]int{start, len(vals)}
-			}
-			perm[pdone] = i
-			pdone++
-		}
-		c.mu.Unlock()
-	}
-
 	if !countOnly {
+		// The buffers stopped growing: cut each answer's window, in the
+		// order the windows were appended.
+		at := 0
 		for i := range answers {
-			a, b := offs[i][0], offs[i][1]
-			answers[i].Vals = vals[a:b:b]
-			answers[i].OIDs = oids[a:b:b]
+			end := at + answers[i].N
+			answers[i].Vals, answers[i].OIDs = vals[at:end:end], oids[at:end:end]
+			at = end
 		}
 	}
 }
 
 // SelectBatchRun answers a batch of ranges on one attribute into the
 // run, resolving the cracker column once for the whole batch. Every
-// range must name the attr column. The select observer fires once per
-// range, in execution order — the order the cuts actually landed on the
-// column — after the batch completes.
-func (ct *CrackedTable) SelectBatchRun(attr string, ranges []expr.Range, ordered, countOnly bool, run *BatchRun) error {
+// range must name the attr column. The select observer sees each range
+// right after it is answered, as it does for a scalar count.
+func (ct *CrackedTable) SelectBatchRun(attr string, ranges []expr.Range, countOnly bool, run *BatchRun) error {
 	c, err := ct.ColumnFor(attr)
 	if err != nil {
 		return err
 	}
-	c.SelectBatchRun(ranges, ordered, countOnly, run)
-	if ct.selectObs != nil {
-		for _, i := range run.perm {
-			ct.selectObs(ranges[i])
-		}
-	}
+	c.selectBatch(ranges, countOnly, run, ct.selectObs)
 	return nil
 }
 

@@ -9,8 +9,8 @@ import (
 
 // FuzzStatements decodes bytes into an op stream — a quarter of it
 // invalid or degenerate — and holds every in-process backend to the
-// model: one store, and an ordered-batch pair of stores (all three also
-// reboot through their images), a router of 1 or 4 shards, hash or
+// model: one store, and a batch ≡ sequential pair of stores (all three
+// also reboot through their images), a router of 1 or 4 shards, hash or
 // range, as the first byte says, and a SQL engine over a store and a
 // router. Any answer, error text or row order that differs fails.
 func FuzzStatements(f *testing.F) {

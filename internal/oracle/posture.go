@@ -212,10 +212,11 @@ func counts(ns []int) string {
 }
 
 // Ordered is the batch ≡ sequential posture: two stores built alike see
-// every op, but a batch runs with PreserveOrder on Batched while Twin
-// answers its ranges one by one. Submission order makes the batch's
-// physical side effects those of the sequential queries, so the two must
-// agree value for value and OID for OID, in physical order.
+// every op, but a batch runs as one CountBatch or SelectBatch on Batched
+// while Twin answers its ranges one by one. A batch answers its ranges
+// in submission order, so its physical side effects are those of the
+// sequential queries, and the two must agree value for value and OID for
+// OID, in physical order.
 type Ordered struct{ Batched, Twin *Backend }
 
 func (p Ordered) Name() string { return "ordered batch" }
@@ -230,7 +231,7 @@ func (p Ordered) Do(op Op) (string, bool) {
 	}
 	b, tw := p.Batched.Store, p.Twin.Store
 	if op.Kind == CountBatch {
-		ns, err := b.CountBatch(op.Table, op.Col, op.Ranges, crackdb.PreserveOrder())
+		ns, err := b.CountBatch(op.Table, op.Col, op.Ranges)
 		for i, r := range op.Ranges {
 			if n, _ := tw.Count(op.Table, op.Col, r.Low, r.High); err == nil && n != ns[i] {
 				return fmt.Sprintf("range %d: the batch counts %d, the twin %d", i, ns[i], n), true
@@ -238,7 +239,7 @@ func (p Ordered) Do(op Op) (string, bool) {
 		}
 		return answer(counts(ns), err), true
 	}
-	rs, err := b.SelectBatch(op.Table, op.Col, op.Ranges, crackdb.PreserveOrder())
+	rs, err := b.SelectBatch(op.Table, op.Col, op.Ranges)
 	bat, seq := make([]crackdb.Rows, len(rs)), make([]crackdb.Rows, len(rs))
 	for i, r := range rs {
 		s, _ := tw.Select(op.Table, op.Col, op.Ranges[i].Low, op.Ranges[i].High)

@@ -132,6 +132,33 @@ func TestRoutedReadBudget(t *testing.T) {
 	}
 }
 
+// TestFollowerDispatchBudget: a follower parses a statement once, to
+// check that it only reads and to execute it, so a converged count costs
+// it no more allocations than it costs a primary. Checking on a second
+// parse made it 40 against 24.
+func TestFollowerDispatchBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	st := convergedRouter(t)
+	primary, follower := New(st, nil), New(st, nil)
+	follower.SetPrimary("127.0.0.1:1")
+	const stmt = "SELECT COUNT(*) FROM t WHERE c0 >= 5000 AND c0 < 6000"
+	count := func(s *Server) func() {
+		return func() {
+			if resp, _ := s.dispatch(stmt); resp.Err != "" || len(resp.ints) != 1 || resp.ints[0][0] != 1000 {
+				t.Fatalf("%s: err %q, rows %v; want 1000", stmt, resp.Err, resp.ints)
+			}
+		}
+	}
+	count(primary)() // the first run cracks the range's two bounds on every shard
+	p, f := testing.AllocsPerRun(200, count(primary)), testing.AllocsPerRun(200, count(follower))
+	t.Logf("a converged SELECT COUNT(*) allocates %.0f times on a primary, %.0f on a follower", p, f)
+	if f > p {
+		t.Errorf("a follower's count allocates %.0f times, more than a primary's %.0f", f, p)
+	}
+}
+
 func TestWireResultBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")

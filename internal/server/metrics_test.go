@@ -193,6 +193,16 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsWithoutObservability: a server whose embedder never called
+// EnableObservability refuses /metrics naming that call. cracksrv always
+// makes it, so no cracksrv flag is the remedy.
+func TestMetricsWithoutObservability(t *testing.T) {
+	resp, _ := New(shard.New(shard.Options{Shards: 1}), nil).dispatch("/metrics")
+	if want := "observability was never enabled on this server (Server.EnableObservability)"; resp.Err != want {
+		t.Fatalf("/metrics: err %q, want %q", resp.Err, want)
+	}
+}
+
 func TestServerStatsSummary(t *testing.T) {
 	addr, _, stop := startObsServer(t, t.TempDir(), shard.Options{Shards: 2, Kind: shard.Hash}, 0)
 	defer stop()

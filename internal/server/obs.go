@@ -102,7 +102,7 @@ func (s *Server) dispatchTimed(cmd string) (*Response, bool) {
 func (s *Server) metricsMeta([]string) (*Response, bool) {
 	fams, ok := s.store.Gather()
 	if !ok {
-		return &Response{Err: "observability is off (start cracksrv with -http or -slowms)"}, false
+		return &Response{Err: "observability was never enabled on this server (Server.EnableObservability)"}, false
 	}
 	var buf bytes.Buffer
 	if err := obs.WriteText(&buf, fams); err != nil {

@@ -121,15 +121,10 @@ func (s *Server) refreshPruneFloor() {
 	}
 }
 
-// readOnlyStmt reports whether a SQL statement is safe on a follower.
-// Only plain SELECTs qualify; SELECT INTO materializes a table and
-// would diverge the replica. Parse errors pass through so the engine
-// reports them verbatim.
-func readOnlyStmt(cmd string) bool {
-	st, err := sql.Parse(cmd)
-	if err != nil {
-		return true
-	}
+// readOnlyStmt reports whether a parsed SQL statement is safe on a
+// follower. Only plain SELECTs qualify; SELECT INTO materializes a table
+// and would diverge the replica.
+func readOnlyStmt(st sql.Stmt) bool {
 	sel, ok := st.(sql.Select)
 	return ok && sel.Into == ""
 }

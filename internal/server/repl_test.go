@@ -11,6 +11,7 @@ import (
 
 	"crackdb/internal/oracle"
 	"crackdb/internal/shard"
+	"crackdb/internal/sql"
 	"crackdb/internal/strategy"
 )
 
@@ -138,7 +139,8 @@ func (r *replica) down() {
 }
 
 func (r *replica) exec(stmts ...string) []oracle.Reply {
-	if !readOnlyStmt(stmts[0]) {
+	// A statement that does not parse is refused alike by both servers.
+	if st, err := sql.Parse(stmts[0]); err == nil && !readOnlyStmt(st) {
 		out := wireReplies(r.t, r.pc, false, stmts)
 		if r.rebooted && out[0].Err == "" {
 			r.missed++

@@ -292,10 +292,14 @@ func (s *Server) dispatch(cmd string) (resp *Response, quit bool) {
 	if strings.HasPrefix(cmd, "/") {
 		return s.meta(cmd)
 	}
-	if p := s.primaryAddr(); p != "" && !readOnlyStmt(cmd) {
+	st, err := sql.Parse(cmd)
+	if err != nil {
+		return &Response{Err: err.Error()}, false
+	}
+	if p := s.primaryAddr(); p != "" && !readOnlyStmt(st) {
 		return &Response{Err: "read-only follower; primary=" + p}, false
 	}
-	rs, err := s.eng.Exec(cmd)
+	rs, err := s.eng.ExecStmt(st)
 	if err != nil {
 		return &Response{Err: err.Error()}, false
 	}

@@ -2,14 +2,14 @@
 // frame of work per shard. Each target shard receives its sub-batch —
 // the predicates whose key interval overlaps the shard — and executes
 // it under a single shard-store entry (crackdb.Store.CountBatch /
-// SelectBatch), so the shard-store entry, column resolution and lock
-// round trips the scalar path pays per query are paid once per shard
-// per batch. A sub-batch is a shard's unit of work whatever it finds —
-// its converged ranges and its misses share one read hold and at most
-// one write hold — so it gets no read-only pass: every shard with a
-// sub-batch runs in gather's pass 2. Per-predicate answers are merged
-// canonically: counts sum, selections concatenate into the same
-// canonical Result the scalar path returns.
+// SelectBatch), so the shard-store entry and column resolution the
+// scalar path pays per query are paid once per shard per batch. The
+// shard answers its sub-batch's ranges one by one in submission order,
+// exactly as it would answer them sent alone. A sub-batch is a shard's
+// unit of work whatever it finds, so it gets no read-only pass: every
+// shard with a sub-batch runs in gather's pass 2. Per-predicate answers
+// are merged canonically: counts sum, selections concatenate into the
+// same canonical Result the scalar path returns.
 package shard
 
 import (
@@ -53,7 +53,7 @@ func (s *Store) routeBatch(table string, m *tableMeta, part partitioner, col str
 // CountBatch answers many inclusive ranges on one column, fanning out
 // one sub-batch per target shard and summing the per-shard counts per
 // predicate. Counts come back in submission order.
-func (s *Store) CountBatch(table, col string, ranges []crackdb.Range, opts ...crackdb.BatchOption) ([]int, error) {
+func (s *Store) CountBatch(table, col string, ranges []crackdb.Range) ([]int, error) {
 	m, part, err := s.meta(table)
 	if err != nil {
 		return nil, err
@@ -67,7 +67,7 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range, opts ...cr
 		if len(sub[i].ranges) == 0 {
 			return nil, nil
 		}
-		return s.shards[i].CountBatch(table, col, sub[i].ranges, opts...)
+		return s.shards[i].CountBatch(table, col, sub[i].ranges)
 	})
 	if err != nil {
 		return nil, err
@@ -85,7 +85,7 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range, opts ...cr
 // sub-batch per target shard, merging the per-shard answers into one
 // canonical Result per predicate (the same shape SelectWhere returns).
 // Results come back in submission order.
-func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range, opts ...crackdb.BatchOption) ([]crackdb.Rows, error) {
+func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range) ([]crackdb.Rows, error) {
 	m, part, err := s.meta(table)
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range, opts ...c
 		if len(sub[t].ranges) == 0 {
 			return nil, nil
 		}
-		return s.shards[t].SelectBatch(table, col, sub[t].ranges, opts...)
+		return s.shards[t].SelectBatch(table, col, sub[t].ranges)
 	})
 	if err != nil {
 		return nil, err

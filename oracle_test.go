@@ -90,11 +90,11 @@ func TestFetchOracle(t *testing.T) {
 }
 
 // TestSelectBatchOracle: batches mixing hits on converged cuts with
-// misses that crack answer the model in sorted-bound order, and with
-// PreserveOrder match a twin answering the same ranges one by one, value
-// for value in physical order — with and without payloads and fusion,
-// with inserts pending between batches. Seed 385's stream sends, under
-// PreserveOrder, an inverted range, an empty batch and an unknown column
+// misses that crack answer the model and match a twin answering the
+// same ranges one by one, value for value in physical order — with and
+// without payloads and fusion, with inserts pending between batches,
+// and with the tuner flipping strategies on both stores. Seed 385's
+// stream sends an inverted range, an empty batch and an unknown column
 // on every pattern, and a range twice in one batch on random, zoomin and
 // periodic keys (sequential and reverse keys never repeat one).
 func TestSelectBatchOracle(t *testing.T) {
@@ -122,6 +122,24 @@ func TestSelectBatchOracle(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+	// Under the tuner a batch still matches its twin: each store's tuner
+	// sees the same ranges in the same order, so a flip lands between the
+	// same two ranges in the batch as in the twin's sequence.
+	for _, strat := range strategy.Names() {
+		for _, pat := range workload.Patterns() {
+			t.Run(fmt.Sprintf("autotune/%s/%s", strat, pat), func(t *testing.T) {
+				mk := func() *oracle.Backend {
+					s := storeWith(t, strat, 99)
+					s.EnableAutotune(tuner.Config{Window: 16, Confirm: 1, Cooldown: 32})
+					return oracle.Single(s)
+				}
+				oracle.Run(t, oracle.New(oracle.Config{Seed: 385, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
+					Selectivity: 0.02, MaxBatch: 25,
+					Mix: oracle.Mix{oracle.CountBatch: 3, oracle.SelectBatch: 3, oracle.Insert: 1}}),
+					nil, oracle.Ordered{Batched: mk(), Twin: mk()}, mk())
+			})
 		}
 	}
 }
