@@ -5,43 +5,31 @@ import (
 	"sync"
 	"time"
 
-	"crackdb/internal/bat"
 	"crackdb/internal/expr"
 )
 
-// Batched selection: many range predicates over one cracker column
+// Batched counting: many range predicates over one cracker column
 // answered in one call, one range after another in submission order,
 // each through Column.answer — the lock protocol every scalar read
 // runs. A batch therefore leaves the column exactly as the same ranges
-// sent one by one would: the same cuts, in the same order, with the
+// counted one by one would: the same cuts, in the same order, with the
 // same strategy consulted for each. What it amortizes is everything
 // around the column: the registry and column resolution, the result
-// allocation, and the caller's per-query overhead.
+// allocation, and the caller's per-query overhead. A batch only counts;
+// a selection is one Select per range.
 
-// BatchAnswer is one predicate's answer within a column batch. For a
-// counting batch only N is set. For a selecting batch Vals and OIDs are
-// three-index subslices of backing arrays shared by the whole batch —
-// one amortized allocation instead of two per query — and N equals
-// len(Vals). The subslices are copies taken while the column lock was
-// held, so they stay valid under later cracking.
+// BatchAnswer is one predicate's answer within a column batch: the
+// number of qualifying tuples.
 type BatchAnswer struct {
-	Vals []int64
-	OIDs []bat.OID
-	N    int
+	N int
 }
 
 // BatchRun owns the answers of one batch execution. Acquire one from
 // the pool, run batches through it, Release it when the Answers are
 // consumed. The pool is why a converged CountBatch allocates nothing
 // but the counts it returns.
-//
-// Only the slice header is pooled. The Vals/OIDs backing arrays a
-// selecting batch fills are freshly allocated each run, because they
-// escape into the caller's results. A released run may keep the
-// previous batch's tail elements (beyond the next batch's length)
-// reachable until overwritten; that retention is bounded by one batch.
 type BatchRun struct {
-	// Answers is filled by SelectBatchRun, in submission order. The
+	// Answers is filled by CountBatchRun, in submission order. The
 	// slice is reused across runs; copy anything that must outlive
 	// Release.
 	Answers []BatchAnswer
@@ -59,11 +47,11 @@ func (r *BatchRun) Release() {
 	batchRunPool.Put(r)
 }
 
-// SelectBatch answers every range of the batch and returns the answers
+// SelectBatch counts every range of the batch and returns the answers
 // plus the execution order (order[k] is the submission index executed
 // k-th), which is submission order. It is the self-contained form of
-// SelectBatchRun for callers that hold onto the answers. ordered asks
-// for nothing, as in SelectBatchRun.
+// SelectBatchRun for callers that hold onto the answers. ordered and
+// countOnly ask for nothing, as in SelectBatchRun.
 func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]BatchAnswer, []int) {
 	r := AcquireBatchRun()
 	defer r.Release()
@@ -75,39 +63,28 @@ func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]Ba
 	return append([]BatchAnswer(nil), r.Answers...), order
 }
 
-// SelectBatchRun answers every range of the batch into r.Answers, in
-// submission order, each through answer exactly as Select would. With
-// countOnly nothing is materialized; only BatchAnswer.N is set. ordered
-// asks for nothing: every batch runs in submission order, and the
-// parameter stays only for callers compiled against it.
+// SelectBatchRun counts every range of the batch into r.Answers, in
+// submission order, each through answer exactly as Count would. ordered
+// and countOnly ask for nothing: every batch runs in submission order
+// and only counts, and the parameters stay only for callers compiled
+// against them.
 func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, run *BatchRun) {
-	c.selectBatch(ranges, countOnly, run, nil)
+	c.countBatch(ranges, run, nil)
 }
 
-// selectBatch is SelectBatchRun, showing observe (when non-nil) each
+// countBatch is SelectBatchRun, showing observe (when non-nil) each
 // range right after it is answered, outside the column lock.
-func (c *Column) selectBatch(ranges []expr.Range, countOnly bool, run *BatchRun, observe func(expr.Range)) {
+func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(expr.Range)) {
 	if in := c.instr.Load(); in != nil && in.Batch != nil {
 		// A batch is tens of queries per call, so whole-call timing is
 		// already amortized — no sampling needed.
 		t0 := time.Now()
 		defer func() { in.Batch.Observe(time.Since(t0).Nanoseconds()) }()
 	}
-	// Cleared up front, so the loop stores only counts: a pooled element
-	// may hold a previous batch's Vals/OIDs.
 	answers := slices.Grow(run.Answers[:0], len(ranges))[:len(ranges)]
-	clear(answers)
 	run.Answers = answers
-	var vals []int64
-	var oids []bat.OID
 	n := 0
-	use := func(v View) {
-		n = v.Len()
-		if !countOnly {
-			vals = append(vals, v.Values()...)
-			oids = append(oids, v.OIDs()...)
-		}
-	}
+	use := func(v View) { n = v.Len() }
 	for i := range ranges {
 		r := &ranges[i]
 		c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, true, use)
@@ -116,28 +93,24 @@ func (c *Column) selectBatch(ranges []expr.Range, countOnly bool, run *BatchRun,
 			observe(*r)
 		}
 	}
-	if !countOnly {
-		// The buffers stopped growing: cut each answer's window, in the
-		// order the windows were appended.
-		at := 0
-		for i := range answers {
-			end := at + answers[i].N
-			answers[i].Vals, answers[i].OIDs = vals[at:end:end], oids[at:end:end]
-			at = end
-		}
-	}
 }
 
-// SelectBatchRun answers a batch of ranges on one attribute into the
-// run, resolving the cracker column once for the whole batch. Every
-// range must name the attr column. The select observer sees each range
-// right after it is answered, as it does for a scalar count.
-func (ct *CrackedTable) SelectBatchRun(attr string, ranges []expr.Range, countOnly bool, run *BatchRun) error {
+// CountBatchRun counts a batch of ranges on one attribute into the run,
+// resolving the cracker column once for the whole batch. Every range
+// must name the attr column. The select observer sees each range right
+// after it is answered, as it does for a scalar count. An empty batch
+// returns before the column is resolved, so, like no query at all, it
+// creates no cracker column.
+func (ct *CrackedTable) CountBatchRun(attr string, ranges []expr.Range, run *BatchRun) error {
+	run.Answers = run.Answers[:0]
+	if len(ranges) == 0 {
+		return nil
+	}
 	c, err := ct.ColumnFor(attr)
 	if err != nil {
 		return err
 	}
-	c.selectBatch(ranges, countOnly, run, ct.selectObs)
+	c.countBatch(ranges, run, ct.selectObs)
 	return nil
 }
 

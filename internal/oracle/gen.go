@@ -26,7 +26,7 @@ type Config struct {
 
 // everything draws every kind of op; fuzz streams use it.
 var everything = Mix{Create: 2, Drop: 1, Insert: 6, Delete: 4, Count: 12, Select: 6, Fetch: 6,
-	Refetch: 4, CountBatch: 3, SelectBatch: 3, Group: 2, Flip: 2, Reboot: 1}
+	Refetch: 4, CountBatch: 6, Group: 2, Flip: 2, Reboot: 1}
 
 // The tables a stream creates: t has a key k, an id a unique within the
 // stream, and b and c of small domains; u is t's first two columns.
@@ -171,10 +171,8 @@ func (g *Gen) draw(m *Model) []Op {
 		if g.r(2) == 0 {
 			ops = append(g.churn(m.held[op.Held]), *op)
 		}
-	case CountBatch, SelectBatch:
-		if op.Col, op.Ranges = key(), g.batch(); op.Kind == SelectBatch {
-			op.Cols = proj(cols)
-		}
+	case CountBatch:
+		op.Col, op.Ranges = key(), g.batch()
 	case Group:
 		op.Col = []string{cols[min(2, len(cols)-1)], key()}[g.r(2)]
 	case Flip:

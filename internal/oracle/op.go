@@ -23,24 +23,23 @@ type Kind uint8
 
 // The op kinds. A query kind names the Backend call it makes.
 const (
-	Create      Kind = iota // CREATE TABLE Table (Cols)
-	Drop                    // DROP TABLE Table
-	Insert                  // InsertRows(Table, Rows)
-	Delete                  // Delete(Table, Conds)
-	Count                   // CountWhere(Table, Conds), or Count(Table, Col, Ranges[0]) when Col is set
-	Select                  // SelectWhere(Table, Conds), then Rows(Cols)
-	Fetch                   // Select(Table, Col, Ranges[0]), then Rows(Cols); the result is held
-	Refetch                 // Rows(Cols) again on the Held-th held result
-	CountBatch              // CountBatch(Table, Col, Ranges)
-	SelectBatch             // SelectBatch(Table, Col, Ranges), then Rows(Cols) on each
-	Group                   // GroupBy(Table, Col)
-	Flip                    // force strategy Name on (Table, Col); "" releases it
-	Reboot                  // save the store and open it again
+	Create     Kind = iota // CREATE TABLE Table (Cols)
+	Drop                   // DROP TABLE Table
+	Insert                 // InsertRows(Table, Rows)
+	Delete                 // Delete(Table, Conds)
+	Count                  // CountWhere(Table, Conds), or Count(Table, Col, Ranges[0]) when Col is set
+	Select                 // SelectWhere(Table, Conds), then Rows(Cols)
+	Fetch                  // Select(Table, Col, Ranges[0]), then Rows(Cols); the result is held
+	Refetch                // Rows(Cols) again on the Held-th held result
+	CountBatch             // CountBatch(Table, Col, Ranges)
+	Group                  // GroupBy(Table, Col)
+	Flip                   // force strategy Name on (Table, Col); "" releases it
+	Reboot                 // save the store and open it again
 	numKinds
 )
 
 var kindNames = [numKinds]string{"create", "drop", "insert", "delete", "count", "select",
-	"fetch", "refetch", "countbatch", "selectbatch", "group", "flip", "reboot"}
+	"fetch", "refetch", "countbatch", "group", "flip", "reboot"}
 
 // Mix weighs the op kinds a generator draws.
 type Mix [numKinds]int
@@ -117,7 +116,7 @@ func (op Op) statements() (stmts []string, ok bool) {
 		return []string{"DELETE FROM " + op.Table + w}, ok
 	case Group:
 		return []string{fmt.Sprintf("SELECT %s, COUNT(*) FROM %s GROUP BY %s", op.Col, op.Table, op.Col)}, true
-	case Count, Select, Fetch, CountBatch, SelectBatch:
+	case Count, Select, Fetch, CountBatch:
 		head := "SELECT COUNT(*) FROM "
 		if !op.Kind.counts() {
 			head = "SELECT " + strings.Join(op.Cols, ", ") + " FROM "

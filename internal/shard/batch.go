@@ -1,15 +1,13 @@
-// Batched selection across shards: a batch of ranges fans out as one
+// Batched counting across shards: a batch of ranges fans out as one
 // frame of work per shard. Each target shard receives its sub-batch —
 // the predicates whose key interval overlaps the shard — and executes
-// it under a single shard-store entry (crackdb.Store.CountBatch /
-// SelectBatch), so the shard-store entry and column resolution the
-// scalar path pays per query are paid once per shard per batch. The
-// shard answers its sub-batch's ranges one by one in submission order,
-// exactly as it would answer them sent alone. A sub-batch is a shard's
-// unit of work whatever it finds, so it gets no read-only pass: every
-// shard with a sub-batch runs in gather's pass 2. Per-predicate answers
-// are merged canonically: counts sum, selections concatenate into the
-// same canonical Result the scalar path returns.
+// it under a single shard-store entry (crackdb.Store.CountBatch), so the
+// shard-store entry and column resolution the scalar path pays per
+// query are paid once per shard per batch. The shard answers its
+// sub-batch's ranges one by one in submission order, exactly as it
+// would count them sent alone. A sub-batch is a shard's unit of work
+// whatever it finds, so it gets no read-only pass: every shard with a
+// sub-batch runs in gather's pass 2. Per-predicate counts sum.
 package shard
 
 import (
@@ -79,43 +77,4 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range) ([]int, er
 		}
 	}
 	return counts, nil
-}
-
-// SelectBatch answers many inclusive ranges on one column, one
-// sub-batch per target shard, merging the per-shard answers into one
-// canonical Result per predicate (the same shape SelectWhere returns).
-// Results come back in submission order.
-func (s *Store) SelectBatch(table, col string, ranges []crackdb.Range) ([]crackdb.Rows, error) {
-	m, part, err := s.meta(table)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := s.routeBatch(table, m, part, col, ranges)
-	if err != nil {
-		return nil, err
-	}
-	s.noteRoutedBatch(sub)
-	per, err := gather(0, len(s.shards)-1, nil, func(t int) ([]*crackdb.Result, error) {
-		if len(sub[t].ranges) == 0 {
-			return nil, nil
-		}
-		return s.shards[t].SelectBatch(table, col, sub[t].ranges)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Scatter in shard order, so each predicate's parts line up exactly as
-	// SelectWhere's would.
-	merged := make([]Result, len(ranges))
-	for t, res := range per {
-		for j, r := range res {
-			m := &merged[sub[t].idx[j]]
-			m.parts = append(m.parts, r)
-		}
-	}
-	out := make([]crackdb.Rows, len(ranges))
-	for i := range merged {
-		merged[i].table, merged[i].m, out[i] = table, m, &merged[i]
-	}
-	return out, nil
 }

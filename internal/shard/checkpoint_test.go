@@ -543,7 +543,7 @@ func TestDeltaBytesBudget(t *testing.T) {
 	mustExec(t, s.LoadTapestry("t", n, 2, 1))
 	rng := rand.New(rand.NewSource(5))
 	count := func(lo int64) {
-		_, err := s.Count("t", "c0", lo, lo+n/100)
+		_, err := s.CountWhere("t", crackdb.Cond{Col: "c0", Op: ">=", Val: lo}, crackdb.Cond{Col: "c0", Op: "<=", Val: lo + n/100})
 		mustExec(t, err)
 	}
 	var seen []int64

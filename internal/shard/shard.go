@@ -542,22 +542,6 @@ func (m *tableMeta) targets(part partitioner, conds []crackdb.Cond) (first, last
 	return first, last, false
 }
 
-// Select answers the inclusive range query low <= col <= high through
-// the conjunction path, so the range routes by the partition key when
-// col is the key and cracks every target shard otherwise.
-func (s *Store) Select(table, col string, low, high int64) (crackdb.Rows, error) {
-	return s.SelectWhere(table,
-		crackdb.Cond{Col: col, Op: ">=", Val: low},
-		crackdb.Cond{Col: col, Op: "<=", Val: high})
-}
-
-// Count is Select without materialization.
-func (s *Store) Count(table, col string, low, high int64) (int, error) {
-	return s.CountWhere(table,
-		crackdb.Cond{Col: col, Op: ">=", Val: low},
-		crackdb.Cond{Col: col, Op: "<=", Val: high})
-}
-
 // Delete tombstones the tuples matching the conjunction on every target
 // shard. Like InsertRows, the logical delete is logged once at the
 // router — before any shard applies it — so replay (and replication)

@@ -18,7 +18,7 @@ import (
 // store's own count, 36 — CHANGES.md (PR 13) names what is left above
 // it. A new method must displace one, not raise the cap.
 func TestRouterSurface(t *testing.T) {
-	const maxExported = 38
+	const maxExported = 35
 	typ := reflect.TypeOf(&shard.Store{})
 	if n := typ.NumMethod(); n > maxExported {
 		names := make([]string, n)

@@ -11,9 +11,7 @@ package crackdb
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
-	"time"
 
 	"crackdb/internal/core"
 	"crackdb/internal/obs"
@@ -50,7 +48,7 @@ func convergedColumn(n, gridCells int) *core.Column {
 // which this replaced, read from -12 % to +13 % over five runs on a
 // shared 2-core box.
 func instrumentedOverhead() (pct, offNS, onNS float64) {
-	const n, grid, pairs, ops = 1_000_000, 512, 40, 50_000
+	const n, grid, ops = 1_000_000, 512, 50_000
 	step := int64(n / grid)
 	reg := obs.NewRegistry()
 	plain := convergedColumn(n, grid)
@@ -63,31 +61,18 @@ func instrumentedOverhead() (pct, offNS, onNS float64) {
 		SampleMask: 255,
 	})
 	rng := rand.New(rand.NewSource(99))
-	round := func(col *core.Column) float64 {
-		t0 := time.Now()
-		for i := 0; i < ops; i++ {
-			lo := rng.Int63n(grid-1) * step
-			col.Select(lo, lo+step, true, false)
+	round := func(col *core.Column) func() {
+		return func() {
+			for i := 0; i < ops; i++ {
+				lo := rng.Int63n(grid-1) * step
+				col.Select(lo, lo+step, true, false)
+			}
 		}
-		return float64(time.Since(t0).Nanoseconds()) / ops
 	}
-	round(plain) // warm both
-	round(wired)
-	var offs, ons, rel []float64
-	for p := 0; p < pairs; p++ {
-		var off, on float64
-		if p%2 == 0 {
-			off, on = round(plain), round(wired)
-		} else {
-			on, off = round(wired), round(plain)
-		}
-		offs, ons, rel = append(offs, off), append(ons, on), append(rel, (on-off)/off*100)
-	}
-	median := func(xs []float64) float64 {
-		slices.Sort(xs)
-		return xs[len(xs)/2]
-	}
-	return median(rel), median(offs), median(ons)
+	round(plain)() // warm both
+	round(wired)()
+	ratio, off, on := medianRatio(round(plain), round(wired))
+	return (ratio - 1) * 100, float64(off.Nanoseconds()) / ops, float64(on.Nanoseconds()) / ops
 }
 
 // BenchmarkMetricsOverhead reports the converged-lookup cost with

@@ -89,14 +89,18 @@ func TestFetchOracle(t *testing.T) {
 	}
 }
 
-// TestSelectBatchOracle: batches mixing hits on converged cuts with
-// misses that crack answer the model and match a twin answering the
-// same ranges one by one, value for value in physical order — with and
-// without payloads and fusion, with inserts pending between batches,
-// and with the tuner flipping strategies on both stores. Seed 385's
-// stream sends an inverted range, an empty batch and an unknown column
-// on every pattern, and a range twice in one batch on random, zoomin and
-// periodic keys (sequential and reverse keys never repeat one).
+// TestSelectBatchOracle: count batches mixing hits on converged cuts
+// with misses that crack answer the model and match a twin counting the
+// same ranges one by one — count for count and, after every batch, in
+// every counter, piece count and strategy of the table's cracker
+// columns — with and without fusion, with inserts pending between
+// batches, and with the tuner flipping strategies on both stores. The
+// sideways cells also fetch rows through payload vectors, which every
+// crack of a batch must carry along. Seed 4524's stream sends inverted
+// ranges, empty batches and an unknown column on every pattern, and a
+// range twice in one batch on random, zoomin and periodic keys
+// (sequential and reverse keys never repeat one), with and without the
+// fetches.
 func TestSelectBatchOracle(t *testing.T) {
 	for _, strat := range strategy.Names() {
 		for _, sideways := range []bool{false, true} {
@@ -115,10 +119,17 @@ func TestSelectBatchOracle(t *testing.T) {
 							}
 							return oracle.Single(s)
 						}
-						oracle.Run(t, oracle.New(oracle.Config{Seed: 385, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
-							Selectivity: 0.02, MaxBatch: 25,
-							Mix: oracle.Mix{oracle.CountBatch: 3, oracle.SelectBatch: 3, oracle.Insert: 1}}),
-							nil, oracle.Ordered{Batched: mk(), Twin: mk()}, mk())
+						mix := oracle.Mix{oracle.CountBatch: 6, oracle.Insert: 1}
+						if sideways {
+							mix[oracle.Fetch] = 1
+						}
+						batched := mk()
+						oracle.Run(t, oracle.New(oracle.Config{Seed: 4524, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
+							Selectivity: 0.02, MaxBatch: 25, Mix: mix}),
+							nil, oracle.Ordered{Batched: batched, Twin: mk()}, mk())
+						if st := batched.Store.SidewaysStats(); sideways && st.Builds == 0 || !sideways && st.Projections != 0 {
+							t.Fatalf("sideways=%v, yet %+v", sideways, st)
+						}
 					})
 				}
 			}
@@ -135,9 +146,8 @@ func TestSelectBatchOracle(t *testing.T) {
 					s.EnableAutotune(tuner.Config{Window: 16, Confirm: 1, Cooldown: 32})
 					return oracle.Single(s)
 				}
-				oracle.Run(t, oracle.New(oracle.Config{Seed: 385, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
-					Selectivity: 0.02, MaxBatch: 25,
-					Mix: oracle.Mix{oracle.CountBatch: 3, oracle.SelectBatch: 3, oracle.Insert: 1}}),
+				oracle.Run(t, oracle.New(oracle.Config{Seed: 4524, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
+					Selectivity: 0.02, MaxBatch: 25, Mix: oracle.Mix{oracle.CountBatch: 6, oracle.Insert: 1}}),
 					nil, oracle.Ordered{Batched: mk(), Twin: mk()}, mk())
 			})
 		}
