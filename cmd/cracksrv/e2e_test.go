@@ -468,6 +468,7 @@ func TestE2E(t *testing.T) {
 		t.Run("range", func(t *testing.T) { testDelta(t, "range") })
 		t.Run("hash", func(t *testing.T) { testDelta(t, "hash") })
 	})
+	t.Run("strategy", testStrategy)
 	t.Run("replication", testReplication)
 	t.Run("rebootstrap", testRebootstrap)
 }
@@ -761,6 +762,60 @@ func testDelta(t *testing.T, partition string) {
 	oracle.Run(t, stream(7, 200, 0, reads), m, post)
 	p.term()
 	p.exit()
+}
+
+// testStrategy: -strategy is each server's boot configuration. A
+// durable primary restarted under a new one, before and after a
+// checkpoint, logs nothing for it and cracks a fresh column under it; a
+// follower booted with its own cracks under that and stays at its
+// primary's log position.
+func testStrategy(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	p := boot(t, "-shards", "2", "-data", dir, "-strategy", "ddc")
+	fill(p, "t")
+	records := p.rows("/wal")[0][2]
+	reboot := func(strat string) {
+		p.kill()
+		p.args = []string{"-shards", "2", "-data", dir, "-strategy", strat}
+		p.restart()
+	}
+	reboot("mdd1r")
+	if got := p.rows("/wal")[0][2]; got != records {
+		t.Fatalf("the log holds %s records after a restart, %s before it", got, records)
+	}
+	fill(p, "a")
+	crackedUnder(t, p, "a", "mdd1r")
+	p.expect("/save", "checkpoint complete")
+	reboot("ddr")
+	fill(p, "b")
+	crackedUnder(t, p, "b", "ddr")
+
+	prim := boot(t, "-shards", "2", "-data", t.TempDir())
+	f := boot(t, "-follow", prim.addr, "-data", t.TempDir(), "-strategy", "ddc")
+	fill(prim, "u")
+	fence(t, server.Topology{Primary: prim.addr, Followers: []string{f.addr}})
+	crackedUnder(t, f, "u", "ddc")
+	if pNext, fNext := prim.rows("/wal")[0][1], f.rows("/wal")[0][1]; pNext != fNext {
+		t.Fatalf("the follower's log ends at seq %s, the primary's at %s", fNext, pNext)
+	}
+}
+
+// fill creates table (k) on p and inserts three rows: two log records.
+func fill(p *proc, table string) {
+	p.text("CREATE TABLE " + table + " (k)")
+	p.text("INSERT INTO " + table + " VALUES (1), (2), (3)")
+}
+
+// crackedUnder counts on table.k at p, cracking the column, and fails
+// unless /stats reports it cracked under strat.
+func crackedUnder(t *testing.T, p *proc, table, strat string) {
+	t.Helper()
+	p.text("SELECT COUNT(*) FROM " + table + " WHERE k >= 2")
+	rows := p.rows("/stats " + table + " k")
+	if total := rows[len(rows)-1]; total[len(total)-1] != strat {
+		t.Fatalf("%s.k on %s cracked under %s, want %s", table, p.addr, total[len(total)-1], strat)
+	}
 }
 
 // testReplication: two followers found through one of them answer

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cracksrv [-addr :7744] [-shards 4] [-partition hash|range]
-//	         [-strategy mdd1r] [-seed 42] [-autotune]
+//	         [-strategy standard|ddc|ddr|mdd1r] [-seed 42] [-autotune]
 //	         [-tapestry name,n,alpha] [-data dir]
 //	         [-follow primaryaddr] [-advertise addr]
 //	         [-http addr] [-slowms n]
@@ -22,6 +22,11 @@
 //
 // The e2e tests (go test -tags e2e ./cmd/cracksrv) start this program
 // as primaries and followers and check its answers against a model.
+//
+// -strategy applies on every boot, fresh, recovered or following, to
+// the columns cracked once the store is open; nothing logs or
+// replicates it. Columns the checkpoint restores, or boot's WAL replay
+// cracks, keep the strategy they got. /tune overrides one column.
 //
 // With -data the server is durable: every mutation is appended to
 // <dir>/wal.log — fsynced, group-committed — before it is acked, /save
@@ -42,14 +47,15 @@
 // With -follow the server is a read replica: it bootstraps from the
 // primary's checkpoint image plus WAL suffix, then pulls and applies
 // the primary's log continuously. SELECTs serve from the replica's own
-// independently-cracked state; writes (and /strategy, /tapestry) are
-// refused with the primary's address so clients redirect. A follower
-// restarted after a crash resumes from its own local log frontier —
-// bootstrap only re-runs if the primary has checkpointed past what it
-// still keeps archived; a follower that has fallen behind even that, or
-// that cannot apply a record the primary accepted, exits non-zero, and a
-// restart re-bootstraps. Followers replicate the primary's sharding
-// configuration; -shards/-partition/-strategy are ignored.
+// independently-cracked state; writes (and /tapestry) are refused with
+// the primary's address so clients redirect. A follower restarted
+// after a crash resumes from its own local log frontier — bootstrap
+// only re-runs if the primary has checkpointed past what it still keeps
+// archived; a follower that has fallen behind even that, or that cannot
+// apply a record the primary accepted, exits non-zero, and a restart
+// re-bootstraps. Followers replicate the primary's sharding
+// configuration, so -shards/-partition are ignored; -strategy is the
+// follower's own, like every server's.
 //
 // With -autotune each shard monitors the bound stream per column and
 // hot-swaps the crack strategy when a hostile (sequential, reverse,
@@ -98,8 +104,8 @@ func main() {
 		addr     = flag.String("addr", ":7744", "listen address")
 		shards   = flag.Int("shards", 4, "number of cracker stores to partition tables across")
 		partKind = flag.String("partition", "hash", "partitioning scheme for new tables: hash or range")
-		strat    = flag.String("strategy", "standard", "crack strategy on every shard: standard, ddc, ddr, mdd1r")
-		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived)")
+		strat    = flag.String("strategy", "standard", "crack strategy of columns cracked after boot, on every shard and every boot: standard, ddc, ddr, mdd1r")
+		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived); also the -tapestry preload's generator seed")
 		autotune = flag.Bool("autotune", false, "auto-select crack strategies per column from the observed workload (inspect with /tune)")
 		tapestry = flag.String("tapestry", "", "preload a DBtapestry table: name,n,alpha (e.g. bench,100000,2)")
 		dataDir  = flag.String("data", "", "durable data directory (insert WAL + /save snapshots); empty = volatile")
@@ -126,13 +132,9 @@ func main() {
 	opts := shard.Options{Shards: *shards, Kind: kind}
 	var store *shard.Store
 	var follower *server.Follower
-	recovered := false
 	if *follow != "" {
 		if *tapestry != "" {
 			fatal(fmt.Errorf("-tapestry cannot be combined with -follow (data replicates from the primary)"))
-		}
-		if *strat != "" && *strat != "standard" {
-			fatal(fmt.Errorf("-strategy cannot be combined with -follow (set it on the primary; the change replicates)"))
 		}
 		f, err := server.OpenFollower(server.FollowerOptions{
 			Primary:   *follow,
@@ -151,7 +153,6 @@ func main() {
 			fatal(err)
 		}
 		store = st
-		recovered = info.Recovered
 		switch {
 		case info.Recovered:
 			logf("recovered %d tables from %s (warm snapshot through seq %d, %d WAL records replayed)",
@@ -165,12 +166,9 @@ func main() {
 	} else {
 		store = shard.New(opts)
 	}
-	// A recovered snapshot carries its own strategy configuration; only
-	// force the flag onto a store that has no history to contradict it.
-	if *strat != "" && *strat != "standard" && !recovered {
-		if err := store.SetCrackStrategy(*strat, *seed); err != nil {
-			fatal(err)
-		}
+	// The flag overrides a recovered image's default strategy.
+	if err := store.SetCrackStrategy(*strat, *seed); err != nil {
+		fatal(err)
 	}
 	// After recovery: a warm snapshot may carry tuner posture, which
 	// EnableAutotune adopts. Followers tune independently — strategy

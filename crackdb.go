@@ -22,7 +22,7 @@
 //
 // Repeating or refining the range gets cheaper with every query: the
 // first query pays a partition pass, later queries approach pure index
-// lookups. See the examples/ directory for complete programs and
+// lookups. See the package examples for complete tours and
 // cmd/crackbench for the paper's experiments.
 package crackdb
 

@@ -146,8 +146,8 @@ type ColumnStats struct {
 	GranulesDirtied int64
 
 	// Strategy is the column's active crack strategy. Per-column, not
-	// per-store: the auto-tuner (and per-shard /strategy) can leave one
-	// table running a mix. A fold of disagreeing columns reports
+	// per-store: the auto-tuner (or a /tune pin) can leave one table
+	// running a mix. A fold of disagreeing columns reports
 	// "mixed".
 	Strategy string
 }

@@ -128,6 +128,10 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	f.Add([]byte{2, 1, 0, 0, 0, 't', 0xff, 0xff, 0xff, 0xff})
+	// The two crack-strategy records testRecords() once held, in the
+	// retired kind-5 layout (table, name, seed, shard): refused now.
+	f.Add(strategyRecordBytes("mdd1r", -9, -1))
+	f.Add(strategyRecordBytes("ddr", 3, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {
@@ -137,6 +141,18 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatalf("decoded %+v re-encodes to %x, not its input %x", rec, enc, data)
 		}
 	})
+}
+
+// strategyRecordBytes encodes a retired crack-strategy record payload
+// the way the builds that logged them did.
+func strategyRecordBytes(name string, seed int64, shard int) []byte {
+	e := imageEncoder{}
+	e.u8(uint8(retiredStrategyKind))
+	e.str("")
+	e.str(name)
+	e.u64(uint64(seed))
+	e.u64(uint64(shard))
+	return e.buf
 }
 
 // FuzzDecodeRecords feeds arbitrary bytes to the follower's batch

@@ -33,15 +33,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // RecordKind tags one WAL record's operation.
 type RecordKind uint8
 
 // The logged operations. Everything that changes what data exists is
-// logged; pure reorganization (cracking) is not — it is re-derivable and
-// is captured wholesale by snapshots instead.
+// logged, and nothing else is: pure reorganization (cracking, and the
+// strategy that drives it) is re-derivable and is captured wholesale by
+// snapshots instead.
 const (
 	// KindCreate is a CreateTable (optionally keyed/partitioned).
 	KindCreate RecordKind = iota + 1
@@ -52,9 +52,10 @@ const (
 	// KindTapestry is a LoadTapestry: logged by its generator parameters,
 	// not its rows — the tapestry is deterministic in (n, alpha, seed).
 	KindTapestry
-	// KindStrategy is a SetCrackStrategy (Shard = -1) or
-	// SetShardCrackStrategy (Shard >= 0).
-	KindStrategy
+	// retiredStrategyKind (5) was the crack-strategy record. The value
+	// stays reserved, and decodeRecord refuses it by name: a strategy is
+	// each server's boot configuration, not data.
+	retiredStrategyKind
 	// KindDelete is one Delete(table, conds...): logged by its predicate,
 	// not the OIDs it resolved to — given an identical record prefix the
 	// predicate selects identical tuples, so replicas replaying the log
@@ -64,7 +65,13 @@ const (
 )
 
 var kindNames = [...]string{KindCreate: "create", KindInsert: "insert", KindDrop: "drop",
-	KindTapestry: "tapestry", KindStrategy: "strategy", KindDelete: "delete"}
+	KindTapestry: "tapestry", KindDelete: "delete"}
+
+// strategyRecordBuild is the last build that logs and replays
+// crack-strategy records. This build refuses a log holding one, leaving
+// it untouched: boot it once with that build and /save, which
+// checkpoints the record away.
+const strategyRecordBuild = "81866e2"
 
 func (k RecordKind) String() string {
 	if int(k) < len(kindNames) && kindNames[k] != "" {
@@ -88,7 +95,6 @@ type Cond struct {
 //	KindInsert:   Table, Rows (≥ 1 row, all of one arity ≥ 1)
 //	KindDrop:     Table
 //	KindTapestry: Table, N, Alpha, Seed
-//	KindStrategy: Name, Seed, Shard (-1 = every shard)
 //	KindDelete:   Table, Conds (empty = delete every tuple)
 type Record struct {
 	Kind  RecordKind
@@ -100,8 +106,6 @@ type Record struct {
 	N     int
 	Alpha int
 	Seed  int64
-	Name  string
-	Shard int
 	Conds []Cond
 }
 
@@ -159,10 +163,6 @@ func encodeRecord(b []byte, r Record) []byte {
 		e.u64(uint64(r.N))
 		e.u64(uint64(r.Alpha))
 		e.u64(uint64(r.Seed))
-	case KindStrategy:
-		e.str(r.Name)
-		e.u64(uint64(r.Seed))
-		e.u64(uint64(r.Shard))
 	case KindDelete:
 		e.u32(uint32(len(r.Conds)))
 		for _, c := range r.Conds {
@@ -215,17 +215,15 @@ func (d *imageDecoder) record() Record {
 	case KindDrop:
 	case KindTapestry:
 		r.N, r.Alpha, r.Seed = d.int(), d.int(), int64(d.u64())
-	case KindStrategy:
-		r.Name, r.Seed = d.str(), int64(d.u64())
-		shard := int64(d.u64())
-		if d.err == nil && (shard < math.MinInt32 || shard > math.MaxInt32) {
-			d.err = fmt.Errorf("implausible shard index %d", shard)
-		}
-		r.Shard = int(shard)
 	case KindDelete:
 		r.Conds = make([]Cond, d.count(uint64(d.u32()), 16, "condition")) // two strings + value
 		for i := range r.Conds {
 			r.Conds[i] = Cond{Col: d.str(), Op: d.str(), Val: int64(d.u64())}
+		}
+	case retiredStrategyKind:
+		if d.err == nil {
+			d.err = fmt.Errorf("record kind %d is a crack-strategy record, which this build does not replay — boot once with build %s, the last that does, and /save",
+				uint8(r.Kind), strategyRecordBuild)
 		}
 	default:
 		if d.err == nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,9 +22,7 @@ func testRecords() []Record {
 		{Kind: KindCreate, Table: "t", Cols: []string{"k", "v"}, Key: "k", Part: "range"},
 		{Kind: KindTapestry, Table: "w", N: 100, Alpha: 2, Seed: 7},
 		{Kind: KindInsert, Table: "t", Rows: [][]int64{{1, 10}, {2, 20}, {-3, 30}}},
-		{Kind: KindStrategy, Name: "mdd1r", Seed: -9, Shard: -1},
 		{Kind: KindInsert, Table: "t", Rows: [][]int64{{4, 40}}},
-		{Kind: KindStrategy, Name: "ddr", Seed: 3, Shard: 2},
 		{Kind: KindDrop, Table: "w"},
 		{Kind: KindCreate, Table: "u", Cols: []string{"a"}},
 	}
@@ -93,9 +92,10 @@ func TestRecordTrailingBytesRefused(t *testing.T) {
 	}
 }
 
-// TestGoldenWAL: a log an earlier build wrote from testRecords() (base 3)
-// replays to those records, and re-framing them gives back the file byte
-// for byte — the record codec and the frame format have not moved.
+// TestGoldenWAL: a checked-in log of testRecords() (base 3), frames an
+// earlier build wrote, replays to those records, and re-framing them
+// gives back the file byte for byte — the record codec and the frame
+// format have not moved.
 func TestGoldenWAL(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "wal-testrecords.log"))
 	if err != nil {
@@ -124,6 +124,33 @@ func TestGoldenWAL(t *testing.T) {
 	}
 	if !bytes.Equal(refr, golden) {
 		t.Fatalf("re-framed golden WAL differs:\n got %x\nwant %x", refr, golden)
+	}
+}
+
+// TestStrategyRecordRefused: a log an earlier build wrote from
+// testRecords() when they still held two crack-strategy records (kind 5)
+// is refused as corrupt, naming the record and the last build that
+// replays it, and its bytes are left as they were.
+func TestStrategyRecordRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "wal-strategy-records.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(path, 0, nil)
+	if err == nil {
+		w.Close()
+		t.Fatal("a log holding strategy records opened")
+	}
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "record kind 5 is a crack-strategy record") ||
+		!strings.Contains(err.Error(), strategyRecordBuild) {
+		t.Fatalf("refusal %q: want ErrCorrupt naming kind 5, the crack-strategy record, and build %s", err, strategyRecordBuild)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
+		t.Fatalf("the refused log changed (%v): %d bytes, was %d", err, len(after), len(old))
 	}
 }
 

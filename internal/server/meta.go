@@ -40,7 +40,6 @@ func init() {
 		{name: "/shards", usage: "/shards", run: (*Server).shardsMeta},
 		{name: "/stats", usage: "/stats [<table> <column>]", run: (*Server).statsMeta},
 		{name: "/metrics", usage: "/metrics", run: (*Server).metricsMeta},
-		{name: "/strategy", usage: "/strategy <name> [seed] [shard]", primaryOnly: true, run: (*Server).strategyMeta},
 		{name: "/tune", usage: "/tune [<table> <column> <strategy>|auto]", run: (*Server).tuneMeta},
 		{name: "/tapestry", usage: "/tapestry <name> <n> <alpha> [seed]", primaryOnly: true, run: (*Server).tapestryMeta},
 		{name: "/save", usage: "/save [full]", needsWAL: true, run: (*Server).saveMeta},
@@ -132,34 +131,6 @@ func (s *Server) statsMeta(fields []string) (*Response, bool) {
 	}
 	resp.Rows = append(resp.Rows, statsRow("total", total))
 	return resp, false
-}
-
-func (s *Server) strategyMeta(fields []string) (*Response, bool) {
-	if len(fields) < 2 || len(fields) > 4 {
-		return nil, false
-	}
-	seed := int64(42)
-	if len(fields) >= 3 {
-		v, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return &Response{Err: "bad seed: " + err.Error()}, false
-		}
-		seed = v
-	}
-	if len(fields) == 4 {
-		idx, err := strconv.Atoi(fields[3])
-		if err != nil {
-			return &Response{Err: "bad shard index: " + err.Error()}, false
-		}
-		if err := s.store.SetShardCrackStrategy(idx, fields[1], seed); err != nil {
-			return &Response{Err: err.Error()}, false
-		}
-		return &Response{Message: fmt.Sprintf("strategy %s on shard %d", fields[1], idx)}, false
-	}
-	if err := s.store.SetCrackStrategy(fields[1], seed); err != nil {
-		return &Response{Err: err.Error()}, false
-	}
-	return &Response{Message: fmt.Sprintf("strategy %s on all %d shards", fields[1], s.store.ShardCount())}, false
 }
 
 // tuneMeta inspects or overrides the auto-tuner's per-column decisions.

@@ -49,6 +49,10 @@ func TestMetaRegistry(t *testing.T) {
 	if resp.Err != "unknown command /bogus (try /help)" || quit {
 		t.Errorf("unknown command answered %+v quit=%v", resp, quit)
 	}
+	// A crack strategy is each server's boot configuration, not a command.
+	if resp, _ := volatile.dispatch("/strategy mdd1r 7"); resp.Err != "unknown command /strategy (try /help)" {
+		t.Errorf("/strategy answered %+v", resp)
+	}
 	// A handler's nil response is the table's usage line.
 	if resp, _ := volatile.dispatch("/stats onlyone"); resp.Err != "usage: /stats [<table> <column>]" {
 		t.Errorf("bad arity answered %+v", resp)

@@ -119,9 +119,8 @@ func (s *Server) metricsMeta([]string) (*Response, bool) {
 // every table (counters summed across shards), then per-shard totals
 // and a grand total. Reads only non-creating accessors, so inspection
 // never materializes cracker state. The strategy column is per-column
-// truth: a column whose shards disagree (per-shard /strategy, or the
-// auto-tuner flipping only the shards a hostile walk visits) reports
-// "mixed".
+// truth: a column whose shards disagree (the auto-tuner flipping only
+// the shards a hostile walk visits) reports "mixed".
 func (s *Server) statsSummary() (*Response, bool) {
 	resp := &Response{Columns: statsColumns("scope")}
 	perShard := make([]crackdb.ColumnStats, s.store.ShardCount())

@@ -17,8 +17,10 @@ import (
 
 // startFollowerServer boots a follower of primary in dir and serves it
 // on loopback. The returned stop tears down cleanly; for crash
-// simulations call the pieces directly instead.
-func startFollowerServer(t *testing.T, primary, dir string) (string, *Follower, func()) {
+// simulations call the pieces directly instead. strat is the follower's
+// own crack strategy, set before it applies the primary's log, as
+// cracksrv -strategy is.
+func startFollowerServer(t *testing.T, primary, dir, strat string) (string, *Follower, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -26,6 +28,10 @@ func startFollowerServer(t *testing.T, primary, dir string) (string, *Follower, 
 	}
 	f, err := OpenFollower(FollowerOptions{Primary: primary, DataDir: dir, Advertise: ln.Addr().String()})
 	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	if err := f.Store().SetCrackStrategy(strat, 7); err != nil {
 		ln.Close()
 		t.Fatal(err)
 	}
@@ -104,6 +110,7 @@ func primaryNext(t *testing.T, st *shard.Store) uint64 {
 // restarts the follower from its data dir to catch up from there.
 type replica struct {
 	t                  *testing.T
+	strategy           string // both servers' crack strategy
 	pAddr, fAddr, fDir string
 	pc, fc             *Client
 	follower           *Follower
@@ -122,7 +129,7 @@ func (r *replica) start() {
 		}
 		r.rebooted = false
 	}
-	r.fAddr, r.follower, r.stop = startFollowerServer(r.t, r.pAddr, r.fDir)
+	r.fAddr, r.follower, r.stop = startFollowerServer(r.t, r.pAddr, r.fDir, r.strategy)
 	var err error
 	if r.fc, err = Dial(r.fAddr); err != nil {
 		r.t.Fatal(err)
@@ -200,24 +207,26 @@ func wireReplies(t *testing.T, c *Client, pipelined bool, stmts []string) []orac
 }
 
 // TestReplicationOracle: under every crack strategy, a primary and its
-// follower — each cracking under its own reads — answer the model alike,
-// the follower read after a fence, through inserts, deletes, a follower
-// outage across a checkpoint and a restart. Then a trickle of small
-// inserts into the converged key column must fold by ripple on both.
+// follower — each cracking under its own reads, with the strategy each
+// server is given — answer the model alike, the follower read after a
+// fence, through inserts, deletes, a follower outage across a checkpoint
+// and a restart. Then a trickle of small inserts into the converged key
+// column must fold by ripple on both, and a fresh column must crack
+// under the restarted follower's strategy.
 func TestReplicationOracle(t *testing.T) {
 	for _, strat := range strategy.Names() {
 		t.Run(strat, func(t *testing.T) {
 			pAddr, pStore, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
 			defer pStop()
-			r := &replica{t: t, pAddr: pAddr, fDir: t.TempDir()}
+			if err := pStore.SetCrackStrategy(strat, 7); err != nil {
+				t.Fatal(err)
+			}
+			r := &replica{t: t, strategy: strat, pAddr: pAddr, fDir: t.TempDir()}
 			var err error
 			if r.pc, err = Dial(pAddr); err != nil {
 				t.Fatal(err)
 			}
 			defer r.pc.Close()
-			if resp, _ := r.pc.Do(fmt.Sprintf("/strategy %s 7", strat)); resp.Err != "" {
-				t.Fatalf("/strategy: %s", resp.Err)
-			}
 			defer r.down()
 			p := &oracle.SQL{Label: "replicas", Exec: r.exec, Reboot: r.reboot}
 			m := oracle.Run(t, oracle.New(oracle.Config{Seed: 2, Ops: 50, Load: 2000, Domain: 100_000, MaxBatch: 400, Bad: 10,
@@ -248,6 +257,26 @@ func TestReplicationOracle(t *testing.T) {
 			}
 			if rf, bf := folds(r.follower.Store()); rf == fRipple || bf != fRebuild {
 				t.Fatalf("follower folded the trickle with %d ripples, %d rebuilds", rf-fRipple, bf-fRebuild)
+			}
+			// The restarted follower cracks a fresh column under its own
+			// strategy: nothing in the log carries one.
+			for _, stmt := range []string{"CREATE TABLE fresh (a)", "INSERT INTO fresh VALUES (1), (2), (3)"} {
+				if resp, _ := r.pc.Do(stmt); resp.Err != "" {
+					t.Fatalf("%s: %s", stmt, resp.Err)
+				}
+			}
+			fence(t, r.fAddr, primaryNext(t, pStore))
+			if _, err := r.fc.Count("SELECT COUNT(*) FROM fresh WHERE a >= 2"); err != nil {
+				t.Fatal(err)
+			}
+			per, err := r.follower.Store().ShardStats("fresh", "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cs := range per {
+				if cs.Strategy != strat {
+					t.Fatalf("the follower's shard %d cracks fresh.a under %q, want %s", i, cs.Strategy, strat)
+				}
 			}
 		})
 	}
@@ -330,7 +359,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	}
 	total++
 
-	fAddr, _, fStop := startFollowerServer(t, pAddr, t.TempDir())
+	fAddr, _, fStop := startFollowerServer(t, pAddr, t.TempDir(), "standard")
 	defer fStop()
 	fence(t, fAddr, primaryNext(t, pStore))
 	if p, f := dumpSorted(t, pAddr, "t"), dumpSorted(t, fAddr, "t"); !equalLines(p, f) {
@@ -365,7 +394,7 @@ func TestFollowerReadOnly(t *testing.T) {
 			t.Fatalf("%s: %s", stmt, resp.Err)
 		}
 	}
-	fAddr, _, fStop := startFollowerServer(t, pAddr, t.TempDir())
+	fAddr, _, fStop := startFollowerServer(t, pAddr, t.TempDir(), "standard")
 	defer fStop()
 	fence(t, fAddr, primaryNext(t, pStore))
 
@@ -380,7 +409,6 @@ func TestFollowerReadOnly(t *testing.T) {
 		"CREATE TABLE u (a)",
 		"DROP TABLE t",
 		"SELECT k INTO frag1 FROM t WHERE k >= 0",
-		"/strategy mdd1r 7",
 		"/tapestry x 100 2",
 	} {
 		resp, err := fc.Do(stmt)
@@ -407,9 +435,9 @@ func TestFollowerReadOnly(t *testing.T) {
 func TestDiscoverAndFence(t *testing.T) {
 	pAddr, _, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
 	defer pStop()
-	f1Addr, _, f1Stop := startFollowerServer(t, pAddr, t.TempDir())
+	f1Addr, _, f1Stop := startFollowerServer(t, pAddr, t.TempDir(), "standard")
 	defer f1Stop()
-	f2Addr, _, f2Stop := startFollowerServer(t, pAddr, t.TempDir())
+	f2Addr, _, f2Stop := startFollowerServer(t, pAddr, t.TempDir(), "standard")
 	waitFollowers(t, pAddr, 2)
 
 	topo, err := Discover([]string{f1Addr})
@@ -496,7 +524,7 @@ func TestFollowerRestartCaughtUpIsPrompt(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	fAddr, _, fStop := startFollowerServer(t, pAddr, dir)
+	fAddr, _, fStop := startFollowerServer(t, pAddr, dir, "standard")
 	fence(t, fAddr, primaryNext(t, pStore))
 	fStop()
 
@@ -520,7 +548,7 @@ func TestFollowerRestartCaughtUpIsPrompt(t *testing.T) {
 func TestFollowerStopIsPrompt(t *testing.T) {
 	pAddr, _, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 1})
 	defer pStop()
-	_, f, fStop := startFollowerServer(t, pAddr, t.TempDir())
+	_, f, fStop := startFollowerServer(t, pAddr, t.TempDir(), "standard")
 	defer fStop()
 	// The first heartbeat rides the first pull, which then parks.
 	waitFollowers(t, pAddr, 1)

@@ -159,12 +159,6 @@ func TestServerEndToEnd(t *testing.T) {
 	if q0+q1 != totQ {
 		t.Fatalf("total row is not the fold of the shard rows: %+v", stats.Rows)
 	}
-	if _, err := c.Exec("/strategy mdd1r 7"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec("/strategy ddc 7 1"); err != nil {
-		t.Fatal(err)
-	}
 
 	// Failures ride the protocol, not the transport.
 	resp, err := c.Do("SELECT nope FROM missing")

@@ -424,11 +424,6 @@ func (s *Store) Apply(rec durable.Record) error {
 		return s.DropTable(rec.Table)
 	case durable.KindTapestry:
 		return s.LoadTapestry(rec.Table, rec.N, rec.Alpha, rec.Seed)
-	case durable.KindStrategy:
-		if rec.Shard < 0 {
-			return s.SetCrackStrategy(rec.Name, rec.Seed)
-		}
-		return s.SetShardCrackStrategy(rec.Shard, rec.Name, rec.Seed)
 	case durable.KindDelete:
 		conds := make([]crackdb.Cond, len(rec.Conds))
 		for i, c := range rec.Conds {

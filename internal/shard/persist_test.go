@@ -95,7 +95,8 @@ func TestShardSaveOpenByteIdentical(t *testing.T) {
 // TestOpenDurableCheckpointCrash walks the full recovery protocol:
 // mutations, checkpoint, more mutations, "crash" (drop everything),
 // reboot — and after reboot both the pre- and post-checkpoint mutations
-// are there, exactly once.
+// are there, exactly once: the inserts, and a delete of a row the
+// checkpoint holds.
 func TestOpenDurableCheckpointCrash(t *testing.T) {
 	dir := t.TempDir()
 	opts := shard.Options{Shards: 3, Kind: shard.Range}
@@ -131,8 +132,8 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	if err := s1.InsertRows("t", rows2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.SetCrackStrategy("mdd1r", 5); err != nil {
-		t.Fatal(err)
+	if n, err := s1.Delete("t", crackdb.Cond{Col: "k", Op: "=", Val: 500}); err != nil || n != 1 {
+		t.Fatalf("delete of key 500: %d rows, %v", n, err)
 	}
 	// Crash: no shutdown, no WAL close. (The WAL is fsynced per append,
 	// so simply abandoning the handles models SIGKILL.)
@@ -145,19 +146,19 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 		t.Fatal("reboot found no snapshot")
 	}
 	if info2.Replayed != 2 {
-		t.Fatalf("reboot replayed %d records, want 2 (insert + strategy)", info2.Replayed)
+		t.Fatalf("reboot replayed %d records, want 2 (insert + delete)", info2.Replayed)
 	}
 	n, err := s2.NumRows("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(rows1) + len(rows2); n != want {
+	if want := len(rows1) + len(rows2) - 1; n != want {
 		t.Fatalf("recovered %d rows, want %d", n, want)
 	}
 	for _, probe := range []struct {
 		key  int64
 		want int
-	}{{1, 1}, {500, 1}, {900, 1}, {42, 1}, {777, 1}, {43, 0}} {
+	}{{1, 1}, {500, 0}, {900, 1}, {42, 1}, {777, 1}, {43, 0}} {
 		got, err := s2.CountWhere("t", crackdb.Cond{Col: "k", Op: "=", Val: probe.key})
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +182,7 @@ func TestOpenDurableCheckpointCrash(t *testing.T) {
 	if !info3.Recovered || info3.Replayed != 0 {
 		t.Fatalf("third boot %+v, want recovered with 0 replayed", info3)
 	}
-	if n3, _ := s3.NumRows("t"); n3 != len(rows1)+len(rows2) {
+	if n3, _ := s3.NumRows("t"); n3 != len(rows1)+len(rows2)-1 {
 		t.Fatalf("third boot holds %d rows", n3)
 	}
 	if err := s3.CloseWAL(); err != nil {

@@ -32,7 +32,6 @@ import (
 	"crackdb/internal/core"
 	"crackdb/internal/durable"
 	"crackdb/internal/relation"
-	"crackdb/internal/strategy"
 	"crackdb/internal/tuner"
 )
 
@@ -116,34 +115,10 @@ func (s *Store) Shard(i int) *crackdb.Store { return s.shards[i] }
 
 // SetCrackStrategy selects the crack strategy for columns cracked after
 // the call on every shard, deriving a distinct sub-seed per shard so
-// concurrent shards draw independent RNG streams.
+// concurrent shards draw independent RNG streams. It is configuration,
+// not data: nothing is logged, and each server sets its own at boot.
 func (s *Store) SetCrackStrategy(name string, seed int64) error {
-	if _, err := strategy.New(name, seed); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if err := s.logRecord(durable.Record{Kind: durable.KindStrategy, Name: name, Seed: seed, Shard: -1}); err != nil {
-		return err
-	}
 	return s.each(func(i int) error { return s.shards[i].SetCrackStrategy(name, seed+int64(i)*7919) })
-}
-
-// SetShardCrackStrategy selects the crack strategy of a single shard —
-// shards facing different workload slices may want different defenses.
-func (s *Store) SetShardCrackStrategy(i int, name string, seed int64) error {
-	if _, err := strategy.New(name, seed); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("shard: index %d out of range [0,%d)", i, len(s.shards))
-	}
-	s.walMu.RLock()
-	defer s.walMu.RUnlock()
-	if err := s.logRecord(durable.Record{Kind: durable.KindStrategy, Name: name, Seed: seed, Shard: i}); err != nil {
-		return err
-	}
-	return s.shards[i].SetCrackStrategy(name, seed)
 }
 
 // EnableAutotune turns on workload-adaptive strategy selection on every

@@ -188,7 +188,8 @@ func (t *Tuner) mon(table, column, current string) *colMon {
 
 // Observe records one answered selection's bounds for (table, column).
 // current is the strategy the column runs right now (the tuner trusts
-// the column, so an operator /strategy reset is observed, not fought).
+// the column, so a strategy it did not choose — the one a restored
+// column carries, say — is observed, not fought).
 // It returns the strategy to flip to and true when the decision engine
 // wants a change; the caller performs the swap and MUST report it back
 // through Flipped so the flip counter and cooldown engage.
