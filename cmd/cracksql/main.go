@@ -1,11 +1,17 @@
-// Command cracksql is an interactive SQL shell over the cracking store.
-// Every WHERE clause you run doubles as cracking advice: watch the
-// \stats and \lineage meta commands to see the store reorganize itself
-// under your queries.
+// Command cracksql is an interactive SQL shell over the cracking store:
+// a one-shard router (internal/shard), so its row order, error text and
+// persistence are cracksrv's. Every WHERE clause you run doubles as
+// cracking advice: watch the \stats and \lineage meta commands to see
+// the store reorganize itself under your queries.
 //
 // Usage:
 //
-//	cracksql [-f script.sql] [-db file]
+//	cracksql [-f script.sql] [-data dir]
+//
+// With -data the store is durable as cracksrv -data keeps it: every
+// mutation is logged to a WAL in dir before it applies, \save writes a
+// checkpoint (tables and crack state), and a later cracksql -data dir
+// boots from the checkpoint chain and replays the log.
 //
 // Meta commands:
 //
@@ -13,8 +19,7 @@
 //	\stats <table> <col>   cracking statistics of a column
 //	\lineage <table> <col> render the cracker lineage DAG
 //	\tapestry <name> <n> <alpha> [seed]   load a DBtapestry table
-//	\save <file>          write a full image (tables and crack state);
-//	                      reopen it with cracksql -db <file>
+//	\save                  checkpoint a -data store: prints full, delta or skipped
 //	\quit
 package main
 
@@ -26,51 +31,53 @@ import (
 	"strconv"
 	"strings"
 
-	"crackdb"
+	"crackdb/internal/shard"
 	"crackdb/internal/sql"
 )
 
 func main() {
 	var (
-		script = flag.String("f", "", "execute a SQL script file and exit")
-		dbfile = flag.String("db", "", "open a store image file written by \\save, crack state included")
+		script  = flag.String("f", "", "execute a SQL script file and exit")
+		dataDir = flag.String("data", "", "keep the store durable in this directory: a WAL plus the checkpoints \\save writes, as cracksrv -data")
 	)
 	flag.Parse()
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "cracksql:", err)
+		os.Exit(1)
+	}
 
-	store := crackdb.New()
-	if *dbfile != "" {
+	store := shard.New(shard.Options{})
+	if *dataDir != "" {
 		var err error
-		store, err = crackdb.Open(*dbfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cracksql:", err)
-			os.Exit(1)
+		if store, _, err = shard.OpenDurable(*dataDir, shard.Options{}); err != nil {
+			fail(err)
 		}
 	}
-	eng := sql.NewEngine(store)
+	eng := sql.NewEngineOn(store)
 
 	if *script != "" {
 		data, err := os.ReadFile(*script)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cracksql:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		results, err := eng.ExecScript(string(data))
 		for _, rs := range results {
 			printResult(rs)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cracksql:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		return
+	} else {
+		fmt.Println("cracksql — the database store that cracks under pressure")
+		fmt.Println(`type SQL terminated by ';', or \help`)
+		repl(eng, store)
 	}
-
-	fmt.Println("cracksql — the database store that cracks under pressure")
-	fmt.Println(`type SQL terminated by ';', or \help`)
-	repl(eng, store)
+	if err := store.CloseWAL(); err != nil {
+		fail(err)
+	}
 }
 
-func repl(eng *sql.Engine, store *crackdb.Store) {
+func repl(eng *sql.Engine, store *shard.Store) {
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<24)
 	var pending strings.Builder
@@ -110,13 +117,13 @@ func repl(eng *sql.Engine, store *crackdb.Store) {
 }
 
 // meta handles backslash commands; it returns false to quit.
-func meta(store *crackdb.Store, cmd string) bool {
+func meta(store *shard.Store, cmd string) bool {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case `\quit`, `\q`:
 		return false
 	case `\help`:
-		fmt.Println(`\tables, \stats <t> <c>, \lineage <t> <c>, \tapestry <name> <n> <alpha> [seed], \save <file>, \quit`)
+		fmt.Println(`\tables, \stats <t> <c>, \lineage <t> <c>, \tapestry <name> <n> <alpha> [seed], \save, \quit`)
 	case `\tables`:
 		for _, t := range store.Tables() {
 			cols, _ := store.Columns(t)
@@ -128,7 +135,7 @@ func meta(store *crackdb.Store, cmd string) bool {
 			fmt.Println(`usage: \stats <table> <column>`)
 			break
 		}
-		st, err := store.Stats(fields[1], fields[2])
+		st, err := store.Shard(0).Stats(fields[1], fields[2])
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -140,7 +147,7 @@ func meta(store *crackdb.Store, cmd string) bool {
 			fmt.Println(`usage: \lineage <table> <column>`)
 			break
 		}
-		lin, err := store.Lineage(fields[1], fields[2])
+		lin, err := store.Shard(0).Lineage(fields[1], fields[2])
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -172,14 +179,13 @@ func meta(store *crackdb.Store, cmd string) bool {
 		}
 		fmt.Printf("  loaded tapestry %s (%d × %d)\n", fields[1], n, alpha)
 	case `\save`:
-		if len(fields) != 2 {
-			fmt.Println(`usage: \save <file>`)
-			break
-		}
-		if err := store.Save(fields[1]); err != nil {
+		switch kind, err := store.Checkpoint(false); {
+		case err != nil:
 			fmt.Println("error:", err)
-		} else {
-			fmt.Println("  saved to", fields[1])
+		case kind == "":
+			fmt.Println("  checkpoint: skipped")
+		default:
+			fmt.Println("  checkpoint:", kind)
 		}
 	default:
 		fmt.Printf("unknown meta command %s (try \\help)\n", fields[0])

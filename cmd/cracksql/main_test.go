@@ -1,0 +1,98 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// childEnv makes the test binary run as cracksql itself (TestMain), so
+// the tests drive the real command line and stdin with no build step.
+const childEnv = "CRACKSQL_TEST_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// cracksql runs the command with args on stdin and returns its stdout,
+// failing t unless it exits 0.
+func cracksql(t *testing.T, stdin string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	cmd.Stdin = strings.NewReader(stdin)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("cracksql %v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
+}
+
+// TestScriptRowOrder: a script's SELECT … LIMIT without ORDER BY answers
+// in canonical order, as cracksrv does, not in the order a crack left.
+func TestScriptRowOrder(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "s.sql")
+	if err := os.WriteFile(script, []byte(`
+		CREATE TABLE t (a, b);
+		INSERT INTO t VALUES (5, 50), (3, 30), (9, 90), (1, 10), (7, 70), (4, 40), (8, 80);
+		SELECT COUNT(*) FROM t WHERE a >= 6;
+		SELECT a, b FROM t WHERE a >= 2 LIMIT 4;
+	`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := `created table t (2 columns)
+inserted 7 rows into t
+count(*)
+--------
+       3
+(1 rows)
+` + "a | b \n" + `--+---
+3 | 30
+4 | 40
+5 | 50
+7 | 70
+(4 rows)
+`
+	if got := cracksql(t, "", "-f", script); got != want {
+		t.Fatalf("cracksql -f answered:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDataRoundTrip: a -data session's tables and crack state survive
+// \save and exit, and the reopened store answers exactly.
+func TestDataRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	out := cracksql(t, `\tapestry r 10000 2
+SELECT COUNT(*) FROM r WHERE c0 < 500;
+SELECT COUNT(*) FROM r WHERE c0 >= 7000;
+\save
+\quit
+`, "-data", dir)
+	if !strings.Contains(out, "checkpoint: full") {
+		t.Fatalf("\\save did not write a full checkpoint:\n%s", out)
+	}
+	out = cracksql(t, `\stats r c0
+SELECT COUNT(*) FROM r WHERE c0 < 500;
+`, "-data", dir)
+	m := regexp.MustCompile(`pieces=(\d+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no \\stats line after reopen:\n%s", out)
+	}
+	if pieces, _ := strconv.Atoi(m[1]); pieces < 2 {
+		t.Fatalf("reopened c0 has %d pieces, want the cracks of the first session:\n%s", pieces, out)
+	}
+	if !strings.Contains(out, "\n     499\n(1 rows)") {
+		t.Fatalf("count after reopen is not 499:\n%s", out)
+	}
+}

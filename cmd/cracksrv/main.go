@@ -7,8 +7,7 @@
 //
 //	cracksrv [-addr :7744] [-shards 4] [-partition hash|range]
 //	         [-strategy standard|ddc|ddr|mdd1r] [-seed 42] [-autotune]
-//	         [-tapestry name,n,alpha] [-data dir]
-//	         [-follow primaryaddr] [-advertise addr]
+//	         [-data dir] [-follow primaryaddr] [-advertise addr]
 //	         [-http addr] [-slowms n]
 //
 // The wire protocol is length-prefixed text frames (see
@@ -84,8 +83,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -105,9 +102,8 @@ func main() {
 		shards   = flag.Int("shards", 4, "number of cracker stores to partition tables across")
 		partKind = flag.String("partition", "hash", "partitioning scheme for new tables: hash or range")
 		strat    = flag.String("strategy", "standard", "crack strategy of columns cracked after boot, on every shard and every boot: standard, ddc, ddr, mdd1r")
-		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived); also the -tapestry preload's generator seed")
+		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived)")
 		autotune = flag.Bool("autotune", false, "auto-select crack strategies per column from the observed workload (inspect with /tune)")
-		tapestry = flag.String("tapestry", "", "preload a DBtapestry table: name,n,alpha (e.g. bench,100000,2)")
 		dataDir  = flag.String("data", "", "durable data directory (insert WAL + /save snapshots); empty = volatile")
 		follow   = flag.String("follow", "", "run as a read replica of the primary at this address")
 		adv      = flag.String("advertise", "", "address peers dial to reach this server (default: the -addr value)")
@@ -133,9 +129,6 @@ func main() {
 	var store *shard.Store
 	var follower *server.Follower
 	if *follow != "" {
-		if *tapestry != "" {
-			fatal(fmt.Errorf("-tapestry cannot be combined with -follow (data replicates from the primary)"))
-		}
 		f, err := server.OpenFollower(server.FollowerOptions{
 			Primary:   *follow,
 			DataDir:   *dataDir,
@@ -177,31 +170,6 @@ func main() {
 	if *autotune {
 		store.EnableAutotune(tuner.Config{})
 		logf("autotune enabled (per-column strategy selection; inspect with /tune)")
-	}
-	if *tapestry != "" {
-		name, n, alpha, err := parseTapestry(*tapestry)
-		if err != nil {
-			fatal(err)
-		}
-		err = store.LoadTapestry(name, n, alpha, *seed)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "cracksrv: preloaded tapestry %s (%d x %d)\n", name, n, alpha)
-		case strings.Contains(err.Error(), "already exists"):
-			// The table came back from the data directory. Refuse to serve
-			// if it is not the table the flag asked for — a silent skip
-			// would hand exact-count clients a differently-sized table.
-			rows, rerr := store.NumRows(name)
-			if rerr != nil {
-				fatal(rerr)
-			}
-			if rows < n {
-				fatal(fmt.Errorf("recovered table %s has %d rows, -tapestry wants %d; use a fresh -data dir or drop the flag", name, rows, n))
-			}
-			fmt.Fprintf(os.Stderr, "cracksrv: tapestry %s already recovered (%d rows), skipping preload\n", name, rows)
-		default:
-			fatal(err)
-		}
 	}
 
 	srv := server.New(store, logf)
@@ -270,20 +238,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// parseTapestry splits "name,n,alpha".
-func parseTapestry(s string) (name string, n, alpha int, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return "", 0, 0, fmt.Errorf("cracksrv: -tapestry wants name,n,alpha, got %q", s)
-	}
-	n, err1 := strconv.Atoi(parts[1])
-	alpha, err2 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil {
-		return "", 0, 0, fmt.Errorf("cracksrv: -tapestry n and alpha must be integers in %q", s)
-	}
-	return parts[0], n, alpha, nil
 }
 
 func fatal(err error) {

@@ -428,6 +428,14 @@ func (s *Store) Count(table, col string, low, high int64) (int, error) {
 	return ct.CountRange(expr.Range{Col: col, Low: low, High: high, LowIncl: true, HighIncl: true})
 }
 
+// Rows is a selection's qualifying-tuple count plus attribute fetch,
+// what the shard router's SelectWhere returns (its rows in the canonical
+// order core.SortRows defines) and what *Result offers in crack order.
+type Rows interface {
+	Count() int
+	Rows(cols ...string) ([][]int64, error)
+}
+
 // Result is the answer of a Select: the qualifying values of the queried
 // column plus the tuple OIDs for fetching other attributes.
 type Result struct {

@@ -3,12 +3,12 @@ package crackdb_test
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"crackdb"
 	"crackdb/internal/oracle"
+	"crackdb/internal/shard"
 	"crackdb/internal/sql"
 )
 
@@ -19,8 +19,8 @@ import (
 // through the SQL engine: a Ξ cracker simulated at the SQL level with two
 // SELECT INTO statements, verified loss-less.
 func TestSQLLevelCrackingScript(t *testing.T) {
-	store := crackdb.New()
-	eng := sql.NewEngine(store)
+	store := shard.New(shard.Options{})
+	eng := sql.NewEngineOn(store)
 
 	if err := store.LoadTapestry("r", 10000, 2, 99); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestSQLLevelCrackingScript(t *testing.T) {
 func TestSQLAggregationOverCrackedStore(t *testing.T) {
 	oracle.Run(t, oracle.New(oracle.Config{Seed: 17, Ops: 40, Load: 3000, Domain: 3000, MaxBatch: 100,
 		Mix: oracle.Mix{oracle.Group: 3, oracle.Insert: 1, oracle.Delete: 1}}),
-		nil, oracle.Single(crackdb.New()), oracle.Engine("sql over a store", crackdb.New().Backend()))
+		nil, oracle.Single(crackdb.New()), oracle.Engine("sql over a one-shard router", shard.New(shard.Options{})))
 }
 
 // TestConcurrentStoreUsage hammers one store from several goroutines
@@ -137,12 +137,16 @@ func TestConcurrentStoreUsage(t *testing.T) {
 	}
 }
 
-// TestSaveOpenWithSQL round-trips a store through disk and keeps
-// querying it through SQL.
+// TestSaveOpenWithSQL takes cracksql's -data path: SQL over a durable
+// one-shard router, a checkpoint, a clean close, a reopen from the
+// chain, and SQL again over the crack state the checkpoint kept.
 func TestSaveOpenWithSQL(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store.crk")
-	store := crackdb.New()
-	eng := sql.NewEngine(store)
+	dir := t.TempDir()
+	store, _, err := shard.OpenDurable(dir, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sql.NewEngineOn(store)
 	if _, err := eng.ExecScript(`
 		CREATE TABLE m (x, y);
 		INSERT INTO m VALUES (1, 10), (2, 20), (3, 30), (4, 40);
@@ -152,15 +156,24 @@ func TestSaveOpenWithSQL(t *testing.T) {
 	if _, err := eng.Exec("SELECT COUNT(*) FROM m WHERE x >= 2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(dir); err != nil {
+	if kind, err := store.Checkpoint(false); err != nil || kind != "full" {
+		t.Fatalf("checkpoint = %q, %v; want full", kind, err)
+	}
+	if err := store.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := crackdb.Open(dir)
+	re, info, err := shard.OpenDurable(dir, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := sql.NewEngine(re)
-	rs, err := eng2.Exec("SELECT SUM(y) FROM m WHERE x BETWEEN 2 AND 3")
+	defer re.CloseWAL()
+	if !info.Recovered || info.Replayed != 0 {
+		t.Fatalf("reopen %+v, want the checkpoint and no replay", info)
+	}
+	if st, err := re.Shard(0).Stats("m", "x"); err != nil || st.Pieces < 2 {
+		t.Fatalf("crack state after reopen: %+v, %v; want the x >= 2 cut", st, err)
+	}
+	rs, err := sql.NewEngineOn(re).Exec("SELECT SUM(y) FROM m WHERE x BETWEEN 2 AND 3")
 	if err != nil {
 		t.Fatal(err)
 	}

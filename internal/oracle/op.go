@@ -21,7 +21,7 @@ import (
 // Kind names what an op does.
 type Kind uint8
 
-// The op kinds. A query kind names the Backend call it makes.
+// The op kinds. A query kind names the store or router call it makes.
 const (
 	Create     Kind = iota // CREATE TABLE Table (Cols)
 	Drop                   // DROP TABLE Table

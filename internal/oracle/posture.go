@@ -44,19 +44,20 @@ func Run(t testing.TB, g *Gen, m *Model, ps ...Posture) *Model {
 	}
 }
 
-// Backend is the posture of a store or a router, called through
-// crackdb.Backend, whose row sets must come back canonical. What the
-// interface does not hold goes to the concrete type: a store answers a
-// single-range Count or Fetch through Store.Count or Store.Select, whose
-// payload vectors a Fetch reaches, and a router through CountWhere or
-// SelectWhere on the same range; each counts a batch with its own
-// CountBatch.
+// Backend is the posture of a store or a router, whose row sets must
+// come back canonical: a store's own rows, in crack order, are sorted as
+// the router's merge yields them. The calls both share, signature for
+// signature, go through shared; the rest to the concrete type: a store
+// answers a single-range Count or Fetch through Store.Count or
+// Store.Select, whose payload vectors a Fetch reaches, and a router
+// through CountWhere or SelectWhere on the same range; each counts a
+// batch with its own CountBatch.
 type Backend struct {
 	Store  *crackdb.Store // nil for a router; a reboot replaces it
 	Router *shard.Store   // nil for a store; a reboot replaces it
 	// Dir, when set, makes Reboot save a store there and open it again
-	// (Save and Open, cracksql's path), or checkpoint a router opened
-	// durable on Dir and boot it from its delta chain.
+	// (Save and Open), or checkpoint a router opened durable on Dir and
+	// boot it from its delta chain.
 	Dir  string
 	held []crackdb.Rows
 }
@@ -74,10 +75,21 @@ func (p *Backend) Name() string {
 	return "store"
 }
 
+// shared is what *crackdb.Store and *shard.Store both offer, with the
+// same signatures, of the calls an op makes.
+type shared interface {
+	CreateTable(name string, cols ...string) error
+	DropTable(name string) error
+	InsertRows(table string, rows [][]int64) error
+	Delete(table string, conds ...crackdb.Cond) (int, error)
+	CountWhere(table string, conds ...crackdb.Cond) (int, error)
+	GroupBy(table, col string) ([]crackdb.GroupInfo, error)
+}
+
 func (p *Backend) Do(op Op) (string, bool) {
-	var b crackdb.Backend = p.Router
+	var b shared = p.Router
 	if p.Router == nil {
-		b = p.Store.Backend()
+		b = p.Store
 	}
 	ans, err := "ok", error(nil)
 	count := func(n int, e error) { ans, err = fmt.Sprintf("count %d", n), e }
@@ -103,7 +115,7 @@ func (p *Backend) Do(op Op) (string, bool) {
 			count(p.Store.Count(op.Table, op.Col, op.Ranges[0].Low, op.Ranges[0].High))
 		}
 	case Select:
-		r, e := b.SelectWhere(op.Table, op.Conds...)
+		r, e := p.selectWhere(op.Table, op.Conds)
 		rows([]crackdb.Rows{r}, e)
 	case Fetch:
 		r, e := p.fetch(op)
@@ -139,10 +151,23 @@ func (p *Backend) Do(op Op) (string, bool) {
 	return answer(ans, err), true
 }
 
+// selectWhere is the conjunction's selection, its rows in canonical
+// order.
+func (p *Backend) selectWhere(table string, conds []crackdb.Cond) (crackdb.Rows, error) {
+	if p.Router != nil {
+		return p.Router.SelectWhere(table, conds...)
+	}
+	r, err := p.Store.SelectWhere(table, conds...)
+	if err != nil {
+		return nil, err
+	}
+	return sorted{r}, nil
+}
+
 // fetch is a Fetch's selection, its rows in canonical order.
 func (p *Backend) fetch(op Op) (crackdb.Rows, error) {
 	if p.Router != nil {
-		return p.Router.SelectWhere(op.Table, op.terms()[0]...)
+		return p.selectWhere(op.Table, op.terms()[0])
 	}
 	r, err := p.Store.Select(op.Table, op.Col, op.Ranges[0].Low, op.Ranges[0].High)
 	if err != nil {
@@ -179,7 +204,7 @@ func answer(ans string, err error) string {
 }
 
 // sorted is a store's own Result with its rows, which come back in
-// crack order, sorted canonically, as crackdb.Backend answers them.
+// crack order, sorted canonically, as the router's merge yields them.
 type sorted struct{ *crackdb.Result }
 
 func (r sorted) Rows(cols ...string) ([][]int64, error) {
@@ -268,8 +293,8 @@ func (p Ordered) Do(op Op) (string, bool) {
 type SQL struct {
 	Label  string
 	Exec   func(stmts ...string) []Reply
-	Reboot func() error    // nil: the posture skips reboots
-	B      crackdb.Backend // nil: the posture skips flips
+	Reboot func() error // nil: the posture skips reboots
+	B      any          // nil: the posture skips flips
 }
 
 // Reply is one statement's rows, message or error text.
@@ -278,10 +303,10 @@ type Reply struct {
 	Msg, Err string
 }
 
-// Engine is the posture of a sql.Engine over b.
-func Engine(label string, b crackdb.Backend) *SQL {
-	e := sql.NewEngineOn(b)
-	return &SQL{Label: label, B: b, Exec: func(stmts ...string) []Reply {
+// Engine is the posture of a sql.Engine over r.
+func Engine(label string, r *shard.Store) *SQL {
+	e := sql.NewEngineOn(r)
+	return &SQL{Label: label, B: r, Exec: func(stmts ...string) []Reply {
 		out := make([]Reply, len(stmts))
 		for i, s := range stmts {
 			if rs, err := e.Exec(s); err != nil {

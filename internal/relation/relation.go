@@ -107,9 +107,7 @@ func (t *Table) AppendRow(vals ...int64) error {
 		return fmt.Errorf("relation: row arity %d, table %q has %d", len(vals), t.Name, len(t.Cols))
 	}
 	for i, v := range vals {
-		if err := t.Cols[i].Data.AppendInt(v); err != nil {
-			return err
-		}
+		t.Cols[i].Data.AppendInts(v)
 	}
 	return nil
 }

@@ -92,7 +92,7 @@ func TestFilter(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tbl := buildRS(t)
 	c := tbl.Clone("copy")
-	c.MustColumn("a").SetInt(0, 999)
+	c.MustColumn("a").Ints()[0] = 999
 	if tbl.MustColumn("a").Int(0) == 999 {
 		t.Fatal("clone shares storage")
 	}

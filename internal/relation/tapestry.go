@@ -17,11 +17,7 @@ func Tapestry(n, alpha int, seed int64) *Table {
 	t := New("tapestry", cols...)
 	rng := rand.New(rand.NewSource(seed))
 	for ci := 0; ci < alpha; ci++ {
-		vals := tapestryColumn(n, rng)
-		b := t.MustColumn(cols[ci])
-		if err := b.AppendInts(vals...); err != nil {
-			panic(err) // fresh BAT, cannot be a view
-		}
+		t.MustColumn(cols[ci]).AppendInts(tapestryColumn(n, rng)...)
 	}
 	return t
 }

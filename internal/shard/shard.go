@@ -8,15 +8,16 @@
 // sequential walk per range shard, but an unrelated trickle per hash
 // shard).
 //
-// The router implements crackdb.Backend, so the SQL executor runs
-// unchanged over one store or many. A selection visits the shards that
-// can hold qualifying keys (all of them for hashed range predicates, a
-// contiguous subset for range partitioning, exactly one for key
-// equality): each is first offered it read-only on the calling
-// goroutine, and only the shards that must reorganize to answer — create
-// a cracker column, fold pending updates, crack — run in parallel
-// (gather). The merged result is canonically ordered, byte-identical
-// whatever the shard count (see Result).
+// The router is the one store the SQL executor (internal/sql) runs on:
+// a one-shard router is a single store behind the router's error text
+// and canonical row order, so cracksql and cracksrv answer alike. A
+// selection visits the shards that can hold qualifying keys (all of them
+// for hashed range predicates, a contiguous subset for range
+// partitioning, exactly one for key equality): each is first offered it
+// read-only on the calling goroutine, and only the shards that must
+// reorganize to answer — create a cracker column, fold pending updates,
+// crack — run in parallel (gather). The merged result is canonically
+// ordered, byte-identical whatever the shard count (see Result).
 package shard
 
 import (
@@ -300,16 +301,12 @@ func (s *Store) DropTable(name string) error {
 // whole batch is logged — and fsynced — before any row is applied, so a
 // batch the caller was acked for survives a crash.
 func (s *Store) InsertRows(name string, rows [][]int64) error {
-	return s.insertRows(name, rows, true)
-}
-
-func (s *Store) insertRows(name string, rows [][]int64, logIt bool) error {
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	return s.insertRowsWALHeld(name, rows, logIt)
+	return s.insertRowsWALHeld(name, rows, true)
 }
 
-// insertRowsWALHeld is insertRows for callers already holding walMu for
+// insertRowsWALHeld is InsertRows for callers already holding walMu for
 // reading (LoadTapestry inserts the generated rows under the same hold
 // that logged the tapestry record, so a checkpoint cannot land between
 // the two).
@@ -507,7 +504,7 @@ func (m *tableMeta) hasColumn(table, col string) error {
 // unsatisfiable key constraint reaches no shard (empty).
 func (m *tableMeta) targets(part partitioner, conds []crackdb.Cond) (first, last int, empty bool) {
 	lo, hi, _, err := crackdb.Interval(m.key, conds)
-	if err != nil { // unchecked (a replayed record): every shard refuses it
+	if err != nil { // not reached: every caller runs check first
 		lo, hi = math.MinInt64, math.MaxInt64
 	}
 	if lo > hi {
@@ -522,30 +519,23 @@ func (m *tableMeta) targets(part partitioner, conds []crackdb.Cond) (first, last
 // router — before any shard applies it — so replay (and replication)
 // re-routes the predicate instead of re-reading per-shard effects.
 func (s *Store) Delete(table string, conds ...crackdb.Cond) (int, error) {
-	return s.delete(table, conds, true)
-}
-
-func (s *Store) delete(table string, conds []crackdb.Cond, logIt bool) (int, error) {
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
 	m, part, err := s.meta(table)
 	if err != nil {
 		return 0, err
 	}
-	if logIt {
-		// Checked before the record is logged, so the log never holds a
-		// delete a single store would refuse. A record being replayed
-		// was logged as it stands and is routed as before.
-		if err := m.check(table, conds); err != nil {
-			return 0, err
-		}
-		wconds := make([]durable.Cond, len(conds))
-		for i, c := range conds {
-			wconds[i] = durable.Cond{Col: c.Col, Op: c.Op, Val: c.Val}
-		}
-		if err := s.logRecord(durable.Record{Kind: durable.KindDelete, Table: table, Conds: wconds}); err != nil {
-			return 0, err
-		}
+	// Checked before the record is logged, so the log never holds a
+	// delete a single store would refuse.
+	if err := m.check(table, conds); err != nil {
+		return 0, err
+	}
+	wconds := make([]durable.Cond, len(conds))
+	for i, c := range conds {
+		wconds[i] = durable.Cond{Col: c.Col, Op: c.Op, Val: c.Val}
+	}
+	if err := s.logRecord(durable.Record{Kind: durable.KindDelete, Table: table, Conds: wconds}); err != nil {
+		return 0, err
 	}
 	first, last, empty := m.targets(part, conds)
 	if empty {
@@ -792,5 +782,4 @@ func (r *Result) Rows(cols ...string) ([][]int64, error) {
 	return out, nil
 }
 
-var _ crackdb.Backend = (*Store)(nil)
 var _ crackdb.Rows = (*Result)(nil)

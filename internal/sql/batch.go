@@ -18,7 +18,7 @@ func (rc RangeCount) Range() crackdb.Range { return crackdb.Range{Low: rc.Low, H
 
 // ClassifyRangeCount reports whether the statement is a pure
 // single-column range COUNT(*) — the exact shape the engine's COUNT(*)
-// fast path answers via Backend.CountWhere, restricted to conjunctions
+// fast path answers via the router's CountWhere, restricted to conjunctions
 // on one column so the fold to one inclusive range (crackdb.Interval) is
 // lossless. Any parse error, other statement shape, or operator outside
 // <, <=, =, >=, > declines (ok = false) and the caller dispatches

@@ -5,23 +5,20 @@ import (
 	"sort"
 
 	"crackdb"
+	"crackdb/internal/shard"
 )
 
-// Engine executes parsed statements against a cracking backend. WHERE
-// conjunctions are routed through Backend.SelectWhere, so every executed
-// query doubles as cracking advice.
+// Engine executes parsed statements against the shard router — one shard
+// or many, the only store it runs on. WHERE conjunctions are routed
+// through the router's SelectWhere, so every executed query doubles as
+// cracking advice, and rows come back in the router's canonical order.
 type Engine struct {
-	store crackdb.Backend
+	store *shard.Store
 }
 
-// NewEngine wraps a single store.
-func NewEngine(store *crackdb.Store) *Engine {
-	return &Engine{store: store.Backend()}
-}
-
-// NewEngineOn wraps any backend (e.g. a shard router).
-func NewEngineOn(b crackdb.Backend) *Engine {
-	return &Engine{store: b}
+// NewEngineOn wraps a router.
+func NewEngineOn(store *shard.Store) *Engine {
+	return &Engine{store: store}
 }
 
 // ResultSet is a tabular statement result. DDL and DML return a nil

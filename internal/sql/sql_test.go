@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/shard"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -155,8 +156,8 @@ func TestParseScriptMultiple(t *testing.T) {
 
 func newEngine(t *testing.T) (*Engine, *crackdb.Store) {
 	t.Helper()
-	store := crackdb.New()
-	e := NewEngine(store)
+	store := shard.New(shard.Options{})
+	e := NewEngineOn(store)
 	script := `
 		CREATE TABLE r (k INT, a INT);
 		INSERT INTO r VALUES (0, 50), (1, 30), (2, 70), (3, 10), (4, 90),
@@ -165,7 +166,7 @@ func newEngine(t *testing.T) (*Engine, *crackdb.Store) {
 	if _, err := e.ExecScript(script); err != nil {
 		t.Fatal(err)
 	}
-	return e, store
+	return e, store.Shard(0)
 }
 
 func TestExecSelectWhere(t *testing.T) {
@@ -219,7 +220,7 @@ func TestExecAggregates(t *testing.T) {
 }
 
 func TestExecGroupBy(t *testing.T) {
-	e := NewEngine(crackdb.New())
+	e := NewEngineOn(shard.New(shard.Options{}))
 	script := `
 		CREATE TABLE events (sensor, value);
 		INSERT INTO events VALUES (1, 10), (2, 5), (1, 20), (2, 7), (3, 1);
@@ -329,7 +330,7 @@ func TestExecErrors(t *testing.T) {
 }
 
 func TestExecDDLMessages(t *testing.T) {
-	e := NewEngine(crackdb.New())
+	e := NewEngineOn(shard.New(shard.Options{}))
 	rs, err := e.Exec("CREATE TABLE t (a)")
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +357,8 @@ func TestExecDDLMessages(t *testing.T) {
 func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 	// The Ω fast path and the generic aggregation must produce identical
 	// results; WHERE forces the generic path.
-	store := crackdb.New()
-	e := NewEngine(store)
+	store := shard.New(shard.Options{})
+	e := NewEngineOn(store)
 	if _, err := e.ExecScript(`
 		CREATE TABLE ev (s, v);
 		INSERT INTO ev VALUES (2, 9), (1, 3), (2, 4), (3, 1), (1, 7), (2, 2);
@@ -381,7 +382,7 @@ func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 		}
 	}
 	// The Ω path clustered the column: the store records the group crack.
-	st, err := store.Stats("ev", "s")
+	st, err := store.Shard(0).Stats("ev", "s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 }
 
 func TestDeleteStatement(t *testing.T) {
-	e := NewEngine(crackdb.New())
+	e := NewEngineOn(shard.New(shard.Options{}))
 	if _, err := e.ExecScript(`
 		CREATE TABLE r (a, b);
 		INSERT INTO r VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50);

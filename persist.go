@@ -282,9 +282,7 @@ func (s *Store) applyImage(path string, img *durable.Image, r restoring) error {
 			// No wrapper has a column before restoreLocked, so the rows go
 			// straight onto the base.
 			for i, vals := range it.Vals {
-				if err := live.Base().MustColumn(it.Cols[i]).AppendInts(vals...); err != nil {
-					return err
-				}
+				live.Base().MustColumn(it.Cols[i]).AppendInts(vals...)
 			}
 		}
 		// An element lists a table's whole tombstone set, and tombstones

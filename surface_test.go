@@ -5,16 +5,14 @@ import (
 	"testing"
 )
 
-// TestStoreSurface caps the exported surface: crackdb.Backend holds
-// exactly the methods sql.Engine calls, and *Store grows only by a
+// TestStoreSurface caps the exported surface: *Store grows only by a
 // method some program calls. Raising a cap needs that caller.
 func TestStoreSurface(t *testing.T) {
 	for _, tc := range []struct {
 		typ reflect.Type
 		max int
 	}{
-		{reflect.TypeFor[Backend](), 8},
-		{reflect.TypeFor[*Store](), 35},
+		{reflect.TypeFor[*Store](), 34},
 	} {
 		if n := tc.typ.NumMethod(); n > tc.max {
 			names := make([]string, n)
