@@ -10,8 +10,8 @@ package crackdb_test
 // its modules; Figures 2, 3 and 8 also have a kernel-only benchmark.
 //
 // Ablation benches at the bottom quantify the design choices DESIGN.md
-// calls out: AVL index vs linear boundary search, crack-in-three vs two
-// crack-in-twos, and piece fusion budgets.
+// calls out: the leaf cracker index vs linear boundary search,
+// crack-in-three vs two crack-in-twos, and piece fusion budgets.
 
 import (
 	"math/rand"
@@ -75,8 +75,9 @@ func BenchmarkCrackSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndexStructure compares the AVL cracker index against
-// a linear sorted-slice scan for cut lookup at realistic piece counts.
+// BenchmarkAblationIndexStructure compares the cracker index (sorted
+// leaves under one key array) against a linear scan and a binary search
+// of one sorted slice for cut lookup at realistic piece counts.
 func BenchmarkAblationIndexStructure(b *testing.B) {
 	const pieces = 4096
 	ix := &core.Index{}
@@ -88,7 +89,7 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 	cuts := ix.Cuts()
 	rng := rand.New(rand.NewSource(3))
 
-	b.Run("avl", func(b *testing.B) {
+	b.Run("leaves", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ix.Floor(rng.Int63n(pieces*17), false)
 		}

@@ -17,7 +17,10 @@
 // the volatility question §7 leaves open.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // A cut is the boundary knowledge one crack step leaves behind. The cut
 // (val, incl=false) at position pos means: every element before pos is
@@ -31,14 +34,22 @@ import "fmt"
 // an insert below a cut shifts it right, a delete shifts it left — and
 // rewrites the positions in place through descend/ascend.
 
-// Index is the cracker index over one column: an AVL tree of cuts keyed
-// by (value, inclusive). Lookups, floor/ceiling navigation, insertion and
-// deletion are O(log p) for p registered cuts.
+// Index is the cracker index over one column — the paper's "decorated
+// interval tree" (§5.2) laid out flat. Cuts sit in key order (value,
+// inclusive) in short sorted leaves of at most leafCap entries, and one
+// array above them holds each leaf's first key. A lookup is a binary
+// search over that array and one inside a leaf: two searches over
+// contiguous memory where a balanced tree of p heap nodes makes log p
+// dependent pointer loads. Insertion and deletion shift entries within one
+// leaf, so they cost O(leafCap + p/leafCap). The leaves hold no pointers,
+// so the garbage collector does not walk the cuts.
 //
 // Index is not safe for concurrent use; Column serializes access.
 type Index struct {
-	root *inode
-	size int
+	leaves []leaf
+	topV   []int64 // topV[i], topI[i]: the first key of leaves[i]
+	topI   []bool
+	size   int
 
 	// changed notes that a cut was inserted, deleted, shifted or reset
 	// since the column's last TakeState: the next image element carries
@@ -46,40 +57,44 @@ type Index struct {
 	changed bool
 }
 
+// leafCap bounds a leaf. A leaf past it splits in half; a leaf below
+// leafCap/4 merges into its neighbour (and the pair splits again if that
+// overfills it), so every leaf but a lone one holds at least leafCap/4
+// cuts.
+const leafCap = 64
+
+// A leaf is a run of cuts in ascending key order, one vector per field.
+type leaf struct {
+	vals []int64
+	incl []bool
+	pos  []int
+}
+
 // IndexFromSorted builds the index over cuts already in strictly
-// ascending key order — what an image stores — in O(p): the midpoint of
-// each range becomes its subtree's root, so the tree is balanced by
-// construction and no insertion ever rebalances. Input out of key order
-// is rejected; positions are the caller's to check (VerifyCuts).
+// ascending key order — what an image stores — in O(p): it deals them
+// evenly into leaves about three quarters full, one slab per field with
+// room for every leaf to reach leafCap. Input out of key order is
+// rejected; positions are the caller's to check (VerifyCuts).
 func IndexFromSorted(cuts []Cut) (*Index, error) {
 	for i := 1; i < len(cuts); i++ {
 		if p, c := cuts[i-1], cuts[i]; cmpCut(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
 			return nil, fmt.Errorf("core: cuts %d/%d (%v, %v) out of key order", i-1, i, p, c)
 		}
 	}
-	nodes := make([]inode, len(cuts)) // one slab, not p allocations
-	var build func(lo, hi int) *inode
-	build = func(lo, hi int) *inode {
-		if lo >= hi {
-			return nil
+	k := (len(cuts) + leafCap*3/4 - 1) / (leafCap * 3 / 4)
+	ix := &Index{leaves: make([]leaf, k), topV: make([]int64, k), topI: make([]bool, k), size: len(cuts)}
+	const stride = leafCap + 1
+	vals, incl, pos := make([]int64, k*stride), make([]bool, k*stride), make([]int, k*stride)
+	for li := range ix.leaves {
+		lo, hi, s := li*len(cuts)/k, (li+1)*len(cuts)/k, li*stride
+		l := leaf{vals[s : s : s+stride], incl[s : s : s+stride], pos[s : s : s+stride]}
+		for _, c := range cuts[lo:hi] {
+			l.vals, l.incl, l.pos = append(l.vals, c.Val), append(l.incl, c.Incl), append(l.pos, c.Pos)
 		}
-		mid := int(uint(lo+hi) >> 1)
-		n := &nodes[mid]
-		*n = inode{val: cuts[mid].Val, incl: cuts[mid].Incl, pos: cuts[mid].Pos,
-			left: build(lo, mid), right: build(mid+1, hi)}
-		n.height = 1 + max(height(n.left), height(n.right))
-		return n
+		ix.leaves[li] = l
+		ix.topV[li], ix.topI[li] = cuts[lo].Val, cuts[lo].Incl
 	}
-	return &Index{root: build(0, len(cuts)), size: len(cuts)}, nil
-}
-
-type inode struct {
-	val    int64
-	incl   bool
-	pos    int
-	left   *inode
-	right  *inode
-	height int
+	return ix, nil
 }
 
 // cmpCut orders cuts by (value, inclusive) with false < true.
@@ -98,172 +113,203 @@ func cmpCut(v1 int64, i1 bool, v2 int64, i2 bool) int {
 	}
 }
 
+// upto returns how many keys of the ascending (vs, is) are <= (val, incl).
+func upto(vs []int64, is []bool, val int64, incl bool) int {
+	lo, hi := 0, len(vs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if vs[m] < val || vs[m] == val && (incl || !is[m]) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// locate returns the leaf the key (val, incl) falls in and how many of its
+// cuts are <= the key, so slot j-1 holds the floor when j > 0. A key below
+// every cut falls in leaf 0 with j = 0; so does any key of an empty index.
+func (ix *Index) locate(val int64, incl bool) (li, j int) {
+	li = max(upto(ix.topV, ix.topI, val, incl)-1, 0)
+	if li < len(ix.leaves) {
+		l := &ix.leaves[li]
+		j = upto(l.vals, l.incl, val, incl)
+	}
+	return li, j
+}
+
+// at returns the cut in slot j of leaf li, or the next leaf's first when
+// j is past the end.
+func (ix *Index) at(li, j int) (cutVal int64, cutIncl bool, pos int, ok bool) {
+	if li < len(ix.leaves) && j == len(ix.leaves[li].vals) {
+		li, j = li+1, 0
+	}
+	if li >= len(ix.leaves) {
+		return 0, false, 0, false
+	}
+	l := &ix.leaves[li]
+	return l.vals[j], l.incl[j], l.pos[j], true
+}
+
 // Len returns the number of registered cuts.
 func (ix *Index) Len() int { return ix.size }
 
 // Reset drops all cuts.
 func (ix *Index) Reset() {
 	ix.changed = ix.changed || ix.size > 0
-	ix.root, ix.size = nil, 0
+	ix.leaves, ix.topV, ix.topI, ix.size = nil, nil, nil, 0
 }
 
 // Find returns the position of the exact cut (val, incl), if registered.
 func (ix *Index) Find(val int64, incl bool) (pos int, ok bool) {
-	n := ix.root
-	for n != nil {
-		switch cmpCut(val, incl, n.val, n.incl) {
-		case 0:
-			return n.pos, true
-		case -1:
-			n = n.left
-		default:
-			n = n.right
-		}
+	li, j := ix.locate(val, incl)
+	if j == 0 {
+		return 0, false
 	}
-	return 0, false
+	l := &ix.leaves[li]
+	if l.vals[j-1] != val || l.incl[j-1] != incl {
+		return 0, false
+	}
+	return l.pos[j-1], true
 }
 
 // Floor returns the greatest cut with key <= (val, incl).
 func (ix *Index) Floor(val int64, incl bool) (cutVal int64, cutIncl bool, pos int, ok bool) {
-	n := ix.root
-	var best *inode
-	for n != nil {
-		if cmpCut(n.val, n.incl, val, incl) <= 0 {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	if best == nil {
+	li, j := ix.locate(val, incl)
+	if j == 0 {
 		return 0, false, 0, false
 	}
-	return best.val, best.incl, best.pos, true
+	return ix.at(li, j-1)
 }
 
 // Ceil returns the smallest cut with key > (val, incl).
 func (ix *Index) Ceil(val int64, incl bool) (cutVal int64, cutIncl bool, pos int, ok bool) {
-	n := ix.root
-	var best *inode
-	for n != nil {
-		if cmpCut(n.val, n.incl, val, incl) > 0 {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		return 0, false, 0, false
-	}
-	return best.val, best.incl, best.pos, true
+	return ix.at(ix.locate(val, incl))
 }
 
 // bracket returns the positions of the nearest cuts at or below and at
 // or above the key (val, incl) — one cut, twice, when the key itself is
 // registered.
 func (ix *Index) bracket(val int64, incl bool) (below int, belowOK bool, above int, aboveOK bool) {
-	v, i, below, belowOK := ix.Floor(val, incl)
-	if belowOK && v == val && i == incl {
-		return below, true, below, true
+	li, j := ix.locate(val, incl)
+	if j > 0 {
+		l := &ix.leaves[li]
+		below, belowOK = l.pos[j-1], true
+		if l.vals[j-1] == val && l.incl[j-1] == incl {
+			return below, true, below, true
+		}
 	}
-	_, _, above, aboveOK = ix.Ceil(val, incl)
+	_, _, above, aboveOK = ix.at(li, j)
 	return below, belowOK, above, aboveOK
 }
 
 // Insert registers a new cut. Inserting an existing key overwrites its
 // position (which, by the cut invariant, is always the same value).
 func (ix *Index) Insert(val int64, incl bool, pos int) {
-	var inserted bool
-	ix.root, inserted = insertNode(ix.root, val, incl, pos)
-	if inserted {
-		ix.size++
-		ix.changed = true
+	if len(ix.leaves) == 0 {
+		ix.leaves, ix.topV, ix.topI = []leaf{{}}, []int64{val}, []bool{incl}
+	}
+	li, j := ix.locate(val, incl)
+	l := &ix.leaves[li]
+	if j > 0 && l.vals[j-1] == val && l.incl[j-1] == incl {
+		l.pos[j-1] = pos
+		return
+	}
+	l.vals, l.incl, l.pos = slices.Insert(l.vals, j, val), slices.Insert(l.incl, j, incl), slices.Insert(l.pos, j, pos)
+	ix.size++
+	ix.changed = true
+	if j == 0 {
+		ix.topV[li], ix.topI[li] = val, incl
+	}
+	if len(l.vals) > leafCap {
+		ix.split(li)
 	}
 }
 
-func insertNode(n *inode, val int64, incl bool, pos int) (*inode, bool) {
-	if n == nil {
-		return &inode{val: val, incl: incl, pos: pos, height: 1}, true
+// split moves the upper half of leaf li into a new leaf after it.
+func (ix *Index) split(li int) {
+	l := &ix.leaves[li]
+	h := len(l.vals) / 2
+	r := leaf{
+		vals: append(make([]int64, 0, leafCap+1), l.vals[h:]...),
+		incl: append(make([]bool, 0, leafCap+1), l.incl[h:]...),
+		pos:  append(make([]int, 0, leafCap+1), l.pos[h:]...),
 	}
-	var inserted bool
-	switch cmpCut(val, incl, n.val, n.incl) {
-	case 0:
-		n.pos = pos
-		return n, false
-	case -1:
-		n.left, inserted = insertNode(n.left, val, incl, pos)
-	default:
-		n.right, inserted = insertNode(n.right, val, incl, pos)
-	}
-	return rebalance(n), inserted
+	l.vals, l.incl, l.pos = l.vals[:h], l.incl[:h], l.pos[:h]
+	ix.leaves = slices.Insert(ix.leaves, li+1, r)
+	ix.topV, ix.topI = slices.Insert(ix.topV, li+1, r.vals[0]), slices.Insert(ix.topI, li+1, r.incl[0])
 }
 
 // Delete removes a cut (piece fusion). It reports whether the key existed.
 func (ix *Index) Delete(val int64, incl bool) bool {
-	var deleted bool
-	ix.root, deleted = deleteNode(ix.root, val, incl)
-	if deleted {
-		ix.size--
-		ix.changed = true
+	li, j := ix.locate(val, incl)
+	if j == 0 {
+		return false
 	}
-	return deleted
+	l := &ix.leaves[li]
+	if l.vals[j-1] != val || l.incl[j-1] != incl {
+		return false
+	}
+	l.vals, l.incl, l.pos = slices.Delete(l.vals, j-1, j), slices.Delete(l.incl, j-1, j), slices.Delete(l.pos, j-1, j)
+	ix.size--
+	ix.changed = true
+	switch {
+	case ix.size == 0:
+		ix.leaves, ix.topV, ix.topI = nil, nil, nil
+	case len(l.vals) < leafCap/4 && len(ix.leaves) > 1:
+		ix.merge(max(li-1, 0))
+	case j == 1:
+		ix.topV[li], ix.topI[li] = l.vals[0], l.incl[0]
+	}
+	return true
 }
 
-func deleteNode(n *inode, val int64, incl bool) (*inode, bool) {
-	if n == nil {
-		return nil, false
+// merge appends leaf li+1 to leaf li — one of them has fallen below
+// leafCap/4 — and splits the result again if it overfills.
+func (ix *Index) merge(li int) {
+	l, r := &ix.leaves[li], ix.leaves[li+1]
+	l.vals, l.incl, l.pos = append(l.vals, r.vals...), append(l.incl, r.incl...), append(l.pos, r.pos...)
+	ix.topV[li], ix.topI[li] = l.vals[0], l.incl[0]
+	ix.leaves = slices.Delete(ix.leaves, li+1, li+2)
+	ix.topV, ix.topI = slices.Delete(ix.topV, li+1, li+2), slices.Delete(ix.topI, li+1, li+2)
+	if len(ix.leaves[li].vals) > leafCap {
+		ix.split(li)
 	}
-	var deleted bool
-	switch cmpCut(val, incl, n.val, n.incl) {
-	case -1:
-		n.left, deleted = deleteNode(n.left, val, incl)
-	case 1:
-		n.right, deleted = deleteNode(n.right, val, incl)
-	default:
-		deleted = true
-		switch {
-		case n.left == nil:
-			return n.right, true
-		case n.right == nil:
-			return n.left, true
-		default:
-			// Replace with in-order successor.
-			succ := n.right
-			for succ.left != nil {
-				succ = succ.left
-			}
-			n.val, n.incl, n.pos = succ.val, succ.incl, succ.pos
-			n.right, _ = deleteNode(n.right, succ.val, succ.incl)
-		}
-	}
-	return rebalance(n), deleted
 }
 
 // descend visits the cuts from the greatest key down, ascend from the
 // smallest up, until visit returns more=false. visit also returns the
 // position the cut now has: the update fold shifts the cuts it crosses
 // in the same walk that finds them, without copying the cut list. A
-// walk that stops after k cuts costs O(log p + k).
-func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) { ix.walk(ix.root, true, visit) }
+// walk that stops after k cuts costs O(k).
+func (ix *Index) descend(visit func(c Cut) (pos int, more bool)) {
+	for li := len(ix.leaves) - 1; li >= 0; li-- {
+		for j := len(ix.leaves[li].vals) - 1; j >= 0; j-- {
+			if !ix.rewrite(&ix.leaves[li], j, visit) {
+				return
+			}
+		}
+	}
+}
 
-func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) { ix.walk(ix.root, false, visit) }
+func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) {
+	for li := range ix.leaves {
+		for j := range ix.leaves[li].vals {
+			if !ix.rewrite(&ix.leaves[li], j, visit) {
+				return
+			}
+		}
+	}
+}
 
-func (ix *Index) walk(n *inode, desc bool, visit func(c Cut) (pos int, more bool)) bool {
-	if n == nil {
-		return true
-	}
-	first, second := n.left, n.right
-	if desc {
-		first, second = second, first
-	}
-	if !ix.walk(first, desc, visit) {
-		return false
-	}
-	pos, more := visit(Cut{Val: n.val, Incl: n.incl, Pos: n.pos})
-	ix.changed = ix.changed || n.pos != pos
-	n.pos = pos
-	return more && ix.walk(second, desc, visit)
+// rewrite hands slot j of l to a walk's visit and stores the position
+// it returns.
+func (ix *Index) rewrite(l *leaf, j int, visit func(c Cut) (pos int, more bool)) bool {
+	pos, more := visit(Cut{Val: l.vals[j], Incl: l.incl[j], Pos: l.pos[j]})
+	ix.changed = ix.changed || l.pos[j] != pos
+	l.pos[j] = pos
+	return more
 }
 
 // Cut is the exported form of one registered boundary.
@@ -276,16 +322,11 @@ type Cut struct {
 // Cuts returns all cuts in key order.
 func (ix *Index) Cuts() []Cut {
 	out := make([]Cut, 0, ix.size)
-	var walk func(*inode)
-	walk = func(n *inode) {
-		if n == nil {
-			return
+	for _, l := range ix.leaves {
+		for j := range l.vals {
+			out = append(out, Cut{Val: l.vals[j], Incl: l.incl[j], Pos: l.pos[j]})
 		}
-		walk(n.left)
-		out = append(out, Cut{Val: n.val, Incl: n.incl, Pos: n.pos})
-		walk(n.right)
 	}
-	walk(ix.root)
 	return out
 }
 
@@ -305,52 +346,6 @@ func (ix *Index) Pieces(n int) [][2]int {
 		out = append(out, [2]int{lo, n})
 	}
 	return out
-}
-
-// Height returns the tree height (for balance tests).
-func (ix *Index) Height() int { return height(ix.root) }
-
-func height(n *inode) int {
-	if n == nil {
-		return 0
-	}
-	return n.height
-}
-
-func rebalance(n *inode) *inode {
-	n.height = 1 + max(height(n.left), height(n.right))
-	switch bf := height(n.left) - height(n.right); {
-	case bf > 1:
-		if height(n.left.left) < height(n.left.right) {
-			n.left = rotateLeft(n.left)
-		}
-		return rotateRight(n)
-	case bf < -1:
-		if height(n.right.right) < height(n.right.left) {
-			n.right = rotateRight(n.right)
-		}
-		return rotateLeft(n)
-	default:
-		return n
-	}
-}
-
-func rotateRight(n *inode) *inode {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	n.height = 1 + max(height(n.left), height(n.right))
-	l.height = 1 + max(height(l.left), height(l.right))
-	return l
-}
-
-func rotateLeft(n *inode) *inode {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	n.height = 1 + max(height(n.left), height(n.right))
-	r.height = 1 + max(height(r.left), height(r.right))
-	return r
 }
 
 // String renders the cuts for diagnostics.

@@ -1,10 +1,47 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
+
+	"crackdb/internal/bat"
 )
+
+// check asserts the layout invariants of the leaves under ix: no leaf is
+// empty or over leafCap, every leaf but a lone one holds at least
+// leafCap/4 cuts, each top key is its leaf's first cut, cuts ascend
+// strictly across leaf boundaries, and size is the sum of the leaves.
+func (ix *Index) check() error {
+	if len(ix.topV) != len(ix.leaves) || len(ix.topI) != len(ix.leaves) {
+		return fmt.Errorf("%d leaves under %d/%d top keys", len(ix.leaves), len(ix.topV), len(ix.topI))
+	}
+	n, pv, pi := 0, int64(0), false // pv, pi: the cut before, across leaves
+	for li, l := range ix.leaves {
+		switch k := len(l.vals); {
+		case len(l.incl) != k || len(l.pos) != k:
+			return fmt.Errorf("leaf %d: vectors of %d/%d/%d", li, k, len(l.incl), len(l.pos))
+		case k == 0 || k > leafCap:
+			return fmt.Errorf("leaf %d holds %d cuts, want 1..%d", li, k, leafCap)
+		case k < leafCap/4 && len(ix.leaves) > 1:
+			return fmt.Errorf("leaf %d of %d holds %d cuts, want >= %d", li, len(ix.leaves), k, leafCap/4)
+		case ix.topV[li] != l.vals[0] || ix.topI[li] != l.incl[0]:
+			return fmt.Errorf("leaf %d: top key (%d, %v), first cut (%d, %v)", li, ix.topV[li], ix.topI[li], l.vals[0], l.incl[0])
+		}
+		for j := range l.vals {
+			if n+j > 0 && cmpCut(pv, pi, l.vals[j], l.incl[j]) >= 0 {
+				return fmt.Errorf("leaf %d slot %d: (%d, %v) after (%d, %v)", li, j, l.vals[j], l.incl[j], pv, pi)
+			}
+			pv, pi = l.vals[j], l.incl[j]
+		}
+		n += len(l.vals)
+	}
+	if n != ix.size {
+		return fmt.Errorf("size %d, leaves hold %d", ix.size, n)
+	}
+	return nil
+}
 
 func TestIndexInsertFind(t *testing.T) {
 	ix := &Index{}
@@ -24,7 +61,7 @@ func TestIndexInsertFind(t *testing.T) {
 	if _, ok := ix.Find(15, false); ok {
 		t.Fatal("Find(15) should miss")
 	}
-	// Overwrite does not grow the tree.
+	// Overwrite does not grow the index.
 	ix.Insert(10, false, 3)
 	if ix.Len() != 3 {
 		t.Fatalf("Len after overwrite = %d, want 3", ix.Len())
@@ -120,96 +157,47 @@ func TestIndexPieces(t *testing.T) {
 
 func TestIndexBalance(t *testing.T) {
 	ix := &Index{}
-	// Adversarial ascending insertion must stay logarithmic.
+	// Adversarial ascending insertion fills leaves from one end: each
+	// split must leave both halves within bounds.
 	const n = 1 << 12
 	for i := 0; i < n; i++ {
 		ix.Insert(int64(i), false, i)
+		if err := ix.check(); err != nil {
+			t.Fatalf("after inserting %d: %v", i, err)
+		}
 	}
-	if h := ix.Height(); h > 2*13 {
-		t.Fatalf("AVL height %d too large for %d keys", h, n)
-	}
-	// Random deletions keep it balanced.
+	// Random deletions must merge every leaf that falls below leafCap/4.
 	rng := rand.New(rand.NewSource(1))
 	perm := rng.Perm(n)
 	for _, i := range perm[:n/2] {
 		if !ix.Delete(int64(i), false) {
 			t.Fatalf("Delete(%d) failed", i)
 		}
+		if err := ix.check(); err != nil {
+			t.Fatalf("after deleting %d: %v", i, err)
+		}
 	}
 	if ix.Len() != n/2 {
 		t.Fatalf("Len = %d, want %d", ix.Len(), n/2)
 	}
-	if h := ix.Height(); h > 2*12 {
-		t.Fatalf("AVL height %d too large after deletions", h)
-	}
 }
 
+// TestIndexRandomizedAgainstReference runs a seeded op stream against
+// the sorted-slice model, alternating growing and draining phases so
+// leaves split, merge and empty many times over.
 func TestIndexRandomizedAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	ix := &Index{}
-	type key struct {
-		val  int64
-		incl bool
-	}
-	ref := make(map[key]int)
-
-	for step := 0; step < 5000; step++ {
-		k := key{val: int64(rng.Intn(200)), incl: rng.Intn(2) == 0}
-		switch rng.Intn(3) {
-		case 0, 1:
-			pos := rng.Intn(1000)
-			ix.Insert(k.val, k.incl, pos)
-			ref[k] = pos
-		case 2:
-			_, want := ref[k]
-			if got := ix.Delete(k.val, k.incl); got != want {
-				t.Fatalf("step %d: Delete(%v) = %v, want %v", step, k, got, want)
-			}
-			delete(ref, k)
+	rng := rand.New(rand.NewSource(46))
+	m := &indexModel{ix: &Index{}}
+	for step := 0; step < 20_000; step++ {
+		op := rng.Intn(9)
+		if step/2500%2 == 1 && op < 3 { // a draining phase
+			op = 3
 		}
-	}
-	if ix.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", ix.Len(), len(ref))
-	}
-	// Every reference key must be findable with the right position, and
-	// the in-order walk must be sorted.
-	for k, pos := range ref {
-		if got, ok := ix.Find(k.val, k.incl); !ok || got != pos {
-			t.Fatalf("Find(%v) = %d,%v want %d", k, got, ok, pos)
+		if op == 8 && rng.Intn(50) > 0 { // a rebuild re-deals the leaves: rarely
+			op = 5
 		}
-	}
-	cuts := ix.Cuts()
-	if !sort.SliceIsSorted(cuts, func(i, j int) bool {
-		return cmpCut(cuts[i].Val, cuts[i].Incl, cuts[j].Val, cuts[j].Incl) < 0
-	}) {
-		t.Fatal("in-order walk not sorted")
-	}
-	// Floor/Ceil agree with a linear scan of the sorted cuts.
-	for trial := 0; trial < 200; trial++ {
-		v, incl := int64(rng.Intn(220)-10), rng.Intn(2) == 0
-		var wantFloor, wantCeil *Cut
-		for i := range cuts {
-			c := cuts[i]
-			if cmpCut(c.Val, c.Incl, v, incl) <= 0 {
-				wantFloor = &cuts[i]
-			}
-			if cmpCut(c.Val, c.Incl, v, incl) > 0 && wantCeil == nil {
-				wantCeil = &cuts[i]
-			}
-		}
-		gv, gi, gp, ok := ix.Floor(v, incl)
-		if (wantFloor != nil) != ok {
-			t.Fatalf("Floor(%d,%v) presence = %v", v, incl, ok)
-		}
-		if ok && (gv != wantFloor.Val || gi != wantFloor.Incl || gp != wantFloor.Pos) {
-			t.Fatalf("Floor(%d,%v) = %d,%v,%d want %+v", v, incl, gv, gi, gp, *wantFloor)
-		}
-		gv, gi, gp, ok = ix.Ceil(v, incl)
-		if (wantCeil != nil) != ok {
-			t.Fatalf("Ceil(%d,%v) presence = %v", v, incl, ok)
-		}
-		if ok && (gv != wantCeil.Val || gi != wantCeil.Incl || gp != wantCeil.Pos) {
-			t.Fatalf("Ceil(%d,%v) = %d,%v,%d want %+v", v, incl, gv, gi, gp, *wantCeil)
+		if err := m.step(op, rng.Int63n(300), rng.Intn(2) == 0, rng.Intn(200)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }
@@ -220,5 +208,228 @@ func TestIndexString(t *testing.T) {
 	ix.Insert(5, true, 4)
 	if got := ix.String(); got != "index{<5@2 <=5@4}" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// indexModel drives an Index and a sorted slice of the same cuts through
+// one op stream, comparing every answer, the changed flag and the leaf
+// invariants after each step.
+type indexModel struct {
+	ix  *Index
+	ref []Cut // ascending key order
+}
+
+// step applies op to the key (val, incl): 0–2 insert at position arg,
+// 3–4 delete, 5 Find/Floor/Ceil/bracket, 6 ascend and 7 descend (each
+// stops after arg+1 cuts and moves every cut it visits by val%3), 8
+// rebuilds the index through IndexFromSorted.
+func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
+	i, found := slices.BinarySearchFunc(m.ref, Cut{Val: val, Incl: incl}, func(c, k Cut) int {
+		return cmpCut(c.Val, c.Incl, k.Val, k.Incl)
+	})
+	at := func(k int) (int64, bool, int, bool) { // the model's cut k, if any
+		if k < 0 || k >= len(m.ref) {
+			return 0, false, 0, false
+		}
+		return m.ref[k].Val, m.ref[k].Incl, m.ref[k].Pos, true
+	}
+	m.ix.changed = false
+	wantChanged := false
+	switch op {
+	case 0, 1, 2:
+		m.ix.Insert(val, incl, arg)
+		if found {
+			m.ref[i].Pos = arg
+		} else {
+			m.ref = slices.Insert(m.ref, i, Cut{Val: val, Incl: incl, Pos: arg})
+			wantChanged = true
+		}
+	case 3, 4:
+		if got := m.ix.Delete(val, incl); got != found {
+			return fmt.Errorf("Delete(%d, %v) = %v, want %v", val, incl, got, found)
+		}
+		if found {
+			m.ref = slices.Delete(m.ref, i, i+1)
+			wantChanged = true
+		}
+	case 5:
+		fl, ce := i-1, i // the model's floor and ceiling slots
+		if found {
+			fl, ce = i, i+1
+		}
+		if pos, ok := m.ix.Find(val, incl); ok != found || found && pos != m.ref[i].Pos {
+			return fmt.Errorf("Find(%d, %v) = %d, %v", val, incl, pos, ok)
+		}
+		wv, wi, wp, wok := at(fl)
+		if v, in, p, ok := m.ix.Floor(val, incl); v != wv || in != wi || p != wp || ok != wok {
+			return fmt.Errorf("Floor(%d, %v) = %d, %v, %d, %v, want %d, %v, %d, %v", val, incl, v, in, p, ok, wv, wi, wp, wok)
+		}
+		below, belowOK := wp, wok
+		wv, wi, wp, wok = at(ce)
+		if v, in, p, ok := m.ix.Ceil(val, incl); v != wv || in != wi || p != wp || ok != wok {
+			return fmt.Errorf("Ceil(%d, %v) = %d, %v, %d, %v, want %d, %v, %d, %v", val, incl, v, in, p, ok, wv, wi, wp, wok)
+		}
+		if found {
+			wp, wok = below, true
+		}
+		if b, bok, a, aok := m.ix.bracket(val, incl); b != below || bok != belowOK || a != wp || aok != wok {
+			return fmt.Errorf("bracket(%d, %v) = %d, %v, %d, %v, want %d, %v, %d, %v", val, incl, b, bok, a, aok, below, belowOK, wp, wok)
+		}
+	case 6, 7:
+		walk, slot := m.ix.ascend, func(k int) int { return k }
+		if op == 7 {
+			walk, slot = m.ix.descend, func(k int) int { return len(m.ref) - 1 - k }
+		}
+		var err error
+		k, delta := 0, int(val%3)
+		walk(func(c Cut) (int, bool) {
+			if k >= len(m.ref) || c != m.ref[slot(k)] {
+				err = fmt.Errorf("walk %d visit %d: %+v", op, k, c)
+				return c.Pos, false
+			}
+			m.ref[slot(k)].Pos += delta
+			k++
+			return c.Pos + delta, k <= arg
+		})
+		if want := min(len(m.ref), arg+1); err == nil && k != want {
+			err = fmt.Errorf("walk %d visited %d cuts, want %d", op, k, want)
+		}
+		if err != nil {
+			return err
+		}
+		wantChanged = k > 0 && delta != 0
+	case 8:
+		ix, err := IndexFromSorted(m.ix.Cuts())
+		if err != nil {
+			return err
+		}
+		m.ix = ix
+	}
+	if m.ix.changed != wantChanged {
+		return fmt.Errorf("op %d on (%d, %v): changed = %v, want %v", op, val, incl, m.ix.changed, wantChanged)
+	}
+	if m.ix.Len() != len(m.ref) || !slices.Equal(m.ix.Cuts(), m.ref) {
+		return fmt.Errorf("op %d on (%d, %v): index holds %v, model %v", op, val, incl, m.ix.Cuts(), m.ref)
+	}
+	return m.ix.check()
+}
+
+// FuzzIndex decodes three bytes per step: the op (its top bit is the
+// key's incl), the key's value and the step's argument. The seeds under
+// testdata/fuzz/FuzzIndex fill and drain many leaves.
+func FuzzIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 4096 {
+			return
+		}
+		m := &indexModel{ix: &Index{}}
+		for i := 0; i+3 <= len(b); i += 3 {
+			if err := m.step(int(b[i]&0x7f)%9, int64(b[i+1]), b[i]&0x80 != 0, int(b[i+2])); err != nil {
+				t.Fatalf("step %d: %v", i/3, err)
+			}
+		}
+	})
+}
+
+// TestIndexUnderFusion cracks a column whose MaxPieces keeps fusing
+// pieces away, with inserts and deletes folding in between. Queries
+// crowd a hot spot that moves every 300 steps, so fuseLocked drains the
+// leaves of the old one and they merge. Every count is checked
+// against a sorted slice of the live values, and the index against the
+// data and its leaf invariants after every step.
+func TestIndexUnderFusion(t *testing.T) {
+	const n, domain = 30_000, 10_000
+	rng := rand.New(rand.NewSource(7))
+	vals, oids := make([]int64, n), make([]bat.OID, n) // oids: the live tuples
+	live := make(map[bat.OID]int64, n)
+	for i := range vals {
+		vals[i], oids[i] = rng.Int63n(domain), bat.OID(i)
+		live[oids[i]] = vals[i]
+	}
+	c := NewColumn("c", vals, WithMaxPieces(300))
+	model := slices.Clone(vals) // the live values, ascending
+	slices.Sort(model)
+	merged, hot := false, int64(0)
+	for step := 0; step < 3000; step++ {
+		if step%10 == 9 {
+			v := rng.Int63n(domain)
+			oids = append(oids, c.Insert(v))
+			live[oids[len(oids)-1]] = v
+			i, _ := slices.BinarySearch(model, v)
+			model = slices.Insert(model, i, v)
+
+			k := rng.Intn(len(oids))
+			o := oids[k]
+			oids[k] = oids[len(oids)-1]
+			oids = oids[:len(oids)-1]
+			if !c.Delete(o) {
+				t.Fatalf("step %d: Delete(%d) failed", step, o)
+			}
+			i, _ = slices.BinarySearch(model, live[o])
+			model = slices.Delete(model, i, i+1)
+			delete(live, o)
+		}
+		leaves := len(c.idx.leaves)
+		if step%300 == 0 { // the hot spot moves: fusion drains the old one's cuts
+			hot = rng.Int63n(domain - domain/20)
+		}
+		lo := hot + rng.Int63n(domain/20)
+		hi := lo + rng.Int63n(50)
+		loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
+		from, _ := slices.BinarySearch(model, lo)
+		if !loIncl {
+			from, _ = slices.BinarySearch(model, lo+1)
+		}
+		to, _ := slices.BinarySearch(model, hi)
+		if hiIncl {
+			to, _ = slices.BinarySearch(model, hi+1)
+		}
+		if got, want := c.Count(lo, hi, loIncl, hiIncl), max(to-from, 0); got != want {
+			t.Fatalf("step %d: Count(%d, %d, %v, %v) = %d, want %d", step, lo, hi, loIncl, hiIncl, got, want)
+		}
+		if err := c.idx.check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if c.idx.Len() >= 300 {
+			t.Fatalf("step %d: %d cuts under MaxPieces 300", step, c.idx.Len())
+		}
+		merged = merged || len(c.idx.leaves) < leaves
+	}
+	if st := c.Stats(); st.Fusions == 0 || !merged {
+		t.Fatalf("%d fusions, leaves merged: %v; the stream never drained a leaf", st.Fusions, merged)
+	}
+}
+
+// BenchmarkIndexFind probes four indexes of 37 k cuts each, built by
+// inserts in random order, for registered cuts at random: a converged
+// shard's c0 lookups, where every probe misses the cache.
+func BenchmarkIndexFind(b *testing.B) {
+	const cuts = 37_000
+	rng := rand.New(rand.NewSource(1))
+	var ixs [4]*Index
+	var keys [4][]int64
+	for k := range ixs {
+		ixs[k] = &Index{}
+		for ixs[k].Len() < cuts {
+			v := rng.Int63n(1 << 40)
+			if _, ok := ixs[k].Find(v, false); !ok {
+				ixs[k].Insert(v, false, len(keys[k]))
+				keys[k] = append(keys[k], v)
+			}
+		}
+	}
+	probes := make([]int, 1<<16)
+	for i := range probes {
+		probes[i] = rng.Intn(cuts)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & 3
+		if _, ok := ixs[k].Find(keys[k][probes[i&(len(probes)-1)]], false); !ok {
+			b.Fatal("registered cut not found")
+		}
 	}
 }

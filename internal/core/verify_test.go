@@ -78,8 +78,9 @@ func TestVerifyCutsMatchesQuadratic(t *testing.T) {
 	}
 }
 
-// TestIndexFromSorted: the O(p) build is the tree p inserts would give —
-// same cuts, balanced, searchable — and refuses input out of key order.
+// TestIndexFromSorted: the O(p) build holds what p inserts would give —
+// same cuts, leaves within bounds, searchable — and refuses input out of
+// key order.
 func TestIndexFromSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, p := range []int{0, 1, 2, 3, 7, 8, 100, 1000, 4097} {
@@ -95,18 +96,21 @@ func TestIndexFromSorted(t *testing.T) {
 		if ix.Len() != p || len(ix.Cuts()) != p {
 			t.Fatalf("p=%d: built index has %d cuts", p, ix.Len())
 		}
-		if h, bound := ix.Height(), ceilLog2(p+1); h > bound {
-			t.Fatalf("p=%d: height %d, a midpoint build gives at most %d", p, h, bound)
+		if err := ix.check(); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
 		for i, c := range cuts {
 			if pos, ok := ix.Find(c.Val, c.Incl); !ok || pos != c.Pos || ix.Cuts()[i] != c {
 				t.Fatalf("p=%d: cut %v not found intact", p, c)
 			}
 		}
-		// The built tree keeps working as an AVL tree.
+		// The built index keeps working under inserts and deletes.
 		ix.Insert(-1, false, 0)
 		if len(cuts) > 0 {
 			ix.Delete(cuts[p/2].Val, cuts[p/2].Incl)
+		}
+		if err := ix.check(); err != nil {
+			t.Fatalf("p=%d after one insert and one delete: %v", p, err)
 		}
 		if got := ix.Len(); got != p+1-min(p, 1) {
 			t.Fatalf("p=%d: %d cuts after one insert and one delete", p, got)

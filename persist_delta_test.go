@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crackdb"
@@ -341,13 +342,18 @@ func TestDeltaChainUnderConcurrentQueries(t *testing.T) {
 	if err := s.Save(dirs[0]); err != nil {
 		t.Fatal(err)
 	}
+	// The queries run until the loop below has committed the elements the
+	// test asserts, not only for a fixed count: on a fast box 400 queries
+	// each can finish before the first element lands.
+	var elements atomic.Int64
+	elements.Store(int64(len(dirs)))
 	var wg sync.WaitGroup
 	for g, col := range []string{"c0", "c1"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 400; i++ {
+			for i := 0; i < 400 || elements.Load() < 3; i++ {
 				lo := 1 + rng.Int63n(n)
 				if _, err := s.Count("t", col, lo, lo+int64(rng.Intn(500))); err != nil {
 					t.Error(err)
@@ -379,6 +385,7 @@ func TestDeltaChainUnderConcurrentQueries(t *testing.T) {
 		if commit != nil {
 			commit()
 			dirs = append(dirs, d)
+			elements.Store(int64(len(dirs)))
 		}
 	}
 	if len(dirs) < 3 {
