@@ -303,16 +303,26 @@ type Reply struct {
 	Msg, Err string
 }
 
-// Engine is the posture of a sql.Engine over r.
+// Engine is the posture of a sql.Engine over r. An op's statements run
+// as one ExecWindow, so a batch op's counts take the engine's fold into
+// CountBatch, as a pipelining client's do. A statement that does not
+// parse answers its error and ends the op, as Do reads no further.
 func Engine(label string, r *shard.Store) *SQL {
 	e := sql.NewEngineOn(r)
-	return &SQL{Label: label, B: r, Exec: func(stmts ...string) []Reply {
+	return &SQL{Label: label, B: r, Exec: func(texts ...string) []Reply {
+		stmts := make([]sql.Stmt, len(texts))
+		for i, text := range texts {
+			var err error
+			if stmts[i], err = sql.Parse(text); err != nil {
+				return []Reply{{Err: err.Error()}}
+			}
+		}
 		out := make([]Reply, len(stmts))
-		for i, s := range stmts {
-			if rs, err := e.Exec(s); err != nil {
-				out[i].Err = err.Error()
+		for i, res := range e.ExecWindow(stmts) {
+			if res.Err != nil {
+				out[i].Err = res.Err.Error()
 			} else {
-				out[i] = Reply{Rows: rs.Rows, Msg: rs.Message}
+				out[i] = Reply{Rows: res.Set.Rows, Msg: res.Set.Message}
 			}
 		}
 		return out

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crackdb"
@@ -133,9 +134,9 @@ func TestRoutedReadBudget(t *testing.T) {
 }
 
 // TestFollowerDispatchBudget: a follower parses a statement once, to
-// check that it only reads and to execute it, so a converged count costs
-// it no more allocations than it costs a primary. Checking on a second
-// parse made it 40 against 24.
+// check that it only reads and to execute it, so a converged count
+// served as a window of one costs it no more allocations than it costs
+// a primary. Checking on a second parse made it 40 against 24.
 func TestFollowerDispatchBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -146,7 +147,7 @@ func TestFollowerDispatchBudget(t *testing.T) {
 	const stmt = "SELECT COUNT(*) FROM t WHERE c0 >= 5000 AND c0 < 6000"
 	count := func(s *Server) func() {
 		return func() {
-			if resp, _ := s.dispatch(stmt); resp.Err != "" || len(resp.ints) != 1 || resp.ints[0][0] != 1000 {
+			if resp, _ := s.serveOne(stmt); resp.Err != "" || len(resp.ints) != 1 || resp.ints[0][0] != 1000 {
 				t.Fatalf("%s: err %q, rows %v; want 1000", stmt, resp.Err, resp.ints)
 			}
 		}
@@ -159,6 +160,72 @@ func TestFollowerDispatchBudget(t *testing.T) {
 	}
 }
 
+// TestWindowParseBudget: the server parses each request of a pipelined
+// window once and hands the parsed statements to the engine. A window
+// of fetches, a GROUP BY and INSERTs — no count the engine could fold —
+// costs what parsing each statement once and executing it cost, plus a
+// reply apiece. Allocations count the parses: parsing a statement again,
+// to classify it and then to execute it, read 2.03 parses a statement.
+func TestWindowParseBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	st := shard.New(shard.Options{Shards: 2, Kind: shard.Hash})
+	s := New(st, nil)
+	rows := make([]string, 12)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("(%d, %d)", i, i%3)
+	}
+	insert := "INSERT INTO u VALUES " + strings.Join(rows, ", ")
+	cmds := []string{
+		"SELECT c0, c1 FROM t WHERE c0 >= 10 AND c0 < 20",
+		insert,
+		"SELECT c1, COUNT(*) FROM t WHERE c0 < 100 GROUP BY c1",
+		insert,
+		"SELECT c0 FROM t WHERE c0 >= 500 AND c0 <= 509 ORDER BY c0",
+		insert,
+	}
+	for _, setup := range []string{"/tapestry t 1000 2", "CREATE TABLE u (a, b)"} {
+		if resp, _ := s.serveOne(setup); resp.Err != "" {
+			t.Fatalf("%s: %s", setup, resp.Err)
+		}
+	}
+	win := make([]wireReq, len(cmds))
+	stmts := make([]sql.Stmt, len(cmds))
+	for i, cmd := range cmds {
+		win[i].cmd = cmd
+		var err error
+		if stmts[i], err = sql.Parse(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func() {
+		if _, err := s.serveWindow(win, func(req wireReq, resp *Response) error {
+			if resp.Err != "" {
+				t.Fatalf("%s: %s", req.cmd, resp.Err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve() // the first run cracks the fetches' bounds
+	parse := testing.AllocsPerRun(100, func() {
+		for _, cmd := range cmds {
+			sql.Parse(cmd)
+		}
+	})
+	exec := testing.AllocsPerRun(100, func() { s.eng.ExecWindow(stmts) })
+	served := testing.AllocsPerRun(100, serve)
+	parses := (served - exec) / parse
+	t.Logf("a window of %d statements: %.0f allocations served, %.0f executed, %.0f parsed once: %.2f parses a statement",
+		len(cmds), served, exec, parse, parses)
+	if parses > 1.5 {
+		t.Errorf("serving a window of %d statements allocates %.0f times over executing them, %.2f times parsing them once: a request is parsed more than once",
+			len(cmds), served-exec, parses)
+	}
+}
+
 func TestWireResultBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -166,8 +233,8 @@ func TestWireResultBudget(t *testing.T) {
 	rs := fetch(t, fetchStack(t), 1000)
 	req := wireReq{seq: 7, tagged: true}
 
-	frame := encodeReply(nil, req, fromResultSet(rs)) // grows the buffer, as a connection's first reply does
-	if got := testing.AllocsPerRun(100, func() { frame = encodeReply(frame, req, fromResultSet(rs)) }); got > 2 {
+	frame := encodeReply(nil, req, fromResult(sql.Result{Set: rs})) // grows the buffer, as a connection's first reply does
+	if got := testing.AllocsPerRun(100, func() { frame = encodeReply(frame, req, fromResult(sql.Result{Set: rs})) }); got > 2 {
 		t.Errorf("rendering a 1000-row result into a frame allocates %.0f times, budget 2 (parent 4 002)", got)
 	}
 

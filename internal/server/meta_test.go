@@ -16,7 +16,7 @@ func TestMetaRegistry(t *testing.T) {
 	follower := New(shard.New(shard.Options{Shards: 2}), nil)
 	follower.SetPrimary(primary)
 
-	help, _ := volatile.dispatch("/help")
+	help, _ := volatile.serveOne("/help")
 	seen := make(map[string]bool)
 	for _, m := range metas {
 		if !strings.HasPrefix(m.name, "/") || seen[m.name] {
@@ -35,29 +35,29 @@ func TestMetaRegistry(t *testing.T) {
 
 		// Bare invocations: a gate, when one applies, answers before the
 		// handler ever parses arguments.
-		resp, _ := follower.dispatch(m.name)
+		resp, _ := follower.serveOne(m.name)
 		if want := "read-only follower; primary=" + primary; (resp.Err == want) != m.primaryOnly {
 			t.Errorf("%s on a follower answered %+v, primaryOnly=%v", m.name, resp, m.primaryOnly)
 		}
-		resp, _ = volatile.dispatch(m.name)
+		resp, _ = volatile.serveOne(m.name)
 		if want := "store is not durable (start cracksrv with -data)"; (resp.Err == want) != m.needsWAL {
 			t.Errorf("%s on a volatile store answered %+v, needsWAL=%v", m.name, resp, m.needsWAL)
 		}
 	}
 
-	resp, quit := volatile.dispatch("/bogus 1 2")
+	resp, quit := volatile.serveOne("/bogus 1 2")
 	if resp.Err != "unknown command /bogus (try /help)" || quit {
 		t.Errorf("unknown command answered %+v quit=%v", resp, quit)
 	}
 	// A crack strategy is each server's boot configuration, not a command.
-	if resp, _ := volatile.dispatch("/strategy mdd1r 7"); resp.Err != "unknown command /strategy (try /help)" {
+	if resp, _ := volatile.serveOne("/strategy mdd1r 7"); resp.Err != "unknown command /strategy (try /help)" {
 		t.Errorf("/strategy answered %+v", resp)
 	}
 	// A handler's nil response is the table's usage line.
-	if resp, _ := volatile.dispatch("/stats onlyone"); resp.Err != "usage: /stats [<table> <column>]" {
+	if resp, _ := volatile.serveOne("/stats onlyone"); resp.Err != "usage: /stats [<table> <column>]" {
 		t.Errorf("bad arity answered %+v", resp)
 	}
-	if resp, quit := volatile.dispatch("/quit"); resp.Message != "bye" || !quit {
+	if resp, quit := volatile.serveOne("/quit"); resp.Message != "bye" || !quit {
 		t.Errorf("/quit answered %+v quit=%v", resp, quit)
 	}
 }

@@ -197,7 +197,7 @@ func TestServerMetricsExposition(t *testing.T) {
 // EnableObservability refuses /metrics naming that call. cracksrv always
 // makes it, so no cracksrv flag is the remedy.
 func TestMetricsWithoutObservability(t *testing.T) {
-	resp, _ := New(shard.New(shard.Options{Shards: 1}), nil).dispatch("/metrics")
+	resp, _ := New(shard.New(shard.Options{Shards: 1}), nil).serveOne("/metrics")
 	if want := "observability was never enabled on this server (Server.EnableObservability)"; resp.Err != want {
 		t.Fatalf("/metrics: err %q, want %q", resp.Err, want)
 	}
@@ -297,4 +297,47 @@ func TestServerSlowQueryLog(t *testing.T) {
 	if crackLines == 0 {
 		t.Fatal("slow-query log never listed a crack event")
 	}
+}
+
+// TestServerSlowRunLog: a pipelined run of counts on one column is one
+// ExecWindow call the engine folds into a batch, and at a 1ns threshold
+// it logs one "slow query run" line naming the run's length, its first
+// statement and the crack events it caused.
+func TestServerSlowRunLog(t *testing.T) {
+	addr, rec, stop := startObsServer(t, t.TempDir(), shard.Options{Shards: 2, Kind: shard.Hash}, time.Nanosecond)
+	defer stop()
+	c, err := DialTimeout(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	driveWorkload(t, c)
+	counts := make([]string, 8)
+	for i := range counts {
+		counts[i] = fmt.Sprintf("SELECT COUNT(*) FROM ev WHERE v >= %d AND v < %d", 100+20*i, 109+20*i)
+	}
+	resps, err := c.DoBatch(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resps {
+		if r.Err != "" || len(r.Rows) != 1 || r.Rows[0][0] != "3" {
+			t.Fatalf("%s: %+v", counts[i], r)
+		}
+	}
+	lines := rec.snapshot()
+	want := fmt.Sprintf("slow query run (%d statements, ", len(counts))
+	for i, line := range lines {
+		if !strings.HasPrefix(line, want) {
+			continue
+		}
+		if !strings.HasSuffix(line, "crack events): "+counts[0]) {
+			t.Fatalf("run line does not end with the run's first statement: %s", line)
+		}
+		if i+1 == len(lines) || !strings.Contains(lines[i+1], "crack shard=") || !strings.Contains(lines[i+1], "col=ev.v") {
+			t.Fatalf("run line is not followed by the run's crack events:\n%s", strings.Join(lines[i:], "\n"))
+		}
+		return
+	}
+	t.Fatalf("no %q line in the slow-query log:\n%s", want, strings.Join(lines, "\n"))
 }

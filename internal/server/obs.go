@@ -61,22 +61,29 @@ func (s *Server) noteWindow(n int) {
 	}
 }
 
-// dispatchTimed wraps dispatch with the slow-query log: it marks the
-// trace ring, times the statement, and when the wall time crosses the
-// threshold logs the statement with every crack event recorded during
-// its window. Events from concurrent statements can interleave — each
-// listed event is real reorganization that contended with this one.
-func (s *Server) dispatchTimed(cmd string) (*Response, bool) {
+// slowLog runs fn, which answers n requests from first on, under the
+// slow-query log: it marks the trace ring, times fn, and when the wall
+// time crosses the threshold logs first — with n when fn answered a run,
+// such as pipelined counts the engine folded — and every crack event
+// recorded during its window. Events from concurrent statements can
+// interleave — each listed event is real reorganization that contended
+// with this one.
+func (s *Server) slowLog(first string, n int, fn func()) {
 	o := s.obsv.Load()
 	if o == nil || o.slow <= 0 {
-		return s.dispatch(cmd)
+		fn()
+		return
 	}
 	mark := o.trace.Mark()
 	t0 := time.Now()
-	resp, quit := s.dispatch(cmd)
+	fn()
 	if d := time.Since(t0); d >= o.slow {
 		evs := o.trace.Since(mark)
-		s.logf("slow query (%v, %d crack events): %s", d, len(evs), cmd)
+		if n == 1 {
+			s.logf("slow query (%v, %d crack events): %s", d, len(evs), first)
+		} else {
+			s.logf("slow query run (%d statements, %v, %d crack events): %s", n, d, len(evs), first)
+		}
 		for i, ev := range evs {
 			if i == slowLogMaxEvents {
 				s.logf("  ... %d more crack events", len(evs)-slowLogMaxEvents)
@@ -92,7 +99,6 @@ func (s *Server) dispatchTimed(cmd string) (*Response, bool) {
 				time.Duration(ev.HoldNS), fold)
 		}
 	}
-	return resp, quit
 }
 
 // metricsMeta answers /metrics: the merged registry snapshot in

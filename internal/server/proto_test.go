@@ -338,7 +338,7 @@ func TestEncodeIntsMatchesStrings(t *testing.T) {
 	results = append(results, big)
 	for _, rs := range results {
 		for _, req := range []wireReq{{}, {seq: 0, tagged: true}, {seq: math.MaxUint64, tagged: true}} {
-			got := encodeReply(nil, req, fromResultSet(rs))
+			got := encodeReply(nil, req, fromResult(sql.Result{Set: rs}))
 			old := stringsFromResultSet(rs)
 			old.Seq, old.HasSeq = req.seq, req.tagged
 			if want := old.encode(nil); !bytes.Equal(got, want) {
@@ -362,9 +362,9 @@ func TestOverLimitResultAnswersErr(t *testing.T) {
 		req  wireReq
 		resp *Response
 	}{
-		{wireReq{seq: 41, tagged: true}, fromResultSet(huge)},
-		{wireReq{seq: 42, tagged: true}, fromResultSet(&sql.ResultSet{Columns: []string{"count(*)"}, Rows: [][]int64{{7}}})},
-		{wireReq{}, fromResultSet(huge)},
+		{wireReq{seq: 41, tagged: true}, fromResult(sql.Result{Set: huge})},
+		{wireReq{seq: 42, tagged: true}, fromResult(sql.Result{Set: &sql.ResultSet{Columns: []string{"count(*)"}, Rows: [][]int64{{7}}}})},
+		{wireReq{}, fromResult(sql.Result{Set: huge})},
 	}
 	var wire bytes.Buffer
 	bw := bufio.NewWriter(&wire)

@@ -104,7 +104,7 @@ func primaryNext(t *testing.T, st *shard.Store) uint64 {
 // replica is a primary and its follower as one posture: writes go to
 // the primary, and a read is answered by the primary on a synchronous
 // client and by the follower — after Topology.Fence — on a pipelined one
-// (so the server folds runs of counts into CountBatch), which must agree.
+// (so the engine folds runs of counts into CountBatch), which must agree.
 // A reboot stops the follower. The next read checkpoints the primary,
 // which rotates the writes the follower missed into the archive, then
 // restarts the follower from its data dir to catch up from there.

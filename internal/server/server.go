@@ -185,6 +185,10 @@ func (s *Server) handle(conn net.Conn) {
 		putFrameBuf(reqBuf)
 		putFrameBuf(respBuf)
 	}()
+	reply := func(req wireReq, resp *Response) error {
+		respBuf = encodeReply(respBuf, req, resp)
+		return writeFrame(bw, respBuf)
+	}
 	var win []wireReq
 	for {
 		payload, err := readFrame(br, reqBuf)
@@ -205,7 +209,7 @@ func (s *Server) handle(conn net.Conn) {
 			win = append(win, parseWireReq(payload))
 		}
 		s.noteWindow(len(win))
-		quit, err := s.serveWindow(bw, win, &respBuf)
+		quit, err := s.serveWindow(win, reply)
 		if err != nil {
 			return
 		}
@@ -218,101 +222,67 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// serveWindow executes one connection's in-flight window in request
-// order. Maximal consecutive runs of range-count statements on the same
-// (table, column) — the co-shard work a pipelining client naturally
-// emits — execute as one batched store entry; everything else
-// dispatches individually. Responses are written (buffered, unflushed)
-// in request order, each echoing its request's sequence tag. A /quit
-// answers and stops the connection; any requests a client pipelined
-// behind its /quit are dropped with it.
-func (s *Server) serveWindow(bw *bufio.Writer, win []wireReq, respBuf *[]byte) (quit bool, err error) {
-	reply := func(req wireReq, resp *Response) error {
-		*respBuf = encodeReply(*respBuf, req, resp)
-		return writeFrame(bw, *respBuf)
-	}
-	// Classify the window once; rc[i] holds request i's folded range when
-	// it is a pure single-column range COUNT(*).
-	rcs := make([]sql.RangeCount, len(win))
-	isRC := make([]bool, len(win))
-	if len(win) > 1 {
-		for i, req := range win {
-			if !strings.HasPrefix(req.cmd, "/") {
-				rcs[i], isRC[i] = sql.ClassifyRangeCount(req.cmd)
+// serveWindow answers one connection's in-flight window through reply,
+// in request order. Each SQL request is parsed once; each run of parsed
+// statements goes to the engine's ExecWindow, which folds co-column
+// range counts into one batched store entry. A /meta command, a parse
+// error and a write refused on a follower answer in place between runs.
+// A /quit answers and stops the connection; any requests a client
+// pipelined behind its /quit are dropped with it.
+func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error) (quit bool, err error) {
+	run := make([]sql.Stmt, 0, len(win)) // the parsed statements of win[i-len(run):i]
+	primary := s.primaryAddr()           // a follower refuses writes
+	flush := func(i int) error {
+		if len(run) == 0 {
+			return nil
+		}
+		reqs := win[i-len(run) : i]
+		var results []sql.Result
+		s.slowLog(reqs[0].cmd, len(run), func() { results = s.eng.ExecWindow(run) })
+		run = run[:0]
+		for k, r := range results {
+			if err := reply(reqs[k], fromResult(r)); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	for i := 0; i < len(win); {
-		// Extend a run of batchable counts on the same table and column.
-		j := i
-		for j < len(win) && isRC[j] && rcs[j].Table == rcs[i].Table && rcs[j].Col == rcs[i].Col {
-			j++
-		}
-		if j-i >= 2 {
-			ranges := make([]crackdb.Range, j-i)
-			for k := i; k < j; k++ {
-				ranges[k-i] = rcs[k].Range()
+	for i, req := range win {
+		var resp *Response
+		if strings.HasPrefix(req.cmd, "/") {
+			// A meta command sees the effects of the statements before it.
+			if err := flush(i); err != nil {
+				return false, err
 			}
-			counts, err := s.store.CountBatch(rcs[i].Table, rcs[i].Col, ranges)
-			if err != nil {
-				// Per-request fallback keeps error text identical to the
-				// scalar path (e.g. unknown table, unknown column).
-				for k := i; k < j; k++ {
-					resp, _ := s.dispatchTimed(win[k].cmd)
-					if werr := reply(win[k], resp); werr != nil {
-						return false, werr
-					}
-				}
-			} else {
-				for k := i; k < j; k++ {
-					resp := &Response{Columns: []string{"count(*)"}, ints: [][]int64{{int64(counts[k-i])}}}
-					if werr := reply(win[k], resp); werr != nil {
-						return false, werr
-					}
-				}
-			}
-			i = j
+			s.slowLog(req.cmd, 1, func() { resp, quit = s.meta(req.cmd) })
+		} else if st, err := sql.Parse(req.cmd); err != nil {
+			resp = &Response{Err: err.Error()}
+		} else if primary != "" && !readOnlyStmt(st) {
+			resp = &Response{Err: "read-only follower; primary=" + primary}
+		} else {
+			run = append(run, st)
 			continue
 		}
-		resp, q := s.dispatchTimed(win[i].cmd)
-		if werr := reply(win[i], resp); werr != nil {
-			return false, werr
+		if err := flush(i); err != nil {
+			return false, err
 		}
-		if q {
-			return true, nil
+		if err := reply(req, resp); err != nil || quit {
+			return quit, err
 		}
-		i++
 	}
-	return false, nil
+	return false, flush(len(win))
 }
 
-// dispatch executes one request. quit asks the handler to close the
-// connection after replying.
-func (s *Server) dispatch(cmd string) (resp *Response, quit bool) {
-	if strings.HasPrefix(cmd, "/") {
-		return s.meta(cmd)
-	}
-	st, err := sql.Parse(cmd)
-	if err != nil {
-		return &Response{Err: err.Error()}, false
-	}
-	if p := s.primaryAddr(); p != "" && !readOnlyStmt(st) {
-		return &Response{Err: "read-only follower; primary=" + p}, false
-	}
-	rs, err := s.eng.ExecStmt(st)
-	if err != nil {
-		return &Response{Err: err.Error()}, false
-	}
-	return fromResultSet(rs), false
-}
-
-// fromResultSet puts a SQL result on the wire. The rows stay the
+// fromResult puts a statement's answer on the wire. The rows stay the
 // engine's integers; encode renders them.
-func fromResultSet(rs *sql.ResultSet) *Response {
-	if rs.Message != "" {
-		return &Response{Message: rs.Message}
+func fromResult(r sql.Result) *Response {
+	switch {
+	case r.Err != nil:
+		return &Response{Err: r.Err.Error()}
+	case r.Set.Message != "":
+		return &Response{Message: r.Set.Message}
 	}
-	return &Response{Columns: rs.Columns, ints: rs.Rows}
+	return &Response{Columns: r.Set.Columns, ints: r.Set.Rows}
 }
 
 // statsColumns heads every /stats answer; first names what a row is.

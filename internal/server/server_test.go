@@ -318,3 +318,30 @@ func TestServerShutdownReleasesParkedPull(t *testing.T) {
 		t.Fatalf("parked pull answered %+v, want an empty pull reply", resp)
 	}
 }
+
+// serveOne serves cmd as a window of one — the path every request of a
+// synchronous client takes — and returns its reply.
+func (s *Server) serveOne(cmd string) (resp *Response, quit bool) {
+	quit, _ = s.serveWindow([]wireReq{{cmd: cmd}}, func(_ wireReq, r *Response) error { resp = r; return nil })
+	return resp, quit
+}
+
+// TestWindowRunsInRequestOrder: a window's statements run before a meta
+// command that follows them, so the meta command sees their effects.
+func TestWindowRunsInRequestOrder(t *testing.T) {
+	s := New(shard.New(shard.Options{Shards: 2, Kind: shard.Hash}), nil)
+	var got []*Response
+	win := []wireReq{{cmd: "CREATE TABLE x (a)"}, {cmd: "INSERT INTO x VALUES (1), (2)"}, {cmd: "/tables"}, {cmd: "DROP TABLE x"}, {cmd: "/tables"}}
+	if _, err := s.serveWindow(win, func(_ wireReq, r *Response) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(win) {
+		t.Fatalf("%d replies to %d requests", len(got), len(win))
+	}
+	if tables := got[2]; tables.Err != "" || len(tables.Rows) != 1 || strings.Join(tables.Rows[0], " ") != "x 2 a" {
+		t.Fatalf("/tables after CREATE and INSERT answers %+v", tables)
+	}
+	if tables := got[4]; tables.Err != "" || len(tables.Rows) != 0 {
+		t.Fatalf("/tables after DROP answers %+v", tables)
+	}
+}

@@ -61,7 +61,7 @@ func TestTermPlannerOracle(t *testing.T) {
 				}
 			}
 			oracle.Run(t, oracle.New(oracle.Config{Seed: 83, Ops: 300, Load: 400, Domain: 120, MaxBatch: 40, Bad: 15,
-				Mix: oracle.Mix{oracle.Count: 5, oracle.Select: 3, oracle.Delete: 1, oracle.Insert: 1}}), nil,
+				Mix: oracle.Mix{oracle.Count: 5, oracle.CountBatch: 2, oracle.Select: 3, oracle.Delete: 1, oracle.Insert: 1}}), nil,
 				oracle.Single(single), oracle.Router(router),
 				oracle.Engine("sql over a one-shard router", sqlSingle), oracle.Engine("sql over a router", sqlRouter))
 		})

@@ -35,7 +35,7 @@ func (e *Engine) Exec(input string) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecStmt(stmt)
+	return e.execStmt(stmt)
 }
 
 // ExecScript executes a semicolon-separated script, returning the result
@@ -47,7 +47,7 @@ func (e *Engine) ExecScript(input string) ([]*ResultSet, error) {
 	}
 	out := make([]*ResultSet, 0, len(stmts))
 	for i, s := range stmts {
-		rs, err := e.ExecStmt(s)
+		rs, err := e.execStmt(s)
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
@@ -56,8 +56,8 @@ func (e *Engine) ExecScript(input string) ([]*ResultSet, error) {
 	return out, nil
 }
 
-// ExecStmt executes a parsed statement.
-func (e *Engine) ExecStmt(stmt Stmt) (*ResultSet, error) {
+// execStmt executes a parsed statement.
+func (e *Engine) execStmt(stmt Stmt) (*ResultSet, error) {
 	switch s := stmt.(type) {
 	case CreateTable:
 		if err := e.store.CreateTable(s.Name, s.Columns...); err != nil {
@@ -89,12 +89,12 @@ func (e *Engine) ExecStmt(stmt Stmt) (*ResultSet, error) {
 
 func (e *Engine) execSelect(s Select) (*ResultSet, error) {
 	// Fast path: SELECT COUNT(*) FROM t [WHERE ...] needs no fetch.
-	if len(s.Items) == 1 && s.Items[0].Agg == AggCountStar && s.GroupBy == "" && s.Into == "" {
+	if s.countStar() {
 		n, err := e.store.CountWhere(s.Table, s.Where...)
 		if err != nil {
 			return nil, err
 		}
-		return &ResultSet{Columns: []string{"count(*)"}, Rows: [][]int64{{int64(n)}}}, nil
+		return countResult(n), nil
 	}
 
 	// Ω fast path: SELECT g, COUNT(*) FROM t GROUP BY g without WHERE is
@@ -179,6 +179,16 @@ func (e *Engine) execSelect(s Select) (*ResultSet, error) {
 		cols[i] = it.Label()
 	}
 	return e.finish(s, &ResultSet{Columns: cols, Rows: rows})
+}
+
+// countStar is the COUNT(*) fast path's guard; the batch fold
+// (rangeCount) decides by it too, so the two cannot drift apart.
+func (s Select) countStar() bool {
+	return len(s.Items) == 1 && s.Items[0].Agg == AggCountStar && s.GroupBy == "" && s.Into == ""
+}
+
+func countResult(n int) *ResultSet {
+	return &ResultSet{Columns: []string{"count(*)"}, Rows: [][]int64{{int64(n)}}}
 }
 
 func hasAggregate(items []SelectItem) bool {

@@ -1,11 +1,14 @@
 package sql
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"crackdb"
+	"crackdb/internal/obs"
 	"crackdb/internal/shard"
 )
 
@@ -438,5 +441,68 @@ func TestDeleteStatement(t *testing.T) {
 	}
 	if _, err := e.Exec("DELETE FROM missing"); err == nil {
 		t.Fatal("DELETE from a missing table did not error")
+	}
+}
+
+// TestExecWindowAgreesWithExecStmt: a window answers every statement as
+// execStmt does one by one — rows, messages and error text — while its
+// runs of two or more range counts on one column each cross the store as
+// one batch.
+func TestExecWindowAgreesWithExecStmt(t *testing.T) {
+	window, _ := newEngine(t)
+	sequential, _ := newEngine(t)
+	window.store.EnableObservability(1)
+	texts := []string{
+		"SELECT COUNT(*) FROM r WHERE a >= 20 AND a < 60", // a run of three on a
+		"SELECT COUNT(*) FROM r WHERE a = 30",
+		"SELECT COUNT(*) FROM r WHERE a > 90 AND a < 10",
+		"SELECT COUNT(*) FROM r WHERE k < 5", // a run of one on k
+		"SELECT COUNT(*) FROM r WHERE a <> 30",
+		"SELECT COUNT(*) FROM r",
+		"SELECT COUNT(*) FROM r WHERE a > 10 AND k < 8",
+		"SELECT COUNT(*) FROM missing WHERE a < 5", // a run whose batch fails
+		"SELECT COUNT(*) FROM missing WHERE a < 9",
+		"SELECT COUNT(*) FROM r WHERE zzz > 5 AND zzz < 3", // routed nowhere, still an error
+		"SELECT COUNT(*) FROM r WHERE zzz > 7 AND zzz < 3",
+		"INSERT INTO r VALUES (10, 35), (11, 65)",
+		"SELECT COUNT(*) FROM r WHERE a >= 30 AND a <= 40", // a second run on a
+		"SELECT COUNT(*) FROM r WHERE a >= 60",
+		"SELECT a, COUNT(*) FROM r GROUP BY a",
+		"SELECT k, a FROM r WHERE a BETWEEN 30 AND 60 ORDER BY k",
+		"SELECT COUNT(*) INTO c FROM r WHERE a < 50",
+		"SELECT COUNT(*) FROM r WHERE a < 50",
+	}
+	stmts := make([]Stmt, len(texts))
+	for i, text := range texts {
+		var err error
+		if stmts[i], err = Parse(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := window.ExecWindow(stmts)
+	if len(results) != len(stmts) {
+		t.Fatalf("%d results for %d statements", len(results), len(stmts))
+	}
+	for i, st := range stmts {
+		want, wantErr := sequential.execStmt(st)
+		got := results[i]
+		if fmt.Sprint(got.Err) != fmt.Sprint(wantErr) || fmt.Sprint(got.Set) != fmt.Sprint(want) {
+			t.Fatalf("%s: window answers %v, %v; execStmt %v, %v", texts[i], got.Set, got.Err, want, wantErr)
+		}
+	}
+	fams, _ := window.store.Gather()
+	var text strings.Builder
+	if err := obs.WriteText(&text, fams); err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "crackdb_query_latency_ns_count{") && strings.Contains(f[0], `path="batch"`) {
+			n, _ := strconv.Atoi(f[1])
+			batches += n
+		}
+	}
+	if batches != 2 {
+		t.Fatalf("the window crossed the store in %d batches, want 2 (the two runs on a)", batches)
 	}
 }
