@@ -338,14 +338,14 @@ func TestRestoreBudget(t *testing.T) {
 		t.Fatalf("state has %d cuts, want >= 36000", len(st.Cuts))
 	}
 	t0 := time.Now()
-	c, err := core.ColumnFromState(st)
+	c, err := s.tables["t"].ColumnFromState("c0", st)
 	d := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ColumnFromState of %d rows x %d cuts: %v", len(st.Vals), len(st.Cuts), d)
+	t.Logf("ColumnFromState of %d rows x %d cuts: %v", len(st.OIDs), len(st.Cuts), d)
 	if d > time.Second {
-		t.Fatalf("restoring %d rows x %d cuts took %v, budget 1 s (a per-cut scan of the column is ~7 s)", len(st.Vals), len(st.Cuts), d)
+		t.Fatalf("restoring %d rows x %d cuts took %v, budget 1 s (a per-cut scan of the column is ~7 s)", len(st.OIDs), len(st.Cuts), d)
 	}
 	if c.Pieces() != len(st.Cuts)+1 {
 		t.Fatalf("restored column has %d pieces, state %d cuts", c.Pieces(), len(st.Cuts))

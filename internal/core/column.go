@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,8 +63,8 @@ type Column struct {
 	// Write-back marks since the last TakeState (export.go): dirty holds
 	// the granules the column wrote, touched says that something else a
 	// record carries — length, next OID, sorted flag, pending inserts,
-	// deletes, strategy state — may have moved. The index notes its own
-	// cut changes (Index.changed).
+	// deletes, strategy state, payload names — may have moved. The index
+	// notes its own cut changes (Index.changed).
 	dirty   granules
 	touched bool
 
@@ -850,8 +851,8 @@ func (c *Column) ByOID() map[bat.OID]int64 {
 
 // Verify checks the cracker invariants and returns the first violation
 // (see VerifyCuts). Tests and the failure-injection suite call it after
-// every operation batch; ColumnFromState runs the same check on every
-// restored column.
+// every operation batch; ColumnFromState makes the same walk on every
+// restored column, placing the cuts it checks here.
 func (c *Column) Verify() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -861,32 +862,37 @@ func (c *Column) Verify() error {
 	return VerifyCuts(c.vals, c.idx.Cuts())
 }
 
-// VerifyCuts checks, in one pass, that cuts partition vals: the cuts are
-// strictly ascending by key with non-decreasing positions inside
-// [0, len(vals)], and every element lies right of the cut below its
-// piece and left of the cut above it. Per-piece bounds suffice for the
-// full invariant — every element on the correct side of every cut —
-// because the cuts are key-ordered: left of a cut is left of every
-// greater cut, right of a cut is right of every smaller one. O(n + p);
-// checking each cut against the whole vector is O(n · p), which on a
-// converged column (tens of thousands of cuts) turns a reboot into
-// minutes.
+// VerifyCuts checks that cuts partition vals: each sits where placeCuts's
+// one O(n + p) walk over the values puts it.
 func VerifyCuts(vals []int64, cuts []Cut) error {
-	prevPos := 0
-	for i, c := range cuts {
-		if c.Pos < prevPos || c.Pos > len(vals) {
-			return fmt.Errorf("core: cut %d/%v at position %d out of order (prev %d, n %d)", i, c, c.Pos, prevPos, len(vals))
-		}
-		if i > 0 {
-			if p := cuts[i-1]; cmpCut(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
-				return fmt.Errorf("core: cuts %d/%d (%v, %v) out of key order", i-1, i, p, c)
-			}
-		}
-		prevPos = c.Pos
+	placed := slices.Clone(cuts)
+	if err := placeCuts(vals, placed); err != nil {
+		return err
 	}
-	piece := 0 // cuts[piece] is the first cut positioned past element i
+	for i, c := range cuts {
+		if c.Pos != placed[i].Pos {
+			return fmt.Errorf("core: cut %d/%v at position %d, the values place it at %d", i, c, c.Pos, placed[i].Pos)
+		}
+	}
+	return nil
+}
+
+// placeCuts sets each cut's position to the number of vals left of it,
+// in one walk over the values, and refuses cuts out of key order or
+// values no position partitions. Per-piece bounds suffice for the full
+// invariant — every value on the correct side of every cut — because
+// the cuts are key ordered: left of a cut is left of every greater cut,
+// right of a cut is right of every smaller one. Checking each cut
+// against the whole vector is O(n · p), which on a converged column
+// turns a reboot into minutes.
+func placeCuts(vals []int64, cuts []Cut) error {
+	if err := keyOrdered(cuts); err != nil {
+		return err
+	}
+	piece := 0 // cuts[:piece] lie left of vals[i]
 	for i, v := range vals {
-		for piece < len(cuts) && i >= cuts[piece].Pos {
+		for piece < len(cuts) && !cuts[piece].leftOf(v) {
+			cuts[piece].Pos = i
 			piece++
 		}
 		if piece > 0 {
@@ -894,11 +900,9 @@ func VerifyCuts(vals []int64, cuts []Cut) error {
 				return fmt.Errorf("core: vals[%d]=%d violates right side of cut %s%d@%d", i, v, cutOpString(c.Incl), c.Val, c.Pos)
 			}
 		}
-		if piece < len(cuts) {
-			if c := cuts[piece]; !c.leftOf(v) {
-				return fmt.Errorf("core: vals[%d]=%d violates left side of cut %s%d@%d", i, v, cutOpString(c.Incl), c.Val, c.Pos)
-			}
-		}
+	}
+	for ; piece < len(cuts); piece++ {
+		cuts[piece].Pos = len(vals)
 	}
 	return nil
 }

@@ -362,7 +362,11 @@ func TestLineageRerootsAfterFold(t *testing.T) {
 
 	// A restored column allocates no lineage until asked.
 	st, _ := c.TakeState(true)
-	r, err := ColumnFromState(st)
+	rows := make([]int64, c.nextOID)
+	for oid, v := range c.ByOID() {
+		rows[oid] = v
+	}
+	r, err := tableOf(t, "R", rows).ColumnFromState("R", st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,25 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/relation"
 )
+
+// tableOf wraps the rows of one attribute as a cracked table: the base a
+// standalone column over the same values, and the inserts it queued,
+// restores against.
+func tableOf(t *testing.T, attr string, vals []int64) *CrackedTable {
+	t.Helper()
+	base, err := relation.FromColumns("t", relation.Column{Name: attr, Data: bat.FromInts(attr, vals)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCrackedTable(base)
+}
 
 // TestColumnStateRoundTrip cracks a column into shape, exports it, and
 // checks the reconstruction is observationally identical: same cut set,
@@ -29,7 +43,7 @@ func TestColumnStateRoundTrip(t *testing.T) {
 	c.Delete(100)
 
 	st, _ := c.TakeState(true)
-	c2, err := ColumnFromState(st)
+	c2, err := tableOf(t, "a", append(vals, 9999, -7)).ColumnFromState("a", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +90,7 @@ func TestColumnStateRoundTripSorted(t *testing.T) {
 	c.SortAll()
 	c.Select(100, 500, true, true)
 	st, _ := c.TakeState(true)
-	c2, err := ColumnFromState(st)
+	c2, err := tableOf(t, "s", vals).ColumnFromState("s", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,32 +106,62 @@ func TestColumnStateRoundTripSorted(t *testing.T) {
 	}
 }
 
-// TestColumnFromStateRejectsCorruption: a state violating the cut
-// invariant (or with inconsistent vectors) must be refused, not served.
+// TestColumnFromStateRejectsCorruption: a state the table's rows
+// contradict — values out of cut order, an OID vector that does not
+// number the column's tuples once each, a tombstoned row still stored,
+// a payload of no other attribute — must be refused with an error that
+// names the column, not served.
 func TestColumnFromStateRejectsCorruption(t *testing.T) {
-	c := NewColumn("a", []int64{5, 1, 9, 3, 7})
+	base, err := relation.FromColumns("t",
+		relation.Column{Name: "a", Data: bat.FromInts("a", []int64{5, 1, 9, 3, 7, 4})},
+		relation.Column{Name: "b", Data: bat.FromInts("b", []int64{50, 10, 90, 30, 70, 40})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := NewCrackedTable(base)
+	c, err := ct.ColumnFor("a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Select(4, 8, true, true)
+	if _, err := ct.AttachPayload("a", "b", 1); err != nil {
+		t.Fatal(err)
+	}
+	if ct.DeleteOIDs([]bat.OID{5}) != 1 { // stored until the next fold compacts it
+		t.Fatal("delete refused")
+	}
 	good, _ := c.TakeState(true)
-
-	bad := good
-	bad.Vals = append([]int64(nil), good.Vals...)
-	// Move a small value past a cut: the invariant breaks.
-	bad.Vals[len(bad.Vals)-1], bad.Vals[0] = bad.Vals[0], bad.Vals[len(bad.Vals)-1]
-	if _, err := ColumnFromState(bad); err == nil {
-		t.Fatal("accepted a state violating the cut invariant")
+	if len(good.Cuts) == 0 || len(good.Deleted) != 1 {
+		t.Fatalf("fixture has %d cuts and deletes %v, want cuts and oid 5 deleted", len(good.Cuts), good.Deleted)
 	}
-
-	bad2 := good
-	bad2.OIDs = good.OIDs[:len(good.OIDs)-1]
-	if _, err := ColumnFromState(bad2); err == nil {
-		t.Fatal("accepted mismatched vals/oids lengths")
+	if _, err := ct.ColumnFromState("a", good); err != nil {
+		t.Fatalf("the live column's own state: %v", err)
 	}
-
-	bad3 := good
-	bad3.Cuts = append([]Cut(nil), good.Cuts...)
-	bad3.Cuts[0].Pos = len(good.Vals) + 5
-	if _, err := ColumnFromState(bad3); err == nil {
-		t.Fatal("accepted a cut position past the vector")
+	for name, mutate := range map[string]func(st *ColumnState){
+		"values out of cut order": func(st *ColumnState) {
+			last := len(st.OIDs) - 1
+			st.OIDs[0], st.OIDs[last] = st.OIDs[last], st.OIDs[0]
+		},
+		"duplicate oid":              func(st *ColumnState) { st.OIDs[1] = st.OIDs[0] },
+		"oid past the table":         func(st *ColumnState) { st.OIDs[0] = 6 },
+		"next oid past the table":    func(st *ColumnState) { st.NextOID = 7 },
+		"oid at next oid":            func(st *ColumnState) { st.NextOID-- },
+		"pending oid held twice":     func(st *ColumnState) { st.Pending = []bat.OID{st.OIDs[0]} },
+		"compacted tombstone stored": func(st *ColumnState) { st.Deleted = nil },
+		"unknown payload":            func(st *ColumnState) { st.Pays = []string{"zz"} },
+		"payload of its own column":  func(st *ColumnState) { st.Pays = []string{"a"} },
+		"payload listed twice":       func(st *ColumnState) { st.Pays = []string{"b", "b"} },
+		"cuts out of key order": func(st *ColumnState) {
+			st.Cuts = append(st.Cuts, st.Cuts[0])
+		},
+		"a patch": func(st *ColumnState) { st.Patch = true },
+	} {
+		bad := good
+		bad.OIDs, bad.Cuts = slices.Clone(good.OIDs), slices.Clone(good.Cuts)
+		mutate(&bad)
+		if _, err := ct.ColumnFromState("a", bad); err == nil || !strings.Contains(err.Error(), `"t.a"`) {
+			t.Errorf("%s: want an error naming column t.a, got %v", name, err)
+		}
 	}
 }
 
@@ -132,8 +176,8 @@ func TestReplaceColumnGuards(t *testing.T) {
 		}
 	}
 	ct := NewCrackedTable(base)
-	short, err := ColumnFromState(ColumnState{
-		Name: "k", Vals: []int64{1}, OIDs: []bat.OID{0}, NextOID: 1,
+	short, err := ct.ColumnFromState("k", ColumnState{
+		Name: "k", OIDs: []bat.OID{0}, NextOID: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -126,21 +126,16 @@ func sameState(a, b core.ColumnState) error {
 	switch {
 	case a.Name != b.Name || a.Sorted != b.Sorted || a.NextOID != b.NextOID:
 		return fmt.Errorf("header %q/%v/%d, want %q/%v/%d", a.Name, a.Sorted, a.NextOID, b.Name, b.Sorted, b.NextOID)
-	case !slices.Equal(a.Vals, b.Vals) || !slices.Equal(a.OIDs, b.OIDs):
-		return fmt.Errorf("vectors differ")
+	case !slices.Equal(a.OIDs, b.OIDs):
+		return fmt.Errorf("oids differ")
 	case !slices.Equal(a.Cuts, b.Cuts):
 		return fmt.Errorf("cuts %v, want %v", a.Cuts, b.Cuts)
 	case !slices.Equal(a.Pending, b.Pending) || !slices.Equal(a.Deleted, b.Deleted):
 		return fmt.Errorf("pending or deletes differ")
 	case (a.Strategy == nil) != (b.Strategy == nil) || a.Strategy != nil && *a.Strategy != *b.Strategy:
 		return fmt.Errorf("strategy %v, want %v", a.Strategy, b.Strategy)
-	case len(a.Pays) != len(b.Pays):
-		return fmt.Errorf("%d payloads, want %d", len(a.Pays), len(b.Pays))
-	}
-	for i := range a.Pays {
-		if a.Pays[i].Attr != b.Pays[i].Attr || !slices.Equal(a.Pays[i].Vals, b.Pays[i].Vals) || !slices.Equal(a.Pays[i].Pend, b.Pays[i].Pend) {
-			return fmt.Errorf("payload %q differs", a.Pays[i].Attr)
-		}
+	case !slices.Equal(a.Pays, b.Pays):
+		return fmt.Errorf("payloads %v, want %v", a.Pays, b.Pays)
 	}
 	return nil
 }

@@ -7,7 +7,7 @@ import "math/bits"
 // granules, "tuples or disk pages" (§2.2), and wants the reorganized
 // incarnation "written back to persistent store" (§1); a column therefore
 // remembers which granules it wrote since its last image element, and the
-// element carries those granules of every vector instead of the column.
+// element carries the OIDs of those granules instead of the column.
 // It is a constant, not a knob: a query's write-back is the pieces it
 // partitioned rounded out to granules.
 const Granule = 512
@@ -71,7 +71,7 @@ func (c *Column) markLocked(lo, hi int) {
 }
 
 // markWholeLocked marks every granule: the record must carry the column
-// whole (a sort, a new column, a payload set that changed).
+// whole (a sort, a new column).
 func (c *Column) markWholeLocked() {
 	c.markLocked(0, len(c.vals))
 	c.touched = true

@@ -51,9 +51,10 @@ type Index struct {
 	topI   []bool
 	size   int
 
-	// changed notes that a cut was inserted, deleted, shifted or reset
-	// since the column's last TakeState: the next image element carries
-	// the cut set only then.
+	// changed notes that a cut was inserted, deleted or reset since the
+	// column's last TakeState: the next image element carries the cut
+	// keys only then. A fold that shifts positions does not count, since
+	// a restore counts positions from the values.
 	changed bool
 }
 
@@ -74,12 +75,10 @@ type leaf struct {
 // ascending key order — what an image stores — in O(p): it deals them
 // evenly into leaves about three quarters full, one slab per field with
 // room for every leaf to reach leafCap. Input out of key order is
-// rejected; positions are the caller's to check (VerifyCuts).
+// rejected; positions are the caller's to set (placeCuts).
 func IndexFromSorted(cuts []Cut) (*Index, error) {
-	for i := 1; i < len(cuts); i++ {
-		if p, c := cuts[i-1], cuts[i]; cmpCut(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
-			return nil, fmt.Errorf("core: cuts %d/%d (%v, %v) out of key order", i-1, i, p, c)
-		}
+	if err := keyOrdered(cuts); err != nil {
+		return nil, err
 	}
 	k := (len(cuts) + leafCap*3/4 - 1) / (leafCap * 3 / 4)
 	ix := &Index{leaves: make([]leaf, k), topV: make([]int64, k), topI: make([]bool, k), size: len(cuts)}
@@ -95,6 +94,16 @@ func IndexFromSorted(cuts []Cut) (*Index, error) {
 		ix.topV[li], ix.topI[li] = cuts[lo].Val, cuts[lo].Incl
 	}
 	return ix, nil
+}
+
+// keyOrdered refuses cuts that are not strictly ascending by key.
+func keyOrdered(cuts []Cut) error {
+	for i := 1; i < len(cuts); i++ {
+		if p, c := cuts[i-1], cuts[i]; cmpCut(p.Val, p.Incl, c.Val, c.Incl) >= 0 {
+			return fmt.Errorf("core: cuts %d/%d (%v, %v) out of key order", i-1, i, p, c)
+		}
+	}
+	return nil
 }
 
 // cmpCut orders cuts by (value, inclusive) with false < true.
@@ -307,7 +316,6 @@ func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) {
 // it returns.
 func (ix *Index) rewrite(l *leaf, j int, visit func(c Cut) (pos int, more bool)) bool {
 	pos, more := visit(Cut{Val: l.vals[j], Incl: l.incl[j], Pos: l.pos[j]})
-	ix.changed = ix.changed || l.pos[j] != pos
 	l.pos[j] = pos
 	return more
 }

@@ -297,7 +297,6 @@ func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
 		if err != nil {
 			return err
 		}
-		wantChanged = k > 0 && delta != 0
 	case 8:
 		ix, err := IndexFromSorted(m.ix.Cuts())
 		if err != nil {

@@ -55,15 +55,16 @@ func (c *Column) payloadLocked(attr string) *payload {
 }
 
 // dropPaysLocked discards every payload vector: the caller is about to
-// permute the column in a way the payloads cannot follow. A payload set
-// that changed is written back whole.
+// permute the column in a way the payloads cannot follow. An image
+// records only which payloads a column carries (touched), never their
+// values.
 func (c *Column) dropPaysLocked() {
 	if len(c.pays) == 0 {
 		return
 	}
 	c.stats.paysDropped.Add(int64(len(c.pays)))
 	c.pays = nil
-	c.markWholeLocked()
+	c.touched = true
 }
 
 // attachPayload gathers attr's payload vector through the column's
@@ -77,22 +78,16 @@ func (c *Column) attachPayload(attr string, src []int64, stamp uint64) (built bo
 		p.used.Store(stamp)
 		return false, nil
 	}
-	p := &payload{attr: attr, vals: make([]int64, len(c.vals)), pend: make([]int64, len(c.pending))}
-	for i, oid := range c.oids {
-		if int(oid) >= len(src) {
-			return false, fmt.Errorf("core: column %q stores oid %d, %q has %d base rows", c.name, oid, attr, len(src))
-		}
-		p.vals[i] = src[oid]
+	if int(c.nextOID) > len(src) {
+		return false, fmt.Errorf("core: column %q numbers %d oids, %q has %d base rows", c.name, c.nextOID, attr, len(src))
 	}
+	p := &payload{attr: attr, vals: gather(src, c.oids), pend: make([]int64, len(c.pending))}
 	for i, q := range c.pending {
-		if int(q.oid) >= len(src) {
-			return false, fmt.Errorf("core: column %q queues oid %d, %q has %d base rows", c.name, q.oid, attr, len(src))
-		}
 		p.pend[i] = src[q.oid]
 	}
 	p.used.Store(stamp)
 	c.pays = append(c.pays, p)
-	c.markWholeLocked()
+	c.touched = true
 	return true, nil
 }
 
@@ -123,7 +118,7 @@ func (c *Column) DropPayload(attr string) bool {
 	if len(c.pays) == n {
 		return false
 	}
-	c.markWholeLocked()
+	c.touched = true
 	return true
 }
 
@@ -188,13 +183,4 @@ func (c *Column) projectLocked(v View, key string, attrs []string, sel []bat.OID
 		srcs[j] = win
 	}
 	return srcs, Projected
-}
-
-// PayloadState is one exported payload vector: attribute Attr of every
-// stored tuple, aligned with ColumnState.Vals, and of every pending
-// insert, aligned with ColumnState.Pending.
-type PayloadState struct {
-	Attr string
-	Vals []int64
-	Pend []int64
 }

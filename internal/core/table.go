@@ -113,10 +113,9 @@ func (ct *CrackedTable) Column(attr string) (*Column, bool) {
 
 // ReplaceColumn installs a reconstructed cracker column
 // (ColumnFromState) for attr, displacing any live column and the payload
-// vectors it carried. The attribute must exist in the base relation, the
-// column's payload vectors must be other attributes of it, and the
-// column's tuple count must match the base cardinality — OID alignment
-// is what makes fetches through the surrogate key correct.
+// vectors it carried. The attribute must exist in the base relation, and
+// the column's tuple count must match the base cardinality — OID
+// alignment is what makes fetches through the surrogate key correct.
 func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -126,11 +125,6 @@ func (ct *CrackedTable) ReplaceColumn(attr string, c *Column) error {
 	ct.baseMu.RUnlock()
 	if !hasCol {
 		return fmt.Errorf("core: table %q has no column %q to restore", ct.base.Name, attr)
-	}
-	for _, p := range c.Payloads() {
-		if p.Attr == attr || !ct.base.HasColumn(p.Attr) {
-			return fmt.Errorf("core: restored column %q carries a payload of %q, which is not another column of %q", attr, p.Attr, ct.base.Name)
-		}
 	}
 	// Column.Len counts live tuples (deletes excluded), so the alignment
 	// check is against the base cardinality net of tombstones. Restore

@@ -17,16 +17,19 @@ import (
 // Store images. One element type persists a store, in one file: an Image
 // carries what changed since a named predecessor — the rows appended to
 // each table, and for every column that moved either its whole crack
-// state (core.ColumnState, payload vectors included) or a patch of the
-// granules it wrote (core.Granule) — and a full image is simply the
-// element with nothing before it: Base set, every table rewritten, every
-// cracked column whole. The paper counts cost in granules, "tuples or
-// disk pages" (§2.2); so does a checkpoint.
+// state (core.ColumnState) or a patch of the granules it wrote
+// (core.Granule) — and a full image is simply the element with nothing
+// before it: Base set, every table rewritten, every cracked column
+// whole. The paper counts cost in granules, "tuples or disk pages"
+// (§2.2); so does a checkpoint. Each fact is stored once: a cracked
+// column carries its OID permutation and cut keys, and the values, cut
+// positions and payload vectors they imply are derived from the rows on
+// restore (core.CrackedTable.ColumnFromState).
 //
-// File layout (version 7):
+// File layout (version 8):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   7
+//	version  uint8   8
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
@@ -37,11 +40,11 @@ import (
 //	         pieces, sideways budget (full copy; the last element's wins)
 //	ncols    uint32  column records, changed columns only: table, attr,
 //	columns          name, sorted, nextOID, n, patch, then
-//	                   whole: n values, n OIDs, cuts
-//	                   patch: k granule indexes, the m values and m OIDs
-//	                          they hold, newCuts, cuts if newCuts
-//	                 then pending inserts, deletes, strategy, npays ×
-//	                 (attr, n or m values, one value per pending insert)
+//	                   whole: n OIDs, cut keys
+//	                   patch: k granule indexes, the m OIDs they hold,
+//	                          newCuts, cut keys if newCuts
+//	                 then pending insert OIDs, deletes, strategy, and the
+//	                 payload attribute names, least recently used first
 //	ntune    uint32  tuner posture (full copy; the last element's wins)
 //	tuner    ntune × (table, column, strategy, class, flips, forced)
 //	crc      uint32  CRC-32 (IEEE) of everything above
@@ -53,7 +56,7 @@ import (
 // (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
 // serve half a cut set.
 //
-// Only version 7 is read: any other version is refused by version,
+// Only version 8 is read: any other version is refused by version,
 // never as corruption. A store image is this build's own format, and the
 // cracker state it carries is re-derivable from the rows (the paper's
 // prototype keeps none of it between sessions, §5.2).
@@ -61,7 +64,7 @@ import (
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 // imageVersion is the one version WriteImage writes and ReadImage reads.
-const imageVersion = 7
+const imageVersion = 8
 
 // SnapshotCRC is the polynomial that identifies a whole image file:
 // Castagnoli, deliberately not IEEE. An image ends in its own IEEE
@@ -154,8 +157,8 @@ func WriteImage(path string, img *Image) (ImageFile, error) {
 	return out, nil
 }
 
-// encodeChunk bounds the encoder's buffer: the cracked vectors dominate
-// an image, and one giant buffer per column would double peak memory.
+// encodeChunk bounds the encoder's buffer: the rows and OID vectors
+// dominate an image, and one giant buffer per column would double peak memory.
 const encodeChunk = 1 << 16
 
 // imageEncoder appends fields to a bounded buffer, folding each flushed
@@ -222,12 +225,13 @@ func (e *imageEncoder) oids(oids []bat.OID) {
 	}
 }
 
+// cuts writes a cut set's keys: a restore counts each position from the
+// values.
 func (e *imageEncoder) cuts(cuts []core.Cut) {
 	e.u64(uint64(len(cuts)))
 	for _, c := range cuts {
 		e.u64(uint64(c.Val))
 		e.bool(c.Incl)
-		e.u64(uint64(c.Pos))
 	}
 }
 
@@ -294,10 +298,9 @@ func (e *imageEncoder) column(cs *ColumnSnapshot) {
 			e.u32(uint32(g))
 		}
 	} else {
-		e.u64(uint64(len(st.Vals)))
+		e.u64(uint64(len(st.OIDs)))
 		e.bool(false)
 	}
-	e.int64s(st.Vals)
 	e.oids(st.OIDs)
 	if st.Patch {
 		e.bool(st.NewCuts)
@@ -306,20 +309,13 @@ func (e *imageEncoder) column(cs *ColumnSnapshot) {
 		e.cuts(st.Cuts)
 	}
 	e.u64(uint64(len(st.Pending)))
-	for _, p := range st.Pending {
-		e.u32(uint32(p.OID))
-		e.u64(uint64(p.Val))
-	}
+	e.oids(st.Pending)
 	e.u64(uint64(len(st.Deleted)))
 	e.oids(st.Deleted)
 	e.strategy(st.Strategy)
-	// Payload vectors carry no lengths: each is aligned with the values
-	// (whole, or the patch's granules) and the pending inserts above.
 	e.u32(uint32(len(st.Pays)))
-	for _, p := range st.Pays {
-		e.str(p.Attr)
-		e.int64s(p.Vals)
-		e.int64s(p.Pend)
+	for _, attr := range st.Pays {
+		e.str(attr)
 	}
 }
 
@@ -442,15 +438,16 @@ func (d *imageDecoder) oids(n uint64) []bat.OID {
 // cuts reads a cut set. Cut counts are not bounded by cardinality:
 // distinct cut values may share a position (tiny pieces under many
 // predicates), so they are bounded by file capacity only —
-// core.ColumnFromState enforces the real invariants.
+// core.CrackedTable.ColumnFromState places them and enforces the real
+// invariants.
 func (d *imageDecoder) cuts() []core.Cut {
-	const size = 17 // 8 val + 1 incl + 8 pos
+	const size = 9 // 8 val + 1 incl
 	n := d.count(d.u64(), size, "cut")
 	b := d.next(size * int(n))
 	out := make([]core.Cut, n)
 	for i := range out {
 		c := b[size*i:]
-		out[i] = core.Cut{Val: int64(binary.LittleEndian.Uint64(c)), Incl: c[8] != 0, Pos: int(int64(binary.LittleEndian.Uint64(c[9:])))}
+		out[i] = core.Cut{Val: int64(binary.LittleEndian.Uint64(c)), Incl: c[8] != 0}
 	}
 	return out
 }
@@ -477,7 +474,7 @@ func (d *imageDecoder) granules(st *core.ColumnState, n uint64) uint64 {
 		st.Granules[i] = int(g)
 		m += min(n, (g+1)*core.Granule) - g*core.Granule
 	}
-	return d.count(m, 12, "patch cardinality")
+	return d.count(m, 4, "patch cardinality")
 }
 
 func (d *imageDecoder) strategy() *core.StrategyState {
@@ -542,9 +539,8 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	if st.Patch = d.bool(); st.Patch {
 		n = d.granules(st, n)
 	} else {
-		n = d.count(n, 12, "column cardinality") // 8 bytes/value + 4/oid
+		n = d.count(n, 4, "column cardinality")
 	}
-	st.Vals = d.int64s(n)
 	st.OIDs = d.oids(n)
 	if st.Patch {
 		st.NewCuts = d.bool()
@@ -552,16 +548,11 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	if !st.Patch || st.NewCuts {
 		st.Cuts = d.cuts()
 	}
-	st.Pending = make([]core.PendingState, d.count(d.u64(), 12, "pending")) // 4 oid + 8 val
-	for i := range st.Pending {
-		st.Pending[i] = core.PendingState{OID: bat.OID(d.u32()), Val: int64(d.u64())}
-	}
+	st.Pending = d.oids(d.count(d.u64(), 4, "pending"))
 	st.Deleted = d.oids(d.count(d.u64(), 4, "deleted"))
 	st.Strategy = d.strategy()
-	// A payload holds a value per stored tuple and per pending insert.
-	np := uint64(len(st.Pending))
-	for k := d.count(uint64(d.u32()), 4+8*int64(n+np), "payload"); k > 0 && d.err == nil; k-- {
-		st.Pays = append(st.Pays, core.PayloadState{Attr: d.str(), Vals: d.int64s(n), Pend: d.int64s(np)})
+	for k := d.count(uint64(d.u32()), 4, "payload"); k > 0 && d.err == nil; k-- {
+		st.Pays = append(st.Pays, d.str())
 	}
 	return cs
 }

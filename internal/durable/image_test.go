@@ -23,39 +23,35 @@ func sampleColumn(table, attr string, n int) ColumnSnapshot {
 		Name:    attr,
 		NextOID: bat.OID(n + 3),
 		Cuts: []core.Cut{
-			{Val: 10, Incl: false, Pos: 2},
-			{Val: 40, Incl: true, Pos: 5},
+			{Val: 10, Incl: false},
+			{Val: 40, Incl: true},
 		},
-		Pending: []core.PendingState{{OID: bat.OID(n), Val: 77}},
+		Pending: []bat.OID{bat.OID(n)},
 		Deleted: []bat.OID{1},
 		Strategy: &core.StrategyState{
 			Name: "mdd1r", MinPiece: 128, RNG: 0xdeadbeefcafe,
 		},
-		Pays: []core.PayloadState{{Attr: "w", Pend: []int64{-77}}, {Attr: "x", Pend: []int64{0}}},
+		Pays: []string{"w", "x"},
 	}
 	for i := 0; i < n; i++ {
-		st.Vals = append(st.Vals, int64(i*7%50))
-		st.OIDs = append(st.OIDs, bat.OID(i))
-		st.Pays[0].Vals = append(st.Pays[0].Vals, -st.Vals[i])
-		st.Pays[1].Vals = append(st.Pays[1].Vals, int64(i))
+		st.OIDs = append(st.OIDs, bat.OID(n-1-i))
 	}
 	return ColumnSnapshot{Table: table, Attr: attr, State: st}
 }
 
-// samplePatch is a patch record of a 600-tuple column: its short last
-// granule, with a new cut set.
+// samplePatch is a patch record of a 598-tuple column of a 600-row
+// table: its short last granule, with a new cut set, the two rows it
+// queues and a payload.
 func samplePatch(table, attr string) ColumnSnapshot {
 	st := core.ColumnState{
-		Name: attr, NextOID: 600, Patch: true, Len: 600, Granules: []int{1}, NewCuts: true,
-		Cuts:    []core.Cut{{Val: 600, Pos: 700}},
-		Pending: []core.PendingState{},
+		Name: attr, NextOID: 600, Patch: true, Len: 598, Granules: []int{1}, NewCuts: true,
+		Cuts:    []core.Cut{{Val: 600}},
+		Pending: []bat.OID{599, 598},
 		Deleted: []bat.OID{},
-		Pays:    []core.PayloadState{{Attr: "v", Pend: []int64{}}},
+		Pays:    []string{"v"},
 	}
-	for i := core.Granule; i < 600; i++ {
-		st.Vals = append(st.Vals, int64(i))
+	for i := core.Granule; i < 598; i++ {
 		st.OIDs = append(st.OIDs, bat.OID(i))
-		st.Pays[0].Vals = append(st.Pays[0].Vals, -int64(i))
 	}
 	return ColumnSnapshot{Table: table, Attr: attr, State: st}
 }
@@ -426,14 +422,16 @@ func TestImageCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestOldImageVersionRefused: an image of any version but 7 — the CRKS
+// TestOldImageVersionRefused: an image of any version but 8 — the CRKS
 // versions 1 to 3 from before the single format, versions 4 to 6 whose
-// rows lay in BAT files beside the image, and a version from the future,
+// rows lay in BAT files beside the image, version 7 whose column records
+// repeated the rows' values, payloads and cut positions, and a version
+// from the future,
 // hand-encoded here with a valid trailer — is refused by version, loudly,
 // and never mistaken for corruption (which would read as "the disk ate
 // it" rather than "this build does not read it").
 func TestOldImageVersionRefused(t *testing.T) {
-	for _, version := range []uint8{1, 2, 3, 4, 5, 6, imageVersion + 1} {
+	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, imageVersion + 1} {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
@@ -445,7 +443,7 @@ func TestOldImageVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := ReadImage(path)
-		want := fmt.Sprintf("unsupported image version %d (this build reads version 7)", version)
+		want := fmt.Sprintf("unsupported image version %d (this build reads version 8)", version)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d: want %q, got %v", version, want, err)
 		}

@@ -1,8 +1,8 @@
 // Package durable is the persistence subsystem: an append-only,
 // checksummed insert WAL with group-commit batching and safe
 // truncated-tail recovery (wal.go), plus store images that capture each
-// column's cut set, cracked vectors and strategy RNG state (image.go: one
-// element format, a full image being the base of a delta chain).
+// column's cut keys, cracked OID order and strategy RNG state (image.go:
+// one element format, a full image being the base of a delta chain).
 // Together they give a cracking store what the paper's
 // prototype deliberately lacks (§5.2: cracker indexes "are not saved
 // between sessions"): a warm restart that resumes at converged per-query

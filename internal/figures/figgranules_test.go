@@ -6,10 +6,11 @@ import (
 )
 
 // TestFigGranulesShape: the first count partitions the whole column, so
-// its delta element is at least half a full image; once the column has
-// converged a delta carries the pieces a count cracks, and the median
-// element over the second half of the stream is at most a tenth of the
-// first. replay checks every count on the way.
+// its delta element carries the column whole and is the full image less
+// the table's 8·N bytes of rows; once the column has converged a delta
+// carries the pieces a count cracks, and the median element over the
+// second half of the stream is at most a tenth of the first. replay
+// checks every count on the way.
 func TestFigGranulesShape(t *testing.T) {
 	f, err := FigGranules(FigGranulesConfig{N: 100_000, K: 128, Seed: 7})
 	if err != nil {
@@ -22,8 +23,8 @@ func TestFigGranulesShape(t *testing.T) {
 		t.Fatalf("%d delta and %d granule points for 128 queries", len(deltas.Points), len(granules.Points))
 	}
 	first := deltas.Points[0].Y
-	if first < full.Points[0].Y/2 {
-		t.Fatalf("the first count's delta is %g bytes, under half the %g-byte full image", first, full.Points[0].Y)
+	if rows := full.Points[0].Y - first; rows != 8*100_000 {
+		t.Fatalf("the first count's delta is %g bytes, the full image %g: %g bytes apart, not the 8·N of the rows", first, full.Points[0].Y, rows)
 	}
 	var tail []float64
 	for _, p := range deltas.Points[64:] {

@@ -228,11 +228,11 @@ func (g *Registry) evictLocked(tables []*core.CrackedTable) {
 }
 
 // Adopt takes over the payload vectors that restored columns brought
-// along (core.ColumnFromState attaches them unstamped). Every unstamped
-// vector is stamped from the registry clock — table by table in the
-// order live lists them, column by column, each column's in their stored
-// least-recently-used-first order — and then the registry evicts down to
-// the budget.
+// along (core.CrackedTable.ColumnFromState gathers them unstamped). Every
+// unstamped vector is stamped from the registry clock — table by table
+// in the order live lists them, column by column, each column's in their
+// stored least-recently-used-first order — and then the registry evicts
+// down to the budget.
 func (g *Registry) Adopt() {
 	tables := g.live()
 	g.mu.Lock()

@@ -228,7 +228,7 @@ func TestCensusFollowsColumns(t *testing.T) {
 	// A restored column without payloads replaces the live one.
 	st, _ := col.TakeState(true)
 	st.Pays = nil
-	twin, err := core.ColumnFromState(st)
+	twin, err := ct.ColumnFromState("k", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +258,12 @@ func TestCensusFollowsColumns(t *testing.T) {
 	}
 }
 
-// TestExportRestoreRoundTrip: a column's payload vectors ride its
-// exported state; the restored column brings them back, Adopt hands them
-// to another registry, and that side serves without gathering anything,
-// window for window like the live one. Adopt stamps them in their stored
-// least-recently-used-first order, so a tight budget evicts the right one.
+// TestExportRestoreRoundTrip: a column's payload names ride its exported
+// state; the restored column gathers their vectors back from the rows,
+// Adopt hands them to another registry, and that side serves without
+// building anything, window for window like the live one. Adopt stamps
+// them in their stored least-recently-used-first order, so a tight
+// budget evicts the right one.
 func TestExportRestoreRoundTrip(t *testing.T) {
 	ct, rows := buildTable(t, 3000, 8)
 	g := NewRegistry(DefaultBudget, liveOf(ct))
@@ -278,14 +279,14 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 	col, _ := ct.Column("k")
 	st, _ := col.TakeState(true)
-	if len(st.Pays) != 2 || st.Pays[0].Attr != "b" || len(st.Pays[0].Pend) != 2 {
-		t.Fatalf("exported payloads %+v, want b then a, each with 2 pending values", st.Pays)
+	if !slices.Equal(st.Pays, []string{"b", "a"}) || len(st.Pending) != 2 {
+		t.Fatalf("exported payloads %v and %d pending inserts, want b then a and 2", st.Pays, len(st.Pending))
 	}
 
 	// The twin: the same column state under its own wrapper and registry.
 	twin := func(st core.ColumnState) (*core.CrackedTable, error) {
 		ct2 := core.NewCrackedTable(ct.Base())
-		col2, err := core.ColumnFromState(st)
+		col2, err := ct2.ColumnFromState("k", st)
 		if err != nil {
 			return nil, err
 		}
@@ -347,11 +348,9 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("%s: restored", name)
 		}
 	}
-	bad("short payload", func(st *core.ColumnState) { st.Pays[0].Vals = st.Pays[0].Vals[:10] })
-	bad("payload missing its pending values", func(st *core.ColumnState) { st.Pays[1].Pend = nil })
-	bad("duplicate attribute", func(st *core.ColumnState) { st.Pays[1].Attr = st.Pays[0].Attr })
-	bad("the column's own attribute", func(st *core.ColumnState) { st.Pays[0].Attr = "k" })
-	bad("unknown attribute", func(st *core.ColumnState) { st.Pays[0].Attr = "zz" })
+	bad("duplicate attribute", func(st *core.ColumnState) { st.Pays[1] = st.Pays[0] })
+	bad("the column's own attribute", func(st *core.ColumnState) { st.Pays[0] = "k" })
+	bad("unknown attribute", func(st *core.ColumnState) { st.Pays[0] = "zz" })
 }
 
 // TestConcurrentProjectObserve runs, on one key column under the race

@@ -14,14 +14,14 @@ import (
 
 // Store persistence. A store is saved as a chain of image files, each
 // one internal/durable.Image: table manifest and the rows it appends,
-// crack configuration, crack state — cut sets, cracked vectors, pending
-// updates, strategy RNG positions, payload vectors — and tuner posture.
-// A full image is the chain of length zero: the element that diffs
-// against nothing, so it writes every table and every cracked column
-// whole. A delta element carries only what moved since the image
-// before it and names that image by checksum: the rows appended to each
-// table, and per column the granules it wrote (core.Granule) — or the
-// whole column once half of it moved. One writer (WriteImage) produces
+// crack configuration, crack state — OID orders, cut keys, pending
+// updates, strategy RNG positions, payload names; the rows give the
+// rest — and tuner posture. A full image is the chain of length zero:
+// the element that diffs against nothing, so it writes every table and
+// every cracked column whole. A delta element carries only what moved
+// since the image before it and names that image by checksum: the rows
+// appended to each table, and per column the OIDs of the granules it
+// wrote (core.Granule) — or the whole column once half of it moved. One writer (WriteImage) produces
 // both, one reader (Open) folds a chain back into a live store, and
 // OpenCold is that reader ignoring the crack sections — the paper's
 // prototype, whose cracker indexes "are not saved between sessions"
@@ -171,10 +171,11 @@ func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable
 }
 
 // Open loads a store from a full image file plus, in order, the delta
-// elements written on top of it, reattaching every column's cut
-// set, cracked vectors, pending updates, strategy (with its RNG
-// position) and payload vectors, and the tuner posture — the reopened
-// store resumes at converged per-query latency. Every link is checked:
+// elements written on top of it, rebuilding every cracked column from
+// its OID order and cut keys against the loaded rows (a column the rows
+// contradict refuses the open), with its pending updates, strategy
+// (with its RNG position) and payload vectors, and the tuner posture —
+// the reopened store resumes at converged per-query latency. Every link is checked:
 // the first element must be a base, each later one must name its
 // predecessor's checksum; a broken, missing or corrupt link refuses the
 // whole open rather than silently serving a cold or half-applied store.
@@ -337,8 +338,8 @@ func (s *Store) loadTableLocked(it durable.ImageTable) error {
 	return s.installLocked(it.Name, t)
 }
 
-// restoreLocked builds each column the chain left a state for
-// (ColumnFromState verifies it), payload vectors included, into its
+// restoreLocked builds each column the chain left a state for from its
+// table's rows (ColumnFromState), payload vectors included, into the
 // table's wrapper, whose tombstones are already in place. The caller
 // holds s.mu.
 func (s *Store) restoreLocked(r restoring) error {
@@ -356,7 +357,7 @@ func (s *Store) restoreLocked(r restoring) error {
 				}
 				opts = append(opts, core.WithStrategy(strat))
 			}
-			col, err := core.ColumnFromState(*st, opts...)
+			col, err := t.ColumnFromState(attr, *st, opts...)
 			if err == nil {
 				err = t.ReplaceColumn(attr, col)
 			}
