@@ -159,7 +159,8 @@ func main() {
 	} else {
 		store = shard.New(opts)
 	}
-	// The flag overrides a recovered image's default strategy.
+	// The strategy is this process's: no image or log carries one, so it
+	// is set after every open, fresh, recovered or following.
 	if err := store.SetCrackStrategy(*strat, *seed); err != nil {
 		fatal(err)
 	}

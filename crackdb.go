@@ -142,7 +142,9 @@ func (s *Store) SetMaxPieces(n int) {
 // seed drives each column's private RNG, making crack sequences
 // reproducible; each column derives its sub-seed from its name, so a
 // column first cracked after a reopen draws what it would have drawn
-// without one. See DESIGN.md (Crack strategies).
+// without one. The setting is the caller's, not the image's: Open
+// returns a store at the default, and a caller sets it again after
+// every open. See DESIGN.md (Crack strategies).
 func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	if _, err := strategy.New(name, seed); err != nil {
 		return fmt.Errorf("crackdb: %w", err)

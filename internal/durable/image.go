@@ -26,18 +26,16 @@ import (
 // positions and payload vectors they imply are derived from the rows on
 // restore (core.CrackedTable.ColumnFromState).
 //
-// File layout (version 8):
+// File layout (version 9):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   8
+//	version  uint8   9
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
 //	ntables  uint32  authoritative table manifest (see ImageTable)
 //	tables   ntables × (name, cols, rows, tombstones, from, then
 //	         Rows-From values per column when From < Rows)
-//	config   store-wide crack configuration: strategy name and seed, max
-//	         pieces, sideways budget (full copy; the last element's wins)
 //	ncols    uint32  column records, changed columns only: table, attr,
 //	columns          name, sorted, nextOID, n, patch, then
 //	                   whole: n OIDs, cut keys
@@ -56,15 +54,18 @@ import (
 // (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
 // serve half a cut set.
 //
-// Only version 8 is read: any other version is refused by version,
+// Only version 9 is read: any other version is refused by version,
 // never as corruption. A store image is this build's own format, and the
 // cracker state it carries is re-derivable from the rows (the paper's
-// prototype keeps none of it between sessions, §5.2).
+// prototype keeps none of it between sessions, §5.2). No store-wide
+// configuration is imaged: the strategy a store cracks new columns
+// under, its piece bound and its sideways budget belong to the process
+// that opens it, which sets them after every open.
 
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 // imageVersion is the one version WriteImage writes and ReadImage reads.
-const imageVersion = 8
+const imageVersion = 9
 
 // SnapshotCRC is the polynomial that identifies a whole image file:
 // Castagnoli, deliberately not IEEE. An image ends in its own IEEE
@@ -79,16 +80,6 @@ type ImageFile struct {
 	Sum  uint32 // trailer checksum: what the next element records as PrevSum
 	Size int64
 	CRC  uint32 // SnapshotCRC of the whole file
-}
-
-// StoreConfig is the store-wide crack configuration an image carries, so
-// columns created after a reopen behave like columns created before the
-// shutdown.
-type StoreConfig struct {
-	StrategyName   string
-	StrategySeed   int64
-	MaxPieces      int
-	SidewaysBudget int
 }
 
 // ColumnSnapshot binds one column's exported state to its table and
@@ -124,7 +115,6 @@ type ImageTable struct {
 type Image struct {
 	Base    bool   // chain start; PrevSum is meaningless
 	PrevSum uint32 // trailer checksum of the element this one follows
-	Config  StoreConfig
 	Tables  []ImageTable
 	Columns []ColumnSnapshot // columns whose crack state changed, whole or patched
 	Tuner   []tuner.ColumnState
@@ -264,10 +254,6 @@ func (e *imageEncoder) image(img *Image) {
 			e.int64s(v)
 		}
 	}
-	e.str(img.Config.StrategyName)
-	e.u64(uint64(img.Config.StrategySeed))
-	e.u64(uint64(img.Config.MaxPieces))
-	e.u64(uint64(img.Config.SidewaysBudget))
 	e.u32(uint32(len(img.Columns)))
 	for i := range img.Columns {
 		e.column(&img.Columns[i])
@@ -507,10 +493,6 @@ func (d *imageDecoder) image() *Image {
 		}
 		img.Tables = append(img.Tables, t)
 	}
-	img.Config.StrategyName = d.str()
-	img.Config.StrategySeed = int64(d.u64())
-	img.Config.MaxPieces = d.int()
-	img.Config.SidewaysBudget = d.int()
 	// conservative minimum per column record
 	for n := d.count(uint64(d.u32()), 16, "column"); n > 0 && d.err == nil; n-- {
 		img.Columns = append(img.Columns, d.column())

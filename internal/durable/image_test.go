@@ -61,10 +61,6 @@ func samplePatch(table, attr string) ColumnSnapshot {
 func sampleDelta() *Image {
 	return &Image{
 		PrevSum: 0x1234abcd,
-		Config: StoreConfig{
-			StrategyName: "ddc", StrategySeed: 7, MaxPieces: 4096,
-			SidewaysBudget: 3,
-		},
 		Tables: []ImageTable{
 			{Name: "cold", Cols: []string{"k", "v"}, Rows: 600, Deleted: []bat.OID{}, From: 550, Vals: sampleRows(550, 600)},
 			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}, Vals: sampleRows(0, 9)},
@@ -104,9 +100,11 @@ func TestImageRoundTrip(t *testing.T) {
 	}{
 		{"base", sampleBase()},
 		{"delta", sampleDelta()},
+		// Before version 9 such a base carried the store's configuration;
+		// now only the tuner posture is left beside the empty manifest.
 		{"config-only base", &Image{
-			Base:   true,
-			Config: StoreConfig{StrategyName: "mdd1r", StrategySeed: 7, MaxPieces: 100},
+			Base:  true,
+			Tuner: []tuner.ColumnState{{Table: "t", Column: "k", Strategy: "mdd1r", Class: "random"}},
 		}},
 		{"crack-only delta", &Image{
 			PrevSum: 0, // 0 is a valid CRC: a delta all the same
@@ -159,11 +157,7 @@ func rawPatchImage(t testing.TB, n, k uint64, gs []uint32) []byte {
 	e.bool(false) // base
 	e.u32(0)      // prevSum
 	e.u32(0)      // tables
-	e.str("")     // config: strategy name, seed, max pieces, sideways budget
-	e.u64(0)
-	e.u64(0)
-	e.u64(0)
-	e.u32(1) // one column record
+	e.u32(1)      // one column record
 	for _, s := range []string{"t", "k", "t.k"} {
 		e.str(s)
 	}
@@ -329,9 +323,9 @@ func TestPersistDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The rows end where the config section begins: an empty strategy
-	// name, three u64s, then the column and tuner counts and the trailer.
-	end := len(data) - (4 + 3*8 + 4 + 4 + 4)
+	// The rows end where the column and tuner counts and the trailer
+	// begin.
+	end := len(data) - (4 + 4 + 4)
 	data[end-8*len(vals)/2] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -362,7 +356,7 @@ func TestDeltaSumIdentifiesContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img.Config.StrategySeed++
+		img.Tuner[0].Flips++
 		s2, err := WriteImage(filepath.Join(dir, "b.crk"), img)
 		if err != nil {
 			t.Fatal(err)
@@ -422,16 +416,17 @@ func TestImageCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestOldImageVersionRefused: an image of any version but 8 — the CRKS
+// TestOldImageVersionRefused: an image of any version but 9 — the CRKS
 // versions 1 to 3 from before the single format, versions 4 to 6 whose
 // rows lay in BAT files beside the image, version 7 whose column records
-// repeated the rows' values, payloads and cut positions, and a version
-// from the future,
+// repeated the rows' values, payloads and cut positions, version 8 whose
+// elements carried the store's crack configuration, and a version from
+// the future,
 // hand-encoded here with a valid trailer — is refused by version, loudly,
 // and never mistaken for corruption (which would read as "the disk ate
 // it" rather than "this build does not read it").
 func TestOldImageVersionRefused(t *testing.T) {
-	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, imageVersion + 1} {
+	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, imageVersion + 1} {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
@@ -443,7 +438,7 @@ func TestOldImageVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := ReadImage(path)
-		want := fmt.Sprintf("unsupported image version %d (this build reads version 8)", version)
+		want := fmt.Sprintf("unsupported image version %d (this build reads version 9)", version)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d: want %q, got %v", version, want, err)
 		}

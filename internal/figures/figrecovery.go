@@ -63,11 +63,17 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	base := crackdb.New()
-	if cfg.Strategy != "" && cfg.Strategy != "standard" {
-		if err := base.SetCrackStrategy(cfg.Strategy, cfg.Seed); err != nil {
-			return Figure{}, err
+	// The strategy is the process's posture, not the image's: every store
+	// below gets it, fresh or reopened.
+	withStrategy := func(s *crackdb.Store, err error) (*crackdb.Store, error) {
+		if err == nil && cfg.Strategy != "" && cfg.Strategy != "standard" {
+			err = s.SetCrackStrategy(cfg.Strategy, cfg.Seed)
 		}
+		return s, err
+	}
+	base, err := withStrategy(crackdb.New(), nil)
+	if err != nil {
+		return Figure{}, err
 	}
 	if err := base.LoadTapestry("r", cfg.N, 1, cfg.Seed); err != nil {
 		return Figure{}, err
@@ -83,7 +89,7 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 		return Figure{}, err
 	}
 
-	cold, err := crackdb.OpenCold(image)
+	cold, err := withStrategy(crackdb.OpenCold(image))
 	if err != nil {
 		return Figure{}, err
 	}
@@ -93,7 +99,7 @@ func FigRecovery(cfg FigRecoveryConfig) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, Series{Label: "cold reopen (BATs only, §5.2)", Points: coldReopen})
 
-	warm, err := crackdb.Open(image)
+	warm, err := withStrategy(crackdb.Open(image))
 	if err != nil {
 		return Figure{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,22 +178,41 @@ func (p *Backend) fetch(op Op) (crackdb.Rows, error) {
 }
 
 // reboot saves the store, or checkpoints the router, and opens it again
-// from disk.
+// from disk. An image carries no crack posture, so the backend sets the
+// strategy it ran under again after the open, as a server applies its
+// flags after every boot.
 func (p *Backend) reboot() (err error) {
 	if p.Router == nil {
+		name, seed := posture(p.Store)
 		path := filepath.Join(p.Dir, "store.crk")
 		if err = p.Store.Save(path); err == nil {
 			p.Store, err = crackdb.Open(path)
 		}
+		if err == nil && name != "" {
+			err = p.Store.SetCrackStrategy(name, seed)
+		}
 		return err
 	}
+	// Shard 0 runs under the router's own seed (shard.Store.SetCrackStrategy).
+	name, seed := posture(p.Router.Shard(0))
 	if _, err = p.Router.Checkpoint(false); err == nil {
 		err = p.Router.CloseWAL()
 	}
 	if err == nil {
 		p.Router, _, err = shard.OpenDurable(p.Dir, shard.Options{})
 	}
+	if err == nil && name != "" {
+		err = p.Router.SetCrackStrategy(name, seed)
+	}
 	return err
+}
+
+// posture is the strategy name and seed a store was last set to ("" and
+// 0 if never). That is its owner's state: no image carries it and no
+// method returns it, so the oracle reads the store's own fields.
+func posture(s *crackdb.Store) (string, int64) {
+	v := reflect.ValueOf(s).Elem()
+	return v.FieldByName("strategyName").String(), v.FieldByName("strategySeed").Int()
 }
 
 // answer is ans, or the error's text when the call failed.

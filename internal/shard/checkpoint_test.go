@@ -528,6 +528,26 @@ func TestDeltaCheckpointNoop(t *testing.T) {
 	}
 }
 
+// TestPostureRestartCheckpointsNothing: a store's crack strategy is its
+// process's, not its image's, so a restart that only sets a new one has
+// nothing to checkpoint — no element is written and the WAL is not
+// rotated.
+func TestPostureRestartCheckpointsNothing(t *testing.T) {
+	dir := t.TempDir()
+	mustExec(t, seedDurable(t, dir).CloseWAL())
+	s, _, err := shard.OpenDurable(dir, rangeOpts())
+	mustExec(t, err)
+	defer s.CloseWAL()
+	mustExec(t, s.SetCrackStrategy("ddr", 11))
+	base := s.WAL().Status().BaseSeq
+	if mode, err := s.Checkpoint(false); err != nil || mode != "" {
+		t.Fatalf("checkpoint after a posture-only restart: mode %q err %v, want nothing written", mode, err)
+	}
+	if got := s.WAL().Status().BaseSeq; got != base {
+		t.Fatalf("posture-only checkpoint rotated the WAL: base %d, was %d", got, base)
+	}
+}
+
 // TestDeltaBytesBudget: a delta element writes what queries moved, in
 // granules, not the columns they moved it in. On a 4-shard hash store of
 // 4 × 250 k tapestry rows converged by range counts, a 16-row append and

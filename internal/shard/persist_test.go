@@ -364,6 +364,48 @@ func TestDeleteReplay(t *testing.T) {
 	}
 }
 
+// TestReplayedDeleteCracksUnderDefault: a replayed DELETE cracks its
+// driving column before the booting process sets any strategy, so the
+// column cracks under New's default whether a checkpoint precedes the
+// DELETE or the boot replays the log alone — never under the strategy
+// the previous process ran.
+func TestReplayedDeleteCracksUnderDefault(t *testing.T) {
+	for _, boot := range []string{"checkpoint", "wal-only"} {
+		t.Run(boot, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := shard.Options{Shards: 2}
+			live, _, err := shard.OpenDurable(dir, opts)
+			mustExec(t, err)
+			mustExec(t, live.SetCrackStrategy("ddc", 7))
+			mustExec(t, live.CreateTable("t", "a", "b"))
+			rows := make([][]int64, 500)
+			for i := range rows {
+				rows[i] = []int64{int64(i), int64(i % 7)}
+			}
+			mustExec(t, live.InsertRows("t", rows))
+			if boot == "checkpoint" {
+				if mode, err := live.Checkpoint(true); err != nil || mode != "full" {
+					t.Fatalf("full checkpoint: mode %q err %v", mode, err)
+				}
+			}
+			_, err = live.Delete("t", crackdb.Cond{Col: "a", Op: ">=", Val: 100}, crackdb.Cond{Col: "a", Op: "<", Val: 200})
+			mustExec(t, err)
+			mustExec(t, live.CloseWAL())
+
+			re, _, err := shard.OpenDurable(dir, opts)
+			mustExec(t, err)
+			defer re.CloseWAL()
+			stats, err := re.ShardStats("t", "a")
+			mustExec(t, err)
+			for i, st := range stats {
+				if st.Strategy != "standard" {
+					t.Fatalf("shard %d: the replayed DELETE cracked t.a under %q, want standard", i, st.Strategy)
+				}
+			}
+		})
+	}
+}
+
 // TestReplReadFileRefusesForeignPaths: only files the current chain lists
 // are served — not the log, not the boot counter, not residue beside the
 // chain — while a listed file is.

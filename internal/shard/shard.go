@@ -117,7 +117,8 @@ func (s *Store) Shard(i int) *crackdb.Store { return s.shards[i] }
 // SetCrackStrategy selects the crack strategy for columns cracked after
 // the call on every shard, deriving a distinct sub-seed per shard so
 // concurrent shards draw independent RNG streams. It is configuration,
-// not data: nothing is logged, and each server sets its own at boot.
+// not data: nothing is logged or imaged, and each server sets its own
+// after every open.
 func (s *Store) SetCrackStrategy(name string, seed int64) error {
 	return s.each(func(i int) error { return s.shards[i].SetCrackStrategy(name, seed+int64(i)*7919) })
 }

@@ -92,9 +92,6 @@ func (g *Registry) SetBudget(n int) {
 	g.evictLocked(tables)
 }
 
-// Budget returns the current payload-vector budget.
-func (g *Registry) Budget() int { return int(g.budget.Load()) }
-
 // Snapshot returns the current work counters and payload census. The
 // census is read off the live columns of the live tables, so it follows
 // whatever replaced, dropped or reorganized them.

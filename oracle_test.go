@@ -293,7 +293,8 @@ func TestDeleteWarmRoundTrip(t *testing.T) {
 // TestDeltaChainOracle: a durable router that checkpoints delta elements
 // and boots from its chain, and a store that saves and reopens full
 // images, answer the model alike under every strategy: chain reboot ≡
-// full image.
+// full image. Each sets its strategy again after every open, so a
+// column first cracked after a reboot runs under it.
 func TestDeltaChainOracle(t *testing.T) {
 	for _, strat := range strategy.Names() {
 		t.Run(strat, func(t *testing.T) {
@@ -314,9 +315,31 @@ func TestDeltaChainOracle(t *testing.T) {
 					}
 				}
 			}()
-			oracle.Run(t, oracle.New(oracle.Config{Seed: 501, Ops: 40, Load: 2000, Domain: 10_000, MaxBatch: 400,
+			m := oracle.Run(t, oracle.New(oracle.Config{Seed: 501, Ops: 40, Load: 2000, Domain: 10_000, MaxBatch: 400,
 				Mix: oracle.Mix{oracle.Count: 4, oracle.Fetch: 2, oracle.Insert: 2, oracle.Delete: 1, oracle.Reboot: 1}}),
 				nil, chain, full)
+			// No image carries the strategy: a column first cracked after a
+			// reboot runs under the one the backend sets again after the open.
+			rows := make([][]int64, 500)
+			for i := range rows {
+				rows[i] = []int64{int64(i)}
+			}
+			oracle.Run(t, oracle.Ops(oracle.Op{Kind: oracle.Reboot}, oracle.Op{Kind: oracle.Create, Table: "fresh", Cols: []string{"a"}},
+				oracle.Op{Kind: oracle.Insert, Table: "fresh", Rows: rows},
+				oracle.Op{Kind: oracle.Count, Table: "fresh", Col: "a", Ranges: []crackdb.Range{{Low: 100, High: 200}}}), m, chain, full)
+			stats, err := chain.Router.ShardStats("fresh", "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := full.Store.Stats("fresh", "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range append(stats, single) {
+				if st.Strategy != strat {
+					t.Fatalf("fresh.a cracked after a reboot under %q, want %q", st.Strategy, strat)
+				}
+			}
 		})
 	}
 }

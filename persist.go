@@ -14,9 +14,11 @@ import (
 
 // Store persistence. A store is saved as a chain of image files, each
 // one internal/durable.Image: table manifest and the rows it appends,
-// crack configuration, crack state — OID orders, cut keys, pending
-// updates, strategy RNG positions, payload names; the rows give the
-// rest — and tuner posture. A full image is the chain of length zero:
+// crack state — OID orders, cut keys, pending updates, strategy RNG
+// positions, payload names; the rows give the rest — and tuner posture.
+// No store-wide configuration: the strategy new columns crack under, the
+// piece bound and the sideways budget are the opening process's, set
+// after the open. A full image is the chain of length zero:
 // the element that diffs against nothing, so it writes every table and
 // every cracked column whole. A delta element carries only what moved
 // since the image before it and names that image by checksum: the rows
@@ -43,7 +45,6 @@ import (
 // The zero mark holds nothing: diffing against it yields a full image.
 type saveMark struct {
 	sum    uint32 // the image file's trailer checksum (chain identity)
-	config durable.StoreConfig
 	tables map[string]tableMark
 }
 
@@ -53,21 +54,10 @@ type tableMark struct {
 	tombs int    // tombstone count (monotone: equal count == equal set)
 }
 
-// configLocked materializes the store-wide crack configuration an image
-// carries. The caller holds s.mu (read or write).
-func (s *Store) configLocked() durable.StoreConfig {
-	return durable.StoreConfig{
-		StrategyName:   s.strategyName,
-		StrategySeed:   s.strategySeed,
-		MaxPieces:      s.maxPieces,
-		SidewaysBudget: s.sideways.Budget(),
-	}
-}
-
 // newMarkLocked describes the live store as the content of the image
 // identified by sum. The caller holds s.mu.
 func (s *Store) newMarkLocked(sum uint32) *saveMark {
-	m := &saveMark{sum: sum, config: s.configLocked(), tables: make(map[string]tableMark, len(s.tables))}
+	m := &saveMark{sum: sum, tables: make(map[string]tableMark, len(s.tables))}
 	for name, t := range s.tables {
 		rows := t.Base().Len()
 		m.tables[name] = tableMark{gen: t.gen, rows: rows, tombs: rows - t.LiveLen()}
@@ -103,9 +93,9 @@ func (s *Store) Save(path string) error {
 // commits leaves the store without a base, so the next delta is refused
 // and the caller writes a full image, which is all that is sure to
 // supersede whatever landed. A delta of a store in which nothing
-// persisted has changed — configuration, table set, rows, tombstones, any
-// column's crack state (tuner posture, advisory warmth, is deliberately
-// not counted) — writes nothing and returns a nil commit.
+// persisted has changed — table set, rows, tombstones, any column's
+// crack state (tuner posture, advisory warmth, is deliberately not
+// counted) — writes nothing and returns a nil commit.
 func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable.ImageFile, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,14 +108,13 @@ func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable
 	img := &durable.Image{
 		Base:    !delta,
 		PrevSum: against.sum,
-		Config:  s.configLocked(),
 		Tuner:   s.exportTunerStates(),
 	}
 	// Tables and attributes go out sorted: two images of an unchanged
 	// store are byte-identical, so a re-bootstrapping follower, which
 	// reuses files by checksum, downloads nothing it already holds.
 	names := s.namesLocked()
-	changed := !delta || len(names) != len(against.tables) || img.Config != against.config
+	changed := !delta || len(names) != len(against.tables)
 	for _, name := range names {
 		t := s.tables[name]
 		it := durable.ImageTable{Name: name, Cols: t.Base().ColumnNames(), Rows: t.Base().Len(), Deleted: t.Tombstones()}
@@ -175,7 +164,9 @@ func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable
 // its OID order and cut keys against the loaded rows (a column the rows
 // contradict refuses the open), with its pending updates, strategy
 // (with its RNG position) and payload vectors, and the tuner posture —
-// the reopened store resumes at converged per-query latency. Every link is checked:
+// the reopened store resumes at converged per-query latency. The store
+// is otherwise in New's posture: a caller that wants another strategy,
+// piece bound or sideways budget sets it after the open. Every link is checked:
 // the first element must be a base, each later one must name its
 // predecessor's checksum; a broken, missing or corrupt link refuses the
 // whole open rather than silently serving a cold or half-applied store.
@@ -183,9 +174,9 @@ func Open(base string, deltas ...string) (*Store, error) {
 	return openChain(false, append([]string{base}, deltas...))
 }
 
-// OpenCold loads the tables (and configuration) of a full image file and
-// ignores its crack state: every column starts uncracked, the way the
-// paper's prototype restarts (§5.2).
+// OpenCold loads the tables of a full image file and ignores its crack
+// state: every column starts uncracked, the way the paper's prototype
+// restarts (§5.2), in New's posture.
 func OpenCold(path string) (*Store, error) {
 	return openChain(true, []string{path})
 }
@@ -243,20 +234,8 @@ type restoring map[string]map[string]*core.ColumnState
 // replaces the column's state, a patch folds onto it. A base element
 // does all of that to an empty store.
 func (s *Store) applyImage(path string, img *durable.Image, r restoring) error {
-	// Strategy config first: SetCrackStrategy validates the name and
-	// takes s.mu itself. The sideways budget is set outside s.mu too: the
-	// registry reads the store's tables.
-	if name := img.Config.StrategyName; name != "" {
-		if err := s.SetCrackStrategy(name, img.Config.StrategySeed); err != nil {
-			return err
-		}
-	}
-	s.sideways.SetBudget(img.Config.SidewaysBudget)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maxPieces = img.Config.MaxPieces
-	s.publishOptionsLocked()
-
 	inImage := make(map[string]bool, len(img.Tables))
 	for _, it := range img.Tables {
 		inImage[it.Name] = true
