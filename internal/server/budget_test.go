@@ -226,6 +226,43 @@ func TestWindowParseBudget(t *testing.T) {
 	}
 }
 
+// TestFoldedWindowBudget: a window of 64 converged range counts, what a
+// pipelining client sends, is parsed a statement at a time, folded into
+// one batch and encoded reply by reply. Parsing allocates only each
+// statement and the folded run's answers come as one block, so it costs
+// a few allocations a statement; a lexer that allocated per token and
+// four allocations a count answer read 22.
+func TestFoldedWindowBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const maxPerStmt = 10
+	s := New(convergedRouter(t), nil)
+	win := make([]wireReq, 64)
+	for i := range win {
+		lo := 1000 + 1500*i
+		win[i].cmd = fmt.Sprintf("SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 <= %d", lo, lo+999)
+	}
+	var frame []byte
+	serve := func() {
+		if _, err := s.serveWindow(win, func(req wireReq, resp *Response) error {
+			if resp.Err != "" || len(resp.ints) != 1 || resp.ints[0][0] != 1000 {
+				t.Fatalf("%s: err %q, rows %v; want 1000", req.cmd, resp.Err, resp.ints)
+			}
+			frame = encodeReply(frame, req, resp)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve() // the first run cracks the ranges' bounds
+	perStmt := testing.AllocsPerRun(50, serve) / float64(len(win))
+	t.Logf("a window of %d converged counts: %.1f allocations a statement", len(win), perStmt)
+	if perStmt > maxPerStmt {
+		t.Errorf("a folded window allocates %.1f times a statement, budget %d", perStmt, maxPerStmt)
+	}
+}
+
 func TestWireResultBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")

@@ -77,8 +77,9 @@ func (e *Engine) ExecWindow(stmts []Stmt) []Result {
 		}
 		if len(ranges) >= 2 {
 			if counts, err := e.store.CountBatch(first.Table, first.Col, ranges); err == nil {
-				for _, n := range counts {
-					out[i].Set = countResult(n)
+				sets := countResults(counts)
+				for k := range sets {
+					out[i].Set = &sets[k]
 					i++
 				}
 				continue

@@ -1,71 +1,89 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"crackdb"
 )
 
-// Parser is a recursive-descent parser over the token stream.
+// parser is a recursive-descent parser pulling tokens from a scanner.
 type parser struct {
-	toks []Token
-	pos  int
+	scanner
+	tok Token // the lookahead
+	err error // the first scan error; the lookahead is then TokEOF
 }
 
 // Parse parses a single statement (a trailing semicolon is allowed).
 func Parse(input string) (Stmt, error) {
-	stmts, err := ParseScript(input)
+	var stmt Stmt
+	n, err := parse(input, func(s Stmt) { stmt = s })
+	if err == nil && n != 1 {
+		err = fmt.Errorf("sql: expected one statement, got %d", n)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sql: expected one statement, got %d", len(stmts))
-	}
-	return stmts[0], nil
+	return stmt, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(input string) ([]Stmt, error) {
-	toks, err := Lex(input)
-	if err != nil {
+	var out []Stmt
+	if _, err := parse(input, func(s Stmt) { out = append(out, s) }); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	var out []Stmt
-	for {
-		for p.peek().Kind == TokSymbol && p.peek().Text == ";" {
-			p.next()
+	return out, nil
+}
+
+// parse hands each statement of input, in order, to each and counts
+// them. A scan error anywhere in the input outranks a parse error, as it
+// did when the whole input was lexed before parsing.
+func parse(input string, each func(Stmt)) (int, error) {
+	p := parser{scanner: scanner{src: input}}
+	p.tok, p.err = p.scan()
+	for n := 0; ; n++ {
+		for p.accept(TokSymbol, ";") {
 		}
-		if p.peek().Kind == TokEOF {
-			return out, nil
+		if p.tok.Kind == TokEOF {
+			return n, p.err
 		}
 		s, err := p.statement()
-		if err != nil {
-			return nil, err
+		if err == nil && !p.accept(TokSymbol, ";") && p.tok.Kind != TokEOF {
+			err = p.errorf("expected ';' or end of input, got %q", p.tok.Text)
 		}
-		out = append(out, s)
-		if t := p.peek(); t.Kind == TokSymbol && t.Text == ";" {
-			p.next()
-		} else if t.Kind != TokEOF {
-			return nil, p.errorf("expected ';' or end of input, got %q", t.Text)
+		if err != nil || p.err != nil {
+			for p.next().Kind != TokEOF {
+			}
+			return n, cmp.Or(p.err, err)
 		}
+		each(s)
 	}
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
-
+// next consumes the lookahead; after the last token or a scan error it stays TokEOF.
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != TokEOF {
-		p.pos++
+		p.tok, p.err = p.scan()
 	}
 	return t
 }
 
+// accept consumes the lookahead if it is the given token.
+func (p *parser) accept(kind TokenKind, text string) bool {
+	if p.tok.Kind == kind && p.tok.Text == text {
+		p.next()
+		return true
+	}
+	return false
+}
+
 func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("sql: offset %d: %s", p.peek().Pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("sql: offset %d: %s", p.tok.Pos, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expectKeyword(kw string) error {
@@ -105,7 +123,7 @@ func (p *parser) number() (int64, error) {
 }
 
 func (p *parser) statement() (Stmt, error) {
-	t := p.peek()
+	t := p.tok
 	if t.Kind != TokKeyword {
 		return nil, p.errorf("expected statement keyword, got %q", t.Text)
 	}
@@ -144,15 +162,12 @@ func (p *parser) createTable() (Stmt, error) {
 			return nil, err
 		}
 		// Optional type annotation, integer only.
-		if t := p.peek(); t.Kind == TokKeyword && (t.Text == "INT" || t.Text == "INTEGER") {
-			p.next()
-		}
+		_ = p.accept(TokKeyword, "INT") || p.accept(TokKeyword, "INTEGER")
 		cols = append(cols, col)
-		t := p.next()
-		if t.Kind == TokSymbol && t.Text == ")" {
+		if p.accept(TokSymbol, ")") {
 			break
 		}
-		if !(t.Kind == TokSymbol && t.Text == ",") {
+		if t := p.next(); !(t.Kind == TokSymbol && t.Text == ",") {
 			return nil, fmt.Errorf("sql: offset %d: expected ',' or ')', got %q", t.Pos, t.Text)
 		}
 	}
@@ -195,20 +210,16 @@ func (p *parser) insert() (Stmt, error) {
 				return nil, err
 			}
 			row = append(row, v)
-			t := p.next()
-			if t.Kind == TokSymbol && t.Text == ")" {
+			if p.accept(TokSymbol, ")") {
 				break
 			}
-			if !(t.Kind == TokSymbol && t.Text == ",") {
+			if t := p.next(); !(t.Kind == TokSymbol && t.Text == ",") {
 				return nil, fmt.Errorf("sql: offset %d: expected ',' or ')', got %q", t.Pos, t.Text)
 			}
 		}
-		rows = append(rows, row)
-		if t := p.peek(); t.Kind == TokSymbol && t.Text == "," {
-			p.next()
-			continue
+		if rows = append(rows, row); !p.accept(TokSymbol, ",") {
+			return Insert{Table: table, Rows: rows}, nil
 		}
-		return Insert{Table: table, Rows: rows}, nil
 	}
 }
 
@@ -222,8 +233,7 @@ func (p *parser) deleteStmt() (Stmt, error) {
 		return nil, err
 	}
 	del := Delete{Table: table}
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "WHERE" {
-		p.next()
+	if p.accept(TokKeyword, "WHERE") {
 		conds, err := p.conjunction()
 		if err != nil {
 			return nil, err
@@ -238,27 +248,25 @@ func (p *parser) selectStmt() (Stmt, error) {
 	sel := Select{Limit: -1}
 
 	// Projection list.
-	if t := p.peek(); t.Kind == TokSymbol && t.Text == "*" {
-		p.next()
+	if p.accept(TokSymbol, "*") {
 		sel.Star = true
 	} else {
+		var buf [8]SelectItem // sizes Items once, for up to 8 items
+		items := buf[:0]
 		for {
 			item, err := p.selectItem()
 			if err != nil {
 				return nil, err
 			}
-			sel.Items = append(sel.Items, item)
-			if t := p.peek(); t.Kind == TokSymbol && t.Text == "," {
-				p.next()
-				continue
+			if items = append(items, item); !p.accept(TokSymbol, ",") {
+				break
 			}
-			break
 		}
+		sel.Items = slices.Clone(items)
 	}
 
 	// Optional INTO (the paper's SELECT INTO fragNNN idiom).
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "INTO" {
-		p.next()
+	if p.accept(TokKeyword, "INTO") {
 		into, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -275,16 +283,14 @@ func (p *parser) selectStmt() (Stmt, error) {
 	}
 	sel.Table = table
 
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "WHERE" {
-		p.next()
+	if p.accept(TokKeyword, "WHERE") {
 		conds, err := p.conjunction()
 		if err != nil {
 			return nil, err
 		}
 		sel.Where = conds
 	}
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "GROUP" {
-		p.next()
+	if p.accept(TokKeyword, "GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
@@ -294,8 +300,7 @@ func (p *parser) selectStmt() (Stmt, error) {
 		}
 		sel.GroupBy = col
 	}
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "ORDER" {
-		p.next()
+	if p.accept(TokKeyword, "ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
@@ -304,13 +309,9 @@ func (p *parser) selectStmt() (Stmt, error) {
 			return nil, err
 		}
 		sel.OrderBy = col
-		if t := p.peek(); t.Kind == TokKeyword && (t.Text == "ASC" || t.Text == "DESC") {
-			p.next()
-			sel.Desc = t.Text == "DESC"
-		}
+		sel.Desc = !p.accept(TokKeyword, "ASC") && p.accept(TokKeyword, "DESC")
 	}
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "LIMIT" {
-		p.next()
+	if p.accept(TokKeyword, "LIMIT") {
 		v, err := p.number()
 		if err != nil {
 			return nil, err
@@ -324,7 +325,7 @@ func (p *parser) selectStmt() (Stmt, error) {
 }
 
 func (p *parser) selectItem() (SelectItem, error) {
-	t := p.peek()
+	t := p.tok
 	if t.Kind == TokKeyword {
 		switch t.Text {
 		case "COUNT", "SUM", "MIN", "MAX":
@@ -333,8 +334,7 @@ func (p *parser) selectItem() (SelectItem, error) {
 				return SelectItem{}, err
 			}
 			if t.Text == "COUNT" {
-				if s := p.peek(); s.Kind == TokSymbol && s.Text == "*" {
-					p.next()
+				if p.accept(TokSymbol, "*") {
 					if err := p.expectSymbol(")"); err != nil {
 						return SelectItem{}, err
 					}
@@ -360,7 +360,8 @@ func (p *parser) selectItem() (SelectItem, error) {
 }
 
 func (p *parser) conjunction() ([]crackdb.Cond, error) {
-	var out []crackdb.Cond
+	var buf [8]crackdb.Cond // sizes the conjunction once, for up to 8 conditions
+	out := buf[:0]
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -391,11 +392,9 @@ func (p *parser) conjunction() ([]crackdb.Cond, error) {
 		default:
 			return nil, fmt.Errorf("sql: offset %d: expected comparison, got %q", t.Pos, t.Text)
 		}
-		if t := p.peek(); t.Kind == TokKeyword && t.Text == "AND" {
-			p.next()
-			continue
+		if !p.accept(TokKeyword, "AND") {
+			return slices.Clone(out), nil
 		}
-		return out, nil
 	}
 }
 
