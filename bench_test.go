@@ -10,8 +10,8 @@ package crackdb_test
 // its modules; Figures 2, 3 and 8 also have a kernel-only benchmark.
 //
 // Ablation benches at the bottom quantify the design choices DESIGN.md
-// calls out: the leaf cracker index vs linear boundary search,
-// crack-in-three vs two crack-in-twos, and piece fusion budgets.
+// calls out: the leaf cracker index vs linear boundary search, and
+// crack-in-three vs two crack-in-twos.
 
 import (
 	"math/rand"
@@ -139,36 +139,6 @@ func BenchmarkAblationCrackInThree(b *testing.B) {
 			col.Select(lo, hi, true, false)              // cut at hi in the suffix piece
 		}
 	})
-}
-
-// BenchmarkAblationFusion measures long random workloads under different
-// piece budgets: unbounded, generous, and tight.
-func BenchmarkAblationFusion(b *testing.B) {
-	base := make([]int64, benchN)
-	rng := rand.New(rand.NewSource(9))
-	for i := range base {
-		base[i] = rng.Int63n(benchN)
-	}
-	run := func(b *testing.B, maxPieces int) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			var col *core.Column
-			if maxPieces > 0 {
-				col = core.NewColumn("a", base, core.WithMaxPieces(maxPieces))
-			} else {
-				col = core.NewColumn("a", base)
-			}
-			qrng := rand.New(rand.NewSource(11))
-			b.StartTimer()
-			for q := 0; q < 256; q++ {
-				lo := qrng.Int63n(benchN - benchN/50)
-				col.Select(lo, lo+benchN/50, true, false)
-			}
-		}
-	}
-	b.Run("unbounded", func(b *testing.B) { run(b, 0) })
-	b.Run("max-1024", func(b *testing.B) { run(b, 1024) })
-	b.Run("max-32", func(b *testing.B) { run(b, 32) })
 }
 
 // BenchmarkTapestry measures the DBtapestry generator itself.

@@ -140,8 +140,8 @@ func meta(store *shard.Store, cmd string) bool {
 			fmt.Println("error:", err)
 			break
 		}
-		fmt.Printf("  queries=%d cracks=%d indexLookups=%d pieces=%d moved=%d touched=%d fusions=%d\n",
-			st.Queries, st.Cracks, st.IndexLookups, st.Pieces, st.TuplesMoved, st.TuplesTouched, st.Fusions)
+		fmt.Printf("  queries=%d cracks=%d indexLookups=%d pieces=%d moved=%d touched=%d\n",
+			st.Queries, st.Cracks, st.IndexLookups, st.Pieces, st.TuplesMoved, st.TuplesTouched)
 	case `\lineage`:
 		if len(fields) != 3 {
 			fmt.Println(`usage: \lineage <table> <column>`)

@@ -64,8 +64,6 @@ type Store struct {
 	tables map[string]*table
 	genSeq uint64 // the last generation installLocked stamped
 
-	maxPieces int
-
 	// Crack-strategy configuration for columns created after
 	// SetCrackStrategy: each new cracker column receives its own
 	// strategy instance (strategies carry per-column RNG state) with a
@@ -122,16 +120,6 @@ func New() *Store {
 	s.sideways = sideways.NewRegistry(sideways.DefaultBudget, s.liveTables)
 	s.publishOptionsLocked()
 	return s
-}
-
-// SetMaxPieces bounds the cracker index of columns cracked after the
-// call: when a column exceeds n pieces, its smallest adjacent pieces are
-// fused. n = 0 (the default) disables fusion.
-func (s *Store) SetMaxPieces(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxPieces = n
-	s.publishOptionsLocked()
 }
 
 // SetCrackStrategy selects the crack strategy for columns cracked after
@@ -373,9 +361,6 @@ func hasColumns(t *relation.Table, cols ...string) error {
 // from the factory. The caller holds s.mu.
 func (s *Store) baseColumnOptions() []core.Option {
 	var opts []core.Option
-	if s.maxPieces > 0 {
-		opts = append(opts, core.WithMaxPieces(s.maxPieces))
-	}
 	if s.instr != nil {
 		opts = append(opts, core.WithInstr(s.instr))
 	}

@@ -440,31 +440,6 @@ func TestLineageRendering(t *testing.T) {
 	}
 }
 
-func TestMaxPiecesFusion(t *testing.T) {
-	s := New()
-	s.SetMaxPieces(6)
-	if err := s.LoadTapestry("tap", 5000, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for q := 0; q < 100; q++ {
-		lo := rng.Int63n(4500)
-		if _, err := s.Count("tap", "c0", lo, lo+rng.Int63n(400)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := s.Stats("tap", "c0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pieces > 6 {
-		t.Fatalf("pieces = %d exceeds budget", st.Pieces)
-	}
-	if st.Fusions == 0 {
-		t.Fatal("no fusions under a tight budget")
-	}
-}
-
 func TestOpenRejectsCorruptStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.crk")
 	s := newEventStore(t, 50)

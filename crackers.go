@@ -134,7 +134,6 @@ type ColumnStats struct {
 	TuplesMoved    int64 // element writes during reorganization
 	TuplesTouched  int64 // element reads during reorganization
 	Pieces         int   // current piece count
-	Fusions        int   // cuts removed under the MaxPieces budget
 	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
 	RippleFolds    int   // folds that kept the cracker index
 	RebuildFolds   int   // folds that dropped it
@@ -170,7 +169,6 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 	cs.TuplesMoved += o.TuplesMoved
 	cs.TuplesTouched += o.TuplesTouched
 	cs.Pieces += o.Pieces
-	cs.Fusions += o.Fusions
 	cs.Consolidations += o.Consolidations
 	cs.RippleFolds += o.RippleFolds
 	cs.RebuildFolds += o.RebuildFolds
@@ -207,7 +205,6 @@ func columnStats(c *core.Column) ColumnStats {
 		TuplesMoved:    cs.TuplesMoved,
 		TuplesTouched:  cs.TuplesTouched,
 		Pieces:         c.Pieces(),
-		Fusions:        cs.Fusions,
 		Consolidations: cs.Consolidations,
 		RippleFolds:    cs.RippleFolds,
 		RebuildFolds:   cs.RebuildFolds,

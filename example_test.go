@@ -293,9 +293,6 @@ func Example_sensorlab() {
 	rng := rand.New(rand.NewSource(1969))
 
 	store := crackdb.New()
-	// Keep the cracker index small: a piece budget forces fusion, the
-	// paper's answer to index growth (§3.2).
-	store.SetMaxPieces(512)
 
 	if err := store.CreateTable("events", "ts", "sensor", "value"); err != nil {
 		log.Fatal(err)

@@ -52,9 +52,7 @@ type Column struct {
 	// crack-in-two/-three kernels, unmodified.
 	strategy CrackStrategy
 
-	maxPieces    int      // fusion threshold; 0 disables fusion
-	minPieceSize int      // pieces smaller than this are not cracked further
-	forceFold    foldKind // test hook: pin the update fold (see update.go)
+	forceFold foldKind // test hook: pin the update fold (see update.go)
 
 	nextOID bat.OID
 	pending []pendingInsert
@@ -94,7 +92,6 @@ type Stats struct {
 	IndexLookups   int   // cut lookups answered without cracking
 	TuplesMoved    int64 // element writes during partitioning and folding
 	TuplesTouched  int64 // element reads during partitioning
-	Fusions        int   // cuts removed to respect MaxPieces
 	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
 	RippleFolds    int   // folds that kept the index
 	RebuildFolds   int   // folds that dropped it
@@ -117,7 +114,6 @@ type counters struct {
 	indexLookups  atomic.Int64
 	tuplesMoved   atomic.Int64
 	tuplesTouched atomic.Int64
-	fusions       atomic.Int64
 	rippleFolds   atomic.Int64
 	rebuildFolds  atomic.Int64
 	cutsShifted   atomic.Int64
@@ -135,7 +131,6 @@ func (s *counters) snapshot() Stats {
 		IndexLookups:  int(s.indexLookups.Load()),
 		TuplesMoved:   s.tuplesMoved.Load(),
 		TuplesTouched: s.tuplesTouched.Load(),
-		Fusions:       int(s.fusions.Load()),
 		RippleFolds:   int(s.rippleFolds.Load()),
 		RebuildFolds:  int(s.rebuildFolds.Load()),
 		CutsShifted:   s.cutsShifted.Load(),
@@ -147,40 +142,8 @@ func (s *counters) snapshot() Stats {
 	return st
 }
 
-func (s *counters) reset() {
-	s.queries.Store(0)
-	s.cracks.Store(0)
-	s.auxCracks.Store(0)
-	s.indexLookups.Store(0)
-	s.tuplesMoved.Store(0)
-	s.tuplesTouched.Store(0)
-	s.fusions.Store(0)
-	s.rippleFolds.Store(0)
-	s.rebuildFolds.Store(0)
-	s.cutsShifted.Store(0)
-	s.paysDropped.Store(0)
-	s.folded.Store(0)
-	s.granulesDirtied.Store(0)
-}
-
 // Option configures a Column.
 type Option func(*Column)
-
-// WithMaxPieces bounds the cracker index size; when exceeded, adjacent
-// pieces are fused (paper §3.2: "fusion of pieces becomes a necessity").
-func WithMaxPieces(n int) Option {
-	return func(c *Column) { c.maxPieces = n }
-}
-
-// WithMinPieceSize sets the cracking cut-off granularity (paper §3.4.2:
-// "possible cut-off points to consider are the disk-blocks, being the
-// slowest granularity in the system"). Pieces smaller than n are still
-// partitioned to answer a query — the answer stays a contiguous view —
-// but the new cut is not registered, so the index stops refining below
-// the granule size.
-func WithMinPieceSize(n int) Option {
-	return func(c *Column) { c.minPieceSize = n }
-}
 
 // NewColumn builds a cracker column from a raw value vector. The i-th
 // value receives OID i. The vector is copied: the base table stays
@@ -237,9 +200,6 @@ func (c *Column) Stats() Stats { return c.stats.snapshot() }
 // touchTuples charges n inspected tuples to the work counters — the
 // method value strategy consultations receive as their touch callback.
 func (c *Column) touchTuples(n int64) { c.stats.tuplesTouched.Add(n) }
-
-// ResetStats zeroes the counters.
-func (c *Column) ResetStats() { c.stats.reset() }
 
 // Lineage returns the lineage DAG (rendered by Store.Lineage), brought up
 // to date with every crack registered so far.
@@ -341,7 +301,7 @@ func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int
 // first tried under the read lock: when the column has no pending
 // updates and both cuts are already registered, nothing needs to move
 // and concurrent lookups proceed in parallel. Only a query that must
-// fold, crack or fuse escalates to the write lock (crackLocked). use
+// fold or crack escalates to the write lock (crackLocked). use
 // receives the answer window while the lock that makes it valid is still
 // held — under MDD1R nothing else keeps it valid — and must not take
 // c.mu.
@@ -381,8 +341,8 @@ func (c *Column) answer(low, high int64, lowIncl, highIncl, write bool, use func
 	return true
 }
 
-// crackLocked answers one range under the write lock — fold, cracks and
-// fusion, all in selectLocked — and, instrumented, observes the hold and
+// crackLocked answers one range under the write lock — fold and cracks,
+// both in selectLocked — and, instrumented, observes the hold and
 // records its CrackEvent. Cracking is observed sampled or not: write
 // holds are microseconds, the timing is noise there.
 func (c *Column) crackLocked(in *Instr, low, high int64, lowIncl, highIncl bool) View {
@@ -569,10 +529,9 @@ func (c *Column) cut(val int64, incl bool) int {
 }
 
 // cutRaw partitions the piece containing (val, incl) at that cut and
-// returns the split position. With register (and above the cut-off
-// granularity) the cut is remembered in the cracker index; otherwise the
-// partition only answers the current query — the MDD1R discipline, and
-// the same path WithMinPieceSize uses below the granule size.
+// returns the split position. With register the cut is remembered in
+// the cracker index; otherwise the partition only answers the current
+// query — the MDD1R discipline.
 func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 	lo, hi := c.pieceBounds(val, incl)
 	var m int
@@ -587,17 +546,15 @@ func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 	} else {
 		m = c.crackInTwo(lo, hi, val, incl)
 	}
-	if !register || hi-lo < c.minPieceSize {
-		// Below the cut-off granularity (or an unregistered strategy
-		// cut): the partition answered the query but the cut is not
-		// remembered.
+	if !register {
+		// An unregistered strategy cut: the partition answered the
+		// query but the cut is not remembered.
 		return m
 	}
 	c.idx.Insert(val, incl, m)
 	if c.lin != nil { // a stale lineage re-roots from the index, which has the cut
 		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val, incl: incl})
 	}
-	c.fuseLocked()
 	return m
 }
 
@@ -722,8 +679,8 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 		c.stats.tuplesTouched.Add(int64(hi - lo))
 		c.stats.tuplesMoved.Add(moved)
 	}
-	if hi-lo < c.minPieceSize || (!regLo && !regHi) {
-		return m1, m2 // below the cut-off granularity (or advised not to): answer, don't index
+	if !regLo && !regHi {
+		return m1, m2 // advised not to: answer, don't index
 	}
 	if regLo {
 		c.idx.Insert(loVal, loIncl, m1)
@@ -743,41 +700,7 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 	if c.lin != nil {
 		c.lin.log = append(c.lin.log, x)
 	}
-	c.fuseLocked()
 	return m1, m2
-}
-
-// fuseLocked enforces MaxPieces by repeatedly removing the cut whose
-// removal produces the smallest merged piece — trading index size for
-// coarser pieces, exactly the resource-management compromise §3.2 calls
-// for. Data never moves during fusion.
-func (c *Column) fuseLocked() {
-	if c.maxPieces <= 0 {
-		return
-	}
-	for c.idx.Len()+1 > c.maxPieces {
-		cuts := c.idx.Cuts()
-		if len(cuts) == 0 {
-			return
-		}
-		bestI, bestSize := -1, math.MaxInt
-		for i := range cuts {
-			lo := 0
-			if i > 0 {
-				lo = cuts[i-1].Pos
-			}
-			hi := len(c.vals)
-			if i+1 < len(cuts) {
-				hi = cuts[i+1].Pos
-			}
-			if merged := hi - lo; merged < bestSize {
-				bestSize = merged
-				bestI = i
-			}
-		}
-		c.idx.Delete(cuts[bestI].Val, cuts[bestI].Incl)
-		c.stats.fusions.Add(1)
-	}
 }
 
 // Insert queues a new value; it becomes visible to the next query, when

@@ -223,8 +223,7 @@ type Group struct {
 // returns one piece per distinct value — "an n-way partitioning based on
 // singleton values" (§3.1). The column ends up fully sorted (value
 // clustering subsumes ordering for integer domains), so all subsequent
-// cuts are binary searches. Cuts between groups are registered up to the
-// column's MaxPieces budget.
+// cuts are binary searches. Every cut between groups is registered.
 func GroupCrack(c *Column) []Group {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -237,7 +236,7 @@ func GroupCrack(c *Column) []Group {
 		v := c.vals[lo]
 		hi := lo + sort.Search(n-lo, func(i int) bool { return c.vals[lo+i] > v })
 		groups = append(groups, Group{Value: v, View: View{col: c, Lo: lo, Hi: hi}})
-		if lo > 0 && (c.maxPieces <= 0 || c.idx.Len()+1 < c.maxPieces) {
+		if lo > 0 {
 			c.idx.Insert(v, false, lo)
 		}
 		lo = hi

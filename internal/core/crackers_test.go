@@ -183,21 +183,6 @@ func TestGroupCrackAfterSelection(t *testing.T) {
 	}
 }
 
-func TestGroupCrackRespectsMaxPieces(t *testing.T) {
-	vals := make([]int64, 100)
-	for i := range vals {
-		vals[i] = int64(i) // 100 distinct groups
-	}
-	c := NewColumn("g", vals, WithMaxPieces(10))
-	groups := GroupCrack(c)
-	if len(groups) != 100 {
-		t.Fatalf("groups = %d, want 100", len(groups))
-	}
-	if c.Pieces() > 10 {
-		t.Fatalf("index registered %d pieces, budget 10", c.Pieces())
-	}
-}
-
 func equalInts(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false

@@ -16,7 +16,7 @@ import (
 // drives three columns — fold pinned to ripple, pinned to rebuild, and
 // left to the write count — beside a map model. Every column carries two
 // sideways payload vectors whose values are functions of the OID, and
-// after every crack, fold, compaction, fusion and strategy flip each must
+// after every crack, fold, compaction and strategy flip each must
 // still hold its function of the OID beside it. TestFoldOracle feeds the
 // stream from a seeded generator, FuzzFold from the fuzzer's bytes.
 
@@ -82,7 +82,7 @@ type foldHarness struct {
 // and above it, and selects reach past both ends.
 const foldDomain = 1000
 
-func newFoldHarness(t testing.TB, base []int64, stratName string, opts ...core.Option) *foldHarness {
+func newFoldHarness(t testing.TB, base []int64, stratName string) *foldHarness {
 	h := &foldHarness{t: t, model: make(map[bat.OID]int64, len(base)), next: bat.OID(len(base)),
 		pays: make(map[string]func(bat.OID) int64)}
 	for i, v := range base {
@@ -90,8 +90,7 @@ func newFoldHarness(t testing.TB, base []int64, stratName string, opts ...core.O
 		h.live = append(h.live, bat.OID(i))
 	}
 	for i, fold := range []core.Option{core.WithFold(core.FoldRipple), core.WithFold(core.FoldRebuild), core.WithFold(core.FoldByCost)} {
-		colOpts := append([]core.Option{fold, core.WithStrategy(foldStrategy(stratName))}, opts...)
-		h.cols[i] = core.NewColumn(fmt.Sprintf("c%d", i), base, colOpts...)
+		h.cols[i] = core.NewColumn(fmt.Sprintf("c%d", i), base, fold, core.WithStrategy(foldStrategy(stratName)))
 		h.attach(h.cols[i], "f")
 		h.images[i], _ = h.cols[i].TakeState(true)
 	}
@@ -338,30 +337,20 @@ func (h *foldHarness) selectAndCheck(src *opSource) {
 }
 
 func TestFoldOracle(t *testing.T) {
-	variants := []struct {
-		name string
-		opts []core.Option
-	}{
-		{"plain", nil},
-		{"maxpieces", []core.Option{core.WithMaxPieces(8)}},
-		{"minpiece", []core.Option{core.WithMinPieceSize(16)}},
-	}
 	for _, stratName := range strategy.Names() {
-		for _, v := range variants {
-			t.Run(stratName+"/"+v.name, func(t *testing.T) {
-				for seed := int64(1); seed <= 6; seed++ {
-					rng := rand.New(rand.NewSource(seed))
-					ops := make([]byte, 1200)
-					rng.Read(ops)
-					newFoldHarness(t, randomBase(100+rng.Intn(400), seed), stratName, v.opts...).run(&opSource{b: ops})
-				}
-			})
-		}
+		t.Run(stratName+"/plain", func(t *testing.T) {
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				ops := make([]byte, 1200)
+				rng.Read(ops)
+				newFoldHarness(t, randomBase(100+rng.Intn(400), seed), stratName).run(&opSource{b: ops})
+			}
+		})
 	}
 }
 
 // FuzzFold: bytes → op stream, invariants of TestFoldOracle. The first
-// byte picks the crack strategy and the column options. The hand-built
+// byte picks only the crack strategy and the base size. The hand-built
 // seeds (twin cuts, a batch larger than the column, every kind of
 // delete, appends past a parked cut) are under testdata/fuzz/FuzzFold.
 func FuzzFold(f *testing.F) {
@@ -376,14 +365,7 @@ func FuzzFold(f *testing.F) {
 		if len(ops) == 0 || len(ops) > 4096 {
 			return
 		}
-		var opts []core.Option
-		switch ops[0] / 8 % 3 {
-		case 1:
-			opts = append(opts, core.WithMaxPieces(8))
-		case 2:
-			opts = append(opts, core.WithMinPieceSize(16))
-		}
 		base := randomBase(50+int(ops[0])*2, int64(ops[0]))
-		newFoldHarness(t, base, names[int(ops[0])%len(names)], opts...).run(&opSource{b: ops[1:]})
+		newFoldHarness(t, base, names[int(ops[0])%len(names)]).run(&opSource{b: ops[1:]})
 	})
 }

@@ -12,9 +12,8 @@
 //   - ^ (join cracking): JoinCrack,
 //   - Ω (group cracking): GroupCrack,
 //
-// plus the lineage administration of §3.2 (Figures 5 and 6), piece fusion
-// when the index outgrows its budget, and a pending-update extension for
-// the volatility question §7 leaves open.
+// plus the lineage administration of §3.2 (Figures 5 and 6) and a
+// pending-update extension for the volatility question §7 leaves open.
 package core
 
 import (
@@ -250,7 +249,8 @@ func (ix *Index) split(li int) {
 	ix.topV, ix.topI = slices.Insert(ix.topV, li+1, r.vals[0]), slices.Insert(ix.topI, li+1, r.incl[0])
 }
 
-// Delete removes a cut (piece fusion). It reports whether the key existed.
+// Delete removes a cut (a semijoin drops the cuts inside the piece it
+// splits). It reports whether the key existed.
 func (ix *Index) Delete(val int64, incl bool) bool {
 	li, j := ix.locate(val, incl)
 	if j == 0 {

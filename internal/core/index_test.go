@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"crackdb/internal/bat"
 )
 
 // check asserts the layout invariants of the leaves under ix: no leaf is
@@ -328,78 +326,6 @@ func FuzzIndex(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestIndexUnderFusion cracks a column whose MaxPieces keeps fusing
-// pieces away, with inserts and deletes folding in between. Queries
-// crowd a hot spot that moves every 300 steps, so fuseLocked drains the
-// leaves of the old one and they merge. Every count is checked
-// against a sorted slice of the live values, and the index against the
-// data and its leaf invariants after every step.
-func TestIndexUnderFusion(t *testing.T) {
-	const n, domain = 30_000, 10_000
-	rng := rand.New(rand.NewSource(7))
-	vals, oids := make([]int64, n), make([]bat.OID, n) // oids: the live tuples
-	live := make(map[bat.OID]int64, n)
-	for i := range vals {
-		vals[i], oids[i] = rng.Int63n(domain), bat.OID(i)
-		live[oids[i]] = vals[i]
-	}
-	c := NewColumn("c", vals, WithMaxPieces(300))
-	model := slices.Clone(vals) // the live values, ascending
-	slices.Sort(model)
-	merged, hot := false, int64(0)
-	for step := 0; step < 3000; step++ {
-		if step%10 == 9 {
-			v := rng.Int63n(domain)
-			oids = append(oids, c.Insert(v))
-			live[oids[len(oids)-1]] = v
-			i, _ := slices.BinarySearch(model, v)
-			model = slices.Insert(model, i, v)
-
-			k := rng.Intn(len(oids))
-			o := oids[k]
-			oids[k] = oids[len(oids)-1]
-			oids = oids[:len(oids)-1]
-			if !c.Delete(o) {
-				t.Fatalf("step %d: Delete(%d) failed", step, o)
-			}
-			i, _ = slices.BinarySearch(model, live[o])
-			model = slices.Delete(model, i, i+1)
-			delete(live, o)
-		}
-		leaves := len(c.idx.leaves)
-		if step%300 == 0 { // the hot spot moves: fusion drains the old one's cuts
-			hot = rng.Int63n(domain - domain/20)
-		}
-		lo := hot + rng.Int63n(domain/20)
-		hi := lo + rng.Int63n(50)
-		loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
-		from, _ := slices.BinarySearch(model, lo)
-		if !loIncl {
-			from, _ = slices.BinarySearch(model, lo+1)
-		}
-		to, _ := slices.BinarySearch(model, hi)
-		if hiIncl {
-			to, _ = slices.BinarySearch(model, hi+1)
-		}
-		if got, want := c.Count(lo, hi, loIncl, hiIncl), max(to-from, 0); got != want {
-			t.Fatalf("step %d: Count(%d, %d, %v, %v) = %d, want %d", step, lo, hi, loIncl, hiIncl, got, want)
-		}
-		if err := c.idx.check(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err := c.Verify(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if c.idx.Len() >= 300 {
-			t.Fatalf("step %d: %d cuts under MaxPieces 300", step, c.idx.Len())
-		}
-		merged = merged || len(c.idx.leaves) < leaves
-	}
-	if st := c.Stats(); st.Fusions == 0 || !merged {
-		t.Fatalf("%d fusions, leaves merged: %v; the stream never drained a leaf", st.Fusions, merged)
-	}
 }
 
 // BenchmarkIndexFind probes four indexes of 37 k cuts each, built by

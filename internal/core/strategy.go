@@ -169,13 +169,6 @@ func (c *Column) adviseLocked(val int64, incl bool) bool {
 	c.touched = true // a consultation may draw from the strategy's RNG
 	for depth := 0; depth < maxAuxCracksPerCut; depth++ {
 		lo, hi := c.pieceBounds(val, incl)
-		if hi-lo < c.minPieceSize {
-			// Below the column's cut-off granularity no cut — auxiliary
-			// or query — can register, so consulting the strategy could
-			// only buy wasted partition passes. Standard cut-off
-			// semantics apply.
-			return true
-		}
 		plan := c.strategy.AdviseCut(PieceContext{
 			Lo: lo, Hi: hi, N: len(c.vals), Val: val, Incl: incl, Depth: depth,
 			vals: c.vals, touch: c.touchTuples,

@@ -436,7 +436,6 @@ func (ct *CrackedTable) Stats() Stats {
 		total.IndexLookups += s.IndexLookups
 		total.TuplesMoved += s.TuplesMoved
 		total.TuplesTouched += s.TuplesTouched
-		total.Fusions += s.Fusions
 		total.Consolidations += s.Consolidations
 	}
 	return total

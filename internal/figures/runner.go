@@ -188,7 +188,6 @@ func workSince(cur, prev crackdb.ColumnStats) crackdb.ColumnStats {
 	cur.IndexLookups -= prev.IndexLookups
 	cur.TuplesMoved -= prev.TuplesMoved
 	cur.TuplesTouched -= prev.TuplesTouched
-	cur.Fusions -= prev.Fusions
 	cur.Consolidations -= prev.Consolidations
 	cur.RippleFolds -= prev.RippleFolds
 	cur.RebuildFolds -= prev.RebuildFolds

@@ -27,19 +27,38 @@ type subBatch struct {
 // can hold qualifying keys; ranges on any other column visit every
 // shard. Empty ranges (Low > High) are routed nowhere — their answer is
 // zero tuples on every shard — so col is checked here, not by a shard.
+// A first pass counts each shard's share, so the sub-batches are cut
+// from one exactly sized array of ranges and one of indices.
 func (s *Store) routeBatch(table string, m *tableMeta, part partitioner, col string, ranges []crackdb.Range) ([]subBatch, error) {
 	if err := m.hasColumn(table, col); err != nil {
 		return nil, err
 	}
-	sub := make([]subBatch, len(s.shards))
-	for i, r := range ranges {
+	span := func(r crackdb.Range) (first, last int) {
 		if r.Low > r.High {
-			continue
+			return 0, -1
 		}
-		first, last := 0, len(s.shards)-1
 		if col == m.key {
-			first, last = part.span(r.Low, r.High)
+			return part.span(r.Low, r.High)
 		}
+		return 0, len(s.shards) - 1
+	}
+	share := make([]int, len(s.shards))
+	total := 0
+	for _, r := range ranges {
+		first, last := span(r)
+		for t := first; t <= last; t++ {
+			share[t]++
+		}
+		total += last - first + 1
+	}
+	sub := make([]subBatch, len(s.shards))
+	rs, idx := make([]crackdb.Range, total), make([]int, total)
+	for t, n := range share {
+		sub[t].ranges, sub[t].idx = rs[:0:n], idx[:0:n]
+		rs, idx = rs[n:], idx[n:]
+	}
+	for i, r := range ranges {
+		first, last := span(r)
 		for t := first; t <= last; t++ {
 			sub[t].ranges = append(sub[t].ranges, r)
 			sub[t].idx = append(sub[t].idx, i)

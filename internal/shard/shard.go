@@ -727,9 +727,18 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	if err != nil {
 		return err
 	}
+	// One n × arity array backs every row: the shards copy the cells
+	// they append, so the headers live only as long as the insert.
+	arity := len(cols)
+	cells := make([]int64, n*arity)
+	for j, c := range cols {
+		for i, v := range t.MustColumn(c).Ints() {
+			cells[i*arity+j] = v
+		}
+	}
 	rows := make([][]int64, n)
 	for i := range rows {
-		rows[i] = t.Row(i)
+		rows[i] = cells[i*arity : (i+1)*arity : (i+1)*arity]
 	}
 	return s.insertRowsWALHeld(name, rows, false)
 }

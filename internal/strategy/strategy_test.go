@@ -203,42 +203,6 @@ func TestNeComplementUnderStrategies(t *testing.T) {
 	}
 }
 
-// Strategies must compose with the column's cut-off granularity: below
-// WithMinPieceSize no cut can register, so consultation must not burn
-// partition passes on auxiliary pivots that would be dropped.
-func TestStrategySkipsBelowCutOff(t *testing.T) {
-	for _, name := range []string{"ddc", "ddr", "mdd1r"} {
-		t.Run(name, func(t *testing.T) {
-			s, err := strategy.New(name, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := randomVals(4000, 6) // whole column below the 8192 cut-off
-			col := core.NewColumn("a", base,
-				core.WithMinPieceSize(8192), core.WithStrategy(s))
-			for q := int64(0); q < 10; q++ {
-				got := col.Select(q*300, q*300+500, true, false).Len()
-				want := 0
-				for _, v := range base {
-					if v >= q*300 && v < q*300+500 {
-						want++
-					}
-				}
-				if got != want {
-					t.Fatalf("query %d: got %d, want %d", q, got, want)
-				}
-			}
-			st := col.Stats()
-			if st.AuxCracks != 0 {
-				t.Fatalf("%d aux cracks below the cut-off granularity", st.AuxCracks)
-			}
-			if pieces := col.Pieces(); pieces != 1 {
-				t.Fatalf("%d pieces registered below the cut-off granularity", pieces)
-			}
-		})
-	}
-}
-
 // Repeating the same query under standard cracking converges to zero
 // movement; under the stochastic strategies it must stay bounded by the
 // minPiece granule (DDC/DDR also converge — their query cuts register).

@@ -72,7 +72,6 @@ func (s *Store) collect(e *obs.Exporter) {
 			e.Counter("crackdb_index_lookups_total", "Cut lookups answered from the cracker index.", int64(cs.IndexLookups), lt, lc)
 			e.Counter("crackdb_tuples_touched_total", "Elements inspected during crack partitioning.", cs.TuplesTouched, lt, lc)
 			e.Counter("crackdb_tuples_moved_total", "Element writes during crack partitioning.", cs.TuplesMoved, lt, lc)
-			e.Counter("crackdb_fusions_total", "Cuts removed under the MaxPieces budget.", int64(cs.Fusions), lt, lc)
 			const foldsHelp = "Pending-update folds per column, by what they did with the cracker index."
 			e.Counter("crackdb_folds_total", foldsHelp, int64(cs.RippleFolds), lt, lc, obs.L("kind", "ripple"))
 			e.Counter("crackdb_folds_total", foldsHelp, int64(cs.RebuildFolds), lt, lc, obs.L("kind", "rebuild"))

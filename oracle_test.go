@@ -93,8 +93,8 @@ func TestFetchOracle(t *testing.T) {
 // with misses that crack answer the model and match a twin counting the
 // same ranges one by one — count for count and, after every batch, in
 // every counter, piece count and strategy of the table's cracker
-// columns — with and without fusion, with inserts pending between
-// batches, and with the tuner flipping strategies on both stores. The
+// columns — with inserts pending between batches, and with the tuner
+// flipping strategies on both stores. The
 // sideways cells also fetch rows through payload vectors, which every
 // crack of a batch must carry along. Seed 4524's stream sends inverted
 // ranges, empty batches and an unknown column on every pattern, and a
@@ -105,33 +105,26 @@ func TestSelectBatchOracle(t *testing.T) {
 	for _, strat := range strategy.Names() {
 		for _, sideways := range []bool{false, true} {
 			for _, pat := range workload.Patterns() {
-				for _, maxPieces := range []int{0, 24} {
-					name := fmt.Sprintf("%s/%s/sideways=%v", strat, pat, sideways)
-					if maxPieces > 0 {
-						name += fmt.Sprintf("/maxpieces=%d", maxPieces)
+				t.Run(fmt.Sprintf("%s/%s/sideways=%v", strat, pat, sideways), func(t *testing.T) {
+					mk := func() *oracle.Backend {
+						s := storeWith(t, strat, 99)
+						if !sideways {
+							s.SetSidewaysBudget(0)
+						}
+						return oracle.Single(s)
 					}
-					t.Run(name, func(t *testing.T) {
-						mk := func() *oracle.Backend {
-							s := storeWith(t, strat, 99)
-							s.SetMaxPieces(maxPieces)
-							if !sideways {
-								s.SetSidewaysBudget(0)
-							}
-							return oracle.Single(s)
-						}
-						mix := oracle.Mix{oracle.CountBatch: 6, oracle.Insert: 1}
-						if sideways {
-							mix[oracle.Fetch] = 1
-						}
-						batched := mk()
-						oracle.Run(t, oracle.New(oracle.Config{Seed: 4524, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
-							Selectivity: 0.02, MaxBatch: 25, Mix: mix}),
-							nil, oracle.Ordered{Batched: batched, Twin: mk()}, mk())
-						if st := batched.Store.SidewaysStats(); sideways && st.Builds == 0 || !sideways && st.Projections != 0 {
-							t.Fatalf("sideways=%v, yet %+v", sideways, st)
-						}
-					})
-				}
+					mix := oracle.Mix{oracle.CountBatch: 6, oracle.Insert: 1}
+					if sideways {
+						mix[oracle.Fetch] = 1
+					}
+					batched := mk()
+					oracle.Run(t, oracle.New(oracle.Config{Seed: 4524, Ops: 30, Load: 2000, Domain: 2000, Pattern: pat, Bad: 5,
+						Selectivity: 0.02, MaxBatch: 25, Mix: mix}),
+						nil, oracle.Ordered{Batched: batched, Twin: mk()}, mk())
+					if st := batched.Store.SidewaysStats(); sideways && st.Builds == 0 || !sideways && st.Projections != 0 {
+						t.Fatalf("sideways=%v, yet %+v", sideways, st)
+					}
+				})
 			}
 		}
 	}

@@ -12,7 +12,7 @@ func TestStoreSurface(t *testing.T) {
 		typ reflect.Type
 		max int
 	}{
-		{reflect.TypeFor[*Store](), 34},
+		{reflect.TypeFor[*Store](), 33},
 	} {
 		if n := tc.typ.NumMethod(); n > tc.max {
 			names := make([]string, n)
