@@ -253,7 +253,27 @@ func (s *Store) InsertRows(name string, rows [][]int64) error {
 			return fmt.Errorf("crackdb: row %d arity %d, table %q has %d", i, len(r), name, arity)
 		}
 	}
-	if err := t.AppendRows(rows); err != nil {
+	return appendLocked(t, core.Transpose(rows, arity))
+}
+
+// InsertColumns appends a batch held as columns — cols[j] holds the new
+// values of the table's j-th column, every vector of one length — with
+// one append per column: InsertRows without the transposition, for a
+// caller that already holds its batch by column (the shard router). The
+// store copies the vectors.
+func (s *Store) InsertColumns(name string, cols [][]int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.tables[name]
+	if !ok {
+		return fmt.Errorf("crackdb: table %q does not exist", name)
+	}
+	return appendLocked(t, cols)
+}
+
+// appendLocked appends a columnar batch to t. The caller holds s.mu.
+func appendLocked(t *table, cols [][]int64) error {
+	if err := t.AppendColumns(cols); err != nil {
 		return fmt.Errorf("crackdb: %w", err)
 	}
 	return nil

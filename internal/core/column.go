@@ -706,7 +706,7 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 // Insert queues a new value; it becomes visible to the next query, when
 // pending updates are consolidated into the cracker store. It returns
 // the OID assigned to the new tuple. The value arrives without the rest
-// of its row, so payload vectors are dropped (CrackedTable.AppendRows
+// of its row, so payload vectors are dropped (CrackedTable.AppendColumns
 // inserts through appendRows, which keeps them).
 func (c *Column) Insert(val int64) bat.OID {
 	c.mu.Lock()

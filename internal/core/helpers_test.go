@@ -74,7 +74,7 @@ func AttachPayloadFunc(c *Column, attr string, f func(bat.OID) int64) error {
 	return err
 }
 
-// InsertRow queues one insert the way CrackedTable.AppendRows does, its
+// InsertRow queues one insert the way CrackedTable.AppendColumns does, its
 // payload values computed by fs[attr] from the OID it is about to get.
 func InsertRow(c *Column, val int64, fs map[string]func(bat.OID) int64) bat.OID {
 	oid := c.nextOID // the harness is the column's only writer

@@ -25,7 +25,7 @@ type CrackedTable struct {
 
 	// baseMu guards the base relation: queries read it concurrently
 	// (attribute fetches, post-filtering, cracker-column creation) while
-	// AppendRows extends it exclusively. Lock order: mu before baseMu.
+	// AppendColumns extends it exclusively. Lock order: mu before baseMu.
 	baseMu sync.RWMutex
 
 	// tomb (guarded by baseMu) is the table-level tombstone set. Deleted
@@ -62,7 +62,7 @@ func NewCrackedTable(t *relation.Table, opts ...Option) *CrackedTable {
 }
 
 // Base returns the underlying relation. Callers must not mutate it while
-// queries run; use AppendRows for growth.
+// queries run; use AppendColumns for growth.
 func (ct *CrackedTable) Base() *relation.Table { return ct.base }
 
 // baseLen reads the base cardinality under the read lock.
@@ -318,24 +318,33 @@ func (ct *CrackedTable) AttachPayload(key, attr string, stamp uint64) (built boo
 	return c.attachPayload(attr, b.Ints(), stamp)
 }
 
-// AppendRows extends the base relation and queues the new values as
-// pending inserts on every existing cracker column, preserving OID
-// alignment (a column's next OID equals the base length at its creation,
-// and every append is forwarded exactly once). Columns created later see
-// the grown base directly. Each column's payload vectors receive their
-// attributes' values of the new rows in the same call, so the fold never
-// has to read the base. Appends exclude concurrent readers of the base
+// AppendColumns extends the base relation by a batch held as columns —
+// cols[j] holds the new values of the table's j-th attribute, every
+// vector of one length — with one append per base column, and queues the
+// new values as pending inserts on every existing cracker column,
+// preserving OID alignment (a column's next OID equals the base length
+// at its creation, and every append is forwarded exactly once). Columns
+// created later see the grown base directly. Each column's payload
+// vectors receive their attributes' values of the new rows in the same
+// call, so the fold never has to read the base. The vectors are copied:
+// the caller keeps them. Appends exclude concurrent readers of the base
 // table; cracker columns synchronize on their own mutexes.
-func (ct *CrackedTable) AppendRows(rows [][]int64) error {
+func (ct *CrackedTable) AppendColumns(cols [][]int64) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.baseMu.Lock()
 	defer ct.baseMu.Unlock()
-	fromLen := ct.base.Len()
-	for i, r := range rows {
-		if err := ct.base.AppendRow(r...); err != nil {
-			return fmt.Errorf("core: append row %d: %w", i, err)
+	if len(cols) != ct.base.Arity() {
+		return fmt.Errorf("core: batch of %d columns, table %q has %d", len(cols), ct.base.Name, ct.base.Arity())
+	}
+	for j, c := range cols {
+		if len(c) != len(cols[0]) {
+			return fmt.Errorf("core: batch column %d has %d values, column 0 has %d", j, len(c), len(cols[0]))
 		}
+	}
+	fromLen := ct.base.Len()
+	for j, c := range ct.base.Cols {
+		c.Data.AppendInts(cols[j]...)
 	}
 	tail := func(attr string) []int64 {
 		b, _ := ct.base.Column(attr) // a cracked or payload attribute is a base column
@@ -345,6 +354,23 @@ func (ct *CrackedTable) AppendRows(rows [][]int64) error {
 		col.appendRows(tail(attr), tail)
 	}
 	return nil
+}
+
+// Transpose turns a batch of rows of the given arity into the columns
+// AppendColumns takes, all backed by one block. The caller has checked
+// every row's arity.
+func Transpose(rows [][]int64, arity int) [][]int64 {
+	n := len(rows)
+	block := make([]int64, n*arity)
+	cols := make([][]int64, arity)
+	for j := range cols {
+		col := block[j*n : (j+1)*n : (j+1)*n]
+		for i, r := range rows {
+			col[i] = r[j]
+		}
+		cols[j] = col
+	}
+	return cols
 }
 
 // DeleteOIDs tombstones the given tuples: each OID is recorded in the

@@ -3,6 +3,8 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+
+	"crackdb/internal/bat"
 )
 
 // Tapestry builds the DBtapestry table: N rows and α columns where each
@@ -10,15 +12,13 @@ import (
 // column starts from a small seed permutation, replicates it to the
 // required size, and is then shuffled into a random distribution.
 func Tapestry(n, alpha int, seed int64) *Table {
-	cols := make([]string, alpha)
-	for i := range cols {
-		cols[i] = fmt.Sprintf("c%d", i)
-	}
-	t := New("tapestry", cols...)
+	cols := make([]Column, alpha)
 	rng := rand.New(rand.NewSource(seed))
-	for ci := 0; ci < alpha; ci++ {
-		t.MustColumn(cols[ci]).AppendInts(tapestryColumn(n, rng)...)
+	for ci := range cols {
+		name := fmt.Sprintf("c%d", ci)
+		cols[ci] = Column{Name: name, Data: bat.FromInts("tapestry_"+name, tapestryColumn(n, rng))}
 	}
+	t, _ := FromColumns("tapestry", cols...) // distinct names, equal lengths
 	return t
 }
 
@@ -33,37 +33,16 @@ func tapestryColumn(n int, rng *rand.Rand) []int64 {
 	}
 	seedPerm := rng.Perm(base)
 
+	// Replicate the seed across blocks: block b holds the values
+	// b*base+seedPerm[...]+1 that do not exceed n, so blocks
+	// 0..ceil(n/base)-1 place every value of 1..n exactly once.
 	vals := make([]int64, n)
-	// Replicate the seed across blocks: block b holds values
-	// b*base+seedPerm[...]+1, giving a full permutation of 1..n once the
-	// remainder is filled in.
-	i := 0
-	for block := 0; i < n; block++ {
+	for i, block := 0, 0; i < n; block++ {
 		for _, p := range seedPerm {
-			v := int64(block*base + p + 1)
-			if v > int64(n) {
-				continue
-			}
-			if i < n {
-				vals[i] = v
+			if v := block*base + p + 1; v <= n {
+				vals[i] = int64(v)
 				i++
 			}
-		}
-		if block*base > n { // safety: remainder handled below
-			break
-		}
-	}
-	// Fill any positions the block scheme missed (remainder values).
-	used := make([]bool, n+1)
-	for _, v := range vals[:i] {
-		if v >= 1 && v <= int64(n) {
-			used[v] = true
-		}
-	}
-	for v := int64(1); v <= int64(n) && i < n; v++ {
-		if !used[v] {
-			vals[i] = v
-			i++
 		}
 	}
 	// Final shuffle for a random distribution of tuples.

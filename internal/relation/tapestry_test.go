@@ -54,7 +54,27 @@ func TestTapestryDeterministicPerSeed(t *testing.T) {
 // record stores only (n, alpha, seed), so on-disk logs replay to the
 // same rows only while Tapestry keeps producing these exact values.
 func TestTapestryGolden(t *testing.T) {
-	tbl := Tapestry(1000, 2, 42)
+	const want = 0x486cc146
+	if got := tapestrySum(Tapestry(1000, 2, 42)); got != want {
+		t.Fatalf("Tapestry(1000, 2, 42) checksum %#08x, want %#08x — the generator changed; existing WALs would replay different rows", got, want)
+	}
+	// Around the 16-value seed block: less than one block, exactly one,
+	// one value past it. Each column after the first draws its seed
+	// permutation from the shared rng after the previous column's
+	// shuffle, so α = 3 pins that order too.
+	for _, g := range []struct {
+		n    int
+		want uint32
+	}{{1, 0x40263e08}, {15, 0xec171fe3}, {16, 0xb76988f6}, {17, 0x49f4aaa1}} {
+		if got := tapestrySum(Tapestry(g.n, 3, 42)); got != g.want {
+			t.Errorf("Tapestry(%d, 3, 42) checksum %#08x, want %#08x — the generator changed; existing WALs would replay different rows", g.n, got, g.want)
+		}
+	}
+}
+
+// tapestrySum is the CRC-32 of a table's values, column by column, each
+// value 8 bytes little-endian.
+func tapestrySum(tbl *Table) uint32 {
 	h := crc32.NewIEEE()
 	var buf [8]byte
 	for _, cn := range tbl.ColumnNames() {
@@ -64,8 +84,5 @@ func TestTapestryGolden(t *testing.T) {
 			h.Write(buf[:])
 		}
 	}
-	const want = 0x486cc146
-	if got := h.Sum32(); got != want {
-		t.Fatalf("Tapestry(1000, 2, 42) checksum %#08x, want %#08x — the generator changed; existing WALs would replay different rows", got, want)
-	}
+	return h.Sum32()
 }

@@ -16,3 +16,18 @@ var (
 	Targets = (*tableMeta).targets
 	Span    = partitioner.span
 )
+
+// TablePartSpec is the routing identity of a table, as a checkpoint
+// manifest records it.
+func TablePartSpec(s *Store, table string) PartSpec {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tables[table].part.spec()
+}
+
+// RouteKey is the shard a table's partitioner sends key to.
+func RouteKey(s *Store, table string, key int64) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tables[table].part.route(key)
+}

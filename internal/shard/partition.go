@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -151,8 +152,8 @@ func sampledBounds(keys []int64, n int) []int64 {
 	if n < 2 || len(keys) < minSampleRows || len(keys) < n {
 		return nil
 	}
-	sorted := append([]int64(nil), keys...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
 	out := make([]int64, 0, n-1)
 	prev := int64(math.MinInt64)
 	havePrev := false

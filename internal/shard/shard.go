@@ -300,28 +300,15 @@ func (s *Store) DropTable(name string) error {
 // shard batches in parallel. Stream order is preserved within each
 // shard, so repeated loads are deterministic. When a WAL is attached the
 // whole batch is logged — and fsynced — before any row is applied, so a
-// batch the caller was acked for survives a crash.
+// batch the caller was acked for survives a crash. The rows are
+// transposed into columns once, after logging; routing and the shards'
+// appends run on the columns (apply).
 func (s *Store) InsertRows(name string, rows [][]int64) error {
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
-	return s.insertRowsWALHeld(name, rows, true)
-}
-
-// insertRowsWALHeld is InsertRows for callers already holding walMu for
-// reading (LoadTapestry inserts the generated rows under the same hold
-// that logged the tapestry record, so a checkpoint cannot land between
-// the two).
-func (s *Store) insertRowsWALHeld(name string, rows [][]int64, logIt bool) error {
-	s.mu.RLock()
-	m, ok := s.tables[name]
-	var part partitioner
-	var seeded bool
-	if ok {
-		part, seeded = m.part, m.seeded
-	}
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("crackdb: table %q does not exist", name)
+	m, _, err := s.meta(name)
+	if err != nil {
+		return err
 	}
 	for i, r := range rows {
 		if len(r) != len(m.cols) {
@@ -331,45 +318,87 @@ func (s *Store) insertRowsWALHeld(name string, rows [][]int64, logIt bool) error
 	if len(rows) == 0 {
 		return nil
 	}
-	if logIt {
-		if err := s.logRecord(durable.Record{Kind: durable.KindInsert, Table: name, Rows: rows}); err != nil {
-			return err
-		}
+	if err := s.logRecord(durable.Record{Kind: durable.KindInsert, Table: name, Rows: rows}); err != nil {
+		return err
 	}
+	return s.apply(name, m, core.Transpose(rows, len(m.cols)))
+}
+
+// apply lands a logged batch held as columns (cols[j] is the batch's
+// values of the table's j-th column). The caller holds walMu for
+// reading, so a checkpoint cannot land between the record and its rows.
+func (s *Store) apply(name string, m *tableMeta, cols [][]int64) error {
+	s.mu.RLock()
+	part, seeded := m.part, m.seeded
+	s.mu.RUnlock()
 	if !seeded {
 		// The first batch is applied under the table-registry lock: it may
 		// replace the even range split with bounds sampled from the data,
 		// and no row must route under bounds that are about to move.
-		return s.firstInsert(name, m, rows)
+		return s.firstInsert(name, m, cols)
 	}
-	return s.routeAndApply(name, part, m.keyIdx, rows)
+	return s.routeAndApply(name, part, m.keyIdx, cols)
 }
 
-// routeAndApply groups the batch by partition key and appends the
-// per-shard groups in parallel.
-func (s *Store) routeAndApply(name string, part partitioner, keyIdx int, rows [][]int64) error {
-	groups := make([][][]int64, len(s.shards))
-	for _, r := range rows {
-		t := part.route(r[keyIdx])
-		groups[t] = append(groups[t], r)
+// routeAndApply routes the batch once by its key column, scatters every
+// column into one exactly sized vector per shard (stream order kept
+// within each shard), and appends the per-shard columns in parallel. A
+// shard that takes the whole batch appends the columns as they are.
+func (s *Store) routeAndApply(name string, part partitioner, keyIdx int, cols [][]int64) error {
+	keys := cols[keyIdx]
+	dest := make([]int32, len(keys))
+	counts := make([]int, len(s.shards))
+	for i, k := range keys {
+		t := part.route(k)
+		dest[i] = int32(t)
+		counts[t]++
+	}
+	if t := dest[0]; counts[t] == len(keys) {
+		s.noteRoutedInserts(int(t), len(keys))
+		return s.shards[t].InsertColumns(name, cols)
+	}
+	parts := make([][][]int64, len(s.shards))
+	for t, c := range counts {
+		if c > 0 {
+			parts[t] = make([][]int64, len(cols))
+			block := make([]int64, c*len(cols))
+			for j := range cols {
+				parts[t][j] = block[j*c : (j+1)*c : (j+1)*c]
+			}
+		}
+	}
+	dst, fill := make([][]int64, len(s.shards)), make([]int, len(s.shards))
+	for j, col := range cols {
+		for t := range dst {
+			if parts[t] != nil {
+				dst[t] = parts[t][j]
+			}
+		}
+		clear(fill)
+		for i, v := range col {
+			t := dest[i]
+			dst[t][fill[t]] = v
+			fill[t]++
+		}
 	}
 	return s.each(func(i int) error {
-		if len(groups[i]) == 0 {
+		if counts[i] == 0 {
 			return nil
 		}
-		s.noteRoutedInserts(i, len(groups[i]))
-		return s.shards[i].InsertRows(name, groups[i])
+		s.noteRoutedInserts(i, counts[i])
+		return s.shards[i].InsertColumns(name, parts[i])
 	})
 }
 
 // firstInsert lands a table's first batch. For range partitioning the
-// batch's keys set the bounds: population quantiles — near-equal shard
-// populations whatever the key distribution — or, for a batch too small
-// (minSampleRows) or too repetitive to sample, an even split of the span
-// its keys cover. Serialized under s.mu so a racing insert cannot route
-// under bounds that are being replaced; per-table this cost is paid
-// exactly once.
-func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
+// batch's key column sets the bounds: population quantiles — near-equal
+// shard populations whatever the key distribution — or, for a batch too
+// small (minSampleRows) or too repetitive to sample, an even split of the
+// span its keys cover. Serialized under s.mu so a racing insert cannot
+// route under bounds that are being replaced; per-table this cost is
+// paid exactly once. A batch that lost the first-batch race routes under
+// the winner's bounds, which are final.
+func (s *Store) firstInsert(name string, m *tableMeta, cols [][]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, stillThere := s.tables[name]; !stillThere {
@@ -378,20 +407,15 @@ func (s *Store) firstInsert(name string, m *tableMeta, rows [][]int64) error {
 	if !m.seeded {
 		m.seeded = true
 		if _, isRange := m.part.(rangePart); isRange {
-			keys := make([]int64, len(rows))
-			for i, r := range rows {
-				keys[i] = r[m.keyIdx]
-			}
+			keys := cols[m.keyIdx]
 			bounds := sampledBounds(keys, len(s.shards))
 			if bounds == nil {
 				bounds = evenBounds(slices.Min(keys), slices.Max(keys), len(s.shards))
 			}
 			m.part = rangePart{bounds: bounds}
 		}
-		return s.routeAndApply(name, m.part, m.keyIdx, rows)
 	}
-	// Lost the first-batch race: the winner's bounds are final.
-	return s.routeAndApply(name, m.part, m.keyIdx, rows)
+	return s.routeAndApply(name, m.part, m.keyIdx, cols)
 }
 
 // gather collects one answer per shard index in [first, last] and
@@ -692,10 +716,13 @@ func (s *Store) ShardStats(table, col string) ([]crackdb.ColumnStats, error) {
 
 // LoadTapestry creates a table with the paper's DBtapestry generator
 // (n rows, alpha shuffled permutation columns c0..c{alpha-1}) and
-// distributes it on c0. Range partitioning uses the known key domain
-// [1, n], so the shards split the permutation evenly. The load is
-// logged as one tapestry record — replay regenerates the rows from
-// (n, alpha, seed) instead of reading n×alpha values back from the log.
+// distributes it on c0: the generated columns are routed once by c0,
+// scattered into one vector per shard and column, and appended by every
+// shard in parallel (routeAndApply) — no row is ever built. Range
+// partitioning samples its bounds from c0, a permutation of [1, n], so
+// the shards split the key domain evenly. The load is logged as one
+// tapestry record — replay regenerates the rows from (n, alpha, seed)
+// instead of reading n×alpha values back from the log.
 func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	if n < 1 || alpha < 1 {
 		return fmt.Errorf("shard: tapestry %dx%d invalid", n, alpha)
@@ -706,7 +733,7 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
 	t := relation.Tapestry(n, alpha, seed)
-	cols := t.ColumnNames()
+	names := t.ColumnNames()
 	part, err := s.partitionerFor(s.opts.Kind)
 	if err != nil {
 		return err
@@ -722,25 +749,17 @@ func (s *Store) LoadTapestry(name string, n, alpha int, seed int64) error {
 		s.mu.Unlock()
 		return err
 	}
-	err = s.createLocked(name, cols[0], 0, part, cols)
+	err = s.createLocked(name, names[0], 0, part, names)
+	m := s.tables[name]
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	// One n × arity array backs every row: the shards copy the cells
-	// they append, so the headers live only as long as the insert.
-	arity := len(cols)
-	cells := make([]int64, n*arity)
-	for j, c := range cols {
-		for i, v := range t.MustColumn(c).Ints() {
-			cells[i*arity+j] = v
-		}
+	cols := make([][]int64, len(t.Cols))
+	for j, c := range t.Cols {
+		cols[j] = c.Data.Ints()
 	}
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = cells[i*arity : (i+1)*arity : (i+1)*arity]
-	}
-	return s.insertRowsWALHeld(name, rows, false)
+	return s.apply(name, m, cols)
 }
 
 // Result is a selection merged across shards. Count is the sum of the

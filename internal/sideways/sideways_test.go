@@ -136,7 +136,7 @@ func TestProjectStaleLengthDeclines(t *testing.T) {
 		t.Fatal("warm-up projection declined")
 	}
 	// Append a row inside the range behind the caller's back.
-	if err := ct.AppendRows([][]int64{{200, 7, 7}}); err != nil {
+	if err := ct.AppendColumns([][]int64{{200}, {7}, {7}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := g.Project(ct, r, attrs, sel); ok {
@@ -274,7 +274,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("query %d declined", q)
 		}
 	}
-	if err := ct.AppendRows([][]int64{{42, 1, 2}, {9_999, 3, 4}}); err != nil { // pending, with payload values
+	if err := ct.AppendColumns([][]int64{{42, 9_999}, {1, 3}, {2, 4}}); err != nil { // pending, with payload values
 		t.Fatal(err)
 	}
 	col, _ := ct.Column("k")
@@ -369,7 +369,7 @@ func TestConcurrentProjectObserve(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			k := int64(i * 13 % 10_000)
-			if err := ct.AppendRows([][]int64{{k, k % 1000, -k}}); err != nil {
+			if err := ct.AppendColumns([][]int64{{k}, {k % 1000}, {-k}}); err != nil {
 				t.Error(err)
 				return
 			}
