@@ -20,29 +20,14 @@ import (
 	"crackdb/internal/tuner"
 )
 
-// autoTuner is the store's live auto-tuning state, published through an
-// atomic pointer so the select observer reads it lock-free.
-type autoTuner struct {
-	t *tuner.Tuner
-}
-
 // EnableAutotune turns on workload-adaptive strategy selection with the
 // given monitor configuration (zero-valued fields take tuner defaults).
-// Posture restored from a warm snapshot — per-column decisions, flip
-// counters, operator pins — is adopted by the new tuner. Enabling twice
-// is a no-op.
+// The tuner is the process's, like the store strategy: nothing of it is
+// imaged, so after a reopen each column's monitor starts from the
+// strategy the column's own record restored, with no flips and no pin.
+// Enabling twice is a no-op.
 func (s *Store) EnableAutotune(cfg tuner.Config) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.autotune.Load() != nil {
-		return
-	}
-	at := &autoTuner{t: tuner.New(cfg)}
-	if len(s.pendingTuner) > 0 {
-		at.t.Restore(s.pendingTuner)
-		s.pendingTuner = nil
-	}
-	s.autotune.Store(at)
+	s.autotune.CompareAndSwap(nil, tuner.New(cfg))
 }
 
 // AutotuneEnabled reports whether the tuner is running.
@@ -51,11 +36,11 @@ func (s *Store) AutotuneEnabled() bool { return s.autotune.Load() != nil }
 // TuneDecisions snapshots the tuner's per-column posture, ordered by
 // (table, column). Nil when autotune is disabled.
 func (s *Store) TuneDecisions() []tuner.Decision {
-	at := s.autotune.Load()
-	if at == nil {
+	tn := s.autotune.Load()
+	if tn == nil {
 		return nil
 	}
-	return at.t.Decisions()
+	return tn.Decisions()
 }
 
 // ForceStrategy pins (table, col) to a strategy: the column flips
@@ -63,8 +48,8 @@ func (s *Store) TuneDecisions() []tuner.Decision {
 // until ReleaseStrategy. The column is created if the table exists but
 // has not been cracked on col yet.
 func (s *Store) ForceStrategy(table, col, name string) error {
-	at := s.autotune.Load()
-	if at == nil {
+	tn := s.autotune.Load()
+	if tn == nil {
 		return fmt.Errorf("crackdb: autotune is not enabled")
 	}
 	name, err := canonicalStrategy(name)
@@ -75,45 +60,35 @@ func (s *Store) ForceStrategy(table, col, name string) error {
 	if err != nil {
 		return err
 	}
-	at.t.Force(table, col)
+	tn.Force(table, col)
 	s.flipColumn(c, table, col, name)
-	at.t.Flipped(table, col, name)
+	tn.Flipped(table, col, name)
 	return nil
 }
 
 // ReleaseStrategy returns a forced column to automatic control.
 func (s *Store) ReleaseStrategy(table, col string) error {
-	at := s.autotune.Load()
-	if at == nil {
+	tn := s.autotune.Load()
+	if tn == nil {
 		return fmt.Errorf("crackdb: autotune is not enabled")
 	}
-	at.t.Release(table, col)
+	tn.Release(table, col)
 	return nil
 }
 
-// exportTunerStates returns the persistable tuner posture, nil when
-// autotune is disabled (pending restored state survives a save-before-
-// enable round trip).
-func (s *Store) exportTunerStates() []tuner.ColumnState {
-	if at := s.autotune.Load(); at != nil {
-		return at.t.Export()
-	}
-	return s.pendingTuner
-}
-
-// observe feeds one answered selection to the monitor and applies any
-// advised flip. Runs outside every table and column lock.
-func (at *autoTuner) observe(s *Store, ct *core.CrackedTable, table string, r expr.Range) {
+// observe feeds one answered selection to the tuner's monitor and
+// applies any advised flip. Runs outside every table and column lock.
+func (s *Store) observe(tn *tuner.Tuner, ct *core.CrackedTable, table string, r expr.Range) {
 	c, ok := ct.Column(r.Col)
 	if !ok {
 		return
 	}
-	want, flip := at.t.Observe(table, r.Col, c.StrategyName(), r.Low, r.High)
+	want, flip := tn.Observe(table, r.Col, c.StrategyName(), r.Low, r.High)
 	if !flip {
 		return
 	}
 	s.flipColumn(c, table, r.Col, want)
-	at.t.Flipped(table, r.Col, want)
+	tn.Flipped(table, r.Col, want)
 }
 
 // flipColumn hot-swaps the strategy of one column. The swap computes its

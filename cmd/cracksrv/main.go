@@ -60,9 +60,11 @@
 // hot-swaps the crack strategy when a hostile (sequential, reverse,
 // zoom-in) pattern is detected — /tune inspects or overrides the
 // decisions, and /stats and /metrics report the per-column strategy and
-// flip counters. A warm snapshot persists the learned posture; a
-// follower tunes its own read workload independently (flips are
-// performance posture, never replicated state).
+// flip counters. The tuner keeps nothing across a restart: a reopened
+// column resumes under the strategy its own image record carries, and
+// the monitor re-learns the class from live bounds. A follower tunes its
+// own read workload independently (flips are performance posture, never
+// replicated state).
 //
 // Observability is always on (it costs a sampled timing on the
 // converged read path; see internal/obs): /metrics answers the
@@ -164,10 +166,9 @@ func main() {
 	if err := store.SetCrackStrategy(*strat, *seed); err != nil {
 		fatal(err)
 	}
-	// After recovery: a warm snapshot may carry tuner posture, which
-	// EnableAutotune adopts. Followers tune independently — strategy
-	// flips shape performance, never results, so they cannot diverge a
-	// replica.
+	// The tuner is this process's too, and starts from each column's own
+	// strategy. Followers tune independently — strategy flips shape
+	// performance, never results, so they cannot diverge a replica.
 	if *autotune {
 		store.EnableAutotune(tuner.Config{})
 		logf("autotune enabled (per-column strategy selection; inspect with /tune)")

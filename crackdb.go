@@ -93,11 +93,7 @@ type Store struct {
 	// autotune, when set by EnableAutotune, monitors every answered
 	// selection and hot-swaps per-column crack strategies (see
 	// autotune.go). Atomic: the select observer reads it lock-free.
-	autotune atomic.Pointer[autoTuner]
-
-	// pendingTuner carries tuner posture restored from an image until
-	// EnableAutotune adopts it. Guarded by mu.
-	pendingTuner []tuner.ColumnState
+	autotune atomic.Pointer[tuner.Tuner]
 
 	// mark remembers what the last committed image contained, anchoring
 	// delta elements (see persist.go). Guarded by mu; nil until a save is
@@ -211,8 +207,8 @@ func (s *Store) installLocked(name string, t *relation.Table) error {
 		}
 	})
 	ct.SetSelectObserver(func(r expr.Range) {
-		if at := s.autotune.Load(); at != nil {
-			at.observe(s, ct, name, r)
+		if tn := s.autotune.Load(); tn != nil {
+			s.observe(tn, ct, name, r)
 		}
 	})
 	s.genSeq++

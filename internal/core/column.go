@@ -751,27 +751,6 @@ func (c *Column) Delete(oid bat.OID) bool {
 	return true
 }
 
-// ByOID returns the live values keyed by OID — the loss-less
-// reconstruction witness used by the property tests.
-func (c *Column) ByOID() map[bat.OID]int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[bat.OID]int64, len(c.vals)+len(c.pending))
-	for i, oid := range c.oids {
-		if _, gone := c.deleted[oid]; gone {
-			continue
-		}
-		out[oid] = c.vals[i]
-	}
-	for _, p := range c.pending {
-		if _, gone := c.deleted[p.oid]; gone {
-			continue
-		}
-		out[p.oid] = p.val
-	}
-	return out
-}
-
 // Verify checks the cracker invariants and returns the first violation
 // (see VerifyCuts). Tests and the failure-injection suite call it after
 // every operation batch; ColumnFromState makes the same walk on every

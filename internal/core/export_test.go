@@ -195,3 +195,24 @@ func TestReplaceColumnGuards(t *testing.T) {
 		}
 	}
 }
+
+// ByOID returns the live values keyed by OID — the loss-less
+// reconstruction witness used by the property tests.
+func (c *Column) ByOID() map[bat.OID]int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make(map[bat.OID]int64, len(c.vals)+len(c.pending))
+	for i, oid := range c.oids {
+		if _, gone := c.deleted[oid]; gone {
+			continue
+		}
+		out[oid] = c.vals[i]
+	}
+	for _, p := range c.pending {
+		if _, gone := c.deleted[p.oid]; gone {
+			continue
+		}
+		out[p.oid] = p.val
+	}
+	return out
+}

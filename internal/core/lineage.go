@@ -156,12 +156,6 @@ func (l *Lineage) nextID() string {
 	return fmt.Sprintf("%s[%d]", l.table, l.seq)
 }
 
-// Node looks up a piece by ID.
-func (l *Lineage) Node(id string) (*PieceNode, bool) {
-	n, ok := l.byID[id]
-	return n, ok
-}
-
 // Leaves returns the current pieces (nodes without children), sorted by
 // physical position. Their position ranges tile the union of the roots —
 // the loss-less property. The returned slice is a copy of the

@@ -3,8 +3,11 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -213,4 +216,58 @@ func FuzzImageDecode(f *testing.F) {
 			t.Fatalf("re-read of re-written image failed: %v", err)
 		}
 	})
+}
+
+// TestFuzzCorpusVersions holds FuzzImageDecode's checked-in corpus to its
+// names: a seed-vN-* file carries image version N, and every other seed
+// but the empty one and seed-old-version carries the version this build
+// writes. A version bump that leaves the unversioned seeds behind fails
+// here instead of leaving them to stop at the version byte.
+func TestFuzzCorpusVersions(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzImageDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if name == "seed-empty" || name == "seed-old-version" {
+			continue
+		}
+		want := imageVersion
+		if rest, ok := strings.CutPrefix(name, "seed-v"); ok {
+			n, _, _ := strings.Cut(rest, "-")
+			v, err := strconv.Atoi(n)
+			if err != nil {
+				t.Fatalf("%s: version %q in the name is not a number", name, n)
+			}
+			want = v
+		}
+		data, err := readCorpusBytes(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(data) <= len(imageMagic) || !bytes.HasPrefix(data, imageMagic[:]) {
+			t.Fatalf("%s: no image magic", name)
+		}
+		if got := int(data[len(imageMagic)]); got != want {
+			t.Errorf("%s carries image version %d, want %d", name, got, want)
+		}
+	}
+}
+
+// readCorpusBytes reads a one-value []byte corpus file of the native
+// fuzzer ("go test fuzz v1" and one []byte("...") line).
+func readCorpusBytes(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	header, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+	quoted, ok := strings.CutPrefix(lit, "[]byte(")
+	if header != "go test fuzz v1" || !ok || !strings.HasSuffix(quoted, ")") {
+		return nil, fmt.Errorf("not a []byte corpus file")
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	return []byte(s), err
 }

@@ -11,7 +11,6 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
-	"crackdb/internal/tuner"
 )
 
 // Store images. One element type persists a store, in one file: an Image
@@ -26,10 +25,10 @@ import (
 // positions and payload vectors they imply are derived from the rows on
 // restore (core.CrackedTable.ColumnFromState).
 //
-// File layout (version 9):
+// File layout (version 10):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   9
+//	version  uint8   10
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
@@ -43,8 +42,6 @@ import (
 //	                          newCuts, cut keys if newCuts
 //	                 then pending insert OIDs, deletes, strategy, and the
 //	                 payload attribute names, least recently used first
-//	ntune    uint32  tuner posture (full copy; the last element's wins)
-//	tuner    ntune × (table, column, strategy, class, flips, forced)
 //	crc      uint32  CRC-32 (IEEE) of everything above
 //
 // The table manifest is complete, not differential: a table absent from
@@ -54,18 +51,20 @@ import (
 // (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
 // serve half a cut set.
 //
-// Only version 9 is read: any other version is refused by version,
+// Only version 10 is read: any other version is refused by version,
 // never as corruption. A store image is this build's own format, and the
 // cracker state it carries is re-derivable from the rows (the paper's
-// prototype keeps none of it between sessions, §5.2). No store-wide
-// configuration is imaged: the strategy a store cracks new columns
-// under, its piece bound and its sideways budget belong to the process
-// that opens it, which sets them after every open.
+// prototype keeps none of it between sessions, §5.2). No process posture
+// is imaged: the strategy a store cracks new columns under, its piece
+// bound, its sideways budget and its tuner — window counters, classes,
+// flip counts, operator pins — belong to the process that opens it,
+// which sets them after every open. A column record's strategy is the
+// column's own: it is what the column resumes under.
 
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 // imageVersion is the one version WriteImage writes and ReadImage reads.
-const imageVersion = 9
+const imageVersion = 10
 
 // SnapshotCRC is the polynomial that identifies a whole image file:
 // Castagnoli, deliberately not IEEE. An image ends in its own IEEE
@@ -117,7 +116,6 @@ type Image struct {
 	PrevSum uint32 // trailer checksum of the element this one follows
 	Tables  []ImageTable
 	Columns []ColumnSnapshot // columns whose crack state changed, whole or patched
-	Tuner   []tuner.ColumnState
 }
 
 // WriteImage serializes the image to path, fsyncs it, and describes the
@@ -257,15 +255,6 @@ func (e *imageEncoder) image(img *Image) {
 	e.u32(uint32(len(img.Columns)))
 	for i := range img.Columns {
 		e.column(&img.Columns[i])
-	}
-	e.u32(uint32(len(img.Tuner)))
-	for _, t := range img.Tuner {
-		e.str(t.Table)
-		e.str(t.Column)
-		e.str(t.Strategy)
-		e.str(t.Class)
-		e.u64(t.Flips)
-		e.bool(t.Forced)
 	}
 }
 
@@ -496,17 +485,6 @@ func (d *imageDecoder) image() *Image {
 	// conservative minimum per column record
 	for n := d.count(uint64(d.u32()), 16, "column"); n > 0 && d.err == nil; n-- {
 		img.Columns = append(img.Columns, d.column())
-	}
-	// 4 strings + u64 + bool minimum per tuner record
-	for n := d.count(uint64(d.u32()), 21, "tuner posture"); n > 0 && d.err == nil; n-- {
-		img.Tuner = append(img.Tuner, tuner.ColumnState{
-			Table:    d.str(),
-			Column:   d.str(),
-			Strategy: d.str(),
-			Class:    d.str(),
-			Flips:    d.u64(),
-			Forced:   d.bool(),
-		})
 	}
 	return img
 }

@@ -15,7 +15,6 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
-	"crackdb/internal/tuner"
 )
 
 func sampleColumn(table, attr string, n int) ColumnSnapshot {
@@ -66,7 +65,6 @@ func sampleDelta() *Image {
 			{Name: "hot", Cols: []string{"k", "v"}, Rows: 9, Deleted: []bat.OID{2, 5}, Vals: sampleRows(0, 9)},
 		},
 		Columns: []ColumnSnapshot{samplePatch("cold", "k"), sampleColumn("hot", "k", 9)},
-		Tuner:   []tuner.ColumnState{{Table: "hot", Column: "k", Strategy: "ddr", Class: "seq", Flips: 3, Forced: true}},
 	}
 }
 
@@ -100,12 +98,8 @@ func TestImageRoundTrip(t *testing.T) {
 	}{
 		{"base", sampleBase()},
 		{"delta", sampleDelta()},
-		// Before version 9 such a base carried the store's configuration;
-		// now only the tuner posture is left beside the empty manifest.
-		{"config-only base", &Image{
-			Base:  true,
-			Tuner: []tuner.ColumnState{{Table: "t", Column: "k", Strategy: "mdd1r", Class: "random"}},
-		}},
+		// The image of an empty store: an empty manifest and nothing else.
+		{"empty base", &Image{Base: true}},
 		{"crack-only delta", &Image{
 			PrevSum: 0, // 0 is a valid CRC: a delta all the same
 			Tables:  []ImageTable{{Name: "hot", Cols: []string{"k"}, Rows: 9, Deleted: []bat.OID{}, From: 9}},
@@ -323,9 +317,8 @@ func TestPersistDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The rows end where the column and tuner counts and the trailer
-	// begin.
-	end := len(data) - (4 + 4 + 4)
+	// The rows end where the column count and the trailer begin.
+	end := len(data) - (4 + 4)
 	data[end-8*len(vals)/2] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -356,7 +349,7 @@ func TestDeltaSumIdentifiesContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img.Tuner[0].Flips++
+		img.Tables[1].Vals[1][0]++ // one row value
 		s2, err := WriteImage(filepath.Join(dir, "b.crk"), img)
 		if err != nil {
 			t.Fatal(err)
@@ -416,17 +409,17 @@ func TestImageCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestOldImageVersionRefused: an image of any version but 9 — the CRKS
+// TestOldImageVersionRefused: an image of any version but 10 — the CRKS
 // versions 1 to 3 from before the single format, versions 4 to 6 whose
 // rows lay in BAT files beside the image, version 7 whose column records
 // repeated the rows' values, payloads and cut positions, version 8 whose
-// elements carried the store's crack configuration, and a version from
-// the future,
+// elements carried the store's crack configuration, version 9 whose
+// elements carried the tuner's posture, and a version from the future,
 // hand-encoded here with a valid trailer — is refused by version, loudly,
 // and never mistaken for corruption (which would read as "the disk ate
 // it" rather than "this build does not read it").
 func TestOldImageVersionRefused(t *testing.T) {
-	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, imageVersion + 1} {
+	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, imageVersion + 1} {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
@@ -438,7 +431,7 @@ func TestOldImageVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := ReadImage(path)
-		want := fmt.Sprintf("unsupported image version %d (this build reads version 9)", version)
+		want := fmt.Sprintf("unsupported image version %d (this build reads version 10)", version)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d: want %q, got %v", version, want, err)
 		}

@@ -128,9 +128,6 @@ func (p *Pipeline) Send(cmd string) error {
 // Flush pushes all buffered requests to the server.
 func (p *Pipeline) Flush() error { return p.c.w.Flush() }
 
-// InFlight returns the number of requests sent but not yet received.
-func (p *Pipeline) InFlight() int { return len(p.sent) - p.head }
-
 // Recv reads the next response and checks it answers the oldest
 // in-flight request — the ordering guarantee the sequence tags exist to
 // make verifiable.

@@ -1,0 +1,9 @@
+package server
+
+// Hooks for the package's tests.
+
+// IsTabular reports whether the response carries a result table.
+func (r *Response) IsTabular() bool { return r.Err == "" && r.Message == "" }
+
+// InFlight returns the number of requests sent but not yet received.
+func (p *Pipeline) InFlight() int { return len(p.sent) - p.head }

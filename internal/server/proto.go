@@ -173,9 +173,6 @@ type Response struct {
 	ints [][]int64
 }
 
-// IsTabular reports whether the response carries a result table.
-func (r *Response) IsTabular() bool { return r.Err == "" && r.Message == "" }
-
 // Int64 parses one cell as a decimal integer.
 func (r *Response) Int64(row, col int) (int64, error) {
 	if row >= len(r.Rows) || col >= len(r.Rows[row]) {

@@ -12,6 +12,7 @@ import (
 	"crackdb/internal/durable"
 	"crackdb/internal/oracle"
 	"crackdb/internal/shard"
+	"crackdb/internal/tuner"
 )
 
 // loadMixed boots a durable sharded store in dir and cracks the oracle's
@@ -400,6 +401,64 @@ func TestReplayedDeleteCracksUnderDefault(t *testing.T) {
 			for i, st := range stats {
 				if st.Strategy != "standard" {
 					t.Fatalf("shard %d: the replayed DELETE cracked t.a under %q, want standard", i, st.Strategy)
+				}
+			}
+		})
+	}
+}
+
+// TestRestartForgetsTunerPosture: nothing of the tuner outlives its
+// process. A column the primary's operator pinned to ddc reopens under
+// ddc, which its own image record carries, but a re-enabled tuner
+// neither counts that flip nor keeps the pin — after a reboot of the
+// same data dir and after a follower's install of the primary's chain
+// alike, since pins are never replicated.
+func TestRestartForgetsTunerPosture(t *testing.T) {
+	opts := shard.Options{Shards: 2}
+	pDir := t.TempDir()
+	p, _, err := shard.OpenDurable(pDir, opts)
+	mustExec(t, err)
+	p.EnableAutotune(tuner.Config{})
+	mustExec(t, p.CreateTable("t", "k", "v"))
+	rows := make([][]int64, 2000)
+	for i := range rows {
+		rows[i] = []int64{int64(i), int64(i % 13)}
+	}
+	mustExec(t, p.InsertRows("t", rows))
+	mustExec(t, p.ForceStrategy("t", "k", "ddc"))
+	if mode, err := p.Checkpoint(true); err != nil || mode != "full" {
+		t.Fatalf("full checkpoint: mode %q err %v", mode, err)
+	}
+	m, err := p.ReplManifest()
+	mustExec(t, err)
+	mustExec(t, p.CloseWAL())
+
+	fDir := t.TempDir()
+	staging := filepath.Join(fDir, "store.repl")
+	mustExec(t, os.Mkdir(staging, 0o755))
+	for _, sf := range m.Files {
+		copyFiles(t, staging, filepath.Join(pDir, sf.Path))
+	}
+	mustExec(t, shard.InstallSnapshot(fDir, staging, m))
+
+	for _, boot := range []struct{ name, dir string }{{"reboot", pDir}, {"follower", fDir}} {
+		t.Run(boot.name, func(t *testing.T) {
+			s, _, err := shard.OpenDurable(boot.dir, opts)
+			mustExec(t, err)
+			defer s.CloseWAL()
+			s.EnableAutotune(tuner.Config{})
+			n, err := s.CountWhere("t", crackdb.Cond{Col: "k", Op: ">=", Val: 100}, crackdb.Cond{Col: "k", Op: "<", Val: 900})
+			mustExec(t, err)
+			if n != 800 {
+				t.Fatalf("count %d, want 800", n)
+			}
+			decs := s.TuneDecisions()
+			if len(decs) != opts.Shards {
+				t.Fatalf("%d decisions, want one per shard: %+v", len(decs), decs)
+			}
+			for _, d := range decs {
+				if d.Table != "t" || d.Column != "k" || d.Strategy != "ddc" || d.Forced || d.Flips != 0 {
+					t.Fatalf("shard %d reopened as %+v, want t.k on ddc, not forced, 0 flips", d.Shard, d.Decision)
 				}
 			}
 		})

@@ -62,22 +62,6 @@ type scanner struct {
 	off int // the next byte to scan
 }
 
-// Lex tokenizes the whole input; errors carry the offending byte offset.
-// The parser does not call it: it pulls tokens from a scanner.
-func Lex(input string) ([]Token, error) {
-	s := scanner{src: input}
-	var toks []Token
-	for {
-		t, err := s.scan()
-		if err != nil {
-			return nil, err
-		}
-		if toks = append(toks, t); t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}
-
 // scan returns the next token: TokEOF at the end of the input, and the
 // zero Token, also TokEOF, with an error.
 func (s *scanner) scan() (Token, error) {

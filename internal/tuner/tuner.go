@@ -62,20 +62,6 @@ func (c Class) String() string {
 	}
 }
 
-// ParseClass is the inverse of Class.String; unknown names are Random.
-func ParseClass(s string) Class {
-	switch s {
-	case "sequential":
-		return Sequential
-	case "reverse":
-		return Reverse
-	case "zoomin":
-		return ZoomIn
-	default:
-		return Random
-	}
-}
-
 // Config bounds the monitor's reactivity.
 type Config struct {
 	// Window is the number of observed queries per classification
@@ -126,18 +112,6 @@ type Decision struct {
 	Flips         uint64 // strategy changes so far (auto + forced)
 	Queries       uint64 // bounds observed
 	Forced        bool   // operator-pinned; auto-flipping suspended
-}
-
-// ColumnState is the persistable subset of a monitor: the learned
-// posture that should survive a warm reopen. Window counters are
-// deliberately transient — a reopened store re-learns the class from
-// live traffic within one window.
-type ColumnState struct {
-	Table, Column string
-	Strategy      string
-	Class         string
-	Flips         uint64
-	Forced        bool
 }
 
 // colMon is one column's monitor. Guarded by the Tuner mutex.
@@ -266,20 +240,6 @@ func decisionFor(c Class) string {
 	}
 }
 
-// Current returns the strategy the tuner last saw or decided for
-// (table, column), and whether the column is monitored at all. Used by
-// the store's sideways-map factory so a map created *after* a flip
-// starts on the column's flipped strategy, not the store default.
-func (t *Tuner) Current(table, column string) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.cols[colID(table, column)]
-	if !ok || m.current == "" {
-		return "", false
-	}
-	return m.current, true
-}
-
 // Flipped records that the caller applied a strategy change on
 // (table, column) — advised or forced — engaging the cooldown.
 func (t *Tuner) Flipped(table, column, strategy string) {
@@ -330,40 +290,4 @@ func (t *Tuner) Decisions() []Decision {
 		return out[i].Column < out[j].Column
 	})
 	return out
-}
-
-// Export returns the persistable posture of every monitored column,
-// ordered by (table, column).
-func (t *Tuner) Export() []ColumnState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]ColumnState, 0, len(t.cols))
-	for _, m := range t.cols {
-		out = append(out, ColumnState{
-			Table: m.table, Column: m.column,
-			Strategy: m.current, Class: m.lastClass.String(),
-			Flips: m.flips, Forced: m.forced,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Column < out[j].Column
-	})
-	return out
-}
-
-// Restore seeds monitors from exported postures. Existing monitors for
-// the same column are replaced; window counters start empty.
-func (t *Tuner) Restore(states []ColumnState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, st := range states {
-		t.cols[colID(st.Table, st.Column)] = &colMon{
-			table: st.Table, column: st.Column,
-			current: st.Strategy, lastClass: ParseClass(st.Class),
-			flips: st.Flips, forced: st.Forced,
-		}
-	}
 }

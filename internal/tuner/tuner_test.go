@@ -124,29 +124,3 @@ func TestForceSuppressesAdvice(t *testing.T) {
 		t.Fatalf("released column advised %q, want mdd1r", got)
 	}
 }
-
-// TestExportRestoreRoundTrip: the persistable posture (strategy, class,
-// flips, forced) survives Export/Restore; window counters start fresh.
-func TestExportRestoreRoundTrip(t *testing.T) {
-	tn := New(aggressive())
-	drive(tn, "sequential", 16, nil, func() string { return "standard" }, nil)
-	tn.Flipped("t", "a", "mdd1r")
-	tn.Force("u", "b")
-	tn.Flipped("u", "b", "ddc")
-
-	re := New(aggressive())
-	re.Restore(tn.Export())
-	d := re.Decisions()
-	if len(d) != 2 {
-		t.Fatalf("restored %d monitors, want 2", len(d))
-	}
-	if d[0].Table != "t" || d[0].Strategy != "mdd1r" || d[0].Class != "sequential" || d[0].Flips != 1 || d[0].Forced {
-		t.Fatalf("t.a restored as %+v", d[0])
-	}
-	if d[1].Table != "u" || d[1].Strategy != "ddc" || d[1].Flips != 1 || !d[1].Forced {
-		t.Fatalf("u.b restored as %+v", d[1])
-	}
-	if cur, ok := re.Current("t", "a"); !ok || cur != "mdd1r" {
-		t.Fatalf("Current(t,a) = (%q, %v), want (mdd1r, true)", cur, ok)
-	}
-}

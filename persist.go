@@ -15,10 +15,9 @@ import (
 // Store persistence. A store is saved as a chain of image files, each
 // one internal/durable.Image: table manifest and the rows it appends,
 // crack state — OID orders, cut keys, pending updates, strategy RNG
-// positions, payload names; the rows give the rest — and tuner posture.
-// No store-wide configuration: the strategy new columns crack under, the
-// piece bound and the sideways budget are the opening process's, set
-// after the open. A full image is the chain of length zero:
+// positions, payload names; the rows give the rest. No process posture:
+// the strategy new columns crack under, the piece bound, the sideways
+// budget and the tuner are the opening process's, set after the open. A full image is the chain of length zero:
 // the element that diffs against nothing, so it writes every table and
 // every cracked column whole. A delta element carries only what moved
 // since the image before it and names that image by checksum: the rows
@@ -94,8 +93,7 @@ func (s *Store) Save(path string) error {
 // and the caller writes a full image, which is all that is sure to
 // supersede whatever landed. A delta of a store in which nothing
 // persisted has changed — table set, rows, tombstones, any column's
-// crack state (tuner posture, advisory warmth, is deliberately not
-// counted) — writes nothing and returns a nil commit.
+// crack state — writes nothing and returns a nil commit.
 func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable.ImageFile, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,11 +103,7 @@ func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable
 			return nil, file, fmt.Errorf("crackdb: no base image to delta against (save a full image first)")
 		}
 	}
-	img := &durable.Image{
-		Base:    !delta,
-		PrevSum: against.sum,
-		Tuner:   s.exportTunerStates(),
-	}
+	img := &durable.Image{Base: !delta, PrevSum: against.sum}
 	// Tables and attributes go out sorted: two images of an unchanged
 	// store are byte-identical, so a re-bootstrapping follower, which
 	// reuses files by checksum, downloads nothing it already holds.
@@ -163,10 +157,10 @@ func (s *Store) WriteImage(path string, delta bool) (commit func(), file durable
 // elements written on top of it, rebuilding every cracked column from
 // its OID order and cut keys against the loaded rows (a column the rows
 // contradict refuses the open), with its pending updates, strategy
-// (with its RNG position) and payload vectors, and the tuner posture —
-// the reopened store resumes at converged per-query latency. The store
-// is otherwise in New's posture: a caller that wants another strategy,
-// piece bound or sideways budget sets it after the open. Every link is checked:
+// (with its RNG position) and payload vectors — the reopened store
+// resumes at converged per-query latency. The store is otherwise in
+// New's posture: a caller that wants another strategy, piece bound,
+// sideways budget or the tuner sets it after the open. Every link is checked:
 // the first element must be a base, each later one must name its
 // predecessor's checksum; a broken, missing or corrupt link refuses the
 // whole open rather than silently serving a cold or half-applied store.
@@ -199,7 +193,7 @@ func openChain(cold bool, paths []string) (*Store, error) {
 				path, img.PrevSum, prev)
 		}
 		if cold {
-			img.Columns, img.Tuner = nil, nil
+			img.Columns = nil
 		}
 		if err := s.applyImage(path, img, r); err != nil {
 			return nil, err
@@ -291,10 +285,6 @@ func (s *Store) applyImage(path string, img *durable.Image, r restoring) error {
 			}
 		}
 	}
-	// Tuner posture is a full copy per element (the latest wins) and
-	// parks in pendingTuner until EnableAutotune adopts it — the flag is
-	// a runtime choice, not part of the image.
-	s.pendingTuner = img.Tuner
 	return nil
 }
 
