@@ -22,7 +22,6 @@ import (
 	"crackdb"
 	"crackdb/internal/core"
 	"crackdb/internal/costsim"
-	"crackdb/internal/expr"
 	"crackdb/internal/figures"
 	"crackdb/internal/mqs"
 	"crackdb/internal/relation"
@@ -195,48 +194,5 @@ func BenchmarkFigureHarness(b *testing.B) {
 	run("sql", func(seed int64) error {
 		_, err := figures.SQLLevel(figures.SQLLevelConfig{N: benchN, Seed: seed})
 		return err
-	})
-}
-
-// BenchmarkAblationTermPlanner compares conjunctive-term evaluation with
-// and without the index-statistics planner: SelectTerm cracks every
-// advised column, SelectTermPlanned estimates first and cracks only the
-// winner (paper §3.3).
-func BenchmarkAblationTermPlanner(b *testing.B) {
-	tap := relation.Tapestry(benchN, 3, 42)
-	rng := rand.New(rand.NewSource(5))
-	terms := make([]expr.Term, 256)
-	for i := range terms {
-		lo := rng.Int63n(benchN - benchN/100)
-		wide := rng.Int63n(benchN / 2)
-		terms[i] = expr.Term{
-			{Col: "c0", Op: expr.Ge, Val: lo},
-			{Col: "c0", Op: expr.Le, Val: lo + benchN/100}, // selective
-			{Col: "c1", Op: expr.Ge, Val: wide},            // unselective
-		}
-	}
-	b.Run("crack-all-advised", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ct := core.NewCrackedTable(tap)
-			b.StartTimer()
-			for _, term := range terms {
-				if _, err := ct.SelectTerm(term); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("planned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ct := core.NewCrackedTable(tap)
-			b.StartTimer()
-			for _, term := range terms {
-				if _, _, _, err := ct.SelectTermPlanned(term, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
 	})
 }

@@ -29,10 +29,8 @@ package crackdb
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -405,7 +403,7 @@ func (s *Store) publishOptionsLocked() {
 
 // Select answers the inclusive range query low <= col <= high, cracking
 // the column as a side effect. The result references the store; use
-// Rows, Values, Count, WriteTo or Materialize to consume it.
+// Rows, Values, Count or Materialize to consume it.
 func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
 	ct, err := s.tableFor(table, col)
 	if err != nil {
@@ -517,28 +515,6 @@ func zipRows(vecs [][]int64, n int) [][]int64 {
 		}
 	}
 	return rows
-}
-
-// WriteTo streams the qualifying values to a front-end writer as decimal
-// text, one per line. It implements io.WriterTo.
-func (r *Result) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	buf := make([]byte, 0, 1<<12)
-	for _, v := range r.vals {
-		buf = strconv.AppendInt(buf, v, 10)
-		buf = append(buf, '\n')
-		if len(buf) >= 1<<12-32 {
-			n, err := w.Write(buf)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-			buf = buf[:0]
-		}
-	}
-	n, err := w.Write(buf)
-	total += int64(n)
-	return total, err
 }
 
 // Materialize stores the full qualifying tuples as a new table.

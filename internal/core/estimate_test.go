@@ -8,6 +8,7 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/expr"
+	"crackdb/internal/relation"
 )
 
 func TestEstimateRangeBracketsTruth(t *testing.T) {
@@ -280,4 +281,48 @@ func TestEstimateProbesMatchPieceWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkAblationTermPlanner compares conjunctive-term evaluation with
+// and without the index-statistics planner: SelectTerm cracks every
+// advised column, SelectTermPlanned estimates first and cracks only the
+// winner (paper §3.3).
+func BenchmarkAblationTermPlanner(b *testing.B) {
+	const n = 100_000
+	tap := relation.Tapestry(n, 3, 42)
+	rng := rand.New(rand.NewSource(5))
+	terms := make([]expr.Term, 256)
+	for i := range terms {
+		lo := rng.Int63n(n - n/100)
+		wide := rng.Int63n(n / 2)
+		terms[i] = expr.Term{
+			{Col: "c0", Op: expr.Ge, Val: lo},
+			{Col: "c0", Op: expr.Le, Val: lo + n/100}, // selective
+			{Col: "c1", Op: expr.Ge, Val: wide},       // unselective
+		}
+	}
+	b.Run("crack-all-advised", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ct := NewCrackedTable(tap)
+			b.StartTimer()
+			for _, term := range terms {
+				if _, err := ct.SelectTerm(term); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("planned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ct := NewCrackedTable(tap)
+			b.StartTimer()
+			for _, term := range terms {
+				if _, _, _, err := ct.SelectTermPlanned(term, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"crackdb/internal/bat"
+	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 )
 
@@ -194,6 +195,32 @@ func TestReplaceColumnGuards(t *testing.T) {
 			t.Fatalf("restore %d over the base: %v", i, err)
 		}
 	}
+}
+
+// SelectTerm answers a conjunctive term: the term's crack advice is
+// applied to the most selective advised column (smallest resulting
+// piece), and the remaining conjuncts are evaluated by fetching attribute
+// values through the OIDs — a select-push-down the Ξ cracker "effectively
+// realizes" for the optimizer (§3.3).
+func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
+	advice := expr.CrackAdvice(term)
+	if len(advice) == 0 {
+		// No crackable range: scan everything and post-filter.
+		return ct.filterOIDs(allOIDs(ct.baseLen()), term)
+	}
+	var best []bat.OID
+	bestCol := ""
+	for col, r := range advice {
+		c, err := ct.ColumnFor(r.Col)
+		if err != nil {
+			return nil, err
+		}
+		_, oids := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
+		if bestCol == "" || len(oids) < len(best) {
+			best, bestCol = oids, col
+		}
+	}
+	return ct.filterOIDs(best, term)
 }
 
 // ByOID returns the live values keyed by OID — the loss-less

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -34,21 +35,34 @@ import (
 // rewrites the positions in place through descend/ascend.
 
 // Index is the cracker index over one column — the paper's "decorated
-// interval tree" (§5.2) laid out flat. Cuts sit in key order (value,
-// inclusive) in short sorted leaves of at most leafCap entries, and one
-// array above them holds each leaf's first key. A lookup is a binary
-// search over that array and one inside a leaf: two searches over
-// contiguous memory where a balanced tree of p heap nodes makes log p
-// dependent pointer loads. Insertion and deletion shift entries within one
-// leaf, so they cost O(leafCap + p/leafCap). The leaves hold no pointers,
-// so the garbage collector does not walk the cuts.
+// interval tree" (§5.2) laid out flat, in two parts. The ordered part
+// keeps the cut keys (value, inclusive) in short sorted leaves of at most
+// leafCap entries under one array of each leaf's first key: a neighbour
+// search is a binary search over that array and one inside a leaf, and
+// insertion and deletion shift entries within one leaf, so they cost
+// O(leafCap + p/leafCap). The positions live only in slots, an
+// open-addressed table keyed by the cut: Find — the whole of a
+// converged lookup — is one hash probe, where a search of the ordered
+// keys is two dependent binary searches that mispredict and miss the
+// cache at every step. Neither part holds pointers, so the garbage
+// collector does not walk the cuts. A cut costs 9 bytes of leaf and 16
+// of slot, about 44 live heap bytes with both parts' slack
+// (TestIndexBuildBudget).
 //
-// Index is not safe for concurrent use; Column serializes access.
+// Index is not safe for concurrent use; Column serializes access. Reads
+// (Find, Floor, Ceil, bracket, Cuts) change nothing, so concurrent readers
+// under a read lock are safe.
 type Index struct {
 	leaves []leaf
 	topV   []int64 // topV[i], topI[i]: the first key of leaves[i]
 	topI   []bool
 	size   int
+
+	// slots holds every cut's position under linear probing: a power of
+	// two of them, at most slotLoadNum/slotLoadDen full; shift is 64 -
+	// log2(len(slots)).
+	slots []slot
+	shift uint
 
 	// changed notes that a cut was inserted, deleted or reset since the
 	// column's last TakeState: the next image element carries the cut
@@ -63,31 +77,132 @@ type Index struct {
 // cuts.
 const leafCap = 64
 
-// A leaf is a run of cuts in ascending key order, one vector per field.
+// A leaf is a run of cut keys in ascending order, one vector per field.
 type leaf struct {
 	vals []int64
 	incl []bool
-	pos  []int
+}
+
+// A slot of the position table holds one cut: its value, and in w its
+// position above two tag bits, inclusive (2) and occupied (1). A zero w
+// is an empty slot.
+type slot struct {
+	val int64
+	w   uint64
+}
+
+func newSlot(val int64, incl bool, pos int) slot { return slot{val, uint64(pos)<<2 | tag(incl)} }
+
+func (s slot) incl() bool { return s.w&2 != 0 }
+func (s slot) pos() int   { return int(s.w >> 2) }
+
+// The table doubles before it passes slotLoadNum/slotLoadDen full, and
+// never holds fewer than minSlots slots.
+const (
+	slotLoadNum, slotLoadDen = 3, 4
+	minSlots                 = 8
+)
+
+// tag is a slot's w below the position for a cut of the given incl.
+func tag(incl bool) uint64 {
+	if incl {
+		return 3
+	}
+	return 1
+}
+
+// home is the slot a probe for (val, incl) starts at: Fibonacci hashing,
+// the top bits of the key times 2^64/φ.
+func (ix *Index) home(val int64, incl bool) int {
+	return int((uint64(val)<<1 | tag(incl)>>1) * 0x9e3779b97f4a7c15 >> ix.shift)
+}
+
+// probe returns the slot holding (val, incl), or with found=false the
+// empty slot that ends its probe run. The table must have slots.
+func (ix *Index) probe(val int64, incl bool) (i int, found bool) {
+	t, mask := tag(incl), len(ix.slots)-1
+	for i = ix.home(val, incl); ; i = (i + 1) & mask {
+		switch s := &ix.slots[i]; {
+		case s.w == 0:
+			return i, false
+		case s.val == val && s.w&3 == t:
+			return i, true
+		}
+	}
+}
+
+// posOf returns the position of a registered cut.
+func (ix *Index) posOf(val int64, incl bool) int {
+	i, _ := ix.probe(val, incl)
+	return ix.slots[i].pos()
+}
+
+// slotsFor returns the table size that holds n cuts.
+func slotsFor(n int) int {
+	k := minSlots
+	for k*slotLoadNum < n*slotLoadDen {
+		k *= 2
+	}
+	return k
+}
+
+// newSlots makes an empty table of k slots, a power of two.
+func (ix *Index) newSlots(k int) {
+	ix.slots, ix.shift = make([]slot, k), uint(64-bits.TrailingZeros(uint(k)))
+}
+
+// place stores the slot of a cut that is not in the table yet.
+func (ix *Index) place(s slot) {
+	i, _ := ix.probe(s.val, s.incl())
+	ix.slots[i] = s
+}
+
+// unplace empties slot i by backward shift: each later entry of the probe
+// run whose home does not lie after i moves back into the hole, so every
+// remaining probe run stays unbroken and no tombstone is left.
+func (ix *Index) unplace(i int) {
+	mask := len(ix.slots) - 1
+	for j := (i + 1) & mask; ix.slots[j].w != 0; j = (j + 1) & mask {
+		s := ix.slots[j]
+		if h := ix.home(s.val, s.incl()); (j-h)&mask >= (j-i)&mask {
+			ix.slots[i], i = s, j
+		}
+	}
+	ix.slots[i] = slot{}
+}
+
+// grow doubles the table and re-places every cut.
+func (ix *Index) grow() {
+	old := ix.slots
+	ix.newSlots(2 * len(old))
+	for _, s := range old {
+		if s.w != 0 {
+			ix.place(s)
+		}
+	}
 }
 
 // IndexFromSorted builds the index over cuts already in strictly
 // ascending key order — what an image stores — in O(p): it deals them
 // evenly into leaves about three quarters full, one slab per field with
-// room for every leaf to reach leafCap. Input out of key order is
-// rejected; positions are the caller's to set (placeCuts).
+// room for every leaf to reach leafCap, and places them in a table sized
+// once for them. Input out of key order is rejected; positions are the
+// caller's to set (placeCuts).
 func IndexFromSorted(cuts []Cut) (*Index, error) {
 	if err := keyOrdered(cuts); err != nil {
 		return nil, err
 	}
 	k := (len(cuts) + leafCap*3/4 - 1) / (leafCap * 3 / 4)
 	ix := &Index{leaves: make([]leaf, k), topV: make([]int64, k), topI: make([]bool, k), size: len(cuts)}
+	ix.newSlots(slotsFor(len(cuts)))
 	const stride = leafCap + 1
-	vals, incl, pos := make([]int64, k*stride), make([]bool, k*stride), make([]int, k*stride)
+	vals, incl := make([]int64, k*stride), make([]bool, k*stride)
 	for li := range ix.leaves {
 		lo, hi, s := li*len(cuts)/k, (li+1)*len(cuts)/k, li*stride
-		l := leaf{vals[s : s : s+stride], incl[s : s : s+stride], pos[s : s : s+stride]}
+		l := leaf{vals[s : s : s+stride], incl[s : s : s+stride]}
 		for _, c := range cuts[lo:hi] {
-			l.vals, l.incl, l.pos = append(l.vals, c.Val), append(l.incl, c.Incl), append(l.pos, c.Pos)
+			l.vals, l.incl = append(l.vals, c.Val), append(l.incl, c.Incl)
+			ix.place(newSlot(c.Val, c.Incl, c.Pos))
 		}
 		ix.leaves[li] = l
 		ix.topV[li], ix.topI[li] = cuts[lo].Val, cuts[lo].Incl
@@ -157,7 +272,7 @@ func (ix *Index) at(li, j int) (cutVal int64, cutIncl bool, pos int, ok bool) {
 		return 0, false, 0, false
 	}
 	l := &ix.leaves[li]
-	return l.vals[j], l.incl[j], l.pos[j], true
+	return l.vals[j], l.incl[j], ix.posOf(l.vals[j], l.incl[j]), true
 }
 
 // Len returns the number of registered cuts.
@@ -165,21 +280,16 @@ func (ix *Index) Len() int { return ix.size }
 
 // Reset drops all cuts.
 func (ix *Index) Reset() {
-	ix.changed = ix.changed || ix.size > 0
-	ix.leaves, ix.topV, ix.topI, ix.size = nil, nil, nil, 0
+	*ix = Index{changed: ix.changed || ix.size > 0}
 }
 
 // Find returns the position of the exact cut (val, incl), if registered.
 func (ix *Index) Find(val int64, incl bool) (pos int, ok bool) {
-	li, j := ix.locate(val, incl)
-	if j == 0 {
+	if len(ix.slots) == 0 {
 		return 0, false
 	}
-	l := &ix.leaves[li]
-	if l.vals[j-1] != val || l.incl[j-1] != incl {
-		return 0, false
-	}
-	return l.pos[j-1], true
+	i, ok := ix.probe(val, incl)
+	return ix.slots[i].pos(), ok
 }
 
 // Floor returns the greatest cut with key <= (val, incl).
@@ -200,13 +310,13 @@ func (ix *Index) Ceil(val int64, incl bool) (cutVal int64, cutIncl bool, pos int
 // or above the key (val, incl) — one cut, twice, when the key itself is
 // registered.
 func (ix *Index) bracket(val int64, incl bool) (below int, belowOK bool, above int, aboveOK bool) {
+	if pos, ok := ix.Find(val, incl); ok {
+		return pos, true, pos, true
+	}
 	li, j := ix.locate(val, incl)
 	if j > 0 {
 		l := &ix.leaves[li]
-		below, belowOK = l.pos[j-1], true
-		if l.vals[j-1] == val && l.incl[j-1] == incl {
-			return below, true, below, true
-		}
+		below, belowOK = ix.posOf(l.vals[j-1], l.incl[j-1]), true
 	}
 	_, _, above, aboveOK = ix.at(li, j)
 	return below, belowOK, above, aboveOK
@@ -217,14 +327,19 @@ func (ix *Index) bracket(val int64, incl bool) (below int, belowOK bool, above i
 func (ix *Index) Insert(val int64, incl bool, pos int) {
 	if len(ix.leaves) == 0 {
 		ix.leaves, ix.topV, ix.topI = []leaf{{}}, []int64{val}, []bool{incl}
+		ix.newSlots(minSlots)
 	}
-	li, j := ix.locate(val, incl)
-	l := &ix.leaves[li]
-	if j > 0 && l.vals[j-1] == val && l.incl[j-1] == incl {
-		l.pos[j-1] = pos
+	if i, found := ix.probe(val, incl); found {
+		ix.slots[i] = newSlot(val, incl, pos)
 		return
 	}
-	l.vals, l.incl, l.pos = slices.Insert(l.vals, j, val), slices.Insert(l.incl, j, incl), slices.Insert(l.pos, j, pos)
+	if (ix.size+1)*slotLoadDen > len(ix.slots)*slotLoadNum {
+		ix.grow()
+	}
+	ix.place(newSlot(val, incl, pos))
+	li, j := ix.locate(val, incl)
+	l := &ix.leaves[li]
+	l.vals, l.incl = slices.Insert(l.vals, j, val), slices.Insert(l.incl, j, incl)
 	ix.size++
 	ix.changed = true
 	if j == 0 {
@@ -242,9 +357,8 @@ func (ix *Index) split(li int) {
 	r := leaf{
 		vals: append(make([]int64, 0, leafCap+1), l.vals[h:]...),
 		incl: append(make([]bool, 0, leafCap+1), l.incl[h:]...),
-		pos:  append(make([]int, 0, leafCap+1), l.pos[h:]...),
 	}
-	l.vals, l.incl, l.pos = l.vals[:h], l.incl[:h], l.pos[:h]
+	l.vals, l.incl = l.vals[:h], l.incl[:h]
 	ix.leaves = slices.Insert(ix.leaves, li+1, r)
 	ix.topV, ix.topI = slices.Insert(ix.topV, li+1, r.vals[0]), slices.Insert(ix.topI, li+1, r.incl[0])
 }
@@ -252,20 +366,22 @@ func (ix *Index) split(li int) {
 // Delete removes a cut (a semijoin drops the cuts inside the piece it
 // splits). It reports whether the key existed.
 func (ix *Index) Delete(val int64, incl bool) bool {
+	if len(ix.slots) == 0 {
+		return false
+	}
+	i, found := ix.probe(val, incl)
+	if !found {
+		return false
+	}
+	ix.unplace(i)
 	li, j := ix.locate(val, incl)
-	if j == 0 {
-		return false
-	}
 	l := &ix.leaves[li]
-	if l.vals[j-1] != val || l.incl[j-1] != incl {
-		return false
-	}
-	l.vals, l.incl, l.pos = slices.Delete(l.vals, j-1, j), slices.Delete(l.incl, j-1, j), slices.Delete(l.pos, j-1, j)
+	l.vals, l.incl = slices.Delete(l.vals, j-1, j), slices.Delete(l.incl, j-1, j)
 	ix.size--
 	ix.changed = true
 	switch {
 	case ix.size == 0:
-		ix.leaves, ix.topV, ix.topI = nil, nil, nil
+		ix.leaves, ix.topV, ix.topI, ix.slots = nil, nil, nil, nil
 	case len(l.vals) < leafCap/4 && len(ix.leaves) > 1:
 		ix.merge(max(li-1, 0))
 	case j == 1:
@@ -278,7 +394,7 @@ func (ix *Index) Delete(val int64, incl bool) bool {
 // leafCap/4 — and splits the result again if it overfills.
 func (ix *Index) merge(li int) {
 	l, r := &ix.leaves[li], ix.leaves[li+1]
-	l.vals, l.incl, l.pos = append(l.vals, r.vals...), append(l.incl, r.incl...), append(l.pos, r.pos...)
+	l.vals, l.incl = append(l.vals, r.vals...), append(l.incl, r.incl...)
 	ix.topV[li], ix.topI[li] = l.vals[0], l.incl[0]
 	ix.leaves = slices.Delete(ix.leaves, li+1, li+2)
 	ix.topV, ix.topI = slices.Delete(ix.topV, li+1, li+2), slices.Delete(ix.topI, li+1, li+2)
@@ -312,11 +428,13 @@ func (ix *Index) ascend(visit func(c Cut) (pos int, more bool)) {
 	}
 }
 
-// rewrite hands slot j of l to a walk's visit and stores the position
-// it returns.
+// rewrite hands the cut in slot j of l to a walk's visit and stores the
+// position it returns in the cut's table slot.
 func (ix *Index) rewrite(l *leaf, j int, visit func(c Cut) (pos int, more bool)) bool {
-	pos, more := visit(Cut{Val: l.vals[j], Incl: l.incl[j], Pos: l.pos[j]})
-	l.pos[j] = pos
+	i, _ := ix.probe(l.vals[j], l.incl[j])
+	s := ix.slots[i]
+	pos, more := visit(Cut{Val: s.val, Incl: s.incl(), Pos: s.pos()})
+	ix.slots[i] = newSlot(s.val, s.incl(), pos)
 	return more
 }
 
@@ -332,7 +450,7 @@ func (ix *Index) Cuts() []Cut {
 	out := make([]Cut, 0, ix.size)
 	for _, l := range ix.leaves {
 		for j := range l.vals {
-			out = append(out, Cut{Val: l.vals[j], Incl: l.incl[j], Pos: l.pos[j]})
+			out = append(out, Cut{Val: l.vals[j], Incl: l.incl[j], Pos: ix.posOf(l.vals[j], l.incl[j])})
 		}
 	}
 	return out

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -10,7 +12,9 @@ import (
 // check asserts the layout invariants of the leaves under ix: no leaf is
 // empty or over leafCap, every leaf but a lone one holds at least
 // leafCap/4 cuts, each top key is its leaf's first cut, cuts ascend
-// strictly across leaf boundaries, and size is the sum of the leaves.
+// strictly across leaf boundaries, and size is the sum of the leaves. The
+// position table must then hold exactly the leaves' keys, each reachable
+// from its home slot, at the positions Cuts reports.
 func (ix *Index) check() error {
 	if len(ix.topV) != len(ix.leaves) || len(ix.topI) != len(ix.leaves) {
 		return fmt.Errorf("%d leaves under %d/%d top keys", len(ix.leaves), len(ix.topV), len(ix.topI))
@@ -18,8 +22,8 @@ func (ix *Index) check() error {
 	n, pv, pi := 0, int64(0), false // pv, pi: the cut before, across leaves
 	for li, l := range ix.leaves {
 		switch k := len(l.vals); {
-		case len(l.incl) != k || len(l.pos) != k:
-			return fmt.Errorf("leaf %d: vectors of %d/%d/%d", li, k, len(l.incl), len(l.pos))
+		case len(l.incl) != k:
+			return fmt.Errorf("leaf %d: vectors of %d/%d", li, k, len(l.incl))
 		case k == 0 || k > leafCap:
 			return fmt.Errorf("leaf %d holds %d cuts, want 1..%d", li, k, leafCap)
 		case k < leafCap/4 && len(ix.leaves) > 1:
@@ -37,6 +41,50 @@ func (ix *Index) check() error {
 	}
 	if n != ix.size {
 		return fmt.Errorf("size %d, leaves hold %d", ix.size, n)
+	}
+	return ix.checkSlots()
+}
+
+// checkSlots asserts that the position table is a power of two of slots
+// at most slotLoadNum/slotLoadDen full, holds Len() cuts, finds each one
+// from its home slot, and holds each leaf key at the position Cuts
+// reports.
+func (ix *Index) checkSlots() error {
+	k := len(ix.slots)
+	if k == 0 {
+		if ix.size > 0 {
+			return fmt.Errorf("%d cuts, no table", ix.size)
+		}
+		return nil
+	}
+	if k < minSlots || k&(k-1) != 0 || ix.shift != uint(64-bits.TrailingZeros(uint(k))) {
+		return fmt.Errorf("table of %d slots, shift %d", k, ix.shift)
+	}
+	held := 0
+	for i, s := range ix.slots {
+		if s.w == 0 {
+			continue
+		}
+		held++
+		if s.w&1 == 0 {
+			return fmt.Errorf("slot %d: w %#x without the occupied bit", i, s.w)
+		}
+		if j, found := ix.probe(s.val, s.incl()); !found || j != i {
+			return fmt.Errorf("slot %d: (%d, %v) probes to slot %d, found %v", i, s.val, s.incl(), j, found)
+		}
+	}
+	if held != ix.size || held*slotLoadDen > k*slotLoadNum {
+		return fmt.Errorf("table of %d slots holds %d cuts, Len %d", k, held, ix.size)
+	}
+	cuts, c := ix.Cuts(), 0
+	for _, l := range ix.leaves {
+		for j := range l.vals {
+			i, found := ix.probe(l.vals[j], l.incl[j])
+			if !found || ix.slots[i].pos() != cuts[c].Pos {
+				return fmt.Errorf("leaf key (%d, %v), cut %+v: slot %d found %v, w %#x", l.vals[j], l.incl[j], cuts[c], i, found, ix.slots[i].w)
+			}
+			c++
+		}
 	}
 	return nil
 }
@@ -220,7 +268,7 @@ type indexModel struct {
 // step applies op to the key (val, incl): 0–2 insert at position arg,
 // 3–4 delete, 5 Find/Floor/Ceil/bracket, 6 ascend and 7 descend (each
 // stops after arg+1 cuts and moves every cut it visits by val%3), 8
-// rebuilds the index through IndexFromSorted.
+// rebuilds the index through IndexFromSorted, or with arg 255 resets it.
 func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
 	i, found := slices.BinarySearchFunc(m.ref, Cut{Val: val, Incl: incl}, func(c, k Cut) int {
 		return cmpCut(c.Val, c.Incl, k.Val, k.Incl)
@@ -296,6 +344,11 @@ func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
 			return err
 		}
 	case 8:
+		if arg == 255 {
+			m.ix.Reset()
+			wantChanged, m.ref = len(m.ref) > 0, nil
+			break
+		}
 		ix, err := IndexFromSorted(m.ix.Cuts())
 		if err != nil {
 			return err
@@ -328,10 +381,72 @@ func FuzzIndex(f *testing.F) {
 	})
 }
 
+// TestIndexBuildBudget holds the cracker index's bytes and build, reading
+// no clock. 37 000 cuts inserted in random order — one shard of a
+// converged 1M-row column — hold at most 64 live heap bytes a cut: 9 of
+// leaf key and 16 of table slot, the rest the leaves' spare capacity and
+// the table's empty slots. IndexFromSorted sizes its table once, so it
+// allocates as many times for 1 000 cuts as for 37 000; a table doubled
+// up from its smallest size would allocate by the log of the count.
+func TestIndexBuildBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap bytes and allocation counts under the race detector are not the program's")
+	}
+	const cuts = 37_000
+	rng := rand.New(rand.NewSource(1))
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ix := &Index{}
+	for ix.Len() < cuts {
+		ix.Insert(rng.Int63n(1<<40), rng.Intn(2) == 0, ix.Len())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	perCut := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / cuts
+	t.Logf("%d cuts inserted in random order: %.1f live heap bytes a cut, %d slots", cuts, perCut, len(ix.slots))
+	if perCut > 64 {
+		t.Errorf("%d cuts hold %.1f live heap bytes a cut, budget 64", cuts, perCut)
+	}
+
+	sorted := ix.Cuts()
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := IndexFromSorted(sorted[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(1_000), build(cuts)
+	t.Logf("IndexFromSorted allocates %.0f times for 1 000 cuts, %.0f for %d", small, large, cuts)
+	if small != large {
+		t.Errorf("IndexFromSorted allocates %.0f times for 1 000 cuts but %.0f for %d: the table is not sized once", small, large, cuts)
+	}
+}
+
 // BenchmarkIndexFind probes four indexes of 37 k cuts each, built by
 // inserts in random order, for registered cuts at random: a converged
-// shard's c0 lookups, where every probe misses the cache.
+// shard's c0 lookups, where every probe misses the cache. Find is one
+// probe of the position table.
 func BenchmarkIndexFind(b *testing.B) {
+	benchLookup(b, func(ix *Index, v int64) bool {
+		_, ok := ix.Find(v, false)
+		return ok
+	})
+}
+
+// BenchmarkIndexLeafSearch makes the same lookups through the ordered
+// leaves: the binary search over the leaves' first keys and the one
+// inside a leaf that Floor, Ceil and Insert make, and that Find made
+// before the position table.
+func BenchmarkIndexLeafSearch(b *testing.B) {
+	benchLookup(b, func(ix *Index, v int64) bool {
+		li, j := ix.locate(v, false)
+		return j > 0 && ix.leaves[li].vals[j-1] == v
+	})
+}
+
+func benchLookup(b *testing.B, lookup func(ix *Index, v int64) bool) {
 	const cuts = 37_000
 	rng := rand.New(rand.NewSource(1))
 	var ixs [4]*Index
@@ -353,7 +468,7 @@ func BenchmarkIndexFind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i & 3
-		if _, ok := ixs[k].Find(keys[k][probes[i&(len(probes)-1)]], false); !ok {
+		if !lookup(ixs[k], keys[k][probes[i&(len(probes)-1)]]) {
 			b.Fatal("registered cut not found")
 		}
 	}

@@ -175,32 +175,6 @@ func (ct *CrackedTable) SelectCopy(r expr.Range) ([]int64, []bat.OID, error) {
 	return vals, oids, nil
 }
 
-// SelectTerm answers a conjunctive term: the term's crack advice is
-// applied to the most selective advised column (smallest resulting
-// piece), and the remaining conjuncts are evaluated by fetching attribute
-// values through the OIDs — a select-push-down the Ξ cracker "effectively
-// realizes" for the optimizer (§3.3).
-func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
-	advice := expr.CrackAdvice(term)
-	if len(advice) == 0 {
-		// No crackable range: scan everything and post-filter.
-		return ct.filterOIDs(allOIDs(ct.baseLen()), term)
-	}
-	var best []bat.OID
-	bestCol := ""
-	for col, r := range advice {
-		c, err := ct.ColumnFor(r.Col)
-		if err != nil {
-			return nil, err
-		}
-		_, oids := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
-		if bestCol == "" || len(oids) < len(best) {
-			best, bestCol = oids, col
-		}
-	}
-	return ct.filterOIDs(best, term)
-}
-
 // filterOIDs keeps, in place and in order, the live candidates that
 // satisfy the term, reading only the base BATs of the term's columns.
 // The candidates must be the caller's own copy.

@@ -197,7 +197,10 @@ func (g *Generator) walkPos(maxLo int64) int64 {
 }
 
 // Queries drains the generator into a slice — convenience for callers
-// that replay the stream several times.
+// that replay the stream several times. It returns only what Next has
+// not yet returned, so a second call returns an empty slice; a caller
+// that wants the stream again builds a new Generator from the same
+// Config.
 func (g *Generator) Queries() []Query {
 	out := make([]Query, 0, g.cfg.Count-g.i)
 	for {
@@ -208,6 +211,3 @@ func (g *Generator) Queries() []Query {
 		out = append(out, q)
 	}
 }
-
-// Span returns the per-query range width the config resolved to.
-func (g *Generator) Span() int64 { return g.span }

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestAllPatternsStayInDomain(t *testing.T) {
 	for _, p := range Patterns() {
@@ -19,6 +22,27 @@ func TestAllPatternsStayInDomain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQueriesDrains pins that Queries returns what Next has not: after
+// two Next calls it returns the rest of the stream, and a second call
+// returns an empty slice.
+func TestQueriesDrains(t *testing.T) {
+	cfg := Config{Domain: 10000, Count: 10, Selectivity: 0.01, Seed: 3}
+	whole, err := New(Random, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whole.Queries()
+	g, _ := New(Random, cfg)
+	g.Next()
+	g.Next()
+	if got := g.Queries(); !slices.Equal(got, want[2:]) {
+		t.Fatalf("Queries after two Next = %v, want %v", got, want[2:])
+	}
+	if got := g.Queries(); len(got) != 0 {
+		t.Fatalf("second Queries = %v, want an empty slice", got)
 	}
 }
 
