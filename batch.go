@@ -36,8 +36,9 @@ func exprRanges(col string, ranges []Range) (*[]expr.Range, []expr.Range) {
 
 // CountBatch counts many inclusive ranges over one column in a single
 // store entry: the table registry and cracker column are resolved once,
-// and the ranges are answered one by one in submission order — so the
-// batch cracks exactly as the same Counts sent one by one would. The
+// and the ranges are answered in submission order, each run of converged
+// ones under one read hold of the column — so the batch cracks exactly as
+// the same Counts sent one by one would. The
 // counts come back in submission order. An empty batch creates nothing.
 func (s *Store) CountBatch(table, col string, ranges []Range) ([]int, error) {
 	ct, err := s.tableFor(table, col)

@@ -9,14 +9,19 @@ import (
 )
 
 // Batched counting: many range predicates over one cracker column
-// answered in one call, one range after another in submission order,
-// each through Column.answer — the lock protocol every scalar read
-// runs. A batch therefore leaves the column exactly as the same ranges
-// counted one by one would: the same cuts, in the same order, with the
-// same strategy consulted for each. What it amortizes is everything
+// answered in one call, in submission order. The ranges the index
+// resolves are answered a run at a time under one read hold, their cuts
+// looked up a group of probeGroup ranges at a time so the position-table
+// misses overlap (Index.findGroup); the range that ends a run cracks
+// under the write lock (crackLocked), as Column.answer would crack it. A
+// batch therefore leaves the column exactly as the same ranges counted
+// one by one would: the same answers and counters, the same cuts, in the
+// same order, with the same strategy consulted for each. What it
+// amortizes is the column's lock and accounting per range and everything
 // around the column: the registry and column resolution, the result
-// allocation, and the caller's per-query overhead. A batch only counts;
-// a selection is one Select per range.
+// allocation, and the caller's per-query overhead. Converged ranges are
+// timed by Instr.Batch alone, so ReadHold keeps timing one scalar read's
+// hold. A batch only counts; a selection is one Select per range.
 
 // BatchAnswer is one predicate's answer within a column batch: the
 // number of qualifying tuples.
@@ -64,7 +69,7 @@ func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]Ba
 }
 
 // SelectBatchRun counts every range of the batch into r.Answers, in
-// submission order, each through answer exactly as Count would. ordered
+// submission order, each exactly as Count would. ordered
 // and countOnly ask for nothing: every batch runs in submission order
 // and only counts, and the parameters stay only for callers compiled
 // against them.
@@ -73,9 +78,14 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 }
 
 // countBatch is SelectBatchRun, showing observe (when non-nil) each
-// range right after it is answered, outside the column lock.
+// range once it is answered, outside the column lock. It alternates two
+// holds: one read hold answers the longest run of ranges the index
+// resolves (countConverged), and the range that ends the run — a cut
+// missing, or updates pending — cracks under the write lock, exactly as
+// answer's write branch would crack it.
 func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(expr.Range)) {
-	if in := c.instr.Load(); in != nil && in.Batch != nil {
+	in := c.instr.Load()
+	if in != nil && in.Batch != nil {
 		// A batch is tens of queries per call, so whole-call timing is
 		// already amortized — no sampling needed.
 		t0 := time.Now()
@@ -83,16 +93,65 @@ func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(exp
 	}
 	answers := slices.Grow(run.Answers[:0], len(ranges))[:len(ranges)]
 	run.Answers = answers
-	n := 0
-	use := func(v View) { n = v.Len() }
-	for i := range ranges {
+	for i := 0; i < len(ranges); i++ {
+		n := c.countConverged(ranges[i:], answers[i:], i > 0)
+		if observe != nil {
+			for _, r := range ranges[i : i+n] {
+				observe(r)
+			}
+		}
+		if i += n; i == len(ranges) {
+			break
+		}
 		r := &ranges[i]
-		c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, true, use)
-		answers[i].N = n
+		c.mu.Lock()
+		answers[i].N = c.crackLocked(in, r.Low, r.High, r.LowIncl, r.HighIncl).Len()
+		c.mu.Unlock()
 		if observe != nil {
 			observe(*r)
 		}
 	}
+}
+
+// countConverged answers under one read hold the longest run at the front
+// of ranges that the index resolves, each range as lookupFast would, into
+// answers, and returns the run's length. It probes a group of probeGroup
+// ranges at a time, so the group's table misses overlap, except that a
+// hold that follows a crack (afterCrack) probes one range first: in a
+// batch that cracks range after range, as a cold one does, a full group
+// would read the cuts of seven ranges that the next hold reads again. It
+// counts the run's queries and index lookups once. A column with pending
+// inserts or deletes answers none: the next range folds them under the
+// write lock.
+func (c *Column) countConverged(ranges []expr.Range, answers []BatchAnswer, afterCrack bool) int {
+	c.mu.RLock()
+	var win [probeGroup]window
+	done, lookups, size := 0, 0, probeGroup
+	if afterCrack {
+		size = 1
+	}
+run:
+	for done < len(ranges) && len(c.pending) == 0 && len(c.deleted) == 0 {
+		g := ranges[done:min(done+size, len(ranges))]
+		size = probeGroup
+		c.probeRanges(g, win[:])
+		for _, w := range win[:len(g)] {
+			if !w.okLo || !w.okHi {
+				break run
+			}
+			if !w.empty {
+				lookups += 2
+			}
+			answers[done].N = w.hi - w.lo
+			done++
+		}
+	}
+	if done > 0 {
+		c.stats.queries.Add(int64(done))
+		c.stats.indexLookups.Add(int64(lookups))
+	}
+	c.mu.RUnlock()
+	return done
 }
 
 // CountBatchRun counts a batch of ranges on one attribute into the run,

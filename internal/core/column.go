@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"crackdb/internal/bat"
+	"crackdb/internal/expr"
 )
 
 // columnIDs hands out the monotonically-increasing identity every Column
@@ -362,6 +363,7 @@ func (c *Column) crackLocked(in *Instr, low, high int64, lowIncl, highIncl bool)
 // above the maximum — and needs no index entry. An empty or inverted
 // range reports empty and resolves to the empty window at 0 without a
 // lookup. The caller holds c.mu in either mode; nothing is counted.
+// probeRanges resolves a batch's ranges the same way, a group at a time.
 func (c *Column) probeCuts(low, high int64, lowIncl, highIncl bool) (posLo, posHi int, okLo, okHi, empty bool) {
 	loVal, loIncl := low, !lowIncl
 	hiVal, hiIncl := high, highIncl
@@ -377,6 +379,55 @@ func (c *Column) probeCuts(low, high int64, lowIncl, highIncl bool) (posLo, posH
 		posHi, okHi = c.idx.Find(hiVal, hiIncl)
 	}
 	return posLo, posHi, okLo, okHi, false
+}
+
+// probeGroup is the most ranges probeRanges resolves at a time: their
+// up to 2·probeGroup cuts go to one findGroup.
+const probeGroup = 8
+
+// A window is a range resolved against the cracker index: its answer is
+// [lo, hi) when okLo and okHi hold; a false ok marks a cut the index does
+// not hold yet. An empty range is the empty window at 0.
+type window struct {
+	lo, hi     int
+	okLo, okHi bool
+	empty      bool
+}
+
+// probeRanges resolves each of rs, at most probeGroup ranges, as
+// probeCuts would, into win, looking up all of the group's cuts in one
+// findGroup so that their cache misses overlap. The caller holds c.mu in
+// either mode; nothing is counted.
+func (c *Column) probeRanges(rs []expr.Range, win []window) {
+	var keys [2 * probeGroup]cutKey
+	var pos [2 * probeGroup]int
+	n := 0
+	for i := range rs {
+		r, w := &rs[i], &win[i]
+		if cmpCut(r.Low, !r.LowIncl, r.High, r.HighIncl) >= 0 {
+			*w = window{okLo: true, okHi: true, empty: true}
+			continue
+		}
+		*w = window{hi: len(c.vals), okLo: r.Low == math.MinInt64 && r.LowIncl, okHi: r.High == math.MaxInt64 && r.HighIncl}
+		if !w.okLo {
+			keys[n], n = cutKey{r.Low, !r.LowIncl}, n+1
+		}
+		if !w.okHi {
+			keys[n], n = cutKey{r.High, r.HighIncl}, n+1
+		}
+	}
+	c.idx.findGroup(keys[:n], pos[:n])
+	k := 0
+	for i := range rs {
+		if w := &win[i]; !w.empty {
+			if !w.okLo {
+				w.lo, w.okLo, k = pos[k], pos[k] >= 0, k+1
+			}
+			if !w.okHi {
+				w.hi, w.okHi, k = pos[k], pos[k] >= 0, k+1
+			}
+		}
+	}
 }
 
 // lookupFast is the optimistic read path: it answers the query iff doing
@@ -472,17 +523,6 @@ func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 		posHi = posLo
 	}
 	return View{col: c, Lo: posLo, Hi: posHi}
-}
-
-// SortAll sorts the whole column. This is the paper's alternative
-// strategy "to completely sort or index the table upfront" (§2.2) that
-// Figure 11 compares cracking against; after SortAll every cut is a
-// binary search and no tuple is ever moved again.
-func (c *Column) SortAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.consolidateLocked()
-	c.sortLocked("sort")
 }
 
 func (c *Column) sortLocked(detail string) {

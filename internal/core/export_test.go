@@ -223,6 +223,17 @@ func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
 	return ct.filterOIDs(best, term)
 }
 
+// SortAll sorts the whole column. This is the paper's alternative
+// strategy "to completely sort or index the table upfront" (§2.2) that
+// Figure 11 compares cracking against; after SortAll every cut is a
+// binary search and no tuple is ever moved again.
+func (c *Column) SortAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.consolidateLocked()
+	c.sortLocked("sort")
+}
+
 // ByOID returns the live values keyed by OID — the loss-less
 // reconstruction witness used by the property tests.
 func (c *Column) ByOID() map[bat.OID]int64 {

@@ -50,8 +50,8 @@ import (
 // (TestIndexBuildBudget).
 //
 // Index is not safe for concurrent use; Column serializes access. Reads
-// (Find, Floor, Ceil, bracket, Cuts) change nothing, so concurrent readers
-// under a read lock are safe.
+// (Find, findGroup, Floor, Ceil, bracket, Cuts) change nothing, so
+// concurrent readers under a read lock are safe.
 type Index struct {
 	leaves []leaf
 	topV   []int64 // topV[i], topI[i]: the first key of leaves[i]
@@ -120,8 +120,13 @@ func (ix *Index) home(val int64, incl bool) int {
 // probe returns the slot holding (val, incl), or with found=false the
 // empty slot that ends its probe run. The table must have slots.
 func (ix *Index) probe(val int64, incl bool) (i int, found bool) {
+	return ix.probeFrom(ix.home(val, incl), val, incl)
+}
+
+// probeFrom is probe resumed at slot i of the key's probe run.
+func (ix *Index) probeFrom(i int, val int64, incl bool) (int, bool) {
 	t, mask := tag(incl), len(ix.slots)-1
-	for i = ix.home(val, incl); ; i = (i + 1) & mask {
+	for ; ; i = (i + 1) & mask {
 		switch s := &ix.slots[i]; {
 		case s.w == 0:
 			return i, false
@@ -290,6 +295,50 @@ func (ix *Index) Find(val int64, incl bool) (pos int, ok bool) {
 	}
 	i, ok := ix.probe(val, incl)
 	return ix.slots[i].pos(), ok
+}
+
+// A cutKey is the key of a cut: its value and whether it is inclusive.
+type cutKey struct {
+	val  int64
+	incl bool
+}
+
+// findGroup looks up every key of keys, at most 64, as Find would, into
+// pos: the cut's position, or -1 when the key is not registered. It reads
+// every key's home slot before it follows any probe run. Those reads do
+// not depend on each other, so their cache misses overlap, where one Find
+// after another waits out each miss in turn (group prefetching). A home
+// slot that holds its key or is empty settles the key; otherwise pos
+// keeps the slot until the second pass resumes the key's run after it.
+func (ix *Index) findGroup(keys []cutKey, pos []int) {
+	pos = pos[:len(keys)]
+	if len(ix.slots) == 0 {
+		for k := range pos {
+			pos[k] = -1
+		}
+		return
+	}
+	var runs uint64 // keys whose home slot holds another cut
+	for k, key := range keys {
+		i := ix.home(key.val, key.incl)
+		switch s := &ix.slots[i]; {
+		case s.w == 0:
+			pos[k] = -1
+		case s.val == key.val && s.w&3 == tag(key.incl):
+			pos[k] = s.pos()
+		default:
+			pos[k], runs = i, runs|1<<k
+		}
+	}
+	mask := len(ix.slots) - 1
+	for ; runs != 0; runs &= runs - 1 {
+		k := bits.TrailingZeros64(runs)
+		i, found := ix.probeFrom((pos[k]+1)&mask, keys[k].val, keys[k].incl)
+		pos[k] = -1
+		if found {
+			pos[k] = ix.slots[i].pos()
+		}
+	}
 }
 
 // Floor returns the greatest cut with key <= (val, incl).

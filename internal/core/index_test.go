@@ -235,7 +235,7 @@ func TestIndexRandomizedAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	m := &indexModel{ix: &Index{}}
 	for step := 0; step < 20_000; step++ {
-		op := rng.Intn(9)
+		op := rng.Intn(10)
 		if step/2500%2 == 1 && op < 3 { // a draining phase
 			op = 3
 		}
@@ -268,11 +268,15 @@ type indexModel struct {
 // step applies op to the key (val, incl): 0–2 insert at position arg,
 // 3–4 delete, 5 Find/Floor/Ceil/bracket, 6 ascend and 7 descend (each
 // stops after arg+1 cuts and moves every cut it visits by val%3), 8
-// rebuilds the index through IndexFromSorted, or with arg 255 resets it.
+// rebuilds the index through IndexFromSorted, or with arg 255 resets it,
+// 9 looks up arg%16+1 keys (val + j·(arg/16+1), incl) in one findGroup.
 func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
-	i, found := slices.BinarySearchFunc(m.ref, Cut{Val: val, Incl: incl}, func(c, k Cut) int {
-		return cmpCut(c.Val, c.Incl, k.Val, k.Incl)
-	})
+	search := func(val int64, incl bool) (int, bool) {
+		return slices.BinarySearchFunc(m.ref, Cut{Val: val, Incl: incl}, func(c, k Cut) int {
+			return cmpCut(c.Val, c.Incl, k.Val, k.Incl)
+		})
+	}
+	i, found := search(val, incl)
 	at := func(k int) (int64, bool, int, bool) { // the model's cut k, if any
 		if k < 0 || k >= len(m.ref) {
 			return 0, false, 0, false
@@ -354,6 +358,22 @@ func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
 			return err
 		}
 		m.ix = ix
+	case 9:
+		keys := make([]cutKey, arg%16+1)
+		for j := range keys {
+			keys[j] = cutKey{val + int64(j*(arg/16+1)), incl}
+		}
+		pos := make([]int, len(keys))
+		m.ix.findGroup(keys, pos)
+		for j, k := range keys {
+			want := -1
+			if i, found := search(k.val, k.incl); found {
+				want = m.ref[i].Pos
+			}
+			if pos[j] != want {
+				return fmt.Errorf("findGroup key %d (%d, %v) = %d, want %d", j, k.val, k.incl, pos[j], want)
+			}
+		}
 	}
 	if m.ix.changed != wantChanged {
 		return fmt.Errorf("op %d on (%d, %v): changed = %v, want %v", op, val, incl, m.ix.changed, wantChanged)
@@ -374,7 +394,7 @@ func FuzzIndex(f *testing.F) {
 		}
 		m := &indexModel{ix: &Index{}}
 		for i := 0; i+3 <= len(b); i += 3 {
-			if err := m.step(int(b[i]&0x7f)%9, int64(b[i+1]), b[i]&0x80 != 0, int(b[i+2])); err != nil {
+			if err := m.step(int(b[i]&0x7f)%10, int64(b[i+1]), b[i]&0x80 != 0, int(b[i+2])); err != nil {
 				t.Fatalf("step %d: %v", i/3, err)
 			}
 		}

@@ -4,8 +4,9 @@
 // it under a single shard-store entry (crackdb.Store.CountBatch), so the
 // shard-store entry and column resolution the scalar path pays per
 // query are paid once per shard per batch. The shard answers its
-// sub-batch's ranges one by one in submission order, exactly as it
-// would count them sent alone. A sub-batch is a shard's unit of work
+// sub-batch's ranges in submission order, as it would count them sent
+// alone, the converged ones a run at a time under one read hold of the
+// column (core's countBatch). A sub-batch is a shard's unit of work
 // whatever it finds, so it gets no read-only pass: every shard with a
 // sub-batch runs in gather's pass 2. Per-predicate counts sum.
 package shard

@@ -204,60 +204,6 @@ func TestBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestCensusFollowsColumns: the budgeted quantity is what live columns
-// hold, whoever dropped or replaced them.
-func TestCensusFollowsColumns(t *testing.T) {
-	ct, rows := buildTable(t, 800, 12)
-	held := []*core.CrackedTable{ct}
-	g := NewRegistry(DefaultBudget, func() []*core.CrackedTable { return held })
-	serve := func(when string) {
-		t.Helper()
-		got, ok := project(t, g, ct, 1000, 6000, "a", "b")
-		if !ok || !reflect.DeepEqual(got, wantProjection(rows, 1000, 6000, 1, 2)) {
-			t.Fatalf("%s: projection declined (%v) or diverges", when, !ok)
-		}
-	}
-	serve("first")
-	col, _ := ct.Column("k")
-	// A reorganization the payloads cannot follow drops them at the column.
-	col.SortAll()
-	if st := g.Snapshot(); st.Pays != 0 || st.Sets != 0 || col.Stats().PaysDropped != 2 {
-		t.Fatalf("after SortAll: %d pays on %d columns, %d dropped; want 0, 0, 2", st.Pays, st.Sets, col.Stats().PaysDropped)
-	}
-	serve("after SortAll")
-	// A restored column without payloads replaces the live one.
-	st, _ := col.TakeState(true)
-	st.Pays = nil
-	twin, err := ct.ColumnFromState("k", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.ReplaceColumn("k", twin); err != nil {
-		t.Fatal(err)
-	}
-	if st := g.Snapshot(); st.Pays != 0 {
-		t.Fatalf("after ReplaceColumn: %d pays counted on a column that is gone", st.Pays)
-	}
-	serve("after ReplaceColumn")
-	if st := g.Snapshot(); st.Pays != 2 || st.Builds != 6 {
-		t.Fatalf("%d pays after %d builds, want 2 after 6", st.Pays, st.Builds)
-	}
-	// The store dropped the table: its wrapper leaves the live list.
-	held = nil
-	if st := g.Snapshot(); st.Pays != 0 {
-		t.Fatalf("after the drop: %d pays", st.Pays)
-	}
-	// A stale selection on the dropped wrapper gathers nothing there.
-	col, _ = ct.Column("k")
-	col.SortAll()
-	if _, ok := project(t, g, ct, 1000, 6000, "a", "b"); ok {
-		t.Fatal("a wrapper the store no longer holds was handed payloads")
-	}
-	if st := g.Snapshot(); st.Builds != 6 {
-		t.Fatalf("%d builds after the drop, want 6", st.Builds)
-	}
-}
-
 // TestExportRestoreRoundTrip: a column's payload names ride its exported
 // state; the restored column gathers their vectors back from the rows,
 // Adopt hands them to another registry, and that side serves without
