@@ -125,7 +125,7 @@ func (s *Server) refreshPruneFloor() {
 // follower. Only plain SELECTs qualify; SELECT INTO materializes a table
 // and would diverge the replica.
 func readOnlyStmt(st sql.Stmt) bool {
-	sel, ok := st.(sql.Select)
+	sel, ok := st.(*sql.Select)
 	return ok && sel.Into == ""
 }
 

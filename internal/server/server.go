@@ -223,15 +223,18 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // serveWindow answers one connection's in-flight window through reply,
-// in request order. Each SQL request is parsed once; each run of parsed
-// statements goes to the engine's ExecWindow, which folds co-column
-// range counts into one batched store entry. A /meta command, a parse
-// error and a write refused on a follower answer in place between runs.
-// A /quit answers and stops the connection; any requests a client
-// pipelined behind its /quit are dropped with it.
+// in request order. Each SQL request is parsed once, by one sql.Parser
+// for the window, so a count shaped like the one before it is not
+// scanned again; each run of parsed statements goes to the engine's
+// ExecWindow, which folds co-column range counts into one batched store
+// entry. A /meta command, a parse error and a write refused on a
+// follower answer in place between runs. A /quit answers and stops the
+// connection; any requests a client pipelined behind its /quit are
+// dropped with it.
 func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error) (quit bool, err error) {
 	run := make([]sql.Stmt, 0, len(win)) // the parsed statements of win[i-len(run):i]
 	primary := s.primaryAddr()           // a follower refuses writes
+	var parser sql.Parser
 	flush := func(i int) error {
 		if len(run) == 0 {
 			return nil
@@ -255,7 +258,7 @@ func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error
 				return false, err
 			}
 			s.slowLog(req.cmd, 1, func() { resp, quit = s.meta(req.cmd) })
-		} else if st, err := sql.Parse(req.cmd); err != nil {
+		} else if st, err := parser.Parse(req.cmd); err != nil {
 			resp = &Response{Err: err.Error()}
 		} else if primary != "" && !readOnlyStmt(st) {
 			resp = &Response{Err: "read-only follower; primary=" + primary}

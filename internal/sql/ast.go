@@ -84,7 +84,7 @@ type Delete struct {
 
 // Select is SELECT items FROM table [WHERE conj] [GROUP BY col]
 // [ORDER BY col [DESC]] [LIMIT n], optionally with INTO for the paper's
-// SELECT INTO fragment-building idiom.
+// SELECT INTO fragment-building idiom. A parse returns it as a *Select.
 type Select struct {
 	Items   []SelectItem
 	Star    bool
@@ -97,8 +97,29 @@ type Select struct {
 	Limit   int // -1 = no limit
 }
 
+// selectBlock is a Select with inline room for the items and conditions
+// of the common statements, so a parse allocates a SELECT once: a count
+// has one item and two conditions, a fetch up to four items.
+type selectBlock struct {
+	sel   Select
+	items [4]SelectItem
+	conds [2]crackdb.Cond
+}
+
+// clone copies s into a block of its own.
+func (s *Select) clone() *Select {
+	b := &selectBlock{sel: *s}
+	if s.Items != nil {
+		b.sel.Items = append(b.items[:0], s.Items...)
+	}
+	if s.Where != nil {
+		b.sel.Where = append(b.conds[:0], s.Where...)
+	}
+	return &b.sel
+}
+
 func (CreateTable) stmt() {}
 func (DropTable) stmt()   {}
 func (Insert) stmt()      {}
 func (Delete) stmt()      {}
-func (Select) stmt()      {}
+func (*Select) stmt()     {}

@@ -33,7 +33,7 @@ func ClassifyRangeCount(input string) (RangeCount, bool) {
 // fold to one inclusive range (crackdb.Interval) is lossless. A <> or an
 // unknown operator declines.
 func rangeCount(stmt Stmt) (RangeCount, bool) {
-	s, ok := stmt.(Select)
+	s, ok := stmt.(*Select)
 	if !ok || !s.countStar() || len(s.Where) == 0 {
 		return RangeCount{}, false
 	}
@@ -61,19 +61,27 @@ type Result struct {
 // a pipelining client sends — is one shard.Store.CountBatch, which
 // counts the ranges in submission order; if the batch fails, the run's
 // statements execute one by one, so each error reads as it would alone.
-// Every other statement executes alone.
+// Every other statement executes alone. Each statement is classified
+// once: the one that ends a run opens the next.
 func (e *Engine) ExecWindow(stmts []Stmt) []Result {
 	out := make([]Result, len(stmts))
 	var ranges []crackdb.Range
+	classify := func(k int) (RangeCount, bool) {
+		if k < len(stmts) {
+			return rangeCount(stmts[k])
+		}
+		return RangeCount{}, false
+	}
+	next, ok := classify(0) // stmts[i]'s classification
 	for i := 0; i < len(stmts); {
-		first, _ := rangeCount(stmts[i])
+		first, run, end := next, ok, i+1 // the run is stmts[i:end]
 		ranges = ranges[:0]
-		for _, st := range stmts[i:] {
-			rc, ok := rangeCount(st)
-			if !ok || rc.Table != first.Table || rc.Col != first.Col {
-				break
-			}
-			ranges = append(ranges, rc.Range())
+		if run {
+			ranges = append(ranges, first.Range())
+		}
+		for next, ok = classify(end); run && ok && next.Table == first.Table && next.Col == first.Col; next, ok = classify(end) {
+			ranges = append(ranges, next.Range())
+			end++
 		}
 		if len(ranges) >= 2 {
 			if counts, err := e.store.CountBatch(first.Table, first.Col, ranges); err == nil {
@@ -85,7 +93,7 @@ func (e *Engine) ExecWindow(stmts []Stmt) []Result {
 				continue
 			}
 		}
-		for end := i + max(len(ranges), 1); i < end; i++ {
+		for ; i < end; i++ {
 			out[i].Set, out[i].Err = e.execStmt(stmts[i])
 		}
 	}

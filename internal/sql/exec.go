@@ -80,14 +80,14 @@ func (e *Engine) execStmt(stmt Stmt) (*ResultSet, error) {
 			return nil, err
 		}
 		return &ResultSet{Message: fmt.Sprintf("deleted %d rows from %s", n, s.Table)}, nil
-	case Select:
+	case *Select:
 		return e.execSelect(s)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 	}
 }
 
-func (e *Engine) execSelect(s Select) (*ResultSet, error) {
+func (e *Engine) execSelect(s *Select) (*ResultSet, error) {
 	// Fast path: SELECT COUNT(*) FROM t [WHERE ...] needs no fetch.
 	if s.countStar() {
 		n, err := e.store.CountWhere(s.Table, s.Where...)
@@ -183,7 +183,7 @@ func (e *Engine) execSelect(s Select) (*ResultSet, error) {
 
 // countStar is the COUNT(*) fast path's guard; the batch fold
 // (rangeCount) decides by it too, so the two cannot drift apart.
-func (s Select) countStar() bool {
+func (s *Select) countStar() bool {
 	return len(s.Items) == 1 && s.Items[0].Agg == AggCountStar && s.GroupBy == "" && s.Into == ""
 }
 
@@ -209,7 +209,7 @@ func hasAggregate(items []SelectItem) bool {
 }
 
 // aggregate evaluates GROUP BY and plain aggregates over the result.
-func (e *Engine) aggregate(s Select, items []SelectItem, res crackdb.Rows) (*ResultSet, error) {
+func (e *Engine) aggregate(s *Select, items []SelectItem, res crackdb.Rows) (*ResultSet, error) {
 	// Validate the projection: with GROUP BY, plain columns must be the
 	// grouping column.
 	for _, it := range items {
@@ -324,7 +324,7 @@ func (e *Engine) aggregate(s Select, items []SelectItem, res crackdb.Rows) (*Res
 }
 
 // finish applies LIMIT and SELECT INTO.
-func (e *Engine) finish(s Select, rs *ResultSet) (*ResultSet, error) {
+func (e *Engine) finish(s *Select, rs *ResultSet) (*ResultSet, error) {
 	if s.Limit >= 0 && len(rs.Rows) > s.Limit {
 		rs.Rows = rs.Rows[:s.Limit]
 	}

@@ -9,6 +9,18 @@ import (
 	"unicode/utf8"
 )
 
+// keywords maps each keyword of the dialect to itself, so a scanned
+// keyword's text is this constant, not an upper-cased copy of the input.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields(`SELECT FROM WHERE AND GROUP BY ORDER LIMIT
+		ASC DESC INSERT INTO VALUES CREATE TABLE DROP INT INTEGER COUNT SUM
+		MIN MAX BETWEEN AS DELETE`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
 // refLex is the lexer the scanner replaced: it built the whole token
 // slice before parsing and read each byte as a rune. It is kept here as
 // the reference FuzzLex holds the scanner to on ASCII input.
@@ -152,7 +164,7 @@ func TestLexUTF8(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", input, err)
 		}
-		if w := stmt.(Select).Where; len(w) != 2 || w[1].Col != "a" || w[1].Val != 5 {
+		if w := stmt.(*Select).Where; len(w) != 2 || w[1].Col != "a" || w[1].Val != 5 {
 			t.Fatalf("%q: WHERE %+v", input, w)
 		}
 	}
@@ -170,10 +182,23 @@ const (
 	fetch3    = "SELECT c0, c1, c2 FROM t WHERE c0 >= 5000 AND c0 < 6000"
 )
 
+// poolCounts are 64 pool counts of distinct ranges, the texts a
+// pipelining client sends in one window.
+var poolCounts = func() []string {
+	out := make([]string, 64)
+	for i := range out {
+		lo := 1000 + 1500*i
+		out[i] = fmt.Sprintf("SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 <= %d", lo, lo+999)
+	}
+	return out
+}()
+
 // TestParseBudget: Parse allocates the statement it returns and nothing
-// per token. A count is the boxed Select, its Items and its Where; a
-// fetch the same. The lexer that built a token slice, upper-cased every
-// word and made a string per symbol read 16 and 21.
+// per token: a *Select with room for a count's or a fetch's items and
+// conditions, once. A Parser that reuses a count's shape allocates the
+// same one statement. The lexer that built a token slice, upper-cased
+// every word and made a string per symbol read 16 and 21, and a Select
+// boxed apart from its Items and Where read 3.
 func TestParseBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -181,7 +206,7 @@ func TestParseBudget(t *testing.T) {
 	for _, c := range []struct {
 		stmt string
 		max  float64
-	}{{poolCount, 3}, {fetch3, 5}} {
+	}{{poolCount, 1}, {fetch3, 1}} {
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := Parse(c.stmt); err != nil {
 				t.Fatal(err)
@@ -192,6 +217,73 @@ func TestParseBudget(t *testing.T) {
 			t.Errorf("Parse(%q) allocates %.0f times, budget %.0f", c.stmt, got, c.max)
 		}
 	}
+	var p Parser
+	got := testing.AllocsPerRun(20, func() {
+		for _, text := range poolCounts {
+			if _, err := p.Parse(text); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(poolCounts))
+	t.Logf("a Parser over %d pool counts: %.2f allocations a statement", len(poolCounts), got)
+	if got > 1 {
+		t.Errorf("a Parser over %d pool counts allocates %.2f times a statement, budget 1", len(poolCounts), got)
+	}
+}
+
+// TestParserReuses: a Parser reuses the shape of the last statement it
+// scanned for a text that differs from it only in WHERE values, and
+// scans any other text. The answers themselves are FuzzParser's.
+func TestParserReuses(t *testing.T) {
+	for _, c := range []struct {
+		a, b  string
+		reuse bool
+	}{
+		{poolCount, "SELECT COUNT(*) FROM t WHERE c0 >= -7 AND c0 <= 1234567890", true},
+		{fetch3, "SELECT c0, c1, c2 FROM t WHERE c0 >= 5 AND c0 < 6", true},
+		{"SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 5;", "SELECT COUNT(*) FROM t WHERE a BETWEEN 2 AND 50;", true},
+		{"SELECT COUNT(*) FROM t WHERE a >=\u00a05", "SELECT COUNT(*) FROM t WHERE a >=\u00a0-5", true},
+		{"SELECT COUNT(*) FROM t", "SELECT COUNT(*) FROM t", true},
+		{"SELECT COUNT(*) FROM t WHERE a BETWEEN-5 AND 9", "SELECT COUNT(*) FROM t WHERE a BETWEEN5 AND 9", false},
+		{"SELECT COUNT(*) FROM t WHERE a < 5", "SELECT COUNT(*) FROM u WHERE a < 5", false},
+		{"SELECT COUNT(*) FROM t WHERE a < 5 -- 7", "SELECT COUNT(*) FROM t WHERE a < 5 -- 8", false},
+		{"SELECT a FROM t WHERE a > 1 LIMIT 5", "SELECT a FROM t WHERE a > 1 LIMIT 5", false},
+		{"INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (1)", false},
+	} {
+		var p Parser
+		if _, err := p.Parse(c.a); err != nil {
+			t.Fatalf("%q: %v", c.a, err)
+		}
+		shape := p.last // a scan of b replaces it
+		got, err := p.Parse(c.b)
+		want, wantErr := Parse(c.b)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %q, %q parses to %#v, %v; Parse: %#v, %v", c.a, c.b, got, err, want, wantErr)
+		}
+		if reused := shape != nil && p.last == shape; reused != c.reuse {
+			t.Errorf("after %q, %q: reused %v, want %v", c.a, c.b, reused, c.reuse)
+		}
+	}
+}
+
+// FuzzParser: a Parser that has just parsed a parses b exactly as Parse
+// does, to an equal statement or the same error text, whether it reuses
+// a's shape or scans b; and then parses a again as Parse does. The seeds
+// under testdata/fuzz/FuzzParser change a literal's length and sign, run
+// a literal into letters or the next number, overflow int64, change
+// digits inside a comment, and change a BETWEEN, a LIMIT, a column, a
+// table, a trailing ';' and a Unicode space.
+func FuzzParser(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var p Parser
+		for _, text := range []string{a, b, a} {
+			got, err := p.Parse(text)
+			want, wantErr := Parse(text)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %q, a Parser parses %q to %#v, %v; Parse: %#v, %v", a, text, got, err, want, wantErr)
+			}
+		}
+	})
 }
 
 func BenchmarkParse(b *testing.B) {
@@ -205,4 +297,17 @@ func BenchmarkParse(b *testing.B) {
 			}
 		})
 	}
+	// A window's 64 pool counts through one Parser, as a server parses them.
+	b.Run("window", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var p Parser
+			for _, text := range poolCounts {
+				if _, err := p.Parse(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(poolCounts)), "ns/stmt")
+	})
 }

@@ -3,7 +3,6 @@ package sql
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -13,37 +12,121 @@ import (
 // parser is a recursive-descent parser pulling tokens from a scanner.
 type parser struct {
 	scanner
-	tok Token // the lookahead
-	err error // the first scan error; the lookahead is then TokEOF
+	tok  Token // the lookahead
+	err  error // the first scan error; the lookahead is then TokEOF
+	lits spans // the numbers parsed so far
+}
+
+// spans records where a statement's numeric literals lie in its text.
+type spans struct {
+	at [8]struct{ start, end int } // the byte spans of the first literals
+	n  int                         // the literals counted
+}
+
+// Parse parses a single statement (a trailing semicolon is allowed), as
+// a fresh Parser does.
+func Parse(input string) (Stmt, error) {
+	var p Parser
+	return p.Parse(input)
+}
+
+// Parser parses statements one at a time, as Parse does, and remembers
+// the shape of the last one it scanned if that is a SELECT whose every
+// numeric literal is a WHERE value. When a text equals the remembered
+// one byte for byte outside those literals, its statement is the
+// remembered one with the new values, and Parse builds it without
+// scanning. The zero value is ready to use. A Parser is not safe for
+// concurrent use, and the statements it returns must not be modified.
+type Parser struct {
+	text string  // the remembered statement's text
+	last *Select // its statement; nil if none
+	lits spans   // its literals: Where[k].Val is the one at lits.at[k]
 }
 
 // Parse parses a single statement (a trailing semicolon is allowed).
-func Parse(input string) (Stmt, error) {
+func (m *Parser) Parse(input string) (Stmt, error) {
+	if sel := m.reuse(input); sel != nil {
+		return sel, nil
+	}
+	m.last = nil
 	var stmt Stmt
-	n, err := parse(input, func(s Stmt) { stmt = s })
+	p := parser{scanner: scanner{src: input}}
+	n, err := p.parse(func(s Stmt) { stmt = s })
 	if err == nil && n != 1 {
 		err = fmt.Errorf("sql: expected one statement, got %d", n)
 	}
 	if err != nil {
 		return nil, err
 	}
+	// Each condition holds one literal, so a SELECT with one literal more
+	// has a LIMIT.
+	if sel, ok := stmt.(*Select); ok && p.lits.n == len(sel.Where) && p.lits.n <= len(p.lits.at) {
+		m.text, m.last, m.lits = input, sel, p.lits
+	}
 	return stmt, nil
+}
+
+// reuse returns the remembered statement with input's WHERE values, or
+// nil if input is not the remembered text with other values. Outside
+// the literals the bytes are the same, and each literal is read by the
+// scanner's rule for a number: an optional '-' and a maximal run of
+// digits. So the scanner cuts input into the remembered tokens, with
+// only the numbers' texts changed: a literal cannot run into the bytes
+// after it (it ends before a non-digit in both texts), and the token
+// before it ends where it did (no token but a word continues with a
+// digit or a '-', and a word can precede a literal only if the literal
+// began with the '-', which is the one case refused below).
+func (m *Parser) reuse(input string) *Select {
+	if m.last == nil {
+		return nil
+	}
+	var vals [len(m.lits.at)]int64
+	prev, at, from := m.text, 0, 0 // input[at:] is to match prev[from:]
+	for k, lit := range m.lits.at[:m.lits.n] {
+		gap := prev[from:lit.start]
+		if len(input)-at < len(gap) || input[at:at+len(gap)] != gap {
+			return nil
+		}
+		at += len(gap)
+		end := at
+		if end < len(input) && input[end] == '-' {
+			end++
+		} else if prev[lit.start] == '-' && at > 0 && wordByte(input[at-1]) {
+			return nil // the digits would continue the word before them
+		}
+		for end < len(input) && isDigit(input[end]) {
+			end++
+		}
+		v, err := strconv.ParseInt(input[at:end], 10, 64) // refuses a '-' alone
+		if err != nil {
+			return nil
+		}
+		vals[k], at, from = v, end, lit.end
+	}
+	if input[at:] != prev[from:] {
+		return nil
+	}
+	sel := m.last.clone()
+	for k := range sel.Where {
+		sel.Where[k].Val = vals[k]
+	}
+	return sel
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(input string) ([]Stmt, error) {
 	var out []Stmt
-	if _, err := parse(input, func(s Stmt) { out = append(out, s) }); err != nil {
+	p := parser{scanner: scanner{src: input}}
+	if _, err := p.parse(func(s Stmt) { out = append(out, s) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// parse hands each statement of input, in order, to each and counts
+// parse hands each statement of the input, in order, to each and counts
 // them. A scan error anywhere in the input outranks a parse error, as it
 // did when the whole input was lexed before parsing.
-func parse(input string, each func(Stmt)) (int, error) {
-	p := parser{scanner: scanner{src: input}}
+func (p *parser) parse(each func(Stmt)) (int, error) {
 	p.tok, p.err = p.scan()
 	for n := 0; ; n++ {
 		for p.accept(TokSymbol, ";") {
@@ -110,11 +193,16 @@ func (p *parser) ident() (string, error) {
 	return t.Text, nil
 }
 
+// number parses a numeric literal and records its span.
 func (p *parser) number() (int64, error) {
 	t := p.next()
 	if t.Kind != TokNumber {
 		return 0, fmt.Errorf("sql: offset %d: expected number, got %q", t.Pos, t.Text)
 	}
+	if l := &p.lits; l.n < len(l.at) {
+		l.at[l.n].start, l.at[l.n].end = t.Pos, t.Pos+len(t.Text)
+	}
+	p.lits.n++
 	v, err := strconv.ParseInt(t.Text, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("sql: offset %d: %v", t.Pos, err)
@@ -234,7 +322,7 @@ func (p *parser) deleteStmt() (Stmt, error) {
 	}
 	del := Delete{Table: table}
 	if p.accept(TokKeyword, "WHERE") {
-		conds, err := p.conjunction()
+		conds, err := p.conjunction(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -245,14 +333,14 @@ func (p *parser) deleteStmt() (Stmt, error) {
 
 func (p *parser) selectStmt() (Stmt, error) {
 	p.next() // SELECT
-	sel := Select{Limit: -1}
+	b := &selectBlock{sel: Select{Limit: -1}}
+	sel := &b.sel
 
 	// Projection list.
 	if p.accept(TokSymbol, "*") {
 		sel.Star = true
 	} else {
-		var buf [8]SelectItem // sizes Items once, for up to 8 items
-		items := buf[:0]
+		items := b.items[:0]
 		for {
 			item, err := p.selectItem()
 			if err != nil {
@@ -262,7 +350,7 @@ func (p *parser) selectStmt() (Stmt, error) {
 				break
 			}
 		}
-		sel.Items = slices.Clone(items)
+		sel.Items = items
 	}
 
 	// Optional INTO (the paper's SELECT INTO fragNNN idiom).
@@ -284,7 +372,7 @@ func (p *parser) selectStmt() (Stmt, error) {
 	sel.Table = table
 
 	if p.accept(TokKeyword, "WHERE") {
-		conds, err := p.conjunction()
+		conds, err := p.conjunction(b.conds[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -359,9 +447,9 @@ func (p *parser) selectItem() (SelectItem, error) {
 	return SelectItem{Col: stripQualifier(col)}, nil
 }
 
-func (p *parser) conjunction() ([]crackdb.Cond, error) {
-	var buf [8]crackdb.Cond // sizes the conjunction once, for up to 8 conditions
-	out := buf[:0]
+// conjunction appends the conditions of a WHERE clause to out, which
+// may hold room for them.
+func (p *parser) conjunction(out []crackdb.Cond) ([]crackdb.Cond, error) {
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -393,7 +481,7 @@ func (p *parser) conjunction() ([]crackdb.Cond, error) {
 			return nil, fmt.Errorf("sql: offset %d: expected comparison, got %q", t.Pos, t.Text)
 		}
 		if !p.accept(TokKeyword, "AND") {
-			return slices.Clone(out), nil
+			return out, nil
 		}
 	}
 }

@@ -36,7 +36,7 @@ func Render(stmt Stmt) string {
 			sb.WriteByte(')')
 		}
 		return sb.String()
-	case Select:
+	case *Select:
 		var sb strings.Builder
 		sb.WriteString("SELECT ")
 		if s.Star {

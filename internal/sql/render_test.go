@@ -32,9 +32,9 @@ func TestRenderKnownForms(t *testing.T) {
 }
 
 // genSelect builds a random but valid Select statement.
-func genSelect(rng *rand.Rand) Select {
+func genSelect(rng *rand.Rand) *Select {
 	cols := []string{"a", "b", "c", "k"}
-	s := Select{Table: "t", Limit: -1}
+	s := &Select{Table: "t", Limit: -1}
 	if rng.Intn(3) == 0 {
 		s.Star = true
 	} else {
@@ -87,7 +87,7 @@ func TestQuickRenderParseRoundTrip(t *testing.T) {
 			t.Logf("Parse(%q): %v", Render(want), err)
 			return false
 		}
-		if !reflect.DeepEqual(got.(Select), want) {
+		if !reflect.DeepEqual(got.(*Select), want) {
 			t.Logf("round trip:\n  want %#v\n  got  %#v\n  sql  %q", want, got, Render(want))
 			return false
 		}

@@ -91,7 +91,7 @@ func TestParseSelectForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := stmt.(Select)
+	sel := stmt.(*Select)
 	if !sel.Star || sel.Table != "r" || len(sel.Where) != 3 {
 		t.Fatalf("parsed %#v", sel)
 	}
@@ -106,7 +106,7 @@ func TestParseSelectForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel = stmt.(Select)
+	sel = stmt.(*Select)
 	if len(sel.Items) != 3 || sel.Items[1].Agg != AggCountStar || sel.Items[2].Agg != AggSum {
 		t.Fatalf("parsed %#v", sel)
 	}
@@ -118,7 +118,7 @@ func TestParseSelectForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel = stmt.(Select)
+	sel = stmt.(*Select)
 	if sel.Into != "frag001" || len(sel.Where) != 2 {
 		t.Fatalf("parsed %#v", sel)
 	}
