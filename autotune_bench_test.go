@@ -5,8 +5,8 @@ package crackdb
 // the same stores through the same streams:
 //
 //   - on a sequential walk over N=1M with store default standard, the
-//     tuner must converge to mdd1r and the steady-state (second half)
-//     per-query latency must land within 2x of an always-mdd1r store;
+//     tuner must converge to ddr and the steady-state (second half)
+//     per-query latency must land within 2x of an always-ddr store;
 //   - on a random stream the tuner must stay on standard with zero
 //     flips after warmup.
 
@@ -26,13 +26,13 @@ const (
 
 // autotuneBenchRun drives one store through the pattern and returns the
 // steady-state (second-half) per-query nanoseconds plus the tuner
-// posture. mdd1r=true runs a static always-mdd1r store instead of the
+// posture. ddr=true runs a static always-ddr store instead of the
 // tuner.
-func autotuneBenchRun(b testing.TB, rows [][]int64, pattern workload.Pattern, mdd1r bool) (float64, []tuner.Decision) {
+func autotuneBenchRun(b testing.TB, rows [][]int64, pattern workload.Pattern, ddr bool) (float64, []tuner.Decision) {
 	b.Helper()
 	s := New()
-	if mdd1r {
-		if err := s.SetCrackStrategy("mdd1r", 42); err != nil {
+	if ddr {
+		if err := s.SetCrackStrategy("ddr", 42); err != nil {
 			b.Fatal(err)
 		}
 	} else {
@@ -77,11 +77,11 @@ func BenchmarkAutotuneSequential(b *testing.B) {
 	rows := autotuneBenchRows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mdd1rNs, _ := autotuneBenchRun(b, rows, workload.Sequential, true)
+		ddrNs, _ := autotuneBenchRun(b, rows, workload.Sequential, true)
 		autoNs, _ := autotuneBenchRun(b, rows, workload.Sequential, false)
 		b.ReportMetric(autoNs, "ns/q-autotune")
-		b.ReportMetric(mdd1rNs, "ns/q-mdd1r")
-		b.ReportMetric(autoNs/mdd1rNs, "x-vs-mdd1r")
+		b.ReportMetric(ddrNs, "ns/q-ddr")
+		b.ReportMetric(autoNs/ddrNs, "x-vs-ddr")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"crackdb/internal/strategy"
 	"crackdb/internal/tuner"
 	"crackdb/internal/workload"
 )
@@ -18,7 +19,7 @@ func aggressiveTune() tuner.Config {
 
 // TestAutotuneConvergence pins the decision engine's two acceptance
 // behaviors at store level: a sequential walk on a standard store flips
-// the walked column to mdd1r, and a random stream leaves it on standard
+// the walked column to ddr, and a random stream leaves it on standard
 // with zero flips.
 func TestAutotuneConvergence(t *testing.T) {
 	run := func(pattern workload.Pattern) *Store {
@@ -48,8 +49,8 @@ func TestAutotuneConvergence(t *testing.T) {
 	}
 
 	seq := run(workload.Sequential).TuneDecisions()
-	if len(seq) != 1 || seq[0].Strategy != "mdd1r" || seq[0].Flips == 0 || seq[0].Class != "sequential" {
-		t.Fatalf("sequential decisions = %+v, want mdd1r with flips > 0", seq)
+	if len(seq) != 1 || seq[0].Strategy != "ddr" || seq[0].Flips == 0 || seq[0].Class != "sequential" {
+		t.Fatalf("sequential decisions = %+v, want ddr with flips > 0", seq)
 	}
 	rnd := run(workload.Random).TuneDecisions()
 	if len(rnd) != 1 || rnd[0].Strategy != "standard" || rnd[0].Flips != 0 {
@@ -61,7 +62,7 @@ func TestAutotuneConvergence(t *testing.T) {
 // they were sent, as it would see the same counts sent one by one. A
 // random stream counted in batches of 64 leaves the column on standard,
 // classed random, with no flip; the same stream walked sequentially
-// still flips it to mdd1r. A batch that sorted its ranges by bound would
+// still flips it to ddr. A batch that sorted its ranges by bound would
 // show the tuner a sequential walk inside every batch of random ones.
 func TestAutotuneBatchOrder(t *testing.T) {
 	run := func(pattern workload.Pattern) tuner.Decision {
@@ -94,8 +95,8 @@ func TestAutotuneBatchOrder(t *testing.T) {
 	if d := run(workload.Random); d.Strategy != "standard" || d.Class != "random" || d.Flips != 0 {
 		t.Errorf("random stream in batches of 64: %+v, want standard, class random, 0 flips", d)
 	}
-	if d := run(workload.Sequential); d.Strategy != "mdd1r" || d.Class != "sequential" || d.Flips == 0 {
-		t.Errorf("sequential stream in batches of 64: %+v, want mdd1r, class sequential, flips > 0", d)
+	if d := run(workload.Sequential); d.Strategy != "ddr" || d.Class != "sequential" || d.Flips == 0 {
+		t.Errorf("sequential stream in batches of 64: %+v, want ddr, class sequential, flips > 0", d)
 	}
 }
 
@@ -157,7 +158,7 @@ func TestAutotuneFlipUnderConcurrentSelect(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			name := []string{"ddc", "ddr", "mdd1r", "standard"}[i%4]
+			name := []string{"ddr", "standard"}[i%2]
 			if err := s.ForceStrategy("r", "a", name); err != nil {
 				t.Error(err)
 				return
@@ -200,8 +201,8 @@ func TestWarmReopenAutotune(t *testing.T) {
 		}
 	}
 	before := live.TuneDecisions()
-	if len(before) != 1 || before[0].Strategy != "mdd1r" || before[0].Flips == 0 {
-		t.Fatalf("live decisions = %+v, want a flipped mdd1r column", before)
+	if len(before) != 1 || before[0].Strategy != "ddr" || before[0].Flips == 0 {
+		t.Fatalf("live decisions = %+v, want a flipped ddr column", before)
 	}
 
 	dir := filepath.Join(t.TempDir(), "store.crk")
@@ -219,8 +220,8 @@ func TestWarmReopenAutotune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stats["a"].Strategy; got != "mdd1r" {
-		t.Fatalf("reopened column runs %q, want mdd1r", got)
+	if got := stats["a"].Strategy; got != "ddr" {
+		t.Fatalf("reopened column runs %q, want ddr", got)
 	}
 	if d := re.TuneDecisions(); d != nil {
 		t.Fatalf("TuneDecisions before enable = %+v, want nil", d)
@@ -247,7 +248,53 @@ func TestWarmReopenAutotune(t *testing.T) {
 		}
 	}
 	after := re.TuneDecisions()
-	if len(after) != 1 || after[0].Strategy != "mdd1r" || after[0].Flips != 0 || after[0].Forced {
-		t.Fatalf("reopened decisions = %+v, want one mdd1r column with no flips", after)
+	if len(after) != 1 || after[0].Strategy != "ddr" || after[0].Flips != 0 || after[0].Forced {
+		t.Fatalf("reopened decisions = %+v, want one ddr column with no flips", after)
+	}
+}
+
+// TestRepeatsCrackNothing: every query cut is registered under every
+// strategy and under the tuner, so a stream of 1 % counts answered once
+// on a fresh 100k-row column is answered again by index lookups alone —
+// not one crack and not one tuple touched on the second pass, whichever
+// pattern the bounds follow and wherever the tuner flipped.
+func TestRepeatsCrackNothing(t *testing.T) {
+	const n = 100_000
+	for _, posture := range append(strategy.Names(), "autotune") {
+		for _, pattern := range workload.Patterns() {
+			t.Run(posture+"/"+string(pattern), func(t *testing.T) {
+				s := New()
+				if posture == "autotune" {
+					s.EnableAutotune(tuner.DefaultConfig())
+				} else if err := s.SetCrackStrategy(posture, 42); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.LoadTapestry("t", n, 1, 7); err != nil {
+					t.Fatal(err)
+				}
+				gen, err := workload.New(pattern, workload.Config{Domain: n, Count: 1000, Selectivity: 0.01, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				qs := gen.Queries()
+				pass := func() ColumnStats {
+					for _, q := range qs {
+						if _, err := s.Count("t", "c0", q.Lo, q.Hi-1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					st, err := s.Stats("t", "c0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				}
+				first, second := pass(), pass()
+				if first.Queries != len(qs) || second.Queries != 2*len(qs) || first.Cracks == 0 || second.Cracks != first.Cracks || second.TuplesTouched != first.TuplesTouched {
+					t.Fatalf("first pass %d cracks, %d tuples touched; the repeat added %d cracks, %d tuples (strategy now %s)",
+						first.Cracks, first.TuplesTouched, second.Cracks-first.Cracks, second.TuplesTouched-first.TuplesTouched, second.Strategy)
+				}
+			})
+		}
 	}
 }

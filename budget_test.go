@@ -561,9 +561,9 @@ func TestCountBesidePayloadsBudget(t *testing.T) {
 // The observability and autotune gates. On the converged read path the
 // production instrumentation may cost at most 5 % (instrumentedOverhead
 // says how that is measured). On a sequential walk over N = 1M with the
-// store default standard the tuner must converge to mdd1r and its
+// store default standard the tuner must converge to ddr and its
 // steady-state (second-half) per-query latency must land within 2 x of
-// an always-mdd1r store; on a random stream it must stay on standard
+// an always-ddr store; on a random stream it must stay on standard
 // with zero flips.
 
 func TestMetricsOverheadBudget(t *testing.T) {
@@ -582,16 +582,16 @@ func TestAutotuneSequentialBudget(t *testing.T) {
 		t.Skip("timing under the race detector is meaningless")
 	}
 	rows := autotuneBenchRows()
-	mdd1rNs, _ := autotuneBenchRun(t, rows, workload.Sequential, true)
+	ddrNs, _ := autotuneBenchRun(t, rows, workload.Sequential, true)
 	autoNs, dec := autotuneBenchRun(t, rows, workload.Sequential, false)
-	if len(dec) != 1 || dec[0].Strategy != "mdd1r" || dec[0].Flips == 0 {
-		t.Fatalf("autotune did not converge to mdd1r on the sequential walk: %+v", dec)
+	if len(dec) != 1 || dec[0].Strategy != "ddr" || dec[0].Flips == 0 {
+		t.Fatalf("autotune did not converge to ddr on the sequential walk: %+v", dec)
 	}
-	ratio := autoNs / mdd1rNs
-	t.Logf("steady state: autotune %.0f ns/q, always-mdd1r %.0f ns/q (%.2f x)", autoNs, mdd1rNs, ratio)
+	ratio := autoNs / ddrNs
+	t.Logf("steady state: autotune %.0f ns/q, always-ddr %.0f ns/q (%.2f x)", autoNs, ddrNs, ratio)
 	if ratio > 2.0 {
-		t.Fatalf("autotune steady-state %.0f ns/q is %.2fx always-mdd1r (%.0f ns/q), want <= 2x",
-			autoNs, ratio, mdd1rNs)
+		t.Fatalf("autotune steady-state %.0f ns/q is %.2fx always-ddr (%.0f ns/q), want <= 2x",
+			autoNs, ratio, ddrNs)
 	}
 }
 

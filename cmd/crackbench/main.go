@@ -16,7 +16,7 @@
 //	-budget dur   per-configuration wall budget for figure 9 (default 5s)
 //	-parallel     shorthand for -fig parallel (converged-lookup scaling)
 //	-ops int      lookups per goroutine for -fig parallel (default 200000)
-//	-strategy s   crack strategy for -fig stochastic: standard|ddc|ddr|mdd1r|all
+//	-strategy s   crack strategy for -fig stochastic: standard|ddr|all
 //	-workload w   query pattern for -fig stochastic:
 //	              random|sequential|reverse|zoomin|periodic|all
 //	-queries int  queries per stochastic/shard cell (default 512 / 2000)
@@ -35,7 +35,7 @@
 //	crackbench -fig 5                  # Figure 5's queries and the lineage they leave
 //	crackbench -fig 10 -n 1000000      # homeruns on 1M rows
 //	crackbench -parallel               # read-path scaling across goroutines
-//	crackbench -workload=sequential -strategy=mdd1r   # one robustness cell
+//	crackbench -workload=sequential -strategy=ddr     # one robustness cell
 //	crackbench -fig all -summary       # every figure, digest form
 //	crackbench -addr 127.0.0.1:7744 -exec /save   # checkpoint a durable server
 //
@@ -62,7 +62,7 @@ func main() {
 		budget   = flag.Duration("budget", 5*time.Second, "figure 9 per-configuration budget")
 		parallel = flag.Bool("parallel", false, "shorthand for -fig parallel")
 		ops      = flag.Int("ops", 0, "lookups per goroutine for -fig parallel (0 = default)")
-		strat    = flag.String("strategy", "all", "crack strategy for -fig stochastic (standard,ddc,ddr,mdd1r,all)")
+		strat    = flag.String("strategy", "all", "crack strategy for -fig stochastic (standard,ddr,all)")
 		wload    = flag.String("workload", "all", "query pattern for -fig stochastic (random,sequential,reverse,zoomin,periodic,all)")
 		queries  = flag.Int("queries", 0, "queries per stochastic cell (0 = default)")
 		sel      = flag.Float64("sel", 0, "stochastic per-query selectivity (0 = default)")

@@ -541,7 +541,7 @@ func testServer(t *testing.T) {
 }
 
 // testAutotune: one connection walks a key column sequentially, every
-// count exact through the flips; the column then reports mdd1r on /tune,
+// count exact through the flips; the column then reports ddr on /tune,
 // /stats and /metrics, and an operator pin round-trips.
 func testAutotune(t *testing.T) {
 	t.Parallel()
@@ -566,17 +566,17 @@ func testAutotune(t *testing.T) {
 		}
 		t.Fatalf("/tune has no bench c0 row with strategy %s, class %q, forced %s: %v", strategy, class, forced, rows)
 	}
-	tune("mdd1r", "sequential", "false")
+	tune("ddr", "sequential", "false")
 	stats := p.rows("/stats")
-	if i := indexRow(stats, "bench.c0"); i < 0 || stats[i][len(stats[i])-1] != "mdd1r" {
-		t.Fatalf("/stats does not report bench.c0 on mdd1r: %v", stats)
+	if i := indexRow(stats, "bench.c0"); i < 0 || stats[i][len(stats[i])-1] != "ddr" {
+		t.Fatalf("/stats does not report bench.c0 on ddr: %v", stats)
 	}
 	metrics := p.text("/metrics")
 	if !hasSample(metrics, "crackdb_strategy_flips_total") || !hasSample(metrics, "crackdb_tuner_class_info", "sequential") {
 		t.Fatal("/metrics lacks the flip counter or a sequential tuner class")
 	}
-	p.expect("/tune bench c0 ddc", "forced to ddc")
-	tune("ddc", "", "true")
+	p.expect("/tune bench c0 standard", "forced to standard")
+	tune("standard", "", "true")
 	p.expect("/tune bench c0 auto", "released")
 	for _, r := range p.rows("/tune") {
 		if r[1] == "bench" && r[2] == "c0" && r[7] != "false" {
@@ -768,11 +768,20 @@ func testDelta(t *testing.T, partition string) {
 // durable primary restarted under a new one, before and after a
 // checkpoint, logs nothing for it and cracks a fresh column under it; a
 // follower booted with its own cracks under that and stays at its
-// primary's log position.
+// primary's log position. A name that is not a strategy stops the boot,
+// naming the ones there are.
 func testStrategy(t *testing.T) {
 	t.Parallel()
+	for _, bad := range []string{"ddc", "mdd1r"} {
+		cmd := exec.Command(os.Args[0], "-addr", freeAddr(t), "-strategy", bad)
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "want one of standard, ddr") {
+			t.Fatalf("cracksrv -strategy %s: %v\n%s", bad, err, out)
+		}
+	}
 	dir := t.TempDir()
-	p := boot(t, "-shards", "2", "-data", dir, "-strategy", "ddc")
+	p := boot(t, "-shards", "2", "-data", dir, "-strategy", "ddr")
 	fill(p, "t")
 	records := p.rows("/wal")[0][2]
 	reboot := func(strat string) {
@@ -780,22 +789,22 @@ func testStrategy(t *testing.T) {
 		p.args = []string{"-shards", "2", "-data", dir, "-strategy", strat}
 		p.restart()
 	}
-	reboot("mdd1r")
+	reboot("standard")
 	if got := p.rows("/wal")[0][2]; got != records {
 		t.Fatalf("the log holds %s records after a restart, %s before it", got, records)
 	}
 	fill(p, "a")
-	crackedUnder(t, p, "a", "mdd1r")
+	crackedUnder(t, p, "a", "standard")
 	p.expect("/save", "checkpoint complete")
 	reboot("ddr")
 	fill(p, "b")
 	crackedUnder(t, p, "b", "ddr")
 
 	prim := boot(t, "-shards", "2", "-data", t.TempDir())
-	f := boot(t, "-follow", prim.addr, "-data", t.TempDir(), "-strategy", "ddc")
+	f := boot(t, "-follow", prim.addr, "-data", t.TempDir(), "-strategy", "ddr")
 	fill(prim, "u")
 	fence(t, server.Topology{Primary: prim.addr, Followers: []string{f.addr}})
-	crackedUnder(t, f, "u", "ddc")
+	crackedUnder(t, f, "u", "ddr")
 	if pNext, fNext := prim.rows("/wal")[0][1], f.rows("/wal")[0][1]; pNext != fNext {
 		t.Fatalf("the follower's log ends at seq %s, the primary's at %s", fNext, pNext)
 	}

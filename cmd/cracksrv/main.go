@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cracksrv [-addr :7744] [-shards 4] [-partition hash|range]
-//	         [-strategy standard|ddc|ddr|mdd1r] [-seed 42] [-autotune]
+//	         [-strategy standard|ddr] [-seed 42] [-autotune]
 //	         [-data dir] [-follow primaryaddr] [-advertise addr]
 //	         [-http addr] [-slowms n]
 //
@@ -103,7 +103,7 @@ func main() {
 		addr     = flag.String("addr", ":7744", "listen address")
 		shards   = flag.Int("shards", 4, "number of cracker stores to partition tables across")
 		partKind = flag.String("partition", "hash", "partitioning scheme for new tables: hash or range")
-		strat    = flag.String("strategy", "standard", "crack strategy of columns cracked after boot, on every shard and every boot: standard, ddc, ddr, mdd1r")
+		strat    = flag.String("strategy", "standard", "crack strategy of columns cracked after boot, on every shard and every boot: standard or ddr")
 		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived)")
 		autotune = flag.Bool("autotune", false, "auto-select crack strategies per column from the observed workload (inspect with /tune)")
 		dataDir  = flag.String("data", "", "durable data directory (insert WAL + /save snapshots); empty = volatile")

@@ -117,10 +117,10 @@ func New() *Store {
 }
 
 // SetCrackStrategy selects the crack strategy for columns cracked after
-// the call: "standard" (the default), or one of the stochastic
-// strategies "ddc", "ddr", "mdd1r" (Halim et al., VLDB 2012), which
-// keep per-query cost near-constant under sequential or skewed query
-// patterns that degrade standard cracking to quadratic total work. The
+// the call: "standard" (the default) or the stochastic strategy "ddr"
+// (Halim et al., VLDB 2012), which keeps per-query cost near-constant
+// under sequential or skewed query patterns that degrade standard
+// cracking to quadratic total work. The
 // seed drives each column's private RNG, making crack sequences
 // reproducible; each column derives its sub-seed from its name, so a
 // column first cracked after a reopen draws what it would have drawn

@@ -90,7 +90,7 @@ func TestAlignedCrackInThree(t *testing.T) {
 		c := alignedColumn(t, 800, npays, 3)
 		// (300, 600]: lower cut <=300, upper cut <=600 — loIncl carries
 		// the Select convention (cut is "left of": <= for exclusive low).
-		m1, m2 := c.crackInThree(0, len(c.vals), 300, true, 600, true, true, true)
+		m1, m2 := c.crackInThree(0, len(c.vals), 300, true, 600, true)
 		if touched := c.Stats().TuplesTouched; touched != 800 {
 			t.Fatalf("touched %d, want 800", touched)
 		}
@@ -111,7 +111,7 @@ func TestAlignedCrackInThree(t *testing.T) {
 func TestAlignedCrackInThreeMaxIntFallback(t *testing.T) {
 	c := alignedColumn(t, 300, 1, 4)
 	// Upper cut <=MaxInt64 forces the two-pass fallback.
-	m1, m2 := c.crackInThree(0, len(c.vals), 500, false, math.MaxInt64, true, true, true)
+	m1, m2 := c.crackInThree(0, len(c.vals), 500, false, math.MaxInt64, true)
 	if m2 != len(c.vals) {
 		t.Fatalf("m2 = %d, want n", m2)
 	}

@@ -198,10 +198,6 @@ func (c *Column) Pieces() int {
 // store_uptime_seconds for exactly that correction.
 func (c *Column) Stats() Stats { return c.stats.snapshot() }
 
-// touchTuples charges n inspected tuples to the work counters — the
-// method value strategy consultations receive as their touch callback.
-func (c *Column) touchTuples(n int64) { c.stats.tuplesTouched.Add(n) }
-
 // Lineage returns the lineage DAG (rendered by Store.Lineage), brought up
 // to date with every crack registered so far.
 func (c *Column) Lineage() *Lineage {
@@ -267,11 +263,6 @@ func (v View) OIDs() []bat.OID {
 // column; pieces at the predicate boundaries are cracked as a byproduct,
 // so the same range (and every sub-range) is answered by pure index
 // lookups afterwards.
-//
-// Under a strategy that leaves query cuts unregistered (MDD1R), the
-// returned View is only valid until the next query on this column —
-// its boundaries are not index cuts, so a later partition may shuffle
-// across them. Consume it immediately or use SelectCopy.
 func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 	var v View
 	c.answer(low, high, lowIncl, highIncl, true, func(w View) { v = w })
@@ -304,8 +295,7 @@ func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int
 // and concurrent lookups proceed in parallel. Only a query that must
 // fold or crack escalates to the write lock (crackLocked). use
 // receives the answer window while the lock that makes it valid is still
-// held — under MDD1R nothing else keeps it valid — and must not take
-// c.mu.
+// held, and must not take c.mu.
 //
 // With write false the query is offered to the read branch only: when
 // lookupFast cannot answer, answer declines — it returns false without
@@ -466,19 +456,17 @@ func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 
 	// Strategy consultation: auxiliary data-driven cracks narrow the
 	// piece(s) the query bounds land in before the bounds themselves are
-	// installed, and the strategy decides whether the query cuts are
-	// registered at all (MDD1R answers without remembering them). An aux
-	// crack can coincide with a query bound, so re-probe the index after
-	// each consultation. Sorted columns skip consultation — their cuts
-	// are pure binary searches and move nothing.
-	regLo, regHi := true, true
+	// installed. An aux crack can coincide with a query bound, so
+	// re-probe the index after each consultation. Sorted columns skip
+	// consultation — their cuts are pure binary searches and move
+	// nothing.
 	if c.strategy != nil && !c.sorted {
 		if !okLo {
-			regLo = c.adviseLocked(loVal, loIncl)
+			c.adviseLocked(loVal, loIncl)
 			posLo, okLo = c.idx.Find(loVal, loIncl)
 		}
 		if !okHi {
-			regHi = c.adviseLocked(hiVal, hiIncl)
+			c.adviseLocked(hiVal, hiIncl)
 			posHi, okHi = c.idx.Find(hiVal, hiIncl)
 		}
 		// Sides resolved here are counted either at this early return or
@@ -490,31 +478,24 @@ func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 	}
 
 	// Crack-in-three when both cuts are new and land in the same piece:
-	// the paper's three-piece Ξ variant for double-sided ranges. With
-	// unregistered cuts this path is mandatory, not just faster: two
-	// successive crack-in-twos over the same piece would let the second
-	// partition destroy the first one's boundary. Sorted columns skip it
-	// — their cuts are pure binary searches.
+	// the paper's three-piece Ξ variant for double-sided ranges. Sorted
+	// columns skip it — their cuts are pure binary searches.
 	if !okLo && !okHi && !c.sorted {
 		lo1, hi1 := c.pieceBounds(loVal, loIncl)
 		lo2, hi2 := c.pieceBounds(hiVal, hiIncl)
 		if lo1 == lo2 && hi1 == hi2 {
-			m1, m2 := c.crackInThree(lo1, hi1, loVal, loIncl, hiVal, hiIncl, regLo, regHi)
+			m1, m2 := c.crackInThree(lo1, hi1, loVal, loIncl, hiVal, hiIncl)
 			return View{col: c, Lo: m1, Hi: m2}
 		}
 	}
 
 	if okLo {
 		c.stats.indexLookups.Add(1)
-	} else if c.strategy != nil && !c.sorted {
-		posLo = c.cutRaw(loVal, loIncl, regLo) // consultation already ran
 	} else {
 		posLo = c.cut(loVal, loIncl)
 	}
 	if okHi {
 		c.stats.indexLookups.Add(1)
-	} else if c.strategy != nil && !c.sorted {
-		posHi = c.cutRaw(hiVal, hiIncl, regHi)
 	} else {
 		posHi = c.cut(hiVal, hiIncl)
 	}
@@ -558,21 +539,9 @@ func (c *Column) pieceBounds(val int64, incl bool) (lo, hi int) {
 	return lo, hi
 }
 
-// cut ensures the cut (val, incl) exists, cracking the containing piece
-// in two if needed, and returns its position.
+// cut partitions the piece containing (val, incl) at that cut,
+// registers the cut in the cracker index and returns its position.
 func (c *Column) cut(val int64, incl bool) int {
-	if pos, ok := c.idx.Find(val, incl); ok {
-		c.stats.indexLookups.Add(1)
-		return pos
-	}
-	return c.cutRaw(val, incl, true)
-}
-
-// cutRaw partitions the piece containing (val, incl) at that cut and
-// returns the split position. With register the cut is remembered in
-// the cracker index; otherwise the partition only answers the current
-// query — the MDD1R discipline.
-func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 	lo, hi := c.pieceBounds(val, incl)
 	var m int
 	if c.sorted {
@@ -585,11 +554,6 @@ func (c *Column) cutRaw(val int64, incl bool, register bool) int {
 		})
 	} else {
 		m = c.crackInTwo(lo, hi, val, incl)
-	}
-	if !register {
-		// An unregistered strategy cut: the partition answered the
-		// query but the cut is not remembered.
-		return m
 	}
 	c.idx.Insert(val, incl, m)
 	if c.lin != nil { // a stale lineage re-roots from the index, which has the cut
@@ -665,12 +629,11 @@ func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
 
 // crackInThree partitions vals[lo:hi) into three pieces in a single pass
 // (Dutch national flag): values before the lower cut, values inside the
-// range, values past the upper cut. It registers the cuts whose reg flag
-// is set (strategies may leave query cuts unregistered) and returns the
-// answer window [m1, m2). Both cut predicates are rewritten as exclusive
+// range, values past the upper cut. It registers both cuts and returns
+// the answer window [m1, m2). Both cut predicates are rewritten as exclusive
 // thresholds so the loop body is two comparisons per element, with
 // inline swaps on the two slices.
-func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64, hiIncl bool, regLo, regHi bool) (m1, m2 int) {
+func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64, hiIncl bool) (m1, m2 int) {
 	// goes left  ⇔ e < tLo;  goes right ⇔ e >= tHi.
 	tLo, allLo := cutThreshold(loVal, loIncl)
 	tHi, allHi := cutThreshold(hiVal, hiIncl)
@@ -719,26 +682,10 @@ func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64,
 		c.stats.tuplesTouched.Add(int64(hi - lo))
 		c.stats.tuplesMoved.Add(moved)
 	}
-	if !regLo && !regHi {
-		return m1, m2 // advised not to: answer, don't index
-	}
-	if regLo {
-		c.idx.Insert(loVal, loIncl, m1)
-	}
-	if regHi {
-		c.idx.Insert(hiVal, hiIncl, m2)
-	}
-	// Lineage splits only at the boundaries actually registered, so the
-	// rendered pieces keep matching the cracker index.
-	x := xiCrack{lo: lo, hi: hi, m1: m1, m2: m2, v1: loVal, v2: hiVal, three: true}
-	switch {
-	case !regHi:
-		x.m2 = hi
-	case !regLo:
-		x.m1, x.m2 = m2, hi
-	}
+	c.idx.Insert(loVal, loIncl, m1)
+	c.idx.Insert(hiVal, hiIncl, m2)
 	if c.lin != nil {
-		c.lin.log = append(c.lin.log, x)
+		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m1, m2: m2, v1: loVal, v2: hiVal, three: true})
 	}
 	return m1, m2
 }

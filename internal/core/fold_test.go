@@ -32,13 +32,8 @@ var foldPays = map[string]func(bat.OID) int64{
 // per column) with a cut-off small enough that it advises cuts on
 // columns this size.
 func foldStrategy(name string) core.CrackStrategy {
-	switch name {
-	case "ddc":
-		return strategy.NewDDC(16)
-	case "ddr":
+	if name == "ddr" {
 		return strategy.NewDDR(16, 13)
-	case "mdd1r":
-		return strategy.NewMDD1R(16, 13)
 	}
 	return nil
 }
@@ -305,7 +300,8 @@ func (h *foldHarness) selectAndCheck(src *opSource) {
 	incl := src.next()
 	loIncl, hiIncl := incl&1 == 0, incl&2 == 0
 	if incl>>4 == 0xF { // one select in sixteen runs under a freshly flipped strategy
-		name := strategy.Names()[incl>>2&3]
+		names := strategy.Names()
+		name := names[int(incl>>2&3)%len(names)]
 		for _, c := range h.cols {
 			c.SwapStrategy(func(core.CrackStrategy) core.CrackStrategy { return foldStrategy(name) })
 		}

@@ -38,12 +38,12 @@ func (c *FigAutotuneConfig) defaults() {
 }
 
 // FigAutotune compares three postures on the switching stream:
-// static standard, static mdd1r, and the auto-tuner starting from
+// static standard, static ddr, and the auto-tuner starting from
 // standard. The shapes tell the whole story: static standard collapses
 // through the sequential phase and only recovers when the walk ends;
-// static mdd1r is flat everywhere but pays its constant-factor tax in
-// the random phase; the autotune series starts on standard, flips to
-// mdd1r once the monitor confirms the walk, and flips back to standard
+// static ddr stays flat through the walk and pays its auxiliary cracks
+// in the random phase; the autotune series starts on standard, flips to
+// ddr once the monitor confirms the walk, and flips back to standard
 // when the stream turns random — tracking whichever static line is
 // lower, one detection window behind. Y is per-query latency averaged
 // over small buckets, so the trajectory (not the cumulative integral)
@@ -67,7 +67,7 @@ func figAutotune(cfg FigAutotuneConfig) (Figure, [2][]tuner.Decision, error) {
 
 	bucket := max(cfg.K/64, 1)
 	var series []Series
-	for _, mode := range []string{"standard", "mdd1r", "autotune"} {
+	for _, mode := range []string{"standard", "ddr", "autotune"} {
 		p := posture{strategy: mode}
 		if mode == "autotune" {
 			p = posture{autotune: &cfg.Tuner}

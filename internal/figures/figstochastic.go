@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crackdb/internal/strategy"
+	"crackdb/internal/tuner"
 	"crackdb/internal/workload"
 )
 
@@ -11,17 +12,22 @@ import (
 // experiment. This figure is not in the CIDR paper — it reproduces the
 // headline experiment of Halim et al., "Stochastic Database Cracking"
 // (VLDB 2012), on the served store (SetCrackStrategy): standard
-// cracking collapses under a sequential query walk (per-query cost stays
-// O(N), cumulative cost quadratic), while the stochastic strategies stay
-// near-constant per query on every pattern.
+// cracking collapses under a sequential query walk (every query touches
+// nearly the whole uncracked remainder, so cumulative work is
+// quadratic), while the stochastic strategy stays near-constant per
+// query on every pattern.
 type FigStochasticConfig struct {
 	N           int      // column cardinality (default 200k)
-	K           int      // queries per cell (default 512)
+	K           int      // queries per cell and pass (default 512)
 	Seed        int64    // RNG seed for data, workloads and strategies
 	Selectivity float64  // per-query range width as a domain fraction (default 0.01)
-	Strategies  []string // strategy names (default: all registered)
+	Strategies  []string // rows: strategy names or "autotune" (default: every strategy, then autotune)
 	Workloads   []string // workload pattern names (default: all)
 }
+
+// autotuneRow names the row whose store runs EnableAutotune with the
+// tuner's default configuration, the one cracksrv -autotune uses.
+const autotuneRow = "autotune"
 
 func (c *FigStochasticConfig) defaults() error {
 	if c.N <= 0 {
@@ -34,7 +40,7 @@ func (c *FigStochasticConfig) defaults() error {
 		c.Selectivity = 0.01
 	}
 	if len(c.Strategies) == 0 {
-		c.Strategies = strategy.Names()
+		c.Strategies = append(strategy.Names(), autotuneRow)
 	}
 	if len(c.Workloads) == 0 {
 		for _, p := range workload.Patterns() {
@@ -42,6 +48,9 @@ func (c *FigStochasticConfig) defaults() error {
 		}
 	}
 	for _, s := range c.Strategies {
+		if s == autotuneRow {
+			continue
+		}
 		if _, err := strategy.New(s, 0); err != nil {
 			return err
 		}
@@ -54,24 +63,46 @@ func (c *FigStochasticConfig) defaults() error {
 	return nil
 }
 
-// FigStochastic runs the strategy × workload matrix, a fresh store per
-// cell over the same tapestry, and reports, per cell, cumulative query
-// time against query number. The robustness gap reads directly off the shape: the
-// standard/sequential (and standard/reverse) series climb linearly with
-// a steep slope — every query pays a near-full partition pass — while
-// the stochastic series flatten after a handful of queries on every
-// pattern.
+// passWork is what one pass of a cell added to its column's counters.
+type passWork struct {
+	cracks  int
+	touched int64
+}
+
+// FigStochastic runs the row × workload matrix, a fresh store per cell
+// over the same tapestry. Each cell answers its K queries (the cold
+// pass), then the same K queries again (the repeat pass), and plots
+// cumulative tuples touched (the Stats delta) against query number: the
+// series "row/pattern" over the cold pass, and "row/pattern repeat",
+// counted from zero, over queries K+1..2K. The robustness gap reads
+// directly off the cold series: standard/sequential and standard/reverse
+// climb to about K·N/2 tuples, while the stochastic series stay near
+// linear in K on every pattern. Every query cut is registered, so every
+// repeat series stays at 0.
 func FigStochastic(cfg FigStochasticConfig) (Figure, error) {
+	fig, _, err := figStochastic(cfg)
+	return fig, err
+}
+
+// figStochastic also returns each cell's work by its cold series'
+// label: the cold pass, then the repeat pass.
+func figStochastic(cfg FigStochasticConfig) (Figure, map[string][2]passWork, error) {
 	if err := cfg.defaults(); err != nil {
-		return Figure{}, err
+		return Figure{}, nil, err
 	}
 	var series []Series
+	work := make(map[string][2]passWork)
 	stride := max(cfg.K/64, 1)
-	for _, sName := range cfg.Strategies {
+	for _, row := range cfg.Strategies {
+		p := posture{strategy: row}
+		if row == autotuneRow {
+			tc := tuner.DefaultConfig()
+			p = posture{autotune: &tc}
+		}
 		for _, wName := range cfg.Workloads {
 			pattern, err := workload.Parse(wName)
 			if err != nil {
-				return Figure{}, err
+				return Figure{}, nil, err
 			}
 			gen, err := workload.New(pattern, workload.Config{
 				Domain:      int64(cfg.N),
@@ -80,25 +111,38 @@ func FigStochastic(cfg FigStochasticConfig) (Figure, error) {
 				Seed:        cfg.Seed + 1,
 			})
 			if err != nil {
-				return Figure{}, err
+				return Figure{}, nil, err
 			}
-			_, a, err := openStore(posture{strategy: sName}, cfg.N, cfg.Seed)
+			_, a, err := openStore(p, cfg.N, cfg.Seed)
 			if err != nil {
-				return Figure{}, err
+				return Figure{}, nil, err
 			}
-			s, err := cumulative(sName+"/"+string(pattern), a, fromWorkload(gen.Queries()), stride)
+			qs := fromWorkload(gen.Queries())
+			label := row + "/" + string(pattern)
+			passes := [2]Series{{Label: label}, {Label: label + " repeat"}}
+			var w [2]passWork
+			err = replay(a, append(qs, qs...), func(i int, st step) {
+				pass, j := i/len(qs), i%len(qs)
+				w[pass].cracks += st.Work.Cracks
+				w[pass].touched += st.Work.TuplesTouched
+				if (j+1)%stride == 0 || j == len(qs)-1 {
+					passes[pass].Points = append(passes[pass].Points, Point{X: float64(i + 1), Y: float64(w[pass].touched)})
+				}
+			})
 			if err != nil {
-				return Figure{}, err
+				return Figure{}, nil, err
 			}
-			series = append(series, s)
+			series = append(series, passes[:]...)
+			work[label] = w
 		}
 	}
 
 	return Figure{
-		ID:     "stochastic",
-		Title:  fmt.Sprintf("Stochastic cracking robustness (N=%d, %d queries, sel=%.3f)", cfg.N, cfg.K, cfg.Selectivity),
+		ID: "stochastic",
+		Title: fmt.Sprintf("Stochastic cracking robustness (N=%d, %d queries then the same %d again, sel=%.3f)",
+			cfg.N, cfg.K, cfg.K, cfg.Selectivity),
 		XLabel: "query #",
-		YLabel: "cumulative seconds",
+		YLabel: "cumulative tuples touched",
 		Series: series,
-	}, nil
+	}, work, nil
 }

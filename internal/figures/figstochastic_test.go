@@ -1,30 +1,26 @@
 package figures
 
 import (
-	"strings"
 	"testing"
 )
 
+// TestFigStochasticShape pins the figure on counters, not seconds: on a
+// walk standard cracking touches at least five times the tuples ddr
+// does, and no row cracks on the repeat pass, since every query cut is
+// registered under every strategy and under the tuner.
 func TestFigStochasticShape(t *testing.T) {
-	f, err := FigStochastic(FigStochasticConfig{
-		N: 4000, K: 64, Seed: 1,
-		Strategies: []string{"standard", "mdd1r"},
-		Workloads:  []string{"random", "sequential"},
-	})
+	const k = 256
+	f, work, err := figStochastic(FigStochasticConfig{N: 20_000, K: k, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Series) != 4 {
-		t.Fatalf("series count %d, want 4 (2 strategies x 2 workloads)", len(f.Series))
+	rows, patterns := []string{"standard", "ddr", "autotune"}, []string{"random", "sequential", "reverse", "zoomin", "periodic"}
+	if len(f.Series) != 2*len(rows)*len(patterns) || len(work) != len(rows)*len(patterns) {
+		t.Fatalf("%d series over %d cells, want a cold and a repeat series for each of 3 rows x 5 patterns", len(f.Series), len(work))
 	}
 	for _, s := range f.Series {
-		if len(s.Points) == 0 {
-			t.Fatalf("series %q empty", s.Label)
-		}
-		if !strings.Contains(s.Label, "/") {
-			t.Fatalf("series label %q not strategy/workload", s.Label)
-		}
-		// Cumulative time must be nondecreasing and end at K queries.
+		// Cumulative work must be nondecreasing and end at the pass's
+		// last query.
 		prev := 0.0
 		for _, p := range s.Points {
 			if p.Y < prev {
@@ -32,8 +28,26 @@ func TestFigStochasticShape(t *testing.T) {
 			}
 			prev = p.Y
 		}
-		if last := s.Points[len(s.Points)-1].X; last != 64 {
-			t.Fatalf("series %q ends at x=%g, want 64", s.Label, last)
+		if last := s.Points[len(s.Points)-1].X; last != k && last != 2*k {
+			t.Fatalf("series %q ends at x=%g", s.Label, last)
+		}
+	}
+	for _, row := range rows {
+		for _, pat := range patterns {
+			w, ok := work[row+"/"+pat]
+			if !ok {
+				t.Fatalf("no cell %s/%s", row, pat)
+			}
+			t.Logf("%-20s cold %5d cracks %9d touched; repeat %d cracks %d touched", row+"/"+pat, w[0].cracks, w[0].touched, w[1].cracks, w[1].touched)
+			if w[0].cracks == 0 || w[1] != (passWork{}) {
+				t.Errorf("%s/%s: cold %+v, repeat %+v; want cracks cold and no work on the repeat", row, pat, w[0], w[1])
+			}
+		}
+	}
+	for _, pat := range []string{"sequential", "reverse"} {
+		std, ddr := work["standard/"+pat][0].touched, work["ddr/"+pat][0].touched
+		if std < 5*ddr {
+			t.Errorf("%s: standard touched %d tuples, ddr %d: want standard >= 5 x ddr", pat, std, ddr)
 		}
 	}
 }
@@ -49,7 +63,7 @@ func TestFigStochasticValidation(t *testing.T) {
 	if err := cfg.defaults(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.N != 200_000 || cfg.K != 512 || len(cfg.Strategies) != 4 || len(cfg.Workloads) != 5 {
+	if cfg.N != 200_000 || cfg.K != 512 || len(cfg.Strategies) != 3 || cfg.Strategies[2] != autotuneRow || len(cfg.Workloads) != 5 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

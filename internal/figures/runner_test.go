@@ -88,19 +88,19 @@ func TestReplayHandsStatsDeltas(t *testing.T) {
 }
 
 // The autotune series is the store's own tuner, not a loop around a
-// private column: the store must report the flip to mdd1r by the end of
+// private column: the store must report the flip to ddr by the end of
 // the sequential half and the flip back by the end of the random half.
 func TestFigAutotuneFlipsThroughStore(t *testing.T) {
 	fig, phaseEnd, err := figAutotune(FigAutotuneConfig{N: 20000, K: 1024, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := labels(fig); strings.Join(got, ",") != "standard,mdd1r,autotune" {
+	if got := labels(fig); strings.Join(got, ",") != "standard,ddr,autotune" {
 		t.Fatalf("series = %v", got)
 	}
 	seq, rnd := phaseEnd[0], phaseEnd[1]
-	if len(seq) != 1 || seq[0].Strategy != "mdd1r" || seq[0].Flips != 1 {
-		t.Fatalf("after the sequential half the store reports %+v, want one flip to mdd1r", seq)
+	if len(seq) != 1 || seq[0].Strategy != "ddr" || seq[0].Flips != 1 {
+		t.Fatalf("after the sequential half the store reports %+v, want one flip to ddr", seq)
 	}
 	if len(rnd) != 1 || rnd[0].Strategy != "standard" || rnd[0].Flips != 2 {
 		t.Fatalf("after the random half the store reports %+v, want a second flip back to standard", rnd)

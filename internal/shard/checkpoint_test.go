@@ -13,6 +13,7 @@ import (
 	"crackdb"
 	"crackdb/internal/core"
 	"crackdb/internal/shard"
+	"crackdb/internal/strategy"
 )
 
 // rangeOpts range-partitions 8 shards. seedDurable's first batch holds
@@ -157,7 +158,7 @@ func TestDeltaCheckpointSkipsCleanShards(t *testing.T) {
 // answer exactly like rebooting from a full image taken at the same
 // instant, across all strategies.
 func TestDeltaRebootMatchesFullReboot(t *testing.T) {
-	for _, strat := range []string{"standard", "ddc", "ddr", "mdd1r"} {
+	for _, strat := range strategy.Names() {
 		t.Run(strat, func(t *testing.T) {
 			dir := t.TempDir()
 			s, _, err := shard.OpenDurable(dir, rangeOpts())

@@ -377,7 +377,7 @@ func TestReplayedDeleteCracksUnderDefault(t *testing.T) {
 			opts := shard.Options{Shards: 2}
 			live, _, err := shard.OpenDurable(dir, opts)
 			mustExec(t, err)
-			mustExec(t, live.SetCrackStrategy("ddc", 7))
+			mustExec(t, live.SetCrackStrategy("ddr", 7))
 			mustExec(t, live.CreateTable("t", "a", "b"))
 			rows := make([][]int64, 500)
 			for i := range rows {
@@ -408,8 +408,8 @@ func TestReplayedDeleteCracksUnderDefault(t *testing.T) {
 }
 
 // TestRestartForgetsTunerPosture: nothing of the tuner outlives its
-// process. A column the primary's operator pinned to ddc reopens under
-// ddc, which its own image record carries, but a re-enabled tuner
+// process. A column the primary's operator pinned to ddr reopens under
+// ddr, which its own image record carries, but a re-enabled tuner
 // neither counts that flip nor keeps the pin — after a reboot of the
 // same data dir and after a follower's install of the primary's chain
 // alike, since pins are never replicated.
@@ -425,7 +425,7 @@ func TestRestartForgetsTunerPosture(t *testing.T) {
 		rows[i] = []int64{int64(i), int64(i % 13)}
 	}
 	mustExec(t, p.InsertRows("t", rows))
-	mustExec(t, p.ForceStrategy("t", "k", "ddc"))
+	mustExec(t, p.ForceStrategy("t", "k", "ddr"))
 	if mode, err := p.Checkpoint(true); err != nil || mode != "full" {
 		t.Fatalf("full checkpoint: mode %q err %v", mode, err)
 	}
@@ -457,8 +457,8 @@ func TestRestartForgetsTunerPosture(t *testing.T) {
 				t.Fatalf("%d decisions, want one per shard: %+v", len(decs), decs)
 			}
 			for _, d := range decs {
-				if d.Table != "t" || d.Column != "k" || d.Strategy != "ddc" || d.Forced || d.Flips != 0 {
-					t.Fatalf("shard %d reopened as %+v, want t.k on ddc, not forced, 0 flips", d.Shard, d.Decision)
+				if d.Table != "t" || d.Column != "k" || d.Strategy != "ddr" || d.Forced || d.Flips != 0 {
+					t.Fatalf("shard %d reopened as %+v, want t.k on ddr, not forced, 0 flips", d.Shard, d.Decision)
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"strings"
 	"testing"
 
 	"crackdb/internal/core"
@@ -34,41 +35,38 @@ func TestPRNGDeterminism(t *testing.T) {
 // Restore, and the restored instance must continue the exact draw
 // sequence the original produces next — not restart from the seed.
 func TestRNGStateRoundTrip(t *testing.T) {
-	for _, name := range []string{"ddr", "mdd1r"} {
-		orig, err := New(name, 7)
-		if err != nil {
-			t.Fatal(err)
+	orig := NewDDR(0, 7)
+	rng := orig.rng
+	// Burn part of the stream, as a live column would.
+	for i := 0; i < 57; i++ {
+		rng.Intn(1000)
+	}
+	restored, err := Restore(orig.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng2 := restored.(*DDR).rng
+	for i := 0; i < 200; i++ {
+		if a, b := rng.Intn(1<<30), rng2.Intn(1<<30); a != b {
+			t.Fatalf("draw %d after restore: %d != %d", i, a, b)
 		}
-		rng := rngOf(t, orig)
-		// Burn part of the stream, as a live column would.
-		for i := 0; i < 57; i++ {
-			rng.Intn(1000)
-		}
-		exp := orig.(core.StatefulStrategy).Export()
-		restored, err := Restore(exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng2 := rngOf(t, restored)
-		for i := 0; i < 200; i++ {
-			if a, b := rng.Intn(1<<30), rng2.Intn(1<<30); a != b {
-				t.Fatalf("%s: draw %d after restore: %d != %d", name, i, a, b)
-			}
-		}
-		// A fresh instance from the same seed must NOT match (proving the
-		// round-trip carries position, not just the seed).
-		fresh, _ := New(name, 7)
-		if rngOf(t, fresh).state == rng.state {
-			t.Fatalf("%s: restored state equals a fresh instance's", name)
-		}
+	}
+	// A fresh instance from the same seed must NOT match (proving the
+	// round-trip carries position, not just the seed).
+	if NewDDR(0, 7).rng.state == rng.state {
+		t.Fatal("restored state equals a fresh instance's")
 	}
 }
 
 // TestRestoreRejectsUnknown: a snapshot naming an unknown strategy must
-// fail restore loudly.
+// fail restore loudly, naming it — retired strategies included, which
+// older images may still carry.
 func TestRestoreRejectsUnknown(t *testing.T) {
-	if _, err := Restore(core.StrategyState{Name: "quantum"}); err == nil {
-		t.Fatal("restored an unknown strategy")
+	for _, name := range []string{"quantum", "ddc", "mdd1r"} {
+		_, err := Restore(core.StrategyState{Name: name, MinPiece: 2048, RNG: 7})
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("restore of %q: %v, want an error naming it", name, err)
+		}
 	}
 	if s, err := Restore(core.StrategyState{Name: "standard"}); err != nil || s != nil {
 		t.Fatalf("standard restore: %v, %v (want nil, nil)", s, err)
@@ -77,7 +75,7 @@ func TestRestoreRejectsUnknown(t *testing.T) {
 
 // TestExportCarriesMinPiece: the cut-off granularity survives the trip.
 func TestExportCarriesMinPiece(t *testing.T) {
-	d := NewDDC(512)
+	d := NewDDR(512, 3)
 	st := d.Export()
 	if st.MinPiece != 512 {
 		t.Fatalf("exported MinPiece %d, want 512", st.MinPiece)
@@ -86,20 +84,7 @@ func TestExportCarriesMinPiece(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.(*DDC).minPiece != 512 {
-		t.Fatalf("restored MinPiece %d, want 512", r.(*DDC).minPiece)
-	}
-}
-
-func rngOf(t *testing.T, s core.CrackStrategy) *prng {
-	t.Helper()
-	switch v := s.(type) {
-	case *DDR:
-		return v.rng
-	case *MDD1R:
-		return v.rng
-	default:
-		t.Fatalf("strategy %T has no RNG", s)
-		return nil
+	if r.(*DDR).minPiece != 512 {
+		t.Fatalf("restored MinPiece %d, want 512", r.(*DDR).minPiece)
 	}
 }

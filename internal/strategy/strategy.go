@@ -8,27 +8,23 @@
 // sequential (or otherwise adversarial) workload every new bound lands
 // right next to the previous cut, each query re-partitions the whole
 // uncracked remainder, and the total work degenerates to quadratic.
-// The strategies here inject auxiliary data-driven cuts so piece sizes
-// keep shrinking no matter where the workload steers the bounds:
+// A stochastic strategy injects auxiliary data-driven cuts so piece
+// sizes keep shrinking no matter where the workload steers the bounds:
 //
 //   - Standard: the column's native kernels (exposed as the nil
 //     strategy so the crack-in-three fast path stays untouched);
-//   - DDC (data-driven center): recursively halve an oversized piece at
-//     the midpoint of its value range until the piece containing the
-//     query bound is small, then cut as usual;
-//   - DDR (data-driven random): like DDC, but each halving pivot is the
-//     value of a uniformly sampled element of the piece;
-//   - MDD1R (materialize with one data-driven random cut): per query
-//     bound, crack the touched piece once at a random element's value
-//     and answer the query with an unregistered partition — the query's
-//     own bounds are never added to the cracker index, so an adversary
-//     steering the bounds cannot steer the index. This reproduces
-//     MDD1R's cost profile with one deviation, documented in DESIGN.md:
-//     the answer is produced by an in-place unregistered split instead
-//     of an out-of-place result materialization, preserving core's
-//     contiguous-View contract.
+//   - DDR (data-driven random): recursively halve an oversized piece at
+//     the value of a uniformly sampled element until the piece holding
+//     the query bound is small, then cut at the bound as usual. Every
+//     query cut is registered, so a repeated range cracks nothing.
 //
-// Every stochastic strategy draws from an explicit seeded generator —
+// Halim et al.'s centre-pivot variant (a min/max scan picks each
+// halving pivot) and its one-random-cut variant that never registers
+// the query's own cuts are not kept: on every workload pattern DDR
+// touched fewer tuples than both, and the unregistered variant cracks
+// every repeated range again (DESIGN.md, "Crack strategies").
+//
+// DDR draws from an explicit seeded generator —
 // never the math/rand globals — so figures and benchmarks are
 // reproducible run to run. The generator is a splitmix64 stream whose
 // entire state is one exportable word, so the durability subsystem can
@@ -76,7 +72,7 @@ func (p *prng) Intn(n int) int {
 // DefaultMinPiece is the piece size below which the stochastic
 // strategies stop injecting auxiliary cuts. Halim et al. stop cracking
 // around the L1/L2 boundary; 2048 int64s (16 KiB) sits there on current
-// hardware and bounds MDD1R's steady per-query work.
+// hardware.
 const DefaultMinPiece = 2048
 
 // Standard returns the standard-cracking strategy. It is nil by design:
@@ -85,54 +81,10 @@ const DefaultMinPiece = 2048
 // heard of strategies.
 func Standard() core.CrackStrategy { return nil }
 
-// DDC recursively cracks an oversized piece at the center of its value
-// range before installing the query cut. The midpoint needs a min/max
-// scan of the piece, but the scan is the same order as the partition it
-// precedes and the recursion is geometric, so installing a cut costs
-// O(piece) total — it just leaves behind log-many balanced cuts instead
-// of one adversary-chosen one.
-type DDC struct {
-	minPiece int
-}
-
-// NewDDC returns a DDC strategy; minPiece <= 0 selects DefaultMinPiece.
-func NewDDC(minPiece int) *DDC {
-	if minPiece <= 0 {
-		minPiece = DefaultMinPiece
-	}
-	return &DDC{minPiece: minPiece}
-}
-
-// Name implements core.CrackStrategy.
-func (d *DDC) Name() string { return "ddc" }
-
-// Export implements core.StatefulStrategy. DDC is deterministic: its
-// state is its configuration.
-func (d *DDC) Export() core.StrategyState {
-	return core.StrategyState{Name: "ddc", MinPiece: d.minPiece}
-}
-
-// AdviseCut implements core.CrackStrategy.
-func (d *DDC) AdviseCut(pc core.PieceContext) core.CutPlan {
-	if pc.Size() <= d.minPiece {
-		return core.CutPlan{RegisterQuery: true}
-	}
-	mn, mx := pc.MinMax()
-	if mn >= mx {
-		return core.CutPlan{RegisterQuery: true} // constant piece: nothing to halve
-	}
-	// The unsigned half-difference keeps the midpoint exact when the
-	// value range exceeds MaxInt64 (mn and mx straddling the domain).
-	pivot := mn + int64(uint64(mx-mn)/2)
-	if pivot == mn {
-		pivot++ // mx == mn+1: cut "< mn+1" still puts mn left, mx right
-	}
-	return core.CutPlan{Pivot: pivot, HasPivot: true, RegisterQuery: true}
-}
-
 // DDR recursively cracks an oversized piece at the value of a uniformly
-// sampled element before installing the query cut. Cheaper per level
-// than DDC (no min/max scan) at the cost of less balanced splits.
+// sampled element before installing the query cut. Sampling needs no
+// scan of the piece, at the cost of less balanced splits than a
+// midpoint pivot.
 type DDR struct {
 	minPiece int
 	rng      *prng
@@ -158,52 +110,14 @@ func (d *DDR) Export() core.StrategyState {
 // AdviseCut implements core.CrackStrategy.
 func (d *DDR) AdviseCut(pc core.PieceContext) core.CutPlan {
 	if pc.Size() <= d.minPiece {
-		return core.CutPlan{RegisterQuery: true}
+		return core.CutPlan{}
 	}
 	pivot := pc.ValueAt(pc.Lo + d.rng.Intn(pc.Size()))
-	return core.CutPlan{Pivot: pivot, HasPivot: true, RegisterQuery: true}
-}
-
-// MDD1R cracks a touched oversized piece exactly once per query bound,
-// at a random element's value, and never registers the query's own
-// bounds — the variant Halim et al. recommend as the default. The
-// index is built entirely from data-driven cuts, so its shape is
-// independent of the query sequence; per-query work converges to the
-// minPiece granule instead of to zero, buying robustness for a bounded
-// constant cost.
-type MDD1R struct {
-	minPiece int
-	rng      *prng
-}
-
-// NewMDD1R returns an MDD1R strategy with its own seeded RNG;
-// minPiece <= 0 selects DefaultMinPiece.
-func NewMDD1R(minPiece int, seed int64) *MDD1R {
-	if minPiece <= 0 {
-		minPiece = DefaultMinPiece
-	}
-	return &MDD1R{minPiece: minPiece, rng: newPRNG(seed)}
-}
-
-// Name implements core.CrackStrategy.
-func (m *MDD1R) Name() string { return "mdd1r" }
-
-// Export implements core.StatefulStrategy.
-func (m *MDD1R) Export() core.StrategyState {
-	return core.StrategyState{Name: "mdd1r", MinPiece: m.minPiece, RNG: m.rng.state}
-}
-
-// AdviseCut implements core.CrackStrategy.
-func (m *MDD1R) AdviseCut(pc core.PieceContext) core.CutPlan {
-	if pc.Depth > 0 || pc.Size() <= m.minPiece {
-		return core.CutPlan{} // RegisterQuery=false: answer, don't remember
-	}
-	pivot := pc.ValueAt(pc.Lo + m.rng.Intn(pc.Size()))
 	return core.CutPlan{Pivot: pivot, HasPivot: true}
 }
 
 // Names lists the registered strategy names in presentation order.
-func Names() []string { return []string{"standard", "ddc", "ddr", "mdd1r"} }
+func Names() []string { return []string{"standard", "ddr"} }
 
 // New builds a fresh strategy instance by name. "standard" (and "")
 // returns nil — core's native path. The seed feeds the instance's
@@ -213,12 +127,8 @@ func New(name string, seed int64) (core.CrackStrategy, error) {
 	switch strings.ToLower(name) {
 	case "", "standard", "std":
 		return Standard(), nil
-	case "ddc":
-		return NewDDC(0), nil
 	case "ddr":
 		return NewDDR(0, seed), nil
-	case "mdd1r":
-		return NewMDD1R(0, seed), nil
 	default:
 		return nil, fmt.Errorf("strategy: unknown strategy %q (want one of %s)",
 			name, strings.Join(Names(), ", "))
@@ -231,7 +141,7 @@ func New(name string, seed int64) (core.CrackStrategy, error) {
 // re-seeding — so a run that flips strategies mid-stream is as
 // deterministic as a fixed-strategy run, and flipping A→B→A continues
 // A's pivot sequence rather than replaying it. When the outgoing
-// strategy is stateless (standard/DDC), seed seeds the new instance.
+// strategy is stateless (standard), seed seeds the new instance.
 // Intended for the tuner's hot swap: call it inside
 // core.Column.SwapStrategy so the read-modify-install is atomic under
 // the column's write lock.
@@ -240,14 +150,9 @@ func Handoff(old core.CrackStrategy, name string, seed int64) (core.CrackStrateg
 	if err != nil || next == nil {
 		return next, err
 	}
-	if ss, ok := old.(core.StatefulStrategy); ok {
-		if st := ss.Export(); st.RNG != 0 {
-			switch n := next.(type) {
-			case *DDR:
-				n.rng.state = st.RNG
-			case *MDD1R:
-				n.rng.state = st.RNG
-			}
+	if o, ok := old.(*DDR); ok && o.rng.state != 0 {
+		if n, ok := next.(*DDR); ok {
+			n.rng.state = o.rng.state
 		}
 	}
 	return next, nil
@@ -261,24 +166,14 @@ func Restore(st core.StrategyState) (core.CrackStrategy, error) {
 	switch strings.ToLower(st.Name) {
 	case "", "standard", "std":
 		return nil, nil
-	case "ddc":
-		return NewDDC(st.MinPiece), nil
 	case "ddr":
 		d := NewDDR(st.MinPiece, 0)
 		d.rng.state = st.RNG
 		return d, nil
-	case "mdd1r":
-		m := NewMDD1R(st.MinPiece, 0)
-		m.rng.state = st.RNG
-		return m, nil
 	default:
 		return nil, fmt.Errorf("strategy: cannot restore unknown strategy %q", st.Name)
 	}
 }
 
-// Compile-time checks: every stateful strategy round-trips.
-var (
-	_ core.StatefulStrategy = (*DDC)(nil)
-	_ core.StatefulStrategy = (*DDR)(nil)
-	_ core.StatefulStrategy = (*MDD1R)(nil)
-)
+// Compile-time check: the stateful strategy round-trips.
+var _ core.StatefulStrategy = (*DDR)(nil)

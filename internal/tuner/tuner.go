@@ -17,9 +17,9 @@
 // high bound moved down) and names the window Sequential, Reverse,
 // ZoomIn or Random. The decision table maps classes to strategies:
 //
-//	Sequential  → mdd1r   (monotone low-bound walk)
-//	Reverse     → mdd1r   (monotone high-to-low walk)
-//	ZoomIn      → ddc     (bounds converging from both sides)
+//	Sequential  → ddr     (monotone low-bound walk)
+//	Reverse     → ddr     (monotone high-to-low walk)
+//	ZoomIn      → ddr     (bounds converging from both sides)
 //	Random      → standard
 //
 // Hysteresis keeps the tuner from thrashing: a flip requires Confirm
@@ -230,14 +230,10 @@ func (t *Tuner) classify(m *colMon) Class {
 
 // decisionFor is the decision table (see package comment).
 func decisionFor(c Class) string {
-	switch c {
-	case Sequential, Reverse:
-		return "mdd1r"
-	case ZoomIn:
-		return "ddc"
-	default:
+	if c == Random {
 		return "standard"
 	}
+	return "ddr"
 }
 
 // Flipped records that the caller applied a strategy change on

@@ -45,9 +45,9 @@ func TestDecisionTable(t *testing.T) {
 	for _, tc := range []struct {
 		pattern, want string
 	}{
-		{"sequential", "mdd1r"},
-		{"reverse", "mdd1r"},
-		{"zoomin", "ddc"},
+		{"sequential", "ddr"},
+		{"reverse", "ddr"},
+		{"zoomin", "ddr"},
 	} {
 		tn := New(aggressive())
 		got, at := drive(tn, tc.pattern, 100, nil, func() string { return "standard" }, nil)
@@ -81,23 +81,24 @@ func TestCooldownBlocksReflip(t *testing.T) {
 	current := "standard"
 	// Sequential until the first flip engages the cooldown.
 	want, _ := drive(tn, "sequential", 16, nil, func() string { return current }, nil)
-	if want != "mdd1r" {
-		t.Fatalf("warmup advised %q, want mdd1r", want)
+	if want != "ddr" {
+		t.Fatalf("warmup advised %q, want ddr", want)
 	}
-	current = "mdd1r"
+	current = "ddr"
 	tn.Flipped("t", "a", current)
-	// Now a zoom-in stream wants ddc. Windows complete at queries 16 and
-	// 24 relative to the flip; cooldown (20) must swallow the first
+	// Now a random stream wants standard. Windows complete every 8
+	// queries after the flip; cooldown (20) must swallow the first
 	// eligible advice, so the flip may arrive only after query 20.
 	var flips []int
+	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
-		lo, hi := int64(i)*10, int64(1000-i)*10
-		if w, flip := tn.Observe("t", "a", current, lo, hi); flip {
-			if w != "ddc" {
-				t.Fatalf("advised %q, want ddc", w)
+		lo := rng.Int63n(1 << 20)
+		if w, flip := tn.Observe("t", "a", current, lo, lo+100); flip {
+			if w != "standard" {
+				t.Fatalf("advised %q, want standard", w)
 			}
 			flips = append(flips, i)
-			current = "ddc"
+			current = "standard"
 			tn.Flipped("t", "a", current)
 		}
 	}
@@ -114,13 +115,13 @@ func TestCooldownBlocksReflip(t *testing.T) {
 func TestForceSuppressesAdvice(t *testing.T) {
 	tn := New(aggressive())
 	tn.Force("t", "a")
-	tn.Flipped("t", "a", "ddr")
-	if got, at := drive(tn, "sequential", 100, nil, func() string { return "ddr" }, nil); got != "" {
+	tn.Flipped("t", "a", "standard")
+	if got, at := drive(tn, "sequential", 100, nil, func() string { return "standard" }, nil); got != "" {
 		t.Fatalf("forced column advised %q at %d", got, at)
 	}
 	tn.Release("t", "a")
-	got, _ := drive(tn, "sequential", 100, nil, func() string { return "ddr" }, nil)
-	if got != "mdd1r" {
-		t.Fatalf("released column advised %q, want mdd1r", got)
+	got, _ := drive(tn, "sequential", 100, nil, func() string { return "standard" }, nil)
+	if got != "ddr" {
+		t.Fatalf("released column advised %q, want ddr", got)
 	}
 }

@@ -89,7 +89,7 @@ func TestFetchOracle(t *testing.T) {
 	}
 }
 
-// TestSelectBatchOracle: count batches mixing hits on converged cuts
+// TestBatchOracle: count batches mixing hits on converged cuts
 // with misses that crack answer the model and match a twin counting the
 // same ranges one by one — count for count and, after every batch, in
 // every counter, piece count and strategy of the table's cracker
@@ -101,7 +101,7 @@ func TestFetchOracle(t *testing.T) {
 // range twice in one batch on random, zoomin and periodic keys
 // (sequential and reverse keys never repeat one), with and without the
 // fetches.
-func TestSelectBatchOracle(t *testing.T) {
+func TestBatchOracle(t *testing.T) {
 	for _, strat := range strategy.Names() {
 		for _, sideways := range []bool{false, true} {
 			for _, pat := range workload.Patterns() {
@@ -215,9 +215,8 @@ func TestWarmReopenOracle(t *testing.T) {
 			oracle.Run(t, oracle.Ops(reboot), m, p)
 			opened, _ := p.Store.Stats("t", "k")
 			oracle.Run(t, oracle.Ops(count(2000, 2500)), m, p)
-			// MDD1R leaves query bounds uncut, so its repeat cracks anywhere.
 			again, _ := p.Store.Stats("t", "k")
-			if opened.Pieces != saved.Pieces || again.Cracks != 0 && strat != "mdd1r" {
+			if opened.Pieces != saved.Pieces || again.Cracks != 0 {
 				t.Fatalf("reopened with %d pieces (saved %d), then cracked %d times", opened.Pieces, saved.Pieces, again.Cracks)
 			}
 		})

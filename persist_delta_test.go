@@ -255,6 +255,37 @@ func TestDeltaChainRefusals(t *testing.T) {
 			t.Fatal("corrupted delta element opened without error")
 		}
 	})
+	t.Run("retired strategy", func(t *testing.T) {
+		// An image whose column record names a strategy this build no
+		// longer has is refused, naming the column and the strategy; the
+		// column is never switched to another one silently.
+		old, _ := loaded(t, "ddr", 7)
+		path := filepath.Join(root, "retired")
+		if err := old.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		img, _, err := durable.ReadImage(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := ""
+		for _, cs := range img.Columns {
+			if cs.State.Strategy != nil && cs.State.Strategy.Name == "ddr" {
+				cs.State.Strategy.Name, col = "mdd1r", cs.Table+"."+cs.Attr
+				break
+			}
+		}
+		if col == "" {
+			t.Fatal("the saved image holds no ddr column record")
+		}
+		if _, err := durable.WriteImage(path, img); err != nil {
+			t.Fatal(err)
+		}
+		_, err = crackdb.Open(path)
+		if err == nil || !strings.Contains(err.Error(), col) || !strings.Contains(err.Error(), `"mdd1r"`) {
+			t.Fatalf("want a refusal naming %s and mdd1r, got %v", col, err)
+		}
+	})
 	// The intact chain still opens after all that.
 	if _, err := crackdb.Open(base, d1, d2); err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func TestWarmReopenIsWarm(t *testing.T) {
 // tuples and rebuilds zero payload vectors — the projection is served
 // entirely from the restored co-cracked windows.
 func TestWarmReopenSideways(t *testing.T) {
-	for _, strat := range []string{"standard", "mdd1r"} {
+	for _, strat := range []string{"standard", "ddr"} {
 		t.Run(strat, func(t *testing.T) {
 			live, m := loaded(t, strat, 23)
 			// Converge a projection workload so maps exist and are cracked.
