@@ -3,6 +3,8 @@ package shard_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,28 +16,64 @@ import (
 	"crackdb/internal/workload"
 )
 
+// retired names the stochastic strategies the store no longer has; a
+// switch to one is refused and an image naming one does not open.
+var retired = []string{"ddc", "mdd1r"}
+
 // TestShardOracle: a router of every partition kind × shard count
 // answers what a single store answers, under every crack strategy × key
 // pattern — range, point and non-key predicates, GROUP BY and inserts
 // mid-stream — so routing, fan-out merge and pending-update
-// consolidation are all on the hook.
+// consolidation are all on the hook. A retired strategy's cells set
+// ddr, then switch to the retired name: the store and the router must
+// refuse it, naming it and the accepted strategies, and every shard must
+// keep cracking under ddr through the stream.
 func TestShardOracle(t *testing.T) {
 	for _, kind := range []shard.Kind{shard.Hash, shard.Range} {
 		for _, n := range []int{1, 2, 4} {
-			for _, strat := range strategy.Names() {
+			for _, strat := range append(strategy.Names(), retired...) {
 				for _, pat := range workload.Patterns() {
 					t.Run(fmt.Sprintf("%s/%d/%s/%s", kind, n, strat, pat), func(t *testing.T) {
 						single, router := crackdb.New(), shard.New(shard.Options{Shards: n, Kind: kind})
-						mustExec(t, single.SetCrackStrategy(strat, 7))
-						mustExec(t, router.SetCrackStrategy(strat, 7))
+						runs := strat
+						if slices.Contains(retired, strat) {
+							runs = "ddr"
+						}
+						mustExec(t, single.SetCrackStrategy(runs, 7))
+						mustExec(t, router.SetCrackStrategy(runs, 7))
+						if runs != strat {
+							mustRefuse(t, single.SetCrackStrategy(strat, 7), strat)
+							mustRefuse(t, router.SetCrackStrategy(strat, 7), strat)
+						}
 						oracle.Run(t, oracle.New(oracle.Config{Seed: 99, Ops: 40, Load: 1500, Domain: 1500, Selectivity: 0.05,
 							Pattern: pat, MaxBatch: 50,
 							Mix: oracle.Mix{oracle.Count: 4, oracle.Select: 3, oracle.Group: 1, oracle.Insert: 1}}),
 							nil, oracle.Single(single), oracle.Router(router))
+						stats, err := router.ShardStats("t", "k")
+						mustExec(t, err)
+						st, err := single.Stats("t", "k")
+						mustExec(t, err)
+						for _, st := range append(stats, st) {
+							if st.Strategy != runs {
+								t.Fatalf("a key column runs %q, want %q", st.Strategy, runs)
+							}
+						}
 					})
 				}
 			}
 		}
+	}
+}
+
+// mustRefuse fails t unless err refuses the strategy name, naming it
+// and the strategies a store accepts.
+func mustRefuse(t *testing.T, err error, name string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("SetCrackStrategy(%q) accepted", name)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", name)) || !strings.Contains(msg, strings.Join(strategy.Names(), ", ")) {
+		t.Fatalf("SetCrackStrategy(%q) refused with %q", name, msg)
 	}
 }
 

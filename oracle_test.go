@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"crackdb"
@@ -31,14 +32,28 @@ func storeWith(t *testing.T, strat string, seed int64) *crackdb.Store {
 
 // TestStoreSetCrackStrategy: a store runs every column it cracks under
 // the strategy it is set to and answers the model's counts and rows
-// under each; an unknown name is refused up front.
+// under each; an unknown name is refused up front. So is each retired
+// stochastic strategy (ddc, mdd1r), with an error naming it and the
+// accepted strategies, and the store set to ddr before keeps cracking
+// under ddr.
 func TestStoreSetCrackStrategy(t *testing.T) {
-	for _, name := range strategy.Names() {
+	for _, name := range append(strategy.Names(), "ddc", "mdd1r") {
 		t.Run(name, func(t *testing.T) {
-			s := storeWith(t, name, 42)
+			runs := name
+			if !slices.Contains(strategy.Names(), name) {
+				runs = "ddr"
+			}
+			s := storeWith(t, runs, 42)
+			if runs != name {
+				err := s.SetCrackStrategy(name, 42)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) ||
+					!strings.Contains(err.Error(), strings.Join(strategy.Names(), ", ")) {
+					t.Fatalf("SetCrackStrategy(%q) = %v", name, err)
+				}
+			}
 			oracle.Run(t, oracle.New(oracle.Config{Seed: 8, Ops: 40, Load: 5000, Domain: 5000, Selectivity: 0.1,
 				Mix: oracle.Mix{oracle.Count: 2, oracle.Fetch: 1}}), nil, oracle.Single(s))
-			if st, _ := s.Stats("t", "k"); st.Strategy != name {
+			if st, _ := s.Stats("t", "k"); st.Strategy != runs {
 				t.Fatalf("the key column runs %q", st.Strategy)
 			}
 		})
@@ -89,7 +104,7 @@ func TestFetchOracle(t *testing.T) {
 	}
 }
 
-// TestBatchOracle: count batches mixing hits on converged cuts
+// TestSelectBatchOracle: count batches mixing hits on converged cuts
 // with misses that crack answer the model and match a twin counting the
 // same ranges one by one — count for count and, after every batch, in
 // every counter, piece count and strategy of the table's cracker
@@ -101,7 +116,7 @@ func TestFetchOracle(t *testing.T) {
 // range twice in one batch on random, zoomin and periodic keys
 // (sequential and reverse keys never repeat one), with and without the
 // fetches.
-func TestBatchOracle(t *testing.T) {
+func TestSelectBatchOracle(t *testing.T) {
 	for _, strat := range strategy.Names() {
 		for _, sideways := range []bool{false, true} {
 			for _, pat := range workload.Patterns() {
