@@ -110,11 +110,11 @@ func (s *Store) flipColumn(c *core.Column, table, col, name string) {
 }
 
 // columnSeed derives the deterministic seed a tuner flip hands a
-// column's fresh strategy instance: the store seed mixed with an FNV-1a
-// hash of the column identity, so a store and its warm-reopened twin
-// derive the same one whatever order their columns were created in; the
-// salt is part of the derivation existing images and recorded runs were
-// made with.
+// column's fresh strategy: the store seed mixed with an FNV-1a hash of
+// the column identity, so a store and its warm-reopened twin derive the
+// same one whatever order their columns were created in; the salt is
+// part of the derivation existing images and recorded runs were made
+// with.
 func columnSeed(base int64, table, col string) int64 {
 	h := uint64(1469598103934665603)
 	for _, b := range []byte(table + "." + col) {
@@ -131,8 +131,8 @@ func canonicalStrategy(name string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("crackdb: %w", err)
 	}
-	if st == nil {
+	if st.Name == "" {
 		return "standard", nil
 	}
-	return st.Name(), nil
+	return st.Name, nil
 }

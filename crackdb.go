@@ -63,9 +63,8 @@ type Store struct {
 	genSeq uint64 // the last generation installLocked stamped
 
 	// Crack-strategy configuration for columns created after
-	// SetCrackStrategy: each new cracker column receives its own
-	// strategy instance (strategies carry per-column RNG state) with a
-	// seed derived from strategySeed and the column's name.
+	// SetCrackStrategy: each new cracker column's RNG word is seeded from
+	// strategySeed and the column's name.
 	strategyName string
 	strategySeed int64
 
@@ -371,8 +370,8 @@ func hasColumns(t *relation.Table, cols ...string) error {
 
 // baseColumnOptions materializes the store-wide cracker options except
 // the strategy — the shape warm restore needs, which reattaches each
-// column's own restored strategy instance instead of drawing a fresh one
-// from the factory. The caller holds s.mu.
+// column's own restored strategy instead of drawing a fresh one from
+// the factory. The caller holds s.mu.
 func (s *Store) baseColumnOptions() []core.Option {
 	var opts []core.Option
 	if s.instr != nil {

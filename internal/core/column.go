@@ -48,9 +48,10 @@ type Column struct {
 	reroot string
 	sorted bool // whole column sorted: cuts become binary searches
 
-	// strategy, when non-nil, is consulted whenever Select must open a
-	// new cut (see strategy.go). nil means standard cracking: the native
-	// crack-in-two/-three kernels, unmodified.
+	// strategy, when it advises (ddr), injects auxiliary cuts whenever
+	// Select must open a new cut (see strategy.go). The zero value is
+	// standard cracking: the native crack-in-two/-three kernels,
+	// unmodified.
 	strategy CrackStrategy
 
 	forceFold foldKind // test hook: pin the update fold (see update.go)
@@ -460,7 +461,7 @@ func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 	// re-probe the index after each consultation. Sorted columns skip
 	// consultation — their cuts are pure binary searches and move
 	// nothing.
-	if c.strategy != nil && !c.sorted {
+	if c.strategy.advises() && !c.sorted {
 		if !okLo {
 			c.adviseLocked(loVal, loIncl)
 			posLo, okLo = c.idx.Find(loVal, loIncl)

@@ -232,9 +232,9 @@ func (ct *CrackedTable) selectPlan(p termPlan, write bool) ([]bat.OID, bool, err
 	}
 	if ct.selectObs != nil {
 		// The driving column absorbed a single-range selection, exactly
-		// like SelectCopy — the sideways and tuner observers must
-		// see it, or queries arriving through the conjunction planner
-		// (every scalar SQL statement) are invisible to them.
+		// like SelectCopy — the tuner's observer must see it, or
+		// queries arriving through the conjunction planner (every
+		// scalar SQL statement) are invisible to it.
 		ct.selectObs(p.rng)
 	}
 	if len(p.residual) == 0 {

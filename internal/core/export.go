@@ -29,24 +29,6 @@ import (
 // when somebody asks for it — because the piece tiling, not the order
 // cracks happened in, is what queries and invariants consume.
 
-// StrategyState is the serializable identity of a crack strategy: its
-// registry name, cut-off granularity, and the opaque RNG state word of
-// the stochastic variants. internal/strategy turns it back into a live
-// instance (strategy.Restore).
-type StrategyState struct {
-	Name     string
-	MinPiece int
-	RNG      uint64
-}
-
-// StatefulStrategy is implemented by strategies whose state can be
-// round-tripped through StrategyState. A strategy that does not implement
-// it is persisted by name only and restarts from its seed.
-type StatefulStrategy interface {
-	CrackStrategy
-	Export() StrategyState
-}
-
 // ColumnState is the serializable state of a cracker column: the whole
 // column, or a patch that only a predecessor's state completes.
 type ColumnState struct {
@@ -68,9 +50,8 @@ type ColumnState struct {
 	Granules []int
 	NewCuts  bool
 
-	// Strategy is nil for standard cracking and for strategies that do
-	// not implement StatefulStrategy.
-	Strategy *StrategyState
+	// Strategy is nil for standard cracking.
+	Strategy *CrackStrategy
 
 	// Pays names the column's payload vectors, least recently used first,
 	// so a restore under a smaller budget evicts the right ones.
@@ -144,8 +125,8 @@ func (c *Column) exportLocked(gs []int, cuts bool) ColumnState {
 		st.Deleted = append(st.Deleted, oid)
 	}
 	sortOIDs(st.Deleted)
-	if ss, ok := c.strategy.(StatefulStrategy); ok {
-		s := ss.Export()
+	if c.strategy.advises() {
+		s := c.strategy
 		st.Strategy = &s
 	}
 	return st
@@ -220,9 +201,9 @@ func (st *ColumnState) Fold(p ColumnState) error {
 // — is refused with an error naming the column: a corrupted image must
 // not poison future cracks. Payload vectors attach unstamped, for the
 // sideways budget to adopt (sideways.Registry.Adopt). Options apply as
-// in NewColumn; pass WithStrategy to reattach a restored strategy
-// instance — the state's Strategy field is identity only (core cannot
-// depend on internal/strategy). ReplaceColumn installs the result.
+// in NewColumn; pass WithStrategy to reattach the state's Strategy once
+// internal/strategy has validated it (strategy.Restore). ReplaceColumn
+// installs the result.
 func (ct *CrackedTable) ColumnFromState(attr string, st ColumnState, opts ...Option) (*Column, error) {
 	fail := func(format string, args ...any) (*Column, error) {
 		return nil, fmt.Errorf("core: column %q state rejected: "+format, append([]any{st.Name}, args...)...)

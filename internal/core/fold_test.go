@@ -28,14 +28,17 @@ var foldPays = map[string]func(bat.OID) int64{
 	"g": func(oid bat.OID) int64 { return -int64(oid) },
 }
 
-// foldStrategy builds one strategy instance (they carry RNG state, so one
-// per column) with a cut-off small enough that it advises cuts on
-// columns this size.
+// foldStrategy builds the strategy `name` with a cut-off small enough
+// that ddr advises cuts on columns this size.
 func foldStrategy(name string) core.CrackStrategy {
-	if name == "ddr" {
-		return strategy.NewDDR(16, 13)
+	s, err := strategy.New(name, 13)
+	if err != nil {
+		panic(err)
 	}
-	return nil
+	if s.Name == "ddr" {
+		s.MinPiece = 16
+	}
+	return s
 }
 
 // opSource hands out the bytes of an op stream; an exhausted stream

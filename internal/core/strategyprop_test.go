@@ -201,7 +201,7 @@ func TestStrategiesWithUpdates(t *testing.T) {
 
 // Concurrent Selects with strategies active must stay race-free and
 // preserve the invariants (run with -race). Each column owns its
-// strategy instance; the RNG inside is guarded by the column lock.
+// strategy's RNG word, guarded by the column lock.
 func TestStrategyConcurrentSelects(t *testing.T) {
 	const n = 20000
 	base := randomBase(n, 99)

@@ -223,7 +223,7 @@ func (e *imageEncoder) cuts(cuts []core.Cut) {
 	}
 }
 
-func (e *imageEncoder) strategy(st *core.StrategyState) {
+func (e *imageEncoder) strategy(st *core.CrackStrategy) {
 	e.bool(st != nil)
 	if st != nil {
 		e.str(st.Name)
@@ -452,11 +452,11 @@ func (d *imageDecoder) granules(st *core.ColumnState, n uint64) uint64 {
 	return d.count(m, 4, "patch cardinality")
 }
 
-func (d *imageDecoder) strategy() *core.StrategyState {
+func (d *imageDecoder) strategy() *core.CrackStrategy {
 	if !d.bool() {
 		return nil
 	}
-	return &core.StrategyState{Name: d.str(), MinPiece: d.int(), RNG: d.u64()}
+	return &core.CrackStrategy{Name: d.str(), MinPiece: d.int(), RNG: d.u64()}
 }
 
 func (d *imageDecoder) image() *Image {

@@ -27,7 +27,7 @@ func sampleColumn(table, attr string, n int) ColumnSnapshot {
 		},
 		Pending: []bat.OID{bat.OID(n)},
 		Deleted: []bat.OID{1},
-		Strategy: &core.StrategyState{
+		Strategy: &core.CrackStrategy{
 			Name: "mdd1r", MinPiece: 128, RNG: 0xdeadbeefcafe,
 		},
 		Pays: []string{"w", "x"},

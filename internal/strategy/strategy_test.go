@@ -3,9 +3,13 @@ package strategy_test
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"crackdb/internal/bat"
 	"crackdb/internal/core"
+	"crackdb/internal/relation"
 	"crackdb/internal/strategy"
 )
 
@@ -25,20 +29,183 @@ func TestNewRegistry(t *testing.T) {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 		if name == "standard" {
-			if s != nil {
-				t.Fatalf("New(standard) = %v, want nil (native kernels)", s)
+			if s != (core.CrackStrategy{}) {
+				t.Fatalf("New(standard) = %+v, want the zero value (native kernels)", s)
 			}
 			continue
 		}
-		if s == nil || s.Name() != name {
-			t.Fatalf("New(%q) = %v", name, s)
+		if s.Name != name || s.MinPiece != 2048 || s.RNG != 1 {
+			t.Fatalf("New(%q) = %+v", name, s)
 		}
 	}
 	if _, err := strategy.New("no-such", 1); err == nil {
 		t.Fatal("New(no-such) succeeded, want error")
 	}
-	if s, err := strategy.New("", 1); err != nil || s != nil {
-		t.Fatalf("New(\"\") = %v, %v, want nil, nil", s, err)
+	if s, err := strategy.New("", 1); err != nil || s != (core.CrackStrategy{}) {
+		t.Fatalf("New(\"\") = %+v, %v, want the zero value", s, err)
+	}
+}
+
+// rngOf reads a column's RNG word the way an image stores it.
+func rngOf(t *testing.T, c *core.Column) uint64 {
+	t.Helper()
+	st, _ := c.TakeState(true)
+	if st.Strategy == nil {
+		t.Fatal("a ddr column exported no strategy")
+	}
+	return st.Strategy.RNG
+}
+
+// walk runs queries q0..q1-1 of a fixed stream of 1 % ranges over
+// [0, 20000) on each column.
+func walk(q0, q1 int, cols ...*core.Column) {
+	for q := q0; q < q1; q++ {
+		lo := int64(q*397) % 19800
+		for _, c := range cols {
+			c.Select(lo, lo+200, true, false)
+		}
+	}
+}
+
+// TestPRNGDeterminism: equal seeds reproduce equal streams; the stream
+// is not trivially constant, and another seed draws another one.
+func TestPRNGDeterminism(t *testing.T) {
+	col := func(seed int64) *core.Column {
+		s, err := strategy.New("ddr", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.NewColumn("a", randomVals(20000, 7), core.WithStrategy(s))
+	}
+	a, b, c := col(42), col(42), col(43)
+	words := map[uint64]bool{}
+	for q := 0; q < 20; q++ {
+		walk(q, q+1, a, b, c)
+		x, y := rngOf(t, a), rngOf(t, b)
+		if x != y {
+			t.Fatalf("query %d: RNG %#x != %#x with equal seeds", q, x, y)
+		}
+		words[x] = true
+	}
+	if len(words) < 2 {
+		t.Fatal("the RNG word never moved")
+	}
+	if rngOf(t, a) == rngOf(t, c) || slices.Equal(a.Index().Cuts(), c.Index().Cuts()) {
+		t.Fatal("seeds 42 and 43 drew the same stream")
+	}
+}
+
+// TestRNGStateRoundTrip is the durability contract: a column exported
+// mid-stream and rebuilt from its state must continue the exact pivot
+// sequence the original draws next — not restart from the seed.
+func TestRNGStateRoundTrip(t *testing.T) {
+	vals := randomVals(20000, 9)
+	s, err := strategy.New("ddr", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := core.NewColumn("a", vals, core.WithStrategy(s))
+	walk(0, 15, orig) // part of the stream, as a live column would
+	st, _ := orig.TakeState(true)
+	restored, err := strategy.Restore(*st.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != *st.Strategy || restored.RNG == 7 {
+		t.Fatalf("restored %+v from %+v", restored, *st.Strategy)
+	}
+	base, err := relation.FromColumns("t", relation.Column{Name: "a", Data: bat.FromInts("a", vals)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := core.NewCrackedTable(base)
+	twin, err := ct.ColumnFromState("a", st, core.WithStrategy(restored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A twin that restarts from the seed must NOT match: that proves the
+	// round trip carries the position, not just the seed.
+	reseeded, err := ct.ColumnFromState("a", st, core.WithStrategy(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk(15, 60, orig, twin, reseeded)
+	if !slices.Equal(twin.Index().Cuts(), orig.Index().Cuts()) || rngOf(t, twin) != rngOf(t, orig) {
+		t.Fatal("the restored column drew another pivot sequence")
+	}
+	if slices.Equal(reseeded.Index().Cuts(), orig.Index().Cuts()) {
+		t.Fatal("a column re-seeded after the restore drew the same pivots")
+	}
+}
+
+// TestRestoreRejectsUnknown: an image naming an unknown strategy must
+// fail restore loudly, naming it — retired strategies included, which
+// older images may still carry.
+func TestRestoreRejectsUnknown(t *testing.T) {
+	for _, name := range []string{"quantum", "ddc", "mdd1r"} {
+		_, err := strategy.Restore(core.CrackStrategy{Name: name, MinPiece: 2048, RNG: 7})
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("restore of %q: %v, want an error naming it", name, err)
+		}
+	}
+	if s, err := strategy.Restore(core.CrackStrategy{Name: "standard"}); err != nil || s != (core.CrackStrategy{}) {
+		t.Fatalf("standard restore: %+v, %v (want the zero value)", s, err)
+	}
+}
+
+// TestExportCarriesMinPiece: the cut-off granularity survives the trip,
+// and an image without one restores at the default.
+func TestExportCarriesMinPiece(t *testing.T) {
+	c := core.NewColumn("a", randomVals(4000, 3), core.WithStrategy(core.CrackStrategy{Name: "ddr", MinPiece: 512, RNG: 3}))
+	c.Select(100, 200, true, false)
+	st, _ := c.TakeState(true)
+	if st.Strategy == nil || st.Strategy.MinPiece != 512 {
+		t.Fatalf("exported strategy %+v, want MinPiece 512", st.Strategy)
+	}
+	if r, err := strategy.Restore(*st.Strategy); err != nil || r.MinPiece != 512 {
+		t.Fatalf("restored %+v, %v; want MinPiece 512", r, err)
+	}
+	if r, err := strategy.Restore(core.CrackStrategy{Name: "ddr", RNG: 3}); err != nil || r.MinPiece != 2048 {
+		t.Fatalf("restored %+v, %v; want MinPiece 2048", r, err)
+	}
+}
+
+// TestHandoff pins the swap rules: ddr→ddr resumes the outgoing RNG
+// word; a ddr whose word is 0, and standard→ddr, seed from seed;
+// →standard is the zero value; an unknown name errors, and a swap that
+// keeps the old strategy on error (as the tuner's does) changes nothing.
+func TestHandoff(t *testing.T) {
+	ddr := func(rng uint64) core.CrackStrategy { return core.CrackStrategy{Name: "ddr", MinPiece: 2048, RNG: rng} }
+	for _, tc := range []struct {
+		old  core.CrackStrategy
+		name string
+		want core.CrackStrategy
+	}{
+		{ddr(99), "ddr", ddr(99)},
+		{ddr(0), "ddr", ddr(5)},
+		{core.CrackStrategy{}, "ddr", ddr(5)},
+		{ddr(99), "standard", core.CrackStrategy{}},
+		{core.CrackStrategy{}, "standard", core.CrackStrategy{}},
+	} {
+		if got, err := strategy.Handoff(tc.old, tc.name, 5); err != nil || got != tc.want {
+			t.Errorf("Handoff(%+v, %q, 5) = %+v, %v; want %+v", tc.old, tc.name, got, err, tc.want)
+		}
+	}
+	c := core.NewColumn("a", randomVals(20000, 4), core.WithStrategy(ddr(11)))
+	walk(0, 5, c)
+	before := rngOf(t, c)
+	c.SwapStrategy(func(old core.CrackStrategy) core.CrackStrategy {
+		next, err := strategy.Handoff(old, "mdd1r", 5)
+		if err == nil || !strings.Contains(err.Error(), `"mdd1r"`) {
+			t.Errorf("Handoff to mdd1r: %v, want an error naming it", err)
+		}
+		if err != nil {
+			return old
+		}
+		return next
+	})
+	if c.StrategyName() != "ddr" || rngOf(t, c) != before {
+		t.Fatalf("a refused handoff left %s at RNG %#x, want ddr at %#x", c.StrategyName(), rngOf(t, c), before)
 	}
 }
 
