@@ -326,8 +326,10 @@ type Reply struct {
 // Engine is the posture of a sql.Engine over r. An op's statements run
 // as one ExecWindow, so a batch op's counts take the engine's fold into
 // CountBatch, as a pipelining client's do, and parse through one
-// sql.Parser, as a server's window does. A statement that does not
-// parse answers its error and ends the op, as Do reads no further.
+// sql.Parser's Classify, as a server's window does, so a count of a
+// shape the Parser remembers is folded from its literals. A statement
+// that does not parse answers its error and ends the op, as Do reads no
+// further.
 func Engine(label string, r *shard.Store) *SQL {
 	e := sql.NewEngineOn(r)
 	return &SQL{Label: label, B: r, Exec: func(texts ...string) []Reply {
@@ -335,7 +337,7 @@ func Engine(label string, r *shard.Store) *SQL {
 		var parser sql.Parser
 		for i, text := range texts {
 			var err error
-			if stmts[i], err = parser.Parse(text); err != nil {
+			if stmts[i], err = parser.Classify(text); err != nil {
 				return []Reply{{Err: err.Error()}}
 			}
 		}

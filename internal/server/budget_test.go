@@ -228,18 +228,20 @@ func TestWindowParseBudget(t *testing.T) {
 
 // TestFoldedWindowBudget: a window of 64 converged range counts, what a
 // pipelining client sends, is parsed a statement at a time, folded into
-// one batch and encoded reply by reply. Parsing allocates only each
-// statement, once, the router cuts each shard's sub-batch from one
-// exactly sized array and the folded run's answers come as one block, so
-// it costs a few allocations a statement (2.5); a lexer that allocated
-// per token and four allocations a count answer read 22, answers
-// allocated one by one read 8.4, and a Select boxed apart from its Items
-// and Where read 4.5.
+// one batch and encoded reply by reply. The window's Parser scans the
+// first count and folds the rest from their literals into Counts it
+// hands out from a few chunks, the router cuts each shard's sub-batch
+// from one exactly sized array, the folded run's answers come as one
+// block and every answer is encoded from one Response, so it costs less
+// than one allocation a statement (0.5). A lexer that allocated per
+// token and four allocations a count answer read 22, answers allocated
+// one by one 8.4, a Select boxed apart from its Items and Where 4.5, and
+// a Select copied for every count with a Response apiece 2.5.
 func TestFoldedWindowBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxPerStmt = 4
+	const maxPerStmt = 1
 	s := New(convergedRouter(t), nil)
 	win := make([]wireReq, 64)
 	for i := range win {
@@ -264,6 +266,44 @@ func TestFoldedWindowBudget(t *testing.T) {
 	if perStmt > maxPerStmt {
 		t.Errorf("a folded window allocates %.1f times a statement, budget %d", perStmt, maxPerStmt)
 	}
+}
+
+// BenchmarkServeWindow times a window of 64 converged, tagged range
+// counts from request payloads to response frames: parseWireReq, then
+// serveWindow (parse, fold, one CountBatch on a 4-shard router), then
+// encodeReply, as a connection serves a pipelining client's window.
+func BenchmarkServeWindow(b *testing.B) {
+	s := New(convergedRouter(b), nil)
+	payloads := make([][]byte, 64)
+	for i := range payloads {
+		lo := 1000 + 1500*i
+		payloads[i] = fmt.Appendf(nil, "@%d SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 <= %d", i+1, lo, lo+999)
+	}
+	win := make([]wireReq, 0, len(payloads))
+	var frame []byte
+	reply := func(req wireReq, resp *Response) error {
+		frame = encodeReply(frame, req, resp)
+		return nil
+	}
+	serve := func() {
+		win = win[:0]
+		for _, p := range payloads {
+			win = append(win, parseWireReq(p))
+		}
+		if _, err := s.serveWindow(win, reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	serve() // the first run cracks the ranges' bounds
+	if want := "@64 ok rows=1\ncount(*)\n1000\n"; string(frame) != want {
+		b.Fatalf("the last reply is %q, want %q", frame, want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payloads)), "ns/stmt")
 }
 
 func TestWireResultBudget(t *testing.T) {

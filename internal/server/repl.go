@@ -122,11 +122,17 @@ func (s *Server) refreshPruneFloor() {
 }
 
 // readOnlyStmt reports whether a parsed SQL statement is safe on a
-// follower. Only plain SELECTs qualify; SELECT INTO materializes a table
-// and would diverge the replica.
+// follower. Only plain SELECTs, and the range counts a window's Parser
+// folds, qualify; SELECT INTO materializes a table and would diverge the
+// replica.
 func readOnlyStmt(st sql.Stmt) bool {
-	sel, ok := st.(*sql.Select)
-	return ok && sel.Into == ""
+	switch s := st.(type) {
+	case *sql.Count:
+		return true
+	case *sql.Select:
+		return s.Into == ""
+	}
+	return false
 }
 
 // replCollect exports replication gauges at scrape time: the log

@@ -185,6 +185,8 @@ func (s *Server) handle(conn net.Conn) {
 		putFrameBuf(reqBuf)
 		putFrameBuf(respBuf)
 	}()
+	// reply encodes before it returns, so resp is read only during the
+	// call, as serveWindow requires.
 	reply := func(req wireReq, resp *Response) error {
 		respBuf = encodeReply(respBuf, req, resp)
 		return writeFrame(bw, respBuf)
@@ -224,17 +226,21 @@ func (s *Server) handle(conn net.Conn) {
 
 // serveWindow answers one connection's in-flight window through reply,
 // in request order. Each SQL request is parsed once, by one sql.Parser
-// for the window, so a count shaped like the one before it is not
-// scanned again; each run of parsed statements goes to the engine's
+// for the window: a count shaped like the one before it is not scanned
+// again, and Classify hands it on as its folded range, with no
+// statement built. Each run of parsed statements goes to the engine's
 // ExecWindow, which folds co-column range counts into one batched store
-// entry. A /meta command, a parse error and a write refused on a
-// follower answer in place between runs. A /quit answers and stops the
+// entry, and their answers are encoded one at a time from one Response.
+// A /meta command, a parse error and a write refused on a follower
+// answer in place between runs. A /quit answers and stops the
 // connection; any requests a client pipelined behind its /quit are
-// dropped with it.
+// dropped with it. reply must be done with its Response when it
+// returns: serveWindow reuses it for the next answer.
 func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error) (quit bool, err error) {
 	run := make([]sql.Stmt, 0, len(win)) // the parsed statements of win[i-len(run):i]
 	primary := s.primaryAddr()           // a follower refuses writes
 	var parser sql.Parser
+	var resp Response // each statement's answer, in turn
 	flush := func(i int) error {
 		if len(run) == 0 {
 			return nil
@@ -244,24 +250,24 @@ func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error
 		s.slowLog(reqs[0].cmd, len(run), func() { results = s.eng.ExecWindow(run) })
 		run = run[:0]
 		for k, r := range results {
-			if err := reply(reqs[k], fromResult(r)); err != nil {
+			if err := reply(reqs[k], resp.answer(r)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for i, req := range win {
-		var resp *Response
+		var out *Response
 		if strings.HasPrefix(req.cmd, "/") {
 			// A meta command sees the effects of the statements before it.
 			if err := flush(i); err != nil {
 				return false, err
 			}
-			s.slowLog(req.cmd, 1, func() { resp, quit = s.meta(req.cmd) })
-		} else if st, err := parser.Parse(req.cmd); err != nil {
-			resp = &Response{Err: err.Error()}
+			s.slowLog(req.cmd, 1, func() { out, quit = s.meta(req.cmd) })
+		} else if st, err := parser.Classify(req.cmd); err != nil {
+			out = &Response{Err: err.Error()}
 		} else if primary != "" && !readOnlyStmt(st) {
-			resp = &Response{Err: "read-only follower; primary=" + primary}
+			out = &Response{Err: "read-only follower; primary=" + primary}
 		} else {
 			run = append(run, st)
 			continue
@@ -269,23 +275,25 @@ func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error
 		if err := flush(i); err != nil {
 			return false, err
 		}
-		if err := reply(req, resp); err != nil || quit {
+		if err := reply(req, out); err != nil || quit {
 			return quit, err
 		}
 	}
 	return false, flush(len(win))
 }
 
-// fromResult puts a statement's answer on the wire. The rows stay the
+// answer makes r a statement's answer and returns it. The rows stay the
 // engine's integers; encode renders them.
-func fromResult(r sql.Result) *Response {
+func (r *Response) answer(res sql.Result) *Response {
 	switch {
-	case r.Err != nil:
-		return &Response{Err: r.Err.Error()}
-	case r.Set.Message != "":
-		return &Response{Message: r.Set.Message}
+	case res.Err != nil:
+		*r = Response{Err: res.Err.Error()}
+	case res.Set.Message != "":
+		*r = Response{Message: res.Set.Message}
+	default:
+		*r = Response{Columns: res.Set.Columns, ints: res.Set.Rows}
 	}
-	return &Response{Columns: r.Set.Columns, ints: r.Set.Rows}
+	return r
 }
 
 // statsColumns heads every /stats answer; first names what a row is.

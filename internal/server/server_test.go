@@ -330,9 +330,9 @@ func (s *Server) serveOne(cmd string) (resp *Response, quit bool) {
 // command that follows them, so the meta command sees their effects.
 func TestWindowRunsInRequestOrder(t *testing.T) {
 	s := New(shard.New(shard.Options{Shards: 2, Kind: shard.Hash}), nil)
-	var got []*Response
+	var got []Response
 	win := []wireReq{{cmd: "CREATE TABLE x (a)"}, {cmd: "INSERT INTO x VALUES (1), (2)"}, {cmd: "/tables"}, {cmd: "DROP TABLE x"}, {cmd: "/tables"}}
-	if _, err := s.serveWindow(win, func(_ wireReq, r *Response) error { got = append(got, r); return nil }); err != nil {
+	if _, err := s.serveWindow(win, func(_ wireReq, r *Response) error { got = append(got, *r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(win) {

@@ -16,9 +16,9 @@ type RangeCount struct {
 // Range returns the folded predicate as a crackdb batch range.
 func (rc RangeCount) Range() crackdb.Range { return crackdb.Range{Low: rc.Low, High: rc.High} }
 
-// ClassifyRangeCount is Parse plus rangeCount. ExecWindow classifies
-// parsed statements; this text entry is kept only for bench/, which
-// compiles against it.
+// ClassifyRangeCount is Parse plus rangeCount. A window classifies
+// through Parser.Classify; this text entry is kept only for bench/,
+// which compiles against it.
 func ClassifyRangeCount(input string) (RangeCount, bool) {
 	stmt, err := Parse(input)
 	if err != nil {
@@ -31,7 +31,9 @@ func ClassifyRangeCount(input string) (RangeCount, bool) {
 // execSelect's fast path (countStar) with at least one condition (COUNT
 // over everything has no column to batch on), all on one column, so the
 // fold to one inclusive range (crackdb.Interval) is lossless. A <> or an
-// unknown operator declines.
+// unknown operator declines. It is the one judge of what folds: the
+// Parser asks it once per shape, and folds a remembered shape's later
+// counts (Parser.fold) only where it answered yes.
 func rangeCount(stmt Stmt) (RangeCount, bool) {
 	s, ok := stmt.(*Select)
 	if !ok || !s.countStar() || len(s.Where) == 0 {
@@ -50,47 +52,67 @@ func rangeCount(stmt Stmt) (RangeCount, bool) {
 	return RangeCount{Table: s.Table, Col: col, Low: lo, High: hi}, true
 }
 
+// Count is a range count as Parser.Classify hands it on: rangeCount's
+// fold of the statement, and the text it came from. A Count folded from
+// a remembered shape carries no statement; it is parsed from its text
+// only if it has to execute alone.
+type Count struct {
+	RangeCount
+	text string  // the statement's text
+	sel  *Select // the statement, if the Parser built one
+}
+
+// statement returns the count's SELECT, parsing its text if the Parser
+// folded it without building one.
+func (c *Count) statement() (Stmt, error) {
+	if c.sel != nil {
+		return c.sel, nil
+	}
+	return Parse(c.text)
+}
+
 // Result is one statement's answer: a result set or an error.
 type Result struct {
 	Set *ResultSet
 	Err error
 }
 
-// ExecWindow executes parsed statements in order and answers each. A
-// maximal run of two or more range counts on one (table, column) — what
-// a pipelining client sends — is one shard.Store.CountBatch, which
-// counts the ranges in submission order; if the batch fails, the run's
-// statements execute one by one, so each error reads as it would alone.
-// Every other statement executes alone. Each statement is classified
-// once: the one that ends a run opens the next.
+// ExecWindow executes a window's statements in order and answers each.
+// A maximal run of two or more Counts on one (table, column) — what a
+// pipelining client sends, as Parser.Classify hands it on — is one
+// shard.Store.CountBatch, which counts the ranges in submission order;
+// if the batch fails, the run's statements execute one by one, so each
+// error reads as it would alone. Every other statement executes alone.
+// ExecWindow classifies nothing: a *Select that Parse returned executes
+// alone, whatever it counts.
 func (e *Engine) ExecWindow(stmts []Stmt) []Result {
 	out := make([]Result, len(stmts))
 	var ranges []crackdb.Range
-	classify := func(k int) (RangeCount, bool) {
-		if k < len(stmts) {
-			return rangeCount(stmts[k])
-		}
-		return RangeCount{}, false
-	}
-	next, ok := classify(0) // stmts[i]'s classification
 	for i := 0; i < len(stmts); {
-		first, run, end := next, ok, i+1 // the run is stmts[i:end]
-		ranges = ranges[:0]
-		if run {
-			ranges = append(ranges, first.Range())
-		}
-		for next, ok = classify(end); run && ok && next.Table == first.Table && next.Col == first.Col; next, ok = classify(end) {
-			ranges = append(ranges, next.Range())
-			end++
-		}
-		if len(ranges) >= 2 {
-			if counts, err := e.store.CountBatch(first.Table, first.Col, ranges); err == nil {
-				sets := countResults(counts)
-				for k := range sets {
-					out[i].Set = &sets[k]
-					i++
+		end := i + 1 // the run is stmts[i:end]
+		if first, ok := stmts[i].(*Count); ok {
+			for end < len(stmts) {
+				if c, ok := stmts[end].(*Count); !ok || c.Table != first.Table || c.Col != first.Col {
+					break
 				}
-				continue
+				end++
+			}
+			if end-i >= 2 {
+				if ranges == nil {
+					ranges = make([]crackdb.Range, 0, len(stmts)-i)
+				}
+				ranges = ranges[:0]
+				for _, st := range stmts[i:end] {
+					ranges = append(ranges, st.(*Count).Range())
+				}
+				if counts, err := e.store.CountBatch(first.Table, first.Col, ranges); err == nil {
+					sets := countResults(counts)
+					for k := range sets {
+						out[i].Set = &sets[k]
+						i++
+					}
+					continue
+				}
 			}
 		}
 		for ; i < end; i++ {

@@ -11,7 +11,8 @@
 // a count or a fetch allocates once: the statement it returns. A Parser
 // goes further for a window of statements: a text that differs from the
 // last SELECT it scanned only in WHERE values is not scanned again, and
-// costs one copy of that statement.
+// costs one copy of that statement, or, through Classify, no statement
+// at all when it is a range count: its range is folded from the values.
 //
 // Input is UTF-8: Unicode letters and digits continue identifiers,
 // Unicode spaces separate tokens, and a byte that is not UTF-8 is

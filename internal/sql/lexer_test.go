@@ -268,19 +268,48 @@ func TestParserReuses(t *testing.T) {
 
 // FuzzParser: a Parser that has just parsed a parses b exactly as Parse
 // does, to an equal statement or the same error text, whether it reuses
-// a's shape or scans b; and then parses a again as Parse does. The seeds
-// under testdata/fuzz/FuzzParser change a literal's length and sign, run
-// a literal into letters or the next number, overflow int64, change
-// digits inside a comment, and change a BETWEEN, a LIMIT, a column, a
-// table, a trailing ';' and a Unicode space.
+// a's shape or scans b; and then parses a again as Parse does. A second
+// Parser classifies the same three texts: a Count it hands out, folded
+// from a remembered shape or not, is rangeCount's fold of Parse's
+// statement in table, column and bounds, and it folds exactly what
+// rangeCount folds; anything else is Parse's statement. The seeds under
+// testdata/fuzz/FuzzParser change a literal's length and sign, run a
+// literal into letters or the next number, overflow int64 either way,
+// change digits inside a comment, and change a BETWEEN, a LIMIT, a
+// column, a table, a trailing ';' and a Unicode space; and they fold
+// the empty ranges past either end of int64 (> 9223372036854775807,
+// < -9223372036854775808), an = and a BETWEEN, write == (which does
+// not parse), and keep a <> and a two-column conjunction unfolded.
 func FuzzParser(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b string) {
-		var p Parser
+		var p, q Parser
 		for _, text := range []string{a, b, a} {
 			got, err := p.Parse(text)
 			want, wantErr := Parse(text)
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("after %q, a Parser parses %q to %#v, %v; Parse: %#v, %v", a, text, got, err, want, wantErr)
+			}
+			st, err := q.Classify(text)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("after %q, Classify(%q) fails with %v; Parse: %v", a, text, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			rc, folds := rangeCount(want)
+			c, folded := st.(*Count)
+			switch {
+			case folded != folds:
+				t.Fatalf("after %q, Classify(%q) folds %v; rangeCount folds %v", a, text, folded, folds)
+			case !folded && !reflect.DeepEqual(st, want):
+				t.Fatalf("after %q, Classify(%q) returns %#v; Parse: %#v", a, text, st, want)
+			case folded && c.RangeCount != rc:
+				t.Fatalf("after %q, Classify(%q) folds to %+v; rangeCount: %+v", a, text, c.RangeCount, rc)
+			}
+			if folded {
+				if sel, err := c.statement(); err != nil || !reflect.DeepEqual(sel, want) {
+					t.Fatalf("after %q, the Count of %q stands for %#v, %v; Parse: %#v", a, text, sel, err, want)
+				}
 			}
 		}
 	})

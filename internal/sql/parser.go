@@ -3,6 +3,7 @@ package sql
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -19,9 +20,12 @@ type parser struct {
 
 // spans records where a statement's numeric literals lie in its text.
 type spans struct {
-	at [8]struct{ start, end int } // the byte spans of the first literals
-	n  int                         // the literals counted
+	at [memoLits]struct{ start, end int } // the byte spans of the first literals
+	n  int                                // the literals counted
 }
+
+// memoLits is the most WHERE values a shape the Parser remembers holds.
+const memoLits = 8
 
 // Parse parses a single statement (a trailing semicolon is allowed), as
 // a fresh Parser does.
@@ -35,17 +39,41 @@ func Parse(input string) (Stmt, error) {
 // numeric literal is a WHERE value. When a text equals the remembered
 // one byte for byte outside those literals, its statement is the
 // remembered one with the new values, and Parse builds it without
-// scanning. The zero value is ready to use. A Parser is not safe for
+// scanning. Classify takes the same path and hands a range count on
+// folded (a *Count): a Parser that remembers a count's shape through
+// Classify also remembers rangeCount's verdict on it, so a count of
+// that shape is folded from its literals alone, with no statement
+// built. The zero value is ready to use. A Parser is not safe for
 // concurrent use, and the statements it returns must not be modified.
 type Parser struct {
-	text string  // the remembered statement's text
-	last *Select // its statement; nil if none
-	lits spans   // its literals: Where[k].Val is the one at lits.at[k]
+	text   string  // the remembered statement's text
+	last   *Select // its statement; nil if none
+	lits   spans   // its literals: Where[k].Val is the one at lits.at[k]
+	folds  bool    // Classify remembered last, and rangeCount folds it
+	counts []Count // room for the Counts Classify hands out, each slot once
 }
 
 // Parse parses a single statement (a trailing semicolon is allowed).
-func (m *Parser) Parse(input string) (Stmt, error) {
-	if sel := m.reuse(input); sel != nil {
+func (m *Parser) Parse(input string) (Stmt, error) { return m.parse(input, false) }
+
+// Classify parses input as Parse does, but a statement rangeCount folds
+// comes back as a *Count for Engine.ExecWindow to batch: its table,
+// column and inclusive range. A count whose shape the Parser remembers
+// is folded from its new literals, and its Count carries no statement;
+// any other statement is Parse's.
+func (m *Parser) Classify(input string) (Stmt, error) { return m.parse(input, true) }
+
+// parse is Parse, and Classify when classify is set.
+func (m *Parser) parse(input string, classify bool) (Stmt, error) {
+	var vals [memoLits]int64
+	if m.match(input, &vals) {
+		if classify && m.folds {
+			return m.count(Count{RangeCount: m.fold(&vals), text: input}), nil
+		}
+		sel := m.last.clone()
+		for k := range sel.Where {
+			sel.Where[k].Val = vals[k]
+		}
 		return sel, nil
 	}
 	m.last = nil
@@ -58,59 +86,116 @@ func (m *Parser) Parse(input string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	var rc RangeCount
+	folds := false
+	if classify {
+		rc, folds = rangeCount(stmt)
+	}
 	// Each condition holds one literal, so a SELECT with one literal more
 	// has a LIMIT.
 	if sel, ok := stmt.(*Select); ok && p.lits.n == len(sel.Where) && p.lits.n <= len(p.lits.at) {
-		m.text, m.last, m.lits = input, sel, p.lits
+		m.text, m.last, m.lits, m.folds = input, sel, p.lits, folds
+	}
+	if folds {
+		return m.count(Count{RangeCount: rc, text: input, sel: stmt.(*Select)}), nil
 	}
 	return stmt, nil
 }
 
-// reuse returns the remembered statement with input's WHERE values, or
-// nil if input is not the remembered text with other values. Outside
-// the literals the bytes are the same, and each literal is read by the
-// scanner's rule for a number: an optional '-' and a maximal run of
-// digits. So the scanner cuts input into the remembered tokens, with
-// only the numbers' texts changed: a literal cannot run into the bytes
-// after it (it ends before a non-digit in both texts), and the token
-// before it ends where it did (no token but a word continues with a
-// digit or a '-', and a word can precede a literal only if the literal
-// began with the '-', which is the one case refused below).
-func (m *Parser) reuse(input string) *Select {
+// match reports whether input is the remembered text with other WHERE
+// values, and reads them into vals. Outside the literals the bytes are
+// the same, and each literal is read by the scanner's rule for a
+// number: an optional '-' and a maximal run of digits. So the scanner
+// cuts input into the remembered tokens, with only the numbers' texts
+// changed: a literal cannot run into the bytes after it (it ends before
+// a non-digit in both texts), and the token before it ends where it did
+// (no token but a word continues with a digit or a '-', and a word can
+// precede a literal only if the literal began with the '-', which is
+// the one case refused below). A literal's digits are accumulated as
+// they are matched, and one that strconv.ParseInt would refuse — a '-'
+// with no digit, or a value outside int64 — refuses the match, so the
+// full parse answers it.
+func (m *Parser) match(input string, vals *[memoLits]int64) bool {
 	if m.last == nil {
-		return nil
+		return false
 	}
-	var vals [len(m.lits.at)]int64
 	prev, at, from := m.text, 0, 0 // input[at:] is to match prev[from:]
 	for k, lit := range m.lits.at[:m.lits.n] {
 		gap := prev[from:lit.start]
 		if len(input)-at < len(gap) || input[at:at+len(gap)] != gap {
-			return nil
+			return false
 		}
 		at += len(gap)
-		end := at
-		if end < len(input) && input[end] == '-' {
-			end++
+		neg := at < len(input) && input[at] == '-'
+		if neg {
+			at++
 		} else if prev[lit.start] == '-' && at > 0 && wordByte(input[at-1]) {
-			return nil // the digits would continue the word before them
+			return false // the digits would continue the word before them
 		}
-		for end < len(input) && isDigit(input[end]) {
-			end++
+		limit := uint64(math.MaxInt64) // the magnitude int64 holds
+		if neg {
+			limit++
 		}
-		v, err := strconv.ParseInt(input[at:end], 10, 64) // refuses a '-' alone
-		if err != nil {
-			return nil
+		var u uint64
+		end := at
+		for ; end < len(input) && isDigit(input[end]); end++ {
+			d := uint64(input[end] - '0')
+			if u > (limit-d)/10 {
+				return false // out of range
+			}
+			u = 10*u + d
 		}
-		vals[k], at, from = v, end, lit.end
+		if end == at {
+			return false // a '-' alone, or no number at all
+		}
+		if vals[k] = int64(u); neg {
+			vals[k] = -vals[k] // -(1<<63) wraps to itself, math.MinInt64
+		}
+		at, from = end, lit.end
 	}
-	if input[at:] != prev[from:] {
-		return nil
+	return input[at:] == prev[from:]
+}
+
+// fold is rangeCount's verdict on the remembered count shape with the
+// literals vals: crackdb.Interval of its conditions, in integers. An
+// exclusive bound steps inward, and one with no integer beyond it
+// (> math.MaxInt64, < math.MinInt64) leaves the range empty, which is
+// [1, 0] as Interval gives it.
+func (m *Parser) fold(vals *[memoLits]int64) RangeCount {
+	rc := RangeCount{Table: m.last.Table, Col: m.last.Where[0].Col, Low: math.MinInt64, High: math.MaxInt64}
+	empty := false
+	for k, c := range m.last.Where {
+		switch v := vals[k]; c.Op {
+		case "<":
+			empty = empty || v == math.MinInt64
+			rc.High = min(rc.High, v-1)
+		case "<=":
+			rc.High = min(rc.High, v)
+		case "=", "==":
+			rc.Low, rc.High = max(rc.Low, v), min(rc.High, v)
+		case ">=":
+			rc.Low = max(rc.Low, v)
+		case ">":
+			empty = empty || v == math.MaxInt64
+			rc.Low = max(rc.Low, v+1)
+		}
 	}
-	sel := m.last.clone()
-	for k := range sel.Where {
-		sel.Where[k].Val = vals[k]
+	if empty || rc.Low > rc.High {
+		rc.Low, rc.High = 1, 0
 	}
-	return sel
+	return rc
+}
+
+// count hands c out from the Parser's room. The room is a chunk of 1,
+// then of 4, 16 and 64 slots, and a slot is never written twice, so
+// each Count stays what it was when handed out: a window of one count
+// costs one small allocation, and a window of 64 counts four, not 64.
+func (m *Parser) count(c Count) *Count {
+	if len(m.counts) == cap(m.counts) {
+		m.counts = make([]Count, 0, min(max(1, 4*cap(m.counts)), 64))
+	}
+	m.counts = append(m.counts, c)
+	return &m.counts[len(m.counts)-1]
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.

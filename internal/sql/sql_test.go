@@ -444,20 +444,30 @@ func TestDeleteStatement(t *testing.T) {
 	}
 }
 
-// TestExecWindowAgreesWithExecStmt: a window answers every statement as
-// execStmt does one by one — rows, messages and error text — while its
-// runs of two or more range counts on one column each cross the store as
-// one batch.
+// TestExecWindowAgreesWithExecStmt: a window parsed through one Parser,
+// as a server parses it, answers every statement as execStmt does one
+// by one — rows, messages and error text — while its runs of two or
+// more range counts on one column each cross the store as one batch.
+// The counts after the first of each shape are folded from their
+// literals: each operator's fold, an unsatisfiable range, a run whose
+// batch fails and so runs its counts alone, parsed again from their
+// texts, and a <> the Parser does not fold.
 func TestExecWindowAgreesWithExecStmt(t *testing.T) {
 	window, _ := newEngine(t)
 	sequential, _ := newEngine(t)
 	window.store.EnableObservability(1)
 	texts := []string{
-		"SELECT COUNT(*) FROM r WHERE a >= 20 AND a < 60", // a run of three on a
+		"SELECT COUNT(*) FROM r WHERE a >= 20 AND a < 60", // a run of eight on a
+		"SELECT COUNT(*) FROM r WHERE a >= 30 AND a < 70",
+		"SELECT COUNT(*) FROM r WHERE a > 20 AND a <= 60",
+		"SELECT COUNT(*) FROM r WHERE a > 30 AND a <= 70",
 		"SELECT COUNT(*) FROM r WHERE a = 30",
+		"SELECT COUNT(*) FROM r WHERE a = 40",
 		"SELECT COUNT(*) FROM r WHERE a > 90 AND a < 10",
+		"SELECT COUNT(*) FROM r WHERE a > 80 AND a < 20",
 		"SELECT COUNT(*) FROM r WHERE k < 5", // a run of one on k
 		"SELECT COUNT(*) FROM r WHERE a <> 30",
+		"SELECT COUNT(*) FROM r WHERE a <> 40",
 		"SELECT COUNT(*) FROM r",
 		"SELECT COUNT(*) FROM r WHERE a > 10 AND k < 8",
 		"SELECT COUNT(*) FROM missing WHERE a < 5", // a run whose batch fails
@@ -473,21 +483,33 @@ func TestExecWindowAgreesWithExecStmt(t *testing.T) {
 		"SELECT COUNT(*) FROM r WHERE a < 50",
 	}
 	stmts := make([]Stmt, len(texts))
+	var parser Parser
+	folded := 0 // the counts folded from a remembered shape
 	for i, text := range texts {
 		var err error
-		if stmts[i], err = Parse(text); err != nil {
+		if stmts[i], err = parser.Classify(text); err != nil {
 			t.Fatal(err)
 		}
+		if c, ok := stmts[i].(*Count); ok && c.sel == nil {
+			folded++
+		}
+	}
+	if folded != 6 {
+		t.Fatalf("the Parser folded %d counts from a remembered shape, want 6", folded)
 	}
 	results := window.ExecWindow(stmts)
 	if len(results) != len(stmts) {
 		t.Fatalf("%d results for %d statements", len(results), len(stmts))
 	}
-	for i, st := range stmts {
+	for i, text := range texts {
+		st, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, wantErr := sequential.execStmt(st)
 		got := results[i]
 		if fmt.Sprint(got.Err) != fmt.Sprint(wantErr) || fmt.Sprint(got.Set) != fmt.Sprint(want) {
-			t.Fatalf("%s: window answers %v, %v; execStmt %v, %v", texts[i], got.Set, got.Err, want, wantErr)
+			t.Fatalf("%s: window answers %v, %v; execStmt %v, %v", text, got.Set, got.Err, want, wantErr)
 		}
 	}
 	fams, _ := window.store.Gather()
