@@ -31,6 +31,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -190,6 +191,7 @@ func (s *Store) installLocked(name string, t *relation.Table) error {
 	if _, exists := s.tables[name]; exists {
 		return fmt.Errorf("crackdb: table %q already exists", name)
 	}
+	name = strings.Clone(name) // the caller's may be a substring of a query's text
 	if err := durable.CheckNames(name, t.ColumnNames()); err != nil {
 		return err
 	}

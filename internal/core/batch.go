@@ -21,7 +21,9 @@ import (
 // around the column: the registry and column resolution, the result
 // allocation, and the caller's per-query overhead. Converged ranges are
 // timed by Instr.Batch alone, so ReadHold keeps timing one scalar read's
-// hold. A batch only counts; a selection is one Select per range.
+// hold. A batch may also be offered read-only (write false): answered
+// whole from the index under one read hold, or declined untouched. A
+// batch only counts; a selection is one Select per range.
 
 // BatchAnswer is one predicate's answer within a column batch: the
 // number of qualifying tuples.
@@ -74,7 +76,7 @@ func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]Ba
 // and only counts, and the parameters stay only for callers compiled
 // against them.
 func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, run *BatchRun) {
-	c.countBatch(ranges, run, nil)
+	c.countBatch(ranges, run, nil, true)
 }
 
 // countBatch is SelectBatchRun, showing observe (when non-nil) each
@@ -83,18 +85,28 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 // resolves (countConverged), and the range that ends the run — a cut
 // missing, or updates pending — cracks under the write lock, exactly as
 // answer's write branch would crack it.
-func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(expr.Range)) {
+//
+// With write false the batch is offered to one read hold only, as
+// answer offers a range: it answers when the index resolves every range,
+// and otherwise declines — it returns false having changed nothing, not
+// a counter, not a timing, and observe does not run. It reports whether
+// the batch was answered.
+func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(expr.Range), write bool) bool {
 	in := c.instr.Load()
-	if in != nil && in.Batch != nil {
-		// A batch is tens of queries per call, so whole-call timing is
-		// already amortized — no sampling needed.
-		t0 := time.Now()
-		defer func() { in.Batch.Observe(time.Since(t0).Nanoseconds()) }()
+	// A batch is tens of queries per call, so whole-call timing is
+	// already amortized — no sampling needed.
+	timed := in != nil && in.Batch != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
 	}
 	answers := slices.Grow(run.Answers[:0], len(ranges))[:len(ranges)]
 	run.Answers = answers
 	for i := 0; i < len(ranges); i++ {
-		n := c.countConverged(ranges[i:], answers[i:], i > 0)
+		n := c.countConverged(ranges[i:], answers[i:], i > 0, write)
+		if n == 0 && !write {
+			return false
+		}
 		if observe != nil {
 			for _, r := range ranges[i : i+n] {
 				observe(r)
@@ -111,6 +123,10 @@ func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(exp
 			observe(*r)
 		}
 	}
+	if timed {
+		in.Batch.Observe(time.Since(t0).Nanoseconds())
+	}
+	return true
 }
 
 // countConverged answers under one read hold the longest run at the front
@@ -123,11 +139,15 @@ func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(exp
 // counts the run's queries and index lookups once. A column with pending
 // inserts or deletes answers none: the next range folds them under the
 // write lock.
-func (c *Column) countConverged(ranges []expr.Range, answers []BatchAnswer, afterCrack bool) int {
+//
+// With write false the run must be all of ranges: a shorter one counts
+// nothing and reads 0. Such an offer also probes one range first, so on
+// a column that has not converged it declines after one probe.
+func (c *Column) countConverged(ranges []expr.Range, answers []BatchAnswer, afterCrack, write bool) int {
 	c.mu.RLock()
 	var win [probeGroup]window
 	done, lookups, size := 0, 0, probeGroup
-	if afterCrack {
+	if afterCrack || !write {
 		size = 1
 	}
 run:
@@ -146,6 +166,9 @@ run:
 			done++
 		}
 	}
+	if done < len(ranges) && !write {
+		done = 0
+	}
 	if done > 0 {
 		c.stats.queries.Add(int64(done))
 		c.stats.indexLookups.Add(int64(lookups))
@@ -160,17 +183,26 @@ run:
 // after it is answered, as it does for a scalar count. An empty batch
 // returns before the column is resolved, so, like no query at all, it
 // creates no cracker column.
-func (ct *CrackedTable) CountBatchRun(attr string, ranges []expr.Range, run *BatchRun) error {
+//
+// With write false the batch is only offered (Column.countBatch): it
+// is answered when attr's cracker column exists and its index resolves
+// every range, and otherwise declined (ok false) having changed nothing,
+// the cracker column not even created. The shard router offers every
+// shard its sub-batch this way before it fans out.
+func (ct *CrackedTable) CountBatchRun(attr string, ranges []expr.Range, run *BatchRun, write bool) (ok bool, err error) {
 	run.Answers = run.Answers[:0]
 	if len(ranges) == 0 {
-		return nil
+		return true, nil
 	}
-	c, err := ct.ColumnFor(attr)
-	if err != nil {
-		return err
+	var c *Column
+	if write {
+		if c, err = ct.ColumnFor(attr); err != nil {
+			return false, err
+		}
+	} else if c, ok = ct.Column(attr); !ok {
+		return false, nil
 	}
-	c.countBatch(ranges, run, ct.selectObs)
-	return nil
+	return c.countBatch(ranges, run, ct.selectObs, write), nil
 }
 
 // CountRange answers one range without materializing anything — the

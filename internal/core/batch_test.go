@@ -80,7 +80,7 @@ func TestCountBatchMatchesOneByOne(t *testing.T) {
 				}
 				a.mu.Unlock()
 				seen, seenCracks = append(seen, r), append(seenCracks, a.Stats().Cracks)
-			})
+			}, true)
 			for i, ans := range run.Answers {
 				if ans.N != want[i] {
 					t.Errorf("range %d %+v: batch counts %d, one by one %d", i, batch[i], ans.N, want[i])
@@ -232,5 +232,64 @@ func BenchmarkCountBatchConverged(b *testing.B) {
 	}
 	if cracks != 0 {
 		b.Fatalf("the columns cracked %d times: not converged", -cracks)
+	}
+}
+
+// TestCountBatchOffer: a batch offered read-only (write false) is timed
+// by Instr.Batch, as any batch is, only when it is answered whole, and
+// takes no write hold and no sampled read hold either way; a declined
+// offer records nothing — no timing, no trace event, no counter — and
+// shows the observer nothing, even when every range but its last is
+// resolved.
+func TestCountBatchOffer(t *testing.T) {
+	const n, cells = 4096, 16
+	c, in := convergedInstr(n, cells, 0)
+	step := int64(n / cells)
+	cell := func(k int64) expr.Range {
+		return expr.Range{Col: "k", Low: k * step, High: (k + 1) * step, LowIncl: true}
+	}
+	var converged []expr.Range
+	for k := int64(0); k < 12; k++ {
+		converged = append(converged, cell(k))
+	}
+	type counters struct {
+		batch, read, write uint64
+		trace              uint64
+		stats              Stats
+		cuts               string
+	}
+	snap := func() counters {
+		return counters{in.Batch.Snapshot().Count, in.ReadHold.Snapshot().Count, in.WriteHold.Snapshot().Count,
+			in.Trace.Mark(), c.Stats(), c.Index().String()}
+	}
+	run := AcquireBatchRun()
+	defer run.Release()
+	observed := 0
+	observe := func(expr.Range) { observed++ }
+
+	missing := append(slices.Clone(converged), expr.Range{Col: "k", Low: 5, High: 17, LowIncl: true})
+	before := snap()
+	if c.countBatch(missing, run, observe, false) {
+		t.Fatal("an offer with an unresolved range answered")
+	}
+	if after := snap(); after != before || observed != 0 {
+		t.Fatalf("the declined offer recorded %+v (observer %d), before %+v", after, observed, before)
+	}
+
+	if !c.countBatch(converged, run, observe, false) {
+		t.Fatal("an offer of converged ranges declined")
+	}
+	after := snap()
+	for i, r := range converged {
+		if want := c.Count(r.Low, r.High, r.LowIncl, r.HighIncl); run.Answers[i].N != want {
+			t.Errorf("range %d: offer counts %d, Count %d", i, run.Answers[i].N, want)
+		}
+	}
+	if after.batch != before.batch+1 || after.read != before.read || after.write != before.write || after.trace != before.trace {
+		t.Fatalf("an answered offer: batch %d → %d, read holds %d → %d, write holds %d → %d, trace %d → %d; want one batch timing only",
+			before.batch, after.batch, before.read, after.read, before.write, after.write, before.trace, after.trace)
+	}
+	if q := after.stats.Queries - before.stats.Queries; q != len(converged) || observed != len(converged) || after.cuts != before.cuts {
+		t.Fatalf("an answered offer counted %d queries and observed %d, want %d each, and no new cut", q, observed, len(converged))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -98,7 +99,8 @@ func (ct *CrackedTable) ColumnFor(attr string) (*Column, error) {
 		c.Delete(oid)
 	}
 	ct.baseMu.RUnlock()
-	ct.cols[attr] = c
+	// Its own copy of the key: attr may be a substring of a query's text.
+	ct.cols[strings.Clone(attr)] = c
 	return c, nil
 }
 

@@ -12,6 +12,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -116,7 +117,19 @@ func (op Op) statements() (stmts []string, ok bool) {
 		return []string{"DELETE FROM " + op.Table + w}, ok
 	case Group:
 		return []string{fmt.Sprintf("SELECT %s, COUNT(*) FROM %s GROUP BY %s", op.Col, op.Table, op.Col)}, true
-	case Count, Select, Fetch, CountBatch:
+	case CountBatch:
+		// One spelling an op, picked from its ranges: a SQL posture's
+		// window of the op's counts repeats one shape, so its Parser
+		// folds each operator from the literals alone.
+		var k uint64
+		for _, r := range op.Ranges {
+			k = 31*k + uint64(r.Low) + uint64(r.High)
+		}
+		for _, r := range op.Ranges {
+			stmts = append(stmts, "SELECT COUNT(*) FROM "+op.Table+" WHERE "+spell(k%4, op.Col, r))
+		}
+		return stmts, len(stmts) > 0
+	case Count, Select, Fetch:
 		head := "SELECT COUNT(*) FROM "
 		if !op.Kind.counts() {
 			head = "SELECT " + strings.Join(op.Cols, ", ") + " FROM "
@@ -131,4 +144,20 @@ func (op Op) statements() (stmts []string, ok bool) {
 		return stmts, len(stmts) > 0
 	}
 	return nil, false
+}
+
+// spell says the inclusive range r on col in SQL the k-th of four ways:
+// >= and <=, > and <, BETWEEN, or =. The second cannot say a bound at a
+// domain extreme and the fourth says only Low == High; a range the k-th
+// way cannot say takes the first.
+func spell(k uint64, col string, r crackdb.Range) string {
+	switch {
+	case k == 1 && r.Low != math.MinInt64 && r.High != math.MaxInt64:
+		return fmt.Sprintf("%s > %d AND %s < %d", col, r.Low-1, col, r.High+1)
+	case k == 2:
+		return fmt.Sprintf("%s BETWEEN %d AND %d", col, r.Low, r.High)
+	case k == 3 && r.Low == r.High:
+		return fmt.Sprintf("%s = %d", col, r.Low)
+	}
+	return fmt.Sprintf("%s >= %d AND %s <= %d", col, r.Low, col, r.High)
 }

@@ -8,6 +8,7 @@ package relation
 
 import (
 	"fmt"
+	"strings"
 
 	"crackdb/internal/bat"
 	"crackdb/internal/expr"
@@ -27,10 +28,15 @@ type Table struct {
 	byName map[string]int
 }
 
-// New creates an empty integer table with the given attribute names.
+// New creates an empty integer table with the given attribute names. A
+// table keeps its own copy of its names: the caller's may be substrings
+// of a larger text, such as a server's window of requests, that the
+// table would otherwise keep alive for as long as it lives.
 func New(name string, colNames ...string) *Table {
+	name = strings.Clone(name)
 	t := &Table{Name: name, byName: make(map[string]int, len(colNames))}
 	for _, cn := range colNames {
+		cn = strings.Clone(cn)
 		t.byName[cn] = len(t.Cols)
 		t.Cols = append(t.Cols, Column{Name: cn, Data: bat.NewInt(name+"_"+cn, 0)})
 	}
@@ -38,9 +44,9 @@ func New(name string, colNames ...string) *Table {
 }
 
 // FromColumns builds a table around existing BATs. All BATs must have the
-// same length.
+// same length. Like New, the table keeps its own copy of its names.
 func FromColumns(name string, cols ...Column) (*Table, error) {
-	t := &Table{Name: name, byName: make(map[string]int, len(cols))}
+	t := &Table{Name: strings.Clone(name), byName: make(map[string]int, len(cols))}
 	n := -1
 	for _, c := range cols {
 		if n == -1 {
@@ -51,6 +57,7 @@ func FromColumns(name string, cols ...Column) (*Table, error) {
 		if _, dup := t.byName[c.Name]; dup {
 			return nil, fmt.Errorf("relation: duplicate column %q", c.Name)
 		}
+		c.Name = strings.Clone(c.Name)
 		t.byName[c.Name] = len(t.Cols)
 		t.Cols = append(t.Cols, c)
 	}

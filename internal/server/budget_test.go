@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -84,13 +86,27 @@ func TestRowFetchBudget(t *testing.T) {
 // slots and the fan-out closure it did not call (measured 3 for the
 // count, 37 for the fetch), and no goroutine, whose closure and wait
 // group alone would cost one allocation per shard plus one. A goroutine
-// per shard made it 16 and 54.
+// per shard made it 16 and 54. A converged batch of 8 ranges takes the
+// same read-only pass (measured 12: the routing, a count slice a shard,
+// gather's slots and closures, the merged counts); with every shard but
+// one on a goroutine it made 19.
 func TestRoutedReadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxCountAllocs, maxFetchAllocs = 4, 40
+	const maxCountAllocs, maxFetchAllocs, maxBatchAllocs = 4, 40, 12
 	st := convergedRouter(t)
+	ranges := make([]crackdb.Range, 8)
+	for i := range ranges {
+		lo := int64(2000 + 9000*i)
+		ranges[i] = crackdb.Range{Low: lo, High: lo + 499}
+	}
+	batch := func() {
+		counts, err := st.CountBatch("t", "c0", ranges)
+		if err != nil || len(counts) != len(ranges) || counts[0] != 500 {
+			t.Fatalf("CountBatch = %v, %v; want 8 counts of 500", counts, err)
+		}
+	}
 	conds := []crackdb.Cond{{Col: "c0", Op: ">=", Val: 5000}, {Col: "c0", Op: "<", Val: 6000}}
 	count := func() {
 		if n, err := st.CountWhere("t", conds...); err != nil || n != 1000 {
@@ -117,16 +133,22 @@ func TestRoutedReadBudget(t *testing.T) {
 		}
 		return total.Cracks
 	}
-	count() // the first run cracks the range's two bounds on every shard
+	count() // the first runs crack the ranges' bounds on every shard
+	batch()
 	before := cracks()
 	countAllocs := testing.AllocsPerRun(200, count)
 	fetchAllocs := testing.AllocsPerRun(200, fetch)
-	t.Logf("converged 4-shard CountWhere: %.0f allocations; SelectWhere + Rows of 3 columns: %.0f", countAllocs, fetchAllocs)
+	batchAllocs := testing.AllocsPerRun(200, batch)
+	t.Logf("converged 4-shard CountWhere: %.0f allocations; SelectWhere + Rows of 3 columns: %.0f; CountBatch of %d ranges: %.0f",
+		countAllocs, fetchAllocs, len(ranges), batchAllocs)
 	if countAllocs > maxCountAllocs {
 		t.Errorf("a converged routed count allocates %.0f times, budget %d", countAllocs, maxCountAllocs)
 	}
 	if fetchAllocs > maxFetchAllocs {
 		t.Errorf("a converged routed fetch allocates %.0f times, budget %d", fetchAllocs, maxFetchAllocs)
+	}
+	if batchAllocs > maxBatchAllocs {
+		t.Errorf("a converged routed batch of %d ranges allocates %.0f times, budget %d", len(ranges), batchAllocs, maxBatchAllocs)
 	}
 	if after := cracks(); after != before {
 		t.Fatalf("c0 cracked %d times during the measurement: it was not converged", after-before)
@@ -268,42 +290,89 @@ func TestFoldedWindowBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkServeWindow times a window of 64 converged, tagged range
-// counts from request payloads to response frames: parseWireReq, then
+// countFrames is k tagged range counts on convergedRouter's c0, framed
+// as a pipelining client sends them: @1 … @k, each range 1000 keys wide.
+func countFrames(tb testing.TB, k int) []byte {
+	var buf bytes.Buffer
+	for i := 0; i < k; i++ {
+		lo := 1000 + 1500*i
+		if err := writeFrame(&buf, fmt.Appendf(nil, "@%d SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 <= %d", i+1, lo, lo+999)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestWindowReadBudget: a connection turns a window of 64 request frames
+// into its wireReqs with one allocation, the one string every request's
+// text is a substring of. A string copied out of each payload made it 64.
+func TestWindowReadBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	const maxAllocs = 2
+	frames := countFrames(t, 64)
+	rd := bytes.NewReader(frames)
+	br := bufio.NewReaderSize(rd, 1<<16)
+	var w window
+	read := func() {
+		rd.Reset(frames)
+		br.Reset(rd)
+		win, err := w.read(br)
+		if err != nil || len(win) != 64 || win[63].seq != 64 || !strings.HasPrefix(win[63].cmd, "SELECT COUNT(*) FROM t WHERE c0 >= 95500 ") {
+			t.Fatalf("read %d requests (%v), the last %+v", len(win), err, win[len(win)-1])
+		}
+	}
+	read() // grows the window's buffers, as a connection's first window does
+	got := testing.AllocsPerRun(100, read)
+	t.Logf("reading a window of 64 frames into requests: %.0f allocations", got)
+	if got > maxAllocs {
+		t.Errorf("reading a window of 64 frames allocates %.0f times, budget %d", got, maxAllocs)
+	}
+}
+
+// BenchmarkServeWindow times a window of 4, 13 and 64 converged, tagged
+// range counts from request frames to response frames: window.read, then
 // serveWindow (parse, fold, one CountBatch on a 4-shard router), then
-// encodeReply, as a connection serves a pipelining client's window.
+// encodeReply, as a connection serves a pipelining client's window. What
+// a window costs whatever its depth shows in the small ones: a faster
+// server leaves a client less time to pipeline, so its windows shrink.
 func BenchmarkServeWindow(b *testing.B) {
 	s := New(convergedRouter(b), nil)
-	payloads := make([][]byte, 64)
-	for i := range payloads {
-		lo := 1000 + 1500*i
-		payloads[i] = fmt.Appendf(nil, "@%d SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 <= %d", i+1, lo, lo+999)
+	for _, k := range []int{4, 13, 64} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			frames := countFrames(b, k)
+			rd := bytes.NewReader(frames)
+			br := bufio.NewReaderSize(rd, 1<<16)
+			var w window
+			var frame []byte
+			reply := func(req wireReq, resp *Response) error {
+				frame = encodeReply(frame, req, resp)
+				return nil
+			}
+			serve := func() {
+				rd.Reset(frames)
+				br.Reset(rd)
+				win, err := w.read(br)
+				if err != nil || len(win) != k {
+					b.Fatalf("read %d requests of %d: %v", len(win), k, err)
+				}
+				if _, err := s.serveWindow(win, reply); err != nil {
+					b.Fatal(err)
+				}
+			}
+			serve() // the first run cracks the ranges' bounds
+			if want := fmt.Sprintf("@%d ok rows=1\ncount(*)\n1000\n", k); string(frame) != want {
+				b.Fatalf("the last reply is %q, want %q", frame, want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/stmt")
+		})
 	}
-	win := make([]wireReq, 0, len(payloads))
-	var frame []byte
-	reply := func(req wireReq, resp *Response) error {
-		frame = encodeReply(frame, req, resp)
-		return nil
-	}
-	serve := func() {
-		win = win[:0]
-		for _, p := range payloads {
-			win = append(win, parseWireReq(p))
-		}
-		if _, err := s.serveWindow(win, reply); err != nil {
-			b.Fatal(err)
-		}
-	}
-	serve() // the first run cracks the ranges' bounds
-	if want := "@64 ok rows=1\ncount(*)\n1000\n"; string(frame) != want {
-		b.Fatalf("the last reply is %q, want %q", frame, want)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serve()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payloads)), "ns/stmt")
 }
 
 func TestWireResultBudget(t *testing.T) {

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"crackdb/internal/shard"
+	"crackdb/internal/tuner"
 )
 
 // Eight clients pipeline windows of range counts concurrently, each
@@ -312,18 +315,78 @@ func TestSequenceTagRoundTrip(t *testing.T) {
 		t.Fatal("truncated tag must fail to decode")
 	}
 
-	req := parseWireReq([]byte("@7 SELECT 1"))
+	req := parseWireReq("@7 SELECT 1")
 	if !req.tagged || req.seq != 7 || req.cmd != "SELECT 1" {
 		t.Fatalf("parseWireReq: %+v", req)
 	}
-	req = parseWireReq([]byte("SELECT 1"))
+	req = parseWireReq("SELECT 1")
 	if req.tagged {
 		t.Fatalf("untagged request grew a tag: %+v", req)
 	}
 	// A malformed tag stays in the statement and fails loudly downstream
 	// instead of being silently dropped.
-	req = parseWireReq([]byte("@x SELECT 1"))
+	req = parseWireReq("@x SELECT 1")
 	if req.tagged || req.cmd != "@x SELECT 1" {
 		t.Fatalf("malformed tag handling: %+v", req)
+	}
+}
+
+// TestWindowTextNotRetained: a window's requests are substrings of one
+// string, so a name the store keeps from one request — a table and its
+// columns, a cracker column first touched by a count, a table a SELECT
+// INTO or /tapestry creates — must be the store's own copy, or it would
+// hold the whole window's text, here a 4 MB statement beside it, for as
+// long as the table lives.
+func TestWindowTextNotRetained(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures under the race detector are not the program's")
+	}
+	s := New(shard.New(shard.Options{Shards: 2, Kind: shard.Hash}), nil)
+	s.store.EnableAutotune(tuner.DefaultConfig())
+	reqs := []string{
+		"CREATE TABLE kept (a, b)",
+		"INSERT INTO kept VALUES (1, 2), (3, 4), (5, 6)",
+		"SELECT COUNT(*) FROM kept WHERE a >= 1 AND a <= 3",
+		"SELECT COUNT(*) FROM kept WHERE b >= 2 AND b <= 4",
+		"SELECT COUNT(*) FROM kept WHERE b >= 4 AND b <= 6",
+		"SELECT a, b INTO copied FROM kept WHERE a >= 1 AND a < 4",
+		"/tapestry loaded 100 2",
+		"/tune kept a ddr",
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serve := func() {
+		var frames bytes.Buffer
+		for _, r := range append(reqs, "SELECT COUNT(*) FROM kept WHERE a = 7 "+strings.Repeat("-- padding\n", 400_000)) {
+			if err := writeFrame(&frames, []byte(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var w window
+		win, err := w.read(bufio.NewReaderSize(&frames, 64<<20))
+		if err != nil || len(win) != len(reqs)+1 {
+			t.Fatalf("read %d requests of %d: %v", len(win), len(reqs)+1, err)
+		}
+		if _, err := s.serveWindow(win, func(req wireReq, resp *Response) error {
+			if resp.Err != "" {
+				t.Fatalf("%.40s: %s", req.cmd, resp.Err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := heap()
+	serve()
+	grown := int64(heap()) - int64(before)
+	runtime.KeepAlive(s)
+	t.Logf("the heap grew %d bytes serving a window of %d requests and one of 4.4 MB", grown, len(reqs))
+	if grown > 1<<20 {
+		t.Fatalf("the heap grew %d bytes: the store keeps the window's text", grown)
 	}
 }

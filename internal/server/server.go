@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"net"
 	"strconv"
 	"strings"
@@ -151,16 +150,63 @@ type wireReq struct {
 
 // parseWireReq splits the optional "@<seq> " pipeline tag off a request
 // payload. A malformed tag is left in the statement, so it surfaces to
-// the client as an ordinary parse error rather than a dropped frame.
-func parseWireReq(payload []byte) wireReq {
+// the client as an ordinary parse error rather than a dropped frame. cmd
+// is a substring of payload: parsing copies nothing.
+func parseWireReq(payload string) wireReq {
 	if len(payload) > 0 && payload[0] == '@' {
-		if sp := bytes.IndexByte(payload, ' '); sp >= 2 {
-			if v, err := strconv.ParseUint(string(payload[1:sp]), 10, 64); err == nil {
-				return wireReq{cmd: strings.TrimSpace(string(payload[sp+1:])), seq: v, tagged: true}
+		if sp := strings.IndexByte(payload, ' '); sp >= 2 {
+			if v, err := strconv.ParseUint(payload[1:sp], 10, 64); err == nil {
+				return wireReq{cmd: strings.TrimSpace(payload[sp+1:]), seq: v, tagged: true}
 			}
 		}
 	}
-	return wireReq{cmd: strings.TrimSpace(string(payload))}
+	return wireReq{cmd: strings.TrimSpace(payload)}
+}
+
+// A window collects one connection's service window. Each frame is read
+// into frame, which the next frame overwrites, so its payload is copied
+// to the end of text; read then makes one string of text, and every
+// request's cmd is a substring of it: one allocation a window, not one a
+// request. The buffers are reused from window to window. Whatever keeps
+// a name from a request (a table, a cracker column, the tuner) keeps its
+// own copy, so no window's text outlives the window.
+type window struct {
+	frame, text []byte
+	ends        []int // text[ends[i-1]:ends[i]] is request i's payload
+	reqs        []wireReq
+}
+
+// read blocks for the next request frame, then takes whatever further
+// frames the client has already pipelined into br's buffer, up to
+// maxWindow, and returns the window's requests. They are valid until the
+// next read.
+func (w *window) read(br *bufio.Reader) ([]wireReq, error) {
+	payload, err := readFrame(br, w.frame)
+	if err != nil {
+		return nil, err
+	}
+	w.text, w.ends = w.text[:0], w.ends[:0]
+	for {
+		w.frame = payload
+		w.text = append(w.text, payload...)
+		w.ends = append(w.ends, len(w.text))
+		if len(w.ends) == maxWindow {
+			break
+		}
+		var ok bool
+		if payload, ok, err = readBufferedFrame(br, w.frame); err != nil {
+			return nil, err
+		} else if !ok {
+			break
+		}
+	}
+	text, start := string(w.text), 0
+	w.reqs = w.reqs[:0]
+	for _, end := range w.ends {
+		w.reqs = append(w.reqs, parseWireReq(text[start:end]))
+		start = end
+	}
+	return w.reqs, nil
 }
 
 // handle serves one connection. The loop blocks for the first request,
@@ -180,9 +226,11 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	reqBuf, respBuf := getFrameBuf(), getFrameBuf()
+	w := window{frame: getFrameBuf(), text: getFrameBuf()}
+	respBuf := getFrameBuf()
 	defer func() {
-		putFrameBuf(reqBuf)
+		putFrameBuf(w.frame)
+		putFrameBuf(w.text)
 		putFrameBuf(respBuf)
 	}()
 	// reply encodes before it returns, so resp is read only during the
@@ -191,24 +239,10 @@ func (s *Server) handle(conn net.Conn) {
 		respBuf = encodeReply(respBuf, req, resp)
 		return writeFrame(bw, respBuf)
 	}
-	var win []wireReq
 	for {
-		payload, err := readFrame(br, reqBuf)
+		win, err := w.read(br)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
-		}
-		reqBuf = payload
-		win = append(win[:0], parseWireReq(payload))
-		for len(win) < maxWindow {
-			payload, ok, err := readBufferedFrame(br, reqBuf)
-			if err != nil {
-				return
-			}
-			if !ok {
-				break
-			}
-			reqBuf = payload
-			win = append(win, parseWireReq(payload))
 		}
 		s.noteWindow(len(win))
 		quit, err := s.serveWindow(win, reply)

@@ -6,9 +6,13 @@
 // query are paid once per shard per batch. The shard answers its
 // sub-batch's ranges in submission order, as it would count them sent
 // alone, the converged ones a run at a time under one read hold of the
-// column (core's countBatch). A sub-batch is a shard's unit of work
-// whatever it finds, so it gets no read-only pass: every shard with a
-// sub-batch runs in gather's pass 2. Per-predicate counts sum.
+// column (core's countBatch). gather's pass 1 offers each shard its
+// sub-batch read-only on the calling goroutine (crackdb.Store.ReadBatch):
+// a shard whose index resolves every range answers there, under one read
+// hold, and a converged batch starts no goroutine. A shard that must
+// create its cracker column, fold pending updates or crack declines
+// having changed nothing, and pass 2 counts its sub-batch as before, the
+// declined shards concurrently. Per-predicate counts sum.
 package shard
 
 import (
@@ -81,10 +85,12 @@ func (s *Store) CountBatch(table, col string, ranges []crackdb.Range) ([]int, er
 		return nil, err
 	}
 	s.noteRoutedBatch(sub)
-	per, err := gather(0, len(s.shards)-1, nil, func(i int) ([]int, error) {
+	per, err := gather(0, len(s.shards)-1, func(i int) ([]int, bool, error) {
 		if len(sub[i].ranges) == 0 {
-			return nil, nil
+			return nil, true, nil
 		}
+		return s.shards[i].ReadBatch(table, col, sub[i].ranges)
+	}, func(i int) ([]int, error) {
 		return s.shards[i].CountBatch(table, col, sub[i].ranges)
 	})
 	if err != nil {

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -76,6 +79,95 @@ func TestGatherPasses(t *testing.T) {
 				t.Fatalf("gather = %v, %v; want the answers in shard order", out, err)
 			}
 		})
+	}
+}
+
+// TestCountBatchMixedPasses: a batch whose sub-batch one shard answers
+// in gather's pass 1 (its c0 converged) while the other shard has no
+// cracker column yet, so declines and cracks in pass 2, answers, cracks
+// and counts exactly as the same ranges counted one by one on a twin
+// router: the same counts, the same per-shard Stats, and byte-equal
+// shard images, which hold every cut.
+func TestCountBatchMixedPasses(t *testing.T) {
+	const n = 20_000
+	var batched, single *Store
+	for _, st := range []**Store{&batched, &single} {
+		*st = New(Options{Shards: 2, Kind: Range})
+		if err := (*st).LoadTapestry("t", n, 3, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bound := batched.tables["t"].part.(rangePart).bounds[0]
+	rng := rand.New(rand.NewSource(9))
+	span := func(lo, hi int64) crackdb.Range { // a range inside [lo, hi)
+		a := lo + rng.Int63n(hi-lo-100)
+		return crackdb.Range{Low: a, High: a + rng.Int63n(100)}
+	}
+	warm := make([]crackdb.Range, 24)
+	for i := range warm {
+		warm[i] = span(1, bound)
+	}
+	var ranges []crackdb.Range
+	for i, w := range warm {
+		ranges = append(ranges, w)
+		if i%3 == 0 {
+			ranges = append(ranges, span(bound, n+1))
+		}
+	}
+	countOne := func(st *Store, r crackdb.Range) int {
+		got, err := st.CountWhere("t", crackdb.Cond{Col: "c0", Op: ">=", Val: r.Low}, crackdb.Cond{Col: "c0", Op: "<=", Val: r.High})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, r := range warm {
+		countOne(batched, r)
+		countOne(single, r)
+	}
+	if cracked, err := batched.shards[1].CrackedColumnStats("t"); err != nil || len(cracked) != 0 {
+		t.Fatalf("shard 1 has cracker columns %v (%v) before the batch", cracked, err)
+	}
+	stats := func(st *Store) []crackdb.ColumnStats {
+		per, err := st.ShardStats("t", "c0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return per
+	}
+	warmed := stats(batched)[0]
+
+	got, err := batched.CountBatch("t", "c0", ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ranges {
+		if want := countOne(single, r); got[i] != want {
+			t.Errorf("range %d %+v: the batch counts %d, one by one %d", i, r, got[i], want)
+		}
+	}
+	b, o := stats(batched), stats(single)
+	if !slices.Equal(b, o) {
+		t.Fatalf("per-shard stats after the batch %+v, one by one %+v", b, o)
+	}
+	if b[0].Cracks != warmed.Cracks || b[1].Cracks == 0 {
+		t.Fatalf("shard 0 cracked %d times in the batch, shard 1 %d: want 0 and some", b[0].Cracks-warmed.Cracks, b[1].Cracks)
+	}
+	dir := t.TempDir()
+	for i := range batched.shards {
+		var images [2][]byte
+		for k, st := range []*Store{batched, single} {
+			path := filepath.Join(dir, fmt.Sprintf("%d-%d", i, k))
+			if err := st.shards[i].Save(path); err != nil {
+				t.Fatal(err)
+			}
+			if images[k], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(images[0], images[1]) {
+			t.Fatalf("shard %d: the batch left an image (%d bytes) unlike one by one (%d bytes)", i, len(images[0]), len(images[1]))
+		}
 	}
 }
 

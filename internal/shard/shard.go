@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -273,7 +274,13 @@ func (s *Store) createLocked(name, key string, keyIdx int, part partitioner, col
 		}
 		return err
 	}
-	s.tables[name] = &tableMeta{cols: append([]string(nil), cols...), key: key, keyIdx: keyIdx, part: part}
+	// The router keeps its own copies of the names: the caller's may be
+	// substrings of a statement's text.
+	own := make([]string, len(cols))
+	for i, c := range cols {
+		own[i] = strings.Clone(c)
+	}
+	s.tables[strings.Clone(name)] = &tableMeta{cols: own, key: own[keyIdx], keyIdx: keyIdx, part: part}
 	return nil
 }
 
@@ -427,13 +434,15 @@ func (s *Store) firstInsert(name string, m *tableMeta, cols [][]int64) error {
 // Pass 1, for a read that may leave the shards as they are, offers read
 // every target shard in turn on the calling goroutine. read answers (ok)
 // from what the shard already holds, or declines having changed nothing
-// (crackdb.Store.ReadWhere). A converged statement ends here: no
-// goroutine, no wait. Pass 2 runs fn on the shards that declined — on
-// every shard when read is nil — concurrently, since these are the
-// shards that must create a cracker column, fold pending updates or
-// crack. The caller runs the last of them itself while the others run,
-// so one declined shard costs no goroutine. A shard's error, in either
-// pass, stands for that shard.
+// (crackdb.Store.ReadWhere for a conjunction, crackdb.Store.ReadBatch
+// for a count batch's sub-batch). A converged statement or batch ends
+// here: no goroutine, no wait. The writes, GroupBy's Ω crack and the
+// per-shard lookups (NumRows, ShardStats) pass a nil read. Pass 2 runs
+// fn on the shards that declined — on every shard when read is nil —
+// concurrently, since these are the shards that must create a cracker
+// column, fold pending updates or crack. The caller runs the last of
+// them itself while the others run, so one declined shard costs no
+// goroutine. A shard's error, in either pass, stands for that shard.
 func gather[T any](first, last int, read func(t int) (T, bool, error), fn func(t int) (T, error)) ([]T, error) {
 	out := make([]T, last-first+1)
 	errs := make([]error, len(out))

@@ -36,6 +36,7 @@ package tuner
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -154,7 +155,9 @@ func colID(table, column string) string { return table + "\x00" + column }
 func (t *Tuner) mon(table, column, current string) *colMon {
 	m, ok := t.cols[colID(table, column)]
 	if !ok {
-		m = &colMon{table: table, column: column, current: current}
+		// Its own copies of the names: the caller's may be substrings of
+		// a query's text.
+		m = &colMon{table: strings.Clone(table), column: strings.Clone(column), current: current}
 		t.cols[colID(table, column)] = m
 	}
 	return m

@@ -167,3 +167,91 @@ func flatten(rows [][]int64) []int64 {
 	}
 	return out
 }
+
+// TestReadBatchDeclineChangesNothing is TestReadWhereDeclineChangesNothing
+// for the batch offer the router makes each shard's sub-batch: all or
+// nothing. A batch whose ranges the index resolves but one must decline
+// having answered none of them, and every decline must leave the store
+// as it was, so that CountBatch afterwards answers and reorganizes as on
+// a twin never offered the batch.
+func TestReadBatchDeclineChangesNothing(t *testing.T) {
+	const n = 2000
+	converged := []Range{{100, 499}, {100, 299}, {300, 499}, {5, 4}}
+	converge := func(t *testing.T, s *Store) {
+		if _, err := s.CountBatch("t", "c0", converged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	postures := []struct {
+		name   string
+		setup  func(t *testing.T, s *Store)
+		ranges []Range
+	}{
+		{"no cracker column", func(*testing.T, *Store) {}, converged},
+		{"one cut missing", converge, append(slices.Clone(converged), Range{300, 449})},
+		{"pending inserts", func(t *testing.T, s *Store) {
+			converge(t, s)
+			if err := s.InsertRows("t", [][]int64{{300, 1, 1}, {n + 5, 2, 2}}); err != nil {
+				t.Fatal(err)
+			}
+		}, converged},
+		{"pending deletes", func(t *testing.T, s *Store) {
+			converge(t, s)
+			if _, err := s.Delete("t", Cond{Col: "c1", Op: "<", Val: 50}); err != nil {
+				t.Fatal(err)
+			}
+		}, converged},
+	}
+	for _, p := range postures {
+		t.Run(p.name, func(t *testing.T) {
+			s, observed := declineStore(t, n)
+			twin, twinObserved := declineStore(t, n)
+			p.setup(t, s)
+			p.setup(t, twin)
+			before, obsBefore := declineState(t, s), *observed
+
+			if counts, ok, err := s.ReadBatch("t", "c0", p.ranges); err != nil || ok || counts != nil {
+				t.Fatalf("ReadBatch = (%v, ok %v, %v), want a decline", counts, ok, err)
+			}
+			if after := declineState(t, s); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the decline changed the store:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if *observed != obsBefore {
+				t.Fatalf("the decline told the select observer %d times", *observed-obsBefore)
+			}
+
+			got, err := s.CountBatch("t", "c0", p.ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.CountBatch("t", "c0", p.ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("after the decline CountBatch answered %v, the twin %v", got, want)
+			}
+			if a, b := declineState(t, s), declineState(t, twin); !reflect.DeepEqual(a, b) {
+				t.Fatalf("after the decline the store is not its twin:\n%+v\n%+v", a, b)
+			}
+			if *observed != *twinObserved {
+				t.Fatalf("select observer told %d times, the twin's %d", *observed, *twinObserved)
+			}
+
+			// Now converged: the same offer answers whole, as CountBatch
+			// does, and counts each range once.
+			before, obsBefore = declineState(t, s), *observed
+			counts, ok, err := s.ReadBatch("t", "c0", p.ranges)
+			if err != nil || !ok || !slices.Equal(counts, want) {
+				t.Fatalf("converged ReadBatch = (%v, ok %v, %v), want %v", counts, ok, err, want)
+			}
+			if d := *observed - obsBefore; d != len(p.ranges) {
+				t.Fatalf("the answered offer told the select observer %d times, want %d", d, len(p.ranges))
+			}
+			stats := func(state map[string]any) ColumnStats { return state["stats"].(map[string]ColumnStats)["c0"] }
+			if b, a := stats(before), stats(declineState(t, s)); a.Queries-b.Queries != len(p.ranges) || a.Cracks != b.Cracks {
+				t.Fatalf("the answered offer moved queries %d → %d and cracks %d → %d", b.Queries, a.Queries, b.Cracks, a.Cracks)
+			}
+		})
+	}
+}
