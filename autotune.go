@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"crackdb/internal/core"
-	"crackdb/internal/expr"
 	"crackdb/internal/strategy"
 	"crackdb/internal/tuner"
 )
@@ -78,17 +77,17 @@ func (s *Store) ReleaseStrategy(table, col string) error {
 
 // observe feeds one answered selection to the tuner's monitor and
 // applies any advised flip. Runs outside every table and column lock.
-func (s *Store) observe(tn *tuner.Tuner, ct *core.CrackedTable, table string, r expr.Range) {
-	c, ok := ct.Column(r.Col)
+func (s *Store) observe(tn *tuner.Tuner, ct *core.CrackedTable, table, col string, r core.Range) {
+	c, ok := ct.Column(col)
 	if !ok {
 		return
 	}
-	want, flip := tn.Observe(table, r.Col, c.StrategyName(), r.Low, r.High)
+	want, flip := tn.Observe(table, col, c.StrategyName(), r.Low, r.High)
 	if !flip {
 		return
 	}
-	s.flipColumn(c, table, r.Col, want)
-	tn.Flipped(table, r.Col, want)
+	s.flipColumn(c, table, col, want)
+	tn.Flipped(table, col, want)
 }
 
 // flipColumn hot-swaps the strategy of one column. The swap computes its

@@ -1,38 +1,11 @@
 package crackdb
 
-import (
-	"sync"
+import "crackdb/internal/core"
 
-	"crackdb/internal/core"
-	"crackdb/internal/expr"
-)
-
-// Range is one inclusive batch predicate: Low <= col <= High. The
-// public batch API mirrors Count's inclusive-range shape.
-type Range struct {
-	Low, High int64
-}
-
-// exprRangeScratch pools the internal predicate form a batch is
-// translated into. The translation is pure fan-in scratch: nothing
-// keeps a reference past the batch, and at 48 bytes per predicate a fresh slice per batch would cost more to
-// zero than a converged batch costs to answer.
-var exprRangeScratch = sync.Pool{New: func() any { return new([]expr.Range) }}
-
-func exprRanges(col string, ranges []Range) (*[]expr.Range, []expr.Range) {
-	p := exprRangeScratch.Get().(*[]expr.Range)
-	ex := *p
-	if cap(ex) < len(ranges) {
-		ex = make([]expr.Range, len(ranges))
-	} else {
-		ex = ex[:len(ranges)]
-	}
-	*p = ex
-	for i, r := range ranges {
-		ex[i] = expr.Range{Col: col, Low: r.Low, High: r.High, LowIncl: true, HighIncl: true}
-	}
-	return p, ex
-}
+// Range is one inclusive batch predicate: Low <= col <= High, empty when
+// Low > High — the form a range takes below the planner, which the
+// store's column answers as it is.
+type Range = core.Range
 
 // CountBatch counts many inclusive ranges over one column in a single
 // store entry: the table registry and cracker column are resolved once,
@@ -64,11 +37,9 @@ func (s *Store) countBatch(table, col string, ranges []Range, write bool) ([]int
 	if err != nil {
 		return nil, false, err
 	}
-	box, ex := exprRanges(col, ranges)
-	defer exprRangeScratch.Put(box)
 	run := core.AcquireBatchRun()
 	defer run.Release()
-	if ok, err := ct.CountBatchRun(col, ex, run, write); !ok || err != nil {
+	if ok, err := ct.CountBatchRun(col, ranges, run, write); !ok || err != nil {
 		return nil, false, err
 	}
 	counts := make([]int, len(run.Answers))

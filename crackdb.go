@@ -38,7 +38,6 @@ import (
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
 	"crackdb/internal/durable"
-	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 	"crackdb/internal/sideways"
 	"crackdb/internal/strategy"
@@ -205,9 +204,9 @@ func (s *Store) installLocked(name string, t *relation.Table) error {
 			o(c)
 		}
 	})
-	ct.SetSelectObserver(func(r expr.Range) {
+	ct.SetSelectObserver(func(col string, r core.Range) {
 		if tn := s.autotune.Load(); tn != nil {
-			s.observe(tn, ct, name, r)
+			s.observe(tn, ct, name, col, r)
 		}
 	})
 	s.genSeq++
@@ -410,12 +409,12 @@ func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := expr.Range{Col: col, Low: low, High: high, LowIncl: true, HighIncl: true}
-	vals, oids, err := ct.SelectCopy(r)
+	r := core.Range{Low: low, High: high}
+	vals, oids, err := ct.SelectCopy(col, r)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{store: s, cracked: ct, vals: vals, oids: oids, rng: r, hasRange: true}, nil
+	return &Result{store: s, cracked: ct, vals: vals, oids: oids, key: col, rng: r}, nil
 }
 
 // Count is Select without result materialization: the query still cracks
@@ -427,7 +426,7 @@ func (s *Store) Count(table, col string, low, high int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ct.CountRange(expr.Range{Col: col, Low: low, High: high, LowIncl: true, HighIncl: true})
+	return ct.CountRange(col, core.Range{Low: low, High: high})
 }
 
 // Rows is a selection's qualifying-tuple count plus attribute fetch,
@@ -446,10 +445,10 @@ type Result struct {
 	vals    []int64
 	oids    []bat.OID
 
-	// rng is the range the Select answered — the key predicate Rows
-	// re-applies to read the key column's payload windows instead of
-	// fetching through the base table. Results without a single range
-	// predicate (SelectWhere) always fetch through the base — also when the
+	// key and rng are the column and range the Select answered — the
+	// key predicate Rows re-applies to read the key column's payload
+	// windows instead of fetching through the base table. Results without
+	// a single range (SelectWhere's: key "") always fetch through the base — also when the
 	// planner's driving column absorbed the whole term, which would make
 	// them eligible: measured on steady_scalar's mix (ISSUE 21), serving
 	// those fetches from maps left rows-only throughput where it was
@@ -458,8 +457,8 @@ type Result struct {
 	// beside a live map took a registry mutex) it no longer would — a count
 	// never sees payloads now — but a gain has to be priced by a workload
 	// that sends such fetches (ROADMAP item 1(c), conj_fetch) first.
-	rng      expr.Range
-	hasRange bool
+	key string
+	rng core.Range
 }
 
 // Count returns the number of qualifying tuples.
@@ -488,8 +487,8 @@ func (r *Result) Rows(cols ...string) ([][]int64, error) {
 	// Select — gets no payloads built on its wrapper, which the sideways
 	// budget no longer counts; it falls through to the base fetch, which
 	// answers from its own snapshot.
-	if r.hasRange {
-		if wins, ok := r.store.sideways.Project(r.cracked, r.rng, cols, r.oids); ok {
+	if r.key != "" {
+		if wins, ok := r.store.sideways.Project(r.cracked, r.key, r.rng, cols, r.oids); ok {
 			return zipRows(wins, len(r.oids)), nil
 		}
 	}

@@ -40,6 +40,8 @@ type BatchRun struct {
 	// slice is reused across runs; copy anything that must outlive
 	// Release.
 	Answers []BatchAnswer
+
+	ranges []Range // SelectBatchRun's folded ranges, reused across runs
 }
 
 var batchRunPool = sync.Pool{New: func() any { return new(BatchRun) }}
@@ -71,12 +73,16 @@ func (c *Column) SelectBatch(ranges []expr.Range, ordered, countOnly bool) ([]Ba
 }
 
 // SelectBatchRun counts every range of the batch into r.Answers, in
-// submission order, each exactly as Count would. ordered
-// and countOnly ask for nothing: every batch runs in submission order
-// and only counts, and the parameters stay only for callers compiled
-// against them.
+// submission order, each exactly as Count would. The ranges are folded
+// (Inclusive) into scratch the run owns. ordered and countOnly ask for
+// nothing: every batch runs in submission order and only counts, and the
+// parameters stay only for callers compiled against them.
 func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, run *BatchRun) {
-	c.countBatch(ranges, run, nil, true)
+	run.ranges = run.ranges[:0]
+	for _, r := range ranges {
+		run.ranges = append(run.ranges, inclusiveOf(r))
+	}
+	c.countBatch(run.ranges, run, nil, true)
 }
 
 // countBatch is SelectBatchRun, showing observe (when non-nil) each
@@ -91,7 +97,7 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 // and otherwise declines — it returns false having changed nothing, not
 // a counter, not a timing, and observe does not run. It reports whether
 // the batch was answered.
-func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(expr.Range), write bool) bool {
+func (c *Column) countBatch(ranges []Range, run *BatchRun, observe func(Range), write bool) bool {
 	in := c.instr.Load()
 	// A batch is tens of queries per call, so whole-call timing is
 	// already amortized — no sampling needed.
@@ -115,12 +121,11 @@ func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(exp
 		if i += n; i == len(ranges) {
 			break
 		}
-		r := &ranges[i]
 		c.mu.Lock()
-		answers[i].N = c.crackLocked(in, r.Low, r.High, r.LowIncl, r.HighIncl).Len()
+		answers[i].N = c.crackLocked(in, ranges[i]).Len()
 		c.mu.Unlock()
 		if observe != nil {
-			observe(*r)
+			observe(ranges[i])
 		}
 	}
 	if timed {
@@ -143,7 +148,7 @@ func (c *Column) countBatch(ranges []expr.Range, run *BatchRun, observe func(exp
 // With write false the run must be all of ranges: a shorter one counts
 // nothing and reads 0. Such an offer also probes one range first, so on
 // a column that has not converged it declines after one probe.
-func (c *Column) countConverged(ranges []expr.Range, answers []BatchAnswer, afterCrack, write bool) int {
+func (c *Column) countConverged(ranges []Range, answers []BatchAnswer, afterCrack, write bool) int {
 	c.mu.RLock()
 	var win [probeGroup]window
 	done, lookups, size := 0, 0, probeGroup
@@ -156,7 +161,7 @@ run:
 		size = probeGroup
 		c.probeRanges(g, win[:])
 		for _, w := range win[:len(g)] {
-			if !w.okLo || !w.okHi {
+			if !w.resolved() {
 				break run
 			}
 			if !w.empty {
@@ -178,18 +183,17 @@ run:
 }
 
 // CountBatchRun counts a batch of ranges on one attribute into the run,
-// resolving the cracker column once for the whole batch. Every range
-// must name the attr column. The select observer sees each range right
-// after it is answered, as it does for a scalar count. An empty batch
-// returns before the column is resolved, so, like no query at all, it
-// creates no cracker column.
+// resolving the cracker column once for the whole batch. The select
+// observer sees each range right after it is answered, as it does for a
+// scalar count. An empty batch returns before the column is resolved,
+// so, like no query at all, it creates no cracker column.
 //
 // With write false the batch is only offered (Column.countBatch): it
 // is answered when attr's cracker column exists and its index resolves
 // every range, and otherwise declined (ok false) having changed nothing,
 // the cracker column not even created. The shard router offers every
 // shard its sub-batch this way before it fans out.
-func (ct *CrackedTable) CountBatchRun(attr string, ranges []expr.Range, run *BatchRun, write bool) (ok bool, err error) {
+func (ct *CrackedTable) CountBatchRun(attr string, ranges []Range, run *BatchRun, write bool) (ok bool, err error) {
 	run.Answers = run.Answers[:0]
 	if len(ranges) == 0 {
 		return true, nil
@@ -202,30 +206,34 @@ func (ct *CrackedTable) CountBatchRun(attr string, ranges []expr.Range, run *Bat
 	} else if c, ok = ct.Column(attr); !ok {
 		return false, nil
 	}
-	return c.countBatch(ranges, run, ct.selectObs, write), nil
+	var observe func(Range)
+	if ct.selectObs != nil {
+		observe = func(r Range) { ct.selectObs(attr, r) }
+	}
+	return c.countBatch(ranges, run, observe, write), nil
 }
 
-// CountRange answers one range without materializing anything — the
-// single-query entry of the same path CountBatch takes, shared by the
-// store's Count.
-func (ct *CrackedTable) CountRange(r expr.Range) (int, error) {
-	c, err := ct.ColumnFor(r.Col)
+// CountRange answers one range on attr without materializing anything —
+// the single-query entry of the same path CountBatch takes, shared by
+// the store's Count.
+func (ct *CrackedTable) CountRange(attr string, r Range) (int, error) {
+	c, err := ct.ColumnFor(attr)
 	if err != nil {
 		return 0, err
 	}
-	n, _ := ct.count(c, r, true)
+	n, _ := ct.count(c, attr, r, true)
 	return n, nil
 }
 
-// count answers r on c, r.Col's cracker column, and shows the select
+// count answers r on c, attr's cracker column, and shows the select
 // observer the range once it is answered; with write false it may
 // decline instead (ok false), having changed nothing (Column.answer).
-func (ct *CrackedTable) count(c *Column, r expr.Range, write bool) (n int, ok bool) {
-	if !c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, write, func(v View) { n = v.Len() }) {
+func (ct *CrackedTable) count(c *Column, attr string, r Range, write bool) (n int, ok bool) {
+	if !c.answer(r, write, func(v View) { n = v.Len() }) {
 		return 0, false
 	}
 	if ct.selectObs != nil {
-		ct.selectObs(r)
+		ct.selectObs(attr, r)
 	}
 	return n, true
 }

@@ -34,7 +34,8 @@ func batchTwins(n int, warm []expr.Range) (*Column, *Column) {
 // ranges that crack, later ranges that only such a crack's cuts
 // resolve, and ranges that need no lookup (empty, inverted, at a domain
 // extreme); it runs on a clean column, one with pending inserts and one
-// with deleted tuples.
+// with deleted tuples. SelectBatch, handed the same half-open ranges to
+// fold itself, answers and leaves its column as Count does too.
 func TestCountBatchMatchesOneByOne(t *testing.T) {
 	ge := func(lo, hi int64) expr.Range { return expr.Range{Col: "k", Low: lo, High: hi, LowIncl: true} }
 	warm := []expr.Range{ge(100, 200), ge(200, 300), ge(300, 450), ge(600, 700)}
@@ -47,14 +48,15 @@ func TestCountBatchMatchesOneByOne(t *testing.T) {
 		{Col: "k", Low: 600, High: math.MaxInt64, LowIncl: true, HighIncl: true},           // high cut trivial
 		{Col: "k", Low: math.MinInt64, High: math.MaxInt64, LowIncl: true, HighIncl: true}, // both trivial
 		ge(300, 450), ge(600, 700), ge(200, 450), ge(450, 600), // converged, past the first group
-		{Col: "k", Low: 450, High: 600, HighIncl: true}, // cuts (450, true) and (600, true) are new: cracks
+		{Col: "k", Low: 450, High: 600, HighIncl: true}, // cuts (451, false) and (600, true) are new: cracks
 		ge(100, 450), ge(450, 700), ge(300, 450), ge(600, 700), ge(100, 200),
 		{Col: "k", Low: math.MinInt64, High: 975, LowIncl: true, HighIncl: true}, // a crack ends the batch
 	}
 	for _, posture := range []string{"clean", "pending", "deleted"} {
 		t.Run(posture, func(t *testing.T) {
 			a, b := batchTwins(4000, warm)
-			for _, c := range []*Column{a, b} {
+			s, _ := batchTwins(4000, warm)
+			for _, c := range []*Column{a, b, s} {
 				switch posture {
 				case "pending":
 					c.Insert(150)
@@ -70,11 +72,15 @@ func TestCountBatchMatchesOneByOne(t *testing.T) {
 				want = append(want, b.Count(r.Low, r.High, r.LowIncl, r.HighIncl))
 				wantCracks = append(wantCracks, b.Stats().Cracks)
 			}
+			ranges := make([]Range, len(batch))
+			for i, r := range batch {
+				ranges[i] = inclusiveOf(r)
+			}
 			run := AcquireBatchRun()
 			defer run.Release()
-			var seen []expr.Range
+			var seen []Range
 			var seenCracks []int
-			a.countBatch(batch, run, func(r expr.Range) {
+			a.countBatch(ranges, run, func(r Range) {
 				if !a.mu.TryLock() {
 					t.Fatal("the observer ran under the column lock")
 				}
@@ -86,8 +92,17 @@ func TestCountBatchMatchesOneByOne(t *testing.T) {
 					t.Errorf("range %d %+v: batch counts %d, one by one %d", i, batch[i], ans.N, want[i])
 				}
 			}
-			if !slices.Equal(seen, batch) || !slices.Equal(seenCracks, wantCracks) {
-				t.Errorf("observer saw %v after cracks %v, want %v after %v", seen, seenCracks, batch, wantCracks)
+			if !slices.Equal(seen, ranges) || !slices.Equal(seenCracks, wantCracks) {
+				t.Errorf("observer saw %v after cracks %v, want %v after %v", seen, seenCracks, ranges, wantCracks)
+			}
+			got, _ := s.SelectBatch(batch, true, true)
+			for i, ans := range got {
+				if ans.N != want[i] {
+					t.Errorf("range %d %+v: SelectBatch counts %d, one by one %d", i, batch[i], ans.N, want[i])
+				}
+			}
+			if ss, sb := s.Stats(), b.Stats(); ss != sb || s.Index().String() != b.Index().String() {
+				t.Errorf("SelectBatch left stats %+v and cuts %s; one by one %+v and %s", ss, s.Index(), sb, b.Index())
 			}
 			sa, sb := a.Stats(), b.Stats()
 			if sa.Queries != sb.Queries || sa.IndexLookups != sb.IndexLookups || sa.Cracks != sb.Cracks || a.Pieces() != b.Pieces() {
@@ -245,10 +260,10 @@ func TestCountBatchOffer(t *testing.T) {
 	const n, cells = 4096, 16
 	c, in := convergedInstr(n, cells, 0)
 	step := int64(n / cells)
-	cell := func(k int64) expr.Range {
-		return expr.Range{Col: "k", Low: k * step, High: (k + 1) * step, LowIncl: true}
+	cell := func(k int64) Range {
+		return Range{Low: k * step, High: (k+1)*step - 1}
 	}
-	var converged []expr.Range
+	var converged []Range
 	for k := int64(0); k < 12; k++ {
 		converged = append(converged, cell(k))
 	}
@@ -265,9 +280,9 @@ func TestCountBatchOffer(t *testing.T) {
 	run := AcquireBatchRun()
 	defer run.Release()
 	observed := 0
-	observe := func(expr.Range) { observed++ }
+	observe := func(Range) { observed++ }
 
-	missing := append(slices.Clone(converged), expr.Range{Col: "k", Low: 5, High: 17, LowIncl: true})
+	missing := append(slices.Clone(converged), Range{Low: 5, High: 16})
 	before := snap()
 	if c.countBatch(missing, run, observe, false) {
 		t.Fatal("an offer with an unresolved range answered")
@@ -281,7 +296,7 @@ func TestCountBatchOffer(t *testing.T) {
 	}
 	after := snap()
 	for i, r := range converged {
-		if want := c.Count(r.Low, r.High, r.LowIncl, r.HighIncl); run.Answers[i].N != want {
+		if want := c.Count(r.Low, r.High, true, true); run.Answers[i].N != want {
 			t.Errorf("range %d: offer counts %d, Count %d", i, run.Answers[i].N, want)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"crackdb/internal/core"
-	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 	"crackdb/internal/sideways"
 )
@@ -30,7 +29,7 @@ func TestCensusFollowsColumns(t *testing.T) {
 	ct := core.NewCrackedTable(rel)
 	held := []*core.CrackedTable{ct}
 	g := sideways.NewRegistry(sideways.DefaultBudget, func() []*core.CrackedTable { return held })
-	r := expr.Range{Col: "k", Low: 1000, High: 6000, LowIncl: true, HighIncl: true}
+	r := core.Range{Low: 1000, High: 6000}
 	var want [][]int64
 	for _, row := range rows {
 		if row[0] >= r.Low && row[0] <= r.High {
@@ -39,11 +38,11 @@ func TestCensusFollowsColumns(t *testing.T) {
 	}
 	core.SortRows(want)
 	project := func() ([][]int64, bool) {
-		_, sel, err := ct.SelectCopy(r)
+		_, sel, err := ct.SelectCopy("k", r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wins, ok := g.Project(ct, r, []string{"a", "b"}, sel)
+		wins, ok := g.Project(ct, "k", r, []string{"a", "b"}, sel)
 		if !ok {
 			return nil, false
 		}

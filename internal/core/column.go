@@ -259,6 +259,40 @@ func (v View) OIDs() []bat.OID {
 	return v.col.oids[v.Lo:v.Hi:v.Hi]
 }
 
+// Range is the one form a range predicate takes below the entries that
+// accept per-bound inclusivity: the inclusive interval Low <= attr <=
+// High over the integers, empty when Low > High. Its cuts are always the
+// keys (Low, exclusive) — what lies left of it is below Low — and (High,
+// inclusive), so a bound has one key however a query spells it: < 100
+// and <= 99 are one cut.
+type Range struct {
+	Low, High int64
+}
+
+// Inclusive folds the predicate low θ attr θ high, each bound inclusive
+// or not, into the Range it admits: an exclusive bound steps one value
+// inward. An exclusive MaxInt64 low or MinInt64 high admits nothing and
+// folds to the empty range [1, 0]. It is the one place inclusivity is
+// folded; every read below takes the Range.
+func Inclusive(low, high int64, lowIncl, highIncl bool) Range {
+	if !lowIncl {
+		if low == math.MaxInt64 {
+			return Range{Low: 1, High: 0}
+		}
+		low++
+	}
+	if !highIncl {
+		if high == math.MinInt64 {
+			return Range{Low: 1, High: 0}
+		}
+		high--
+	}
+	return Range{Low: low, High: high}
+}
+
+// inclusiveOf folds an expr.Range (Inclusive).
+func inclusiveOf(r expr.Range) Range { return Inclusive(r.Low, r.High, r.LowIncl, r.HighIncl) }
+
 // Select answers the range query low θ_lo attr θ_hi high by cracking —
 // the Ξ operator of §3.1. The result is a contiguous window of the
 // column; pieces at the predicate boundaries are cracked as a byproduct,
@@ -266,7 +300,7 @@ func (v View) OIDs() []bat.OID {
 // lookups afterwards.
 func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 	var v View
-	c.answer(low, high, lowIncl, highIncl, true, func(w View) { v = w })
+	c.answer(Inclusive(low, high, lowIncl, highIncl), true, func(w View) { v = w })
 	return v
 }
 
@@ -275,7 +309,7 @@ func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 // paper's observation that count-only queries need no fragment storage.
 func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
 	n := 0
-	c.answer(low, high, lowIncl, highIncl, true, func(w View) { n = w.Len() })
+	c.answer(Inclusive(low, high, lowIncl, highIncl), true, func(w View) { n = w.Len() })
 	return n
 }
 
@@ -284,7 +318,11 @@ func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
 // the safe form under concurrent cracking: a View's windows alias the
 // column and may be shuffled by cracks that run after Select returns.
 func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int64, oids []bat.OID) {
-	c.answer(low, high, lowIncl, highIncl, true, func(w View) {
+	return c.selectCopy(Inclusive(low, high, lowIncl, highIncl))
+}
+
+func (c *Column) selectCopy(r Range) (vals []int64, oids []bat.OID) {
+	c.answer(r, true, func(w View) {
 		vals, oids = append([]int64(nil), w.Values()...), append([]bat.OID(nil), w.OIDs()...)
 	})
 	return vals, oids
@@ -307,7 +345,7 @@ func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int
 // that wins the sampling gate is timed into ReadHold, lock hold and use
 // included; the unsampled 255-in-256 converged lookups read no clock.
 // Every write hold is observed (crackLocked); a decline is not.
-func (c *Column) answer(low, high int64, lowIncl, highIncl, write bool, use func(View)) bool {
+func (c *Column) answer(r Range, write bool, use func(View)) bool {
 	in := c.instr.Load()
 	var t0 time.Time
 	timed := in != nil && in.ReadHold != nil && (in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0)
@@ -315,7 +353,7 @@ func (c *Column) answer(low, high int64, lowIncl, highIncl, write bool, use func
 		t0 = time.Now()
 	}
 	c.mu.RLock()
-	if v, ok := c.lookupFast(low, high, lowIncl, highIncl); ok {
+	if v, ok := c.lookupFast(r); ok {
 		use(v)
 		c.mu.RUnlock()
 		if timed {
@@ -329,7 +367,7 @@ func (c *Column) answer(low, high int64, lowIncl, highIncl, write bool, use func
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	use(c.crackLocked(in, low, high, lowIncl, highIncl))
+	use(c.crackLocked(in, r))
 	return true
 }
 
@@ -337,123 +375,134 @@ func (c *Column) answer(low, high int64, lowIncl, highIncl, write bool, use func
 // both in selectLocked — and, instrumented, observes the hold and
 // records its CrackEvent. Cracking is observed sampled or not: write
 // holds are microseconds, the timing is noise there.
-func (c *Column) crackLocked(in *Instr, low, high int64, lowIncl, highIncl bool) View {
+func (c *Column) crackLocked(in *Instr, r Range) View {
 	if in == nil {
-		return c.selectLocked(low, high, lowIncl, highIncl)
+		return c.selectLocked(r)
 	}
 	hs := c.beginWriteHoldLocked()
-	v := c.selectLocked(low, high, lowIncl, highIncl)
-	c.finishWriteHold(in, hs, low, high)
+	v := c.selectLocked(r)
+	c.finishWriteHold(in, hs, r)
 	return v
 }
 
-// probeCuts resolves a range's two cuts against the cracker index: the
-// lower cut (low, !lowIncl) separates the non-qualifying prefix from the
-// answer, the upper cut (high, highIncl) the answer from the suffix. A
-// cut at a domain extreme is trivial — nothing is below the minimum or
-// above the maximum — and needs no index entry. An empty or inverted
-// range reports empty and resolves to the empty window at 0 without a
-// lookup. The caller holds c.mu in either mode; nothing is counted.
-// probeRanges resolves a batch's ranges the same way, a group at a time.
-func (c *Column) probeCuts(low, high int64, lowIncl, highIncl bool) (posLo, posHi int, okLo, okHi, empty bool) {
-	loVal, loIncl := low, !lowIncl
-	hiVal, hiIncl := high, highIncl
-	if cmpCut(loVal, loIncl, hiVal, hiIncl) >= 0 {
-		return 0, 0, true, true, true
+// A window is a range resolved against the cracker index: its answer is
+// [lo, hi) once both are resolved; -1 marks a cut the index does not hold
+// yet. An empty range is the empty window at 0.
+type window struct {
+	lo, hi int
+	empty  bool
+}
+
+func (w window) resolved() bool { return w.lo >= 0 && w.hi >= 0 }
+
+// open sets up r's window before any lookup: an empty range resolves to
+// the empty window at 0, and a cut at a domain extreme is trivial —
+// nothing is below the minimum or above the maximum — and needs no
+// index entry. Every other cut is left for the index: the lower one at
+// key (r.Low, exclusive), the upper one at (r.High, inclusive).
+func (c *Column) open(r Range) window {
+	if r.Low > r.High {
+		return window{empty: true}
 	}
-	posLo, okLo = 0, loVal == math.MinInt64 && !loIncl
-	posHi, okHi = len(c.vals), hiVal == math.MaxInt64 && hiIncl
-	if !okLo {
-		posLo, okLo = c.idx.Find(loVal, loIncl)
+	w := window{lo: -1, hi: -1}
+	if r.Low == math.MinInt64 {
+		w.lo = 0
 	}
-	if !okHi {
-		posHi, okHi = c.idx.Find(hiVal, hiIncl)
+	if r.High == math.MaxInt64 {
+		w.hi = len(c.vals)
 	}
-	return posLo, posHi, okLo, okHi, false
+	return w
+}
+
+// find is the position of the cut (val, incl), -1 when the index does not
+// hold it.
+func (c *Column) find(val int64, incl bool) int {
+	if pos, ok := c.idx.Find(val, incl); ok {
+		return pos
+	}
+	return -1
+}
+
+// probe resolves one range's cuts, one Index.Find each. The caller holds
+// c.mu in either mode; nothing is counted. probeRanges resolves a batch's
+// ranges the same way, a group at a time.
+func (c *Column) probe(r Range) window {
+	w := c.open(r)
+	if w.lo < 0 {
+		w.lo = c.find(r.Low, false)
+	}
+	if w.hi < 0 {
+		w.hi = c.find(r.High, true)
+	}
+	return w
 }
 
 // probeGroup is the most ranges probeRanges resolves at a time: their
 // up to 2·probeGroup cuts go to one findGroup.
 const probeGroup = 8
 
-// A window is a range resolved against the cracker index: its answer is
-// [lo, hi) when okLo and okHi hold; a false ok marks a cut the index does
-// not hold yet. An empty range is the empty window at 0.
-type window struct {
-	lo, hi     int
-	okLo, okHi bool
-	empty      bool
-}
-
-// probeRanges resolves each of rs, at most probeGroup ranges, as
-// probeCuts would, into win, looking up all of the group's cuts in one
-// findGroup so that their cache misses overlap. The caller holds c.mu in
-// either mode; nothing is counted.
-func (c *Column) probeRanges(rs []expr.Range, win []window) {
+// probeRanges resolves each of rs, at most probeGroup ranges, as probe
+// would, into win, looking up all of the group's cuts in one findGroup so
+// that their cache misses overlap. The caller holds c.mu in either mode;
+// nothing is counted.
+func (c *Column) probeRanges(rs []Range, win []window) {
 	var keys [2 * probeGroup]cutKey
 	var pos [2 * probeGroup]int
 	n := 0
-	for i := range rs {
-		r, w := &rs[i], &win[i]
-		if cmpCut(r.Low, !r.LowIncl, r.High, r.HighIncl) >= 0 {
-			*w = window{okLo: true, okHi: true, empty: true}
-			continue
+	for i, r := range rs {
+		w := &win[i]
+		*w = c.open(r)
+		if w.lo < 0 {
+			keys[n], n = cutKey{r.Low, false}, n+1
 		}
-		*w = window{hi: len(c.vals), okLo: r.Low == math.MinInt64 && r.LowIncl, okHi: r.High == math.MaxInt64 && r.HighIncl}
-		if !w.okLo {
-			keys[n], n = cutKey{r.Low, !r.LowIncl}, n+1
-		}
-		if !w.okHi {
-			keys[n], n = cutKey{r.High, r.HighIncl}, n+1
+		if w.hi < 0 {
+			keys[n], n = cutKey{r.High, true}, n+1
 		}
 	}
 	c.idx.findGroup(keys[:n], pos[:n])
 	k := 0
 	for i := range rs {
-		if w := &win[i]; !w.empty {
-			if !w.okLo {
-				w.lo, w.okLo, k = pos[k], pos[k] >= 0, k+1
-			}
-			if !w.okHi {
-				w.hi, w.okHi, k = pos[k], pos[k] >= 0, k+1
-			}
+		w := &win[i]
+		if w.lo < 0 {
+			w.lo, k = pos[k], k+1
+		}
+		if w.hi < 0 {
+			w.hi, k = pos[k], k+1
 		}
 	}
 }
 
 // lookupFast is the optimistic read path: it answers the query iff doing
 // so mutates nothing — no pending updates to consolidate and both cuts
-// resolved by probeCuts. The caller holds the read lock. On ok=false the
+// resolved by probe. The caller holds the read lock. On ok=false the
 // caller must retry under the write lock via crackLocked, which
 // re-derives everything from scratch (the column may have changed
 // between the two lock acquisitions).
-func (c *Column) lookupFast(low, high int64, lowIncl, highIncl bool) (View, bool) {
+func (c *Column) lookupFast(r Range) (View, bool) {
 	if len(c.pending) != 0 || len(c.deleted) != 0 {
 		return View{}, false
 	}
-	posLo, posHi, okLo, okHi, empty := c.probeCuts(low, high, lowIncl, highIncl)
-	if !okLo || !okHi {
+	w := c.probe(r)
+	if !w.resolved() {
 		return View{}, false
 	}
 	c.stats.queries.Add(1)
-	if !empty {
+	if !w.empty {
 		c.stats.indexLookups.Add(2)
 	}
-	return View{col: c, Lo: posLo, Hi: posHi}, true
+	return View{col: c, Lo: w.lo, Hi: w.hi}, true
 }
 
-func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
+func (c *Column) selectLocked(r Range) View {
 	c.consolidateLocked()
 	c.stats.queries.Add(1)
-	posLo, posHi, okLo, okHi, empty := c.probeCuts(low, high, lowIncl, highIncl)
-	if okLo && okHi {
-		if !empty {
+	w := c.probe(r)
+	if w.resolved() {
+		if !w.empty {
 			c.stats.indexLookups.Add(2)
 		}
-		return View{col: c, Lo: posLo, Hi: posHi}
+		return View{col: c, Lo: w.lo, Hi: w.hi}
 	}
-	loVal, loIncl := low, !lowIncl
-	hiVal, hiIncl := high, highIncl
 
 	// Strategy consultation: auxiliary data-driven cracks narrow the
 	// piece(s) the query bounds land in before the bounds themselves are
@@ -462,49 +511,45 @@ func (c *Column) selectLocked(low, high int64, lowIncl, highIncl bool) View {
 	// consultation — their cuts are pure binary searches and move
 	// nothing.
 	if c.strategy.advises() && !c.sorted {
-		if !okLo {
-			c.adviseLocked(loVal, loIncl)
-			posLo, okLo = c.idx.Find(loVal, loIncl)
+		if w.lo < 0 {
+			c.adviseLocked(r.Low, false)
+			w.lo = c.find(r.Low, false)
 		}
-		if !okHi {
-			c.adviseLocked(hiVal, hiIncl)
-			posHi, okHi = c.idx.Find(hiVal, hiIncl)
+		if w.hi < 0 {
+			c.adviseLocked(r.High, true)
+			w.hi = c.find(r.High, true)
 		}
 		// Sides resolved here are counted either at this early return or
 		// by the per-side accounting below — never both.
-		if okLo && okHi {
+		if w.resolved() {
 			c.stats.indexLookups.Add(2)
-			return View{col: c, Lo: posLo, Hi: posHi}
+			return View{col: c, Lo: w.lo, Hi: w.hi}
 		}
 	}
 
 	// Crack-in-three when both cuts are new and land in the same piece:
 	// the paper's three-piece Ξ variant for double-sided ranges. Sorted
 	// columns skip it — their cuts are pure binary searches.
-	if !okLo && !okHi && !c.sorted {
-		lo1, hi1 := c.pieceBounds(loVal, loIncl)
-		lo2, hi2 := c.pieceBounds(hiVal, hiIncl)
+	if w.lo < 0 && w.hi < 0 && !c.sorted {
+		lo1, hi1 := c.pieceBounds(r.Low, false)
+		lo2, hi2 := c.pieceBounds(r.High, true)
 		if lo1 == lo2 && hi1 == hi2 {
-			m1, m2 := c.crackInThree(lo1, hi1, loVal, loIncl, hiVal, hiIncl)
+			m1, m2 := c.crackInThree(lo1, hi1, r.Low, false, r.High, true)
 			return View{col: c, Lo: m1, Hi: m2}
 		}
 	}
 
-	if okLo {
+	if w.lo >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		posLo = c.cut(loVal, loIncl)
+		w.lo = c.cut(r.Low, false)
 	}
-	if okHi {
+	if w.hi >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		posHi = c.cut(hiVal, hiIncl)
+		w.hi = c.cut(r.High, true)
 	}
-	if posHi < posLo {
-		// Can only happen for ranges empty under the column's value set.
-		posHi = posLo
-	}
-	return View{col: c, Lo: posLo, Hi: posHi}
+	return View{col: c, Lo: w.lo, Hi: w.hi}
 }
 
 func (c *Column) sortLocked(detail string) {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"crackdb/internal/expr"
 )
 
 // naiveSelect is the reference evaluator every cracked answer is checked
@@ -92,12 +94,51 @@ func TestSelectEmptyAndInverted(t *testing.T) {
 	if v := c.Select(5, 5, true, false); v.Len() != 0 {
 		t.Fatalf("half-open point returned %d tuples", v.Len())
 	}
+	// Empty only over the integers: no crack and no lookup either.
+	for _, r := range []struct {
+		low, high         int64
+		lowIncl, highIncl bool
+	}{
+		{5, 6, false, false},                        // > 5 AND < 6
+		{1, 2, false, false},                        // > 1 AND < 2, between two values
+		{math.MaxInt64, math.MaxInt64, false, true}, // > MaxInt64
+		{math.MinInt64, math.MinInt64, true, false}, // < MinInt64
+	} {
+		if n := c.Count(r.low, r.high, r.lowIncl, r.highIncl); n != 0 {
+			t.Fatalf("%+v counted %d tuples", r, n)
+		}
+	}
+	if st := c.Stats(); st.Cracks != 0 || st.IndexLookups != 0 || c.Pieces() != 1 {
+		t.Fatalf("empty ranges cracked %d times, looked up %d cuts, left %d pieces", st.Cracks, st.IndexLookups, c.Pieces())
+	}
 	if v := c.Select(100, 200, true, true); v.Len() != 0 {
 		t.Fatalf("out-of-domain range returned %d tuples", v.Len())
 	}
 	empty := NewColumn("e", nil)
 	if v := empty.Select(0, 10, true, true); v.Len() != 0 {
 		t.Fatal("empty column returned tuples")
+	}
+}
+
+// TestInclusive: the fold steps each exclusive bound one value inward,
+// and a bound nothing lies beyond folds to the empty range.
+func TestInclusive(t *testing.T) {
+	for _, c := range []struct {
+		r    expr.Range
+		want Range
+	}{
+		{expr.Range{Low: 1, High: 10, LowIncl: true, HighIncl: true}, Range{Low: 1, High: 10}},
+		{expr.Range{Low: 1, High: 10}, Range{Low: 2, High: 9}},
+		{expr.Range{Low: 5, High: 5, LowIncl: true, HighIncl: true}, Range{Low: 5, High: 5}},
+		{expr.Range{Low: 9, High: 1, LowIncl: true, HighIncl: true}, Range{Low: 9, High: 1}},
+		{expr.Range{Low: 5, High: 6}, Range{Low: 6, High: 5}},
+		{expr.FullRange("a"), Range{Low: math.MinInt64, High: math.MaxInt64}},
+		{expr.Range{Low: math.MaxInt64, High: math.MaxInt64, HighIncl: true}, Range{Low: 1, High: 0}},
+		{expr.Range{Low: math.MinInt64, High: math.MinInt64, LowIncl: true}, Range{Low: 1, High: 0}},
+	} {
+		if got := inclusiveOf(c.r); got != c.want {
+			t.Errorf("Inclusive(%v) = %+v, want %+v", c.r, got, c.want)
+		}
 	}
 }
 
@@ -144,6 +185,12 @@ func TestRepeatedQueryIsIndexOnly(t *testing.T) {
 	}
 	if first.Lo != second.Lo || first.Hi != second.Hi {
 		t.Fatal("repeated query returned different window")
+	}
+	// The same range spelt inclusively is the same two cuts.
+	cracks := c.Stats().Cracks
+	if third := c.Select(100, 299, true, true); third != first || c.Stats().Cracks != cracks {
+		t.Fatalf("[100, 299] answered %d..%d and cracked %d times; [100, 300) answered %d..%d",
+			third.Lo, third.Hi, c.Stats().Cracks-cracks, first.Lo, first.Hi)
 	}
 	// A sub-range only cracks within the answer piece.
 	movedBefore := c.Stats().TuplesMoved

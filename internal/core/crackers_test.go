@@ -198,7 +198,7 @@ func equalInts(a, b []int64) bool {
 func TestCrackedTableSelectAndFetch(t *testing.T) {
 	tbl := buildTable(t)
 	ct := NewCrackedTable(tbl)
-	_, oids, err := ct.SelectCopy(rangeOf("a", 50, 120))
+	_, oids, err := ct.SelectCopy("a", Range{Low: 50, High: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCrackedTableSelectAndFetch(t *testing.T) {
 			t.Fatalf("fetched row %v inconsistent", row)
 		}
 	}
-	if _, _, err := ct.SelectCopy(rangeOf("zzz", 0, 1)); err == nil {
+	if _, _, err := ct.SelectCopy("zzz", Range{Low: 0, High: 1}); err == nil {
 		t.Fatal("select on missing column succeeded")
 	}
 	if len(ct.CrackedColumns()) != 1 {

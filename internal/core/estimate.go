@@ -28,18 +28,18 @@ type Estimate struct {
 // pieces, no allocation.
 //
 // Pieces are ordered by value, so the pieces intersecting the range are
-// one run of positions and the pieces inside it a sub-run. Write the
-// range's bounds as cut keys — lo = (Low, !LowIncl), hi = (High,
-// HighIncl); a value qualifies iff it sits right of lo and left of hi.
-// The intersecting run then spans from the last cut <= lo to the first
-// cut >= hi, the contained run from the first cut >= lo to the last cut
-// <= hi. A missing cut, or an unbounded side, is the column's edge.
-func (c *Column) EstimateRange(r expr.Range) Estimate {
+// one run of positions and the pieces inside it a sub-run. A value
+// qualifies iff it sits right of the range's lower cut key lo = (Low,
+// exclusive) and left of its upper one hi = (High, inclusive). The
+// intersecting run then spans from the last cut <= lo to the first cut
+// >= hi, the contained run from the first cut >= lo to the last cut <=
+// hi. A missing cut, or an unbounded side, is the column's edge.
+func (c *Column) EstimateRange(r Range) Estimate {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 
 	n := len(c.vals) + len(c.pending) - len(c.deleted)
-	if n <= 0 || r.Empty() {
+	if n <= 0 || r.Low > r.High {
 		return Estimate{}
 	}
 	if c.idx.Len() == 0 {
@@ -47,18 +47,18 @@ func (c *Column) EstimateRange(r expr.Range) Estimate {
 	}
 
 	end := len(c.vals)
-	loBelow, ok, loAbove, loAboveOK := c.idx.bracket(r.Low, !r.LowIncl)
+	loBelow, ok, loAbove, loAboveOK := c.idx.bracket(r.Low, false)
 	if !ok {
 		loBelow = 0
 	}
-	if r.Low == math.MinInt64 && r.LowIncl {
+	if r.Low == math.MinInt64 {
 		loAbove, loAboveOK = 0, true
 	}
-	hiBelow, hiBelowOK, hiAbove, ok := c.idx.bracket(r.High, r.HighIncl)
+	hiBelow, hiBelowOK, hiAbove, ok := c.idx.bracket(r.High, true)
 	if !ok {
 		hiAbove = end
 	}
-	if r.High == math.MaxInt64 && r.HighIncl {
+	if r.High == math.MaxInt64 {
 		hiBelow, hiBelowOK = end, true
 	}
 
@@ -83,9 +83,10 @@ func (c *Column) EstimateRange(r expr.Range) Estimate {
 // column's cracker drives it, over which range, and what that range
 // leaves unchecked.
 type termPlan struct {
-	col      *Column    // driving column; nil when the term carries no crack advice
-	rng      expr.Range // the driving column's advised range
-	residual expr.Term  // conjuncts rng does not imply: <> on the driving column, everything on other columns
+	col      *Column   // driving column; nil when the term carries no crack advice
+	name     string    // the driving column's attribute
+	rng      Range     // the driving column's advised range, folded
+	residual expr.Term // conjuncts rng does not imply: <> on the driving column, everything on other columns
 }
 
 // planTerm picks the driving column from index statistics and splits
@@ -116,7 +117,7 @@ func (ct *CrackedTable) planTerm(term expr.Term, write bool) (p termPlan, ok boo
 			for _, col := range cols {
 				upper := ct.baseLen()
 				if c, tracked := ct.Column(col); tracked {
-					upper = c.EstimateRange(advice[col]).Max
+					upper = c.EstimateRange(inclusiveOf(advice[col])).Max
 				}
 				if upper < bestMax || best == "" {
 					best, bestMax = col, upper
@@ -142,7 +143,7 @@ func (ct *CrackedTable) planTerm(term expr.Term, write bool) (p termPlan, ok boo
 	} else if col, ok = ct.Column(best); !ok {
 		return termPlan{}, false, nil
 	}
-	p = termPlan{col: col, rng: rng}
+	p = termPlan{col: col, name: best, rng: inclusiveOf(rng)}
 	for _, pred := range term {
 		if pred.Col != best || pred.Op == expr.Ne {
 			p.residual = append(p.residual, pred)
@@ -207,7 +208,7 @@ func (ct *CrackedTable) CountTerm(term expr.Term, write bool) (n int, ok bool, e
 		if p.col == nil {
 			return ct.LiveLen(), true, nil
 		}
-		n, ok = ct.count(p.col, p.rng, write)
+		n, ok = ct.count(p.col, p.name, p.rng, write)
 		return n, ok, nil
 	}
 	oids, ok, err := ct.selectPlan(p, write)
@@ -225,7 +226,7 @@ func (ct *CrackedTable) selectPlan(p termPlan, write bool) ([]bat.OID, bool, err
 	// Copy the OIDs under the column lock: view windows would alias state
 	// that a concurrent crack may shuffle.
 	var cands []bat.OID
-	if !p.col.answer(p.rng.Low, p.rng.High, p.rng.LowIncl, p.rng.HighIncl, write, func(v View) {
+	if !p.col.answer(p.rng, write, func(v View) {
 		cands = append([]bat.OID(nil), v.OIDs()...)
 	}) {
 		return nil, false, nil
@@ -235,7 +236,7 @@ func (ct *CrackedTable) selectPlan(p termPlan, write bool) ([]bat.OID, bool, err
 		// like SelectCopy — the tuner's observer must see it, or
 		// queries arriving through the conjunction planner (every
 		// scalar SQL statement) are invisible to it.
-		ct.selectObs(p.rng)
+		ct.selectObs(p.name, p.rng)
 	}
 	if len(p.residual) == 0 {
 		return cands, true, nil

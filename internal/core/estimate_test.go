@@ -20,7 +20,7 @@ func TestEstimateRangeBracketsTruth(t *testing.T) {
 	c := NewColumn("a", vals)
 
 	// Virgin column: no statistics, estimate is [0, N].
-	e := c.EstimateRange(rangeOf("a", 100, 200))
+	e := c.EstimateRange(Range{Low: 100, High: 200})
 	if e.Min != 0 || e.Max != 2000 {
 		t.Fatalf("virgin estimate = %+v", e)
 	}
@@ -33,8 +33,7 @@ func TestEstimateRangeBracketsTruth(t *testing.T) {
 	for q := 0; q < 100; q++ {
 		lo := rng.Int63n(900)
 		hi := lo + rng.Int63n(200)
-		r := rangeOf("a", lo, hi)
-		est := c.EstimateRange(r)
+		est := c.EstimateRange(Range{Low: lo, High: hi})
 		truth := c.Count(lo, hi, true, true) // note: cracks further
 		if truth < est.Min || truth > est.Max {
 			t.Fatalf("range [%d,%d]: truth %d outside estimate [%d,%d]", lo, hi, truth, est.Min, est.Max)
@@ -49,7 +48,7 @@ func TestEstimateSharpensWithCracking(t *testing.T) {
 		vals[i] = rng.Int63n(1000)
 	}
 	c := NewColumn("a", vals)
-	r := rangeOf("a", 300, 500)
+	r := Range{Low: 300, High: 500}
 
 	before := c.EstimateRange(r)
 	c.Select(300, 500, true, true)
@@ -72,7 +71,7 @@ func TestEstimateWithPendingUpdatesStaysSound(t *testing.T) {
 	c.Select(15, 45, true, true)
 	c.Insert(25)
 	c.Delete(0)
-	r := rangeOf("a", 15, 45)
+	r := Range{Low: 15, High: 45}
 	est := c.EstimateRange(r)
 	truth := c.Count(15, 45, true, true)
 	if truth < est.Min || truth > est.Max {
@@ -93,7 +92,7 @@ func TestQuickEstimateSound(t *testing.T) {
 			lo := rng.Int63n(450)
 			c.Select(lo, lo+rng.Int63n(100), true, true)
 			r := rangeOf("a", rng.Int63n(450), rng.Int63n(450)+rng.Int63n(100))
-			est := c.EstimateRange(r)
+			est := c.EstimateRange(inclusiveOf(r))
 			truth := 0
 			for _, v := range vals {
 				if r.Match(v) {
@@ -116,7 +115,7 @@ func TestSelectTermPlannedCracksOnlyBestColumn(t *testing.T) {
 	ct := NewCrackedTable(tbl)
 
 	// Give column a statistics by cracking it narrowly; b stays virgin.
-	if _, err := ct.CountRange(rangeOf("a", 50, 60)); err != nil {
+	if _, err := ct.CountRange("a", Range{Low: 50, High: 60}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -273,8 +272,9 @@ func TestEstimateProbesMatchPieceWalk(t *testing.T) {
 				c.Select(edge(), edge(), rng.Intn(2) == 0, rng.Intn(2) == 0)
 			}
 			for probe := 0; probe < 8; probe++ {
-				r := expr.Range{Col: "a", Low: edge(), High: edge(), LowIncl: rng.Intn(2) == 0, HighIncl: rng.Intn(2) == 0}
-				if got, want := c.EstimateRange(r), estimateWalk(c, r); got != want {
+				r := Inclusive(edge(), edge(), rng.Intn(2) == 0, rng.Intn(2) == 0)
+				walk := expr.Range{Col: "a", Low: r.Low, High: r.High, LowIncl: true, HighIncl: true}
+				if got, want := c.EstimateRange(r), estimateWalk(c, walk); got != want {
 					t.Fatalf("round %d step %d %v on %v (pending %d, deleted %d): probes %+v, walk %+v",
 						round, step, r, c.idx, len(c.pending), len(c.deleted), got, want)
 				}

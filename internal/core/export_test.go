@@ -211,7 +211,7 @@ func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
 	var best []bat.OID
 	bestCol := ""
 	for col, r := range advice {
-		c, err := ct.ColumnFor(r.Col)
+		c, err := ct.ColumnFor(col)
 		if err != nil {
 			return nil, err
 		}

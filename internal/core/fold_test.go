@@ -14,7 +14,7 @@ import (
 
 // The update-fold oracle: ripple ≡ rebuild ≡ brute force. One op stream
 // drives three columns — fold pinned to ripple, pinned to rebuild, and
-// left to the write count — beside a map model. Every column carries two
+// left to the write count — beside a model indexed by OID. Every column carries two
 // sideways payload vectors whose values are functions of the OID, and
 // after every crack, fold, compaction and strategy flip each must
 // still hold its function of the OID beside it. TestFoldOracle feeds the
@@ -62,11 +62,14 @@ func (s *opSource) next() int {
 func (s *opSource) next2() int { return s.next()<<8 | s.next() }
 
 type foldHarness struct {
-	t     testing.TB
-	cols  [3]*core.Column                // ripple, rebuild, by cost
-	pays  map[string]func(bat.OID) int64 // the payloads attached so far
-	model map[bat.OID]int64
-	live  []bat.OID // model keys, in insertion order (deterministic picks)
+	t    testing.TB
+	cols [3]*core.Column                // ripple, rebuild, by cost
+	pays map[string]func(bat.OID) int64 // the payloads attached so far
+	// The model, indexed by OID (OIDs are dense): vals[oid] is the value
+	// oid was inserted with, alive[oid] whether it is still live.
+	vals  []int64
+	alive []bool
+	live  []bat.OID // the live OIDs, in insertion order (deterministic picks)
 	dead  []bat.OID // OIDs deleted earlier
 	next  bat.OID
 	step  int
@@ -81,10 +84,10 @@ type foldHarness struct {
 const foldDomain = 1000
 
 func newFoldHarness(t testing.TB, base []int64, stratName string) *foldHarness {
-	h := &foldHarness{t: t, model: make(map[bat.OID]int64, len(base)), next: bat.OID(len(base)),
+	h := &foldHarness{t: t, vals: slices.Clone(base), alive: make([]bool, len(base)), next: bat.OID(len(base)),
 		pays: make(map[string]func(bat.OID) int64)}
-	for i, v := range base {
-		h.model[bat.OID(i)] = v
+	for i := range base {
+		h.alive[i] = true
 		h.live = append(h.live, bat.OID(i))
 	}
 	for i, fold := range []core.Option{core.WithFold(core.FoldRipple), core.WithFold(core.FoldRebuild), core.WithFold(core.FoldByCost)} {
@@ -156,6 +159,14 @@ func (h *foldHarness) checkPays(when string) {
 	}
 }
 
+// model is the value of a live OID, and 0 for any other.
+func (h *foldHarness) model(oid bat.OID) int64 {
+	if int(oid) < len(h.alive) && h.alive[oid] {
+		return h.vals[oid]
+	}
+	return 0
+}
+
 func (h *foldHarness) failf(format string, args ...any) {
 	h.t.Helper()
 	h.t.Fatalf("step %d: %s", h.step, fmt.Sprintf(format, args...))
@@ -212,7 +223,7 @@ func (h *foldHarness) insertBatch(src *opSource) {
 				h.failf("insert got oid %d, want %d", oid, h.next)
 			}
 		}
-		h.model[h.next] = v
+		h.vals, h.alive = append(h.vals, v), append(h.alive, true)
 		h.live = append(h.live, h.next)
 		h.next++
 	}
@@ -240,11 +251,11 @@ func (h *foldHarness) delete(src *opSource) {
 			h.failf("Delete(%d) = %v on %s, %v on %s", oid, got, c.Name(), want, h.cols[0].Name())
 		}
 	}
-	if _, ok := h.model[oid]; ok {
+	if int(oid) < len(h.alive) && h.alive[oid] {
 		if !want {
 			h.failf("Delete(%d) of a live tuple refused", oid)
 		}
-		delete(h.model, oid)
+		h.alive[oid] = false
 		h.live = slices.DeleteFunc(h.live, func(o bat.OID) bool { return o == oid })
 		h.dead = append(h.dead, oid)
 	}
@@ -263,8 +274,8 @@ func (h *foldHarness) foldAndCheck() {
 	}
 	before := ripple.Stats()
 	for _, c := range h.cols {
-		if got := c.Count(math.MinInt64, math.MaxInt64, true, true); got != len(h.model) {
-			h.failf("%s holds %d tuples, model %d", c.Name(), got, len(h.model))
+		if got := c.Count(math.MinInt64, math.MaxInt64, true, true); got != len(h.live) {
+			h.failf("%s holds %d tuples, model %d", c.Name(), got, len(h.live))
 		}
 	}
 	after := ripple.Stats()
@@ -282,12 +293,12 @@ func (h *foldHarness) foldAndCheck() {
 			h.failf("%s after fold: %v", c.Name(), err)
 		}
 		got := c.ByOID()
-		if len(got) != len(h.model) {
-			h.failf("%s ByOID has %d tuples, model %d", c.Name(), len(got), len(h.model))
+		if len(got) != len(h.live) {
+			h.failf("%s ByOID has %d tuples, model %d", c.Name(), len(got), len(h.live))
 		}
-		for oid, v := range h.model {
-			if gv, ok := got[oid]; !ok || gv != v {
-				h.failf("%s oid %d = %d (present %v), model %d", c.Name(), oid, gv, ok, v)
+		for _, oid := range h.live {
+			if gv, ok := got[oid]; !ok || gv != h.vals[oid] {
+				h.failf("%s oid %d = %d (present %v), model %d", c.Name(), oid, gv, ok, h.vals[oid])
 			}
 		}
 	}
@@ -311,8 +322,8 @@ func (h *foldHarness) selectAndCheck(src *opSource) {
 		h.checkPays("after flip to " + name)
 	}
 	var want []int64
-	for _, v := range h.model {
-		if (v > lo || loIncl && v == lo) && (v < hi || hiIncl && v == hi) {
+	for _, oid := range h.live {
+		if v := h.vals[oid]; (v > lo || loIncl && v == lo) && (v < hi || hiIncl && v == hi) {
 			want = append(want, v)
 		}
 	}
@@ -320,8 +331,8 @@ func (h *foldHarness) selectAndCheck(src *opSource) {
 	for _, c := range h.cols {
 		vals, oids := c.SelectCopy(lo, hi, loIncl, hiIncl)
 		for i, oid := range oids {
-			if h.model[oid] != vals[i] {
-				h.failf("%s returned oid %d with value %d, model %d", c.Name(), oid, vals[i], h.model[oid])
+			if h.model(oid) != vals[i] {
+				h.failf("%s returned oid %d with value %d, model %d", c.Name(), oid, vals[i], h.model(oid))
 			}
 		}
 		slices.Sort(vals)

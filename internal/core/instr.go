@@ -89,10 +89,10 @@ func (c *Column) beginWriteHoldLocked() holdState {
 
 // finishWriteHold observes the hold duration and, when the hold
 // physically reorganized the column, records a CrackEvent carrying the
-// advising predicate's bounds and the work deltas. An update fold counts
-// as reorganization when it moved a cut or dropped the index; one that
-// only appended above the last cut is as quiet as a lookup.
-func (c *Column) finishWriteHold(in *Instr, hs holdState, low, high int64) {
+// advising range's inclusive bounds and the work deltas. An update fold
+// counts as reorganization when it moved a cut or dropped the index; one
+// that only appended above the last cut is as quiet as a lookup.
+func (c *Column) finishWriteHold(in *Instr, hs holdState, r Range) {
 	holdNS := time.Since(hs.start).Nanoseconds()
 	if in.WriteHold != nil {
 		in.WriteHold.Observe(holdNS)
@@ -113,8 +113,8 @@ func (c *Column) finishWriteHold(in *Instr, hs holdState, low, high int64) {
 	in.Trace.Record(obs.CrackEvent{
 		Shard:         in.Shard,
 		Column:        c.name,
-		Low:           low,
-		High:          high,
+		Low:           r.Low,
+		High:          r.High,
 		Cracks:        cracks,
 		CutsAdded:     int64(cutsAdded),
 		TuplesTouched: c.stats.tuplesTouched.Load() - hs.touched,

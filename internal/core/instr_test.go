@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"crackdb/internal/expr"
 	"crackdb/internal/obs"
 )
 
@@ -108,19 +107,19 @@ func TestConvergedReadsTimed(t *testing.T) {
 	const n, cells = 4096, 16
 	c, in := convergedInstr(n, cells, 0)
 	step := int64(n / cells)
-	r := expr.Range{Col: "k", Low: step, High: 2 * step, LowIncl: true}
-	_, sel := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
+	r := Range{Low: step, High: 2*step - 1}
+	_, sel := c.SelectCopy(r.Low, r.High, true, true)
 	writes := in.WriteHold.Snapshot().Count
 	for _, read := range []struct {
 		name string
 		run  func()
 	}{
 		{"Project", func() {
-			if _, st := c.Project(r, []string{"k"}, sel, 1); st != Projected {
+			if _, st := c.Project("k", r, []string{"k"}, sel, 1); st != Projected {
 				t.Fatalf("converged projection: status %d", st)
 			}
 		}},
-		{"Count", func() { c.Count(r.Low, r.High, r.LowIncl, r.HighIncl) }},
+		{"Count", func() { c.Count(r.Low, r.High, true, true) }},
 	} {
 		base := in.ReadHold.Snapshot().Count
 		read.run()
@@ -134,7 +133,7 @@ func TestConvergedReadsTimed(t *testing.T) {
 }
 
 // TestInstrCrackEvents asserts that a query which cracks produces a
-// trace event carrying its bounds and nonzero work deltas.
+// trace event carrying its inclusive bounds and nonzero work deltas.
 func TestInstrCrackEvents(t *testing.T) {
 	vals := make([]int64, 10000)
 	r := rand.New(rand.NewSource(3))
@@ -151,7 +150,7 @@ func TestInstrCrackEvents(t *testing.T) {
 		t.Fatalf("one cracking select must record one event, got %d", len(evs))
 	}
 	ev := evs[0]
-	if ev.Column != "k" || ev.Low != 1000 || ev.High != 2000 {
+	if ev.Column != "k" || ev.Low != 1000 || ev.High != 1999 { // [1000, 2000) folds to [1000, 1999]
 		t.Fatalf("event identity wrong: %+v", ev)
 	}
 	if ev.Cracks == 0 || ev.CutsAdded == 0 || ev.TuplesTouched == 0 {
@@ -178,10 +177,10 @@ func TestTableSetInstr(t *testing.T) {
 	in := &Instr{WriteHold: new(obs.Histogram), Trace: obs.NewTraceBuf(64)}
 	ct.SetInstr(in)
 	mark := in.Trace.Mark()
-	if _, err := ct.CountRange(rangeOf("a", 10, 100)); err != nil {
+	if _, err := ct.CountRange("a", Range{Low: 10, High: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ct.CountRange(rangeOf("b", 85, 95)); err != nil { // created after SetInstr
+	if _, err := ct.CountRange("b", Range{Low: 85, High: 95}); err != nil { // created after SetInstr
 		t.Fatal(err)
 	}
 	evs := in.Trace.Since(mark)

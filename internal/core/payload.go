@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"crackdb/internal/bat"
-	"crackdb/internal/expr"
 )
 
 // Payload vectors: sideways cracking (Idreos, Kersten & Manegold) on the
@@ -134,7 +133,7 @@ const (
 // Project answers r like SelectCopy and copies out, under the same lock
 // hold — the read lock when both cuts exist — the aligned window of every
 // requested attribute: wins[j][i] is attrs[j] of the i-th tuple of the
-// window. r.Col names the column's own attribute, served from the value
+// window. key names the column's own attribute, served from the value
 // vector; every other attribute needs a live payload, which is stamped.
 //
 // sel is the OID answer of the selection the caller projects. Tuples only
@@ -142,9 +141,9 @@ const (
 // handed out before, so a window of len(sel) tuples none of which is
 // newer than sel's newest is exactly sel; anything else is stale and the
 // caller reconstructs its own snapshot through the base table.
-func (c *Column) Project(r expr.Range, attrs []string, sel []bat.OID, stamp uint64) (wins [][]int64, st ProjectStatus) {
-	c.answer(r.Low, r.High, r.LowIncl, r.HighIncl, true, func(v View) {
-		wins, st = c.projectLocked(v, r.Col, attrs, sel, stamp)
+func (c *Column) Project(key string, r Range, attrs []string, sel []bat.OID, stamp uint64) (wins [][]int64, st ProjectStatus) {
+	c.answer(r, true, func(v View) {
+		wins, st = c.projectLocked(v, key, attrs, sel, stamp)
 	})
 	return wins, st
 }

@@ -39,11 +39,11 @@ type CrackedTable struct {
 	tomb map[bat.OID]struct{}
 
 	// selectObs, when set, is invoked after every single-range selection
-	// with the range that was answered — the hook the store's auto-tuner
-	// watches bound streams through. Set it before the table is shared
-	// between goroutines (the store wires it at wrapper creation); it
-	// runs outside every table and column lock.
-	selectObs func(r expr.Range)
+	// with the attribute and the range that was answered — the hook the
+	// store's auto-tuner watches bound streams through. Set it before the
+	// table is shared between goroutines (the store wires it at wrapper
+	// creation); it runs outside every table and column lock.
+	selectObs func(attr string, r Range)
 
 	// fetched counts tuples materialized through the base table by Fetch
 	// — the random-access reconstruction cost sideways cracking exists to
@@ -154,25 +154,26 @@ func (ct *CrackedTable) CrackedColumns() []string {
 }
 
 // SetSelectObserver registers a callback fired after every range
-// selection the table answers, with the answered range. It must be
-// set before the table is shared between goroutines; pass nil to clear.
-func (ct *CrackedTable) SetSelectObserver(f func(r expr.Range)) { ct.selectObs = f }
+// selection the table answers, with the attribute and the answered
+// range. It must be set before the table is shared between goroutines;
+// pass nil to clear.
+func (ct *CrackedTable) SetSelectObserver(f func(attr string, r Range)) { ct.selectObs = f }
 
 // FetchedTuples returns the number of tuples reconstructed through the
 // base table by Fetch since creation.
 func (ct *CrackedTable) FetchedTuples() int64 { return ct.fetched.Load() }
 
-// SelectCopy answers a range query returning copies of the qualifying
-// values and OIDs, taken under the column lock — safe under concurrent
-// cracking of the same column.
-func (ct *CrackedTable) SelectCopy(r expr.Range) ([]int64, []bat.OID, error) {
-	c, err := ct.ColumnFor(r.Col)
+// SelectCopy answers a range query on attr returning copies of the
+// qualifying values and OIDs, taken under the column lock — safe under
+// concurrent cracking of the same column.
+func (ct *CrackedTable) SelectCopy(attr string, r Range) (vals []int64, oids []bat.OID, err error) {
+	c, err := ct.ColumnFor(attr)
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, oids := c.SelectCopy(r.Low, r.High, r.LowIncl, r.HighIncl)
+	vals, oids = c.selectCopy(r)
 	if ct.selectObs != nil {
-		ct.selectObs(r)
+		ct.selectObs(attr, r)
 	}
 	return vals, oids, nil
 }

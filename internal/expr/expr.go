@@ -148,29 +148,6 @@ func (r Range) Empty() bool {
 	return false
 }
 
-// Width returns the number of integer values inside the range, saturating
-// at math.MaxInt64. It assumes an integer domain.
-func (r Range) Width() int64 {
-	if r.Empty() {
-		return 0
-	}
-	lo, hi := r.Low, r.High
-	if !r.LowIncl {
-		lo++
-	}
-	if !r.HighIncl {
-		hi--
-	}
-	if lo > hi {
-		return 0
-	}
-	w := uint64(hi) - uint64(lo) // lo <= hi, so this cannot underflow
-	if w >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(w + 1)
-}
-
 // Intersect returns the intersection of two ranges over the same column.
 func (r Range) Intersect(o Range) Range {
 	out := r

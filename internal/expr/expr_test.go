@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -74,24 +73,6 @@ func TestPointAndEmpty(t *testing.T) {
 	}
 	if !(Range{Col: "a", Low: 9, High: 2, LowIncl: true, HighIncl: true}).Empty() {
 		t.Fatal("inverted range not empty")
-	}
-}
-
-func TestWidth(t *testing.T) {
-	cases := []struct {
-		r    Range
-		want int64
-	}{
-		{Range{Low: 1, High: 10, LowIncl: true, HighIncl: true}, 10},
-		{Range{Low: 1, High: 10, LowIncl: false, HighIncl: false}, 8},
-		{Range{Low: 5, High: 5, LowIncl: true, HighIncl: true}, 1},
-		{Range{Low: 9, High: 1, LowIncl: true, HighIncl: true}, 0},
-		{FullRange("a"), math.MaxInt64},
-	}
-	for _, c := range cases {
-		if got := c.r.Width(); got != c.want {
-			t.Errorf("Width(%v) = %d, want %d", c.r, got, c.want)
-		}
 	}
 }
 

@@ -11,7 +11,7 @@ type CrackEvent struct {
 	Seq           uint64 // monotonically increasing per TraceBuf
 	Shard         int
 	Column        string
-	Low, High     int64 // the advising predicate's bounds
+	Low, High     int64 // the advising range, inclusive: Low <= value <= High
 	Cracks        int64 // crack kernel invocations during the hold
 	CutsAdded     int64 // new cuts registered in the cracker index
 	TuplesTouched int64

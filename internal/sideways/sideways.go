@@ -34,7 +34,6 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/core"
-	"crackdb/internal/expr"
 )
 
 // DefaultBudget is the default bound on live payload vectors per
@@ -115,29 +114,29 @@ func (g *Registry) Snapshot() Stats {
 
 // Project serves a multi-attribute projection from the key column's
 // payload vectors: the columnar windows of the requested attributes for
-// the key range r, each a fresh copy, mutually aligned element by
+// the range r on key, each a fresh copy, mutually aligned element by
 // element. sel is the OID answer of the caller's selection; when the
 // range no longer holds exactly those tuples (rows were appended into it
 // or deleted from it since) the projection declines, and the caller falls
 // back to the base-table fetch. Missing payload vectors are gathered
 // first, the budget permitting. ok=false never leaves partial state
 // behind.
-func (g *Registry) Project(ct *core.CrackedTable, r expr.Range, attrs []string, sel []bat.OID) ([][]int64, bool) {
+func (g *Registry) Project(ct *core.CrackedTable, key string, r core.Range, attrs []string, sel []bat.OID) ([][]int64, bool) {
 	if g.budget.Load() == 0 {
 		return nil, false
 	}
-	c, err := ct.ColumnFor(r.Col)
+	c, err := ct.ColumnFor(key)
 	if err != nil {
 		g.fallbacks.Add(1)
 		return nil, false
 	}
-	wins, st := c.Project(r, attrs, sel, g.clock.Add(1))
+	wins, st := c.Project(key, r, attrs, sel, g.clock.Add(1))
 	if st == core.PayloadMissing {
-		if !g.build(ct, r.Col, attrs) {
+		if !g.build(ct, key, attrs) {
 			g.fallbacks.Add(1)
 			return nil, false
 		}
-		wins, st = c.Project(r, attrs, sel, g.clock.Add(1))
+		wins, st = c.Project(key, r, attrs, sel, g.clock.Add(1))
 	}
 	if st != core.Projected {
 		g.fallbacks.Add(1)

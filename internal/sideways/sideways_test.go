@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"crackdb/internal/core"
-	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 )
 
@@ -34,8 +33,8 @@ func liveOf(cts ...*core.CrackedTable) func() []*core.CrackedTable {
 	return func() []*core.CrackedTable { return cts }
 }
 
-func incRange(lo, hi int64) expr.Range {
-	return expr.Range{Col: "k", Low: lo, High: hi, LowIncl: true, HighIncl: true}
+func incRange(lo, hi int64) core.Range {
+	return core.Range{Low: lo, High: hi}
 }
 
 // wantProjection computes the oracle: the multiset of (k, a) pairs with
@@ -83,11 +82,11 @@ func asRows(wins [][]int64) [][]int64 {
 // selection — and returns the windows as canonically sorted rows.
 func project(t *testing.T, g *Registry, ct *core.CrackedTable, lo, hi int64, attrs ...string) ([][]int64, bool) {
 	t.Helper()
-	_, sel, err := ct.SelectCopy(incRange(lo, hi))
+	_, sel, err := ct.SelectCopy("k", incRange(lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins, ok := g.Project(ct, incRange(lo, hi), attrs, sel)
+	wins, ok := g.Project(ct, "k", incRange(lo, hi), attrs, sel)
 	return sorted(asRows(wins)), ok
 }
 
@@ -131,22 +130,22 @@ func TestProjectStaleLengthDeclines(t *testing.T) {
 	ct, rows := buildTable(t, 1000, 3)
 	g := NewRegistry(DefaultBudget, liveOf(ct))
 	r, attrs := incRange(100, 5000), []string{"k", "a"}
-	_, sel, _ := ct.SelectCopy(r)
-	if _, ok := g.Project(ct, r, attrs, sel); !ok {
+	_, sel, _ := ct.SelectCopy("k", r)
+	if _, ok := g.Project(ct, "k", r, attrs, sel); !ok {
 		t.Fatal("warm-up projection declined")
 	}
 	// Append a row inside the range behind the caller's back.
 	if err := ct.AppendColumns([][]int64{{200}, {7}, {7}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Project(ct, r, attrs, sel); ok {
+	if _, ok := g.Project(ct, "k", r, attrs, sel); ok {
 		t.Fatal("projection served a selection one tuple short")
 	}
 	// Delete one of the selected tuples: same cardinality, other tuples.
 	if ct.DeleteOIDs(sel[:1]) != 1 {
 		t.Fatal("delete refused")
 	}
-	if _, ok := g.Project(ct, r, attrs, sel); ok {
+	if _, ok := g.Project(ct, "k", r, attrs, sel); ok {
 		t.Fatal("projection served a selection whose cardinality only coincides")
 	}
 	// A fresh selection serves again, from the same payload vector.
@@ -254,10 +253,10 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			lo = 0 // folds the pending rows
 		}
 		r := incRange(lo, lo+700)
-		_, selA, _ := ct.SelectCopy(r)
-		_, selB, _ := ct2.SelectCopy(r)
-		a, okA := g.Project(ct, r, []string{"k", "a", "b"}, selA)
-		b, okB := g2.Project(ct2, r, []string{"k", "a", "b"}, selB)
+		_, selA, _ := ct.SelectCopy("k", r)
+		_, selB, _ := ct2.SelectCopy("k", r)
+		a, okA := g.Project(ct, "k", r, []string{"k", "a", "b"}, selA)
+		b, okB := g2.Project(ct2, "k", r, []string{"k", "a", "b"}, selB)
 		if !okA || !okB {
 			t.Fatalf("query %d declined (live %v, restored %v)", q, okA, okB)
 		}
@@ -320,7 +319,7 @@ func TestConcurrentProjectObserve(t *testing.T) {
 				return
 			}
 			if i%5 == 4 {
-				_, doomed, _ := ct.SelectCopy(incRange(k, k+3))
+				_, doomed, _ := ct.SelectCopy("k", incRange(k, k+3))
 				ct.DeleteOIDs(doomed)
 			}
 		}
@@ -335,18 +334,18 @@ func TestConcurrentProjectObserve(t *testing.T) {
 				lo := rng.Int63n(9000)
 				r := incRange(lo, lo+500)
 				if i%3 == 0 {
-					if _, err := ct.CountRange(r); err != nil {
+					if _, err := ct.CountRange("k", r); err != nil {
 						t.Error(err)
 					}
 					continue
 				}
-				keys, sel, err := ct.SelectCopy(r)
+				keys, sel, err := ct.SelectCopy("k", r)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				attrs := append([]string{"k"}, attrSets[i%len(attrSets)]...)
-				wins, ok := g.Project(ct, r, attrs, sel)
+				wins, ok := g.Project(ct, "k", r, attrs, sel)
 				if !ok {
 					continue // over budget, or the writer got in between: the store would fetch through the base
 				}

@@ -310,6 +310,44 @@ func TestExecCracksAsSideEffect(t *testing.T) {
 	}
 }
 
+// TestSpellingsShareCuts: below the planner a range is one inclusive
+// pair, so `c0 >= a AND c0 < b` and `c0 BETWEEN a AND b-1` are the same
+// two cuts on every shard of a router: the second spelling cracks
+// nothing.
+func TestSpellingsShareCuts(t *testing.T) {
+	store := shard.New(shard.Options{Shards: 4})
+	if err := store.LoadTapestry("bench", 20_000, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngineOn(store)
+	cracks := func() int {
+		per, err := store.ShardStats("bench", "c0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, st := range per {
+			n += st.Cracks
+		}
+		return n
+	}
+	var counts []int64
+	var after []int
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM bench WHERE c0 >= 5000 AND c0 < 6000",
+		"SELECT COUNT(*) FROM bench WHERE c0 BETWEEN 5000 AND 5999",
+	} {
+		rs, err := e.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, after = append(counts, rs.Rows[0][0]), append(after, cracks())
+	}
+	if counts[0] != 1000 || counts[1] != 1000 || after[0] == 0 || after[1] != after[0] {
+		t.Fatalf("counts %v; cracks %d after the half-open spelling, %d after BETWEEN (want 1000 each, and no new crack)", counts, after[0], after[1])
+	}
+}
+
 func TestExecErrors(t *testing.T) {
 	e, _ := newEngine(t)
 	for _, bad := range []string{

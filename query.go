@@ -3,6 +3,7 @@ package crackdb
 import (
 	"fmt"
 
+	"crackdb/internal/core"
 	"crackdb/internal/expr"
 	"crackdb/internal/relation"
 )
@@ -68,16 +69,8 @@ func Interval(col string, conds []Cond) (lo, hi int64, exact bool, err error) {
 	if r.Empty() {
 		return 1, 0, exact, nil
 	}
-	lo, hi = r.Low, r.High
-	// Not empty, so an exclusive bound is strictly inside the other: no
-	// step below can overflow.
-	if !r.LowIncl {
-		lo++
-	}
-	if !r.HighIncl {
-		hi--
-	}
-	return lo, hi, exact, nil
+	f := core.Inclusive(r.Low, r.High, r.LowIncl, r.HighIncl)
+	return f.Low, f.High, exact, nil
 }
 
 // termOf validates the conditions against table t and builds, appending

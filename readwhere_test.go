@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"crackdb/internal/core"
-	"crackdb/internal/expr"
 )
 
 // A declined read is what the shard router builds on: it offers every
@@ -114,7 +113,7 @@ func declineStore(t *testing.T, n int) (*Store, *int) {
 		t.Fatal(err)
 	}
 	observed := new(int)
-	s.tables["t"].SetSelectObserver(func(expr.Range) { *observed++ })
+	s.tables["t"].SetSelectObserver(func(string, core.Range) { *observed++ })
 	return s, observed
 }
 
@@ -176,7 +175,7 @@ func flatten(rows [][]int64) []int64 {
 // a twin never offered the batch.
 func TestReadBatchDeclineChangesNothing(t *testing.T) {
 	const n = 2000
-	converged := []Range{{100, 499}, {100, 299}, {300, 499}, {5, 4}}
+	converged := []Range{{Low: 100, High: 499}, {Low: 100, High: 299}, {Low: 300, High: 499}, {Low: 5, High: 4}}
 	converge := func(t *testing.T, s *Store) {
 		if _, err := s.CountBatch("t", "c0", converged); err != nil {
 			t.Fatal(err)
@@ -188,7 +187,7 @@ func TestReadBatchDeclineChangesNothing(t *testing.T) {
 		ranges []Range
 	}{
 		{"no cracker column", func(*testing.T, *Store) {}, converged},
-		{"one cut missing", converge, append(slices.Clone(converged), Range{300, 449})},
+		{"one cut missing", converge, append(slices.Clone(converged), Range{Low: 300, High: 449})},
 		{"pending inserts", func(t *testing.T, s *Store) {
 			converge(t, s)
 			if err := s.InsertRows("t", [][]int64{{300, 1, 1}, {n + 5, 2, 2}}); err != nil {
