@@ -261,10 +261,13 @@ func (v View) OIDs() []bat.OID {
 
 // Range is the one form a range predicate takes below the entries that
 // accept per-bound inclusivity: the inclusive interval Low <= attr <=
-// High over the integers, empty when Low > High. Its cuts are always the
-// keys (Low, exclusive) — what lies left of it is below Low — and (High,
-// inclusive), so a bound has one key however a query spells it: < 100
-// and <= 99 are one cut.
+// High over the integers, empty when Low > High. Both its cuts are
+// exclusive keys: (Low, exclusive) — left of it lies what is below Low —
+// and (High+1, exclusive) — left of it lies what is at most High. So a
+// boundary has one key however a query spells it: < 100 and <= 99 are
+// one cut, and adjacent ranges [a, b] and [b+1, c] share (b+1,
+// exclusive). A MaxInt64 High is the column's end and has no key, so
+// High+1 does not overflow where it is used.
 type Range struct {
 	Low, High int64
 }
@@ -399,7 +402,7 @@ func (w window) resolved() bool { return w.lo >= 0 && w.hi >= 0 }
 // the empty window at 0, and a cut at a domain extreme is trivial —
 // nothing is below the minimum or above the maximum — and needs no
 // index entry. Every other cut is left for the index: the lower one at
-// key (r.Low, exclusive), the upper one at (r.High, inclusive).
+// key (r.Low, exclusive), the upper one at (r.High+1, exclusive).
 func (c *Column) open(r Range) window {
 	if r.Low > r.High {
 		return window{empty: true}
@@ -414,10 +417,10 @@ func (c *Column) open(r Range) window {
 	return w
 }
 
-// find is the position of the cut (val, incl), -1 when the index does not
-// hold it.
-func (c *Column) find(val int64, incl bool) int {
-	if pos, ok := c.idx.Find(val, incl); ok {
+// find is the position of the cut (val, exclusive), -1 when the index
+// does not hold it.
+func (c *Column) find(val int64) int {
+	if pos, ok := c.idx.Find(val, false); ok {
 		return pos
 	}
 	return -1
@@ -429,10 +432,10 @@ func (c *Column) find(val int64, incl bool) int {
 func (c *Column) probe(r Range) window {
 	w := c.open(r)
 	if w.lo < 0 {
-		w.lo = c.find(r.Low, false)
+		w.lo = c.find(r.Low)
 	}
 	if w.hi < 0 {
-		w.hi = c.find(r.High, true)
+		w.hi = c.find(r.High + 1)
 	}
 	return w
 }
@@ -456,7 +459,7 @@ func (c *Column) probeRanges(rs []Range, win []window) {
 			keys[n], n = cutKey{r.Low, false}, n+1
 		}
 		if w.hi < 0 {
-			keys[n], n = cutKey{r.High, true}, n+1
+			keys[n], n = cutKey{r.High + 1, false}, n+1
 		}
 	}
 	c.idx.findGroup(keys[:n], pos[:n])
@@ -513,11 +516,11 @@ func (c *Column) selectLocked(r Range) View {
 	if c.strategy.advises() && !c.sorted {
 		if w.lo < 0 {
 			c.adviseLocked(r.Low, false)
-			w.lo = c.find(r.Low, false)
+			w.lo = c.find(r.Low)
 		}
 		if w.hi < 0 {
-			c.adviseLocked(r.High, true)
-			w.hi = c.find(r.High, true)
+			c.adviseLocked(r.High+1, false)
+			w.hi = c.find(r.High + 1)
 		}
 		// Sides resolved here are counted either at this early return or
 		// by the per-side accounting below — never both.
@@ -532,9 +535,9 @@ func (c *Column) selectLocked(r Range) View {
 	// columns skip it — their cuts are pure binary searches.
 	if w.lo < 0 && w.hi < 0 && !c.sorted {
 		lo1, hi1 := c.pieceBounds(r.Low, false)
-		lo2, hi2 := c.pieceBounds(r.High, true)
+		lo2, hi2 := c.pieceBounds(r.High+1, false)
 		if lo1 == lo2 && hi1 == hi2 {
-			m1, m2 := c.crackInThree(lo1, hi1, r.Low, false, r.High, true)
+			m1, m2 := c.crackInThree(lo1, hi1, r.Low, false, r.High+1, false)
 			return View{col: c, Lo: m1, Hi: m2}
 		}
 	}
@@ -547,7 +550,7 @@ func (c *Column) selectLocked(r Range) View {
 	if w.hi >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		w.hi = c.cut(r.High, true)
+		w.hi = c.cut(r.High+1, false)
 	}
 	return View{col: c, Lo: w.lo, Hi: w.hi}
 }

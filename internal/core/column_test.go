@@ -201,6 +201,40 @@ func TestRepeatedQueryIsIndexOnly(t *testing.T) {
 	}
 }
 
+// TestTiledRangesShareCuts: ranges that tile the domain in key order share
+// each boundary's key, however each cell is spelt, so every cell after
+// the first cracks the tail in two and registers one new cut.
+func TestTiledRangesShareCuts(t *testing.T) {
+	const n, cells, span = 10_000, 64, 10_000 / 64
+	rng := rand.New(rand.NewSource(9))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(cells * span)
+	}
+	for _, spelling := range []string{"half-open", "inclusive", "alternating"} {
+		c := NewColumn("a", vals)
+		for i := int64(0); i < cells; i++ {
+			lo, hi := i*span, (i+1)*span
+			inclusive := spelling == "inclusive" || spelling == "alternating" && i%2 == 1
+			var got int
+			if inclusive {
+				got = c.Count(lo, hi-1, true, true)
+			} else {
+				got = c.Count(lo, hi, true, false)
+			}
+			if want := naiveSelect(vals, lo, hi, true, false); got != len(want) {
+				t.Fatalf("%s cell %d counted %d, want %d", spelling, i, got, len(want))
+			}
+		}
+		if st := c.Stats(); st.Cracks != cells || c.Index().Len() != cells+1 {
+			t.Fatalf("%s tiling: %d cracks and %d cuts, want %d and %d", spelling, st.Cracks, c.Index().Len(), cells, cells+1)
+		}
+		if err := c.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSortAllThenSelectMovesNothing(t *testing.T) {
 	vals := []int64{9, 1, 8, 2, 7, 3}
 	c := NewColumn("a", vals)

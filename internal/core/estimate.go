@@ -30,7 +30,7 @@ type Estimate struct {
 // Pieces are ordered by value, so the pieces intersecting the range are
 // one run of positions and the pieces inside it a sub-run. A value
 // qualifies iff it sits right of the range's lower cut key lo = (Low,
-// exclusive) and left of its upper one hi = (High, inclusive). The
+// exclusive) and left of its upper one hi = (High+1, exclusive). The
 // intersecting run then spans from the last cut <= lo to the first cut
 // >= hi, the contained run from the first cut >= lo to the last cut <=
 // hi. A missing cut, or an unbounded side, is the column's edge.
@@ -54,12 +54,11 @@ func (c *Column) EstimateRange(r Range) Estimate {
 	if r.Low == math.MinInt64 {
 		loAbove, loAboveOK = 0, true
 	}
-	hiBelow, hiBelowOK, hiAbove, ok := c.idx.bracket(r.High, true)
-	if !ok {
-		hiAbove = end
-	}
-	if r.High == math.MaxInt64 {
-		hiBelow, hiBelowOK = end, true
+	hiBelow, hiBelowOK, hiAbove := end, true, end
+	if r.High != math.MaxInt64 {
+		if hiBelow, hiBelowOK, hiAbove, ok = c.idx.bracket(r.High+1, false); !ok {
+			hiAbove = end
+		}
 	}
 
 	est := Estimate{Max: hiAbove - loBelow}

@@ -273,7 +273,12 @@ func TestEstimateProbesMatchPieceWalk(t *testing.T) {
 			}
 			for probe := 0; probe < 8; probe++ {
 				r := Inclusive(edge(), edge(), rng.Intn(2) == 0, rng.Intn(2) == 0)
+				// The walk runs over the keys r probes: (Low, exclusive)
+				// and (High+1, exclusive).
 				walk := expr.Range{Col: "a", Low: r.Low, High: r.High, LowIncl: true, HighIncl: true}
+				if r.High != math.MaxInt64 {
+					walk.High, walk.HighIncl = r.High+1, false
+				}
 				if got, want := c.EstimateRange(r), estimateWalk(c, walk); got != want {
 					t.Fatalf("round %d step %d %v on %v (pending %d, deleted %d): probes %+v, walk %+v",
 						round, step, r, c.idx, len(c.pending), len(c.deleted), got, want)

@@ -35,7 +35,7 @@ type Lineage struct {
 type xiCrack struct {
 	lo, hi, m1, m2 int
 	v1, v2         int64
-	three          bool // crack-in-three: both values name the crack
+	three          bool // crack-in-three: v1 and v2 are its keys (Low, exclusive) and (High+1, exclusive)
 	incl           bool // inclusivity of a crack-in-two's cut
 }
 
@@ -143,8 +143,8 @@ func (l *Lineage) fold() {
 			continue
 		}
 		detail := fmt.Sprintf("%s %s %d", l.table, cutOpString(x.incl), x.v1)
-		if x.three {
-			detail = fmt.Sprintf("%s ∈ cut(%d,%d)", l.table, x.v1, x.v2)
+		if x.three { // named by the inclusive range its middle piece holds
+			detail = fmt.Sprintf("%s ∈ cut(%d,%d)", l.table, x.v1, x.v2-1)
 		}
 		l.Crack(leaf, "Ξ", detail, kept...)
 	}

@@ -80,20 +80,20 @@ func TestFigStochasticPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]passWork{
-		"standard/random":     {448, 193547},
+		"standard/random":     {446, 193502},
 		"standard/sequential": {511, 2574487},
 		"standard/reverse":    {511, 2574487},
-		"standard/zoomin":     {464, 160565},
+		"standard/zoomin":     {450, 160397},
 		"standard/periodic":   {462, 215450},
-		"ddr/random":          {475, 197081},
+		"ddr/random":          {471, 196895},
 		"ddr/sequential":      {531, 325355},
 		"ddr/reverse":         {527, 301207},
-		"ddr/zoomin":          {488, 190648},
+		"ddr/zoomin":          {474, 190480},
 		"ddr/periodic":        {482, 170988},
-		"autotune/random":     {448, 193547},
+		"autotune/random":     {446, 193502},
 		"autotune/sequential": {521, 2082276},
 		"autotune/reverse":    {518, 2073807},
-		"autotune/zoomin":     {464, 160565},
+		"autotune/zoomin":     {450, 160397},
 		"autotune/periodic":   {467, 217322},
 	}
 	if len(work) != len(want) {

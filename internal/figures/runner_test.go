@@ -142,7 +142,7 @@ func TestFig5(t *testing.T) {
 	}
 	for _, want := range []string{
 		"Ξ on R.a: 9 tuples", "Ξ on R.a: 4 tuples", "Ξ on S.b: 15 tuples", "^ on R.k = S.k: R⋉S=",
-		"-- R.a --", "Ξ(R.a <= 4)", "-- R.k --", "^(⋉ S.k)", "-- S.k --", "-- S.b --",
+		"-- R.a --", "Ξ(R.a < 5)", "-- R.k --", "^(⋉ S.k)", "-- S.k --", "-- S.b --",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig 5 output lacks %q:\n%s", want, out)

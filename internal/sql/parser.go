@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"crackdb"
+	"crackdb/internal/core"
 )
 
 // parser is a recursive-descent parser pulling tokens from a scanner.
@@ -157,30 +158,29 @@ func (m *Parser) match(input string, vals *[memoLits]int64) bool {
 }
 
 // fold is rangeCount's verdict on the remembered count shape with the
-// literals vals: crackdb.Interval of its conditions, in integers. An
-// exclusive bound steps inward, and one with no integer beyond it
-// (> math.MaxInt64, < math.MinInt64) leaves the range empty, which is
-// [1, 0] as Interval gives it.
+// literals vals: crackdb.Interval of its conditions. Each condition is
+// folded to its inclusive range by core.Inclusive, as Interval folds,
+// and the ranges intersect; an empty one is [1, 0] as Interval gives it.
 func (m *Parser) fold(vals *[memoLits]int64) RangeCount {
 	rc := RangeCount{Table: m.last.Table, Col: m.last.Where[0].Col, Low: math.MinInt64, High: math.MaxInt64}
-	empty := false
 	for k, c := range m.last.Where {
+		lo, hi, loIncl, hiIncl := int64(math.MinInt64), int64(math.MaxInt64), true, true
 		switch v := vals[k]; c.Op {
 		case "<":
-			empty = empty || v == math.MinInt64
-			rc.High = min(rc.High, v-1)
+			hi, hiIncl = v, false
 		case "<=":
-			rc.High = min(rc.High, v)
+			hi = v
 		case "=", "==":
-			rc.Low, rc.High = max(rc.Low, v), min(rc.High, v)
+			lo, hi = v, v
 		case ">=":
-			rc.Low = max(rc.Low, v)
+			lo = v
 		case ">":
-			empty = empty || v == math.MaxInt64
-			rc.Low = max(rc.Low, v+1)
+			lo, loIncl = v, false
 		}
+		r := core.Inclusive(lo, hi, loIncl, hiIncl)
+		rc.Low, rc.High = max(rc.Low, r.Low), min(rc.High, r.High)
 	}
-	if empty || rc.Low > rc.High {
+	if rc.Low > rc.High {
 		rc.Low, rc.High = 1, 0
 	}
 	return rc
