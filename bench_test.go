@@ -83,14 +83,14 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 	vals := make([]int64, pieces)
 	for i := range vals {
 		vals[i] = int64(i * 17)
-		ix.Insert(vals[i], false, i)
+		ix.Insert(vals[i], i)
 	}
 	cuts := ix.Cuts()
 	rng := rand.New(rand.NewSource(3))
 
 	b.Run("leaves", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.Floor(rng.Int63n(pieces*17), false)
+			ix.Floor(rng.Int63n(pieces * 17))
 		}
 	})
 	b.Run("linear", func(b *testing.B) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -55,7 +54,7 @@ func checkAligned(t *testing.T, c *Column) {
 func TestAlignedCrackInTwo(t *testing.T) {
 	for _, npays := range []int{0, 1, 3} {
 		c := alignedColumn(t, 500, npays, 1)
-		pos := c.crackInTwo(0, len(c.vals), 400, false)
+		pos := c.crackInTwo(0, len(c.vals), 400)
 		if touched := c.Stats().TuplesTouched; touched != 500 {
 			t.Fatalf("touched %d, want 500", touched)
 		}
@@ -65,32 +64,22 @@ func TestAlignedCrackInTwo(t *testing.T) {
 			}
 		}
 		checkAligned(t, c)
-		// Inclusive cut inside the right piece.
-		pos2 := c.crackInTwo(pos, len(c.vals), 700, true)
+		// A cut inside the right piece: <701 keeps 700 on its left.
+		pos2 := c.crackInTwo(pos, len(c.vals), 701)
 		for i := pos; i < len(c.vals); i++ {
 			if i < pos2 && c.vals[i] > 700 || i >= pos2 && c.vals[i] <= 700 {
-				t.Fatalf("keys[%d]=%d on wrong side of cut <=700@%d", i, c.vals[i], pos2)
+				t.Fatalf("keys[%d]=%d on wrong side of cut <701@%d", i, c.vals[i], pos2)
 			}
 		}
 		checkAligned(t, c)
 	}
 }
 
-func TestAlignedCrackInTwoMaxInt(t *testing.T) {
-	c := alignedColumn(t, 100, 2, 2)
-	pos := c.crackInTwo(0, len(c.vals), math.MaxInt64, true)
-	if moved := c.Stats().TuplesMoved; pos != len(c.vals) || moved != 0 {
-		t.Fatalf("<=MaxInt64 cut: pos %d moved %d, want %d and 0", pos, moved, len(c.vals))
-	}
-	checkAligned(t, c)
-}
-
 func TestAlignedCrackInThree(t *testing.T) {
 	for _, npays := range []int{0, 2} {
 		c := alignedColumn(t, 800, npays, 3)
-		// (300, 600]: lower cut <=300, upper cut <=600 — loIncl carries
-		// the Select convention (cut is "left of": <= for exclusive low).
-		m1, m2 := c.crackInThree(0, len(c.vals), 300, true, 600, true)
+		// (300, 600]: lower cut <301, upper cut <601.
+		m1, m2 := c.crackInThree(0, len(c.vals), 301, 601)
 		if touched := c.Stats().TuplesTouched; touched != 800 {
 			t.Fatalf("touched %d, want 800", touched)
 		}
@@ -106,21 +95,6 @@ func TestAlignedCrackInThree(t *testing.T) {
 		}
 		checkAligned(t, c)
 	}
-}
-
-func TestAlignedCrackInThreeMaxIntFallback(t *testing.T) {
-	c := alignedColumn(t, 300, 1, 4)
-	// Upper cut <=MaxInt64 forces the two-pass fallback.
-	m1, m2 := c.crackInThree(0, len(c.vals), 500, false, math.MaxInt64, true)
-	if m2 != len(c.vals) {
-		t.Fatalf("m2 = %d, want n", m2)
-	}
-	for i, v := range c.vals {
-		if i < m1 && v >= 500 || i >= m1 && v < 500 {
-			t.Fatalf("keys[%d]=%d on wrong side of fallback cut", i, v)
-		}
-	}
-	checkAligned(t, c)
 }
 
 // TestAlignedMatchesColumnKernel pins that payload vectors change nothing

@@ -261,12 +261,11 @@ func (v View) OIDs() []bat.OID {
 
 // Range is the one form a range predicate takes below the entries that
 // accept per-bound inclusivity: the inclusive interval Low <= attr <=
-// High over the integers, empty when Low > High. Both its cuts are
-// exclusive keys: (Low, exclusive) — left of it lies what is below Low —
-// and (High+1, exclusive) — left of it lies what is at most High. So a
-// boundary has one key however a query spells it: < 100 and <= 99 are
-// one cut, and adjacent ranges [a, b] and [b+1, c] share (b+1,
-// exclusive). A MaxInt64 High is the column's end and has no key, so
+// High over the integers, empty when Low > High. Its cuts are Low —
+// left of it lies what is below Low — and High+1 — left of it lies what
+// is at most High. So a boundary has one cut however a query spells it:
+// < 100 and <= 99 are one cut, and adjacent ranges [a, b] and [b+1, c]
+// share b+1. A MaxInt64 High is the column's end and has no cut, so
 // High+1 does not overflow where it is used.
 type Range struct {
 	Low, High int64
@@ -402,7 +401,7 @@ func (w window) resolved() bool { return w.lo >= 0 && w.hi >= 0 }
 // the empty window at 0, and a cut at a domain extreme is trivial —
 // nothing is below the minimum or above the maximum — and needs no
 // index entry. Every other cut is left for the index: the lower one at
-// key (r.Low, exclusive), the upper one at (r.High+1, exclusive).
+// r.Low, the upper one at r.High+1.
 func (c *Column) open(r Range) window {
 	if r.Low > r.High {
 		return window{empty: true}
@@ -417,10 +416,10 @@ func (c *Column) open(r Range) window {
 	return w
 }
 
-// find is the position of the cut (val, exclusive), -1 when the index
-// does not hold it.
+// find is the position of the cut val, -1 when the index does not hold
+// it.
 func (c *Column) find(val int64) int {
-	if pos, ok := c.idx.Find(val, false); ok {
+	if pos, ok := c.idx.Find(val); ok {
 		return pos
 	}
 	return -1
@@ -449,20 +448,20 @@ const probeGroup = 8
 // that their cache misses overlap. The caller holds c.mu in either mode;
 // nothing is counted.
 func (c *Column) probeRanges(rs []Range, win []window) {
-	var keys [2 * probeGroup]cutKey
+	var cuts [2 * probeGroup]int64
 	var pos [2 * probeGroup]int
 	n := 0
 	for i, r := range rs {
 		w := &win[i]
 		*w = c.open(r)
 		if w.lo < 0 {
-			keys[n], n = cutKey{r.Low, false}, n+1
+			cuts[n], n = r.Low, n+1
 		}
 		if w.hi < 0 {
-			keys[n], n = cutKey{r.High + 1, false}, n+1
+			cuts[n], n = r.High+1, n+1
 		}
 	}
-	c.idx.findGroup(keys[:n], pos[:n])
+	c.idx.findGroup(cuts[:n], pos[:n])
 	k := 0
 	for i := range rs {
 		w := &win[i]
@@ -515,11 +514,11 @@ func (c *Column) selectLocked(r Range) View {
 	// nothing.
 	if c.strategy.advises() && !c.sorted {
 		if w.lo < 0 {
-			c.adviseLocked(r.Low, false)
+			c.adviseLocked(r.Low)
 			w.lo = c.find(r.Low)
 		}
 		if w.hi < 0 {
-			c.adviseLocked(r.High+1, false)
+			c.adviseLocked(r.High + 1)
 			w.hi = c.find(r.High + 1)
 		}
 		// Sides resolved here are counted either at this early return or
@@ -534,10 +533,10 @@ func (c *Column) selectLocked(r Range) View {
 	// the paper's three-piece Ξ variant for double-sided ranges. Sorted
 	// columns skip it — their cuts are pure binary searches.
 	if w.lo < 0 && w.hi < 0 && !c.sorted {
-		lo1, hi1 := c.pieceBounds(r.Low, false)
-		lo2, hi2 := c.pieceBounds(r.High+1, false)
+		lo1, hi1 := c.pieceBounds(r.Low)
+		lo2, hi2 := c.pieceBounds(r.High + 1)
 		if lo1 == lo2 && hi1 == hi2 {
-			m1, m2 := c.crackInThree(lo1, hi1, r.Low, false, r.High+1, false)
+			m1, m2 := c.crackInThree(lo1, hi1, r.Low, r.High+1)
 			return View{col: c, Lo: m1, Hi: m2}
 		}
 	}
@@ -545,12 +544,12 @@ func (c *Column) selectLocked(r Range) View {
 	if w.lo >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		w.lo = c.cut(r.Low, false)
+		w.lo = c.cut(r.Low)
 	}
 	if w.hi >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		w.hi = c.cut(r.High+1, false)
+		w.hi = c.cut(r.High + 1)
 	}
 	return View{col: c, Lo: w.lo, Hi: w.hi}
 }
@@ -576,75 +575,42 @@ func ceilLog2(n int) int {
 	return l
 }
 
-// pieceBounds returns the piece [lo, hi) the cut (val, incl) falls into.
-func (c *Column) pieceBounds(val int64, incl bool) (lo, hi int) {
+// pieceBounds returns the piece [lo, hi) the cut val falls into.
+func (c *Column) pieceBounds(val int64) (lo, hi int) {
 	lo, hi = 0, len(c.vals)
-	if _, _, p, ok := c.idx.Floor(val, incl); ok {
+	if _, p, ok := c.idx.Floor(val); ok {
 		lo = p
 	}
-	if _, _, p, ok := c.idx.Ceil(val, incl); ok {
+	if _, p, ok := c.idx.Ceil(val); ok {
 		hi = p
 	}
 	return lo, hi
 }
 
-// cut partitions the piece containing (val, incl) at that cut,
-// registers the cut in the cracker index and returns its position.
-func (c *Column) cut(val int64, incl bool) int {
-	lo, hi := c.pieceBounds(val, incl)
+// cut partitions the piece containing the cut val at it, registers the
+// cut in the cracker index and returns its position.
+func (c *Column) cut(val int64) int {
+	lo, hi := c.pieceBounds(val)
 	var m int
 	if c.sorted {
 		// Sorted pieces need no data movement: binary search the cut.
-		m = lo + sort.Search(hi-lo, func(i int) bool {
-			if incl {
-				return c.vals[lo+i] > val
-			}
-			return c.vals[lo+i] >= val
-		})
+		m = lo + sort.Search(hi-lo, func(i int) bool { return c.vals[lo+i] >= val })
 	} else {
-		m = c.crackInTwo(lo, hi, val, incl)
+		m = c.crackInTwo(lo, hi, val)
 	}
-	c.idx.Insert(val, incl, m)
+	c.idx.Insert(val, m)
 	if c.lin != nil { // a stale lineage re-roots from the index, which has the cut
-		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val, incl: incl})
+		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val})
 	}
 	return m
 }
 
-func cutOpString(incl bool) string {
-	if incl {
-		return "<="
-	}
-	return "<"
-}
-
-// cutThreshold rewrites the cut (val, incl) as an exclusive threshold t
-// with "goes left" ⇔ e < t, hoisting the inclusivity branch out of the
-// partition loops. all reports the one unrepresentable case — the
-// MaxInt64-inclusive cut, which every element satisfies.
-func cutThreshold(val int64, incl bool) (t int64, all bool) {
-	if !incl {
-		return val, false
-	}
-	if val == math.MaxInt64 {
-		return 0, true
-	}
-	return val + 1, false
-}
-
-// crackInTwo partitions vals[lo:hi) so that elements satisfying the cut
-// predicate (< val, or <= val when incl) precede the rest, returning the
-// split position. It is the in-place "shuffle-exchange" of §3.4.2. The
-// inner loop is branch-free with respect to inclusivity (one threshold
-// comparison per element) and swaps the two slices directly; payload
-// vectors follow through swapPays, behind a flag tested per exchange.
-func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
-	t, all := cutThreshold(val, incl)
-	if all { // <= MaxInt64: every element goes left
-		c.stats.cracks.Add(1)
-		c.stats.tuplesTouched.Add(int64(hi - lo))
-		return hi
-	}
+// crackInTwo partitions vals[lo:hi) so that the elements < t precede the
+// rest, returning the split position. It is the in-place
+// "shuffle-exchange" of §3.4.2: one comparison per element, swapping the
+// two slices directly; payload vectors follow through swapPays, behind a
+// flag tested per exchange.
+func (c *Column) crackInTwo(lo, hi int, t int64) int {
 	vals, oids, pays := c.vals, c.oids, c.pays
 	hasPays := len(pays) != 0
 	var moved int64
@@ -677,64 +643,51 @@ func (c *Column) crackInTwo(lo, hi int, val int64, incl bool) int {
 }
 
 // crackInThree partitions vals[lo:hi) into three pieces in a single pass
-// (Dutch national flag): values before the lower cut, values inside the
-// range, values past the upper cut. It registers both cuts and returns
-// the answer window [m1, m2). Both cut predicates are rewritten as exclusive
-// thresholds so the loop body is two comparisons per element, with
-// inline swaps on the two slices.
-func (c *Column) crackInThree(lo, hi int, loVal int64, loIncl bool, hiVal int64, hiIncl bool) (m1, m2 int) {
-	// goes left  ⇔ e < tLo;  goes right ⇔ e >= tHi.
-	tLo, allLo := cutThreshold(loVal, loIncl)
-	tHi, allHi := cutThreshold(hiVal, hiIncl)
-	if allLo || allHi {
-		// MaxInt64-inclusive cuts cannot reach here from Select (unbounded
-		// sides are answered trivially); partition in two passes so the
-		// main kernel stays threshold-only. The second pass starts at m1,
-		// so it cannot disturb the first boundary.
-		m1 = c.crackInTwo(lo, hi, loVal, loIncl)
-		m2 = c.crackInTwo(m1, hi, hiVal, hiIncl)
-	} else {
-		vals, oids, pays := c.vals, c.oids, c.pays
-		hasPays := len(pays) != 0
-		var moved int64
-		lt, gt, i := lo, hi-1, lo
-		for i <= gt {
-			switch e := vals[i]; {
-			case e < tLo:
-				if i != lt {
-					vals[i], vals[lt] = vals[lt], e
-					oids[i], oids[lt] = oids[lt], oids[i]
-					if hasPays {
-						swapPays(pays, i, lt)
-					}
-					moved += 2
-				}
-				lt++
-				i++
-			case e >= tHi:
-				vals[i], vals[gt] = vals[gt], e
-				oids[i], oids[gt] = oids[gt], oids[i]
+// (Dutch national flag): the elements < tLo, the rest of those < tHi,
+// then the others. It registers both cuts and returns the answer window
+// [m1, m2) between them. The loop body is two comparisons per element,
+// with inline swaps on the two slices.
+func (c *Column) crackInThree(lo, hi int, tLo, tHi int64) (m1, m2 int) {
+	vals, oids, pays := c.vals, c.oids, c.pays
+	hasPays := len(pays) != 0
+	var moved int64
+	lt, gt, i := lo, hi-1, lo
+	for i <= gt {
+		switch e := vals[i]; {
+		case e < tLo:
+			if i != lt {
+				vals[i], vals[lt] = vals[lt], e
+				oids[i], oids[lt] = oids[lt], oids[i]
 				if hasPays {
-					swapPays(pays, i, gt)
+					swapPays(pays, i, lt)
 				}
 				moved += 2
-				gt--
-			default:
-				i++
 			}
+			lt++
+			i++
+		case e >= tHi:
+			vals[i], vals[gt] = vals[gt], e
+			oids[i], oids[gt] = oids[gt], oids[i]
+			if hasPays {
+				swapPays(pays, i, gt)
+			}
+			moved += 2
+			gt--
+		default:
+			i++
 		}
-		m1, m2 = lt, gt+1
-		if moved > 0 {
-			c.markLocked(lo, hi)
-		}
-		c.stats.cracks.Add(1)
-		c.stats.tuplesTouched.Add(int64(hi - lo))
-		c.stats.tuplesMoved.Add(moved)
 	}
-	c.idx.Insert(loVal, loIncl, m1)
-	c.idx.Insert(hiVal, hiIncl, m2)
+	m1, m2 = lt, gt+1
+	if moved > 0 {
+		c.markLocked(lo, hi)
+	}
+	c.stats.cracks.Add(1)
+	c.stats.tuplesTouched.Add(int64(hi - lo))
+	c.stats.tuplesMoved.Add(moved)
+	c.idx.Insert(tLo, m1)
+	c.idx.Insert(tHi, m2)
 	if c.lin != nil {
-		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m1, m2: m2, v1: loVal, v2: hiVal, three: true})
+		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m1, m2: m2, v1: tLo, v2: tHi, three: true})
 	}
 	return m1, m2
 }
@@ -816,26 +769,26 @@ func VerifyCuts(vals []int64, cuts []Cut) error {
 }
 
 // placeCuts sets each cut's position to the number of vals left of it,
-// in one walk over the values, and refuses cuts out of key order or
+// in one walk over the values, and refuses cuts out of value order or
 // values no position partitions. Per-piece bounds suffice for the full
 // invariant — every value on the correct side of every cut — because
-// the cuts are key ordered: left of a cut is left of every greater cut,
+// the cuts are value ordered: left of a cut is left of every greater cut,
 // right of a cut is right of every smaller one. Checking each cut
 // against the whole vector is O(n · p), which on a converged column
 // turns a reboot into minutes.
 func placeCuts(vals []int64, cuts []Cut) error {
-	if err := keyOrdered(cuts); err != nil {
+	if err := valueOrdered(cuts); err != nil {
 		return err
 	}
 	piece := 0 // cuts[:piece] lie left of vals[i]
 	for i, v := range vals {
-		for piece < len(cuts) && !cuts[piece].leftOf(v) {
+		for piece < len(cuts) && v >= cuts[piece].Val {
 			cuts[piece].Pos = i
 			piece++
 		}
 		if piece > 0 {
-			if c := cuts[piece-1]; c.leftOf(v) {
-				return fmt.Errorf("core: vals[%d]=%d violates right side of cut %s%d@%d", i, v, cutOpString(c.Incl), c.Val, c.Pos)
+			if c := cuts[piece-1]; v < c.Val {
+				return fmt.Errorf("core: vals[%d]=%d violates right side of cut <%d@%d", i, v, c.Val, c.Pos)
 			}
 		}
 	}

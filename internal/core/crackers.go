@@ -174,7 +174,7 @@ func JoinCrack(rv, sv View) JoinPieces {
 func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detail string) int {
 	for _, cut := range c.idx.Cuts() {
 		if cut.Pos > lo && cut.Pos < hi {
-			c.idx.Delete(cut.Val, cut.Incl)
+			c.idx.Delete(cut.Val)
 		}
 	}
 	c.sorted = false
@@ -237,7 +237,7 @@ func GroupCrack(c *Column) []Group {
 		hi := lo + sort.Search(n-lo, func(i int) bool { return c.vals[lo+i] > v })
 		groups = append(groups, Group{Value: v, View: View{col: c, Lo: lo, Hi: hi}})
 		if lo > 0 {
-			c.idx.Insert(v, false, lo)
+			c.idx.Insert(v, lo)
 		}
 		lo = hi
 	}

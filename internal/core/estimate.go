@@ -29,8 +29,8 @@ type Estimate struct {
 //
 // Pieces are ordered by value, so the pieces intersecting the range are
 // one run of positions and the pieces inside it a sub-run. A value
-// qualifies iff it sits right of the range's lower cut key lo = (Low,
-// exclusive) and left of its upper one hi = (High+1, exclusive). The
+// qualifies iff it sits right of the range's lower cut lo = Low and left
+// of its upper one hi = High+1. The
 // intersecting run then spans from the last cut <= lo to the first cut
 // >= hi, the contained run from the first cut >= lo to the last cut <=
 // hi. A missing cut, or an unbounded side, is the column's edge.
@@ -47,7 +47,7 @@ func (c *Column) EstimateRange(r Range) Estimate {
 	}
 
 	end := len(c.vals)
-	loBelow, ok, loAbove, loAboveOK := c.idx.bracket(r.Low, false)
+	loBelow, ok, loAbove, loAboveOK := c.idx.bracket(r.Low)
 	if !ok {
 		loBelow = 0
 	}
@@ -56,7 +56,7 @@ func (c *Column) EstimateRange(r Range) Estimate {
 	}
 	hiBelow, hiBelowOK, hiAbove := end, true, end
 	if r.High != math.MaxInt64 {
-		if hiBelow, hiBelowOK, hiAbove, ok = c.idx.bracket(r.High+1, false); !ok {
+		if hiBelow, hiBelowOK, hiAbove, ok = c.idx.bracket(r.High + 1); !ok {
 			hiAbove = end
 		}
 	}

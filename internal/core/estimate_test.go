@@ -205,13 +205,12 @@ func estimateWalk(c *Column, r expr.Range) Estimate {
 			left := cuts[i-1]
 			lo = left.Pos
 			pieceRange.Low = left.Val
-			pieceRange.LowIncl = !left.Incl
 		}
 		if i < len(cuts) {
 			right := cuts[i]
 			hi = right.Pos
 			pieceRange.High = right.Val
-			pieceRange.HighIncl = right.Incl
+			pieceRange.HighIncl = false
 		}
 		size := hi - lo
 		if size <= 0 {

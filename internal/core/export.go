@@ -14,7 +14,7 @@ import (
 // cracker index and they are not saved between sessions" (§5.2) — so a
 // restart re-pays the full crack convergence cost. ColumnState captures
 // what a warm restart needs and the rows cannot tell: the OID order the
-// column was cracked into, the cut keys, pending updates and payload
+// column was cracked into, the cut values, pending updates and payload
 // attributes, and the crack strategy's identity and RNG position so the
 // post-restart cut sequence continues exactly where the pre-crash one
 // left off. Values, payload vectors and cut positions are derived from
@@ -34,7 +34,7 @@ import (
 type ColumnState struct {
 	Name    string
 	OIDs    []bat.OID
-	Cuts    []Cut // keys in order; every Pos is 0, restore counts them
+	Cuts    []Cut // values in order; every Pos is 0, restore counts them
 	Sorted  bool
 	NextOID bat.OID
 	Pending []bat.OID // queued inserts, in queue order

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -11,33 +12,31 @@ import (
 
 // check asserts the layout invariants of the leaves under ix: no leaf is
 // empty or over leafCap, every leaf but a lone one holds at least
-// leafCap/4 cuts, each top key is its leaf's first cut, cuts ascend
+// leafCap/4 cuts, each top value is its leaf's first cut, cuts ascend
 // strictly across leaf boundaries, and size is the sum of the leaves. The
-// position table must then hold exactly the leaves' keys, each reachable
-// from its home slot, at the positions Cuts reports.
+// position table must then hold exactly the leaves' values, each
+// reachable from its home slot, at the positions Cuts reports.
 func (ix *Index) check() error {
-	if len(ix.topV) != len(ix.leaves) || len(ix.topI) != len(ix.leaves) {
-		return fmt.Errorf("%d leaves under %d/%d top keys", len(ix.leaves), len(ix.topV), len(ix.topI))
+	if len(ix.topV) != len(ix.leaves) {
+		return fmt.Errorf("%d leaves under %d top values", len(ix.leaves), len(ix.topV))
 	}
-	n, pv, pi := 0, int64(0), false // pv, pi: the cut before, across leaves
+	n, pv := 0, int64(0) // pv: the cut before, across leaves
 	for li, l := range ix.leaves {
-		switch k := len(l.vals); {
-		case len(l.incl) != k:
-			return fmt.Errorf("leaf %d: vectors of %d/%d", li, k, len(l.incl))
+		switch k := len(l); {
 		case k == 0 || k > leafCap:
 			return fmt.Errorf("leaf %d holds %d cuts, want 1..%d", li, k, leafCap)
 		case k < leafCap/4 && len(ix.leaves) > 1:
 			return fmt.Errorf("leaf %d of %d holds %d cuts, want >= %d", li, len(ix.leaves), k, leafCap/4)
-		case ix.topV[li] != l.vals[0] || ix.topI[li] != l.incl[0]:
-			return fmt.Errorf("leaf %d: top key (%d, %v), first cut (%d, %v)", li, ix.topV[li], ix.topI[li], l.vals[0], l.incl[0])
+		case ix.topV[li] != l[0]:
+			return fmt.Errorf("leaf %d: top value %d, first cut %d", li, ix.topV[li], l[0])
 		}
-		for j := range l.vals {
-			if n+j > 0 && cmpCut(pv, pi, l.vals[j], l.incl[j]) >= 0 {
-				return fmt.Errorf("leaf %d slot %d: (%d, %v) after (%d, %v)", li, j, l.vals[j], l.incl[j], pv, pi)
+		for j, v := range l {
+			if n+j > 0 && v <= pv {
+				return fmt.Errorf("leaf %d slot %d: %d after %d", li, j, v, pv)
 			}
-			pv, pi = l.vals[j], l.incl[j]
+			pv = v
 		}
-		n += len(l.vals)
+		n += len(l)
 	}
 	if n != ix.size {
 		return fmt.Errorf("size %d, leaves hold %d", ix.size, n)
@@ -47,7 +46,7 @@ func (ix *Index) check() error {
 
 // checkSlots asserts that the position table is a power of two of slots
 // at most slotLoadNum/slotLoadDen full, holds Len() cuts, finds each one
-// from its home slot, and holds each leaf key at the position Cuts
+// from its home slot, and holds each leaf value at the position Cuts
 // reports.
 func (ix *Index) checkSlots() error {
 	k := len(ix.slots)
@@ -69,8 +68,8 @@ func (ix *Index) checkSlots() error {
 		if s.w&1 == 0 {
 			return fmt.Errorf("slot %d: w %#x without the occupied bit", i, s.w)
 		}
-		if j, found := ix.probe(s.val, s.incl()); !found || j != i {
-			return fmt.Errorf("slot %d: (%d, %v) probes to slot %d, found %v", i, s.val, s.incl(), j, found)
+		if j, found := ix.probe(s.val); !found || j != i {
+			return fmt.Errorf("slot %d: %d probes to slot %d, found %v", i, s.val, j, found)
 		}
 	}
 	if held != ix.size || held*slotLoadDen > k*slotLoadNum {
@@ -78,10 +77,10 @@ func (ix *Index) checkSlots() error {
 	}
 	cuts, c := ix.Cuts(), 0
 	for _, l := range ix.leaves {
-		for j := range l.vals {
-			i, found := ix.probe(l.vals[j], l.incl[j])
+		for _, v := range l {
+			i, found := ix.probe(v)
 			if !found || ix.slots[i].pos() != cuts[c].Pos {
-				return fmt.Errorf("leaf key (%d, %v), cut %+v: slot %d found %v, w %#x", l.vals[j], l.incl[j], cuts[c], i, found, ix.slots[i].w)
+				return fmt.Errorf("leaf value %d, cut %+v: slot %d found %v, w %#x", v, cuts[c], i, found, ix.slots[i].w)
 			}
 			c++
 		}
@@ -91,24 +90,24 @@ func (ix *Index) checkSlots() error {
 
 func TestIndexInsertFind(t *testing.T) {
 	ix := &Index{}
-	ix.Insert(10, false, 3)
-	ix.Insert(10, true, 5)
-	ix.Insert(20, false, 8)
+	ix.Insert(10, 3)
+	ix.Insert(11, 5)
+	ix.Insert(20, 8)
 
 	if ix.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", ix.Len())
 	}
-	if pos, ok := ix.Find(10, false); !ok || pos != 3 {
-		t.Fatalf("Find(10,false) = %d,%v", pos, ok)
+	if pos, ok := ix.Find(10); !ok || pos != 3 {
+		t.Fatalf("Find(10) = %d,%v", pos, ok)
 	}
-	if pos, ok := ix.Find(10, true); !ok || pos != 5 {
-		t.Fatalf("Find(10,true) = %d,%v", pos, ok)
+	if pos, ok := ix.Find(11); !ok || pos != 5 {
+		t.Fatalf("Find(11) = %d,%v", pos, ok)
 	}
-	if _, ok := ix.Find(15, false); ok {
+	if _, ok := ix.Find(15); ok {
 		t.Fatal("Find(15) should miss")
 	}
 	// Overwrite does not grow the index.
-	ix.Insert(10, false, 3)
+	ix.Insert(10, 3)
 	if ix.Len() != 3 {
 		t.Fatalf("Len after overwrite = %d, want 3", ix.Len())
 	}
@@ -116,62 +115,62 @@ func TestIndexInsertFind(t *testing.T) {
 
 func TestIndexFloorCeil(t *testing.T) {
 	ix := &Index{}
-	ix.Insert(10, false, 3)
-	ix.Insert(20, false, 8)
-	ix.Insert(20, true, 9)
+	ix.Insert(10, 3)
+	ix.Insert(20, 8)
+	ix.Insert(21, 9)
 
-	// Floor of an existing key is the key itself.
-	if v, incl, pos, ok := ix.Floor(20, false); !ok || v != 20 || incl || pos != 8 {
-		t.Fatalf("Floor(20,false) = %d,%v,%d,%v", v, incl, pos, ok)
+	// Floor of an existing cut is the cut itself.
+	if v, pos, ok := ix.Floor(20); !ok || v != 20 || pos != 8 {
+		t.Fatalf("Floor(20) = %d,%d,%v", v, pos, ok)
 	}
-	// Floor between keys.
-	if v, _, pos, ok := ix.Floor(15, true); !ok || v != 10 || pos != 3 {
-		t.Fatalf("Floor(15,true) = %d,%d,%v", v, pos, ok)
+	// Floor between cuts.
+	if v, pos, ok := ix.Floor(16); !ok || v != 10 || pos != 3 {
+		t.Fatalf("Floor(16) = %d,%d,%v", v, pos, ok)
 	}
-	// (20,false) < (20,true): incl ordering.
-	if v, incl, _, ok := ix.Floor(20, true); !ok || v != 20 || !incl {
-		t.Fatalf("Floor(20,true) = %d,%v", v, incl)
+	// Adjacent values are distinct cuts.
+	if v, pos, ok := ix.Floor(21); !ok || v != 21 || pos != 9 {
+		t.Fatalf("Floor(21) = %d,%d,%v", v, pos, ok)
 	}
-	// Nothing below the smallest key.
-	if _, _, _, ok := ix.Floor(5, true); ok {
-		t.Fatal("Floor(5) should miss")
+	// Nothing below the smallest cut.
+	if _, _, ok := ix.Floor(6); ok {
+		t.Fatal("Floor(6) should miss")
 	}
 	// Ceil is strictly greater.
-	if v, incl, pos, ok := ix.Ceil(10, false); !ok || v != 20 || incl || pos != 8 {
-		t.Fatalf("Ceil(10,false) = %d,%v,%d,%v", v, incl, pos, ok)
+	if v, pos, ok := ix.Ceil(10); !ok || v != 20 || pos != 8 {
+		t.Fatalf("Ceil(10) = %d,%d,%v", v, pos, ok)
 	}
-	if v, incl, _, ok := ix.Ceil(20, false); !ok || v != 20 || !incl {
-		t.Fatalf("Ceil(20,false) = %d,%v", v, incl)
+	if v, _, ok := ix.Ceil(20); !ok || v != 21 {
+		t.Fatalf("Ceil(20) = %d,%v", v, ok)
 	}
-	if _, _, _, ok := ix.Ceil(20, true); ok {
-		t.Fatal("Ceil past largest key should miss")
+	if _, _, ok := ix.Ceil(21); ok {
+		t.Fatal("Ceil past largest cut should miss")
 	}
 }
 
 func TestIndexDelete(t *testing.T) {
 	ix := &Index{}
 	for i := 0; i < 20; i++ {
-		ix.Insert(int64(i), false, i)
+		ix.Insert(int64(i), i)
 	}
-	if !ix.Delete(7, false) {
+	if !ix.Delete(7) {
 		t.Fatal("Delete(7) failed")
 	}
-	if ix.Delete(7, false) {
+	if ix.Delete(7) {
 		t.Fatal("double Delete(7) succeeded")
 	}
-	if _, ok := ix.Find(7, false); ok {
-		t.Fatal("deleted key still found")
+	if _, ok := ix.Find(7); ok {
+		t.Fatal("deleted cut still found")
 	}
 	if ix.Len() != 19 {
 		t.Fatalf("Len = %d, want 19", ix.Len())
 	}
-	// Remaining keys intact and ordered.
+	// Remaining cuts intact and ordered.
 	cuts := ix.Cuts()
 	if len(cuts) != 19 {
 		t.Fatalf("Cuts = %d", len(cuts))
 	}
 	for i := 1; i < len(cuts); i++ {
-		if cmpCut(cuts[i-1].Val, cuts[i-1].Incl, cuts[i].Val, cuts[i].Incl) >= 0 {
+		if cuts[i-1].Val >= cuts[i].Val {
 			t.Fatal("cuts out of order after delete")
 		}
 	}
@@ -182,8 +181,8 @@ func TestIndexPieces(t *testing.T) {
 	if got := ix.Pieces(10); len(got) != 1 || got[0] != [2]int{0, 10} {
 		t.Fatalf("empty index Pieces = %v", got)
 	}
-	ix.Insert(5, false, 3)
-	ix.Insert(9, false, 7)
+	ix.Insert(5, 3)
+	ix.Insert(9, 7)
 	got := ix.Pieces(10)
 	want := [][2]int{{0, 3}, {3, 7}, {7, 10}}
 	if len(got) != len(want) {
@@ -195,7 +194,7 @@ func TestIndexPieces(t *testing.T) {
 		}
 	}
 	// Cuts at duplicate positions collapse to a single boundary.
-	ix.Insert(5, true, 3)
+	ix.Insert(6, 3)
 	if got := ix.Pieces(10); len(got) != 3 {
 		t.Fatalf("Pieces with duplicate position = %v", got)
 	}
@@ -207,7 +206,7 @@ func TestIndexBalance(t *testing.T) {
 	// split must leave both halves within bounds.
 	const n = 1 << 12
 	for i := 0; i < n; i++ {
-		ix.Insert(int64(i), false, i)
+		ix.Insert(int64(i), i)
 		if err := ix.check(); err != nil {
 			t.Fatalf("after inserting %d: %v", i, err)
 		}
@@ -216,7 +215,7 @@ func TestIndexBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	perm := rng.Perm(n)
 	for _, i := range perm[:n/2] {
-		if !ix.Delete(int64(i), false) {
+		if !ix.Delete(int64(i)) {
 			t.Fatalf("Delete(%d) failed", i)
 		}
 		if err := ix.check(); err != nil {
@@ -242,7 +241,7 @@ func TestIndexRandomizedAgainstReference(t *testing.T) {
 		if op == 8 && rng.Intn(50) > 0 { // a rebuild re-deals the leaves: rarely
 			op = 5
 		}
-		if err := m.step(op, rng.Int63n(300), rng.Intn(2) == 0, rng.Intn(200)); err != nil {
+		if err := m.step(op, rng.Int63n(300), rng.Intn(200)); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
@@ -250,9 +249,9 @@ func TestIndexRandomizedAgainstReference(t *testing.T) {
 
 func TestIndexString(t *testing.T) {
 	ix := &Index{}
-	ix.Insert(5, false, 2)
-	ix.Insert(5, true, 4)
-	if got := ix.String(); got != "index{<5@2 <=5@4}" {
+	ix.Insert(5, 2)
+	ix.Insert(6, 4)
+	if got := ix.String(); got != "index{<5@2 <6@4}" {
 		t.Fatalf("String = %q", got)
 	}
 }
@@ -262,41 +261,39 @@ func TestIndexString(t *testing.T) {
 // invariants after each step.
 type indexModel struct {
 	ix  *Index
-	ref []Cut // ascending key order
+	ref []Cut // ascending value order
 }
 
-// step applies op to the key (val, incl): 0–2 insert at position arg,
-// 3–4 delete, 5 Find/Floor/Ceil/bracket, 6 ascend and 7 descend (each
-// stops after arg+1 cuts and moves every cut it visits by val%3), 8
-// rebuilds the index through IndexFromSorted, or with arg 255 resets it,
-// 9 looks up arg%16+1 keys (val + j·(arg/16+1), incl) in one findGroup.
-func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
-	search := func(val int64, incl bool) (int, bool) {
-		return slices.BinarySearchFunc(m.ref, Cut{Val: val, Incl: incl}, func(c, k Cut) int {
-			return cmpCut(c.Val, c.Incl, k.Val, k.Incl)
-		})
+// step applies op to the cut val: 0–2 insert at position arg, 3–4
+// delete, 5 Find/Floor/Ceil/bracket, 6 ascend and 7 descend (each stops
+// after arg+1 cuts and moves every cut it visits by val%3), 8 rebuilds
+// the index through IndexFromSorted, or with arg 255 resets it, 9 looks
+// up arg%16+1 values val + j·(arg/16+1) in one findGroup.
+func (m *indexModel) step(op int, val int64, arg int) error {
+	search := func(val int64) (int, bool) {
+		return slices.BinarySearchFunc(m.ref, val, func(c Cut, v int64) int { return cmp.Compare(c.Val, v) })
 	}
-	i, found := search(val, incl)
-	at := func(k int) (int64, bool, int, bool) { // the model's cut k, if any
+	i, found := search(val)
+	at := func(k int) (int64, int, bool) { // the model's cut k, if any
 		if k < 0 || k >= len(m.ref) {
-			return 0, false, 0, false
+			return 0, 0, false
 		}
-		return m.ref[k].Val, m.ref[k].Incl, m.ref[k].Pos, true
+		return m.ref[k].Val, m.ref[k].Pos, true
 	}
 	m.ix.changed = false
 	wantChanged := false
 	switch op {
 	case 0, 1, 2:
-		m.ix.Insert(val, incl, arg)
+		m.ix.Insert(val, arg)
 		if found {
 			m.ref[i].Pos = arg
 		} else {
-			m.ref = slices.Insert(m.ref, i, Cut{Val: val, Incl: incl, Pos: arg})
+			m.ref = slices.Insert(m.ref, i, Cut{Val: val, Pos: arg})
 			wantChanged = true
 		}
 	case 3, 4:
-		if got := m.ix.Delete(val, incl); got != found {
-			return fmt.Errorf("Delete(%d, %v) = %v, want %v", val, incl, got, found)
+		if got := m.ix.Delete(val); got != found {
+			return fmt.Errorf("Delete(%d) = %v, want %v", val, got, found)
 		}
 		if found {
 			m.ref = slices.Delete(m.ref, i, i+1)
@@ -307,23 +304,23 @@ func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
 		if found {
 			fl, ce = i, i+1
 		}
-		if pos, ok := m.ix.Find(val, incl); ok != found || found && pos != m.ref[i].Pos {
-			return fmt.Errorf("Find(%d, %v) = %d, %v", val, incl, pos, ok)
+		if pos, ok := m.ix.Find(val); ok != found || found && pos != m.ref[i].Pos {
+			return fmt.Errorf("Find(%d) = %d, %v", val, pos, ok)
 		}
-		wv, wi, wp, wok := at(fl)
-		if v, in, p, ok := m.ix.Floor(val, incl); v != wv || in != wi || p != wp || ok != wok {
-			return fmt.Errorf("Floor(%d, %v) = %d, %v, %d, %v, want %d, %v, %d, %v", val, incl, v, in, p, ok, wv, wi, wp, wok)
+		wv, wp, wok := at(fl)
+		if v, p, ok := m.ix.Floor(val); v != wv || p != wp || ok != wok {
+			return fmt.Errorf("Floor(%d) = %d, %d, %v, want %d, %d, %v", val, v, p, ok, wv, wp, wok)
 		}
 		below, belowOK := wp, wok
-		wv, wi, wp, wok = at(ce)
-		if v, in, p, ok := m.ix.Ceil(val, incl); v != wv || in != wi || p != wp || ok != wok {
-			return fmt.Errorf("Ceil(%d, %v) = %d, %v, %d, %v, want %d, %v, %d, %v", val, incl, v, in, p, ok, wv, wi, wp, wok)
+		wv, wp, wok = at(ce)
+		if v, p, ok := m.ix.Ceil(val); v != wv || p != wp || ok != wok {
+			return fmt.Errorf("Ceil(%d) = %d, %d, %v, want %d, %d, %v", val, v, p, ok, wv, wp, wok)
 		}
 		if found {
 			wp, wok = below, true
 		}
-		if b, bok, a, aok := m.ix.bracket(val, incl); b != below || bok != belowOK || a != wp || aok != wok {
-			return fmt.Errorf("bracket(%d, %v) = %d, %v, %d, %v, want %d, %v, %d, %v", val, incl, b, bok, a, aok, below, belowOK, wp, wok)
+		if b, bok, a, aok := m.ix.bracket(val); b != below || bok != belowOK || a != wp || aok != wok {
+			return fmt.Errorf("bracket(%d) = %d, %v, %d, %v, want %d, %v, %d, %v", val, b, bok, a, aok, below, belowOK, wp, wok)
 		}
 	case 6, 7:
 		walk, slot := m.ix.ascend, func(k int) int { return k }
@@ -359,33 +356,33 @@ func (m *indexModel) step(op int, val int64, incl bool, arg int) error {
 		}
 		m.ix = ix
 	case 9:
-		keys := make([]cutKey, arg%16+1)
-		for j := range keys {
-			keys[j] = cutKey{val + int64(j*(arg/16+1)), incl}
+		vals := make([]int64, arg%16+1)
+		for j := range vals {
+			vals[j] = val + int64(j*(arg/16+1))
 		}
-		pos := make([]int, len(keys))
-		m.ix.findGroup(keys, pos)
-		for j, k := range keys {
+		pos := make([]int, len(vals))
+		m.ix.findGroup(vals, pos)
+		for j, v := range vals {
 			want := -1
-			if i, found := search(k.val, k.incl); found {
+			if i, found := search(v); found {
 				want = m.ref[i].Pos
 			}
 			if pos[j] != want {
-				return fmt.Errorf("findGroup key %d (%d, %v) = %d, want %d", j, k.val, k.incl, pos[j], want)
+				return fmt.Errorf("findGroup value %d (%d) = %d, want %d", j, v, pos[j], want)
 			}
 		}
 	}
 	if m.ix.changed != wantChanged {
-		return fmt.Errorf("op %d on (%d, %v): changed = %v, want %v", op, val, incl, m.ix.changed, wantChanged)
+		return fmt.Errorf("op %d on %d: changed = %v, want %v", op, val, m.ix.changed, wantChanged)
 	}
 	if m.ix.Len() != len(m.ref) || !slices.Equal(m.ix.Cuts(), m.ref) {
-		return fmt.Errorf("op %d on (%d, %v): index holds %v, model %v", op, val, incl, m.ix.Cuts(), m.ref)
+		return fmt.Errorf("op %d on %d: index holds %v, model %v", op, val, m.ix.Cuts(), m.ref)
 	}
 	return m.ix.check()
 }
 
-// FuzzIndex decodes three bytes per step: the op (its top bit is the
-// key's incl), the key's value and the step's argument. The seeds under
+// FuzzIndex decodes three bytes per step: the op (its top bit ignored),
+// the cut's value and the step's argument. The seeds under
 // testdata/fuzz/FuzzIndex fill and drain many leaves.
 func FuzzIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -394,7 +391,7 @@ func FuzzIndex(f *testing.F) {
 		}
 		m := &indexModel{ix: &Index{}}
 		for i := 0; i+3 <= len(b); i += 3 {
-			if err := m.step(int(b[i]&0x7f)%10, int64(b[i+1]), b[i]&0x80 != 0, int(b[i+2])); err != nil {
+			if err := m.step(int(b[i]&0x7f)%10, int64(b[i+1]), int(b[i+2])); err != nil {
 				t.Fatalf("step %d: %v", i/3, err)
 			}
 		}
@@ -403,11 +400,13 @@ func FuzzIndex(f *testing.F) {
 
 // TestIndexBuildBudget holds the cracker index's bytes and build, reading
 // no clock. 37 000 cuts inserted in random order — one shard of a
-// converged 1M-row column — hold at most 64 live heap bytes a cut: 9 of
-// leaf key and 16 of table slot, the rest the leaves' spare capacity and
+// converged 1M-row column — hold at most 48 live heap bytes a cut: 8 of
+// leaf value and 16 of table slot, the rest the leaves' spare capacity and
 // the table's empty slots. IndexFromSorted sizes its table once, so it
-// allocates as many times for 1 000 cuts as for 37 000; a table doubled
-// up from its smallest size would allocate by the log of the count.
+// allocates as many times for 1 000 cuts as for 37 000 — a table doubled
+// up from its smallest size would allocate by the log of the count — and
+// at most maxBuildAllocs times: the index, its leaves, its top values,
+// its one slab of leaf values and its table.
 func TestIndexBuildBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap bytes and allocation counts under the race detector are not the program's")
@@ -419,14 +418,14 @@ func TestIndexBuildBudget(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	ix := &Index{}
 	for ix.Len() < cuts {
-		ix.Insert(rng.Int63n(1<<40), rng.Intn(2) == 0, ix.Len())
+		ix.Insert(rng.Int63n(1<<40), ix.Len())
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	perCut := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / cuts
 	t.Logf("%d cuts inserted in random order: %.1f live heap bytes a cut, %d slots", cuts, perCut, len(ix.slots))
-	if perCut > 64 {
-		t.Errorf("%d cuts hold %.1f live heap bytes a cut, budget 64", cuts, perCut)
+	if perCut > 48 {
+		t.Errorf("%d cuts hold %.1f live heap bytes a cut, budget 48", cuts, perCut)
 	}
 
 	sorted := ix.Cuts()
@@ -442,6 +441,10 @@ func TestIndexBuildBudget(t *testing.T) {
 	if small != large {
 		t.Errorf("IndexFromSorted allocates %.0f times for 1 000 cuts but %.0f for %d: the table is not sized once", small, large, cuts)
 	}
+	const maxBuildAllocs = 5
+	if large > maxBuildAllocs {
+		t.Errorf("IndexFromSorted allocates %.0f times for %d cuts, budget %d", large, cuts, maxBuildAllocs)
+	}
 }
 
 // BenchmarkIndexFind probes four indexes of 37 k cuts each, built by
@@ -450,7 +453,7 @@ func TestIndexBuildBudget(t *testing.T) {
 // probe of the position table.
 func BenchmarkIndexFind(b *testing.B) {
 	benchLookup(b, func(ix *Index, v int64) bool {
-		_, ok := ix.Find(v, false)
+		_, ok := ix.Find(v)
 		return ok
 	})
 }
@@ -461,8 +464,8 @@ func BenchmarkIndexFind(b *testing.B) {
 // before the position table.
 func BenchmarkIndexLeafSearch(b *testing.B) {
 	benchLookup(b, func(ix *Index, v int64) bool {
-		li, j := ix.locate(v, false)
-		return j > 0 && ix.leaves[li].vals[j-1] == v
+		li, j := ix.locate(v)
+		return j > 0 && ix.leaves[li][j-1] == v
 	})
 }
 
@@ -475,8 +478,8 @@ func benchLookup(b *testing.B, lookup func(ix *Index, v int64) bool) {
 		ixs[k] = &Index{}
 		for ixs[k].Len() < cuts {
 			v := rng.Int63n(1 << 40)
-			if _, ok := ixs[k].Find(v, false); !ok {
-				ixs[k].Insert(v, false, len(keys[k]))
+			if _, ok := ixs[k].Find(v); !ok {
+				ixs[k].Insert(v, len(keys[k]))
 				keys[k] = append(keys[k], v)
 			}
 		}

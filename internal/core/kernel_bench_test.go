@@ -55,8 +55,8 @@ func BenchmarkCrackKernel(b *testing.B) {
 				name  string
 				crack func()
 			}{
-				{"two", func() { c.crackInTwo(0, n, width, false) }},
-				{"three", func() { c.crackInThree(0, n, (n-width)/2, false, (n+width)/2, false) }},
+				{"two", func() { c.crackInTwo(0, n, width) }},
+				{"three", func() { c.crackInThree(0, n, (n-width)/2, (n+width)/2) }},
 			} {
 				b.Run(fmt.Sprintf("%s/split=%d%%/pays=%d", k.name, split, pays), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

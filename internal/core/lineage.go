@@ -35,8 +35,7 @@ type Lineage struct {
 type xiCrack struct {
 	lo, hi, m1, m2 int
 	v1, v2         int64
-	three          bool // crack-in-three: v1 and v2 are its keys (Low, exclusive) and (High+1, exclusive)
-	incl           bool // inclusivity of a crack-in-two's cut
+	three          bool // crack-in-three: v1 and v2 are its cuts Low and High+1
 }
 
 // PieceNode is one piece in the lineage DAG.
@@ -142,7 +141,7 @@ func (l *Lineage) fold() {
 		if len(kept) < 2 {
 			continue
 		}
-		detail := fmt.Sprintf("%s %s %d", l.table, cutOpString(x.incl), x.v1)
+		detail := fmt.Sprintf("%s < %d", l.table, x.v1)
 		if x.three { // named by the inclusive range its middle piece holds
 			detail = fmt.Sprintf("%s ∈ cut(%d,%d)", l.table, x.v1, x.v2-1)
 		}

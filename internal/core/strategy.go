@@ -96,28 +96,27 @@ func (c *Column) SwapStrategy(swap func(old CrackStrategy) CrackStrategy) {
 // full binary descent of the int64 domain.
 const maxAuxCracksPerCut = 64
 
-// adviseLocked runs the auxiliary cuts for the pending cut (val, incl):
-// while the piece it falls into is wider than MinPiece, the piece is
-// cracked as a registered exclusive cut at the value of one uniformly
-// sampled element, which sorts between the piece's bounding cuts. A
+// adviseLocked runs the auxiliary cuts for the pending cut val: while
+// the piece it falls into is wider than MinPiece, the piece is cracked
+// at the value of one uniformly sampled element, which sorts between the piece's bounding cuts. A
 // degenerate pivot — one that already exists as a cut, or fails to
 // narrow the bound's piece (duplicate-heavy data) — ends the loop, and
 // so does the depth cap; the caller then installs the query cut. The
 // caller holds the write lock.
-func (c *Column) adviseLocked(val int64, incl bool) {
+func (c *Column) adviseLocked(val int64) {
 	c.touched = true // the pivot draws move the RNG word
 	for depth := 0; depth < maxAuxCracksPerCut; depth++ {
-		lo, hi := c.pieceBounds(val, incl)
+		lo, hi := c.pieceBounds(val)
 		if hi-lo <= c.strategy.MinPiece {
 			return
 		}
 		pivot := c.vals[lo+c.strategy.draw(hi-lo)]
-		if _, exists := c.idx.Find(pivot, false); exists {
+		if _, exists := c.idx.Find(pivot); exists {
 			return
 		}
-		c.cut(pivot, false)
+		c.cut(pivot)
 		c.stats.auxCracks.Add(1)
-		if nlo, nhi := c.pieceBounds(val, incl); nhi-nlo >= hi-lo {
+		if nlo, nhi := c.pieceBounds(val); nhi-nlo >= hi-lo {
 			return
 		}
 	}

@@ -43,9 +43,6 @@ func (k foldKind) String() string {
 	return ""
 }
 
-// leftOf reports whether v sorts on the left side of the cut.
-func (c Cut) leftOf(v int64) bool { return v < c.Val || c.Incl && v == c.Val }
-
 // rippleWalk folds a batch of keys, sorted ascending, into vectors of n
 // tuples partitioned by ix. It is a free function over the index so any
 // set of parallel vectors sharing one cut index can be folded: the
@@ -61,7 +58,7 @@ func rippleWalk(ix *Index, n int, keys []int64, limit int, apply func(dst, src, 
 	upper, j := n, len(keys) // old end of the piece being filled; batch entries at or below it
 	ix.descend(func(c Cut) (int, bool) {
 		s := j // batch entries that cross c
-		for s > 0 && !c.leftOf(keys[s-1]) {
+		for s > 0 && keys[s-1] >= c.Val {
 			s--
 		}
 		mv := min(s, upper-c.Pos)

@@ -9,7 +9,7 @@ import (
 // TestVerifyCutsMatchesQuadratic holds the one-pass verifier against the
 // per-cut scan it replaced, on cracked and rippled columns and on the
 // same states corrupted one way at a time: whatever the quadratic check
-// rejects the linear one must reject, and on an index's own key-ordered
+// rejects the linear one must reject, and on an index's own value-ordered
 // cut list the two agree exactly.
 func TestVerifyCutsMatchesQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -42,7 +42,7 @@ func TestVerifyCutsMatchesQuadratic(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			v, cs := append([]int64(nil), state...), append([]Cut(nil), cuts...)
 			at := rng.Intn(len(cs))
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0: // an element teleports
 				v[rng.Intn(n)] = rng.Int63n(120) - 10
 			case 1: // two elements trade places
@@ -52,12 +52,10 @@ func TestVerifyCutsMatchesQuadratic(t *testing.T) {
 				cs[at].Pos += rng.Intn(7) - 3
 			case 3: // a cut changes its mind about its value
 				cs[at].Val += rng.Int63n(9) - 4
-			case 4:
-				cs[at].Incl = !cs[at].Incl
 			}
 			ordered := true
 			for i := 1; i < len(cs); i++ {
-				if cmpCut(cs[i-1].Val, cs[i-1].Incl, cs[i].Val, cs[i].Incl) >= 0 {
+				if cs[i-1].Val >= cs[i].Val {
 					ordered = false
 				}
 			}
@@ -66,7 +64,7 @@ func TestVerifyCutsMatchesQuadratic(t *testing.T) {
 				t.Fatalf("round %d: the linear check accepts what the quadratic rejects (%v)\nvals %v\ncuts %v", round, quad, v, cs)
 			}
 			if ordered && quad == nil && lin != nil {
-				t.Fatalf("round %d: the linear check rejects a valid key-ordered state: %v\nvals %v\ncuts %v", round, lin, v, cs)
+				t.Fatalf("round %d: the linear check rejects a valid value-ordered state: %v\nvals %v\ncuts %v", round, lin, v, cs)
 			}
 			if lin != nil {
 				rejected++
@@ -80,13 +78,13 @@ func TestVerifyCutsMatchesQuadratic(t *testing.T) {
 
 // TestIndexFromSorted: the O(p) build holds what p inserts would give —
 // same cuts, leaves within bounds, searchable — and refuses input out of
-// key order.
+// value order.
 func TestIndexFromSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, p := range []int{0, 1, 2, 3, 7, 8, 100, 1000, 4097} {
 		ref := &Index{}
 		for ref.Len() < p {
-			ref.Insert(rng.Int63n(int64(4*p+1)), rng.Intn(2) == 0, rng.Intn(1000))
+			ref.Insert(rng.Int63n(int64(4*p+1)), rng.Intn(1000))
 		}
 		cuts := ref.Cuts()
 		ix, err := IndexFromSorted(cuts)
@@ -100,14 +98,14 @@ func TestIndexFromSorted(t *testing.T) {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		for i, c := range cuts {
-			if pos, ok := ix.Find(c.Val, c.Incl); !ok || pos != c.Pos || ix.Cuts()[i] != c {
+			if pos, ok := ix.Find(c.Val); !ok || pos != c.Pos || ix.Cuts()[i] != c {
 				t.Fatalf("p=%d: cut %v not found intact", p, c)
 			}
 		}
 		// The built index keeps working under inserts and deletes.
-		ix.Insert(-1, false, 0)
+		ix.Insert(-1, 0)
 		if len(cuts) > 0 {
-			ix.Delete(cuts[p/2].Val, cuts[p/2].Incl)
+			ix.Delete(cuts[p/2].Val)
 		}
 		if err := ix.check(); err != nil {
 			t.Fatalf("p=%d after one insert and one delete: %v", p, err)
@@ -138,7 +136,7 @@ func verifyQuadratic(vals []int64, cuts []Cut) error {
 		}
 		prevPos = cut.Pos
 		for p, v := range vals {
-			if left := p < cut.Pos; left != cut.leftOf(v) {
+			if left := p < cut.Pos; left != (v < cut.Val) {
 				return fmt.Errorf("vals[%d]=%d on the wrong side of cut %v", p, v, cut)
 			}
 		}

@@ -21,14 +21,14 @@ import (
 // before it: Base set, every table rewritten, every cracked column
 // whole. The paper counts cost in granules, "tuples or disk pages"
 // (§2.2); so does a checkpoint. Each fact is stored once: a cracked
-// column carries its OID permutation and cut keys, and the values, cut
+// column carries its OID permutation and cut values, and the values, cut
 // positions and payload vectors they imply are derived from the rows on
 // restore (core.CrackedTable.ColumnFromState).
 //
-// File layout (version 10):
+// File layout (version 11):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   10
+//	version  uint8   11
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
@@ -37,9 +37,9 @@ import (
 //	         Rows-From values per column when From < Rows)
 //	ncols    uint32  column records, changed columns only: table, attr,
 //	columns          name, sorted, nextOID, n, patch, then
-//	                   whole: n OIDs, cut keys
+//	                   whole: n OIDs, cut values
 //	                   patch: k granule indexes, the m OIDs they hold,
-//	                          newCuts, cut keys if newCuts
+//	                          newCuts, cut values if newCuts
 //	                 then pending insert OIDs, deletes, strategy, and the
 //	                 payload attribute names, least recently used first
 //	crc      uint32  CRC-32 (IEEE) of everything above
@@ -51,7 +51,7 @@ import (
 // (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
 // serve half a cut set.
 //
-// Only version 10 is read: any other version is refused by version,
+// Only version 11 is read: any other version is refused by version,
 // never as corruption. A store image is this build's own format, and the
 // cracker state it carries is re-derivable from the rows (the paper's
 // prototype keeps none of it between sessions, §5.2). No process posture
@@ -64,7 +64,7 @@ import (
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 // imageVersion is the one version WriteImage writes and ReadImage reads.
-const imageVersion = 10
+const imageVersion = 11
 
 // SnapshotCRC is the polynomial that identifies a whole image file:
 // Castagnoli, deliberately not IEEE. An image ends in its own IEEE
@@ -213,13 +213,12 @@ func (e *imageEncoder) oids(oids []bat.OID) {
 	}
 }
 
-// cuts writes a cut set's keys: a restore counts each position from the
-// values.
+// cuts writes a cut set's values: a restore counts each position from
+// the column's values.
 func (e *imageEncoder) cuts(cuts []core.Cut) {
 	e.u64(uint64(len(cuts)))
 	for _, c := range cuts {
 		e.u64(uint64(c.Val))
-		e.bool(c.Incl)
 	}
 }
 
@@ -416,13 +415,11 @@ func (d *imageDecoder) oids(n uint64) []bat.OID {
 // core.CrackedTable.ColumnFromState places them and enforces the real
 // invariants.
 func (d *imageDecoder) cuts() []core.Cut {
-	const size = 9 // 8 val + 1 incl
-	n := d.count(d.u64(), size, "cut")
-	b := d.next(size * int(n))
+	n := d.count(d.u64(), 8, "cut")
+	b := d.next(8 * int(n))
 	out := make([]core.Cut, n)
 	for i := range out {
-		c := b[size*i:]
-		out[i] = core.Cut{Val: int64(binary.LittleEndian.Uint64(c)), Incl: c[8] != 0}
+		out[i] = core.Cut{Val: int64(binary.LittleEndian.Uint64(b[8*i:]))}
 	}
 	return out
 }

@@ -22,8 +22,8 @@ func sampleColumn(table, attr string, n int) ColumnSnapshot {
 		Name:    attr,
 		NextOID: bat.OID(n + 3),
 		Cuts: []core.Cut{
-			{Val: 10, Incl: false},
-			{Val: 40, Incl: true},
+			{Val: 10},
+			{Val: 41},
 		},
 		Pending: []bat.OID{bat.OID(n)},
 		Deleted: []bat.OID{1},
@@ -409,17 +409,18 @@ func TestImageCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestOldImageVersionRefused: an image of any version but 10 — the CRKS
+// TestOldImageVersionRefused: an image of any version but 11 — the CRKS
 // versions 1 to 3 from before the single format, versions 4 to 6 whose
 // rows lay in BAT files beside the image, version 7 whose column records
 // repeated the rows' values, payloads and cut positions, version 8 whose
 // elements carried the store's crack configuration, version 9 whose
-// elements carried the tuner's posture, and a version from the future,
+// elements carried the tuner's posture, version 10 whose cuts carried an
+// inclusive flag, and a version from the future,
 // hand-encoded here with a valid trailer — is refused by version, loudly,
 // and never mistaken for corruption (which would read as "the disk ate
 // it" rather than "this build does not read it").
 func TestOldImageVersionRefused(t *testing.T) {
-	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, imageVersion + 1} {
+	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, imageVersion + 1} {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
@@ -431,7 +432,7 @@ func TestOldImageVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := ReadImage(path)
-		want := fmt.Sprintf("unsupported image version %d (this build reads version 10)", version)
+		want := fmt.Sprintf("unsupported image version %d (this build reads version 11)", version)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d: want %q, got %v", version, want, err)
 		}
