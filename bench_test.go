@@ -9,9 +9,8 @@ package crackdb_test
 // one here and one there. DESIGN.md's figure index maps each figure to
 // its modules; Figures 2, 3 and 8 also have a kernel-only benchmark.
 //
-// Ablation benches at the bottom quantify the design choices DESIGN.md
-// calls out: the leaf cracker index vs linear boundary search, and
-// crack-in-three vs two crack-in-twos.
+// The ablation bench at the bottom quantifies a design choice DESIGN.md
+// calls out: the leaf cracker index vs linear boundary search.
 
 import (
 	"math/rand"
@@ -90,7 +89,7 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 
 	b.Run("leaves", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.Floor(rng.Int63n(pieces * 17))
+			ix.Neighbours(rng.Int63n(pieces * 17))
 		}
 	})
 	b.Run("linear", func(b *testing.B) {
@@ -107,35 +106,6 @@ func BenchmarkAblationIndexStructure(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v := rng.Int63n(pieces * 17)
 			sort.Search(len(cuts), func(j int) bool { return cuts[j].Val > v })
-		}
-	})
-}
-
-// BenchmarkAblationCrackInThree compares answering a virgin double-sided
-// range with one crack-in-three pass versus two crack-in-two passes.
-func BenchmarkAblationCrackInThree(b *testing.B) {
-	base := make([]int64, benchN)
-	rng := rand.New(rand.NewSource(5))
-	for i := range base {
-		base[i] = rng.Int63n(benchN)
-	}
-	lo, hi := int64(benchN/4), int64(benchN/2)
-
-	b.Run("crack-in-three", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			col := core.NewColumn("a", base)
-			b.StartTimer()
-			col.Select(lo, hi, true, false) // both cuts new, same piece → one pass
-		}
-	})
-	b.Run("two-crack-in-twos", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			col := core.NewColumn("a", base)
-			b.StartTimer()
-			col.Select(lo, int64(benchN)+1, true, false) // one-sided: cut at lo
-			col.Select(lo, hi, true, false)              // cut at hi in the suffix piece
 		}
 	})
 }

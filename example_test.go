@@ -174,7 +174,7 @@ func Example_quickstart() {
 	// Output:
 	// orders with amount in [2500, 5000): 24859
 	// first match: id=25282 customer=2459 amount=3197
-	// after 3 queries: 2 partition passes, 6 index lookups, 5 pieces, 179926 tuples moved
+	// after 3 queries: 2 partition passes, 6 index lookups, 5 pieces, 89146 tuples moved
 	//
 	// cracker lineage of orders.amount:
 	// orders.amount[1] [0,100000)
@@ -383,18 +383,18 @@ func Example_sensorlab() {
 	fmt.Printf("\narchived %d anomalous events as table %q\n", n, "anomaly_batch_1")
 	// Output:
 	// phase 1: strolling through value bands
-	//   probe [   770,   820]k:  24986 events  (pieces=3, moved=950022)
-	//   probe [   130,   180]k:  24976 events  (pieces=5, moved=1670654)
-	//   probe [    75,   125]k:  24671 events  (pieces=7, moved=1751198)
-	//   probe [   408,   458]k:  25063 events  (pieces=9, moved=2291818)
-	//   probe [   372,   422]k:  25075 events  (pieces=11, moved=2332004)
-	//   probe [    17,    67]k:  24889 events  (pieces=13, moved=2358020)
-	//   probe [   828,   878]k:  24907 events  (pieces=15, moved=2487642)
-	//   probe [   345,   395]k:  25013 events  (pieces=17, moved=2519144)
-	//   probe [   581,   631]k:  25015 events  (pieces=19, moved=2781690)
-	//   probe [   799,   849]k:  24973 events  (pieces=21, moved=2806032)
-	//   probe [   769,   819]k:  24977 events  (pieces=23, moved=2808688)
-	//   probe [   303,   353]k:  24892 events  (pieces=25, moved=2845562)
+	//   probe [   770,   820]k:  24986 events  (pieces=3, moved=216094)
+	//   probe [   130,   180]k:  24976 events  (pieces=5, moved=369774)
+	//   probe [    75,   125]k:  24671 events  (pieces=7, moved=405640)
+	//   probe [   408,   458]k:  25063 events  (pieces=9, moved=588384)
+	//   probe [   372,   422]k:  25075 events  (pieces=11, moved=628716)
+	//   probe [    17,    67]k:  24889 events  (pieces=13, moved=649384)
+	//   probe [   828,   878]k:  24907 events  (pieces=15, moved=691930)
+	//   probe [   345,   395]k:  25013 events  (pieces=17, moved=723438)
+	//   probe [   581,   631]k:  25015 events  (pieces=19, moved=835016)
+	//   probe [   799,   849]k:  24973 events  (pieces=21, moved=859472)
+	//   probe [   769,   819]k:  24977 events  (pieces=23, moved=862086)
+	//   probe [   303,   353]k:  24892 events  (pieces=25, moved=899002)
 	//
 	// phase 2: zooming into the anomaly band
 	//   anomaly band holds 5024 events

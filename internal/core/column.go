@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,12 +45,10 @@ type Column struct {
 	// from the index when somebody looks (lineageLocked); reroot says why.
 	lin    *Lineage
 	reroot string
-	sorted bool // whole column sorted: cuts become binary searches
 
 	// strategy, when it advises (ddr), injects auxiliary cuts whenever
 	// Select must open a new cut (see strategy.go). The zero value is
-	// standard cracking: the native crack-in-two/-three kernels,
-	// unmodified.
+	// standard cracking: the native crack-in-two/-three, unmodified.
 	strategy CrackStrategy
 
 	forceFold foldKind // test hook: pin the update fold (see update.go)
@@ -62,9 +59,9 @@ type Column struct {
 
 	// Write-back marks since the last TakeState (export.go): dirty holds
 	// the granules the column wrote, touched says that something else a
-	// record carries — length, next OID, sorted flag, pending inserts,
-	// deletes, strategy state, payload names — may have moved. The index
-	// notes its own cut changes (Index.changed).
+	// record carries — length, next OID, pending inserts, deletes,
+	// strategy state, payload names — may have moved. The index notes its
+	// own cut changes (Index.changed).
 	dirty   granules
 	touched bool
 
@@ -509,10 +506,8 @@ func (c *Column) selectLocked(r Range) View {
 	// Strategy consultation: auxiliary data-driven cracks narrow the
 	// piece(s) the query bounds land in before the bounds themselves are
 	// installed. An aux crack can coincide with a query bound, so
-	// re-probe the index after each consultation. Sorted columns skip
-	// consultation — their cuts are pure binary searches and move
-	// nothing.
-	if c.strategy.advises() && !c.sorted {
+	// re-probe the index after each consultation.
+	if c.strategy.advises() {
 		if w.lo < 0 {
 			c.adviseLocked(r.Low)
 			w.lo = c.find(r.Low)
@@ -530,9 +525,8 @@ func (c *Column) selectLocked(r Range) View {
 	}
 
 	// Crack-in-three when both cuts are new and land in the same piece:
-	// the paper's three-piece Ξ variant for double-sided ranges. Sorted
-	// columns skip it — their cuts are pure binary searches.
-	if w.lo < 0 && w.hi < 0 && !c.sorted {
+	// the paper's three-piece Ξ variant for double-sided ranges.
+	if w.lo < 0 && w.hi < 0 {
 		lo1, hi1 := c.pieceBounds(r.Low)
 		lo2, hi2 := c.pieceBounds(r.High + 1)
 		if lo1 == lo2 && hi1 == hi2 {
@@ -561,7 +555,6 @@ func (c *Column) sortLocked(detail string) {
 	c.stats.tuplesMoved.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals)))) // N log N write estimate
 	c.stats.tuplesTouched.Add(int64(len(c.vals)) * int64(ceilLog2(len(c.vals))))
 	c.idx.Reset()
-	c.sorted = true
 	c.lin = NewLineage(c.name)
 	root := c.lin.Root(0, len(c.vals))
 	root.Detail = detail
@@ -578,11 +571,12 @@ func ceilLog2(n int) int {
 // pieceBounds returns the piece [lo, hi) the cut val falls into.
 func (c *Column) pieceBounds(val int64) (lo, hi int) {
 	lo, hi = 0, len(c.vals)
-	if _, p, ok := c.idx.Floor(val); ok {
-		lo = p
+	floor, floorOK, ceil, ceilOK := c.idx.Neighbours(val)
+	if floorOK {
+		lo = floor.Pos
 	}
-	if _, p, ok := c.idx.Ceil(val); ok {
-		hi = p
+	if ceilOK {
+		hi = ceil.Pos
 	}
 	return lo, hi
 }
@@ -591,13 +585,7 @@ func (c *Column) pieceBounds(val int64) (lo, hi int) {
 // cut in the cracker index and returns its position.
 func (c *Column) cut(val int64) int {
 	lo, hi := c.pieceBounds(val)
-	var m int
-	if c.sorted {
-		// Sorted pieces need no data movement: binary search the cut.
-		m = lo + sort.Search(hi-lo, func(i int) bool { return c.vals[lo+i] >= val })
-	} else {
-		m = c.crackInTwo(lo, hi, val)
-	}
+	m := c.crackInTwo(lo, hi, val)
 	c.idx.Insert(val, m)
 	if c.lin != nil { // a stale lineage re-roots from the index, which has the cut
 		c.lin.log = append(c.lin.log, xiCrack{lo: lo, hi: hi, m1: m, m2: hi, v1: val})
@@ -605,15 +593,16 @@ func (c *Column) cut(val int64) int {
 	return m
 }
 
-// crackInTwo partitions vals[lo:hi) so that the elements < t precede the
-// rest, returning the split position. It is the in-place
-// "shuffle-exchange" of §3.4.2: one comparison per element, swapping the
-// two slices directly; payload vectors follow through swapPays, behind a
-// flag tested per exchange.
-func (c *Column) crackInTwo(lo, hi int, t int64) int {
+// partition is the one crack loop, the in-place "shuffle-exchange" of
+// §3.4.2: it reorders vals[lo:hi) so that the elements < t precede the
+// rest and returns the split position m and the element writes it made.
+// One comparison per element; a pair is exchanged only when both of its
+// tuples are misplaced, so ordered input moves nothing. Payload vectors
+// follow through swapPays, behind a flag tested per exchange. It counts
+// nothing: its callers account the crack.
+func (c *Column) partition(lo, hi int, t int64) (m int, moved int64) {
 	vals, oids, pays := c.vals, c.oids, c.pays
 	hasPays := len(pays) != 0
-	var moved int64
 	i, j := lo, hi-1
 	for i <= j {
 		for i <= j && vals[i] < t {
@@ -633,57 +622,36 @@ func (c *Column) crackInTwo(lo, hi int, t int64) int {
 			j--
 		}
 	}
-	if moved > 0 {
-		c.markLocked(lo, hi)
-	}
-	c.stats.cracks.Add(1)
-	c.stats.tuplesTouched.Add(int64(hi - lo))
-	c.stats.tuplesMoved.Add(moved)
-	return i
+	return i, moved
 }
 
-// crackInThree partitions vals[lo:hi) into three pieces in a single pass
-// (Dutch national flag): the elements < tLo, the rest of those < tHi,
-// then the others. It registers both cuts and returns the answer window
-// [m1, m2) between them. The loop body is two comparisons per element,
-// with inline swaps on the two slices.
-func (c *Column) crackInThree(lo, hi int, tLo, tHi int64) (m1, m2 int) {
-	vals, oids, pays := c.vals, c.oids, c.pays
-	hasPays := len(pays) != 0
-	var moved int64
-	lt, gt, i := lo, hi-1, lo
-	for i <= gt {
-		switch e := vals[i]; {
-		case e < tLo:
-			if i != lt {
-				vals[i], vals[lt] = vals[lt], e
-				oids[i], oids[lt] = oids[lt], oids[i]
-				if hasPays {
-					swapPays(pays, i, lt)
-				}
-				moved += 2
-			}
-			lt++
-			i++
-		case e >= tHi:
-			vals[i], vals[gt] = vals[gt], e
-			oids[i], oids[gt] = oids[gt], oids[i]
-			if hasPays {
-				swapPays(pays, i, gt)
-			}
-			moved += 2
-			gt--
-		default:
-			i++
-		}
-	}
-	m1, m2 = lt, gt+1
+// accountCrack counts one crack of the piece [lo, hi) that made moved
+// element writes, and marks the piece for write-back if anything moved.
+func (c *Column) accountCrack(lo, hi int, moved int64) {
 	if moved > 0 {
 		c.markLocked(lo, hi)
 	}
 	c.stats.cracks.Add(1)
 	c.stats.tuplesTouched.Add(int64(hi - lo))
 	c.stats.tuplesMoved.Add(moved)
+}
+
+// crackInTwo partitions vals[lo:hi) at t — one crack — and returns the
+// split position.
+func (c *Column) crackInTwo(lo, hi int, t int64) int {
+	m, moved := c.partition(lo, hi, t)
+	c.accountCrack(lo, hi, moved)
+	return m
+}
+
+// crackInThree is the three-piece Ξ for a range whose two cuts land in
+// one piece: partition at tLo, then partition the right part at tHi. It
+// counts as one crack over the piece, registers both cuts and returns
+// the answer window [m1, m2) between them.
+func (c *Column) crackInThree(lo, hi int, tLo, tHi int64) (m1, m2 int) {
+	m1, moved1 := c.partition(lo, hi, tLo)
+	m2, moved2 := c.partition(m1, hi, tHi)
+	c.accountCrack(lo, hi, moved1+moved2)
 	c.idx.Insert(tLo, m1)
 	c.idx.Insert(tHi, m2)
 	if c.lin != nil {

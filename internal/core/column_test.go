@@ -170,6 +170,38 @@ func TestCrackInThreeSinglePass(t *testing.T) {
 	}
 }
 
+// TestCrackInThreeMovesOnlyMisplaced: crack-in-three writes only the
+// tuples that lie on the wrong side of a cut. On a virgin column of 2^17
+// uniform values, a centred 1 % range leaves about half the tuples on
+// the wrong side of its lower cut and few of the rest on the wrong side
+// of its upper one, so the crack writes about half a tuple a tuple; a
+// loop that also swaps tuples already on their side writes about two.
+func TestCrackInThreeMovesOnlyMisplaced(t *testing.T) {
+	const n, width = 1 << 17, 1 << 17 / 100
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(n)
+	}
+	c := NewColumn("a", vals)
+	lo := int64(n-width) / 2
+	if got, want := c.Count(lo, lo+width, true, false), len(naiveSelect(vals, lo, lo+width, true, false)); got != want {
+		t.Fatalf("count = %d, want %d", got, want)
+	}
+	st := c.Stats()
+	perTuple := float64(st.TuplesMoved) / n
+	t.Logf("one crack-in-three moved %d tuples of %d: %.3f a tuple", st.TuplesMoved, n, perTuple)
+	if st.Cracks != 1 || c.Pieces() != 3 {
+		t.Fatalf("%d cracks into %d pieces, want 1 into 3", st.Cracks, c.Pieces())
+	}
+	if perTuple > 0.6 {
+		t.Fatalf("crack-in-three moved %.3f tuples a tuple, budget 0.6", perTuple)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRepeatedQueryIsIndexOnly(t *testing.T) {
 	vals := make([]int64, 1000)
 	rng := rand.New(rand.NewSource(5))

@@ -177,7 +177,6 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 			c.idx.Delete(cut.Val)
 		}
 	}
-	c.sorted = false
 	c.touched = true
 	c.dropPaysLocked() // the membership split below swaps two vectors, not k
 	vals, oids := c.vals, c.oids
@@ -198,12 +197,7 @@ func (c *Column) partitionByMembership(lo, hi int, set map[int64]struct{}, detai
 		i++
 		j--
 	}
-	if moved > 0 {
-		c.markLocked(lo, hi)
-	}
-	c.stats.cracks.Add(1)
-	c.stats.tuplesTouched.Add(int64(hi - lo))
-	c.stats.tuplesMoved.Add(moved)
+	c.accountCrack(lo, hi, moved)
 	if lin := c.lineageLocked(); i > lo && i < hi {
 		if leaf := lin.LeafCovering(lo, hi); leaf != nil {
 			lin.Crack(leaf, "^", detail, [2]int{lo, i}, [2]int{i, hi})
@@ -221,9 +215,11 @@ type Group struct {
 
 // GroupCrack applies the Ω cracker: it clusters the column by value and
 // returns one piece per distinct value — "an n-way partitioning based on
-// singleton values" (§3.1). The column ends up fully sorted (value
-// clustering subsumes ordering for integer domains), so all subsequent
-// cuts are binary searches. Every cut between groups is registered.
+// singleton values" (§3.1). It sorts the column (value clustering
+// subsumes ordering for integer domains) and registers every cut between
+// groups. After that the column is an ordinary cracked column: a later
+// range whose bounds fall inside a group cracks that group, and a fold
+// ripples through the group cuts like any others.
 func GroupCrack(c *Column) []Group {
 	c.mu.Lock()
 	defer c.mu.Unlock()

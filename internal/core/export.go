@@ -35,7 +35,6 @@ type ColumnState struct {
 	Name    string
 	OIDs    []bat.OID
 	Cuts    []Cut // values in order; every Pos is 0, restore counts them
-	Sorted  bool
 	NextOID bat.OID
 	Pending []bat.OID // queued inserts, in queue order
 	Deleted []bat.OID
@@ -98,7 +97,6 @@ func (c *Column) exportLocked(gs []int, cuts bool) ColumnState {
 	st := ColumnState{
 		Name:     c.name,
 		OIDs:     granuleCopy(c.oids, gs),
-		Sorted:   c.sorted,
 		NextOID:  c.nextOID,
 		Patch:    gs != nil,
 		Granules: gs,
@@ -187,7 +185,7 @@ func (st *ColumnState) Fold(p ColumnState) error {
 	if p.NewCuts {
 		st.Cuts = p.Cuts
 	}
-	st.Sorted, st.NextOID, st.Pending, st.Deleted, st.Strategy, st.Pays = p.Sorted, p.NextOID, p.Pending, p.Deleted, p.Strategy, p.Pays
+	st.NextOID, st.Pending, st.Deleted, st.Strategy, st.Pays = p.NextOID, p.Pending, p.Deleted, p.Strategy, p.Pays
 	return nil
 }
 
@@ -236,7 +234,6 @@ func (ct *CrackedTable) ColumnFromState(attr string, st ColumnState, opts ...Opt
 		vals:    gather(key, st.OIDs),
 		oids:    slices.Clone(st.OIDs),
 		reroot:  "restored",
-		sorted:  st.Sorted,
 		nextOID: st.NextOID,
 		deleted: make(map[bat.OID]struct{}, len(st.Deleted)),
 	}

@@ -79,8 +79,8 @@ func TestColumnStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnStateRoundTripSorted covers the SortAll fast path: a
-// restored sorted column must keep answering cuts by binary search.
+// TestColumnStateRoundTripSorted: a column restored from a sorted one
+// is in order, so a crack on it moves nothing.
 func TestColumnStateRoundTripSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := make([]int64, 2000)
@@ -225,8 +225,8 @@ func (ct *CrackedTable) SelectTerm(term expr.Term) ([]bat.OID, error) {
 
 // SortAll sorts the whole column. This is the paper's alternative
 // strategy "to completely sort or index the table upfront" (§2.2) that
-// Figure 11 compares cracking against; after SortAll every cut is a
-// binary search and no tuple is ever moved again.
+// Figure 11 compares cracking against. It registers no cut; a later
+// crack partitions ordered data and moves no tuple.
 func (c *Column) SortAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

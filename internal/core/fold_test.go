@@ -124,8 +124,8 @@ func (h *foldHarness) checkImages() {
 // vector equals a nil one).
 func sameState(a, b core.ColumnState) error {
 	switch {
-	case a.Name != b.Name || a.Sorted != b.Sorted || a.NextOID != b.NextOID:
-		return fmt.Errorf("header %q/%v/%d, want %q/%v/%d", a.Name, a.Sorted, a.NextOID, b.Name, b.Sorted, b.NextOID)
+	case a.Name != b.Name || a.NextOID != b.NextOID:
+		return fmt.Errorf("header %q/%d, want %q/%d", a.Name, a.NextOID, b.Name, b.NextOID)
 	case !slices.Equal(a.OIDs, b.OIDs):
 		return fmt.Errorf("oids differ")
 	case !slices.Equal(a.Cuts, b.Cuts):

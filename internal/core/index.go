@@ -48,7 +48,7 @@ import (
 // (TestIndexBuildBudget).
 //
 // Index is not safe for concurrent use; Column serializes access. Reads
-// (Find, findGroup, Floor, Ceil, bracket, Cuts) change nothing, so
+// (Find, findGroup, Neighbours, bracket, Cuts) change nothing, so
 // concurrent readers under a read lock are safe.
 type Index struct {
 	leaves [][]int64 // runs of cut values in ascending order
@@ -117,10 +117,10 @@ func (ix *Index) probeFrom(i int, val int64) (int, bool) {
 	}
 }
 
-// posOf returns the position of a registered cut.
-func (ix *Index) posOf(val int64) int {
+// cutAt returns the registered cut val with its position.
+func (ix *Index) cutAt(val int64) Cut {
 	i, _ := ix.probe(val)
-	return ix.slots[i].pos()
+	return Cut{Val: val, Pos: ix.slots[i].pos()}
 }
 
 // slotsFor returns the table size that holds n cuts.
@@ -231,19 +231,6 @@ func (ix *Index) locate(val int64) (li, j int) {
 	return li, j
 }
 
-// at returns the cut in slot j of leaf li, or the next leaf's first when
-// j is past the end.
-func (ix *Index) at(li, j int) (cutVal int64, pos int, ok bool) {
-	if li < len(ix.leaves) && j == len(ix.leaves[li]) {
-		li, j = li+1, 0
-	}
-	if li >= len(ix.leaves) {
-		return 0, 0, false
-	}
-	v := ix.leaves[li][j]
-	return v, ix.posOf(v), true
-}
-
 // Len returns the number of registered cuts.
 func (ix *Index) Len() int { return ix.size }
 
@@ -300,32 +287,31 @@ func (ix *Index) findGroup(vals []int64, pos []int) {
 	}
 }
 
-// Floor returns the greatest cut <= val.
-func (ix *Index) Floor(val int64) (cutVal int64, pos int, ok bool) {
+// Neighbours returns the cuts around val in one search of the ordered
+// values: floor, the greatest cut <= val, and ceil, the smallest cut >
+// val, each with whether it exists.
+func (ix *Index) Neighbours(val int64) (floor Cut, floorOK bool, ceil Cut, ceilOK bool) {
 	li, j := ix.locate(val)
-	if j == 0 {
-		return 0, 0, false
+	if j > 0 {
+		floor, floorOK = ix.cutAt(ix.leaves[li][j-1]), true
 	}
-	return ix.at(li, j-1)
-}
-
-// Ceil returns the smallest cut > val.
-func (ix *Index) Ceil(val int64) (cutVal int64, pos int, ok bool) {
-	return ix.at(ix.locate(val))
+	if li < len(ix.leaves) && j == len(ix.leaves[li]) { // the ceiling opens the next leaf
+		li, j = li+1, 0
+	}
+	if li < len(ix.leaves) {
+		ceil, ceilOK = ix.cutAt(ix.leaves[li][j]), true
+	}
+	return floor, floorOK, ceil, ceilOK
 }
 
 // bracket returns the positions of the nearest cuts at or below and at
 // or above val — one cut, twice, when val itself is registered.
 func (ix *Index) bracket(val int64) (below int, belowOK bool, above int, aboveOK bool) {
-	if pos, ok := ix.Find(val); ok {
-		return pos, true, pos, true
+	floor, belowOK, ceil, aboveOK := ix.Neighbours(val)
+	if belowOK && floor.Val == val {
+		return floor.Pos, true, floor.Pos, true
 	}
-	li, j := ix.locate(val)
-	if j > 0 {
-		below, belowOK = ix.posOf(ix.leaves[li][j-1]), true
-	}
-	_, above, aboveOK = ix.at(li, j)
-	return below, belowOK, above, aboveOK
+	return floor.Pos, belowOK, ceil.Pos, aboveOK
 }
 
 // Insert registers a new cut. Inserting an existing value overwrites its
@@ -452,7 +438,7 @@ func (ix *Index) Cuts() []Cut {
 	out := make([]Cut, 0, ix.size)
 	for _, l := range ix.leaves {
 		for _, v := range l {
-			out = append(out, Cut{Val: v, Pos: ix.posOf(v)})
+			out = append(out, ix.cutAt(v))
 		}
 	}
 	return out

@@ -118,32 +118,40 @@ func TestIndexFloorCeil(t *testing.T) {
 	ix.Insert(10, 3)
 	ix.Insert(20, 8)
 	ix.Insert(21, 9)
+	floor := func(val int64) (Cut, bool) {
+		f, ok, _, _ := ix.Neighbours(val)
+		return f, ok
+	}
+	ceil := func(val int64) (Cut, bool) {
+		_, _, c, ok := ix.Neighbours(val)
+		return c, ok
+	}
 
 	// Floor of an existing cut is the cut itself.
-	if v, pos, ok := ix.Floor(20); !ok || v != 20 || pos != 8 {
-		t.Fatalf("Floor(20) = %d,%d,%v", v, pos, ok)
+	if c, ok := floor(20); !ok || c != (Cut{20, 8}) {
+		t.Fatalf("floor(20) = %v,%v", c, ok)
 	}
 	// Floor between cuts.
-	if v, pos, ok := ix.Floor(16); !ok || v != 10 || pos != 3 {
-		t.Fatalf("Floor(16) = %d,%d,%v", v, pos, ok)
+	if c, ok := floor(16); !ok || c != (Cut{10, 3}) {
+		t.Fatalf("floor(16) = %v,%v", c, ok)
 	}
 	// Adjacent values are distinct cuts.
-	if v, pos, ok := ix.Floor(21); !ok || v != 21 || pos != 9 {
-		t.Fatalf("Floor(21) = %d,%d,%v", v, pos, ok)
+	if c, ok := floor(21); !ok || c != (Cut{21, 9}) {
+		t.Fatalf("floor(21) = %v,%v", c, ok)
 	}
 	// Nothing below the smallest cut.
-	if _, _, ok := ix.Floor(6); ok {
-		t.Fatal("Floor(6) should miss")
+	if _, ok := floor(6); ok {
+		t.Fatal("floor(6) should miss")
 	}
 	// Ceil is strictly greater.
-	if v, pos, ok := ix.Ceil(10); !ok || v != 20 || pos != 8 {
-		t.Fatalf("Ceil(10) = %d,%d,%v", v, pos, ok)
+	if c, ok := ceil(10); !ok || c != (Cut{20, 8}) {
+		t.Fatalf("ceil(10) = %v,%v", c, ok)
 	}
-	if v, _, ok := ix.Ceil(20); !ok || v != 21 {
-		t.Fatalf("Ceil(20) = %d,%v", v, ok)
+	if c, ok := ceil(20); !ok || c.Val != 21 {
+		t.Fatalf("ceil(20) = %v,%v", c, ok)
 	}
-	if _, _, ok := ix.Ceil(21); ok {
-		t.Fatal("Ceil past largest cut should miss")
+	if _, ok := ceil(21); ok {
+		t.Fatal("ceil past largest cut should miss")
 	}
 }
 
@@ -265,7 +273,7 @@ type indexModel struct {
 }
 
 // step applies op to the cut val: 0–2 insert at position arg, 3–4
-// delete, 5 Find/Floor/Ceil/bracket, 6 ascend and 7 descend (each stops
+// delete, 5 Find/Neighbours/bracket, 6 ascend and 7 descend (each stops
 // after arg+1 cuts and moves every cut it visits by val%3), 8 rebuilds
 // the index through IndexFromSorted, or with arg 255 resets it, 9 looks
 // up arg%16+1 values val + j·(arg/16+1) in one findGroup.
@@ -274,11 +282,11 @@ func (m *indexModel) step(op int, val int64, arg int) error {
 		return slices.BinarySearchFunc(m.ref, val, func(c Cut, v int64) int { return cmp.Compare(c.Val, v) })
 	}
 	i, found := search(val)
-	at := func(k int) (int64, int, bool) { // the model's cut k, if any
+	at := func(k int) (Cut, bool) { // the model's cut k, if any
 		if k < 0 || k >= len(m.ref) {
-			return 0, 0, false
+			return Cut{}, false
 		}
-		return m.ref[k].Val, m.ref[k].Pos, true
+		return m.ref[k], true
 	}
 	m.ix.changed = false
 	wantChanged := false
@@ -307,15 +315,12 @@ func (m *indexModel) step(op int, val int64, arg int) error {
 		if pos, ok := m.ix.Find(val); ok != found || found && pos != m.ref[i].Pos {
 			return fmt.Errorf("Find(%d) = %d, %v", val, pos, ok)
 		}
-		wv, wp, wok := at(fl)
-		if v, p, ok := m.ix.Floor(val); v != wv || p != wp || ok != wok {
-			return fmt.Errorf("Floor(%d) = %d, %d, %v, want %d, %d, %v", val, v, p, ok, wv, wp, wok)
+		wf, wfok := at(fl)
+		wc, wcok := at(ce)
+		if f, fok, c, cok := m.ix.Neighbours(val); f != wf || fok != wfok || c != wc || cok != wcok {
+			return fmt.Errorf("Neighbours(%d) = %v, %v, %v, %v, want %v, %v, %v, %v", val, f, fok, c, cok, wf, wfok, wc, wcok)
 		}
-		below, belowOK := wp, wok
-		wv, wp, wok = at(ce)
-		if v, p, ok := m.ix.Ceil(val); v != wv || p != wp || ok != wok {
-			return fmt.Errorf("Ceil(%d) = %d, %d, %v, want %d, %d, %v", val, v, p, ok, wv, wp, wok)
-		}
+		below, belowOK, wp, wok := wf.Pos, wfok, wc.Pos, wcok
 		if found {
 			wp, wok = below, true
 		}
@@ -460,7 +465,7 @@ func BenchmarkIndexFind(b *testing.B) {
 
 // BenchmarkIndexLeafSearch makes the same lookups through the ordered
 // leaves: the binary search over the leaves' first keys and the one
-// inside a leaf that Floor, Ceil and Insert make, and that Find made
+// inside a leaf that Neighbours and Insert make, and that Find made
 // before the position table.
 func BenchmarkIndexLeafSearch(b *testing.B) {
 	benchLookup(b, func(ix *Index, v int64) bool {

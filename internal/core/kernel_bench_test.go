@@ -15,12 +15,13 @@ import (
 // split % of the piece on its left, crackInThree at a range holding
 // split % of it, centred in the domain, each without a payload vector
 // and with one riding along. Every iteration restores the piece, so each
-// times one partition pass over the same input; ns/tuple is the pass
-// over the piece's length. It logs each kernel's entry address mod 64:
-// a kernel's speed has been seen to move with its placement alone.
+// times one crack over the same input; ns/tuple is the crack over the
+// piece's length. It logs the entry address mod 64 of each kernel and of
+// partition, the loop both run: a kernel's speed has been seen to move
+// with its placement alone.
 func BenchmarkCrackKernel(b *testing.B) {
 	const n = 1 << 20
-	for _, fn := range []any{(*Column).crackInTwo, (*Column).crackInThree} {
+	for _, fn := range []any{(*Column).partition, (*Column).crackInTwo, (*Column).crackInThree} {
 		f := runtime.FuncForPC(reflect.ValueOf(fn).Pointer())
 		b.Logf("%s at %#x (%d mod 64)", f.Name(), f.Entry(), f.Entry()%64)
 	}

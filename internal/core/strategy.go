@@ -13,8 +13,8 @@ package core
 // strategy's MinPiece, the column cracks that piece at the value of one
 // uniformly sampled element first, and repeats with the narrowed piece;
 // then the query cut is installed and registered like any other. The
-// zero strategy is standard cracking: the column's native kernels,
-// including the crack-in-three fast path, run untouched.
+// zero strategy is standard cracking: the column's crack-in-two and
+// crack-in-three run untouched.
 //
 // The RNG word advances only while the column's write lock is held.
 // internal/strategy names, validates and hands over strategies.

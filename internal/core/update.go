@@ -91,8 +91,7 @@ func rippleWalk(ix *Index, n int, keys []int64, limit int, apply func(dst, src, 
 // column without cuts pays one partition pass over its n tuples at the
 // next query, at most n tuple writes, so the index is dropped exactly
 // when keeping it writes more than n (tuples moved + placed + cuts
-// shifted, counted by the walk itself before anything moves). A fully
-// sorted column always takes the reset and is sorted again.
+// shifted, counted by the walk itself before anything moves).
 func (c *Column) consolidateLocked() {
 	if len(c.pending) == 0 && len(c.deleted) == 0 {
 		return
@@ -125,9 +124,7 @@ func (c *Column) consolidateLocked() {
 		keys[i] = p.val
 	}
 	kind := c.forceFold
-	if c.sorted {
-		kind = foldRebuild
-	} else if kind == foldByCost {
+	if kind == foldByCost {
 		kind = foldRipple
 		if w, s := rippleWalk(c.idx, n, keys, n+1, nil); w+s > n {
 			kind = foldRebuild
@@ -165,9 +162,6 @@ func (c *Column) consolidateLocked() {
 		written += k
 		c.idx.Reset()
 		c.stats.rebuildFolds.Add(1)
-		if c.sorted {
-			c.sortLocked("re-sort after consolidation")
-		}
 	}
 	for _, pv := range c.pays {
 		pv.pend = pv.pend[:0]

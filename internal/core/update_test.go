@@ -52,17 +52,38 @@ func TestDeletePendingInsert(t *testing.T) {
 	checkView(t, v, []int64{1, 2})
 }
 
-func TestConsolidationPreservesSortedness(t *testing.T) {
-	c := NewColumn("a", []int64{5, 1, 9, 3})
-	c.SortAll()
-	c.Insert(4)
-	v := c.Select(0, 10, true, true)
-	checkView(t, v, []int64{1, 3, 4, 5, 9})
-	// Column must still behave as sorted: no movement on next select.
-	moved := c.Stats().TuplesMoved
-	c.Select(2, 6, true, true)
-	if c.Stats().TuplesMoved != moved {
-		t.Fatal("select after consolidated sort moved tuples")
+// TestGroupCutsSurviveFold: after Ω the column is an ordinary cracked
+// column, so a one-row insert ripples through the group cuts instead of
+// dropping them, and a range on group bounds is answered from the index.
+func TestGroupCutsSurviveFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, 10_000)
+	for i := range vals {
+		vals[i] = rng.Int63n(100)
+	}
+	c := NewColumn("g", vals)
+	GroupCrack(c)
+	before := c.Stats()
+	c.Insert(50)
+	if got, want := c.Count(40, 59, true, true), len(naiveSelect(vals, 40, 59, true, true))+1; got != want {
+		t.Fatalf("count [40, 59] = %d, want %d", got, want)
+	}
+	st := c.Stats()
+	if st.RippleFolds-before.RippleFolds != 1 || st.RebuildFolds != before.RebuildFolds {
+		t.Fatalf("%d ripple and %d rebuild folds, want 1 and 0",
+			st.RippleFolds-before.RippleFolds, st.RebuildFolds-before.RebuildFolds)
+	}
+	if got := c.Pieces(); got != 100 {
+		t.Fatalf("%d pieces after the fold, want the 100 groups", got)
+	}
+	if cracks, lookups := st.Cracks-before.Cracks, st.IndexLookups-before.IndexLookups; cracks != 0 || lookups != 2 {
+		t.Fatalf("%d cracks and %d index lookups, want 0 and 2", cracks, lookups)
+	}
+	if moved := st.TuplesMoved - before.TuplesMoved; moved > 100 {
+		t.Fatalf("the fold moved %d tuples, budget 100", moved)
+	}
+	if err := c.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

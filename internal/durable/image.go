@@ -25,10 +25,10 @@ import (
 // positions and payload vectors they imply are derived from the rows on
 // restore (core.CrackedTable.ColumnFromState).
 //
-// File layout (version 11):
+// File layout (version 12):
 //
 //	magic    [4]byte "CRKS"
-//	version  uint8   11
+//	version  uint8   12
 //	base     bool    chain start: nothing precedes this element
 //	prevSum  uint32  the predecessor's trailer checksum (ignored when
 //	                 base; 0 is a valid CRC, so base is its own marker)
@@ -36,7 +36,7 @@ import (
 //	tables   ntables × (name, cols, rows, tombstones, from, then
 //	         Rows-From values per column when From < Rows)
 //	ncols    uint32  column records, changed columns only: table, attr,
-//	columns          name, sorted, nextOID, n, patch, then
+//	columns          name, nextOID, n, patch, then
 //	                   whole: n OIDs, cut values
 //	                   patch: k granule indexes, the m OIDs they hold,
 //	                          newCuts, cut values if newCuts
@@ -51,7 +51,7 @@ import (
 // (ErrCorrupt); whoever opens the chain refuses to boot on it rather than
 // serve half a cut set.
 //
-// Only version 11 is read: any other version is refused by version,
+// Only version 12 is read: any other version is refused by version,
 // never as corruption. A store image is this build's own format, and the
 // cracker state it carries is re-derivable from the rows (the paper's
 // prototype keeps none of it between sessions, §5.2). No process posture
@@ -64,7 +64,7 @@ import (
 var imageMagic = [4]byte{'C', 'R', 'K', 'S'}
 
 // imageVersion is the one version WriteImage writes and ReadImage reads.
-const imageVersion = 11
+const imageVersion = 12
 
 // SnapshotCRC is the polynomial that identifies a whole image file:
 // Castagnoli, deliberately not IEEE. An image ends in its own IEEE
@@ -262,7 +262,6 @@ func (e *imageEncoder) column(cs *ColumnSnapshot) {
 	e.str(cs.Table)
 	e.str(cs.Attr)
 	e.str(st.Name)
-	e.bool(st.Sorted)
 	e.u64(uint64(st.NextOID))
 	if st.Patch {
 		e.u64(uint64(st.Len))
@@ -490,7 +489,6 @@ func (d *imageDecoder) column() ColumnSnapshot {
 	cs := ColumnSnapshot{Table: d.str(), Attr: d.str()}
 	st := &cs.State
 	st.Name = d.str()
-	st.Sorted = d.bool()
 	st.NextOID = bat.OID(d.u64())
 	n := d.u64()
 	if st.Patch = d.bool(); st.Patch {

@@ -155,8 +155,7 @@ func rawPatchImage(t testing.TB, n, k uint64, gs []uint32) []byte {
 	for _, s := range []string{"t", "k", "t.k"} {
 		e.str(s)
 	}
-	e.bool(false) // sorted
-	e.u64(n)      // next OID
+	e.u64(n) // next OID
 	e.u64(n)
 	e.bool(true) // patch
 	e.u64(k)
@@ -409,18 +408,19 @@ func TestImageCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestOldImageVersionRefused: an image of any version but 11 — the CRKS
+// TestOldImageVersionRefused: an image of any version but 12 — the CRKS
 // versions 1 to 3 from before the single format, versions 4 to 6 whose
 // rows lay in BAT files beside the image, version 7 whose column records
 // repeated the rows' values, payloads and cut positions, version 8 whose
 // elements carried the store's crack configuration, version 9 whose
 // elements carried the tuner's posture, version 10 whose cuts carried an
-// inclusive flag, and a version from the future,
-// hand-encoded here with a valid trailer — is refused by version, loudly,
-// and never mistaken for corruption (which would read as "the disk ate
-// it" rather than "this build does not read it").
+// inclusive flag, version 11 whose column records carried a sorted flag,
+// and a version from the future, hand-encoded here with a valid trailer —
+// is refused by version, loudly, and never mistaken for corruption (which
+// would read as "the disk ate it" rather than "this build does not read
+// it").
 func TestOldImageVersionRefused(t *testing.T) {
-	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, imageVersion + 1} {
+	for _, version := range []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, imageVersion + 1} {
 		body := append([]byte{}, imageMagic[:]...)
 		body = append(body, version)
 		body = binary.LittleEndian.AppendUint64(body, 11) // the old header's appliedSeq
@@ -432,7 +432,7 @@ func TestOldImageVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := ReadImage(path)
-		want := fmt.Sprintf("unsupported image version %d (this build reads version 11)", version)
+		want := fmt.Sprintf("unsupported image version %d (this build reads version 12)", version)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version %d: want %q, got %v", version, want, err)
 		}

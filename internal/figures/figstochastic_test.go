@@ -91,10 +91,10 @@ func TestFigStochasticPinned(t *testing.T) {
 		"ddr/zoomin":          {474, 190480},
 		"ddr/periodic":        {482, 170988},
 		"autotune/random":     {446, 193502},
-		"autotune/sequential": {521, 2082276},
-		"autotune/reverse":    {518, 2073807},
+		"autotune/sequential": {523, 2076767},
+		"autotune/reverse":    {520, 2070244},
 		"autotune/zoomin":     {450, 160397},
-		"autotune/periodic":   {467, 217322},
+		"autotune/periodic":   {467, 216664},
 	}
 	if len(work) != len(want) {
 		t.Fatalf("%d cells, want %d", len(work), len(want))
