@@ -58,6 +58,60 @@ func TestAutotuneConvergence(t *testing.T) {
 	}
 }
 
+// TestDropTableForgetsTuner: a dropped table's monitors go with it. A
+// column forced to ddr, dropped and created again under the same name
+// has no monitor — no pin, no queries — and a sequential walk on it
+// flips it to ddr by itself; a pin that outlived the drop would keep the
+// new column on standard for good.
+func TestDropTableForgetsTuner(t *testing.T) {
+	s := New()
+	s.EnableAutotune(tuner.Config{Window: 16, Confirm: 2, Cooldown: 64, Monotone: 0.85})
+	create := func() {
+		if err := s.CreateTable("t", "c0"); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]int64, 5000)
+		for i := range rows {
+			rows[i] = []int64{int64(i * 7919 % 5000)}
+		}
+		if err := s.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create()
+	for i := int64(0); i < 10; i++ {
+		if _, err := s.Count("t", "c0", 400*i, 400*i+99); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.ForceStrategy("t", "c0", "ddr"); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.TuneDecisions(); len(d) != 1 || !d[0].Forced || d[0].Queries != 10 {
+		t.Fatalf("before the drop: decisions = %+v, want t.c0 forced after 10 queries", d)
+	}
+	if err := s.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	create()
+	if d := s.TuneDecisions(); len(d) != 0 {
+		t.Fatalf("after drop and re-create: decisions = %+v, want none (unforced, 0 queries)", d)
+	}
+	gen, err := workload.New(workload.Sequential, workload.Config{Domain: 5000, Count: 400, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range gen.Queries() {
+		if _, err := s.Count("t", "c0", q.Lo, q.Hi-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := s.TuneDecisions()
+	if len(d) != 1 || d[0].Forced || d[0].Strategy != "ddr" || d[0].Flips == 0 || d[0].Queries != 400 {
+		t.Fatalf("sequential walk on the new table: decisions = %+v, want t.c0 unforced, flipped to ddr, 400 queries", d)
+	}
+}
+
 // TestAutotuneBatchOrder: the tuner sees a batch's ranges in the order
 // they were sent, as it would see the same counts sent one by one. A
 // random stream counted in batches of 64 leaves the column on standard,

@@ -214,7 +214,8 @@ func (s *Store) installLocked(name string, t *relation.Table) error {
 	return nil
 }
 
-// DropTable removes a table and its cracked state.
+// DropTable removes a table, its cracked state and the tuner's monitors
+// of its columns.
 func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,6 +223,9 @@ func (s *Store) DropTable(name string) error {
 		return fmt.Errorf("crackdb: table %q does not exist", name)
 	}
 	delete(s.tables, name)
+	if tn := s.autotune.Load(); tn != nil {
+		tn.Forget(name)
+	}
 	return nil
 }
 

@@ -525,7 +525,9 @@ func (c *Column) selectLocked(r Range) View {
 	}
 
 	// Crack-in-three when both cuts are new and land in the same piece:
-	// the paper's three-piece Ξ variant for double-sided ranges.
+	// the paper's three-piece Ξ variant for double-sided ranges. Landing
+	// in two pieces, each is cracked in two at the bounds found here: the
+	// crack at Low moves nothing of High+1's piece, which lies above it.
 	if w.lo < 0 && w.hi < 0 {
 		lo1, hi1 := c.pieceBounds(r.Low)
 		lo2, hi2 := c.pieceBounds(r.High + 1)
@@ -533,17 +535,20 @@ func (c *Column) selectLocked(r Range) View {
 			m1, m2 := c.crackInThree(lo1, hi1, r.Low, r.High+1)
 			return View{col: c, Lo: m1, Hi: m2}
 		}
+		return View{col: c, Lo: c.cut(r.Low, lo1, hi1), Hi: c.cut(r.High+1, lo2, hi2)}
 	}
 
 	if w.lo >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		w.lo = c.cut(r.Low)
+		lo, hi := c.pieceBounds(r.Low)
+		w.lo = c.cut(r.Low, lo, hi)
 	}
 	if w.hi >= 0 {
 		c.stats.indexLookups.Add(1)
 	} else {
-		w.hi = c.cut(r.High + 1)
+		lo, hi := c.pieceBounds(r.High + 1)
+		w.hi = c.cut(r.High+1, lo, hi)
 	}
 	return View{col: c, Lo: w.lo, Hi: w.hi}
 }
@@ -581,10 +586,10 @@ func (c *Column) pieceBounds(val int64) (lo, hi int) {
 	return lo, hi
 }
 
-// cut partitions the piece containing the cut val at it, registers the
-// cut in the cracker index and returns its position.
-func (c *Column) cut(val int64) int {
-	lo, hi := c.pieceBounds(val)
+// cut partitions the piece [lo, hi) that contains the cut val (what
+// pieceBounds(val) returns) at it, registers the cut in the cracker
+// index and returns its position.
+func (c *Column) cut(val int64, lo, hi int) int {
 	m := c.crackInTwo(lo, hi, val)
 	c.idx.Insert(val, m)
 	if c.lin != nil { // a stale lineage re-roots from the index, which has the cut

@@ -114,7 +114,7 @@ func (c *Column) adviseLocked(val int64) {
 		if _, exists := c.idx.Find(pivot); exists {
 			return
 		}
-		c.cut(pivot)
+		c.cut(pivot, lo, hi) // the pivot is one of the piece's values
 		c.stats.auxCracks.Add(1)
 		if nlo, nhi := c.pieceBounds(val); nhi-nlo >= hi-lo {
 			return

@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"crackdb"
 	"crackdb/internal/relation"
@@ -80,6 +82,170 @@ func TestGatherPasses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// withProcs runs the rest of the test under GOMAXPROCS(n).
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// await spins until cond holds, for at most a second, and reports
+// whether it did.
+func await(cond func() bool) bool {
+	for deadline := time.Now().Add(time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGatherClaimLoop pins pass 2's claim loop: the caller and its
+// helpers take the declined shards off one counter, each exactly once;
+// the caller returns only after every shard has finished, whoever ran
+// it; the lowest-indexed error wins whichever goroutine hit it; and no
+// more goroutines run shards than GOMAXPROCS allows, so one processor or
+// one declined shard starts none.
+func TestGatherClaimLoop(t *testing.T) {
+	t.Run("each declined shard once", func(t *testing.T) {
+		withProcs(t, 4)
+		const first, n = 3, 16
+		runs := make([]atomic.Int32, first+n)
+		for trial := 0; trial < 20000; trial++ {
+			answers := trial % 3 // pass 1 answers every third shard from here
+			read := func(sh int) (int, bool, error) {
+				if sh%3 == answers {
+					return 10 * sh, true, nil
+				}
+				return 0, false, nil
+			}
+			fn := func(sh int) (int, error) {
+				runs[sh].Add(1)
+				return 10 * sh, nil
+			}
+			out, err := gather(first, first+n-1, read, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out {
+				sh := first + i
+				want := int32(1)
+				if sh%3 == answers {
+					want = 0
+				}
+				if got := runs[sh].Swap(0); got != want {
+					t.Fatalf("trial %d: shard %d ran %d times in pass 2, want %d", trial, sh, got, want)
+				}
+				if v != 10*sh {
+					t.Fatalf("trial %d: out[%d] = %d, want shard %d's answer %d", trial, i, v, sh, 10*sh)
+				}
+			}
+		}
+	})
+
+	t.Run("caller waits for helpers", func(t *testing.T) {
+		withProcs(t, 4)
+		for trial := 0; trial < 20; trial++ {
+			caller := goid()
+			var helperHolds, finished atomic.Int32
+			fn := func(sh int) (int, error) {
+				if goid() == caller {
+					await(func() bool { return helperHolds.Load() > 0 })
+				} else {
+					helperHolds.Add(1)
+					time.Sleep(2 * time.Millisecond)
+				}
+				finished.Add(1)
+				return 10 * sh, nil
+			}
+			out, err := gather(0, 7, nil, fn)
+			if got := finished.Load(); got != 8 || err != nil {
+				t.Fatalf("trial %d: gather returned (%v) with %d of 8 shards finished", trial, err, got)
+			}
+			if !slices.Equal(out, []int{0, 10, 20, 30, 40, 50, 60, 70}) {
+				t.Fatalf("trial %d: gather = %v, want every shard's answer in shard order", trial, out)
+			}
+			if helperHolds.Load() == 0 {
+				t.Fatalf("trial %d: no helper ran a shard under GOMAXPROCS(4)", trial)
+			}
+		}
+	})
+
+	t.Run("lowest error from a helper", func(t *testing.T) {
+		withProcs(t, 4)
+		errAt := func(sh int) error { return fmt.Errorf("shard %d failed", sh) }
+		for trial := 0; trial < 20; trial++ {
+			caller := goid()
+			var mu sync.Mutex
+			lowest := -1 // the lowest shard a helper ran
+			var helperDone atomic.Bool
+			read := func(sh int) (int, bool, error) {
+				if sh == 9 {
+					return 0, false, errAt(sh) // the caller's, and first in time
+				}
+				return 0, false, nil
+			}
+			fn := func(sh int) (int, error) {
+				if goid() == caller {
+					await(helperDone.Load)
+					return 10 * sh, nil
+				}
+				mu.Lock()
+				if lowest < 0 || sh < lowest {
+					lowest = sh
+				}
+				mu.Unlock()
+				helperDone.Store(true)
+				return 0, errAt(sh)
+			}
+			_, err := gather(2, 9, read, fn)
+			if lowest < 0 {
+				t.Fatalf("trial %d: no helper ran a shard under GOMAXPROCS(4)", trial)
+			}
+			if want := errAt(lowest); err == nil || err.Error() != want.Error() {
+				t.Fatalf("trial %d: err = %v, want %v", trial, err, want)
+			}
+		}
+	})
+
+	t.Run("goroutines", func(t *testing.T) {
+		for _, c := range []struct{ procs, declined, maxRunners int }{
+			{procs: 1, declined: 8, maxRunners: 1},
+			{procs: 4, declined: 1, maxRunners: 1},
+			{procs: 2, declined: 8, maxRunners: 2},
+		} {
+			withProcs(t, c.procs)
+			caller := goid()
+			var mu sync.Mutex
+			runners := map[uint64]bool{}
+			fn := func(sh int) (int, error) {
+				mu.Lock()
+				runners[goid()] = true
+				mu.Unlock()
+				time.Sleep(time.Millisecond) // give a helper time to claim
+				return sh, nil
+			}
+			if _, err := gather(0, c.declined-1, nil, fn); err != nil {
+				t.Fatal(err)
+			}
+			if len(runners) > c.maxRunners || (c.maxRunners == 1 && !runners[caller]) {
+				t.Errorf("GOMAXPROCS(%d), %d declined shards: ran on %d goroutines (caller among them: %v), want at most %d",
+					c.procs, c.declined, len(runners), runners[caller], c.maxRunners)
+			}
+		}
+	})
 }
 
 // TestCountBatchMixedPasses: a batch whose sub-batch one shard answers
@@ -376,4 +542,36 @@ func TestMixedInlineAndFannedOut(t *testing.T) {
 		}
 		reads.Add(1)
 	}
+}
+
+// BenchmarkColdCount times gather's pass 2 where cold_crack pays for it:
+// a fresh 4-shard hash router of 200 000 rows, then one seeded stream of
+// 1 000 random 1 % CountWheres, each of which cracks on every shard it
+// reaches. The router is built with the timer stopped; ns/stmt is the
+// stream's time a statement.
+func BenchmarkColdCount(b *testing.B) {
+	const n, stmts = 200_000, 1000
+	const width = n / 100
+	rng := rand.New(rand.NewSource(1))
+	lows := make([]int64, stmts)
+	for i := range lows {
+		lows[i] = 1 + rng.Int63n(n-width+1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := New(Options{Shards: 4, Kind: Hash})
+		if err := st.LoadTapestry("t", n, 2, 1); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, lo := range lows {
+			got, err := st.CountWhere("t", crackdb.Cond{Col: "c0", Op: ">=", Val: lo}, crackdb.Cond{Col: "c0", Op: "<", Val: lo + width})
+			if err != nil || got != width {
+				b.Fatalf("count of [%d, %d): %d, %v; want %d", lo, lo+width, got, err, width)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stmts), "ns/stmt")
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -429,7 +430,7 @@ func (s *Store) firstInsert(name string, m *tableMeta, cols [][]int64) error {
 // returns them in shard order (out[t-first] is shard t's) — or the
 // lowest-indexed error. It is the router's only goroutine site: every
 // fan-out, whatever it merges afterwards, goes through here, and so does
-// the rule that decides which shards are worth a goroutine.
+// the rule that decides how many goroutines a fan-out gets.
 //
 // Pass 1, for a read that may leave the shards as they are, offers read
 // every target shard in turn on the calling goroutine. read answers (ok)
@@ -439,10 +440,14 @@ func (s *Store) firstInsert(name string, m *tableMeta, cols [][]int64) error {
 // here: no goroutine, no wait. The writes, GroupBy's Ω crack and the
 // per-shard lookups (NumRows, ShardStats) pass a nil read. Pass 2 runs
 // fn on the shards that declined — on every shard when read is nil —
-// concurrently, since these are the shards that must create a cracker
-// column, fold pending updates or crack. The caller runs the last of
-// them itself while the others run, so one declined shard costs no
-// goroutine. A shard's error, in either pass, stands for that shard.
+// since these are the shards that must create a cracker column, fold
+// pending updates or crack. The declined shards are handed out one at a
+// time by a shared counter; the caller claims and runs them itself,
+// beside at most min(declined, GOMAXPROCS)−1 helper goroutines that
+// claim whatever it has not reached. So one declined shard, or one
+// processor, costs no goroutine, and the caller waits only while a
+// helper still runs a shard it claimed: the shard that finishes last
+// closes done. A shard's error, in either pass, stands for that shard.
 func gather[T any](first, last int, read func(t int) (T, bool, error), fn func(t int) (T, error)) ([]T, error) {
 	out := make([]T, last-first+1)
 	errs := make([]error, len(out))
@@ -462,22 +467,33 @@ func gather[T any](first, last int, read func(t int) (T, bool, error), fn func(t
 		}
 	}
 	if declined > 0 {
-		var wg sync.WaitGroup
-		for i := range errs {
-			if errs[i] != errDeclined {
-				continue
+		todo := make([]int, 0, declined) // indexes into out
+		for i, err := range errs {
+			if err == errDeclined {
+				todo = append(todo, i)
 			}
-			if declined--; declined == 0 {
-				out[i], errs[i] = fn(first + i)
-				break
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out[i], errs[i] = fn(first + i)
-			}(i)
 		}
-		wg.Wait()
+		var claims struct{ next, left atomic.Int32 }
+		claims.left.Store(int32(declined))
+		done := make(chan struct{})
+		claim := func() {
+			for {
+				k := int(claims.next.Add(1)) - 1
+				if k >= declined {
+					return
+				}
+				i := todo[k]
+				out[i], errs[i] = fn(first + i)
+				if claims.left.Add(-1) == 0 {
+					close(done)
+				}
+			}
+		}
+		for range min(declined, runtime.GOMAXPROCS(0)) - 1 {
+			go claim()
+		}
+		claim()
+		<-done
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -31,8 +31,9 @@ func TestRouterSurface(t *testing.T) {
 
 // TestOneGoStatement keeps the router's concurrency in one place: gather
 // is the only code in the package that starts a goroutine, so the rule
-// deciding which shards get one — only those that must reorganize —
-// cannot be bypassed by a fan-out of its own.
+// deciding how many a fan-out gets — helpers only beside shards that must
+// reorganize, at most GOMAXPROCS−1 — cannot be bypassed by a fan-out of
+// its own.
 func TestOneGoStatement(t *testing.T) {
 	entries, err := os.ReadDir(".")
 	if err != nil {

@@ -269,6 +269,18 @@ func (t *Tuner) Release(table, column string) {
 	}
 }
 
+// Forget drops the monitors of every column of table, so a table
+// created again under the name starts unforced, with no history.
+func (t *Tuner) Forget(table string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id, m := range t.cols {
+		if m.table == table {
+			delete(t.cols, id)
+		}
+	}
+}
+
 // Decisions snapshots every monitored column, ordered by (table,
 // column) so output surfaces are deterministic.
 func (t *Tuner) Decisions() []Decision {
