@@ -101,15 +101,12 @@ func withProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// await spins until cond holds, for at most a second, and reports
-// whether it did.
-func await(cond func() bool) bool {
-	for deadline := time.Now().Add(time.Second); !cond(); runtime.Gosched() {
-		if time.Now().After(deadline) {
-			return false
-		}
+// await spins until cond holds or a second has passed; the caller's
+// checks report a timeout.
+func await(cond func() bool) {
+	for deadline := time.Now().Add(time.Second); !cond() && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
-	return true
 }
 
 // TestGatherClaimLoop pins pass 2's claim loop: the caller and its
