@@ -81,6 +81,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -180,6 +181,13 @@ func main() {
 		srv.SetPrimary(follower.Primary())
 	}
 	srv.EnableObservability(time.Duration(*slowMS)*time.Millisecond, traceSample)
+	// Bind before the follower's first pull, where it registers with its
+	// primary: a member the primary lists is listening, so discovery
+	// takes a refused port for a dead member.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	var followed chan error // nil without -follow: never ready
 	if follower != nil {
 		follower.EnableLagGauges()
@@ -216,7 +224,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(*addr) }()
+	go func() { done <- srv.Serve(ln) }()
 	select {
 	case err := <-done:
 		fatal(err) // listener died before any signal

@@ -3,27 +3,19 @@ package core
 import (
 	"slices"
 	"sync"
-	"time"
 
 	"crackdb/internal/expr"
 )
 
 // Batched counting: many range predicates over one cracker column
-// answered in one call, in submission order. The ranges the index
-// resolves are answered a run at a time under one read hold, their cuts
-// looked up a group of probeGroup ranges at a time so the position-table
-// misses overlap (Index.findGroup); the range that ends a run cracks
-// under the write lock (crackLocked), as Column.answer would crack it. A
-// batch therefore leaves the column exactly as the same ranges counted
-// one by one would: the same answers and counters, the same cuts, in the
-// same order, with the same strategy consulted for each. What it
-// amortizes is the column's lock and accounting per range and everything
-// around the column: the registry and column resolution, the result
-// allocation, and the caller's per-query overhead. Converged ranges are
-// timed by Instr.Batch alone, so ReadHold keeps timing one scalar read's
-// hold. A batch may also be offered read-only (write false): answered
-// whole from the index under one read hold, or declined untouched. A
-// batch only counts; a selection is one Select per range.
+// answered in one call, in submission order, by the loop every read of
+// the column runs (Column.answer): a scalar count is a batch of one. What
+// a batch amortizes is the column's lock and accounting per range and
+// everything around the column: the registry and column resolution, the
+// result allocation, and the caller's per-query overhead. A batch may
+// also be offered read-only (write false): answered whole from the index
+// under one read hold, or declined untouched. A batch only counts; a
+// selection is one Select per range.
 
 // BatchAnswer is one predicate's answer within a column batch: the
 // number of qualifying tuples.
@@ -86,100 +78,14 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 }
 
 // countBatch is SelectBatchRun, showing observe (when non-nil) each
-// range once it is answered, outside the column lock. It alternates two
-// holds: one read hold answers the longest run of ranges the index
-// resolves (countConverged), and the range that ends the run — a cut
-// missing, or updates pending — cracks under the write lock, exactly as
-// answer's write branch would crack it.
-//
-// With write false the batch is offered to one read hold only, as
-// answer offers a range: it answers when the index resolves every range,
-// and otherwise declines — it returns false having changed nothing, not
-// a counter, not a timing, and observe does not run. It reports whether
-// the batch was answered.
+// range once it is answered, outside the column lock: the column's one
+// read loop (answer), counting each window into run.Answers. With write
+// false the batch is only offered, and answer's decline leaves the
+// Answers to be dropped. It reports whether the batch was answered.
 func (c *Column) countBatch(ranges []Range, run *BatchRun, observe func(Range), write bool) bool {
-	in := c.instr.Load()
-	// A batch is tens of queries per call, so whole-call timing is
-	// already amortized — no sampling needed.
-	timed := in != nil && in.Batch != nil
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
 	answers := slices.Grow(run.Answers[:0], len(ranges))[:len(ranges)]
 	run.Answers = answers
-	for i := 0; i < len(ranges); i++ {
-		n := c.countConverged(ranges[i:], answers[i:], i > 0, write)
-		if n == 0 && !write {
-			return false
-		}
-		if observe != nil {
-			for _, r := range ranges[i : i+n] {
-				observe(r)
-			}
-		}
-		if i += n; i == len(ranges) {
-			break
-		}
-		c.mu.Lock()
-		answers[i].N = c.crackLocked(in, ranges[i]).Len()
-		c.mu.Unlock()
-		if observe != nil {
-			observe(ranges[i])
-		}
-	}
-	if timed {
-		in.Batch.Observe(time.Since(t0).Nanoseconds())
-	}
-	return true
-}
-
-// countConverged answers under one read hold the longest run at the front
-// of ranges that the index resolves, each range as lookupFast would, into
-// answers, and returns the run's length. It probes a group of probeGroup
-// ranges at a time, so the group's table misses overlap, except that a
-// hold that follows a crack (afterCrack) probes one range first: in a
-// batch that cracks range after range, as a cold one does, a full group
-// would read the cuts of seven ranges that the next hold reads again. It
-// counts the run's queries and index lookups once. A column with pending
-// inserts or deletes answers none: the next range folds them under the
-// write lock.
-//
-// With write false the run must be all of ranges: a shorter one counts
-// nothing and reads 0. Such an offer also probes one range first, so on
-// a column that has not converged it declines after one probe.
-func (c *Column) countConverged(ranges []Range, answers []BatchAnswer, afterCrack, write bool) int {
-	c.mu.RLock()
-	var win [probeGroup]window
-	done, lookups, size := 0, 0, probeGroup
-	if afterCrack || !write {
-		size = 1
-	}
-run:
-	for done < len(ranges) && len(c.pending) == 0 && len(c.deleted) == 0 {
-		g := ranges[done:min(done+size, len(ranges))]
-		size = probeGroup
-		c.probeRanges(g, win[:])
-		for _, w := range win[:len(g)] {
-			if !w.resolved() {
-				break run
-			}
-			if !w.empty {
-				lookups += 2
-			}
-			answers[done].N = w.hi - w.lo
-			done++
-		}
-	}
-	if done < len(ranges) && !write {
-		done = 0
-	}
-	if done > 0 {
-		c.stats.queries.Add(int64(done))
-		c.stats.indexLookups.Add(int64(lookups))
-	}
-	c.mu.RUnlock()
-	return done
+	return c.answer(ranges, write, func(i int, v View) { answers[i].N = v.Len() }, observe)
 }
 
 // CountBatchRun counts a batch of ranges on one attribute into the run,
@@ -206,34 +112,17 @@ func (ct *CrackedTable) CountBatchRun(attr string, ranges []Range, run *BatchRun
 	} else if c, ok = ct.Column(attr); !ok {
 		return false, nil
 	}
-	var observe func(Range)
-	if ct.selectObs != nil {
-		observe = func(r Range) { ct.selectObs(attr, r) }
-	}
-	return c.countBatch(ranges, run, observe, write), nil
+	return c.countBatch(ranges, run, ct.observer(attr), write), nil
 }
 
-// CountRange answers one range on attr without materializing anything —
-// the single-query entry of the same path CountBatch takes, shared by
-// the store's Count.
-func (ct *CrackedTable) CountRange(attr string, r Range) (int, error) {
+// CountRange answers one range on attr without materializing anything,
+// through the loop CountBatchRun's ranges take (Column.answer) — the
+// store's Count.
+func (ct *CrackedTable) CountRange(attr string, r Range) (n int, err error) {
 	c, err := ct.ColumnFor(attr)
 	if err != nil {
 		return 0, err
 	}
-	n, _ := ct.count(c, attr, r, true)
+	c.answer([]Range{r}, true, func(_ int, v View) { n = v.Len() }, ct.observer(attr))
 	return n, nil
-}
-
-// count answers r on c, attr's cracker column, and shows the select
-// observer the range once it is answered; with write false it may
-// decline instead (ok false), having changed nothing (Column.answer).
-func (ct *CrackedTable) count(c *Column, attr string, r Range, write bool) (n int, ok bool) {
-	if !c.answer(r, write, func(v View) { n = v.Len() }) {
-		return 0, false
-	}
-	if ct.selectObs != nil {
-		ct.selectObs(attr, r)
-	}
-	return n, true
 }

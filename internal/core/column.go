@@ -10,6 +10,7 @@ import (
 
 	"crackdb/internal/bat"
 	"crackdb/internal/expr"
+	"crackdb/internal/obs"
 )
 
 // columnIDs hands out the monotonically-increasing identity every Column
@@ -299,7 +300,7 @@ func inclusiveOf(r expr.Range) Range { return Inclusive(r.Low, r.High, r.LowIncl
 // lookups afterwards.
 func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 	var v View
-	c.answer(Inclusive(low, high, lowIncl, highIncl), true, func(w View) { v = w })
+	c.answer([]Range{Inclusive(low, high, lowIncl, highIncl)}, true, func(_ int, w View) { v = w }, nil)
 	return v
 }
 
@@ -308,7 +309,7 @@ func (c *Column) Select(low, high int64, lowIncl, highIncl bool) View {
 // paper's observation that count-only queries need no fragment storage.
 func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
 	n := 0
-	c.answer(Inclusive(low, high, lowIncl, highIncl), true, func(w View) { n = w.Len() })
+	c.answer([]Range{Inclusive(low, high, lowIncl, highIncl)}, true, func(_ int, w View) { n = w.Len() }, nil)
 	return n
 }
 
@@ -317,57 +318,134 @@ func (c *Column) Count(low, high int64, lowIncl, highIncl bool) int {
 // the safe form under concurrent cracking: a View's windows alias the
 // column and may be shuffled by cracks that run after Select returns.
 func (c *Column) SelectCopy(low, high int64, lowIncl, highIncl bool) (vals []int64, oids []bat.OID) {
-	return c.selectCopy(Inclusive(low, high, lowIncl, highIncl))
+	return c.selectCopy(Inclusive(low, high, lowIncl, highIncl), nil)
 }
 
-func (c *Column) selectCopy(r Range) (vals []int64, oids []bat.OID) {
-	c.answer(r, true, func(w View) {
+// selectCopy is SelectCopy of r, showing observe (when non-nil) r once
+// it is answered (answer).
+func (c *Column) selectCopy(r Range, observe func(Range)) (vals []int64, oids []bat.OID) {
+	c.answer([]Range{r}, true, func(_ int, w View) {
 		vals, oids = append([]int64(nil), w.Values()...), append([]bat.OID(nil), w.OIDs()...)
-	})
+	}, observe)
 	return vals, oids
 }
 
-// answer is the lock protocol every single-range read runs. The query is
-// first tried under the read lock: when the column has no pending
-// updates and both cuts are already registered, nothing needs to move
-// and concurrent lookups proceed in parallel. Only a query that must
-// fold or crack escalates to the write lock (crackLocked). use
-// receives the answer window while the lock that makes it valid is still
-// held, and must not take c.mu.
+// answer is the lock protocol every read of ranges on the column runs,
+// one range or a batch, in submission order. It alternates two holds:
+// one read hold answers the longest run of ranges the index resolves
+// (readHold), so concurrent lookups proceed in parallel, and the range
+// that ends the run — a cut missing, or updates pending — folds and
+// cracks under the write lock (crackLocked). A batch therefore leaves
+// the column exactly as its ranges answered one by one would: the same
+// answers and counters, the same cuts, in the same order, with the same
+// strategy consulted for each. use receives each range's index and
+// answer window while the lock that makes the window valid is still
+// held, and must not take c.mu; observe, when non-nil, sees each range
+// once it is answered, outside the column lock.
 //
-// With write false the query is offered to the read branch only: when
-// lookupFast cannot answer, answer declines — it returns false without
-// taking the write lock, use does not run, and nothing changed, not even
-// a counter. It reports whether use ran.
+// With write false the ranges are offered to one read hold only: answer
+// answers when the index resolves every range, and otherwise declines —
+// it returns false having changed nothing, not a counter, not a timing,
+// and observe does not run (use may have seen a prefix of the ranges,
+// which the caller drops). It reports whether the ranges were answered.
 //
-// Instrumentation off costs one atomic load and a branch. On, a read
-// that wins the sampling gate is timed into ReadHold, lock hold and use
-// included; the unsampled 255-in-256 converged lookups read no clock.
-// Every write hold is observed (crackLocked); a decline is not.
-func (c *Column) answer(r Range, write bool, use func(View)) bool {
+// Instrumentation off costs one atomic load and a branch. On, a call of
+// two or more ranges is one Batch observation, the whole call. A
+// one-range call answered under the read hold is timed into ReadHold,
+// hold and use included, when it wins the sampling gate; the unsampled
+// 255-in-256 converged lookups read no clock. Every write hold is
+// observed (crackLocked); a decline is not.
+func (c *Column) answer(ranges []Range, write bool, use func(int, View), observe func(Range)) bool {
 	in := c.instr.Load()
+	var hold, whole *obs.Histogram
+	switch {
+	case in == nil:
+	case len(ranges) > 1:
+		whole = in.Batch
+	case in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0:
+		hold = in.ReadHold
+	}
 	var t0 time.Time
-	timed := in != nil && in.ReadHold != nil && (in.SampleMask == 0 || uint64(c.stats.queries.Load())&in.SampleMask == 0)
-	if timed {
+	if hold != nil || whole != nil {
 		t0 = time.Now()
 	}
-	c.mu.RLock()
-	if v, ok := c.lookupFast(r); ok {
-		use(v)
-		c.mu.RUnlock()
-		if timed {
-			in.ReadHold.Observe(time.Since(t0).Nanoseconds())
+	for i, n := 0, 0; i < len(ranges); i += n {
+		n = c.readHold(ranges[i:], i, write, use)
+		switch {
+		case n > 0 && hold != nil:
+			hold.Observe(time.Since(t0).Nanoseconds())
+		case n == 0 && !write:
+			return false
+		case n == 0:
+			c.mu.Lock()
+			use(i, c.crackLocked(in, ranges[i]))
+			c.mu.Unlock()
+			n = 1
 		}
-		return true
+		if observe != nil {
+			for _, r := range ranges[i : i+n] {
+				observe(r)
+			}
+		}
+	}
+	if whole != nil {
+		whole.Observe(time.Since(t0).Nanoseconds())
+	}
+	return true
+}
+
+// readHold answers under one read hold the longest run at the front of
+// ranges that the index resolves, handing use each range's window (its
+// index offset by from), and returns the run's length. Nothing needs to
+// move to answer them. It probes a group of probeGroup ranges at a time,
+// so the group's table misses overlap, except that a hold past the
+// first range (from > 0), which follows a crack or a range it found
+// unresolved, probes one range first: in a batch that cracks range
+// after range, as a cold one does, a full group would read the cuts of
+// seven ranges that the next hold reads again. A group of one range,
+// a scalar read's, takes two Finds (probe). It counts the run's
+// queries and index lookups once. A column with pending inserts or
+// deletes answers none: the next range folds them under the write lock.
+//
+// With write false the run must be all of ranges: a shorter one counts
+// nothing and reads 0. Such an offer also probes one range first, so on
+// a column that has not converged it declines after one probe.
+func (c *Column) readHold(ranges []Range, from int, write bool, use func(int, View)) int {
+	c.mu.RLock()
+	var win [probeGroup]window
+	done, lookups, size := 0, 0, probeGroup
+	if from > 0 || !write {
+		size = 1
+	}
+run:
+	for done < len(ranges) && len(c.pending) == 0 && len(c.deleted) == 0 {
+		g := ranges[done:min(done+size, len(ranges))]
+		size = probeGroup
+		if len(g) == 1 { // two cuts: the group's bookkeeping costs more than the overlap saves
+			win[0] = c.probe(g[0])
+		} else {
+			c.probeRanges(g, win[:])
+		}
+		for _, w := range win[:len(g)] {
+			if !w.resolved() {
+				break run
+			}
+			if !w.empty {
+				lookups += 2
+			}
+			use(from+done, View{col: c, Lo: w.lo, Hi: w.hi})
+			done++
+		}
+	}
+	if done < len(ranges) && !write {
+		done = 0
+	}
+	if done > 0 {
+		c.stats.queries.Add(int64(done))
+		c.stats.indexLookups.Add(int64(lookups))
 	}
 	c.mu.RUnlock()
-	if !write {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	use(c.crackLocked(in, r))
-	return true
+	return done
 }
 
 // crackLocked answers one range under the write lock — fold and cracks,
@@ -423,8 +501,8 @@ func (c *Column) find(val int64) int {
 }
 
 // probe resolves one range's cuts, one Index.Find each. The caller holds
-// c.mu in either mode; nothing is counted. probeRanges resolves a batch's
-// ranges the same way, a group at a time.
+// c.mu in either mode; nothing is counted. probeRanges resolves a read
+// hold's ranges the same way, a group at a time.
 func (c *Column) probe(r Range) window {
 	w := c.open(r)
 	if w.lo < 0 {
@@ -469,27 +547,6 @@ func (c *Column) probeRanges(rs []Range, win []window) {
 			w.hi, k = pos[k], k+1
 		}
 	}
-}
-
-// lookupFast is the optimistic read path: it answers the query iff doing
-// so mutates nothing — no pending updates to consolidate and both cuts
-// resolved by probe. The caller holds the read lock. On ok=false the
-// caller must retry under the write lock via crackLocked, which
-// re-derives everything from scratch (the column may have changed
-// between the two lock acquisitions).
-func (c *Column) lookupFast(r Range) (View, bool) {
-	if len(c.pending) != 0 || len(c.deleted) != 0 {
-		return View{}, false
-	}
-	w := c.probe(r)
-	if !w.resolved() {
-		return View{}, false
-	}
-	c.stats.queries.Add(1)
-	if !w.empty {
-		c.stats.indexLookups.Add(2)
-	}
-	return View{col: c, Lo: w.lo, Hi: w.hi}, true
 }
 
 func (c *Column) selectLocked(r Range) View {

@@ -207,7 +207,7 @@ func (ct *CrackedTable) CountTerm(term expr.Term, write bool) (n int, ok bool, e
 		if p.col == nil {
 			return ct.LiveLen(), true, nil
 		}
-		n, ok = ct.count(p.col, p.name, p.rng, write)
+		ok = p.col.answer([]Range{p.rng}, write, func(_ int, v View) { n = v.Len() }, ct.observer(p.name))
 		return n, ok, nil
 	}
 	oids, ok, err := ct.selectPlan(p, write)
@@ -223,19 +223,15 @@ func (ct *CrackedTable) selectPlan(p termPlan, write bool) ([]bat.OID, bool, err
 		return oids, err == nil, err
 	}
 	// Copy the OIDs under the column lock: view windows would alias state
-	// that a concurrent crack may shuffle.
+	// that a concurrent crack may shuffle. The driving column absorbs a
+	// single-range selection, exactly like SelectCopy — the tuner's
+	// observer must see it, or queries arriving through the conjunction
+	// planner are invisible to it.
 	var cands []bat.OID
-	if !p.col.answer(p.rng, write, func(v View) {
+	if !p.col.answer([]Range{p.rng}, write, func(_ int, v View) {
 		cands = append([]bat.OID(nil), v.OIDs()...)
-	}) {
+	}, ct.observer(p.name)) {
 		return nil, false, nil
-	}
-	if ct.selectObs != nil {
-		// The driving column absorbed a single-range selection, exactly
-		// like SelectCopy — the tuner's observer must see it, or
-		// queries arriving through the conjunction planner (every
-		// scalar SQL statement) are invisible to it.
-		ct.selectObs(p.name, p.rng)
 	}
 	if len(p.residual) == 0 {
 		return cands, true, nil

@@ -20,7 +20,7 @@ import (
 type Instr struct {
 	ReadHold  *obs.Histogram // converged lookups under the read lock (sampled)
 	WriteHold *obs.Histogram // cracking queries under the write lock (always)
-	Batch     *obs.Histogram // whole count-batch calls (always); a range that cracks is also a WriteHold, a converged one is timed here alone
+	Batch     *obs.Histogram // whole calls of two or more ranges (always); a range that cracks is also a WriteHold, a converged one is timed here alone
 
 	Trace *obs.TraceBuf // crack events; nil disables tracing
 	Shard int           // stamped into trace events

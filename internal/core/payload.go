@@ -142,9 +142,9 @@ const (
 // newer than sel's newest is exactly sel; anything else is stale and the
 // caller reconstructs its own snapshot through the base table.
 func (c *Column) Project(key string, r Range, attrs []string, sel []bat.OID, stamp uint64) (wins [][]int64, st ProjectStatus) {
-	c.answer(r, true, func(v View) {
+	c.answer([]Range{r}, true, func(_ int, v View) {
 		wins, st = c.projectLocked(v, key, attrs, sel, stamp)
-	})
+	}, nil)
 	return wins, st
 }
 

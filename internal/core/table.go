@@ -159,6 +159,15 @@ func (ct *CrackedTable) CrackedColumns() []string {
 // pass nil to clear.
 func (ct *CrackedTable) SetSelectObserver(f func(attr string, r Range)) { ct.selectObs = f }
 
+// observer is the select observer as a read of attr's cracker column
+// shows it each range it answered (Column.answer), nil when none is set.
+func (ct *CrackedTable) observer(attr string) func(Range) {
+	if ct.selectObs == nil {
+		return nil
+	}
+	return func(r Range) { ct.selectObs(attr, r) }
+}
+
 // FetchedTuples returns the number of tuples reconstructed through the
 // base table by Fetch since creation.
 func (ct *CrackedTable) FetchedTuples() int64 { return ct.fetched.Load() }
@@ -171,10 +180,7 @@ func (ct *CrackedTable) SelectCopy(attr string, r Range) (vals []int64, oids []b
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, oids = c.selectCopy(r)
-	if ct.selectObs != nil {
-		ct.selectObs(attr, r)
-	}
+	vals, oids = c.selectCopy(r, ct.observer(attr))
 	return vals, oids, nil
 }
 

@@ -127,7 +127,7 @@ func (s *Server) refreshPruneFloor() {
 // replica.
 func readOnlyStmt(st sql.Stmt) bool {
 	switch s := st.(type) {
-	case *sql.Count:
+	case *sql.RangeCount:
 		return true
 	case *sql.Select:
 		return s.Into == ""

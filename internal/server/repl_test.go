@@ -431,7 +431,8 @@ func TestFollowerReadOnly(t *testing.T) {
 // TestDiscoverAndFence: discovery from a single follower names the
 // whole topology, a fence
 // after writes on a raw client makes both followers count exactly, and
-// a follower that died but is still listed by the primary is dropped.
+// a follower that died but is still listed by the primary is dropped at
+// once: its refused port is dialed once, not retried for 2 s.
 func TestDiscoverAndFence(t *testing.T) {
 	pAddr, _, pStop := startDurableServer(t, t.TempDir(), shard.Options{Shards: 2})
 	defer pStop()
@@ -490,9 +491,13 @@ func TestDiscoverAndFence(t *testing.T) {
 	if _, listed, err := replKV(pc); err != nil || len(listed) != 2 {
 		t.Fatalf("primary lists %v (%v), want the dead follower still among 2", listed, err)
 	}
+	began := time.Now()
 	topo, err = Discover([]string{pAddr})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if took := time.Since(began); took > 500*time.Millisecond {
+		t.Errorf("discovery past a dead follower took %v, want under 500ms", took)
 	}
 	if topo.Primary != pAddr || !equalLines(topo.Followers, []string{f1Addr}) {
 		t.Fatalf("after a follower died, discovered %+v, want followers [%s]", topo, f1Addr)

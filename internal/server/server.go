@@ -263,8 +263,9 @@ func (s *Server) handle(conn net.Conn) {
 // for the window: a count shaped like the one before it is not scanned
 // again, and Classify hands it on as its folded range, with no
 // statement built. Each run of parsed statements goes to the engine's
-// ExecWindow, which folds co-column range counts into one batched store
-// entry, and their answers are encoded one at a time from one Response.
+// ExecWindow, which answers each run of co-column range counts, a lone
+// count too, through one batched store entry, and their answers are
+// encoded one at a time from one Response.
 // A /meta command, a parse error and a write refused on a follower
 // answer in place between runs. A /quit answers and stops the
 // connection; any requests a client pipelined behind its /quit are

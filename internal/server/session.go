@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,8 +59,8 @@ func Discover(addrs []string) (Topology, error) {
 // learned address is dialed once, so a member the topology still lists
 // but that has gone away (a crashed follower the primary remembers) is
 // dropped instead of becoming an unreachable member or fence target.
-// The dial waits out a 2 s timeout because a freshly started follower
-// heartbeats to its primary before it listens.
+// A member listens before it registers with its primary, so each address
+// is dialed once: a refused port is a dead member.
 func probeTopology(addrs []string) (roles map[string]string, alive map[string]bool, firstErr error) {
 	roles = make(map[string]string) // addr -> role
 	alive = make(map[string]bool)   // addr -> answered a /repl probe
@@ -69,13 +70,14 @@ func probeTopology(addrs []string) (roles map[string]string, alive map[string]bo
 			return
 		}
 		probed[addr] = true
-		c, err := DialTimeout(addr, 2*time.Second)
+		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			return
 		}
+		c := newClient(conn)
 		kv, followers, err := replKV(c)
 		c.Close()
 		if err != nil {

@@ -123,4 +123,4 @@ func (DropTable) stmt()   {}
 func (Insert) stmt()      {}
 func (Delete) stmt()      {}
 func (*Select) stmt()     {}
-func (*Count) stmt()      {}
+func (*RangeCount) stmt() {}

@@ -2,10 +2,11 @@ package sql
 
 import "crackdb"
 
-// RangeCount is a statement the batched count path can absorb:
+// RangeCount is a range count as Parser.Classify hands it on:
 // SELECT COUNT(*) FROM Table WHERE <conjunction on exactly one column>,
 // folded to the inclusive range [Low, High] (Low > High when the
-// conjunction is unsatisfiable).
+// conjunction is unsatisfiable). Engine.ExecWindow answers it through
+// the store's CountBatch, alone or in a run.
 type RangeCount struct {
 	Table string
 	Col   string
@@ -52,25 +53,6 @@ func rangeCount(stmt Stmt) (RangeCount, bool) {
 	return RangeCount{Table: s.Table, Col: col, Low: lo, High: hi}, true
 }
 
-// Count is a range count as Parser.Classify hands it on: rangeCount's
-// fold of the statement, and the text it came from. A Count folded from
-// a remembered shape carries no statement; it is parsed from its text
-// only if it has to execute alone.
-type Count struct {
-	RangeCount
-	text string  // the statement's text
-	sel  *Select // the statement, if the Parser built one
-}
-
-// statement returns the count's SELECT, parsing its text if the Parser
-// folded it without building one.
-func (c *Count) statement() (Stmt, error) {
-	if c.sel != nil {
-		return c.sel, nil
-	}
-	return Parse(c.text)
-}
-
 // Result is one statement's answer: a result set or an error.
 type Result struct {
 	Set *ResultSet
@@ -78,45 +60,46 @@ type Result struct {
 }
 
 // ExecWindow executes a window's statements in order and answers each.
-// A maximal run of two or more Counts on one (table, column) — what a
-// pipelining client sends, as Parser.Classify hands it on — is one
-// shard.Store.CountBatch, which counts the ranges in submission order;
-// if the batch fails, the run's statements execute one by one, so each
-// error reads as it would alone. Every other statement executes alone.
-// ExecWindow classifies nothing: a *Select that Parse returned executes
-// alone, whatever it counts.
+// A maximal run of RangeCounts on one (table, column) — one count, or
+// what a pipelining client sends, as Parser.Classify hands it on — is
+// one shard.Store.CountBatch, which counts the ranges in submission
+// order; if the batch fails, each statement of the run answers its
+// error, which reads as the statement's would alone. Every other
+// statement executes alone. ExecWindow classifies nothing: a *Select
+// that Parse returned executes alone, whatever it counts.
 func (e *Engine) ExecWindow(stmts []Stmt) []Result {
 	out := make([]Result, len(stmts))
 	var ranges []crackdb.Range
 	for i := 0; i < len(stmts); {
-		end := i + 1 // the run is stmts[i:end]
-		if first, ok := stmts[i].(*Count); ok {
-			for end < len(stmts) {
-				if c, ok := stmts[end].(*Count); !ok || c.Table != first.Table || c.Col != first.Col {
-					break
-				}
-				end++
-			}
-			if end-i >= 2 {
-				if ranges == nil {
-					ranges = make([]crackdb.Range, 0, len(stmts)-i)
-				}
-				ranges = ranges[:0]
-				for _, st := range stmts[i:end] {
-					ranges = append(ranges, st.(*Count).Range())
-				}
-				if counts, err := e.store.CountBatch(first.Table, first.Col, ranges); err == nil {
-					sets := countResults(counts)
-					for k := range sets {
-						out[i].Set = &sets[k]
-						i++
-					}
-					continue
-				}
-			}
-		}
-		for ; i < end; i++ {
+		first, ok := stmts[i].(*RangeCount)
+		if !ok {
 			out[i].Set, out[i].Err = e.execStmt(stmts[i])
+			i++
+			continue
+		}
+		if ranges == nil {
+			ranges = make([]crackdb.Range, 0, len(stmts)-i)
+		}
+		ranges = ranges[:0]
+		for _, st := range stmts[i:] {
+			c, ok := st.(*RangeCount)
+			if !ok || c.Table != first.Table || c.Col != first.Col {
+				break
+			}
+			ranges = append(ranges, c.Range())
+		}
+		run := out[i : i+len(ranges)]
+		i += len(ranges)
+		counts, err := e.store.CountBatch(first.Table, first.Col, ranges)
+		if err != nil {
+			for k := range run {
+				run[k].Err = err
+			}
+			continue
+		}
+		sets := countResults(counts)
+		for k := range run {
+			run[k].Set = &sets[k]
 		}
 	}
 	return out

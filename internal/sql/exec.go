@@ -82,12 +82,6 @@ func (e *Engine) execStmt(stmt Stmt) (*ResultSet, error) {
 		return &ResultSet{Message: fmt.Sprintf("deleted %d rows from %s", n, s.Table)}, nil
 	case *Select:
 		return e.execSelect(s)
-	case *Count:
-		st, err := s.statement()
-		if err != nil {
-			return nil, err
-		}
-		return e.execStmt(st)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 	}

@@ -41,26 +41,26 @@ func Parse(input string) (Stmt, error) {
 // one byte for byte outside those literals, its statement is the
 // remembered one with the new values, and Parse builds it without
 // scanning. Classify takes the same path and hands a range count on
-// folded (a *Count): a Parser that remembers a count's shape through
+// folded (a *RangeCount): a Parser that remembers a count's shape through
 // Classify also remembers rangeCount's verdict on it, so a count of
 // that shape is folded from its literals alone, with no statement
 // built. The zero value is ready to use. A Parser is not safe for
 // concurrent use, and the statements it returns must not be modified.
 type Parser struct {
-	text   string  // the remembered statement's text
-	last   *Select // its statement; nil if none
-	lits   spans   // its literals: Where[k].Val is the one at lits.at[k]
-	folds  bool    // Classify remembered last, and rangeCount folds it
-	counts []Count // room for the Counts Classify hands out, each slot once
+	text   string       // the remembered statement's text
+	last   *Select      // its statement; nil if none
+	lits   spans        // its literals: Where[k].Val is the one at lits.at[k]
+	folds  bool         // Classify remembered last, and rangeCount folds it
+	counts []RangeCount // room for the RangeCounts Classify hands out, each slot once
 }
 
 // Parse parses a single statement (a trailing semicolon is allowed).
 func (m *Parser) Parse(input string) (Stmt, error) { return m.parse(input, false) }
 
 // Classify parses input as Parse does, but a statement rangeCount folds
-// comes back as a *Count for Engine.ExecWindow to batch: its table,
-// column and inclusive range. A count whose shape the Parser remembers
-// is folded from its new literals, and its Count carries no statement;
+// comes back as a *RangeCount for Engine.ExecWindow to batch: its
+// table, column and inclusive range. A count whose shape the Parser
+// remembers is folded from its new literals, with no statement built;
 // any other statement is Parse's.
 func (m *Parser) Classify(input string) (Stmt, error) { return m.parse(input, true) }
 
@@ -69,7 +69,7 @@ func (m *Parser) parse(input string, classify bool) (Stmt, error) {
 	var vals [memoLits]int64
 	if m.match(input, &vals) {
 		if classify && m.folds {
-			return m.count(Count{RangeCount: m.fold(&vals), text: input}), nil
+			return m.count(m.fold(&vals)), nil
 		}
 		sel := m.last.clone()
 		for k := range sel.Where {
@@ -98,7 +98,7 @@ func (m *Parser) parse(input string, classify bool) (Stmt, error) {
 		m.text, m.last, m.lits, m.folds = input, sel, p.lits, folds
 	}
 	if folds {
-		return m.count(Count{RangeCount: rc, text: input, sel: stmt.(*Select)}), nil
+		return m.count(rc), nil
 	}
 	return stmt, nil
 }
@@ -188,11 +188,11 @@ func (m *Parser) fold(vals *[memoLits]int64) RangeCount {
 
 // count hands c out from the Parser's room. The room is a chunk of 1,
 // then of 4, 16 and 64 slots, and a slot is never written twice, so
-// each Count stays what it was when handed out: a window of one count
+// each RangeCount stays what it was when handed out: a window of one count
 // costs one small allocation, and a window of 64 counts four, not 64.
-func (m *Parser) count(c Count) *Count {
+func (m *Parser) count(c RangeCount) *RangeCount {
 	if len(m.counts) == cap(m.counts) {
-		m.counts = make([]Count, 0, min(max(1, 4*cap(m.counts)), 64))
+		m.counts = make([]RangeCount, 0, min(max(1, 4*cap(m.counts)), 64))
 	}
 	m.counts = append(m.counts, c)
 	return &m.counts[len(m.counts)-1]
