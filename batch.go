@@ -14,37 +14,31 @@ type Range = core.Range
 // the same Counts sent one by one would. The
 // counts come back in submission order. An empty batch creates nothing.
 func (s *Store) CountBatch(table, col string, ranges []Range) ([]int, error) {
-	counts, _, err := s.countBatch(table, col, ranges, true)
-	return counts, err
+	counts := make([]int, len(ranges))
+	if _, err := s.countBatch(table, col, ranges, counts, true); err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
 // ReadBatch offers a batch to the store read-only, as ReadWhere offers a
 // conjunction. When the column's cracker index resolves every range and
-// no update is pending, it answers as CountBatch does, under one read
-// hold. Otherwise it declines: ok is false and nothing changed — no
-// cracker column created, no statistic, no timing, not the auto-tuner's
-// view of the workload — so CountBatch can answer the batch next as if
-// the offer had never been made. An error is the one CountBatch would
-// return, never a decline. The shard router offers every shard its
-// sub-batch this way first and fans out only the shards that decline.
-func (s *Store) ReadBatch(table, col string, ranges []Range) (counts []int, ok bool, err error) {
-	return s.countBatch(table, col, ranges, false)
+// no update is pending, it counts into counts, a slot a range, as
+// CountBatch does, under one read hold. Otherwise it declines: ok is
+// false and nothing but counts changed — no cracker column created, no
+// statistic, no timing, not the auto-tuner's view of the workload — so
+// CountBatch can answer the batch next as if the offer had never been
+// made. An error is the one CountBatch would return, never a decline.
+// The shard router offers every shard its sub-batch this way first.
+func (s *Store) ReadBatch(table, col string, ranges []Range, counts []int) (ok bool, err error) {
+	return s.countBatch(table, col, ranges, counts, false)
 }
 
-// countBatch is CountBatch, and ReadBatch with write false.
-func (s *Store) countBatch(table, col string, ranges []Range, write bool) ([]int, bool, error) {
+// countBatch is CountBatch into counts, and ReadBatch with write false.
+func (s *Store) countBatch(table, col string, ranges []Range, counts []int, write bool) (bool, error) {
 	ct, err := s.tableFor(table, col)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	run := core.AcquireBatchRun()
-	defer run.Release()
-	if ok, err := ct.CountBatchRun(col, ranges, run, write); !ok || err != nil {
-		return nil, false, err
-	}
-	counts := make([]int, len(run.Answers))
-	for i, a := range run.Answers {
-		counts[i] = a.N
-	}
-	return counts, true, nil
+	return ct.CountBatchRun(col, ranges, counts, write)
 }

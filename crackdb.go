@@ -423,14 +423,12 @@ func (s *Store) Select(table, col string, low, high int64) (*Result, error) {
 
 // Count is Select without result materialization: the query still cracks
 // (it is also advice) but only the qualifying-tuple count is returned.
-// It routes through the same single-entry count path CountBatch uses —
-// one registry resolution, no View or Result construction.
+// It is a CountBatch of one range into a one-slot array — one registry
+// resolution, no View or Result construction.
 func (s *Store) Count(table, col string, low, high int64) (int, error) {
-	ct, err := s.tableFor(table, col)
-	if err != nil {
-		return 0, err
-	}
-	return ct.CountRange(col, core.Range{Low: low, High: high})
+	var n [1]int
+	_, err := s.countBatch(table, col, []Range{{Low: low, High: high}}, n[:], true)
+	return n[0], err
 }
 
 // Rows is a selection's qualifying-tuple count plus attribute fetch,

@@ -132,7 +132,7 @@ type ColumnStats struct {
 	AuxCracks      int   // strategy-advised auxiliary cracks (subset of Cracks)
 	IndexLookups   int   // cuts answered from the index
 	TuplesMoved    int64 // element writes during reorganization
-	TuplesTouched  int64 // element reads during reorganization
+	TuplesTouched  int64 // tuples of the pieces cracks covered, each crack's once; a sort N log N
 	Pieces         int   // current piece count
 	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
 	RippleFolds    int   // folds that kept the cracker index

@@ -23,12 +23,12 @@ type BatchAnswer struct {
 	N int
 }
 
-// BatchRun owns the answers of one batch execution. Acquire one from
-// the pool, run batches through it, Release it when the Answers are
-// consumed. The pool is why a converged CountBatch allocates nothing
-// but the counts it returns.
+// BatchRun owns the answers of SelectBatchRun. Acquire one from the
+// pool, run batches through it, Release it when the Answers are
+// consumed. No store path uses it: CountBatchRun counts into a slice the
+// caller owns.
 type BatchRun struct {
-	// Answers is filled by CountBatchRun, in submission order. The
+	// Answers is filled by SelectBatchRun, in submission order. The
 	// slice is reused across runs; copy anything that must outlive
 	// Release.
 	Answers []BatchAnswer
@@ -74,33 +74,33 @@ func (c *Column) SelectBatchRun(ranges []expr.Range, ordered, countOnly bool, ru
 	for _, r := range ranges {
 		run.ranges = append(run.ranges, inclusiveOf(r))
 	}
-	c.countBatch(run.ranges, run, nil, true)
-}
-
-// countBatch is SelectBatchRun, showing observe (when non-nil) each
-// range once it is answered, outside the column lock: the column's one
-// read loop (answer), counting each window into run.Answers. With write
-// false the batch is only offered, and answer's decline leaves the
-// Answers to be dropped. It reports whether the batch was answered.
-func (c *Column) countBatch(ranges []Range, run *BatchRun, observe func(Range), write bool) bool {
 	answers := slices.Grow(run.Answers[:0], len(ranges))[:len(ranges)]
 	run.Answers = answers
-	return c.answer(ranges, write, func(i int, v View) { answers[i].N = v.Len() }, observe)
+	c.answer(run.ranges, true, func(i int, v View) { answers[i].N = v.Len() }, nil)
 }
 
-// CountBatchRun counts a batch of ranges on one attribute into the run,
-// resolving the cracker column once for the whole batch. The select
-// observer sees each range right after it is answered, as it does for a
-// scalar count. An empty batch returns before the column is resolved,
-// so, like no query at all, it creates no cracker column.
+// countBatch counts ranges into counts[i], showing observe (when
+// non-nil) each range once it is answered, outside the column lock: the
+// column's one read loop (answer). With write false the batch is only
+// offered, and answer's decline leaves what it wrote to counts to be
+// dropped. It reports whether the batch was answered.
+func (c *Column) countBatch(ranges []Range, counts []int, observe func(Range), write bool) bool {
+	return c.answer(ranges, write, func(i int, v View) { counts[i] = v.Len() }, observe)
+}
+
+// CountBatchRun counts a batch of ranges on one attribute into counts,
+// which has a slot per range, resolving the cracker column once for the
+// whole batch; a scalar count is a batch of one. The select observer
+// sees each range right after it is answered. An empty batch returns
+// before the column is resolved, so, like no query at all, it creates no
+// cracker column.
 //
 // With write false the batch is only offered (Column.countBatch): it
 // is answered when attr's cracker column exists and its index resolves
-// every range, and otherwise declined (ok false) having changed nothing,
-// the cracker column not even created. The shard router offers every
-// shard its sub-batch this way before it fans out.
-func (ct *CrackedTable) CountBatchRun(attr string, ranges []Range, run *BatchRun, write bool) (ok bool, err error) {
-	run.Answers = run.Answers[:0]
+// every range, and otherwise declined (ok false) having changed nothing
+// but counts, the cracker column not even created. The shard router
+// offers every shard its sub-batch this way before it fans out.
+func (ct *CrackedTable) CountBatchRun(attr string, ranges []Range, counts []int, write bool) (ok bool, err error) {
 	if len(ranges) == 0 {
 		return true, nil
 	}
@@ -112,17 +112,5 @@ func (ct *CrackedTable) CountBatchRun(attr string, ranges []Range, run *BatchRun
 	} else if c, ok = ct.Column(attr); !ok {
 		return false, nil
 	}
-	return c.countBatch(ranges, run, ct.observer(attr), write), nil
-}
-
-// CountRange answers one range on attr without materializing anything,
-// through the loop CountBatchRun's ranges take (Column.answer) — the
-// store's Count.
-func (ct *CrackedTable) CountRange(attr string, r Range) (n int, err error) {
-	c, err := ct.ColumnFor(attr)
-	if err != nil {
-		return 0, err
-	}
-	c.answer([]Range{r}, true, func(_ int, v View) { n = v.Len() }, ct.observer(attr))
-	return n, nil
+	return c.countBatch(ranges, counts, ct.observer(attr), write), nil
 }

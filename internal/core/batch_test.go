@@ -76,20 +76,19 @@ func TestCountBatchMatchesOneByOne(t *testing.T) {
 			for i, r := range batch {
 				ranges[i] = inclusiveOf(r)
 			}
-			run := AcquireBatchRun()
-			defer run.Release()
+			counts := make([]int, len(ranges))
 			var seen []Range
 			var seenCracks []int
-			a.countBatch(ranges, run, func(r Range) {
+			a.countBatch(ranges, counts, func(r Range) {
 				if !a.mu.TryLock() {
 					t.Fatal("the observer ran under the column lock")
 				}
 				a.mu.Unlock()
 				seen, seenCracks = append(seen, r), append(seenCracks, a.Stats().Cracks)
 			}, true)
-			for i, ans := range run.Answers {
-				if ans.N != want[i] {
-					t.Errorf("range %d %+v: batch counts %d, one by one %d", i, batch[i], ans.N, want[i])
+			for i, n := range counts {
+				if n != want[i] {
+					t.Errorf("range %d %+v: batch counts %d, one by one %d", i, batch[i], n, want[i])
 				}
 			}
 			if !slices.Equal(seen, ranges) || !slices.Equal(seenCracks, wantCracks) {
@@ -277,27 +276,26 @@ func TestCountBatchOffer(t *testing.T) {
 		return counters{in.Batch.Snapshot().Count, in.ReadHold.Snapshot().Count, in.WriteHold.Snapshot().Count,
 			in.Trace.Mark(), c.Stats(), c.Index().String()}
 	}
-	run := AcquireBatchRun()
-	defer run.Release()
+	counts := make([]int, len(converged)+1)
 	observed := 0
 	observe := func(Range) { observed++ }
 
 	missing := append(slices.Clone(converged), Range{Low: 5, High: 16})
 	before := snap()
-	if c.countBatch(missing, run, observe, false) {
+	if c.countBatch(missing, counts, observe, false) {
 		t.Fatal("an offer with an unresolved range answered")
 	}
 	if after := snap(); after != before || observed != 0 {
 		t.Fatalf("the declined offer recorded %+v (observer %d), before %+v", after, observed, before)
 	}
 
-	if !c.countBatch(converged, run, observe, false) {
+	if !c.countBatch(converged, counts, observe, false) {
 		t.Fatal("an offer of converged ranges declined")
 	}
 	after := snap()
 	for i, r := range converged {
-		if want := c.Count(r.Low, r.High, true, true); run.Answers[i].N != want {
-			t.Errorf("range %d: offer counts %d, Count %d", i, run.Answers[i].N, want)
+		if want := c.Count(r.Low, r.High, true, true); counts[i] != want {
+			t.Errorf("range %d: offer counts %d, Count %d", i, counts[i], want)
 		}
 	}
 	if after.batch != before.batch+1 || after.read != before.read || after.write != before.write || after.trace != before.trace {

@@ -91,7 +91,7 @@ type Stats struct {
 	AuxCracks      int   // strategy-advised auxiliary cracks (subset of Cracks)
 	IndexLookups   int   // cut lookups answered without cracking
 	TuplesMoved    int64 // element writes during partitioning and folding
-	TuplesTouched  int64 // element reads during partitioning
+	TuplesTouched  int64 // tuples of the pieces cracks covered, each crack's once; a sort N log N
 	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
 	RippleFolds    int   // folds that kept the index
 	RebuildFolds   int   // folds that dropped it

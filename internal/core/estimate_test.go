@@ -115,7 +115,7 @@ func TestSelectTermPlannedCracksOnlyBestColumn(t *testing.T) {
 	ct := NewCrackedTable(tbl)
 
 	// Give column a statistics by cracking it narrowly; b stays virgin.
-	if _, err := ct.CountRange("a", Range{Low: 50, High: 60}); err != nil {
+	if _, err := ct.CountBatchRun("a", []Range{{Low: 50, High: 60}}, make([]int, 1), true); err != nil {
 		t.Fatal(err)
 	}
 

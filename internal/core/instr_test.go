@@ -177,10 +177,10 @@ func TestTableSetInstr(t *testing.T) {
 	in := &Instr{WriteHold: new(obs.Histogram), Trace: obs.NewTraceBuf(64)}
 	ct.SetInstr(in)
 	mark := in.Trace.Mark()
-	if _, err := ct.CountRange("a", Range{Low: 10, High: 100}); err != nil {
+	if _, err := ct.CountBatchRun("a", []Range{{Low: 10, High: 100}}, make([]int, 1), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ct.CountRange("b", Range{Low: 85, High: 95}); err != nil { // created after SetInstr
+	if _, err := ct.CountBatchRun("b", []Range{{Low: 85, High: 95}}, make([]int, 1), true); err != nil { // created after SetInstr
 		t.Fatal(err)
 	}
 	evs := in.Trace.Since(mark)

@@ -87,14 +87,16 @@ func TestRowFetchBudget(t *testing.T) {
 // count, 37 for the fetch), and no goroutine, whose closure and wait
 // group alone would cost one allocation per shard plus one. A goroutine
 // per shard made it 16 and 54. A converged batch of 8 ranges takes the
-// same read-only pass (measured 12: the routing, a count slice a shard,
-// gather's slots and closures, the merged counts); with every shard but
-// one on a goroutine it made 19.
+// same read-only pass (measured 6: the routing's share, sub-batch and
+// counts arrays, gather's error slots and fan-out closure, the merged
+// counts), each shard counting into its segment of the one counts array;
+// a count slice a shard and an index scatter made it 12, and with every
+// shard but one on a goroutine it made 19.
 func TestRoutedReadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxCountAllocs, maxFetchAllocs, maxBatchAllocs = 4, 40, 12
+	const maxCountAllocs, maxFetchAllocs, maxBatchAllocs = 4, 40, 6
 	st := convergedRouter(t)
 	ranges := make([]crackdb.Range, 8)
 	for i := range ranges {
@@ -159,14 +161,15 @@ func TestRoutedReadBudget(t *testing.T) {
 // check that it only reads and to execute it, so a converged count
 // served as a window of one costs it no more allocations than it costs
 // a primary. Checking on a second parse made it 40 against 24. The
-// primary's count is held to 22: a lone count is a batch of one, whose
-// routing (four arrays), per-shard answers (one slice a shard) and
-// gather (two slices) took it from the 12 it cost through CountWhere.
+// primary's count is held to 16: a lone count is a batch of one, whose
+// ranges, routing (three arrays, the shards counting into one of them)
+// and merged counts take it from the 12 it cost through CountWhere.
+// Four routing arrays and a count slice a shard made it 22.
 func TestFollowerDispatchBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	const maxPrimary = 22
+	const maxPrimary = 16
 	st := convergedRouter(t)
 	primary, follower := New(st, nil), New(st, nil)
 	follower.SetPrimary("127.0.0.1:1")

@@ -330,7 +330,7 @@ func (f *Follower) pullLoop(c *Client) error {
 			}
 			return fmt.Errorf("primary: %s", resp.Err)
 		}
-		primaryNext, primaryDurable, recs, err := parsePull(resp)
+		primaryDurable, recs, err := parsePull(resp)
 		if err != nil {
 			return err
 		}
@@ -344,20 +344,20 @@ func (f *Follower) pullLoop(c *Client) error {
 			next++
 			f.applied.Add(1)
 		}
-		_ = primaryNext
 	}
 }
 
 // parsePull decodes a /replpull reply: "next=<n> durable=<d> recs=<b64>".
-func parsePull(resp *Response) (next, durableSeq uint64, recs []durable.Record, err error) {
+// next is checked, not returned: the follower counts its own position.
+func parsePull(resp *Response) (durableSeq uint64, recs []durable.Record, err error) {
 	fields := strings.Fields(resp.Message)
 	if len(fields) != 3 {
-		return 0, 0, nil, fmt.Errorf("server: malformed pull reply %q", resp.Message)
+		return 0, nil, fmt.Errorf("server: malformed pull reply %q", resp.Message)
 	}
 	for _, fld := range fields {
 		switch {
 		case strings.HasPrefix(fld, "next="):
-			next, err = strconv.ParseUint(fld[len("next="):], 10, 64)
+			_, err = strconv.ParseUint(fld[len("next="):], 10, 64)
 		case strings.HasPrefix(fld, "durable="):
 			durableSeq, err = strconv.ParseUint(fld[len("durable="):], 10, 64)
 		case strings.HasPrefix(fld, "recs="):
@@ -370,10 +370,10 @@ func parsePull(resp *Response) (next, durableSeq uint64, recs []durable.Record, 
 			err = fmt.Errorf("server: unknown pull field %q", fld)
 		}
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
 	}
-	return next, durableSeq, recs, nil
+	return durableSeq, recs, nil
 }
 
 // replKV fetches /repl and folds it into a map plus the follower rows.

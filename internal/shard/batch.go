@@ -19,22 +19,68 @@ import (
 	"crackdb"
 )
 
-// subBatch is the slice of a batch routed to one shard: the ranges plus
-// their submission indices, so per-shard answers scatter back to the
-// right predicate.
+// subBatch is the slice of a batch routed to one shard: the ranges that
+// visit it, in submission order, and the segment of one counts array
+// that its answers fill, a slot a range.
 type subBatch struct {
 	ranges []crackdb.Range
-	idx    []int
+	counts []int
 }
 
-// routeBatch groups a batch of inclusive ranges on col into per-shard
-// sub-batches. Ranges on the partition key prune to the shard span that
-// can hold qualifying keys; ranges on any other column visit every
+// routeBatch groups a batch of inclusive ranges into per-shard
+// sub-batches, each range going to the shards span names. A first pass
+// counts each shard's share. A shard every range visits — on a hash
+// table, every shard, unless a range is empty — is handed ranges itself;
+// the other shards' ranges are cut from one exactly sized array, and
+// every shard's counts from one more.
+func routeBatch(ranges []crackdb.Range, shards int, span func(crackdb.Range) (first, last int)) []subBatch {
+	share := make([]int, shards)
+	total, cut := 0, 0
+	for _, r := range ranges {
+		first, last := span(r)
+		for t := first; t <= last; t++ {
+			share[t]++
+		}
+	}
+	for _, n := range share {
+		total += n
+		if n < len(ranges) {
+			cut += n
+		}
+	}
+	sub := make([]subBatch, shards)
+	counts, rs := make([]int, total), make([]crackdb.Range, cut)
+	for t, n := range share {
+		sub[t].counts, counts = counts[:n:n], counts[n:]
+		if n == len(ranges) {
+			sub[t].ranges = ranges
+		} else {
+			sub[t].ranges, rs = rs[:0:n], rs[n:]
+		}
+	}
+	for _, r := range ranges {
+		first, last := span(r)
+		for t := first; t <= last; t++ {
+			if share[t] < len(ranges) {
+				sub[t].ranges = append(sub[t].ranges, r)
+			}
+		}
+	}
+	return sub
+}
+
+// CountBatch answers many inclusive ranges on one column, fanning out
+// one sub-batch per target shard and summing, by walking the routing
+// again, the per-shard counts per predicate. Counts come back in
+// submission order. Ranges on the partition key prune to the shard span
+// that can hold qualifying keys; ranges on any other column visit every
 // shard. Empty ranges (Low > High) are routed nowhere — their answer is
 // zero tuples on every shard — so col is checked here, not by a shard.
-// A first pass counts each shard's share, so the sub-batches are cut
-// from one exactly sized array of ranges and one of indices.
-func (s *Store) routeBatch(table string, m *tableMeta, part partitioner, col string, ranges []crackdb.Range) ([]subBatch, error) {
+func (s *Store) CountBatch(table, col string, ranges []crackdb.Range) ([]int, error) {
+	m, part, err := s.meta(table)
+	if err != nil {
+		return nil, err
+	}
 	if err := m.hasColumn(table, col); err != nil {
 		return nil, err
 	}
@@ -47,59 +93,27 @@ func (s *Store) routeBatch(table string, m *tableMeta, part partitioner, col str
 		}
 		return 0, len(s.shards) - 1
 	}
-	share := make([]int, len(s.shards))
-	total := 0
-	for _, r := range ranges {
-		first, last := span(r)
-		for t := first; t <= last; t++ {
-			share[t]++
-		}
-		total += last - first + 1
-	}
-	sub := make([]subBatch, len(s.shards))
-	rs, idx := make([]crackdb.Range, total), make([]int, total)
-	for t, n := range share {
-		sub[t].ranges, sub[t].idx = rs[:0:n], idx[:0:n]
-		rs, idx = rs[n:], idx[n:]
-	}
-	for i, r := range ranges {
-		first, last := span(r)
-		for t := first; t <= last; t++ {
-			sub[t].ranges = append(sub[t].ranges, r)
-			sub[t].idx = append(sub[t].idx, i)
-		}
-	}
-	return sub, nil
-}
-
-// CountBatch answers many inclusive ranges on one column, fanning out
-// one sub-batch per target shard and summing the per-shard counts per
-// predicate. Counts come back in submission order.
-func (s *Store) CountBatch(table, col string, ranges []crackdb.Range) ([]int, error) {
-	m, part, err := s.meta(table)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := s.routeBatch(table, m, part, col, ranges)
-	if err != nil {
-		return nil, err
-	}
+	sub := routeBatch(ranges, len(s.shards), span)
 	s.noteRoutedBatch(sub)
-	per, err := gather(0, len(s.shards)-1, func(i int) ([]int, bool, error) {
+	if _, err := gather(0, len(s.shards)-1, func(i int) (struct{}, bool, error) {
 		if len(sub[i].ranges) == 0 {
-			return nil, true, nil
+			return struct{}{}, true, nil
 		}
-		return s.shards[i].ReadBatch(table, col, sub[i].ranges)
-	}, func(i int) ([]int, error) {
-		return s.shards[i].CountBatch(table, col, sub[i].ranges)
-	})
-	if err != nil {
+		ok, err := s.shards[i].ReadBatch(table, col, sub[i].ranges, sub[i].counts)
+		return struct{}{}, ok, err
+	}, func(i int) (struct{}, error) {
+		counts, err := s.shards[i].CountBatch(table, col, sub[i].ranges)
+		copy(sub[i].counts, counts)
+		return struct{}{}, err
+	}); err != nil {
 		return nil, err
 	}
 	counts := make([]int, len(ranges))
-	for t, counted := range per {
-		for j, n := range counted {
-			counts[sub[t].idx[j]] += n
+	for i, r := range ranges {
+		first, last := span(r)
+		for t := first; t <= last; t++ {
+			counts[i] += sub[t].counts[0]
+			sub[t].counts = sub[t].counts[1:]
 		}
 	}
 	return counts, nil

@@ -334,7 +334,7 @@ func TestConcurrentProjectObserve(t *testing.T) {
 				lo := rng.Int63n(9000)
 				r := incRange(lo, lo+500)
 				if i%3 == 0 {
-					if _, err := ct.CountRange("k", r); err != nil {
+					if _, err := ct.CountBatchRun("k", []core.Range{r}, make([]int, 1), true); err != nil {
 						t.Error(err)
 					}
 					continue
