@@ -125,24 +125,12 @@ func (s *Store) Lineage(table, col string) (string, error) {
 	return c.Lineage().Render(), nil
 }
 
-// ColumnStats reports the physical work a cracked column has absorbed.
+// ColumnStats reports the physical work a cracked column has absorbed
+// (core.Stats: the counters and their Add and Sub) with the column's
+// state beside it.
 type ColumnStats struct {
-	Queries        int
-	Cracks         int   // partition passes
-	AuxCracks      int   // strategy-advised auxiliary cracks (subset of Cracks)
-	IndexLookups   int   // cuts answered from the index
-	TuplesMoved    int64 // element writes during reorganization
-	TuplesTouched  int64 // tuples of the pieces cracks covered, each crack's once; a sort N log N
-	Pieces         int   // current piece count
-	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
-	RippleFolds    int   // folds that kept the cracker index
-	RebuildFolds   int   // folds that dropped it
-
-	// GranulesDirtied counts the granules (core.Granule positions each)
-	// reorganization marked for write-back: a granule counts once between
-	// two image elements however often it is written, so it is what the
-	// next delta element carries of the column.
-	GranulesDirtied int64
+	core.Stats
+	Pieces int // current piece count
 
 	// Strategy is the column's active crack strategy. Per-column, not
 	// per-store: the auto-tuner (or a /tune pin) can leave one table
@@ -162,17 +150,8 @@ func (cs *ColumnStats) Add(o ColumnStats) {
 	case o.Strategy != "" && o.Strategy != cs.Strategy:
 		cs.Strategy = "mixed"
 	}
-	cs.Queries += o.Queries
-	cs.Cracks += o.Cracks
-	cs.AuxCracks += o.AuxCracks
-	cs.IndexLookups += o.IndexLookups
-	cs.TuplesMoved += o.TuplesMoved
-	cs.TuplesTouched += o.TuplesTouched
+	cs.Stats = cs.Stats.Add(o.Stats)
 	cs.Pieces += o.Pieces
-	cs.Consolidations += o.Consolidations
-	cs.RippleFolds += o.RippleFolds
-	cs.RebuildFolds += o.RebuildFolds
-	cs.GranulesDirtied += o.GranulesDirtied
 }
 
 // Stats returns the work counters of one cracked column. Columns that
@@ -196,22 +175,7 @@ func (s *Store) Stats(table, col string) (ColumnStats, error) {
 }
 
 func columnStats(c *core.Column) ColumnStats {
-	cs := c.Stats()
-	return ColumnStats{
-		Queries:        cs.Queries,
-		Cracks:         cs.Cracks,
-		AuxCracks:      cs.AuxCracks,
-		IndexLookups:   cs.IndexLookups,
-		TuplesMoved:    cs.TuplesMoved,
-		TuplesTouched:  cs.TuplesTouched,
-		Pieces:         c.Pieces(),
-		Consolidations: cs.Consolidations,
-		RippleFolds:    cs.RippleFolds,
-		RebuildFolds:   cs.RebuildFolds,
-		Strategy:       c.StrategyName(),
-
-		GranulesDirtied: cs.GranulesDirtied,
-	}
+	return ColumnStats{Stats: c.Stats(), Pieces: c.Pieces(), Strategy: c.StrategyName()}
 }
 
 // CrackedColumnStats returns the counters of every column of a table

@@ -83,25 +83,53 @@ type pendingInsert struct {
 
 // Stats counts the physical work a column has absorbed. TuplesMoved is
 // the number of element writes performed by crack partitioning — the
-// quantity Figure 2 plots — and by update folds; TuplesTouched the number
-// inspected.
+// quantity Figure 2 plots — and by update folds; TuplesTouched the
+// tuples of the pieces cracks covered, each crack's once. Add and Sub
+// are the only code that combines counters field by field: every total
+// and difference goes through them, and TestStatsArithmetic fails when
+// a field is missing from them.
 type Stats struct {
 	Queries        int
 	Cracks         int   // partition passes executed
 	AuxCracks      int   // strategy-advised auxiliary cracks (subset of Cracks)
 	IndexLookups   int   // cut lookups answered without cracking
-	TuplesMoved    int64 // element writes during partitioning and folding
+	TuplesMoved    int64 // element writes during partitioning and folding; a sort N log N
 	TuplesTouched  int64 // tuples of the pieces cracks covered, each crack's once; a sort N log N
 	Consolidations int   // pending-update folds: RippleFolds + RebuildFolds
 	RippleFolds    int   // folds that kept the index
 	RebuildFolds   int   // folds that dropped it
 	CutsShifted    int64 // cut positions rewritten by folds
 	PaysDropped    int   // payload vectors a reorganization could not carry (payload.go)
+	Folded         int64 // pending inserts and deletes that folds applied
 
 	// GranulesDirtied counts granules marked for write-back (granule.go):
 	// a granule counts once between two image elements, however often it
 	// is written.
 	GranulesDirtied int64
+}
+
+// Add returns the field-by-field sum of s and o.
+func (s Stats) Add(o Stats) Stats { return s.plus(o, 1) }
+
+// Sub returns the field-by-field difference s - o: the work done between
+// two snapshots of one column.
+func (s Stats) Sub(o Stats) Stats { return s.plus(o, -1) }
+
+func (s Stats) plus(o Stats, sign int) Stats {
+	s.Queries += sign * o.Queries
+	s.Cracks += sign * o.Cracks
+	s.AuxCracks += sign * o.AuxCracks
+	s.IndexLookups += sign * o.IndexLookups
+	s.TuplesMoved += int64(sign) * o.TuplesMoved
+	s.TuplesTouched += int64(sign) * o.TuplesTouched
+	s.Consolidations += sign * o.Consolidations
+	s.RippleFolds += sign * o.RippleFolds
+	s.RebuildFolds += sign * o.RebuildFolds
+	s.CutsShifted += int64(sign) * o.CutsShifted
+	s.PaysDropped += sign * o.PaysDropped
+	s.Folded += int64(sign) * o.Folded
+	s.GranulesDirtied += int64(sign) * o.GranulesDirtied
+	return s
 }
 
 // counters is the internal, atomically-updated form of Stats. Atomics let
@@ -118,7 +146,7 @@ type counters struct {
 	rebuildFolds  atomic.Int64
 	cutsShifted   atomic.Int64
 	paysDropped   atomic.Int64
-	folded        atomic.Int64 // inserts + deletes folded; feeds CrackEvent.Folded
+	folded        atomic.Int64
 
 	granulesDirtied atomic.Int64
 }
@@ -135,6 +163,7 @@ func (s *counters) snapshot() Stats {
 		RebuildFolds:  int(s.rebuildFolds.Load()),
 		CutsShifted:   s.cutsShifted.Load(),
 		PaysDropped:   int(s.paysDropped.Load()),
+		Folded:        s.folded.Load(),
 
 		GranulesDirtied: s.granulesDirtied.Load(),
 	}

@@ -63,28 +63,13 @@ func (t *CrackedTable) SetInstr(in *Instr) {
 // finishWriteHold can attribute the hold's deltas to one CrackEvent.
 // The caller must hold the write lock across begin/finish.
 type holdState struct {
-	start    time.Time
-	cuts     int
-	cracks   int64
-	touched  int64
-	moved    int64
-	rebuilds int64
-	shifted  int64
-	folded   int64
+	start time.Time
+	cuts  int
+	stats Stats
 }
 
 func (c *Column) beginWriteHoldLocked() holdState {
-	return holdState{
-		start:   time.Now(),
-		cuts:    c.idx.Len(),
-		cracks:  c.stats.cracks.Load(),
-		touched: c.stats.tuplesTouched.Load(),
-		moved:   c.stats.tuplesMoved.Load(),
-
-		rebuilds: c.stats.rebuildFolds.Load(),
-		shifted:  c.stats.cutsShifted.Load(),
-		folded:   c.stats.folded.Load(),
-	}
+	return holdState{start: time.Now(), cuts: c.idx.Len(), stats: c.stats.snapshot()}
 }
 
 // finishWriteHold observes the hold duration and, when the hold
@@ -97,17 +82,16 @@ func (c *Column) finishWriteHold(in *Instr, hs holdState, r Range) {
 	if in.WriteHold != nil {
 		in.WriteHold.Observe(holdNS)
 	}
-	cracks := c.stats.cracks.Load() - hs.cracks
+	d := c.stats.snapshot().Sub(hs.stats)
 	cutsAdded := c.idx.Len() - hs.cuts
-	folded := c.stats.folded.Load() - hs.folded
 	var fold foldKind // zero: no fold in this hold
 	switch {
-	case c.stats.rebuildFolds.Load() != hs.rebuilds:
+	case d.RebuildFolds != 0:
 		fold = foldRebuild
-	case folded > 0:
+	case d.Folded > 0:
 		fold = foldRipple
 	}
-	if cracks == 0 && cutsAdded == 0 && fold != foldRebuild && c.stats.cutsShifted.Load() == hs.shifted {
+	if d.Cracks == 0 && cutsAdded == 0 && fold != foldRebuild && d.CutsShifted == 0 {
 		return // lost race, or a fold that left every cut where it was: nothing reorganized
 	}
 	in.Trace.Record(obs.CrackEvent{
@@ -115,12 +99,12 @@ func (c *Column) finishWriteHold(in *Instr, hs holdState, r Range) {
 		Column:        c.name,
 		Low:           r.Low,
 		High:          r.High,
-		Cracks:        cracks,
+		Cracks:        int64(d.Cracks),
 		CutsAdded:     int64(cutsAdded),
-		TuplesTouched: c.stats.tuplesTouched.Load() - hs.touched,
-		TuplesMoved:   c.stats.tuplesMoved.Load() - hs.moved,
+		TuplesTouched: d.TuplesTouched,
+		TuplesMoved:   d.TuplesMoved,
 		HoldNS:        holdNS,
 		Fold:          fold.String(),
-		Folded:        folded,
+		Folded:        d.Folded,
 	})
 }

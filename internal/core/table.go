@@ -438,14 +438,7 @@ func (ct *CrackedTable) Stats() Stats {
 	defer ct.mu.RUnlock()
 	var total Stats
 	for _, c := range ct.cols {
-		s := c.Stats()
-		total.Queries += s.Queries
-		total.Cracks += s.Cracks
-		total.AuxCracks += s.AuxCracks
-		total.IndexLookups += s.IndexLookups
-		total.TuplesMoved += s.TuplesMoved
-		total.TuplesTouched += s.TuplesTouched
-		total.Consolidations += s.Consolidations
+		total = total.Add(c.Stats())
 	}
 	return total
 }

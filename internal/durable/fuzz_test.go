@@ -194,6 +194,15 @@ func FuzzDecodeRecords(f *testing.F) {
 // FuzzImageDecode feeds arbitrary bytes to the image reader: no panic,
 // no corrupt-length-driven allocation, and a successful read must
 // survive a write/read round trip.
+//
+// The seed-vN-* seeds carry image versions the decoder refuses, so they
+// reach only the version check. They stay: at version 12 the package
+// covered the same 114 blocks with and without them, over the seed run
+// and after a 30 s fuzz of each corpus, and all 43 add about 50 ms to
+// go test on 2 cores. They are the layouts real stores of those
+// versions wrote, so a reader that ever migrates an old version has its
+// corpus here. A version bump keeps renaming the current seeds
+// (TestFuzzCorpusVersions).
 func FuzzImageDecode(f *testing.F) {
 	addMutations(f, fuzzImageBytes(f, sampleBase()))
 	addMutations(f, fuzzImageBytes(f, sampleDelta()))

@@ -42,7 +42,6 @@ type Fig1Config struct {
 	N             int       // table cardinality (paper: 1M)
 	Selectivities []float64 // sweep points in (0, 1]
 	Seed          int64
-	Out           io.Writer // front-end sink for the print mode
 }
 
 // DefaultFig1Selectivities is the paper's 0..100% sweep at 10% steps,
@@ -65,9 +64,6 @@ func Fig1(mode Fig1Mode, cfg Fig1Config) (Figure, error) {
 	if len(cfg.Selectivities) == 0 {
 		cfg.Selectivities = DefaultFig1Selectivities()
 	}
-	if cfg.Out == nil {
-		cfg.Out = io.Discard
-	}
 	tbl := buildRTable(cfg.N, cfg.Seed)
 
 	fig := Figure{
@@ -86,7 +82,7 @@ func Fig1(mode Fig1Mode, cfg Fig1Config) (Figure, error) {
 				hi = lo
 			}
 			start := time.Now()
-			got, err := runFig1Query(tbl, prof, mode, lo, hi, cfg.Out, &fragSeq)
+			got, err := runFig1Query(tbl, prof, mode, lo, hi, io.Discard, &fragSeq)
 			elapsed := time.Since(start)
 			if err != nil {
 				return fig, err

@@ -17,7 +17,6 @@ type FigAutotuneConfig struct {
 	K           int     // total queries; half per phase (default 1024)
 	Seed        int64   // RNG seed for data, workloads and strategies
 	Selectivity float64 // per-query range width as a domain fraction (default 0.01)
-	Tuner       tuner.Config
 }
 
 func (c *FigAutotuneConfig) defaults() {
@@ -29,11 +28,6 @@ func (c *FigAutotuneConfig) defaults() {
 	}
 	if c.Selectivity <= 0 {
 		c.Selectivity = 0.01
-	}
-	if c.Tuner.Window == 0 {
-		// React inside the figure's short phases: the store default
-		// (64×2) is tuned for million-query servers.
-		c.Tuner = tuner.Config{Window: 32, Confirm: 2, Cooldown: 64, Monotone: 0.85}
 	}
 }
 
@@ -66,11 +60,14 @@ func figAutotune(cfg FigAutotuneConfig) (Figure, [2][]tuner.Decision, error) {
 	queries := fromWorkload(stream)
 
 	bucket := max(cfg.K/64, 1)
+	// React inside the figure's short phases: the store default (64×2)
+	// is tuned for million-query servers.
+	tc := tuner.Config{Window: 32, Confirm: 2, Cooldown: 64, Monotone: 0.85}
 	var series []Series
 	for _, mode := range []string{"standard", "ddr", "autotune"} {
 		p := posture{strategy: mode}
 		if mode == "autotune" {
-			p = posture{autotune: &cfg.Tuner}
+			p = posture{autotune: &tc}
 		}
 		store, a, err := openStore(p, cfg.N, cfg.Seed)
 		if err != nil {

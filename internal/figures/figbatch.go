@@ -18,14 +18,16 @@ import (
 // additionally collapses into vectorized store entries when consecutive
 // statements hit the same column.
 type FigBatchConfig struct {
-	N       int   // table cardinality (default 100k)
-	K       int   // queries per cell (default 4096)
-	Seed    int64 // RNG seed
-	Width   int64 // per-query range width (default 100)
-	Shards  int   // shard count behind the server (default 4)
-	Clients []int // client counts to sweep (default 1,4,8)
-	Batches []int // batch sizes to sweep (default 1,8,64,512)
+	N    int   // table cardinality (default 100k)
+	K    int   // queries per cell (default 4096)
+	Seed int64 // RNG seed
 }
+
+// Every cell counts ranges of batchWidth over batchShards shards.
+const (
+	batchWidth  = 100
+	batchShards = 4
+)
 
 func (c *FigBatchConfig) defaults() {
 	if c.N <= 0 {
@@ -33,18 +35,6 @@ func (c *FigBatchConfig) defaults() {
 	}
 	if c.K <= 0 {
 		c.K = 4096
-	}
-	if c.Width <= 0 {
-		c.Width = 100
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if len(c.Clients) == 0 {
-		c.Clients = []int{1, 4, 8}
-	}
-	if len(c.Batches) == 0 {
-		c.Batches = []int{1, 8, 64, 512}
 	}
 }
 
@@ -54,9 +44,9 @@ func (c *FigBatchConfig) defaults() {
 func FigBatch(cfg FigBatchConfig) (Figure, error) {
 	cfg.defaults()
 	var series []Series
-	for _, clients := range cfg.Clients {
+	for _, clients := range []int{1, 4, 8} {
 		s := Series{Label: fmt.Sprintf("%d clients", clients)}
-		for _, batch := range cfg.Batches {
+		for _, batch := range []int{1, 8, 64, 512} {
 			qps, err := measureBatchCell(cfg, clients, batch)
 			if err != nil {
 				return Figure{}, err
@@ -67,7 +57,7 @@ func FigBatch(cfg FigBatchConfig) (Figure, error) {
 	}
 	return Figure{
 		ID:     "batch",
-		Title:  fmt.Sprintf("Pipelined wire throughput vs batch size (N=%d, %d shards)", cfg.N, cfg.Shards),
+		Title:  fmt.Sprintf("Pipelined wire throughput vs batch size (N=%d, %d shards)", cfg.N, batchShards),
 		XLabel: "batch size",
 		YLabel: "queries/s",
 		Series: series,
@@ -80,7 +70,7 @@ func FigBatch(cfg FigBatchConfig) (Figure, error) {
 // key is a permutation of 1..N, so every count is validated against its
 // exact width.
 func measureBatchCell(cfg FigBatchConfig, clients, batch int) (float64, error) {
-	st := shard.New(shard.Options{Shards: cfg.Shards, Kind: shard.Range})
+	st := shard.New(shard.Options{Shards: batchShards, Kind: shard.Range})
 	if err := st.LoadTapestry("t", cfg.N, 1, cfg.Seed); err != nil {
 		return 0, err
 	}
@@ -123,14 +113,14 @@ func batchWorker(cfg FigBatchConfig, addr string, batch, queries int, worker int
 		return err
 	}
 	defer c.Close()
-	maxLo := int64(cfg.N) - cfg.Width
+	maxLo := int64(cfg.N) - batchWidth
 	pos := func(i int) int64 {
 		// Deterministic low-discrepancy walk, distinct per worker.
 		return 1 + (cfg.Seed+worker*31+int64(i)*2654435761)%maxLo
 	}
 	stmt := func(i int) string {
 		lo := pos(i)
-		return fmt.Sprintf("SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 < %d", lo, lo+cfg.Width)
+		return fmt.Sprintf("SELECT COUNT(*) FROM t WHERE c0 >= %d AND c0 < %d", lo, lo+batchWidth)
 	}
 	if batch <= 1 {
 		for i := 0; i < queries; i++ {
@@ -138,8 +128,8 @@ func batchWorker(cfg FigBatchConfig, addr string, batch, queries int, worker int
 			if err != nil {
 				return err
 			}
-			if got != cfg.Width {
-				return fmt.Errorf("figures: batch cell count %d, want %d", got, cfg.Width)
+			if got != batchWidth {
+				return fmt.Errorf("figures: batch cell count %d, want %d", got, batchWidth)
 			}
 		}
 		return nil
@@ -162,8 +152,8 @@ func batchWorker(cfg FigBatchConfig, addr string, batch, queries int, worker int
 			if err != nil {
 				return err
 			}
-			if got != cfg.Width {
-				return fmt.Errorf("figures: batch cell count %d, want %d", got, cfg.Width)
+			if got != batchWidth {
+				return fmt.Errorf("figures: batch cell count %d, want %d", got, batchWidth)
 			}
 		}
 		i += len(stmts)

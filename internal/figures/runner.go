@@ -182,16 +182,7 @@ func replay(a answerer, qs []query, visit func(i int, st step)) error {
 // workSince subtracts prev's counters from cur's, keeping cur's Pieces
 // and Strategy.
 func workSince(cur, prev crackdb.ColumnStats) crackdb.ColumnStats {
-	cur.Queries -= prev.Queries
-	cur.Cracks -= prev.Cracks
-	cur.AuxCracks -= prev.AuxCracks
-	cur.IndexLookups -= prev.IndexLookups
-	cur.TuplesMoved -= prev.TuplesMoved
-	cur.TuplesTouched -= prev.TuplesTouched
-	cur.Consolidations -= prev.Consolidations
-	cur.RippleFolds -= prev.RippleFolds
-	cur.RebuildFolds -= prev.RebuildFolds
-	cur.GranulesDirtied -= prev.GranulesDirtied
+	cur.Stats = cur.Stats.Sub(prev.Stats)
 	return cur
 }
 

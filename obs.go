@@ -71,7 +71,7 @@ func (s *Store) collect(e *obs.Exporter) {
 			e.Counter("crackdb_aux_cracks_total", "Strategy-advised auxiliary cracks per column.", int64(cs.AuxCracks), lt, lc)
 			e.Counter("crackdb_index_lookups_total", "Cut lookups answered from the cracker index.", int64(cs.IndexLookups), lt, lc)
 			e.Counter("crackdb_tuples_touched_total", "Tuples of the pieces cracks covered, each crack's once; a sort counts N log N.", cs.TuplesTouched, lt, lc)
-			e.Counter("crackdb_tuples_moved_total", "Element writes during crack partitioning.", cs.TuplesMoved, lt, lc)
+			e.Counter("crackdb_tuples_moved_total", "Element writes during crack partitioning and update folds; a sort counts N log N.", cs.TuplesMoved, lt, lc)
 			const foldsHelp = "Pending-update folds per column, by what they did with the cracker index."
 			e.Counter("crackdb_folds_total", foldsHelp, int64(cs.RippleFolds), lt, lc, obs.L("kind", "ripple"))
 			e.Counter("crackdb_folds_total", foldsHelp, int64(cs.RebuildFolds), lt, lc, obs.L("kind", "rebuild"))
