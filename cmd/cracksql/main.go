@@ -1,8 +1,9 @@
 // Command cracksql is an interactive SQL shell over the cracking store:
-// a one-shard router (internal/shard), so its row order, error text and
-// persistence are cracksrv's. Every WHERE clause you run doubles as
-// cracking advice: watch the \stats and \lineage meta commands to see
-// the store reorganize itself under your queries.
+// a one-shard cracksrv served in process. Every line is answered by the
+// server's own request path (server.Server.Answer), so its row order,
+// error text, meta commands and persistence are cracksrv's. Every WHERE
+// clause you run doubles as cracking advice: watch \stats and \lineage
+// to see the store reorganize itself under your queries.
 //
 // Usage:
 //
@@ -13,14 +14,20 @@
 // checkpoint (tables and crack state), and a later cracksql -data dir
 // boots from the checkpoint chain and replays the log.
 //
-// Meta commands:
+// Meta commands are cracksrv's /commands typed with a backslash (\help
+// lists them all; \q is \quit), among them:
 //
-//	\tables                list tables
-//	\stats <table> <col>   cracking statistics of a column
-//	\lineage <table> <col> render the cracker lineage DAG
+//	\tables                       list tables
+//	\stats [<table> <col>]        cracking statistics of every cracked column, or of one
 //	\tapestry <name> <n> <alpha> [seed]   load a DBtapestry table
-//	\save                  checkpoint a -data store: prints full, delta or skipped
+//	\save [full]                  checkpoint a -data store: full, delta or skipped
+//	\wal, \metrics                the log's position, the store's metrics
 //	\quit
+//
+// One is cracksql's own, the embedded store's Figure 5 view, which the
+// server does not serve:
+//
+//	\lineage <table> <col>        render the cracker lineage DAG
 package main
 
 import (
@@ -31,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 
+	"crackdb/internal/server"
 	"crackdb/internal/shard"
 	"crackdb/internal/sql"
 )
@@ -53,31 +61,49 @@ func main() {
 			fail(err)
 		}
 	}
-	eng := sql.NewEngineOn(store)
+	srv := server.New(store, nil)
+	// \metrics answers as cracksrv's /metrics does, timing one converged
+	// lookup in 256 as cracksrv does.
+	srv.EnableObservability(0, 256)
 
 	if *script != "" {
 		data, err := os.ReadFile(*script)
 		if err != nil {
 			fail(err)
 		}
-		results, err := eng.ExecScript(string(data))
-		for _, rs := range results {
-			printResult(rs)
-		}
-		if err != nil {
+		if err := run(srv, string(data)); err != nil {
 			fail(err)
 		}
 	} else {
 		fmt.Println("cracksql — the database store that cracks under pressure")
-		fmt.Println(`type SQL terminated by ';', or \help`)
-		repl(eng, store)
+		fmt.Println(`type SQL terminated by ';' or a \command: \help lists cracksrv's /commands,`)
+		fmt.Println(`each run here with a backslash, and \lineage <table> <column> draws a cracker lineage`)
+		repl(srv, store)
 	}
 	if err := store.CloseWAL(); err != nil {
 		fail(err)
 	}
 }
 
-func repl(eng *sql.Engine, store *shard.Store) {
+// run answers the statements of script in turn, printing each answer,
+// and stops at the first that fails. A syntax error anywhere refuses
+// the whole script before any statement runs.
+func run(srv *server.Server, script string) error {
+	stmts, err := sql.SplitScript(script)
+	if err != nil {
+		return err
+	}
+	for i, stmt := range stmts {
+		resp, _ := srv.Answer(stmt)
+		if resp.Err != "" {
+			return fmt.Errorf("statement %d: %s", i+1, resp.Err)
+		}
+		printResult(resp)
+	}
+	return nil
+}
+
+func repl(srv *server.Server, store *shard.Store) {
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<24)
 	var pending strings.Builder
@@ -93,7 +119,7 @@ func repl(eng *sql.Engine, store *shard.Store) {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		if pending.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if !meta(store, trimmed) {
+			if meta(srv, store, trimmed) {
 				return
 			}
 			prompt()
@@ -102,119 +128,60 @@ func repl(eng *sql.Engine, store *shard.Store) {
 		pending.WriteString(line)
 		pending.WriteByte('\n')
 		if strings.Contains(line, ";") {
-			stmt := pending.String()
-			pending.Reset()
-			results, err := eng.ExecScript(stmt)
-			for _, rs := range results {
-				printResult(rs)
-			}
-			if err != nil {
+			if err := run(srv, pending.String()); err != nil {
 				fmt.Println("error:", err)
 			}
+			pending.Reset()
 		}
 		prompt()
 	}
 }
 
-// meta handles backslash commands; it returns false to quit.
-func meta(store *shard.Store, cmd string) bool {
+// meta answers a backslash command: \lineage from the embedded store,
+// any other \cmd as the server's /cmd. It reports whether to quit.
+func meta(srv *server.Server, store *shard.Store, cmd string) (quit bool) {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
-	case `\quit`, `\q`:
-		return false
-	case `\help`:
-		fmt.Println(`\tables, \stats <t> <c>, \lineage <t> <c>, \tapestry <name> <n> <alpha> [seed], \save, \quit`)
-	case `\tables`:
-		for _, t := range store.Tables() {
-			cols, _ := store.Columns(t)
-			n, _ := store.NumRows(t)
-			fmt.Printf("  %s (%s) — %d rows\n", t, strings.Join(cols, ", "), n)
-		}
-	case `\stats`:
-		if len(fields) != 3 {
-			fmt.Println(`usage: \stats <table> <column>`)
-			break
-		}
-		st, err := store.Shard(0).Stats(fields[1], fields[2])
-		if err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		fmt.Printf("  queries=%d cracks=%d indexLookups=%d pieces=%d moved=%d touched=%d\n",
-			st.Queries, st.Cracks, st.IndexLookups, st.Pieces, st.TuplesMoved, st.TuplesTouched)
 	case `\lineage`:
 		if len(fields) != 3 {
 			fmt.Println(`usage: \lineage <table> <column>`)
-			break
+			return false
 		}
 		lin, err := store.Shard(0).Lineage(fields[1], fields[2])
 		if err != nil {
 			fmt.Println("error:", err)
-			break
+			return false
 		}
 		fmt.Print(lin)
-	case `\tapestry`:
-		if len(fields) < 4 {
-			fmt.Println(`usage: \tapestry <name> <n> <alpha> [seed]`)
-			break
-		}
-		n, err1 := strconv.Atoi(fields[2])
-		alpha, err2 := strconv.Atoi(fields[3])
-		seed := int64(42)
-		if len(fields) > 4 {
-			s, err := strconv.ParseInt(fields[4], 10, 64)
-			if err != nil {
-				fmt.Println("error:", err)
-				break
-			}
-			seed = s
-		}
-		if err1 != nil || err2 != nil {
-			fmt.Println("error: n and alpha must be integers")
-			break
-		}
-		if err := store.LoadTapestry(fields[1], n, alpha, seed); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		fmt.Printf("  loaded tapestry %s (%d × %d)\n", fields[1], n, alpha)
-	case `\save`:
-		switch kind, err := store.Checkpoint(false); {
-		case err != nil:
-			fmt.Println("error:", err)
-		case kind == "":
-			fmt.Println("  checkpoint: skipped")
-		default:
-			fmt.Println("  checkpoint:", kind)
-		}
-	default:
-		fmt.Printf("unknown meta command %s (try \\help)\n", fields[0])
+		return false
+	case `\q`:
+		cmd = `\quit`
 	}
-	return true
+	resp, quit := srv.Answer("/" + cmd[1:])
+	printResult(resp)
+	return quit
 }
 
-func printResult(rs *sql.ResultSet) {
-	if rs.Message != "" {
-		fmt.Println(rs.Message)
+func printResult(resp *server.Response) {
+	switch {
+	case resp.Err != "":
+		fmt.Println("error:", resp.Err)
+		return
+	case resp.Message != "":
+		fmt.Println(resp.Message)
 		return
 	}
-	widths := make([]int, len(rs.Columns))
-	for i, c := range rs.Columns {
+	widths := make([]int, len(resp.Columns))
+	for i, c := range resp.Columns {
 		widths[i] = len(c)
 	}
-	cells := make([][]string, len(rs.Rows))
-	for r, row := range rs.Rows {
-		cells[r] = make([]string, len(row))
-		for i, v := range row {
-			s := strconv.FormatInt(v, 10)
-			cells[r][i] = s
-			if len(s) > widths[i] {
-				widths[i] = len(s)
-			}
+	for _, row := range resp.Rows {
+		for i, cell := range row {
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
 	var sb strings.Builder
-	for i, c := range rs.Columns {
+	for i, c := range resp.Columns {
 		if i > 0 {
 			sb.WriteString(" | ")
 		}
@@ -222,22 +189,26 @@ func printResult(rs *sql.ResultSet) {
 	}
 	fmt.Println(sb.String())
 	sb.Reset()
-	for i := range rs.Columns {
+	for i := range resp.Columns {
 		if i > 0 {
 			sb.WriteString("-+-")
 		}
 		sb.WriteString(strings.Repeat("-", widths[i]))
 	}
 	fmt.Println(sb.String())
-	for _, row := range cells {
+	for _, row := range resp.Rows {
 		sb.Reset()
 		for i, cell := range row {
 			if i > 0 {
 				sb.WriteString(" | ")
 			}
-			fmt.Fprintf(&sb, "%*s", widths[i], cell)
+			if _, err := strconv.ParseInt(cell, 10, 64); err == nil {
+				fmt.Fprintf(&sb, "%*s", widths[i], cell) // numbers right-aligned
+			} else {
+				fmt.Fprintf(&sb, "%-*s", widths[i], cell)
+			}
 		}
 		fmt.Println(sb.String())
 	}
-	fmt.Printf("(%d rows)\n", len(rs.Rows))
+	fmt.Printf("(%d rows)\n", len(resp.Rows))
 }

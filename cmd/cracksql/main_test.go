@@ -5,7 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,16 +27,23 @@ func TestMain(m *testing.M) {
 // failing t unless it exits 0.
 func cracksql(t *testing.T, stdin string, args ...string) string {
 	t.Helper()
+	out, stderr, err := start(stdin, args...)
+	if err != nil {
+		t.Fatalf("cracksql %v: %v\n%s", args, err, stderr)
+	}
+	return out
+}
+
+// start runs the command with args on stdin and returns its stdout, its
+// stderr and how it exited.
+func start(stdin string, args ...string) (stdout, stderr string, err error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), childEnv+"=1")
 	cmd.Stdin = strings.NewReader(stdin)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
 	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("cracksql %v: %v\n%s", args, err, stderr.String())
-	}
-	return string(out)
+	return string(out), errBuf.String(), err
 }
 
 // TestScriptRowOrder: a script's SELECT … LIMIT without ORDER BY answers
@@ -69,6 +76,26 @@ count(*)
 	}
 }
 
+// TestScriptStopsAtFailure: -f refuses a script with a syntax error
+// before any statement runs, and stops at the first statement that
+// fails, naming it.
+func TestScriptStopsAtFailure(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "s.sql")
+	for _, c := range []struct{ script, stdout, stderr string }{
+		{"CREATE TABLE t (a); SELEC a FROM t;", "", "cracksql: sql: offset 20: "},
+		{"CREATE TABLE t (a); SELECT * FROM missing; INSERT INTO t VALUES (1);",
+			"created table t (1 columns)\n", "cracksql: statement 2: "},
+	} {
+		if err := os.WriteFile(script, []byte(c.script), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, stderr, err := start("", "-f", script)
+		if err == nil || out != c.stdout || !strings.HasPrefix(stderr, c.stderr) {
+			t.Errorf("%q: exit %v, stdout %q, stderr %q; want a failure, stdout %q, stderr from %q", c.script, err, out, stderr, c.stdout, c.stderr)
+		}
+	}
+}
+
 // TestDataRoundTrip: a -data session's tables and crack state survive
 // \save and exit, and the reopened store answers exactly.
 func TestDataRoundTrip(t *testing.T) {
@@ -79,20 +106,38 @@ SELECT COUNT(*) FROM r WHERE c0 >= 7000;
 \save
 \quit
 `, "-data", dir)
-	if !strings.Contains(out, "checkpoint: full") {
+	if !strings.Contains(out, "checkpoint complete (full)") {
 		t.Fatalf("\\save did not write a full checkpoint:\n%s", out)
 	}
 	out = cracksql(t, `\stats r c0
 SELECT COUNT(*) FROM r WHERE c0 < 500;
 `, "-data", dir)
-	m := regexp.MustCompile(`pieces=(\d+)`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no \\stats line after reopen:\n%s", out)
+	cell := cell(out, "total", "pieces")
+	if cell == "" {
+		t.Fatalf("no \\stats pieces after reopen:\n%s", out)
 	}
-	if pieces, _ := strconv.Atoi(m[1]); pieces < 2 {
-		t.Fatalf("reopened c0 has %d pieces, want the cracks of the first session:\n%s", pieces, out)
+	if pieces, _ := strconv.Atoi(cell); pieces < 2 {
+		t.Fatalf("reopened c0 has %s pieces, want the cracks of the first session:\n%s", cell, out)
 	}
 	if !strings.Contains(out, "\n     499\n(1 rows)") {
 		t.Fatalf("count after reopen is not 499:\n%s", out)
 	}
+}
+
+// cell reads a printed table in out: the cell in column col of the row
+// whose first cell is row, or "" if there is none.
+func cell(out, row, col string) string {
+	at := -1
+	for _, line := range strings.Split(out, "\n") {
+		cells := strings.Split(line, "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if i := slices.Index(cells, col); i >= 0 {
+			at = i
+		} else if at >= 0 && at < len(cells) && cells[0] == row {
+			return cells[at]
+		}
+	}
+	return ""
 }

@@ -29,8 +29,10 @@ func TestSQLLevelCrackingScript(t *testing.T) {
 		SELECT c0, c1 INTO frag001 FROM r WHERE c0 <= 500;
 		SELECT c0, c1 INTO frag002 FROM r WHERE c0 > 500;
 	`
-	if _, err := eng.ExecScript(script); err != nil {
-		t.Fatal(err)
+	for _, stmt := range splitScript(t, script) {
+		if _, err := eng.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n1, err := store.NumRows("frag001")
 	if err != nil {
@@ -51,6 +53,16 @@ func TestSQLLevelCrackingScript(t *testing.T) {
 	if rs.Rows[0][0] != 100 {
 		t.Fatalf("fragment count = %d, want 100", rs.Rows[0][0])
 	}
+}
+
+// splitScript cuts a script into its statements' texts.
+func splitScript(t *testing.T, script string) []string {
+	t.Helper()
+	stmts, err := sql.SplitScript(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmts
 }
 
 // TestSQLAggregationOverCrackedStore: SQL's GROUP BY — the Ω cracker's
@@ -147,11 +159,13 @@ func TestSaveOpenWithSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sql.NewEngineOn(store)
-	if _, err := eng.ExecScript(`
+	for _, stmt := range splitScript(t, `
 		CREATE TABLE m (x, y);
 		INSERT INTO m VALUES (1, 10), (2, 20), (3, 30), (4, 40);
-	`); err != nil {
-		t.Fatal(err)
+	`) {
+		if _, err := eng.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := eng.Exec("SELECT COUNT(*) FROM m WHERE x >= 2"); err != nil {
 		t.Fatal(err)

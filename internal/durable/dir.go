@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -19,18 +20,23 @@ func SyncDir(path string) error {
 	return d.Close()
 }
 
-// WriteFile writes data to path and fsyncs the file.
-func WriteFile(path string, data []byte) error {
+// WriteFile creates path, fills it through write and fsyncs it: the one
+// create, write, fsync and close sequence of the tree. On any failure it
+// removes the file, so path holds all that write wrote or nothing.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
 	}
 	return err
 }

@@ -125,22 +125,15 @@ type Image struct {
 // CRC-32 residue, the same for every file. A failed write removes the
 // file.
 func WriteImage(path string, img *Image) (ImageFile, error) {
-	f, err := os.Create(path)
+	var out ImageFile
+	err := WriteFile(path, func(w io.Writer) error {
+		e := &imageEncoder{w: w, buf: make([]byte, 0, encodeChunk+16)}
+		e.image(img)
+		out = ImageFile{Sum: e.finish(), Size: e.size, CRC: e.fileCRC}
+		return e.err
+	})
 	if err != nil {
 		return ImageFile{}, err
-	}
-	e := &imageEncoder{f: f, buf: make([]byte, 0, encodeChunk+16)}
-	e.image(img)
-	out := ImageFile{Sum: e.finish(), Size: e.size, CRC: e.fileCRC}
-	if e.err == nil {
-		e.err = f.Sync()
-	}
-	if err := f.Close(); e.err == nil {
-		e.err = err
-	}
-	if e.err != nil {
-		os.Remove(path)
-		return ImageFile{}, e.err
 	}
 	return out, nil
 }
@@ -152,7 +145,7 @@ const encodeChunk = 1 << 16
 // imageEncoder appends fields to a bounded buffer, folding each flushed
 // chunk into the running checksums and size. Errors are sticky.
 type imageEncoder struct {
-	f       *os.File
+	w       io.Writer
 	crc     uint32 // IEEE over the body: the trailer
 	fileCRC uint32 // SnapshotCRC over every byte written
 	size    int64
@@ -165,7 +158,7 @@ func (e *imageEncoder) flush() {
 		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
 		e.fileCRC = crc32.Update(e.fileCRC, SnapshotCRC, e.buf)
 		e.size += int64(len(e.buf))
-		_, e.err = e.f.Write(e.buf)
+		_, e.err = e.w.Write(e.buf)
 	}
 	e.buf = e.buf[:0]
 }
@@ -179,10 +172,10 @@ func (e *imageEncoder) finish() uint32 {
 	return sum
 }
 
-// room flushes a full buffer to the file. An encoder without a file —
+// room flushes a full buffer to the writer. An encoder without one —
 // one encoding a WAL record — only appends.
 func (e *imageEncoder) room() {
-	if e.f != nil && len(e.buf) >= encodeChunk {
+	if e.w != nil && len(e.buf) >= encodeChunk {
 		e.flush()
 	}
 }

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -140,12 +141,8 @@ func TestImageRoundTrip(t *testing.T) {
 // list implies.
 func rawPatchImage(t testing.TB, n, k uint64, gs []uint32) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "img.crk")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &imageEncoder{f: f}
+	var out bytes.Buffer
+	e := &imageEncoder{w: &out}
 	e.buf = append(e.buf, imageMagic[:]...)
 	e.u8(imageVersion)
 	e.bool(false) // base
@@ -163,14 +160,10 @@ func rawPatchImage(t testing.TB, n, k uint64, gs []uint32) []byte {
 		e.u32(g)
 	}
 	e.finish()
-	if e.err != nil || f.Close() != nil {
+	if e.err != nil {
 		t.Fatal("writing the fixture failed")
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return out.Bytes()
 }
 
 // TestPatchGranulesBounded: a patch whose granule list points past its
@@ -197,12 +190,8 @@ func TestPatchGranulesBounded(t *testing.T) {
 // the rows [from, rows) and carries vals for them, and ends there.
 func rawRowsImage(t testing.TB, rows, from uint64, vals []int64) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "img.crk")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &imageEncoder{f: f}
+	var out bytes.Buffer
+	e := &imageEncoder{w: &out}
 	e.buf = append(e.buf, imageMagic[:]...)
 	e.u8(imageVersion)
 	e.bool(true) // base
@@ -216,14 +205,10 @@ func rawRowsImage(t testing.TB, rows, from uint64, vals []int64) []byte {
 	e.u64(from)
 	e.int64s(vals)
 	e.finish()
-	if e.err != nil || f.Close() != nil {
+	if e.err != nil {
 		t.Fatal("writing the fixture failed")
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return out.Bytes()
 }
 
 // TestImageRowsBounded: a table whose row section claims more values

@@ -8,11 +8,14 @@ import (
 	"crackdb/internal/workload"
 )
 
+// sidewaysAttrs is how many payload attributes each query of the
+// sideways-cracking experiment projects.
+const sidewaysAttrs = 2
+
 // FigSidewaysConfig parameterizes the sideways-cracking experiment.
 type FigSidewaysConfig struct {
 	N           int     // table cardinality (default 200 000)
 	K           int     // queries per trajectory (default 256)
-	Attrs       int     // projected payload attributes (default 2)
 	Seed        int64   // RNG seed
 	Selectivity float64 // per-query range width fraction (default 0.02)
 	Strategy    string  // crack strategy ("" = standard)
@@ -25,9 +28,6 @@ func (c *FigSidewaysConfig) defaults() {
 	if c.K <= 0 {
 		c.K = 256
 	}
-	if c.Attrs <= 0 {
-		c.Attrs = 2
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -39,7 +39,7 @@ func (c *FigSidewaysConfig) defaults() {
 // FigSideways measures what partial sideways cracking buys on
 // multi-attribute queries: two per-query latency trajectories over the
 // same random workload, each query a range selection on the key column
-// followed by a projection of Attrs payload attributes.
+// followed by a projection of sidewaysAttrs payload attributes.
 //
 //   - "base fetch": sideways disabled — every projected tuple is
 //     reconstructed through its OID against the base table, one random
@@ -53,7 +53,7 @@ func FigSideways(cfg FigSidewaysConfig) (Figure, error) {
 	fig := Figure{
 		ID: "sideways",
 		Title: fmt.Sprintf("tuple reconstruction: sideways maps vs base-table fetch (N=%d, %d attrs)",
-			cfg.N, cfg.Attrs),
+			cfg.N, sidewaysAttrs),
 		XLabel: "query number",
 		YLabel: "response time (s)",
 	}
@@ -82,10 +82,10 @@ func runSidewaysStream(cfg FigSidewaysConfig, budget int) ([]Point, error) {
 			return nil, err
 		}
 	}
-	if err := s.LoadTapestry("w", cfg.N, cfg.Attrs+1, cfg.Seed); err != nil {
+	if err := s.LoadTapestry("w", cfg.N, sidewaysAttrs+1, cfg.Seed); err != nil {
 		return nil, err
 	}
-	attrs := make([]string, cfg.Attrs)
+	attrs := make([]string, sidewaysAttrs)
 	for i := range attrs {
 		attrs[i] = fmt.Sprintf("c%d", i+1)
 	}

@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 
+	"crackdb"
 	"crackdb/internal/strategy"
 	"crackdb/internal/tuner"
 	"crackdb/internal/workload"
@@ -63,12 +64,6 @@ func (c *FigStochasticConfig) defaults() error {
 	return nil
 }
 
-// passWork is what one pass of a cell added to its column's counters.
-type passWork struct {
-	cracks  int
-	touched int64
-}
-
 // FigStochastic runs the row × workload matrix, a fresh store per cell
 // over the same tapestry. Each cell answers its K queries (the cold
 // pass), then the same K queries again (the repeat pass), and plots
@@ -84,14 +79,15 @@ func FigStochastic(cfg FigStochasticConfig) (Figure, error) {
 	return fig, err
 }
 
-// figStochastic also returns each cell's work by its cold series'
-// label: the cold pass, then the repeat pass.
-func figStochastic(cfg FigStochasticConfig) (Figure, map[string][2]passWork, error) {
+// figStochastic also returns what each cell's passes added to its
+// column's counters (Pieces and Strategy stay unset), by its cold
+// series' label: the cold pass, then the repeat pass.
+func figStochastic(cfg FigStochasticConfig) (Figure, map[string][2]crackdb.ColumnStats, error) {
 	if err := cfg.defaults(); err != nil {
 		return Figure{}, nil, err
 	}
 	var series []Series
-	work := make(map[string][2]passWork)
+	work := make(map[string][2]crackdb.ColumnStats)
 	stride := max(cfg.K/64, 1)
 	for _, row := range cfg.Strategies {
 		p := posture{strategy: row}
@@ -120,13 +116,12 @@ func figStochastic(cfg FigStochasticConfig) (Figure, map[string][2]passWork, err
 			qs := fromWorkload(gen.Queries())
 			label := row + "/" + string(pattern)
 			passes := [2]Series{{Label: label}, {Label: label + " repeat"}}
-			var w [2]passWork
+			var w [2]crackdb.ColumnStats
 			err = replay(a, append(qs, qs...), func(i int, st step) {
 				pass, j := i/len(qs), i%len(qs)
-				w[pass].cracks += st.Work.Cracks
-				w[pass].touched += st.Work.TuplesTouched
+				w[pass].Stats = w[pass].Stats.Add(st.Work.Stats)
 				if (j+1)%stride == 0 || j == len(qs)-1 {
-					passes[pass].Points = append(passes[pass].Points, Point{X: float64(i + 1), Y: float64(w[pass].touched)})
+					passes[pass].Points = append(passes[pass].Points, Point{X: float64(i + 1), Y: float64(w[pass].TuplesTouched)})
 				}
 			})
 			if err != nil {

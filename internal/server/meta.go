@@ -69,7 +69,7 @@ func (s *Server) meta(cmd string) (*Response, bool) {
 		}
 	}
 	if m.needsWAL && s.store.WAL() == nil {
-		return &Response{Err: "store is not durable (start cracksrv with -data)"}, false
+		return &Response{Err: "store is not durable (start with -data)"}, false
 	}
 	resp, quit := m.run(s, fields)
 	if resp == nil {

@@ -40,7 +40,7 @@ func TestMetaRegistry(t *testing.T) {
 			t.Errorf("%s on a follower answered %+v, primaryOnly=%v", m.name, resp, m.primaryOnly)
 		}
 		resp, _ = volatile.serveOne(m.name)
-		if want := "store is not durable (start cracksrv with -data)"; (resp.Err == want) != m.needsWAL {
+		if want := "store is not durable (start with -data)"; (resp.Err == want) != m.needsWAL {
 			t.Errorf("%s on a volatile store answered %+v, needsWAL=%v", m.name, resp, m.needsWAL)
 		}
 	}

@@ -181,6 +181,22 @@ func (r *Response) Int64(row, col int) (int64, error) {
 	return strconv.ParseInt(r.Rows[row][col], 10, 64)
 }
 
+// cells returns a copy of r whose SQL rows are decimal cells, as a
+// decoded reply carries them.
+func (r *Response) cells() *Response {
+	out := *r
+	if r.ints != nil {
+		out.Rows, out.ints = make([][]string, len(r.ints)), nil
+		for i, row := range r.ints {
+			out.Rows[i] = make([]string, len(row))
+			for j, v := range row {
+				out.Rows[i][j] = strconv.FormatInt(v, 10)
+			}
+		}
+	}
+	return &out
+}
+
 // encode renders the response payload.
 func (r *Response) encode(buf []byte) []byte {
 	b := buf[:0]

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -548,7 +549,10 @@ func reuse(src, dst string, sf shard.SnapshotFile) bool {
 	if err != nil || int64(len(data)) != sf.Size || crc32.Checksum(data, durable.SnapshotCRC) != sf.Crc {
 		return false
 	}
-	return durable.WriteFile(dst, data) == nil
+	return durable.WriteFile(dst, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}) == nil
 }
 
 // fetchManifest pulls and decodes /replmanifest.
@@ -576,67 +580,46 @@ func fetchManifest(c *Client) (shard.SnapshotManifest, error) {
 }
 
 // downloadFile fetches one manifest file into dst, chunk by chunk,
-// counting the transferred bytes, fsyncs it, and verifies the result
-// against the manifest's checksum before accepting it. The seq fence
-// only catches checkpoints that advanced the WAL stamp, and a crack-only
-// element leaves it where it was; the CRC is what guarantees the staged
-// file matches the manifest. A mismatch (or a file that shrank or vanished
-// mid-download) reads as a superseded snapshot: the bad staging copy is
-// dropped and the caller re-fetches the manifest.
+// counting the transferred bytes, verifies the result against the
+// manifest's checksum, and fsyncs it. The seq fence only catches
+// checkpoints that advanced the WAL stamp, and a crack-only element
+// leaves it where it was; the CRC is what guarantees the staged file
+// matches the manifest. A mismatch (or a file that shrank or vanished
+// mid-download) reads as a superseded snapshot, and the caller
+// re-fetches the manifest. Any failure leaves no staging copy.
 func downloadFile(c *Client, seq uint64, sf shard.SnapshotFile, dst string, stats *bootStats) error {
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	sum := crc32.New(durable.SnapshotCRC)
-	var off int64
-	for off < sf.Size {
-		n := fetchChunk
-		if rem := sf.Size - off; rem < int64(n) {
-			n = int(rem)
+	return durable.WriteFile(dst, func(out io.Writer) error {
+		sum := crc32.New(durable.SnapshotCRC)
+		for off := int64(0); off < sf.Size; {
+			n := min(sf.Size-off, fetchChunk)
+			resp, err := c.Do(fmt.Sprintf("/replfetch %d %s %d %d", seq, sf.Path, off, n))
+			if err != nil {
+				return err
+			}
+			if resp.Err != "" {
+				return fmt.Errorf("server: /replfetch %s: %s", sf.Path, resp.Err)
+			}
+			b64, ok := strings.CutPrefix(resp.Message, "chunk ")
+			if !ok {
+				return fmt.Errorf("server: malformed chunk reply %q", resp.Message)
+			}
+			chunk, err := base64.StdEncoding.DecodeString(b64)
+			if err != nil {
+				return err
+			}
+			if len(chunk) == 0 {
+				return fmt.Errorf("server: image file %s shrank mid-download (%d of %d bytes) — snapshot superseded", sf.Path, off, sf.Size)
+			}
+			if _, err := out.Write(chunk); err != nil {
+				return err
+			}
+			sum.Write(chunk)
+			off += int64(len(chunk))
+			stats.downloaded += int64(len(chunk))
 		}
-		resp, err := c.Do(fmt.Sprintf("/replfetch %d %s %d %d", seq, sf.Path, off, n))
-		if err != nil {
-			out.Close()
-			return err
+		if sum.Sum32() != sf.Crc {
+			return fmt.Errorf("server: image file %s downloaded with crc %08x, manifest wants %08x — snapshot superseded mid-download", sf.Path, sum.Sum32(), sf.Crc)
 		}
-		if resp.Err != "" {
-			out.Close()
-			return fmt.Errorf("server: /replfetch %s: %s", sf.Path, resp.Err)
-		}
-		b64, ok := strings.CutPrefix(resp.Message, "chunk ")
-		if !ok {
-			out.Close()
-			return fmt.Errorf("server: malformed chunk reply %q", resp.Message)
-		}
-		chunk, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			out.Close()
-			return err
-		}
-		if len(chunk) == 0 {
-			out.Close()
-			os.Remove(dst)
-			return fmt.Errorf("server: image file %s shrank mid-download (%d of %d bytes) — snapshot superseded", sf.Path, off, sf.Size)
-		}
-		if _, err := out.Write(chunk); err != nil {
-			out.Close()
-			return err
-		}
-		sum.Write(chunk)
-		off += int64(len(chunk))
-		stats.downloaded += int64(len(chunk))
-	}
-	err = out.Sync()
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if sum.Sum32() != sf.Crc {
-		os.Remove(dst)
-		return fmt.Errorf("server: image file %s downloaded with crc %08x, manifest wants %08x — snapshot superseded mid-download", sf.Path, sum.Sum32(), sf.Crc)
-	}
-	return nil
+		return nil
+	})
 }

@@ -317,6 +317,20 @@ func (s *Server) serveWindow(win []wireReq, reply func(wireReq, *Response) error
 	return false, flush(len(win))
 }
 
+// Answer serves one request in process, as a connection serves a window
+// of one: the same Classify, follower gate, ExecWindow entry and meta
+// table answer it. A SQL result's rows come back as the decimal cells a
+// connection would encode, and no frame limit applies. quit reports a
+// /quit.
+func (s *Server) Answer(cmd string) (resp *Response, quit bool) {
+	// This reply cannot fail, so neither can serveWindow.
+	quit, _ = s.serveWindow([]wireReq{parseWireReq(cmd)}, func(_ wireReq, r *Response) error {
+		resp = r.cells()
+		return nil
+	})
+	return resp, quit
+}
+
 // answer makes r a statement's answer and returns it. The rows stay the
 // engine's integers; encode renders them.
 func (r *Response) answer(res sql.Result) *Response {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -343,5 +344,71 @@ func TestWindowRunsInRequestOrder(t *testing.T) {
 	}
 	if tables := got[4]; tables.Err != "" || len(tables.Rows) != 0 {
 		t.Fatalf("/tables after DROP answers %+v", tables)
+	}
+}
+
+// TestAnswerMatchesWire: Answer, the in-process entry cracksql runs on,
+// answers a script as a connection does — twin servers, one asked
+// through Answer and one over loopback, give the same columns, cells,
+// messages and errors, and a follower refuses a write with the wire's
+// text.
+func TestAnswerMatchesWire(t *testing.T) {
+	twins := func(primary string) (*Server, *Client) {
+		opts := shard.Options{Shards: 2, Kind: shard.Hash}
+		in, wire := New(shard.New(opts), nil), New(shard.New(opts), nil)
+		if primary != "" {
+			in.SetPrimary(primary)
+			wire.SetPrimary(primary)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go wire.Serve(ln)
+		t.Cleanup(func() { wire.Shutdown(2 * time.Second) })
+		c, err := DialTimeout(ln.Addr().String(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return in, c
+	}
+	same := func(cmd string, in *Server, c *Client) (got *Response, quit bool) {
+		t.Helper()
+		got, quit = in.Answer(cmd)
+		want, err := c.Do(cmd)
+		if err != nil {
+			t.Fatalf("%s over the wire: %v", cmd, err)
+		}
+		if !slices.Equal(got.Columns, want.Columns) || !slices.EqualFunc(got.Rows, want.Rows, slices.Equal) ||
+			got.Message != want.Message || got.Err != want.Err {
+			t.Errorf("%s: Answer gave %+v, the wire %+v", cmd, got, want)
+		}
+		return got, quit
+	}
+
+	in, c := twins("")
+	for _, cmd := range []string{
+		"/tapestry t 2000 3 7",
+		"SELECT COUNT(*) FROM t WHERE c0 >= 100 AND c0 < 200",
+		"SELECT COUNT(*) FROM t WHERE c0 >= 300 AND c0 < 450",
+		"SELECT c0, c1, c2 FROM t WHERE c0 >= 10 AND c0 < 20",
+		"INSERT INTO t VALUES (5000, 1, 2), (5001, 3, 4)",
+		"SELECT COUNT(*) FROM missing WHERE a < 3",
+		"/stats",
+		"/tables",
+	} {
+		resp, quit := same(cmd, in, c)
+		if quit || (resp.Err != "") != strings.Contains(cmd, "missing") {
+			t.Fatalf("%s answered %+v, quit=%v", cmd, resp, quit)
+		}
+	}
+	if _, quit := same("/quit", in, c); !quit {
+		t.Fatal("/quit did not quit")
+	}
+
+	follower, fc := twins("127.0.0.1:1")
+	if resp, _ := same("INSERT INTO t VALUES (1, 2, 3)", follower, fc); resp.Err != "read-only follower; primary=127.0.0.1:1" {
+		t.Fatalf("a follower's Answer took a write: %+v", resp)
 	}
 }

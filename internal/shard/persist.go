@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -528,7 +529,10 @@ func (s *Store) checkpointLocked(base bool) error {
 	if err := durable.SyncDir(s.dataDir); err != nil {
 		return err
 	}
-	if err := durable.WriteFile(path+".tmp", data); err != nil {
+	if err := durable.WriteFile(path+".tmp", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return err
 	}
 	if err := durable.Publish(path+".tmp", path); err != nil {

@@ -38,24 +38,6 @@ func (e *Engine) Exec(input string) (*ResultSet, error) {
 	return e.execStmt(stmt)
 }
 
-// ExecScript executes a semicolon-separated script, returning the result
-// of each statement.
-func (e *Engine) ExecScript(input string) ([]*ResultSet, error) {
-	stmts, err := ParseScript(input)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ResultSet, 0, len(stmts))
-	for i, s := range stmts {
-		rs, err := e.execStmt(s)
-		if err != nil {
-			return out, fmt.Errorf("statement %d: %w", i+1, err)
-		}
-		out = append(out, rs)
-	}
-	return out, nil
-}
-
 // execStmt executes a parsed statement.
 func (e *Engine) execStmt(stmt Stmt) (*ResultSet, error) {
 	switch s := stmt.(type) {

@@ -116,10 +116,12 @@ func isASCII(s string) bool {
 
 // FuzzLex holds the scanner to the lexer it replaced: on ASCII input the
 // same tokens (kind, text, offset) or the same error text, and a scan
-// error anywhere in the input is what Parse and ParseScript report, as
+// error anywhere in the input is what Parse and SplitScript report, as
 // when the whole input was lexed before parsing. On any input the scanner
 // must not panic, its offsets must rise, and no token may hold invalid
-// UTF-8. The seeds are under testdata/fuzz/FuzzLex.
+// UTF-8. On input that parses as a script, each text SplitScript cuts
+// parses alone to the statement the whole script held at its index. The
+// seeds are under testdata/fuzz/FuzzLex.
 func FuzzLex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := Lex(input)
@@ -133,14 +135,28 @@ func FuzzLex(f *testing.F) {
 			if _, perr := Parse(input); fmt.Sprint(perr) != err.Error() {
 				t.Fatalf("Parse(%q) fails with %v, not the scan error %v", input, perr, err)
 			}
-			if _, perr := ParseScript(input); fmt.Sprint(perr) != err.Error() {
-				t.Fatalf("ParseScript(%q) fails with %v, not the scan error %v", input, perr, err)
+			if _, perr := SplitScript(input); fmt.Sprint(perr) != err.Error() {
+				t.Fatalf("SplitScript(%q) fails with %v, not the scan error %v", input, perr, err)
 			}
 			return
 		}
 		for i, tok := range got {
 			if !utf8.ValidString(tok.Text) || (i > 0 && tok.Pos <= got[i-1].Pos && tok.Kind != TokEOF) {
 				t.Fatalf("Lex(%q): token %d %+v (all: %+v)", input, i, tok, got)
+			}
+		}
+		var stmts []Stmt
+		p := parser{scanner: scanner{src: input}}
+		if _, err := p.parse(func(s Stmt, _ string) { stmts = append(stmts, s) }); err != nil {
+			return
+		}
+		texts, err := SplitScript(input)
+		if err != nil || len(texts) != len(stmts) {
+			t.Fatalf("SplitScript(%q) = %q, %v; the script holds %d statements", input, texts, err, len(stmts))
+		}
+		for i, text := range texts {
+			if st, err := Parse(text); err != nil || !reflect.DeepEqual(st, stmts[i]) {
+				t.Fatalf("SplitScript(%q) text %d %q parses to %+v, %v; the script held %+v", input, i, text, st, err, stmts[i])
 			}
 		}
 	})

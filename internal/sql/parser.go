@@ -80,7 +80,7 @@ func (m *Parser) parse(input string, classify bool) (Stmt, error) {
 	m.last = nil
 	var stmt Stmt
 	p := parser{scanner: scanner{src: input}}
-	n, err := p.parse(func(s Stmt) { stmt = s })
+	n, err := p.parse(func(s Stmt, _ string) { stmt = s })
 	if err == nil && n != 1 {
 		err = fmt.Errorf("sql: expected one statement, got %d", n)
 	}
@@ -198,20 +198,23 @@ func (m *Parser) count(c RangeCount) *RangeCount {
 	return &m.counts[len(m.counts)-1]
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(input string) ([]Stmt, error) {
-	var out []Stmt
+// SplitScript splits a semicolon-separated script into the text of each
+// statement, from its first token up to its ';' or the end of the
+// input: each text parses alone to the statement the script held there.
+// A syntax error anywhere refuses the whole script.
+func SplitScript(input string) ([]string, error) {
+	var out []string
 	p := parser{scanner: scanner{src: input}}
-	if _, err := p.parse(func(s Stmt) { out = append(out, s) }); err != nil {
+	if _, err := p.parse(func(_ Stmt, text string) { out = append(out, text) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// parse hands each statement of the input, in order, to each and counts
-// them. A scan error anywhere in the input outranks a parse error, as it
-// did when the whole input was lexed before parsing.
-func (p *parser) parse(each func(Stmt)) (int, error) {
+// parse hands each statement of the input, in order, to each with its
+// text and counts them. A scan error anywhere in the input outranks a
+// parse error, as it did when the whole input was lexed before parsing.
+func (p *parser) parse(each func(s Stmt, text string)) (int, error) {
 	p.tok, p.err = p.scan()
 	for n := 0; ; n++ {
 		for p.accept(TokSymbol, ";") {
@@ -219,7 +222,9 @@ func (p *parser) parse(each func(Stmt)) (int, error) {
 		if p.tok.Kind == TokEOF {
 			return n, p.err
 		}
+		start := p.tok.Pos
 		s, err := p.statement()
+		end := p.tok.Pos // the ';' or the end of the input
 		if err == nil && !p.accept(TokSymbol, ";") && p.tok.Kind != TokEOF {
 			err = p.errorf("expected ';' or end of input, got %q", p.tok.Text)
 		}
@@ -228,7 +233,7 @@ func (p *parser) parse(each func(Stmt)) (int, error) {
 			}
 			return n, cmp.Or(p.err, err)
 		}
-		each(s)
+		each(s, p.src[start:end])
 	}
 }
 

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -147,13 +148,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseScriptMultiple(t *testing.T) {
-	stmts, err := ParseScript("CREATE TABLE r (a); INSERT INTO r VALUES (1); SELECT * FROM r;")
+func TestSplitScriptMultiple(t *testing.T) {
+	texts, err := SplitScript("CREATE TABLE r (a); INSERT INTO r VALUES (1);\n-- the rows\n  SELECT * FROM r -- all\n")
+	want := []string{"CREATE TABLE r (a)", "INSERT INTO r VALUES (1)", "SELECT * FROM r -- all\n"}
+	if err != nil || !slices.Equal(texts, want) {
+		t.Fatalf("SplitScript = %q, %v; want %q", texts, err, want)
+	}
+	if texts, err := SplitScript("CREATE TABLE r (a); SELEC * FROM r;"); err == nil {
+		t.Fatalf("a script with a syntax error split into %q", texts)
+	}
+}
+
+// execScript runs each statement of script through Exec, failing t at
+// the first error.
+func execScript(t *testing.T, e *Engine, script string) {
+	t.Helper()
+	stmts, err := SplitScript(script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 3 {
-		t.Fatalf("parsed %d statements", len(stmts))
+	for i, stmt := range stmts {
+		if _, err := e.Exec(stmt); err != nil {
+			t.Fatalf("statement %d: %v", i+1, err)
+		}
 	}
 }
 
@@ -166,9 +183,7 @@ func newEngine(t *testing.T) (*Engine, *crackdb.Store) {
 		INSERT INTO r VALUES (0, 50), (1, 30), (2, 70), (3, 10), (4, 90),
 		                     (5, 30), (6, 60), (7, 20), (8, 80), (9, 40);
 	`
-	if _, err := e.ExecScript(script); err != nil {
-		t.Fatal(err)
-	}
+	execScript(t, e, script)
 	return e, store.Shard(0)
 }
 
@@ -228,9 +243,7 @@ func TestExecGroupBy(t *testing.T) {
 		CREATE TABLE events (sensor, value);
 		INSERT INTO events VALUES (1, 10), (2, 5), (1, 20), (2, 7), (3, 1);
 	`
-	if _, err := e.ExecScript(script); err != nil {
-		t.Fatal(err)
-	}
+	execScript(t, e, script)
 	rs, err := e.Exec("SELECT sensor, COUNT(*), SUM(value) FROM events GROUP BY sensor ORDER BY sensor")
 	if err != nil {
 		t.Fatal(err)
@@ -363,11 +376,6 @@ func TestExecErrors(t *testing.T) {
 			t.Errorf("Exec(%q) succeeded", bad)
 		}
 	}
-	// Script errors carry the statement index.
-	if _, err := e.ExecScript("SELECT COUNT(*) FROM r; SELECT * FROM missing;"); err == nil ||
-		!strings.Contains(err.Error(), "statement 2") {
-		t.Fatalf("script error = %v", err)
-	}
 }
 
 func TestExecDDLMessages(t *testing.T) {
@@ -400,12 +408,10 @@ func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 	// results; WHERE forces the generic path.
 	store := shard.New(shard.Options{})
 	e := NewEngineOn(store)
-	if _, err := e.ExecScript(`
+	execScript(t, e, `
 		CREATE TABLE ev (s, v);
 		INSERT INTO ev VALUES (2, 9), (1, 3), (2, 4), (3, 1), (1, 7), (2, 2);
-	`); err != nil {
-		t.Fatal(err)
-	}
+	`)
 	fast, err := e.Exec("SELECT s, COUNT(*) FROM ev GROUP BY s")
 	if err != nil {
 		t.Fatal(err)
@@ -434,12 +440,10 @@ func TestGroupByOmegaFastPathAgrees(t *testing.T) {
 
 func TestDeleteStatement(t *testing.T) {
 	e := NewEngineOn(shard.New(shard.Options{}))
-	if _, err := e.ExecScript(`
+	execScript(t, e, `
 		CREATE TABLE r (a, b);
 		INSERT INTO r VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50);
-	`); err != nil {
-		t.Fatal(err)
-	}
+	`)
 	rs, err := e.Exec("DELETE FROM r WHERE a >= 2 AND a <= 4")
 	if err != nil {
 		t.Fatal(err)
