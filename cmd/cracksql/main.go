@@ -5,6 +5,12 @@
 // clause you run doubles as cracking advice: watch \stats and \lineage
 // to see the store reorganize itself under your queries.
 //
+// The store cracks under standard, the paper's cracking and the
+// library's default, not under cracksrv's default ddr: a cut then lands
+// exactly where a query points, so \lineage draws the paper's crack
+// lineage (Figure 5) without the auxiliary cuts a stochastic crack
+// would add to it. cracksql takes no -strategy.
+//
 // Usage:
 //
 //	cracksql [-f script.sql] [-data dir]

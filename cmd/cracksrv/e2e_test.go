@@ -540,12 +540,13 @@ func testServer(t *testing.T) {
 	p.exit()
 }
 
-// testAutotune: one connection walks a key column sequentially, every
-// count exact through the flips; the column then reports ddr on /tune,
-// /stats and /metrics, and an operator pin round-trips.
+// testAutotune: one connection walks a key column sequentially on a
+// server that starts columns under standard, every count exact through
+// the flips; the column then reports ddr on /tune, /stats and /metrics,
+// and an operator pin round-trips.
 func testAutotune(t *testing.T) {
 	t.Parallel()
-	p := boot(t, "-shards", "2", "-partition", "range", "-autotune")
+	p := boot(t, "-shards", "2", "-partition", "range", "-strategy", "standard", "-autotune")
 	c := p.dial()
 	if _, err := c.Exec("/tapestry bench 100000 2 42"); err != nil {
 		t.Fatal(err)
@@ -768,8 +769,9 @@ func testDelta(t *testing.T, partition string) {
 // durable primary restarted under a new one, before and after a
 // checkpoint, logs nothing for it and cracks a fresh column under it; a
 // follower booted with its own cracks under that and stays at its
-// primary's log position. A name that is not a strategy stops the boot,
-// naming the ones there are.
+// primary's log position. A server booted with no -strategy cracks
+// under ddr. A name that is not a strategy stops the boot, naming the
+// ones there are.
 func testStrategy(t *testing.T) {
 	t.Parallel()
 	for _, bad := range []string{"ddc", "mdd1r"} {
@@ -805,6 +807,7 @@ func testStrategy(t *testing.T) {
 	fill(prim, "u")
 	fence(t, server.Topology{Primary: prim.addr, Followers: []string{f.addr}})
 	crackedUnder(t, f, "u", "ddr")
+	crackedUnder(t, prim, "u", "ddr")
 	if pNext, fNext := prim.rows("/wal")[0][1], f.rows("/wal")[0][1]; pNext != fNext {
 		t.Fatalf("the follower's log ends at seq %s, the primary's at %s", fNext, pNext)
 	}

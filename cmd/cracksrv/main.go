@@ -6,7 +6,7 @@
 // Usage:
 //
 //	cracksrv [-addr :7744] [-shards 4] [-partition hash|range]
-//	         [-strategy standard|ddr] [-seed 42] [-autotune]
+//	         [-strategy ddr|standard] [-seed 42] [-autotune]
 //	         [-data dir] [-follow primaryaddr] [-advertise addr]
 //	         [-http addr] [-slowms n]
 //
@@ -25,7 +25,13 @@
 // -strategy applies on every boot, fresh, recovered or following, to
 // the columns cracked once the store is open; nothing logs or
 // replicates it. Columns the checkpoint restores, or boot's WAL replay
-// cracks, keep the strategy they got. /tune overrides one column.
+// cracks, keep the strategy they got. /tune overrides one column. The
+// default is ddr, the data-driven random crack of stochastic cracking:
+// a server does not know its workload, and under standard, which cuts
+// exactly where queries point, a sequential walk re-partitions the
+// whole uncracked tail on every statement. -strategy standard is the
+// paper's cracking and the embedded library's default (crackdb.New,
+// shard.New).
 //
 // With -data the server is durable: every mutation is appended to
 // <dir>/wal.log — fsynced, group-committed — before it is acked, /save
@@ -57,14 +63,17 @@
 // follower's own, like every server's.
 //
 // With -autotune each shard monitors the bound stream per column and
-// hot-swaps the crack strategy when a hostile (sequential, reverse,
-// zoom-in) pattern is detected — /tune inspects or overrides the
-// decisions, and /stats and /metrics report the per-column strategy and
-// flip counters. The tuner keeps nothing across a restart: a reopened
-// column resumes under the strategy its own image record carries, and
-// the monitor re-learns the class from live bounds. A follower tunes its
-// own read workload independently (flips are performance posture, never
-// replicated state).
+// hot-swaps its crack strategy to the one the observed class favours:
+// standard on a random stream, ddr on a hostile (sequential, reverse,
+// zoom-in) one. Under the default ddr start its move is to flip random
+// columns to standard; under -strategy standard, to flip hostile ones
+// to ddr. /tune inspects or overrides the decisions, and /stats and
+// /metrics report the per-column strategy and flip counters. The tuner
+// keeps nothing across a restart: a reopened column resumes under the
+// strategy its own image record carries, and the monitor re-learns the
+// class from live bounds. A follower tunes its own read workload
+// independently (flips are performance posture, never replicated
+// state).
 //
 // Observability is always on (it costs a sampled timing on the
 // converged read path; see internal/obs): /metrics answers the
@@ -104,7 +113,7 @@ func main() {
 		addr     = flag.String("addr", ":7744", "listen address")
 		shards   = flag.Int("shards", 4, "number of cracker stores to partition tables across")
 		partKind = flag.String("partition", "hash", "partitioning scheme for new tables: hash or range")
-		strat    = flag.String("strategy", "standard", "crack strategy of columns cracked after boot, on every shard and every boot: standard or ddr")
+		strat    = flag.String("strategy", "ddr", "crack strategy of columns cracked after boot, on every shard and every boot: standard or ddr")
 		seed     = flag.Int64("seed", 42, "strategy RNG seed (per-shard sub-seeds are derived)")
 		autotune = flag.Bool("autotune", false, "auto-select crack strategies per column from the observed workload (inspect with /tune)")
 		dataDir  = flag.String("data", "", "durable data directory (insert WAL + /save snapshots); empty = volatile")

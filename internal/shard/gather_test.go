@@ -15,7 +15,10 @@ import (
 	"time"
 
 	"crackdb"
+	"crackdb/internal/core"
 	"crackdb/internal/relation"
+	"crackdb/internal/tuner"
+	"crackdb/internal/workload"
 )
 
 // TestGatherPasses pins gather's contract: answers in shard order from
@@ -571,4 +574,69 @@ func BenchmarkColdCount(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stmts), "ns/stmt")
+}
+
+// BenchmarkColdEpochs runs cold_crack's two epochs in process, in
+// cracksrv's posture: a fresh 4-shard hash router of a 1M × 2 tapestry
+// with the tuner on, once per start strategy cracksrv's -strategy takes
+// (ddr is its default). 2 000 seeded random 1 % counts on c0, then a
+// 2 000-count sequential walk on c1, each a one-range CountBatch as a
+// SQL count reaches the router. The router is built with the timer
+// stopped. ns/stmt is the epochs' time a statement; touched/stmt and
+// moved/stmt are Stats.TuplesTouched and TuplesMoved summed over both
+// columns and every shard, a statement.
+func BenchmarkColdEpochs(b *testing.B) {
+	const n, stmts = 1_000_000, 2000
+	var epochs [2][]crackdb.Range
+	for e, pat := range []workload.Pattern{workload.Random, workload.Sequential} {
+		gen, err := workload.New(pat, workload.Config{Domain: n, Count: stmts, Selectivity: 0.01, Seed: int64(e + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range gen.Queries() { // generator domain [0, n) → keys 1..n
+			epochs[e] = append(epochs[e], crackdb.Range{Low: q.Lo + 1, High: q.Hi})
+		}
+	}
+	for _, start := range []string{"standard", "ddr"} {
+		b.Run("start="+start, func(b *testing.B) {
+			var work core.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := New(Options{Shards: 4, Kind: Hash})
+				if err := st.LoadTapestry("t", n, 2, 1); err != nil {
+					b.Fatal(err)
+				}
+				if err := st.SetCrackStrategy(start, 42); err != nil {
+					b.Fatal(err)
+				}
+				st.EnableAutotune(tuner.Config{})
+				b.StartTimer()
+				for e, ranges := range epochs {
+					col := "c" + strconv.Itoa(e)
+					for j, r := range ranges {
+						got, err := st.CountBatch("t", col, ranges[j:j+1])
+						if want := int(r.High - r.Low + 1); err != nil || got[0] != want {
+							b.Fatalf("%s count of [%d, %d]: %v, %v; want %d", col, r.Low, r.High, got, err, want)
+						}
+					}
+				}
+				b.StopTimer()
+				for e := range epochs {
+					per, err := st.ShardStats("t", "c"+strconv.Itoa(e))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, cs := range per {
+						work = work.Add(cs.Stats)
+					}
+				}
+				b.StartTimer()
+			}
+			total := float64(b.N * 2 * stmts)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/stmt")
+			b.ReportMetric(float64(work.TuplesTouched)/total, "touched/stmt")
+			b.ReportMetric(float64(work.TuplesMoved)/total, "moved/stmt")
+		})
+	}
 }
